@@ -500,6 +500,69 @@ impl fmt::Debug for NodeRef<'_> {
     }
 }
 
+/// Checks that two graphs agree on node/edge/collection counts, on the
+/// multiset of canonicalized edges, and on every collection's
+/// canonicalized membership multiset — the equivalence oracle of the
+/// incremental-vs-full, pager and crash-recovery tests and experiments.
+///
+/// Canonicalization renders a node as `&name` when it has one and as an
+/// anonymous placeholder otherwise: incrementally maintained site graphs
+/// mint Skolem nodes in a different order than a fresh evaluation, so an
+/// oid-sensitive comparison would reject equivalent results. Everything
+/// else — per-label edge multisets over source/target shape and value,
+/// and which members each collection holds — must match exactly.
+pub fn graphs_equivalent(a: &Graph, b: &Graph) -> bool {
+    if a.node_count() != b.node_count()
+        || a.edge_count() != b.edge_count()
+        || a.collection_count() != b.collection_count()
+    {
+        return false;
+    }
+    fn canon_value(g: &Graph, v: &Value) -> String {
+        match v {
+            Value::Node(o) => match g.node_name(*o) {
+                Some(n) => format!("&{n}"),
+                None => "&<anon>".into(),
+            },
+            other => format!("{other:?}"),
+        }
+    }
+    fn edge_multiset(g: &Graph) -> HashMap<(String, String, String), usize> {
+        let mut m = HashMap::new();
+        for idx in 0..g.node_count() {
+            let oid = Oid::from_index(idx);
+            let src = canon_value(g, &Value::Node(oid));
+            for e in g.edges(oid) {
+                let key = (
+                    src.clone(),
+                    g.label_name(e.label).to_string(),
+                    canon_value(g, &e.to),
+                );
+                *m.entry(key).or_insert(0) += 1;
+            }
+        }
+        m
+    }
+    fn membership(g: &Graph, name: &str) -> HashMap<String, usize> {
+        let mut m = HashMap::new();
+        for v in g.members_str(name) {
+            *m.entry(canon_value(g, v)).or_insert(0) += 1;
+        }
+        m
+    }
+    if edge_multiset(a) != edge_multiset(b) {
+        return false;
+    }
+    let names_a: HashSet<&str> = a.collections().map(|(_, n)| n).collect();
+    let names_b: HashSet<&str> = b.collections().map(|(_, n)| n).collect();
+    if names_a != names_b {
+        return false;
+    }
+    names_a
+        .iter()
+        .all(|name| membership(a, name) == membership(b, name))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -57,7 +57,7 @@ pub mod traverse;
 mod value;
 
 pub use delta::{DeltaError, DeltaOp, GraphDelta};
-pub use graph::{CollectionId, Edge, Graph, InEdge, NodeRef};
+pub use graph::{graphs_equivalent, CollectionId, Edge, Graph, InEdge, NodeRef};
 pub use label::{Label, LabelInterner};
 pub use oid::Oid;
 pub use skolem::{SkolemKey, SkolemTable};

@@ -4,10 +4,9 @@
 
 use std::path::PathBuf;
 
-use strudel_graph::{GraphDelta, Oid, Value};
+use strudel_graph::{graphs_equivalent, GraphDelta, Oid, Value};
 use strudel_prng::{choose, Rng, SeedableRng, SmallRng};
 use strudel_repo::{snapshot, Database, IndexLevel, PagedRepo, PagerConfig};
-use strudel_schema::incremental::graphs_equivalent;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("strudel-pager-it-{tag}-{}", std::process::id()));

@@ -15,11 +15,10 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use strudel_graph::{GraphDelta, Oid, Value};
+use strudel_graph::{graphs_equivalent, GraphDelta, Oid, Value};
 use strudel_prng::{choose, Rng, SeedableRng, SmallRng};
 use strudel_repo::vfs::{FaultMode, FaultVfs};
 use strudel_repo::{snapshot, Database, IndexLevel, RepoError};
-use strudel_schema::incremental::graphs_equivalent;
 
 const STEPS: usize = 40;
 const SEEDS: [u64; 4] = [0xC0FFEE, 7, 1998, 42];

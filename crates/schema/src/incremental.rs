@@ -2,42 +2,41 @@
 //!
 //! The paper lists "computing incremental updates of site graphs" as an
 //! open problem with "broader implications in the field of semistructured
-//! data" (§7/§8). This module implements the classic view-maintenance
-//! algorithms for the negation-free fragment:
+//! data" (§7/§8). This module is a thin projection of the repository's one
+//! delta mechanism: for each block of the site-definition query (with its
+//! enclosing where clauses conjoined — the same flattening that yields
+//! site-schema guards), [`delta_rows`] returns the exact signed bindings
+//! rows the delta adds to or retracts from the block's relation, for every
+//! condition kind — `not(…)` and Kleene closures included.
 //!
-//! * **Insertions** — delta rules: for each block of the site-definition
-//!   query (with its enclosing where clauses conjoined — the same
-//!   flattening that yields site-schema guards), every inserted fact is
-//!   matched against each condition atom it could satisfy; the matching
-//!   atom's variables are seeded with the fact and the full conjunction is
-//!   re-evaluated from those seeds. Derived rows are pushed through the
-//!   block's construction stage via a [`Constructor`] that *resumes* the
-//!   original evaluation's Skolem table, so new links attach to existing
-//!   site nodes and repeated derivations collapse (construction is
-//!   idempotent: Skolem memoization + set semantics).
-//! * **Deletions** — delete-and-rederive (DRed): each removed fact is
-//!   matched against the chains *on the pre-delta database* to enumerate
-//!   the link and collect instances it supported (over-deletion
-//!   candidates); each candidate is then checked for re-derivability on
-//!   the post-delta database by unifying it against every link/collect
+//! * **Added rows** are pushed through the block's construction stage via
+//!   a [`Constructor`] that *resumes* the original evaluation's Skolem
+//!   table, so new links attach to existing site nodes and repeated
+//!   derivations collapse (construction is idempotent: Skolem memoization
+//!   + set semantics).
+//! * **Retracted rows** name the link and collect instances that lost a
+//!   derivation. Several rows, of several blocks, may derive the same
+//!   link, so each such candidate is probed for a surviving derivation on
+//!   the post-delta database: it is unified against every link/collect
 //!   expression that could produce it (inverting Skolem terms through the
-//!   memo table) and evaluating the guard with those seeds. Only
-//!   candidates with no surviving derivation are removed. Site nodes are
-//!   never deleted — an unreferenced page object may linger, exactly like
-//!   an orphaned oid in the paper's repository.
+//!   memo table) and the guard is evaluated with those seeds. Only
+//!   candidates with no surviving derivation are removed.
 //!
-//! Out-of-fragment inputs fall back to full re-evaluation, reported in
-//! [`IncrementalOutcome::full_reeval`]: queries using `not(…)`
-//! (non-monotone), and — for deletions only — chains with multi-step
-//! regular path expressions or nested Skolem arguments, where candidate
-//! enumeration cannot be seeded from single facts.
+//! Site nodes are never deleted — graphs only grow nodes, and a page
+//! object whose every derivation is gone lingers unreferenced, exactly
+//! like an orphaned oid in the paper's repository: it carries no edge and
+//! no membership, so no page of the site can reach it. The maintained
+//! graph therefore equals a fresh evaluation *plus* such unreferenced
+//! nodes; [`equivalent_modulo_orphans`] is that contract as an oracle.
 
-use std::collections::HashMap;
-use strudel_graph::{coerce, DeltaOp, Graph, GraphDelta, Oid, Value};
+use std::collections::{HashMap, HashSet};
+use strudel_graph::{
+    coerce, graphs_equivalent, DeltaOp, Graph, GraphDelta, Oid, SkolemTable, Value,
+};
 use strudel_repo::{Database, IndexLevel};
-use strudel_struql::rpe::StepPred;
 use strudel_struql::{
-    Block, Condition, Constructor, EvalResult, Evaluator, PathSpec, Program, StruqlResult, Term,
+    delta_rows, Block, Condition, Constructor, DiffOutcome, EvalResult, Evaluator, LabelTerm,
+    LinkExpr, Program, StruqlError, StruqlResult, Term,
 };
 
 /// The result of an incremental update.
@@ -45,24 +44,9 @@ use strudel_struql::{
 pub struct IncrementalOutcome {
     /// The updated evaluation result (site graph, Skolem table, …).
     pub result: EvalResult,
-    /// Bindings rows recomputed by delta rules (0 when fully re-evaluated).
+    /// Signed bindings rows propagated plus surviving-derivation probes
+    /// run.
     pub rows_recomputed: usize,
-    /// Whether the update fell back to full re-evaluation.
-    pub full_reeval: bool,
-}
-
-/// One inserted or deleted fact.
-#[derive(Clone, Debug)]
-pub(crate) enum Fact {
-    Edge {
-        from: Oid,
-        label: String,
-        to: Value,
-    },
-    Member {
-        collection: String,
-        member: Value,
-    },
 }
 
 /// Applies `delta` (in data-graph space) to a previously evaluated site.
@@ -75,105 +59,34 @@ pub fn incremental_update(
     delta: &GraphDelta,
     old_result: EvalResult,
 ) -> StruqlResult<IncrementalOutcome> {
-    let has_deletes = delta
-        .ops()
-        .iter()
-        .any(|op| matches!(op, DeltaOp::RemoveEdge { .. } | DeltaOp::Uncollect { .. }));
-    let monotone_program = program
-        .blocks_preorder()
-        .iter()
-        .all(|b| b.where_.iter().all(|c| !matches!(c, Condition::Not(..))));
+    let mut new_input = old_db.graph().clone();
+    let created_db = delta.apply(&mut new_input).map_err(|e| StruqlError::Eval {
+        message: format!("delta failed on data graph: {e}"),
+    })?;
+    let new_db = Database::from_graph(new_input, IndexLevel::Full);
+    let old_ev = Evaluator::new(old_db);
+    let new_ev = Evaluator::new(&new_db);
 
     let chains = flatten(program);
-    // DRed needs every chain seedable from single facts and every Skolem
-    // argument invertible through the memo table. A multi-step regex
-    // blocks seeding only when a *deleted edge's label* could actually be
-    // traversed by it — deletions of labels the regex can never cross
-    // cannot shrink any matched path, so such chains stay DRed-able.
-    let delete_edge_labels: Vec<&str> = delta
-        .ops()
+    let diffs: Vec<DiffOutcome> = chains
         .iter()
-        .filter_map(|op| match op {
-            DeltaOp::RemoveEdge { label, .. } => Some(label.as_ref()),
-            _ => None,
-        })
-        .collect();
-    let deletions_supported = chains.iter().all(|c| {
-        let regex_safe = !c.conds.iter().any(|cond| {
-            matches!(
-                cond,
-                Condition::Path {
-                    path: PathSpec::Regex(r),
-                    ..
-                } if r.as_single_step().is_none()
-                    && delete_edge_labels.iter().any(|l| r.could_traverse(l))
-            )
-        });
-        regex_safe
-            && c.block.link.iter().all(|l| flat_term(&l.src) && flat_term(&l.dst))
-            && c.block.collect.iter().all(|ce| flat_term(&ce.arg))
-    });
+        .map(|chain| delta_rows(&old_ev, &new_ev, &chain.conds, delta))
+        .collect::<StruqlResult<_>>()?;
+    let mut rows_recomputed: usize = diffs.iter().map(|d| d.rows.len()).sum();
 
-    // Build the updated input database either way.
-    let mut new_input = old_db.graph().clone();
-    let created_db = delta
-        .apply(&mut new_input)
-        .map_err(|e| strudel_struql::StruqlError::Eval {
-            message: format!("delta failed on data graph: {e}"),
-        })?;
-    let new_db = Database::from_graph(new_input, IndexLevel::Full);
-
-    if !monotone_program || (has_deletes && !deletions_supported) {
-        let result = Evaluator::new(&new_db).eval(program)?;
-        return Ok(IncrementalOutcome {
-            result,
-            rows_recomputed: 0,
-            full_reeval: true,
-        });
-    }
-
-    let mut rows_recomputed = 0usize;
-
-    // ----- DRed phase 1: over-deletion candidates, on the OLD database --
-    let delete_facts = collect_delete_facts(delta);
-    let mut link_candidates: std::collections::HashSet<(Oid, String, Value)> =
-        std::collections::HashSet::new();
-    let mut collect_candidates: std::collections::HashSet<(String, Value)> =
-        std::collections::HashSet::new();
-    if !delete_facts.is_empty() {
-        let old_ev = Evaluator::new(old_db);
-        // A mixed delta may remove an edge it added itself; such facts
-        // reference nodes the pre-delta graph has never issued, and no old
-        // derivation can depend on them — skip them (the paired insert is
-        // evaluated against the fully-applied new database and finds the
-        // edge already gone).
-        for chain in &chains {
-            for fact in delete_facts
-                .iter()
-                .filter(|f| fact_in_graph(f, old_db.graph()))
-            {
-                for cond in &chain.conds {
-                    let Some(seeds) = unify(cond, fact) else {
-                        continue;
-                    };
-                    let (vars, rows) = old_ev.eval_where_bindings(&chain.conds, &seeds)?;
-                    rows_recomputed += rows.len();
-                    for row in &rows {
-                        for l in &chain.block.link {
-                            if let Some(c) =
-                                link_instance(l, &vars, row, &old_result.skolem)
-                            {
-                                link_candidates.insert(c);
-                            }
-                        }
-                        for ce in &chain.block.collect {
-                            if let Some(member) =
-                                term_instance(&ce.arg, &vars, row, &old_result.skolem)
-                            {
-                                collect_candidates.insert((ce.collection.clone(), member));
-                            }
-                        }
-                    }
+    // The link and collect instances that lost a derivation. Retracted
+    // rows bind pre-delta oids only, so the old Skolem table (in
+    // lookup-only mode) resolves their terms.
+    let mut link_candidates: HashSet<(Oid, String, Value)> = HashSet::new();
+    let mut collect_candidates: HashSet<(String, Value)> = HashSet::new();
+    for (chain, d) in chains.iter().zip(&diffs) {
+        for (row, _) in d.rows.iter().filter(|(_, n)| *n < 0) {
+            for l in &chain.block.link {
+                link_candidates.extend(link_instance(l, &d.vars, row, &old_result.skolem));
+            }
+            for ce in &chain.block.collect {
+                if let Some(member) = term_instance(&ce.arg, &d.vars, row, &old_result.skolem) {
+                    collect_candidates.insert((ce.collection.clone(), member));
                 }
             }
         }
@@ -226,7 +139,7 @@ pub fn incremental_update(
     }
     let created_out = site_delta
         .apply(&mut out_graph)
-        .map_err(|e| strudel_struql::StruqlError::Eval {
+        .map_err(|e| StruqlError::Eval {
             message: format!("delta failed on site graph: {e}"),
         })?;
     debug_assert!(
@@ -237,50 +150,45 @@ pub fn incremental_update(
         "predicted site oids diverged from the applied delta"
     );
 
-    // ----- DRed phase 2: rederive on the NEW database, delete the rest --
+    // Retract every candidate with no surviving derivation on the new
+    // database.
     if !link_candidates.is_empty() || !collect_candidates.is_empty() {
         let reverse = skolem_reverse(&old_result.skolem);
-        let new_ev = Evaluator::new(&new_db);
-        for (src, label, dst) in link_candidates {
-            let mut derivable = false;
-            'chains: for chain in &chains {
-                for l in &chain.block.link {
-                    let Some(seeds) = unify_link(l, src, &label, &dst, &reverse) else {
-                        continue;
-                    };
-                    let (_, rows) = new_ev.eval_where_bindings(&chain.conds, &seeds)?;
-                    rows_recomputed += rows.len().min(1);
-                    if !rows.is_empty() {
-                        derivable = true;
-                        break 'chains;
-                    }
+        let mut survives = |probes: &mut dyn Iterator<Item = (&Chain, Vec<(String, Value)>)>| {
+            for (chain, seeds) in probes {
+                rows_recomputed += 1;
+                if !new_ev.eval_where_bindings(&chain.conds, &seeds)?.1.is_empty() {
+                    return Ok(true);
                 }
             }
-            if !derivable {
+            StruqlResult::Ok(false)
+        };
+        for (src, label, dst) in link_candidates {
+            let mut probes = chains.iter().flat_map(|chain| {
+                let seeds = chain
+                    .block
+                    .link
+                    .iter()
+                    .filter_map(|l| unify_link(l, src, &label, &dst, &reverse));
+                seeds.map(move |s| (chain, s))
+            });
+            if !survives(&mut probes)? {
                 if let Some(lab) = out_graph.label(&label) {
                     out_graph.remove_edge(src, lab, &dst);
                 }
             }
         }
         for (collection, member) in collect_candidates {
-            let mut derivable = false;
-            'chains2: for chain in &chains {
-                for ce in &chain.block.collect {
-                    if ce.collection != collection {
-                        continue;
-                    }
-                    let Some(seeds) = unify_term(&ce.arg, &member, &reverse) else {
-                        continue;
-                    };
-                    let (_, rows) = new_ev.eval_where_bindings(&chain.conds, &seeds)?;
-                    rows_recomputed += rows.len().min(1);
-                    if !rows.is_empty() {
-                        derivable = true;
-                        break 'chains2;
-                    }
-                }
-            }
-            if !derivable {
+            let mut probes = chains.iter().flat_map(|chain| {
+                let seeds = chain
+                    .block
+                    .collect
+                    .iter()
+                    .filter(|ce| ce.collection == collection)
+                    .filter_map(|ce| unify_term(&ce.arg, &member, &reverse));
+                seeds.map(move |s| (chain, s))
+            });
+            if !survives(&mut probes)? {
                 if let Some(cid) = out_graph.collection_id(&collection) {
                     out_graph.uncollect(cid, &member);
                 }
@@ -294,59 +202,29 @@ pub fn incremental_update(
         skolem: old_result.skolem,
         rows_evaluated: old_result.rows_evaluated,
     });
-
-    let facts = collect_facts(delta);
-    let ev = Evaluator::new(&new_db);
-
-    for chain in &chains {
-        // Chains containing a multi-step regex cannot be seeded soundly by
-        // a single edge fact (the new edge may extend a path anywhere), so
-        // re-derive the whole chain once — but only when some fact is
-        // actually *relevant* to it: unifiable with one of its atoms, or an
-        // edge whose label one of its regexes could traverse. Irrelevant
-        // facts cannot change the chain's bindings.
-        let has_regex = chain.conds.iter().any(|c| {
-            matches!(
-                c,
-                Condition::Path {
-                    path: PathSpec::Regex(r),
-                    ..
-                } if r.as_single_step().is_none()
-            )
-        });
-        if has_regex {
-            let relevant = facts.iter().any(|f| {
-                chain
-                    .conds
-                    .iter()
-                    .any(|c| unify(c, f).is_some() || fact_touches_regex_fallback(c, f))
-            });
-            if relevant {
-                let (vars, rows) = ev.eval_where_bindings(&chain.conds, &[])?;
-                rows_recomputed += rows.len();
-                let translated = translate_rows(rows, &oid_map);
-                constructor.apply_block(&chain.block, &vars, &translated)?;
-            }
-            continue;
-        }
-        for fact in &facts {
-            for cond in &chain.conds {
-                let Some(seeds) = unify(cond, fact) else {
-                    continue;
-                };
-                let (vars, rows) = ev.eval_where_bindings(&chain.conds, &seeds)?;
-                rows_recomputed += rows.len();
-                let translated = translate_rows(rows, &oid_map);
-                constructor.apply_block(&chain.block, &vars, &translated)?;
-            }
-        }
+    for (chain, d) in chains.iter().zip(diffs) {
+        let added = d.rows.into_iter().filter(|(_, n)| *n > 0).map(|(row, _)| row);
+        let translated = translate_rows(added.collect(), &oid_map);
+        constructor.apply_block(&chain.block, &d.vars, &translated)?;
     }
 
     Ok(IncrementalOutcome {
         result: constructor.finish(),
         rows_recomputed,
-        full_reeval: false,
     })
+}
+
+/// Whether `maintained` equals the `fresh` evaluation up to site nodes
+/// that lost every derivation: [`graphs_equivalent`] once `fresh` is
+/// padded with as many unreferenced nodes as `maintained` has spare. The
+/// padding carries no edge and no membership, so a lingering node that
+/// kept either still fails the comparison.
+pub fn equivalent_modulo_orphans(maintained: &Graph, fresh: &Graph) -> bool {
+    let mut padded = fresh.clone();
+    while padded.node_count() < maintained.node_count() {
+        padded.add_node();
+    }
+    graphs_equivalent(maintained, &padded)
 }
 
 /// A block with its enclosing where clauses conjoined.
@@ -379,104 +257,20 @@ fn flatten(program: &Program) -> Vec<Chain> {
     out
 }
 
-/// Whether every node a fact references was issued by `g`. A mixed delta
-/// may delete an edge it inserted itself; such delete facts reference
-/// oids the pre-delta graph has never seen, and unifying them against it
-/// would index out of bounds. Both DRed phase 1 and page invalidation
-/// filter delete facts through this guard before touching the old
-/// database.
-pub(crate) fn fact_in_graph(f: &Fact, g: &Graph) -> bool {
-    match f {
-        Fact::Edge { from, to, .. } => {
-            g.contains_node(*from) && to.as_node().map_or(true, |o| g.contains_node(o))
-        }
-        Fact::Member { member, .. } => {
-            member.as_node().map_or(true, |o| g.contains_node(o))
-        }
-    }
-}
-
-pub(crate) fn collect_facts(delta: &GraphDelta) -> Vec<Fact> {
-    delta
-        .ops()
-        .iter()
-        .filter_map(|op| match op {
-            DeltaOp::AddEdge { from, label, to } => Some(Fact::Edge {
-                from: *from,
-                label: label.to_string(),
-                to: to.clone(),
-            }),
-            DeltaOp::Collect { collection, member } => Some(Fact::Member {
-                collection: collection.to_string(),
-                member: member.clone(),
-            }),
-            _ => None,
-        })
-        .collect()
-}
-
-pub(crate) fn collect_delete_facts(delta: &GraphDelta) -> Vec<Fact> {
-    delta
-        .ops()
-        .iter()
-        .filter_map(|op| match op {
-            DeltaOp::RemoveEdge { from, label, to } => Some(Fact::Edge {
-                from: *from,
-                label: label.to_string(),
-                to: to.clone(),
-            }),
-            DeltaOp::Uncollect { collection, member } => Some(Fact::Member {
-                collection: collection.to_string(),
-                member: member.clone(),
-            }),
-            _ => None,
-        })
-        .collect()
-}
-
-/// A path condition whose regex cannot be localized to a single edge
-/// step, yet could involve the edge label of `fact`. A multi-step regex
-/// that can never traverse the fact's label is *not* touched — inserting
-/// or retracting such an edge cannot change any path the regex matches.
-/// Shared by the wholesale-rederive gate here and by page invalidation.
-pub(crate) fn fact_touches_regex_fallback(cond: &Condition, fact: &Fact) -> bool {
-    let (Condition::Path { path, .. }, Fact::Edge { label, .. }) = (cond, fact) else {
-        return false;
-    };
-    match path {
-        PathSpec::ArcVar(_) => false,
-        PathSpec::Regex(r) => match r.as_single_step() {
-            Some(StepPred::Label(_)) | Some(StepPred::Any) => false,
-            None => r.could_traverse(label),
-        },
-    }
-}
-
-/// Whether a construction term's Skolem arguments are all variables or
-/// constants — the invertible shape DRed requires.
-fn flat_term(t: &Term) -> bool {
-    match t {
-        Term::Var(_) | Term::Const(_) => true,
-        Term::Skolem { args, .. } => args
-            .iter()
-            .all(|a| matches!(a, Term::Var(_) | Term::Const(_))),
-    }
-}
-
 /// Instantiates a link expression against a bindings row using the *old*
 /// Skolem table in lookup-only mode (never minting). `None` when a term
 /// references a Skolem application that was never materialized or an
 /// unbound variable — then the candidate edge cannot exist.
 fn link_instance(
-    l: &strudel_struql::LinkExpr,
+    l: &LinkExpr,
     vars: &[String],
     row: &[Option<Value>],
-    skolem: &strudel_graph::SkolemTable,
+    skolem: &SkolemTable,
 ) -> Option<(Oid, String, Value)> {
     let src = term_instance(&l.src, vars, row, skolem)?.as_node()?;
     let label = match &l.label {
-        strudel_struql::LabelTerm::Const(s) => s.clone(),
-        strudel_struql::LabelTerm::Var(v) => {
+        LabelTerm::Const(s) => s.clone(),
+        LabelTerm::Var(v) => {
             let idx = vars.iter().position(|x| x == v)?;
             match row.get(idx)?.as_ref()? {
                 Value::Str(s) => s.to_string(),
@@ -493,7 +287,7 @@ fn term_instance(
     t: &Term,
     vars: &[String],
     row: &[Option<Value>],
-    skolem: &strudel_graph::SkolemTable,
+    skolem: &SkolemTable,
 ) -> Option<Value> {
     match t {
         Term::Var(v) => {
@@ -512,9 +306,7 @@ fn term_instance(
 }
 
 /// Inverts the Skolem table: created oid → (symbol, argument values).
-fn skolem_reverse(
-    skolem: &strudel_graph::SkolemTable,
-) -> HashMap<Oid, (String, Vec<Value>)> {
+fn skolem_reverse(skolem: &SkolemTable) -> HashMap<Oid, (String, Vec<Value>)> {
     skolem
         .iter()
         .map(|(key, oid)| (oid, (key.symbol.to_string(), key.args.to_vec())))
@@ -524,7 +316,7 @@ fn skolem_reverse(
 /// Unifies a link expression with a concrete candidate edge, producing the
 /// seed bindings under which the expression emits exactly that edge.
 fn unify_link(
-    l: &strudel_struql::LinkExpr,
+    l: &LinkExpr,
     src: Oid,
     label: &str,
     dst: &Value,
@@ -533,12 +325,12 @@ fn unify_link(
     let mut seeds: Vec<(String, Value)> = Vec::new();
     unify_term_into(&l.src, &Value::Node(src), reverse, &mut seeds)?;
     match &l.label {
-        strudel_struql::LabelTerm::Const(s) => {
+        LabelTerm::Const(s) => {
             if s != label {
                 return None;
             }
         }
-        strudel_struql::LabelTerm::Var(v) => {
+        LabelTerm::Var(v) => {
             push_seed(&mut seeds, v, Value::string(label))?;
         }
     }
@@ -589,60 +381,6 @@ fn push_seed(seeds: &mut Vec<(String, Value)>, var: &str, value: Value) -> Optio
     }
 }
 
-/// Tries to unify a condition atom with an inserted fact, producing seed
-/// bindings. `None` = this atom cannot match this fact.
-pub(crate) fn unify(cond: &Condition, fact: &Fact) -> Option<Vec<(String, Value)>> {
-    let mut seeds: Vec<(String, Value)> = Vec::new();
-    let bind = |term: &Term, value: &Value, seeds: &mut Vec<(String, Value)>| -> bool {
-        match term {
-            Term::Var(v) => {
-                if let Some((_, prev)) = seeds.iter().find(|(n, _)| n == v) {
-                    prev == value
-                } else {
-                    seeds.push((v.clone(), value.clone()));
-                    true
-                }
-            }
-            Term::Const(c) => coerce::eq(c, value),
-            Term::Skolem { .. } => false,
-        }
-    };
-    match (cond, fact) {
-        (
-            Condition::Collection { name, arg, .. },
-            Fact::Member { collection, member },
-        ) => {
-            if name != collection {
-                return None;
-            }
-            bind(arg, member, &mut seeds).then_some(seeds)
-        }
-        (Condition::Path { src, path, dst, .. }, Fact::Edge { from, label, to }) => {
-            match path {
-                PathSpec::ArcVar(l) => {
-                    if !bind(&Term::Var(l.clone()), &Value::string(label.as_str()), &mut seeds) {
-                        return None;
-                    }
-                }
-                PathSpec::Regex(r) => match r.as_single_step() {
-                    Some(StepPred::Label(want)) => {
-                        if &want != label {
-                            return None;
-                        }
-                    }
-                    Some(StepPred::Any) => {}
-                    None => return None, // handled by the regex fallback
-                },
-            }
-            if !bind(src, &Value::Node(*from), &mut seeds) {
-                return None;
-            }
-            bind(dst, to, &mut seeds).then_some(seeds)
-        }
-        _ => None,
-    }
-}
-
 /// Rewrites node values minted by the delta from data-graph oids to their
 /// site-graph counterparts.
 fn translate_rows(
@@ -664,71 +402,6 @@ fn translate_rows(
                 .collect()
         })
         .collect()
-}
-
-/// Checks that two graphs agree on node/edge/collection counts, on the
-/// multiset of canonicalized edges, and on every collection's
-/// canonicalized membership multiset — the equivalence oracle of the
-/// incremental-vs-full tests and experiments.
-///
-/// Canonicalization renders a node as `&name` when it has one and as an
-/// anonymous placeholder otherwise: incrementally maintained site graphs
-/// mint Skolem nodes in a different order than a fresh evaluation, so an
-/// oid-sensitive comparison would reject equivalent results. Everything
-/// else — per-label edge multisets over source/target shape and value,
-/// and which members each collection holds — must match exactly. (The
-/// previous oracle compared only counts, so genuinely different graphs
-/// with the same totals passed.)
-pub fn graphs_equivalent(a: &Graph, b: &Graph) -> bool {
-    if a.node_count() != b.node_count()
-        || a.edge_count() != b.edge_count()
-        || a.collection_count() != b.collection_count()
-    {
-        return false;
-    }
-    fn canon_value(g: &Graph, v: &Value) -> String {
-        match v {
-            Value::Node(o) => match g.node_name(*o) {
-                Some(n) => format!("&{n}"),
-                None => "&<anon>".into(),
-            },
-            other => format!("{other:?}"),
-        }
-    }
-    fn edge_multiset(g: &Graph) -> HashMap<(String, String, String), usize> {
-        let mut m = HashMap::new();
-        for idx in 0..g.node_count() {
-            let oid = Oid::from_index(idx);
-            let src = canon_value(g, &Value::Node(oid));
-            for e in g.edges(oid) {
-                let key = (
-                    src.clone(),
-                    g.label_name(e.label).to_string(),
-                    canon_value(g, &e.to),
-                );
-                *m.entry(key).or_insert(0) += 1;
-            }
-        }
-        m
-    }
-    fn membership(g: &Graph, name: &str) -> HashMap<String, usize> {
-        let mut m = HashMap::new();
-        for v in g.members_str(name) {
-            *m.entry(canon_value(g, v)).or_insert(0) += 1;
-        }
-        m
-    }
-    if edge_multiset(a) != edge_multiset(b) {
-        return false;
-    }
-    let names_a: std::collections::HashSet<&str> = a.collections().map(|(_, n)| n).collect();
-    let names_b: std::collections::HashSet<&str> = b.collections().map(|(_, n)| n).collect();
-    if names_a != names_b {
-        return false;
-    }
-    names_a
-        .iter()
-        .all(|name| membership(a, name) == membership(b, name))
 }
 
 #[cfg(test)]
@@ -782,7 +455,6 @@ mod tests {
 
         let reference = full_reference(&db, &program, &delta);
         let out = incremental_update(&program, &db, &delta, old).unwrap();
-        assert!(!out.full_reeval);
         assert!(out.rows_recomputed > 0);
         assert!(graphs_equivalent(&out.result.graph, &reference.graph));
 
@@ -808,7 +480,6 @@ mod tests {
 
         let reference = full_reference(&db, &program, &delta);
         let out = incremental_update(&program, &db, &delta, old).unwrap();
-        assert!(!out.full_reeval);
         assert!(graphs_equivalent(&out.result.graph, &reference.graph));
 
         // The new paper's page exists, carries its title, and the existing
@@ -843,7 +514,7 @@ mod tests {
     }
 
     #[test]
-    fn edge_removal_deletes_dependent_links_via_dred() {
+    fn edge_removal_deletes_dependent_links() {
         let db = base_db();
         let program = parse(QUERY).unwrap();
         let old = Evaluator::new(&db).eval(&program).unwrap();
@@ -860,7 +531,6 @@ mod tests {
         delta.remove_edge(p1, "year", Value::Int(1997));
 
         let out = incremental_update(&program, &db, &delta, old).unwrap();
-        assert!(!out.full_reeval, "DRed handles single-step deletions");
         let g = &out.result.graph;
         // The 1997 year page lost its only paper link and the root lost
         // nothing else; p1's page keeps its title.
@@ -870,6 +540,10 @@ mod tests {
         // derived from the same deleted fact and is not re-derivable).
         let root = out.result.skolem_node("RootPage", &[]).unwrap();
         assert!(!g.has_edge(root, g.label("year").unwrap(), &Value::Node(y97)));
+        // YearPage(1997) itself lingers, unreferenced.
+        let reference = full_reference(&db, &program, &delta);
+        assert_eq!(g.node_count(), reference.graph.node_count() + 1);
+        assert!(equivalent_modulo_orphans(g, &reference.graph));
     }
 
     #[test]
@@ -884,7 +558,6 @@ mod tests {
         delta.uncollect("Publications", Value::Node(p1));
 
         let out = incremental_update(&program, &db, &delta, old).unwrap();
-        assert!(!out.full_reeval);
         let g = &out.result.graph;
         let root = out.result.skolem_node("RootPage", &[]).unwrap();
         assert!(!g.has_edge(root, g.label("paper").unwrap(), &Value::Node(page1)));
@@ -897,10 +570,12 @@ mod tests {
         let p2 = db.graph().node_by_name("p2").unwrap();
         let page2 = out.result.skolem_node("PaperPage", &[Value::Node(p2)]).unwrap();
         assert_eq!(g.attr_str(page2, "title").count(), 1);
+        let reference = full_reference(&db, &program, &delta);
+        assert!(equivalent_modulo_orphans(g, &reference.graph));
     }
 
     #[test]
-    fn dred_keeps_links_with_surviving_derivations() {
+    fn links_with_surviving_derivations_are_kept() {
         // Two year edges with the same value: removing one must keep the
         // YearPage link, because the other edge still derives it.
         let g0 = ddl::parse(
@@ -918,18 +593,13 @@ mod tests {
         let mut delta = GraphDelta::new();
         delta.remove_edge(d, "year", Value::Int(1997));
         let out = incremental_update(&program, &db, &delta, old).unwrap();
-        assert!(!out.full_reeval);
         let g = &out.result.graph;
         assert!(
             g.has_edge(y97, g.label("paper").unwrap(), &Value::Node(page)),
             "one year edge remains, so the link survives rederivation"
         );
         let reference = full_reference(&db, &program, &delta);
-        assert!(graphs_equivalent(&g.clone(), &reference.graph) || {
-            // Orphaned site nodes are permitted to differ; compare the
-            // semantic content instead.
-            g.members_str("Pages").len() == reference.graph.members_str("Pages").len()
-        });
+        assert!(graphs_equivalent(g, &reference.graph));
     }
 
     #[test]
@@ -944,7 +614,6 @@ mod tests {
         delta.add_edge(p1, "title", Value::string("Alpha (2nd ed.)"));
 
         let out = incremental_update(&program, &db, &delta, old).unwrap();
-        assert!(!out.full_reeval);
         let g = &out.result.graph;
         let page1 = out.result.skolem_node("PaperPage", &[Value::Node(p1)]).unwrap();
         let titles: Vec<&str> = g
@@ -955,7 +624,7 @@ mod tests {
     }
 
     #[test]
-    fn kleene_deletions_fall_back_to_full_reeval() {
+    fn kleene_deletions_stay_incremental() {
         let g0 = ddl::parse(
             r#"
             object root in Roots { child : &a; }
@@ -974,18 +643,23 @@ mod tests {
         )
         .unwrap();
         let old = Evaluator::new(&db).eval(&program).unwrap();
+        assert_eq!(old.graph.members_str("Reach").len(), 5);
         let a = db.graph().node_by_name("a").unwrap();
         let b = db.graph().node_by_name("b").unwrap();
         let mut delta = GraphDelta::new();
         delta.remove_edge(a, "child", Value::Node(b));
         let reference = full_reference(&db, &program, &delta);
         let out = incremental_update(&program, &db, &delta, old).unwrap();
-        assert!(out.full_reeval, "Kleene chains cannot DRed from single facts");
-        assert!(graphs_equivalent(&out.result.graph, &reference.graph));
+        assert!(out.rows_recomputed > 0);
+        // Copy(b) and Copy("b") lost their only derivation and linger
+        // unreferenced; everything else equals the fresh evaluation.
+        assert_eq!(out.result.graph.members_str("Reach").len(), 3);
+        assert_eq!(out.result.graph.node_count(), reference.graph.node_count() + 2);
+        assert!(equivalent_modulo_orphans(&out.result.graph, &reference.graph));
     }
 
     #[test]
-    fn negation_falls_back_to_full_reeval() {
+    fn negation_stays_incremental() {
         let db = base_db();
         let program = parse(
             r#"
@@ -995,23 +669,107 @@ mod tests {
         "#,
         )
         .unwrap();
+        let p1 = db.graph().node_by_name("p1").unwrap();
+
+        // An insertion under not(…) retracts a row: P(p1) leaves Live and
+        // lingers unreferenced…
+        let old = Evaluator::new(&db).eval(&program).unwrap();
+        let mut retract = GraphDelta::new();
+        retract.add_edge(p1, "retracted", Value::Bool(true));
+        let reference = full_reference(&db, &program, &retract);
+        let out = incremental_update(&program, &db, &retract, old).unwrap();
+        assert_eq!(out.result.graph.members_str("Live").len(), 1);
+        assert_eq!(out.result.graph.node_count(), reference.graph.node_count() + 1);
+        assert!(equivalent_modulo_orphans(&out.result.graph, &reference.graph));
+
+        // …and a deletion under it adds the row back, re-adopting the very
+        // node through the resumed Skolem table: no orphan is left.
+        let mut g = db.graph().clone();
+        retract.apply(&mut g).unwrap();
+        let db2 = Database::from_graph(g, IndexLevel::Full);
+        let mut restore = GraphDelta::new();
+        restore.remove_edge(p1, "retracted", Value::Bool(true));
+        let reference = full_reference(&db2, &program, &restore);
+        let out = incremental_update(&program, &db2, &restore, out.result).unwrap();
+        assert_eq!(out.result.graph.members_str("Live").len(), 2);
+        assert!(graphs_equivalent(&out.result.graph, &reference.graph));
+    }
+
+    #[test]
+    fn negation_over_kleene_stays_incremental() {
+        // Both out-of-fragment shapes of the old DRed path at once: the
+        // retraction changes a closure under not(…).
+        let g0 = ddl::parse(
+            r#"
+            object p1 in Publications { rel : &p2; }
+            object p2 in Publications { title : "Beta"; }
+        "#,
+        )
+        .unwrap();
+        let db = Database::from_graph(g0, IndexLevel::Full);
+        let program = parse(
+            r#"
+            create Index()
+            collect Roots(Index())
+            { where Publications(x), not(x -> "rel"+ -> y)
+              link Index() -> "leaf" -> x }
+        "#,
+        )
+        .unwrap();
         let old = Evaluator::new(&db).eval(&program).unwrap();
         let p1 = db.graph().node_by_name("p1").unwrap();
+        let p2 = db.graph().node_by_name("p2").unwrap();
         let mut delta = GraphDelta::new();
-        delta.add_edge(p1, "retracted", Value::Bool(true));
-
+        delta.remove_edge(p1, "rel", Value::Node(p2));
         let reference = full_reference(&db, &program, &delta);
         let out = incremental_update(&program, &db, &delta, old).unwrap();
-        assert!(out.full_reeval);
         assert!(graphs_equivalent(&out.result.graph, &reference.graph));
-        assert_eq!(out.result.graph.members_str("Live").len(), 1);
+    }
+
+    /// Nested Skolem construction terms take the same path: the probe
+    /// inverts `Cell(YearOf(y), x)` through the memo table level by level.
+    #[test]
+    fn nested_skolem_terms_stay_incremental() {
+        let db = base_db();
+        let program = parse(
+            r#"
+            where Publications(x), x -> "year" -> y
+            create YearOf(y), Cell(YearOf(y), x)
+            link YearOf(y) -> "cell" -> Cell(YearOf(y), x)
+            collect Cells(Cell(YearOf(y), x))
+        "#,
+        )
+        .unwrap();
+        let p1 = db.graph().node_by_name("p1").unwrap();
+
+        let old = Evaluator::new(&db).eval(&program).unwrap();
+        let mut insert = GraphDelta::new();
+        insert.add_edge(p1, "year", Value::Int(1998));
+        let reference = full_reference(&db, &program, &insert);
+        let out = incremental_update(&program, &db, &insert, old).unwrap();
+        assert!(graphs_equivalent(&out.result.graph, &reference.graph));
+
+        // Removing the year again retracts Cell(YearOf(1998), p1) and its
+        // link, but YearOf(1998) keeps p2's cell.
+        let mut g = db.graph().clone();
+        insert.apply(&mut g).unwrap();
+        let db2 = Database::from_graph(g, IndexLevel::Full);
+        let mut remove = GraphDelta::new();
+        remove.remove_edge(p1, "year", Value::Int(1998));
+        let reference = full_reference(&db2, &program, &remove);
+        let out = incremental_update(&program, &db2, &remove, out.result).unwrap();
+        assert_eq!(out.result.graph.members_str("Cells").len(), 2);
+        let y98 = out.result.skolem_node("YearOf", &[Value::Int(1998)]).unwrap();
+        assert_eq!(out.result.graph.attr_str(y98, "cell").count(), 1);
+        assert_eq!(out.result.graph.node_count(), reference.graph.node_count() + 1);
+        assert!(equivalent_modulo_orphans(&out.result.graph, &reference.graph));
     }
 
     #[test]
     fn delta_removing_its_own_insert_does_not_panic() {
         // A mixed delta that adds an edge and removes it again: the delete
-        // fact references a node the OLD graph never issued. Phase 1 must
-        // skip it instead of indexing out of bounds.
+        // fact references a node the OLD graph never issued, which must
+        // never be probed with it.
         let g = ddl::parse(r#"object p1 { year : 1997; }"#).unwrap();
         let db = Database::from_graph(g, IndexLevel::Full);
         let program = parse(
@@ -1033,7 +791,6 @@ mod tests {
 
         let reference = full_reference(&db, &program, &delta);
         let out = incremental_update(&program, &db, &delta, old).unwrap();
-        assert!(!out.full_reeval);
         assert_eq!(
             out.result.graph.members_str("Out").len(),
             reference.graph.members_str("Out").len()
@@ -1041,7 +798,7 @@ mod tests {
     }
 
     #[test]
-    fn kleene_star_chains_are_rederived_wholesale() {
+    fn kleene_insertion_extends_paths_through_the_middle() {
         let db = {
             let g = ddl::parse(
                 r#"
@@ -1073,13 +830,11 @@ mod tests {
 
         let reference = full_reference(&db, &program, &delta);
         let out = incremental_update(&program, &db, &delta, old).unwrap();
-        assert!(!out.full_reeval);
         assert!(graphs_equivalent(&out.result.graph, &reference.graph));
     }
 
     /// Deleting an edge whose label the chain's Kleene closure can never
-    /// traverse must stay on the incremental path: the regex is irrelevant
-    /// to the deletion, so DRed remains sound.
+    /// traverse must not touch the chain at all.
     #[test]
     fn irrelevant_label_deletion_stays_incremental_despite_kleene() {
         let g0 = ddl::parse(
@@ -1104,17 +859,14 @@ mod tests {
         delta.remove_edge(root, "note", Value::string("draft"));
         let reference = full_reference(&db, &program, &delta);
         let out = incremental_update(&program, &db, &delta, old).unwrap();
-        assert!(
-            !out.full_reeval,
-            "'note' cannot be traversed by \"child\"* — no fallback needed"
-        );
+        assert_eq!(out.rows_recomputed, 0, "'note' cannot be traversed by \"child\"*");
         assert!(graphs_equivalent(&out.result.graph, &reference.graph));
     }
 
-    /// Inserting an edge irrelevant to a Kleene chain must not trigger the
-    /// wholesale rederivation of that chain.
+    /// Inserting an edge irrelevant to a Kleene chain must not re-derive
+    /// that chain.
     #[test]
-    fn irrelevant_insert_skips_wholesale_kleene_rederivation() {
+    fn irrelevant_insert_skips_kleene_chain() {
         let g0 = ddl::parse(
             r#"
             object root in Roots { child : &a; }
@@ -1137,7 +889,6 @@ mod tests {
         delta.add_edge(root, "note", Value::string("draft"));
         let reference = full_reference(&db, &program, &delta);
         let out = incremental_update(&program, &db, &delta, old).unwrap();
-        assert!(!out.full_reeval);
         assert_eq!(
             out.rows_recomputed, 0,
             "no chain atom relates to 'note'; nothing to rederive"
@@ -1154,7 +905,6 @@ mod tests {
         let edges = old.graph.edge_count();
         let out =
             incremental_update(&program, &db, &GraphDelta::new(), old).unwrap();
-        assert!(!out.full_reeval);
         assert_eq!(out.rows_recomputed, 0);
         assert_eq!(out.result.graph.node_count(), nodes);
         assert_eq!(out.result.graph.edge_count(), edges);
@@ -1177,7 +927,6 @@ mod tests {
         }
         let reference = full_reference(&db, &program, &delta);
         let out = incremental_update(&program, &db, &delta, old).unwrap();
-        assert!(!out.full_reeval);
         assert!(graphs_equivalent(&out.result.graph, &reference.graph));
         assert_eq!(out.result.graph.members_str("Pages").len(), 7);
     }

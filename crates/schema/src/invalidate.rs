@@ -1,37 +1,35 @@
 //! Delta-driven page invalidation for the click-time engine.
 //!
 //! Given a data-graph delta, compute exactly which dynamic pages
-//! ([`PageKey`]s) could have changed content — the set a page cache must
-//! evict. The technique mirrors the incremental-maintenance delta rules:
-//! every changed fact is unified against each condition atom of each
-//! schema edge's guard; matching atoms seed a re-evaluation of the guard
-//! whose result rows name the affected source pages. Deleted facts are
-//! evaluated against the *pre*-delta database (the bindings that used to
-//! hold), inserted facts against the *post*-delta database.
+//! ([`PageKey`]s) changed content — the set a page cache must evict or
+//! maintain. This is a projection of the repository's one delta mechanism:
+//! [`delta_rows`] returns the exact signed rows the delta adds to or
+//! retracts from each schema edge's guard, and every such row names —
+//! through the edge's source Skolem arguments — one page whose out-edges
+//! changed. Guards using `not(…)` or Kleene closures dirty exact pages
+//! like any other; a row whose retraction and re-insertion cancel dirties
+//! nothing.
 //!
-//! Out-of-fragment guards are handled conservatively rather than by
-//! falling back to whole-cache flushes: a guard using `not(…)` or a
-//! multi-step regular path expression dirties its source symbol
-//! *wholesale* (every cached page of that symbol), leaving all other
-//! symbols' pages untouched.
+//! The one conservative case is a schema edge whose source arguments nest
+//! Skolem terms: those cannot be evaluated from a bindings row, so a delta
+//! touching such an edge's guard dirties its source symbol *wholesale*
+//! (every cached page of that symbol), leaving all other symbols' pages
+//! untouched.
 
 use crate::dynamic::{eval_args, PageKey};
-use crate::incremental::{
-    collect_delete_facts, collect_facts, fact_in_graph, fact_touches_regex_fallback, unify, Fact,
-};
-use crate::SiteSchema;
+use crate::{SchemaNode, SiteSchema};
 use std::collections::HashSet;
 use strudel_graph::GraphDelta;
 use strudel_repo::Database;
-use strudel_struql::{Condition, Evaluator, StruqlResult, Term};
+use strudel_struql::{delta_rows, DeltaTouch, Evaluator, StruqlResult, Term};
 
 /// The pages a delta dirties: exact keys plus wholesale-dirty symbols.
 #[derive(Clone, Debug, Default)]
 pub struct DirtySet {
     /// Exactly identified dirty pages.
     pub pages: HashSet<PageKey>,
-    /// Symbols whose *every* page must be considered dirty (non-monotone
-    /// or non-localizable guards).
+    /// Symbols whose *every* page must be considered dirty (source
+    /// arguments that cannot be recovered from a bindings row).
     pub symbols: HashSet<String>,
 }
 
@@ -47,28 +45,8 @@ impl DirtySet {
     }
 }
 
-/// Does `cond` (or any condition nested under a `not`) unify with `fact`
-/// only through a negation or an un-seedable path? Returns:
-/// `Some(true)` — matches monotonically, seeds in hand;
-/// `Some(false)` — no relation to the fact at all.
-fn fact_touches_negation(cond: &Condition, fact: &Fact) -> bool {
-    match cond {
-        Condition::Not(inner, _) => {
-            // The inner existential relates to the fact either through
-            // direct unification or — for multi-step regexes, which unify
-            // with no single fact — through the label-relevance fallback.
-            // Missing the latter under-invalidates: a retraction feeding a
-            // Kleene closure under not(…) would leave stale pages cached.
-            unify(inner, fact).is_some()
-                || fact_touches_regex_fallback(inner, fact)
-                || fact_touches_negation(inner, fact)
-        }
-        _ => false,
-    }
-}
-
-/// Computes the set of dynamic pages whose content may differ after
-/// `delta`. `old_db` is the database before the delta, `new_db` after.
+/// Computes the set of dynamic pages whose content differs after `delta`.
+/// `old_db` is the database before the delta, `new_db` after.
 pub fn dirty_pages(
     schema: &SiteSchema,
     old_db: &Database,
@@ -76,57 +54,30 @@ pub fn dirty_pages(
     delta: &GraphDelta,
 ) -> StruqlResult<DirtySet> {
     let mut dirty = DirtySet::default();
-    let inserts = collect_facts(delta);
-    // Delete facts are unified against the PRE-delta database, so a mixed
-    // delta that removes an edge it inserted itself must be filtered: its
-    // oids were never issued by the old graph, and seeding an evaluation
-    // with them would index out of bounds. No old binding can depend on
-    // such a fact, so skipping it loses nothing (the paired insert is
-    // evaluated against the new database, where the edge is already gone).
-    let deletes: Vec<Fact> = collect_delete_facts(delta)
-        .into_iter()
-        .filter(|f| fact_in_graph(f, old_db.graph()))
-        .collect();
-
+    let touch = DeltaTouch::of(delta);
+    let old_ev = Evaluator::new(old_db);
+    let new_ev = Evaluator::new(new_db);
     for edge in &schema.edges {
-        let src_symbol = match &schema.nodes[edge.from] {
-            crate::SchemaNode::Skolem(sym) => sym.clone(),
-            _ => continue,
+        let SchemaNode::Skolem(symbol) = &schema.nodes[edge.from] else {
+            continue;
         };
-        // Nested-Skolem source args can't be reconstructed from bindings
-        // rows; treat any matching fact as wholesale dirt.
+        if !touch.touches(&edge.guard) {
+            continue;
+        }
         let args_invertible = edge
             .src_args
             .iter()
             .all(|t| matches!(t, Term::Var(_) | Term::Const(_)));
-
-        for (facts, db) in [(&inserts, new_db), (&deletes, old_db)] {
-            let ev = Evaluator::new(db);
-            for fact in facts.iter() {
-                for cond in &edge.guard {
-                    if fact_touches_negation(cond, fact)
-                        || fact_touches_regex_fallback(cond, fact)
-                    {
-                        dirty.symbols.insert(src_symbol.clone());
-                        continue;
-                    }
-                    let Some(seeds) = unify(cond, fact) else {
-                        continue;
-                    };
-                    if !args_invertible {
-                        dirty.symbols.insert(src_symbol.clone());
-                        continue;
-                    }
-                    let (vars, rows) = ev.eval_where_bindings(&edge.guard, &seeds)?;
-                    for row in &rows {
-                        let args = eval_args(&edge.src_args, &vars, row)?;
-                        dirty.pages.insert(PageKey {
-                            symbol: src_symbol.clone(),
-                            args,
-                        });
-                    }
-                }
-            }
+        if !args_invertible {
+            dirty.symbols.insert(symbol.clone());
+            continue;
+        }
+        let out = delta_rows(&old_ev, &new_ev, &edge.guard, delta)?;
+        for (row, _) in &out.rows {
+            dirty.pages.insert(PageKey {
+                symbol: symbol.clone(),
+                args: eval_args(&edge.src_args, &out.vars, row)?,
+            });
         }
     }
     Ok(dirty)
@@ -238,8 +189,15 @@ mod tests {
         }));
     }
 
+    fn key(symbol: &str, node: strudel_graph::Oid) -> PageKey {
+        PageKey {
+            symbol: symbol.into(),
+            args: vec![Value::Node(node)],
+        }
+    }
+
     #[test]
-    fn negated_guard_dirties_symbol_wholesale() {
+    fn negated_guard_dirties_exactly_the_flipped_page() {
         let query = r#"
             where Publications(x), not(x -> "hidden" -> h)
             create PubPage(x)
@@ -249,11 +207,14 @@ mod tests {
         let db = db();
         let schema = SiteSchema::extract(&parse(query).unwrap());
         let p1 = db.graph().node_by_name("p1").unwrap();
+        let p2 = db.graph().node_by_name("p2").unwrap();
         let mut delta = GraphDelta::new();
         delta.add_edge(p1, "hidden", Value::Bool(true));
         let new_db = after(&db, &delta);
         let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap();
-        assert!(dirty.symbols.contains("PubPage"), "{dirty:?}");
+        assert!(dirty.symbols.is_empty(), "{dirty:?}");
+        assert!(dirty.contains(&key("PubPage", p1)), "{dirty:?}");
+        assert!(!dirty.contains(&key("PubPage", p2)), "{dirty:?}");
     }
 
     #[test]
@@ -261,7 +222,8 @@ mod tests {
         // Regression: a delta that adds a node+edge and removes the edge
         // again produces a delete fact whose oid the old graph never
         // issued. Unifying it against the pre-delta database used to
-        // index out of bounds; the `fact_in_graph` guard now skips it.
+        // index out of bounds; such facts now diff against an empty old
+        // side.
         let db = db();
         let schema = SiteSchema::extract(&parse(QUERY).unwrap());
         let base = db.graph().node_count();
@@ -275,9 +237,7 @@ mod tests {
         let new_db = after(&db, &delta);
 
         let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap();
-        // The inserts still dirty the pages they touch (evaluated against
-        // the new database, where the node exists); existing pages of
-        // other papers stay clean.
+        // Existing pages of other papers stay clean.
         let p1 = db.graph().node_by_name("p1").unwrap();
         assert!(!dirty.contains(&PageKey {
             symbol: "PaperPage".into(),
@@ -289,9 +249,9 @@ mod tests {
     fn self_cancelling_delta_with_path_only_guard_does_not_panic() {
         // The sharpest form of the regression: when the guard is a bare
         // path condition (no collection atom to filter the phantom row
-        // first), the seeded evaluation reaches `graph.edges(oid)` with
-        // the never-issued oid directly — without the `fact_in_graph`
-        // guard this indexes out of bounds.
+        // first), a seeded evaluation on the old database would reach
+        // `graph.edges(oid)` with the never-issued oid directly and index
+        // out of bounds.
         let query = r#"
             where x -> "title" -> t
             create TitlePage(x)
@@ -323,10 +283,8 @@ mod tests {
         collect Roots(RelPage(x))
     "#;
 
-    /// Regression: a multi-step regex used to dirty its symbol wholesale
-    /// for *every* edge fact. A delta that only retracts facts whose label
-    /// no guard can traverse must produce an empty dirty set — zero
-    /// evictions.
+    /// A delta that only retracts facts whose label no guard can traverse
+    /// must produce an empty dirty set — zero evictions.
     #[test]
     fn irrelevant_label_retraction_with_kleene_guard_dirties_nothing() {
         let g = ddl::parse(
@@ -347,34 +305,41 @@ mod tests {
     }
 
     /// The flip side: a fact whose label the Kleene closure *can* traverse
-    /// still dirties the symbol wholesale (the edge may extend paths
-    /// anywhere).
+    /// dirties exactly the pages whose closure it changes — here the
+    /// sources that reached p3 through the retracted edge — and not the
+    /// symbol.
     #[test]
-    fn traversable_label_still_dirties_kleene_symbol_wholesale() {
+    fn traversable_label_dirties_exactly_the_pages_that_reached_through_it() {
         let g = ddl::parse(
             r#"
             object p1 in Publications { rel : &p2; }
-            object p2 in Publications { title : "Beta"; }
+            object p2 in Publications { rel : &p3; }
+            object p3 in Publications { title : "Gamma"; }
+            object p4 in Publications { rel : &p1; }
+            object p5 in Publications { rel : &p3; }
         "#,
         )
         .unwrap();
         let db = Database::from_graph(g, IndexLevel::Full);
         let schema = SiteSchema::extract(&parse(KLEENE_QUERY).unwrap());
-        let p1 = db.graph().node_by_name("p1").unwrap();
-        let p2 = db.graph().node_by_name("p2").unwrap();
+        let node = |n: &str| db.graph().node_by_name(n).unwrap();
         let mut delta = GraphDelta::new();
-        delta.remove_edge(p1, "rel", Value::Node(p2));
+        delta.remove_edge(node("p2"), "rel", Value::Node(node("p3")));
         let new_db = after(&db, &delta);
         let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap();
-        assert!(dirty.symbols.contains("RelPage"), "{dirty:?}");
+        assert!(dirty.symbols.is_empty(), "{dirty:?}");
+        let expect: HashSet<PageKey> = ["p1", "p2", "p4"]
+            .iter()
+            .map(|n| key("RelPage", node(n)))
+            .collect();
+        assert_eq!(dirty.pages, expect, "p3 and p5 keep their closures");
     }
 
-    /// Regression: `not(…)` over a multi-step regex used to relate to *no*
-    /// edge fact (unify can't seed a multi-step regex), silently leaving
-    /// stale pages cached when a retraction changed the closure under the
-    /// negation.
+    /// A retraction under a negated Kleene guard — `not(…)` over a
+    /// multi-step regex, which unifies with no single fact — dirties
+    /// exactly the pages whose negation flips.
     #[test]
-    fn negation_over_kleene_dirties_on_traversable_label() {
+    fn retraction_under_negated_kleene_dirties_exactly_the_flipped_pages() {
         let query = r#"
             where Publications(x), not(x -> "rel"+ -> y)
             create LeafPage(x)
@@ -385,6 +350,7 @@ mod tests {
             r#"
             object p1 in Publications { rel : &p2; }
             object p2 in Publications { title : "Beta"; }
+            object p3 in Publications { rel : &p2; }
         "#,
         )
         .unwrap();
@@ -393,18 +359,41 @@ mod tests {
         let p1 = db.graph().node_by_name("p1").unwrap();
         let p2 = db.graph().node_by_name("p2").unwrap();
         // p1 loses its rel edge: it now satisfies the negation and its
-        // page gains content — the delta must dirty LeafPage.
+        // page gains content. p2 (a leaf before and after) and p3 (still
+        // reaching p2) are unaffected.
         let mut delta = GraphDelta::new();
         delta.remove_edge(p1, "rel", Value::Node(p2));
         let new_db = after(&db, &delta);
         let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap();
-        assert!(dirty.symbols.contains("LeafPage"), "{dirty:?}");
+        assert!(dirty.symbols.is_empty(), "{dirty:?}");
+        assert_eq!(dirty.pages, HashSet::from([key("LeafPage", p1)]));
         // An irrelevant label under the same guard still dirties nothing.
         let mut irrelevant = GraphDelta::new();
         irrelevant.add_edge(p1, "note", Value::string("draft"));
         let new_db2 = after(&db, &irrelevant);
         let dirty2 = dirty_pages(&schema, &db, &new_db2, &irrelevant).unwrap();
         assert!(dirty2.is_empty(), "{dirty2:?}");
+    }
+
+    /// The one wholesale case left: source arguments that nest a Skolem
+    /// term cannot be read off a bindings row.
+    #[test]
+    fn nested_skolem_source_args_dirty_the_symbol() {
+        let query = r#"
+            where Publications(x), x -> "year" -> y
+            create Cell(YearOf(y), x)
+            link Cell(YearOf(y), x) -> "paper" -> x
+            collect Roots(Cell(YearOf(y), x))
+        "#;
+        let db = db();
+        let schema = SiteSchema::extract(&parse(query).unwrap());
+        let p1 = db.graph().node_by_name("p1").unwrap();
+        let mut delta = GraphDelta::new();
+        delta.add_edge(p1, "year", Value::Int(1999));
+        let new_db = after(&db, &delta);
+        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap();
+        assert!(dirty.symbols.contains("Cell"), "{dirty:?}");
+        assert!(dirty.pages.is_empty(), "{dirty:?}");
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //!   "click time", with path-context seeding and look-ahead caching.
 //!
 //! [`incremental`] adds the paper's future-work item: incremental
-//! maintenance of a materialized site graph under insert-only data-graph
-//! deltas.
+//! maintenance of a materialized site graph under data-graph deltas. It
+//! and [`invalidate`] (which pages did a delta dirty?) are both
+//! projections of the signed rows of [`strudel_struql::delta_rows`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -21,11 +21,10 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use strudel_graph::{ddl, Graph, GraphDelta, Oid, Value};
+use strudel_graph::{ddl, graphs_equivalent, Graph, GraphDelta, Oid, Value};
 use strudel_prng::{Rng, SeedableRng, SmallRng};
 use strudel_repo::{Database, IndexLevel};
 use strudel_schema::dynamic::Mode;
-use strudel_schema::incremental::graphs_equivalent;
 use strudel_serve::SiteService;
 use strudel_struql::Evaluator;
 use strudel_template::TemplateSet;

@@ -3,11 +3,12 @@
 //! untouched pages keep serving straight from the rendered-HTML cache —
 //! asserted through the cache hit/miss counters.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 use strudel_graph::{ddl, GraphDelta, Value};
 use strudel_repo::{Database, IndexLevel};
-use strudel_schema::dynamic::{Mode, PageKey};
-use strudel_serve::SiteService;
+use strudel_schema::dynamic::{DynamicSite, Mode, PageKey};
+use strudel_serve::{render, CachedPage, SiteService};
 use strudel_template::TemplateSet;
 
 const QUERY: &str = r#"
@@ -293,6 +294,83 @@ fn rejected_delta_leaves_service_intact() {
     let after = service.handle(&x_url);
     assert_eq!(before.body, after.body);
     assert_eq!(service.cache().stats().hits, hits + 1);
+}
+
+/// Regression: `DynamicSite::apply_delta` used to bump the epoch and swap
+/// the snapshot *before* replacing dirty cached views. A reader taking its
+/// epoch in between paired the new epoch with the pre-delta view, and its
+/// rendition passed the HTML cache's epoch fence after
+/// `HtmlCache::invalidate` had already run — the page stayed stale until
+/// some later delta dirtied it again. `read_epoch` is how the reader
+/// fences: `snapshot()` as `render_into_cache` does, or `epoch()` as
+/// `warm` and the sharded promote fence do.
+fn reader_parked_in_the_swap_window(read_epoch: fn(&DynamicSite) -> u64) {
+    let service = service();
+    let x = article_key(&service, "a1");
+    let x_url = service.url_of(&x);
+    // X's view sits in the engine cache but its rendition is not in the
+    // HTML cache, so the reader below has to render it.
+    service.engine().visit(&x).unwrap();
+
+    let (in_window_tx, in_window_rx) = mpsc::channel();
+    let (rendered_tx, rendered_rx) = mpsc::channel();
+    let rendered_rx = Mutex::new(rendered_rx);
+    service.engine().arm_swap_probe(move || {
+        in_window_tx.send(()).unwrap();
+        // The writer holds the window open until the reader has rendered.
+        // With view replacement unobservable under the new epoch the
+        // reader cannot get that far — it is parked on the snapshot lock
+        // until this section ends — and the wait runs out instead.
+        let _ = rendered_rx
+            .lock()
+            .unwrap()
+            .recv_timeout(Duration::from_millis(250));
+    });
+
+    let a1 = service.engine().database().graph().node_by_name("a1").unwrap();
+    let mut delta = GraphDelta::new();
+    delta.remove_edge(a1, "title", Value::string("First post"));
+    delta.add_edge(a1, "title", Value::string("First post, revised"));
+
+    let (service, x) = (&service, &x);
+    std::thread::scope(|s| {
+        let reader = s.spawn(move || {
+            in_window_rx.recv().unwrap();
+            // `SiteService::render_into_cache`, step by step, so the
+            // insert can be held back until invalidation has run.
+            let epoch = read_epoch(service.engine());
+            let page = render::render_page(service.engine(), service.templates(), x).unwrap();
+            rendered_tx.send(()).unwrap();
+            (epoch, page)
+        });
+        service.apply_delta(&delta).unwrap();
+        let (epoch, page) = reader.join().unwrap();
+        service.cache().insert_if(
+            x.clone(),
+            CachedPage {
+                html: page.html.into(),
+                deps: page.deps.into(),
+            },
+            || service.engine().epoch() == epoch,
+        );
+    });
+
+    let after = service.handle(&x_url);
+    assert!(
+        after.body.contains("First post, revised"),
+        "a stale rendition was pinned: {}",
+        after.body
+    );
+}
+
+#[test]
+fn reader_parked_in_the_swap_window_cannot_pin_a_stale_rendition() {
+    reader_parked_in_the_swap_window(|engine| engine.snapshot().0);
+}
+
+#[test]
+fn warm_style_epoch_read_in_the_swap_window_cannot_pin_a_stale_rendition() {
+    reader_parked_in_the_swap_window(|engine| engine.epoch());
 }
 
 #[test]

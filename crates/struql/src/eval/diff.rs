@@ -24,8 +24,9 @@
 //! When a condition cannot be affected by the delta (its labels and
 //! collections are disjoint from the delta's — see [`DeltaTouch`]), the
 //! two `R` terms cancel and the step degenerates to `D' = D ⋈ A` — the
-//! cheap monotone case. When additionally `D` is empty and no later step
-//! is touched, the diff is empty and evaluation stops early.
+//! cheap monotone case. Past the last touched step `R` is no longer
+//! carried (nothing can retract from it), and when `D` is empty there as
+//! well, the diff is empty and evaluation stops early.
 //!
 //! Counts are signed and coalesced after every touched step, so a
 //! retraction cancels exactly the derivations the removed fact supported
@@ -34,11 +35,12 @@
 //! surviving derivation nets zero and is dropped from the diff.
 
 use super::{atoms, Evaluator, Row};
-use crate::ast::{Condition, PathSpec};
+use crate::ast::{Condition, PathSpec, Term};
 use crate::error::StruqlResult;
 use crate::plan;
-use std::collections::{HashMap, HashSet};
-use strudel_graph::{GraphDelta, Value};
+use crate::rpe::StepPred;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use strudel_graph::{coerce, DeltaOp, GraphDelta, Oid, Value};
 
 /// One signed bindings row: the row plus how many derivations the delta
 /// added (positive) or retracted (negative).
@@ -96,10 +98,9 @@ impl DeltaTouch {
     }
 }
 
-/// The result of a differential evaluation: the variable slot names (seeds
-/// first, identical to [`Evaluator::eval_where_bindings`]) and the signed
-/// rows whose application to the pre-delta relation yields the post-delta
-/// relation as a multiset. Zero-count rows are already dropped.
+/// The result of a differential evaluation: the variable slot names and
+/// the signed rows whose application to the pre-delta relation yields the
+/// post-delta relation as a multiset. Zero-count rows are already dropped.
 #[derive(Clone, Debug)]
 pub struct DiffOutcome {
     /// Variable names in slot order.
@@ -110,11 +111,12 @@ pub struct DiffOutcome {
 
 /// Differentially evaluates a condition list: returns the signed row diff
 /// between evaluating on `new` (post-delta) and on `old` (pre-delta), with
-/// the given seed bindings. `old` and `new` must be snapshots of the same
-/// database immediately before and after the delta `touch` was built from:
-/// rows flowing through the plan reference oids that must be valid in both
-/// graphs (deltas never delete nodes, so this holds for any applied
-/// [`GraphDelta`]).
+/// the given seed bindings; `vars` lists the seeds first, identical to
+/// [`Evaluator::eval_where_bindings`]. `old` and `new` must be snapshots
+/// of the same database immediately before and after the delta `touch` was
+/// built from: rows flowing through the plan reference oids that must be
+/// valid in both graphs (deltas never delete nodes, so this holds for any
+/// applied [`GraphDelta`]).
 pub fn diff_where(
     old: &Evaluator<'_>,
     new: &Evaluator<'_>,
@@ -126,47 +128,69 @@ pub fn diff_where(
     for cond in conds {
         atoms::introduce_vars(cond, &mut vars);
     }
-    let width = vars.len();
-    let mut seed_row: Row = vec![None; width];
+    let mut seed_row: Row = vec![None; vars.len()];
     for (i, (_, v)) in seed.iter().enumerate() {
         seed_row[i] = Some(v.clone());
     }
+    let rows = propagate(old, new, conds, &vars, vec![seed_row], true, touch)?;
+    Ok(DiffOutcome { vars, rows })
+}
 
-    let bound: HashSet<String> = seed.iter().map(|(n, _)| n.clone()).collect();
+/// The differential walk behind [`diff_where`] and [`delta_rows`]: `vars`
+/// is the slot layout and `seed_rows` are distinct pre-bindings of one
+/// common subset of it (one plan serves them all). With `in_old` false
+/// the seeds name nodes the pre-delta graph never issued: the old side is
+/// then empty by construction (no old fact can mention such a node), so
+/// the seed rows start out as `+1` diffs and the old snapshot is never
+/// probed with an unknown oid.
+fn propagate(
+    old: &Evaluator<'_>,
+    new: &Evaluator<'_>,
+    conds: &[Condition],
+    vars: &[String],
+    seed_rows: Vec<Row>,
+    in_old: bool,
+    touch: &DeltaTouch,
+) -> StruqlResult<Vec<SignedRow>> {
+    let bound: HashSet<String> = vars
+        .iter()
+        .zip(seed_rows.first().into_iter().flatten())
+        .filter(|(_, slot)| slot.is_some())
+        .map(|(name, _)| name.clone())
+        .collect();
     // One plan drives both sides: join order does not affect the result,
     // and planning against the pre-delta statistics keeps this O(|plan|).
     let plan = plan::plan(conds, &bound, old.db(), old.opts.optimize);
 
     // R: the pre-delta relation so far (unit counts — exactly the rows the
     // plain engine would hold at this step). D: the signed diff so far.
-    let mut r_old: Vec<Row> = vec![seed_row];
-    let mut diff: Vec<SignedRow> = Vec::new();
+    let (mut r_old, mut diff): (Vec<Row>, Vec<SignedRow>) = if in_old {
+        (seed_rows, Vec::new())
+    } else {
+        (Vec::new(), seed_rows.into_iter().map(|r| (r, 1)).collect())
+    };
     let tracing = strudel_trace::enabled();
+    // R only ever feeds a touched step; past the last one it is dead
+    // weight, and with an empty diff there is nothing left to find.
+    let touched_steps = plan
+        .order
+        .iter()
+        .rposition(|&idx| touch.touches_cond(&conds[idx]))
+        .map_or(0, |last| last + 1);
 
     for (step, &idx) in plan.order.iter().enumerate() {
         let cond = &conds[idx];
-        let touched = touch.touches_cond(cond);
-        if !touched && diff.is_empty() {
-            // Nothing differs yet and this step cannot introduce a
-            // difference. If no later step can either, the diff is empty.
-            let rest_touched = plan.order[step + 1..]
-                .iter()
-                .any(|&j| touch.touches_cond(&conds[j]));
-            if !rest_touched {
-                if tracing {
-                    strudel_trace::count("struql.diff.steps.skipped", 1);
-                }
-                return Ok(DiffOutcome { vars, rows: Vec::new() });
-            }
+        if diff.is_empty() && (r_old.is_empty() || step >= touched_steps) {
+            break;
         }
-        if touched {
+        if touch.touches_cond(cond) {
             if tracing {
                 strudel_trace::count("struql.diff.steps.touched", 1);
             }
-            let d_new = expand_signed(new, cond, &diff, &vars, &plan, step)?;
+            let d_new = expand_signed(new, cond, &diff, vars, &plan, step)?;
             let r_via_new =
-                atoms::apply_partitioned(new, cond, r_old.clone(), &vars, &plan, step)?;
-            let r_via_old = atoms::apply_partitioned(old, cond, r_old, &vars, &plan, step)?;
+                atoms::apply_partitioned(new, cond, r_old.clone(), vars, &plan, step)?;
+            let r_via_old = atoms::apply_partitioned(old, cond, r_old, vars, &plan, step)?;
             let mut next = d_new;
             next.extend(r_via_new.into_iter().map(|r| (r, 1)));
             next.extend(r_via_old.iter().cloned().map(|r| (r, -1)));
@@ -176,21 +200,208 @@ pub fn diff_where(
             if tracing {
                 strudel_trace::count("struql.diff.steps.skipped", 1);
             }
-            diff = expand_signed(new, cond, &diff, &vars, &plan, step)?;
-            r_old = atoms::apply_partitioned(old, cond, r_old, &vars, &plan, step)?;
-        }
-        if diff.is_empty() && r_old.is_empty() {
-            break;
+            diff = expand_signed(new, cond, &diff, vars, &plan, step)?;
+            r_old = if step < touched_steps {
+                atoms::apply_partitioned(old, cond, r_old, vars, &plan, step)?
+            } else {
+                Vec::new()
+            };
         }
     }
 
+    // Untouched steps after the last touched one fan rows out again
+    // (parallel edges, several paths); callers get one entry per row.
+    let diff = coalesce(diff);
     if tracing {
         let added: i64 = diff.iter().map(|(_, c)| (*c).max(0)).sum();
         let retracted: i64 = diff.iter().map(|(_, c)| (-*c).max(0)).sum();
         strudel_trace::count("struql.diff.rows.added", added as u64);
         strudel_trace::count("struql.diff.rows.retracted", retracted as u64);
     }
-    Ok(DiffOutcome { vars, rows: diff })
+    Ok(diff)
+}
+
+/// One fact a delta inserts or retracts. The sign is not recorded: it
+/// falls out of comparing the pre- and post-delta snapshots.
+#[derive(Clone, Copy, Debug)]
+enum Fact<'d> {
+    Edge {
+        from: Oid,
+        label: &'d str,
+        to: &'d Value,
+    },
+    Member {
+        collection: &'d str,
+        member: &'d Value,
+    },
+}
+
+fn changed_facts(delta: &GraphDelta) -> Vec<Fact<'_>> {
+    delta
+        .ops()
+        .iter()
+        .filter_map(|op| match op {
+            DeltaOp::AddEdge { from, label, to } | DeltaOp::RemoveEdge { from, label, to } => {
+                Some(Fact::Edge {
+                    from: *from,
+                    label,
+                    to,
+                })
+            }
+            DeltaOp::Collect { collection, member }
+            | DeltaOp::Uncollect { collection, member } => Some(Fact::Member { collection, member }),
+            DeltaOp::AddNode { .. } => None,
+        })
+        .collect()
+}
+
+/// Unifies a positive condition atom with a changed fact, producing the
+/// variable bindings under which the atom matches exactly that fact.
+/// `None` = this atom cannot match this fact — including every multi-step
+/// regular path expression, which no single edge satisfies.
+fn unify(cond: &Condition, fact: Fact<'_>) -> Option<Vec<(String, Value)>> {
+    fn bind(term: &Term, value: &Value, out: &mut Vec<(String, Value)>) -> bool {
+        match term {
+            Term::Var(v) => match out.iter().find(|(n, _)| n == v) {
+                Some((_, prev)) => prev == value,
+                None => {
+                    out.push((v.clone(), value.clone()));
+                    true
+                }
+            },
+            Term::Const(c) => coerce::eq(c, value),
+            Term::Skolem { .. } => false,
+        }
+    }
+    let mut out = Vec::new();
+    let matched = match (cond, fact) {
+        (Condition::Collection { name, arg, .. }, Fact::Member { collection, member }) => {
+            name == collection && bind(arg, member, &mut out)
+        }
+        (Condition::Path { src, path, dst, .. }, Fact::Edge { from, label, to }) => {
+            let label_ok = match path {
+                PathSpec::ArcVar(l) => {
+                    out.push((l.clone(), Value::string(label)));
+                    true
+                }
+                PathSpec::Regex(r) => match r.as_single_step() {
+                    Some(StepPred::Label(want)) => want == label,
+                    Some(StepPred::Any) => true,
+                    None => false,
+                },
+            };
+            label_ok && bind(src, &Value::Node(from), &mut out) && bind(dst, to, &mut out)
+        }
+        _ => false,
+    };
+    matched.then_some(out)
+}
+
+/// The positive atom under any `not(…)` layers.
+fn atom(cond: &Condition) -> &Condition {
+    match cond {
+        Condition::Not(inner, _) => atom(inner),
+        other => other,
+    }
+}
+
+/// The exact signed rows of a where-clause under `delta`, at |Δ| cost:
+/// `multiset(eval on new) − multiset(eval on old)` with `vars` in the
+/// unseeded [`Evaluator::eval_where_bindings`] layout — the one answer to
+/// "which rows did this delta change?" that page invalidation, cached-view
+/// maintenance and materialized-site maintenance all project from.
+///
+/// Every changed fact is unified with each touched condition it can match
+/// and the clause is diffed seeded by the *node* bindings of that match:
+/// a row whose multiplicity changes must agree with some changed fact on
+/// some condition, so the union of those seeded diffs covers the full
+/// diff, and since each seeded diff is the full diff restricted to its
+/// seeds, a row reached from two seeds carries the same count in both.
+/// Only node-valued, positively bound variables are seeded — node
+/// equality is exact, whereas seeding an atomic value would match every
+/// coercion-equal spelling of it, and a `not(…)`-local existential must
+/// stay unbound. A touched condition no single fact can localize (a
+/// multi-step regular path expression, possibly under `not(…)`; a match
+/// that binds no node) diffs the clause unseeded instead — still exact,
+/// and still only this clause.
+pub fn delta_rows(
+    old: &Evaluator<'_>,
+    new: &Evaluator<'_>,
+    conds: &[Condition],
+    delta: &GraphDelta,
+) -> StruqlResult<DiffOutcome> {
+    let mut vars: Vec<String> = Vec::new();
+    for cond in conds {
+        atoms::introduce_vars(cond, &mut vars);
+    }
+    let touch = DeltaTouch::of(delta);
+    if !touch.touches(conds) {
+        return Ok(DiffOutcome {
+            vars,
+            rows: Vec::new(),
+        });
+    }
+
+    let mut positive: HashSet<String> = HashSet::new();
+    for cond in conds {
+        plan::bind_vars(cond, &mut positive);
+    }
+    let facts = changed_facts(delta);
+    let old_graph = old.db().graph();
+    // Distinct seed rows, grouped by which slots they bind and whether the
+    // old graph knows their nodes (`in_old`): a group shares one plan and
+    // one walk, which is what keeps a many-fact delta cheaper than
+    // re-evaluation (E-incremental, +50 people).
+    let mut runs: BTreeMap<(bool, Vec<bool>), Vec<Row>> = BTreeMap::new();
+    let mut localized = true;
+    'conds: for cond in conds.iter().filter(|c| touch.touches_cond(c)) {
+        let atom = atom(cond);
+        if matches!(atom, Condition::Path { path: PathSpec::Regex(r), .. } if r.as_single_step().is_none())
+        {
+            localized = false;
+            break;
+        }
+        for &fact in &facts {
+            let Some(bindings) = unify(atom, fact) else {
+                continue;
+            };
+            let mut row: Row = vec![None; vars.len()];
+            let mut in_old = true;
+            for (name, v) in bindings {
+                let (Some(node), true) = (v.as_node(), positive.contains(&name)) else {
+                    continue;
+                };
+                if let Some(slot) = super::var_slot(&name, &vars) {
+                    in_old &= old_graph.contains_node(node);
+                    row[slot] = Some(v);
+                }
+            }
+            if row.iter().all(Option::is_none) {
+                localized = false;
+                break 'conds;
+            }
+            let shape = row.iter().map(Option::is_some).collect();
+            let run = runs.entry((in_old, shape)).or_default();
+            if !run.contains(&row) {
+                run.push(row);
+            }
+        }
+    }
+    if !localized {
+        runs = BTreeMap::from([((true, Vec::new()), vec![vec![None; vars.len()]])]);
+    }
+
+    // A row reached from two seeds carries the same count in both.
+    let mut rows: Vec<SignedRow> = Vec::new();
+    let mut seen: HashSet<Row> = HashSet::new();
+    for ((in_old, _), seed_rows) in runs {
+        for (row, count) in propagate(old, new, conds, &vars, seed_rows, in_old, &touch)? {
+            if seen.insert(row.clone()) {
+                rows.push((row, count));
+            }
+        }
+    }
+    Ok(DiffOutcome { vars, rows })
 }
 
 /// Applies one condition to a signed relation through the real operator
@@ -238,13 +449,6 @@ fn coalesce(rows: Vec<SignedRow>) -> Vec<SignedRow> {
     }
     out.retain(|(_, c)| *c != 0);
     out
-}
-
-/// Seed bindings a schema-edge guard is evaluated with, re-exported shape
-/// helper: `true` when every seed variable appears in `vars` at its slot.
-/// (Used by callers to sanity-check stored state before applying a diff.)
-pub fn seeds_match(vars: &[String], seed: &[(String, Value)]) -> bool {
-    seed.len() <= vars.len() && seed.iter().zip(vars).all(|((n, _), v)| n == v)
 }
 
 /// Applies a coalesced signed diff to a counted row store in place:
@@ -326,6 +530,15 @@ mod tests {
         .unwrap();
         let got: HashMap<Row, i64> = out.rows.into_iter().collect();
         assert_eq!(got, oracle_diff(old, &new, &conds, seed), "query: {query}");
+        if seed.is_empty() {
+            // The fact-localized form must reach the same rows.
+            let out =
+                delta_rows(&Evaluator::new(old), &Evaluator::new(&new), &conds, delta).unwrap();
+            let n = out.rows.len();
+            let got: HashMap<Row, i64> = out.rows.into_iter().collect();
+            assert_eq!(got.len(), n, "delta_rows emitted a row twice: {query}");
+            assert_eq!(got, oracle_diff(old, &new, &conds, &[]), "delta_rows: {query}");
+        }
     }
 
     #[test]

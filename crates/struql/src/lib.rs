@@ -74,7 +74,7 @@ pub use ast::{
     Program, Term,
 };
 pub use error::{StruqlError, StruqlResult};
-pub use eval::diff::{apply_diff, diff_where, DeltaTouch, DiffOutcome, SignedRow};
+pub use eval::diff::{apply_diff, delta_rows, diff_where, DeltaTouch, DiffOutcome, SignedRow};
 pub use eval::{Constructor, EvalOptions, EvalResult, Evaluator, PreparedWhere};
 pub use explain::{ExplainReport, ExplainStep};
 pub use par::Parallelism;

@@ -221,7 +221,7 @@ fn term_bound(t: &Term, bound: &HashSet<String>) -> bool {
 }
 
 /// Adds the variables a positive condition binds.
-fn bind_vars(cond: &Condition, bound: &mut HashSet<String>) {
+pub(crate) fn bind_vars(cond: &Condition, bound: &mut HashSet<String>) {
     match cond {
         Condition::Collection { arg, .. } => {
             if let Term::Var(v) = arg {

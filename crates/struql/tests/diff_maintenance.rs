@@ -8,15 +8,20 @@
 //! multiplicities. Clauses include Kleene closures (so retractions must
 //! cancel paths exactly), negation (so the diff must handle
 //! non-monotonicity), arc variables, and comparisons; deltas mix edge
-//! inserts, edge retractions, membership changes, and brand-new nodes.
-//! Everything reproduces from its seed.
+//! inserts, edge retractions, membership changes, brand-new nodes, and
+//! edges inserted and retracted by the same delta. The unseeded chains
+//! hold `delta_rows` — the fact-localized form every consumer projects
+//! from — to the same multiset difference. Everything reproduces from its
+//! seed.
 
 use std::collections::{HashMap, HashSet};
 
 use strudel_graph::{Graph, GraphDelta, Oid, Value};
 use strudel_prng::{Rng, SeedableRng, SmallRng};
 use strudel_repo::{Database, IndexLevel};
-use strudel_struql::{apply_diff, diff_where, Condition, DeltaTouch, Evaluator, SignedRow};
+use strudel_struql::{
+    apply_diff, delta_rows, diff_where, Condition, DeltaTouch, Evaluator, SignedRow,
+};
 
 /// A random corpus: `n` nodes in collection `Items`, each with a `cat`
 /// string, a `val` int, and 0–2 `link` edges to earlier nodes (so Kleene
@@ -106,14 +111,15 @@ fn random_clause(rng: &mut SmallRng) -> String {
 /// A random, always-applicable mixed delta over the current graph:
 /// new nodes with edges and membership, new `link`/`cat`/`val` edges on
 /// existing nodes, retractions of existing edges (including `link` edges
-/// feeding Kleene closures), and membership removals.
+/// feeding Kleene closures), membership removals, and a new node whose
+/// `link` edge the same delta inserts and removes again.
 fn random_delta(rng: &mut SmallRng, g: &Graph) -> GraphDelta {
     let mut delta = GraphDelta::new();
     let mut next_oid = g.node_count();
     let mut removed: HashSet<(Oid, String, String)> = HashSet::new();
     let mut uncollected: HashSet<String> = HashSet::new();
     for _ in 0..rng.gen_range(1..=4usize) {
-        match rng.gen_range(0..5u32) {
+        match rng.gen_range(0..6u32) {
             0 => {
                 // A brand-new item linked into the graph.
                 let oid = Oid::from_index(next_oid);
@@ -153,6 +159,18 @@ fn random_delta(rng: &mut SmallRng, g: &Graph) -> GraphDelta {
                     delta.remove_edge(oid, &label, to);
                 }
             }
+            4 => {
+                // A new member whose only link is retracted again by the
+                // same delta: the retraction names an oid the pre-delta
+                // graph never issued.
+                let oid = Oid::from_index(next_oid);
+                next_oid += 1;
+                let back = Oid::from_index(rng.gen_range(0..g.node_count()));
+                delta.add_node(None);
+                delta.add_edge(oid, "link", Value::Node(back));
+                delta.collect("Items", Value::Node(oid));
+                delta.remove_edge(oid, "link", Value::Node(back));
+            }
             _ => {
                 // Drop one item from the collection.
                 let members = g.members_str("Items");
@@ -191,6 +209,19 @@ fn fingerprint(rows: &[SignedRow]) -> Vec<String> {
     let mut keys: Vec<String> = rows.iter().map(|(r, n)| format!("{r:?} x{n}")).collect();
     keys.sort_unstable();
     keys
+}
+
+/// `new − old` as signed rows, zero counts dropped.
+fn multiset_difference(new: &[SignedRow], old: &[SignedRow]) -> Vec<SignedRow> {
+    let mut diff: Vec<SignedRow> = new.to_vec();
+    for (row, n) in old {
+        match diff.iter_mut().find(|(r, _)| r == row) {
+            Some(entry) => entry.1 -= n,
+            None => diff.push((row.clone(), -n)),
+        }
+    }
+    diff.retain(|(_, n)| *n != 0);
+    diff
 }
 
 fn full_eval(
@@ -237,6 +268,7 @@ fn run_chain(seed: u64, seeded: bool) {
             let new_ev = Evaluator::new(&new_db);
             let out = diff_where(&old_ev, &new_ev, conds, &eval_seed, &touch)
                 .unwrap_or_else(|e| panic!("seed {seed} case {case} round {round}: {e}"));
+            let before = stored.clone();
             assert!(
                 apply_diff(&mut stored, &out.rows),
                 "seed {seed} case {case} round {round}: count underflow\n\
@@ -252,6 +284,17 @@ fn run_chain(seed: u64, seeded: bool) {
                  diverged from scratch\nclause: {text}\ndelta: {:?}",
                 delta.ops()
             );
+            if !seeded {
+                let localized = delta_rows(&old_ev, &new_ev, conds, &delta)
+                    .unwrap_or_else(|e| panic!("seed {seed} case {case} round {round}: {e}"));
+                assert_eq!(
+                    fingerprint(&localized.rows),
+                    fingerprint(&multiset_difference(&fresh, &before)),
+                    "seed {seed} case {case} round {round}: delta_rows is not \
+                     eval(new) − eval(old)\nclause: {text}\ndelta: {:?}",
+                    delta.ops()
+                );
+            }
             old_db = new_db;
         }
         // Next case starts from the graph as originally generated.

@@ -7,8 +7,8 @@
 //! cargo run --release -p strudel-core --example incremental_update
 //! ```
 
-use strudel::graph::{GraphDelta, Oid, Value};
-use strudel::schema::incremental::{graphs_equivalent, incremental_update};
+use strudel::graph::{graphs_equivalent, GraphDelta, Oid, Value};
+use strudel::schema::incremental::incremental_update;
 use strudel::struql::Evaluator;
 use strudel_workload::bib::{generate, BibConfig};
 
