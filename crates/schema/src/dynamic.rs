@@ -316,6 +316,15 @@ impl DynamicSite {
         self.db.read().unwrap().clone()
     }
 
+    /// The current database snapshot, or `None` rather than waiting when
+    /// a delta holds (or queues for) the snapshot lock —
+    /// [`DynamicSite::apply_delta`] keeps it write-locked across the
+    /// whole view swap, and a caller that must never park behind that
+    /// (the serving layer's reactor thread) asks here.
+    pub fn try_database(&self) -> Option<Arc<Database>> {
+        self.db.try_read().ok().map(|db| db.clone())
+    }
+
     /// The current `(epoch, database)` pair, read consistently: the epoch
     /// is bumped under the database write lock, so holding the read lock
     /// across both reads guarantees the epoch stamps exactly this

@@ -97,13 +97,23 @@ impl HtmlCache {
         &self.shards[(h.finish() as usize) % SHARDS]
     }
 
+    /// Looks `key` up in the published tier only: one version load and
+    /// a thread-local snapshot, never a shard lock — the lookup the
+    /// reactor may make ([`crate::SiteService::try_warm`]). A hit is
+    /// counted; a miss is not, because the caller falls back to
+    /// [`HtmlCache::get`], which stays the one place misses are counted.
+    pub fn get_published(&self, key: &PageKey) -> Option<CachedPage> {
+        let page = self.published.read().get(key)?.clone();
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.published_hits.fetch_add(1, Ordering::Relaxed);
+        Some(page)
+    }
+
     /// Looks `key` up, counting the hit or miss. The published snapshot
     /// is consulted first — that path takes no lock.
     pub fn get(&self, key: &PageKey) -> Option<CachedPage> {
-        if let Some(p) = self.published.read().get(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.published_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(p.clone());
+        if let Some(p) = self.get_published(key) {
+            return Some(p);
         }
         match self.shard_of(key).read().unwrap().get(key) {
             Some(p) => {
@@ -308,6 +318,25 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.published_hits, 1, "served from the published tier");
         assert_eq!(s.promotions, 1);
+    }
+
+    #[test]
+    fn get_published_never_touches_the_locked_tier_and_counts_no_miss() {
+        let c = HtmlCache::new();
+        c.insert_if(key("A"), page(vec![]), || true);
+        assert!(
+            c.get_published(&key("A")).is_none(),
+            "in the locked tier only: not servable from the published one"
+        );
+        assert!(c.promote_if(|| true));
+        // With every shard write-locked, a lookup that touched the
+        // locked tier would deadlock right here.
+        let locked: Vec<_> = c.shards.iter().map(|s| s.write().unwrap()).collect();
+        assert!(c.get_published(&key("A")).is_some());
+        assert!(c.get_published(&key("B")).is_none());
+        drop(locked);
+        let s = c.stats();
+        assert_eq!((s.hits, s.published_hits, s.misses), (1, 1, 0));
     }
 
     #[test]

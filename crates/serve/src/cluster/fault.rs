@@ -132,6 +132,11 @@ impl ArmedFaults {
         }
     }
 
+    /// Whether any plan is armed for this worker.
+    pub fn is_armed(&self) -> bool {
+        !self.plans.is_empty()
+    }
+
     /// Fires any `at=start` fault. Call before reporting ready.
     pub fn on_start(&self) {
         for p in &self.plans {
@@ -143,7 +148,7 @@ impl ArmedFaults {
 
     /// Counts one site request and fires any `at=req:N` fault due.
     pub fn on_request(&self) {
-        if self.plans.is_empty() {
+        if !self.is_armed() {
             return;
         }
         let n = self.requests.fetch_add(1, Ordering::AcqRel) + 1;
@@ -157,7 +162,7 @@ impl ArmedFaults {
     /// Counts one catch-up delta and fires any `at=delta:N` fault due.
     /// Call *before* applying, so the fault lands mid-apply.
     pub fn on_delta(&self) {
-        if self.plans.is_empty() {
+        if !self.is_armed() {
             return;
         }
         let n = self.deltas.fetch_add(1, Ordering::AcqRel) + 1;

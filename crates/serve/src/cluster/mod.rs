@@ -142,8 +142,10 @@ pub struct ClusterService {
     /// Pre-built per-shard route labels.
     shard_routes: Vec<String>,
     metrics: ServerMetrics,
-    /// Last-known-good responses per shard: path → the latest fresh 200.
-    lkg: Vec<Mutex<HashMap<String, Response>>>,
+    /// Last-known-good responses, per shard.
+    lkg: Vec<Lkg>,
+    /// Fresh 200s a full [`Lkg`] refused to remember.
+    lkg_dropped_total: AtomicU64,
     degraded_total: AtomicU64,
     unavailable_total: AtomicU64,
     proxy_errors_total: AtomicU64,
@@ -189,7 +191,8 @@ impl ClusterService {
             writer: Mutex::new(()),
             shard_routes: (0..n).map(|i| format!("shard/{i}")).collect(),
             metrics: ServerMetrics::new(),
-            lkg: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
+            lkg: (0..n).map(|_| Lkg::default()).collect(),
+            lkg_dropped_total: AtomicU64::new(0),
             degraded_total: AtomicU64::new(0),
             unavailable_total: AtomicU64::new(0),
             proxy_errors_total: AtomicU64::new(0),
@@ -374,11 +377,11 @@ impl ClusterService {
                         body: parsed.body,
                         degraded: parsed.degraded,
                     };
-                    if response.status == 200 && !response.degraded {
-                        self.lkg[shard]
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .insert(routed.to_owned(), response.clone());
+                    if response.status == 200
+                        && !response.degraded
+                        && !self.lkg[shard].remember(routed, &response)
+                    {
+                        self.lkg_dropped_total.fetch_add(1, Ordering::Relaxed);
                     }
                     return response;
                 }
@@ -389,12 +392,7 @@ impl ClusterService {
         }
         // Degraded path: the worker is down or unreachable. Serve the
         // last fresh copy, marked stale — never a reset.
-        if let Some(mut cached) = self.lkg[shard]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(routed)
-            .cloned()
-        {
+        if let Some(mut cached) = self.lkg[shard].get(routed) {
             cached.degraded = true;
             self.degraded_total.fetch_add(1, Ordering::Relaxed);
             return cached;
@@ -442,6 +440,7 @@ impl ClusterService {
             open_connections: self.open_connections.load(Ordering::Relaxed),
             keepalive_reuse: self.keepalive_reuse.load(Ordering::Relaxed),
             idle_closed: self.idle_closed.load(Ordering::Relaxed),
+            inline: Default::default(),
             store_poisoned: self.store.is_poisoned(),
             trace_counters: Vec::new(),
             pager: strudel_repo::pager::global_stats(),
@@ -458,6 +457,11 @@ impl ClusterService {
             out,
             "strudel_cluster_degraded_total {}",
             self.degraded_total.load(Ordering::Relaxed)
+        );
+        let _ = writeln!(
+            out,
+            "strudel_cluster_lkg_dropped_total {}",
+            self.lkg_dropped_total.load(Ordering::Relaxed)
         );
         let _ = writeln!(
             out,
@@ -529,6 +533,47 @@ impl ClusterService {
 impl Drop for ClusterService {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// The most paths one shard's [`Lkg`] remembers: room for any site
+/// [`ClusterService::crawl_warm`] can prime, and a bound on what
+/// percent-encoding variants of valid URLs can make the router hold.
+const LKG_CAP: usize = 16 * 1024;
+
+/// One shard's last-known-good responses: path → the latest fresh 200,
+/// served marked stale while the shard's worker is down.
+#[derive(Default)]
+struct Lkg {
+    map: Mutex<HashMap<String, Response>>,
+}
+
+impl Lkg {
+    /// Remembers a fresh 200. A copy already stored byte-identical is
+    /// left alone — the warm path pays a compare, not an allocation and
+    /// a body copy. Returns `false` when the map is full and `path` is
+    /// not in it: the response is not remembered.
+    fn remember(&self, path: &str, response: &Response) -> bool {
+        let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(stored) = map.get_mut(path) {
+            if stored.body != response.body || stored.content_type != response.content_type {
+                *stored = response.clone();
+            }
+            return true;
+        }
+        if map.len() >= LKG_CAP {
+            return false;
+        }
+        map.insert(path.to_owned(), response.clone());
+        true
+    }
+
+    fn get(&self, path: &str) -> Option<Response> {
+        self.map
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(path)
+            .cloned()
     }
 }
 
@@ -620,6 +665,37 @@ mod tests {
         let body = r##"<a href="/page/A">a</a> <a href="http://x/">x</a>
                        <a href="/data/n1#frag">n</a>"##;
         assert_eq!(extract_hrefs(body), vec!["/page/A", "/data/n1"]);
+    }
+
+    #[test]
+    fn an_identical_fresh_copy_is_not_stored_again() {
+        let lkg = Lkg::default();
+        let page = Response::html("<p>v1</p>".into());
+        assert!(lkg.remember("/page/A", &page));
+        let stored_at = lkg.map.lock().unwrap()["/page/A"].body.as_ptr();
+        assert!(lkg.remember("/page/A", &page.clone()));
+        assert_eq!(
+            lkg.map.lock().unwrap()["/page/A"].body.as_ptr(),
+            stored_at,
+            "same bytes: the stored copy was left alone"
+        );
+        assert!(lkg.remember("/page/A", &Response::html("<p>v2</p>".into())));
+        assert_eq!(lkg.get("/page/A").unwrap().body, "<p>v2</p>");
+    }
+
+    #[test]
+    fn a_full_map_refuses_new_paths_but_still_refreshes_known_ones() {
+        let lkg = Lkg::default();
+        let page = Response::html("<p>v1</p>".into());
+        for i in 0..LKG_CAP {
+            assert!(lkg.remember(&format!("/page/A/i:{i}"), &page));
+        }
+        // One more spelling of a valid URL must not grow the map.
+        assert!(!lkg.remember("/page/A/i:%30", &page), "refused at the cap");
+        assert_eq!(lkg.map.lock().unwrap().len(), LKG_CAP);
+        assert!(lkg.get("/page/A/i:%30").is_none());
+        assert!(lkg.remember("/page/A/i:0", &Response::html("<p>v2</p>".into())));
+        assert_eq!(lkg.get("/page/A/i:0").unwrap().body, "<p>v2</p>");
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //! accepting, finish in-flight requests, exit 0.
 
 use super::fault::ArmedFaults;
-use crate::{ClickService, Response, ServeError, ServerConfig, SiteService, Transport, WarmupReport};
+use crate::{
+    ClickService, Response, ServeError, ServerConfig, SiteService, Transport, WarmHit,
+    WarmupReport,
+};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -139,6 +142,14 @@ impl ClickService for WorkerService {
             self.faults.on_request();
         }
         self.inner.handle(path)
+    }
+    fn try_warm(&self, path: &str) -> Option<WarmHit> {
+        // An armed plan counts site requests in `on_request`, a fault
+        // hook: those all go through `handle` on the pool.
+        if self.faults.is_armed() {
+            return None;
+        }
+        self.inner.try_warm(path)
     }
     fn warm(&self, parallelism: Parallelism) -> Result<WarmupReport, ServeError> {
         self.inner.warm(parallelism)

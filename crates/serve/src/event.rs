@@ -1,5 +1,6 @@
 //! The event-driven keep-alive transport: one epoll reactor thread
-//! owns every connection; a render pool runs the click handlers.
+//! owns every connection and answers warm hits itself; a render pool
+//! runs everything else.
 //!
 //! The thread-pool transport ([`crate::server`]) spends a thread per
 //! in-flight connection and closes after every response, so N browsers
@@ -14,19 +15,52 @@
 //! * **HTTP/1.1 keep-alive**: after a response, the connection goes
 //!   back to reading and the next request skips the handshake.
 //!   Pipelined requests already buffered are parsed immediately.
+//! * **A warm hit is answered where it is read.** For every complete
+//!   GET/HEAD the reactor first asks [`ClickService::try_warm`] on its
+//!   own thread. A hit — a page in the published HTML tier — is written
+//!   right there: the head is encoded into the connection's reused
+//!   buffer, the body stays the cache's shared `Arc<str>`, and one
+//!   `writev` sends both. A warm click on a kept-alive connection is
+//!   `epoll_wait`, `read`, `writev`: no `epoll_ctl`, no channel, no
+//!   `eventfd`, no cross-thread wake-up, no copy of the page.
 //! * **A render pool** ([`ServerConfig::workers`] threads) runs
-//!   [`ClickService::handle`], so a slow page render never stalls the
-//!   event loop. Completions come back over a queue and an `eventfd`
-//!   wakeup. When the pool's bounded queue is full, the request sheds
-//!   with `503` + `Retry-After`, exactly like the thread transport's
-//!   backlog.
+//!   [`ClickService::handle`] for whatever `try_warm` declined —
+//!   renders, proxies, `/metrics`, `/debug/*`, misses — so a slow page
+//!   render never stalls the event loop. Completions come back over a
+//!   queue and an `eventfd` wakeup. When the pool's bounded queue is
+//!   full, the request sheds with `503` + `Retry-After`, exactly like
+//!   the thread transport's backlog.
 //!
-//! Per-connection lifecycle: `Reading` (accumulate + incrementally
-//! parse a head) → `Dispatched` (render pool owns it) → `Writing`
-//! (flush the encoded response) → back to `Reading` (keep-alive) or
-//! `Draining` (sink the client's unread bytes briefly so closing
-//! doesn't RST the response away) or closed. Deadlines bound every
-//! state: an idle keep-alive connection closes after
+//! The reactor thread is the one thread nothing else can stand in for,
+//! so it may only run code that cannot wait. That is the `try_warm`
+//! contract — *never block, never render, never run a fault hook* —
+//! stated on the trait method; what [`crate::SiteService::try_warm`]
+//! touches (and why the engine's snapshot lock is a `try_read`) is
+//! stated there. `try_warm` runs under `catch_unwind`: a panic is
+//! counted and the request falls through to the pool.
+//!
+//! Per-connection lifecycle:
+//!
+//! ```text
+//! Reading ──► inline hit ─────────────► Writing ──► Reading (keep-alive)
+//!    │                                     ▲    ├─► Draining ──► closed
+//!    └──────► Dispatched (render pool) ────┘    └─► closed
+//! ```
+//!
+//! `Reading` accumulates and incrementally parses a head; `Dispatched`
+//! means the render pool owns the request; `Writing` flushes head and
+//! body, resuming a partial write on `EPOLLOUT` wherever it stopped;
+//! `Draining` sinks the client's unread bytes briefly so closing
+//! doesn't RST the response away. One flat loop (`advance`) walks a
+//! connection through these states until it has to wait, so pipelined
+//! requests answered inline chain without recursion. A readable event
+//! reads once (the socket is level-triggered: what is left reports
+//! again) and answers what that read delivered, which bounds the
+//! requests one connection can answer per wake-up before the reactor
+//! moves on to the next ready connection.
+//!
+//! Deadlines bound every state, swept once per tick rather than per
+//! wake-up: an idle keep-alive connection closes after
 //! [`ServerConfig::keepalive_timeout`] (counted on `/metrics`), a
 //! partial head older than [`ServerConfig::timeout`] answers `408`
 //! (slow-loris), a stalled response write is cut off, and a failed
@@ -39,10 +73,12 @@ use crate::server::ClickService;
 mod imp {
     use super::ClickService;
     use crate::proto::{self, ParseOutcome};
-    use crate::server::{ServerConfig, ServerHandle, ACCEPT_ERROR_BACKOFF, MAX_REQUEST_BYTES};
+    use crate::server::{
+        ServerConfig, ServerHandle, WarmHit, ACCEPT_ERROR_BACKOFF, MAX_REQUEST_BYTES,
+    };
     use crate::Response;
     use std::collections::VecDeque;
-    use std::io::{self, Read, Write};
+    use std::io::{self, IoSlice, Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::{AsRawFd, RawFd};
     use std::panic::AssertUnwindSafe;
@@ -51,9 +87,15 @@ mod imp {
     use std::time::{Duration, Instant};
     use strudel_epoll::{Epoll, Event, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
-    /// Reactor tick: the longest `epoll_wait` blocks before deadlines
-    /// (idle close, 408, drain, accept re-arm) are swept.
+    /// Reactor tick: the longest `epoll_wait` blocks, and how often
+    /// deadlines (idle close, 408, drain, accept re-arm) are swept.
     const TICK_MS: i32 = 50;
+    /// Bytes one readable event reads off a connection: the per-wakeup
+    /// budget of requests it may answer (see [`Reactor::readable`]).
+    const READ_CHUNK: usize = 4096;
+    /// The largest `out` buffer a connection keeps between responses:
+    /// room for any head, never a page.
+    const OUT_KEEP: usize = 1024;
     /// How long a closing connection drains unread request bytes.
     const DRAIN_WINDOW: Duration = Duration::from_millis(100);
     /// Token of the listening socket.
@@ -89,7 +131,7 @@ mod imp {
         /// The render pool owns the request; no socket interest (errors
         /// and hangups are still delivered and close the connection).
         Dispatched,
-        /// Flushing `out`.
+        /// Flushing `out`, then `body`.
         Writing,
         /// Response flushed, close pending: sink the client's unread
         /// bytes until EOF or the deadline so close doesn't RST.
@@ -103,8 +145,14 @@ mod imp {
         state: State,
         /// Unparsed request bytes.
         buf: Vec<u8>,
-        /// Encoded response being written.
+        /// Encoded bytes being written: a whole response from the pool,
+        /// or just the head of an inline hit (the allocation is reused
+        /// from one head to the next).
         out: Vec<u8>,
+        /// An inline hit's body, written after `out` straight from the
+        /// cache's shared allocation.
+        body: Option<Arc<str>>,
+        /// Bytes of `out` + `body` already written.
         out_pos: usize,
         /// Whether the connection survives the current response.
         keep_alive_after: bool,
@@ -123,6 +171,17 @@ mod imp {
         interest: u32,
     }
 
+    impl Conn {
+        /// Starts writing a response: what is in `out`, then `body`.
+        fn queue(&mut self, body: Option<Arc<str>>, keep_alive: bool, drain: bool) {
+            self.body = body;
+            self.out_pos = 0;
+            self.keep_alive_after = keep_alive;
+            self.drain_after = drain;
+            self.state = State::Writing;
+        }
+    }
+
     struct Reactor<S: ClickService> {
         epoll: Epoll,
         wakeup: Arc<EventFd>,
@@ -131,6 +190,8 @@ mod imp {
         /// When a failed accept deregistered the listener, the instant
         /// to re-register it.
         accept_rearm: Option<Instant>,
+        /// When deadlines are next swept.
+        next_sweep: Instant,
         service: Arc<S>,
         conns: Vec<Option<Conn>>,
         /// Free slots in `conns`.
@@ -219,6 +280,7 @@ mod imp {
             listener,
             listener_fd,
             accept_rearm: None,
+            next_sweep: Instant::now(),
             service,
             conns: Vec::new(),
             free: Vec::new(),
@@ -252,15 +314,29 @@ mod imp {
 
         fn tick(&mut self, events: &mut [Event]) {
             let n = self.epoll.wait(events, TICK_MS).unwrap_or(0);
+            let mut woken = false;
             for ev in events.iter().take(n) {
                 match ev.token {
                     LISTENER => self.accept_ready(),
-                    WAKEUP => self.wakeup.drain(),
+                    WAKEUP => {
+                        self.wakeup.drain();
+                        woken = true;
+                    }
                     token => self.conn_event(token, ev.events),
                 }
             }
-            self.drain_completions();
-            self.sweep();
+            // Deadlines are TICK_MS-grained, so walking every connection
+            // more often than that is work a click would pay for. A due
+            // sweep also drains completions, as a backstop to the wakeup.
+            let now = Instant::now();
+            let sweep_due = now >= self.next_sweep;
+            if woken || sweep_due {
+                self.drain_completions();
+            }
+            if sweep_due {
+                self.next_sweep = now + Duration::from_millis(TICK_MS as u64);
+                self.sweep(now);
+            }
         }
 
         /// After stop flips: keep ticking briefly so responses already
@@ -357,6 +433,7 @@ mod imp {
                 state: State::Reading,
                 buf: Vec::new(),
                 out: Vec::new(),
+                body: None,
                 out_pos: 0,
                 keep_alive_after: false,
                 drain_after: false,
@@ -401,8 +478,8 @@ mod imp {
             if bits & (EPOLLIN | EPOLLRDHUP) != 0 {
                 self.readable(idx);
             }
-            if self.conns[idx].is_some() && bits & EPOLLOUT != 0 {
-                self.writable(idx);
+            if bits & EPOLLOUT != 0 {
+                self.advance(idx);
             }
         }
 
@@ -420,62 +497,102 @@ mod imp {
             }
         }
 
+        /// One `read` per readable event, then answer what it delivered.
+        /// The socket is level-triggered, so bytes left in the kernel
+        /// (a short read means there are none) report again at the next
+        /// `epoll_wait` — after every other ready connection had its
+        /// turn. That makes [`READ_CHUNK`] the per-wakeup budget: one
+        /// connection answers at most the requests one chunk holds
+        /// before the reactor moves on, however many were pipelined.
         fn readable(&mut self, idx: usize) {
-            let mut scratch = [0u8; 4096];
-            loop {
-                let Some(conn) = self.conns[idx].as_mut() else {
-                    return;
-                };
-                match conn.state {
-                    State::Reading => {}
-                    State::Draining(_) => {
-                        match (&conn.stream).read(&mut scratch) {
-                            Ok(0) => self.close(idx), // client done: clean close
-                            Ok(_) => continue,        // discard and keep draining
-                            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                            Err(_) => self.close(idx),
-                        }
-                        return;
-                    }
-                    // Dispatched/Writing don't ask for EPOLLIN; a stray
-                    // readable event is ignored (bytes stay in the
-                    // kernel buffer until we come back to Reading).
-                    _ => return,
-                }
-                match (&conn.stream).read(&mut scratch) {
-                    Ok(0) => {
-                        conn.eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        if conn.buf.is_empty() {
-                            conn.request_started = Some(Instant::now());
-                        }
-                        conn.last_activity = Instant::now();
-                        conn.buf.extend_from_slice(&scratch[..n]);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(_) => {
-                        self.close(idx);
-                        return;
-                    }
-                }
-            }
-            self.process_buffer(idx);
-        }
-
-        /// Parses the read buffer and advances the state machine:
-        /// dispatch a complete request, answer protocol errors inline,
-        /// or keep reading.
-        fn process_buffer(&mut self, idx: usize) {
+            let mut scratch = [0u8; READ_CHUNK];
             let Some(conn) = self.conns[idx].as_mut() else {
                 return;
             };
-            if !matches!(conn.state, State::Reading) {
+            match conn.state {
+                State::Reading => {}
+                State::Draining(_) => {
+                    self.sink_unread(idx);
+                    return;
+                }
+                // Dispatched/Writing don't ask for EPOLLIN; a stray
+                // readable event is ignored (bytes stay in the
+                // kernel buffer until we come back to Reading).
+                _ => return,
+            }
+            let read = loop {
+                match (&conn.stream).read(&mut scratch) {
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    other => break other,
+                }
+            };
+            match read {
+                Ok(0) => conn.eof = true,
+                Ok(n) => {
+                    let now = Instant::now();
+                    if conn.buf.is_empty() {
+                        conn.request_started = Some(now);
+                    }
+                    conn.last_activity = now;
+                    conn.buf.extend_from_slice(&scratch[..n]);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(_) => {
+                    self.close(idx);
+                    return;
+                }
+            }
+            self.advance(idx);
+        }
+
+        /// `Draining`: discards whatever the client still sends, until
+        /// it closes its half or the socket runs dry.
+        fn sink_unread(&mut self, idx: usize) {
+            let mut scratch = [0u8; READ_CHUNK];
+            loop {
+                let Some(conn) = self.conns[idx].as_ref() else {
+                    return;
+                };
+                match (&conn.stream).read(&mut scratch) {
+                    Ok(0) => self.close(idx), // client done: clean close
+                    Ok(_) => continue,        // discard and keep draining
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                    Err(_) => self.close(idx),
+                }
                 return;
             }
+        }
+
+        /// Drives one connection as far as it goes without waiting:
+        /// answer the next buffered request, flush the answer, repeat —
+        /// until it needs more bytes, the render pool, socket space, or
+        /// is closed. A flat loop: pipelined requests answered inline
+        /// chain here, not on the stack.
+        fn advance(&mut self, idx: usize) {
+            loop {
+                let Some(conn) = self.conns[idx].as_ref() else {
+                    return;
+                };
+                let goes_on = match conn.state {
+                    State::Reading => self.next_request(idx),
+                    State::Writing => self.flush(idx),
+                    State::Dispatched | State::Draining(_) => false,
+                };
+                if !goes_on {
+                    return;
+                }
+            }
+        }
+
+        /// `Reading`: parses the next request out of the buffer and
+        /// starts answering it — a published-tier hit and protocol
+        /// errors right here, everything else on the render pool.
+        /// Returns whether a response is now queued (`Writing`).
+        fn next_request(&mut self, idx: usize) -> bool {
+            let Some(conn) = self.conns[idx].as_mut() else {
+                return false;
+            };
             match proto::parse_request(&conn.buf, MAX_REQUEST_BYTES as usize) {
                 ParseOutcome::Incomplete => {
                     if conn.eof {
@@ -483,38 +600,63 @@ mod imp {
                         // requests): nothing to answer.
                         self.close(idx);
                     }
+                    false
                 }
                 ParseOutcome::TooLarge => {
-                    self.queue_response(idx, &proto::response_431(MAX_REQUEST_BYTES), false, true, None);
+                    let too_large = proto::response_431(MAX_REQUEST_BYTES);
+                    self.queue_response(idx, &too_large, false, true, None)
                 }
                 ParseOutcome::Complete { request, consumed } => {
                     conn.buf.drain(..consumed);
-                    if request.method != "GET" && request.method != "HEAD" {
-                        self.queue_response(idx, &proto::response_405(), false, false, None);
+                    let refused = if request.method != "GET" && request.method != "HEAD" {
+                        Some(proto::response_405())
                     } else if request.path.is_empty() {
-                        self.queue_response(idx, &proto::response_400(), false, false, None);
+                        Some(proto::response_400())
                     } else {
-                        let head_only = request.head_only();
-                        let keep_alive = request.keep_alive;
-                        self.dispatch(idx, request.path, head_only, keep_alive);
+                        None
+                    };
+                    if let Some(refused) = refused {
+                        return self.queue_response(idx, &refused, false, false, None);
+                    }
+                    if conn.served > 0 {
+                        self.service.note_keepalive_reuse();
+                    }
+                    conn.served += 1;
+                    conn.request_started = None;
+                    let (head_only, keep_alive) = (request.head_only(), request.keep_alive);
+                    // `try_warm` promises not to block; it cannot promise
+                    // not to panic, and the reactor must outlive a bug in
+                    // it: count it and let the pool answer.
+                    let hit = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        self.service.try_warm(&request.path)
+                    }))
+                    .unwrap_or_else(|_| {
+                        self.service.note_panic();
+                        None
+                    });
+                    match hit {
+                        Some(hit) => self.queue_hit(idx, hit, head_only, keep_alive),
+                        None => self.dispatch(idx, request.path, head_only, keep_alive),
                     }
                 }
             }
         }
 
-        fn dispatch(&mut self, idx: usize, path: String, head_only: bool, keep_alive: bool) {
-            let token = {
-                let Some(conn) = self.conns[idx].as_mut() else {
-                    return;
-                };
-                if conn.served > 0 {
-                    self.service.note_keepalive_reuse();
-                }
-                conn.served += 1;
-                conn.state = State::Dispatched;
-                conn.request_started = None;
-                token_for(idx, conn.gen)
+        /// Hands a request to the render pool (`Dispatched`), or sheds
+        /// it when the pool's queue is full. Returns whether a response
+        /// is queued — only the shed `503` is.
+        fn dispatch(
+            &mut self,
+            idx: usize,
+            path: String,
+            head_only: bool,
+            keep_alive: bool,
+        ) -> bool {
+            let Some(conn) = self.conns[idx].as_mut() else {
+                return false;
             };
+            conn.state = State::Dispatched;
+            let token = token_for(idx, conn.gen);
             // While dispatched the socket needs no read/write interest;
             // errors and hangups are delivered regardless.
             self.set_interest(idx, 0);
@@ -524,25 +666,25 @@ mod imp {
                 head_only,
                 keep_alive,
             }) {
-                Ok(()) => {}
+                Ok(()) => false,
                 Err(mpsc::TrySendError::Full(_)) => {
                     // Render pool saturated: shed exactly like the
                     // thread transport's full backlog.
                     self.service.note_shed();
                     let retry = self.retry_after_secs;
-                    if let Some(conn) = self.conns[idx].as_mut() {
-                        conn.state = State::Reading; // let queue_response take over
-                    }
-                    self.queue_response(idx, &proto::response_503(), false, true, Some(retry));
+                    self.queue_response(idx, &proto::response_503(), false, true, Some(retry))
                 }
-                Err(mpsc::TrySendError::Disconnected(_)) => self.close(idx),
+                Err(mpsc::TrySendError::Disconnected(_)) => {
+                    self.close(idx);
+                    false
+                }
             }
         }
 
-        /// Encodes `response` and starts writing it. `keep_alive` says
-        /// whether the connection survives the response; `drain` adds a
-        /// drain window before the close (for responses cutting off an
-        /// unfinished request).
+        /// Queues a response the reactor made itself (`Writing`).
+        /// `keep_alive` says whether the connection survives it; `drain`
+        /// adds a drain window before the close (for responses cutting
+        /// off an unfinished request). Returns whether it was queued.
         fn queue_response(
             &mut self,
             idx: usize,
@@ -550,39 +692,55 @@ mod imp {
             keep_alive: bool,
             drain: bool,
             retry_after_secs: Option<u64>,
-        ) {
+        ) -> bool {
             let Some(conn) = self.conns[idx].as_mut() else {
-                return;
+                return false;
             };
             conn.out = proto::encode_response(response, false, keep_alive, retry_after_secs);
-            conn.out_pos = 0;
-            conn.keep_alive_after = keep_alive;
-            conn.drain_after = drain;
-            conn.state = State::Writing;
-            self.try_write(idx);
+            conn.queue(None, keep_alive, drain);
+            true
         }
 
-        fn writable(&mut self, idx: usize) {
-            let Some(conn) = self.conns[idx].as_ref() else {
-                return;
+        /// Queues a published-tier hit: the head goes into the
+        /// connection's reused buffer, the body stays the cache's shared
+        /// allocation. Nothing the size of the page is copied.
+        fn queue_hit(
+            &mut self,
+            idx: usize,
+            hit: WarmHit,
+            head_only: bool,
+            keep_alive: bool,
+        ) -> bool {
+            let Some(conn) = self.conns[idx].as_mut() else {
+                return false;
             };
-            if matches!(conn.state, State::Writing) {
-                self.try_write(idx);
-            }
+            let len = hit.body.len();
+            conn.out.clear();
+            proto::encode_head(&mut conn.out, 200, hit.content_type, len, false, keep_alive, None);
+            conn.queue((!head_only).then_some(hit.body), keep_alive, false);
+            true
         }
 
-        fn try_write(&mut self, idx: usize) {
+        /// `Writing`: one `writev` of what is left of head and body per
+        /// round; a partial write resumes wherever it stopped, across
+        /// the boundary. Returns whether the response is flushed and the
+        /// connection is `Reading` again.
+        fn flush(&mut self, idx: usize) -> bool {
             loop {
                 let Some(conn) = self.conns[idx].as_mut() else {
-                    return;
+                    return false;
                 };
-                if conn.out_pos >= conn.out.len() {
+                let head = &conn.out[conn.out_pos.min(conn.out.len())..];
+                let body = conn.body.as_deref().map_or(&[][..], |body| {
+                    &body.as_bytes()[conn.out_pos.saturating_sub(conn.out.len())..]
+                });
+                if head.is_empty() && body.is_empty() {
                     break;
                 }
-                match (&conn.stream).write(&conn.out[conn.out_pos..]) {
+                match (&conn.stream).write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
                     Ok(0) => {
                         self.close(idx);
-                        return;
+                        return false;
                     }
                     Ok(n) => {
                         conn.out_pos += n;
@@ -591,51 +749,48 @@ mod imp {
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                         self.set_interest(idx, EPOLLOUT);
-                        return;
+                        return false;
                     }
                     Err(_) => {
                         self.close(idx);
-                        return;
+                        return false;
                     }
                 }
             }
-            self.after_write(idx);
+            self.after_write(idx)
         }
 
-        /// The response is fully flushed: drain, keep alive, or close.
-        fn after_write(&mut self, idx: usize) {
-            let (drain_after, survive) = {
-                let Some(conn) = self.conns[idx].as_mut() else {
-                    return;
-                };
-                conn.out = Vec::new();
-                conn.out_pos = 0;
-                (conn.drain_after, conn.keep_alive_after && !conn.eof)
+        /// The response is fully flushed: drain, close, or keep alive.
+        /// Returns whether the connection is `Reading` again.
+        fn after_write(&mut self, idx: usize) -> bool {
+            let Some(conn) = self.conns[idx].as_mut() else {
+                return false;
             };
-            if drain_after {
-                if let Some(conn) = self.conns[idx].as_mut() {
-                    conn.state = State::Draining(Instant::now() + DRAIN_WINDOW);
-                }
-                self.set_interest(idx, EPOLLIN | EPOLLRDHUP);
-                return;
+            conn.body = None;
+            conn.out_pos = 0;
+            // The next head reuses the allocation; a pool response the
+            // size of a page is not worth holding per idle connection.
+            if conn.out.capacity() > OUT_KEEP {
+                conn.out = Vec::new();
             }
-            if !survive {
+            let now = Instant::now();
+            if conn.drain_after {
+                conn.state = State::Draining(now + DRAIN_WINDOW);
+                self.set_interest(idx, EPOLLIN | EPOLLRDHUP);
+                return false;
+            }
+            if !conn.keep_alive_after || conn.eof {
                 self.close(idx);
-                return;
+                return false;
             }
             // Keep-alive: back to reading. Bytes of the next request may
-            // already be buffered (pipelining) — parse them right away
-            // rather than waiting for another readable event. Inline
-            // error responses close, and real requests leave through the
-            // render pool, so this cannot recurse deeply.
-            if let Some(conn) = self.conns[idx].as_mut() {
-                conn.state = State::Reading;
-                conn.last_activity = Instant::now();
-                conn.request_started =
-                    (!conn.buf.is_empty()).then(Instant::now);
-            }
+            // already be buffered (pipelining); `advance` parses them
+            // right away rather than waiting for another readable event.
+            conn.state = State::Reading;
+            conn.last_activity = now;
+            conn.request_started = (!conn.buf.is_empty()).then_some(now);
             self.set_interest(idx, EPOLLIN | EPOLLRDHUP);
-            self.process_buffer(idx);
+            true
         }
 
         // ---- completions and deadlines -----------------------------------
@@ -655,17 +810,14 @@ mod imp {
                     continue;
                 }
                 conn.out = done.bytes;
-                conn.out_pos = 0;
-                conn.keep_alive_after = done.keep_alive;
-                conn.drain_after = false;
-                conn.state = State::Writing;
-                self.try_write(idx);
+                conn.queue(None, done.keep_alive, false);
+                self.advance(idx);
             }
         }
 
-        /// Enforces every deadline once per tick.
-        fn sweep(&mut self) {
-            let now = Instant::now();
+        /// Enforces every deadline; [`Reactor::tick`] calls it at most
+        /// once per `TICK_MS`.
+        fn sweep(&mut self, now: Instant) {
             if let Some(rearm) = self.accept_rearm {
                 if now >= rearm
                     && self
@@ -692,8 +844,10 @@ mod imp {
                     State::Reading => {
                         // Partial head aging out: the slow-loris guard.
                         let started = conn.request_started.unwrap_or(conn.last_activity);
-                        if now.duration_since(started) >= self.request_timeout {
-                            self.queue_response(idx, &proto::response_408(), false, true, None);
+                        if now.duration_since(started) >= self.request_timeout
+                            && self.queue_response(idx, &proto::response_408(), false, true, None)
+                        {
+                            self.advance(idx);
                         }
                     }
                     State::Writing => {

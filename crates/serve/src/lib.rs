@@ -56,9 +56,11 @@ use std::time::{Duration, Instant};
 
 pub use cache::{CachedPage, HtmlCache};
 pub use cluster::{ClusterConfig, ClusterDeltaOutcome, ClusterService};
-pub use metrics::{CacheSnapshot, RouteSnapshot, ServerMetrics, ServerStats};
+pub use metrics::{
+    CacheSnapshot, InlineDecline, InlineSnapshot, RouteSnapshot, ServerMetrics, ServerStats,
+};
 pub use render::RenderedPage;
-pub use server::{serve, ClickService, ServerConfig, ServerHandle, Transport};
+pub use server::{serve, ClickService, ServerConfig, ServerHandle, Transport, WarmHit};
 pub use shard::{ShardedInvalidation, ShardedService};
 
 use strudel_graph::GraphDelta;
@@ -128,11 +130,14 @@ pub struct Response {
     pub degraded: bool,
 }
 
+/// The `Content-Type` of every rendered page.
+const HTML_CONTENT_TYPE: &str = "text/html; charset=utf-8";
+
 impl Response {
     fn html(body: String) -> Self {
         Response {
             status: 200,
-            content_type: "text/html; charset=utf-8",
+            content_type: HTML_CONTENT_TYPE,
             body,
             degraded: false,
         }
@@ -243,6 +248,12 @@ pub struct SiteService {
     open_connections: AtomicU64,
     keepalive_reuse: AtomicU64,
     idle_closed: AtomicU64,
+    /// Page requests [`SiteService::try_warm`] answered.
+    inline_hits: AtomicU64,
+    /// Page requests it declined, indexed by [`InlineDecline`].
+    inline_declined: [AtomicU64; InlineDecline::ALL.len()],
+    /// Requests answered through [`SiteService::handle`].
+    pool_dispatches: AtomicU64,
     /// Fast-path flag so unprobed services never lock the probe table.
     probes_armed: AtomicBool,
     probes: Mutex<HashMap<String, FaultProbe>>,
@@ -287,6 +298,9 @@ impl SiteService {
             open_connections: AtomicU64::new(0),
             keepalive_reuse: AtomicU64::new(0),
             idle_closed: AtomicU64::new(0),
+            inline_hits: AtomicU64::new(0),
+            inline_declined: Default::default(),
+            pool_dispatches: AtomicU64::new(0),
             probes_armed: AtomicBool::new(false),
             probes: Mutex::new(HashMap::new()),
             fail_next_delta: AtomicBool::new(false),
@@ -395,6 +409,7 @@ impl SiteService {
         let start = Instant::now();
         let trace_id = strudel_trace::next_trace_id();
         let span = strudel_trace::span("serve.request");
+        self.pool_dispatches.fetch_add(1, Ordering::Relaxed);
         // Strip any query string; routing is path-only.
         let routed = path.split('?').next().unwrap_or(path);
         let (route, response) = catch_unwind(AssertUnwindSafe(|| self.dispatch(routed)))
@@ -412,10 +427,80 @@ impl SiteService {
                 )
             });
         drop(span);
+        self.finish_request(start, trace_id, &route, routed, response.status);
+        response
+    }
+
+    /// Answers a `/page/…` request from the published HTML tier, or
+    /// declines — the [`ClickService::try_warm`] fast path the epoll
+    /// reactor runs on its own thread, so it waits for nothing a delta,
+    /// a render or an invalidation can hold. It touches exactly: the
+    /// engine's snapshot lock through `try_read` (a delta keeps it
+    /// write-locked across its whole view swap, ≈10 ms with a hub page
+    /// — hence *try*), the published tier's version load (plus a brief
+    /// slot read when a publication moved it), and the route
+    /// histogram's read lock — beyond those only the push-sized
+    /// critical sections of the slow-request log (a hit at or over the
+    /// threshold) and of the tracer (while tracing is enabled). Every
+    /// other route, an armed [`FaultProbe`], a delta in flight and a
+    /// published-tier miss are `None`; the last three are counted by
+    /// reason. A hit records the route histogram, trace id and
+    /// `serve.request` span exactly as [`SiteService::handle`] would
+    /// have.
+    pub fn try_warm(&self, path: &str) -> Option<WarmHit> {
+        let routed = path.split('?').next().unwrap_or(path);
+        if !routed.starts_with("/page/") {
+            return None;
+        }
+        let start = Instant::now();
+        let span = strudel_trace::span("serve.request");
+        match self.lookup_published(routed) {
+            Ok((key, page)) => {
+                drop(span);
+                self.inline_hits.fetch_add(1, Ordering::Relaxed);
+                let route = format!("page/{}", key.symbol);
+                self.finish_request(start, strudel_trace::next_trace_id(), &route, routed, 200);
+                Some(WarmHit {
+                    content_type: HTML_CONTENT_TYPE,
+                    body: page.html,
+                })
+            }
+            Err(reason) => {
+                // Not a request yet: `handle` opens its own span.
+                span.cancel();
+                self.inline_declined[reason as usize].fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        }
+    }
+
+    fn lookup_published(&self, routed: &str) -> Result<(PageKey, CachedPage), InlineDecline> {
+        if self.probes_armed.load(Ordering::Acquire) {
+            return Err(InlineDecline::Probe);
+        }
+        let db = self.engine.try_database().ok_or(InlineDecline::DeltaInFlight)?;
+        let key = router::parse_page_path(routed, db.graph());
+        drop(db);
+        let key = key.ok_or(InlineDecline::Miss)?;
+        let page = self.cache.get_published(&key).ok_or(InlineDecline::Miss)?;
+        Ok((key, page))
+    }
+
+    /// The request epilogue shared by [`SiteService::handle`] and
+    /// [`SiteService::try_warm`]: route histogram, `serve.request`
+    /// event, slow-request log.
+    fn finish_request(
+        &self,
+        start: Instant,
+        trace_id: u64,
+        route: &str,
+        routed: &str,
+        status: u16,
+    ) {
         let us = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        self.metrics.record(&route, us);
+        self.metrics.record(route, us);
         strudel_trace::event_with("serve.request", || {
-            format!("id={trace_id} route={route} status={} us={us}", response.status)
+            format!("id={trace_id} route={route} status={status} us={us}")
         });
         let threshold = self.slow_threshold_us.load(Ordering::Relaxed);
         if threshold > 0 && us >= threshold {
@@ -427,11 +512,10 @@ impl SiteService {
             log.push_back(SlowRequest {
                 trace_id,
                 path: routed.to_owned(),
-                status: response.status,
+                status,
                 us,
             });
         }
-        response
     }
 
     /// Arms a [`FaultProbe`] on an exact request path. Test hook: the
@@ -481,6 +565,16 @@ impl SiteService {
     /// Keep-alive connections closed by the idle deadline.
     pub fn idle_closed_total(&self) -> u64 {
         self.idle_closed.load(Ordering::Relaxed)
+    }
+
+    /// Where requests were answered: inline hits, declines by reason,
+    /// and requests that went through [`SiteService::handle`].
+    pub fn inline_stats(&self) -> InlineSnapshot {
+        InlineSnapshot {
+            hits: self.inline_hits.load(Ordering::Relaxed),
+            declined: std::array::from_fn(|i| self.inline_declined[i].load(Ordering::Relaxed)),
+            pool_dispatches: self.pool_dispatches.load(Ordering::Relaxed),
+        }
     }
 
     /// Records one caught panic (also called by the transport's worker
@@ -857,9 +951,46 @@ impl SiteService {
             open_connections: self.open_connections.load(Ordering::Relaxed),
             keepalive_reuse: self.keepalive_reuse.load(Ordering::Relaxed),
             idle_closed: self.idle_closed.load(Ordering::Relaxed),
+            inline: self.inline_stats(),
             store_poisoned: self.store_poisoned(),
             trace_counters,
             pager: strudel_repo::pager::global_stats(),
         }
+    }
+}
+
+impl ClickService for SiteService {
+    fn handle(&self, path: &str) -> Response {
+        SiteService::handle(self, path)
+    }
+    fn try_warm(&self, path: &str) -> Option<WarmHit> {
+        SiteService::try_warm(self, path)
+    }
+    fn warm(&self, parallelism: Parallelism) -> Result<WarmupReport, ServeError> {
+        SiteService::warm(self, parallelism)
+    }
+    fn note_panic(&self) {
+        SiteService::note_panic(self)
+    }
+    fn note_shed(&self) {
+        SiteService::note_shed(self)
+    }
+    fn note_timeout_config_error(&self, err: &std::io::Error) {
+        SiteService::note_timeout_config_error(self, err)
+    }
+    fn note_accept_error(&self) {
+        SiteService::note_accept_error(self)
+    }
+    fn note_conn_opened(&self) {
+        SiteService::note_conn_opened(self)
+    }
+    fn note_conn_closed(&self) {
+        SiteService::note_conn_closed(self)
+    }
+    fn note_keepalive_reuse(&self) {
+        SiteService::note_keepalive_reuse(self)
+    }
+    fn note_idle_closed(&self) {
+        SiteService::note_idle_closed(self)
     }
 }

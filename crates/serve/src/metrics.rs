@@ -229,6 +229,61 @@ impl CacheSnapshot {
     }
 }
 
+/// Why [`crate::SiteService::try_warm`] declined a page request, which
+/// then went through the render pool instead.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum InlineDecline {
+    /// Not in the published tier (never rendered, evicted, or rendered
+    /// but not promoted yet), or a `/page/…` URL that names no page.
+    Miss,
+    /// A delta held the engine's snapshot lock.
+    DeltaInFlight,
+    /// A [`crate::FaultProbe`] is armed; probes fire on the pool only.
+    Probe,
+}
+
+impl InlineDecline {
+    /// Every reason, in `reason as usize` order.
+    pub const ALL: [InlineDecline; 3] = [
+        InlineDecline::Miss,
+        InlineDecline::DeltaInFlight,
+        InlineDecline::Probe,
+    ];
+
+    /// The `reason` label on `/metrics`.
+    pub fn label(self) -> &'static str {
+        match self {
+            InlineDecline::Miss => "miss",
+            InlineDecline::DeltaInFlight => "delta_in_flight",
+            InlineDecline::Probe => "probe",
+        }
+    }
+}
+
+/// Where requests were answered, frozen for reporting.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct InlineSnapshot {
+    /// Page requests answered by `try_warm` — on the reactor thread,
+    /// under the epoll transport.
+    pub hits: u64,
+    /// Page requests `try_warm` declined, indexed by [`InlineDecline`].
+    pub declined: [u64; InlineDecline::ALL.len()],
+    /// Requests answered through `handle` — the render pool, under the
+    /// epoll transport.
+    pub pool_dispatches: u64,
+}
+
+impl InlineSnapshot {
+    /// Adds `other`'s counts (the sharded front sums its shards).
+    pub fn add(&mut self, other: InlineSnapshot) {
+        self.hits += other.hits;
+        self.pool_dispatches += other.pool_dispatches;
+        for (total, n) in self.declined.iter_mut().zip(other.declined) {
+            *total += n;
+        }
+    }
+}
+
 /// Everything the `/metrics` endpoint reports, as one struct.
 #[derive(Clone, Debug)]
 pub struct ServerStats {
@@ -264,6 +319,8 @@ pub struct ServerStats {
     pub keepalive_reuse: u64,
     /// Keep-alive connections closed by the idle deadline.
     pub idle_closed: u64,
+    /// Inline hits, declines by reason, and pool dispatches.
+    pub inline: InlineSnapshot,
     /// Whether an earlier write failure poisoned the attached paged
     /// store (reads keep serving; `/readyz` answers 503).
     pub store_poisoned: bool,
@@ -411,6 +468,18 @@ impl ServerStats {
             self.keepalive_reuse
         ));
         line(format!("strudel_idle_closed_total {}", self.idle_closed));
+        line(format!("strudel_inline_hits_total {}", self.inline.hits));
+        line(format!(
+            "strudel_pool_dispatches_total {}",
+            self.inline.pool_dispatches
+        ));
+        for reason in InlineDecline::ALL {
+            line(format!(
+                "strudel_inline_declined_total{{reason=\"{}\"}} {}",
+                reason.label(),
+                self.inline.declined[reason as usize]
+            ));
+        }
         line(format!(
             "strudel_store_poisoned {}",
             u64::from(self.store_poisoned)
@@ -563,6 +632,11 @@ mod tests {
             open_connections: 12,
             keepalive_reuse: 9,
             idle_closed: 8,
+            inline: InlineSnapshot {
+                hits: 13,
+                declined: [1, 2, 3],
+                pool_dispatches: 14,
+            },
             store_poisoned: false,
             trace_counters: vec![("serve.request".into(), 7)],
             pager: strudel_repo::PagerStats {
@@ -585,6 +659,11 @@ mod tests {
         assert!(text.contains("strudel_open_connections 12"));
         assert!(text.contains("strudel_keepalive_reuse_total 9"));
         assert!(text.contains("strudel_idle_closed_total 8"));
+        assert!(text.contains("strudel_inline_hits_total 13"));
+        assert!(text.contains("strudel_pool_dispatches_total 14"));
+        assert!(text.contains("strudel_inline_declined_total{reason=\"miss\"} 1"));
+        assert!(text.contains("strudel_inline_declined_total{reason=\"delta_in_flight\"} 2"));
+        assert!(text.contains("strudel_inline_declined_total{reason=\"probe\"} 3"));
         assert!(text.contains("strudel_store_poisoned 0"));
         assert!(text.contains("strudel_trace_counter{name=\"serve.request\"} 7"));
         assert!(text.contains("strudel_route_requests_total{route=\"front\"} 1"));
@@ -630,6 +709,7 @@ mod tests {
             open_connections: 0,
             keepalive_reuse: 0,
             idle_closed: 0,
+            inline: Default::default(),
             store_poisoned: false,
             trace_counters: Vec::new(),
             pager: Default::default(),

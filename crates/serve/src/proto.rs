@@ -148,40 +148,60 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Encodes one response head + body as wire bytes. `keep_alive` selects
-/// the `Connection` header; `head_only` omits the body (HEAD) while
-/// keeping the true `Content-Length`. A `405` always carries the
-/// RFC 9110-required `Allow` header; `retry_after_secs` (used by `503`
-/// shedding) adds `Retry-After`.
+/// Appends one response head — status line through the blank line —
+/// to `out`: the single place heads are formatted. `body_len` is the
+/// `Content-Length` (the true length even when a HEAD omits the body);
+/// `keep_alive` selects the `Connection` header. A `405` always carries
+/// the RFC 9110-required `Allow` header; `retry_after_secs` (used by
+/// `503` shedding) adds `Retry-After`; `degraded` adds the stale marker.
+pub fn encode_head(
+    out: &mut Vec<u8>,
+    status: u16,
+    content_type: &str,
+    body_len: usize,
+    degraded: bool,
+    keep_alive: bool,
+    retry_after_secs: Option<u64>,
+) {
+    use std::io::Write;
+    let _ = write!(
+        out,
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {body_len}\r\n",
+        reason(status),
+    );
+    if status == 405 {
+        out.extend_from_slice(b"Allow: GET, HEAD\r\n");
+    }
+    if let Some(secs) = retry_after_secs {
+        let _ = write!(out, "Retry-After: {secs}\r\n");
+    }
+    if degraded {
+        out.extend_from_slice(b"X-Strudel-Degraded: stale\r\n");
+    }
+    out.extend_from_slice(if keep_alive {
+        b"Connection: keep-alive\r\n\r\n".as_slice()
+    } else {
+        b"Connection: close\r\n\r\n".as_slice()
+    });
+}
+
+/// Encodes one response head + body as wire bytes: [`encode_head`]
+/// followed by the body, which `head_only` omits (HEAD).
 pub fn encode_response(
     response: &Response,
     head_only: bool,
     keep_alive: bool,
     retry_after_secs: Option<u64>,
 ) -> Vec<u8> {
-    use std::io::Write;
     let mut out = Vec::with_capacity(response.body.len() + 160);
-    let _ = write!(
-        out,
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
+    encode_head(
+        &mut out,
         response.status,
-        reason(response.status),
         response.content_type,
-        response.body.len()
-    );
-    if response.status == 405 {
-        let _ = write!(out, "Allow: GET, HEAD\r\n");
-    }
-    if let Some(secs) = retry_after_secs {
-        let _ = write!(out, "Retry-After: {secs}\r\n");
-    }
-    if response.degraded {
-        let _ = write!(out, "X-Strudel-Degraded: stale\r\n");
-    }
-    let _ = write!(
-        out,
-        "Connection: {}\r\n\r\n",
-        if keep_alive { "keep-alive" } else { "close" }
+        response.body.len(),
+        response.degraded,
+        keep_alive,
+        retry_after_secs,
     );
     if !head_only {
         out.extend_from_slice(response.body.as_bytes());
@@ -502,6 +522,24 @@ mod tests {
         let text =
             String::from_utf8(encode_response(&response_503(), false, false, Some(7))).unwrap();
         assert!(text.contains("Retry-After: 7\r\n"), "{text}");
+    }
+
+    #[test]
+    fn a_head_appended_to_a_reused_buffer_plus_the_body_is_the_encoded_response() {
+        let ok = Response {
+            status: 200,
+            content_type: "text/html; charset=utf-8",
+            body: "<p>hi</p>".into(),
+            degraded: false,
+        };
+        let mut out = b"stale bytes of the previous response".to_vec();
+        for keep_alive in [true, false] {
+            out.clear();
+            encode_head(&mut out, 200, ok.content_type, ok.body.len(), false, keep_alive, None);
+            assert_eq!(out, encode_response(&ok, true, keep_alive, None));
+            out.extend_from_slice(ok.body.as_bytes());
+            assert_eq!(out, encode_response(&ok, false, keep_alive, None));
+        }
     }
 
     #[test]

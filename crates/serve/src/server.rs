@@ -1,5 +1,5 @@
 //! The HTTP front end: two interchangeable transports over a shared
-//! click service — one [`SiteService`] or a [`ShardedService`].
+//! click service — one [`crate::SiteService`] or a [`ShardedService`].
 //!
 //! [`Transport::Threads`] (the default, and the portable baseline) is a
 //! plain-`std::net` thread pool: one accept thread feeds accepted
@@ -33,7 +33,7 @@
 //! [`ShardedService`]: crate::ShardedService
 
 use crate::proto::{self, ParseOutcome};
-use crate::{Response, ServeError, SiteService, WarmupReport};
+use crate::{Response, ServeError, WarmupReport};
 use std::io::{Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
@@ -53,13 +53,34 @@ pub const MAX_REQUEST_BYTES: u64 = 16 * 1024;
 /// core while it lasts.
 pub const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(20);
 
+/// A page answered from bytes already in hand — always status 200. The
+/// body is the cache's own shared allocation: the transport writes it
+/// from there, so a hit copies nothing proportional to the page.
+#[derive(Clone, Debug)]
+pub struct WarmHit {
+    /// `Content-Type` header value.
+    pub content_type: &'static str,
+    /// The finished page.
+    pub body: Arc<str>,
+}
+
 /// What the transport needs from a service: request dispatch, optional
 /// pre-warming, and failure-mode counters. Implemented by
-/// [`SiteService`] (one engine) and [`crate::ShardedService`] (N
+/// [`crate::SiteService`] (one engine) and [`crate::ShardedService`] (N
 /// hash-routed engines) — the transport is identical over either.
 pub trait ClickService: Send + Sync + 'static {
     /// Serves one request path.
     fn handle(&self, path: &str) -> Response;
+    /// Answers `path` only if that takes no waiting at all: the epoll
+    /// reactor calls this on its own thread for every GET/HEAD and
+    /// writes a hit straight back, so an implementation must **never
+    /// block, never render, never run a fault hook** — anything it
+    /// cannot answer from bytes already in hand is `None`, and the
+    /// request goes through [`ClickService::handle`] on the render pool
+    /// exactly as if this method did not exist (the default).
+    fn try_warm(&self, _path: &str) -> Option<WarmHit> {
+        None
+    }
     /// Pre-renders every reachable page before accepting traffic.
     fn warm(&self, parallelism: Parallelism) -> Result<WarmupReport, ServeError>;
     /// Records a panic caught by the transport's worker backstop.
@@ -82,74 +103,6 @@ pub trait ClickService: Send + Sync + 'static {
     fn note_idle_closed(&self);
 }
 
-impl ClickService for SiteService {
-    fn handle(&self, path: &str) -> Response {
-        SiteService::handle(self, path)
-    }
-    fn warm(&self, parallelism: Parallelism) -> Result<WarmupReport, ServeError> {
-        SiteService::warm(self, parallelism)
-    }
-    fn note_panic(&self) {
-        SiteService::note_panic(self)
-    }
-    fn note_shed(&self) {
-        SiteService::note_shed(self)
-    }
-    fn note_timeout_config_error(&self, err: &std::io::Error) {
-        SiteService::note_timeout_config_error(self, err)
-    }
-    fn note_accept_error(&self) {
-        SiteService::note_accept_error(self)
-    }
-    fn note_conn_opened(&self) {
-        SiteService::note_conn_opened(self)
-    }
-    fn note_conn_closed(&self) {
-        SiteService::note_conn_closed(self)
-    }
-    fn note_keepalive_reuse(&self) {
-        SiteService::note_keepalive_reuse(self)
-    }
-    fn note_idle_closed(&self) {
-        SiteService::note_idle_closed(self)
-    }
-}
-
-impl ClickService for crate::ShardedService {
-    fn handle(&self, path: &str) -> Response {
-        crate::ShardedService::handle(self, path)
-    }
-    fn warm(&self, parallelism: Parallelism) -> Result<WarmupReport, ServeError> {
-        crate::ShardedService::warm(self, parallelism)
-    }
-    // Transport-level failures have no owning shard; account them on
-    // shard 0, whose counters the aggregated stats sum like any other.
-    fn note_panic(&self) {
-        self.shard(0).note_panic()
-    }
-    fn note_shed(&self) {
-        self.shard(0).note_shed()
-    }
-    fn note_timeout_config_error(&self, err: &std::io::Error) {
-        self.shard(0).note_timeout_config_error(err)
-    }
-    fn note_accept_error(&self) {
-        self.shard(0).note_accept_error()
-    }
-    fn note_conn_opened(&self) {
-        self.shard(0).note_conn_opened()
-    }
-    fn note_conn_closed(&self) {
-        self.shard(0).note_conn_closed()
-    }
-    fn note_keepalive_reuse(&self) {
-        self.shard(0).note_keepalive_reuse()
-    }
-    fn note_idle_closed(&self) {
-        self.shard(0).note_idle_closed()
-    }
-}
-
 /// Which HTTP front end carries the traffic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Transport {
@@ -159,8 +112,9 @@ pub enum Transport {
     #[default]
     Threads,
     /// The event-driven epoll reactor ([`crate::event`], Linux only):
-    /// HTTP/1.1 keep-alive, idle-connection deadlines, a render pool
-    /// for dispatch — idle connections cost an fd, not a thread.
+    /// HTTP/1.1 keep-alive, idle-connection deadlines, warm hits
+    /// answered on the reactor thread and a render pool for the rest —
+    /// idle connections cost an fd, not a thread.
     Epoll,
 }
 
@@ -189,7 +143,7 @@ pub struct ServerConfig {
     pub timeout: Duration,
     /// Pre-render every reachable page into the HTML cache before
     /// accepting requests, across this many workers
-    /// ([`SiteService::warm`]). `None` starts cold (pages render on
+    /// ([`crate::SiteService::warm`]). `None` starts cold (pages render on
     /// first hit).
     pub warm: Option<Parallelism>,
     /// Accepted connections that may wait for a worker. When the backlog

@@ -26,9 +26,10 @@
 //! `strudel_*` rows an unsharded server emits, plus per-shard
 //! `strudel_shard_*` rows.
 
-use crate::metrics::{CacheSnapshot, ServerMetrics};
+use crate::metrics::{CacheSnapshot, InlineSnapshot, ServerMetrics};
 use crate::{
-    router, Response, ServeError, ServiceInvalidation, SiteService, WarmupReport,
+    router, ClickService, Response, ServeError, ServiceInvalidation, SiteService, WarmHit,
+    WarmupReport,
 };
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -205,6 +206,19 @@ impl ShardedService {
         response
     }
 
+    /// The reactor's fast path ([`ClickService::try_warm`]): forwards to
+    /// the owner shard's [`SiteService::try_warm`] and records a hit on
+    /// the front's per-shard route like [`ShardedService::handle`]. The
+    /// front-answered routes are not pages, so the shard declines them.
+    pub fn try_warm(&self, path: &str) -> Option<WarmHit> {
+        let start = Instant::now();
+        let idx = self.shard_for(path);
+        let hit = self.shards[idx].try_warm(path)?;
+        let us = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+        self.metrics.record(&self.shard_routes[idx], us);
+        Some(hit)
+    }
+
     /// Pre-renders every reachable page into its *owner shard's* cache —
     /// each page is rendered once, on the shard that will serve it, then
     /// every shard publishes its warm-click snapshot. BFS level by level
@@ -343,6 +357,7 @@ impl ShardedService {
         let mut open_connections = 0;
         let mut keepalive_reuse = 0;
         let mut idle_closed = 0;
+        let mut inline = InlineSnapshot::default();
         for s in &self.shards {
             sum_cache(&mut html_cache, s.cache().stats());
             sum_engine(&mut engine, s.engine().metrics());
@@ -354,6 +369,7 @@ impl ShardedService {
             open_connections += s.open_connections();
             keepalive_reuse += s.keepalive_reuse_total();
             idle_closed += s.idle_closed_total();
+            inline.add(s.inline_stats());
         }
         crate::ServerStats {
             total: self.metrics.totals(),
@@ -371,6 +387,7 @@ impl ShardedService {
             open_connections,
             keepalive_reuse,
             idle_closed,
+            inline,
             store_poisoned: self.store_poisoned(),
             trace_counters,
             pager: strudel_repo::pager::global_stats(),
@@ -461,4 +478,42 @@ fn sum_engine(total: &mut Metrics, s: Metrics) {
     total.diff_fallbacks += s.diff_fallbacks;
     total.diff_rows_added += s.diff_rows_added;
     total.diff_rows_retracted += s.diff_rows_retracted;
+}
+
+impl ClickService for ShardedService {
+    fn handle(&self, path: &str) -> Response {
+        ShardedService::handle(self, path)
+    }
+    fn try_warm(&self, path: &str) -> Option<WarmHit> {
+        ShardedService::try_warm(self, path)
+    }
+    fn warm(&self, parallelism: Parallelism) -> Result<WarmupReport, ServeError> {
+        ShardedService::warm(self, parallelism)
+    }
+    // Transport-level failures have no owning shard; account them on
+    // shard 0, whose counters the aggregated stats sum like any other.
+    fn note_panic(&self) {
+        self.shard(0).note_panic()
+    }
+    fn note_shed(&self) {
+        self.shard(0).note_shed()
+    }
+    fn note_timeout_config_error(&self, err: &std::io::Error) {
+        self.shard(0).note_timeout_config_error(err)
+    }
+    fn note_accept_error(&self) {
+        self.shard(0).note_accept_error()
+    }
+    fn note_conn_opened(&self) {
+        self.shard(0).note_conn_opened()
+    }
+    fn note_conn_closed(&self) {
+        self.shard(0).note_conn_closed()
+    }
+    fn note_keepalive_reuse(&self) {
+        self.shard(0).note_keepalive_reuse()
+    }
+    fn note_idle_closed(&self) {
+        self.shard(0).note_idle_closed()
+    }
 }

@@ -3,12 +3,19 @@
 //! untouched pages keep serving straight from the rendered-HTML cache —
 //! asserted through the cache hit/miss counters.
 
+mod common;
+
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use strudel_graph::{ddl, GraphDelta, Value};
 use strudel_repo::{Database, IndexLevel};
 use strudel_schema::dynamic::{DynamicSite, Mode, PageKey};
-use strudel_serve::{render, CachedPage, SiteService};
+use strudel_serve::{
+    render, serve, CachedPage, InlineDecline, ServerConfig, SiteService, Transport,
+};
+use strudel_struql::Parallelism;
 use strudel_template::TemplateSet;
 
 const QUERY: &str = r#"
@@ -371,6 +378,91 @@ fn reader_parked_in_the_swap_window_cannot_pin_a_stale_rendition() {
 #[test]
 fn warm_style_epoch_read_in_the_swap_window_cannot_pin_a_stale_rendition() {
     reader_parked_in_the_swap_window(|engine| engine.epoch());
+}
+
+/// The reactor answers warm pages on its own thread, and a delta holds
+/// the engine's snapshot lock across its whole view swap — so the inline
+/// path must *try* that lock and hand the click to the pool when a delta
+/// has it, never wait. Parked inside the swap window, a delta must not
+/// keep the reactor from answering another connection.
+#[test]
+fn a_delta_parked_in_the_swap_window_does_not_block_the_reactor() {
+    if !common::transports().contains(&Transport::Epoll) {
+        return;
+    }
+    let service = Arc::new(service());
+    service.warm(Parallelism::Threads(1)).unwrap();
+    let x_url = service.url_of(&article_key(&service, "a1"));
+    let server = serve(
+        service.clone(),
+        ServerConfig {
+            workers: 2,
+            transport: Transport::Epoll,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr();
+    let get = move |path: &str| {
+        let mut s = TcpStream::connect(addr).unwrap();
+        write!(s, "GET {path} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n").unwrap();
+        let mut out = String::new();
+        s.read_to_string(&mut out).unwrap();
+        out
+    };
+    assert!(get(&x_url).contains("First post"), "warm, and answered inline");
+    assert_eq!(service.inline_stats().hits, 1);
+
+    let (in_window_tx, in_window_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let release_rx = Mutex::new(release_rx);
+    service.engine().arm_swap_probe(move || {
+        in_window_tx.send(()).unwrap();
+        // Holds the snapshot write lock until the test lets go. Were the
+        // reactor parked behind it, nothing below could release it: the
+        // wait runs out instead and the assertions fail.
+        let _ = release_rx.lock().unwrap().recv_timeout(Duration::from_secs(5));
+    });
+
+    let a1 = service.engine().database().graph().node_by_name("a1").unwrap();
+    let mut delta = GraphDelta::new();
+    delta.remove_edge(a1, "title", Value::string("First post"));
+    delta.add_edge(a1, "title", Value::string("First post, revised"));
+
+    std::thread::scope(|s| {
+        let writer = s.spawn(|| service.apply_delta(&delta).unwrap());
+        in_window_rx.recv().unwrap();
+
+        // A click on the warm page: the reactor must decline it — that
+        // is the counter ticking — and a pool thread waits out the delta.
+        let page = s.spawn(|| get(&x_url));
+        let declined = || service.inline_stats().declined[InlineDecline::DeltaInFlight as usize];
+        let t0 = Instant::now();
+        while declined() == 0 {
+            assert!(t0.elapsed() < Duration::from_secs(4), "the reactor never declined the click");
+            std::thread::yield_now();
+        }
+
+        // With that click parked, the reactor still answers others.
+        let t0 = Instant::now();
+        let health = get("/healthz");
+        let took = t0.elapsed();
+        assert!(health.starts_with("HTTP/1.1 200"), "{health}");
+        assert!(took < Duration::from_millis(500), "/healthz waited on the delta: {took:?}");
+
+        // The page click is still out: it completes after the delta.
+        assert!(!page.is_finished(), "the click was answered inside the swap window");
+        release_tx.send(()).unwrap();
+        writer.join().unwrap();
+        let page = page.join().unwrap();
+        assert!(page.starts_with("HTTP/1.1 200") && page.contains("First post"), "{page}");
+    });
+    let metrics = get("/metrics");
+    assert!(
+        metrics.contains("strudel_inline_declined_total{reason=\"delta_in_flight\"} 1\n"),
+        "{metrics}"
+    );
+    server.shutdown();
 }
 
 #[test]

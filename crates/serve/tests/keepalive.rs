@@ -2,7 +2,11 @@
 //! connection byte-equal fresh-connection responses, pipelined requests
 //! all answer, idle connections close on deadline (and count), slow-loris
 //! clients get a 408 without degrading fast clicks, and hundreds of idle
-//! connections cost file descriptors, not threads.
+//! connections cost file descriptors, not threads. And for the hits the
+//! reactor answers inline: the wire bytes equal the pool path's, a burst
+//! of ten thousand pipelined hits neither recurses nor starves another
+//! connection, a body larger than the socket buffer survives partial
+//! writes, and a panic in `try_warm` falls through to the pool.
 //!
 //! The whole suite is epoll-specific and self-skips where the transport
 //! is unsupported (non-Linux) or excluded via `STRUDEL_TEST_TRANSPORT`.
@@ -11,12 +15,17 @@ mod common;
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use strudel::sites::news_site;
 use strudel_schema::dynamic::Mode;
-use strudel_serve::{serve, ServerConfig, SiteService, Transport};
+use strudel_serve::{
+    proto, serve, CachedPage, ClickService, Response, ServeError, ServerConfig, SiteService,
+    Transport, WarmHit, WarmupReport,
+};
+use strudel_struql::Parallelism;
 use strudel_workload::news::{generate, NewsConfig};
 
 /// Whether this run covers the epoll transport at all.
@@ -337,4 +346,237 @@ fn os_thread_count() -> usize {
                 .and_then(|v| v.trim().parse().ok())
         })
         .unwrap_or(0)
+}
+
+/// A warmed server (every page in the published tier, so every page
+/// click is an inline hit) and its `/page/…` URLs.
+fn start_warm() -> (Arc<SiteService>, strudel_serve::ServerHandle, Vec<String>) {
+    let (service, server) = start(epoll_config());
+    service.warm(Parallelism::Threads(2)).unwrap();
+    let mut urls = vec!["/".to_string()];
+    let mut i = 0;
+    while i < urls.len() {
+        let body = service.handle(&urls[i]).body;
+        for part in body.split("href=\"").skip(1) {
+            let href = &part[..part.find('"').unwrap_or(0)];
+            if href.starts_with("/page/") && !urls.iter().any(|u| u == href) {
+                urls.push(href.to_string());
+            }
+        }
+        i += 1;
+    }
+    urls.remove(0);
+    assert!(urls.len() >= 10, "crawl found pages: {}", urls.len());
+    (service, server, urls)
+}
+
+fn connect(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).unwrap();
+    // A response that comes up short fails the read, not the test run.
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    stream
+}
+
+#[test]
+fn inline_hits_are_byte_identical_on_the_wire_to_the_pool_encoding() {
+    if !epoll_enabled() {
+        return;
+    }
+    let (service, server, pages) = start_warm();
+    let addr = server.addr();
+    // Warm pages go inline; the index, an unknown page and an unknown
+    // route go through the pool. All must match the one encoder.
+    let mut urls = pages.clone();
+    urls.extend(["/", "/page/NoSuchPage", "/no/such/route"].map(String::from));
+
+    let hits_before = service.inline_stats().hits;
+    for (method, head_only) in [("GET", false), ("HEAD", true)] {
+        // Keep-alive: the whole URL set over one connection.
+        let mut kept = connect(addr);
+        for url in &urls {
+            let expected = proto::encode_response(&service.handle(url), head_only, true, None);
+            write!(kept, "{method} {url} HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
+            let mut wire = vec![0u8; expected.len()];
+            kept.read_exact(&mut wire).unwrap();
+            let got = String::from_utf8_lossy(&wire);
+            assert!(wire == expected, "{method} {url} keep-alive:\n{got}");
+        }
+        // `Connection: close`: one connection each, read to EOF.
+        for url in &urls {
+            let expected = proto::encode_response(&service.handle(url), head_only, false, None);
+            let mut fresh = connect(addr);
+            write!(fresh, "{method} {url} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n")
+                .unwrap();
+            let mut wire = Vec::new();
+            fresh.read_to_end(&mut wire).unwrap();
+            let got = String::from_utf8_lossy(&wire);
+            assert!(wire == expected, "{method} {url} close:\n{got}");
+        }
+    }
+    let clicks = 4 * pages.len() as u64;
+    assert_eq!(
+        service.inline_stats().hits - hits_before,
+        clicks,
+        "every warm page click, and nothing else, was answered inline"
+    );
+    let metrics = get_fresh(addr, "/metrics");
+    assert!(
+        metrics.contains(&format!("strudel_inline_hits_total {clicks}\n")),
+        "{metrics}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn ten_thousand_pipelined_hits_answer_in_order_and_do_not_starve_a_second_connection() {
+    if !epoll_enabled() {
+        return;
+    }
+    const BURST: usize = 10_000;
+    let (service, server, pages) = start_warm();
+    let addr = server.addr();
+    let mix: Vec<(String, String)> = pages
+        .iter()
+        .take(3)
+        .map(|url| (url.clone(), service.handle(url).body))
+        .collect();
+
+    let answered = Arc::new(AtomicUsize::new(0));
+    let burst = {
+        let (mix, answered) = (mix.clone(), answered.clone());
+        std::thread::spawn(move || {
+            let stream = connect(addr);
+            let mut writer = stream.try_clone().unwrap();
+            // All ten thousand requests in one write, from a thread of
+            // its own: the responses must be read while it is going on.
+            let sender = {
+                let mix = mix.clone();
+                std::thread::spawn(move || {
+                    let mut requests = String::new();
+                    for i in 0..BURST {
+                        let url = &mix[i % mix.len()].0;
+                        requests += &format!("GET {url} HTTP/1.1\r\nHost: localhost\r\n\r\n");
+                    }
+                    writer.write_all(requests.as_bytes()).unwrap();
+                })
+            };
+            let mut reader = BufReader::new(stream);
+            for i in 0..BURST {
+                let (head, body) = read_response(&mut reader)
+                    .unwrap_or_else(|| panic!("pipelined response {i} arrived"));
+                assert!(head.starts_with("HTTP/1.1 200"), "response {i}: {head}");
+                assert!(body == mix[i % mix.len()].1, "response {i} is out of order");
+                answered.fetch_add(1, Ordering::SeqCst);
+            }
+            sender.join().unwrap();
+        })
+    };
+
+    // Once the burst is under way, one click on another connection must
+    // come back before the burst is through: the reactor leaves a busy
+    // connection after each read's worth of answers.
+    while answered.load(Ordering::SeqCst) == 0 {
+        assert!(!burst.is_finished(), "the burst thread failed");
+        std::thread::yield_now();
+    }
+    let other = get_fresh(addr, &mix[0].0);
+    let seen = answered.load(Ordering::SeqCst);
+    assert!(other.starts_with("HTTP/1.1 200"), "{other}");
+    assert!(seen < BURST, "the single click waited for the whole burst");
+    burst.join().unwrap();
+    assert_eq!(answered.load(Ordering::SeqCst), BURST);
+    server.shutdown();
+}
+
+#[test]
+fn a_body_larger_than_the_socket_buffer_reaches_a_slow_reader_intact() {
+    if !epoll_enabled() {
+        return;
+    }
+    let (service, server, pages) = start_warm();
+    let addr = server.addr();
+    // Replace one page's rendition with 8 MiB no socket buffer holds,
+    // patterned so a misplaced resume offset shows.
+    let url = &pages[0];
+    let db = service.engine().database();
+    let key = strudel_serve::router::parse_page_path(url, db.graph()).unwrap();
+    drop(db);
+    let big: String = (0..1 << 20).map(|i| format!("{i:07}\n")).collect();
+    service.cache().insert_if(
+        key,
+        CachedPage {
+            html: big.as_str().into(),
+            deps: Vec::new().into(),
+        },
+        || true,
+    );
+    assert!(service.cache().promote_if(|| true));
+
+    let hits_before = service.inline_stats().hits;
+    let stream = connect(addr);
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    write!(writer, "GET {url} HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
+    // Let the reactor fill the socket and park on EPOLLOUT, then read in
+    // the BufReader's 8 KiB sips so it resumes many times.
+    std::thread::sleep(Duration::from_millis(200));
+    let (head, body) = read_response(&mut reader).unwrap();
+    assert!(head.contains(&format!("Content-Length: {}", big.len())), "{head}");
+    assert!(body == big, "the body arrived damaged");
+    // The connection is in step for the next request.
+    write!(writer, "HEAD {url} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n").unwrap();
+    let mut rest = String::new();
+    reader.read_to_string(&mut rest).unwrap();
+    assert!(rest.starts_with("HTTP/1.1 200") && rest.ends_with("\r\n\r\n"), "{rest}");
+    assert_eq!(service.inline_stats().hits - hits_before, 2, "both answered inline");
+    server.shutdown();
+}
+
+/// A service whose fast path is broken: `try_warm` panics on every call.
+struct PanickyWarm {
+    panics: AtomicUsize,
+}
+
+impl ClickService for PanickyWarm {
+    fn handle(&self, _path: &str) -> Response {
+        Response {
+            status: 200,
+            content_type: "text/plain; charset=utf-8",
+            body: "from the pool\n".into(),
+            degraded: false,
+        }
+    }
+    fn try_warm(&self, _path: &str) -> Option<WarmHit> {
+        panic!("injected try_warm bug")
+    }
+    fn warm(&self, _parallelism: Parallelism) -> Result<WarmupReport, ServeError> {
+        Ok(WarmupReport::default())
+    }
+    fn note_panic(&self) {
+        self.panics.fetch_add(1, Ordering::SeqCst);
+    }
+    fn note_shed(&self) {}
+    fn note_timeout_config_error(&self, _err: &std::io::Error) {}
+    fn note_accept_error(&self) {}
+    fn note_conn_opened(&self) {}
+    fn note_conn_closed(&self) {}
+    fn note_keepalive_reuse(&self) {}
+    fn note_idle_closed(&self) {}
+}
+
+#[test]
+fn a_panic_in_try_warm_is_counted_and_the_pool_answers() {
+    if !epoll_enabled() {
+        return;
+    }
+    let service = Arc::new(PanickyWarm {
+        panics: AtomicUsize::new(0),
+    });
+    let server = serve(service.clone(), epoll_config()).unwrap();
+    for n in 1..=3 {
+        let r = get_fresh(server.addr(), "/page/Any");
+        assert!(r.starts_with("HTTP/1.1 200") && r.ends_with("from the pool\n"), "{r}");
+        assert_eq!(service.panics.load(Ordering::SeqCst), n, "the reactor survived and counted");
+    }
+    server.shutdown();
 }

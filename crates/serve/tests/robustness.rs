@@ -14,6 +14,7 @@ use std::time::Duration;
 use strudel::sites::news_site;
 use strudel_schema::dynamic::Mode;
 use strudel_serve::{serve, FaultProbe, ServerConfig, SiteService};
+use strudel_struql::Parallelism;
 use strudel_workload::news::{generate, NewsConfig};
 
 fn service() -> Arc<SiteService> {
@@ -23,6 +24,15 @@ fn service() -> Arc<SiteService> {
     });
     let site = news_site(&corpus.pages).build().unwrap();
     Arc::new(SiteService::new(&site, Mode::Context))
+}
+
+/// Warms `svc` and returns one of its pages: in the published tier, so
+/// the reactor would answer it inline — unless a probe is armed, which
+/// must send every click through `handle` where probes fire.
+fn warm_page(svc: &SiteService) -> String {
+    svc.warm(Parallelism::Threads(2)).unwrap();
+    let roots = svc.engine().roots(svc.root_collection()).unwrap();
+    svc.url_of(&roots[0])
 }
 
 fn get(addr: SocketAddr, path: &str) -> String {
@@ -50,25 +60,31 @@ fn a_panicking_handler_costs_one_request_not_the_server() {
         )
         .unwrap();
         let addr = server.addr();
+        let page = warm_page(&svc);
         assert!(get(addr, "/").starts_with("HTTP/1.1 200"));
+        assert!(get(addr, &page).starts_with("HTTP/1.1 200"));
 
-        svc.arm_probe("/boom", FaultProbe::Panic);
-        for _ in 0..3 {
-            let r = get(addr, "/boom");
-            assert!(r.starts_with("HTTP/1.1 500"), "panic answers 500: {r}");
+        // A route that does not exist, and a page that is warm.
+        for boom in ["/boom", page.as_str()] {
+            svc.arm_probe(boom, FaultProbe::Panic);
+            for _ in 0..3 {
+                let r = get(addr, boom);
+                assert!(r.starts_with("HTTP/1.1 500"), "panic answers 500: {r}");
+            }
+            svc.clear_probes();
         }
-        svc.clear_probes();
-        assert_eq!(svc.panics_total(), 3, "every panic counted ({transport:?})");
+        assert_eq!(svc.panics_total(), 6, "every panic counted ({transport:?})");
 
         // Both workers took a panic; both must still be serving.
         for _ in 0..4 {
             assert!(get(addr, "/").starts_with("HTTP/1.1 200"));
         }
         assert!(get(addr, "/boom").starts_with("HTTP/1.1 404"), "probe cleared");
+        assert!(get(addr, &page).starts_with("HTTP/1.1 200"), "probe cleared");
 
         let metrics = get(addr, "/metrics");
         assert!(
-            metrics.contains("strudel_panics_total 3"),
+            metrics.contains("strudel_panics_total 6"),
             "panics exposed on /metrics: {metrics}"
         );
         server.shutdown();
@@ -91,14 +107,18 @@ fn a_saturated_backlog_sheds_with_retry_after() {
         )
         .unwrap();
         let addr = server.addr();
+        let page = warm_page(&svc);
         assert!(get(addr, "/").starts_with("HTTP/1.1 200"));
 
-        // Stall the single worker, fill the one backlog slot, then watch
-        // further connections bounce straight off the accept path.
-        svc.arm_probe("/stall", FaultProbe::Stall(Duration::from_millis(900)));
+        // Stall the single worker — on a warm page, which only reaches a
+        // worker because a probe is armed — fill the one backlog slot,
+        // then watch further connections bounce straight off the accept
+        // path.
+        svc.arm_probe(&page, FaultProbe::Stall(Duration::from_millis(900)));
         let stalled: Vec<_> = (0..2)
             .map(|_| {
-                let h = std::thread::spawn(move || get(addr, "/stall"));
+                let page = page.clone();
+                let h = std::thread::spawn(move || get(addr, &page));
                 std::thread::sleep(Duration::from_millis(150));
                 h
             })
@@ -116,11 +136,11 @@ fn a_saturated_backlog_sheds_with_retry_after() {
         assert!(shed >= 1, "worker stalled + backlog full must shed ({transport:?})");
         assert!(svc.shed_total() >= shed, "sheds counted");
 
-        // The stalled requests still complete (the probe path is a 404),
-        // and once the stall drains the server answers normally again.
+        // The stalled requests still complete, and once the stall
+        // drains the server answers normally again.
         for h in stalled {
             let r = h.join().unwrap();
-            assert!(r.starts_with("HTTP/1.1 404"), "stalled request served: {r}");
+            assert!(r.starts_with("HTTP/1.1 200"), "stalled request served: {r}");
         }
         svc.clear_probes();
         assert!(get(addr, "/").starts_with("HTTP/1.1 200"));

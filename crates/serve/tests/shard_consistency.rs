@@ -234,6 +234,9 @@ fn sharded_service_serves_over_http_with_shard_metrics() {
                 (u, body)
             })
             .collect();
+        // Every page into its owner shard's published tier: the reactor
+        // answers those through the front's `try_warm`.
+        sharded.warm(strudel_struql::Parallelism::Threads(2)).unwrap();
 
         let server = serve(
             Arc::clone(&sharded),
@@ -266,7 +269,14 @@ fn sharded_service_serves_over_http_with_shard_metrics() {
         }
 
         let metrics = get("/metrics");
+        let inline_hits = match transport {
+            strudel_serve::Transport::Epoll => {
+                reference.iter().filter(|(u, _)| u.starts_with("/page/")).count()
+            }
+            strudel_serve::Transport::Threads => 0,
+        };
         for needle in [
+            format!("strudel_inline_hits_total {inline_hits}\n").as_str(),
             "strudel_shards 4",
             "strudel_shard_requests_total{shard=\"0\"}",
             "strudel_shard_requests_total{shard=\"3\"}",

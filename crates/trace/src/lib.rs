@@ -165,6 +165,17 @@ struct ActiveSpan<'a> {
     restore_len: usize,
 }
 
+impl SpanGuard<'_> {
+    /// Abandons the span: the thread's span path is restored and
+    /// nothing is recorded — for work that turned out not to be the
+    /// thing the span names.
+    pub fn cancel(mut self) {
+        if let Some(active) = self.active.take() {
+            SPAN_PATH.with(|p| p.borrow_mut().truncate(active.restore_len));
+        }
+    }
+}
+
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         let Some(active) = self.active.take() else {
@@ -444,6 +455,20 @@ mod tests {
         let snap = t.snapshot();
         let paths: Vec<&str> = snap.spans.iter().map(|(p, _)| p.as_str()).collect();
         assert_eq!(paths, vec!["a", "a/b", "a/c"]);
+    }
+
+    #[test]
+    fn a_cancelled_span_records_nothing_and_restores_the_path() {
+        let t = Tracer::new();
+        t.set_enabled(true);
+        {
+            let _a = t.span("a");
+            t.span("abandoned").cancel();
+            let _b = t.span("b");
+        }
+        let snap = t.snapshot();
+        let paths: Vec<&str> = snap.spans.iter().map(|(p, _)| p.as_str()).collect();
+        assert_eq!(paths, vec!["a", "a/b"]);
     }
 
     #[test]
