@@ -322,7 +322,10 @@ fn browse(site: &DynamicSite, clicks: usize) {
 /// re-evaluation by a wide margin. The from-scratch arm is built here
 /// from public API — the engine has one delta path: re-index the
 /// post-delta graph, stand up a fresh engine, and re-run the guards of
-/// the pages the differential arm reported dirty.
+/// the pages the differential arm reported dirty. The hub arms
+/// ([`exp_diff_hub`]) repeat the question on `news_site`, whose front
+/// page links every article: there the cost must not track the page
+/// either.
 pub fn exp_diff() {
     use strudel_graph::Graph;
 
@@ -479,8 +482,8 @@ pub fn exp_diff() {
                 v
             };
             assert_eq!(
-                sort(diff_site.visit(&key).unwrap().edges),
-                sort(fresh.visit(&key).unwrap().edges),
+                sort(diff_site.visit(&key).unwrap().edges.clone()),
+                sort(fresh.visit(&key).unwrap().edges.clone()),
                 "article a{i} diverged at n={n}"
             );
         }
@@ -510,6 +513,166 @@ pub fn exp_diff() {
         }
     }
     println!();
+    exp_diff_hub();
+}
+
+/// The hub arms of E-diff: `news_site` with its front page (one
+/// `Headline` per article) and category pages warm, under retitles of 1,
+/// 8 and 64 articles, one insert and one uncollect per round. Every delta
+/// dirties the front page; the patch must cost the delta, not the page —
+/// asserted as flatness of the 1-retitle delta from 1 000 to 16 000
+/// articles.
+fn exp_diff_hub() {
+    println!("== E-diff (hub): news_site, front and category pages warm ==");
+    println!(
+        "{:>9} | {:>10} {:>10} {:>10} {:>10} {:>10} | updated/fallbacks/rebuilds",
+        "articles", "retitle 1", "retitle 8", "retitle 64", "insert", "uncollect"
+    );
+    const ROUNDS: usize = 12;
+    const KINDS: [&str; 5] = ["retitle1", "retitle8", "retitle64", "insert", "uncollect"];
+    let median = |samples: &[f64]| {
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        sorted[sorted.len() / 2]
+    };
+    let mut one_retitle: Vec<(usize, f64)> = Vec::new();
+    for &n in &[1_000usize, 4_000, 16_000] {
+        let built = crate::paper_news_site(n);
+        // A database of the engine's own: a snapshot someone else still
+        // holds cannot become the standby twin.
+        let db = std::sync::Arc::new(Database::from_graph(
+            built.database.graph().clone(),
+            IndexLevel::Full,
+        ));
+        let program = built.program.clone();
+        drop(built);
+        let graph = db.graph();
+        let mut articles: Vec<(Oid, Value)> = graph
+            .members_str("Articles")
+            .iter()
+            .filter_map(Value::as_node)
+            .map(|a| (a, graph.first_attr_str(a, "title").cloned().expect("titled")))
+            .collect();
+        let category = graph
+            .first_attr_str(articles[0].0, "category")
+            .cloned()
+            .expect("categorised");
+        let mut next_oid = graph.node_count();
+
+        let site = DynamicSite::new(db, &program, Mode::Context);
+        let front = site.roots("FrontRoot").unwrap().remove(0);
+        let mut warm = vec![front.clone()];
+        for (label, target) in &site.visit(&front).unwrap().edges {
+            if let (true, DynTarget::Page(k)) = (label == "Section", target) {
+                site.visit(k).unwrap();
+                warm.push(k.clone());
+            }
+        }
+
+        // Untimed: the first delta builds the standby twin.
+        let mut first = GraphDelta::new();
+        first.add_edge(articles[0].0, "note", Value::string("warm"));
+        site.apply_delta(&first).unwrap();
+
+        // Each kind runs its rounds back to back, as the arms above do:
+        // a delta also replays its predecessor onto the standby twin, so
+        // a kind is timed in a stream of its own.
+        let mut serial = 0usize;
+        let mut cursor = 0usize;
+        let mut samples: Vec<Vec<f64>> = Vec::new();
+        for kind in KINDS {
+            let mut us = Vec::with_capacity(ROUNDS);
+            for _ in 0..ROUNDS {
+                serial += 1;
+                let mut delta = GraphDelta::new();
+                match kind {
+                    "insert" => {
+                        let oid = Oid::from_index(next_oid);
+                        next_oid += 1;
+                        let title = Value::string(format!("Breaking story #{serial}#").as_str());
+                        delta.add_node(None);
+                        delta.add_edge(oid, "title", title.clone());
+                        delta.add_edge(oid, "category", category.clone());
+                        delta.add_edge(oid, "date", Value::string("1998-06-01"));
+                        delta.collect("Articles", Value::Node(oid));
+                        articles.push((oid, title));
+                    }
+                    "uncollect" => {
+                        let (gone, _) = articles.pop().expect("articles left");
+                        delta.uncollect("Articles", Value::Node(gone));
+                    }
+                    _ => {
+                        let retitles: usize = kind["retitle".len()..].parse().expect("a count");
+                        for _ in 0..retitles {
+                            let (oid, title) = &mut articles[cursor];
+                            cursor += 1;
+                            delta.remove_edge(*oid, "title", title.clone());
+                            *title =
+                                Value::string(format!("Retitled story #{serial}.{cursor}#").as_str());
+                            delta.add_edge(*oid, "title", title.clone());
+                        }
+                    }
+                }
+                let (outcome, t) = time(|| site.apply_delta(&delta).unwrap());
+                assert!(outcome.dirty.contains(&front), "every delta here dirties the hub");
+                assert_eq!(outcome.evicted, 0, "{outcome:?}");
+                us.push(t.as_secs_f64() * 1e6);
+            }
+            samples.push(us);
+        }
+
+        let m = site.metrics();
+        assert_eq!(m.diff_fallbacks, 0, "no maintenance fallbacks: {m:?}");
+        assert_eq!(m.standby_rebuilds, 1, "only the first delta builds a twin: {m:?}");
+        // Correctness: the patched hub pages hold exactly the rows a cold
+        // engine derives on the final database.
+        let fresh = DynamicSite::new(site.database(), &program, Mode::Context);
+        let sort = |v: &[(String, DynTarget)]| {
+            let mut v: Vec<String> = v.iter().map(|e| format!("{e:?}")).collect();
+            v.sort_unstable();
+            v
+        };
+        for key in &warm {
+            assert_eq!(
+                sort(&site.visit(key).unwrap().edges),
+                sort(&fresh.visit(key).unwrap().edges),
+                "{key:?} diverged at n={n}"
+            );
+        }
+
+        let medians: Vec<f64> = samples.iter().map(|s| median(s)).collect();
+        println!(
+            "{:>9} | {:>8.0}us {:>8.0}us {:>8.0}us {:>8.0}us {:>8.0}us | {}/{}/{}",
+            n,
+            medians[0],
+            medians[1],
+            medians[2],
+            medians[3],
+            medians[4],
+            m.diff_pages_updated,
+            m.diff_fallbacks,
+            m.standby_rebuilds
+        );
+        for (kind, us) in KINDS.iter().zip(&medians) {
+            json::record("diff", "E-diff", &format!("hub-n{n}-{kind}"), "diff_us", *us, "us");
+        }
+        one_retitle.push((n, medians[0]));
+    }
+    let (small, large) = (one_retitle[0], one_retitle[one_retitle.len() - 1]);
+    assert!(
+        large.1 <= 2.0 * small.1,
+        "a 1-retitle delta must not track the hub page: {:.0}us at {} articles, {:.0}us at {}",
+        small.1,
+        small.0,
+        large.1,
+        large.0
+    );
+    println!(
+        "flatness: 1 retitle at {} articles = {:.2}x of {} articles\n",
+        large.0,
+        large.1 / small.1,
+        small.0
+    );
 }
 
 /// E-incremental — incremental maintenance vs full re-evaluation.

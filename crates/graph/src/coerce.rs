@@ -20,8 +20,9 @@
 //! semistructured data where an attribute may hold differently typed values
 //! on different objects.
 
-use crate::{Value,};
+use crate::{Oid, Value};
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// Coercing equality between two run-time values.
 pub fn eq(a: &Value, b: &Value) -> bool {
@@ -82,6 +83,48 @@ pub fn compare(a: &Value, b: &Value) -> Option<Ordering> {
         }
 
         _ => None,
+    }
+}
+
+/// A lossy canonical form of a value under coercion: values that
+/// [`eq`] relates always share a class, so a class can key an index that
+/// must find every coercion-equal spelling of a value (`Int(1998)`,
+/// `Float(1998.0)`, `Str("1998")`). The converse does not hold — a class
+/// is coarser than [`eq`], which is not even transitive (a PostScript
+/// and an image file of one path both equal that path's string, never
+/// each other).
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub enum Class {
+    /// An internal node, by oid.
+    Node(Oid),
+    /// Every number and every text that parses as one, by `f64` bits
+    /// (`-0.0` folded into `0.0`).
+    Num(u64),
+    /// Any other text: strings, URLs, file paths, booleans as
+    /// `"true"`/`"false"`.
+    Text(Arc<str>),
+}
+
+/// The coercion class of `v`: `eq(a, b)` implies `class(a) == class(b)`.
+pub fn class(v: &Value) -> Class {
+    fn num(f: f64) -> Class {
+        Class::Num(if f == 0.0 { 0.0f64 } else { f }.to_bits())
+    }
+    fn text(s: &Arc<str>) -> Class {
+        match parse_number(s) {
+            Some(Value::Int(i)) => num(i as f64),
+            // Text spelling NaN equals no number; it stays text.
+            Some(Value::Float(f)) if !f.is_nan() => num(f),
+            _ => Class::Text(Arc::clone(s)),
+        }
+    }
+    match v {
+        Value::Node(o) => Class::Node(*o),
+        Value::Int(i) => num(*i as f64),
+        Value::Float(f) => num(*f),
+        Value::Bool(b) => Class::Text(Arc::from(if *b { "true" } else { "false" })),
+        Value::Str(s) | Value::Url(s) => text(s),
+        Value::File(f) => text(&f.path),
     }
 }
 

@@ -183,6 +183,57 @@ fn coerce_antisymmetric() {
     }
 }
 
+/// A value drawn from a small pool of spellings that coerce into each
+/// other: small numbers as ints, floats and (padded, exponent) text,
+/// booleans and their keywords, one short text as string, URL and file
+/// path, and a few nodes.
+fn colliding_value(rng: &mut SmallRng) -> Value {
+    let n = rng.gen_range(-2..3i64);
+    let word = ["p", "q", "true", "false", "nan", "inf", "1998"][rng.gen_range(0..7usize)];
+    match rng.gen_range(0..12) {
+        0 => Value::Int(n),
+        1 => Value::Float(n as f64),
+        2 => Value::Float(-0.0),
+        3 => Value::string(n.to_string()),
+        4 => Value::string(format!(" {n}.0 ")),
+        5 => Value::url(format!("{n}e0")),
+        6 => Value::Bool(rng.gen_bool(0.5)),
+        7 => Value::string(word),
+        8 => Value::url(word),
+        9 => Value::file(
+            [FileKind::Text, FileKind::Image][rng.gen_range(0..2usize)],
+            word,
+        ),
+        10 => Value::Int(1998),
+        _ => Value::Node(Oid::from_index(rng.gen_range(0..3usize))),
+    }
+}
+
+/// `coerce::eq(a, b)` implies `coerce::class(a) == coerce::class(b)` —
+/// what lets a class key an index of coercion-equal page arguments.
+#[test]
+fn coerce_eq_implies_same_class() {
+    let mut related = 0;
+    for seed in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(1_500 + seed);
+        let mut pool: Vec<Value> = (0..10).map(|_| colliding_value(&mut rng)).collect();
+        pool.extend((0..2).map(|_| atomic_value(&mut rng)));
+        for a in &pool {
+            for b in &pool {
+                if coerce::eq(a, b) {
+                    related += 1;
+                    assert_eq!(
+                        coerce::class(a),
+                        coerce::class(b),
+                        "seed {seed}: {a:?} = {b:?}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(related > 1_000, "the generator must collide: {related}");
+}
+
 /// Structural Ord on Value is a total order consistent with Eq/Hash.
 #[test]
 fn value_total_order() {

@@ -41,35 +41,66 @@
 //!
 //! ## Differential maintenance
 //!
-//! Each cached page keeps, beside its rendered [`PageView`], the signed
-//! bindings rows of every guard that produced it. [`DynamicSite::apply_delta`]
-//! then *maintains* dirty cached pages instead of evicting them: the delta
-//! is propagated through each touched guard by
-//! [`diff_where`](strudel_struql::diff_where), the signed diff is applied
-//! to the stored rows with exact count-based retraction, and the view is
-//! re-projected — no guard re-evaluation on the next visit. Pages whose
-//! state cannot absorb the diff (no stored rows, a count underflow, a
-//! variable-layout mismatch) fall back to eviction and full re-evaluation.
-//! Two O(site) costs are engineered out of the delta path so maintenance
-//! scales with |Δ| rather than site size: a standby twin database is
-//! double-buffered across deltas (each swap applies the delta to the twin
-//! in O(|Δ|) instead of re-indexing a graph clone), and the optimizer
-//! statistics are carried forward with a bounded drift instead of being
-//! rescanned.
+//! A cached page is a keyed, count-annotated projection of its guards'
+//! rows, patched by deltas instead of recomputed. Beside the served
+//! [`PageView`] it keeps the bindings rows of every contributing schema
+//! edge's guard, seeded for the page — one hash-indexed store `(edge,
+//! row) → (count, sequence number)` — and a link table `(label, target)
+//! → (supporting rows, first supporter)`. [`DynamicSite::apply_delta`] gets
+//! the delta's exact signed rows already grouped by page from
+//! [`invalidate::dirty_pages`], re-lays each row from the guard's unseeded
+//! slot order to the stored seeds-first order (a permutation fixed per
+//! edge when the engine is built), and applies them to whatever copy of
+//! the page is cached when the snapshot swaps: a count moves, a row
+//! appears or disappears, its link gains or loses one supporter. Nothing
+//! proportional to the page is read, copied or scanned, so a retitle
+//! costs the same on a front page with a thousand links as on a leaf.
+//!
+//! **The order contract.** A view lists a page's links by *first
+//! supporting row*, rows ordered by (schema edge, insertion into the
+//! store): exactly the first-occurrence projection of the stored rows. A
+//! patch retracts before it inserts, new rows take the next sequence
+//! number, and a link whose first supporter is retracted while others
+//! remain — the one case a position can move backwards — rebuilds that
+//! page's link table from its rows. The view itself is an
+//! `Arc<PageView>` materialised from the link table by the first reader
+//! after a patch and shared by every later one; a reader still holding
+//! the previous `Arc` keeps the previous contents.
+//!
+//! **The coercion-class rule.** Page keys match structurally, guards match
+//! by coercion: `YearPage(Str "1998")` — what a URL may parse to — is
+//! served through the seeded guard from data that says `Int 1998`, while
+//! the delta's rows name `YearPage(Int 1998)`. Cached keys with an atomic
+//! argument are therefore registered under their symbol and
+//! [`coerce::class`]es; when a dirty key's class holds any *other* key,
+//! every key of the class is dirtied and evicted, never patched (rows
+//! routed by spelling would reach only one of them).
+//!
+//! Pages whose state cannot absorb a patch (no stored rows —
+//! [`Mode::Naive`] —, a count underflow, an edge whose seeded layout is
+//! not a permutation of the unseeded one, a projection error) and every
+//! cached page of a symbol dirtied wholesale fall back to eviction and
+//! full re-evaluation, counted in [`Metrics::diff_fallbacks`]. Two O(site)
+//! costs are engineered out of the delta path as well: a standby twin
+//! database is double-buffered across deltas (each swap applies the delta
+//! to the twin in O(|Δ|) instead of re-indexing a graph clone; the
+//! exception — a reader still pinning the twin — is counted in
+//! [`Metrics::standby_rebuilds`]), and the optimizer statistics are
+//! carried forward with a bounded drift instead of being rescanned.
 
 use crate::invalidate::{self, DirtySet};
 use crate::site_schema::SchemaEdge;
 use crate::{SchemaNode, SiteSchema};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
-use strudel_graph::{GraphDelta, Value};
+use strudel_graph::{coerce, GraphDelta, Value};
 use strudel_repo::Database;
 use strudel_struql::{
-    apply_diff, diff_where, Condition, DeltaTouch, EvalOptions, Evaluator, ExplainReport,
-    LabelTerm, Parallelism, PreparedWhere, Program, SignedRow, StruqlError, StruqlResult, Term,
+    where_vars, Condition, EvalOptions, Evaluator, ExplainReport, LabelTerm, Parallelism,
+    PreparedWhere, Program, SignedRow, StruqlError, StruqlResult, Term,
 };
 
 /// Evaluation strategy.
@@ -93,7 +124,7 @@ pub struct PageKey {
 }
 
 /// A link target on a dynamic page.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum DynTarget {
     /// Another dynamic page.
     Page(PageKey),
@@ -129,12 +160,17 @@ pub struct Metrics {
     /// Cached pages updated in place by differential maintenance.
     pub diff_pages_updated: usize,
     /// Dirty cached pages that fell back to eviction (no stored rows,
-    /// count underflow, or a variable-layout mismatch).
+    /// count underflow, a variable-layout mismatch, a coercion-class
+    /// alias, or a symbol dirtied wholesale).
     pub diff_fallbacks: usize,
     /// Bindings rows inserted by differential maintenance.
     pub diff_rows_added: usize,
     /// Bindings rows retracted by differential maintenance.
     pub diff_rows_retracted: usize,
+    /// Deltas that could not reuse the standby twin database (the first
+    /// one, and any whose twin a reader still pinned) and paid an O(site)
+    /// clone-and-reindex instead.
+    pub standby_rebuilds: usize,
 }
 
 /// The result of applying a data delta to a live engine.
@@ -166,29 +202,207 @@ struct PreparedCache {
     map: HashMap<usize, Arc<PreparedWhere>>,
 }
 
-/// The signed bindings rows of one schema edge's guard, seeded for one
-/// page: the delta-ready state that lets [`DynamicSite::apply_delta`]
-/// maintain the page without re-running the guard.
-#[derive(Clone, Debug)]
-struct EdgeRows {
-    /// Index into `schema.edges`.
-    ei: usize,
-    /// The prepared plan's variable layout (seed names first, then the
-    /// guard's variables in textual order); diffs must match it exactly.
+/// One link of a page: `(label, target)`.
+type Link = (String, DynTarget);
+
+/// One bindings row of a guard.
+type Row = Vec<Option<Value>>;
+
+/// Where a stored row sits in its page's projection order: its schema
+/// edge's index, then the sequence number the row drew when it entered
+/// the store.
+type Pos = (u32, u32);
+
+/// How one schema edge's guard rows are laid out in a cached page — a
+/// function of the edge and the engine's mode, fixed when the engine is
+/// built.
+struct EdgeLayout {
+    /// Variable names of the stored rows' slots: the page's seed
+    /// variables first, then the guard's others in textual order
+    /// ([`where_vars`]; what every prepared plan of the edge produces).
     vars: Vec<String>,
-    /// Count-annotated bindings rows (count = derivation multiplicity),
-    /// in first-derivation order.
-    rows: Vec<SignedRow>,
+    /// For each stored slot, the slot of the same variable in the guard's
+    /// unseeded layout, which is how [`invalidate::dirty_pages`] hands
+    /// rows over. `None` when the two layouts are not permutations of
+    /// each other; such an edge's pages are evicted, not patched.
+    from_unseeded: Option<Vec<usize>>,
 }
 
-/// Everything cached for one page: the served view plus the guard rows
-/// it was projected from.
-#[derive(Clone, Debug)]
+impl EdgeLayout {
+    fn of(edge: &SchemaEdge, mode: Mode) -> Self {
+        // The names `seed_for_edge` seeds, without the values.
+        let mut seed_names: Vec<String> = Vec::new();
+        if mode != Mode::Naive {
+            for term in &edge.src_args {
+                if let Term::Var(v) = term {
+                    if !seed_names.contains(v) {
+                        seed_names.push(v.clone());
+                    }
+                }
+            }
+        }
+        let vars = where_vars(&edge.guard, &seed_names);
+        let unseeded = where_vars(&edge.guard, &[]);
+        let from_unseeded = (vars.len() == unseeded.len())
+            .then(|| {
+                vars.iter()
+                    .map(|v| unseeded.iter().position(|u| u == v))
+                    .collect::<Option<Vec<usize>>>()
+            })
+            .flatten();
+        EdgeLayout {
+            vars,
+            from_unseeded,
+        }
+    }
+}
+
+/// A stored guard row's bookkeeping: its derivation multiplicity and the
+/// sequence number that orders it among the page's rows.
+#[derive(Clone, Copy, Debug)]
+struct RowSlot {
+    count: i64,
+    seq: u32,
+}
+
+/// How many stored rows project to a link, and the earliest of them —
+/// the link's place in the view.
+#[derive(Clone, Copy, Debug)]
+struct Support {
+    rows: u32,
+    first: Pos,
+}
+
+/// The delta-ready state of a cached page: the guard rows it was
+/// projected from and the projection itself, both indexed so that a
+/// signed row is absorbed without reading the rest of the page (see
+/// "Differential maintenance" in the module docs).
+#[derive(Debug, Default)]
+struct PageRows {
+    /// The guards' bindings rows, seeded for the page, by schema edge
+    /// (index into `schema.edges`) and row in the edge's
+    /// [`EdgeLayout::vars`] layout. Stored-row order is sequence-number
+    /// order: a new row is appended, a retracted row leaves the others
+    /// where they were.
+    rows: HashMap<(u32, Row), RowSlot>,
+    /// Invariant: exactly the links the stored rows project to, each with
+    /// its supporter count and the smallest [`Pos`] among its supporters.
+    links: HashMap<Link, Support>,
+    next_seq: u32,
+}
+
+fn support(links: &mut HashMap<Link, Support>, link: Link, pos: Pos) {
+    match links.entry(link) {
+        Entry::Occupied(mut held) => {
+            let s = held.get_mut();
+            s.rows += 1;
+            s.first = s.first.min(pos);
+        }
+        Entry::Vacant(free) => {
+            free.insert(Support {
+                rows: 1,
+                first: pos,
+            });
+        }
+    }
+}
+
+impl PageRows {
+    /// Adds `count` derivations of `row` (edge index, bindings); a row not
+    /// stored yet is appended and supports `link`. `false` when the page
+    /// has run out of sequence numbers (evict and recompute).
+    fn add(&mut self, row: (u32, Row), count: i64, link: Link) -> bool {
+        let ei = row.0;
+        match self.rows.entry(row) {
+            Entry::Occupied(mut held) => held.get_mut().count += count,
+            Entry::Vacant(free) => {
+                let seq = self.next_seq;
+                let Some(next) = seq.checked_add(1) else {
+                    return false;
+                };
+                self.next_seq = next;
+                free.insert(RowSlot { count, seq });
+                support(&mut self.links, link, (ei, seq));
+            }
+        }
+        true
+    }
+
+    /// Retracts `count` derivations of `row`. `None` when the store does
+    /// not hold them (the caller evicts the page); `Some(true)` when the
+    /// row was the first supporter of a link other rows still support, so
+    /// the link's place must be found again ([`DynamicSite::index_links`]).
+    fn retract(&mut self, row: &(u32, Row), count: i64, link: &Link) -> Option<bool> {
+        let slot = self.rows.get_mut(row)?;
+        slot.count -= count;
+        if slot.count > 0 {
+            return Some(false);
+        }
+        if slot.count < 0 {
+            return None;
+        }
+        let pos = (row.0, slot.seq);
+        self.rows.remove(row);
+        let held = self.links.get_mut(link)?;
+        held.rows -= 1;
+        if held.rows == 0 {
+            self.links.remove(link);
+            return Some(false);
+        }
+        Some(held.first == pos)
+    }
+
+    /// The page's links in view order.
+    fn view(&self) -> PageView {
+        let mut order: Vec<(Pos, &Link)> =
+            self.links.iter().map(|(link, s)| (s.first, link)).collect();
+        order.sort_unstable_by_key(|(pos, _)| *pos);
+        PageView {
+            edges: order.into_iter().map(|(_, link)| link.clone()).collect(),
+        }
+    }
+}
+
+/// Everything cached for one page.
+#[derive(Debug)]
 struct Cached {
-    view: PageView,
-    /// One entry per contributing out-edge (in schema order); `None` in
-    /// [`Mode::Naive`], whose unseeded rows span every page of the symbol.
-    diff: Option<Vec<EdgeRows>>,
+    /// The served view, shared with every reader. A patch empties the
+    /// slot; the first reader after it materialises the view again.
+    view: OnceLock<Arc<PageView>>,
+    /// `None` in [`Mode::Naive`], whose unseeded rows span every page of
+    /// the symbol; such a page keeps its view set and is never patched.
+    rows: Option<PageRows>,
+}
+
+impl Cached {
+    fn view(&self) -> Arc<PageView> {
+        Arc::clone(self.view.get_or_init(|| {
+            let rows = self
+                .rows
+                .as_ref()
+                .expect("only a patch empties the view, and it needs stored rows");
+            Arc::new(rows.view())
+        }))
+    }
+}
+
+/// One page's share of a delta, ready to apply in place: its signed rows
+/// as the store keys them (edge index, bindings in the stored layout),
+/// each with the link it projects to.
+type PagePatch = Vec<((u32, Row), i64, Link)>;
+
+/// The registry key of a page key with an atomic argument: its symbol and
+/// the coercion classes of its arguments. Keys that a seeded guard cannot
+/// tell apart share one.
+type KeyClass = (String, Vec<coerce::Class>);
+
+fn key_class(key: &PageKey) -> Option<KeyClass> {
+    key.args.iter().any(Value::is_atomic).then(|| {
+        (
+            key.symbol.clone(),
+            key.args.iter().map(coerce::class).collect(),
+        )
+    })
 }
 
 /// The double-buffered twin of the served snapshot. After each swap the
@@ -210,7 +424,15 @@ pub struct DynamicSite {
     schema: SiteSchema,
     mode: Mode,
     parallelism: Parallelism,
+    /// Per schema edge, how its guard rows are stored and routed.
+    layouts: Vec<EdgeLayout>,
     shards: Vec<RwLock<HashMap<PageKey, Cached>>>,
+    /// Cached keys with an atomic argument, by coercion class. A key is
+    /// entered *before* the epoch check of its insert and leaves when a
+    /// delta finds it dirty and not patchable, so: cached implies
+    /// registered; an entry without a cached page costs one over-eviction
+    /// at most.
+    aliases: Mutex<HashMap<KeyClass, Vec<PageKey>>>,
     /// Bumped by every applied delta; fences stale cache inserts.
     epoch: AtomicU64,
     /// Compiled guard plans for the current epoch.
@@ -233,17 +455,25 @@ pub struct DynamicSite {
     diff_fallbacks: AtomicUsize,
     diff_rows_added: AtomicUsize,
     diff_rows_retracted: AtomicUsize,
+    standby_rebuilds: AtomicUsize,
 }
 
 impl DynamicSite {
     /// Builds the engine for `program` over `db`.
     pub fn new(db: Arc<Database>, program: &Program, mode: Mode) -> Self {
+        let schema = SiteSchema::extract(program);
         DynamicSite {
             db: RwLock::new(db),
-            schema: SiteSchema::extract(program),
+            layouts: schema
+                .edges
+                .iter()
+                .map(|e| EdgeLayout::of(e, mode))
+                .collect(),
+            schema,
             mode,
             parallelism: Parallelism::default(),
             shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            aliases: Mutex::new(HashMap::new()),
             epoch: AtomicU64::new(0),
             prepared: RwLock::new(PreparedCache {
                 epoch: 0,
@@ -263,6 +493,7 @@ impl DynamicSite {
             diff_fallbacks: AtomicUsize::new(0),
             diff_rows_added: AtomicUsize::new(0),
             diff_rows_retracted: AtomicUsize::new(0),
+            standby_rebuilds: AtomicUsize::new(0),
         }
     }
 
@@ -303,6 +534,7 @@ impl DynamicSite {
             diff_fallbacks: self.diff_fallbacks.load(Ordering::Relaxed),
             diff_rows_added: self.diff_rows_added.load(Ordering::Relaxed),
             diff_rows_retracted: self.diff_rows_retracted.load(Ordering::Relaxed),
+            standby_rebuilds: self.standby_rebuilds.load(Ordering::Relaxed),
         }
     }
 
@@ -401,6 +633,16 @@ impl DynamicSite {
 
     /// Inserts a computed page unless a delta landed since `epoch`.
     fn insert_if_current(&self, epoch: u64, key: PageKey, cached: Cached) {
+        // Registered before the epoch check below: a delta that looked the
+        // class up too early to find this key has bumped the epoch by
+        // then, and the insert is dropped.
+        if let Some(class) = key_class(&key) {
+            let mut aliases = self.aliases.lock().unwrap();
+            let keys = aliases.entry(class).or_default();
+            if !keys.contains(&key) {
+                keys.push(key.clone());
+            }
+        }
         let mut shard = self.shard_of(&key).write().unwrap();
         if self.epoch.load(Ordering::Acquire) == epoch {
             shard.insert(key, cached);
@@ -440,20 +682,20 @@ impl DynamicSite {
 
     /// Serves one click: the out-edges of `page`, computed on demand.
     /// Safe to call concurrently from any number of threads.
-    pub fn visit(&self, page: &PageKey) -> StruqlResult<PageView> {
+    pub fn visit(&self, page: &PageKey) -> StruqlResult<Arc<PageView>> {
         let _span = strudel_trace::span("engine.visit");
         self.clicks.fetch_add(1, Ordering::Relaxed);
         if let Some(c) = self.shard_of(page).read().unwrap().get(page) {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             strudel_trace::count("engine.cache.hits", 1);
-            return Ok(c.view.clone());
+            return Ok(c.view());
         }
         strudel_trace::count("engine.cache.misses", 1);
         // Epoch and snapshot are read consistently; if a delta lands
         // between compute and insert, the epoch check drops the insert.
         let (epoch, db) = self.snapshot();
         let cached = self.compute(&db, epoch, page)?;
-        let view = cached.view.clone();
+        let view = cached.view();
         self.insert_if_current(epoch, page.clone(), cached);
         if self.mode == Mode::ContextLookahead {
             // One level of look-ahead: materialize children now, while
@@ -478,17 +720,17 @@ impl DynamicSite {
     }
 
     /// Applies a data-graph delta: brings the standby twin database up to
-    /// date in O(|Δ|), computes the dirty set, *maintains* dirty cached
-    /// pages by propagating the delta through their stored guard rows
-    /// (see the module docs), then — in one critical section — swaps the
-    /// snapshot in, replaces the maintained views and evicts the dirty
-    /// pages that could not be maintained. Concurrent `visit`s keep
+    /// date in O(|Δ|), computes the dirty pages with the signed guard rows
+    /// behind each, turns those into per-page patches (see the module
+    /// docs), then — in one critical section — swaps the snapshot in and
+    /// patches every dirty page that is cached, in place; the ones that
+    /// cannot take their patch are evicted. Concurrent `visit`s keep
     /// serving throughout (from the old snapshot until the swap, from the
     /// new one after).
     pub fn apply_delta(&self, delta: &GraphDelta) -> StruqlResult<InvalidationOutcome> {
         let _span = strudel_trace::span("engine.apply_delta");
         // The standby lock serializes delta writers end to end, so the
-        // maintenance pass below races only with readers.
+        // patches below race only with readers.
         let mut standby = self.standby.lock().unwrap();
         let old_db = self.database();
         // Atomicity: the delta is validated and applied against the twin,
@@ -505,64 +747,32 @@ impl DynamicSite {
             });
         }
         self.carry_stats_forward(&old_db, &twin, delta.len());
-        let dirty = invalidate::dirty_pages(&self.schema, &old_db, &twin, delta)?;
-
-        // Maintain dirty cached pages against the pre/post databases
-        // before the swap; fallbacks are evicted below.
-        let touch = DeltaTouch::of(delta);
-        let mut maintained: HashMap<PageKey, Cached> = HashMap::new();
-        let mut fallbacks = 0usize;
-        if !dirty.is_empty() {
-            let old_ev = self.evaluator(&old_db);
-            let new_ev = self.evaluator(&twin);
-            // Enumerate dirty *cached* entries without scanning the whole
-            // cache when the dirty set is exact — maintenance cost must
-            // track |Δ|, not site size.
-            let candidates: Vec<(PageKey, Cached)> = if dirty.symbols.is_empty() {
-                dirty
-                    .pages
-                    .iter()
-                    .filter_map(|k| {
-                        let shard = self.shard_of(k).read().unwrap();
-                        shard.get(k).map(|c| (k.clone(), c.clone()))
-                    })
-                    .collect()
-            } else {
-                self.shards
-                    .iter()
-                    .flat_map(|s| {
-                        s.read()
-                            .unwrap()
-                            .iter()
-                            .filter(|(k, _)| dirty.contains(k))
-                            .map(|(k, c)| (k.clone(), c.clone()))
-                            .collect::<Vec<_>>()
-                    })
-                    .collect()
-            };
-            for (key, cached) in candidates {
-                match self.maintain_cached(&key, &cached, &old_ev, &new_ev, &touch) {
-                    Some(updated) => {
-                        maintained.insert(key, updated);
-                    }
-                    None => fallbacks += 1,
-                }
-            }
-        }
-        let updated = maintained.len();
+        let invalidate::RoutedDelta { mut dirty, rows } =
+            invalidate::dirty_pages(&self.schema, &old_db, &twin, delta)?;
+        drop(old_db);
+        // A patch per dirty key, cached or not: whether a copy is cached
+        // is only known inside the critical section, and the work here is
+        // proportional to the delta's rows either way.
+        let patches: HashMap<PageKey, Option<PagePatch>> = rows
+            .into_iter()
+            .map(|(key, routed)| {
+                let patch = self.plan_patch(&key, routed);
+                (key, patch)
+            })
+            .collect();
 
         // Install the new snapshot; the epoch bump (under the same write
         // lock) invalidates in-flight computations against the old one.
         // The previous live Arc becomes the next standby, one delta behind.
-        // Dirty views are replaced or evicted before the write lock drops:
+        // Dirty pages are patched or evicted before the write lock drops:
         // `snapshot()` serialises against it, so no reader can pair the
         // new epoch with a pre-delta view — a rendition of one would pass
-        // the serving layer's epoch fence and stay stale. A racing insert
-        // computed against the old snapshot either lands first and is
-        // replaced/evicted here, or sees the bumped epoch and is dropped.
+        // the serving layer's epoch fence and stay stale. An insert
+        // computed against the old snapshot takes its shard's lock before
+        // this section does and is patched like any cached copy, or after
+        // and sees the bumped epoch.
         let new_db = Arc::new(twin);
-        let mut evicted = 0;
-        let new_epoch = {
+        let (new_epoch, [updated, evicted, added, retracted]) = {
             let mut db = self.db.write().unwrap();
             let e = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
             let prev = std::mem::replace(&mut *db, new_db);
@@ -572,37 +782,21 @@ impl DynamicSite {
             if let Some(probe) = self.swap_probe.get() {
                 probe();
             }
-            if dirty.symbols.is_empty() {
-                for key in &dirty.pages {
-                    let mut shard = self.shard_of(key).write().unwrap();
-                    match maintained.remove(key) {
-                        Some(cached) => {
-                            shard.insert(key.clone(), cached);
-                        }
-                        None => evicted += usize::from(shard.remove(key).is_some()),
-                    }
-                }
-            } else {
-                for shard in &self.shards {
-                    let mut map = shard.write().unwrap();
-                    let before = map.len();
-                    map.retain(|key, _| !dirty.contains(key) || maintained.contains_key(key));
-                    evicted += before - map.len();
-                }
-                for (key, cached) in maintained {
-                    self.shard_of(&key).write().unwrap().insert(key, cached);
-                }
-            }
-            e
+            (e, self.patch_or_evict(&mut dirty, patches))
         };
         self.flush_prepared(new_epoch);
         drop(standby);
 
+        // Every eviction here is a dirty cached page that was not patched.
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
         self.diff_pages_updated.fetch_add(updated, Ordering::Relaxed);
-        self.diff_fallbacks.fetch_add(fallbacks, Ordering::Relaxed);
+        self.diff_fallbacks.fetch_add(evicted, Ordering::Relaxed);
+        self.diff_rows_added.fetch_add(added, Ordering::Relaxed);
+        self.diff_rows_retracted.fetch_add(retracted, Ordering::Relaxed);
         strudel_trace::count("engine.diff.pages.updated", updated as u64);
-        strudel_trace::count("engine.diff.fallbacks", fallbacks as u64);
+        strudel_trace::count("engine.diff.fallbacks", evicted as u64);
+        strudel_trace::count("engine.diff.rows.added", added as u64);
+        strudel_trace::count("engine.diff.rows.retracted", retracted as u64);
         strudel_trace::event_with("engine.invalidate", || {
             format!(
                 "pages={} symbols={} evicted={evicted} updated={updated}",
@@ -619,7 +813,7 @@ impl DynamicSite {
 
     /// Test hook: `probe` runs inside every later
     /// [`DynamicSite::apply_delta`], right after the epoch bump and
-    /// snapshot swap and before the dirty cached views are replaced — the
+    /// snapshot swap and before the dirty cached pages are patched — the
     /// point where a concurrent reader must not be able to observe the new
     /// epoch. Arms once; later calls are ignored.
     #[doc(hidden)]
@@ -651,6 +845,7 @@ impl DynamicSite {
             }
         }
         standby.lag.clear();
+        self.standby_rebuilds.fetch_add(1, Ordering::Relaxed);
         strudel_trace::count("engine.diff.standby_rebuilds", 1);
         Database::from_graph(live.graph().clone(), live.level())
     }
@@ -672,74 +867,172 @@ impl DynamicSite {
         }
     }
 
-    /// Maintains one dirty cached page differentially: diffs every stored
-    /// guard the delta touches, applies the signed rows with count-based
-    /// retraction, and re-projects the view. `None` means the page must
-    /// fall back to eviction (no stored rows, a diff the stored counts
-    /// cannot absorb, a variable-layout mismatch, or a projection error).
-    fn maintain_cached(
+    /// The cache's half of [`DynamicSite::apply_delta`], run inside its
+    /// critical section: applies each dirty key's patch to the copy cached
+    /// now, evicts the copies that cannot take theirs, and extends `dirty`
+    /// by the coercion-class rule. Returns the pages patched, the pages
+    /// evicted, and the derivations added and retracted.
+    fn patch_or_evict(
+        &self,
+        dirty: &mut DirtySet,
+        mut patches: HashMap<PageKey, Option<PagePatch>>,
+    ) -> [usize; 4] {
+        let [mut updated, mut evicted, mut added, mut retracted] = [0; 4];
+        // Held throughout: inserts register before they take a shard lock
+        // and never while holding one.
+        let mut aliases = self.aliases.lock().unwrap();
+        // The coercion-class rule: a class holding a dirty key and any
+        // other key is dirtied whole and never patched.
+        let mut aliased: HashSet<PageKey> = HashSet::new();
+        for key in &dirty.pages {
+            let Some(keys) = key_class(key).and_then(|class| aliases.get(&class)) else {
+                continue;
+            };
+            if keys.iter().any(|k| k != key) {
+                aliased.insert(key.clone());
+                aliased.extend(keys.iter().cloned());
+            }
+        }
+        for key in aliased {
+            patches.remove(&key);
+            dirty.pages.insert(key);
+        }
+
+        for key in &dirty.pages {
+            let patch = patches.remove(key).flatten();
+            let mut shard = self.shard_of(key).write().unwrap();
+            let patched = shard
+                .get_mut(key)
+                .map(|cached| patch.and_then(|patch| self.apply_patch(key, cached, patch)));
+            match patched {
+                Some(Some((plus, minus))) => {
+                    updated += 1;
+                    added += plus;
+                    retracted += minus;
+                    continue;
+                }
+                Some(None) => {
+                    shard.remove(key);
+                    evicted += 1;
+                }
+                None => {}
+            }
+            // Not cached (any more): out of the alias registry.
+            if let Some(class) = key_class(key) {
+                if let Entry::Occupied(mut keys) = aliases.entry(class) {
+                    keys.get_mut().retain(|k| k != key);
+                    if keys.get().is_empty() {
+                        keys.remove();
+                    }
+                }
+            }
+        }
+        if !dirty.symbols.is_empty() {
+            for shard in &self.shards {
+                let mut map = shard.write().unwrap();
+                let before = map.len();
+                map.retain(|key, _| !dirty.symbols.contains(&key.symbol));
+                evicted += before - map.len();
+            }
+            aliases.retain(|(symbol, _), _| !dirty.symbols.contains(symbol));
+        }
+        [updated, evicted, added, retracted]
+    }
+
+    /// Turns the rows a delta routed to `page` into a patch: each row
+    /// re-laid from its edge's unseeded layout to the stored one and
+    /// projected to its link. `None` means a cached copy of the page must
+    /// be evicted instead (no stored rows in [`Mode::Naive`], a layout
+    /// that is not a permutation, a row that does not project).
+    fn plan_patch(
         &self,
         page: &PageKey,
-        cached: &Cached,
-        old_ev: &Evaluator<'_>,
-        new_ev: &Evaluator<'_>,
-        touch: &DeltaTouch,
-    ) -> Option<Cached> {
-        let edges = cached.diff.as_ref()?;
-        let mut next: Vec<EdgeRows> = Vec::with_capacity(edges.len());
-        let mut added = 0usize;
-        let mut retracted = 0usize;
-        for er in edges {
-            let edge = &self.schema.edges[er.ei];
-            if !touch.touches(&edge.guard) {
-                next.push(er.clone());
-                continue;
-            }
-            let seeds = self.seed_for_edge(edge, page)?;
-            let out = diff_where(old_ev, new_ev, &edge.guard, &seeds, touch).ok()?;
-            if out.vars != er.vars {
-                return None;
-            }
-            let mut rows = er.rows.clone();
-            if !apply_diff(&mut rows, &out.rows) {
-                return None;
-            }
-            for (_, n) in &out.rows {
-                if *n > 0 {
-                    added += *n as usize;
-                } else {
-                    retracted += (-*n) as usize;
-                }
-            }
-            next.push(EdgeRows {
-                ei: er.ei,
-                vars: er.vars.clone(),
-                rows,
-            });
+        routed: Vec<(usize, Vec<SignedRow>)>,
+    ) -> Option<PagePatch> {
+        if self.mode == Mode::Naive {
+            return None;
         }
-        let mut view = PageView::default();
-        for er in &next {
-            let edge = &self.schema.edges[er.ei];
-            for (row, _) in &er.rows {
-                match self.project_row(edge, &er.vars, row, page) {
-                    Ok(Some(entry)) => {
-                        if !view.edges.contains(&entry) {
-                            view.edges.push(entry);
-                        }
-                    }
-                    Ok(None) => {}
-                    Err(_) => return None,
-                }
+        let mut patch = Vec::new();
+        for (ei, rows) in routed {
+            let layout = &self.layouts[ei];
+            let slots = layout.from_unseeded.as_ref()?;
+            for (mut unseeded, count) in rows {
+                let row: Row = slots.iter().map(|&i| unseeded[i].take()).collect();
+                let link = self.project_row(ei, &row, page).ok()??;
+                patch.push(((ei as u32, row), count, link));
             }
         }
-        self.diff_rows_added.fetch_add(added, Ordering::Relaxed);
-        self.diff_rows_retracted.fetch_add(retracted, Ordering::Relaxed);
-        strudel_trace::count("engine.diff.rows.added", added as u64);
-        strudel_trace::count("engine.diff.rows.retracted", retracted as u64);
-        Some(Cached {
-            view,
-            diff: Some(next),
-        })
+        Some(patch)
+    }
+
+    /// Applies `patch` to a cached page in place and empties its view
+    /// slot; returns the derivations added and retracted. `None` — the
+    /// page is then in an unspecified state and must be evicted — when it
+    /// keeps no rows or cannot absorb a retraction.
+    fn apply_patch(
+        &self,
+        page: &PageKey,
+        cached: &mut Cached,
+        patch: PagePatch,
+    ) -> Option<(usize, usize)> {
+        let rows = cached.rows.as_mut()?;
+        let (mut added, mut retracted) = (0usize, 0usize);
+        // Retractions first, across all edges: a retitle's new row then
+        // finds its link gone and re-enters it at the end, as a
+        // re-projection would — inserted first it would make the old row
+        // a retracted first supporter and rebuild the whole link table.
+        let mut reindex = false;
+        for (row, count, link) in patch.iter().filter(|(_, count, _)| *count < 0) {
+            reindex |= rows.retract(row, -count, link)?;
+            retracted += (-count) as usize;
+        }
+        for (row, count, link) in patch.into_iter().filter(|(_, count, _)| *count > 0) {
+            if !rows.add(row, count, link) {
+                return None;
+            }
+            added += count as usize;
+        }
+        if reindex {
+            self.index_links(page, rows).ok()?;
+        }
+        cached.view = OnceLock::new();
+        Some((added, retracted))
+    }
+
+    /// Rebuilds a page's link table from its stored rows: the one answer
+    /// to "where does this link go now" when a link's first supporter was
+    /// retracted and others remain. Linear in the page's rows.
+    fn index_links(&self, page: &PageKey, rows: &mut PageRows) -> StruqlResult<()> {
+        let PageRows { rows, links, .. } = rows;
+        links.clear();
+        for ((ei, row), slot) in rows.iter() {
+            if let Some(link) = self.project_row(*ei as usize, row, page)? {
+                support(links, link, (*ei, slot.seq));
+            }
+        }
+        Ok(())
+    }
+
+    /// Test hook: the guard rows cached for `page` in stored order —
+    /// schema edge, row and count, and the link the row projects to
+    /// (projected afresh, not read from the link table). `None` when the
+    /// page is not cached or keeps no rows.
+    #[doc(hidden)]
+    #[allow(clippy::type_complexity)]
+    pub fn stored_rows(
+        &self,
+        page: &PageKey,
+    ) -> Option<Vec<(usize, SignedRow, Option<(String, DynTarget)>)>> {
+        let shard = self.shard_of(page).read().unwrap();
+        let rows = shard.get(page)?.rows.as_ref()?;
+        let mut stored: Vec<(&(u32, Row), &RowSlot)> = rows.rows.iter().collect();
+        stored.sort_unstable_by_key(|((ei, _), slot)| (*ei, slot.seq));
+        let project = |((ei, row), slot): (&(u32, Row), &RowSlot)| {
+            let ei = *ei as usize;
+            let link = self.project_row(ei, row, page).expect("stored rows project");
+            (ei, (row.clone(), slot.count), link)
+        };
+        Some(stored.into_iter().map(project).collect())
     }
 
     /// Replaces the live database wholesale — the recovery path when a
@@ -764,6 +1057,7 @@ impl DynamicSite {
                 evicted += map.len();
                 map.clear();
             }
+            self.aliases.lock().unwrap_or_else(|e| e.into_inner()).clear();
             e
         };
         standby.db = None;
@@ -801,8 +1095,9 @@ impl DynamicSite {
     }
 
     /// Builds the guard seeds for one schema edge when serving `page`.
-    /// `None` means the edge provably cannot reach this page (a constant
-    /// source argument disagrees, or one variable would need two values)
+    /// `None` means the edge provably cannot reach this page (the key has
+    /// another arity, a constant source argument disagrees, or one
+    /// variable would need two values)
     /// and must be skipped; nested-Skolem arguments also return `None`
     /// since they cannot be reconstructed into seeds. In [`Mode::Naive`]
     /// the seed list is always empty: the guard runs unseeded and rows
@@ -812,6 +1107,9 @@ impl DynamicSite {
         edge: &SchemaEdge,
         page: &PageKey,
     ) -> Option<Vec<(String, Value)>> {
+        if edge.src_args.len() != page.args.len() {
+            return None;
+        }
         let mut seeds: Vec<(String, Value)> = Vec::new();
         if self.mode == Mode::Naive {
             return Some(seeds);
@@ -838,16 +1136,18 @@ impl DynamicSite {
         Some(seeds)
     }
 
-    /// Projects one bindings row of `edge`'s guard into a page link.
-    /// `Ok(None)` means the row belongs to a different page of the same
-    /// symbol (Naive mode evaluates unseeded and filters here).
+    /// Projects one bindings row of schema edge `ei`'s guard, in the
+    /// edge's stored layout, into a page link. `Ok(None)` means the row
+    /// belongs to a different page of the same symbol (Naive mode
+    /// evaluates unseeded and filters here).
     fn project_row(
         &self,
-        edge: &SchemaEdge,
-        vars: &[String],
+        ei: usize,
         row: &[Option<Value>],
         page: &PageKey,
-    ) -> StruqlResult<Option<(String, DynTarget)>> {
+    ) -> StruqlResult<Option<Link>> {
+        let edge = &self.schema.edges[ei];
+        let vars = &self.layouts[ei].vars;
         let src_vals = eval_args(&edge.src_args, vars, row)?;
         if src_vals != page.args {
             return Ok(None);
@@ -896,11 +1196,8 @@ impl DynamicSite {
                 message: format!("unknown page symbol '{}'", page.symbol),
             });
         };
-        // Naive rows span every page of the symbol — too broad to keep.
-        let keep_rows = self.mode != Mode::Naive;
         let ev = self.evaluator(db);
-        let mut view = PageView::default();
-        let mut diff: Vec<EdgeRows> = Vec::new();
+        let mut rows = PageRows::default();
         for (ei, edge) in self.schema.edges.iter().enumerate() {
             if edge.from != node {
                 continue;
@@ -916,28 +1213,35 @@ impl DynamicSite {
             strudel_trace::count("engine.guard.evals", 1);
             let seed_names: Vec<String> = seeds.iter().map(|(n, _)| n.clone()).collect();
             let prepared = self.prepared_for(epoch, &ev, ei, &edge.guard, &seed_names);
-            let rows = ev.eval_where_prepared(&edge.guard, &prepared, &seeds)?;
-            let vars = prepared.vars();
+            let evaluated = ev.eval_where_prepared(&edge.guard, &prepared, &seeds)?;
+            debug_assert_eq!(prepared.vars(), self.layouts[ei].vars);
             self.queries_run.fetch_add(1, Ordering::Relaxed);
-            self.rows_produced.fetch_add(rows.len(), Ordering::Relaxed);
-            for row in &rows {
-                if let Some(entry) = self.project_row(edge, vars, row, page)? {
-                    if !view.edges.contains(&entry) {
-                        view.edges.push(entry);
-                    }
+            self.rows_produced.fetch_add(evaluated.len(), Ordering::Relaxed);
+            rows.rows.reserve(evaluated.len());
+            for row in evaluated {
+                // A row of another page of the symbol (Naive) is dropped.
+                let Some(link) = self.project_row(ei, &row, page)? else {
+                    continue;
+                };
+                if !rows.add((ei as u32, row), 1, link) {
+                    return Err(StruqlError::Eval {
+                        message: format!("page '{}' derives too many rows", page.symbol),
+                    });
                 }
             }
-            if keep_rows {
-                diff.push(EdgeRows {
-                    ei,
-                    vars: vars.to_vec(),
-                    rows: count_rows(&rows),
-                });
-            }
         }
-        Ok(Cached {
-            view,
-            diff: keep_rows.then_some(diff),
+        // Naive rows were derived for every page of the symbol at once —
+        // too broad to maintain: keep the view only.
+        Ok(if self.mode == Mode::Naive {
+            Cached {
+                view: OnceLock::from(Arc::new(rows.view())),
+                rows: None,
+            }
+        } else {
+            Cached {
+                view: OnceLock::new(),
+                rows: Some(rows),
+            }
         })
     }
 
@@ -988,24 +1292,6 @@ pub struct EdgeExplain {
     pub target: String,
     /// Per-step estimates vs actuals for the edge's guard.
     pub report: ExplainReport,
-}
-
-/// Coalesces plain bindings rows into count-annotated ones (count =
-/// derivation multiplicity), preserving first-occurrence order — the form
-/// [`apply_diff`] maintains across deltas.
-fn count_rows(rows: &[Vec<Option<Value>>]) -> Vec<SignedRow> {
-    let mut index: HashMap<&[Option<Value>], usize> = HashMap::new();
-    let mut out: Vec<SignedRow> = Vec::new();
-    for row in rows {
-        match index.get(row.as_slice()) {
-            Some(&i) => out[i].1 += 1,
-            None => {
-                index.insert(row.as_slice(), out.len());
-                out.push((row.clone(), 1));
-            }
-        }
-    }
-    out
 }
 
 /// Evaluates Skolem argument terms against a bindings row.
@@ -1140,7 +1426,7 @@ mod tests {
         let mut views = Vec::new();
         for mode in [Mode::Naive, Mode::Context, Mode::ContextLookahead] {
             let site = DynamicSite::new(db.clone(), &program, mode);
-            let mut view = site.visit(&key).unwrap();
+            let mut view = PageView::clone(&site.visit(&key).unwrap());
             view.edges.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
             views.push(view);
         }
@@ -1250,6 +1536,23 @@ mod tests {
     }
 
     #[test]
+    fn a_key_of_the_wrong_arity_is_an_empty_page() {
+        // `/page/PaperPage` parses to a key with no argument: no edge of
+        // the symbol can reach it, and none is evaluated for it.
+        for mode in [Mode::Naive, Mode::Context] {
+            let site = DynamicSite::new(db(), &parse(QUERY).unwrap(), mode);
+            let view = site
+                .visit(&PageKey {
+                    symbol: "PaperPage".into(),
+                    args: vec![],
+                })
+                .unwrap();
+            assert!(view.edges.is_empty());
+            assert_eq!(site.metrics().queries_run, 0);
+        }
+    }
+
+    #[test]
     fn unknown_symbol_is_an_error() {
         let site = DynamicSite::new(db(), &parse(QUERY).unwrap(), Mode::Context);
         assert!(site
@@ -1266,7 +1569,7 @@ mod tests {
         // sees identical content and the cache converges to one copy.
         let program = parse(QUERY).unwrap();
         let site = Arc::new(DynamicSite::new(db(), &program, Mode::Context));
-        let mut expected = site.visit(&root()).unwrap();
+        let mut expected = PageView::clone(&site.visit(&root()).unwrap());
         expected
             .edges
             .sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
@@ -1277,7 +1580,7 @@ mod tests {
             let expected = expected.clone();
             handles.push(std::thread::spawn(move || {
                 for _ in 0..50 {
-                    let mut v = site.visit(&root()).unwrap();
+                    let mut v = PageView::clone(&site.visit(&root()).unwrap());
                     v.edges.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
                     assert_eq!(v, expected);
                     // Also fan out to every paper page.
@@ -1392,8 +1695,8 @@ mod tests {
         };
         for k in &keys {
             assert_eq!(
-                sort(site.visit(k).unwrap()),
-                sort(fresh.visit(k).unwrap()),
+                sort(PageView::clone(&site.visit(k).unwrap())),
+                sort(PageView::clone(&fresh.visit(k).unwrap())),
                 "page {k:?}"
             );
         }
@@ -1602,6 +1905,183 @@ mod tests {
             "stale plans flushed: {:?}",
             site.metrics()
         );
+    }
+
+    #[test]
+    fn row_store_tracks_counts_and_rejects_underflow() {
+        let row = |n: i64| -> (u32, Row) { (0, vec![Some(Value::Int(n))]) };
+        let link = |n: i64| -> Link { ("l".into(), DynTarget::Data(Value::Int(n))) };
+        let mut rows = PageRows::default();
+        assert!(rows.add(row(1), 2, link(1)));
+        assert!(rows.add(row(2), 1, link(2)));
+        assert_eq!(rows.retract(&row(1), 1, &link(1)), Some(false));
+        assert_eq!(rows.rows[&row(1)].count, 1, "one derivation left");
+        assert_eq!(rows.view().edges, vec![link(1), link(2)]);
+        // The last derivation takes the row and its link along.
+        assert_eq!(rows.retract(&row(1), 1, &link(1)), Some(false));
+        assert_eq!(rows.view().edges, vec![link(2)]);
+        // A re-derived row is a new row: it goes to the end.
+        assert!(rows.add(row(1), 1, link(1)));
+        assert_eq!(rows.view().edges, vec![link(2), link(1)]);
+        // Retracting more than the store holds, or a row it never held,
+        // signals fallback.
+        assert_eq!(rows.retract(&row(2), 2, &link(2)), None);
+        assert_eq!(rows.retract(&row(3), 1, &link(3)), None);
+    }
+
+    #[test]
+    fn first_supporter_retraction_is_reported_only_with_survivors() {
+        let row = |ei: u32, n: i64| -> (u32, Row) { (ei, vec![Some(Value::Int(n))]) };
+        let shared: Link = ("l".into(), DynTarget::Data(Value::Int(0)));
+        let mut rows = PageRows::default();
+        // Two edges derive one link: the later row takes over `first`
+        // when it sits under the earlier edge.
+        assert!(rows.add(row(1, 1), 1, shared.clone()));
+        assert!(rows.add(row(0, 2), 1, shared.clone()));
+        assert_eq!(rows.links[&shared].first, (0, 1));
+        assert_eq!(rows.retract(&row(1, 1), 1, &shared), Some(false));
+        assert!(rows.add(row(1, 3), 1, shared.clone()));
+        assert_eq!(rows.retract(&row(0, 2), 1, &shared), Some(true));
+        assert_eq!(rows.retract(&row(1, 3), 1, &shared), Some(false));
+        assert!(rows.links.is_empty());
+    }
+
+    fn retitle(site: &DynamicSite, node: strudel_graph::Oid, from: &str, to: &str) {
+        let mut delta = GraphDelta::new();
+        delta.remove_edge(node, "title", Value::string(from));
+        delta.add_edge(node, "title", Value::string(to));
+        let outcome = site.apply_delta(&delta).unwrap();
+        assert_eq!((outcome.updated, outcome.evicted), (1, 0), "{outcome:?}");
+    }
+
+    #[test]
+    fn a_reader_keeps_its_view_across_a_patch() {
+        let db = db();
+        let p1 = db.graph().node_by_name("p1").unwrap();
+        let site = DynamicSite::new(db, &parse(QUERY).unwrap(), Mode::Context);
+        let key = PageKey {
+            symbol: "PaperPage".into(),
+            args: vec![Value::Node(p1)],
+        };
+        let title = |view: &PageView| {
+            view.edges
+                .iter()
+                .find_map(|(l, t)| (l == "title").then(|| t.clone()))
+        };
+        let held = site.visit(&key).unwrap();
+        retitle(&site, p1, "Alpha", "Alpha (rev)");
+        assert_eq!(title(&held), Some(DynTarget::Data(Value::string("Alpha"))));
+        let now = site.visit(&key).unwrap();
+        assert_eq!(title(&now), Some(DynTarget::Data(Value::string("Alpha (rev)"))));
+        assert!(!Arc::ptr_eq(&held, &now));
+        assert!(Arc::ptr_eq(&now, &site.visit(&key).unwrap()), "a hit shares the view");
+    }
+
+    #[test]
+    fn concurrent_first_readers_after_a_patch_share_one_view() {
+        let db = db();
+        let p1 = db.graph().node_by_name("p1").unwrap();
+        let site = DynamicSite::new(db, &parse(QUERY).unwrap(), Mode::Context);
+        let key = PageKey {
+            symbol: "PaperPage".into(),
+            args: vec![Value::Node(p1)],
+        };
+        site.visit(&key).unwrap();
+        retitle(&site, p1, "Alpha", "Alpha (rev)");
+        // Both readers are released together onto the emptied view slot.
+        let gate = std::sync::Barrier::new(2);
+        let (a, b) = std::thread::scope(|scope| {
+            let reader = || {
+                gate.wait();
+                site.visit(&key).unwrap()
+            };
+            let a = scope.spawn(reader);
+            let b = scope.spawn(reader);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(Arc::ptr_eq(&a, &b), "one materialisation, shared");
+        assert!(a.edges.iter().any(|(l, t)| l == "title"
+            && *t == DynTarget::Data(Value::string("Alpha (rev)"))));
+    }
+
+    /// A year page that lists its papers, so that one more paper of the
+    /// year changes it.
+    const YEARS_QUERY: &str = r#"
+        where Publications(x), x -> "year" -> y
+        create YearPage(y), PaperPage(x)
+        link YearPage(y) -> "paper" -> PaperPage(x)
+        collect Years(YearPage(y))
+    "#;
+
+    fn sorted_edges(view: &PageView) -> Vec<String> {
+        let mut edges: Vec<String> = view.edges.iter().map(|e| format!("{e:?}")).collect();
+        edges.sort_unstable();
+        edges
+    }
+
+    /// The view a fresh engine over `site`'s database serves for `key`.
+    fn fresh_view(site: &DynamicSite, key: &PageKey) -> Vec<String> {
+        let program = parse(YEARS_QUERY).unwrap();
+        let fresh = DynamicSite::new(site.database(), &program, Mode::Context);
+        sorted_edges(&fresh.visit(key).unwrap())
+    }
+
+    #[test]
+    fn a_coercion_alias_of_a_dirty_key_is_evicted_not_left_stale() {
+        // `/page/YearPage/s:1998` parses to Str "1998"; the data says
+        // Int 1998 and the seeded guard matches it by coercion.
+        let db = db();
+        let site = DynamicSite::new(db.clone(), &parse(YEARS_QUERY).unwrap(), Mode::Context);
+        let alias = PageKey {
+            symbol: "YearPage".into(),
+            args: vec![Value::string("1998")],
+        };
+        let exact = PageKey {
+            symbol: "YearPage".into(),
+            args: vec![Value::Int(1998)],
+        };
+        assert_eq!(site.visit(&alias).unwrap().edges.len(), 1, "served by coercion");
+
+        // Another 1998 paper: the delta's rows name YearPage(Int 1998).
+        let mut delta = GraphDelta::new();
+        delta.add_node(Some("p4"));
+        let p4 = strudel_graph::Oid::from_index(db.graph().node_count());
+        delta.add_edge(p4, "year", Value::Int(1998));
+        delta.collect("Publications", Value::Node(p4));
+        let outcome = site.apply_delta(&delta).unwrap();
+        assert!(outcome.dirty.contains(&exact), "{:?}", outcome.dirty);
+        assert!(
+            outcome.dirty.contains(&alias),
+            "the alias is dirtied for the caches downstream: {:?}",
+            outcome.dirty
+        );
+        assert_eq!(outcome.evicted, 1, "evicted, never patched: {outcome:?}");
+        let view = site.visit(&alias).unwrap();
+        assert_eq!(view.edges.len(), 2, "the new paper shows: {view:?}");
+        assert_eq!(sorted_edges(&view), fresh_view(&site, &alias));
+
+        // With both spellings cached, neither may be patched by rows
+        // routed to one of them.
+        site.visit(&exact).unwrap();
+        let mut delta = GraphDelta::new();
+        delta.remove_edge(p4, "year", Value::Int(1998));
+        let outcome = site.apply_delta(&delta).unwrap();
+        assert_eq!((outcome.updated, outcome.evicted), (0, 2), "{outcome:?}");
+        for key in [&alias, &exact] {
+            assert_eq!(sorted_edges(&site.visit(key).unwrap()), fresh_view(&site, key));
+        }
+
+        // Once the alias has left the cache the exact key is patched again.
+        let mut delta = GraphDelta::new();
+        delta.add_edge(p4, "year", Value::Int(1998));
+        let outcome = site.apply_delta(&delta).unwrap();
+        assert_eq!(outcome.evicted, 2, "{outcome:?}");
+        site.visit(&exact).unwrap();
+        let mut delta = GraphDelta::new();
+        delta.remove_edge(p4, "year", Value::Int(1998));
+        let outcome = site.apply_delta(&delta).unwrap();
+        assert_eq!((outcome.updated, outcome.evicted), (1, 0), "{outcome:?}");
+        assert_eq!(sorted_edges(&site.visit(&exact).unwrap()), fresh_view(&site, &exact));
     }
 
     #[test]

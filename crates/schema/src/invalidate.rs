@@ -2,13 +2,15 @@
 //!
 //! Given a data-graph delta, compute exactly which dynamic pages
 //! ([`PageKey`]s) changed content — the set a page cache must evict or
-//! maintain. This is a projection of the repository's one delta mechanism:
-//! [`delta_rows`] returns the exact signed rows the delta adds to or
-//! retracts from each schema edge's guard, and every such row names —
-//! through the edge's source Skolem arguments — one page whose out-edges
-//! changed. Guards using `not(…)` or Kleene closures dirty exact pages
-//! like any other; a row whose retraction and re-insertion cancel dirties
-//! nothing.
+//! maintain — *and by which rows*. This is a projection of the
+//! repository's one delta mechanism: [`delta_rows`] returns the exact
+//! signed rows the delta adds to or retracts from each schema edge's
+//! guard, and every such row names — through the edge's source Skolem
+//! arguments — one page whose out-edges changed. [`dirty_pages`] keeps the
+//! rows grouped by that page, so a cache holding the page's guard rows can
+//! patch them instead of re-deriving the diff per page. Guards using
+//! `not(…)` or Kleene closures dirty exact pages like any other; a row
+//! whose retraction and re-insertion cancel dirties nothing.
 //!
 //! The one conservative case is a schema edge whose source arguments nest
 //! Skolem terms: those cannot be evaluated from a bindings row, so a delta
@@ -18,10 +20,10 @@
 
 use crate::dynamic::{eval_args, PageKey};
 use crate::{SchemaNode, SiteSchema};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use strudel_graph::GraphDelta;
 use strudel_repo::Database;
-use strudel_struql::{delta_rows, DeltaTouch, Evaluator, StruqlResult, Term};
+use strudel_struql::{delta_rows, DeltaTouch, Evaluator, SignedRow, StruqlResult, Term};
 
 /// The pages a delta dirties: exact keys plus wholesale-dirty symbols.
 #[derive(Clone, Debug, Default)]
@@ -45,19 +47,35 @@ impl DirtySet {
     }
 }
 
-/// Computes the set of dynamic pages whose content differs after `delta`.
-/// `old_db` is the database before the delta, `new_db` after.
+/// What a delta changed, page by page.
+#[derive(Clone, Debug, Default)]
+pub struct RoutedDelta {
+    /// The pages whose content differs after the delta.
+    pub dirty: DirtySet,
+    /// For every page of `dirty.pages`, the signed guard rows behind the
+    /// change: per contributing schema edge (index into `schema.edges`,
+    /// ascending) that edge's [`delta_rows`] output restricted to the
+    /// page, in the guard's unseeded layout
+    /// ([`where_vars`](strudel_struql::where_vars) with no seeds) and in
+    /// `delta_rows` order.
+    pub rows: HashMap<PageKey, Vec<(usize, Vec<SignedRow>)>>,
+}
+
+/// Computes the dynamic pages whose content differs after `delta`, with
+/// the rows that make the difference. `old_db` is the database before the
+/// delta, `new_db` after.
 pub fn dirty_pages(
     schema: &SiteSchema,
     old_db: &Database,
     new_db: &Database,
     delta: &GraphDelta,
-) -> StruqlResult<DirtySet> {
+) -> StruqlResult<RoutedDelta> {
     let mut dirty = DirtySet::default();
+    let mut rows: HashMap<PageKey, Vec<(usize, Vec<SignedRow>)>> = HashMap::new();
     let touch = DeltaTouch::of(delta);
     let old_ev = Evaluator::new(old_db);
     let new_ev = Evaluator::new(new_db);
-    for edge in &schema.edges {
+    for (ei, edge) in schema.edges.iter().enumerate() {
         let SchemaNode::Skolem(symbol) = &schema.nodes[edge.from] else {
             continue;
         };
@@ -73,14 +91,20 @@ pub fn dirty_pages(
             continue;
         }
         let out = delta_rows(&old_ev, &new_ev, &edge.guard, delta)?;
-        for (row, _) in &out.rows {
-            dirty.pages.insert(PageKey {
+        for (row, count) in out.rows {
+            let key = PageKey {
                 symbol: symbol.clone(),
-                args: eval_args(&edge.src_args, &out.vars, row)?,
-            });
+                args: eval_args(&edge.src_args, &out.vars, &row)?,
+            };
+            let edges = rows.entry(key).or_default();
+            match edges.last_mut() {
+                Some((last, of_edge)) if *last == ei => of_edge.push((row, count)),
+                _ => edges.push((ei, vec![(row, count)])),
+            }
         }
     }
-    Ok(dirty)
+    dirty.pages = rows.keys().cloned().collect();
+    Ok(RoutedDelta { dirty, rows })
 }
 
 #[cfg(test)]
@@ -130,7 +154,7 @@ mod tests {
         delta.remove_edge(p1, "title", Value::string("Alpha"));
         delta.add_edge(p1, "title", Value::string("Alpha v2"));
         let new_db = after(&db, &delta);
-        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap();
+        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap().dirty;
         let p1_key = PageKey {
             symbol: "PaperPage".into(),
             args: vec![Value::Node(p1)],
@@ -154,7 +178,7 @@ mod tests {
         delta.add_edge(oid, "title", Value::string("Gamma"));
         delta.collect("Publications", Value::Node(oid));
         let new_db = after(&db, &delta);
-        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap();
+        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap().dirty;
         assert!(dirty.contains(&PageKey {
             symbol: "RootPage".into(),
             args: vec![],
@@ -174,7 +198,7 @@ mod tests {
         let mut delta = GraphDelta::new();
         delta.remove_edge(p1, "year", Value::Int(1997));
         let new_db = after(&db, &delta);
-        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap();
+        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap().dirty;
         assert!(dirty.contains(&PageKey {
             symbol: "PaperPage".into(),
             args: vec![Value::Node(p1)],
@@ -211,7 +235,7 @@ mod tests {
         let mut delta = GraphDelta::new();
         delta.add_edge(p1, "hidden", Value::Bool(true));
         let new_db = after(&db, &delta);
-        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap();
+        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap().dirty;
         assert!(dirty.symbols.is_empty(), "{dirty:?}");
         assert!(dirty.contains(&key("PubPage", p1)), "{dirty:?}");
         assert!(!dirty.contains(&key("PubPage", p2)), "{dirty:?}");
@@ -236,7 +260,7 @@ mod tests {
         delta.uncollect("Publications", Value::Node(p3));
         let new_db = after(&db, &delta);
 
-        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap();
+        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap().dirty;
         // Existing pages of other papers stay clean.
         let p1 = db.graph().node_by_name("p1").unwrap();
         assert!(!dirty.contains(&PageKey {
@@ -268,7 +292,7 @@ mod tests {
         delta.remove_edge(p3, "title", Value::string("Gamma"));
         let new_db = after(&db, &delta);
 
-        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap();
+        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap().dirty;
         let p1 = db.graph().node_by_name("p1").unwrap();
         assert!(!dirty.contains(&PageKey {
             symbol: "TitlePage".into(),
@@ -300,7 +324,7 @@ mod tests {
         let mut delta = GraphDelta::new();
         delta.remove_edge(p1, "note", Value::string("draft"));
         let new_db = after(&db, &delta);
-        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap();
+        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap().dirty;
         assert!(dirty.is_empty(), "no guard references 'note': {dirty:?}");
     }
 
@@ -326,7 +350,7 @@ mod tests {
         let mut delta = GraphDelta::new();
         delta.remove_edge(node("p2"), "rel", Value::Node(node("p3")));
         let new_db = after(&db, &delta);
-        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap();
+        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap().dirty;
         assert!(dirty.symbols.is_empty(), "{dirty:?}");
         let expect: HashSet<PageKey> = ["p1", "p2", "p4"]
             .iter()
@@ -364,14 +388,14 @@ mod tests {
         let mut delta = GraphDelta::new();
         delta.remove_edge(p1, "rel", Value::Node(p2));
         let new_db = after(&db, &delta);
-        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap();
+        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap().dirty;
         assert!(dirty.symbols.is_empty(), "{dirty:?}");
         assert_eq!(dirty.pages, HashSet::from([key("LeafPage", p1)]));
         // An irrelevant label under the same guard still dirties nothing.
         let mut irrelevant = GraphDelta::new();
         irrelevant.add_edge(p1, "note", Value::string("draft"));
         let new_db2 = after(&db, &irrelevant);
-        let dirty2 = dirty_pages(&schema, &db, &new_db2, &irrelevant).unwrap();
+        let dirty2 = dirty_pages(&schema, &db, &new_db2, &irrelevant).unwrap().dirty;
         assert!(dirty2.is_empty(), "{dirty2:?}");
     }
 
@@ -391,7 +415,7 @@ mod tests {
         let mut delta = GraphDelta::new();
         delta.add_edge(p1, "year", Value::Int(1999));
         let new_db = after(&db, &delta);
-        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap();
+        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap().dirty;
         assert!(dirty.symbols.contains("Cell"), "{dirty:?}");
         assert!(dirty.pages.is_empty(), "{dirty:?}");
     }
@@ -404,7 +428,7 @@ mod tests {
         let mut delta = GraphDelta::new();
         delta.add_edge(p1, "internal-note", Value::string("draft"));
         let new_db = after(&db, &delta);
-        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap();
+        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap().dirty;
         assert!(dirty.is_empty(), "{dirty:?}");
     }
 }

@@ -436,9 +436,9 @@ impl SiteService {
     /// reactor runs on its own thread, so it waits for nothing a delta,
     /// a render or an invalidation can hold. It touches exactly: the
     /// engine's snapshot lock through `try_read` (a delta keeps it
-    /// write-locked across its whole view swap, ≈10 ms with a hub page
-    /// — hence *try*), the published tier's version load (plus a brief
-    /// slot read when a publication moved it), and the route
+    /// write-locked while it patches its dirty pages — hence *try*),
+    /// the published tier's version load and the entry's liveness flag
+    /// (plus a brief slot read when a publication moved it), and the route
     /// histogram's read lock — beyond those only the push-sized
     /// critical sections of the slow-request log (a hit at or over the
     /// threshold) and of the tracer (while tracing is enabled). Every
@@ -722,7 +722,10 @@ impl SiteService {
     /// lands mid-render the insert is dropped and the next request
     /// re-renders fresh. Returns the rendition either way.
     pub fn render_into_cache(&self, key: &PageKey) -> Result<CachedPage, ServeError> {
-        let (epoch, _db) = self.engine.snapshot();
+        // The epoch alone: keeping the snapshot for the length of a render
+        // would pin the engine's standby twin and turn the delta after
+        // next into an O(site) rebuild.
+        let epoch = self.engine.epoch();
         let page = render::render_page(&self.engine, &self.templates, key)?;
         let cached = CachedPage {
             html: page.html.into(),
@@ -739,7 +742,7 @@ impl SiteService {
     /// landing between the epoch read and the publication.
     fn maybe_promote(&self) {
         if self.cache.needs_promotion() {
-            let (epoch, _db) = self.engine.snapshot();
+            let epoch = self.engine.epoch();
             self.cache.promote_if(|| self.engine.epoch() == epoch);
         }
     }

@@ -450,6 +450,10 @@ impl ServerStats {
             "strudel_diff_rows_retracted_total {}",
             self.engine.diff_rows_retracted
         ));
+        line(format!(
+            "strudel_diff_standby_rebuilds_total {}",
+            self.engine.standby_rebuilds
+        ));
         line(format!("strudel_delta_epoch {}", self.epoch));
         line(format!("strudel_slow_requests_total {}", self.slow_requests));
         line(format!("strudel_panics_total {}", self.panics));
@@ -621,6 +625,7 @@ mod tests {
                 diff_fallbacks: 1,
                 diff_rows_added: 9,
                 diff_rows_retracted: 4,
+                standby_rebuilds: 2,
                 ..Default::default()
             },
             epoch: 0,
@@ -687,6 +692,7 @@ mod tests {
         assert!(text.contains("strudel_diff_fallbacks_total 1"));
         assert!(text.contains("strudel_diff_rows_added_total 9"));
         assert!(text.contains("strudel_diff_rows_retracted_total 4"));
+        assert!(text.contains("strudel_diff_standby_rebuilds_total 2"));
     }
 
     #[test]

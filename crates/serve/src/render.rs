@@ -12,8 +12,9 @@
 //! URLs come from the stable router, via the generator's namer hook.
 //!
 //! Children are fetched through the engine itself, so their views come
-//! from (and warm) the shared page-view cache; the set of children read
-//! is returned as the rendition's dependency set for delta invalidation.
+//! from (and warm) the shared page-view cache — a hit is a pointer to the
+//! view every reader shares, not a copy; the set of children read is
+//! returned as the rendition's dependency set for delta invalidation.
 
 use crate::router::{data_path, page_path};
 use crate::ServeError;
@@ -33,13 +34,13 @@ pub struct RenderedPage {
 }
 
 /// The collections a Skolem symbol's pages are collected into.
-fn collections_of(engine: &DynamicSite, symbol: &str) -> Vec<String> {
+fn collections_of<'e>(engine: &'e DynamicSite, symbol: &str) -> Vec<&'e str> {
     engine
         .schema()
         .collects
         .iter()
         .filter_map(|(c, _)| match &c.arg {
-            Term::Skolem { symbol: s, .. } if s == symbol => Some(c.collection.clone()),
+            Term::Skolem { symbol: s, .. } if s == symbol => Some(c.collection.as_str()),
             _ => None,
         })
         .collect()
@@ -60,20 +61,22 @@ pub fn render_page(
     key: &PageKey,
 ) -> Result<RenderedPage, ServeError> {
     let view = engine.visit(key)?;
-    let db = engine.database();
-    let data = db.graph();
 
+    // The transient graph's shape comes from views alone; what the data
+    // graph adds — URLs, and the attributes of raw data objects — is
+    // filled in afterwards under one brief snapshot.
     let mut tg = Graph::new();
-    let mut urls: HashMap<Oid, String> = HashMap::new();
-    let mut child_nodes: HashMap<PageKey, Oid> = HashMap::new();
+    let mut child_nodes: HashMap<&PageKey, Oid> = HashMap::new();
     let mut data_nodes: HashMap<Oid, Oid> = HashMap::new();
     let mut deps: Vec<PageKey> = Vec::new();
+    // A hub page links a thousand children of one symbol: scan the schema
+    // for a symbol's collections once per render.
+    let mut collections: HashMap<&str, Vec<&str>> = HashMap::new();
 
     let page_oid = tg.add_named_node(&key.symbol);
-    urls.insert(page_oid, page_path(key, data));
-    child_nodes.insert(key.clone(), page_oid);
+    child_nodes.insert(key, page_oid);
     for coll in collections_of(engine, &key.symbol) {
-        tg.collect_str(&coll, page_oid);
+        tg.collect_str(coll, page_oid);
     }
 
     for (label, target) in &view.edges {
@@ -82,26 +85,8 @@ pub fn render_page(
                 tg.add_edge_str(page_oid, label, v.clone());
             }
             DynTarget::Data(Value::Node(src)) => {
-                // A raw data-graph object: stub it with its atomic
-                // attributes and route it to the /data view.
-                let dn = *data_nodes.entry(*src).or_insert_with(|| {
-                    let dn = tg.add_node();
-                    let mut has_text = false;
-                    for e in data.edges(*src) {
-                        if e.to.is_atomic() {
-                            let l = data.label_name(e.label);
-                            has_text |= LINK_TEXT_ATTRS.contains(&l);
-                            tg.add_edge_str(dn, l, e.to.clone());
-                        }
-                    }
-                    if !has_text {
-                        if let Some(n) = data.node_name(*src) {
-                            tg.add_edge_str(dn, "name", Value::string(n));
-                        }
-                    }
-                    urls.insert(dn, data_path(*src, data));
-                    dn
-                });
+                // A raw data-graph object: a stub routed to the /data view.
+                let dn = *data_nodes.entry(*src).or_insert_with(|| tg.add_node());
                 tg.add_edge_str(page_oid, label, Value::Node(dn));
             }
             DynTarget::Data(_) => unreachable!("atomic covered above"),
@@ -121,17 +106,48 @@ pub fn render_page(
                                 }
                             }
                         }
-                        for coll in collections_of(engine, &child.symbol) {
-                            tg.collect_str(&coll, cn);
+                        let colls = collections
+                            .entry(child.symbol.as_str())
+                            .or_insert_with(|| collections_of(engine, &child.symbol));
+                        for coll in colls.iter() {
+                            tg.collect_str(coll, cn);
                         }
-                        urls.insert(cn, page_path(child, data));
-                        child_nodes.insert(child.clone(), cn);
+                        child_nodes.insert(child, cn);
                         deps.push(child.clone());
                         cn
                     }
                 };
                 tg.add_edge_str(page_oid, label, Value::Node(cn));
             }
+        }
+    }
+
+    // Held for the naming pass only: a snapshot kept through template
+    // evaluation would pin the engine's standby twin across the next
+    // delta and turn the one after into an O(site) rebuild.
+    let mut urls: HashMap<Oid, String> = HashMap::with_capacity(child_nodes.len());
+    {
+        let db = engine.database();
+        let data = db.graph();
+        for (page, &node) in &child_nodes {
+            urls.insert(node, page_path(page, data));
+        }
+        for (&src, &dn) in &data_nodes {
+            // The object's atomic attributes, for link text.
+            let mut has_text = false;
+            for e in data.edges(src) {
+                if e.to.is_atomic() {
+                    let l = data.label_name(e.label);
+                    has_text |= LINK_TEXT_ATTRS.contains(&l);
+                    tg.add_edge_str(dn, l, e.to.clone());
+                }
+            }
+            if !has_text {
+                if let Some(n) = data.node_name(src) {
+                    tg.add_edge_str(dn, "name", Value::string(n));
+                }
+            }
+            urls.insert(dn, data_path(src, data));
         }
     }
 

@@ -478,6 +478,7 @@ fn sum_engine(total: &mut Metrics, s: Metrics) {
     total.diff_fallbacks += s.diff_fallbacks;
     total.diff_rows_added += s.diff_rows_added;
     total.diff_rows_retracted += s.diff_rows_retracted;
+    total.standby_rebuilds += s.standby_rebuilds;
 }
 
 impl ClickService for ShardedService {

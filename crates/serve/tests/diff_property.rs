@@ -193,9 +193,9 @@ fn crawl(service: &SiteService) -> Vec<String> {
 }
 
 fn sorted_view(
-    v: strudel_schema::dynamic::PageView,
+    v: Arc<strudel_schema::dynamic::PageView>,
 ) -> Vec<(String, strudel_schema::dynamic::DynTarget)> {
-    let mut edges = v.edges;
+    let mut edges = v.edges.clone();
     edges.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
     edges
 }

@@ -478,3 +478,63 @@ fn metrics_report_epoch_and_hit_rate() {
     let text = stats.to_text();
     assert!(text.contains("strudel_route_requests_total{route=\"page/ArticlePage\"} 2"));
 }
+
+/// Page keys match structurally, guards by coercion: `/page/YearPage/s:1998`
+/// is served from data that says `Int 1998`, and a delta on that year —
+/// whose rows name `YearPage(Int 1998)` — must reach the aliased URL's
+/// view and rendition too. Before the coercion-class rule the alias stayed
+/// stale for good.
+#[test]
+fn a_delta_reaches_the_page_cached_under_a_coercion_equal_url() {
+    const YEARS: &str = r#"
+        where Publications(x), x -> "year" -> y, x -> "title" -> t
+        create YearPage(y)
+        link YearPage(y) -> "paper" -> t
+        collect Years(YearPage(y))
+    "#;
+    let build = |graph: strudel_graph::Graph| {
+        let mut templates = TemplateSet::new();
+        templates
+            .add_template("year", "<html><SFMT paper UL ORDER=ascend></html>")
+            .unwrap();
+        templates.assign_collection("Years", "year");
+        SiteService::from_parts(
+            Arc::new(Database::from_graph(graph, IndexLevel::Full)),
+            &strudel_struql::parse(YEARS).unwrap(),
+            templates,
+            "Years",
+            Mode::Context,
+        )
+    };
+    let mut graph = ddl::parse(
+        r#"
+        object p1 in Publications { title : "Alpha"; year : 1997; }
+        object p2 in Publications { title : "Beta"; year : 1998; }
+    "#,
+    )
+    .unwrap();
+    let live = build(graph.clone());
+    let (exact, alias) = ("/page/YearPage/i:1998", "/page/YearPage/s:1998");
+    for url in [exact, alias] {
+        let r = live.handle(url);
+        assert!(r.status == 200 && r.body.contains("Beta"), "{url}: {}", r.body);
+    }
+    assert_eq!(live.cache().len(), 2, "both spellings are cached");
+
+    let mut delta = GraphDelta::new();
+    delta.add_node(Some("p3"));
+    let p3 = strudel_graph::Oid::from_index(graph.node_count());
+    delta.add_edge(p3, "title", Value::string("Gamma"));
+    delta.add_edge(p3, "year", Value::Int(1998));
+    delta.collect("Publications", Value::Node(p3));
+    delta.apply(&mut graph).unwrap();
+    let outcome = live.apply_delta(&delta).unwrap();
+    assert_eq!(outcome.html_evicted, 2, "{outcome:?}");
+
+    let fresh = build(graph);
+    for url in [exact, alias] {
+        let r = live.handle(url);
+        assert!(r.body.contains("Gamma"), "{url} is stale: {}", r.body);
+        assert_eq!(r.body, fresh.handle(url).body, "{url}");
+    }
+}

@@ -1,6 +1,6 @@
 //! Differential evaluation of prepared where-clauses.
 //!
-//! Instead of re-running a guard query after a graph delta, [`diff_where`]
+//! Instead of re-running a guard query after a graph delta, [`delta_rows`]
 //! propagates the delta through the compiled plan as a stream of signed
 //! `(row, count)` diffs. Per plan step, with `R` the pre-delta relation
 //! after the steps so far and `D` the accumulated diff (so the post-delta
@@ -109,36 +109,14 @@ pub struct DiffOutcome {
     pub rows: Vec<SignedRow>,
 }
 
-/// Differentially evaluates a condition list: returns the signed row diff
-/// between evaluating on `new` (post-delta) and on `old` (pre-delta), with
-/// the given seed bindings; `vars` lists the seeds first, identical to
-/// [`Evaluator::eval_where_bindings`]. `old` and `new` must be snapshots
-/// of the same database immediately before and after the delta `touch` was
-/// built from: rows flowing through the plan reference oids that must be
-/// valid in both graphs (deltas never delete nodes, so this holds for any
-/// applied [`GraphDelta`]).
-pub fn diff_where(
-    old: &Evaluator<'_>,
-    new: &Evaluator<'_>,
-    conds: &[Condition],
-    seed: &[(String, Value)],
-    touch: &DeltaTouch,
-) -> StruqlResult<DiffOutcome> {
-    let mut vars: Vec<String> = seed.iter().map(|(n, _)| n.clone()).collect();
-    for cond in conds {
-        atoms::introduce_vars(cond, &mut vars);
-    }
-    let mut seed_row: Row = vec![None; vars.len()];
-    for (i, (_, v)) in seed.iter().enumerate() {
-        seed_row[i] = Some(v.clone());
-    }
-    let rows = propagate(old, new, conds, &vars, vec![seed_row], true, touch)?;
-    Ok(DiffOutcome { vars, rows })
-}
-
-/// The differential walk behind [`diff_where`] and [`delta_rows`]: `vars`
-/// is the slot layout and `seed_rows` are distinct pre-bindings of one
-/// common subset of it (one plan serves them all). With `in_old` false
+/// The differential walk behind [`delta_rows`]: the signed row diff
+/// between evaluating `conds` on `new` (post-delta) and on `old`
+/// (pre-delta), which must be snapshots of the same database immediately
+/// before and after the delta `touch` was built from — rows flowing
+/// through the plan reference oids that must be valid in both graphs
+/// (deltas never delete nodes, so this holds for any applied
+/// [`GraphDelta`]). `vars` is the slot layout and `seed_rows` are distinct
+/// pre-bindings of one common subset of it (one plan serves them all). With `in_old` false
 /// the seeds name nodes the pre-delta graph never issued: the old side is
 /// then empty by construction (no old fact can mention such a node), so
 /// the seed rows start out as `+1` diffs and the old snapshot is never
@@ -330,10 +308,7 @@ pub fn delta_rows(
     conds: &[Condition],
     delta: &GraphDelta,
 ) -> StruqlResult<DiffOutcome> {
-    let mut vars: Vec<String> = Vec::new();
-    for cond in conds {
-        atoms::introduce_vars(cond, &mut vars);
-    }
+    let vars = super::where_vars(conds, &[]);
     let touch = DeltaTouch::of(delta);
     if !touch.touches(conds) {
         return Ok(DiffOutcome {
@@ -451,33 +426,6 @@ fn coalesce(rows: Vec<SignedRow>) -> Vec<SignedRow> {
     out
 }
 
-/// Applies a coalesced signed diff to a counted row store in place:
-/// positive counts increment (appending unseen rows in diff order),
-/// negative counts decrement and drop rows reaching zero. Returns `false`
-/// — leaving `store` in an unspecified but memory-safe state — when a
-/// retraction targets a row the store does not hold with sufficient count;
-/// callers then fall back to full re-evaluation.
-pub fn apply_diff(store: &mut Vec<SignedRow>, diff: &[SignedRow]) -> bool {
-    for (row, count) in diff {
-        match store.iter_mut().find(|(r, _)| r == row) {
-            Some(entry) => {
-                entry.1 += count;
-                if entry.1 < 0 {
-                    return false;
-                }
-            }
-            None => {
-                if *count < 0 {
-                    return false;
-                }
-                store.push((row.clone(), *count));
-            }
-        }
-    }
-    store.retain(|(_, c)| *c != 0);
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,31 +462,32 @@ mod tests {
         m
     }
 
+    /// `delta_rows` against the oracle. With a seed the comparison is the
+    /// routing contract: the unseeded rows that agree with the seed,
+    /// re-laid seeds-first, are exactly the seeded evaluation's diff.
     fn check(old: &Database, delta: &GraphDelta, query: &str, seed: &[(String, Value)]) {
         let conds = crate::parse(&format!("where {query} collect Out(x)"))
             .map(|p| p.blocks[0].where_.clone())
             .unwrap();
         let new = after(old, delta);
-        let touch = DeltaTouch::of(delta);
-        let out = diff_where(
-            &Evaluator::new(old),
-            &Evaluator::new(&new),
-            &conds,
-            seed,
-            &touch,
-        )
-        .unwrap();
-        let got: HashMap<Row, i64> = out.rows.into_iter().collect();
-        assert_eq!(got, oracle_diff(old, &new, &conds, seed), "query: {query}");
-        if seed.is_empty() {
-            // The fact-localized form must reach the same rows.
-            let out =
-                delta_rows(&Evaluator::new(old), &Evaluator::new(&new), &conds, delta).unwrap();
-            let n = out.rows.len();
-            let got: HashMap<Row, i64> = out.rows.into_iter().collect();
-            assert_eq!(got.len(), n, "delta_rows emitted a row twice: {query}");
-            assert_eq!(got, oracle_diff(old, &new, &conds, &[]), "delta_rows: {query}");
-        }
+        let out = delta_rows(&Evaluator::new(old), &Evaluator::new(&new), &conds, delta).unwrap();
+        let n = out.rows.len();
+        let all: HashMap<Row, i64> = out.rows.into_iter().collect();
+        assert_eq!(all.len(), n, "delta_rows emitted a row twice: {query}");
+        assert_eq!(all, oracle_diff(old, &new, &conds, &[]), "delta_rows: {query}");
+
+        let seed_names: Vec<String> = seed.iter().map(|(n, _)| n.clone()).collect();
+        let layout = crate::where_vars(&conds, &seed_names);
+        let slots: Vec<usize> = layout
+            .iter()
+            .map(|v| crate::eval::var_slot(v, &out.vars).unwrap())
+            .collect();
+        let routed: HashMap<Row, i64> = all
+            .into_iter()
+            .map(|(row, c)| (slots.iter().map(|&i| row[i].clone()).collect::<Row>(), c))
+            .filter(|(row, _)| seed.iter().zip(row).all(|((_, v), slot)| slot.as_ref() == Some(v)))
+            .collect();
+        assert_eq!(routed, oracle_diff(old, &new, &conds, seed), "seeded: {query}");
     }
 
     #[test]
@@ -568,17 +517,10 @@ mod tests {
         let conds = crate::parse(r#"where Pubs(x), x -> "title" -> t collect Out(x)"#)
             .map(|p| p.blocks[0].where_.clone())
             .unwrap();
-        let touch = DeltaTouch::of(&delta);
-        assert!(!touch.touches(&conds));
+        assert!(!DeltaTouch::of(&delta).touches(&conds));
         let new = after(&old, &delta);
-        let out = diff_where(
-            &Evaluator::new(&old),
-            &Evaluator::new(&new),
-            &conds,
-            &[],
-            &touch,
-        )
-        .unwrap();
+        let out =
+            delta_rows(&Evaluator::new(&old), &Evaluator::new(&new), &conds, &delta).unwrap();
         assert!(out.rows.is_empty());
     }
 
@@ -647,21 +589,11 @@ mod tests {
         let p2 = old.graph().node_by_name("p2").unwrap();
         let mut delta = GraphDelta::new();
         delta.add_edge(p1, "title", Value::string("Alpha v2"));
+        // p2 is unaffected by p1's edit: none of the rows route to it.
         let seed = vec![("x".to_owned(), Value::Node(p2))];
         check(&old, &delta, r#"Pubs(x), x -> "title" -> t"#, &seed);
-        let conds = crate::parse(r#"where Pubs(x), x -> "title" -> t collect Out(x)"#)
-            .map(|p| p.blocks[0].where_.clone())
-            .unwrap();
-        let new = after(&old, &delta);
-        let out = diff_where(
-            &Evaluator::new(&old),
-            &Evaluator::new(&new),
-            &conds,
-            &seed,
-            &DeltaTouch::of(&delta),
-        )
-        .unwrap();
-        assert!(out.rows.is_empty(), "p2 is unaffected by p1's edit");
+        let seed = vec![("x".to_owned(), Value::Node(p1))];
+        check(&old, &delta, r#"Pubs(x), x -> "title" -> t"#, &seed);
     }
 
     #[test]
@@ -694,18 +626,5 @@ mod tests {
         delta.add_edge(p2, "title", Value::string("Beta"));
         delta.collect("Pubs", Value::Node(p2));
         check(&old, &delta, r#"Pubs(x), x -> "title" -> t"#, &[]);
-    }
-
-    #[test]
-    fn apply_diff_tracks_counts_and_rejects_underflow() {
-        let row_a: Row = vec![Some(Value::Int(1))];
-        let row_b: Row = vec![Some(Value::Int(2))];
-        let mut store: Vec<SignedRow> = vec![(row_a.clone(), 2)];
-        assert!(apply_diff(&mut store, &[(row_a.clone(), -1), (row_b.clone(), 1)]));
-        assert_eq!(store, vec![(row_a.clone(), 1), (row_b.clone(), 1)]);
-        assert!(apply_diff(&mut store, &[(row_a.clone(), -1)]));
-        assert_eq!(store, vec![(row_b.clone(), 1)]);
-        // Retracting a row the store never held signals fallback.
-        assert!(!apply_diff(&mut store, &[(row_a, -1)]));
     }
 }

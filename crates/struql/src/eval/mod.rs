@@ -310,6 +310,18 @@ impl PreparedWhere {
     }
 }
 
+/// The column layout of the rows a condition list evaluates to when
+/// seeded with `seed_names`: the seeds first, then every other variable
+/// in textual order. A function of the clause alone, so two evaluations
+/// of one clause under different seedings differ by a slot permutation.
+pub fn where_vars(conds: &[crate::ast::Condition], seed_names: &[String]) -> Vec<String> {
+    let mut vars: Vec<String> = seed_names.to_vec();
+    for cond in conds {
+        atoms::introduce_vars(cond, &mut vars);
+    }
+    vars
+}
+
 impl<'db> Evaluator<'db> {
     /// Analyzes, plans, and NFA-compiles a condition list for repeated
     /// evaluation with seeds named `seed_names` (values vary per call).
@@ -319,10 +331,7 @@ impl<'db> Evaluator<'db> {
         seed_names: &[String],
     ) -> PreparedWhere {
         use crate::ast::{Condition, PathSpec};
-        let mut vars: Vec<String> = seed_names.to_vec();
-        for cond in conds {
-            atoms::introduce_vars(cond, &mut vars);
-        }
+        let vars = where_vars(conds, seed_names);
         let bound: HashSet<String> = seed_names.iter().cloned().collect();
         let plan = plan::plan(conds, &bound, self.db, self.opts.optimize);
         let graph = self.db.graph();

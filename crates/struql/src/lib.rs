@@ -74,8 +74,8 @@ pub use ast::{
     Program, Term,
 };
 pub use error::{StruqlError, StruqlResult};
-pub use eval::diff::{apply_diff, delta_rows, diff_where, DeltaTouch, DiffOutcome, SignedRow};
-pub use eval::{Constructor, EvalOptions, EvalResult, Evaluator, PreparedWhere};
+pub use eval::diff::{delta_rows, DeltaTouch, DiffOutcome, SignedRow};
+pub use eval::{where_vars, Constructor, EvalOptions, EvalResult, Evaluator, PreparedWhere};
 pub use explain::{ExplainReport, ExplainStep};
 pub use par::Parallelism;
 pub use parser::{parse, parse_path_regex};

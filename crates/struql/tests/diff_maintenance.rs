@@ -2,7 +2,7 @@
 //!
 //! The property: for a random where-clause over a random corpus, holding
 //! the clause's bindings relation as count-annotated rows and applying
-//! the signed diff produced by `diff_where` for a random mixed
+//! the signed rows `delta_rows` produces for a random mixed
 //! insert/retract delta must yield exactly the relation a from-scratch
 //! evaluation computes on the post-delta database — same rows, same
 //! multiplicities. Clauses include Kleene closures (so retractions must
@@ -11,17 +11,19 @@
 //! inserts, edge retractions, membership changes, brand-new nodes, and
 //! edges inserted and retracted by the same delta. The unseeded chains
 //! hold `delta_rows` — the fact-localized form every consumer projects
-//! from — to the same multiset difference. Everything reproduces from its
-//! seed.
+//! from — to the same multiset difference. The seeded chains hold it to
+//! the *routing contract* the click-time engine patches cached pages by:
+//! grouped by the value of a seed variable and re-laid seeds-first, its
+//! rows are exactly the diff of the clause evaluated with that seed
+//! (`diff_where` and `apply_diff`, the former product path, live on here
+//! as the oracle). Everything reproduces from its seed.
 
 use std::collections::{HashMap, HashSet};
 
 use strudel_graph::{Graph, GraphDelta, Oid, Value};
 use strudel_prng::{Rng, SeedableRng, SmallRng};
 use strudel_repo::{Database, IndexLevel};
-use strudel_struql::{
-    apply_diff, delta_rows, diff_where, Condition, DeltaTouch, Evaluator, SignedRow,
-};
+use strudel_struql::{delta_rows, where_vars, Condition, Evaluator, SignedRow};
 
 /// A random corpus: `n` nodes in collection `Items`, each with a `cat`
 /// string, a `val` int, and 0–2 `link` edges to earlier nodes (so Kleene
@@ -204,6 +206,50 @@ fn count_rows(rows: &[Vec<Option<Value>>]) -> Vec<SignedRow> {
     out
 }
 
+/// Oracle: applies a coalesced signed diff to a counted row store —
+/// positive counts increment (appending unseen rows in diff order),
+/// negative counts decrement and drop rows reaching zero. `false` when a
+/// retraction targets a row the store does not hold often enough.
+fn apply_diff(store: &mut Vec<SignedRow>, diff: &[SignedRow]) -> bool {
+    for (row, count) in diff {
+        match store.iter_mut().find(|(r, _)| r == row) {
+            Some(entry) => {
+                entry.1 += count;
+                if entry.1 < 0 {
+                    return false;
+                }
+            }
+            None => {
+                if *count < 0 {
+                    return false;
+                }
+                store.push((row.clone(), *count));
+            }
+        }
+    }
+    store.retain(|(_, c)| *c != 0);
+    true
+}
+
+/// Oracle: the diff of the clause evaluated with `seed` on both sides. A
+/// seed naming a node the old graph never issued has an empty old side.
+fn diff_where(
+    old_db: &Database,
+    new_db: &Database,
+    conds: &[Condition],
+    seed: &[(String, Value)],
+) -> Vec<SignedRow> {
+    let in_old = seed
+        .iter()
+        .all(|(_, v)| v.as_node().map_or(true, |n| old_db.graph().contains_node(n)));
+    let old = if in_old {
+        count_rows(&full_eval(old_db, conds, seed))
+    } else {
+        Vec::new()
+    };
+    multiset_difference(&count_rows(&full_eval(new_db, conds, seed)), &old)
+}
+
 /// A multiset fingerprint: sorted `row → count` lines.
 fn fingerprint(rows: &[SignedRow]) -> Vec<String> {
     let mut keys: Vec<String> = rows.iter().map(|(r, n)| format!("{r:?} x{n}")).collect();
@@ -263,38 +309,68 @@ fn run_chain(seed: u64, seeded: bool) {
             delta.apply(&mut g).expect("generated deltas always apply");
             let new_db = Database::from_graph(g.clone(), IndexLevel::Full);
 
-            let touch = DeltaTouch::of(&delta);
             let old_ev = Evaluator::new(&old_db);
             let new_ev = Evaluator::new(&new_db);
-            let out = diff_where(&old_ev, &new_ev, conds, &eval_seed, &touch)
+            let localized = delta_rows(&old_ev, &new_ev, conds, &delta)
                 .unwrap_or_else(|e| panic!("seed {seed} case {case} round {round}: {e}"));
-            let before = stored.clone();
-            assert!(
-                apply_diff(&mut stored, &out.rows),
-                "seed {seed} case {case} round {round}: count underflow\n\
-                 clause: {text}\ndelta: {:?}",
-                delta.ops()
-            );
-
+            let context = || {
+                format!(
+                    "seed {seed} case {case} round {round}\nclause: {text}\ndelta: {:?}",
+                    delta.ops()
+                )
+            };
             let fresh = count_rows(&full_eval(&new_db, conds, &eval_seed));
-            assert_eq!(
-                fingerprint(&stored),
-                fingerprint(&fresh),
-                "seed {seed} case {case} round {round}: maintained relation \
-                 diverged from scratch\nclause: {text}\ndelta: {:?}",
-                delta.ops()
-            );
-            if !seeded {
-                let localized = delta_rows(&old_ev, &new_ev, conds, &delta)
-                    .unwrap_or_else(|e| panic!("seed {seed} case {case} round {round}: {e}"));
+            if seeded {
+                // Route every row to the seed it agrees with, re-laid
+                // seeds-first: each group is that seed's diff, and a seed
+                // no row routes to has an empty one.
+                let layout = where_vars(conds, &["x0".to_string()]);
+                let slots: Vec<usize> = layout
+                    .iter()
+                    .map(|v| localized.vars.iter().position(|u| u == v).unwrap())
+                    .collect();
+                let mut routed: HashMap<Value, Vec<SignedRow>> = HashMap::new();
+                for (row, n) in &localized.rows {
+                    let row: Vec<Option<Value>> = slots.iter().map(|&i| row[i].clone()).collect();
+                    let key = row[0].clone().expect("x0 is bound by Items(x0)");
+                    routed.entry(key).or_default().push((row, *n));
+                }
+                for idx in 0..g.node_count() {
+                    let node = Value::Node(Oid::from_index(idx));
+                    let one = [("x0".to_string(), node.clone())];
+                    let want = diff_where(&old_db, &new_db, conds, &one);
+                    let got = routed.remove(&node).unwrap_or_default();
+                    assert_eq!(
+                        fingerprint(&got),
+                        fingerprint(&want),
+                        "rows routed to {node:?} are not its seeded diff: {}",
+                        context()
+                    );
+                    if node == eval_seed[0].1 {
+                        assert!(apply_diff(&mut stored, &got), "count underflow: {}", context());
+                    }
+                }
+                assert!(routed.is_empty(), "rows routed to no node: {}", context());
+            } else {
+                let before = stored.clone();
+                assert!(
+                    apply_diff(&mut stored, &localized.rows),
+                    "count underflow: {}",
+                    context()
+                );
                 assert_eq!(
                     fingerprint(&localized.rows),
                     fingerprint(&multiset_difference(&fresh, &before)),
-                    "seed {seed} case {case} round {round}: delta_rows is not \
-                     eval(new) − eval(old)\nclause: {text}\ndelta: {:?}",
-                    delta.ops()
+                    "delta_rows is not eval(new) − eval(old): {}",
+                    context()
                 );
             }
+            assert_eq!(
+                fingerprint(&stored),
+                fingerprint(&fresh),
+                "maintained relation diverged from scratch: {}",
+                context()
+            );
             old_db = new_db;
         }
         // Next case starts from the graph as originally generated.
