@@ -7,7 +7,9 @@
 //! owner worker over loopback by the same stable path hash the
 //! in-process [`crate::ShardedService`] uses
 //! ([`crate::router::shard_of_path`]), and proxies through
-//! [`crate::proto`] with a per-request deadline. No worker holds
+//! [`crate::proto`] with a per-request deadline, on kept-alive sockets
+//! that belong to one worker incarnation and die with it
+//! ([`proxy::Upstream`]). No worker holds
 //! durable state: each rebuilds its database by replaying the shared
 //! paged store read-only, which is what makes workers disposable — the
 //! supervisor's whole recovery story is "kill it and let it replay".
@@ -19,7 +21,10 @@
 //! with no cached rendition answers 503. Kill any worker under load and
 //! every client sees either fresh bytes or a marked-stale copy.
 //!
-//! **Supervision.** Worker health is probed on `/healthz`; crashes
+//! **Supervision.** A ready worker is published as its incarnation's
+//! [`proxy::Upstream`] and unpublished when it dies, is killed or
+//! drains; clicks read that route without the supervisor's lock.
+//! Worker health is probed on `/healthz`; crashes
 //! restart with exponential backoff + deterministic jitter
 //! ([`backoff::Backoff`]); a worker that keeps dying within
 //! `min_uptime` of becoming ready trips a crash-loop circuit breaker
@@ -255,10 +260,7 @@ impl ClusterService {
 
     /// Workers currently ready.
     pub fn ready_workers(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.up.load(Ordering::Acquire))
-            .count()
+        self.slots.iter().filter(|s| s.is_up()).count()
     }
 
     /// Workers whose crash-loop breaker is open.
@@ -276,7 +278,10 @@ impl ClusterService {
 
     /// The address shard `i`'s worker serves on, while ready.
     pub fn worker_addr(&self, shard: usize) -> Option<std::net::SocketAddr> {
-        self.slots.get(shard).and_then(|s| s.addr())
+        self.slots
+            .get(shard)
+            .and_then(|s| s.upstream())
+            .map(|u| u.addr())
     }
 
     /// Stops supervision and drains the workers (SIGTERM, bounded wait,
@@ -325,11 +330,11 @@ impl ClusterService {
     fn catch_up_worker(&self, shard: usize, target: u64) -> bool {
         const ATTEMPTS: u32 = 3;
         for _ in 0..ATTEMPTS {
-            let Some(addr) = self.slots[shard].addr() else {
+            let Some(upstream) = self.slots[shard].upstream() else {
                 return false;
             };
             let path = format!("/internal/catchup?n={target}");
-            match proxy::fetch(addr, &path, self.config.request_deadline) {
+            match upstream.fetch(&path, self.config.request_deadline) {
                 Ok(resp) if resp.status == 200 => {
                     if supervisor::parse_applied(&resp.body) >= Some(target) {
                         return true;
@@ -368,8 +373,8 @@ impl ClusterService {
     }
 
     fn proxy_to(&self, shard: usize, routed: &str) -> Response {
-        if let Some(addr) = self.slots[shard].addr() {
-            match proxy::fetch(addr, routed, self.config.request_deadline) {
+        if let Some(upstream) = self.slots[shard].upstream() {
+            match upstream.fetch(routed, self.config.request_deadline) {
                 Ok(parsed) => {
                     let response = Response {
                         status: parsed.status,
@@ -477,7 +482,7 @@ impl ClusterService {
             let _ = writeln!(
                 out,
                 "strudel_cluster_worker_up{{shard=\"{i}\"}} {}",
-                u64::from(slot.up.load(Ordering::Acquire))
+                u64::from(slot.is_up())
             );
             let _ = writeln!(
                 out,
@@ -488,6 +493,24 @@ impl ClusterService {
                 out,
                 "strudel_cluster_worker_broken{{shard=\"{i}\"}} {}",
                 u64::from(slot.broken.load(Ordering::Acquire))
+            );
+            let counters = &slot.upstream_counters;
+            for (name, counter) in [
+                ("fetches", &counters.fetches),
+                ("connects", &counters.connects),
+                ("reuses", &counters.reuses),
+                ("retries", &counters.retries),
+            ] {
+                let _ = writeln!(
+                    out,
+                    "strudel_cluster_upstream_{name}_total{{shard=\"{i}\"}} {}",
+                    counter.load(Ordering::Relaxed)
+                );
+            }
+            let _ = writeln!(
+                out,
+                "strudel_cluster_upstream_idle{{shard=\"{i}\"}} {}",
+                slot.upstream().map_or(0, |u| u.idle())
             );
         }
         out

@@ -13,6 +13,14 @@
 //!                               └──strikes ≥ max──▶ Broken
 //! ```
 //!
+//! `Ready` is one worker *incarnation*, and its [`Upstream`] — address
+//! plus idle kept-alive sockets — is what the slot publishes for
+//! routing. It is published on the way into `Ready` and unpublished on
+//! every way out (death, kill, failed probe, drain), under a lock of
+//! its own that is never held across I/O: a click reads the route
+//! without waiting for `state`, which [`ClusterService::tick`] holds
+//! through a blocking probe.
+//!
 //! A death within `min_uptime` of becoming ready is a *strike*; enough
 //! consecutive strikes open the circuit breaker (`Broken`) and the
 //! supervisor stops burning CPU on a worker that can't boot — its
@@ -21,13 +29,13 @@
 //! the backoff schedule.
 
 use super::backoff::Backoff;
-use super::proxy;
+use super::proxy::{Upstream, UpstreamCounters};
 use super::ClusterService;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 /// Where a worker slot is in its lifecycle.
@@ -35,8 +43,9 @@ use std::time::Instant;
 pub(super) enum Phase {
     /// Spawned; waiting for the ready file and a successful catch-up.
     Starting { since: Instant },
-    /// Serving at this address.
-    Ready { addr: SocketAddr },
+    /// Serving; the incarnation's client is on the slot's route unless
+    /// a kill just took it off.
+    Ready,
     /// Dead; waiting out the restart delay.
     Backoff { until: Instant },
     /// Crash-looped past the strike limit; the breaker is open.
@@ -47,8 +56,11 @@ pub(super) enum Phase {
 pub(super) struct Slot {
     pub(super) shard: usize,
     pub(super) state: Mutex<SlotState>,
-    /// Mirrors `Phase::Ready` for lock-free routing checks.
-    pub(super) up: AtomicBool,
+    /// The ready incarnation, for routing: `Some` exactly while clicks
+    /// may be sent to it. Locked only to clone or replace the `Arc`.
+    route: RwLock<Option<Arc<Upstream>>>,
+    /// Exchange counters across this shard's incarnations.
+    pub(super) upstream_counters: Arc<UpstreamCounters>,
     /// The live child's pid (0 = none), for lock-free kills.
     pub(super) pid: AtomicU32,
     /// Times a replacement worker was spawned.
@@ -86,22 +98,29 @@ impl Slot {
                 last_probe: Instant::now(),
                 spawns: 0,
             }),
-            up: AtomicBool::new(false),
+            route: RwLock::new(None),
+            upstream_counters: Arc::default(),
             pid: AtomicU32::new(0),
             restarts: AtomicU64::new(0),
             broken: AtomicBool::new(false),
         }
     }
 
-    /// The worker's address while ready.
-    pub(super) fn addr(&self) -> Option<SocketAddr> {
-        if !self.up.load(Ordering::Acquire) {
-            return None;
-        }
-        match self.state.lock().unwrap_or_else(|e| e.into_inner()).phase {
-            Phase::Ready { addr } => Some(addr),
-            _ => None,
-        }
+    /// The routing read: the ready incarnation's client, if any.
+    pub(super) fn upstream(&self) -> Option<Arc<Upstream>> {
+        self.route.read().unwrap_or_else(|e| e.into_inner()).clone()
+    }
+
+    /// Whether a ready incarnation is published.
+    pub(super) fn is_up(&self) -> bool {
+        self.upstream().is_some()
+    }
+
+    /// Publishes a ready incarnation, or (`None`) takes the current one
+    /// off the route. Exchanges in flight keep their `Arc`; the idle
+    /// sockets die with the last of them.
+    pub(super) fn publish(&self, upstream: Option<Arc<Upstream>>) {
+        *self.route.write().unwrap_or_else(|e| e.into_inner()) = upstream;
     }
 }
 
@@ -120,7 +139,7 @@ impl ClusterService {
                     }
                 }
                 Phase::Starting { since } => self.check_startup(slot, &mut st, since),
-                Phase::Ready { addr } => self.probe(slot, &mut st, addr),
+                Phase::Ready => self.probe(slot, &mut st),
                 Phase::Broken => {}
             }
         }
@@ -140,7 +159,7 @@ impl ClusterService {
         }
         st.child = None;
         slot.pid.store(0, Ordering::Release);
-        slot.up.store(false, Ordering::Release);
+        slot.publish(None);
         self.record_death(slot, st);
     }
 
@@ -230,15 +249,17 @@ impl ClusterService {
             // The worker replayed the store before binding; a delta that
             // committed *during* its replay may still be missing. Gate
             // readiness on an explicit catch-up to the current target so
-            // a worker never serves behind the barrier.
+            // a worker never serves behind the barrier. The socket of a
+            // successful catch-up is the incarnation's first idle one.
             let target = self.delta_target();
             let path = format!("/internal/catchup?n={target}");
-            if let Ok(resp) = proxy::fetch(addr, &path, self.config.probe_deadline) {
+            let upstream = Arc::new(Upstream::new(addr, slot.upstream_counters.clone()));
+            if let Ok(resp) = upstream.fetch(&path, self.config.probe_deadline) {
                 if resp.status == 200 && parse_applied(&resp.body) >= Some(target) {
-                    st.phase = Phase::Ready { addr };
+                    st.phase = Phase::Ready;
                     st.ready_at = Some(Instant::now());
                     st.last_probe = Instant::now();
-                    slot.up.store(true, Ordering::Release);
+                    slot.publish(Some(upstream));
                     return;
                 }
             }
@@ -252,14 +273,18 @@ impl ClusterService {
     /// Liveness-probes a `Ready` worker on its interval; a worker that
     /// cannot answer `/healthz` within the deadline is hung — kill it
     /// and let the death path restart it.
-    fn probe(&self, slot: &Slot, st: &mut SlotState, addr: SocketAddr) {
+    fn probe(&self, slot: &Slot, st: &mut SlotState) {
         if st.last_probe.elapsed() < self.config.probe_interval {
             return;
         }
         st.last_probe = Instant::now();
-        let healthy = proxy::fetch(addr, "/healthz", self.config.probe_deadline)
-            .map(|r| r.status == 200)
-            .unwrap_or(false);
+        // Off the route while `Ready` is `kill_worker`'s mark: it wants
+        // this incarnation dead, so nothing is left to ask it.
+        let healthy = slot.upstream().is_some_and(|upstream| {
+            upstream
+                .fetch("/healthz", self.config.probe_deadline)
+                .is_ok_and(|r| r.status == 200)
+        });
         if !healthy {
             // A hung worker is a crash the kernel hasn't noticed yet.
             kill_slot_child(slot, st);
@@ -279,7 +304,9 @@ impl ClusterService {
         if pid == 0 {
             return false;
         }
-        slot.up.store(false, Ordering::Release);
+        // Off the route before the signal: no exchange starts on an
+        // incarnation that is about to die.
+        slot.publish(None);
         strudel_epoll::kill_process(pid, strudel_epoll::SIGKILL).is_ok()
     }
 
@@ -287,6 +314,7 @@ impl ClusterService {
     /// briefly, then SIGKILLs stragglers and reaps everything.
     pub(super) fn shutdown_workers(&self) {
         for slot in &self.slots {
+            slot.publish(None);
             let pid = slot.pid.load(Ordering::Acquire);
             if pid != 0 {
                 let _ = strudel_epoll::kill_process(pid, strudel_epoll::SIGTERM);
@@ -312,7 +340,6 @@ impl ClusterService {
                 st.child = None;
             }
             slot.pid.store(0, Ordering::Release);
-            slot.up.store(false, Ordering::Release);
         }
     }
 }
@@ -326,10 +353,57 @@ fn kill_slot_child(slot: &Slot, st: &mut SlotState) {
     }
     st.child = None;
     slot.pid.store(0, Ordering::Release);
-    slot.up.store(false, Ordering::Release);
+    slot.publish(None);
 }
 
 /// Extracts `K` from a catch-up body `applied=K`.
 pub(super) fn parse_applied(body: &str) -> Option<u64> {
     body.trim().strip_prefix("applied=")?.parse().ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    #[test]
+    fn the_routing_read_does_not_wait_for_the_supervisors_lock() {
+        let backoff = Backoff::new(Duration::from_millis(1), Duration::from_millis(1), 1);
+        let slot = Arc::new(Slot::new(0, backoff));
+        let addr: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        slot.publish(Some(Arc::new(Upstream::new(
+            addr,
+            slot.upstream_counters.clone(),
+        ))));
+
+        // The monitor, mid-probe: `state` held until told otherwise.
+        let (held, wait_held) = mpsc::channel();
+        let (release, wait_release) = mpsc::channel::<()>();
+        let monitor = std::thread::spawn({
+            let slot = slot.clone();
+            move || {
+                let _st = slot.state.lock().unwrap();
+                held.send(()).unwrap();
+                let _ = wait_release.recv();
+            }
+        });
+        wait_held.recv().unwrap();
+
+        let (routed, wait_routed) = mpsc::channel();
+        let click = std::thread::spawn({
+            let slot = slot.clone();
+            move || {
+                let _ = routed.send(slot.upstream().map(|u| u.addr()));
+            }
+        });
+        let read = wait_routed.recv_timeout(Duration::from_secs(2));
+        drop(release);
+        monitor.join().unwrap();
+        click.join().unwrap();
+        assert_eq!(read, Ok(Some(addr)), "routed while `state` was held");
+
+        slot.publish(None);
+        assert!(slot.upstream().is_none() && !slot.is_up());
+    }
 }

@@ -209,15 +209,16 @@ pub fn encode_response(
     out
 }
 
-/// Encodes one request head as wire bytes — the client half of the
-/// protocol, used by the cluster router to proxy clicks to its shard
-/// workers over loopback.
-pub fn encode_request(method: &str, path: &str, keep_alive: bool) -> Vec<u8> {
-    format!(
+/// Appends one request head as wire bytes to `out` — the client half
+/// of the protocol, used by the cluster router to proxy clicks to its
+/// shard workers over loopback, into a buffer it reuses per connection.
+pub fn encode_request(out: &mut Vec<u8>, method: &str, path: &str, keep_alive: bool) {
+    use std::io::Write;
+    let _ = write!(
+        out,
         "{method} {path} HTTP/1.1\r\nHost: strudel-cluster\r\nConnection: {}\r\n\r\n",
         if keep_alive { "keep-alive" } else { "close" }
-    )
-    .into_bytes()
+    );
 }
 
 /// One response head + body parsed off the wire (the proxy side).
@@ -251,17 +252,36 @@ pub enum ResponseOutcome {
     },
 }
 
-/// Incrementally parses one response out of `buf`. `head_only` skips
-/// the body wait (a HEAD exchange: `Content-Length` describes the body
-/// that is *not* coming). Responses from this server always carry
-/// `Content-Length`, so a missing one is [`ResponseOutcome::Malformed`].
-pub fn parse_response(buf: &[u8], head_only: bool) -> ResponseOutcome {
+/// What [`parse_response_head`] found in the buffer.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum HeadOutcome {
+    /// No blank line yet — read more and ask again.
+    Incomplete,
+    /// Not an HTTP/1.x response head this module understands.
+    Malformed,
+    /// A complete head.
+    Complete {
+        /// The head's fields; `body` is empty.
+        response: ParsedResponse,
+        /// The declared `Content-Length`.
+        body_len: usize,
+        /// Bytes of the buffer the head consumed, blank line included;
+        /// the body starts here.
+        consumed: usize,
+    },
+}
+
+/// Parses one response head out of `buf` — what a client needs to know
+/// once, before it reads `body_len` more bytes. Responses from this
+/// server always carry `Content-Length`, so a missing one is
+/// [`HeadOutcome::Malformed`].
+pub fn parse_response_head(buf: &[u8]) -> HeadOutcome {
     const MAX_RESPONSE_HEAD: usize = 16 * 1024;
     let Some(end) = head_end(buf, MAX_RESPONSE_HEAD) else {
         return if buf.len() >= MAX_RESPONSE_HEAD {
-            ResponseOutcome::Malformed
+            HeadOutcome::Malformed
         } else {
-            ResponseOutcome::Incomplete
+            HeadOutcome::Incomplete
         };
     };
     let text = String::from_utf8_lossy(&buf[..end]);
@@ -270,10 +290,10 @@ pub fn parse_response(buf: &[u8], head_only: bool) -> ResponseOutcome {
     let mut parts = status_line.split_whitespace();
     let version = parts.next().unwrap_or("");
     if !version.starts_with("HTTP/1.") {
-        return ResponseOutcome::Malformed;
+        return HeadOutcome::Malformed;
     }
     let Some(status) = parts.next().and_then(|s| s.parse::<u16>().ok()) else {
-        return ResponseOutcome::Malformed;
+        return HeadOutcome::Malformed;
     };
     let mut content_type = String::new();
     let mut content_length: Option<usize> = None;
@@ -294,22 +314,43 @@ pub fn parse_response(buf: &[u8], head_only: bool) -> ResponseOutcome {
             keep_alive = value.eq_ignore_ascii_case("keep-alive");
         }
     }
-    let Some(len) = content_length else {
-        return ResponseOutcome::Malformed;
+    let Some(body_len) = content_length else {
+        return HeadOutcome::Malformed;
     };
-    let body_len = if head_only { 0 } else { len };
-    if buf.len() < end + body_len {
-        return ResponseOutcome::Incomplete;
-    }
-    ResponseOutcome::Complete {
+    HeadOutcome::Complete {
         response: ParsedResponse {
             status,
             content_type,
-            body: String::from_utf8_lossy(&buf[end..end + body_len]).into_owned(),
+            body: String::new(),
             degraded,
             keep_alive,
         },
-        consumed: end + body_len,
+        body_len,
+        consumed: end,
+    }
+}
+
+/// Incrementally parses one response out of `buf`: the head
+/// ([`parse_response_head`]), then the declared body. `head_only` skips
+/// the body wait (a HEAD exchange: `Content-Length` describes the body
+/// that is *not* coming).
+pub fn parse_response(buf: &[u8], head_only: bool) -> ResponseOutcome {
+    let (mut response, body_len, body_at) = match parse_response_head(buf) {
+        HeadOutcome::Incomplete => return ResponseOutcome::Incomplete,
+        HeadOutcome::Malformed => return ResponseOutcome::Malformed,
+        HeadOutcome::Complete {
+            response,
+            body_len,
+            consumed,
+        } => (response, if head_only { 0 } else { body_len }, consumed),
+    };
+    let Some(body) = buf.get(body_at..body_at.saturating_add(body_len)) else {
+        return ResponseOutcome::Incomplete;
+    };
+    response.body = String::from_utf8_lossy(body).into_owned();
+    ResponseOutcome::Complete {
+        response,
+        consumed: body_at + body_len,
     }
 }
 
@@ -595,6 +636,34 @@ mod tests {
     }
 
     #[test]
+    fn a_response_head_parses_alone_and_says_how_much_body_follows() {
+        let sent = Response::html("<p>hi</p>".into());
+        let wire = encode_response(&sent, false, true, None);
+        let body_at = wire.len() - sent.body.len();
+        for cut in 0..body_at {
+            assert_eq!(parse_response_head(&wire[..cut]), HeadOutcome::Incomplete);
+        }
+        // Complete with none, some or all of the body behind it.
+        for cut in body_at..=wire.len() {
+            let HeadOutcome::Complete {
+                response,
+                body_len,
+                consumed,
+            } = parse_response_head(&wire[..cut])
+            else {
+                panic!("complete at {cut}")
+            };
+            assert_eq!((consumed, body_len), (body_at, sent.body.len()));
+            assert_eq!(response.status, 200);
+            assert!(response.body.is_empty() && response.keep_alive);
+        }
+        assert_eq!(
+            parse_response_head(b"HTTP/1.1 200 OK\r\n\r\n"),
+            HeadOutcome::Malformed
+        );
+    }
+
+    #[test]
     fn malformed_responses_are_rejected_not_misread() {
         assert_eq!(
             parse_response(b"SMTP ready\r\n\r\n", false),
@@ -609,7 +678,9 @@ mod tests {
 
     #[test]
     fn encoded_requests_parse_back_through_the_server_side() {
-        let wire = encode_request("GET", "/page/X", true);
+        let mut wire = b"the previous request".to_vec();
+        wire.clear();
+        encode_request(&mut wire, "GET", "/page/X", true);
         let ParseOutcome::Complete { request, consumed } = parse_request(&wire, 16 * 1024)
         else {
             panic!("complete")
@@ -618,7 +689,8 @@ mod tests {
         assert_eq!(request.method, "GET");
         assert_eq!(request.path, "/page/X");
         assert!(request.keep_alive);
-        let wire = encode_request("GET", "/", false);
+        wire.clear();
+        encode_request(&mut wire, "GET", "/", false);
         let ParseOutcome::Complete { request, .. } = parse_request(&wire, 16 * 1024) else {
             panic!("complete")
         };

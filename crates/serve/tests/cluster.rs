@@ -178,6 +178,18 @@ fn wait_all_ready(cluster: &ClusterService, workers: usize, deadline: Duration) 
     }
 }
 
+/// One per-shard row of the router's `/metrics`:
+/// `strudel_cluster_upstream_<name>{shard="<shard>"}`.
+fn upstream_metric(cluster: &ClusterService, name: &str, shard: usize) -> u64 {
+    let row = format!("strudel_cluster_upstream_{name}{{shard=\"{shard}\"}} ");
+    let text = cluster.stats_text();
+    let value = text
+        .lines()
+        .find_map(|l| l.strip_prefix(row.as_str()))
+        .unwrap_or_else(|| panic!("no {row} in:\n{text}"));
+    value.parse().unwrap()
+}
+
 #[test]
 fn a_cluster_serves_byte_identically_and_degrades_through_a_kill() {
     let (site_dir, store_dir) = scratch("oracle");
@@ -279,8 +291,10 @@ fn sigkill_under_keepalive_traffic_drops_zero_connections() {
                         break;
                     }
                     let keep_alive = i + 1 < expected.len();
+                    let mut request = Vec::new();
+                    proto::encode_request(&mut request, "GET", path, keep_alive);
                     stream
-                        .write_all(&proto::encode_request("GET", path, keep_alive))
+                        .write_all(&request)
                         .map_err(|e| format!("client {t} write {path}: {e} (dropped!)"))?;
                     let mut buf = Vec::new();
                     let mut chunk = [0u8; 4096];
@@ -324,10 +338,46 @@ fn sigkill_under_keepalive_traffic_drops_zero_connections() {
     // waiting for recovery between kills so each kill hits a live fleet.
     for shard in 0..workers {
         wait_all_ready(&cluster, workers, Duration::from_secs(60));
-        assert!(cluster.kill_worker(shard), "worker {shard} was alive to kill");
+        // The doomed incarnation has kept-alive sockets in use: the kill
+        // is aimed at the pool, not beside it.
+        let start = Instant::now();
+        while upstream_metric(&cluster, "reuses_total", shard) == 0 {
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "no socket to worker {shard} was ever reused"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let connects = upstream_metric(&cluster, "connects_total", shard);
+        assert!(
+            cluster.kill_worker(shard),
+            "worker {shard} was alive to kill"
+        );
         std::thread::sleep(Duration::from_millis(300));
+
+        // The replacement answers on sockets of its own: this thread's
+        // first click on the recovered shard is fresh and byte-equal to
+        // the oracle (a page where the shard owns one).
+        wait_all_ready(&cluster, workers, Duration::from_secs(60));
+        let owned = |p: &str| strudel_serve::router::shard_of_path(p, workers) == shard;
+        let path = paths
+            .iter()
+            .cloned()
+            .chain((0..).map(|i| format!("/nope/{i}")))
+            .find(|p| owned(p))
+            .unwrap();
+        let (ours, theirs) = (cluster.handle(&path), oracle.handle(&path));
+        assert!(!ours.degraded, "{path} fresh from the new worker {shard}");
+        assert_eq!(
+            (ours.status, &ours.body),
+            (theirs.status, &theirs.body),
+            "{path}"
+        );
+        assert!(
+            upstream_metric(&cluster, "connects_total", shard) > connects,
+            "worker {shard}'s replacement was reached on a new connection"
+        );
     }
-    wait_all_ready(&cluster, workers, Duration::from_secs(60));
 
     stop.store(true, Ordering::Release);
     for client in clients {
@@ -347,6 +397,69 @@ fn sigkill_under_keepalive_traffic_drops_zero_connections() {
     }
     server.shutdown();
     cluster.shutdown();
+}
+
+#[test]
+fn upstream_counters_reconcile_with_a_seeded_run() {
+    let (site_dir, store_dir) = scratch("upstream");
+    let workers = 2;
+    let mut config = test_config(workers, &site_dir, &store_dir);
+    // No background probes: every exchange below is one this test made.
+    config.probe_interval = Duration::from_secs(3600);
+    let cluster = ClusterService::start(open_store(&store_dir), config).unwrap();
+    ClickService::warm(&*cluster, strudel_struql::Parallelism::Threads(2)).unwrap();
+    let oracle = oracle(base_graph());
+    let paths = crawl(&|p| cluster.handle(p));
+
+    let fetches = |shard| upstream_metric(&cluster, "fetches_total", shard);
+    let before: Vec<u64> = (0..workers).map(fetches).collect();
+    let mut sent = vec![0u64; workers];
+    let mut seed = 0x5eed_u64;
+    for k in 0..200 {
+        seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let path = &paths[(seed >> 33) as usize % paths.len()];
+        let response = cluster.handle(path);
+        assert!(!response.degraded, "{path}");
+        assert_eq!(response.body, oracle.handle(path).body, "{path}");
+        sent[strudel_serve::router::shard_of_path(path, workers)] += 1;
+        if k % 50 == 49 {
+            // The barrier's catch-up rides the same sockets: one
+            // exchange per live worker.
+            let delta = make_delta(k, base_graph().node_count() + k / 50);
+            let outcome = cluster.apply_delta(&delta).unwrap();
+            oracle.apply_delta(&delta).unwrap();
+            assert!(outcome.caught_up.iter().all(|c| *c), "{outcome:?}");
+            sent.iter_mut().for_each(|n| *n += 1);
+        }
+    }
+
+    for shard in 0..workers {
+        let [connects, reuses, retries] = ["connects_total", "reuses_total", "retries_total"]
+            .map(|name| upstream_metric(&cluster, name, shard));
+        assert_eq!(
+            fetches(shard) - before[shard],
+            sent[shard],
+            "every click and catch-up to shard {shard} was one fetch"
+        );
+        assert_eq!(
+            connects + reuses,
+            fetches(shard) + retries,
+            "shard {shard}: exchanges attempted, counted from both sides"
+        );
+        assert!(
+            reuses >= sent[shard] - retries,
+            "shard {shard} rode kept-alive sockets"
+        );
+        assert!(upstream_metric(&cluster, "idle", shard) >= 1);
+    }
+    cluster.shutdown();
+    assert_eq!(
+        upstream_metric(&cluster, "idle", 0),
+        0,
+        "a drained worker keeps no socket"
+    );
 }
 
 #[test]
