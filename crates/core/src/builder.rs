@@ -129,7 +129,7 @@ impl SiteBuilder {
         for s in self.sources {
             mediator.add_source(s);
         }
-        let warehouse = mediator.build()?;
+        let warehouse = mediator.into_warehouse()?;
         let database = Arc::new(Database::from_graph(
             warehouse.graph,
             self.index_level.unwrap_or(IndexLevel::Full),

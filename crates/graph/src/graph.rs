@@ -201,6 +201,12 @@ impl Graph {
         self.edge_count += 1;
     }
 
+    /// Reserves room for `additional` more out-edges of `from`, for a
+    /// caller that knows how many it is about to add.
+    pub fn reserve_edges(&mut self, from: Oid, additional: usize) {
+        self.nodes[from.index()].edges.reserve_exact(additional);
+    }
+
     /// Adds an edge, interning the label name.
     pub fn add_edge_str(&mut self, from: Oid, label: &str, to: Value) {
         let l = self.intern_label(label);
@@ -409,45 +415,47 @@ impl Graph {
     // ----- whole-graph operations ----------------------------------------
 
     /// Imports every node, edge, and collection of `other` into `self`,
-    /// returning the oid remapping. Symbolic node names are kept when
-    /// unclaimed in `self`; a clash falls back to an anonymous node, since
-    /// names are a debugging aid rather than identity (identity is the oid).
+    /// returning the oid remapping (indexed by `other`'s oids). Symbolic
+    /// node names are kept when unclaimed in `self`; a clash falls back to
+    /// an anonymous node, since names are a debugging aid rather than
+    /// identity (identity is the oid).
     ///
     /// This is the mediator's warehousing primitive: each wrapped source
-    /// graph is imported into the repository's single data graph.
-    pub fn import_graph(&mut self, other: &Graph) -> HashMap<Oid, Oid> {
-        let mut oid_map: HashMap<Oid, Oid> = HashMap::with_capacity(other.node_count());
-        for (i, node) in other.nodes.iter().enumerate() {
-            let old = Oid::from_index(i);
-            let new = match &node.name {
+    /// graph is imported into the repository's single data graph. Oids and
+    /// labels are remapped through dense tables, so an edge costs no hash
+    /// lookup; a label is interned when its first edge arrives, which
+    /// keeps label ids in first-use order.
+    pub fn import_graph(&mut self, other: &Graph) -> Vec<Oid> {
+        let oids: Vec<Oid> = other
+            .nodes
+            .iter()
+            .map(|node| match &node.name {
                 Some(name) if !self.node_names.contains_key(name.as_ref()) => {
                     self.add_named_node(name)
                 }
                 _ => self.add_node(),
-            };
-            oid_map.insert(old, new);
-        }
-        let remap = |v: &Value, map: &HashMap<Oid, Oid>| -> Value {
-            match v {
-                Value::Node(o) => Value::Node(map[o]),
-                other => other.clone(),
-            }
+            })
+            .collect();
+        let remap = |v: &Value| match v {
+            Value::Node(o) => Value::Node(oids[o.index()]),
+            atom => atom.clone(),
         };
-        for (i, node) in other.nodes.iter().enumerate() {
-            let from = oid_map[&Oid::from_index(i)];
+        let mut labels: Vec<Option<Label>> = vec![None; other.labels.len()];
+        for (node, &from) in other.nodes.iter().zip(&oids) {
+            self.reserve_edges(from, node.edges.len());
             for e in &node.edges {
-                let label = self.intern_label(other.label_name(e.label));
-                let to = remap(&e.to, &oid_map);
-                self.add_edge(from, label, to);
+                let label = *labels[e.label.index()]
+                    .get_or_insert_with(|| self.labels.intern(other.label_name(e.label)));
+                self.add_edge(from, label, remap(&e.to));
             }
         }
         for c in &other.collections {
             let cid = self.intern_collection(&c.name);
             for m in &c.members {
-                self.collect(cid, remap(m, &oid_map));
+                self.collect(cid, remap(m));
             }
         }
-        oid_map
+        oids
     }
 
     /// A read-only cursor over one node. Convenience for template
@@ -711,8 +719,8 @@ mod tests {
 
         let p1_src = src.node_by_name("pub1").unwrap();
         let p2_src = src.node_by_name("pub2").unwrap();
-        let p1 = map[&p1_src];
-        let p2 = map[&p2_src];
+        let p1 = map[p1_src.index()];
+        let p2 = map[p2_src.index()];
         assert_ne!(p1, p1_src, "oid must be remapped");
         assert_eq!(dst.node_by_name("pub1"), Some(p1));
         assert_eq!(
@@ -734,7 +742,7 @@ mod tests {
         let bx = b.add_named_node("x");
         b.add_edge_str(bx, "v", Value::Int(2));
         let map = a.import_graph(&b);
-        let imported = map[&bx];
+        let imported = map[bx.index()];
         assert_ne!(imported, ax);
         assert_eq!(a.node_name(imported), None);
         assert_eq!(a.first_attr_str(imported, "v"), Some(&Value::Int(2)));

@@ -60,5 +60,5 @@ pub use delta::{DeltaError, DeltaOp, GraphDelta};
 pub use graph::{graphs_equivalent, CollectionId, Edge, Graph, InEdge, NodeRef};
 pub use label::{Label, LabelInterner};
 pub use oid::Oid;
-pub use skolem::{SkolemKey, SkolemTable};
+pub use skolem::{SkolemKey, SkolemSymbol, SkolemTable};
 pub use value::{FileKind, FileRef, Value};

@@ -14,18 +14,18 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// The key of one Skolem application: the function symbol plus its fully
-/// evaluated arguments.
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct SkolemKey {
+/// One Skolem application, as [`SkolemTable::iter`] reports it: the
+/// function symbol plus its fully evaluated arguments.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct SkolemKey<'t> {
     /// The function symbol, e.g. `AbstractPage`.
-    pub symbol: Arc<str>,
+    pub symbol: &'t str,
     /// The argument tuple. Zero-ary symbols (e.g. `RootPage()`) have an
     /// empty tuple.
-    pub args: Box<[Value]>,
+    pub args: &'t [Value],
 }
 
-impl fmt::Debug for SkolemKey {
+impl fmt::Debug for SkolemKey<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}(", self.symbol)?;
         for (i, a) in self.args.iter().enumerate() {
@@ -38,20 +38,53 @@ impl fmt::Debug for SkolemKey {
     }
 }
 
+/// A function symbol interned by [`SkolemTable::symbol`]; only meaningful
+/// relative to the table that issued it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct SkolemSymbol(usize);
+
+/// The applications of one function symbol: argument tuple → minted oid.
+#[derive(Debug, Clone)]
+struct Applications {
+    symbol: Arc<str>,
+    by_args: HashMap<Box<[Value]>, Oid>,
+}
+
 /// A memo table realizing Skolem functions over a [`Graph`].
 ///
 /// One table is scoped to one query evaluation (or to one composed pipeline
 /// of queries when later queries must address objects created by earlier
 /// ones, as in the suciu navigation-bar example of §5.1).
+///
+/// The table is keyed by symbol first and argument tuple second, so a
+/// caller that applies one symbol to many rows resolves the symbol once
+/// ([`SkolemTable::symbol`]) and each application is one hash of the
+/// arguments; an application that has been seen before allocates nothing.
 #[derive(Default, Debug, Clone)]
 pub struct SkolemTable {
-    map: HashMap<SkolemKey, Oid>,
+    symbols: HashMap<Arc<str>, SkolemSymbol>,
+    applications: Vec<Applications>,
 }
 
 impl SkolemTable {
     /// Creates an empty table.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Interns a function symbol for [`SkolemTable::apply_symbol`].
+    pub fn symbol(&mut self, name: &str) -> SkolemSymbol {
+        if let Some(&s) = self.symbols.get(name) {
+            return s;
+        }
+        let symbol: Arc<str> = name.into();
+        let s = SkolemSymbol(self.applications.len());
+        self.applications.push(Applications {
+            symbol: symbol.clone(),
+            by_args: HashMap::new(),
+        });
+        self.symbols.insert(symbol, s);
+        s
     }
 
     /// Applies the Skolem function `symbol` to `args`, minting a node in
@@ -62,56 +95,66 @@ impl SkolemTable {
     /// `Symbol(arg,…)` when that name is still free in the graph — a
     /// debugging and HTML-naming aid, not part of the semantics.
     pub fn apply(&mut self, graph: &mut Graph, symbol: &str, args: &[Value]) -> (Oid, bool) {
-        let key = SkolemKey {
-            symbol: symbol.into(),
-            args: args.into(),
-        };
-        if let Some(&oid) = self.map.get(&key) {
+        let symbol = self.symbol(symbol);
+        self.apply_symbol(graph, symbol, args)
+    }
+
+    /// [`SkolemTable::apply`] for a symbol this table interned.
+    pub fn apply_symbol(
+        &mut self,
+        graph: &mut Graph,
+        symbol: SkolemSymbol,
+        args: &[Value],
+    ) -> (Oid, bool) {
+        let applications = &mut self.applications[symbol.0];
+        if let Some(&oid) = applications.by_args.get(args) {
             return (oid, false);
         }
         let oid = graph.add_node();
-        graph.name_node(oid, &display_name(graph, &key));
-        self.map.insert(key, oid);
+        graph.name_node(oid, &display_name(graph, &applications.symbol, args));
+        applications.by_args.insert(args.into(), oid);
         (oid, true)
     }
 
     /// The oid previously minted for `symbol(args)`, if any.
     pub fn lookup(&self, symbol: &str, args: &[Value]) -> Option<Oid> {
-        // Avoid allocating a key for the common miss path only if cheap; a
-        // HashMap lookup needs an owned key here, and lookups are rare
-        // relative to `apply`.
-        let key = SkolemKey {
-            symbol: symbol.into(),
-            args: args.into(),
-        };
-        self.map.get(&key).copied()
+        let s = self.symbols.get(symbol)?;
+        self.applications[s.0].by_args.get(args).copied()
     }
 
     /// Number of distinct applications so far.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.applications.iter().map(|a| a.by_args.len()).sum()
     }
 
     /// Whether no applications have happened.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
 
     /// Iterates over all `(key, oid)` applications in arbitrary order.
-    pub fn iter(&self) -> impl Iterator<Item = (&SkolemKey, Oid)> + '_ {
-        self.map.iter().map(|(k, &o)| (k, o))
+    pub fn iter(&self) -> impl Iterator<Item = (SkolemKey<'_>, Oid)> + '_ {
+        self.applications.iter().flat_map(|a| {
+            a.by_args.iter().map(|(args, &oid)| {
+                let key = SkolemKey {
+                    symbol: &a.symbol,
+                    args,
+                };
+                (key, oid)
+            })
+        })
     }
 }
 
 /// A human-readable name for a Skolem node: `Symbol(arg,…)`, with
 /// node-valued arguments rendered by their own symbolic names when present.
-fn display_name(graph: &Graph, key: &SkolemKey) -> String {
+fn display_name(graph: &Graph, symbol: &str, args: &[Value]) -> String {
     use std::fmt::Write;
-    let mut s = String::with_capacity(key.symbol.len() + 8 * key.args.len());
-    s.push_str(&key.symbol);
-    if !key.args.is_empty() {
+    let mut s = String::with_capacity(symbol.len() + 8 * args.len());
+    s.push_str(symbol);
+    if !args.is_empty() {
         s.push('(');
-        for (i, a) in key.args.iter().enumerate() {
+        for (i, a) in args.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
@@ -197,6 +240,22 @@ mod tests {
         assert!(new);
         assert_eq!(g.node_name(root), None);
         assert_ne!(g.node_by_name("RootPage"), Some(root));
+    }
+
+    #[test]
+    fn interned_symbols_share_the_memo_with_named_applications() {
+        let mut g = Graph::new();
+        let mut t = SkolemTable::new();
+        let year = t.symbol("YearPage");
+        assert_eq!(t.symbol("YearPage"), year);
+        assert!(t.is_empty(), "interning a symbol applies nothing");
+        let (a, new_a) = t.apply_symbol(&mut g, year, &[Value::Int(1997)]);
+        let (b, new_b) = t.apply(&mut g, "YearPage", &[Value::Int(1997)]);
+        assert_eq!((a, new_a, new_b), (b, true, false));
+        assert_eq!(t.lookup("YearPage", &[Value::Int(1997)]), Some(a));
+        assert_eq!(t.lookup("NoSuchSymbol", &[]), None);
+        let keys: Vec<String> = t.iter().map(|(k, _)| format!("{k:?}")).collect();
+        assert_eq!(keys, ["YearPage(1997)"]);
     }
 
     #[test]

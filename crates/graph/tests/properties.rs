@@ -159,7 +159,7 @@ fn import_preserves_counts() {
         assert_eq!(dst.edge_count(), g.edge_count(), "seed {seed}");
         assert_eq!(map.len(), g.node_count(), "seed {seed}");
         for oid in g.node_oids() {
-            assert_eq!(g.edges(oid).len(), dst.edges(map[&oid]).len(), "seed {seed}");
+            assert_eq!(g.edges(oid).len(), dst.edges(map[oid.index()]).len(), "seed {seed}");
         }
     }
 }

@@ -8,8 +8,10 @@
 //! * **Warehousing** — wrapped sources are materialized into one data
 //!   graph in the repository ("this simplified our implementation and
 //!   sufficed for our applications, which have small databases"). The
-//!   [`Mediator`] caches per-source snapshots keyed by a content hash, so
-//!   [`Mediator::build`] after a source edit re-wraps only what changed.
+//!   [`Mediator`] keeps each source's wrapped snapshot until that source
+//!   is edited, so [`Mediator::build`] after an edit re-wraps only what
+//!   changed; [`Mediator::into_warehouse`] is the one-shot build that
+//!   caches nothing.
 //! * **GAV mappings** — the relationship between the mediated schema and
 //!   each source is a query *over the source* producing mediated
 //!   collections ("for each relation R in the mediated schema, a query

@@ -6,7 +6,7 @@ use strudel_wrappers::relational::TableOptions;
 use strudel_wrappers::structured::RecordOptions;
 
 /// How a source's content is interpreted.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SourceFormat {
     /// A BibTeX bibliography (default options).
     Bibtex,
@@ -27,7 +27,7 @@ pub enum SourceFormat {
 }
 
 /// One external source: name, format, and current content.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Source {
     /// Unique source name.
     pub name: String,
@@ -72,86 +72,5 @@ impl Source {
     pub fn with_mapping(mut self, mapping: &str) -> Self {
         self.mapping = Some(mapping.to_owned());
         self
-    }
-
-    /// A content fingerprint for change detection (FNV-1a over content and
-    /// mapping).
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.write(self.content.as_bytes());
-        for d in &self.html_docs {
-            h.write(d.name.as_bytes());
-            h.write(d.html.as_bytes());
-        }
-        if let Some(m) = &self.mapping {
-            h.write(m.as_bytes());
-        }
-        h.finish()
-    }
-}
-
-/// Minimal FNV-1a, enough for change detection (not security).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-        }
-        // Separate fields so ("ab","c") ≠ ("a","bc").
-        self.0 ^= 0xff;
-        self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fingerprint_changes_with_content() {
-        let a = Source::new("s", SourceFormat::Ddl, "object a {}");
-        let b = Source::new("s", SourceFormat::Ddl, "object b {}");
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        let a2 = Source::new("s", SourceFormat::Ddl, "object a {}");
-        assert_eq!(a.fingerprint(), a2.fingerprint());
-    }
-
-    #[test]
-    fn fingerprint_changes_with_mapping() {
-        let a = Source::new("s", SourceFormat::Ddl, "object a {}");
-        let b = a.clone().with_mapping("where C(x) create P(x)");
-        assert_ne!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
-    fn fingerprint_field_separation() {
-        let mut a = Source::html(
-            "s",
-            "C",
-            vec![HtmlDoc {
-                name: "ab".into(),
-                html: "c".into(),
-            }],
-        );
-        let b = Source::html(
-            "s",
-            "C",
-            vec![HtmlDoc {
-                name: "a".into(),
-                html: "bc".into(),
-            }],
-        );
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        a.html_docs[0].name = "a".into();
-        a.html_docs[0].html = "bc".into();
-        assert_eq!(a.fingerprint(), b.fingerprint());
     }
 }

@@ -1,7 +1,7 @@
 //! Warehouse construction and refresh.
 
 use crate::{MediatorError, Source, SourceFormat};
-use std::collections::HashMap;
+use std::borrow::Cow;
 use strudel_graph::Graph;
 use strudel_repo::{Database, IndexLevel};
 use strudel_struql::Evaluator;
@@ -29,12 +29,22 @@ pub struct Warehouse {
     pub reports: Vec<SourceReport>,
 }
 
+/// A registered source and its snapshot: the wrapped (and mapped) graph
+/// of the source's current content, `None` until a build has wrapped it
+/// or after the content changed.
+#[derive(Debug)]
+struct Registered {
+    source: Source,
+    snapshot: Option<Graph>,
+}
+
 /// The warehousing mediator: registered sources plus a per-source snapshot
-/// cache keyed by content fingerprint.
+/// cache. The mediator owns its sources, so the cache is invalidated where
+/// a source changes ([`Mediator::add_source`], [`Mediator::set_content`])
+/// rather than by comparing content at build time.
 #[derive(Debug, Default)]
 pub struct Mediator {
-    sources: Vec<Source>,
-    cache: HashMap<String, (u64, Graph)>,
+    sources: Vec<Registered>,
 }
 
 impl Mediator {
@@ -44,22 +54,35 @@ impl Mediator {
     }
 
     /// Registers a source. A source with the same name replaces the old
-    /// one (its cache entry stays valid only if the content fingerprint
-    /// matches).
+    /// one, and the next build re-wraps it unless the two are equal
+    /// (re-registering an unchanged source keeps its snapshot).
     pub fn add_source(&mut self, source: Source) {
-        if let Some(existing) = self.sources.iter_mut().find(|s| s.name == source.name) {
-            *existing = source;
-        } else {
-            self.sources.push(source);
+        match self
+            .sources
+            .iter_mut()
+            .find(|r| r.source.name == source.name)
+        {
+            Some(existing) if existing.source == source => {}
+            Some(existing) => {
+                existing.source = source;
+                existing.snapshot = None;
+            }
+            None => self.sources.push(Registered {
+                source,
+                snapshot: None,
+            }),
         }
     }
 
-    /// Updates a source's content in place. Returns `false` when no source
-    /// has that name.
+    /// Updates a source's content in place (unchanged content keeps its
+    /// snapshot). Returns `false` when no source has that name.
     pub fn set_content(&mut self, name: &str, content: &str) -> bool {
-        match self.sources.iter_mut().find(|s| s.name == name) {
-            Some(s) => {
-                s.content = content.to_owned();
+        match self.sources.iter_mut().find(|r| r.source.name == name) {
+            Some(r) => {
+                if r.source.content != content {
+                    r.source.content = content.to_owned();
+                    r.snapshot = None;
+                }
                 true
             }
             None => false,
@@ -73,31 +96,66 @@ impl Mediator {
 
     /// Builds (or rebuilds) the warehouse. Unchanged sources are served
     /// from the snapshot cache; changed ones are re-wrapped and re-mapped.
+    /// The cache keeps every snapshot, and the warehouse graph is merged
+    /// from references to them.
     pub fn build(&mut self) -> Result<Warehouse, MediatorError> {
-        let mut graph = Graph::new();
-        let mut reports = Vec::with_capacity(self.sources.len());
-        for source in &self.sources {
-            let fp = source.fingerprint();
-            let (snapshot, rewrapped) = match self.cache.get(&source.name) {
-                Some((cached_fp, g)) if *cached_fp == fp => (g.clone(), false),
-                _ => {
-                    let g = materialize(source)?;
-                    self.cache.insert(source.name.clone(), (fp, g.clone()));
-                    (g, true)
-                }
+        assemble(self.sources.iter_mut().map(|r| {
+            let rewrapped = r.snapshot.is_none();
+            let snapshot: &Graph = match &mut r.snapshot {
+                Some(cached) => cached,
+                empty => empty.insert(materialize(&r.source)?),
             };
-            let before_nodes = graph.node_count();
-            let before_edges = graph.edge_count();
-            graph.import_graph(&snapshot);
-            reports.push(SourceReport {
-                name: source.name.clone(),
-                nodes: graph.node_count() - before_nodes,
-                edges: graph.edge_count() - before_edges,
-                rewrapped,
-            });
-        }
-        Ok(Warehouse { graph, reports })
+            Ok((r.source.name.clone(), Cow::Borrowed(snapshot), rewrapped))
+        }))
     }
+
+    /// Builds the warehouse once and gives the mediator up: nothing is
+    /// cached, and each wrapped graph is moved into the warehouse instead
+    /// of being copied out of a cache that is about to be dropped.
+    pub fn into_warehouse(self) -> Result<Warehouse, MediatorError> {
+        assemble(self.sources.into_iter().map(|r| {
+            let rewrapped = r.snapshot.is_none();
+            let snapshot = match r.snapshot {
+                Some(g) => g,
+                None => materialize(&r.source)?,
+            };
+            Ok((r.source.name, Cow::Owned(snapshot), rewrapped))
+        }))
+    }
+}
+
+/// Merges per-source snapshots, in registration order, into one graph.
+/// The first snapshot *becomes* the warehouse graph (moved when owned);
+/// later ones are imported into it.
+fn assemble<'a>(
+    snapshots: impl Iterator<Item = Result<(String, Cow<'a, Graph>, bool), MediatorError>>,
+) -> Result<Warehouse, MediatorError> {
+    let mut graph: Option<Graph> = None;
+    let mut reports = Vec::new();
+    for part in snapshots {
+        let (name, snapshot, rewrapped) = part?;
+        let (before_nodes, before_edges) = graph
+            .as_ref()
+            .map_or((0, 0), |g| (g.node_count(), g.edge_count()));
+        let merged = match graph.take() {
+            None => snapshot.into_owned(),
+            Some(mut g) => {
+                g.import_graph(&snapshot);
+                g
+            }
+        };
+        reports.push(SourceReport {
+            name,
+            nodes: merged.node_count() - before_nodes,
+            edges: merged.edge_count() - before_edges,
+            rewrapped,
+        });
+        graph = Some(merged);
+    }
+    Ok(Warehouse {
+        graph: graph.unwrap_or_default(),
+        reports,
+    })
 }
 
 /// Wraps one source and applies its GAV mapping.
@@ -223,6 +281,65 @@ mod tests {
         assert!(w3.reports[1].rewrapped, "bib changed");
         assert!(w3.graph.node_by_name("p2").is_some());
         assert!(w3.graph.node_by_name("p1").is_none());
+    }
+
+    #[test]
+    fn one_shot_build_equals_the_cached_build() {
+        let mediator = || {
+            let mut m = Mediator::new();
+            m.add_source(people_source());
+            m.add_source(Source::new(
+                "bib",
+                SourceFormat::Bibtex,
+                "@article{p1, title={T1}, author={Mary Fernandez}, year=1997}",
+            ));
+            m.add_source(Source::new(
+                "extra",
+                SourceFormat::Ddl,
+                r#"object People_mff in People { phone : 5551234; }"#,
+            ));
+            m
+        };
+        let cached = mediator().build().unwrap();
+        let one_shot = mediator().into_warehouse().unwrap();
+        assert_eq!(one_shot.reports, cached.reports);
+        assert_eq!(
+            strudel_graph::ddl::print(&one_shot.graph),
+            strudel_graph::ddl::print(&cached.graph)
+        );
+        // A mediator that has built before hands its snapshots over.
+        let mut m = mediator();
+        m.build().unwrap();
+        let handed_over = m.into_warehouse().unwrap();
+        assert!(handed_over.reports.iter().all(|r| !r.rewrapped));
+        assert_eq!(
+            strudel_graph::ddl::print(&handed_over.graph),
+            strudel_graph::ddl::print(&cached.graph)
+        );
+    }
+
+    #[test]
+    fn setting_the_same_content_keeps_the_snapshot() {
+        let mut m = Mediator::new();
+        m.add_source(people_source());
+        m.build().unwrap();
+        assert!(m.set_content("people", &people_source().content));
+        assert!(!m.build().unwrap().reports[0].rewrapped);
+        assert!(!m.set_content("nobody", "x"));
+        // So does registering an equal source again; one that differs in
+        // content, format or mapping is re-wrapped.
+        m.add_source(people_source());
+        assert!(!m.build().unwrap().reports[0].rewrapped);
+        m.add_source(people_source().with_mapping("where PeopleRows(x) collect P(x)"));
+        assert!(m.build().unwrap().reports[0].rewrapped);
+        m.add_source(Source::new(
+            "people",
+            SourceFormat::Relational(relational::TableOptions::new("Staff")),
+            &people_source().content,
+        ));
+        let w = m.build().unwrap();
+        assert!(w.reports[0].rewrapped);
+        assert_eq!(w.graph.members_str("Staff").len(), 2);
     }
 
     #[test]

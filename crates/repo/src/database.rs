@@ -1,6 +1,6 @@
 //! The repository façade: an indexed, optionally persistent graph store.
 
-use crate::index::{ExtensionIndex, IndexSet, SchemaIndex, ValueIndex};
+use crate::index::{ExtensionIndex, IndexSet, SchemaIndex};
 use crate::stats::Stats;
 use crate::vfs::{RealVfs, Vfs};
 use crate::wal::{self, Wal};
@@ -13,7 +13,13 @@ use strudel_graph::{DeltaError, DeltaOp, Graph, GraphDelta, Label, Oid, Value};
 /// How much indexing the repository maintains.
 ///
 /// The paper's prototype always indexes fully; this knob exists for the
-/// E-index ablation (what do the indexes buy in a schemaless store?).
+/// E-index ablation (what do the indexes buy in a schemaless store?). The
+/// level alone decides whether a probe answers `Some` or `None`; an index
+/// the level allows is built by its first probe. A database that is
+/// not mutated orders a probe's rows the same whenever the index came to
+/// be built (graph order); once it is mutated, a built family appends in
+/// mutation order and `swap_remove`s, so two databases with one mutation
+/// history agree on each key's rows as a multiset, not on their order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum IndexLevel {
     /// No indexes: every lookup is a graph scan.
@@ -62,13 +68,13 @@ impl Database {
         Self::from_graph(Graph::new(), level)
     }
 
-    /// Wraps an existing graph, building indexes for it.
+    /// Wraps an existing graph. No index is built here: each family the
+    /// level allows is built from the graph when it is first probed.
     pub fn from_graph(graph: Graph, level: IndexLevel) -> Self {
-        let indexes = build_indexes(&graph, level);
         Database {
             graph,
             level,
-            indexes,
+            indexes: IndexSet::default(),
             stats: Mutex::new(None),
             wal: None,
             dir: None,
@@ -285,26 +291,32 @@ impl Database {
     /// when extension indexes are maintained.
     pub fn extension(&self, label: Label) -> Option<&[(Oid, Value)]> {
         strudel_trace::count("repo.probe.extension", 1);
-        self.indexes.extension.as_ref().map(|x| x.extension(label))
+        self.extension_index().map(|x| x.extension(label))
     }
 
     /// The sources of edges `x --label--> to`, when extension indexes are
     /// maintained.
     pub fn sources(&self, label: Label, to: &Value) -> Option<&[Oid]> {
         strudel_trace::count("repo.probe.sources", 1);
-        self.indexes.extension.as_ref().map(|x| x.sources(label, to))
+        self.extension_index().map(|x| x.sources(label, to))
+    }
+
+    /// The extension indexes, built now if this is their first use, when
+    /// the level maintains them.
+    fn extension_index(&self) -> Option<&ExtensionIndex> {
+        (self.level != IndexLevel::None).then(|| self.indexes.extension(&self.graph))
     }
 
     /// Every `(node, label)` location of the atomic value `v`, when the
     /// global value index is maintained.
     pub fn value_locations(&self, v: &Value) -> Option<&[(Oid, Label)]> {
         strudel_trace::count("repo.probe.value_locations", 1);
-        self.indexes.value.as_ref().map(|x| x.locations(v))
+        (self.level == IndexLevel::Full).then(|| self.indexes.value(&self.graph).locations(v))
     }
 
     /// The schema index, when maintained.
     pub fn schema_index(&self) -> Option<&SchemaIndex> {
-        self.indexes.schema.as_ref()
+        (self.level != IndexLevel::None).then(|| self.indexes.schema(&self.graph))
     }
 
     /// Builds a [`DataGuide`](crate::DataGuide) over the node members of
@@ -428,9 +440,7 @@ impl Database {
             member: member.clone(),
         })?;
         self.invalidate();
-        if let Some(s) = &mut self.indexes.schema {
-            s.note_member(collection, 1);
-        }
+        self.indexes.note_member(collection, 1);
         Ok(self.graph.collect(cid, member))
     }
 
@@ -447,9 +457,7 @@ impl Database {
             member: member.clone(),
         })?;
         self.invalidate();
-        if let Some(s) = &mut self.indexes.schema {
-            s.note_member(collection, -1);
-        }
+        self.indexes.note_member(collection, -1);
         Ok(self.graph.uncollect(cid, member))
     }
 
@@ -500,9 +508,7 @@ impl Database {
                 DeltaOp::Collect { collection, member } => {
                     let cid = self.graph.intern_collection(collection);
                     if self.graph.collect(cid, member.clone()) {
-                        if let Some(s) = &mut self.indexes.schema {
-                            s.note_member(collection, 1);
-                        }
+                        self.indexes.note_member(collection, 1);
                     }
                 }
                 DeltaOp::Uncollect { collection, member } => {
@@ -512,9 +518,7 @@ impl Database {
                         })
                     })?;
                     if self.graph.uncollect(cid, member) {
-                        if let Some(s) = &mut self.indexes.schema {
-                            s.note_member(collection, -1);
-                        }
+                        self.indexes.note_member(collection, -1);
                     }
                 }
             }
@@ -523,10 +527,11 @@ impl Database {
         Ok(created)
     }
 
-    /// Rebuilds all indexes from scratch (used after bulk graph surgery
-    /// and by tests to cross-check incremental maintenance).
+    /// Drops every index, so the next probe of each family rebuilds it
+    /// from the graph (used after bulk graph surgery and by tests to
+    /// cross-check incremental maintenance).
     pub fn rebuild_indexes(&mut self) {
-        self.indexes = build_indexes(&self.graph, self.level);
+        self.indexes = IndexSet::default();
         self.invalidate();
     }
 
@@ -534,29 +539,13 @@ impl Database {
 
     fn apply_add_edge(&mut self, from: Oid, label: &str, to: Value) {
         let l = self.graph.intern_label(label);
-        if let Some(s) = &mut self.indexes.schema {
-            s.note_edge(l, &to);
-        }
-        if let Some(x) = &mut self.indexes.extension {
-            x.note_edge(from, l, &to);
-        }
-        if let Some(v) = &mut self.indexes.value {
-            v.note_edge(from, l, &to);
-        }
+        self.indexes.note_edge(from, l, &to);
         self.graph.add_edge(from, l, to);
         self.invalidate();
     }
 
     fn apply_remove_edge(&mut self, from: Oid, l: Label, to: &Value) {
-        if let Some(s) = &mut self.indexes.schema {
-            s.forget_edge(l, to);
-        }
-        if let Some(x) = &mut self.indexes.extension {
-            x.forget_edge(from, l, to);
-        }
-        if let Some(v) = &mut self.indexes.value {
-            v.forget_edge(from, l, to);
-        }
+        self.indexes.forget_edge(from, l, to);
         self.graph.remove_edge(from, l, to);
         self.invalidate();
     }
@@ -717,22 +706,6 @@ fn validate_delta(graph: &Graph, delta: &GraphDelta) -> Result<(), DeltaError> {
         }
     }
     Ok(())
-}
-
-fn build_indexes(graph: &Graph, level: IndexLevel) -> IndexSet {
-    match level {
-        IndexLevel::None => IndexSet::default(),
-        IndexLevel::ExtensionOnly => IndexSet {
-            schema: Some(SchemaIndex::build(graph)),
-            extension: Some(ExtensionIndex::build(graph)),
-            value: None,
-        },
-        IndexLevel::Full => IndexSet {
-            schema: Some(SchemaIndex::build(graph)),
-            extension: Some(ExtensionIndex::build(graph)),
-            value: Some(ValueIndex::build(graph)),
-        },
-    }
 }
 
 #[cfg(test)]

@@ -15,10 +15,15 @@
 //!   not built per collection or attribute": atomic value → every
 //!   `(node, label)` location where it appears.
 //!
-//! All indexes are maintained incrementally by [`Database`](crate::Database)
-//! and can be rebuilt from the graph with `build`.
+//! "Fully index everything" (§2.1) does not say "before the first query":
+//! a [`Database`](crate::Database) builds each family from the graph when
+//! it is first probed ([`IndexSet`]) and maintains it incrementally from
+//! then on; a family nobody probes is never built. Within the extension
+//! family the inverted map is a second step, derived from the forward
+//! extensions by the first `sources` probe.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 use strudel_graph::{Graph, Label, Oid, Value};
 
 /// Per-attribute schema facts.
@@ -103,14 +108,19 @@ impl SchemaIndex {
     }
 }
 
+/// `(label, to)` → sources, the inverted half of [`ExtensionIndex`].
+type Inverted = HashMap<(Label, Value), Vec<Oid>>;
+
 /// Extension indexes: per-attribute `(source, target)` pairs and the
 /// inverted target → sources map.
 #[derive(Clone, Debug, Default)]
 pub struct ExtensionIndex {
     /// label → all (from, to) pairs, in insertion order.
     forward: HashMap<Label, Vec<(Oid, Value)>>,
-    /// (label, to) → sources.
-    inverted: HashMap<(Label, Value), Vec<Oid>>,
+    /// Derived from `forward` by the first [`ExtensionIndex::sources`]
+    /// probe (it hashes every target value; `forward` hashes none) and
+    /// maintained by mutations only once it exists.
+    inverted: OnceLock<Inverted>,
 }
 
 impl ExtensionIndex {
@@ -130,10 +140,9 @@ impl ExtensionIndex {
             .entry(label)
             .or_default()
             .push((from, to.clone()));
-        self.inverted
-            .entry((label, to.clone()))
-            .or_default()
-            .push(from);
+        if let Some(inverted) = self.inverted.get_mut() {
+            inverted.entry((label, to.clone())).or_default().push(from);
+        }
     }
 
     pub(crate) fn forget_edge(&mut self, from: Oid, label: Label, to: &Value) {
@@ -142,7 +151,10 @@ impl ExtensionIndex {
                 pairs.swap_remove(pos);
             }
         }
-        if let Some(sources) = self.inverted.get_mut(&(label, to.clone())) {
+        let Some(inverted) = self.inverted.get_mut() else {
+            return;
+        };
+        if let Some(sources) = inverted.get_mut(&(label, to.clone())) {
             if let Some(pos) = sources.iter().position(|f| *f == from) {
                 sources.swap_remove(pos);
             }
@@ -156,9 +168,22 @@ impl ExtensionIndex {
 
     /// The sources `x` of edges `x --label--> to`.
     pub fn sources(&self, label: Label, to: &Value) -> &[Oid] {
-        self.inverted
+        self.inverted()
             .get(&(label, to.clone()))
             .map_or(&[], Vec::as_slice)
+    }
+
+    fn inverted(&self) -> &Inverted {
+        self.inverted.get_or_init(|| {
+            let _span = strudel_trace::span("repo.index.build.inverted");
+            let mut inverted = Inverted::new();
+            for (&label, pairs) in &self.forward {
+                for (from, to) in pairs {
+                    inverted.entry((label, to.clone())).or_default().push(*from);
+                }
+            }
+            inverted
+        })
     }
 }
 
@@ -209,15 +234,71 @@ impl ValueIndex {
     }
 }
 
-/// The bundle of indexes a [`Database`](crate::Database) maintains.
-#[derive(Clone, Debug, Default)]
-pub struct IndexSet {
-    /// Schema index (present at every level above `None`).
-    pub schema: Option<SchemaIndex>,
-    /// Extension indexes.
-    pub extension: Option<ExtensionIndex>,
-    /// Global value index (only at `Full`).
-    pub value: Option<ValueIndex>,
+/// The index families of one [`Database`](crate::Database), each built
+/// from the graph by its first probe. Which families *may* exist is the
+/// database's [`IndexLevel`](crate::IndexLevel) alone; this only records
+/// which of them have been asked for so far.
+#[derive(Debug, Default)]
+pub(crate) struct IndexSet {
+    schema: OnceLock<SchemaIndex>,
+    extension: OnceLock<ExtensionIndex>,
+    value: OnceLock<ValueIndex>,
+}
+
+impl IndexSet {
+    pub(crate) fn schema(&self, graph: &Graph) -> &SchemaIndex {
+        self.schema.get_or_init(|| {
+            let _span = strudel_trace::span("repo.index.build.schema");
+            SchemaIndex::build(graph)
+        })
+    }
+
+    pub(crate) fn extension(&self, graph: &Graph) -> &ExtensionIndex {
+        self.extension.get_or_init(|| {
+            let _span = strudel_trace::span("repo.index.build.extension");
+            ExtensionIndex::build(graph)
+        })
+    }
+
+    pub(crate) fn value(&self, graph: &Graph) -> &ValueIndex {
+        self.value.get_or_init(|| {
+            let _span = strudel_trace::span("repo.index.build.value");
+            ValueIndex::build(graph)
+        })
+    }
+
+    /// Tells every family that has been built about a new edge.
+    pub(crate) fn note_edge(&mut self, from: Oid, label: Label, to: &Value) {
+        if let Some(s) = self.schema.get_mut() {
+            s.note_edge(label, to);
+        }
+        if let Some(x) = self.extension.get_mut() {
+            x.note_edge(from, label, to);
+        }
+        if let Some(v) = self.value.get_mut() {
+            v.note_edge(from, label, to);
+        }
+    }
+
+    /// Tells every family that has been built about a removed edge.
+    pub(crate) fn forget_edge(&mut self, from: Oid, label: Label, to: &Value) {
+        if let Some(s) = self.schema.get_mut() {
+            s.forget_edge(label, to);
+        }
+        if let Some(x) = self.extension.get_mut() {
+            x.forget_edge(from, label, to);
+        }
+        if let Some(v) = self.value.get_mut() {
+            v.forget_edge(from, label, to);
+        }
+    }
+
+    /// Tells the schema index, if built, about a membership change.
+    pub(crate) fn note_member(&mut self, collection: &str, delta: isize) {
+        if let Some(s) = self.schema.get_mut() {
+            s.note_member(collection, delta);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -290,6 +371,31 @@ mod tests {
         let b = g.node_by_name("b").unwrap();
         assert_eq!(v.locations(&Value::Node(b)).len(), 0);
         assert_eq!(v.distinct_values(), 3); // 1998, 1997, "x"
+    }
+
+    #[test]
+    fn a_family_exists_only_once_it_has_been_probed() {
+        let g = sample();
+        let a = g.node_by_name("a").unwrap();
+        let year = g.label("year").unwrap();
+        let mut set = IndexSet::default();
+        // A mutation tells built families only: it builds none.
+        set.note_edge(a, year, &Value::Int(1999));
+        set.forget_edge(a, year, &Value::Int(1999));
+        set.note_member("Pubs", 1);
+        assert!(set.schema.get().is_none());
+        assert!(set.extension.get().is_none());
+        assert!(set.value.get().is_none());
+
+        assert_eq!(set.extension(&g).extension(year).len(), 3);
+        let x = set.extension.get().expect("built by the probe");
+        assert!(x.inverted.get().is_none(), "no `sources` probe yet");
+        assert_eq!(x.sources(year, &Value::Int(1998)).len(), 2);
+        assert!(x.inverted.get().is_some());
+        assert!(set.schema.get().is_none() && set.value.get().is_none());
+
+        assert_eq!(set.value(&g).locations(&Value::Int(1998)).len(), 2);
+        assert_eq!(set.schema(&g).edge_count(year), 3);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod wal;
 pub use database::{Database, IndexLevel};
 pub use dataguide::{AttributeFact, DataGuide, GuideNode};
 pub use error::RepoError;
-pub use index::{ExtensionIndex, IndexSet, SchemaIndex, ValueIndex};
+pub use index::{ExtensionIndex, SchemaIndex, ValueIndex};
 pub use pager::{
     committed_wal_deltas, committed_wal_deltas_with, replay_committed, replay_committed_with,
     PagedRepo, PagedSnapshot, PagerConfig, PagerStats, ReplayedStore,

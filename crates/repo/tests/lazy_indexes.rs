@@ -1,0 +1,256 @@
+//! Lazy index construction is invisible: an index family built by its
+//! first probe — whenever that probe comes, before, between or after
+//! mutations — answers exactly as one built from the graph right now, and
+//! stays that way under every later mutation.
+//!
+//! A seeded loop interleaves edge and membership mutations with the
+//! probes in random order. The loop itself decides when a family is first
+//! asked for; from then on the family is checked after *every* step
+//! against a fresh `build` over the current graph (as multisets per key:
+//! `forget_edge` swap-removes, so maintained and rebuilt order legally
+//! differ after a removal).
+
+use std::sync::{Arc, Barrier};
+use strudel_graph::{Graph, Label, Oid, Value};
+use strudel_prng::{Rng, SeedableRng, SmallRng};
+use strudel_repo::{Database, ExtensionIndex, IndexLevel, SchemaIndex, ValueIndex};
+
+const LABELS: [&str; 4] = ["p", "q", "r", "s"];
+const COLLECTIONS: [&str; 2] = ["C", "D"];
+const NODES: usize = 8;
+
+fn value(rng: &mut SmallRng) -> Value {
+    match rng.gen_range(0..4u32) {
+        0 => Value::Int(rng.gen_range(0..4i64)),
+        1 => Value::string(["x", "y", "z"][rng.gen_range(0..3usize)]),
+        2 => Value::url(["x", "u"][rng.gen_range(0..2usize)]),
+        _ => Value::Node(Oid::from_index(rng.gen_range(0..NODES))),
+    }
+}
+
+fn sorted<T: Ord + Clone>(items: &[T]) -> Vec<T> {
+    let mut v = items.to_vec();
+    v.sort();
+    v
+}
+
+/// Every `(label, target)` the probes could be asked about: the ones in
+/// the graph, and some that are not.
+fn keys(g: &Graph, rng: &mut SmallRng) -> Vec<(Label, Value)> {
+    let mut keys: Vec<(Label, Value)> = g
+        .node_oids()
+        .flat_map(|o| g.edges(o).iter().map(|e| (e.label, e.to.clone())))
+        .collect();
+    for (l, _) in g.labels().iter() {
+        keys.push((l, value(rng)));
+    }
+    keys
+}
+
+/// Which families the loop has probed so far.
+#[derive(Default)]
+struct Built {
+    schema: bool,
+    extension: bool,
+    inverted: bool,
+    value: bool,
+}
+
+fn check(db: &Database, built: &Built, rng: &mut SmallRng, at: &str) {
+    let g = db.graph();
+    let keys = keys(g, rng);
+    if built.extension {
+        let fresh = ExtensionIndex::build(g);
+        for (l, _) in g.labels().iter() {
+            assert_eq!(
+                sorted(db.extension(l).unwrap()),
+                sorted(fresh.extension(l)),
+                "{at}: extension of {}",
+                g.label_name(l)
+            );
+        }
+    }
+    if built.inverted {
+        let fresh = ExtensionIndex::build(g);
+        for (l, v) in &keys {
+            assert_eq!(
+                sorted(db.sources(*l, v).unwrap()),
+                sorted(fresh.sources(*l, v)),
+                "{at}: sources of {} -> {v}",
+                g.label_name(*l)
+            );
+        }
+    }
+    if built.value {
+        let fresh = ValueIndex::build(g);
+        for (_, v) in &keys {
+            assert_eq!(
+                sorted(db.value_locations(v).unwrap()),
+                sorted(fresh.locations(v)),
+                "{at}: locations of {v}"
+            );
+        }
+    }
+    if built.schema {
+        let fresh = SchemaIndex::build(g);
+        let live = db.schema_index().unwrap();
+        for (l, _) in g.labels().iter() {
+            assert_eq!(live.edge_count(l), fresh.edge_count(l), "{at}: edge count");
+            let types = |s: &SchemaIndex| {
+                let mut t: Vec<(&str, usize)> = s
+                    .attribute(l)
+                    .map(|a| a.value_types.iter().map(|(k, n)| (*k, *n)).collect())
+                    .unwrap_or_default();
+                t.sort_unstable();
+                t
+            };
+            assert_eq!(types(live), types(&fresh), "{at}: value types");
+        }
+        for name in COLLECTIONS {
+            assert_eq!(
+                live.collection_size(name),
+                fresh.collection_size(name),
+                "{at}: size of {name}"
+            );
+        }
+    }
+}
+
+#[test]
+fn families_built_at_any_point_equal_a_fresh_build_ever_after() {
+    for seed in [1u64, 7, 42, 1998, 0xD1CE, 0xFACADE] {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut db = Database::new(IndexLevel::Full);
+        for _ in 0..NODES {
+            db.add_node().unwrap();
+        }
+        let mut built = Built::default();
+        for step in 0..300 {
+            let node = Oid::from_index(rng.gen_range(0..NODES));
+            let label = LABELS[rng.gen_range(0..LABELS.len())];
+            let coll = COLLECTIONS[rng.gen_range(0..COLLECTIONS.len())];
+            let v = value(&mut rng);
+            let what = match rng.gen_range(0..16u32) {
+                0..=4 => {
+                    db.add_edge(node, label, v).unwrap();
+                    "add"
+                }
+                5..=7 => {
+                    // Remove an edge that exists, when the node has one.
+                    let edges = db.graph().edges(node);
+                    if !edges.is_empty() {
+                        let e = edges[rng.gen_range(0..edges.len())].clone();
+                        let name = db.graph().label_name(e.label).to_owned();
+                        assert!(db.remove_edge(node, &name, &e.to).unwrap());
+                    }
+                    "remove"
+                }
+                8 | 9 => {
+                    db.collect(coll, v).unwrap();
+                    "collect"
+                }
+                10 => {
+                    db.uncollect(coll, &v).unwrap();
+                    "uncollect"
+                }
+                11 => {
+                    built.extension = true;
+                    "probe extension"
+                }
+                12 => {
+                    built.inverted = true;
+                    "probe sources"
+                }
+                13 => {
+                    built.value = true;
+                    "probe value_locations"
+                }
+                14 => {
+                    built.schema = true;
+                    "probe schema"
+                }
+                _ => {
+                    // Everything is dropped and comes back on demand.
+                    db.rebuild_indexes();
+                    "rebuild"
+                }
+            };
+            check(
+                &db,
+                &built,
+                &mut rng,
+                &format!("seed {seed} step {step} ({what})"),
+            );
+        }
+        assert!(built.extension && built.inverted && built.value && built.schema);
+    }
+}
+
+#[test]
+fn the_level_alone_decides_whether_a_probe_answers() {
+    let mut g = Graph::new();
+    let a = g.add_node();
+    g.add_edge_str(a, "p", Value::Int(1));
+    let p = g.label("p").unwrap();
+    for (level, extension, value) in [
+        (IndexLevel::None, false, false),
+        (IndexLevel::ExtensionOnly, true, false),
+        (IndexLevel::Full, true, true),
+    ] {
+        let db = Database::from_graph(g.clone(), level);
+        // Asked twice: the first probe builds, the second must agree.
+        for _ in 0..2 {
+            assert_eq!(db.extension(p).is_some(), extension, "{level:?}");
+            assert_eq!(
+                db.sources(p, &Value::Int(1)).is_some(),
+                extension,
+                "{level:?}"
+            );
+            assert_eq!(
+                db.value_locations(&Value::Int(1)).is_some(),
+                value,
+                "{level:?}"
+            );
+            assert_eq!(db.schema_index().is_some(), extension, "{level:?}");
+        }
+    }
+}
+
+#[test]
+fn two_threads_probing_one_database_share_one_build_of_each_family() {
+    let mut g = Graph::new();
+    let nodes: Vec<Oid> = (0..64).map(|_| g.add_node()).collect();
+    for (i, &n) in nodes.iter().enumerate() {
+        g.add_edge_str(n, "p", Value::Int(i as i64 % 4));
+        g.add_edge_str(n, "q", Value::Node(nodes[(i + 1) % nodes.len()]));
+    }
+    let p = g.label("p").unwrap();
+    let db = Arc::new(Database::from_graph(g, IndexLevel::Full));
+    let gate = Arc::new(Barrier::new(2));
+    // Both threads leave the barrier together and race to the first
+    // probe of each family; each reports where its answers live.
+    let probe = |db: Arc<Database>, gate: Arc<Barrier>| {
+        move || {
+            gate.wait();
+            let ext = db.extension(p).unwrap();
+            let src = db.sources(p, &Value::Int(1)).unwrap();
+            let loc = db.value_locations(&Value::Int(1)).unwrap();
+            let schema: *const SchemaIndex = db.schema_index().unwrap();
+            assert_eq!((ext.len(), src.len(), loc.len()), (64, 16, 16));
+            [
+                ext.as_ptr() as usize,
+                src.as_ptr() as usize,
+                loc.as_ptr() as usize,
+                schema as usize,
+            ]
+        }
+    };
+    let one = std::thread::spawn(probe(db.clone(), gate.clone()));
+    let two = std::thread::spawn(probe(db.clone(), gate));
+    let one = one.join().expect("first prober");
+    let two = two.join().expect("second prober");
+    assert_eq!(
+        one, two,
+        "each family was built once and both threads read that build"
+    );
+}

@@ -32,6 +32,7 @@ use crate::plan::Plan;
 use crate::rpe::{Nfa, StepPred};
 use std::collections::{HashMap, HashSet};
 use strudel_graph::{coerce, CollectionId, Graph, InEdge, Label, Oid, Value};
+use strudel_repo::IndexLevel;
 
 /// Appends variables this condition can bind (positive binders only) that
 /// are not yet in scope.
@@ -734,7 +735,8 @@ fn apply_label_step(
     // The reverse-adjacency path only replaces the *graph scan* fallback:
     // when an extension or inverted index exists, those keep precedence
     // (and their output order).
-    let use_rev = batched && ev.db().extension(label).is_none();
+    // Asked of the level, not of the index: probing would build it.
+    let use_rev = batched && ev.db().level() == IndexLevel::None;
     let tracing = strudel_trace::enabled();
     let mut fwd_probes: u64 = 0;
     let mut rev_probes: u64 = 0;

@@ -26,8 +26,8 @@ use crate::ast::{Block, LabelTerm, Program, Term};
 use crate::error::{StruqlError, StruqlResult};
 use crate::par::Parallelism;
 use crate::plan;
-use std::collections::HashSet;
-use strudel_graph::{Graph, Oid, SkolemTable, Value};
+use std::collections::{HashMap, HashSet};
+use strudel_graph::{CollectionId, Graph, Label, Oid, SkolemSymbol, SkolemTable, Value};
 use strudel_repo::Database;
 
 /// Evaluation options.
@@ -98,8 +98,81 @@ struct Ctx {
     out: Graph,
     skolem: SkolemTable,
     new_nodes: Vec<Oid>,
-    created: HashSet<Oid>,
+    /// `new_nodes` as a membership test, indexed by oid: only created
+    /// nodes may be link sources, and every link asks.
+    created: Vec<bool>,
     rows_evaluated: usize,
+    /// Evaluated Skolem arguments, innermost application on top.
+    args: Vec<Value>,
+    /// The out-edges of every created node that has reached
+    /// [`HUB_DEGREE`], as a set: `link`'s duplicate test for a hub page is
+    /// one hash instead of a scan of the page's links. A node's set is
+    /// filled from the graph when the node first qualifies and is told of
+    /// every edge added after that, so it always answers as
+    /// [`Graph::has_edge`] would. It belongs to this context, which owns
+    /// `out` for as long as it lives: a resumed construction starts with
+    /// none and refills from the graph it was handed.
+    hubs: HashMap<Oid, HashSet<(Label, Value)>>,
+}
+
+/// Out-degree from which a link source's edges are kept as a set. Below
+/// it the scan touches a cache line or two and hashes nothing.
+const HUB_DEGREE: usize = 32;
+
+impl Ctx {
+    /// A context over `graph` with nothing constructed yet.
+    fn new(graph: Graph) -> Self {
+        Ctx::resume(EvalResult {
+            graph,
+            new_nodes: Vec::new(),
+            skolem: SkolemTable::new(),
+            rows_evaluated: 0,
+        })
+    }
+
+    /// A context that continues where `result` stopped.
+    fn resume(result: EvalResult) -> Self {
+        let mut created = vec![false; result.graph.node_count()];
+        for oid in &result.new_nodes {
+            created[oid.index()] = true;
+        }
+        Ctx {
+            out: result.graph,
+            skolem: result.skolem,
+            created,
+            new_nodes: result.new_nodes,
+            rows_evaluated: result.rows_evaluated,
+            args: Vec::new(),
+            hubs: HashMap::new(),
+        }
+    }
+
+    fn finish(self) -> EvalResult {
+        EvalResult {
+            graph: self.out,
+            new_nodes: self.new_nodes,
+            skolem: self.skolem,
+            rows_evaluated: self.rows_evaluated,
+        }
+    }
+
+    /// Adds the edge unless it is already there: the bindings relation is
+    /// a set of assignments, so identical links from different
+    /// derivations collapse.
+    fn link(&mut self, src: Oid, label: Label, dst: Value) {
+        let edges = self.out.edges(src);
+        let absent = if edges.len() < HUB_DEGREE {
+            !self.out.has_edge(src, label, &dst)
+        } else {
+            self.hubs
+                .entry(src)
+                .or_insert_with(|| edges.iter().map(|e| (e.label, e.to.clone())).collect())
+                .insert((label, dst.clone()))
+        };
+        if absent {
+            self.out.add_edge(src, label, dst);
+        }
+    }
 }
 
 impl<'db> Evaluator<'db> {
@@ -120,24 +193,13 @@ impl<'db> Evaluator<'db> {
     /// Skolem table and one output graph.
     pub fn eval(&self, program: &Program) -> StruqlResult<EvalResult> {
         crate::analyze::check(program)?;
-        let mut ctx = Ctx {
-            out: self.db.graph().clone(),
-            skolem: SkolemTable::new(),
-            new_nodes: Vec::new(),
-            created: HashSet::new(),
-            rows_evaluated: 0,
-        };
+        let mut ctx = Ctx::new(self.db.graph().clone());
         for block in &program.blocks {
             let mut vars: Vec<String> = Vec::new();
             let seed: Vec<Row> = vec![Vec::new()];
             self.eval_block(block, &mut vars, &seed, &mut ctx)?;
         }
-        Ok(EvalResult {
-            graph: ctx.out,
-            new_nodes: ctx.new_nodes,
-            skolem: ctx.skolem,
-            rows_evaluated: ctx.rows_evaluated,
-        })
+        Ok(ctx.finish())
     }
 
     /// Evaluates one block: extend the variable table with this block's new
@@ -192,8 +254,9 @@ impl<'db> Evaluator<'db> {
         }
 
         if !rows.is_empty() {
+            let mut construction = Construction::compile(block, vars, &mut ctx.skolem);
             for row in &rows {
-                construct_into(block, row, vars, ctx)?;
+                construct_into(&mut construction, row, ctx)?;
             }
             for nested in &block.nested {
                 self.eval_block(nested, vars, &rows, ctx)?;
@@ -218,64 +281,173 @@ impl<'db> Evaluator<'db> {
     }
 }
 
-/// Applies the construction stage of `block` for one row.
-fn construct_into(block: &Block, row: &Row, vars: &[String], ctx: &mut Ctx) -> StruqlResult<()> {
-    for t in &block.create {
-        eval_term_into(t, row, vars, ctx)?;
+/// A block's `create`/`link`/`collect` resolved once against a variable
+/// layout, so that a row costs slot reads instead of name lookups:
+/// variables are slots, Skolem symbols are interned in the Skolem table,
+/// constant labels and collections are ids. The ids are filled in by the
+/// first row that reaches them, not at compile time — interning order is
+/// creation order in the output graph, and that must not depend on how
+/// the construction stage is executed.
+struct Construction<'b> {
+    create: Vec<CTerm<'b>>,
+    link: Vec<CLink<'b>>,
+    collect: Vec<CCollect<'b>>,
+}
+
+/// A variable's slot, or `None` when the layout has no such variable
+/// (reported by the first row that uses it, as an unresolved name was).
+struct Slot<'b> {
+    name: &'b str,
+    slot: Option<usize>,
+}
+
+enum CTerm<'b> {
+    Var(Slot<'b>),
+    Const(&'b Value),
+    Skolem {
+        symbol: SkolemSymbol,
+        args: Vec<CTerm<'b>>,
+    },
+}
+
+enum CLabel<'b> {
+    Const { name: &'b str, label: Option<Label> },
+    Var(Slot<'b>),
+}
+
+struct CLink<'b> {
+    src: CTerm<'b>,
+    label: CLabel<'b>,
+    dst: CTerm<'b>,
+}
+
+struct CCollect<'b> {
+    collection: &'b str,
+    cid: Option<CollectionId>,
+    arg: CTerm<'b>,
+}
+
+impl<'b> Construction<'b> {
+    fn compile(block: &'b Block, vars: &[String], skolem: &mut SkolemTable) -> Self {
+        let slot = |name: &'b str| Slot {
+            name,
+            slot: var_slot(name, vars),
+        };
+        fn term<'b>(
+            t: &'b Term,
+            slot: &impl Fn(&'b str) -> Slot<'b>,
+            skolem: &mut SkolemTable,
+        ) -> CTerm<'b> {
+            match t {
+                Term::Var(v) => CTerm::Var(slot(v)),
+                Term::Const(v) => CTerm::Const(v),
+                Term::Skolem { symbol, args } => CTerm::Skolem {
+                    symbol: skolem.symbol(symbol),
+                    args: args.iter().map(|a| term(a, slot, skolem)).collect(),
+                },
+            }
+        }
+        Construction {
+            create: block
+                .create
+                .iter()
+                .map(|t| term(t, &slot, skolem))
+                .collect(),
+            link: block
+                .link
+                .iter()
+                .map(|l| CLink {
+                    src: term(&l.src, &slot, skolem),
+                    label: match &l.label {
+                        LabelTerm::Const(name) => CLabel::Const { name, label: None },
+                        LabelTerm::Var(v) => CLabel::Var(slot(v)),
+                    },
+                    dst: term(&l.dst, &slot, skolem),
+                })
+                .collect(),
+            collect: block
+                .collect
+                .iter()
+                .map(|c| CCollect {
+                    collection: &c.collection,
+                    cid: None,
+                    arg: term(&c.arg, &slot, skolem),
+                })
+                .collect(),
+        }
     }
-    for l in &block.link {
-        let src = eval_term_into(&l.src, row, vars, ctx)?;
+}
+
+/// Applies a compiled construction stage for one row.
+fn construct_into(block: &mut Construction<'_>, row: &Row, ctx: &mut Ctx) -> StruqlResult<()> {
+    // A row that failed part-way may have left arguments behind.
+    ctx.args.clear();
+    for t in &block.create {
+        eval_term_into(t, row, ctx)?;
+    }
+    for l in &mut block.link {
+        let src = eval_term_into(&l.src, row, ctx)?;
         let Some(src_oid) = src.as_node() else {
             return Err(StruqlError::eval("link source is not a node"));
         };
-        if !ctx.created.contains(&src_oid) {
+        if !ctx.created.get(src_oid.index()).is_some_and(|&c| c) {
             return Err(StruqlError::eval(format!(
                 "link source {src_oid} is an existing node; existing nodes are immutable"
             )));
         }
-        let label: String = match &l.label {
-            LabelTerm::Const(s) => s.clone(),
-            LabelTerm::Var(v) => {
-                let val = lookup_var(v, row, vars)?;
-                match val {
-                    Value::Str(s) => s.to_string(),
-                    other => {
-                        return Err(StruqlError::eval(format!(
-                            "arc variable '{v}' is bound to {other}, not a label"
-                        )))
-                    }
+        // A variable label is checked before the target is evaluated and
+        // interned after it.
+        let label_name = match &l.label {
+            CLabel::Const { .. } => None,
+            CLabel::Var(v) => match read_slot(v, row)? {
+                Value::Str(s) => Some(s),
+                other => {
+                    return Err(StruqlError::eval(format!(
+                        "arc variable '{}' is bound to {other}, not a label",
+                        v.name
+                    )))
                 }
-            }
+            },
         };
-        let dst = eval_term_into(&l.dst, row, vars, ctx)?;
-        // Set semantics: the bindings relation is a set of assignments,
-        // so identical links from different derivations collapse.
-        let lab = ctx.out.intern_label(&label);
-        if !ctx.out.has_edge(src_oid, lab, &dst) {
-            ctx.out.add_edge(src_oid, lab, dst);
-        }
+        let dst = eval_term_into(&l.dst, row, ctx)?;
+        let label = match (&mut l.label, label_name) {
+            (CLabel::Const { name, label }, _) => {
+                *label.get_or_insert_with(|| ctx.out.intern_label(name))
+            }
+            (CLabel::Var(_), name) => ctx.out.intern_label(name.expect("read above")),
+        };
+        ctx.link(src_oid, label, dst);
     }
-    for c in &block.collect {
-        let member = eval_term_into(&c.arg, row, vars, ctx)?;
-        ctx.out.collect_str(&c.collection, member);
+    for c in &mut block.collect {
+        let member = eval_term_into(&c.arg, row, ctx)?;
+        let cid = *c
+            .cid
+            .get_or_insert_with(|| ctx.out.intern_collection(c.collection));
+        ctx.out.collect(cid, member);
     }
     Ok(())
 }
 
-/// Evaluates a construction term to a value.
-fn eval_term_into(term: &Term, row: &Row, vars: &[String], ctx: &mut Ctx) -> StruqlResult<Value> {
+/// Evaluates a compiled construction term to a value.
+fn eval_term_into(term: &CTerm<'_>, row: &Row, ctx: &mut Ctx) -> StruqlResult<Value> {
     match term {
-        Term::Var(v) => lookup_var(v, row, vars).cloned(),
-        Term::Const(v) => Ok(v.clone()),
-        Term::Skolem { symbol, args } => {
-            let mut arg_vals = Vec::with_capacity(args.len());
+        CTerm::Var(v) => read_slot(v, row).cloned(),
+        CTerm::Const(v) => Ok((*v).clone()),
+        CTerm::Skolem { symbol, args } => {
+            let base = ctx.args.len();
             for a in args {
-                arg_vals.push(eval_term_into(a, row, vars, ctx)?);
+                let v = eval_term_into(a, row, ctx)?;
+                ctx.args.push(v);
             }
-            let (oid, new) = ctx.skolem.apply(&mut ctx.out, symbol, &arg_vals);
+            let (oid, new) = ctx
+                .skolem
+                .apply_symbol(&mut ctx.out, *symbol, &ctx.args[base..]);
+            ctx.args.truncate(base);
             if new {
                 ctx.new_nodes.push(oid);
-                ctx.created.insert(oid);
+                // Minted nodes are appended to the graph.
+                ctx.created.resize(oid.index(), false);
+                ctx.created.push(true);
             }
             Ok(Value::Node(oid))
         }
@@ -505,27 +677,14 @@ impl Constructor {
     /// graph).
     pub fn new(graph: Graph) -> Self {
         Constructor {
-            ctx: Ctx {
-                out: graph,
-                skolem: SkolemTable::new(),
-                new_nodes: Vec::new(),
-                created: HashSet::new(),
-                rows_evaluated: 0,
-            },
+            ctx: Ctx::new(graph),
         }
     }
 
     /// Resumes construction from a previous evaluation's output.
     pub fn resume(result: EvalResult) -> Self {
-        let created: HashSet<Oid> = result.new_nodes.iter().copied().collect();
         Constructor {
-            ctx: Ctx {
-                out: result.graph,
-                skolem: result.skolem,
-                new_nodes: result.new_nodes,
-                created,
-                rows_evaluated: result.rows_evaluated,
-            },
+            ctx: Ctx::resume(result),
         }
     }
 
@@ -537,21 +696,14 @@ impl Constructor {
         vars: &[String],
         rows: &[Row],
     ) -> StruqlResult<()> {
+        if rows.is_empty() {
+            return Ok(());
+        }
+        let mut construction = Construction::compile(block, vars, &mut self.ctx.skolem);
         for row in rows {
-            construct_into(block, row, vars, &mut self.ctx)?;
+            construct_into(&mut construction, row, &mut self.ctx)?;
         }
         Ok(())
-    }
-
-    /// Evaluates a construction term against a row, minting Skolem nodes
-    /// as needed.
-    pub fn eval_term(
-        &mut self,
-        term: &Term,
-        vars: &[String],
-        row: &Row,
-    ) -> StruqlResult<Value> {
-        eval_term_into(term, row, vars, &mut self.ctx)
     }
 
     /// Read access to the graph under construction.
@@ -566,19 +718,14 @@ impl Constructor {
 
     /// Finishes construction, returning an [`EvalResult`].
     pub fn finish(self) -> EvalResult {
-        EvalResult {
-            graph: self.ctx.out,
-            new_nodes: self.ctx.new_nodes,
-            skolem: self.ctx.skolem,
-            rows_evaluated: self.ctx.rows_evaluated,
-        }
+        self.ctx.finish()
     }
 }
 
-fn lookup_var<'r>(name: &str, row: &'r Row, vars: &[String]) -> StruqlResult<&'r Value> {
-    let slot = vars
-        .iter()
-        .position(|v| v == name)
+fn read_slot<'r>(var: &Slot<'_>, row: &'r Row) -> StruqlResult<&'r Value> {
+    let name = var.name;
+    let slot = var
+        .slot
         .ok_or_else(|| StruqlError::eval(format!("variable '{name}' has no slot")))?;
     row.get(slot)
         .and_then(Option::as_ref)

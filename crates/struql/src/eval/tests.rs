@@ -695,3 +695,104 @@ fn parallel_errors_are_deterministic() {
         "error should name the offending variable: {seq_err}"
     );
 }
+
+/// A hub page well past `HUB_DEGREE`, every link derived three times
+/// over: the set-membership test must keep exactly the edges — in
+/// exactly the order — that a `Graph::has_edge` scan per link keeps.
+#[test]
+fn hub_links_collapse_exactly_as_a_has_edge_scan_would() {
+    let mut g = Graph::new();
+    let items: Vec<_> = (0..200)
+        .map(|i| g.add_named_node(&format!("i{i}")))
+        .collect();
+    for (i, &item) in items.iter().enumerate() {
+        g.collect_str("Items", item);
+        for tag in ["a", "b", "c"] {
+            g.add_edge_str(item, "tag", Value::string(tag));
+        }
+        g.add_edge_str(item, "bucket", Value::Int(i as i64 % 7));
+    }
+    let db = Database::from_graph(g, IndexLevel::Full);
+    let program = parse(
+        r#"where Items(x), x -> "tag" -> t, x -> "bucket" -> b
+           create Hub()
+           link Hub() -> "item" -> x, Hub() -> "bucket" -> b, Hub() -> t -> b"#,
+    )
+    .unwrap();
+    let result = Evaluator::new(&db).eval(&program).unwrap();
+    let hub = result.skolem_node("Hub", &[]).unwrap();
+
+    // The reference: replay the rows through a scan-per-link.
+    let (vars, rows) = Evaluator::new(&db)
+        .eval_where_bindings(&program.blocks[0].where_, &[])
+        .unwrap();
+    let slot = |n: &str| vars.iter().position(|v| v == n).unwrap();
+    let mut reference = db.graph().clone();
+    let ref_hub = reference.add_node();
+    for row in &rows {
+        let (x, t, b) = (
+            row[slot("x")].clone().unwrap(),
+            row[slot("t")].clone().unwrap(),
+            row[slot("b")].clone().unwrap(),
+        );
+        for (label, to) in [("item", x), ("bucket", b.clone()), (t.as_str().unwrap(), b)] {
+            let l = reference.intern_label(label);
+            if !reference.has_edge(ref_hub, l, &to) {
+                reference.add_edge(ref_hub, l, to);
+            }
+        }
+    }
+    let named = |g: &Graph, n| -> Vec<(String, Value)> {
+        g.edges(n)
+            .iter()
+            .map(|e| (g.label_name(e.label).to_owned(), e.to.clone()))
+            .collect()
+    };
+    assert_eq!(named(&result.graph, hub).len(), 200 + 7 + 3 * 7);
+    assert_eq!(named(&result.graph, hub), named(&reference, ref_hub));
+
+    // A resumed construction knows nothing but the graph it is handed:
+    // the same rows add nothing, and an edge removed behind its back (as
+    // incremental maintenance retracts them) comes back exactly once.
+    use crate::Constructor;
+    let mut edited = result;
+    let item = edited.graph.label("item").unwrap();
+    let victim = Value::Node(db.graph().node_by_name("i150").unwrap());
+    assert!(edited.graph.remove_edge(hub, item, &victim));
+    let mut c = Constructor::resume(edited);
+    c.apply_block(&program.blocks[0], &vars, &rows).unwrap();
+    let mut expect = named(&reference, ref_hub);
+    let moved = expect.remove(expect.iter().position(|(_, to)| *to == victim).unwrap());
+    expect.push(moved);
+    assert_eq!(named(c.graph(), hub), expect);
+}
+
+#[test]
+fn construction_errors_name_the_variable_and_wait_for_a_row() {
+    use crate::Constructor;
+    let db = bib_db();
+    let program =
+        parse(r#"where Publications(x), x -> "year" -> y create P(x) link P(x) -> "of" -> y"#)
+            .unwrap();
+    // A constructor handed a layout without `y` reports it at the first
+    // row that needs it, not before: no rows, no error.
+    let pub1 = Value::Node(db.graph().node_by_name("pub1").unwrap());
+    let vars = vec!["x".to_string()];
+    let mut c = Constructor::new(db.graph().clone());
+    c.apply_block(&program.blocks[0], &vars, &[]).unwrap();
+    let err = c
+        .apply_block(&program.blocks[0], &vars, &[vec![Some(pub1.clone())]])
+        .unwrap_err();
+    assert!(
+        err.to_string().contains("variable 'y' has no slot"),
+        "{err}"
+    );
+    let vars = vec!["x".to_string(), "y".to_string()];
+    let err = c
+        .apply_block(&program.blocks[0], &vars, &[vec![Some(pub1), None]])
+        .unwrap_err();
+    assert!(
+        err.to_string().contains("variable 'y' is unbound at use"),
+        "{err}"
+    );
+}

@@ -423,18 +423,16 @@ impl<'g> GenCtx<'g> {
         out: &mut String,
     ) -> Result<(), TemplateError> {
         self.note_dep(oid);
-        match self.templates.select(graph, oid)? {
+        // The template borrows the set (`'g`), not this context, so
+        // rendering can take `&mut self` beside it.
+        let templates: &'g TemplateSet = self.templates;
+        match templates.select(graph, oid)? {
             Some(template) => {
-                // Clone the node list handle: rendering needs &mut self
-                // while the template borrows the set. Templates are shared
-                // and immutable, so a shallow clone of the Vec is the
-                // simplest sound option and template bodies are small.
-                let nodes = template.nodes.clone();
                 let mut env = Env {
                     current: oid,
                     loops: Vec::new(),
                 };
-                render_nodes(&nodes, &mut env, graph, self, out)
+                render_nodes(&template.nodes, &mut env, graph, self, out)
             }
             None => {
                 self.render_default(oid, graph, out);

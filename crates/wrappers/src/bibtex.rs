@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use strudel_graph::{FileKind, Graph, Value};
 
 /// Options controlling the wrapping.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BibtexOptions {
     /// The collection wrapped entries join.
     pub collection: String,

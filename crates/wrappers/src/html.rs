@@ -18,11 +18,10 @@
 //! crawl of a site section needs.
 
 use crate::WrapError;
-use std::collections::HashMap;
-use strudel_graph::{FileKind, Graph, Oid, Value};
+use strudel_graph::{FileKind, Graph, Label, Oid, Value};
 
 /// One input document: a file name (used to resolve `href`s) and its HTML.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HtmlDoc {
     /// Document name, e.g. `world/article17.html`.
     pub name: String,
@@ -47,53 +46,94 @@ impl HtmlDoc {
 /// Wraps a batch of HTML documents into a fresh graph. Each document
 /// becomes one object in `collection`; links between wrapped documents
 /// become node-valued `link` edges.
+///
+/// A page is read once: the scanner hands out slices of the page (or of
+/// one reused text buffer), and each extracted value is copied exactly
+/// once, into the `Arc<str>` its edge owns.
 pub fn wrap_documents(docs: &[HtmlDoc], collection: &str) -> Result<Graph, WrapError> {
     let mut g = Graph::new();
     let cid = g.intern_collection(collection);
 
     // Pass 1: create a node per document so links can resolve.
-    let mut by_name: HashMap<&str, Oid> = HashMap::new();
-    for d in docs {
-        let node = g.add_named_node(&d.name);
-        g.collect(cid, Value::Node(node));
-        by_name.insert(d.name.as_str(), node);
-    }
+    let nodes: Vec<Oid> = docs
+        .iter()
+        .map(|d| {
+            let node = g.add_named_node(&d.name);
+            g.collect(cid, Value::Node(node));
+            node
+        })
+        .collect();
 
-    // Pass 2: extract content.
-    for d in docs {
-        let node = by_name[d.name.as_str()];
-        let extracted = extract(&d.html);
-        if let Some(t) = &extracted.title {
-            g.add_edge_str(node, "title", Value::string(t.as_str()));
+    // Pass 2: extract content. Edges are grouped by kind, not in page
+    // order, so a page's values wait in `page` until it has been read.
+    // The fixed attributes' labels are interned when their first edge is
+    // added: label ids follow first use, as they do for `meta` names.
+    let label = |g: &mut Graph, slot: &mut Option<Label>, name| {
+        *slot.get_or_insert_with(|| g.intern_label(name))
+    };
+    let [mut title, mut headline, mut paragraph, mut image, mut link] = [None; 5];
+    let mut page = PageValues::default();
+    let mut text = String::new();
+    for (d, &node) in docs.iter().zip(&nodes) {
+        scan(&d.html, &mut text, |item| match item {
+            Item::Title(t) => page.title = Some(Value::string(t)),
+            Item::Headline(h) => page.headline = Some(Value::string(h)),
+            Item::Meta(k, v) => page.meta.push((k, Value::string(v))),
+            Item::Paragraph(p) => page.paragraphs.push(Value::string(p)),
+            Item::Image(src) => page.images.push(Value::file(FileKind::Image, src)),
+            Item::Link(href) => page.links.push(match g.node_by_name(href) {
+                Some(target) => Value::Node(target),
+                None => Value::url(href),
+            }),
+        });
+        g.reserve_edges(
+            node,
+            2 + page.meta.len() + page.paragraphs.len() + page.images.len() + page.links.len(),
+        );
+        let h = page.headline.take();
+        if let Some(t) = page.title.take().or_else(|| h.clone()) {
+            let l = label(&mut g, &mut title, "title");
+            g.add_edge(node, l, t);
         }
-        if let Some(h) = &extracted.headline {
-            g.add_edge_str(node, "headline", Value::string(h.as_str()));
+        if let Some(h) = h {
+            let l = label(&mut g, &mut headline, "headline");
+            g.add_edge(node, l, h);
         }
-        for (k, v) in &extracted.meta {
-            g.add_edge_str(node, k, Value::string(v.as_str()));
+        for (k, v) in page.meta.drain(..) {
+            g.add_edge_str(node, k, v);
         }
-        for p in &extracted.paragraphs {
-            g.add_edge_str(node, "paragraph", Value::string(p.as_str()));
-        }
-        for img in &extracted.images {
-            g.add_edge_str(node, "image", Value::file(FileKind::Image, img.as_str()));
-        }
-        for href in &extracted.links {
-            match by_name.get(href.as_str()) {
-                Some(&target) => g.add_edge_str(node, "link", Value::Node(target)),
-                None => g.add_edge_str(node, "link", Value::url(href.as_str())),
+        for (slot, name, values) in [
+            (&mut paragraph, "paragraph", &mut page.paragraphs),
+            (&mut image, "image", &mut page.images),
+            (&mut link, "link", &mut page.links),
+        ] {
+            for v in values.drain(..) {
+                let l = label(&mut g, slot, name);
+                g.add_edge(node, l, v);
             }
         }
     }
     Ok(g)
 }
 
+/// One page's values, held until its edges are added; the vectors are
+/// reused from page to page.
+#[derive(Default)]
+struct PageValues<'s> {
+    title: Option<Value>,
+    headline: Option<Value>,
+    meta: Vec<(&'s str, Value)>,
+    paragraphs: Vec<Value>,
+    images: Vec<Value>,
+    links: Vec<Value>,
+}
+
 /// What [`extract`] pulls out of one page.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Extracted {
-    /// `<title>` text (or the first `<h1>` when absent).
+    /// `<title>` text (or the last `<h1>` when absent).
     pub title: Option<String>,
-    /// First `<h1>` text.
+    /// Last `<h1>` text.
     pub headline: Option<String>,
     /// `<meta name content>` pairs in order.
     pub meta: Vec<(String, String)>,
@@ -107,92 +147,140 @@ pub struct Extracted {
 
 /// Extracts article structure from HTML text. This is a pragmatic
 /// tokenizer, not a conforming HTML parser: tags and text are scanned
-/// left-to-right, entities `&amp; &lt; &gt; &quot; &#39;` are decoded,
-/// script/style contents are skipped.
+/// left-to-right, entities `&amp; &lt; &gt; &quot; &#39; &nbsp;` are
+/// decoded, script/style contents are skipped.
 pub fn extract(html: &str) -> Extracted {
     let mut out = Extracted::default();
-    let mut tok = Tokenizer { src: html, pos: 0 };
-    let mut text_sink: Option<Sink> = None;
-    let mut buffer = String::new();
-
-    while let Some(token) = tok.next_token() {
-        match token {
-            Token::Text(t) => {
-                if text_sink.is_some() {
-                    buffer.push_str(&decode_entities(&t));
-                }
-            }
-            Token::Open(name, attrs) => match name.as_str() {
-                "title" => text_sink = Some(Sink::Title),
-                "h1" => text_sink = Some(Sink::Headline),
-                "p" => text_sink = Some(Sink::Paragraph),
-                "meta" => {
-                    let mut n = None;
-                    let mut c = None;
-                    for (k, v) in &attrs {
-                        if k == "name" {
-                            n = Some(v.clone());
-                        }
-                        if k == "content" {
-                            c = Some(v.clone());
-                        }
-                    }
-                    if let (Some(n), Some(c)) = (n, c) {
-                        out.meta.push((n, decode_entities(&c)));
-                    }
-                }
-                "img" => {
-                    if let Some((_, v)) = attrs.iter().find(|(k, _)| k == "src") {
-                        out.images.push(v.clone());
-                    }
-                }
-                "a" => {
-                    if let Some((_, v)) = attrs.iter().find(|(k, _)| k == "href") {
-                        out.links.push(v.clone());
-                    }
-                }
-                "script" | "style" => tok.skip_until_close(&name),
-                _ => {}
-            },
-            Token::Close(name) => {
-                let matches_sink = matches!(
-                    (&text_sink, name.as_str()),
-                    (Some(Sink::Title), "title")
-                        | (Some(Sink::Headline), "h1")
-                        | (Some(Sink::Paragraph), "p")
-                );
-                if matches_sink {
-                    let text = normalize(&buffer);
-                    buffer.clear();
-                    match text_sink.take().expect("sink set") {
-                        Sink::Title => out.title = Some(text),
-                        Sink::Headline => out.headline = Some(text),
-                        Sink::Paragraph => {
-                            if !text.is_empty() {
-                                out.paragraphs.push(text);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
+    scan(html, &mut String::new(), |item| match item {
+        Item::Title(t) => out.title = Some(t.to_owned()),
+        Item::Headline(h) => out.headline = Some(h.to_owned()),
+        Item::Meta(k, v) => out.meta.push((k.to_owned(), v.to_owned())),
+        Item::Paragraph(p) => out.paragraphs.push(p.to_owned()),
+        Item::Image(src) => out.images.push(src.to_owned()),
+        Item::Link(href) => out.links.push(href.to_owned()),
+    });
     if out.title.is_none() {
         out.title = out.headline.clone();
     }
     out
 }
 
+/// One extracted value, in page order. Attribute values borrow from the
+/// page (`'s`); element text and decoded `meta` content borrow from the
+/// scanner's buffer and live only for the callback.
+enum Item<'s, 't> {
+    Title(&'t str),
+    Headline(&'t str),
+    Meta(&'s str, &'t str),
+    Paragraph(&'t str),
+    Image(&'s str),
+    Link(&'s str),
+}
+
+/// The element whose text is being gathered.
+#[derive(Clone, Copy)]
 enum Sink {
     Title,
     Headline,
     Paragraph,
 }
 
-enum Token {
-    Text(String),
-    Open(String, Vec<(String, String)>),
-    Close(String),
+/// One pass over `html`, reporting each extracted value to `emit`. `text`
+/// is scratch space: element text is entity-decoded and whitespace-
+/// normalised straight into it, so nothing else is allocated.
+fn scan<'s>(html: &'s str, text: &mut String, mut emit: impl FnMut(Item<'s, '_>)) {
+    let mut tok = Tokenizer { src: html, pos: 0 };
+    let mut sink: Option<Sink> = None;
+    // A whitespace run is owed to `text` before its next visible char.
+    let mut gap = false;
+    text.clear();
+
+    while let Some(token) = tok.next_token() {
+        match token {
+            Token::Text(t) => {
+                if sink.is_some() {
+                    push_normalized(text, &mut gap, t);
+                }
+            }
+            Token::Open(name, attrs) => {
+                if is_tag(name, "title") {
+                    sink = Some(Sink::Title);
+                } else if is_tag(name, "h1") {
+                    sink = Some(Sink::Headline);
+                } else if is_tag(name, "p") {
+                    sink = Some(Sink::Paragraph);
+                } else if is_tag(name, "meta") {
+                    // The last `name` and the last `content` win.
+                    let mut n = None;
+                    let mut c = None;
+                    for (k, v) in Attrs::new(attrs) {
+                        if k.eq_ignore_ascii_case("name") {
+                            n = Some(v);
+                        }
+                        if k.eq_ignore_ascii_case("content") {
+                            c = Some(v);
+                        }
+                    }
+                    if let (Some(n), Some(c)) = (n, c) {
+                        if c.contains('&') {
+                            // `text` may hold a half-gathered element.
+                            let mark = text.len();
+                            push_decoded(text, c);
+                            emit(Item::Meta(n, &text[mark..]));
+                            text.truncate(mark);
+                        } else {
+                            emit(Item::Meta(n, c));
+                        }
+                    }
+                } else if is_tag(name, "img") {
+                    if let Some(src) = first_attr(attrs, "src") {
+                        emit(Item::Image(src));
+                    }
+                } else if is_tag(name, "a") {
+                    if let Some(href) = first_attr(attrs, "href") {
+                        emit(Item::Link(href));
+                    }
+                } else if is_tag(name, "script") {
+                    tok.skip_until_close("script");
+                } else if is_tag(name, "style") {
+                    tok.skip_until_close("style");
+                }
+            }
+            Token::Close(name) => {
+                let closes = match sink {
+                    Some(Sink::Title) => is_tag(name, "title"),
+                    Some(Sink::Headline) => is_tag(name, "h1"),
+                    Some(Sink::Paragraph) => is_tag(name, "p"),
+                    None => false,
+                };
+                if closes {
+                    match sink.take().expect("sink set") {
+                        Sink::Title => emit(Item::Title(text)),
+                        Sink::Headline => emit(Item::Headline(text)),
+                        Sink::Paragraph => {
+                            if !text.is_empty() {
+                                emit(Item::Paragraph(text));
+                            }
+                        }
+                    }
+                    text.clear();
+                    gap = false;
+                }
+            }
+        }
+    }
+}
+
+fn is_tag(name: &str, tag: &str) -> bool {
+    name.eq_ignore_ascii_case(tag)
+}
+
+/// A token borrowed from the page. Tag names keep the page's case.
+enum Token<'s> {
+    Text(&'s str),
+    /// Tag name and the unparsed attribute text after it.
+    Open(&'s str, &'s str),
+    Close(&'s str),
 }
 
 struct Tokenizer<'s> {
@@ -201,24 +289,29 @@ struct Tokenizer<'s> {
 }
 
 impl<'s> Tokenizer<'s> {
-    fn next_token(&mut self) -> Option<Token> {
-        if self.pos >= self.src.len() {
-            return None;
-        }
-        let rest = &self.src[self.pos..];
-        if let Some(after) = rest.strip_prefix("<!--") {
-            match after.find("-->") {
-                Some(end) => {
-                    self.pos += 4 + end + 3;
-                    return self.next_token();
-                }
-                None => {
-                    self.pos = self.src.len();
-                    return None;
+    fn next_token(&mut self) -> Option<Token<'s>> {
+        loop {
+            if self.pos >= self.src.len() {
+                return None;
+            }
+            let rest = &self.src[self.pos..];
+            if let Some(after) = rest.strip_prefix("<!--") {
+                match after.find("-->") {
+                    Some(end) => {
+                        self.pos += 4 + end + 3;
+                        continue;
+                    }
+                    None => {
+                        self.pos = self.src.len();
+                        return None;
+                    }
                 }
             }
-        }
-        if rest.starts_with('<') {
+            if !rest.starts_with('<') {
+                let end = rest.find('<').unwrap_or(rest.len());
+                self.pos += end;
+                return Some(Token::Text(&rest[..end]));
+            }
             let Some(end) = rest.find('>') else {
                 self.pos = self.src.len();
                 return None;
@@ -226,66 +319,80 @@ impl<'s> Tokenizer<'s> {
             let inner = &rest[1..end];
             self.pos += end + 1;
             if let Some(name) = inner.strip_prefix('/') {
-                return Some(Token::Close(name.trim().to_ascii_lowercase()));
+                return Some(Token::Close(name.trim()));
             }
             if inner.starts_with('!') || inner.starts_with('?') {
-                return self.next_token(); // doctype / processing instruction
+                continue; // doctype / processing instruction
             }
             let inner = inner.trim_end_matches('/');
-            let mut parts = inner.splitn(2, char::is_whitespace);
-            let name = parts.next().unwrap_or("").to_ascii_lowercase();
-            let attrs = parts.next().map(parse_attrs).unwrap_or_default();
-            Some(Token::Open(name, attrs))
-        } else {
-            let end = rest.find('<').unwrap_or(rest.len());
-            let text = rest[..end].to_owned();
-            self.pos += end;
-            Some(Token::Text(text))
+            return Some(match inner.split_once(char::is_whitespace) {
+                Some((name, attrs)) => Token::Open(name, attrs),
+                None => Token::Open(inner, ""),
+            });
         }
     }
 
-    /// Skips content up to and including `</name>` (for script/style).
+    /// Skips content up to and including `</name>` (for script/style),
+    /// matching the tag name case-insensitively in place.
     fn skip_until_close(&mut self, name: &str) {
-        let closing = format!("</{name}");
         let rest = &self.src[self.pos..];
-        let lower = rest.to_ascii_lowercase();
-        match lower.find(&closing) {
-            Some(i) => {
-                let after = &rest[i..];
-                match after.find('>') {
-                    Some(j) => self.pos += i + j + 1,
+        let mut from = 0;
+        while let Some(i) = rest[from..].find("</") {
+            let at = from + i;
+            let tail = &rest.as_bytes()[at + 2..];
+            if tail.len() >= name.len() && tail[..name.len()].eq_ignore_ascii_case(name.as_bytes())
+            {
+                match rest[at..].find('>') {
+                    Some(j) => self.pos += at + j + 1,
                     None => self.pos = self.src.len(),
                 }
+                return;
             }
-            None => self.pos = self.src.len(),
+            from = at + 2;
         }
+        self.pos = self.src.len();
     }
 }
 
-fn parse_attrs(s: &str) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    let bytes = s.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
+/// The attributes of one tag as `(name, value)` slices, parsed on demand.
+/// Names keep the page's case; a name without `=` has an empty value.
+struct Attrs<'s> {
+    s: &'s str,
+    i: usize,
+}
+
+impl<'s> Attrs<'s> {
+    fn new(s: &'s str) -> Self {
+        Attrs { s, i: 0 }
+    }
+}
+
+impl<'s> Iterator for Attrs<'s> {
+    type Item = (&'s str, &'s str);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let s = self.s;
+        let bytes = s.as_bytes();
+        let mut i = self.i;
+        let skip_space = |i: &mut usize| {
+            while *i < bytes.len() && bytes[*i].is_ascii_whitespace() {
+                *i += 1;
+            }
+        };
+        skip_space(&mut i);
         let name_start = i;
         while i < bytes.len() && !bytes[i].is_ascii_whitespace() && bytes[i] != b'=' {
             i += 1;
         }
         if name_start == i {
-            break;
+            self.i = bytes.len();
+            return None;
         }
-        let name = s[name_start..i].to_ascii_lowercase();
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
+        let name = &s[name_start..i];
+        skip_space(&mut i);
+        let value = if i < bytes.len() && bytes[i] == b'=' {
             i += 1;
-        }
-        if i < bytes.len() && bytes[i] == b'=' {
-            i += 1;
-            while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-                i += 1;
-            }
+            skip_space(&mut i);
             if i < bytes.len() && (bytes[i] == b'"' || bytes[i] == b'\'') {
                 let quote = bytes[i];
                 i += 1;
@@ -293,36 +400,100 @@ fn parse_attrs(s: &str) -> Vec<(String, String)> {
                 while i < bytes.len() && bytes[i] != quote {
                     i += 1;
                 }
-                out.push((name, s[val_start..i].to_owned()));
+                let value = &s[val_start..i];
                 i += 1; // closing quote
+                value
             } else {
                 let val_start = i;
                 while i < bytes.len() && !bytes[i].is_ascii_whitespace() {
                     i += 1;
                 }
-                out.push((name, s[val_start..i].to_owned()));
+                &s[val_start..i]
             }
         } else {
-            out.push((name, String::new()));
+            ""
+        };
+        self.i = i;
+        Some((name, value))
+    }
+}
+
+/// The value of the first attribute called `name`.
+fn first_attr<'s>(attrs: &'s str, name: &str) -> Option<&'s str> {
+    Attrs::new(attrs)
+        .find(|(k, _)| k.eq_ignore_ascii_case(name))
+        .map(|(_, v)| v)
+}
+
+/// The character and source length of the entity at the head of `bytes`,
+/// if there is one the wrapper decodes.
+fn entity(bytes: &[u8]) -> Option<(char, usize)> {
+    const ENTITIES: [(&[u8], char); 6] = [
+        (b"&lt;", '<'),
+        (b"&gt;", '>'),
+        (b"&quot;", '"'),
+        (b"&#39;", '\''),
+        (b"&nbsp;", ' '),
+        (b"&amp;", '&'),
+    ];
+    ENTITIES
+        .iter()
+        .find(|(name, _)| bytes.starts_with(name))
+        .map(|&(name, c)| (c, name.len()))
+}
+
+/// Appends `s` to `out` with entities decoded.
+fn push_decoded(out: &mut String, s: &str) {
+    let mut rest = s;
+    while let Some(i) = rest.find('&') {
+        out.push_str(&rest[..i]);
+        let (c, len) = entity(&rest.as_bytes()[i..]).unwrap_or(('&', 1));
+        out.push(c);
+        rest = &rest[i + len..];
+    }
+    out.push_str(rest);
+}
+
+/// Appends `s` to `out` with entities decoded and every whitespace run
+/// (Unicode `White_Space`, as `str::split_whitespace` has it) collapsed
+/// to one space; leading whitespace is dropped and a trailing run stays
+/// owed in `gap`, so the text gathered over several calls equals
+/// `split_whitespace().join(" ")` of the decoded whole.
+fn push_normalized(out: &mut String, gap: &mut bool, s: &str) {
+    // Pays the owed space, if any, before visible text goes in.
+    fn settle(out: &mut String, gap: &mut bool) {
+        if std::mem::take(gap) && !out.is_empty() {
+            out.push(' ');
         }
     }
-    out
-}
-
-fn decode_entities(s: &str) -> String {
-    if !s.contains('&') {
-        return s.to_owned();
+    let bytes = s.as_bytes();
+    let mut i = 0;
+    while i < bytes.len() {
+        // Visible ASCII that starts no entity is copied a word at a time.
+        let start = i;
+        while i < bytes.len() && bytes[i].is_ascii_graphic() && bytes[i] != b'&' {
+            i += 1;
+        }
+        if i > start {
+            settle(out, gap);
+            out.push_str(&s[start..i]);
+            continue;
+        }
+        let (c, len) = match entity(&bytes[i..]) {
+            Some(decoded) => decoded,
+            None => {
+                let c = s[i..].chars().next().expect("in bounds, on a boundary");
+                (c, c.len_utf8())
+            }
+        };
+        i += len;
+        if c.is_whitespace() {
+            *gap = true;
+        } else {
+            settle(out, gap);
+            out.push(c);
+        }
     }
-    s.replace("&lt;", "<")
-        .replace("&gt;", ">")
-        .replace("&quot;", "\"")
-        .replace("&#39;", "'")
-        .replace("&nbsp;", " ")
-        .replace("&amp;", "&")
-}
-
-fn normalize(s: &str) -> String {
-    s.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
 #[cfg(test)]

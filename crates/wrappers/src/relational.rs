@@ -17,10 +17,11 @@
 //!   foreign keys become graph edges after mediation.
 
 use crate::WrapError;
+use std::borrow::Cow;
 use strudel_graph::{FileKind, Graph, Value};
 
 /// Options for one table.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TableOptions {
     /// Table (and collection) name.
     pub table: String,
@@ -58,11 +59,10 @@ pub fn wrap(csv: &str, opts: &TableOptions) -> Result<Graph, WrapError> {
 
 /// Wraps one CSV table into an existing graph.
 pub fn wrap_into(csv: &str, opts: &TableOptions, g: &mut Graph) -> Result<(), WrapError> {
-    let mut rows = parse_csv(csv)?;
-    if rows.is_empty() {
+    let mut rows = parse_csv(csv)?.into_iter();
+    let Some(header) = rows.next() else {
         return Err(WrapError::new("relational", 1, "missing header row"));
-    }
-    let header = rows.remove(0);
+    };
     if opts.key_column >= header.len() {
         return Err(WrapError::new(
             "relational",
@@ -103,7 +103,7 @@ pub fn wrap_into(csv: &str, opts: &TableOptions, g: &mut Graph) -> Result<(), Wr
         .collect();
 
     let cid = g.intern_collection(&opts.table);
-    for (line_no, row) in rows.iter().enumerate() {
+    for (line_no, row) in rows.enumerate() {
         if row.len() != columns.len() {
             return Err(WrapError::new(
                 "relational",
@@ -125,7 +125,7 @@ pub fn wrap_into(csv: &str, opts: &TableOptions, g: &mut Graph) -> Result<(), Wr
         }
         let node = g.add_named_node(&format!("{}_{}", opts.table, key));
         g.collect(cid, Value::Node(node));
-        for ((name, ty), cell) in columns.iter().zip(row) {
+        for ((name, ty), cell) in columns.iter().zip(&row) {
             let cell = cell.trim();
             if cell.is_empty() {
                 continue; // missing attribute, the semistructured way
@@ -161,76 +161,120 @@ fn type_cell(cell: &str, ty: ColType) -> Value {
     }
 }
 
+/// One field under construction: a range of the source for as long as
+/// its bytes are contiguous there, an owned copy once they are not (a
+/// doubled quote, a dropped `\r`, text after a closing quote).
+#[derive(Default)]
+struct Field {
+    start: usize,
+    end: usize,
+    owned: Option<String>,
+}
+
+impl Field {
+    fn push(&mut self, src: &str, from: usize, to: usize) {
+        if from == to {
+            return;
+        }
+        match &mut self.owned {
+            Some(o) => o.push_str(&src[from..to]),
+            None if self.start == self.end => (self.start, self.end) = (from, to),
+            None if self.end == from => self.end = to,
+            None => self.owned = Some([&src[self.start..self.end], &src[from..to]].concat()),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.owned
+            .as_ref()
+            .map_or(self.start == self.end, String::is_empty)
+    }
+
+    fn take<'s>(&mut self, src: &'s str) -> Cow<'s, str> {
+        let f = std::mem::take(self);
+        f.owned
+            .map_or(Cow::Borrowed(&src[f.start..f.end]), Cow::Owned)
+    }
+}
+
 /// A small RFC-4180-ish CSV parser: quoted fields, embedded commas,
 /// doubled quotes, CRLF or LF line endings. Blank lines are skipped.
-pub fn parse_csv(src: &str) -> Result<Vec<Vec<String>>, WrapError> {
+/// Fields borrow from `src` unless quoting made them discontiguous.
+pub fn parse_csv(src: &str) -> Result<Vec<Vec<Cow<'_, str>>>, WrapError> {
+    let bytes = src.as_bytes();
     let mut rows = Vec::new();
-    let mut row: Vec<String> = Vec::new();
-    let mut field = String::new();
-    let mut in_quotes = false;
+    let mut row: Vec<Cow<'_, str>> = Vec::new();
+    let mut field = Field::default();
     let mut line = 1u32;
-    let mut chars = src.chars().peekable();
+    // Whether the current line has produced anything (a blank one is skipped).
     let mut any = false;
+    let mut pos = 0;
 
-    while let Some(c) = chars.next() {
-        if in_quotes {
-            match c {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        field.push('"');
-                    } else {
-                        in_quotes = false;
-                    }
-                }
-                '\n' => {
-                    field.push(c);
-                    line += 1;
-                }
-                _ => field.push(c),
-            }
-            continue;
+    while pos < bytes.len() {
+        // Everything up to the next delimiter is field text.
+        let stop = bytes[pos..]
+            .iter()
+            .position(|b| matches!(b, b'"' | b',' | b'\r' | b'\n'))
+            .map_or(bytes.len(), |i| pos + i);
+        if stop > pos {
+            field.push(src, pos, stop);
+            any = true;
         }
-        match c {
-            '"' => {
-                if field.is_empty() {
-                    in_quotes = true;
-                    any = true;
-                } else {
+        let Some(&delimiter) = bytes.get(stop) else {
+            break;
+        };
+        pos = stop + 1;
+        match delimiter {
+            b'"' => {
+                if !field.is_empty() {
                     return Err(WrapError::new(
                         "relational",
                         line,
                         "quote in the middle of an unquoted field",
                     ));
                 }
+                any = true;
+                // Quoted text runs to the first quote that is not doubled.
+                loop {
+                    let Some(close) = src[pos..].find('"').map(|i| pos + i) else {
+                        line += count_newlines(&bytes[pos..]);
+                        return Err(WrapError::new("relational", line, "unterminated quote"));
+                    };
+                    line += count_newlines(&bytes[pos..close]);
+                    if bytes.get(close + 1) == Some(&b'"') {
+                        field.push(src, pos, close + 1);
+                        pos = close + 2;
+                    } else {
+                        field.push(src, pos, close);
+                        pos = close + 1;
+                        break;
+                    }
+                }
             }
-            ',' => {
-                row.push(std::mem::take(&mut field));
+            b',' => {
+                row.push(field.take(src));
                 any = true;
             }
-            '\r' => {}
-            '\n' => {
+            b'\r' => {}
+            _ => {
                 line += 1;
                 if any || !field.is_empty() {
-                    row.push(std::mem::take(&mut field));
+                    row.push(field.take(src));
                     rows.push(std::mem::take(&mut row));
                 }
                 any = false;
             }
-            other => {
-                field.push(other);
-                any = true;
-            }
         }
     }
-    if in_quotes {
-        return Err(WrapError::new("relational", line, "unterminated quote"));
-    }
     if any || !field.is_empty() {
-        row.push(field);
+        row.push(field.take(src));
         rows.push(row);
     }
     Ok(rows)
+}
+
+fn count_newlines(bytes: &[u8]) -> u32 {
+    bytes.iter().filter(|&&b| b == b'\n').count() as u32
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ use crate::WrapError;
 use strudel_graph::{Graph, Value};
 
 /// Options for one record file.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RecordOptions {
     /// The collection the records join.
     pub collection: String,

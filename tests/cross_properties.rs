@@ -235,7 +235,7 @@ fn dred_deletions_match_full() {
         }
         // Orphans: keys the full evaluation no longer creates must be bare.
         for (key, oid) in inc.result.skolem.iter() {
-            let alive = full.skolem_node(&key.symbol, &key.args).is_some();
+            let alive = full.skolem_node(key.symbol, key.args).is_some();
             if !alive {
                 assert_eq!(
                     inc.result.graph.edges(oid).len(),
