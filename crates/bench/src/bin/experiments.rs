@@ -9,8 +9,8 @@
 //!
 //! Ids: `site-stats` (T1), `suitability` (F8), `multiversion`,
 //! `site-schema`, `verify`, `dynamic`, `diff`, `incremental`, `indexing`,
-//! `struql-scale`, `batch`, `shard`, `event`, `htmlgen`, `mediate`, `trace`,
-//! `crash`, `pager`, `cluster`, `all`.
+//! `struql-scale`, `batch`, `htmlgen`, `mediate`, `trace`, `crash`,
+//! `pager`, `all`.
 //!
 //! `--json` additionally writes `BENCH_<suite>.json` files (machine-
 //! readable rows; schema in EXPERIMENTS.md) into the current directory.
@@ -41,20 +41,17 @@ fn main() {
             "indexing" => e::exp_indexing(),
             "struql-scale" => e::exp_struql_scale(),
             "batch" => e::exp_batch(),
-            "shard" => e::exp_shard(),
-            "event" => e::exp_event(),
             "htmlgen" => e::exp_htmlgen(),
             "mediate" => e::exp_mediate(),
             "trace" => e::exp_trace(),
             "crash" => e::exp_crash(),
             "pager" => e::exp_pager(),
-            "cluster" => e::exp_cluster(),
             other => {
                 eprintln!("unknown experiment '{other}'");
                 eprintln!(
                     "known: site-stats suitability multiversion site-schema verify dynamic diff \
-                     incremental indexing struql-scale batch shard event htmlgen mediate trace \
-                     crash pager cluster all (plus --json)"
+                     incremental indexing struql-scale batch htmlgen mediate trace crash pager \
+                     all (plus --json)"
                 );
                 std::process::exit(2);
             }

@@ -818,27 +818,24 @@ pub fn exp_indexing() {
         for (qname, query) in queries {
             let program = strudel::struql::parse(query).unwrap();
             let mut row = format!("{:>9} {:>15} |", n, qname);
+            let mut build_row = format!("{:>9} {:>15} |", "", "+ first probe");
             for level in [IndexLevel::None, IndexLevel::ExtensionOnly, IndexLevel::Full] {
                 let db = Database::from_graph(g.clone(), level);
                 // Warm the stats cache so we time the query, not stats.
                 let _ = db.stats();
+                // A fresh Database holds no index: the first evaluation
+                // builds every family it probes. Run it apart so the query
+                // columns compare probes, and report what it paid on top.
+                let (_r, t_first) = time(|| Evaluator::new(&db).eval(&program).unwrap());
                 let (_r, t) = time(|| Evaluator::new(&db).eval(&program).unwrap());
                 row.push_str(&format!(" {:>12}", ms(t)));
+                build_row.push_str(&format!(" {:>12}", ms(t_first.saturating_sub(t))));
             }
             println!("{row}");
+            println!("{build_row}");
         }
     }
-    // Index build cost.
-    let corpus = crate::paper_news_corpus(3000);
-    let docs = strudel::wrappers::html::HtmlDoc::from_pairs(&corpus);
-    let g = strudel::wrappers::html::wrap_documents(&docs, "Articles").unwrap();
-    let (_, t_full) = time(|| Database::from_graph(g.clone(), IndexLevel::Full));
-    let (_, t_none) = time(|| Database::from_graph(g.clone(), IndexLevel::None));
-    println!(
-        "index build @3000 articles: full = {}, none = {} (maintenance is the price of the wins above)\n",
-        ms(t_full),
-        ms(t_none)
-    );
+    println!("(+ first probe: what the lazy index build added to the first evaluation)\n");
 }
 
 /// E-struql-scale — evaluation scaling and the join-ordering ablation.
@@ -1238,473 +1235,22 @@ pub fn exp_batch() {
     println!();
 }
 
-/// E-shard — loaded latency under sharded epoch-snapshot serving: the
-/// warm news-site click workload replayed by rising numbers of client
-/// threads against 1/2/4/8 service shards, plus an unsharded baseline
-/// at the same loads. Before anything is timed, every sharded body is
-/// asserted byte-identical to the unsharded render of the same URL.
-pub fn exp_shard() {
-    use strudel_serve::{ClickService, ShardedService};
-
-    println!("== E-shard: loaded click latency across service shards ==");
-    let corpus = crate::paper_news_corpus(300);
-    let site = sites::news_site(&corpus).build().unwrap();
-
-    // Every URL reachable from the front page, via an unsharded scout.
-    let baseline = SiteService::new(&site, Mode::Context);
-    let mut urls = vec!["/".to_string()];
-    let mut i = 0;
-    while i < urls.len() {
-        let body = baseline.handle(&urls[i]).body;
-        for part in body.split("href=\"").skip(1) {
-            if let Some(end) = part.find('"') {
-                let href = &part[..end];
-                if href.starts_with("/page/") && !urls.iter().any(|u| u == href) {
-                    urls.push(href.to_string());
-                }
-            }
-        }
-        i += 1;
-    }
-    let reference: Vec<String> = urls.iter().map(|u| baseline.handle(u).body).collect();
-
-    const PASSES: usize = 10;
-    let shard_counts = [1usize, 2, 4, 8];
-    let loads = [1usize, 2, 4, 8];
-
-    // One measured cell: `load` client threads replay the URL list
-    // PASSES times against a warm service, each click timed exactly.
-    fn drive<S: ClickService>(
-        service: &S,
-        urls: &[String],
-        load: usize,
-        passes: usize,
-    ) -> (Vec<u64>, Duration) {
-        for u in urls {
-            service.handle(u); // warm every owner shard outside the timed region
-        }
-        let start = Instant::now();
-        let mut lat: Vec<u64> = Vec::with_capacity(load * passes * urls.len());
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..load)
-                .map(|t| {
-                    s.spawn(move || {
-                        let mut mine = Vec::with_capacity(passes * urls.len());
-                        for p in 0..passes {
-                            for k in 0..urls.len() {
-                                // Offset per thread and pass so clients
-                                // never march over the URLs in lockstep.
-                                let u = &urls[(k + t * 7 + p) % urls.len()];
-                                let c = Instant::now();
-                                service.handle(u);
-                                mine.push(c.elapsed().as_nanos() as u64);
-                            }
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            for h in handles {
-                lat.extend(h.join().unwrap());
-            }
-        });
-        let wall = start.elapsed();
-        lat.sort_unstable();
-        (lat, wall)
-    }
-
-    fn percentile(sorted: &[u64], q: f64) -> f64 {
-        if sorted.is_empty() {
-            return 0.0;
-        }
-        let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-        sorted[idx] as f64
-    }
-
-    println!(
-        "{:>14} {:>8} {:>9} {:>9} {:>12}",
-        "cell", "clicks", "p50(us)", "p99(us)", "clicks/s"
-    );
-    let report = |label: String, lat: Vec<u64>, wall: Duration| {
-        let p50 = percentile(&lat, 0.50) / 1e3; // collected in ns, reported in us
-        let p99 = percentile(&lat, 0.99) / 1e3;
-        let rate = lat.len() as f64 / wall.as_secs_f64().max(1e-9);
-        println!(
-            "{:>14} {:>8} {:>9.2} {:>9.2} {:>12.0}",
-            label,
-            lat.len(),
-            p50,
-            p99,
-            rate
-        );
-        json::record("serve", "E-shard", &label, "p50", p50, "us");
-        json::record("serve", "E-shard", &label, "p99", p99, "us");
-        json::record("serve", "E-shard", &label, "clicks_per_s", rate, "clicks/s");
-    };
-
-    for &load in &loads {
-        let (lat, wall) = drive(&baseline, &urls, load, PASSES);
-        report(format!("unsharded-c{load}"), lat, wall);
-    }
-    for &shards in &shard_counts {
-        let service = ShardedService::new(&site, Mode::Context, shards);
-        for (u, want) in urls.iter().zip(&reference) {
-            assert_eq!(
-                &service.handle(u).body,
-                want,
-                "sharded body diverged from unsharded at {u} with {shards} shards"
-            );
-        }
-        for &load in &loads {
-            let (lat, wall) = drive(&service, &urls, load, PASSES);
-            report(format!("s{shards}-c{load}"), lat, wall);
-        }
-    }
-    println!();
-}
-
-/// E-event — the epoll keep-alive transport against the connection-per-
-/// request baseline, over real sockets. Four measured cases (thread pool
-/// with per-request connections, epoll with per-request connections,
-/// epoll keep-alive serial, epoll keep-alive pipelined), a summary
-/// `keepalive_speedup` row, and a 1000-idle-connection hold recording the
-/// open-connection gauge, the OS-thread delta, and the fast-click p50
-/// while the idle fds are held.
-pub fn exp_event() {
-    use std::io::{BufRead, BufReader, Read, Write};
-    use std::net::{SocketAddr, TcpStream};
-    use std::sync::Arc;
-    use strudel_serve::{serve, ServerConfig, Transport};
-
-    println!("== E-event: keep-alive clicks over the epoll reactor ==");
-    if !Transport::Epoll.is_supported() {
-        println!("  (epoll unsupported on this platform; skipping)\n");
-        return;
-    }
-
-    let corpus = crate::paper_news_corpus(60);
-    let site = sites::news_site(&corpus).build().unwrap();
-    let scout = SiteService::new(&site, Mode::Context);
-    let mut urls = vec!["/".to_string()];
-    let mut i = 0;
-    while i < urls.len() {
-        let body = scout.handle(&urls[i]).body;
-        for part in body.split("href=\"").skip(1) {
-            if let Some(end) = part.find('"') {
-                let href = &part[..end];
-                if href.starts_with("/page/") && !urls.iter().any(|u| u == href) {
-                    urls.push(href.to_string());
-                }
-            }
-        }
-        i += 1;
-    }
-
-    const CLIENTS: usize = 4;
-    const PASSES: usize = 4;
-    const DEPTH: usize = 6;
-
-    /// One complete response off a kept-alive connection: headers up to
-    /// the blank line, then exactly `Content-Length` body bytes.
-    fn read_response(reader: &mut BufReader<TcpStream>) -> bool {
-        let mut head = String::new();
-        loop {
-            let mut line = String::new();
-            match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => return false,
-                Ok(_) if line == "\r\n" => break,
-                Ok(_) => head.push_str(&line),
-            }
-        }
-        let Some(length) = head
-            .lines()
-            .find_map(|l| l.strip_prefix("Content-Length: "))
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        else {
-            return false;
-        };
-        let mut body = vec![0u8; length];
-        reader.read_exact(&mut body).is_ok()
-    }
-
-    // Connection-per-request: every click pays connect + close.
-    fn drive_fresh(addr: SocketAddr, urls: &[String]) -> (Vec<u64>, Duration) {
-        let start = Instant::now();
-        let mut lat: Vec<u64> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..CLIENTS)
-                .map(|t| {
-                    s.spawn(move || {
-                        let mut mine = Vec::with_capacity(PASSES * urls.len());
-                        for p in 0..PASSES {
-                            for k in 0..urls.len() {
-                                let u = &urls[(k + t * 7 + p) % urls.len()];
-                                let c = Instant::now();
-                                let mut stream = TcpStream::connect(addr).unwrap();
-                                write!(
-                                    stream,
-                                    "GET {u} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
-                                )
-                                .unwrap();
-                                let mut out = Vec::new();
-                                stream.read_to_end(&mut out).unwrap();
-                                assert!(out.starts_with(b"HTTP/1.1 200"), "{u}");
-                                mine.push(c.elapsed().as_nanos() as u64);
-                            }
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            for h in handles {
-                lat.extend(h.join().unwrap());
-            }
-        });
-        let wall = start.elapsed();
-        lat.sort_unstable();
-        (lat, wall)
-    }
-
-    // Keep-alive: one connection per client, every click reuses it.
-    fn drive_keepalive(addr: SocketAddr, urls: &[String]) -> (Vec<u64>, Duration) {
-        let start = Instant::now();
-        let mut lat: Vec<u64> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..CLIENTS)
-                .map(|t| {
-                    s.spawn(move || {
-                        let stream = TcpStream::connect(addr).unwrap();
-                        // One write per request: `write!` issues a syscall
-                        // per format fragment, and the partial first
-                        // segment stalls on Nagle + delayed ACK once the
-                        // connection leaves quickack mode.
-                        stream.set_nodelay(true).unwrap();
-                        let mut writer = stream.try_clone().unwrap();
-                        let mut reader = BufReader::new(stream);
-                        let mut mine = Vec::with_capacity(PASSES * urls.len());
-                        for p in 0..PASSES {
-                            for k in 0..urls.len() {
-                                let u = &urls[(k + t * 7 + p) % urls.len()];
-                                let request =
-                                    format!("GET {u} HTTP/1.1\r\nHost: localhost\r\n\r\n");
-                                let c = Instant::now();
-                                writer.write_all(request.as_bytes()).unwrap();
-                                assert!(read_response(&mut reader), "{u}");
-                                mine.push(c.elapsed().as_nanos() as u64);
-                            }
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            for h in handles {
-                lat.extend(h.join().unwrap());
-            }
-        });
-        let wall = start.elapsed();
-        lat.sort_unstable();
-        (lat, wall)
-    }
-
-    // Pipelined keep-alive: DEPTH requests per burst on one connection;
-    // per-click latency is the burst wall divided by its depth.
-    fn drive_pipelined(addr: SocketAddr, urls: &[String]) -> (Vec<u64>, Duration) {
-        let start = Instant::now();
-        let mut lat: Vec<u64> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..CLIENTS)
-                .map(|t| {
-                    s.spawn(move || {
-                        let stream = TcpStream::connect(addr).unwrap();
-                        let mut writer = stream.try_clone().unwrap();
-                        let mut reader = BufReader::new(stream);
-                        let mut mine = Vec::with_capacity(PASSES * urls.len());
-                        for p in 0..PASSES {
-                            // Offset per thread and pass so clients never
-                            // march over the URLs in lockstep.
-                            let mut rotated: Vec<&String> = urls.iter().collect();
-                            rotated.rotate_left((t * 7 + p) % urls.len());
-                            for chunk in rotated.chunks(DEPTH) {
-                                let c = Instant::now();
-                                let mut burst = String::new();
-                                for u in chunk {
-                                    burst.push_str(&format!(
-                                        "GET {u} HTTP/1.1\r\nHost: localhost\r\n\r\n"
-                                    ));
-                                }
-                                writer.write_all(burst.as_bytes()).unwrap();
-                                for _ in 0..chunk.len() {
-                                    assert!(read_response(&mut reader));
-                                }
-                                let per_click =
-                                    c.elapsed().as_nanos() as u64 / chunk.len() as u64;
-                                mine.extend((0..chunk.len()).map(|_| per_click));
-                            }
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            for h in handles {
-                lat.extend(h.join().unwrap());
-            }
-        });
-        let wall = start.elapsed();
-        lat.sort_unstable();
-        (lat, wall)
-    }
-
-    fn percentile(sorted: &[u64], q: f64) -> f64 {
-        if sorted.is_empty() {
-            return 0.0;
-        }
-        let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-        sorted[idx] as f64
-    }
-
-    let start_server = |transport: Transport, keepalive: Duration, max_conns: usize| {
-        let service = Arc::new(SiteService::new(&site, Mode::Context));
-        let server = serve(
-            Arc::clone(&service),
-            ServerConfig {
-                addr: "127.0.0.1:0".into(),
-                workers: 2,
-                transport,
-                keepalive_timeout: keepalive,
-                max_connections: max_conns,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        (service, server)
-    };
-
-    println!(
-        "{:>18} {:>8} {:>9} {:>9} {:>12}",
-        "case", "clicks", "p50(us)", "p99(us)", "clicks/s"
-    );
-    let report = |label: &str, lat: Vec<u64>, wall: Duration| -> f64 {
-        let p50 = percentile(&lat, 0.50) / 1e3;
-        let p99 = percentile(&lat, 0.99) / 1e3;
-        let rate = lat.len() as f64 / wall.as_secs_f64().max(1e-9);
-        println!(
-            "{:>18} {:>8} {:>9.2} {:>9.2} {:>12.0}",
-            label,
-            lat.len(),
-            p50,
-            p99,
-            rate
-        );
-        json::record("serve", "E-event", label, "p50", p50, "us");
-        json::record("serve", "E-event", label, "p99", p99, "us");
-        json::record("serve", "E-event", label, "clicks_per_s", rate, "clicks/s");
-        rate
-    };
-
-    // Best of two repetitions per case: on a shared box a single pass is
-    // hostage to scheduler noise in either direction of the ratio.
-    let best = |f: &dyn Fn() -> (Vec<u64>, Duration)| {
-        let (a_lat, a_wall) = f();
-        let (b_lat, b_wall) = f();
-        let a_rate = a_lat.len() as f64 / a_wall.as_secs_f64().max(1e-9);
-        let b_rate = b_lat.len() as f64 / b_wall.as_secs_f64().max(1e-9);
-        if a_rate >= b_rate {
-            (a_lat, a_wall)
-        } else {
-            (b_lat, b_wall)
-        }
-    };
-
-    let keepalive_secs = Duration::from_secs(5);
-    let (_svc, server) = start_server(Transport::Threads, keepalive_secs, 4096);
-    let addr = server.addr();
-    let (lat, wall) = best(&|| drive_fresh(addr, &urls));
-    let baseline_rate = report("threads-close", lat, wall);
-    server.shutdown();
-
-    let (_svc, server) = start_server(Transport::Epoll, keepalive_secs, 4096);
-    let addr = server.addr();
-    let (lat, wall) = best(&|| drive_fresh(addr, &urls));
-    report("epoll-close", lat, wall);
-    let (lat, wall) = best(&|| drive_keepalive(addr, &urls));
-    let serial_rate = report("epoll-keepalive", lat, wall);
-    let (lat, wall) = best(&|| drive_pipelined(addr, &urls));
-    let pipelined_rate = report("epoll-pipelined", lat, wall);
-    server.shutdown();
-
-    let speedup = serial_rate.max(pipelined_rate) / baseline_rate.max(1e-9);
-    println!(
-        "  keep-alive speedup over connection-per-request: {speedup:.1}x \
-         (target >= 3x)"
-    );
-    json::record("serve", "E-event", "summary", "keepalive_speedup", speedup, "x");
-
-    // The idle hold: 1000 kept-alive connections must cost fds, not
-    // threads, and must not degrade fresh clicks arriving alongside.
-    const IDLE: usize = 1000;
-    let (service, server) = start_server(Transport::Epoll, Duration::from_secs(60), IDLE + 200);
-    let addr = server.addr();
-    let threads_before = os_thread_count();
-    let mut held = Vec::with_capacity(IDLE);
-    for _ in 0..IDLE {
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        let mut reader = BufReader::new(stream);
-        write!(writer, "GET / HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
-        assert!(read_response(&mut reader), "idle connection served");
-        held.push((writer, reader));
-    }
-    let open = service.open_connections();
-    let thread_delta = os_thread_count().saturating_sub(threads_before);
-    let mut fast: Vec<u64> = (0..30)
-        .map(|_| {
-            let c = Instant::now();
-            let mut s = TcpStream::connect(addr).unwrap();
-            write!(s, "GET / HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n").unwrap();
-            let mut out = Vec::new();
-            s.read_to_end(&mut out).unwrap();
-            assert!(out.starts_with(b"HTTP/1.1 200"));
-            c.elapsed().as_nanos() as u64
-        })
-        .collect();
-    fast.sort_unstable();
-    let fast_p50 = percentile(&fast, 0.50) / 1e3;
-    println!(
-        "  idle hold: {open} open connections, +{thread_delta} OS threads, \
-         fast-click p50 {fast_p50:.2}us"
-    );
-    json::record("serve", "E-event", "idle-hold", "open_connections", open as f64, "conns");
-    json::record("serve", "E-event", "idle-hold", "thread_delta", thread_delta as f64, "threads");
-    json::record("serve", "E-event", "idle-hold", "fast_p50", fast_p50, "us");
-    drop(held);
-    server.shutdown();
-    println!();
-}
-
-/// This process's OS thread count (Linux: `/proc/self/status`).
-fn os_thread_count() -> usize {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find_map(|l| l.strip_prefix("Threads:"))
-                .and_then(|v| v.trim().parse().ok())
-        })
-        .unwrap_or(0)
-}
-
-/// E-crash — recovery cost and crash-point coverage. Measures the four
-/// open paths a deployment actually hits (clean snapshot, replay-heavy
-/// WAL, torn-tail repair, checkpoint itself), then sweeps a seeded
-/// workload crashing at every injected storage fault point and verifies
-/// each reopen against a fault-free oracle.
+/// E-crash — recovery cost and crash-point coverage of the paged store,
+/// the one durable stack. Measures the four open paths a deployment
+/// actually hits (clean checkpoint, replay-heavy WAL, torn-tail repair,
+/// checkpoint itself), each as `PagedRepo::open` plus the
+/// `materialize` that hands the service its in-memory graph, then sweeps
+/// a seeded workload crashing at every injected storage fault point and
+/// verifies each reopen against a fault-free in-memory oracle.
 pub fn exp_crash() {
-    use strudel::repo::vfs::{FaultMode, FaultVfs, Vfs};
+    use strudel::repo::vfs::{FaultMode, FaultVfs};
+    use strudel::repo::{PagedRepo, PagerConfig};
     use strudel_prng::{Rng, SeedableRng, SmallRng};
 
-    println!("== E-crash: recovery cost & crash-point coverage ==");
+    println!("== E-crash: recovery cost & crash-point coverage (paged store) ==");
     let dir = std::env::temp_dir().join(format!("strudel-bench-crash-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    let cfg = PagerConfig::default();
 
     // Delta i adds node i (graphs here grow one node per delta) plus one
     // attribute edge on it — enough to exercise both WAL record kinds.
@@ -1717,31 +1263,37 @@ pub fn exp_crash() {
 
     const DELTAS: usize = 2000;
     {
-        let mut db = Database::open(&dir, IndexLevel::None).unwrap();
+        let repo = PagedRepo::open(&dir, cfg).unwrap();
         for i in 0..DELTAS {
-            db.apply_delta(&delta_for(i)).unwrap();
+            repo.apply_delta(&delta_for(i)).unwrap();
         }
     }
 
-    println!("{:>10} {:>16} {:>10}", "wal frames", "open path", "time");
-    let open_row = |label: &str, frames: usize| {
-        let (db, t) = time(|| Database::open(&dir, IndexLevel::None).unwrap());
-        println!("{:>10} {:>16} {:>10}", frames, label, ms(t));
-        json::record(
-            "crash",
-            "E-crash",
+    println!(
+        "{:>10} {:>16} {:>10} {:>12}",
+        "wal frames", "open path", "open", "materialize"
+    );
+    let open_row = |label: &str, frames: usize, nodes: usize| {
+        let (repo, t_open) = time(|| PagedRepo::open(&dir, cfg).unwrap());
+        let (graph, t_mat) = time(|| repo.snapshot().materialize().unwrap());
+        assert_eq!(graph.node_count(), nodes, "{label}: recovered node count");
+        println!(
+            "{:>10} {:>16} {:>10} {:>12}",
+            frames,
             label,
-            "open_latency",
-            t.as_secs_f64() * 1e3,
-            "ms",
+            ms(t_open),
+            ms(t_mat)
         );
-        db
+        for (metric, t) in [("open_latency", t_open), ("materialize_latency", t_mat)] {
+            json::record("crash", "E-crash", label, metric, t.as_secs_f64() * 1e3, "ms");
+        }
+        repo
     };
 
     // Replay-heavy: every delta still sits in the WAL.
-    let mut db = open_row("replay-open", DELTAS);
-    let ((), t_ckpt) = time(|| db.checkpoint().unwrap());
-    drop(db);
+    let repo = open_row("replay-open", DELTAS, DELTAS);
+    let ((), t_ckpt) = time(|| repo.checkpoint().unwrap());
+    drop(repo);
     println!("{:>10} {:>16} {:>10}", DELTAS, "checkpoint", ms(t_ckpt));
     json::record(
         "crash",
@@ -1752,25 +1304,32 @@ pub fn exp_crash() {
         "ms",
     );
 
-    // Clean: snapshot only, empty WAL.
-    drop(open_row("clean-open", 0));
+    // Clean: manifest and pages only, empty WAL.
+    drop(open_row("clean-open", 0, DELTAS));
 
     // Torn tail: a frame sheared mid-write must be repaired, not fatal.
     {
-        let mut db = Database::open(&dir, IndexLevel::None).unwrap();
-        db.apply_delta(&delta_for(DELTAS)).unwrap();
-        drop(db);
+        let repo = PagedRepo::open(&dir, cfg).unwrap();
+        repo.apply_delta(&delta_for(DELTAS)).unwrap();
+        drop(repo);
         use std::io::Write;
         let mut f = std::fs::OpenOptions::new()
             .append(true)
-            .open(dir.join("wal.log"))
+            .open(dir.join("pager.wal"))
             .unwrap();
         f.write_all(&[0x40, 0, 0, 0, 0xde, 0xad]).unwrap(); // claims 64 bytes, has 0
     }
-    drop(open_row("torn-tail-open", 1));
+    drop(open_row("torn-tail-open", 1, DELTAS + 1));
 
     // Crash-point sweep: replay a seeded workload, crash at fault point k,
-    // reopen cleanly, compare with the same workload run fault-free.
+    // reopen cleanly, compare with the same workload run fault-free. A
+    // small pool and page make commits evict, so fault points land inside
+    // page writebacks as well as WAL appends and checkpoints.
+    let sweep_cfg = PagerConfig {
+        page_size: 128,
+        pool_pages: 4,
+        nodes_per_segment: 4,
+    };
     let seed = 0x51EDu64;
     let sweep_dir = |tag: &str| {
         let d = std::env::temp_dir().join(format!(
@@ -1780,24 +1339,19 @@ pub fn exp_crash() {
         let _ = std::fs::remove_dir_all(&d);
         d
     };
-    let run = |dir: &std::path::Path, vfs: Option<std::sync::Arc<FaultVfs>>| {
+    // Returns how many deltas were acknowledged before the crash.
+    let run = |dir: &std::path::Path, vfs: std::sync::Arc<FaultVfs>| {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let v: std::sync::Arc<dyn Vfs> = match &vfs {
-            Some(f) => f.clone(),
-            None => std::sync::Arc::new(strudel::repo::vfs::RealVfs),
-        };
-        let mut db = match Database::open_with(dir, IndexLevel::None, v) {
-            Ok(db) => db,
-            Err(_) => return 0usize, // crashed during open
+        let Ok(repo) = PagedRepo::open_with(vfs, dir, sweep_cfg) else {
+            return 0usize; // crashed during open
         };
         let mut ok = 0usize;
         for i in 0..40 {
-            let r = db.apply_delta(&delta_for(i));
-            if r.is_err() {
+            if repo.apply_delta(&delta_for(i)).is_err() {
                 break; // crash point hit
             }
             ok += 1;
-            if rng.gen_bool(0.15) && db.checkpoint().is_err() {
+            if rng.gen_bool(0.15) && repo.checkpoint().is_err() {
                 break;
             }
         }
@@ -1807,7 +1361,7 @@ pub fn exp_crash() {
     let probe = std::sync::Arc::new(FaultVfs::new());
     let total_ops = {
         let d = sweep_dir("count");
-        run(&d, Some(probe.clone()));
+        run(&d, probe.clone());
         let n = probe.op_count();
         let _ = std::fs::remove_dir_all(&d);
         n
@@ -1819,24 +1373,34 @@ pub fn exp_crash() {
         let d = sweep_dir("point");
         let vfs = std::sync::Arc::new(FaultVfs::new());
         vfs.arm_crash(k, FaultMode::Fail);
-        let ok_ops = run(&d, Some(vfs.clone()));
+        let ok_ops = run(&d, vfs.clone());
         if !vfs.fired() {
             let _ = std::fs::remove_dir_all(&d);
             continue;
         }
         covered += 1;
-        let (recovered, t) = time(|| Database::open(&d, IndexLevel::None).unwrap());
+        let (recovered, t) = time(|| {
+            let repo = PagedRepo::open(&d, sweep_cfg).unwrap();
+            repo.snapshot().materialize().unwrap()
+        });
         worst_recovery = worst_recovery.max(t);
-        // Exactly the acknowledged ops survive: nothing lost, nothing
-        // half-applied. The oracle is the same prefix replayed in memory.
+        // Every acknowledged delta survives and nothing is half-applied:
+        // the oracle is the acknowledged prefix replayed in memory — or
+        // that prefix plus the one delta in flight at the crash, which
+        // survives whole when its WAL frame landed before the fault hit
+        // a page write.
         let mut expect = Database::new(IndexLevel::None);
         for i in 0..ok_ops {
             expect.apply_delta(&delta_for(i)).unwrap();
         }
-        assert!(
-            graphs_equivalent(expect.graph(), recovered.graph()),
-            "crash at op {k}: recovered state diverges from the {ok_ops}-op oracle"
-        );
+        if !graphs_equivalent(expect.graph(), &recovered) {
+            expect.apply_delta(&delta_for(ok_ops)).unwrap();
+            assert!(
+                graphs_equivalent(expect.graph(), &recovered),
+                "crash at op {k}: recovered state is neither the {ok_ops}-delta oracle \
+                 nor that plus the delta in flight"
+            );
+        }
         let _ = std::fs::remove_dir_all(&d);
     }
     println!(
@@ -1965,239 +1529,6 @@ pub fn exp_pager() {
     println!();
 }
 
-/// Locates the `strudel` binary next to this bench binary (both land in
-/// `target/<profile>/`). E-cluster spawns real worker processes from it.
-fn cluster_binary() -> Option<std::path::PathBuf> {
-    let exe = std::env::current_exe().ok()?;
-    let dir = exe.parent()?;
-    let candidates = [dir.join("strudel"), dir.parent()?.join("strudel")];
-    candidates.into_iter().find(|c| c.is_file())
-}
-
-/// E-cluster — supervised multi-process failover under kill-torture:
-/// recovery-time distribution for SIGKILLed shard workers, degraded vs
-/// dropped request counts while traffic runs through the kills, and the
-/// cross-process delta-barrier latency.
-pub fn exp_cluster() {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Arc;
-    use strudel::repo::{PagedRepo, PagerConfig};
-    use strudel_graph::ddl;
-    use strudel_serve::{ClickService, ClusterConfig, ClusterService};
-
-    println!("== E-cluster: supervised multi-process failover ==");
-    let Some(binary) = cluster_binary() else {
-        println!(
-            "skipped: no `strudel` binary beside the bench binary \
-             (build it first: cargo build --release -p strudel-serve)\n"
-        );
-        return;
-    };
-
-    const WORKERS: usize = 3;
-    const KILL_ROUNDS: usize = 3;
-    const ARTICLES: usize = 24;
-    const DELTAS: usize = 8;
-
-    // The same article site the cluster e2e suite serves, at bench scale.
-    let query = r#"
-        create RootPage()
-        where Articles(x)
-        create ArticlePage(x)
-        link RootPage() -> "story" -> ArticlePage(x)
-        collect Roots(RootPage()), ArticlePages(ArticlePage(x))
-        { where x -> "title" -> t
-          link ArticlePage(x) -> "title" -> t }
-        { where x -> "body" -> b
-          link ArticlePage(x) -> "body" -> b }
-    "#;
-    let mut source = String::new();
-    for i in 0..ARTICLES {
-        source.push_str(&format!(
-            "object a{i} in Articles {{ title : \"Article {i:03}\"; body : \"body {i}\"; }}\n"
-        ));
-    }
-
-    let root = std::env::temp_dir().join(format!("strudel-bench-cluster-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let site_dir = root.join("site");
-    let store_dir = root.join("store");
-    std::fs::create_dir_all(site_dir.join("templates")).unwrap();
-    std::fs::create_dir_all(site_dir.join("sources")).unwrap();
-    std::fs::write(site_dir.join("site.struql"), query).unwrap();
-    std::fs::write(
-        site_dir.join("site.conf"),
-        "root Roots\nobject RootPage root\ncollection ArticlePages article\n",
-    )
-    .unwrap();
-    std::fs::write(
-        site_dir.join("templates/root.tmpl"),
-        "<html><SFMT story UL ORDER=ascend KEY=title></html>",
-    )
-    .unwrap();
-    std::fs::write(
-        site_dir.join("templates/article.tmpl"),
-        "<html><h1><SFMT title></h1><p><SFMT body></p></html>",
-    )
-    .unwrap();
-    std::fs::write(site_dir.join("sources/articles.ddl"), &source).unwrap();
-    std::fs::create_dir_all(&store_dir).unwrap();
-    let graph = ddl::parse(&source).unwrap();
-    drop(PagedRepo::bulk_load(&store_dir, PagerConfig::default(), &graph).unwrap());
-
-    let mut config = ClusterConfig::new(
-        WORKERS,
-        binary,
-        site_dir.clone(),
-        store_dir.clone(),
-    );
-    config.backoff_base = Duration::from_millis(20);
-    config.backoff_cap = Duration::from_millis(500);
-    config.probe_interval = Duration::from_millis(100);
-    config.min_uptime = Duration::from_millis(300);
-    let store = PagedRepo::open(&store_dir, PagerConfig::default()).unwrap();
-    let cluster = ClusterService::start(store, config).expect("cluster start");
-    let report = ClickService::warm(&*cluster, strudel_struql::Parallelism::Threads(2)).unwrap();
-    println!(
-        "site: {} pages over {WORKERS} worker processes; \
-         {KILL_ROUNDS} SIGKILL rounds x {WORKERS} shards under traffic",
-        report.pages
-    );
-
-    // Collect the servable path set once, while everything is fresh.
-    let mut paths = vec!["/".to_string()];
-    let front = cluster.handle("/");
-    let mut rest = front.body.as_str();
-    while let Some(i) = rest.find("href=\"") {
-        rest = &rest[i + 6..];
-        let Some(end) = rest.find('"') else { break };
-        let href = &rest[..end];
-        if href.starts_with('/') && !href.starts_with("/metrics") && !paths.iter().any(|p| p == href)
-        {
-            paths.push(href.to_string());
-        }
-        rest = &rest[end..];
-    }
-
-    // Traffic: cycle the path set through the router while workers die.
-    // Every response must be a 200 — fresh or a degraded LKG copy, never
-    // an error. `failed` counts the contract violations (must stay 0).
-    let stop = Arc::new(AtomicBool::new(false));
-    let fresh = Arc::new(AtomicU64::new(0));
-    let degraded = Arc::new(AtomicU64::new(0));
-    let failed = Arc::new(AtomicU64::new(0));
-    let traffic = {
-        let (cluster, paths) = (cluster.clone(), paths.clone());
-        let (stop, fresh, degraded, failed) =
-            (stop.clone(), fresh.clone(), degraded.clone(), failed.clone());
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Acquire) {
-                for path in &paths {
-                    let r = cluster.handle(path);
-                    match (r.status, r.degraded) {
-                        (200, false) => fresh.fetch_add(1, Ordering::Relaxed),
-                        (200, true) => degraded.fetch_add(1, Ordering::Relaxed),
-                        _ => failed.fetch_add(1, Ordering::Relaxed),
-                    };
-                }
-            }
-        })
-    };
-
-    // Kill-torture: SIGKILL every shard in turn, measuring kill → all
-    // workers ready again. The post-recovery pause keeps each worker
-    // alive past min_uptime so deliberate kills are forgiven, not
-    // counted toward the crash-loop breaker.
-    let mut recoveries: Vec<Duration> = Vec::new();
-    for _ in 0..KILL_ROUNDS {
-        for shard in 0..WORKERS {
-            let t0 = Instant::now();
-            assert!(cluster.kill_worker(shard), "shard {shard} had a live worker");
-            while cluster.ready_workers() < WORKERS {
-                assert!(
-                    t0.elapsed() < Duration::from_secs(60),
-                    "shard {shard} never recovered"
-                );
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            recoveries.push(t0.elapsed());
-            std::thread::sleep(Duration::from_millis(350));
-        }
-    }
-
-    // Barrier latency: commit → every live worker confirmed caught up.
-    let mut barrier: Vec<Duration> = Vec::new();
-    for k in 0..DELTAS {
-        let mut delta = GraphDelta::new();
-        let oid = Oid::from_index(ARTICLES + k);
-        delta.add_node(None);
-        delta.add_edge(oid, "title", Value::string(format!("Injected {k:03}").as_str()));
-        delta.add_edge(oid, "body", Value::string(format!("payload {k}").as_str()));
-        delta.collect("Articles", Value::Node(oid));
-        let (outcome, t) = time(|| cluster.apply_delta(&delta).unwrap());
-        assert!(outcome.caught_up.iter().all(|c| *c), "delta {k} left a worker behind");
-        barrier.push(t);
-    }
-
-    stop.store(true, Ordering::Release);
-    traffic.join().unwrap();
-    let restarts: u64 = (0..WORKERS).map(|s| cluster.worker_restarts(s)).sum();
-    cluster.shutdown();
-
-    recoveries.sort();
-    barrier.sort();
-    let p50 = recoveries[recoveries.len() / 2];
-    let (lo, hi) = (recoveries[0], *recoveries.last().unwrap());
-    let bar_p50 = barrier[barrier.len() / 2];
-    let (fresh, degraded, failed) = (
-        fresh.load(Ordering::Acquire),
-        degraded.load(Ordering::Acquire),
-        failed.load(Ordering::Acquire),
-    );
-
-    println!("\n{:>28} {:>10} {:>10} {:>10}", "", "min", "p50", "max");
-    println!(
-        "{:>28} {:>10} {:>10} {:>10}",
-        "kill -> all ready",
-        ms(lo),
-        ms(p50),
-        ms(hi)
-    );
-    println!(
-        "{:>28} {:>10} {:>10} {:>10}",
-        "delta barrier (all workers)",
-        ms(barrier[0]),
-        ms(bar_p50),
-        ms(*barrier.last().unwrap())
-    );
-    println!(
-        "\ntraffic through {} kills: {fresh} fresh, {degraded} degraded (stale LKG), \
-         {failed} dropped/errored; {restarts} supervised restarts",
-        recoveries.len()
-    );
-    assert_eq!(failed, 0, "a request was dropped or errored during failover");
-
-    json::record("cluster", "E-cluster", "recovery", "samples", recoveries.len() as f64, "count");
-    json::record("cluster", "E-cluster", "recovery", "min", lo.as_secs_f64() * 1e3, "ms");
-    json::record("cluster", "E-cluster", "recovery", "p50", p50.as_secs_f64() * 1e3, "ms");
-    json::record("cluster", "E-cluster", "recovery", "max", hi.as_secs_f64() * 1e3, "ms");
-    json::record(
-        "cluster",
-        "E-cluster",
-        "barrier",
-        "p50",
-        bar_p50.as_secs_f64() * 1e3,
-        "ms",
-    );
-    json::record("cluster", "E-cluster", "traffic", "fresh", fresh as f64, "count");
-    json::record("cluster", "E-cluster", "traffic", "degraded", degraded as f64, "count");
-    json::record("cluster", "E-cluster", "traffic", "dropped", failed as f64, "count");
-    json::record("cluster", "E-cluster", "traffic", "restarts", restarts as f64, "count");
-
-    let _ = std::fs::remove_dir_all(&root);
-    println!();
-}
-
 /// Runs every experiment in order.
 pub fn run_all() {
     exp_site_stats();
@@ -2211,12 +1542,9 @@ pub fn run_all() {
     exp_indexing();
     exp_struql_scale();
     exp_batch();
-    exp_shard();
-    exp_event();
     exp_htmlgen();
     exp_mediate();
     exp_trace();
     exp_crash();
     exp_pager();
-    exp_cluster();
 }

@@ -9,7 +9,7 @@ use std::io;
 pub enum RepoError {
     /// An underlying I/O failure.
     Io(io::Error),
-    /// A snapshot or WAL file failed to decode.
+    /// A manifest, page, WAL or snapshot encoding failed to decode.
     Corrupt {
         /// Which file was corrupt.
         what: &'static str,

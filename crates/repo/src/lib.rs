@@ -19,9 +19,17 @@
 //! all of them incrementally under mutation; [`IndexLevel`] lets the
 //! indexing ablation experiment (E-index) dial them down.
 //!
-//! Persistence is a binary [`snapshot`] plus a write-ahead log ([`wal`]) of
-//! [`GraphDelta`](strudel_graph::GraphDelta)s; [`Database::open`] replays
-//! the log over the latest snapshot and [`Database::checkpoint`] compacts.
+//! There is one durable store, and [`Database`] is not it: `Database` is
+//! the indexed graph in memory and never sees a file. [`PagedRepo`]
+//! ([`pager`]) is the only code that touches disk — a page file behind a
+//! buffer pool, a write-ahead log ([`wal`]) of
+//! [`GraphDelta`](strudel_graph::GraphDelta)s, a manifest per checkpoint
+//! and one recovery matrix. A service that wants durability pairs the two
+//! itself: each delta commits to the `PagedRepo` (the durable authority)
+//! and is then applied to an `Arc<Database>` (the read path), which at
+//! start-up is built from what the store recovered
+//! ([`PagedSnapshot::materialize`] or [`replay_committed`]). [`snapshot`]
+//! is the canonical byte encoding of a graph, used to compare the two.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

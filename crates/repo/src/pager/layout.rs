@@ -8,7 +8,7 @@
 //!   whenever a delta introduces a label, collection, or node.
 //! * **node segments** — `nodes_per_segment` consecutive oids per
 //!   segment. Each node record is its optional name, its out-edges in
-//!   insertion order (label index + value, reusing the snapshot codec),
+//!   insertion order (label index + value, in the shared value codec),
 //!   and its reverse adjacency (source oid + label index) so
 //!   `edges_in`-style scans work straight off pinned pages.
 //! * **collection segments** — one per collection: the member values in

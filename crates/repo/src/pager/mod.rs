@@ -2,13 +2,15 @@
 //! under the v2 WAL.
 //!
 //! [`Database`](crate::Database) keeps the whole graph in memory and
-//! persists it as a monolithic snapshot plus a WAL. That is the right
-//! trade for sites that fit in RAM, but §2.1's "fully index everything"
-//! stance assumes the repository can also grow past memory. This module
-//! is that growth path: a **paged store** whose data lives in a page
-//! file, cached by a fixed-size [`BufferPool`], with all I/O routed
-//! through the [`Vfs`] trait so the crash-torture harness exercises it
-//! unchanged.
+//! owns no I/O; this module is the repository's one durable store, and
+//! the only code in the crate that touches disk. §2.1's "fully index
+//! everything" stance assumes the repository can also grow past memory,
+//! so it is a **paged store**: the data lives in a page file, cached by a
+//! fixed-size [`BufferPool`], with all I/O routed through the [`Vfs`]
+//! trait so the crash-torture harness exercises it unchanged. A service
+//! pairs a [`PagedRepo`] (durable authority: every delta commits here
+//! first) with an in-memory `Database` (read path) built from what the
+//! store recovered.
 //!
 //! The moving parts, bottom to top:
 //!
@@ -22,10 +24,9 @@
 //!   segments, collection segments).
 //! * [`PagedRepo`] (here) — the façade: copy-on-write commits, MVCC
 //!   [`PagedSnapshot`]s for readers, checkpointing into a
-//!   generation-stamped manifest via the same tmp → fsync → rename →
-//!   dir-sync protocol as the snapshot store, and the recovery matrix
-//!   (manifest generation vs WAL generation) shared with
-//!   [`Database::open`](crate::Database::open).
+//!   generation-stamped manifest via a tmp → fsync → rename → dir-sync
+//!   protocol, and the recovery matrix (manifest generation vs WAL
+//!   generation) of [`PagedRepo::open_with`].
 //!
 //! # Durability model
 //!
@@ -259,8 +260,8 @@ fn decode_manifest(bytes: &[u8]) -> Result<Manifest, RepoError> {
 }
 
 /// Writes `m` durably: staged to a tmp name, synced, renamed into place,
-/// directory synced — the same protocol the snapshot store uses, so a
-/// crash at any step leaves either the old manifest or the new one.
+/// directory synced, so a crash at any step leaves either the old
+/// manifest or the new one.
 fn write_manifest(vfs: &dyn Vfs, dir: &Path, m: &Manifest) -> Result<(), RepoError> {
     let tmp = dir.join(MANIFEST_TMP);
     let path = dir.join(MANIFEST_FILE);

@@ -1,52 +1,42 @@
-//! Binary graph snapshots.
+//! The canonical binary encoding of a graph.
 //!
-//! A snapshot is the full serialized state of a graph: label table, nodes
-//! (with optional symbolic names), per-node edge lists, and collections.
-//! The header carries a *generation counter* (which checkpoint produced
-//! it — the WAL header records the generation it extends) and a CRC32 of
-//! the body, so a damaged snapshot is refused instead of loaded:
+//! The full serialized state of a graph: label table, nodes (with
+//! optional symbolic names), per-node edge lists, and collections, behind
+//! a header carrying a CRC32 of the body so damaged bytes are refused
+//! instead of decoded:
 //!
 //! ```text
-//! file := MAGIC version:u8 generation:u64le body_crc:u32le body
+//! bytes := MAGIC version:u8 reserved:u64le(0) body_crc:u32le body
 //! ```
 //!
-//! [`save_to_path_with`] writes durably: serialize to `snapshot.tmp` in a
-//! single write, fsync it, atomically rename over `snapshot.bin`, then
-//! fsync the directory. A crash at any point leaves either the old
-//! snapshot or the new one — never a half-written file under the live
-//! name. [`Database::checkpoint`] truncates the WAL only after all of
-//! that has succeeded.
-//!
-//! [`Database::checkpoint`]: crate::Database::checkpoint
+//! Nothing here touches a file: durable storage is the paged store
+//! ([`crate::pager`]). Two graphs are equal exactly when [`save_graph`]
+//! gives equal bytes, which is what the storage suites and
+//! `strudel serve --store` use it for — the byte-equality oracle between
+//! a recovered store and an in-memory [`Database`](crate::Database). The
+//! reserved field held the checkpoint generation of the snapshot + WAL
+//! store this format once persisted; it stays so the bytes do not move.
 
 use crate::codec::{read_str, read_value, read_varint, write_str, write_value, write_varint};
 use crate::crc::crc32;
-use crate::vfs::{RealVfs, Vfs};
 use crate::RepoError;
 use std::io::{Read, Write};
-use std::path::Path;
 use strudel_graph::{Graph, Label, Oid};
 
 const MAGIC: &[u8; 8] = b"STRUSNAP";
 const VERSION: u8 = 2;
-/// Magic, version, generation, and body checksum.
-pub const HEADER_LEN: u64 = 8 + 1 + 8 + 4;
+/// Magic, version, reserved word, and body checksum.
+const HEADER_LEN: u64 = 8 + 1 + 8 + 4;
 
-/// Serializes `graph` (with `generation` in the header) to `w`.
-pub fn save_graph_gen(graph: &Graph, generation: u64, w: &mut impl Write) -> Result<(), RepoError> {
+/// Serializes `graph` to `w`.
+pub fn save_graph(graph: &Graph, w: &mut impl Write) -> Result<(), RepoError> {
     let body = encode_body(graph)?;
     w.write_all(MAGIC)?;
     w.write_all(&[VERSION])?;
-    w.write_all(&generation.to_le_bytes())?;
+    w.write_all(&0u64.to_le_bytes())?;
     w.write_all(&crc32(&body).to_le_bytes())?;
     w.write_all(&body)?;
     Ok(())
-}
-
-/// [`save_graph_gen`] with generation 0 — for callers that only want the
-/// serialization (tests, byte-equality oracles).
-pub fn save_graph(graph: &Graph, w: &mut impl Write) -> Result<(), RepoError> {
-    save_graph_gen(graph, 0, w)
 }
 
 fn encode_body(graph: &Graph) -> Result<Vec<u8>, RepoError> {
@@ -93,9 +83,9 @@ fn encode_body(graph: &Graph) -> Result<Vec<u8>, RepoError> {
     Ok(w)
 }
 
-/// Deserializes a graph and its generation from `r`, verifying the body
-/// checksum before decoding anything.
-pub fn load_graph_gen(r: &mut impl Read) -> Result<(Graph, u64), RepoError> {
+/// Deserializes a graph from `r`, verifying the body checksum before
+/// decoding anything.
+pub fn load_graph(r: &mut impl Read) -> Result<Graph, RepoError> {
     let mut header = [0u8; HEADER_LEN as usize];
     r.read_exact(&mut header)?;
     if &header[..8] != MAGIC {
@@ -104,7 +94,6 @@ pub fn load_graph_gen(r: &mut impl Read) -> Result<(Graph, u64), RepoError> {
     if header[8] != VERSION {
         return Err(corrupt(9, format!("unsupported version {}", header[8])));
     }
-    let generation = u64::from_le_bytes(header[9..17].try_into().unwrap());
     let stored_crc = u32::from_le_bytes(header[17..21].try_into().unwrap());
     let mut body = Vec::new();
     r.read_to_end(&mut body)?;
@@ -117,13 +106,7 @@ pub fn load_graph_gen(r: &mut impl Read) -> Result<(Graph, u64), RepoError> {
             ),
         ));
     }
-    let graph = decode_body(&body)?;
-    Ok((graph, generation))
-}
-
-/// [`load_graph_gen`], discarding the generation.
-pub fn load_graph(r: &mut impl Read) -> Result<Graph, RepoError> {
-    Ok(load_graph_gen(r)?.0)
+    decode_body(&body)
 }
 
 fn decode_body(body: &[u8]) -> Result<Graph, RepoError> {
@@ -195,54 +178,6 @@ fn decode_body(body: &[u8]) -> Result<Graph, RepoError> {
     Ok(g)
 }
 
-/// Saves a graph to `path` durably through `vfs`: single write to a temp
-/// file, fsync, atomic rename, directory fsync.
-pub fn save_to_path_with(
-    vfs: &dyn Vfs,
-    graph: &Graph,
-    generation: u64,
-    path: &Path,
-) -> Result<(), RepoError> {
-    let mut bytes = Vec::new();
-    save_graph_gen(graph, generation, &mut bytes)?;
-    let tmp = path.with_extension("tmp");
-    {
-        let mut file = vfs.create(&tmp)?;
-        file.write(&bytes)?;
-        file.sync()?;
-    }
-    vfs.rename(&tmp, path)?;
-    if let Some(parent) = path.parent() {
-        vfs.sync_dir(parent)?;
-    }
-    Ok(())
-}
-
-/// [`save_to_path_with`] on the real filesystem, generation 0.
-pub fn save_to_path(graph: &Graph, path: &Path) -> Result<(), RepoError> {
-    save_to_path_with(&RealVfs, graph, 0, path)
-}
-
-/// Loads a graph and its generation from `path` through `vfs`, detecting
-/// short reads via the file's metadata length.
-pub fn load_from_path_with(vfs: &dyn Vfs, path: &Path) -> Result<(Graph, u64), RepoError> {
-    let bytes = vfs.read(path)?;
-    let disk_len = vfs.len(path)?;
-    if bytes.len() as u64 != disk_len {
-        return Err(RepoError::Io(std::io::Error::other(format!(
-            "snapshot short read: got {} of {} bytes",
-            bytes.len(),
-            disk_len
-        ))));
-    }
-    load_graph_gen(&mut &bytes[..])
-}
-
-/// Loads a graph from `path`.
-pub fn load_from_path(path: &Path) -> Result<Graph, RepoError> {
-    Ok(load_from_path_with(&RealVfs, path)?.0)
-}
-
 fn corrupt(offset: u64, message: impl Into<String>) -> RepoError {
     RepoError::Corrupt {
         what: "snapshot",
@@ -292,14 +227,18 @@ mod tests {
         assert_eq!(g2.members_str("Years"), &[Value::Int(1998)]);
     }
 
+    /// The encoding is an oracle other suites compare bytes through, so
+    /// it must not drift: these are the bytes `save_graph(&sample())`
+    /// produced at c8e3876, before the snapshot store was deleted.
     #[test]
-    fn generation_round_trips() {
-        let g = sample();
+    fn save_graph_bytes_are_pinned() {
+        const PARENT_HEX: &str = "53545255534e4150020000000000000000f97a03eb\
+            04057469746c650479656172046e657874037069630201016100030005075374727564656c\
+            01019c1f02000101030905782e67696602045075627301000005596561727301019c1f";
         let mut buf = Vec::new();
-        save_graph_gen(&g, 42, &mut buf).unwrap();
-        let (g2, generation) = load_graph_gen(&mut &buf[..]).unwrap();
-        assert_eq!(generation, 42);
-        assert_eq!(g2.edge_count(), g.edge_count());
+        save_graph(&sample(), &mut buf).unwrap();
+        let hex: String = buf.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, PARENT_HEX);
     }
 
     #[test]
@@ -388,22 +327,5 @@ mod tests {
             let g2 = load_graph(&mut &buf[..]).unwrap();
             g2.edge_count() != g.edge_count() || g2.collection_count() != g.collection_count()
         });
-    }
-
-    #[test]
-    fn path_round_trip() {
-        let dir = std::env::temp_dir().join(format!("strudel-snap-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.snap");
-        let g = sample();
-        save_to_path_with(&RealVfs, &g, 9, &path).unwrap();
-        let (g2, generation) = load_from_path_with(&RealVfs, &path).unwrap();
-        assert_eq!(generation, 9);
-        assert_eq!(g2.edge_count(), g.edge_count());
-        assert!(
-            !dir.join("g.tmp").exists(),
-            "temp file renamed away, not left behind"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

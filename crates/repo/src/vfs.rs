@@ -1,10 +1,10 @@
-//! Filesystem abstraction behind the WAL and snapshots.
+//! Filesystem abstraction behind the paged store and its WAL.
 //!
 //! All durable I/O in this crate goes through the [`Vfs`] trait so the
 //! crash-torture harness can swap the real filesystem for a deterministic
 //! [`FaultVfs`] that fails, tears, or short-reads the Nth operation. The
 //! production implementation is [`RealVfs`]; both are `Send + Sync` so a
-//! `Database` holding an `Arc<dyn Vfs>` stays shareable.
+//! `PagedRepo` holding an `Arc<dyn Vfs>` stays shareable.
 //!
 //! The fault model is a *process* crash, not media corruption: an
 //! operation that returned `Ok` is visible in the file afterwards, the

@@ -10,11 +10,12 @@
 //! payload := op_count:varint op*
 //! ```
 //!
-//! The header's generation records which snapshot this log extends;
-//! [`Database::open`](crate::Database::open) compares it against the
-//! snapshot's generation to detect a crash that landed between a
-//! checkpoint's snapshot rename and its WAL truncation (a *stale* log
-//! whose frames are already in the snapshot and must not be replayed).
+//! This is the log of the paged store ([`crate::pager`]), its only
+//! caller. The header's generation records which manifest this log
+//! extends; [`PagedRepo::open_with`](crate::PagedRepo::open_with)
+//! compares the two to detect a crash that landed between a checkpoint's
+//! manifest rename and its WAL truncation (a *stale* log whose frames are
+//! already in the checkpoint and must not be replayed).
 //!
 //! Recovery distinguishes two failure shapes:
 //!
@@ -35,7 +36,7 @@
 
 use crate::codec::{read_str, read_value, read_varint, write_str, write_value, write_varint};
 use crate::crc::Crc32;
-use crate::vfs::{RealVfs, Vfs, VfsFile};
+use crate::vfs::{Vfs, VfsFile};
 use crate::RepoError;
 use std::io::Read;
 use std::path::Path;
@@ -71,11 +72,6 @@ impl Wal {
         Ok(Wal { file })
     }
 
-    /// [`Wal::create_with`] on the real filesystem, generation 0.
-    pub fn create(path: &Path) -> Result<Self, RepoError> {
-        Self::create_with(&RealVfs, path, 0)
-    }
-
     /// Opens an existing WAL for appending, creating it (with
     /// `generation`) when missing.
     pub fn open_append_with(
@@ -89,11 +85,6 @@ impl Wal {
         Ok(Wal {
             file: vfs.open_append(path)?,
         })
-    }
-
-    /// [`Wal::open_append_with`] on the real filesystem, generation 0.
-    pub fn open_append(path: &Path) -> Result<Self, RepoError> {
-        Self::open_append_with(&RealVfs, path, 0)
     }
 
     /// Appends one delta as a single checksummed frame, issued as one
@@ -322,20 +313,10 @@ fn crc32_of(len_bytes: &[u8], payload: &[u8]) -> u32 {
     h.finish()
 }
 
-/// [`replay_report_with`] on the real filesystem.
-pub fn replay_report(path: &Path) -> Result<ReplayReport, RepoError> {
-    replay_report_with(&RealVfs, path)
-}
-
-/// [`replay_report`] without the recovery accounting: just the committed
-/// deltas in order.
-pub fn replay(path: &Path) -> Result<Vec<GraphDelta>, RepoError> {
-    Ok(replay_report(path)?.deltas)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::RealVfs;
     use strudel_graph::{Graph, Value};
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -343,6 +324,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&d);
         std::fs::create_dir_all(&d).unwrap();
         d
+    }
+
+    /// The committed deltas of the log at `path`, in order.
+    fn replay(path: &Path) -> Result<Vec<GraphDelta>, RepoError> {
+        Ok(replay_report_with(&RealVfs, path)?.deltas)
     }
 
     fn sample_delta() -> GraphDelta {
@@ -364,7 +350,7 @@ mod tests {
         d2.remove_edge(Oid::from_index(0), "title", Value::string("Strudel"));
         d2.uncollect("Pubs", Value::Node(Oid::from_index(0)));
         {
-            let mut wal = Wal::create(&path).unwrap();
+            let mut wal = Wal::create_with(&RealVfs, &path, 0).unwrap();
             wal.append(&d1).unwrap();
             wal.append(&d2).unwrap();
             wal.sync().unwrap();
@@ -391,7 +377,7 @@ mod tests {
             let mut wal = Wal::create_with(&RealVfs, &path, 7).unwrap();
             wal.append(&sample_delta()).unwrap();
         }
-        let report = replay_report(&path).unwrap();
+        let report = replay_report_with(&RealVfs, &path).unwrap();
         assert_eq!(report.generation, 7);
         assert_eq!(report.deltas.len(), 1);
         assert!(!report.torn_header);
@@ -402,7 +388,7 @@ mod tests {
         let dir = tmpdir("torn");
         let path = dir.join("wal.log");
         {
-            let mut wal = Wal::create(&path).unwrap();
+            let mut wal = Wal::create_with(&RealVfs, &path, 0).unwrap();
             wal.append(&sample_delta()).unwrap();
             wal.append(&sample_delta()).unwrap();
             wal.sync().unwrap();
@@ -419,7 +405,7 @@ mod tests {
         let dir = tmpdir("report");
         let path = dir.join("wal.log");
         {
-            let mut wal = Wal::create(&path).unwrap();
+            let mut wal = Wal::create_with(&RealVfs, &path, 0).unwrap();
             wal.append(&sample_delta()).unwrap();
             wal.append(&sample_delta()).unwrap();
             wal.sync().unwrap();
@@ -433,20 +419,20 @@ mod tests {
         // first delta and reports exactly the surviving tail bytes.
         let cut = first_end + 11;
         std::fs::write(&path, &full[..cut]).unwrap();
-        let report = replay_report(&path).unwrap();
+        let report = replay_report_with(&RealVfs, &path).unwrap();
         assert_eq!(report.deltas, vec![sample_delta()]);
         assert_eq!(report.discarded_bytes, (cut - first_end) as u64);
 
         // Truncate inside the second frame's length/crc prefix.
         let cut = first_end + 2;
         std::fs::write(&path, &full[..cut]).unwrap();
-        let report = replay_report(&path).unwrap();
+        let report = replay_report_with(&RealVfs, &path).unwrap();
         assert_eq!(report.deltas.len(), 1);
         assert_eq!(report.discarded_bytes, 2);
 
         // A log ending on a frame boundary discards nothing.
         std::fs::write(&path, &full).unwrap();
-        let report = replay_report(&path).unwrap();
+        let report = replay_report_with(&RealVfs, &path).unwrap();
         assert_eq!(report.deltas.len(), 2);
         assert_eq!(report.discarded_bytes, 0);
     }
@@ -477,7 +463,7 @@ mod tests {
             header.extend_from_slice(MAGIC);
             header.extend_from_slice(&5u64.to_le_bytes());
             std::fs::write(&path, &header[..cut]).unwrap();
-            let report = replay_report(&path).unwrap();
+            let report = replay_report_with(&RealVfs, &path).unwrap();
             assert!(report.torn_header, "cut at {cut}");
             assert_eq!(report.discarded_bytes, cut as u64);
             assert!(report.deltas.is_empty());
@@ -489,11 +475,11 @@ mod tests {
         let dir = tmpdir("append");
         let path = dir.join("wal.log");
         {
-            let mut wal = Wal::create(&path).unwrap();
+            let mut wal = Wal::create_with(&RealVfs, &path, 0).unwrap();
             wal.append(&sample_delta()).unwrap();
         }
         {
-            let mut wal = Wal::open_append(&path).unwrap();
+            let mut wal = Wal::open_append_with(&RealVfs, &path, 0).unwrap();
             wal.append(&sample_delta()).unwrap();
         }
         assert_eq!(replay(&path).unwrap().len(), 2);
@@ -504,7 +490,7 @@ mod tests {
         let dir = tmpdir("corrupt-mid");
         let path = dir.join("wal.log");
         {
-            let mut wal = Wal::create(&path).unwrap();
+            let mut wal = Wal::create_with(&RealVfs, &path, 0).unwrap();
             wal.append(&sample_delta()).unwrap();
             wal.append(&sample_delta()).unwrap();
         }
@@ -529,7 +515,7 @@ mod tests {
         let dir = tmpdir("corrupt-tail");
         let path = dir.join("wal.log");
         {
-            let mut wal = Wal::create(&path).unwrap();
+            let mut wal = Wal::create_with(&RealVfs, &path, 0).unwrap();
             wal.append(&sample_delta()).unwrap();
             wal.append(&sample_delta()).unwrap();
         }
@@ -537,7 +523,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        let report = replay_report(&path).unwrap();
+        let report = replay_report_with(&RealVfs, &path).unwrap();
         assert_eq!(report.deltas.len(), 1);
         assert!(report.discarded_bytes > 0);
     }
@@ -547,7 +533,7 @@ mod tests {
         let dir = tmpdir("corrupt-len");
         let path = dir.join("wal.log");
         {
-            let mut wal = Wal::create(&path).unwrap();
+            let mut wal = Wal::create_with(&RealVfs, &path, 0).unwrap();
             wal.append(&sample_delta()).unwrap();
             wal.append(&sample_delta()).unwrap();
             wal.append(&sample_delta()).unwrap();

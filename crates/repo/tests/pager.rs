@@ -1,12 +1,14 @@
 //! Integration tests for the paged store: differential checks against
 //! the in-memory [`Database`], MVCC snapshot isolation under concurrent
-//! commits, and the `Database::open_paged` round trip.
+//! commits, and the recovery matrix of `PagedRepo::open_with` row by row.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use strudel_graph::{graphs_equivalent, GraphDelta, Oid, Value};
 use strudel_prng::{choose, Rng, SeedableRng, SmallRng};
-use strudel_repo::{snapshot, Database, IndexLevel, PagedRepo, PagerConfig};
+use strudel_repo::vfs::{FaultMode, FaultVfs};
+use strudel_repo::{snapshot, wal, Database, IndexLevel, PagedRepo, PagerConfig, RepoError};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("strudel-pager-it-{tag}-{}", std::process::id()));
@@ -172,44 +174,6 @@ fn reopen_round_trips_a_mixed_run() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `Database::open_paged` materializes the paged store into a fully
-/// indexed database, routes `apply_delta` through the store, and both
-/// agree after a reopen.
-#[test]
-fn database_open_paged_round_trips() {
-    let dir = tmpdir("db-open-paged");
-    {
-        let repo = PagedRepo::open(&dir, small_cfg()).unwrap();
-        let mut d = GraphDelta::new();
-        d.add_node(Some("alice"));
-        d.add_node(Some("bob"));
-        d.add_edge(Oid::from_index(0), "knows", Value::Node(Oid::from_index(1)));
-        d.collect("People", Value::Node(Oid::from_index(0)));
-        d.collect("People", Value::Node(Oid::from_index(1)));
-        repo.apply_delta(&d).unwrap();
-    }
-    let mut db =
-        Database::open_paged(&dir, IndexLevel::Full, small_cfg()).unwrap();
-    let alice = db.graph().node_by_name("alice").unwrap();
-    assert_eq!(db.graph().members_str("People").len(), 2);
-
-    // Writes route through the paged store's WAL.
-    let mut d = GraphDelta::new();
-    d.add_edge(alice, "age", Value::Int(30));
-    db.apply_delta(&d).unwrap();
-    db.checkpoint().unwrap();
-    assert!(db.pager().is_some());
-    let gen = db.pager().unwrap().generation();
-    assert!(gen >= 1, "checkpoint should bump the generation: {gen}");
-    drop(db);
-
-    let db = Database::open_paged(&dir, IndexLevel::Full, small_cfg()).unwrap();
-    let alice = db.graph().node_by_name("alice").unwrap();
-    assert_eq!(db.graph().attr_str(alice, "age").count(), 1);
-    assert_eq!(db.graph().members_str("People").len(), 2);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// The in-memory fast path: a pool larger than the site keeps every page
 /// resident — zero evictions across a whole workload — while the tiny
 /// pool on the same data is forced to evict.
@@ -295,5 +259,181 @@ fn pager_counters_reach_global_stats() {
     assert!(after.hits > before.hits, "no pager hits recorded");
     assert!(after.misses > before.misses, "no pager misses recorded");
     assert!(after.pins > before.pins, "no pager pins recorded");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---------------------------------------------------------------------------
+// The recovery matrix, one row per test. `PagedRepo::open_with` compares
+// the WAL header's generation `W` with the manifest's `G`: `W == G`
+// replays (repairing a torn tail), `W < G` or a torn header is a stale
+// log and is discarded, `W > G` is refused. The torture sweep reaches
+// every row by crashing; these name them.
+// ---------------------------------------------------------------------------
+
+/// Node `a` (oid 0) with one `v` edge: the store every matrix row starts
+/// from.
+fn seed_delta() -> GraphDelta {
+    let mut d = GraphDelta::new();
+    d.add_node(Some("a"));
+    d.add_edge(Oid::from_index(0), "v", Value::Int(1));
+    d
+}
+
+fn v_edge(n: i64) -> GraphDelta {
+    let mut d = GraphDelta::new();
+    d.add_edge(Oid::from_index(0), "v", Value::Int(n));
+    d
+}
+
+/// How many `v` edges node `a` carries in the store's head state.
+fn v_count(repo: &PagedRepo) -> usize {
+    let g = repo.snapshot().materialize().unwrap();
+    g.attr_str(g.node_by_name("a").unwrap(), "v").count()
+}
+
+fn wal_len(dir: &Path) -> u64 {
+    std::fs::metadata(dir.join("pager.wal")).unwrap().len()
+}
+
+#[test]
+fn wal_generation_ahead_of_manifest_is_a_precise_error() {
+    let dir = tmpdir("wal-ahead");
+    {
+        let repo = PagedRepo::open(&dir, small_cfg()).unwrap();
+        repo.apply_delta(&seed_delta()).unwrap();
+        let old_manifest = std::fs::read(dir.join("pager.manifest")).unwrap();
+        repo.checkpoint().unwrap(); // manifest and WAL are now generation 1
+        drop(repo);
+        // The manifest that restarted this log goes missing: the
+        // generation-0 one is all that is left beside a generation-1 WAL.
+        std::fs::write(dir.join("pager.manifest"), &old_manifest).unwrap();
+    }
+    match PagedRepo::open(&dir, small_cfg()) {
+        Err(RepoError::Corrupt { message, .. }) => {
+            assert!(
+                message.contains("wal generation 1 ahead of manifest generation 0"),
+                "message: {message}"
+            );
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn stale_wal_after_interrupted_truncation_is_not_reapplied() {
+    let dir = tmpdir("stale-wal");
+    {
+        let repo = PagedRepo::open(&dir, small_cfg()).unwrap();
+        repo.apply_delta(&seed_delta()).unwrap();
+        let old_wal = std::fs::read(dir.join("pager.wal")).unwrap();
+        repo.checkpoint().unwrap();
+        drop(repo);
+        // Crash window: the manifest rename landed but the WAL reset
+        // didn't — the old generation-0 log is still on disk.
+        std::fs::write(dir.join("pager.wal"), &old_wal).unwrap();
+    }
+    {
+        let repo = PagedRepo::open(&dir, small_cfg()).unwrap();
+        assert_eq!(v_count(&repo), 1, "no double apply");
+        assert_eq!(wal_len(&dir), wal::HEADER_LEN, "stale frames discarded");
+        repo.apply_delta(&v_edge(2)).unwrap();
+    }
+    let repo = PagedRepo::open(&dir, small_cfg()).unwrap();
+    assert_eq!(v_count(&repo), 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn stray_manifest_tmp_is_cleaned_up_on_open() {
+    let dir = tmpdir("stray-tmp");
+    std::fs::create_dir_all(&dir).unwrap();
+    let tmp = dir.join("pager.manifest.tmp");
+    // Before the first open, and again beside a live store: a checkpoint
+    // that died before its rename leaves only unreferenced garbage.
+    for round in 0..2 {
+        std::fs::write(&tmp, b"half-written junk").unwrap();
+        let repo = PagedRepo::open(&dir, small_cfg()).unwrap();
+        assert!(!tmp.exists(), "round {round}");
+        assert_eq!(repo.node_count(), round, "round {round}");
+        repo.apply_delta(&seed_delta()).unwrap();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn open_recovers_from_torn_wal_tail_and_appends_cleanly() {
+    let dir = tmpdir("torn-tail");
+    let whole;
+    {
+        let repo = PagedRepo::open(&dir, small_cfg()).unwrap();
+        repo.apply_delta(&seed_delta()).unwrap();
+        whole = wal_len(&dir);
+        repo.apply_delta(&v_edge(2)).unwrap();
+    }
+    // Simulate a crash mid-append: chop bytes off the last frame.
+    let wal_path = dir.join("pager.wal");
+    let full = std::fs::read(&wal_path).unwrap();
+    std::fs::write(&wal_path, &full[..full.len() - 3]).unwrap();
+    {
+        let repo = PagedRepo::open(&dir, small_cfg()).unwrap();
+        // The torn frame (v=2) is gone; the committed one survives.
+        assert_eq!(v_count(&repo), 1);
+        // Recovery truncated the garbage, so the next commit replays.
+        assert_eq!(wal_len(&dir), whole, "torn tail truncated away");
+        repo.apply_delta(&v_edge(3)).unwrap();
+    }
+    let repo = PagedRepo::open(&dir, small_cfg()).unwrap();
+    assert_eq!(v_count(&repo), 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn failed_checkpoint_poisons_the_store_until_reopen() {
+    let dir = tmpdir("poison");
+    let vfs = FaultVfs::new();
+    let repo = PagedRepo::open_with(Arc::new(vfs.clone()), &dir, small_cfg()).unwrap();
+    repo.apply_delta(&seed_delta()).unwrap();
+    // Transient fault on the checkpoint's first operation: the
+    // checkpoint fails but the process lives on.
+    vfs.arm_fault(vfs.op_count(), FaultMode::Fail);
+    assert!(repo.checkpoint().is_err());
+    assert!(repo.is_poisoned());
+    // Writes must now refuse rather than go un-logged; reads still work.
+    let err = repo.apply_delta(&v_edge(2)).unwrap_err();
+    assert!(err.to_string().contains("reopen"), "got: {err}");
+    assert!(repo.checkpoint().is_err());
+    assert_eq!(v_count(&repo), 1);
+    drop(repo);
+    // Reopen recovers everything that was committed.
+    let repo = PagedRepo::open(&dir, small_cfg()).unwrap();
+    assert!(!repo.is_poisoned());
+    assert_eq!(v_count(&repo), 1);
+    repo.apply_delta(&v_edge(2)).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn rejected_delta_leaves_store_and_wal_untouched() {
+    let dir = tmpdir("reject-delta");
+    {
+        let repo = PagedRepo::open(&dir, small_cfg()).unwrap();
+        repo.apply_delta(&seed_delta()).unwrap();
+        let (len, epoch) = (wal_len(&dir), repo.epoch());
+
+        let mut bad = GraphDelta::new();
+        bad.add_edge(Oid::from_index(0), "w", Value::Int(9));
+        bad.remove_edge(Oid::from_index(0), "ghost", Value::Int(0)); // rejected
+        assert!(matches!(repo.apply_delta(&bad), Err(RepoError::Delta(_))));
+        assert_eq!(wal_len(&dir), len, "the rejected delta never reached the log");
+        assert_eq!(repo.epoch(), epoch, "no partial commit");
+        assert!(!repo.is_poisoned(), "a validation error is not a write failure");
+    }
+    // So replay is clean and shows none of it.
+    let repo = PagedRepo::open(&dir, small_cfg()).unwrap();
+    let g = repo.snapshot().materialize().unwrap();
+    let a = g.node_by_name("a").unwrap();
+    assert_eq!(g.attr_str(a, "v").count(), 1);
+    assert_eq!(g.attr_str(a, "w").count(), 0);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -40,7 +40,7 @@
 //!                                     metrics on /metrics, trace snapshot
 //!                                     on /debug/trace, plan explain on
 //!                                     /debug/explain
-//!                                     (M: naive|context|lookahead;
+//!                                     (M: context|lookahead;
 //!                                      S: per-core service shards, a
 //!                                      number or "auto" — requests route
 //!                                      by path hash, each shard owns its
@@ -115,7 +115,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let usage =
         "usage: strudel <build|check|schema|stats|guide|serve|explain> <site-dir> \
          [-o <outdir>] [--addr <ip:port>] [--workers <n>] [--shards <n|auto>] \
-         [--mode <naive|context|lookahead>] [--warm <n|auto>] [--slow-us <t>] \
+         [--mode <context|lookahead>] [--warm <n|auto>] [--slow-us <t>] \
          [--backlog <n>] [--transport <threads|epoll>] [--keepalive-secs <s>] \
          [--max-connections <n>] [--trace] [--store <dir>] [--pool-pages <n>] \
          [--page-size <bytes>] [--cluster <n>]";
@@ -297,7 +297,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 Some(t) => Some(t.parse().map_err(|_| "--slow-us needs a number (µs)")?),
                 None => None,
             };
-            let store = open_paged_store(args, &built)?;
+            let store = open_store(args, &built)?;
             let max_backlog: usize = match flag("--backlog") {
                 Some(b) => b.parse().map_err(|_| "--backlog needs a number")?,
                 None => strudel_serve::ServerConfig::default().max_backlog,
@@ -466,16 +466,15 @@ fn run(args: &[String]) -> Result<(), String> {
 fn parse_mode(flag: Option<&str>) -> Result<strudel::schema::dynamic::Mode, String> {
     match flag {
         None | Some("context") => Ok(strudel::schema::dynamic::Mode::Context),
-        Some("naive") => Ok(strudel::schema::dynamic::Mode::Naive),
         Some("lookahead") => Ok(strudel::schema::dynamic::Mode::ContextLookahead),
-        Some(other) => Err(format!("unknown mode '{other}' (naive|context|lookahead)")),
+        Some(other) => Err(format!("unknown mode '{other}' (context|lookahead)")),
     }
 }
 
 /// Opens (or bulk-loads) the durable paged store named by `--store`, if
 /// any, sized by `--pool-pages`/`--page-size`. Shared by the sharded and
 /// unsharded serve paths — either way deltas commit to it exactly once.
-fn open_paged_store(
+fn open_store(
     args: &[String],
     built: &strudel::Site,
 ) -> Result<Option<strudel::repo::PagedRepo>, String> {

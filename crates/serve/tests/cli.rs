@@ -100,3 +100,17 @@ fn missing_site_dir_fails_cleanly() {
     let stderr = String::from_utf8_lossy(&result.stderr);
     assert!(stderr.contains("site.struql"), "{stderr}");
 }
+
+#[test]
+fn naive_is_not_a_serve_mode() {
+    // The naive evaluator is the experiments' baseline and the tests'
+    // reference engine, not something an operator can deploy.
+    let dir = demo_dir();
+    let result = strudel(&["serve", dir.to_str().unwrap(), "--mode", "naive"]);
+    assert!(!result.status.success());
+    let stderr = String::from_utf8_lossy(&result.stderr);
+    assert!(
+        stderr.contains("unknown mode 'naive' (context|lookahead)"),
+        "{stderr}"
+    );
+}

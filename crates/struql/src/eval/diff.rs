@@ -326,7 +326,9 @@ pub fn delta_rows(
     // Distinct seed rows, grouped by which slots they bind and whether the
     // old graph knows their nodes (`in_old`): a group shares one plan and
     // one walk, which is what keeps a many-fact delta cheaper than
-    // re-evaluation (E-incremental, +50 people).
+    // re-evaluation. Measured (PR 12, E-incremental +50 people at 1 000):
+    // one run per seed row 15 ms, full re-evaluation 9 ms, grouped 4 ms —
+    // re-measure before "simplifying" the grouping away.
     let mut runs: BTreeMap<(bool, Vec<bool>), Vec<Row>> = BTreeMap::new();
     let mut localized = true;
     'conds: for cond in conds.iter().filter(|c| touch.touches_cond(c)) {

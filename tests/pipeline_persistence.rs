@@ -1,7 +1,7 @@
-//! Persistence integration: warehoused data graphs survive snapshot + WAL
-//! round trips and keep producing identical sites.
+//! Persistence integration: warehoused data graphs survive a round trip
+//! through the paged store and keep producing identical sites.
 
-use strudel::repo::{Database, IndexLevel};
+use strudel::repo::{Database, IndexLevel, PagedRepo, PagerConfig};
 use strudel::struql::Evaluator;
 use strudel_bench::paper_news_corpus;
 
@@ -19,33 +19,23 @@ fn warehouse_survives_restart_and_regenerates_the_same_site() {
     let wrapped = strudel::wrappers::html::wrap_documents(&docs, "Articles").unwrap();
     let program = strudel::struql::parse(strudel::sites::NEWS_QUERY).unwrap();
 
-    // Session 1: ingest through the durable repository, evaluate, checkpoint.
+    // Session 1: bulk-load the wrapped graph into the durable store (which
+    // ends in a checkpoint) and evaluate over an in-memory database.
     let (nodes1, edges1) = {
-        let mut db = Database::open(&dir, IndexLevel::Full).unwrap();
-        // Replay the wrapped graph into the durable database via a delta.
-        let mut delta = strudel::graph::GraphDelta::new();
-        for oid in wrapped.node_oids() {
-            delta.add_node(wrapped.node_name(oid));
-        }
-        for oid in wrapped.node_oids() {
-            for e in wrapped.edges(oid) {
-                delta.add_edge(oid, wrapped.label_name(e.label), e.to.clone());
-            }
-        }
-        for (cid, name) in wrapped.collections() {
-            for m in wrapped.members(cid) {
-                delta.collect(name, m.clone());
-            }
-        }
-        db.apply_delta(&delta).unwrap();
-        db.checkpoint().unwrap();
+        PagedRepo::bulk_load(&dir, PagerConfig::default(), &wrapped).unwrap();
+        let db = Database::from_graph(wrapped.clone(), IndexLevel::Full);
         let r = Evaluator::new(&db).eval(&program).unwrap();
         (r.new_nodes.len(), r.graph.edge_count())
     };
 
-    // Session 2: reopen from disk and re-evaluate.
+    // Session 2: reopen from disk, materialize, and re-evaluate.
+    let reopen = || {
+        let repo = PagedRepo::open(&dir, PagerConfig::default()).unwrap();
+        let graph = repo.snapshot().materialize().unwrap();
+        (repo, Database::from_graph(graph, IndexLevel::Full))
+    };
     {
-        let db = Database::open(&dir, IndexLevel::Full).unwrap();
+        let (_repo, db) = reopen();
         assert_eq!(db.graph().node_count(), wrapped.node_count());
         let r = Evaluator::new(&db).eval(&program).unwrap();
         assert_eq!(r.new_nodes.len(), nodes1);
@@ -55,13 +45,14 @@ fn warehouse_survives_restart_and_regenerates_the_same_site() {
     // Session 3: an update lands in the WAL only (no checkpoint), then the
     // store reopens and still reflects it.
     {
-        let mut db = Database::open(&dir, IndexLevel::Full).unwrap();
+        let (repo, db) = reopen();
         let a = db.graph().node_by_name("article0.html").unwrap();
-        db.add_edge(a, "paragraph", strudel::graph::Value::string("breaking update"))
-            .unwrap();
+        let mut delta = strudel::graph::GraphDelta::new();
+        delta.add_edge(a, "paragraph", strudel::graph::Value::string("breaking update"));
+        repo.apply_delta(&delta).unwrap();
     }
     {
-        let db = Database::open(&dir, IndexLevel::Full).unwrap();
+        let (_repo, db) = reopen();
         let a = db.graph().node_by_name("article0.html").unwrap();
         assert!(db
             .graph()
