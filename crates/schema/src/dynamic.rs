@@ -173,6 +173,25 @@ pub struct Metrics {
     pub standby_rebuilds: usize,
 }
 
+/// Sums two engines' counters field by field (a sharded front reports
+/// its shards' engines as one).
+impl std::ops::AddAssign for Metrics {
+    fn add_assign(&mut self, m: Metrics) {
+        self.clicks += m.clicks;
+        self.queries_run += m.queries_run;
+        self.rows_produced += m.rows_produced;
+        self.cache_hits += m.cache_hits;
+        self.evictions += m.evictions;
+        self.plan_cache_hits += m.plan_cache_hits;
+        self.plan_cache_misses += m.plan_cache_misses;
+        self.diff_pages_updated += m.diff_pages_updated;
+        self.diff_fallbacks += m.diff_fallbacks;
+        self.diff_rows_added += m.diff_rows_added;
+        self.diff_rows_retracted += m.diff_rows_retracted;
+        self.standby_rebuilds += m.standby_rebuilds;
+    }
+}
+
 /// The result of applying a data delta to a live engine.
 #[derive(Clone, Debug, Default)]
 pub struct InvalidationOutcome {

@@ -328,15 +328,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 max_connections,
                 ..Default::default()
             };
-            let report_warm = |report: strudel_serve::WarmupReport, workers: usize| {
-                println!(
-                    "warmed {} pages in {} levels across {} workers ({:.1} ms)",
-                    report.pages,
-                    report.levels,
-                    workers,
-                    report.elapsed_us as f64 / 1000.0
-                );
-            };
             let cluster_workers: Option<usize> = match flag("--cluster") {
                 Some(n) => Some(n.parse().map_err(|_| "--cluster needs a number")?),
                 None => None,
@@ -357,15 +348,8 @@ fn run(args: &[String]) -> Result<(), String> {
                     service.ready_workers(),
                     service.broken_workers()
                 );
-                if let Some(parallelism) = warm {
-                    let report = strudel_serve::ClickService::warm(&*service, parallelism)
-                        .map_err(|e| format!("warming cluster cache: {e}"))?;
-                    report_warm(report, parallelism.workers());
-                }
-                let handle = strudel_serve::serve(service.clone(), config)
-                    .map_err(|e| format!("binding server: {e}"))?;
-                cluster = Some(service);
-                handle
+                cluster = Some(service.clone());
+                warm_and_serve(service, warm, config)?
             } else if shards > 1 {
                 let mut service = strudel_serve::ShardedService::new(&built, mode, shards);
                 if let Some(store) = store {
@@ -374,15 +358,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 if let Some(t) = slow_us {
                     service = service.with_slow_threshold_us(t);
                 }
-                let service = std::sync::Arc::new(service);
-                if let Some(parallelism) = warm {
-                    let report = service
-                        .warm(parallelism)
-                        .map_err(|e| format!("warming cache: {e}"))?;
-                    report_warm(report, parallelism.workers());
-                }
-                strudel_serve::serve(service, config)
-                    .map_err(|e| format!("binding server: {e}"))?
+                warm_and_serve(std::sync::Arc::new(service), warm, config)?
             } else {
                 let mut service = strudel_serve::SiteService::new(&built, mode);
                 if let Some(store) = store {
@@ -391,15 +367,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 if let Some(t) = slow_us {
                     service = service.with_slow_threshold_us(t);
                 }
-                let service = std::sync::Arc::new(service);
-                if let Some(parallelism) = warm {
-                    let report = service
-                        .warm(parallelism)
-                        .map_err(|e| format!("warming cache: {e}"))?;
-                    report_warm(report, parallelism.workers());
-                }
-                strudel_serve::serve(service, config)
-                    .map_err(|e| format!("binding server: {e}"))?
+                warm_and_serve(std::sync::Arc::new(service), warm, config)?
             };
             println!(
                 "serving '{}' at http://{}/ ({workers} workers, {}, {mode:?} \
@@ -460,6 +428,30 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         other => Err(format!("unknown command '{other}'\n{usage}")),
     }
+}
+
+/// Warms `service` when `--warm` asked for it — here rather than inside
+/// [`strudel_serve::serve`], so the report can be printed — then binds
+/// and serves it. Every front goes through here: the transport is
+/// generic over [`strudel_serve::ClickService`].
+fn warm_and_serve<S: strudel_serve::ClickService>(
+    service: std::sync::Arc<S>,
+    warm: Option<strudel::struql::Parallelism>,
+    config: strudel_serve::ServerConfig,
+) -> Result<strudel_serve::ServerHandle, String> {
+    if let Some(parallelism) = warm {
+        let report = service
+            .warm(parallelism)
+            .map_err(|e| format!("warming cache: {e}"))?;
+        println!(
+            "warmed {} pages in {} levels across {} workers ({:.1} ms)",
+            report.pages,
+            report.levels,
+            parallelism.workers(),
+            report.elapsed_us as f64 / 1000.0
+        );
+    }
+    strudel_serve::serve(service, config).map_err(|e| format!("binding server: {e}"))
 }
 
 /// Maps a `--mode` flag value onto the click-time evaluation mode.

@@ -55,8 +55,11 @@ mod worker;
 pub use fault::{FaultAction, FaultPlan, FaultTrigger, FAULT_PLAN_ENV};
 pub use worker::{run_worker, WorkerOptions, WorkerService};
 
-use crate::metrics::ServerMetrics;
-use crate::{router, ClickService, Response, ServeError, WarmupReport};
+use crate::metrics::{push_rows, ServerMetrics};
+use crate::{
+    router, ClickService, DeltaGate, Response, ServeError, ServerStats, TransportCounters,
+    WarmupReport,
+};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -134,16 +137,15 @@ impl ClusterConfig {
 /// [`ClickService`], so either transport can carry it unchanged.
 pub struct ClusterService {
     config: ClusterConfig,
-    /// The shared store; the router is its only writer.
-    store: strudel_repo::PagedRepo,
+    /// The single delta writer and the shared store; the router is the
+    /// store's only writer.
+    gate: DeltaGate,
     /// Ready files live here, under the store directory.
     run_dir: PathBuf,
     slots: Vec<Slot>,
     /// Committed WAL deltas every live worker must have applied — the
     /// cross-process barrier epoch.
     target: AtomicU64,
-    /// Serializes delta writers.
-    writer: Mutex<()>,
     /// Pre-built per-shard route labels.
     shard_routes: Vec<String>,
     metrics: ServerMetrics,
@@ -154,14 +156,7 @@ pub struct ClusterService {
     degraded_total: AtomicU64,
     unavailable_total: AtomicU64,
     proxy_errors_total: AtomicU64,
-    // Transport counters (the ClickService note_* sinks).
-    panics: AtomicU64,
-    shed: AtomicU64,
-    timeout_config_errors: AtomicU64,
-    accept_errors: AtomicU64,
-    open_connections: AtomicU64,
-    keepalive_reuse: AtomicU64,
-    idle_closed: AtomicU64,
+    transport: TransportCounters,
     stop: AtomicBool,
     monitor: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
@@ -189,11 +184,10 @@ impl ClusterService {
             })
             .collect();
         let service = Arc::new(ClusterService {
-            store,
+            gate: DeltaGate::new(Some(store)),
             run_dir,
             slots,
             target: AtomicU64::new(deltas.len() as u64),
-            writer: Mutex::new(()),
             shard_routes: (0..n).map(|i| format!("shard/{i}")).collect(),
             metrics: ServerMetrics::new(),
             lkg: (0..n).map(|_| Lkg::default()).collect(),
@@ -201,13 +195,7 @@ impl ClusterService {
             degraded_total: AtomicU64::new(0),
             unavailable_total: AtomicU64::new(0),
             proxy_errors_total: AtomicU64::new(0),
-            panics: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            timeout_config_errors: AtomicU64::new(0),
-            accept_errors: AtomicU64::new(0),
-            open_connections: AtomicU64::new(0),
-            keepalive_reuse: AtomicU64::new(0),
-            idle_closed: AtomicU64::new(0),
+            transport: TransportCounters::default(),
             stop: AtomicBool::new(false),
             monitor: Mutex::new(None),
             config,
@@ -304,8 +292,7 @@ impl ClusterService {
     /// which contains the delta. Returns the workers that were caught
     /// up synchronously.
     pub fn apply_delta(&self, delta: &GraphDelta) -> Result<ClusterDeltaOutcome, ServeError> {
-        let _writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        self.store.apply_delta(delta)?;
+        let _writer = self.gate.commit(delta)?;
         let target = self.target.fetch_add(1, Ordering::AcqRel) + 1;
         let mut caught_up = vec![false; self.slots.len()];
         caught_up[0] = self.catch_up_worker(0, target);
@@ -364,7 +351,10 @@ impl ClusterService {
         match routed {
             "/metrics" => ("metrics", Response::text(self.stats_text())),
             "/healthz" => ("healthz", Response::text("ok\n".into())),
-            "/readyz" => ("readyz", self.readyz_response()),
+            "/readyz" => {
+                let fleet = (self.ready_workers(), self.slots.len());
+                ("readyz", self.gate.readyz(Some(fleet)))
+            }
             _ => {
                 let shard = router::shard_of_path(routed, self.slots.len());
                 (self.shard_routes[shard].as_str(), self.proxy_to(shard, routed))
@@ -403,114 +393,54 @@ impl ClusterService {
             return cached;
         }
         self.unavailable_total.fetch_add(1, Ordering::Relaxed);
-        let mut r = Response::text("shard temporarily unavailable, retry shortly\n".into());
-        r.status = 503;
-        r
+        Response::status_text(503, "shard temporarily unavailable, retry shortly\n".into())
     }
 
-    fn readyz_response(&self) -> Response {
-        let ready = self.ready_workers();
-        let poisoned = self.store.is_poisoned();
-        if ready == self.slots.len() && !poisoned {
-            Response::text("ready\n".into())
-        } else {
-            let mut r = Response::text(format!(
-                "workers {}/{} ready{}\n",
-                ready,
-                self.slots.len(),
-                if poisoned { ", store poisoned" } else { "" }
-            ));
-            r.status = 503;
-            r
-        }
-    }
-
-    /// Aggregated stats in the standard [`crate::ServerStats`] shape.
-    /// Engine and cache sections are zero — those live in the workers,
-    /// behind their own `/metrics`.
-    pub fn stats(&self) -> crate::ServerStats {
-        crate::ServerStats {
-            total: self.metrics.totals(),
-            latency_buckets: self.metrics.total_latency_buckets(),
-            latency_sum_us: self.metrics.total_latency_sum_us(),
-            routes: self.metrics.snapshot(),
-            html_cache: Default::default(),
-            engine: Default::default(),
-            epoch: self.delta_target(),
-            slow_requests: 0,
-            panics: self.panics.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            timeout_config_errors: self.timeout_config_errors.load(Ordering::Relaxed),
-            accept_errors: self.accept_errors.load(Ordering::Relaxed),
-            open_connections: self.open_connections.load(Ordering::Relaxed),
-            keepalive_reuse: self.keepalive_reuse.load(Ordering::Relaxed),
-            idle_closed: self.idle_closed.load(Ordering::Relaxed),
-            inline: Default::default(),
-            store_poisoned: self.store.is_poisoned(),
-            trace_counters: Vec::new(),
-            pager: strudel_repo::pager::global_stats(),
-        }
+    /// Aggregated stats in the standard [`ServerStats`] shape. Engine
+    /// and cache sections are zero — those live in the workers, behind
+    /// their own `/metrics`.
+    pub fn stats(&self) -> ServerStats {
+        ServerStats::assemble(
+            &self.metrics,
+            Some(&self.transport),
+            &[],
+            self.delta_target(),
+            self.gate.is_poisoned(),
+        )
     }
 
     /// The `/metrics` body: the standard rows plus the cluster rows.
     pub fn stats_text(&self) -> String {
-        use std::fmt::Write;
         let mut out = self.stats().to_text();
-        let _ = writeln!(out, "strudel_cluster_workers {}", self.slots.len());
-        let _ = writeln!(out, "strudel_cluster_delta_epoch {}", self.delta_target());
-        let _ = writeln!(
-            out,
-            "strudel_cluster_degraded_total {}",
-            self.degraded_total.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "strudel_cluster_lkg_dropped_total {}",
-            self.lkg_dropped_total.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "strudel_cluster_unavailable_total {}",
-            self.unavailable_total.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "strudel_cluster_proxy_errors_total {}",
-            self.proxy_errors_total.load(Ordering::Relaxed)
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        push_rows(
+            &mut out,
+            &[
+                ("strudel_cluster_workers", self.slots.len() as u64),
+                ("strudel_cluster_delta_epoch", self.delta_target()),
+                ("strudel_cluster_degraded_total", load(&self.degraded_total)),
+                ("strudel_cluster_lkg_dropped_total", load(&self.lkg_dropped_total)),
+                ("strudel_cluster_unavailable_total", load(&self.unavailable_total)),
+                ("strudel_cluster_proxy_errors_total", load(&self.proxy_errors_total)),
+            ],
         );
         for (i, slot) in self.slots.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "strudel_cluster_worker_up{{shard=\"{i}\"}} {}",
-                u64::from(slot.is_up())
-            );
-            let _ = writeln!(
-                out,
-                "strudel_cluster_worker_restarts_total{{shard=\"{i}\"}} {}",
-                self.worker_restarts(i)
-            );
-            let _ = writeln!(
-                out,
-                "strudel_cluster_worker_broken{{shard=\"{i}\"}} {}",
-                u64::from(slot.broken.load(Ordering::Acquire))
-            );
-            let counters = &slot.upstream_counters;
-            for (name, counter) in [
-                ("fetches", &counters.fetches),
-                ("connects", &counters.connects),
-                ("reuses", &counters.reuses),
-                ("retries", &counters.retries),
-            ] {
-                let _ = writeln!(
-                    out,
-                    "strudel_cluster_upstream_{name}_total{{shard=\"{i}\"}} {}",
-                    counter.load(Ordering::Relaxed)
-                );
-            }
-            let _ = writeln!(
-                out,
-                "strudel_cluster_upstream_idle{{shard=\"{i}\"}} {}",
-                slot.upstream().map_or(0, |u| u.idle())
+            let row = |name: &str| format!("{name}{{shard=\"{i}\"}}");
+            let upstream = &slot.upstream_counters;
+            let idle = slot.upstream().map_or(0, |u| u.idle()) as u64;
+            let broken = u64::from(slot.broken.load(Ordering::Acquire));
+            push_rows(
+                &mut out,
+                &[
+                    (&row("strudel_cluster_worker_up"), u64::from(slot.is_up())),
+                    (&row("strudel_cluster_worker_restarts_total"), self.worker_restarts(i)),
+                    (&row("strudel_cluster_worker_broken"), broken),
+                    (&row("strudel_cluster_upstream_fetches_total"), load(&upstream.fetches)),
+                    (&row("strudel_cluster_upstream_connects_total"), load(&upstream.connects)),
+                    (&row("strudel_cluster_upstream_reuses_total"), load(&upstream.reuses)),
+                    (&row("strudel_cluster_upstream_retries_total"), load(&upstream.retries)),
+                    (&row("strudel_cluster_upstream_idle"), idle),
+                ],
             );
         }
         out
@@ -621,33 +551,8 @@ impl ClickService for ClusterService {
     fn warm(&self, _parallelism: Parallelism) -> Result<WarmupReport, ServeError> {
         self.crawl_warm()
     }
-    fn note_panic(&self) {
-        self.panics.fetch_add(1, Ordering::Relaxed);
-    }
-    fn note_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-    fn note_timeout_config_error(&self, _err: &std::io::Error) {
-        self.timeout_config_errors.fetch_add(1, Ordering::Relaxed);
-    }
-    fn note_accept_error(&self) {
-        self.accept_errors.fetch_add(1, Ordering::Relaxed);
-    }
-    fn note_conn_opened(&self) {
-        self.open_connections.fetch_add(1, Ordering::Relaxed);
-    }
-    fn note_conn_closed(&self) {
-        let _ = self.open_connections.fetch_update(
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-            |v| Some(v.saturating_sub(1)),
-        );
-    }
-    fn note_keepalive_reuse(&self) {
-        self.keepalive_reuse.fetch_add(1, Ordering::Relaxed);
-    }
-    fn note_idle_closed(&self) {
-        self.idle_closed.fetch_add(1, Ordering::Relaxed);
+    fn transport(&self) -> Option<&TransportCounters> {
+        Some(&self.transport)
     }
 }
 

@@ -20,8 +20,8 @@
 
 use super::fault::ArmedFaults;
 use crate::{
-    ClickService, Response, ServeError, ServerConfig, SiteService, Transport, WarmHit,
-    WarmupReport,
+    ClickService, Response, ServeError, ServerConfig, SiteService, Transport, TransportCounters,
+    WarmHit, WarmupReport,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -154,29 +154,8 @@ impl ClickService for WorkerService {
     fn warm(&self, parallelism: Parallelism) -> Result<WarmupReport, ServeError> {
         self.inner.warm(parallelism)
     }
-    fn note_panic(&self) {
-        self.inner.note_panic()
-    }
-    fn note_shed(&self) {
-        self.inner.note_shed()
-    }
-    fn note_timeout_config_error(&self, err: &std::io::Error) {
-        self.inner.note_timeout_config_error(err)
-    }
-    fn note_accept_error(&self) {
-        self.inner.note_accept_error()
-    }
-    fn note_conn_opened(&self) {
-        self.inner.note_conn_opened()
-    }
-    fn note_conn_closed(&self) {
-        self.inner.note_conn_closed()
-    }
-    fn note_keepalive_reuse(&self) {
-        self.inner.note_keepalive_reuse()
-    }
-    fn note_idle_closed(&self) {
-        self.inner.note_idle_closed()
+    fn transport(&self) -> Option<&TransportCounters> {
+        self.inner.transport()
     }
 }
 

@@ -250,15 +250,7 @@ mod imp {
                             Ok(r) => (r, job.keep_alive),
                             Err(_) => {
                                 service.note_panic();
-                                (
-                                    Response {
-                                        status: 500,
-                                        content_type: "text/plain; charset=utf-8",
-                                        body: "internal error\n".into(),
-                                        degraded: false,
-                                    },
-                                    false,
-                                )
+                                (Response::status_text(500, "internal error\n".into()), false)
                             }
                         };
                         let bytes =
@@ -608,14 +600,7 @@ mod imp {
                 }
                 ParseOutcome::Complete { request, consumed } => {
                     conn.buf.drain(..consumed);
-                    let refused = if request.method != "GET" && request.method != "HEAD" {
-                        Some(proto::response_405())
-                    } else if request.path.is_empty() {
-                        Some(proto::response_400())
-                    } else {
-                        None
-                    };
-                    if let Some(refused) = refused {
+                    if let Some(refused) = request.refusal() {
                         return self.queue_response(idx, &refused, false, false, None);
                     }
                     if conn.served > 0 {

@@ -51,20 +51,21 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 pub use cache::{CachedPage, HtmlCache};
 pub use cluster::{ClusterConfig, ClusterDeltaOutcome, ClusterService};
 pub use metrics::{
     CacheSnapshot, InlineDecline, InlineSnapshot, RouteSnapshot, ServerMetrics, ServerStats,
+    TransportCounters,
 };
 pub use render::RenderedPage;
 pub use server::{serve, ClickService, ServerConfig, ServerHandle, Transport, WarmHit};
 pub use shard::{ShardedInvalidation, ShardedService};
 
 use strudel_graph::GraphDelta;
-use strudel_repo::Database;
+use strudel_repo::{Database, PagedRepo};
 use strudel_schema::dynamic::{DynamicSite, InvalidationOutcome, Mode, PageKey};
 use strudel_struql::{par, Parallelism, Program, StruqlError};
 use strudel_template::{TemplateError, TemplateSet};
@@ -132,48 +133,50 @@ pub struct Response {
 
 /// The `Content-Type` of every rendered page.
 const HTML_CONTENT_TYPE: &str = "text/html; charset=utf-8";
+/// The `Content-Type` of every status message and report.
+const TEXT_CONTENT_TYPE: &str = "text/plain; charset=utf-8";
 
 impl Response {
-    fn html(body: String) -> Self {
+    /// The one place a fresh response is put together: every page,
+    /// report, refusal, timeout and `503` a front or either transport
+    /// answers. (Only the router's last-known-good copies are degraded.)
+    fn new(status: u16, content_type: &'static str, body: String) -> Self {
         Response {
-            status: 200,
-            content_type: HTML_CONTENT_TYPE,
+            status,
+            content_type,
             body,
             degraded: false,
         }
+    }
+
+    fn html(body: String) -> Self {
+        Self::new(200, HTML_CONTENT_TYPE, body)
     }
 
     fn text(body: String) -> Self {
-        Response {
-            status: 200,
-            content_type: "text/plain; charset=utf-8",
-            body,
-            degraded: false,
-        }
+        Self::status_text(200, body)
+    }
+
+    /// A plain-text message under any status.
+    fn status_text(status: u16, body: String) -> Self {
+        Self::new(status, TEXT_CONTENT_TYPE, body)
     }
 
     fn not_found(path: &str) -> Self {
-        Response {
-            status: 404,
-            content_type: "text/html; charset=utf-8",
-            body: format!(
-                "<html><body><h1>404</h1><p>no page at {}</p></body></html>\n",
-                strudel_template::escape_html(path)
-            ),
-            degraded: false,
-        }
+        let path = strudel_template::escape_html(path);
+        let body = format!("<html><body><h1>404</h1><p>no page at {path}</p></body></html>\n");
+        Self::new(404, HTML_CONTENT_TYPE, body)
+    }
+
+    /// The `500` page; `detail` is already HTML.
+    fn server_error(detail: &str) -> Self {
+        let body = format!("<html><body><h1>500</h1>{detail}</body></html>\n");
+        Self::new(500, HTML_CONTENT_TYPE, body)
     }
 
     fn error(e: &ServeError) -> Self {
-        Response {
-            status: 500,
-            content_type: "text/html; charset=utf-8",
-            body: format!(
-                "<html><body><h1>500</h1><pre>{}</pre></body></html>\n",
-                strudel_template::escape_html(&e.to_string())
-            ),
-            degraded: false,
-        }
+        let message = strudel_template::escape_html(&e.to_string());
+        Self::server_error(&format!("<pre>{message}</pre>"))
     }
 }
 
@@ -195,6 +198,76 @@ pub struct ServiceInvalidation {
     pub engine: InvalidationOutcome,
     /// Rendered-HTML cache entries evicted (direct + dependents).
     pub html_evicted: usize,
+}
+
+/// The write gate of a front: the single-writer lock and the optional
+/// durable store behind it. Every `apply_delta` enters through
+/// [`DeltaGate::commit`] and every `/readyz` is answered by
+/// [`DeltaGate::readyz`], so the three rules live here once — a
+/// poisoned lock is taken anyway, the store commits before any engine
+/// swaps, and a poisoned store is `503` on `/readyz` while reads keep
+/// serving.
+pub(crate) struct DeltaGate {
+    writer: Mutex<()>,
+    store: Option<PagedRepo>,
+}
+
+impl DeltaGate {
+    pub(crate) fn new(store: Option<PagedRepo>) -> Self {
+        DeltaGate {
+            writer: Mutex::new(()),
+            store,
+        }
+    }
+
+    /// Enters the single-writer section — concurrent deltas serialize
+    /// here, so one delta's invalidate-and-republish can never
+    /// interleave with another's and resurrect an evicted rendition —
+    /// and commits `delta` durably before the caller touches an engine.
+    /// A poisoned lock is taken anyway: the guard carries no state, and
+    /// a panicked predecessor must not wedge every later delta.
+    /// Durability first: the store validates and commits (WAL append,
+    /// copy-on-write pages) before any in-memory snapshot swaps, so a
+    /// crash never loses an applied delta, and MVCC snapshots taken
+    /// from the store before this commit keep reading their epoch.
+    pub(crate) fn commit(&self, delta: &GraphDelta) -> Result<MutexGuard<'_, ()>, ServeError> {
+        let writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(store) = &self.store {
+            store.apply_delta(delta)?;
+        }
+        Ok(writer)
+    }
+
+    pub(crate) fn store(&self) -> Option<&PagedRepo> {
+        self.store.as_ref()
+    }
+
+    /// Whether an earlier write failure poisoned the attached store.
+    /// Reads keep serving committed state; readiness reports 503 so a
+    /// supervisor can recycle this process.
+    pub(crate) fn is_poisoned(&self) -> bool {
+        self.store.as_ref().is_some_and(|s| s.is_poisoned())
+    }
+
+    /// The `/readyz` response: `200` while this front can both serve
+    /// and accept writes, `503` once its store is poisoned or — for a
+    /// front over a `fleet` of `(ready, total)` workers — while any
+    /// worker is not ready. Still serving reads either way; the
+    /// supervisor decides when to recycle.
+    pub(crate) fn readyz(&self, fleet: Option<(usize, usize)>) -> Response {
+        let poisoned = self.is_poisoned();
+        if !poisoned && fleet.map_or(true, |(ready, total)| ready == total) {
+            return Response::text("ready\n".into());
+        }
+        let mut reasons = Vec::new();
+        if let Some((ready, total)) = fleet {
+            reasons.push(format!("workers {ready}/{total} ready"));
+        }
+        if poisoned {
+            reasons.push("store poisoned".to_owned());
+        }
+        Response::status_text(503, format!("{}\n", reasons.join(", ")))
+    }
 }
 
 /// One request that took longer than the slow threshold.
@@ -240,14 +313,10 @@ pub struct SiteService {
     slow_threshold_us: AtomicU64,
     slow_total: AtomicU64,
     slow_log: Mutex<VecDeque<SlowRequest>>,
-    panics: AtomicU64,
-    shed: AtomicU64,
-    timeout_config_errors: AtomicU64,
-    timeout_error_logged: AtomicBool,
-    accept_errors: AtomicU64,
-    open_connections: AtomicU64,
-    keepalive_reuse: AtomicU64,
-    idle_closed: AtomicU64,
+    /// The transport's books while this service is the front handed to
+    /// [`serve`]; as a shard core behind another front, only the panics
+    /// its own [`SiteService::handle`] caught.
+    transport: TransportCounters,
     /// Page requests [`SiteService::try_warm`] answered.
     inline_hits: AtomicU64,
     /// Page requests it declined, indexed by [`InlineDecline`].
@@ -261,14 +330,9 @@ pub struct SiteService {
     /// modeling an engine-side failure that leaves this replica behind
     /// its committed store.
     fail_next_delta: AtomicBool,
-    /// Serializes delta application: one writer at a time, so cache
-    /// invalidation and snapshot republication can never interleave
-    /// between two concurrent deltas.
-    delta_writer: Mutex<()>,
-    /// Optional durable paged store kept write-through consistent with
-    /// the engine: deltas commit here (WAL + copy-on-write pages) before
-    /// the engine swaps its snapshot.
-    store: Option<strudel_repo::PagedRepo>,
+    /// The single delta writer and the optional durable paged store
+    /// kept write-through consistent with the engine.
+    gate: DeltaGate,
 }
 
 impl SiteService {
@@ -290,22 +354,14 @@ impl SiteService {
             slow_threshold_us: AtomicU64::new(DEFAULT_SLOW_THRESHOLD_US),
             slow_total: AtomicU64::new(0),
             slow_log: Mutex::new(VecDeque::new()),
-            panics: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            timeout_config_errors: AtomicU64::new(0),
-            timeout_error_logged: AtomicBool::new(false),
-            accept_errors: AtomicU64::new(0),
-            open_connections: AtomicU64::new(0),
-            keepalive_reuse: AtomicU64::new(0),
-            idle_closed: AtomicU64::new(0),
+            transport: TransportCounters::default(),
             inline_hits: AtomicU64::new(0),
             inline_declined: Default::default(),
             pool_dispatches: AtomicU64::new(0),
             probes_armed: AtomicBool::new(false),
             probes: Mutex::new(HashMap::new()),
             fail_next_delta: AtomicBool::new(false),
-            delta_writer: Mutex::new(()),
-            store: None,
+            gate: DeltaGate::new(None),
         }
     }
 
@@ -314,14 +370,14 @@ impl SiteService {
     /// delta commits durably to the store's WAL and copy-on-write pages
     /// before the engine's snapshot swaps. Concurrent readers of the
     /// store's MVCC snapshots observe a consistent graph throughout.
-    pub fn with_paged_store(mut self, store: strudel_repo::PagedRepo) -> Self {
-        self.store = Some(store);
+    pub fn with_paged_store(mut self, store: PagedRepo) -> Self {
+        self.gate = DeltaGate::new(Some(store));
         self
     }
 
     /// The attached paged store, if any.
-    pub fn paged_store(&self) -> Option<&strudel_repo::PagedRepo> {
-        self.store.as_ref()
+    pub fn paged_store(&self) -> Option<&PagedRepo> {
+        self.gate.store()
     }
 
     /// Builds a service from a built [`strudel::Site`].
@@ -414,17 +470,9 @@ impl SiteService {
         let routed = path.split('?').next().unwrap_or(path);
         let (route, response) = catch_unwind(AssertUnwindSafe(|| self.dispatch(routed)))
             .unwrap_or_else(|_| {
-                self.note_panic();
-                (
-                    "panic".into(),
-                    Response {
-                        status: 500,
-                        content_type: "text/html; charset=utf-8",
-                        body: "<html><body><h1>500</h1><p>internal error</p></body></html>\n"
-                            .into(),
-                        degraded: false,
-                    },
-                )
+                self.transport.note_panic();
+                let response = Response::server_error("<p>internal error</p>");
+                ("panic".into(), response)
             });
         drop(span);
         self.finish_request(start, trace_id, &route, routed, response.status);
@@ -531,42 +579,6 @@ impl SiteService {
         self.probes_armed.store(false, Ordering::Release);
     }
 
-    /// Requests that panicked mid-dispatch and were answered with a 500.
-    pub fn panics_total(&self) -> u64 {
-        self.panics.load(Ordering::Relaxed)
-    }
-
-    /// Connections shed with a 503 because the backlog was full.
-    pub fn shed_total(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
-    }
-
-    /// Connections whose socket-timeout setup failed (served anyway).
-    pub fn timeout_config_errors_total(&self) -> u64 {
-        self.timeout_config_errors.load(Ordering::Relaxed)
-    }
-
-    /// Failed `accept` calls (the transport backed off after each).
-    pub fn accept_errors_total(&self) -> u64 {
-        self.accept_errors.load(Ordering::Relaxed)
-    }
-
-    /// Connections currently open at the transport (a gauge: opened
-    /// minus closed).
-    pub fn open_connections(&self) -> u64 {
-        self.open_connections.load(Ordering::Relaxed)
-    }
-
-    /// Requests served on an already-used keep-alive connection.
-    pub fn keepalive_reuse_total(&self) -> u64 {
-        self.keepalive_reuse.load(Ordering::Relaxed)
-    }
-
-    /// Keep-alive connections closed by the idle deadline.
-    pub fn idle_closed_total(&self) -> u64 {
-        self.idle_closed.load(Ordering::Relaxed)
-    }
-
     /// Where requests were answered: inline hits, declines by reason,
     /// and requests that went through [`SiteService::handle`].
     pub fn inline_stats(&self) -> InlineSnapshot {
@@ -575,61 +587,6 @@ impl SiteService {
             declined: std::array::from_fn(|i| self.inline_declined[i].load(Ordering::Relaxed)),
             pool_dispatches: self.pool_dispatches.load(Ordering::Relaxed),
         }
-    }
-
-    /// Records one caught panic (also called by the transport's worker
-    /// backstop for panics outside [`SiteService::handle`]).
-    pub fn note_panic(&self) {
-        self.panics.fetch_add(1, Ordering::Relaxed);
-        strudel_trace::count("serve.panics", 1);
-    }
-
-    /// Records one connection shed by the transport's full backlog.
-    pub fn note_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-        strudel_trace::count("serve.shed", 1);
-    }
-
-    /// Records a failed socket-timeout setup. The first failure logs a
-    /// trace event; after that only the counter moves, so a flapping
-    /// socket option can't flood the trace buffer.
-    pub fn note_timeout_config_error(&self, err: &std::io::Error) {
-        self.timeout_config_errors.fetch_add(1, Ordering::Relaxed);
-        strudel_trace::count("serve.timeout_config_errors", 1);
-        if !self.timeout_error_logged.swap(true, Ordering::Relaxed) {
-            let msg = err.to_string();
-            strudel_trace::event_with("serve.timeout_config_error", || {
-                format!("socket timeout setup failed (logged once): {msg}")
-            });
-        }
-    }
-
-    /// Records one failed `accept`.
-    pub fn note_accept_error(&self) {
-        self.accept_errors.fetch_add(1, Ordering::Relaxed);
-        strudel_trace::count("serve.accept_errors", 1);
-    }
-
-    /// Records a connection opened at the transport.
-    pub fn note_conn_opened(&self) {
-        self.open_connections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a connection closed at the transport.
-    pub fn note_conn_closed(&self) {
-        self.open_connections.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Records a request served on an already-used keep-alive
-    /// connection.
-    pub fn note_keepalive_reuse(&self) {
-        self.keepalive_reuse.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a keep-alive connection closed by the idle deadline.
-    pub fn note_idle_closed(&self) {
-        self.idle_closed.fetch_add(1, Ordering::Relaxed);
-        strudel_trace::count("serve.idle_closed", 1);
     }
 
     /// If a probe is armed on `path`, fire it. The lock is released
@@ -664,7 +621,7 @@ impl SiteService {
             return ("healthz".into(), Response::text("ok\n".into()));
         }
         if path == "/readyz" {
-            return ("readyz".into(), self.readyz_response());
+            return ("readyz".into(), self.gate.readyz(None));
         }
         if path == "/debug/trace" {
             return ("debug/trace".into(), Response::text(self.debug_trace_text()));
@@ -755,47 +712,57 @@ impl SiteService {
     /// Safe to run on a live service: inserts are epoch-fenced, so a
     /// delta applied mid-warmup simply drops the stale renditions.
     pub fn warm(&self, parallelism: Parallelism) -> Result<WarmupReport, ServeError> {
+        Self::warm_cores(std::slice::from_ref(self), parallelism)
+    }
+
+    /// The one warm-up, over any number of cores sharing a site: BFS
+    /// level by level from the roots, each page rendered once into the
+    /// cache of the core that owns its URL
+    /// ([`router::shard_of_path`]; the unsharded service is the one-core
+    /// case), then every core publishes its warm-click snapshot.
+    pub(crate) fn warm_cores(
+        cores: &[SiteService],
+        parallelism: Parallelism,
+    ) -> Result<WarmupReport, ServeError> {
         let start = Instant::now();
-        let epoch = self.engine.epoch();
-        let mut frontier: Vec<PageKey> = self.engine.roots(&self.root_collection)?;
+        let first = &cores[0];
+        let mut frontier: Vec<PageKey> = first.engine.roots(&first.root_collection)?;
         let mut seen: HashSet<PageKey> = frontier.iter().cloned().collect();
         let mut pages = 0usize;
         let mut levels = 0usize;
         while !frontier.is_empty() {
             // Pages within one BFS level are independent renders; the
-            // engine and caches are `&self`-shared, so fan the level out.
+            // engines and caches are `&self`-shared, so fan the level out.
             let rendered = par::map_chunks(frontier, parallelism.workers(), |chunk| {
                 chunk
                     .into_iter()
                     .map(|key| {
-                        render::render_page(&self.engine, &self.templates, &key)
-                            .map(|page| (key, page))
+                        let owner = match cores {
+                            [only] => only,
+                            _ => &cores[router::shard_of_path(&first.url_of(&key), cores.len())],
+                        };
+                        owner.render_into_cache(&key)
                     })
                     .collect()
             })?;
             levels += 1;
+            pages += rendered.len();
             let mut next = Vec::new();
-            for (key, page) in rendered {
+            for page in &rendered {
                 for dep in page.deps.iter() {
                     if seen.insert(dep.clone()) {
                         next.push(dep.clone());
                     }
                 }
-                pages += 1;
-                self.cache.insert_if(
-                    key,
-                    CachedPage {
-                        html: page.html.into(),
-                        deps: page.deps.into(),
-                    },
-                    || self.engine.epoch() == epoch,
-                );
             }
             frontier = next;
         }
         // Publish everything just warmed as the lock-free snapshot, so
         // the very first click after warmup already skips the locks.
-        self.cache.promote_if(|| self.engine.epoch() == epoch);
+        for core in cores {
+            let epoch = core.engine.epoch();
+            core.cache.promote_if(|| core.engine.epoch() == epoch);
+        }
         Ok(WarmupReport {
             pages,
             levels,
@@ -808,23 +775,7 @@ impl SiteService {
     /// cache also follows rendition dependencies). Concurrent requests
     /// keep serving throughout.
     pub fn apply_delta(&self, delta: &GraphDelta) -> Result<ServiceInvalidation, ServeError> {
-        // Single writer: concurrent deltas serialize here, so the
-        // invalidate-and-republish below can never interleave with
-        // another delta's and resurrect an evicted rendition. A poisoned
-        // lock is taken anyway — the guard carries no state, and a
-        // panicked predecessor must not wedge every later delta.
-        let _writer = self
-            .delta_writer
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        // Durability first: the paged store validates and commits the
-        // delta (WAL append, copy-on-write pages) before the in-memory
-        // engine swaps snapshots, so a crash never loses an applied
-        // delta. MVCC snapshots taken from the store before this commit
-        // keep reading their epoch.
-        if let Some(store) = &self.store {
-            store.apply_delta(delta)?;
-        }
+        let _writer = self.gate.commit(delta)?;
         if self.fail_next_delta.swap(false, Ordering::AcqRel) {
             panic!("injected delta fault after store commit");
         }
@@ -842,24 +793,10 @@ impl SiteService {
         self.fail_next_delta.store(true, Ordering::Release);
     }
 
-    /// Whether an earlier write failure poisoned the attached store.
-    /// Reads keep serving committed state; readiness reports 503 so a
-    /// supervisor can recycle this process.
+    /// Whether an earlier write failure poisoned the attached store
+    /// (`/readyz` answers 503 from then on).
     pub fn store_poisoned(&self) -> bool {
-        self.store.as_ref().is_some_and(|s| s.is_poisoned())
-    }
-
-    /// The `/readyz` response: `200` while this replica can both serve
-    /// and accept writes, `503` once its store is poisoned (still
-    /// serving reads — the supervisor decides when to recycle).
-    fn readyz_response(&self) -> Response {
-        if self.store_poisoned() {
-            let mut r = Response::text("store poisoned\n".into());
-            r.status = 503;
-            r
-        } else {
-            Response::text("ready\n".into())
-        }
+        self.gate.is_poisoned()
     }
 
     /// Rebuilds this replica's engine from `source`'s live database and
@@ -874,18 +811,31 @@ impl SiteService {
     /// The `/debug/trace` body: the global trace snapshot (spans,
     /// counters, recent events) followed by the slow-request log.
     pub fn debug_trace_text(&self) -> String {
+        Self::trace_text(std::slice::from_ref(self))
+    }
+
+    /// The one `/debug/trace` printer: the global trace snapshot once,
+    /// then each core's slow-request log (labelled by shard when there
+    /// is more than one).
+    pub(crate) fn trace_text(cores: &[SiteService]) -> String {
         use std::fmt::Write;
         let mut out = strudel_trace::snapshot().render_text();
-        let slow = self.slow_requests();
-        let _ = write!(
-            out,
-            "\n# slow requests (threshold={}us, total={}, showing {})\n",
-            self.slow_threshold_us(),
-            self.slow_total.load(Ordering::Relaxed),
-            slow.len()
-        );
-        for s in &slow {
-            let _ = writeln!(out, "[{}] {} {}us {}", s.trace_id, s.status, s.us, s.path);
+        for (i, core) in cores.iter().enumerate() {
+            let slow = core.slow_requests();
+            let label = match cores {
+                [_] => String::new(),
+                _ => format!("shard {i} "),
+            };
+            let _ = write!(
+                out,
+                "\n# {label}slow requests (threshold={}us, total={}, showing {})\n",
+                core.slow_threshold_us(),
+                core.slow_requests_total(),
+                slow.len()
+            );
+            for s in &slow {
+                let _ = writeln!(out, "[{}] {} {}us {}", s.trace_id, s.status, s.us, s.path);
+            }
         }
         out
     }
@@ -933,32 +883,13 @@ impl SiteService {
 
     /// Everything `/metrics` reports, as a struct.
     pub fn stats(&self) -> ServerStats {
-        let trace_counters = if strudel_trace::enabled() {
-            strudel_trace::snapshot().counters
-        } else {
-            Vec::new()
-        };
-        ServerStats {
-            total: self.metrics.totals(),
-            latency_buckets: self.metrics.total_latency_buckets(),
-            latency_sum_us: self.metrics.total_latency_sum_us(),
-            routes: self.metrics.snapshot(),
-            html_cache: self.cache.stats(),
-            engine: self.engine.metrics(),
-            epoch: self.engine.epoch(),
-            slow_requests: self.slow_total.load(Ordering::Relaxed),
-            panics: self.panics.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            timeout_config_errors: self.timeout_config_errors.load(Ordering::Relaxed),
-            accept_errors: self.accept_errors.load(Ordering::Relaxed),
-            open_connections: self.open_connections.load(Ordering::Relaxed),
-            keepalive_reuse: self.keepalive_reuse.load(Ordering::Relaxed),
-            idle_closed: self.idle_closed.load(Ordering::Relaxed),
-            inline: self.inline_stats(),
-            store_poisoned: self.store_poisoned(),
-            trace_counters,
-            pager: strudel_repo::pager::global_stats(),
-        }
+        ServerStats::assemble(
+            &self.metrics,
+            None,
+            std::slice::from_ref(self),
+            self.engine.epoch(),
+            self.gate.is_poisoned(),
+        )
     }
 }
 
@@ -972,28 +903,7 @@ impl ClickService for SiteService {
     fn warm(&self, parallelism: Parallelism) -> Result<WarmupReport, ServeError> {
         SiteService::warm(self, parallelism)
     }
-    fn note_panic(&self) {
-        SiteService::note_panic(self)
-    }
-    fn note_shed(&self) {
-        SiteService::note_shed(self)
-    }
-    fn note_timeout_config_error(&self, err: &std::io::Error) {
-        SiteService::note_timeout_config_error(self, err)
-    }
-    fn note_accept_error(&self) {
-        SiteService::note_accept_error(self)
-    }
-    fn note_conn_opened(&self) {
-        SiteService::note_conn_opened(self)
-    }
-    fn note_conn_closed(&self) {
-        SiteService::note_conn_closed(self)
-    }
-    fn note_keepalive_reuse(&self) {
-        SiteService::note_keepalive_reuse(self)
-    }
-    fn note_idle_closed(&self) {
-        SiteService::note_idle_closed(self)
+    fn transport(&self) -> Option<&TransportCounters> {
+        Some(&self.transport)
     }
 }

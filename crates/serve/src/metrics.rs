@@ -7,8 +7,11 @@
 //! `p50`/`p99` are upper bounds at bucket resolution — plenty for
 //! operational visibility, free of per-request allocation.
 
+use crate::SiteService;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::fmt::Write;
+use std::ops::AddAssign;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// Histogram bucket upper bounds, in microseconds: a 1–2–5 ladder from
@@ -184,7 +187,7 @@ impl ServerMetrics {
 }
 
 /// One route's counters, frozen for reporting.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RouteSnapshot {
     /// Route class (page symbol, `front`, `data`, `metrics`, `not_found`).
     pub route: String,
@@ -196,6 +199,96 @@ pub struct RouteSnapshot {
     pub p99_us: u64,
     /// Mean latency, microseconds.
     pub mean_us: u64,
+}
+
+/// What a transport reports about itself: the sinks behind the
+/// [`ClickService`] `note_*` hooks. One instance belongs to whichever
+/// front is handed to [`crate::serve`]; each counter is a relaxed atomic
+/// at a fixed address, so a hook costs one increment.
+///
+/// [`ClickService`]: crate::ClickService
+#[derive(Debug, Default)]
+pub struct TransportCounters {
+    panics: AtomicU64,
+    shed: AtomicU64,
+    timeout_config_errors: AtomicU64,
+    /// Set by the first timeout-setup failure, the only one that logs.
+    timeout_error_logged: AtomicBool,
+    accept_errors: AtomicU64,
+    open_connections: AtomicU64,
+    keepalive_reuse: AtomicU64,
+    idle_closed: AtomicU64,
+}
+
+impl TransportCounters {
+    /// Records one caught panic: a handler's, or one the transport's
+    /// backstop caught outside any handler.
+    pub fn note_panic(&self) {
+        self.panics.fetch_add(1, Ordering::Relaxed);
+        strudel_trace::count("serve.panics", 1);
+    }
+
+    /// Records one connection shed by a full backlog or connection cap.
+    pub fn note_shed(&self) {
+        self.shed.fetch_add(1, Ordering::Relaxed);
+        strudel_trace::count("serve.shed", 1);
+    }
+
+    /// Records a failed socket-timeout setup. The first failure logs a
+    /// trace event; after that only the counter moves, so a flapping
+    /// socket option can't flood the trace buffer.
+    pub fn note_timeout_config_error(&self, err: &std::io::Error) {
+        self.timeout_config_errors.fetch_add(1, Ordering::Relaxed);
+        strudel_trace::count("serve.timeout_config_errors", 1);
+        if !self.timeout_error_logged.swap(true, Ordering::Relaxed) {
+            let msg = err.to_string();
+            strudel_trace::event_with("serve.timeout_config_error", || {
+                format!("socket timeout setup failed (logged once): {msg}")
+            });
+        }
+    }
+
+    /// Records one failed `accept`.
+    pub fn note_accept_error(&self) {
+        self.accept_errors.fetch_add(1, Ordering::Relaxed);
+        strudel_trace::count("serve.accept_errors", 1);
+    }
+
+    /// Records a connection opened (the gauge increments).
+    pub fn note_conn_opened(&self) {
+        self.open_connections.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records a connection closed. The gauge saturates at zero: a
+    /// close with no matching open must not wrap it to 2^64.
+    pub fn note_conn_closed(&self) {
+        let _ = self
+            .open_connections
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                Some(v.saturating_sub(1))
+            });
+    }
+
+    /// Records a request served on an already-used connection.
+    pub fn note_keepalive_reuse(&self) {
+        self.keepalive_reuse.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records a keep-alive connection closed by the idle deadline.
+    pub fn note_idle_closed(&self) {
+        self.idle_closed.fetch_add(1, Ordering::Relaxed);
+        strudel_trace::count("serve.idle_closed", 1);
+    }
+
+    fn add_to(&self, stats: &mut ServerStats) {
+        stats.panics += self.panics.load(Ordering::Relaxed);
+        stats.shed += self.shed.load(Ordering::Relaxed);
+        stats.timeout_config_errors += self.timeout_config_errors.load(Ordering::Relaxed);
+        stats.accept_errors += self.accept_errors.load(Ordering::Relaxed);
+        stats.open_connections += self.open_connections.load(Ordering::Relaxed);
+        stats.keepalive_reuse += self.keepalive_reuse.load(Ordering::Relaxed);
+        stats.idle_closed += self.idle_closed.load(Ordering::Relaxed);
+    }
 }
 
 /// Rendered-HTML cache counters, frozen for reporting.
@@ -226,6 +319,18 @@ impl CacheSnapshot {
         } else {
             self.hits as f64 / total as f64
         }
+    }
+}
+
+impl AddAssign for CacheSnapshot {
+    fn add_assign(&mut self, s: CacheSnapshot) {
+        self.hits += s.hits;
+        self.misses += s.misses;
+        self.evictions += s.evictions;
+        self.entries += s.entries;
+        self.published_hits += s.published_hits;
+        self.published_entries += s.published_entries;
+        self.promotions += s.promotions;
     }
 }
 
@@ -273,9 +378,8 @@ pub struct InlineSnapshot {
     pub pool_dispatches: u64,
 }
 
-impl InlineSnapshot {
-    /// Adds `other`'s counts (the sharded front sums its shards).
-    pub fn add(&mut self, other: InlineSnapshot) {
+impl AddAssign for InlineSnapshot {
+    fn add_assign(&mut self, other: InlineSnapshot) {
         self.hits += other.hits;
         self.pool_dispatches += other.pool_dispatches;
         for (total, n) in self.declined.iter_mut().zip(other.declined) {
@@ -285,7 +389,7 @@ impl InlineSnapshot {
 }
 
 /// Everything the `/metrics` endpoint reports, as one struct.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ServerStats {
     /// Totals across all routes.
     pub total: RouteSnapshot,
@@ -332,180 +436,168 @@ pub struct ServerStats {
     pub pager: strudel_repo::PagerStats,
 }
 
+/// Appends one `name value` line per row.
+pub(crate) fn push_rows(out: &mut String, rows: &[(&str, u64)]) {
+    for (name, value) in rows {
+        let _ = writeln!(out, "{name} {value}");
+    }
+}
+
 impl ServerStats {
-    /// Renders the stats in the Prometheus text exposition format.
-    pub fn to_text(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::with_capacity(1024);
-        let mut line = |s: String| {
-            out.push_str(&s);
-            out.push('\n');
+    /// What any front reports: request totals and routes from `front`,
+    /// the transport's events from the front's own `transport` counters
+    /// plus those of every core (each core keeps a set because each can
+    /// itself be the front; a handler panic is booked on the core that
+    /// caught it), and cache, engine, slow-request and inline numbers
+    /// summed over `cores` — one for [`SiteService`], N for the sharded
+    /// front, none for the cluster router, whose engines live in other
+    /// processes.
+    pub(crate) fn assemble(
+        front: &ServerMetrics,
+        transport: Option<&TransportCounters>,
+        cores: &[SiteService],
+        epoch: u64,
+        store_poisoned: bool,
+    ) -> ServerStats {
+        let mut stats = ServerStats {
+            total: front.totals(),
+            latency_buckets: front.total_latency_buckets(),
+            latency_sum_us: front.total_latency_sum_us(),
+            routes: front.snapshot(),
+            epoch,
+            store_poisoned,
+            trace_counters: if strudel_trace::enabled() {
+                strudel_trace::snapshot().counters
+            } else {
+                Vec::new()
+            },
+            pager: strudel_repo::pager::global_stats(),
+            ..Default::default()
         };
-        line(format!("strudel_requests_total {}", self.total.requests));
-        for (q, v) in [("0.5", self.total.p50_us), ("0.99", self.total.p99_us)] {
-            line(format!(
-                "strudel_request_latency_us{{quantile=\"{q}\"}} {v}"
-            ));
+        for core in cores {
+            stats.html_cache += core.cache().stats();
+            stats.engine += core.engine().metrics();
+            stats.slow_requests += core.slow_requests_total();
+            stats.inline += core.inline_stats();
         }
-        line(format!(
-            "strudel_request_latency_us_mean {}",
-            self.total.mean_us
-        ));
+        for counters in transport.into_iter().chain(cores.iter().map(|c| &c.transport)) {
+            counters.add_to(&mut stats);
+        }
+        stats
+    }
+
+    /// Renders the stats in the Prometheus text exposition format: the
+    /// labelled families in loops, every other row from a
+    /// `(row name, value)` table in exposition order.
+    pub fn to_text(&self) -> String {
+        let mut out = String::with_capacity(4096);
+        let (cache, engine, pager) = (&self.html_cache, &self.engine, &self.pager);
+        push_rows(
+            &mut out,
+            &[
+                ("strudel_requests_total", self.total.requests),
+                ("strudel_request_latency_us{quantile=\"0.5\"}", self.total.p50_us),
+                ("strudel_request_latency_us{quantile=\"0.99\"}", self.total.p99_us),
+                ("strudel_request_latency_us_mean", self.total.mean_us),
+            ],
+        );
         // Standard Prometheus histogram series: overflow samples land in
         // the `+Inf` bucket, never under a fabricated numeric bound.
         for (bound, cumulative) in &self.latency_buckets {
-            let le = match bound {
-                Some(b) => b.to_string(),
-                None => "+Inf".to_string(),
-            };
-            line(format!(
+            let le = bound.map_or("+Inf".to_string(), |b| b.to_string());
+            let _ = writeln!(
+                out,
                 "strudel_request_latency_us_bucket{{le=\"{le}\"}} {cumulative}"
-            ));
+            );
         }
-        line(format!(
-            "strudel_request_latency_us_sum {}",
-            self.latency_sum_us
-        ));
-        line(format!(
-            "strudel_request_latency_us_count {}",
-            self.total.requests
-        ));
+        push_rows(
+            &mut out,
+            &[
+                ("strudel_request_latency_us_sum", self.latency_sum_us),
+                ("strudel_request_latency_us_count", self.total.requests),
+            ],
+        );
         for r in &self.routes {
-            line(format!(
-                "strudel_route_requests_total{{route=\"{}\"}} {}",
-                r.route, r.requests
-            ));
-            line(format!(
-                "strudel_route_latency_us{{route=\"{}\",quantile=\"0.5\"}} {}",
-                r.route, r.p50_us
-            ));
-            line(format!(
-                "strudel_route_latency_us{{route=\"{}\",quantile=\"0.99\"}} {}",
-                r.route, r.p99_us
-            ));
+            let route = &r.route;
+            push_rows(
+                &mut out,
+                &[
+                    (&format!("strudel_route_requests_total{{route=\"{route}\"}}"), r.requests),
+                    (
+                        &format!("strudel_route_latency_us{{route=\"{route}\",quantile=\"0.5\"}}"),
+                        r.p50_us,
+                    ),
+                    (
+                        &format!("strudel_route_latency_us{{route=\"{route}\",quantile=\"0.99\"}}"),
+                        r.p99_us,
+                    ),
+                ],
+            );
         }
-        line(format!("strudel_html_cache_hits_total {}", self.html_cache.hits));
-        line(format!(
-            "strudel_html_cache_misses_total {}",
-            self.html_cache.misses
-        ));
-        line(format!(
-            "strudel_html_cache_evictions_total {}",
-            self.html_cache.evictions
-        ));
-        line(format!("strudel_html_cache_entries {}", self.html_cache.entries));
-        line(format!(
-            "strudel_html_cache_published_hits_total {}",
-            self.html_cache.published_hits
-        ));
-        line(format!(
-            "strudel_html_cache_published_entries {}",
-            self.html_cache.published_entries
-        ));
-        line(format!(
-            "strudel_html_cache_promotions_total {}",
-            self.html_cache.promotions
-        ));
-        let mut rate = String::new();
-        write!(rate, "{:.4}", self.html_cache.hit_rate()).unwrap();
-        line(format!("strudel_html_cache_hit_rate {rate}"));
-        line(format!("strudel_engine_clicks_total {}", self.engine.clicks));
-        line(format!(
-            "strudel_engine_queries_total {}",
-            self.engine.queries_run
-        ));
-        line(format!(
-            "strudel_engine_rows_produced_total {}",
-            self.engine.rows_produced
-        ));
-        line(format!(
-            "strudel_engine_view_cache_hits_total {}",
-            self.engine.cache_hits
-        ));
-        line(format!(
-            "strudel_engine_view_evictions_total {}",
-            self.engine.evictions
-        ));
-        line(format!(
-            "strudel_engine_plan_cache_hits_total {}",
-            self.engine.plan_cache_hits
-        ));
-        line(format!(
-            "strudel_engine_plan_cache_misses_total {}",
-            self.engine.plan_cache_misses
-        ));
-        line(format!(
-            "strudel_diff_pages_updated_total {}",
-            self.engine.diff_pages_updated
-        ));
-        line(format!(
-            "strudel_diff_fallbacks_total {}",
-            self.engine.diff_fallbacks
-        ));
-        line(format!(
-            "strudel_diff_rows_added_total {}",
-            self.engine.diff_rows_added
-        ));
-        line(format!(
-            "strudel_diff_rows_retracted_total {}",
-            self.engine.diff_rows_retracted
-        ));
-        line(format!(
-            "strudel_diff_standby_rebuilds_total {}",
-            self.engine.standby_rebuilds
-        ));
-        line(format!("strudel_delta_epoch {}", self.epoch));
-        line(format!("strudel_slow_requests_total {}", self.slow_requests));
-        line(format!("strudel_panics_total {}", self.panics));
-        line(format!("strudel_shed_total {}", self.shed));
-        line(format!(
-            "strudel_timeout_config_errors_total {}",
-            self.timeout_config_errors
-        ));
-        line(format!(
-            "strudel_accept_errors_total {}",
-            self.accept_errors
-        ));
-        line(format!("strudel_open_connections {}", self.open_connections));
-        line(format!(
-            "strudel_keepalive_reuse_total {}",
-            self.keepalive_reuse
-        ));
-        line(format!("strudel_idle_closed_total {}", self.idle_closed));
-        line(format!("strudel_inline_hits_total {}", self.inline.hits));
-        line(format!(
-            "strudel_pool_dispatches_total {}",
-            self.inline.pool_dispatches
-        ));
+        push_rows(
+            &mut out,
+            &[
+                ("strudel_html_cache_hits_total", cache.hits),
+                ("strudel_html_cache_misses_total", cache.misses),
+                ("strudel_html_cache_evictions_total", cache.evictions),
+                ("strudel_html_cache_entries", cache.entries),
+                ("strudel_html_cache_published_hits_total", cache.published_hits),
+                ("strudel_html_cache_published_entries", cache.published_entries),
+                ("strudel_html_cache_promotions_total", cache.promotions),
+            ],
+        );
+        let _ = writeln!(out, "strudel_html_cache_hit_rate {:.4}", cache.hit_rate());
+        push_rows(
+            &mut out,
+            &[
+                ("strudel_engine_clicks_total", engine.clicks as u64),
+                ("strudel_engine_queries_total", engine.queries_run as u64),
+                ("strudel_engine_rows_produced_total", engine.rows_produced as u64),
+                ("strudel_engine_view_cache_hits_total", engine.cache_hits as u64),
+                ("strudel_engine_view_evictions_total", engine.evictions as u64),
+                ("strudel_engine_plan_cache_hits_total", engine.plan_cache_hits as u64),
+                ("strudel_engine_plan_cache_misses_total", engine.plan_cache_misses as u64),
+                ("strudel_diff_pages_updated_total", engine.diff_pages_updated as u64),
+                ("strudel_diff_fallbacks_total", engine.diff_fallbacks as u64),
+                ("strudel_diff_rows_added_total", engine.diff_rows_added as u64),
+                ("strudel_diff_rows_retracted_total", engine.diff_rows_retracted as u64),
+                ("strudel_diff_standby_rebuilds_total", engine.standby_rebuilds as u64),
+                ("strudel_delta_epoch", self.epoch),
+                ("strudel_slow_requests_total", self.slow_requests),
+                ("strudel_panics_total", self.panics),
+                ("strudel_shed_total", self.shed),
+                ("strudel_timeout_config_errors_total", self.timeout_config_errors),
+                ("strudel_accept_errors_total", self.accept_errors),
+                ("strudel_open_connections", self.open_connections),
+                ("strudel_keepalive_reuse_total", self.keepalive_reuse),
+                ("strudel_idle_closed_total", self.idle_closed),
+                ("strudel_inline_hits_total", self.inline.hits),
+                ("strudel_pool_dispatches_total", self.inline.pool_dispatches),
+            ],
+        );
         for reason in InlineDecline::ALL {
-            line(format!(
+            let _ = writeln!(
+                out,
                 "strudel_inline_declined_total{{reason=\"{}\"}} {}",
                 reason.label(),
                 self.inline.declined[reason as usize]
-            ));
+            );
         }
-        line(format!(
-            "strudel_store_poisoned {}",
-            u64::from(self.store_poisoned)
-        ));
-        line(format!("strudel_pager_hits_total {}", self.pager.hits));
-        line(format!("strudel_pager_misses_total {}", self.pager.misses));
-        line(format!(
-            "strudel_pager_evictions_total {}",
-            self.pager.evictions
-        ));
-        line(format!("strudel_pager_pins_total {}", self.pager.pins));
-        line(format!(
-            "strudel_pager_writebacks_total {}",
-            self.pager.writebacks
-        ));
-        line(format!("strudel_pager_pool_pages {}", self.pager.pool_pages));
-        line(format!(
-            "strudel_pager_resident_pages {}",
-            self.pager.resident
-        ));
+        push_rows(
+            &mut out,
+            &[
+                ("strudel_store_poisoned", u64::from(self.store_poisoned)),
+                ("strudel_pager_hits_total", pager.hits),
+                ("strudel_pager_misses_total", pager.misses),
+                ("strudel_pager_evictions_total", pager.evictions),
+                ("strudel_pager_pins_total", pager.pins),
+                ("strudel_pager_writebacks_total", pager.writebacks),
+                ("strudel_pager_pool_pages", pager.pool_pages),
+                ("strudel_pager_resident_pages", pager.resident),
+            ],
+        );
         for (name, v) in &self.trace_counters {
-            line(format!("strudel_trace_counter{{name=\"{name}\"}} {v}"));
+            let _ = writeln!(out, "strudel_trace_counter{{name=\"{name}\"}} {v}");
         }
         out
     }
@@ -699,27 +791,7 @@ mod tests {
     fn overflow_samples_surface_as_inf_bucket_in_exposition() {
         let m = ServerMetrics::new();
         m.record("slow", 20_000_000); // 20 s: past the 10 s ladder top
-        let stats = ServerStats {
-            total: m.totals(),
-            latency_buckets: m.total_latency_buckets(),
-            latency_sum_us: m.total_latency_sum_us(),
-            routes: m.snapshot(),
-            html_cache: CacheSnapshot::default(),
-            engine: Default::default(),
-            epoch: 0,
-            slow_requests: 0,
-            panics: 0,
-            shed: 0,
-            timeout_config_errors: 0,
-            accept_errors: 0,
-            open_connections: 0,
-            keepalive_reuse: 0,
-            idle_closed: 0,
-            inline: Default::default(),
-            store_poisoned: false,
-            trace_counters: Vec::new(),
-            pager: Default::default(),
-        };
+        let stats = ServerStats::assemble(&m, None, &[], 0, false);
         let text = stats.to_text();
         assert!(text.contains("strudel_request_latency_us_bucket{le=\"10000000\"} 0"));
         assert!(text.contains("strudel_request_latency_us_bucket{le=\"+Inf\"} 1"));

@@ -37,6 +37,19 @@ impl ParsedRequest {
     pub fn head_only(&self) -> bool {
         self.method == "HEAD"
     }
+
+    /// The request gate both transports hold a complete head to before
+    /// any service sees it: `405` for a method other than GET/HEAD,
+    /// `400` for an unparsable request line, `None` to let it through.
+    pub fn refusal(&self) -> Option<Response> {
+        if self.method != "GET" && self.method != "HEAD" {
+            Some(Response::status_text(405, "only GET is supported\n".into()))
+        } else if self.path.is_empty() {
+            Some(Response::status_text(400, "malformed request line\n".into()))
+        } else {
+            None
+        }
+    }
 }
 
 /// What [`parse_request`] found in the buffer.
@@ -356,54 +369,19 @@ pub fn parse_response(buf: &[u8], head_only: bool) -> ResponseOutcome {
 
 /// The `431` answered when a request head outgrows `max` bytes.
 pub fn response_431(max: u64) -> Response {
-    Response {
-        status: 431,
-        content_type: "text/plain; charset=utf-8",
-        body: format!("request exceeds {max} bytes\n"),
-        degraded: false,
-    }
-}
-
-/// The `405` answered for any method other than GET/HEAD.
-pub fn response_405() -> Response {
-    Response {
-        status: 405,
-        content_type: "text/plain; charset=utf-8",
-        body: "only GET is supported\n".into(),
-        degraded: false,
-    }
-}
-
-/// The `400` answered for an unparsable request line.
-pub fn response_400() -> Response {
-    Response {
-        status: 400,
-        content_type: "text/plain; charset=utf-8",
-        body: "malformed request line\n".into(),
-        degraded: false,
-    }
+    Response::status_text(431, format!("request exceeds {max} bytes\n"))
 }
 
 /// The `408` answered when a client stalls mid-request (the read timed
 /// out or the idle deadline passed with a partial head buffered).
 pub fn response_408() -> Response {
-    Response {
-        status: 408,
-        content_type: "text/plain; charset=utf-8",
-        body: "timed out reading the request\n".into(),
-        degraded: false,
-    }
+    Response::status_text(408, "timed out reading the request\n".into())
 }
 
 /// The `503` answered when the server sheds load (full backlog or
 /// connection cap).
 pub fn response_503() -> Response {
-    Response {
-        status: 503,
-        content_type: "text/plain; charset=utf-8",
-        body: "server is at capacity, retry shortly\n".into(),
-        degraded: false,
-    }
+    Response::status_text(503, "server is at capacity, retry shortly\n".into())
 }
 
 #[cfg(test)]
@@ -555,8 +533,12 @@ mod tests {
         assert!(head.contains("Connection: close\r\n"), "{head}");
 
         // 405 always carries Allow (RFC 9110 §15.5.6).
-        let text =
-            String::from_utf8(encode_response(&response_405(), false, false, None)).unwrap();
+        let ParseOutcome::Complete { request: post, .. } = parse("POST / HTTP/1.1\r\n\r\n") else {
+            panic!("a complete head");
+        };
+        let refused = post.refusal().expect("only GET and HEAD pass the gate");
+        let text = String::from_utf8(encode_response(&refused, false, false, None)).unwrap();
+        assert!(text.starts_with("HTTP/1.1 405 "), "{text}");
         assert!(text.contains("Allow: GET, HEAD\r\n"), "{text}");
 
         // Shedding carries Retry-After.

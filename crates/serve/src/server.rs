@@ -33,7 +33,7 @@
 //! [`ShardedService`]: crate::ShardedService
 
 use crate::proto::{self, ParseOutcome};
-use crate::{Response, ServeError, WarmupReport};
+use crate::{Response, ServeError, TransportCounters, WarmupReport};
 use std::io::{Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
@@ -66,8 +66,9 @@ pub struct WarmHit {
 
 /// What the transport needs from a service: request dispatch, optional
 /// pre-warming, and failure-mode counters. Implemented by
-/// [`crate::SiteService`] (one engine) and [`crate::ShardedService`] (N
-/// hash-routed engines) — the transport is identical over either.
+/// [`crate::SiteService`] (one engine), [`crate::ShardedService`] (N
+/// hash-routed engines) and [`crate::ClusterService`] (N worker
+/// processes) — the transport is identical over each.
 pub trait ClickService: Send + Sync + 'static {
     /// Serves one request path.
     fn handle(&self, path: &str) -> Response;
@@ -83,24 +84,64 @@ pub trait ClickService: Send + Sync + 'static {
     }
     /// Pre-renders every reachable page before accepting traffic.
     fn warm(&self, parallelism: Parallelism) -> Result<WarmupReport, ServeError>;
+    /// Where the `note_*` hooks below book what the transport tells
+    /// them, unless overridden: the front's own [`TransportCounters`].
+    /// `None` (the default) makes every provided hook a no-op, for a
+    /// service that keeps no such books or overrides the hooks to keep
+    /// its own.
+    fn transport(&self) -> Option<&TransportCounters> {
+        None
+    }
     /// Records a panic caught by the transport's worker backstop.
-    fn note_panic(&self);
+    fn note_panic(&self) {
+        if let Some(t) = self.transport() {
+            t.note_panic()
+        }
+    }
     /// Records a connection shed by the full backlog.
-    fn note_shed(&self);
+    fn note_shed(&self) {
+        if let Some(t) = self.transport() {
+            t.note_shed()
+        }
+    }
     /// Records a failed socket-timeout setup.
-    fn note_timeout_config_error(&self, err: &std::io::Error);
+    fn note_timeout_config_error(&self, err: &std::io::Error) {
+        if let Some(t) = self.transport() {
+            t.note_timeout_config_error(err)
+        }
+    }
     /// Records a failed `accept`.
-    fn note_accept_error(&self);
+    fn note_accept_error(&self) {
+        if let Some(t) = self.transport() {
+            t.note_accept_error()
+        }
+    }
     /// Records a connection opened (the `strudel_open_connections`
     /// gauge increments).
-    fn note_conn_opened(&self);
+    fn note_conn_opened(&self) {
+        if let Some(t) = self.transport() {
+            t.note_conn_opened()
+        }
+    }
     /// Records a connection closed (the gauge decrements).
-    fn note_conn_closed(&self);
+    fn note_conn_closed(&self) {
+        if let Some(t) = self.transport() {
+            t.note_conn_closed()
+        }
+    }
     /// Records a request served on an already-used connection
     /// (keep-alive reuse; only the epoll transport reuses).
-    fn note_keepalive_reuse(&self);
+    fn note_keepalive_reuse(&self) {
+        if let Some(t) = self.transport() {
+            t.note_keepalive_reuse()
+        }
+    }
     /// Records a keep-alive connection closed by the idle deadline.
-    fn note_idle_closed(&self);
+    fn note_idle_closed(&self) {
+        if let Some(t) = self.transport() {
+            t.note_idle_closed()
+        }
+    }
 }
 
 /// Which HTTP front end carries the traffic.
@@ -141,11 +182,6 @@ pub struct ServerConfig {
     /// the budget a reactor connection has to deliver a complete
     /// request head before it is answered `408` (epoll transport).
     pub timeout: Duration,
-    /// Pre-render every reachable page into the HTML cache before
-    /// accepting requests, across this many workers
-    /// ([`crate::SiteService::warm`]). `None` starts cold (pages render on
-    /// first hit).
-    pub warm: Option<Parallelism>,
     /// Accepted connections that may wait for a worker. When the backlog
     /// is full the accept path sheds new work with a `503` and a
     /// `Retry-After` header instead of queueing unbounded work.
@@ -168,7 +204,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 4,
             timeout: Duration::from_secs(10),
-            warm: None,
             max_backlog: 1024,
             retry_after_secs: 1,
             transport: Transport::Threads,
@@ -252,13 +287,6 @@ pub fn serve<S: ClickService>(
     config: ServerConfig,
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
-
-    if let Some(parallelism) = config.warm {
-        service
-            .warm(parallelism)
-            .map_err(|e| std::io::Error::other(format!("warmup failed: {e}")))?;
-    }
-
     match config.transport {
         Transport::Threads => serve_threads(service, config, listener),
         Transport::Epoll => crate::event::serve_epoll(service, config, listener),
@@ -412,15 +440,10 @@ fn handle_connection<S: ClickService>(stream: TcpStream, service: &S, timeout: D
         HeadRead::Drop => return,
         HeadRead::TooLarge => (proto::response_431(MAX_REQUEST_BYTES), false, true),
         HeadRead::TimedOut => (proto::response_408(), false, true),
-        HeadRead::Request(request) => {
-            if request.method != "GET" && request.method != "HEAD" {
-                (proto::response_405(), false, false)
-            } else if request.path.is_empty() {
-                (proto::response_400(), false, false)
-            } else {
-                (service.handle(&request.path), request.head_only(), false)
-            }
-        }
+        HeadRead::Request(request) => match request.refusal() {
+            Some(refused) => (refused, false, false),
+            None => (service.handle(&request.path), request.head_only(), false),
+        },
     };
     // The thread transport is strictly one request per connection: every
     // response closes, keeping it the clean connection-per-request

@@ -26,19 +26,18 @@
 //! `strudel_*` rows an unsharded server emits, plus per-shard
 //! `strudel_shard_*` rows.
 
-use crate::metrics::{CacheSnapshot, InlineSnapshot, ServerMetrics};
+use crate::metrics::{push_rows, ServerMetrics};
 use crate::{
-    router, ClickService, Response, ServeError, ServiceInvalidation, SiteService, WarmHit,
-    WarmupReport,
+    router, ClickService, DeltaGate, Response, ServeError, ServerStats, ServiceInvalidation,
+    SiteService, TransportCounters, WarmHit, WarmupReport,
 };
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 use strudel_graph::GraphDelta;
 use strudel_repo::Database;
-use strudel_schema::dynamic::{Metrics, Mode, PageKey};
-use strudel_struql::{par, Parallelism, Program};
+use strudel_schema::dynamic::{Mode, PageKey};
+use strudel_struql::{Parallelism, Program};
 use strudel_template::TemplateSet;
 
 /// The result of broadcasting one delta to every shard.
@@ -81,13 +80,13 @@ pub struct ShardedService {
     /// Front metrics: per-shard request counts and latency, plus the
     /// front-answered routes.
     metrics: ServerMetrics,
-    /// The single delta writer.
-    writer: Mutex<()>,
+    /// What the transport reports: its events have no owning shard.
+    transport: TransportCounters,
+    /// The single delta writer and the optional durable paged store,
+    /// committed once per delta before any shard applies it.
+    gate: DeltaGate,
     /// Deltas visible on *all* shards (bumped after the epoch barrier).
     deltas: AtomicU64,
-    /// Optional durable paged store, committed once per delta before any
-    /// shard applies it.
-    store: Option<strudel_repo::PagedRepo>,
 }
 
 impl ShardedService {
@@ -112,9 +111,9 @@ impl ShardedService {
             shard_routes: (0..n).map(|i| format!("shard/{i}")).collect(),
             shards,
             metrics: ServerMetrics::new(),
-            writer: Mutex::new(()),
+            transport: TransportCounters::default(),
+            gate: DeltaGate::new(None),
             deltas: AtomicU64::new(0),
-            store: None,
         }
     }
 
@@ -134,7 +133,7 @@ impl ShardedService {
     /// consistent: each delta commits durably exactly once, before any
     /// shard's in-memory snapshot swaps.
     pub fn with_paged_store(mut self, store: strudel_repo::PagedRepo) -> Self {
-        self.store = Some(store);
+        self.gate = DeltaGate::new(Some(store));
         self
     }
 
@@ -193,7 +192,7 @@ impl ShardedService {
             "/healthz" => ("healthz", Response::text("ok\n".into())),
             // Readiness is answered at the front: the store lives here,
             // not on the shards, so only the front sees its poisoning.
-            "/readyz" => ("readyz", self.readyz_response()),
+            "/readyz" => ("readyz", self.gate.readyz(None)),
             "/debug/trace" => ("debug/trace", Response::text(self.debug_trace_text())),
             _ => {
                 let idx = router::shard_of_path(routed, self.shards.len());
@@ -224,46 +223,7 @@ impl ShardedService {
     /// every shard publishes its warm-click snapshot. BFS level by level
     /// from the roots, fanned across `parallelism` workers.
     pub fn warm(&self, parallelism: Parallelism) -> Result<WarmupReport, ServeError> {
-        let start = Instant::now();
-        let n = self.shards.len();
-        let first = &self.shards[0];
-        let mut frontier: Vec<PageKey> = first.engine().roots(first.root_collection())?;
-        let mut seen: HashSet<PageKey> = frontier.iter().cloned().collect();
-        let mut pages = 0usize;
-        let mut levels = 0usize;
-        while !frontier.is_empty() {
-            let rendered = par::map_chunks(frontier, parallelism.workers(), |chunk| {
-                chunk
-                    .into_iter()
-                    .map(|key| {
-                        let idx = router::shard_of_path(&self.url_of(&key), n);
-                        self.shards[idx]
-                            .render_into_cache(&key)
-                            .map(|page| (key, page))
-                    })
-                    .collect()
-            })?;
-            levels += 1;
-            let mut next = Vec::new();
-            for (_key, page) in &rendered {
-                for dep in page.deps.iter() {
-                    if seen.insert(dep.clone()) {
-                        next.push(dep.clone());
-                    }
-                }
-                pages += 1;
-            }
-            frontier = next;
-        }
-        for s in &self.shards {
-            let epoch = s.engine().epoch();
-            s.cache().promote_if(|| s.engine().epoch() == epoch);
-        }
-        Ok(WarmupReport {
-            pages,
-            levels,
-            elapsed_us: start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
-        })
+        SiteService::warm_cores(&self.shards, parallelism)
     }
 
     /// Broadcasts one delta to every shard: the single writer commits it
@@ -274,13 +234,9 @@ impl ShardedService {
     /// entirely pre- or entirely post-delta; after this returns, every
     /// shard serves the new epoch.
     pub fn apply_delta(&self, delta: &GraphDelta) -> Result<ShardedInvalidation, ServeError> {
-        // The poisoned-lock guard carries no state; a predecessor that
-        // panicked mid-broadcast was already repaired below, so later
-        // deltas must proceed.
-        let _writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(store) = &self.store {
-            store.apply_delta(delta)?;
-        }
+        // A predecessor that panicked mid-broadcast was already repaired
+        // below, so the gate lets later deltas proceed.
+        let _writer = self.gate.commit(delta)?;
         // Shard 0 is the validation gate: deltas are deterministic over
         // identical graphs, so a delta that applies here applies
         // everywhere — an invalid one is rejected before any other
@@ -324,111 +280,43 @@ impl ShardedService {
         })
     }
 
-    /// Whether an earlier write failure poisoned the attached store.
-    pub fn store_poisoned(&self) -> bool {
-        self.store.as_ref().is_some_and(|s| s.is_poisoned())
-    }
-
-    fn readyz_response(&self) -> Response {
-        if self.store_poisoned() {
-            let mut r = Response::text("store poisoned\n".into());
-            r.status = 503;
-            r
-        } else {
-            Response::text("ready\n".into())
-        }
-    }
-
-    /// Aggregated stats in the unsharded [`crate::ServerStats`] shape:
-    /// front request totals/latency, summed cache and engine counters.
-    pub fn stats(&self) -> crate::ServerStats {
-        let trace_counters = if strudel_trace::enabled() {
-            strudel_trace::snapshot().counters
-        } else {
-            Vec::new()
-        };
-        let mut html_cache = CacheSnapshot::default();
-        let mut engine = Metrics::default();
-        let mut slow_requests = 0;
-        let mut panics = 0;
-        let mut shed = 0;
-        let mut timeout_config_errors = 0;
-        let mut accept_errors = 0;
-        let mut open_connections = 0;
-        let mut keepalive_reuse = 0;
-        let mut idle_closed = 0;
-        let mut inline = InlineSnapshot::default();
-        for s in &self.shards {
-            sum_cache(&mut html_cache, s.cache().stats());
-            sum_engine(&mut engine, s.engine().metrics());
-            slow_requests += s.slow_requests_total();
-            panics += s.panics_total();
-            shed += s.shed_total();
-            timeout_config_errors += s.timeout_config_errors_total();
-            accept_errors += s.accept_errors_total();
-            open_connections += s.open_connections();
-            keepalive_reuse += s.keepalive_reuse_total();
-            idle_closed += s.idle_closed_total();
-            inline.add(s.inline_stats());
-        }
-        crate::ServerStats {
-            total: self.metrics.totals(),
-            latency_buckets: self.metrics.total_latency_buckets(),
-            latency_sum_us: self.metrics.total_latency_sum_us(),
-            routes: self.metrics.snapshot(),
-            html_cache,
-            engine,
-            epoch: self.delta_epoch(),
-            slow_requests,
-            panics,
-            shed,
-            timeout_config_errors,
-            accept_errors,
-            open_connections,
-            keepalive_reuse,
-            idle_closed,
-            inline,
-            store_poisoned: self.store_poisoned(),
-            trace_counters,
-            pager: strudel_repo::pager::global_stats(),
-        }
+    /// Aggregated stats in the unsharded [`ServerStats`] shape: front
+    /// request totals/latency and transport counters, cache and engine
+    /// counters summed over the shards.
+    pub fn stats(&self) -> ServerStats {
+        ServerStats::assemble(
+            &self.metrics,
+            Some(&self.transport),
+            &self.shards,
+            self.delta_epoch(),
+            self.gate.is_poisoned(),
+        )
     }
 
     /// The `/metrics` body: the aggregated `strudel_*` rows an unsharded
     /// server emits, followed by per-shard `strudel_shard_*` rows.
     pub fn stats_text(&self) -> String {
-        use std::fmt::Write;
-        let mut out = self.stats().to_text();
-        let routes = self.metrics.snapshot();
-        let _ = writeln!(out, "strudel_shards {}", self.shards.len());
+        let stats = self.stats();
+        let mut out = stats.to_text();
+        push_rows(&mut out, &[("strudel_shards", self.shards.len() as u64)]);
         for (i, s) in self.shards.iter().enumerate() {
-            let front = routes.iter().find(|r| r.route == self.shard_routes[i]);
+            let front = stats.routes.iter().find(|r| r.route == self.shard_routes[i]);
             let (requests, p99) = front.map_or((0, 0), |r| (r.requests, r.p99_us));
             let cache = s.cache().stats();
-            let _ = writeln!(out, "strudel_shard_requests_total{{shard=\"{i}\"}} {requests}");
-            let _ = writeln!(
-                out,
-                "strudel_shard_latency_us{{shard=\"{i}\",quantile=\"0.99\"}} {p99}"
-            );
-            let _ = writeln!(
-                out,
-                "strudel_shard_epoch{{shard=\"{i}\"}} {}",
-                s.engine().epoch()
-            );
-            let _ = writeln!(
-                out,
-                "strudel_shard_html_cache_entries{{shard=\"{i}\"}} {}",
-                cache.entries
-            );
-            let _ = writeln!(
-                out,
-                "strudel_shard_published_entries{{shard=\"{i}\"}} {}",
-                cache.published_entries
-            );
-            let _ = writeln!(
-                out,
-                "strudel_shard_published_hits_total{{shard=\"{i}\"}} {}",
-                cache.published_hits
+            let row = |name: &str| format!("{name}{{shard=\"{i}\"}}");
+            push_rows(
+                &mut out,
+                &[
+                    (&row("strudel_shard_requests_total"), requests),
+                    (
+                        &format!("strudel_shard_latency_us{{shard=\"{i}\",quantile=\"0.99\"}}"),
+                        p99,
+                    ),
+                    (&row("strudel_shard_epoch"), s.engine().epoch()),
+                    (&row("strudel_shard_html_cache_entries"), cache.entries),
+                    (&row("strudel_shard_published_entries"), cache.published_entries),
+                    (&row("strudel_shard_published_hits_total"), cache.published_hits),
+                ],
             );
         }
         out
@@ -437,48 +325,8 @@ impl ShardedService {
     /// The `/debug/trace` body: the global trace snapshot once, then
     /// every shard's slow-request log.
     pub fn debug_trace_text(&self) -> String {
-        use std::fmt::Write;
-        let mut out = strudel_trace::snapshot().render_text();
-        for (i, s) in self.shards.iter().enumerate() {
-            let slow = s.slow_requests();
-            let _ = write!(
-                out,
-                "\n# shard {i} slow requests (threshold={}us, total={}, showing {})\n",
-                s.slow_threshold_us(),
-                s.slow_requests_total(),
-                slow.len()
-            );
-            for r in &slow {
-                let _ = writeln!(out, "[{}] {} {}us {}", r.trace_id, r.status, r.us, r.path);
-            }
-        }
-        out
+        SiteService::trace_text(&self.shards)
     }
-}
-
-fn sum_cache(total: &mut CacheSnapshot, s: CacheSnapshot) {
-    total.hits += s.hits;
-    total.misses += s.misses;
-    total.evictions += s.evictions;
-    total.entries += s.entries;
-    total.published_hits += s.published_hits;
-    total.published_entries += s.published_entries;
-    total.promotions += s.promotions;
-}
-
-fn sum_engine(total: &mut Metrics, s: Metrics) {
-    total.clicks += s.clicks;
-    total.queries_run += s.queries_run;
-    total.rows_produced += s.rows_produced;
-    total.cache_hits += s.cache_hits;
-    total.evictions += s.evictions;
-    total.plan_cache_hits += s.plan_cache_hits;
-    total.plan_cache_misses += s.plan_cache_misses;
-    total.diff_pages_updated += s.diff_pages_updated;
-    total.diff_fallbacks += s.diff_fallbacks;
-    total.diff_rows_added += s.diff_rows_added;
-    total.diff_rows_retracted += s.diff_rows_retracted;
-    total.standby_rebuilds += s.standby_rebuilds;
 }
 
 impl ClickService for ShardedService {
@@ -491,30 +339,7 @@ impl ClickService for ShardedService {
     fn warm(&self, parallelism: Parallelism) -> Result<WarmupReport, ServeError> {
         ShardedService::warm(self, parallelism)
     }
-    // Transport-level failures have no owning shard; account them on
-    // shard 0, whose counters the aggregated stats sum like any other.
-    fn note_panic(&self) {
-        self.shard(0).note_panic()
-    }
-    fn note_shed(&self) {
-        self.shard(0).note_shed()
-    }
-    fn note_timeout_config_error(&self, err: &std::io::Error) {
-        self.shard(0).note_timeout_config_error(err)
-    }
-    fn note_accept_error(&self) {
-        self.shard(0).note_accept_error()
-    }
-    fn note_conn_opened(&self) {
-        self.shard(0).note_conn_opened()
-    }
-    fn note_conn_closed(&self) {
-        self.shard(0).note_conn_closed()
-    }
-    fn note_keepalive_reuse(&self) {
-        self.shard(0).note_keepalive_reuse()
-    }
-    fn note_idle_closed(&self) {
-        self.shard(0).note_idle_closed()
+    fn transport(&self) -> Option<&TransportCounters> {
+        Some(&self.transport)
     }
 }

@@ -10,6 +10,8 @@
 //! shared store's WAL to byte-equality with an oracle that was never
 //! killed.
 
+mod common;
+
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -233,6 +235,66 @@ fn a_cluster_serves_byte_identically_and_degrades_through_a_kill() {
     let metrics = cluster.stats_text();
     assert!(metrics.contains("strudel_cluster_workers 2"), "{metrics}");
     assert!(metrics.contains("strudel_cluster_degraded_total"), "{metrics}");
+    cluster.shutdown();
+}
+
+#[test]
+fn the_router_emits_the_standard_rows_then_its_cluster_rows() {
+    let (site_dir, store_dir) = scratch("golden");
+    let cluster =
+        ClusterService::start(open_store(&store_dir), test_config(2, &site_dir, &store_dir))
+            .unwrap();
+    for path in crawl(&|p| cluster.handle(p)) {
+        assert_eq!(cluster.handle(&path).status, 200, "{path}");
+    }
+    assert_eq!(cluster.handle("/healthz").status, 200);
+
+    let mut expected = common::standard_metric_rows(&["healthz", "shard/0", "shard/1"]);
+    expected.extend(
+        [
+            "strudel_cluster_workers",
+            "strudel_cluster_delta_epoch",
+            "strudel_cluster_degraded_total",
+            "strudel_cluster_lkg_dropped_total",
+            "strudel_cluster_unavailable_total",
+            "strudel_cluster_proxy_errors_total",
+        ]
+        .map(String::from),
+    );
+    for shard in 0..2 {
+        for row in [
+            "worker_up{shard=\"#\"}",
+            "worker_restarts_total{shard=\"#\"}",
+            "worker_broken{shard=\"#\"}",
+            "upstream_fetches_total{shard=\"#\"}",
+            "upstream_connects_total{shard=\"#\"}",
+            "upstream_reuses_total{shard=\"#\"}",
+            "upstream_retries_total{shard=\"#\"}",
+            "upstream_idle{shard=\"#\"}",
+        ] {
+            expected.push(format!("strudel_cluster_{}", row.replace('#', &shard.to_string())));
+        }
+    }
+    assert_eq!(
+        common::untraced_metric_rows(&cluster.handle("/metrics").body),
+        expected
+    );
+
+    // With tracing on the router reports the process's trace counters
+    // where the other two fronts do: after the fixed rows, before its
+    // own family.
+    strudel_trace::set_enabled(true);
+    strudel_trace::count("test.cluster_golden", 1);
+    let rows = common::metric_row_names(&cluster.handle("/metrics").body);
+    strudel_trace::set_enabled(false);
+    let at = |name: &str| {
+        rows.iter()
+            .position(|r| r == name)
+            .unwrap_or_else(|| panic!("no {name} row in {rows:?}"))
+    };
+    let traced = at("strudel_trace_counter{name=\"test.cluster_golden\"}");
+    assert!(at("strudel_pager_resident_pages") < traced);
+    assert!(traced < at("strudel_cluster_workers"));
     cluster.shutdown();
 }
 

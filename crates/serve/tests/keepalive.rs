@@ -189,7 +189,7 @@ fn idle_connections_close_on_deadline_and_count() {
         "closed by the deadline, not a test timeout: {:?}",
         t0.elapsed()
     );
-    assert!(service.idle_closed_total() >= 1, "idle close counted");
+    assert!(service.stats().idle_closed >= 1, "idle close counted");
     let metrics = get_fresh(addr, "/metrics");
     assert!(metrics.contains("strudel_idle_closed_total"), "{metrics}");
     server.shutdown();
@@ -210,7 +210,7 @@ fn keepalive_reuse_is_counted_and_connection_close_is_honored() {
         write!(writer, "GET / HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
         read_response(&mut reader).unwrap();
     }
-    assert_eq!(service.keepalive_reuse_total(), 2, "3 requests = 2 reuses");
+    assert_eq!(service.stats().keepalive_reuse, 2, "3 requests = 2 reuses");
 
     // An explicit `Connection: close` ends the reuse run.
     write!(writer, "GET / HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n").unwrap();
@@ -310,9 +310,9 @@ fn hundreds_of_idle_connections_cost_fds_not_threads() {
     }
 
     assert!(
-        service.open_connections() >= IDLE as u64,
+        service.stats().open_connections >= IDLE as u64,
         "gauge sees the held connections: {}",
-        service.open_connections()
+        service.stats().open_connections
     );
     let threads_after = os_thread_count();
     assert!(

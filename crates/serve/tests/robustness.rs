@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use strudel::sites::news_site;
 use strudel_schema::dynamic::Mode;
-use strudel_serve::{serve, FaultProbe, ServerConfig, SiteService};
+use strudel_serve::{serve, ClickService, FaultProbe, ServerConfig, SiteService};
 use strudel_struql::Parallelism;
 use strudel_workload::news::{generate, NewsConfig};
 
@@ -73,7 +73,7 @@ fn a_panicking_handler_costs_one_request_not_the_server() {
             }
             svc.clear_probes();
         }
-        assert_eq!(svc.panics_total(), 6, "every panic counted ({transport:?})");
+        assert_eq!(svc.stats().panics, 6, "every panic counted ({transport:?})");
 
         // Both workers took a panic; both must still be serving.
         for _ in 0..4 {
@@ -134,7 +134,7 @@ fn a_saturated_backlog_sheds_with_retry_after() {
             }
         }
         assert!(shed >= 1, "worker stalled + backlog full must shed ({transport:?})");
-        assert!(svc.shed_total() >= shed, "sheds counted");
+        assert!(svc.stats().shed >= shed, "sheds counted");
 
         // The stalled requests still complete, and once the stall
         // drains the server answers normally again.
@@ -218,11 +218,11 @@ fn an_oversized_shed_request_still_receives_its_503() {
 #[test]
 fn timeout_config_errors_are_counted_not_swallowed() {
     let svc = service();
-    assert_eq!(svc.timeout_config_errors_total(), 0);
+    assert_eq!(svc.stats().timeout_config_errors, 0);
     let err = std::io::Error::other("setsockopt failed");
     svc.note_timeout_config_error(&err);
     svc.note_timeout_config_error(&err);
-    assert_eq!(svc.timeout_config_errors_total(), 2);
+    assert_eq!(svc.stats().timeout_config_errors, 2);
     let text = svc.stats().to_text();
     assert!(
         text.contains("strudel_timeout_config_errors_total 2"),

@@ -2,11 +2,9 @@
 //! reachable page, across workers, with byte-identical output to cold
 //! click-time rendering.
 
-use std::sync::Arc;
-
 use strudel::sites::news_site;
 use strudel_schema::dynamic::Mode;
-use strudel_serve::{serve, ServerConfig, SiteService};
+use strudel_serve::SiteService;
 use strudel_struql::Parallelism;
 use strudel_workload::news::{generate, NewsConfig};
 
@@ -84,21 +82,4 @@ fn warm_is_idempotent() {
     let second = svc.warm(Parallelism::Threads(2)).unwrap();
     assert_eq!(first.pages, second.pages);
     assert_eq!(svc.cache().len(), cached);
-}
-
-#[test]
-fn server_config_warm_starts_hot() {
-    let svc = Arc::new(service());
-    let server = serve(
-        svc.clone(),
-        ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            workers: 2,
-            warm: Some(Parallelism::Threads(4)),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert!(!svc.cache().is_empty(), "server started with a warm cache");
-    server.shutdown();
 }
