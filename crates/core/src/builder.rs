@@ -9,7 +9,7 @@ use strudel_schema::constraint::runtime::{self, CheckResult};
 use strudel_schema::constraint::verify::{self, Verdict};
 use strudel_schema::constraint::{parse_constraint, Constraint};
 use strudel_schema::SiteSchema;
-use strudel_struql::{EvalOptions, EvalResult, Evaluator, Parallelism, Program};
+use strudel_struql::{EvalOptions, EvalResult, Evaluator, Program};
 use std::sync::Arc;
 use strudel_template::{HtmlGenerator, SiteOutput, TemplateSet};
 
@@ -28,7 +28,6 @@ pub struct SiteBuilder {
     constraints: Vec<String>,
     index_level: Option<IndexLevel>,
     optimize: bool,
-    parallelism: Parallelism,
 }
 
 impl SiteBuilder {
@@ -106,14 +105,6 @@ impl SiteBuilder {
         self
     }
 
-    /// Sets the worker budget for where-stage evaluation (default:
-    /// sequential). The built site is byte-identical at any setting — same
-    /// site graph, same Skolem oids.
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
     /// Runs the pipeline: wrap → mediate → evaluate → extract schema →
     /// verify constraints.
     pub fn build(self) -> Result<Site, StrudelError> {
@@ -140,7 +131,6 @@ impl SiteBuilder {
             &database,
             EvalOptions {
                 optimize: self.optimize,
-                parallelism: self.parallelism,
                 ..EvalOptions::default()
             },
         )

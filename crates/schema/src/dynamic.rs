@@ -99,8 +99,8 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use strudel_graph::{coerce, GraphDelta, Value};
 use strudel_repo::Database;
 use strudel_struql::{
-    where_vars, Condition, EvalOptions, Evaluator, ExplainReport, LabelTerm, Parallelism,
-    PreparedWhere, Program, SignedRow, StruqlError, StruqlResult, Term,
+    where_vars, Condition, Evaluator, ExplainReport, LabelTerm, PreparedWhere, Program, SignedRow,
+    StruqlError, StruqlResult, Term,
 };
 
 /// Evaluation strategy.
@@ -442,7 +442,6 @@ pub struct DynamicSite {
     db: RwLock<Arc<Database>>,
     schema: SiteSchema,
     mode: Mode,
-    parallelism: Parallelism,
     /// Per schema edge, how its guard rows are stored and routed.
     layouts: Vec<EdgeLayout>,
     shards: Vec<RwLock<HashMap<PageKey, Cached>>>,
@@ -490,7 +489,6 @@ impl DynamicSite {
                 .collect(),
             schema,
             mode,
-            parallelism: Parallelism::default(),
             shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
             aliases: Mutex::new(HashMap::new()),
             epoch: AtomicU64::new(0),
@@ -514,29 +512,6 @@ impl DynamicSite {
             diff_rows_retracted: AtomicUsize::new(0),
             standby_rebuilds: AtomicUsize::new(0),
         }
-    }
-
-    /// Sets the worker budget for guard evaluation. Served page views are
-    /// identical at any setting (see `strudel_struql::par`); only latency
-    /// on guard-heavy pages changes.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// The configured worker budget.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
-    fn evaluator<'db>(&self, db: &'db Database) -> Evaluator<'db> {
-        Evaluator::with_options(
-            db,
-            EvalOptions {
-                parallelism: self.parallelism,
-                ..Default::default()
-            },
-        )
     }
 
     /// Work counters so far.
@@ -672,7 +647,7 @@ impl DynamicSite {
     /// collection name.
     pub fn roots(&self, collection: &str) -> StruqlResult<Vec<PageKey>> {
         let (epoch, db) = self.snapshot();
-        let ev = self.evaluator(&db);
+        let ev = Evaluator::new(&db);
         let mut out = Vec::new();
         for (ci, (collect, guard)) in self.schema.collects.iter().enumerate() {
             if collect.collection != collection {
@@ -1215,7 +1190,7 @@ impl DynamicSite {
                 message: format!("unknown page symbol '{}'", page.symbol),
             });
         };
-        let ev = self.evaluator(db);
+        let ev = Evaluator::new(db);
         let mut rows = PageRows::default();
         for (ei, edge) in self.schema.edges.iter().enumerate() {
             if edge.from != node {
@@ -1276,7 +1251,7 @@ impl DynamicSite {
             });
         };
         let db = self.database();
-        let ev = self.evaluator(&db);
+        let ev = Evaluator::new(&db);
         let mut out = Vec::new();
         for edge in self.schema.out_edges(node) {
             let Some(seeds) = self.seed_for_edge(edge, page) else {
@@ -1852,21 +1827,6 @@ mod tests {
         );
         assert!(view.edges.len() > n_before);
         assert_eq!(site.epoch(), 1);
-    }
-
-    #[test]
-    fn parallel_engine_serves_identical_views() {
-        let db = db();
-        let program = parse(QUERY).unwrap();
-        let seq = DynamicSite::new(db.clone(), &program, Mode::Context);
-        let par = DynamicSite::new(db, &program, Mode::Context)
-            .with_parallelism(Parallelism::Threads(4));
-        assert_eq!(par.parallelism(), Parallelism::Threads(4));
-        let roots = seq.roots("Roots").unwrap();
-        assert_eq!(roots, par.roots("Roots").unwrap());
-        for key in &roots {
-            assert_eq!(seq.visit(key).unwrap(), par.visit(key).unwrap());
-        }
     }
 
     #[test]

@@ -32,8 +32,8 @@
 //!                                     (strong DataGuides per collection)
 //! strudel serve <dir> [--addr A] [--workers N] [--shards S] [--mode M]
 //!                     [--warm W] [--slow-us T] [--backlog B] [--trace]
-//!                     [--transport threads|epoll] [--keepalive-secs S]
-//!                     [--max-connections N] [--cluster N]
+//!                     [--keepalive-secs S] [--max-connections N]
+//!                     [--cluster N]
 //!                     [--store DIR] [--pool-pages N] [--page-size B]
 //!                                     serve the site at click time:
 //!                                     pages computed on demand, cached,
@@ -53,11 +53,12 @@
 //!                                      0 disables;
 //!                                      B: max queued connections before
 //!                                      new ones are shed with a 503;
-//!                                      --transport picks the front end:
-//!                                      threads (portable, one response
-//!                                      per connection) or epoll (Linux
-//!                                      event-driven HTTP/1.1 keep-alive
-//!                                      reactor); --keepalive-secs is the
+//!                                      the front end follows the
+//!                                      platform: the event-driven epoll
+//!                                      reactor (HTTP/1.1 keep-alive) on
+//!                                      Linux, the portable thread pool
+//!                                      (one response per connection)
+//!                                      elsewhere; --keepalive-secs is the
 //!                                      reactor's idle-connection
 //!                                      deadline; --max-connections caps
 //!                                      its open sockets (503 beyond);
@@ -116,9 +117,8 @@ fn run(args: &[String]) -> Result<(), String> {
         "usage: strudel <build|check|schema|stats|guide|serve|explain> <site-dir> \
          [-o <outdir>] [--addr <ip:port>] [--workers <n>] [--shards <n|auto>] \
          [--mode <context|lookahead>] [--warm <n|auto>] [--slow-us <t>] \
-         [--backlog <n>] [--transport <threads|epoll>] [--keepalive-secs <s>] \
-         [--max-connections <n>] [--trace] [--store <dir>] [--pool-pages <n>] \
-         [--page-size <bytes>] [--cluster <n>]";
+         [--backlog <n>] [--keepalive-secs <s>] [--max-connections <n>] [--trace] \
+         [--store <dir>] [--pool-pages <n>] [--page-size <bytes>] [--cluster <n>]";
     let command = args.first().ok_or(usage)?;
     let dir = PathBuf::from(args.get(1).ok_or(usage)?);
     let outdir = match args.iter().position(|a| a == "-o") {
@@ -257,6 +257,11 @@ fn run(args: &[String]) -> Result<(), String> {
             strudel_serve::cluster::run_worker(&built, opts)
         }
         "serve" => {
+            if args.iter().any(|a| a == "--transport") {
+                return Err("the --transport flag was removed: the front end follows the \
+                            platform (epoll reactor on Linux, thread pool elsewhere)"
+                    .into());
+            }
             let built = site.build().map_err(|e| e.to_string())?;
             report_verifications(&built);
             // Claim SIGTERM/SIGINT on the main thread before any server
@@ -302,12 +307,12 @@ fn run(args: &[String]) -> Result<(), String> {
                 Some(b) => b.parse().map_err(|_| "--backlog needs a number")?,
                 None => strudel_serve::ServerConfig::default().max_backlog,
             };
-            let transport = match flag("--transport").as_deref() {
-                None | Some("threads") => strudel_serve::Transport::Threads,
-                Some("epoll") => strudel_serve::Transport::Epoll,
-                Some(other) => {
-                    return Err(format!("unknown transport '{other}' (threads|epoll)"))
-                }
+            // The reactor answers warm hits inline and keeps connections
+            // alive; the thread pool is what runs where there is no epoll.
+            let transport = if strudel_serve::Transport::Epoll.is_supported() {
+                strudel_serve::Transport::Epoll
+            } else {
+                strudel_serve::Transport::Threads
             };
             let keepalive_timeout = match flag("--keepalive-secs") {
                 Some(s) => std::time::Duration::from_secs(
@@ -340,7 +345,7 @@ fn run(args: &[String]) -> Result<(), String> {
                     .map_err(|e| format!("locating the strudel binary: {e}"))?;
                 let mut ccfg =
                     strudel_serve::ClusterConfig::new(n, binary, dir.clone(), store_dir);
-                ccfg.mode = flag("--mode").unwrap_or_else(|| "context".into());
+                ccfg.mode = mode;
                 let service = strudel_serve::ClusterService::start(store, ccfg)
                     .map_err(|e| format!("starting cluster: {e}"))?;
                 println!(

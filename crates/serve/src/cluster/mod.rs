@@ -66,6 +66,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 use strudel_graph::GraphDelta;
+use strudel_schema::dynamic::Mode;
 use strudel_struql::Parallelism;
 use supervisor::Slot;
 
@@ -80,8 +81,10 @@ pub struct ClusterConfig {
     pub site_dir: PathBuf,
     /// The shared paged store directory (router writes, workers replay).
     pub store_dir: PathBuf,
-    /// Evaluation mode flag passed to workers (`naive|context|lookahead`).
-    pub mode: String,
+    /// Click-time evaluation mode of every worker. [`Mode::Naive`] is
+    /// the tests' reference engine, not a serving mode: workers refuse
+    /// it, so [`ClusterService::start`] does too.
+    pub mode: Mode,
     /// Extra environment for workers (fault plans ride here, explicitly —
     /// the supervisor never forwards its own ambient environment hooks).
     pub worker_env: Vec<(String, String)>,
@@ -118,7 +121,7 @@ impl ClusterConfig {
             binary,
             site_dir,
             store_dir,
-            mode: "context".into(),
+            mode: Mode::Context,
             worker_env: Vec::new(),
             request_deadline: Duration::from_secs(5),
             probe_deadline: Duration::from_secs(2),
@@ -170,6 +173,12 @@ impl ClusterService {
         store: strudel_repo::PagedRepo,
         config: ClusterConfig,
     ) -> Result<Arc<ClusterService>, ServeError> {
+        if config.mode == Mode::Naive {
+            return Err(ServeError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "cluster workers serve in context or lookahead mode, not naive",
+            )));
+        }
         let run_dir = config.store_dir.join("cluster");
         std::fs::create_dir_all(&run_dir)?;
         let (_, deltas) = strudel_repo::committed_wal_deltas(&config.store_dir)
@@ -636,5 +645,35 @@ mod tests {
             static_content_type("application/json"),
             "text/plain; charset=utf-8"
         );
+    }
+
+    #[test]
+    fn a_naive_cluster_is_refused_before_anything_is_spawned() {
+        let store_dir =
+            std::env::temp_dir().join(format!("strudel-cluster-naive-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&store_dir);
+        std::fs::create_dir_all(&store_dir).unwrap();
+        let store = strudel_repo::PagedRepo::bulk_load(
+            &store_dir,
+            strudel_repo::PagerConfig::default(),
+            &strudel_graph::Graph::new(),
+        )
+        .unwrap();
+        let mut config = ClusterConfig::new(
+            2,
+            PathBuf::from("never-run"),
+            store_dir.join("site"),
+            store_dir.clone(),
+        );
+        config.mode = Mode::Naive;
+        let err = match ClusterService::start(store, config) {
+            Ok(_) => panic!("a naive cluster started"),
+            Err(e) => e.to_string(),
+        };
+        assert!(err.contains("not naive"), "{err}");
+        // Ready files live in this directory, and it is made before the
+        // monitor thread that spawns workers is.
+        assert!(!store_dir.join("cluster").exists());
+        let _ = std::fs::remove_dir_all(&store_dir);
     }
 }

@@ -869,7 +869,7 @@ mod imp {
     ) -> std::io::Result<ServerHandle> {
         Err(std::io::Error::new(
             std::io::ErrorKind::Unsupported,
-            "the epoll transport requires Linux; use --transport threads",
+            "the epoll transport requires Linux; use Transport::Threads",
         ))
     }
 }

@@ -391,13 +391,6 @@ impl SiteService {
         )
     }
 
-    /// Sets the worker budget the engine may use per guard evaluation
-    /// (served content is identical at any setting).
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.engine = self.engine.with_parallelism(parallelism);
-        self
-    }
-
     /// Sets the slow-request threshold in microseconds (builder form).
     /// `0` disables the log.
     pub fn with_slow_threshold_us(self, us: u64) -> Self {

@@ -137,16 +137,6 @@ impl ShardedService {
         self
     }
 
-    /// Sets every shard's per-guard worker budget.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.shards = self
-            .shards
-            .into_iter()
-            .map(|s| s.with_parallelism(parallelism))
-            .collect();
-        self
-    }
-
     /// Sets every shard's slow-request threshold (builder form).
     pub fn with_slow_threshold_us(self, us: u64) -> Self {
         for s in &self.shards {

@@ -114,3 +114,17 @@ fn naive_is_not_a_serve_mode() {
         "{stderr}"
     );
 }
+
+#[test]
+fn transport_is_not_a_serve_flag() {
+    // The front end follows the platform; a stale script that still
+    // passes the flag must hear about it, not get the other transport.
+    let dir = demo_dir();
+    let result = strudel(&["serve", dir.to_str().unwrap(), "--transport", "threads"]);
+    assert!(!result.status.success());
+    let stderr = String::from_utf8_lossy(&result.stderr);
+    assert!(
+        stderr.contains("the --transport flag was removed"),
+        "{stderr}"
+    );
+}

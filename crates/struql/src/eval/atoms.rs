@@ -3,19 +3,13 @@
 //!
 //! Every function here maps each input row to zero or more extended rows
 //! independently of every other row, and emits row *i*'s extensions before
-//! row *i+1*'s. [`apply_partitioned`] leans on exactly that property: it
-//! splits the relation into contiguous chunks, runs [`apply`] on each
-//! chunk on its own scoped thread, and merges the chunk outputs in
-//! partition order — producing the byte-identical relation the sequential
-//! path would.
+//! row *i+1*'s, on the calling thread.
 //!
-//! General path regexes are evaluated *batched*: before the relation is
-//! partitioned, [`RegexBatch::prepare`] groups the rows by their distinct
-//! bound source (or destination) value and computes each group's
-//! extensions exactly once into a read-only memo table. The per-row fan-out
-//! then only looks the memo up, so the work is proportional to distinct
-//! probe values, not row count, and the memo is shared across
-//! [`par::map_chunks`] partitions without perturbing output bytes. A bound
+//! General path regexes are evaluated *batched*: [`RegexBatch::prepare`]
+//! groups the rows by their distinct bound source (or destination) value
+//! and computes each group's extensions exactly once into a memo table.
+//! The per-row fan-out then only looks the memo up, so the work is
+//! proportional to distinct probe values, not row count. A bound
 //! destination is probed through the graph's reverse adjacency index with
 //! a reversed NFA instead of traversing forward from every node; the
 //! results are emitted in ascending source-oid order, which is exactly the
@@ -27,8 +21,6 @@ use super::{var_slot, Evaluator, Row};
 use crate::ast::{CmpOp, Condition, PathRegex, PathSpec, Term};
 use crate::builtins::eval_builtin;
 use crate::error::{StruqlError, StruqlResult};
-use crate::par;
-use crate::plan::Plan;
 use crate::rpe::{Nfa, StepPred};
 use std::collections::{HashMap, HashSet};
 use strudel_graph::{coerce, CollectionId, Graph, InEdge, Label, Oid, Value};
@@ -141,61 +133,23 @@ impl PreparedPath {
     }
 }
 
-/// Applies the condition at position `pos` of `plan` to the relation,
-/// splitting the work across the evaluator's worker budget when the
-/// planner's cost-aware sizing says the relation is big enough to pay for
-/// it. Output (rows, order, and errors) is identical to [`apply`].
-pub(crate) fn apply_partitioned(
-    ev: &Evaluator<'_>,
-    cond: &Condition,
-    rows: Vec<Row>,
-    vars: &[String],
-    plan: &Plan,
-    pos: usize,
-) -> StruqlResult<Vec<Row>> {
-    apply_partitioned_prepared(ev, cond, None, rows, vars, plan, pos)
-}
-
-/// [`apply_partitioned`] with optionally pre-compiled NFAs from a
-/// [`PreparedWhere`](super::PreparedWhere). For general regexes the memo
-/// table is built over the distinct probe values of the *whole* relation
-/// before partitioning, then shared read-only across the workers — the
-/// partitions make identical keep/extend decisions from it, so the merged
-/// output is byte-identical to the sequential one.
-pub(crate) fn apply_partitioned_prepared(
-    ev: &Evaluator<'_>,
-    cond: &Condition,
-    prepared: Option<&PreparedPath>,
-    rows: Vec<Row>,
-    vars: &[String],
-    plan: &Plan,
-    pos: usize,
-) -> StruqlResult<Vec<Row>> {
-    let parts = plan.partitions(pos, rows.len(), ev.workers());
-    if let Condition::Path { src, path: PathSpec::Regex(r), dst, .. } = cond {
-        if r.as_single_step().is_none() {
-            let graph = ev.db().graph();
-            let spos = term_pos(src, vars)?;
-            let dpos = term_pos(dst, vars)?;
-            let batch = RegexBatch::prepare(ev, r, prepared, &rows, &spos, &dpos);
-            if parts <= 1 {
-                return apply_regex(graph, rows, &spos, &dpos, &batch);
-            }
-            return par::map_chunks(rows, parts, |chunk| {
-                apply_regex(graph, chunk, &spos, &dpos, &batch)
-            });
-        }
-    }
-    if parts <= 1 {
-        return apply(ev, cond, rows, vars);
-    }
-    par::map_chunks(rows, parts, |chunk| apply(ev, cond, chunk, vars))
-}
-
 /// Applies one condition to the relation, producing the extended relation.
 pub(crate) fn apply(
     ev: &Evaluator<'_>,
     cond: &Condition,
+    rows: Vec<Row>,
+    vars: &[String],
+) -> StruqlResult<Vec<Row>> {
+    apply_prepared(ev, cond, None, rows, vars)
+}
+
+/// [`apply`] with the condition's pre-compiled NFAs from a
+/// [`PreparedWhere`](super::PreparedWhere), when it is a general regex
+/// and has them.
+pub(crate) fn apply_prepared(
+    ev: &Evaluator<'_>,
+    cond: &Condition,
+    prepared: Option<&PreparedPath>,
     rows: Vec<Row>,
     vars: &[String],
 ) -> StruqlResult<Vec<Row>> {
@@ -245,7 +199,7 @@ pub(crate) fn apply(
                     }
                     Some(StepPred::Any) => apply_any_step(ev, graph, rows, &spos, &dpos),
                     None => {
-                        let batch = RegexBatch::prepare(ev, r, None, &rows, &spos, &dpos);
+                        let batch = RegexBatch::prepare(ev, r, prepared, &rows, &spos, &dpos);
                         apply_regex(graph, rows, &spos, &dpos, &batch)
                     }
                 },
@@ -894,14 +848,11 @@ fn apply_any_step(
 /// [`RegexBatch::prepare`] inspects the whole relation, collects the
 /// distinct probe values per case (bound source, bound destination, both,
 /// neither), and computes each probe's answer exactly once into read-only
-/// memo tables. [`apply_regex`] then fans the memo back out per row. The
-/// memo is built *before* the relation is partitioned, so every
-/// `map_chunks` worker reads the same table and parallel output stays
-/// byte-identical to sequential.
+/// memo tables. [`apply_regex`] then fans the memo back out per row.
 ///
 /// Determinism rules:
 /// - memo values are pure functions of the probe value, so build order
-///   (including a parallel build) cannot change any looked-up result;
+///   cannot change any looked-up result;
 /// - a bound-destination fan-out emits sources in ascending-oid order —
 ///   exactly the forward full scan's order — so batched and per-row
 ///   engines agree byte-for-byte;
@@ -1017,7 +968,6 @@ impl RegexBatch {
             });
         }
 
-        let workers = ev.workers();
         let tracing = strudel_trace::enabled();
         let mut built: u64 = 0;
         let mut fwd_built: u64 = 0;
@@ -1026,21 +976,19 @@ impl RegexBatch {
         built += fwd_probes.len() as u64;
         fwd_built += fwd_probes.len() as u64;
         let fwd_nfa = &batch.fwd;
-        batch.fwd_memo = memoize(fwd_probes, workers, |v| fwd_nfa.eval_from(graph, v));
+        batch.fwd_memo = memoize(fwd_probes, |v| fwd_nfa.eval_from(graph, v));
 
         if !fan_probes.is_empty() {
             let rev = batch.rev.as_ref().expect("compiled above");
             built += fan_probes.len() as u64;
             rev_built += fan_probes.len() as u64;
-            batch.rev_fan = memoize(fan_probes, workers, |d| {
-                rev_fan_sources(graph, rev, d)
-            });
+            batch.rev_fan = memoize(fan_probes, |d| rev_fan_sources(graph, rev, d));
         }
         if batch.use_rev_check {
             let rev = batch.rev.as_ref().expect("compiled above");
             built += bb_dst_probes.len() as u64;
             rev_built += bb_dst_probes.len() as u64;
-            batch.rev_check = memoize(bb_dst_probes, workers, |d| {
+            batch.rev_check = memoize(bb_dst_probes, |d| {
                 let seeds = if d.is_atomic() {
                     atomic_target_seeds(graph, d)
                 } else {
@@ -1052,13 +1000,13 @@ impl RegexBatch {
             });
         }
         if need_scan {
-            let oids: Vec<Oid> = graph.node_oids().collect();
-            built += oids.len() as u64;
-            fwd_built += oids.len() as u64;
-            let pairs = memoize_vec(oids, workers, |&o| {
-                fwd_nfa.eval_from(graph, &Value::Node(o))
-            });
-            batch.scan = Some(pairs);
+            let scan: Vec<(Oid, Vec<Value>)> = graph
+                .node_oids()
+                .map(|o| (o, fwd_nfa.eval_from(graph, &Value::Node(o))))
+                .collect();
+            built += scan.len() as u64;
+            fwd_built += scan.len() as u64;
+            batch.scan = Some(scan);
         }
         if tracing {
             strudel_trace::count("struql.memo.misses", built);
@@ -1098,49 +1046,15 @@ fn atomic_target_seeds(graph: &Graph, dv: &Value) -> Vec<(Oid, Label)> {
     seeds
 }
 
-/// Computes `f` once per probe, in parallel when the batch is large enough
-/// to pay for the threads. Each entry is a pure function of its key, so
-/// the resulting map is identical at any worker count.
-fn memoize<R: Send>(
-    probes: Vec<Value>,
-    workers: usize,
-    f: impl Fn(&Value) -> R + Sync,
-) -> HashMap<Value, R> {
-    memoize_vec(probes, workers, |v| f(v)).into_iter().collect()
-}
-
-fn memoize_vec<K: Send + Clone, R: Send>(
-    probes: Vec<K>,
-    workers: usize,
-    f: impl Fn(&K) -> R + Sync,
-) -> Vec<(K, R)> {
-    const MIN_PROBES_PER_WORKER: usize = 8;
-    let parts = if workers > 1 {
-        workers.min(probes.len() / MIN_PROBES_PER_WORKER)
-    } else {
-        1
-    };
-    if parts <= 1 {
-        return probes
-            .into_iter()
-            .map(|k| {
-                let r = f(&k);
-                (k, r)
-            })
-            .collect();
-    }
-    par::map_chunks(probes, parts, |chunk| {
-        Ok::<_, std::convert::Infallible>(
-            chunk
-                .into_iter()
-                .map(|k| {
-                    let r = f(&k);
-                    (k, r)
-                })
-                .collect(),
-        )
-    })
-    .unwrap_or_else(|e| match e {})
+/// Computes `f` once per probe value.
+fn memoize<R>(probes: Vec<Value>, f: impl Fn(&Value) -> R) -> HashMap<Value, R> {
+    probes
+        .into_iter()
+        .map(|k| {
+            let r = f(&k);
+            (k, r)
+        })
+        .collect()
 }
 
 /// A general regular path expression, evaluated through a [`RegexBatch`].

@@ -165,10 +165,9 @@ fn propagate(
             if tracing {
                 strudel_trace::count("struql.diff.steps.touched", 1);
             }
-            let d_new = expand_signed(new, cond, &diff, vars, &plan, step)?;
-            let r_via_new =
-                atoms::apply_partitioned(new, cond, r_old.clone(), vars, &plan, step)?;
-            let r_via_old = atoms::apply_partitioned(old, cond, r_old, vars, &plan, step)?;
+            let d_new = expand_signed(new, cond, &diff, vars)?;
+            let r_via_new = atoms::apply(new, cond, r_old.clone(), vars)?;
+            let r_via_old = atoms::apply(old, cond, r_old, vars)?;
             let mut next = d_new;
             next.extend(r_via_new.into_iter().map(|r| (r, 1)));
             next.extend(r_via_old.iter().cloned().map(|r| (r, -1)));
@@ -178,9 +177,9 @@ fn propagate(
             if tracing {
                 strudel_trace::count("struql.diff.steps.skipped", 1);
             }
-            diff = expand_signed(new, cond, &diff, vars, &plan, step)?;
+            diff = expand_signed(new, cond, &diff, vars)?;
             r_old = if step < touched_steps {
-                atoms::apply_partitioned(old, cond, r_old, vars, &plan, step)?
+                atoms::apply(old, cond, r_old, vars)?
             } else {
                 Vec::new()
             };
@@ -390,8 +389,6 @@ fn expand_signed(
     cond: &Condition,
     rows: &[SignedRow],
     vars: &[String],
-    plan: &plan::Plan,
-    step: usize,
 ) -> StruqlResult<Vec<SignedRow>> {
     let mut out: Vec<SignedRow> = Vec::new();
     let mut i = 0;
@@ -402,7 +399,7 @@ fn expand_signed(
             j += 1;
         }
         let run: Vec<Row> = rows[i..j].iter().map(|(r, _)| r.clone()).collect();
-        let expanded = atoms::apply_partitioned(ev, cond, run, vars, plan, step)?;
+        let expanded = atoms::apply(ev, cond, run, vars)?;
         out.extend(expanded.into_iter().map(|r| (r, count)));
         i = j;
     }

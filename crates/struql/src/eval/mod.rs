@@ -24,7 +24,6 @@ pub mod diff;
 
 use crate::ast::{Block, LabelTerm, Program, Term};
 use crate::error::{StruqlError, StruqlResult};
-use crate::par::Parallelism;
 use crate::plan;
 use std::collections::{HashMap, HashSet};
 use strudel_graph::{CollectionId, Graph, Label, Oid, SkolemSymbol, SkolemTable, Value};
@@ -36,9 +35,6 @@ pub struct EvalOptions {
     /// Use cost-based condition ordering (default). `false` keeps the
     /// textual order — the join-ordering ablation baseline.
     pub optimize: bool,
-    /// Worker budget for the where stage. Results are byte-identical at
-    /// any setting — see [`crate::par`].
-    pub parallelism: Parallelism,
     /// Batched path evaluation (default): group rows by distinct bound
     /// source/destination value, compute each group's extensions once, and
     /// answer bound-destination probes through the reverse adjacency
@@ -51,7 +47,6 @@ impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {
             optimize: true,
-            parallelism: Parallelism::default(),
             batch: true,
         }
     }
@@ -233,7 +228,7 @@ impl<'db> Evaluator<'db> {
         for (step, &idx) in plan.order.iter().enumerate() {
             let rows_in = rows.len();
             let span = strudel_trace::span("struql.step");
-            rows = atoms::apply_partitioned(self, &block.where_[idx], rows, vars, &plan, step)?;
+            rows = atoms::apply(self, &block.where_[idx], rows, vars)?;
             drop(span);
             if tracing {
                 strudel_trace::count("struql.steps", 1);
@@ -268,11 +263,6 @@ impl<'db> Evaluator<'db> {
 
     pub(crate) fn db(&self) -> &Database {
         self.db
-    }
-
-    /// The resolved worker budget for where-stage evaluation.
-    pub(crate) fn workers(&self) -> usize {
-        self.opts.parallelism.workers()
     }
 
     /// Whether batched path evaluation is enabled.
@@ -558,14 +548,12 @@ impl<'db> Evaluator<'db> {
         for (step, &idx) in prepared.plan.order.iter().enumerate() {
             let rows_in = rows.len();
             let span = strudel_trace::span("struql.step");
-            rows = atoms::apply_partitioned_prepared(
+            rows = atoms::apply_prepared(
                 self,
                 &conds[idx],
                 prepared.paths[idx].as_ref(),
                 rows,
                 &prepared.vars,
-                &prepared.plan,
-                step,
             )?;
             drop(span);
             if tracing {
@@ -639,7 +627,7 @@ impl<'db> Evaluator<'db> {
         for (step, &idx) in plan.order.iter().enumerate() {
             let rows_in = rows.len();
             let start = std::time::Instant::now();
-            rows = atoms::apply_partitioned(self, &conds[idx], rows, &vars, &plan, step)?;
+            rows = atoms::apply(self, &conds[idx], rows, &vars)?;
             let elapsed_us = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
             report.steps.push(crate::explain::ExplainStep {
                 source_index: idx,

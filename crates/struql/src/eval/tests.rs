@@ -589,111 +589,21 @@ fn indexed_lookups_respect_dynamic_coercion() {
     assert_eq!(r.graph.members_str("Out").len(), 2);
 }
 
-/// A database big enough that the where-stage relations clear the
-/// planner's partitioning threshold (hundreds of rows per condition).
-fn wide_db() -> Database {
-    let mut g = Graph::new();
-    for i in 0..400 {
-        let n = g.add_named_node(&format!("pub{i}"));
-        g.add_edge_str(n, "title", Value::string(format!("Paper {i}")));
-        g.add_edge_str(n, "year", Value::Int(1980 + (i % 20)));
-        g.add_edge_str(n, "category", Value::string(format!("cat{}", i % 7)));
-        g.add_edge_str(n, "author", Value::string(format!("Author {}", i % 50)));
-        g.collect_str("Publications", n);
-    }
-    Database::from_graph(g, IndexLevel::Full)
-}
-
 #[test]
-fn parallel_evaluation_is_byte_identical_to_sequential() {
-    use crate::par::Parallelism;
-    let db = wide_db();
-    let program = parse(HOMEPAGE_QUERY).unwrap();
-    let seq = Evaluator::new(&db).eval(&program).unwrap();
-    let seq_ddl = ddl::print(&seq.graph);
-    for workers in [2, 4, 8] {
-        let par = Evaluator::with_options(
-            &db,
-            EvalOptions {
-                parallelism: Parallelism::Threads(workers),
-                ..Default::default()
-            },
-        )
-        .eval(&program)
-        .unwrap();
-        // Byte-identical site graph and identical Skolem oid assignment —
-        // not merely isomorphic.
-        assert_eq!(ddl::print(&par.graph), seq_ddl, "workers={workers}");
-        assert_eq!(par.new_nodes, seq.new_nodes, "workers={workers}");
-        assert_eq!(par.rows_evaluated, seq.rows_evaluated, "workers={workers}");
-    }
-}
-
-#[test]
-fn parallel_where_bindings_match_sequential() {
-    use crate::par::Parallelism;
-    let db = wide_db();
-    let program = parse(
-        r#"where Publications(x), x -> "year" -> y, y >= 1990, x -> "category" -> c
-           create P(x)"#,
-    )
-    .unwrap();
-    let conds = &program.blocks[0].where_;
-    let seq = Evaluator::new(&db).eval_where_bindings(conds, &[]).unwrap();
-    let par = Evaluator::with_options(
-        &db,
-        EvalOptions {
-            parallelism: Parallelism::Auto,
-            ..Default::default()
-        },
-    )
-    .eval_where_bindings(conds, &[])
-    .unwrap();
-    assert_eq!(seq.0, par.0);
-    assert_eq!(seq.1, par.1);
-    assert!(!seq.1.is_empty());
-}
-
-#[test]
-fn parallel_errors_are_deterministic() {
-    use crate::par::Parallelism;
-    // `y` is never bound, so the comparison errors at evaluation time —
-    // after `x -> l -> v` has expanded the relation to 1600 rows, well
-    // past the partitioning threshold. Every worker chunk fails; the
-    // merged error must match the sequential engine's.
-    // (`eval_where_bindings` plans bare conditions without the full
-    // program's static analysis, so the unbound comparison reaches the
-    // evaluator.)
-    let db = wide_db();
-    let program =
-        parse(r#"where Publications(x), x -> l -> v, y >= 1995 create P(x)"#).unwrap_err();
-    assert!(program.to_string().contains("not bound"));
-    let conds = crate::parser::parse_unchecked(
-        r#"where Publications(x), x -> l -> v, y >= 1995 create P(x)"#,
-    )
-    .unwrap()
-    .blocks[0]
+fn an_unbound_comparison_in_a_bare_clause_names_the_variable() {
+    // `eval_where_bindings` plans bare conditions without the full
+    // program's static analysis, so a comparison over a variable no atom
+    // binds reaches the evaluator, which must say which one.
+    let text = r#"where Publications(x), x -> l -> v, y >= 1995 create P(x)"#;
+    assert!(parse(text).unwrap_err().to_string().contains("not bound"));
+    let conds = crate::parser::parse_unchecked(text).unwrap().blocks[0]
         .where_
         .clone();
-    let seq_err = Evaluator::new(&db)
+    let err = Evaluator::new(&bib_db())
         .eval_where_bindings(&conds, &[])
         .unwrap_err()
         .to_string();
-    let par_err = Evaluator::with_options(
-        &db,
-        EvalOptions {
-            parallelism: Parallelism::Threads(4),
-            ..Default::default()
-        },
-    )
-    .eval_where_bindings(&conds, &[])
-    .unwrap_err()
-    .to_string();
-    assert_eq!(seq_err, par_err);
-    assert!(
-        seq_err.contains("'y'"),
-        "error should name the offending variable: {seq_err}"
-    );
+    assert!(err.contains("'y'"), "{err}");
 }
 
 /// A hub page well past `HUB_DEGREE`, every link derived three times

@@ -1,33 +1,30 @@
-//! Deterministic parallel execution of relation-at-a-time work.
+//! Deterministic fork/join over a list of independent items.
 //!
-//! The paper's central observation is that a site is "just a query" over
-//! the data graph, which makes the where stage an embarrassingly parallel
-//! relational evaluation: every condition maps each bindings row to zero
-//! or more extended rows *independently of every other row*. This module
-//! supplies the two pieces the evaluator needs to exploit that without
-//! giving up determinism:
+//! One caller is left: the level-by-level cache warm-up
+//! (`SiteService::warm_cores` in `strudel-serve`), which renders each BFS
+//! frontier of pages across a worker budget. A where clause is evaluated
+//! by one thread. This module lives here, and [`Parallelism`] is exported
+//! from this crate, because `perfbench` and the serving crates import the
+//! type from `strudel_struql`.
 //!
-//! * [`Parallelism`] — the knob threaded from `SiteBuilder` /
-//!   `DynamicSite` down to the evaluator;
-//! * [`map_chunks`] — a scoped fork/join that partitions a relation into
+//! * [`Parallelism`] — the worker budget a caller of `warm` passes;
+//! * [`map_chunks`] — a scoped fork/join that partitions a list into
 //!   contiguous chunks, runs one worker per chunk, and merges the
 //!   per-worker output buffers **in partition order**.
 //!
-//! Because each condition preserves the relative order of its input rows
-//! (row *i*'s extensions precede row *i+1*'s) and the merge concatenates
-//! chunk outputs in partition order, the merged relation is *identical* —
-//! not merely equivalent — to the sequential one. Downstream, Skolem
-//! nodes are minted by walking that relation in order, so oid assignment
-//! and the constructed site graph are byte-for-byte the same at any
-//! worker count. Errors are deterministic too: the first failing
-//! partition (by position, not by completion time) wins.
+//! Because `f` sees its chunk's items in their input order and the merge
+//! concatenates chunk outputs in partition order, the merged list is
+//! *identical* — not merely equivalent — to `f` applied to the whole
+//! input, provided `f` treats each item independently. Errors are
+//! deterministic too: the first failing partition (by position, not by
+//! completion time) wins.
 
 use std::num::NonZeroUsize;
 
-/// How many worker threads the evaluator may use for one where clause.
+/// How many worker threads a cache warm-up may use.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Parallelism {
-    /// Single-threaded evaluation (the default).
+    /// Single-threaded (the default).
     #[default]
     Sequential,
     /// Up to `n` worker threads (`0` and `1` both mean sequential).
@@ -83,7 +80,7 @@ where
         return f(items);
     }
 
-    // Carve the relation into owned chunks up front so each worker gets a
+    // Carve the list into owned chunks up front so each worker gets a
     // `Vec` it can consume without synchronization.
     let mut chunks: Vec<Vec<T>> = Vec::with_capacity(lens.len());
     let mut iter = items.into_iter();

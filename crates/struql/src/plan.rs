@@ -27,39 +27,10 @@ pub struct Plan {
     pub estimates: Vec<f64>,
 }
 
-/// Estimated per-row work (in cost-model units) a worker chunk must carry
-/// to amortize spawning a scoped thread. Below this the evaluator stays
-/// sequential — partitioning a relation whose evaluation takes microseconds
-/// costs more than it saves.
-const MIN_CHUNK_WORK: f64 = 256.0;
-
-/// Never split a relation into chunks smaller than this many rows: row
-/// cloning is the floor cost and tiny chunks thrash the allocator.
-const MIN_CHUNK_ROWS: usize = 64;
-
 impl Plan {
     /// Overall estimated work (product of expansion factors ≥ 1).
     pub fn estimated_work(&self) -> f64 {
         self.estimates.iter().map(|c| c.max(1.0)).product()
-    }
-
-    /// Cost-aware partition count for evaluating the condition at position
-    /// `pos` of [`Plan::order`] over a relation of `rows` rows with at most
-    /// `workers` threads. The per-condition estimate (derived from the
-    /// repository's [`Stats`]) sizes the chunks: expensive conditions
-    /// (traversals, large expansions) parallelize at smaller relations than
-    /// near-free filters, and relations too small to amortize a thread
-    /// spawn return 1 (sequential).
-    pub fn partitions(&self, pos: usize, rows: usize, workers: usize) -> usize {
-        if workers <= 1 || rows < 2 * MIN_CHUNK_ROWS {
-            return 1;
-        }
-        let per_row = match self.estimates.get(pos) {
-            Some(c) if c.is_finite() => c.max(0.1),
-            _ => 1.0,
-        };
-        let min_rows = ((MIN_CHUNK_WORK / per_row).ceil() as usize).max(MIN_CHUNK_ROWS);
-        (rows / min_rows).clamp(1, workers)
     }
 }
 
@@ -369,53 +340,6 @@ mod tests {
         assert_eq!(costs[1], 2.0);
         assert_eq!(costs[2], f64::INFINITY);
         assert!(costs[3].is_nan());
-    }
-
-    #[test]
-    fn partition_sizing_follows_cost_and_relation_size() {
-        let db = db_with_skew();
-        let prog = parse_unchecked("where Big(x), Small(x) create P(x)").unwrap();
-        let p = plan(&prog.blocks[0].where_, &HashSet::new(), &db, true);
-        // Tiny relations never partition, whatever the worker budget.
-        assert_eq!(p.partitions(0, 10, 8), 1);
-        // One worker never partitions, whatever the relation size.
-        assert_eq!(p.partitions(0, 1_000_000, 1), 1);
-        // Large relations split, capped by the worker budget.
-        assert!(p.partitions(0, 1_000_000, 4) <= 4);
-        assert!(p.partitions(0, 1_000_000, 4) >= 2);
-        // Out-of-range positions fall back to a sane default, not a panic.
-        assert!(p.partitions(99, 1_000_000, 4) >= 1);
-    }
-
-    /// Regression coverage for partition sizing under degenerate cost
-    /// estimates: `per_row == 0.0` would make `MIN_CHUNK_WORK / per_row`
-    /// infinite and NaN estimates would poison the ceil/cast chain without
-    /// the positive-floor clamp. Every degenerate shape must yield a
-    /// partition count in `[1, workers]` with no panic or saturation.
-    #[test]
-    fn partition_sizing_survives_degenerate_estimates() {
-        let degenerate = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -3.5];
-        for est in degenerate {
-            let p = Plan {
-                order: vec![0],
-                estimates: vec![est],
-            };
-            for (rows, workers) in [(0, 8), (10, 8), (10_000, 8), (1_000_000, 4)] {
-                let parts = p.partitions(0, rows, workers);
-                assert!(
-                    (1..=workers).contains(&parts),
-                    "estimate {est} rows {rows} workers {workers} -> {parts}"
-                );
-            }
-        }
-        // A zero estimate is clamped to the 0.1 floor, not divided through:
-        // the chunk floor stays MIN_CHUNK_ROWS-bounded, so a large relation
-        // still partitions rather than collapsing to a single huge chunk.
-        let p = Plan {
-            order: vec![0],
-            estimates: vec![0.0],
-        };
-        assert!(p.partitions(0, 1_000_000, 8) > 1);
     }
 
     #[test]

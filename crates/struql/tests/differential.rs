@@ -3,10 +3,9 @@
 //! Randomly generated where-clauses over randomly generated corpora must
 //! produce the same bindings relation whatever the engine configuration:
 //!
-//! * **byte-identical** across worker counts and across batched vs
-//!   per-row evaluation (`EvalOptions::batch` gates the old per-row path,
-//!   which serves as the oracle) — the determinism contract of
-//!   `strudel_struql::par` extended to the batched engine;
+//! * **byte-identical** across batched vs per-row evaluation
+//!   (`EvalOptions::batch` gates the old per-row path, which serves as
+//!   the oracle);
 //! * **set-identical** across optimizer on/off and across index levels,
 //!   which may legitimately reorder rows but never add or drop one.
 //!
@@ -17,7 +16,7 @@
 use strudel_graph::{Graph, Value};
 use strudel_prng::{Rng, SeedableRng, SmallRng};
 use strudel_repo::{Database, IndexLevel};
-use strudel_struql::{Condition, EvalOptions, Evaluator, Parallelism};
+use strudel_struql::{Condition, EvalOptions, Evaluator};
 
 /// A random corpus: `n` nodes in collection `Items`, each with a `cat`
 /// string, a `val` int, and 0–2 `link` edges to earlier nodes (so Kleene
@@ -123,17 +122,9 @@ fn eval(
     db: &Database,
     conds: &[Condition],
     optimize: bool,
-    workers: usize,
     batch: bool,
 ) -> Vec<Vec<Option<Value>>> {
-    let ev = Evaluator::with_options(
-        db,
-        EvalOptions {
-            optimize,
-            parallelism: Parallelism::Threads(workers),
-            batch,
-        },
-    );
+    let ev = Evaluator::with_options(db, EvalOptions { optimize, batch });
     let (_, rows) = ev.eval_where_bindings(conds, &[]).unwrap();
     rows
 }
@@ -147,8 +138,6 @@ fn sorted_debug(rows: &[Vec<Option<Value>>]) -> Vec<String> {
 #[test]
 fn random_clauses_agree_across_engine_configurations() {
     let mut rng = SmallRng::seed_from_u64(0xd1ff);
-    // 150 items: collection scans exceed the 2×64-row partitioning floor,
-    // so workers=4 really does split the relation.
     let graph = corpus(&mut rng, 150);
 
     for case in 0..10 {
@@ -161,19 +150,14 @@ fn random_clauses_agree_across_engine_configurations() {
         for level in [IndexLevel::Full, IndexLevel::None] {
             let db = Database::from_graph(graph.clone(), level);
             for optimize in [true, false] {
-                // The per-row sequential engine is the oracle.
-                let oracle = eval(&db, conds, optimize, 1, false);
-                for workers in [1usize, 4] {
-                    for batch in [false, true] {
-                        let got = eval(&db, conds, optimize, workers, batch);
-                        assert_eq!(
-                            got, oracle,
-                            "case {case} diverged byte-for-byte \
-                             (level={level:?} optimize={optimize} \
-                             workers={workers} batch={batch}): {text}"
-                        );
-                    }
-                }
+                // The per-row engine is the oracle.
+                let oracle = eval(&db, conds, optimize, false);
+                let got = eval(&db, conds, optimize, true);
+                assert_eq!(
+                    got, oracle,
+                    "case {case}: batched diverged byte-for-byte \
+                     (level={level:?} optimize={optimize}): {text}"
+                );
                 cross_config.push((
                     format!("level={level:?} optimize={optimize}"),
                     sorted_debug(&oracle),
@@ -209,19 +193,16 @@ fn seeded_evaluation_agrees_across_batching() {
 
     let mut views = Vec::new();
     for batch in [false, true] {
-        for workers in [1usize, 4] {
-            let ev = Evaluator::with_options(
-                &db,
-                EvalOptions {
-                    optimize: true,
-                    parallelism: Parallelism::Threads(workers),
-                    batch,
-                },
-            );
-            let (vars, rows) = ev.eval_where_bindings(conds, &seed).unwrap();
-            assert_eq!(vars[0], "p");
-            views.push(rows);
-        }
+        let ev = Evaluator::with_options(
+            &db,
+            EvalOptions {
+                optimize: true,
+                batch,
+            },
+        );
+        let (vars, rows) = ev.eval_where_bindings(conds, &seed).unwrap();
+        assert_eq!(vars[0], "p");
+        views.push(rows);
     }
     assert!(!views[0].is_empty(), "item3 has inbound link cones");
     for v in &views[1..] {
