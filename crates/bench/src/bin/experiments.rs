@@ -10,7 +10,7 @@
 //! Ids: `site-stats` (T1), `suitability` (F8), `multiversion`,
 //! `site-schema`, `verify`, `dynamic`, `diff`, `incremental`, `indexing`,
 //! `struql-scale`, `batch`, `htmlgen`, `mediate`, `trace`, `crash`,
-//! `pager`, `all`.
+//! `all`.
 //!
 //! `--json` additionally writes `BENCH_<suite>.json` files (machine-
 //! readable rows; schema in EXPERIMENTS.md) into the current directory.
@@ -45,13 +45,12 @@ fn main() {
             "mediate" => e::exp_mediate(),
             "trace" => e::exp_trace(),
             "crash" => e::exp_crash(),
-            "pager" => e::exp_pager(),
             other => {
                 eprintln!("unknown experiment '{other}'");
                 eprintln!(
                     "known: site-stats suitability multiversion site-schema verify dynamic diff \
-                     incremental indexing struql-scale batch htmlgen mediate trace crash pager \
-                     all (plus --json)"
+                     incremental indexing struql-scale batch htmlgen mediate trace crash all \
+                     (plus --json)"
                 );
                 std::process::exit(2);
             }

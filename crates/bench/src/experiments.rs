@@ -1235,19 +1235,19 @@ pub fn exp_batch() {
     println!();
 }
 
-/// E-crash — recovery cost and crash-point coverage of the paged store,
-/// the one durable stack. Measures the four open paths a deployment
-/// actually hits (clean checkpoint, replay-heavy WAL, torn-tail repair,
-/// checkpoint itself), each as `PagedRepo::open` plus the
-/// `materialize` that hands the service its in-memory graph, then sweeps
-/// a seeded workload crashing at every injected storage fault point and
-/// verifies each reopen against a fault-free in-memory oracle.
+/// E-crash — recovery cost and crash-point coverage of the durable
+/// store. Measures the four open paths a deployment actually hits (clean
+/// checkpoint, replay-heavy WAL, torn-tail repair, checkpoint itself),
+/// each as `PagedRepo::open` plus the `materialize` that hands the
+/// service its in-memory graph, then sweeps a seeded workload crashing
+/// at every injected storage fault point and verifies each reopen
+/// against a fault-free in-memory oracle.
 pub fn exp_crash() {
     use strudel::repo::vfs::{FaultMode, FaultVfs};
     use strudel::repo::{PagedRepo, PagerConfig};
     use strudel_prng::{Rng, SeedableRng, SmallRng};
 
-    println!("== E-crash: recovery cost & crash-point coverage (paged store) ==");
+    println!("== E-crash: recovery cost & crash-point coverage (durable store) ==");
     let dir = std::env::temp_dir().join(format!("strudel-bench-crash-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = PagerConfig::default();
@@ -1275,7 +1275,7 @@ pub fn exp_crash() {
     );
     let open_row = |label: &str, frames: usize, nodes: usize| {
         let (repo, t_open) = time(|| PagedRepo::open(&dir, cfg).unwrap());
-        let (graph, t_mat) = time(|| repo.snapshot().materialize().unwrap());
+        let (graph, t_mat) = time(|| repo.materialize().unwrap());
         assert_eq!(graph.node_count(), nodes, "{label}: recovered node count");
         println!(
             "{:>10} {:>16} {:>10} {:>12}",
@@ -1304,7 +1304,7 @@ pub fn exp_crash() {
         "ms",
     );
 
-    // Clean: manifest and pages only, empty WAL.
+    // Clean: the image only, empty WAL.
     drop(open_row("clean-open", 0, DELTAS));
 
     // Torn tail: a frame sheared mid-write must be repaired, not fatal.
@@ -1322,14 +1322,9 @@ pub fn exp_crash() {
     drop(open_row("torn-tail-open", 1, DELTAS + 1));
 
     // Crash-point sweep: replay a seeded workload, crash at fault point k,
-    // reopen cleanly, compare with the same workload run fault-free. A
-    // small pool and page make commits evict, so fault points land inside
-    // page writebacks as well as WAL appends and checkpoints.
-    let sweep_cfg = PagerConfig {
-        page_size: 128,
-        pool_pages: 4,
-        nodes_per_segment: 4,
-    };
+    // reopen cleanly, compare with the same workload run fault-free. Fault
+    // points land in store creation, in WAL appends, and in every step of
+    // a checkpoint's image replacement and WAL reset.
     let seed = 0x51EDu64;
     let sweep_dir = |tag: &str| {
         let d = std::env::temp_dir().join(format!(
@@ -1342,7 +1337,7 @@ pub fn exp_crash() {
     // Returns how many deltas were acknowledged before the crash.
     let run = |dir: &std::path::Path, vfs: std::sync::Arc<FaultVfs>| {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let Ok(repo) = PagedRepo::open_with(vfs, dir, sweep_cfg) else {
+        let Ok(repo) = PagedRepo::open_with(vfs, dir, cfg) else {
             return 0usize; // crashed during open
         };
         let mut ok = 0usize;
@@ -1380,27 +1375,22 @@ pub fn exp_crash() {
         }
         covered += 1;
         let (recovered, t) = time(|| {
-            let repo = PagedRepo::open(&d, sweep_cfg).unwrap();
-            repo.snapshot().materialize().unwrap()
+            let repo = PagedRepo::open(&d, cfg).unwrap();
+            repo.materialize().unwrap()
         });
         worst_recovery = worst_recovery.max(t);
         // Every acknowledged delta survives and nothing is half-applied:
-        // the oracle is the acknowledged prefix replayed in memory — or
-        // that prefix plus the one delta in flight at the crash, which
-        // survives whole when its WAL frame landed before the fault hit
-        // a page write.
+        // the oracle is the acknowledged prefix replayed in memory. A
+        // commit's one write is its WAL frame, so the delta in flight at
+        // the crash never survives.
         let mut expect = Database::new(IndexLevel::None);
         for i in 0..ok_ops {
             expect.apply_delta(&delta_for(i)).unwrap();
         }
-        if !graphs_equivalent(expect.graph(), &recovered) {
-            expect.apply_delta(&delta_for(ok_ops)).unwrap();
-            assert!(
-                graphs_equivalent(expect.graph(), &recovered),
-                "crash at op {k}: recovered state is neither the {ok_ops}-delta oracle \
-                 nor that plus the delta in flight"
-            );
-        }
+        assert!(
+            graphs_equivalent(expect.graph(), &recovered),
+            "crash at op {k}: recovered state is not the {ok_ops}-delta oracle"
+        );
         let _ = std::fs::remove_dir_all(&d);
     }
     println!(
@@ -1417,113 +1407,6 @@ pub fn exp_crash() {
         worst_recovery.as_secs_f64() * 1e3,
         "ms",
     );
-
-    let _ = std::fs::remove_dir_all(&dir);
-    println!();
-}
-
-/// E-pager — the paged store serves a site much larger than its buffer
-/// pool: hit-rate and read-latency curves as the pool grows, plus a
-/// correctness check (the materialized snapshot must equal the in-memory
-/// oracle at every pool size).
-pub fn exp_pager() {
-    use strudel::repo::{PagedRepo, PagerConfig};
-    use strudel_prng::{Rng, SeedableRng, SmallRng};
-
-    println!("== E-pager: buffer-pool scaling on the paged store ==");
-
-    // An org-shaped graph big enough that, at a 256-byte page, the data
-    // vastly outsizes the smallest pools in the sweep.
-    const NODES: usize = 4000;
-    let mut oracle = Database::new(IndexLevel::None);
-    for i in 0..NODES {
-        let mut d = GraphDelta::new();
-        d.add_node(Some(&format!("n{i}")));
-        d.add_edge(Oid::from_index(i), "seq", Value::from(i as i64));
-        if i > 0 {
-            d.add_edge(
-                Oid::from_index(i),
-                "parent",
-                Value::from(Oid::from_index(i / 2)),
-            );
-        }
-        if i % 10 == 0 {
-            d.collect("Tens", Value::from(Oid::from_index(i)));
-        }
-        oracle.apply_delta(&d).unwrap();
-    }
-
-    let dir = std::env::temp_dir().join(format!("strudel-bench-pager-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let page_size = 256usize;
-    let base = PagerConfig {
-        page_size,
-        pool_pages: 64,
-        ..Default::default()
-    };
-    drop(PagedRepo::bulk_load(&dir, base, oracle.graph()).unwrap());
-    let data_pages = std::fs::metadata(dir.join("pager.pages"))
-        .map(|m| m.len() as usize / page_size)
-        .unwrap_or(0);
-    println!(
-        "site: {NODES} nodes in {data_pages} pages of {page_size} B \
-         ({}x the smallest pool in the sweep)\n",
-        data_pages / 8
-    );
-    json::record("pager", "E-pager", "site", "data_pages", data_pages as f64, "pages");
-
-    const READS: usize = 20_000;
-    println!(
-        "{:>10} {:>10} {:>10} {:>10} {:>12}",
-        "pool pages", "hit rate", "evictions", "resident", "read latency"
-    );
-    for pool_pages in [8usize, 16, 32, 64, 128, 256, 512] {
-        let cfg = PagerConfig {
-            page_size,
-            pool_pages,
-            ..Default::default()
-        };
-        let repo = PagedRepo::open(&dir, cfg).unwrap();
-        let snap = repo.snapshot();
-
-        // Correctness first: the whole site round-trips through this pool.
-        let materialized = snap.materialize().unwrap();
-        assert!(
-            graphs_equivalent(oracle.graph(), &materialized),
-            "pool of {pool_pages} pages served a divergent graph"
-        );
-
-        // A zipf-ish point-read workload: random node edge scans with a
-        // hot head, the access pattern a click-time server sees.
-        let mut rng = SmallRng::seed_from_u64(0xBEEF);
-        let (_, _, h0, m0, _, _) = repo.pool_stats();
-        let (touched, t) = time(|| {
-            let mut touched = 0usize;
-            for _ in 0..READS {
-                let oid = if rng.gen_bool(0.5) {
-                    rng.gen_range(0..NODES as u64 / 10)
-                } else {
-                    rng.gen_range(0..NODES as u64)
-                };
-                touched += snap.edges(oid).unwrap().len();
-            }
-            touched
-        });
-        assert!(touched > 0);
-        let (occ, cap, h1, m1, ev, _) = repo.pool_stats();
-        let hits = h1 - h0;
-        let misses = m1 - m0;
-        let hit_rate = hits as f64 / (hits + misses).max(1) as f64 * 100.0;
-        let per_read_us = t.as_secs_f64() * 1e6 / READS as f64;
-        println!(
-            "{:>10} {:>9.1}% {:>10} {:>7}/{:<3} {:>10.2}us",
-            pool_pages, hit_rate, ev, occ, cap, per_read_us
-        );
-        let case = format!("pool-{pool_pages}");
-        json::record("pager", "E-pager", &case, "hit_rate", hit_rate, "percent");
-        json::record("pager", "E-pager", &case, "read_latency", per_read_us, "us");
-        json::record("pager", "E-pager", &case, "evictions", ev as f64, "count");
-    }
 
     let _ = std::fs::remove_dir_all(&dir);
     println!();
@@ -1546,5 +1429,4 @@ pub fn run_all() {
     exp_mediate();
     exp_trace();
     exp_crash();
-    exp_pager();
 }

@@ -238,9 +238,10 @@ impl Database {
     /// Applies a whole delta, keeping indexes in sync.
     ///
     /// The delta is validated against the current graph *before* any of
-    /// it is applied (mirroring [`GraphDelta::apply`]'s semantics,
-    /// including intra-delta dependencies like add-node-then-edge-to-it),
-    /// so a rejected delta leaves graph and indexes untouched.
+    /// it is applied (`validate_delta`, mirroring [`GraphDelta::apply`]'s
+    /// semantics, including intra-delta dependencies like
+    /// add-node-then-edge-to-it), so a rejected delta leaves graph and
+    /// indexes untouched, and the ops below need no checks of their own.
     pub fn apply_delta(&mut self, delta: &GraphDelta) -> Result<Vec<Oid>, RepoError> {
         validate_delta(&self.graph, delta)?;
         let mut created = Vec::new();
@@ -254,26 +255,12 @@ impl Database {
                     created.push(oid);
                 }
                 DeltaOp::AddEdge { from, label, to } => {
-                    if !self.graph.contains_node(*from) {
-                        return Err(strudel_graph::DeltaError::UnknownNode(*from).into());
-                    }
                     self.apply_add_edge(*from, label, to.clone());
                 }
                 DeltaOp::RemoveEdge { from, label, to } => {
-                    let l = self.graph.label(label).ok_or_else(|| {
-                        RepoError::Delta(strudel_graph::DeltaError::MissingEdge {
-                            from: *from,
-                            label: label.clone(),
-                        })
-                    })?;
-                    if !self.graph.has_edge(*from, l, to) {
-                        return Err(strudel_graph::DeltaError::MissingEdge {
-                            from: *from,
-                            label: label.clone(),
-                        }
-                        .into());
+                    if let Some(l) = self.graph.label(label) {
+                        self.apply_remove_edge(*from, l, to);
                     }
-                    self.apply_remove_edge(*from, l, to);
                 }
                 DeltaOp::Collect { collection, member } => {
                     let cid = self.graph.intern_collection(collection);
@@ -282,13 +269,10 @@ impl Database {
                     }
                 }
                 DeltaOp::Uncollect { collection, member } => {
-                    let cid = self.graph.collection_id(collection).ok_or_else(|| {
-                        RepoError::Delta(strudel_graph::DeltaError::MissingMember {
-                            collection: collection.clone(),
-                        })
-                    })?;
-                    if self.graph.uncollect(cid, member) {
-                        self.indexes.note_member(collection, -1);
+                    if let Some(cid) = self.graph.collection_id(collection) {
+                        if self.graph.uncollect(cid, member) {
+                            self.indexes.note_member(collection, -1);
+                        }
                     }
                 }
             }
@@ -331,11 +315,13 @@ impl Database {
 /// The simulation tracks intra-delta effects with overlays: nodes created
 /// earlier in the delta count for later ops, edge add/remove multiplicity
 /// nets out, and collection membership follows the collect/uncollect
-/// sequence. The invariant that matters: every delta this function
-/// accepts must replay cleanly through [`GraphDelta::apply`] on the same
-/// graph state, because that is exactly what the paged store's recovery
-/// does with the WAL the same deltas were committed to.
-fn validate_delta(graph: &Graph, delta: &GraphDelta) -> Result<(), DeltaError> {
+/// sequence. This is the crate's one delta validator: [`Database`] and
+/// [`PagedRepo`](crate::PagedRepo) both call it before mutating anything.
+/// The invariant that matters: every delta this function accepts must
+/// replay cleanly through [`GraphDelta::apply`] on the same graph state,
+/// because that is how the durable store applies it to its head graph and
+/// how its recovery replays the WAL the same deltas were committed to.
+pub(crate) fn validate_delta(graph: &Graph, delta: &GraphDelta) -> Result<(), DeltaError> {
     // Virtual node count: graph nodes plus nodes this delta creates.
     // AddNode with an already-taken name fetches the existing node
     // instead of creating one, so names dedupe against both the graph

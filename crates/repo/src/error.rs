@@ -9,7 +9,8 @@ use std::io;
 pub enum RepoError {
     /// An underlying I/O failure.
     Io(io::Error),
-    /// A manifest, page, WAL or snapshot encoding failed to decode.
+    /// A WAL or snapshot (image) encoding failed to decode, or the two
+    /// disagree.
     Corrupt {
         /// Which file was corrupt.
         what: &'static str,

@@ -21,15 +21,16 @@
 //!
 //! There is one durable store, and [`Database`] is not it: `Database` is
 //! the indexed graph in memory and never sees a file. [`PagedRepo`]
-//! ([`pager`]) is the only code that touches disk — a page file behind a
-//! buffer pool, a write-ahead log ([`wal`]) of
-//! [`GraphDelta`](strudel_graph::GraphDelta)s, a manifest per checkpoint
-//! and one recovery matrix. A service that wants durability pairs the two
-//! itself: each delta commits to the `PagedRepo` (the durable authority)
-//! and is then applied to an `Arc<Database>` (the read path), which at
-//! start-up is built from what the store recovered
-//! ([`PagedSnapshot::materialize`] or [`replay_committed`]). [`snapshot`]
-//! is the canonical byte encoding of a graph, used to compare the two.
+//! ([`pager`]) is the only code that touches disk — a write-ahead log
+//! ([`wal`]) of [`GraphDelta`](strudel_graph::GraphDelta)s over a
+//! checkpointed graph image, and one recovery matrix. A service that
+//! wants durability pairs the two itself: each delta commits to the
+//! `PagedRepo` (the durable authority) and is then applied to an
+//! `Arc<Database>` (the read path), which at start-up is built from what
+//! the store recovered ([`PagedRepo::materialize`] or
+//! [`replay_committed`]). [`snapshot`] is the canonical byte encoding of
+//! a graph: the store's image format, and the bytes the two are compared
+//! by.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,6 +53,6 @@ pub use error::RepoError;
 pub use index::{ExtensionIndex, SchemaIndex, ValueIndex};
 pub use pager::{
     committed_wal_deltas, committed_wal_deltas_with, replay_committed, replay_committed_with,
-    PagedRepo, PagedSnapshot, PagerConfig, PagerStats, ReplayedStore,
+    PagedRepo, PagerConfig, ReplayedStore,
 };
 pub use stats::{LabelStats, Stats};

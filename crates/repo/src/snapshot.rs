@@ -2,59 +2,84 @@
 //!
 //! The full serialized state of a graph: label table, nodes (with
 //! optional symbolic names), per-node edge lists, and collections, behind
-//! a header carrying a CRC32 of the body so damaged bytes are refused
-//! instead of decoded:
+//! a header carrying the checkpoint generation and a CRC32, so damaged
+//! bytes are refused instead of decoded:
 //!
 //! ```text
-//! bytes := MAGIC version:u8 reserved:u64le(0) body_crc:u32le body
+//! bytes := MAGIC version:u8 generation:u64le crc:u32le body
+//! crc   := crc32(body)                 when generation = 0
+//!        | crc32(body ‖ generation)    otherwise
 //! ```
 //!
-//! Nothing here touches a file: durable storage is the paged store
-//! ([`crate::pager`]). Two graphs are equal exactly when [`save_graph`]
-//! gives equal bytes, which is what the storage suites and
+//! Nothing here touches a file. Two graphs are equal exactly when
+//! [`save_graph`] gives equal bytes, which is what the storage suites and
 //! `strudel serve --store` use it for — the byte-equality oracle between
-//! a recovered store and an in-memory [`Database`](crate::Database). The
-//! reserved field held the checkpoint generation of the snapshot + WAL
-//! store this format once persisted; it stays so the bytes do not move.
+//! a recovered store and an in-memory [`Database`](crate::Database).
+//! `save_graph` writes generation 0. The durable store ([`crate::pager`])
+//! writes the same encoding as its checkpoint image with the checkpoint
+//! generation in the header, which the WAL header is compared against on
+//! recovery; the checksum covers a nonzero generation too, so a damaged
+//! one is refused rather than read as a different checkpoint.
 
 use crate::codec::{read_str, read_value, read_varint, write_str, write_value, write_varint};
-use crate::crc::crc32;
+use crate::crc::{crc32, Crc32};
 use crate::RepoError;
 use std::io::{Read, Write};
 use strudel_graph::{Graph, Label, Oid};
 
 const MAGIC: &[u8; 8] = b"STRUSNAP";
 const VERSION: u8 = 2;
-/// Magic, version, reserved word, and body checksum.
+/// Magic, version, generation, and checksum.
 const HEADER_LEN: u64 = 8 + 1 + 8 + 4;
 
 /// Serializes `graph` to `w`.
 pub fn save_graph(graph: &Graph, w: &mut impl Write) -> Result<(), RepoError> {
-    let body = encode_body(graph)?;
-    w.write_all(MAGIC)?;
-    w.write_all(&[VERSION])?;
-    w.write_all(&0u64.to_le_bytes())?;
-    w.write_all(&crc32(&body).to_le_bytes())?;
-    w.write_all(&body)?;
+    w.write_all(&encode_image(graph, 0)?)?;
     Ok(())
 }
 
-fn encode_body(graph: &Graph) -> Result<Vec<u8>, RepoError> {
-    let mut w = Vec::new();
+/// The bytes [`save_graph`] writes, with `generation` in the header: the
+/// durable store's checkpoint image. One buffer, the header filled in
+/// after the body it checksums.
+pub(crate) fn encode_image(graph: &Graph, generation: u64) -> Result<Vec<u8>, RepoError> {
+    let mut buf = vec![0; HEADER_LEN as usize];
+    encode_body(graph, &mut buf)?;
+    let crc = checksum(generation, &buf[HEADER_LEN as usize..]);
+    buf[..8].copy_from_slice(MAGIC);
+    buf[8] = VERSION;
+    buf[9..17].copy_from_slice(&generation.to_le_bytes());
+    buf[17..21].copy_from_slice(&crc.to_le_bytes());
+    Ok(buf)
+}
 
+/// The header checksum. Generation 0 leaves it the plain body CRC, so
+/// [`save_graph`]'s bytes are the ones pinned before the generation came
+/// back.
+fn checksum(generation: u64, body: &[u8]) -> u32 {
+    if generation == 0 {
+        return crc32(body);
+    }
+    let mut h = Crc32::new();
+    h.update(body);
+    h.update(&generation.to_le_bytes());
+    h.finish()
+}
+
+/// Appends the body encoding of `graph` to `w`.
+fn encode_body(graph: &Graph, w: &mut Vec<u8>) -> Result<(), RepoError> {
     // Label table, in label order so indexes round-trip.
-    write_varint(&mut w, graph.labels().len() as u64)?;
+    write_varint(w, graph.labels().len() as u64)?;
     for (_, name) in graph.labels().iter() {
-        write_str(&mut w, name)?;
+        write_str(w, name)?;
     }
 
     // Nodes with optional names.
-    write_varint(&mut w, graph.node_count() as u64)?;
+    write_varint(w, graph.node_count() as u64)?;
     for oid in graph.node_oids() {
         match graph.node_name(oid) {
             Some(n) => {
                 w.push(1);
-                write_str(&mut w, n)?;
+                write_str(w, n)?;
             }
             None => w.push(0),
         }
@@ -63,41 +88,50 @@ fn encode_body(graph: &Graph) -> Result<Vec<u8>, RepoError> {
     // Edges, grouped by source node.
     for oid in graph.node_oids() {
         let edges = graph.edges(oid);
-        write_varint(&mut w, edges.len() as u64)?;
+        write_varint(w, edges.len() as u64)?;
         for e in edges {
-            write_varint(&mut w, e.label.index() as u64)?;
-            write_value(&mut w, &e.to)?;
+            write_varint(w, e.label.index() as u64)?;
+            write_value(w, &e.to)?;
         }
     }
 
     // Collections.
-    write_varint(&mut w, graph.collection_count() as u64)?;
+    write_varint(w, graph.collection_count() as u64)?;
     for (cid, name) in graph.collections() {
-        write_str(&mut w, name)?;
+        write_str(w, name)?;
         let members = graph.members(cid);
-        write_varint(&mut w, members.len() as u64)?;
+        write_varint(w, members.len() as u64)?;
         for m in members {
-            write_value(&mut w, m)?;
+            write_value(w, m)?;
         }
     }
-    Ok(w)
+    Ok(())
 }
 
-/// Deserializes a graph from `r`, verifying the body checksum before
-/// decoding anything.
+/// Deserializes a graph from `r`, verifying the checksum before decoding
+/// anything.
 pub fn load_graph(r: &mut impl Read) -> Result<Graph, RepoError> {
-    let mut header = [0u8; HEADER_LEN as usize];
-    r.read_exact(&mut header)?;
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
+    Ok(load_image(&bytes)?.1)
+}
+
+/// Decodes `bytes` to the header's generation and the graph. Never
+/// panics: anything malformed is [`RepoError::Corrupt`].
+pub(crate) fn load_image(bytes: &[u8]) -> Result<(u64, Graph), RepoError> {
+    if bytes.len() < HEADER_LEN as usize {
+        return Err(corrupt(0, "shorter than its header"));
+    }
+    let (header, body) = bytes.split_at(HEADER_LEN as usize);
     if &header[..8] != MAGIC {
         return Err(corrupt(8, "bad snapshot magic"));
     }
     if header[8] != VERSION {
         return Err(corrupt(9, format!("unsupported version {}", header[8])));
     }
+    let generation = u64::from_le_bytes(header[9..17].try_into().unwrap());
     let stored_crc = u32::from_le_bytes(header[17..21].try_into().unwrap());
-    let mut body = Vec::new();
-    r.read_to_end(&mut body)?;
-    let computed = crc32(&body);
+    let computed = checksum(generation, body);
     if computed != stored_crc {
         return Err(corrupt(
             HEADER_LEN,
@@ -106,7 +140,7 @@ pub fn load_graph(r: &mut impl Read) -> Result<Graph, RepoError> {
             ),
         ));
     }
-    decode_body(&body)
+    Ok((generation, decode_body(body)?))
 }
 
 fn decode_body(body: &[u8]) -> Result<Graph, RepoError> {

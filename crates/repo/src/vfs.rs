@@ -1,4 +1,4 @@
-//! Filesystem abstraction behind the paged store and its WAL.
+//! Filesystem abstraction behind the durable store: its image and WAL.
 //!
 //! All durable I/O in this crate goes through the [`Vfs`] trait so the
 //! crash-torture harness can swap the real filesystem for a deterministic
@@ -27,9 +27,10 @@ pub trait VfsFile: Send + Sync + Debug {
     fn sync(&mut self) -> io::Result<()>;
 }
 
-/// A file open for page-granular random access, as the buffer pool needs:
-/// positioned reads and writes plus an explicit sync. Offsets past the
-/// current end extend the file (the pager allocates pages by growing it).
+/// A file open for random access: positioned reads and writes plus an
+/// explicit sync. Offsets past the current end extend the file. No store
+/// code opens one since the page file went; it stays while the benchmark
+/// harness implements it.
 pub trait VfsRandomFile: Send + Sync + Debug {
     /// Reads up to `buf.len()` bytes at `offset`, returning how many were
     /// read (fewer only at end-of-file — or under an injected short read,
@@ -48,8 +49,7 @@ pub trait Vfs: Send + Sync + Debug {
     /// Opens an existing `path` for appending.
     fn open_append(&self, path: &Path) -> io::Result<Box<dyn VfsFile>>;
     /// Opens `path` for random-access reads and writes, creating it when
-    /// missing (never truncating). All pager page I/O goes through the
-    /// returned handle so fault injection covers it.
+    /// missing (never truncating); see [`VfsRandomFile`].
     fn open_rw(&self, path: &Path) -> io::Result<Box<dyn VfsRandomFile>>;
     /// Reads the whole file.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;

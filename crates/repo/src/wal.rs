@@ -10,12 +10,12 @@
 //! payload := op_count:varint op*
 //! ```
 //!
-//! This is the log of the paged store ([`crate::pager`]), its only
-//! caller. The header's generation records which manifest this log
-//! extends; [`PagedRepo::open_with`](crate::PagedRepo::open_with)
+//! This is the log of the durable store ([`crate::pager`]), its only
+//! caller. The header's generation records which checkpoint image this
+//! log extends; [`PagedRepo::open_with`](crate::PagedRepo::open_with)
 //! compares the two to detect a crash that landed between a checkpoint's
-//! manifest rename and its WAL truncation (a *stale* log whose frames are
-//! already in the checkpoint and must not be replayed).
+//! image rename and its WAL truncation (a *stale* log whose frames are
+//! already in the image and must not be replayed).
 //!
 //! Recovery distinguishes two failure shapes:
 //!
@@ -89,8 +89,8 @@ impl Wal {
 
     /// Appends one delta as a single checksummed frame, issued as one
     /// write so a crash tears it into a clean prefix. The frame reaches
-    /// the OS; durability against power loss additionally needs
-    /// [`Wal::sync`], which checkpointing performs — a standard
+    /// the OS; it is durable against power loss once a checkpoint has
+    /// written and synced an image that holds it — a standard
     /// group-commit compromise.
     pub fn append(&mut self, delta: &GraphDelta) -> Result<(), RepoError> {
         let mut payload = Vec::with_capacity(16 * delta.len() + 4);
@@ -107,12 +107,6 @@ impl Wal {
         frame.extend_from_slice(&h.finish().to_le_bytes());
         frame.extend_from_slice(&payload);
         self.file.write(&frame)?;
-        Ok(())
-    }
-
-    /// Forces everything to stable storage.
-    pub fn sync(&mut self) -> Result<(), RepoError> {
-        self.file.sync()?;
         Ok(())
     }
 }
@@ -195,7 +189,7 @@ pub struct ReplayReport {
     /// Bytes of a torn trailing frame dropped during recovery (0 when the
     /// log ended on a frame boundary).
     pub discarded_bytes: u64,
-    /// The snapshot generation this log extends, from the header.
+    /// The checkpoint generation this log extends, from the header.
     pub generation: u64,
     /// The file is shorter than the header: a crash tore the header write
     /// of a freshly created (hence empty) log. The caller should recreate
@@ -225,6 +219,15 @@ pub fn replay_report_with(vfs: &dyn Vfs, path: &Path) -> Result<ReplayReport, Re
             disk_len
         ))));
     }
+    parse_report(&bytes)
+}
+
+/// Parses the log bytes `bytes` the way [`replay_report_with`] does,
+/// trusting them to be the whole file. The store's read-only replay
+/// hands it whatever prefix of a log being appended to it read: a frame
+/// cut off by the read is a torn tail, so the result is a committed
+/// prefix either way.
+pub(crate) fn parse_report(bytes: &[u8]) -> Result<ReplayReport, RepoError> {
     if (bytes.len() as u64) < HEADER_LEN {
         // The header is written in one write: a valid-but-short prefix is
         // a torn header (crash during log creation); anything else is not
@@ -353,7 +356,6 @@ mod tests {
             let mut wal = Wal::create_with(&RealVfs, &path, 0).unwrap();
             wal.append(&d1).unwrap();
             wal.append(&d2).unwrap();
-            wal.sync().unwrap();
         }
         let replayed = replay(&path).unwrap();
         assert_eq!(replayed, vec![d1.clone(), d2.clone()]);
@@ -391,7 +393,6 @@ mod tests {
             let mut wal = Wal::create_with(&RealVfs, &path, 0).unwrap();
             wal.append(&sample_delta()).unwrap();
             wal.append(&sample_delta()).unwrap();
-            wal.sync().unwrap();
         }
         let full = std::fs::read(&path).unwrap();
         // Chop mid-way through the second frame.
@@ -408,7 +409,6 @@ mod tests {
             let mut wal = Wal::create_with(&RealVfs, &path, 0).unwrap();
             wal.append(&sample_delta()).unwrap();
             wal.append(&sample_delta()).unwrap();
-            wal.sync().unwrap();
         }
         let full = std::fs::read(&path).unwrap();
         let header = HEADER_LEN as usize;

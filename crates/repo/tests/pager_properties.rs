@@ -1,20 +1,19 @@
-//! Property tests for the pager codecs: seeded hostile bytes, truncated
-//! at every boundary, must never panic a decoder. Pages come off disk —
-//! a torn write, a bad sector, or a stray tool can hand the decoders
-//! anything — so "malformed" has to mean `Err`, never a crash. Cases
-//! come from a deterministic seeded PRNG, so every failure reproduces
-//! from its seed.
+//! Property tests for the store's on-disk image: seeded hostile bytes,
+//! truncated at every boundary, must never panic the code that reads
+//! them. The image comes off disk — a torn write, a bad sector, or a
+//! stray tool can hand the decoder anything — so "malformed" has to mean
+//! `Err`, never a crash. Cases come from a deterministic seeded PRNG, so
+//! every failure reproduces from its seed.
 
-use strudel_graph::Value;
+use strudel_graph::{GraphDelta, Oid, Value};
 use strudel_prng::{Rng, SeedableRng, SmallRng};
-use strudel_repo::pager::layout::{
-    decode_catalog, decode_members, decode_nodes, encode_catalog, encode_members, encode_nodes,
-    Catalog, NodeRec,
-};
-use strudel_repo::pager::page::{decode_page, encode_page, MIN_PAGE_SIZE};
-use strudel_repo::{PagedRepo, PagerConfig};
+use strudel_repo::pager::IMAGE_FILE;
+use strudel_repo::{replay_committed, PagedRepo, PagerConfig, RepoError};
 
 const SEEDS: [u64; 4] = [11, 23, 1998, 0xBADF00D];
+
+/// Magic, version, generation and checksum: everything before the body.
+const HEADER_LEN: usize = 8 + 1 + 8 + 4;
 
 /// Every prefix of `bytes`, shortest first (a torn write ends anywhere).
 fn truncations(bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
@@ -27,173 +26,89 @@ fn soup(rng: &mut SmallRng, max: usize) -> Vec<u8> {
     (0..n).map(|_| rng.gen_range(0..=255u32) as u8).collect()
 }
 
-/// A valid encoding with one byte flipped is the highest-value hostile
-/// input: almost right, so it reaches the deepest checks.
-fn flips(bytes: &[u8], rng: &mut SmallRng, n: usize) -> Vec<Vec<u8>> {
+/// A valid encoding with one bit flipped somewhere in `bytes[from..]` is
+/// the highest-value hostile input: almost right, so it reaches the
+/// deepest checks.
+fn flips(bytes: &[u8], from: usize, rng: &mut SmallRng, n: usize) -> Vec<Vec<u8>> {
     (0..n)
         .map(|_| {
             let mut b = bytes.to_vec();
-            if !b.is_empty() {
-                let i = rng.gen_range(0..b.len());
-                b[i] ^= 1 << rng.gen_range(0..8u32);
-            }
+            let i = rng.gen_range(from..b.len());
+            b[i] ^= 1 << rng.gen_range(0..8u32);
             b
         })
         .collect()
 }
 
-fn sample_values(rng: &mut SmallRng) -> Vec<Value> {
-    let mut vals = vec![
-        Value::Int(rng.gen_range(-50..50i64)),
-        Value::string("x\u{0}y\u{7f}"),
-        Value::string("日本🦀"),
-        Value::from(strudel_graph::Oid::from_index(rng.gen_range(0..9usize))),
-    ];
-    vals.truncate(rng.gen_range(1..5usize));
-    vals
-}
-
+/// `PagedRepo::open` and the read-only `replay_committed` both decode
+/// whatever sits in the image file: truncate, corrupt and replace a real
+/// image on disk at every boundary — both must return, never panic, and
+/// a flipped body bit must come back as `Corrupt`.
 #[test]
-fn page_decode_never_panics() {
-    for seed in SEEDS {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        for _ in 0..40 {
-            let page_size = *[MIN_PAGE_SIZE, 128, 256].get(rng.gen_range(0..3usize)).unwrap();
-            let payload = soup(&mut rng, page_size - 24);
-            let good = encode_page(rng.gen_range(0..8u32), rng.next_u64(), &payload, page_size);
-            for cut in truncations(&good) {
-                let _ = decode_page(cut, 0, page_size);
-            }
-            for bad in flips(&good, &mut rng, 16) {
-                let _ = decode_page(&bad, 0, page_size);
-            }
-            let garbage = soup(&mut rng, 2 * page_size);
-            let _ = decode_page(&garbage, rng.gen_range(0..4u32), page_size);
-        }
-    }
-}
-
-#[test]
-fn catalog_decode_never_panics() {
-    for seed in SEEDS {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        for _ in 0..40 {
-            let good = encode_catalog(&Catalog {
-                labels: vec!["a".into(), "日本".into(), String::new()],
-                collections: vec!["C\u{0}".into(), "🦀".into()],
-                node_count: rng.next_u64() % 1000,
-            });
-            for cut in truncations(&good) {
-                let _ = decode_catalog(cut);
-            }
-            for bad in flips(&good, &mut rng, 16) {
-                let _ = decode_catalog(&bad);
-            }
-            let _ = decode_catalog(&soup(&mut rng, 200));
-        }
-    }
-}
-
-#[test]
-fn nodes_decode_never_panics() {
-    for seed in SEEDS {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        for _ in 0..40 {
-            let recs: Vec<NodeRec> = (0..rng.gen_range(1..4usize))
-                .map(|i| NodeRec {
-                    name: if rng.gen_bool(0.5) {
-                        Some(format!("n{i}\u{0}"))
-                    } else {
-                        None
-                    },
-                    edges: sample_values(&mut rng)
-                        .into_iter()
-                        .map(|v| (rng.gen_range(0..6u32), v))
-                        .collect(),
-                    rev: vec![(rng.next_u64() % 50, rng.gen_range(0..6u32))],
-                })
-                .collect();
-            let good = encode_nodes(&recs);
-            for cut in truncations(&good) {
-                let _ = decode_nodes(cut);
-            }
-            for bad in flips(&good, &mut rng, 16) {
-                let _ = decode_nodes(&bad);
-            }
-            let _ = decode_nodes(&soup(&mut rng, 300));
-        }
-    }
-}
-
-#[test]
-fn members_decode_never_panics() {
-    for seed in SEEDS {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        for _ in 0..40 {
-            let good = encode_members(&sample_values(&mut rng));
-            for cut in truncations(&good) {
-                let _ = decode_members(cut);
-            }
-            for bad in flips(&good, &mut rng, 16) {
-                let _ = decode_members(&bad);
-            }
-            let _ = decode_members(&soup(&mut rng, 200));
-        }
-    }
-}
-
-/// The manifest decoder is private, but `PagedRepo::open` runs it on
-/// whatever sits in `pager.manifest`: truncate and corrupt a real
-/// manifest on disk at every boundary — open must return, never panic.
-#[test]
-fn manifest_open_never_panics_on_hostile_bytes() {
-    let base = std::env::temp_dir().join(format!(
-        "strudel-pager-prop-manifest-{}",
-        std::process::id()
-    ));
+fn image_open_never_panics_on_hostile_bytes() {
+    let base =
+        std::env::temp_dir().join(format!("strudel-pager-prop-image-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
-    let cfg = PagerConfig {
-        page_size: 128,
-        pool_pages: 8,
-        nodes_per_segment: 4,
-    };
 
-    // A real store with some data, so the manifest has entries.
+    // A real store with some data, checkpointed so the image holds it.
     let dir = base.join("store");
     {
-        let repo = PagedRepo::open(&dir, cfg).unwrap();
-        let mut d = strudel_graph::GraphDelta::new();
+        let repo = PagedRepo::open(&dir, PagerConfig::default()).unwrap();
+        let mut d = GraphDelta::new();
         d.add_node(Some("a"));
-        d.add_edge(strudel_graph::Oid::from_index(0), "v", Value::Int(1));
-        d.collect("C", Value::from(strudel_graph::Oid::from_index(0)));
+        d.add_node(None);
+        d.add_edge(Oid::from_index(0), "v", Value::Int(1));
+        d.add_edge(Oid::from_index(0), "to", Value::from(Oid::from_index(1)));
+        d.add_edge(Oid::from_index(1), "s", Value::string("日本🦀\u{0}"));
+        d.collect("C", Value::from(Oid::from_index(0)));
         repo.apply_delta(&d).unwrap();
         repo.checkpoint().unwrap();
     }
-    let good = std::fs::read(dir.join("pager.manifest")).unwrap();
+    let good = std::fs::read(dir.join(IMAGE_FILE)).unwrap();
 
-    let mut rng = SmallRng::seed_from_u64(SEEDS[2]);
     let mut case = 0u32;
     let mut try_open = |bytes: &[u8]| {
         let d = base.join(format!("case-{case}"));
         case += 1;
         std::fs::create_dir_all(&d).unwrap();
-        // Copy the healthy store, then plant the hostile manifest.
-        for f in ["pager.pages", "pager.wal"] {
-            let _ = std::fs::copy(dir.join(f), d.join(f));
-        }
-        std::fs::write(d.join("pager.manifest"), bytes).unwrap();
-        // Any Ok/Err outcome is acceptable; a panic is the only failure.
-        let _ = PagedRepo::open(&d, cfg);
+        // Copy the healthy log, then plant the hostile image.
+        let _ = std::fs::copy(dir.join("pager.wal"), d.join("pager.wal"));
+        std::fs::write(d.join(IMAGE_FILE), bytes).unwrap();
+        let replayed = replay_committed(&d).map(|_| ());
+        let opened = PagedRepo::open(&d, PagerConfig::default()).map(|_| ());
         let _ = std::fs::remove_dir_all(&d);
+        (replayed, opened)
     };
-    for cut in truncations(&good) {
-        try_open(cut);
+    for cut in truncations(&good[..good.len() - 1]) {
+        let (replayed, opened) = try_open(cut);
+        assert!(
+            replayed.is_err() && opened.is_err(),
+            "{}-byte cut",
+            cut.len()
+        );
     }
-    for bad in flips(&good, &mut rng, 64) {
-        try_open(&bad);
-    }
-    for _ in 0..32 {
-        try_open(&soup(&mut rng, 2 * good.len()));
+    for seed in SEEDS {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for bad in flips(&good, HEADER_LEN, &mut rng, 16) {
+            let (replayed, opened) = try_open(&bad);
+            assert!(
+                matches!(replayed, Err(RepoError::Corrupt { .. })),
+                "seed {seed}: body flip replayed as {replayed:?}"
+            );
+            assert!(
+                matches!(opened, Err(RepoError::Corrupt { .. })),
+                "seed {seed}: body flip opened as {opened:?}"
+            );
+        }
+        // Header flips: any outcome but a panic.
+        for bad in flips(&good[..HEADER_LEN], 0, &mut rng, 8) {
+            let mut image = bad;
+            image.extend_from_slice(&good[HEADER_LEN..]);
+            let _ = try_open(&image);
+        }
+        for _ in 0..8 {
+            let _ = try_open(&soup(&mut rng, 2 * good.len()));
+        }
     }
     let _ = std::fs::remove_dir_all(&base);
 }

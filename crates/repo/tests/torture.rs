@@ -11,10 +11,10 @@
 //! mirrored every delta the crashed process saw acknowledged, byte for
 //! byte through the snapshot encoder.
 //!
-//! The tiny pool (4 frames of 128-byte pages) forces eviction
-//! writebacks on nearly every commit, so crash points land inside the
-//! write-ahead coupling (WAL sync before page flush), mid-eviction, and
-//! inside checkpoint's flush-all — not just inside WAL appends.
+//! A commit is one WAL append and a checkpoint is the image's tmp write,
+//! fsync, rename and directory sync followed by the WAL reset, so crash
+//! points land in appends, in every step of the image replacement, and
+//! in store creation and reopen.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -43,14 +43,6 @@ fn mode_for(seed: u64, k: u64) -> FaultMode {
 
 const PAGER_STEPS: usize = 30;
 const PAGER_SEEDS: [u64; 2] = [0xD15C, 3];
-
-fn tiny_cfg() -> PagerConfig {
-    PagerConfig {
-        page_size: 128,
-        pool_pages: 4,
-        nodes_per_segment: 4,
-    }
-}
 
 /// One seeded delta, built against the oracle's current graph (identical
 /// to the store's state up to the crash point, so both passes draw the
@@ -125,14 +117,14 @@ fn run_pager_workload(
     shadow: &mut Database,
 ) -> Result<(), (RepoError, Option<GraphDelta>)> {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut repo = PagedRepo::open_with(Arc::new(vfs.clone()), dir, tiny_cfg())
+    let mut repo = PagedRepo::open_with(Arc::new(vfs.clone()), dir, PagerConfig::default())
         .map_err(|e| (e, None))?;
     for step in 0..PAGER_STEPS {
         if step % 9 == 8 {
             repo.checkpoint().map_err(|e| (e, None))?;
         } else if step % 13 == 12 {
             drop(repo);
-            repo = PagedRepo::open_with(Arc::new(vfs.clone()), dir, tiny_cfg())
+            repo = PagedRepo::open_with(Arc::new(vfs.clone()), dir, PagerConfig::default())
                 .map_err(|e| (e, None))?;
         } else {
             let d = pager_delta(&mut rng, shadow.graph());
@@ -146,7 +138,7 @@ fn run_pager_workload(
     Ok(())
 }
 
-/// Recovery oracle for the paged store: the reopened, materialized graph
+/// Recovery oracle for the store: the reopened, materialized graph
 /// must byte-equal the shadow of acknowledged deltas — except that the
 /// single delta in flight at the crash may have fully survived (its WAL
 /// frame was durable before the acknowledgment raced the crash). Nothing
@@ -157,10 +149,9 @@ fn assert_pager_oracle(
     inflight: Option<GraphDelta>,
     ctx: &str,
 ) {
-    let repo = PagedRepo::open(dir, tiny_cfg())
+    let repo = PagedRepo::open(dir, PagerConfig::default())
         .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
     let g = repo
-        .snapshot()
         .materialize()
         .unwrap_or_else(|e| panic!("{ctx}: materialize failed: {e}"));
     let mut rec = Vec::new();
@@ -187,13 +178,11 @@ fn assert_pager_oracle(
     repo.apply_delta(&d)
         .unwrap_or_else(|e| panic!("{ctx}: post-recovery write failed: {e}"));
     drop(repo);
-    let repo = PagedRepo::open(dir, tiny_cfg()).unwrap();
+    let repo = PagedRepo::open(dir, PagerConfig::default()).unwrap();
     assert_eq!(repo.node_count(), before + 1, "{ctx}: post-crash write lost");
 }
 
-/// Fault-free pass: counts vfs operations and sanity-checks the oracle —
-/// and proves the schedule actually evicts (the whole point of the tiny
-/// pool: crash points must land inside eviction writebacks).
+/// Fault-free pass: counts vfs operations and sanity-checks the oracle.
 fn pager_fault_free_ops(seed: u64) -> u64 {
     let dir = tmpdir(&format!("pager-clean-{seed}"));
     let vfs = FaultVfs::new();
@@ -201,16 +190,11 @@ fn pager_fault_free_ops(seed: u64) -> u64 {
     run_pager_workload(&dir, &vfs, seed, &mut shadow)
         .map_err(|(e, _)| e)
         .expect("fault-free pager run");
-    let repo = PagedRepo::open(&dir, tiny_cfg()).unwrap();
-    let g = repo.snapshot().materialize().unwrap();
+    let repo = PagedRepo::open(&dir, PagerConfig::default()).unwrap();
+    let g = repo.materialize().unwrap();
     assert!(
         graphs_equivalent(g_ref(&g), shadow.graph()),
         "seed {seed}: fault-free paged store diverges from oracle"
-    );
-    let (_, _, _, _, evictions, _) = repo.pool_stats();
-    assert!(
-        evictions > 0,
-        "seed {seed}: schedule never evicted — pool too large to torture writeback"
     );
     let total = vfs.op_count();
     std::fs::remove_dir_all(&dir).ok();
@@ -225,7 +209,7 @@ fn g_ref(g: &Graph) -> &Graph {
 fn every_pager_crash_point_recovers_to_the_oracle() {
     for seed in PAGER_SEEDS {
         let total = pager_fault_free_ops(seed);
-        assert!(total > 80, "schedule should exercise many vfs ops: {total}");
+        assert!(total > 60, "schedule should exercise many vfs ops: {total}");
         for k in 0..total {
             let mode = mode_for(seed, k);
             let ctx = format!("pager seed {seed} crash at op {k}/{total} ({mode:?})");
@@ -245,10 +229,9 @@ fn every_pager_crash_point_recovers_to_the_oracle() {
     }
 }
 
-/// Checkpoint under memory pressure: with more dirty pages than frames,
-/// `checkpoint()` interleaves eviction writebacks with its flush-all,
-/// manifest rename, and WAL reset. A crash at every offset inside that
-/// window must recover the full pre-checkpoint state.
+/// A crash at every offset inside `checkpoint()` — the image's tmp
+/// write, fsync, rename and directory sync, then the WAL reset — must
+/// recover the full pre-checkpoint state.
 #[test]
 fn pager_crash_anywhere_inside_checkpoint_is_safe() {
     let mut covered = 0;
@@ -256,7 +239,7 @@ fn pager_crash_anywhere_inside_checkpoint_is_safe() {
         let dir = tmpdir(&format!("pager-ckpt-{off}"));
         let vfs = FaultVfs::new();
         let repo =
-            PagedRepo::open_with(Arc::new(vfs.clone()), &dir, tiny_cfg()).unwrap();
+            PagedRepo::open_with(Arc::new(vfs.clone()), &dir, PagerConfig::default()).unwrap();
         let mut shadow = Database::new(IndexLevel::None);
         for i in 0..10usize {
             let mut d = GraphDelta::new();
@@ -287,11 +270,9 @@ fn pager_crash_anywhere_inside_checkpoint_is_safe() {
     assert!(covered >= 5, "only {covered} checkpoint crash points covered");
 }
 
-/// A *transient* fault mid-commit — including a WAL-sync failure during
-/// an eviction, the exact point where flushing a page ahead of its LSN
-/// would be tempting — must reject the delta, poison the store against
-/// further writes, and leave on-disk state recoverable to either side of
-/// the atomic boundary, never in between.
+/// A *transient* fault mid-commit must reject the delta, poison the
+/// store against further writes, and leave on-disk state recoverable to
+/// either side of the atomic boundary, never in between.
 #[test]
 fn pager_transient_fault_poisons_until_reopen() {
     let mut covered = 0;
@@ -299,7 +280,7 @@ fn pager_transient_fault_poisons_until_reopen() {
         let dir = tmpdir(&format!("pager-transient-{off}"));
         let vfs = FaultVfs::new();
         let repo =
-            PagedRepo::open_with(Arc::new(vfs.clone()), &dir, tiny_cfg()).unwrap();
+            PagedRepo::open_with(Arc::new(vfs.clone()), &dir, PagerConfig::default()).unwrap();
         let mut shadow = Database::new(IndexLevel::None);
         for i in 0..8usize {
             let mut d = GraphDelta::new();
@@ -308,9 +289,7 @@ fn pager_transient_fault_poisons_until_reopen() {
             repo.apply_delta(&d).unwrap();
             shadow.apply_delta(&d).unwrap();
         }
-        // One more commit touching every node segment plus the catalog
-        // and a collection; the tiny pool guarantees it evicts, which
-        // syncs the WAL before any page write.
+        // One more commit touching every node plus a collection.
         let mut d = GraphDelta::new();
         d.add_node(Some("tx"));
         for i in 0..8usize {
@@ -361,5 +340,6 @@ fn pager_transient_fault_poisons_until_reopen() {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
-    assert!(covered >= 5, "only {covered} transient fault points covered");
+    // A commit issues one operation, its WAL append.
+    assert!(covered >= 1, "only {covered} transient fault points covered");
 }

@@ -34,7 +34,7 @@
 //!                     [--warm W] [--slow-us T] [--backlog B] [--trace]
 //!                     [--keepalive-secs S] [--max-connections N]
 //!                     [--cluster N]
-//!                     [--store DIR] [--pool-pages N] [--page-size B]
+//!                     [--store DIR]
 //!                                     serve the site at click time:
 //!                                     pages computed on demand, cached,
 //!                                     metrics on /metrics, trace snapshot
@@ -64,13 +64,14 @@
 //!                                      its open sockets (503 beyond);
 //!                                      --trace turns the strudel-trace
 //!                                      recorder on at startup;
-//!                                      --store attaches a durable paged
-//!                                      store at DIR — bulk-loaded from
-//!                                      the built site on first run,
-//!                                      reopened after that; deltas
-//!                                      commit write-through; --pool-pages
-//!                                      and --page-size size its buffer
-//!                                      pool;
+//!                                      --store attaches a durable store
+//!                                      at DIR (a checkpointed graph
+//!                                      image plus a write-ahead log of
+//!                                      deltas) — bulk-loaded from the
+//!                                      built site on first run, reopened
+//!                                      after that, refused if DIR holds
+//!                                      the retired page-file format;
+//!                                      deltas commit write-through;
 //!                                      --cluster N supervises N shard
 //!                                      worker *processes* — crash-
 //!                                      isolated, restarted with backoff,
@@ -118,7 +119,7 @@ fn run(args: &[String]) -> Result<(), String> {
          [-o <outdir>] [--addr <ip:port>] [--workers <n>] [--shards <n|auto>] \
          [--mode <context|lookahead>] [--warm <n|auto>] [--slow-us <t>] \
          [--backlog <n>] [--keepalive-secs <s>] [--max-connections <n>] [--trace] \
-         [--store <dir>] [--pool-pages <n>] [--page-size <bytes>] [--cluster <n>]";
+         [--store <dir>] [--cluster <n>]";
     let command = args.first().ok_or(usage)?;
     let dir = PathBuf::from(args.get(1).ok_or(usage)?);
     let outdir = match args.iter().position(|a| a == "-o") {
@@ -261,6 +262,15 @@ fn run(args: &[String]) -> Result<(), String> {
                 return Err("the --transport flag was removed: the front end follows the \
                             platform (epoll reactor on Linux, thread pool elsewhere)"
                     .into());
+            }
+            if let Some(flag) = args
+                .iter()
+                .find(|a| *a == "--pool-pages" || *a == "--page-size")
+            {
+                return Err(format!(
+                    "the {flag} flag was removed: the store keeps its graph in memory \
+                     over a checkpointed image and a WAL, with no pages or buffer pool to size"
+                ));
             }
             let built = site.build().map_err(|e| e.to_string())?;
             report_verifications(&built);
@@ -468,9 +478,9 @@ fn parse_mode(flag: Option<&str>) -> Result<strudel::schema::dynamic::Mode, Stri
     }
 }
 
-/// Opens (or bulk-loads) the durable paged store named by `--store`, if
-/// any, sized by `--pool-pages`/`--page-size`. Shared by the sharded and
-/// unsharded serve paths — either way deltas commit to it exactly once.
+/// Opens (or bulk-loads) the durable store named by `--store`, if any.
+/// Shared by the sharded and unsharded serve paths — either way deltas
+/// commit to it exactly once.
 fn open_store(
     args: &[String],
     built: &strudel::Site,
@@ -483,21 +493,17 @@ fn open_store(
     let Some(store_dir) = flag("--store") else {
         return Ok(None);
     };
-    let mut cfg = strudel::repo::PagerConfig::default();
-    if let Some(n) = flag("--pool-pages") {
-        cfg.pool_pages = n.parse().map_err(|_| "--pool-pages needs a number")?;
-    }
-    if let Some(b) = flag("--page-size") {
-        cfg.page_size = b.parse().map_err(|_| "--page-size needs a number (bytes)")?;
-    }
+    let cfg = strudel::repo::PagerConfig::default();
     let store_dir = PathBuf::from(store_dir);
-    let fresh = !store_dir.join("pager.manifest").exists();
+    // No image: a fresh directory to bulk-load — or one in the retired
+    // page-file format, which the store refuses with an error saying so.
+    let fresh = !store_dir.join(strudel::repo::pager::IMAGE_FILE).exists();
     let store = if fresh {
         strudel::repo::PagedRepo::bulk_load(&store_dir, cfg, built.database.graph())
-            .map_err(|e| format!("bulk-loading paged store: {e}"))?
+            .map_err(|e| format!("bulk-loading store: {e}"))?
     } else {
         strudel::repo::PagedRepo::open(&store_dir, cfg)
-            .map_err(|e| format!("opening paged store: {e}"))?
+            .map_err(|e| format!("opening store: {e}"))?
     };
     // An existing store may legitimately be ahead of the sources (deltas
     // applied through a previous serve run); flag a divergence but keep
@@ -506,24 +512,22 @@ fn open_store(
     strudel::repo::snapshot::save_graph(built.database.graph(), &mut built_bytes)
         .map_err(|e| format!("encoding site graph: {e}"))?;
     let stored = store
-        .snapshot()
         .materialize()
-        .map_err(|e| format!("materializing paged store: {e}"))?;
+        .map_err(|e| format!("materializing store: {e}"))?;
     let mut store_bytes = Vec::new();
     strudel::repo::snapshot::save_graph(&stored, &mut store_bytes)
         .map_err(|e| format!("encoding stored graph: {e}"))?;
     if store_bytes == built_bytes {
         println!(
-            "paged store at {} ({} nodes, generation {}, pool {} pages{})",
+            "store at {} ({} nodes, generation {}{})",
             store_dir.display(),
             store.node_count(),
             store.generation(),
-            cfg.pool_pages,
             if fresh { ", bulk-loaded" } else { "" }
         );
     } else {
         println!(
-            "warning: paged store at {} has diverged from the site sources \
+            "warning: store at {} has diverged from the site sources \
              ({} stored nodes vs {} built); serving the built site",
             store_dir.display(),
             store.node_count(),

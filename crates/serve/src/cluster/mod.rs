@@ -33,7 +33,7 @@
 //! **Writes.** The barrier-epoch semantics of the in-process sharded
 //! service survive the process boundary. The router is the only
 //! writer: a delta validates and commits once in the shared store
-//! (WAL + copy-on-write pages — the cross-process form of the shard-0
+//! (a WAL append — the cross-process form of the shard-0
 //! validation gate: rejection happens before any worker sees the
 //! delta), then fans out as `GET /internal/catchup?n=<target>` —
 //! worker 0 first, the rest in parallel — and the router retries each

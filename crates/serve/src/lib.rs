@@ -226,10 +226,9 @@ impl DeltaGate {
     /// and commits `delta` durably before the caller touches an engine.
     /// A poisoned lock is taken anyway: the guard carries no state, and
     /// a panicked predecessor must not wedge every later delta.
-    /// Durability first: the store validates and commits (WAL append,
-    /// copy-on-write pages) before any in-memory snapshot swaps, so a
-    /// crash never loses an applied delta, and MVCC snapshots taken
-    /// from the store before this commit keep reading their epoch.
+    /// Durability first: the store validates and commits (WAL append)
+    /// before any in-memory snapshot swaps, so a crash never loses an
+    /// applied delta.
     pub(crate) fn commit(&self, delta: &GraphDelta) -> Result<MutexGuard<'_, ()>, ServeError> {
         let writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(store) = &self.store {
@@ -367,9 +366,8 @@ impl SiteService {
 
     /// Attaches a paged store ([`strudel_repo::PagedRepo`]) that
     /// [`SiteService::apply_delta`] keeps write-through consistent: every
-    /// delta commits durably to the store's WAL and copy-on-write pages
-    /// before the engine's snapshot swaps. Concurrent readers of the
-    /// store's MVCC snapshots observe a consistent graph throughout.
+    /// delta commits to the store's WAL before the engine's snapshot
+    /// swaps.
     pub fn with_paged_store(mut self, store: PagedRepo) -> Self {
         self.gate = DeltaGate::new(Some(store));
         self

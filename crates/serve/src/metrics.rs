@@ -431,9 +431,6 @@ pub struct ServerStats {
     /// Global `strudel-trace` counters, sorted by name; empty while
     /// tracing is disabled.
     pub trace_counters: Vec<(String, u64)>,
-    /// Process-wide buffer-pool counters from the paged store; all
-    /// zeros when no paged store is in use.
-    pub pager: strudel_repo::PagerStats,
 }
 
 /// Appends one `name value` line per row.
@@ -471,7 +468,6 @@ impl ServerStats {
             } else {
                 Vec::new()
             },
-            pager: strudel_repo::pager::global_stats(),
             ..Default::default()
         };
         for core in cores {
@@ -491,7 +487,7 @@ impl ServerStats {
     /// `(row name, value)` table in exposition order.
     pub fn to_text(&self) -> String {
         let mut out = String::with_capacity(4096);
-        let (cache, engine, pager) = (&self.html_cache, &self.engine, &self.pager);
+        let (cache, engine) = (&self.html_cache, &self.engine);
         push_rows(
             &mut out,
             &[
@@ -583,18 +579,10 @@ impl ServerStats {
                 self.inline.declined[reason as usize]
             );
         }
-        push_rows(
-            &mut out,
-            &[
-                ("strudel_store_poisoned", u64::from(self.store_poisoned)),
-                ("strudel_pager_hits_total", pager.hits),
-                ("strudel_pager_misses_total", pager.misses),
-                ("strudel_pager_evictions_total", pager.evictions),
-                ("strudel_pager_pins_total", pager.pins),
-                ("strudel_pager_writebacks_total", pager.writebacks),
-                ("strudel_pager_pool_pages", pager.pool_pages),
-                ("strudel_pager_resident_pages", pager.resident),
-            ],
+        let _ = writeln!(
+            out,
+            "strudel_store_poisoned {}",
+            u64::from(self.store_poisoned)
         );
         for (name, v) in &self.trace_counters {
             let _ = writeln!(out, "strudel_trace_counter{{name=\"{name}\"}} {v}");
@@ -736,15 +724,6 @@ mod tests {
             },
             store_poisoned: false,
             trace_counters: vec![("serve.request".into(), 7)],
-            pager: strudel_repo::PagerStats {
-                hits: 11,
-                misses: 5,
-                evictions: 2,
-                pins: 16,
-                writebacks: 2,
-                pool_pages: 8,
-                resident: 6,
-            },
         };
         let text = stats.to_text();
         assert!(text.contains("strudel_requests_total 1"));
@@ -773,13 +752,6 @@ mod tests {
         assert!(text.contains("strudel_request_latency_us_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("strudel_request_latency_us_sum 42"));
         assert!(text.contains("strudel_request_latency_us_count 1"));
-        assert!(text.contains("strudel_pager_hits_total 11"));
-        assert!(text.contains("strudel_pager_misses_total 5"));
-        assert!(text.contains("strudel_pager_evictions_total 2"));
-        assert!(text.contains("strudel_pager_pins_total 16"));
-        assert!(text.contains("strudel_pager_writebacks_total 2"));
-        assert!(text.contains("strudel_pager_pool_pages 8"));
-        assert!(text.contains("strudel_pager_resident_pages 6"));
         assert!(text.contains("strudel_diff_pages_updated_total 5"));
         assert!(text.contains("strudel_diff_fallbacks_total 1"));
         assert!(text.contains("strudel_diff_rows_added_total 9"));

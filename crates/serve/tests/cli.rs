@@ -128,3 +128,54 @@ fn transport_is_not_a_serve_flag() {
         "{stderr}"
     );
 }
+
+#[test]
+fn pool_pages_and_page_size_are_not_serve_flags() {
+    // The store has no pages or buffer pool any more; a stale script
+    // that still sizes them must hear that, not have them ignored.
+    // A bad --backlog, parsed after the store opens, makes a binary that
+    // still took the flag exit instead of serving forever.
+    let dir = demo_dir();
+    for flag in ["--pool-pages", "--page-size"] {
+        let result = strudel(&["serve", dir.to_str().unwrap(), flag, "64", "--backlog", "x"]);
+        assert!(!result.status.success(), "{flag}");
+        let stderr = String::from_utf8_lossy(&result.stderr);
+        assert!(
+            stderr.contains(&format!("the {flag} flag was removed")),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
+fn a_retired_page_file_store_is_refused_not_bulk_loaded_over() {
+    // A --store directory in the page-file format (here just its page
+    // file) has no image; serve must not take that for a fresh directory
+    // and bulk-load beside the old files.
+    let store = std::env::temp_dir().join(format!("strudel-cli-retired-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    std::fs::create_dir_all(&store).unwrap();
+    std::fs::write(store.join("pager.pages"), b"").unwrap();
+    let dir = demo_dir();
+    let result = strudel(&[
+        "serve",
+        dir.to_str().unwrap(),
+        "--addr",
+        "127.0.0.1:0",
+        "--store",
+        store.to_str().unwrap(),
+        // Parsed after the store opens: a binary that bulk-loaded here
+        // exits on it instead of serving forever.
+        "--backlog",
+        "x",
+    ]);
+    assert!(!result.status.success());
+    let stderr = String::from_utf8_lossy(&result.stderr);
+    assert!(stderr.contains("retired page-file format"), "{stderr}");
+    let left: Vec<_> = std::fs::read_dir(&store)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(left, ["pager.pages"], "nothing written beside it");
+    std::fs::remove_dir_all(&store).unwrap();
+}

@@ -293,7 +293,7 @@ fn the_router_emits_the_standard_rows_then_its_cluster_rows() {
             .unwrap_or_else(|| panic!("no {name} row in {rows:?}"))
     };
     let traced = at("strudel_trace_counter{name=\"test.cluster_golden\"}");
-    assert!(at("strudel_pager_resident_pages") < traced);
+    assert!(at("strudel_store_poisoned") < traced);
     assert!(traced < at("strudel_cluster_workers"));
     cluster.shutdown();
 }

@@ -151,13 +151,6 @@ pub fn standard_metric_rows(routes: &[&str]) -> Vec<String> {
             "strudel_inline_declined_total{reason=\"delta_in_flight\"}",
             "strudel_inline_declined_total{reason=\"probe\"}",
             "strudel_store_poisoned",
-            "strudel_pager_hits_total",
-            "strudel_pager_misses_total",
-            "strudel_pager_evictions_total",
-            "strudel_pager_pins_total",
-            "strudel_pager_writebacks_total",
-            "strudel_pager_pool_pages",
-            "strudel_pager_resident_pages",
         ]
         .map(String::from),
     );

@@ -131,7 +131,7 @@ fn trace_counters_follow_the_standard_rows_while_tracing_is_on() {
             .unwrap_or_else(|| panic!("no trace counter row in:\n{text}"));
         let last_standard = rows
             .iter()
-            .position(|r| r == "strudel_pager_resident_pages")
+            .position(|r| r == "strudel_store_poisoned")
             .unwrap();
         assert!(at > last_standard, "trace counters come after the fixed rows");
         if let Some(shards) = rows.iter().position(|r| r == "strudel_shards") {

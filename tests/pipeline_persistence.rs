@@ -31,7 +31,7 @@ fn warehouse_survives_restart_and_regenerates_the_same_site() {
     // Session 2: reopen from disk, materialize, and re-evaluate.
     let reopen = || {
         let repo = PagedRepo::open(&dir, PagerConfig::default()).unwrap();
-        let graph = repo.snapshot().materialize().unwrap();
+        let graph = repo.materialize().unwrap();
         (repo, Database::from_graph(graph, IndexLevel::Full))
     };
     {
