@@ -7,7 +7,7 @@
 //! efficient implementation: a BFS over a dense `Vec<bool>` visited set
 //! keyed by oid index.
 
-use crate::{Graph, Label, Oid, Value};
+use crate::{Graph, Oid, Value};
 
 /// A dense set of nodes keyed by oid index, produced by traversals.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -66,11 +66,6 @@ impl NodeSet {
 /// The set of nodes reachable from `roots` by following node-valued edges
 /// (any label), including the roots themselves.
 pub fn reachable(graph: &Graph, roots: &[Oid]) -> NodeSet {
-    reachable_by(graph, roots, |_| true)
-}
-
-/// Reachability restricted to edges whose label satisfies `follow`.
-pub fn reachable_by(graph: &Graph, roots: &[Oid], follow: impl Fn(Label) -> bool) -> NodeSet {
     let mut seen = NodeSet::new(graph);
     let mut queue: Vec<Oid> = Vec::with_capacity(roots.len());
     for &r in roots {
@@ -81,36 +76,13 @@ pub fn reachable_by(graph: &Graph, roots: &[Oid], follow: impl Fn(Label) -> bool
     while let Some(n) = queue.pop() {
         for e in graph.edges(n) {
             if let Value::Node(m) = e.to {
-                if follow(e.label) && seen.insert(m) {
+                if seen.insert(m) {
                     queue.push(m);
                 }
             }
         }
     }
     seen
-}
-
-/// Nodes of the graph *not* reachable from `roots`.
-pub fn unreachable_nodes(graph: &Graph, roots: &[Oid]) -> Vec<Oid> {
-    let seen = reachable(graph, roots);
-    graph.node_oids().filter(|o| !seen.contains(*o)).collect()
-}
-
-/// Edges whose target node has no out-edges and no atomic content — the
-/// "dangling page" check used by site verification. Returns
-/// `(from, label, to)` triples.
-pub fn dangling_edges(graph: &Graph) -> Vec<(Oid, Label, Oid)> {
-    let mut out = Vec::new();
-    for from in graph.node_oids() {
-        for e in graph.edges(from) {
-            if let Value::Node(to) = e.to {
-                if graph.edges(to).is_empty() {
-                    out.push((from, e.label, to));
-                }
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -142,13 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn unreachable_detects_isolated_nodes() {
-        let (g, ns) = chain();
-        assert_eq!(unreachable_nodes(&g, &[ns[0]]), vec![ns[3]]);
-        assert!(unreachable_nodes(&g, &[ns[0], ns[3]]).is_empty());
-    }
-
-    #[test]
     fn reachable_handles_cycles() {
         let mut g = Graph::new();
         let a = g.add_node();
@@ -160,39 +125,10 @@ mod tests {
     }
 
     #[test]
-    fn reachable_by_filters_labels() {
-        let mut g = Graph::new();
-        let a = g.add_node();
-        let b = g.add_node();
-        let c = g.add_node();
-        let public = g.intern_label("public");
-        let private = g.intern_label("private");
-        g.add_edge(a, public, Value::Node(b));
-        g.add_edge(a, private, Value::Node(c));
-        let r = reachable_by(&g, &[a], |l| l == public);
-        assert!(r.contains(b));
-        assert!(!r.contains(c));
-    }
-
-    #[test]
     fn multiple_roots_union() {
         let (g, ns) = chain();
         let r = reachable(&g, &[ns[2], ns[3]]);
         assert_eq!(r.len(), 2);
-    }
-
-    #[test]
-    fn dangling_edges_finds_contentless_targets() {
-        let mut g = Graph::new();
-        let a = g.add_node();
-        let empty = g.add_node();
-        let full = g.add_node();
-        g.add_edge_str(full, "t", Value::Int(1));
-        g.add_edge_str(a, "to-empty", Value::Node(empty));
-        g.add_edge_str(a, "to-full", Value::Node(full));
-        let d = dangling_edges(&g);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].2, empty);
     }
 
     #[test]

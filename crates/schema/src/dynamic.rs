@@ -554,10 +554,7 @@ impl DynamicSite {
     /// The current `(epoch, database)` pair, read consistently: the epoch
     /// is bumped under the database write lock, so holding the read lock
     /// across both reads guarantees the epoch stamps exactly this
-    /// snapshot. Prepared plans and cache inserts are keyed by it, and
-    /// the serving layer's epoch-published snapshot promotion fences
-    /// against it — a snapshot built at one epoch is never published
-    /// under another.
+    /// snapshot. Prepared plans and cache inserts are keyed by it.
     pub fn snapshot(&self) -> (u64, Arc<Database>) {
         let db = self.db.read().unwrap();
         (self.epoch.load(Ordering::Acquire), db.clone())

@@ -44,8 +44,8 @@
 //!                                      S: per-core service shards, a
 //!                                      number or "auto" — requests route
 //!                                      by path hash, each shard owns its
-//!                                      caches, reads are lock-free
-//!                                      epoch-published snapshots;
+//!                                      caches, reads take one
+//!                                      uncontended shard read lock;
 //!                                      W: warmup workers, a number or
 //!                                      "auto" — pre-renders every page
 //!                                      before accepting requests;

@@ -17,7 +17,7 @@
 //!   Pipelined requests already buffered are parsed immediately.
 //! * **A warm hit is answered where it is read.** For every complete
 //!   GET/HEAD the reactor first asks [`ClickService::try_warm`] on its
-//!   own thread. A hit — a page in the published HTML tier — is written
+//!   own thread. A hit — a page in the HTML cache — is written
 //!   right there: the head is encoded into the connection's reused
 //!   buffer, the body stays the cache's shared `Arc<str>`, and one
 //!   `writev` sends both. A warm click on a kept-alive connection is
@@ -578,7 +578,7 @@ mod imp {
         }
 
         /// `Reading`: parses the next request out of the buffer and
-        /// starts answering it — a published-tier hit and protocol
+        /// starts answering it — a cache hit and protocol
         /// errors right here, everything else on the render pool.
         /// Returns whether a response is now queued (`Writing`).
         fn next_request(&mut self, idx: usize) -> bool {
@@ -686,7 +686,7 @@ mod imp {
             true
         }
 
-        /// Queues a published-tier hit: the head goes into the
+        /// Queues a cache hit: the head goes into the
         /// connection's reused buffer, the body stays the cache's shared
         /// allocation. Nothing the size of the page is copied.
         fn queue_hit(

@@ -41,7 +41,6 @@ pub mod cluster;
 mod event;
 pub mod metrics;
 pub mod proto;
-pub mod rcu;
 pub mod render;
 pub mod router;
 pub mod server;
@@ -221,8 +220,8 @@ impl DeltaGate {
     }
 
     /// Enters the single-writer section — concurrent deltas serialize
-    /// here, so one delta's invalidate-and-republish can never
-    /// interleave with another's and resurrect an evicted rendition —
+    /// here, so one delta's swap-and-invalidate can never interleave
+    /// with another's and resurrect an evicted rendition —
     /// and commits `delta` durably before the caller touches an engine.
     /// A poisoned lock is taken anyway: the guard carries no state, and
     /// a panicked predecessor must not wedge every later delta.
@@ -470,22 +469,21 @@ impl SiteService {
         response
     }
 
-    /// Answers a `/page/…` request from the published HTML tier, or
-    /// declines — the [`ClickService::try_warm`] fast path the epoll
-    /// reactor runs on its own thread, so it waits for nothing a delta,
-    /// a render or an invalidation can hold. It touches exactly: the
-    /// engine's snapshot lock through `try_read` (a delta keeps it
-    /// write-locked while it patches its dirty pages — hence *try*),
-    /// the published tier's version load and the entry's liveness flag
-    /// (plus a brief slot read when a publication moved it), and the route
-    /// histogram's read lock — beyond those only the push-sized
-    /// critical sections of the slow-request log (a hit at or over the
-    /// threshold) and of the tracer (while tracing is enabled). Every
-    /// other route, an armed [`FaultProbe`], a delta in flight and a
-    /// published-tier miss are `None`; the last three are counted by
-    /// reason. A hit records the route histogram, trace id and
-    /// `serve.request` span exactly as [`SiteService::handle`] would
-    /// have.
+    /// Answers a `/page/…` request from the HTML cache, or declines —
+    /// the [`ClickService::try_warm`] fast path the epoll reactor runs on
+    /// its own thread, so it waits for nothing a delta, a render or an
+    /// invalidation can hold. It touches exactly: the engine's snapshot
+    /// lock through `try_read` (a delta keeps it write-locked while it
+    /// patches its dirty pages — hence *try*), the page's cache shard
+    /// through `try_read` ([`HtmlCache::try_get`]; a render's insert or
+    /// an invalidation holds it for writing), and the route histogram's
+    /// read lock — beyond those only the push-sized critical sections of
+    /// the slow-request log (a hit at or over the threshold) and of the
+    /// tracer (while tracing is enabled). Every other route, an armed
+    /// [`FaultProbe`], a delta in flight, a cache miss and a contended
+    /// shard are `None`; the last four are counted by reason. A hit
+    /// records the route histogram, trace id and `serve.request` span
+    /// exactly as [`SiteService::handle`] would have.
     pub fn try_warm(&self, path: &str) -> Option<WarmHit> {
         let routed = path.split('?').next().unwrap_or(path);
         if !routed.starts_with("/page/") {
@@ -493,7 +491,7 @@ impl SiteService {
         }
         let start = Instant::now();
         let span = strudel_trace::span("serve.request");
-        match self.lookup_published(routed) {
+        match self.lookup_inline(routed) {
             Ok((key, page)) => {
                 drop(span);
                 self.inline_hits.fetch_add(1, Ordering::Relaxed);
@@ -513,7 +511,7 @@ impl SiteService {
         }
     }
 
-    fn lookup_published(&self, routed: &str) -> Result<(PageKey, CachedPage), InlineDecline> {
+    fn lookup_inline(&self, routed: &str) -> Result<(PageKey, CachedPage), InlineDecline> {
         if self.probes_armed.load(Ordering::Acquire) {
             return Err(InlineDecline::Probe);
         }
@@ -521,7 +519,7 @@ impl SiteService {
         let key = router::parse_page_path(routed, db.graph());
         drop(db);
         let key = key.ok_or(InlineDecline::Miss)?;
-        let page = self.cache.get_published(&key).ok_or(InlineDecline::Miss)?;
+        let page = self.cache.try_get(&key)?;
         Ok((key, page))
     }
 
@@ -657,10 +655,7 @@ impl SiteService {
             return Response::html(cached.html.to_string());
         }
         match self.render_into_cache(key) {
-            Ok(cached) => {
-                self.maybe_promote();
-                Response::html(cached.html.to_string())
-            }
+            Ok(cached) => Response::html(cached.html.to_string()),
             Err(e) => Response::error(&e),
         }
     }
@@ -685,16 +680,6 @@ impl SiteService {
         Ok(cached)
     }
 
-    /// Promotes the HTML cache's lock-free published snapshot once
-    /// enough fresh renditions accumulated, fenced against a delta
-    /// landing between the epoch read and the publication.
-    fn maybe_promote(&self) {
-        if self.cache.needs_promotion() {
-            let epoch = self.engine.epoch();
-            self.cache.promote_if(|| self.engine.epoch() == epoch);
-        }
-    }
-
     /// Pre-renders every page reachable from the root collection into the
     /// HTML cache, level by level from the roots, rendering each level's
     /// pages across `parallelism` workers. After warmup, first hits serve
@@ -710,7 +695,7 @@ impl SiteService {
     /// level by level from the roots, each page rendered once into the
     /// cache of the core that owns its URL
     /// ([`router::shard_of_path`]; the unsharded service is the one-core
-    /// case), then every core publishes its warm-click snapshot.
+    /// case).
     pub(crate) fn warm_cores(
         cores: &[SiteService],
         parallelism: Parallelism,
@@ -747,12 +732,6 @@ impl SiteService {
                 }
             }
             frontier = next;
-        }
-        // Publish everything just warmed as the lock-free snapshot, so
-        // the very first click after warmup already skips the locks.
-        for core in cores {
-            let epoch = core.engine.epoch();
-            core.cache.promote_if(|| core.engine.epoch() == epoch);
         }
         Ok(WarmupReport {
             pages,

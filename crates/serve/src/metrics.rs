@@ -302,12 +302,9 @@ pub struct CacheSnapshot {
     pub evictions: u64,
     /// Entries currently cached.
     pub entries: u64,
-    /// Hits served from the RCU-published snapshot (no lock taken).
+    /// Hits answered by [`crate::HtmlCache::try_get`], the reactor's
+    /// never-waiting lookup (equal to the inline hits).
     pub published_hits: u64,
-    /// Entries currently servable from the published snapshot.
-    pub published_entries: u64,
-    /// Snapshot promotions published so far.
-    pub promotions: u64,
 }
 
 impl CacheSnapshot {
@@ -329,8 +326,6 @@ impl AddAssign for CacheSnapshot {
         self.evictions += s.evictions;
         self.entries += s.entries;
         self.published_hits += s.published_hits;
-        self.published_entries += s.published_entries;
-        self.promotions += s.promotions;
     }
 }
 
@@ -338,21 +333,25 @@ impl AddAssign for CacheSnapshot {
 /// then went through the render pool instead.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InlineDecline {
-    /// Not in the published tier (never rendered, evicted, or rendered
-    /// but not promoted yet), or a `/page/…` URL that names no page.
+    /// Not cached (never rendered, or evicted), or a `/page/…` URL that
+    /// names no page.
     Miss,
     /// A delta held the engine's snapshot lock.
     DeltaInFlight,
     /// A [`crate::FaultProbe`] is armed; probes fire on the pool only.
     Probe,
+    /// A writer (an insert or an invalidation) held or awaited the
+    /// page's cache shard.
+    Contended,
 }
 
 impl InlineDecline {
     /// Every reason, in `reason as usize` order.
-    pub const ALL: [InlineDecline; 3] = [
+    pub const ALL: [InlineDecline; 4] = [
         InlineDecline::Miss,
         InlineDecline::DeltaInFlight,
         InlineDecline::Probe,
+        InlineDecline::Contended,
     ];
 
     /// The `reason` label on `/metrics`.
@@ -361,6 +360,7 @@ impl InlineDecline {
             InlineDecline::Miss => "miss",
             InlineDecline::DeltaInFlight => "delta_in_flight",
             InlineDecline::Probe => "probe",
+            InlineDecline::Contended => "contended",
         }
     }
 }
@@ -538,8 +538,6 @@ impl ServerStats {
                 ("strudel_html_cache_evictions_total", cache.evictions),
                 ("strudel_html_cache_entries", cache.entries),
                 ("strudel_html_cache_published_hits_total", cache.published_hits),
-                ("strudel_html_cache_published_entries", cache.published_entries),
-                ("strudel_html_cache_promotions_total", cache.promotions),
             ],
         );
         let _ = writeln!(out, "strudel_html_cache_hit_rate {:.4}", cache.hit_rate());
@@ -697,8 +695,6 @@ mod tests {
                 evictions: 0,
                 entries: 1,
                 published_hits: 2,
-                published_entries: 1,
-                promotions: 1,
             },
             engine: strudel_schema::dynamic::Metrics {
                 diff_pages_updated: 5,
@@ -719,7 +715,7 @@ mod tests {
             idle_closed: 8,
             inline: InlineSnapshot {
                 hits: 13,
-                declined: [1, 2, 3],
+                declined: [1, 2, 3, 4],
                 pool_dispatches: 14,
             },
             store_poisoned: false,
@@ -740,13 +736,12 @@ mod tests {
         assert!(text.contains("strudel_inline_declined_total{reason=\"miss\"} 1"));
         assert!(text.contains("strudel_inline_declined_total{reason=\"delta_in_flight\"} 2"));
         assert!(text.contains("strudel_inline_declined_total{reason=\"probe\"} 3"));
+        assert!(text.contains("strudel_inline_declined_total{reason=\"contended\"} 4"));
         assert!(text.contains("strudel_store_poisoned 0"));
         assert!(text.contains("strudel_trace_counter{name=\"serve.request\"} 7"));
         assert!(text.contains("strudel_route_requests_total{route=\"front\"} 1"));
         assert!(text.contains("strudel_html_cache_hit_rate 0.7500"));
         assert!(text.contains("strudel_html_cache_published_hits_total 2"));
-        assert!(text.contains("strudel_html_cache_published_entries 1"));
-        assert!(text.contains("strudel_html_cache_promotions_total 1"));
         assert!(text.contains("strudel_request_latency_us{quantile=\"0.5\"} 50"));
         assert!(text.contains("strudel_request_latency_us_bucket{le=\"50\"} 1"));
         assert!(text.contains("strudel_request_latency_us_bucket{le=\"+Inf\"} 1"));

@@ -6,10 +6,9 @@
 //! path ([`crate::router::shard_of_path`]) — the same page always lands
 //! on the same shard, across restarts and deltas. Each shard owns its
 //! *own* click-time engine (page-view cache + compiled-guard cache) and
-//! its own HTML cache with an RCU-published warm-click snapshot, so
-//! shards share **no mutable state** on the read path: a warm click
-//! touches only its shard's published pointer — no lock, no cross-core
-//! cache-line bouncing. This is the share-nothing horizontal-scaling
+//! its own HTML cache, so shards share **no mutable state** on the read
+//! path: a warm click touches only its shard's cache — one uncontended
+//! read lock, no cross-core cache-line bouncing. This is the share-nothing horizontal-scaling
 //! shape the ROADMAP's cross-process consistent-hash router extends.
 //!
 //! Writes are the opposite: a single writer serializes every
@@ -209,9 +208,9 @@ impl ShardedService {
     }
 
     /// Pre-renders every reachable page into its *owner shard's* cache —
-    /// each page is rendered once, on the shard that will serve it, then
-    /// every shard publishes its warm-click snapshot. BFS level by level
-    /// from the roots, fanned across `parallelism` workers.
+    /// each page is rendered once, on the shard that will serve it. BFS
+    /// level by level from the roots, fanned across `parallelism`
+    /// workers.
     pub fn warm(&self, parallelism: Parallelism) -> Result<WarmupReport, ServeError> {
         SiteService::warm_cores(&self.shards, parallelism)
     }
@@ -304,7 +303,6 @@ impl ShardedService {
                     ),
                     (&row("strudel_shard_epoch"), s.engine().epoch()),
                     (&row("strudel_shard_html_cache_entries"), cache.entries),
-                    (&row("strudel_shard_published_entries"), cache.published_entries),
                     (&row("strudel_shard_published_hits_total"), cache.published_hits),
                 ],
             );

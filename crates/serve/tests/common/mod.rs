@@ -121,8 +121,6 @@ pub fn standard_metric_rows(routes: &[&str]) -> Vec<String> {
             "strudel_html_cache_evictions_total",
             "strudel_html_cache_entries",
             "strudel_html_cache_published_hits_total",
-            "strudel_html_cache_published_entries",
-            "strudel_html_cache_promotions_total",
             "strudel_html_cache_hit_rate",
             "strudel_engine_clicks_total",
             "strudel_engine_queries_total",
@@ -150,6 +148,7 @@ pub fn standard_metric_rows(routes: &[&str]) -> Vec<String> {
             "strudel_inline_declined_total{reason=\"miss\"}",
             "strudel_inline_declined_total{reason=\"delta_in_flight\"}",
             "strudel_inline_declined_total{reason=\"probe\"}",
+            "strudel_inline_declined_total{reason=\"contended\"}",
             "strudel_store_poisoned",
         ]
         .map(String::from),

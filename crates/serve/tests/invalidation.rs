@@ -309,8 +309,7 @@ fn rejected_delta_leaves_service_intact() {
 /// rendition passed the HTML cache's epoch fence after
 /// `HtmlCache::invalidate` had already run — the page stayed stale until
 /// some later delta dirtied it again. `read_epoch` is how the reader
-/// fences: `snapshot()` as `render_into_cache` does, or `epoch()` as
-/// `warm` and the sharded promote fence do.
+/// fences: `snapshot()` as `render_into_cache` does, or `epoch()`.
 fn reader_parked_in_the_swap_window(read_epoch: fn(&DynamicSite) -> u64) {
     let service = service();
     let x = article_key(&service, "a1");

@@ -348,8 +348,8 @@ fn os_thread_count() -> usize {
         .unwrap_or(0)
 }
 
-/// A warmed server (every page in the published tier, so every page
-/// click is an inline hit) and its `/page/…` URLs.
+/// A warmed server (every page cached, so every page click is an
+/// inline hit) and its `/page/…` URLs.
 fn start_warm() -> (Arc<SiteService>, strudel_serve::ServerHandle, Vec<String>) {
     let (service, server) = start(epoll_config());
     service.warm(Parallelism::Threads(2)).unwrap();
@@ -510,7 +510,6 @@ fn a_body_larger_than_the_socket_buffer_reaches_a_slow_reader_intact() {
         },
         || true,
     );
-    assert!(service.cache().promote_if(|| true));
 
     let hits_before = service.inline_stats().hits;
     let stream = connect(addr);

@@ -101,7 +101,6 @@ fn the_sharded_front_appends_its_shard_rows_to_the_standard_ones() {
             "latency_us{shard=\"#\",quantile=\"0.99\"}",
             "epoch{shard=\"#\"}",
             "html_cache_entries{shard=\"#\"}",
-            "published_entries{shard=\"#\"}",
             "published_hits_total{shard=\"#\"}",
         ] {
             expected.push(format!("strudel_shard_{}", row.replace('#', &shard.to_string())));

@@ -26,8 +26,8 @@ fn service() -> Arc<SiteService> {
     Arc::new(SiteService::new(&site, Mode::Context))
 }
 
-/// Warms `svc` and returns one of its pages: in the published tier, so
-/// the reactor would answer it inline — unless a probe is armed, which
+/// Warms `svc` and returns one of its pages: cached, so the reactor
+/// would answer it inline — unless a probe is armed, which
 /// must send every click through `handle` where probes fire.
 fn warm_page(svc: &SiteService) -> String {
     svc.warm(Parallelism::Threads(2)).unwrap();

@@ -234,7 +234,7 @@ fn sharded_service_serves_over_http_with_shard_metrics() {
                 (u, body)
             })
             .collect();
-        // Every page into its owner shard's published tier: the reactor
+        // Every page into its owner shard's cache: the reactor
         // answers those through the front's `try_warm`.
         sharded.warm(strudel_struql::Parallelism::Threads(2)).unwrap();
 
@@ -281,7 +281,7 @@ fn sharded_service_serves_over_http_with_shard_metrics() {
             "strudel_shard_requests_total{shard=\"0\"}",
             "strudel_shard_requests_total{shard=\"3\"}",
             "strudel_shard_epoch{shard=\"1\"}",
-            "strudel_shard_published_entries{shard=\"2\"}",
+            "strudel_shard_published_hits_total{shard=\"2\"}",
             "strudel_requests_total",
         ] {
             assert!(metrics.contains(needle), "missing {needle} in:\n{metrics}");
