@@ -14,6 +14,18 @@
 //! paged store read-only, which is what makes workers disposable — the
 //! supervisor's whole recovery story is "kill it and let it replay".
 //!
+//! **Forwarding.** Under the epoll transport a click does not leave the
+//! router's reactor thread. [`ClickService::try_forward`] takes an idle
+//! kept-alive socket from the owner worker's `Upstream`; the reactor
+//! writes the request, waits for the answer in the same `epoll_wait` as
+//! its client connections and writes it back ([`Forward`]). It never
+//! connects: an empty idle stack, and the one retry a stale socket
+//! earns, go to the render pool's blocking `Upstream::fetch` as before.
+//! Both paths settle an exchange through one policy — refresh the
+//! last-known-good copy on a fresh 200, answer that copy or a 503 on a
+//! failure, count the failure, book the route — so they cannot
+//! disagree.
+//!
 //! **Failover.** A crashed, hung, or restarting worker never surfaces
 //! as a connection reset. The router keeps a last-known-good cache of
 //! every 200 it has proxied; while a shard is down its routes serve
@@ -56,11 +68,15 @@ pub use fault::{FaultAction, FaultPlan, FaultTrigger, FAULT_PLAN_ENV};
 pub use worker::{run_worker, WorkerOptions, WorkerService};
 
 use crate::metrics::{push_rows, ServerMetrics};
+use crate::proto::ParsedResponse;
+use crate::server::{Body, Reply};
 use crate::{
     router, ClickService, DeltaGate, Response, ServeError, ServerStats, TransportCounters,
     WarmupReport,
 };
+use proxy::{Failed, Step, Upstream};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
@@ -149,16 +165,8 @@ pub struct ClusterService {
     /// Committed WAL deltas every live worker must have applied — the
     /// cross-process barrier epoch.
     target: AtomicU64,
-    /// Pre-built per-shard route labels.
-    shard_routes: Vec<String>,
-    metrics: ServerMetrics,
-    /// Last-known-good responses, per shard.
-    lkg: Vec<Lkg>,
-    /// Fresh 200s a full [`Lkg`] refused to remember.
-    lkg_dropped_total: AtomicU64,
-    degraded_total: AtomicU64,
-    unavailable_total: AtomicU64,
-    proxy_errors_total: AtomicU64,
+    /// What a proxied exchange comes to; each [`Forward`] holds a share.
+    policy: Arc<Policy>,
     transport: TransportCounters,
     stop: AtomicBool,
     monitor: Mutex<Option<std::thread::JoinHandle<()>>>,
@@ -197,13 +205,15 @@ impl ClusterService {
             run_dir,
             slots,
             target: AtomicU64::new(deltas.len() as u64),
-            shard_routes: (0..n).map(|i| format!("shard/{i}")).collect(),
-            metrics: ServerMetrics::new(),
-            lkg: (0..n).map(|_| Lkg::default()).collect(),
-            lkg_dropped_total: AtomicU64::new(0),
-            degraded_total: AtomicU64::new(0),
-            unavailable_total: AtomicU64::new(0),
-            proxy_errors_total: AtomicU64::new(0),
+            policy: Arc::new(Policy {
+                metrics: ServerMetrics::new(),
+                shard_routes: (0..n).map(|i| format!("shard/{i}")).collect(),
+                lkg: (0..n).map(|_| Lkg::default()).collect(),
+                lkg_dropped_total: AtomicU64::new(0),
+                degraded_total: AtomicU64::new(0),
+                unavailable_total: AtomicU64::new(0),
+                proxy_errors_total: AtomicU64::new(0),
+            }),
             transport: TransportCounters::default(),
             stop: AtomicBool::new(false),
             monitor: Mutex::new(None),
@@ -352,57 +362,17 @@ impl ClusterService {
         false
     }
 
-    /// Serves one request: route by path hash, proxy to the owner
-    /// worker, fall back to the last-known-good copy (marked stale)
-    /// when the worker can't answer.
-    fn dispatch(&self, path: &str) -> (&str, Response) {
-        let routed = path.split('?').next().unwrap_or(path);
-        match routed {
-            "/metrics" => ("metrics", Response::text(self.stats_text())),
-            "/healthz" => ("healthz", Response::text("ok\n".into())),
-            "/readyz" => {
-                let fleet = (self.ready_workers(), self.slots.len());
-                ("readyz", self.gate.readyz(Some(fleet)))
-            }
-            _ => {
-                let shard = router::shard_of_path(routed, self.slots.len());
-                (self.shard_routes[shard].as_str(), self.proxy_to(shard, routed))
-            }
-        }
-    }
-
-    fn proxy_to(&self, shard: usize, routed: &str) -> Response {
-        if let Some(upstream) = self.slots[shard].upstream() {
-            match upstream.fetch(routed, self.config.request_deadline) {
-                Ok(parsed) => {
-                    let response = Response {
-                        status: parsed.status,
-                        content_type: static_content_type(&parsed.content_type),
-                        body: parsed.body,
-                        degraded: parsed.degraded,
-                    };
-                    if response.status == 200
-                        && !response.degraded
-                        && !self.lkg[shard].remember(routed, &response)
-                    {
-                        self.lkg_dropped_total.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return response;
-                }
-                Err(_) => {
-                    self.proxy_errors_total.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        // Degraded path: the worker is down or unreachable. Serve the
-        // last fresh copy, marked stale — never a reset.
-        if let Some(mut cached) = self.lkg[shard].get(routed) {
-            cached.degraded = true;
-            self.degraded_total.fetch_add(1, Ordering::Relaxed);
-            return cached;
-        }
-        self.unavailable_total.fetch_add(1, Ordering::Relaxed);
-        Response::status_text(503, "shard temporarily unavailable, retry shortly\n".into())
+    /// Proxies `routed` to the worker that owns it by path hash, on the
+    /// calling thread — it may block, up to the request deadline — and
+    /// settles the answer: the worker's, or the last-known-good copy
+    /// marked stale when the worker can't answer. A click passes when
+    /// it `started`, for the route histogram.
+    fn proxy_to(&self, routed: &str, started: Option<Instant>) -> Reply {
+        let shard = router::shard_of_path(routed, self.slots.len());
+        let fetched = self.slots[shard]
+            .upstream()
+            .map(|upstream| upstream.fetch(routed, self.config.request_deadline));
+        self.policy.settle(shard, routed, fetched, started)
     }
 
     /// Aggregated stats in the standard [`ServerStats`] shape. Engine
@@ -410,7 +380,7 @@ impl ClusterService {
     /// their own `/metrics`.
     pub fn stats(&self) -> ServerStats {
         ServerStats::assemble(
-            &self.metrics,
+            &self.policy.metrics,
             Some(&self.transport),
             &[],
             self.delta_target(),
@@ -422,15 +392,16 @@ impl ClusterService {
     pub fn stats_text(&self) -> String {
         let mut out = self.stats().to_text();
         let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let policy = &self.policy;
         push_rows(
             &mut out,
             &[
                 ("strudel_cluster_workers", self.slots.len() as u64),
                 ("strudel_cluster_delta_epoch", self.delta_target()),
-                ("strudel_cluster_degraded_total", load(&self.degraded_total)),
-                ("strudel_cluster_lkg_dropped_total", load(&self.lkg_dropped_total)),
-                ("strudel_cluster_unavailable_total", load(&self.unavailable_total)),
-                ("strudel_cluster_proxy_errors_total", load(&self.proxy_errors_total)),
+                ("strudel_cluster_degraded_total", load(&policy.degraded_total)),
+                ("strudel_cluster_lkg_dropped_total", load(&policy.lkg_dropped_total)),
+                ("strudel_cluster_unavailable_total", load(&policy.unavailable_total)),
+                ("strudel_cluster_proxy_errors_total", load(&policy.proxy_errors_total)),
             ],
         );
         for (i, slot) in self.slots.iter().enumerate() {
@@ -449,6 +420,7 @@ impl ClusterService {
                     (&row("strudel_cluster_upstream_reuses_total"), load(&upstream.reuses)),
                     (&row("strudel_cluster_upstream_retries_total"), load(&upstream.retries)),
                     (&row("strudel_cluster_upstream_idle"), idle),
+                    (&row("strudel_cluster_upstream_forwards_total"), load(&upstream.forwards)),
                 ],
             );
         }
@@ -471,14 +443,13 @@ impl ClusterService {
             if pages >= MAX_PAGES {
                 break;
             }
-            let shard = router::shard_of_path(&path, self.slots.len());
-            let response = self.proxy_to(shard, &path);
-            if response.status != 200 {
+            let reply = self.proxy_to(&path, None);
+            if reply.status != 200 {
                 continue;
             }
             pages += 1;
             levels = levels.max(level + 1);
-            for href in extract_hrefs(&response.body) {
+            for href in extract_hrefs(reply.body.as_str()) {
                 if seen.insert(href.clone()) {
                     queue.push_back((href, level + 1));
                 }
@@ -487,7 +458,7 @@ impl ClusterService {
         Ok(WarmupReport {
             pages,
             levels,
-            elapsed_us: start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
+            elapsed_us: micros_since(start),
         })
     }
 }
@@ -503,11 +474,19 @@ impl Drop for ClusterService {
 /// percent-encoding variants of valid URLs can make the router hold.
 const LKG_CAP: usize = 16 * 1024;
 
-/// One shard's last-known-good responses: path → the latest fresh 200,
-/// served marked stale while the shard's worker is down.
+/// One shard's last-known-good pages: path → the latest fresh 200,
+/// served marked stale while the shard's worker is down. Bodies are
+/// shared: a degraded answer costs a refcount under the mutex, not a
+/// copy of the page.
 #[derive(Default)]
 struct Lkg {
-    map: Mutex<HashMap<String, Response>>,
+    map: Mutex<HashMap<String, LkgPage>>,
+}
+
+#[derive(Clone)]
+struct LkgPage {
+    content_type: &'static str,
+    body: Arc<str>,
 }
 
 impl Lkg {
@@ -516,26 +495,189 @@ impl Lkg {
     /// a body copy. Returns `false` when the map is full and `path` is
     /// not in it: the response is not remembered.
     fn remember(&self, path: &str, response: &Response) -> bool {
+        let page = || LkgPage {
+            content_type: response.content_type,
+            body: response.body.as_str().into(),
+        };
         let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(stored) = map.get_mut(path) {
-            if stored.body != response.body || stored.content_type != response.content_type {
-                *stored = response.clone();
+            if *stored.body != *response.body || stored.content_type != response.content_type {
+                *stored = page();
             }
             return true;
         }
         if map.len() >= LKG_CAP {
             return false;
         }
-        map.insert(path.to_owned(), response.clone());
+        map.insert(path.to_owned(), page());
         true
     }
 
-    fn get(&self, path: &str) -> Option<Response> {
+    fn get(&self, path: &str) -> Option<LkgPage> {
         self.map
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .get(path)
             .cloned()
+    }
+}
+
+/// What the router makes of a proxied exchange. One function for both
+/// paths a click takes — the pool's [`ClusterService::proxy_to`] and the
+/// reactor's [`Forward`] — so the two cannot disagree.
+struct Policy {
+    /// Request totals and the route histogram.
+    metrics: ServerMetrics,
+    /// Pre-built per-shard route labels.
+    shard_routes: Vec<String>,
+    /// Last-known-good pages, per shard.
+    lkg: Vec<Lkg>,
+    /// Fresh 200s a full [`Lkg`] refused to remember.
+    lkg_dropped_total: AtomicU64,
+    degraded_total: AtomicU64,
+    unavailable_total: AtomicU64,
+    proxy_errors_total: AtomicU64,
+}
+
+impl Policy {
+    /// Settles one proxied request. `fetched` is the worker's answer or
+    /// the exchange's error, `None` when no worker was up to ask. A fresh
+    /// 200 refreshes the last-known-good copy; a failure is counted and
+    /// answered from that copy, marked stale — never a reset — or, for a
+    /// path never seen fresh, with a 503. A click books its latency since
+    /// it `started` under its shard's route; the warm crawl passes `None`.
+    fn settle(
+        &self,
+        shard: usize,
+        routed: &str,
+        fetched: Option<io::Result<ParsedResponse>>,
+        started: Option<Instant>,
+    ) -> Reply {
+        let reply = match fetched {
+            Some(Ok(parsed)) => {
+                let response = Response {
+                    status: parsed.status,
+                    content_type: static_content_type(&parsed.content_type),
+                    body: parsed.body,
+                    degraded: parsed.degraded,
+                };
+                if response.status == 200
+                    && !response.degraded
+                    && !self.lkg[shard].remember(routed, &response)
+                {
+                    self.lkg_dropped_total.fetch_add(1, Ordering::Relaxed);
+                }
+                response.into()
+            }
+            failed => {
+                if failed.is_some() {
+                    self.proxy_errors_total.fetch_add(1, Ordering::Relaxed);
+                }
+                self.stale_copy(shard, routed)
+            }
+        };
+        if let Some(started) = started {
+            self.metrics.record(&self.shard_routes[shard], micros_since(started));
+        }
+        reply
+    }
+
+    fn stale_copy(&self, shard: usize, routed: &str) -> Reply {
+        if let Some(page) = self.lkg[shard].get(routed) {
+            self.degraded_total.fetch_add(1, Ordering::Relaxed);
+            return Reply {
+                status: 200,
+                content_type: page.content_type,
+                body: Body::Shared(page.body),
+                degraded: true,
+            };
+        }
+        self.unavailable_total.fetch_add(1, Ordering::Relaxed);
+        Response::status_text(503, "shard temporarily unavailable, retry shortly\n".into()).into()
+    }
+}
+
+/// A click the router's epoll reactor forwards itself
+/// ([`ClickService::try_forward`]): an idle kept-alive socket taken from
+/// the owner worker's `Upstream`, the exchange on it, and the click it
+/// settles. The reactor registers the socket in its epoll set, drives
+/// the exchange without waiting and settles it when it ends, fails or
+/// runs out of time.
+pub struct Forward {
+    conn: proxy::Conn,
+    exchange: proxy::Exchange,
+    click: Click,
+}
+
+/// A proxied click apart from its socket: where it goes, by when, and
+/// what settles it.
+pub(crate) struct Click {
+    upstream: Arc<Upstream>,
+    shard: usize,
+    routed: String,
+    until: Instant,
+    started: Instant,
+    policy: Arc<Policy>,
+}
+
+impl Forward {
+    /// The upstream socket, for the reactor's epoll set.
+    pub(crate) fn socket(&self) -> &std::net::TcpStream {
+        self.conn.socket()
+    }
+
+    /// Whether request bytes are still to be written: the socket waits
+    /// to be writable, not readable.
+    pub(crate) fn writing(&self) -> bool {
+        !self.exchange.unsent().is_empty()
+    }
+
+    /// The click's deadline, which the reactor's sweep enforces.
+    pub(crate) fn until(&self) -> Instant {
+        self.click.until
+    }
+
+    /// Moves the exchange on as far as the socket allows, never waiting.
+    pub(crate) fn pump(&mut self) -> Step {
+        self.conn.pump(&mut self.exchange)
+    }
+
+    /// Ends the forward: `failed` is `None` once [`Forward::pump`] came
+    /// to `Done`. A complete exchange returns its socket to the stack; a
+    /// failed one drops it. A stale reused socket earns the click its one
+    /// retry (`Err`), which connects and so runs on the render pool
+    /// ([`Click::refetch`]); everything else is settled here.
+    pub(crate) fn settle(self, failed: Option<Failed>) -> Result<Reply, Click> {
+        let Forward {
+            mut conn,
+            exchange,
+            click,
+        } = self;
+        let fetched = match failed {
+            None => {
+                let done = conn.end(exchange);
+                Ok(click.upstream.finish(conn, done))
+            }
+            Some(failed) => match click.upstream.retry_rule(failed) {
+                Ok(()) => return Err(click),
+                Err(error) => Err(error),
+            },
+        };
+        Ok(click.settle(Some(fetched)))
+    }
+}
+
+impl Click {
+    /// The retry a stale socket earned: one exchange on a fresh
+    /// connection by the click's deadline, blocking — a pool thread's job.
+    pub(crate) fn refetch(self) -> Response {
+        let fetched = self.upstream.fetch_fresh(&self.routed, self.until);
+        self.settle(Some(fetched)).into_response()
+    }
+
+    fn settle(&self, fetched: Option<io::Result<ParsedResponse>>) -> Reply {
+        self.policy
+            .settle(self.shard, &self.routed, fetched, Some(self.started))
     }
 }
 
@@ -550,12 +692,48 @@ pub struct ClusterDeltaOutcome {
 }
 
 impl ClickService for ClusterService {
+    /// Serves one request on the calling thread: the router's own
+    /// endpoints, or a click proxied with [`ClusterService::proxy_to`].
     fn handle(&self, path: &str) -> Response {
         let start = Instant::now();
-        let (route, response) = self.dispatch(path);
-        let us = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        self.metrics.record(route, us);
+        let routed = path.split('?').next().unwrap_or(path);
+        let (route, response) = match routed {
+            "/metrics" => ("metrics", Response::text(self.stats_text())),
+            "/healthz" => ("healthz", Response::text("ok\n".into())),
+            "/readyz" => {
+                let fleet = (self.ready_workers(), self.slots.len());
+                ("readyz", self.gate.readyz(Some(fleet)))
+            }
+            // A click books its own route when it settles.
+            _ => return self.proxy_to(routed, Some(start)).into_response(),
+        };
+        self.policy.metrics.record(route, micros_since(start));
         response
+    }
+    /// A click to a worker with an idle socket: the reactor forwards it
+    /// (see [`Forward`]). The route and idle-stack locks are held for an
+    /// `Arc` clone and a pop; nothing here connects or waits.
+    fn try_forward(&self, path: &str) -> Option<Forward> {
+        let started = Instant::now();
+        let routed = path.split('?').next().unwrap_or(path);
+        if matches!(routed, "/metrics" | "/healthz" | "/readyz") {
+            return None;
+        }
+        let shard = router::shard_of_path(routed, self.slots.len());
+        let upstream = self.slots[shard].upstream()?;
+        let mut conn = upstream.take_idle()?;
+        Some(Forward {
+            exchange: conn.start(routed),
+            conn,
+            click: Click {
+                upstream,
+                shard,
+                routed: routed.to_owned(),
+                until: started + self.config.request_deadline,
+                started,
+                policy: Arc::clone(&self.policy),
+            },
+        })
     }
     fn warm(&self, _parallelism: Parallelism) -> Result<WarmupReport, ServeError> {
         self.crawl_warm()
@@ -563,6 +741,10 @@ impl ClickService for ClusterService {
     fn transport(&self) -> Option<&TransportCounters> {
         Some(&self.transport)
     }
+}
+
+fn micros_since(start: Instant) -> u64 {
+    start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
 }
 
 /// Maps a proxied `Content-Type` back onto the static strings
@@ -617,7 +799,7 @@ mod tests {
             "same bytes: the stored copy was left alone"
         );
         assert!(lkg.remember("/page/A", &Response::html("<p>v2</p>".into())));
-        assert_eq!(lkg.get("/page/A").unwrap().body, "<p>v2</p>");
+        assert_eq!(&*lkg.get("/page/A").unwrap().body, "<p>v2</p>");
     }
 
     #[test]
@@ -632,7 +814,7 @@ mod tests {
         assert_eq!(lkg.map.lock().unwrap().len(), LKG_CAP);
         assert!(lkg.get("/page/A/i:%30").is_none());
         assert!(lkg.remember("/page/A/i:0", &Response::html("<p>v2</p>".into())));
-        assert_eq!(lkg.get("/page/A/i:0").unwrap().body, "<p>v2</p>");
+        assert_eq!(&*lkg.get("/page/A/i:0").unwrap().body, "<p>v2</p>");
     }
 
     #[test]

@@ -23,32 +23,51 @@
 //!   `writev` sends both. A warm click on a kept-alive connection is
 //!   `epoll_wait`, `read`, `writev`: no `epoll_ctl`, no channel, no
 //!   `eventfd`, no cross-thread wake-up, no copy of the page.
+//! * **A proxied click is forwarded where it is read.** What `try_warm`
+//!   declines the reactor offers [`ClickService::try_forward`]; the
+//!   cluster router answers with an idle kept-alive socket to the owner
+//!   worker. The socket joins the epoll set under a token of its own,
+//!   the reactor writes the request, and the worker's answer is read
+//!   and written back like a hit — head encoded, body written from
+//!   where it was read. A proxied click is `read`, `write` upstream,
+//!   `epoll_wait`, `read` upstream, `writev`: no channel, no `eventfd`,
+//!   no render thread.
 //! * **A render pool** ([`ServerConfig::workers`] threads) runs
-//!   [`ClickService::handle`] for whatever `try_warm` declined —
-//!   renders, proxies, `/metrics`, `/debug/*`, misses — so a slow page
-//!   render never stalls the event loop. Completions come back over a
-//!   queue and an `eventfd` wakeup. When the pool's bounded queue is
-//!   full, the request sheds with `503` + `Retry-After`, exactly like
-//!   the thread transport's backlog.
+//!   [`ClickService::handle`] for whatever both declined — renders,
+//!   proxies without an idle socket, `/metrics`, `/debug/*`, misses —
+//!   so a slow page render never stalls the event loop, and it runs the
+//!   one retry a stale forwarded socket earns, because that connects.
+//!   Completions come back over a queue and an `eventfd` wakeup. When
+//!   the pool's bounded queue is full, the request sheds with `503` +
+//!   `Retry-After`, exactly like the thread transport's backlog.
 //!
 //! The reactor thread is the one thread nothing else can stand in for,
 //! so it may only run code that cannot wait. That is the `try_warm`
 //! contract — *never block, never render, never run a fault hook* —
 //! stated on the trait method; what [`crate::SiteService::try_warm`]
 //! touches (and why the engine's snapshot lock is a `try_read`) is
-//! stated there. `try_warm` runs under `catch_unwind`: a panic is
-//! counted and the request falls through to the pool.
+//! stated there. `try_forward` holds to the same contract — *never
+//! connect, never block*: the locks it takes (the shard's route, the
+//! idle stack) and the last-known-good mutex a forward settles under
+//! are held only for an `Arc` clone, a pop or push, or a compare. Both
+//! run under `catch_unwind`: a panic is counted and the request falls
+//! through to the pool.
 //!
 //! Per-connection lifecycle:
 //!
 //! ```text
 //! Reading ──► inline hit ─────────────► Writing ──► Reading (keep-alive)
 //!    │                                     ▲    ├─► Draining ──► closed
-//!    └──────► Dispatched (render pool) ────┘    └─► closed
+//!    ├──────► Forwarding (upstream) ───────┤    └─► closed
+//!    │             │ stale socket: retry   │
+//!    │             ▼                       │
+//!    └──────► Dispatched (render pool) ────┘
 //! ```
 //!
-//! `Reading` accumulates and incrementally parses a head; `Dispatched`
-//! means the render pool owns the request; `Writing` flushes head and
+//! `Reading` accumulates and incrementally parses a head; `Forwarding`
+//! means an upstream exchange the reactor drives owns the request (a
+//! stale socket's retry goes on to `Dispatched`); `Dispatched` means
+//! the render pool owns the request; `Writing` flushes head and
 //! body, resuming a partial write on `EPOLLOUT` wherever it stopped;
 //! `Draining` sinks the client's unread bytes briefly so closing
 //! doesn't RST the response away. One flat loop (`advance`) walks a
@@ -63,7 +82,8 @@
 //! wake-up: an idle keep-alive connection closes after
 //! [`ServerConfig::keepalive_timeout`] (counted on `/metrics`), a
 //! partial head older than [`ServerConfig::timeout`] answers `408`
-//! (slow-loris), a stalled response write is cut off, and a failed
+//! (slow-loris), a forward past its request deadline settles as a
+//! failed exchange, a stalled response write is cut off, and a failed
 //! `accept` deregisters the listener for
 //! [`crate::server::ACCEPT_ERROR_BACKOFF`] instead of spinning.
 
@@ -72,9 +92,11 @@ use crate::server::ClickService;
 #[cfg(target_os = "linux")]
 mod imp {
     use super::ClickService;
+    use crate::cluster::proxy::{Failed, Step};
+    use crate::cluster::{Click, Forward};
     use crate::proto::{self, ParseOutcome};
     use crate::server::{
-        ServerConfig, ServerHandle, WarmHit, ACCEPT_ERROR_BACKOFF, MAX_REQUEST_BYTES,
+        Body, Reply, ServerConfig, ServerHandle, ACCEPT_ERROR_BACKOFF, MAX_REQUEST_BYTES,
     };
     use crate::Response;
     use std::collections::VecDeque;
@@ -103,8 +125,12 @@ mod imp {
     /// Token of the wakeup eventfd.
     const WAKEUP: u64 = u64::MAX - 1;
     /// Connection tokens are `generation << 32 | slot`; the generation
-    /// keeps 31 bits so no token can collide with the two above.
-    const GEN_MASK: u32 = 0x7fff_ffff;
+    /// keeps 30 bits so no token can collide with the two above.
+    const GEN_MASK: u32 = 0x3fff_ffff;
+    /// Set on the token of a forward's upstream socket, beside its
+    /// client connection's token: the slot's generation check rejects
+    /// its stale events too.
+    const UPSTREAM: u64 = 1 << 62;
 
     fn token_for(idx: usize, gen: u32) -> u64 {
         (((gen & GEN_MASK) as u64) << 32) | idx as u64
@@ -114,6 +140,18 @@ mod imp {
     struct Job {
         token: u64,
         path: String,
+        /// A forwarded click whose stale socket earned it a retry on a
+        /// fresh connection: the pool runs that instead of `handle`.
+        refetch: Option<Click>,
+        head_only: bool,
+        keep_alive: bool,
+    }
+
+    /// A click the reactor is forwarding, and how to answer it.
+    struct Forwarding {
+        forward: Forward,
+        /// The epoll interest its upstream socket is registered with.
+        interest: u32,
         head_only: bool,
         keep_alive: bool,
     }
@@ -128,6 +166,10 @@ mod imp {
     enum State {
         /// Accumulating request bytes; parse on every read.
         Reading,
+        /// An upstream exchange the reactor drives owns the request. The
+        /// client socket has no interest, as when `Dispatched`; a
+        /// hangup closes it and drops the upstream socket.
+        Forwarding(Box<Forwarding>),
         /// The render pool owns the request; no socket interest (errors
         /// and hangups are still delivered and close the connection).
         Dispatched,
@@ -146,12 +188,12 @@ mod imp {
         /// Unparsed request bytes.
         buf: Vec<u8>,
         /// Encoded bytes being written: a whole response from the pool,
-        /// or just the head of an inline hit (the allocation is reused
-        /// from one head to the next).
+        /// or just the head of an inline hit or a forwarded click (the
+        /// allocation is reused from one head to the next).
         out: Vec<u8>,
-        /// An inline hit's body, written after `out` straight from the
-        /// cache's shared allocation.
-        body: Option<Arc<str>>,
+        /// The body of an inline hit or a forwarded click, written after
+        /// `out` from where it already is.
+        body: Option<Body>,
         /// Bytes of `out` + `body` already written.
         out_pos: usize,
         /// Whether the connection survives the current response.
@@ -173,7 +215,7 @@ mod imp {
 
     impl Conn {
         /// Starts writing a response: what is in `out`, then `body`.
-        fn queue(&mut self, body: Option<Arc<str>>, keep_alive: bool, drain: bool) {
+        fn queue(&mut self, body: Option<Body>, keep_alive: bool, drain: bool) {
             self.body = body;
             self.out_pos = 0;
             self.keep_alive_after = keep_alive;
@@ -243,9 +285,11 @@ mod imp {
                         // panics, so anything escaping here is a bug in
                         // the dispatch plumbing — answer 500, count it,
                         // keep the worker.
-                        let rendered = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            service.handle(&job.path)
-                        }));
+                        let rendered =
+                            std::panic::catch_unwind(AssertUnwindSafe(|| match job.refetch {
+                                Some(click) => click.refetch(),
+                                None => service.handle(&job.path),
+                            }));
                         let (response, keep_alive) = match rendered {
                             Ok(r) => (r, job.keep_alive),
                             Err(_) => {
@@ -314,6 +358,7 @@ mod imp {
                         self.wakeup.drain();
                         woken = true;
                     }
+                    token if token & UPSTREAM != 0 => self.upstream_event(token ^ UPSTREAM),
                     token => self.conn_event(token, ev.events),
                 }
             }
@@ -340,7 +385,10 @@ mod imp {
             let deadline = Instant::now() + self.request_timeout.min(Duration::from_secs(2));
             while Instant::now() < deadline {
                 let busy = self.conns.iter().flatten().any(|c| {
-                    matches!(c.state, State::Dispatched | State::Writing)
+                    matches!(
+                        c.state,
+                        State::Forwarding(_) | State::Dispatched | State::Writing
+                    )
                 });
                 if !busy {
                     break;
@@ -442,6 +490,11 @@ mod imp {
                 return;
             };
             let _ = self.epoll.del(conn.fd);
+            if let State::Forwarding(f) = &conn.state {
+                // The exchange is abandoned mid-way: its socket closes
+                // with it and never goes back on the stack.
+                let _ = self.epoll.del(f.forward.socket().as_raw_fd());
+            }
             self.generations[idx] = conn.gen.wrapping_add(1) & GEN_MASK;
             self.free.push(idx);
             self.open -= 1;
@@ -569,7 +622,7 @@ mod imp {
                 let goes_on = match conn.state {
                     State::Reading => self.next_request(idx),
                     State::Writing => self.flush(idx),
-                    State::Dispatched | State::Draining(_) => false,
+                    State::Forwarding(_) | State::Dispatched | State::Draining(_) => false,
                 };
                 if !goes_on {
                     return;
@@ -609,21 +662,125 @@ mod imp {
                     conn.served += 1;
                     conn.request_started = None;
                     let (head_only, keep_alive) = (request.head_only(), request.keep_alive);
-                    // `try_warm` promises not to block; it cannot promise
-                    // not to panic, and the reactor must outlive a bug in
-                    // it: count it and let the pool answer.
-                    let hit = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        self.service.try_warm(&request.path)
+                    // `try_warm` and `try_forward` promise not to block;
+                    // they cannot promise not to panic, and the reactor
+                    // must outlive a bug in them: count it and let the
+                    // pool answer.
+                    let inline = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        let service = &self.service;
+                        match service.try_warm(&request.path) {
+                            Some(hit) => Some(Ok(hit)),
+                            None => service.try_forward(&request.path).map(Err),
+                        }
                     }))
                     .unwrap_or_else(|_| {
                         self.service.note_panic();
                         None
                     });
-                    match hit {
-                        Some(hit) => self.queue_hit(idx, hit, head_only, keep_alive),
-                        None => self.dispatch(idx, request.path, head_only, keep_alive),
+                    match inline {
+                        Some(Ok(hit)) => self.queue_reply(idx, hit.into(), head_only, keep_alive),
+                        Some(Err(forward)) => self.forward(idx, forward, head_only, keep_alive),
+                        None => self.dispatch(idx, request.path, None, head_only, keep_alive),
                     }
                 }
+            }
+        }
+
+        /// Starts forwarding a click (`Forwarding`): sends the request
+        /// and registers the upstream socket for the answer. Returns
+        /// whether a response is queued — when the exchange is already
+        /// over.
+        fn forward(
+            &mut self,
+            idx: usize,
+            mut forward: Forward,
+            head_only: bool,
+            keep_alive: bool,
+        ) -> bool {
+            let Some(conn) = self.conns[idx].as_mut() else {
+                return false;
+            };
+            let step = forward.pump();
+            let interest = if forward.writing() { EPOLLOUT } else { EPOLLIN };
+            let (fd, token) = (forward.socket().as_raw_fd(), UPSTREAM | token_for(idx, conn.gen));
+            conn.state = State::Forwarding(Box::new(Forwarding {
+                forward,
+                interest,
+                head_only,
+                keep_alive,
+            }));
+            let failed = match step {
+                Step::Pending => match self.epoll.add(fd, interest, token) {
+                    Ok(()) => {
+                        // Like `Dispatched`, the client socket waits with
+                        // no interest.
+                        self.set_interest(idx, 0);
+                        return false;
+                    }
+                    // Unwatchable is not stale: the click degrades like
+                    // any exchange that could not finish.
+                    Err(e) => Some(Failed::not_stale(e)),
+                },
+                Step::Done => None,
+                Step::Failed(failed) => Some(failed),
+            };
+            self.settle_forward(idx, failed)
+        }
+
+        /// An event on a forward's upstream socket: move the exchange on,
+        /// and settle it once it is over.
+        fn upstream_event(&mut self, token: u64) {
+            let Some(idx) = self.resolve(token) else {
+                return; // the client closed: the socket went with it
+            };
+            let Some(State::Forwarding(f)) = self.conns[idx].as_mut().map(|c| &mut c.state) else {
+                return;
+            };
+            let failed = match f.forward.pump() {
+                Step::Pending => {
+                    let interest = if f.forward.writing() { EPOLLOUT } else { EPOLLIN };
+                    if interest != f.interest {
+                        f.interest = interest;
+                        let fd = f.forward.socket().as_raw_fd();
+                        if self.epoll.modify(fd, interest, UPSTREAM | token).is_err() {
+                            self.close(idx);
+                        }
+                    }
+                    return;
+                }
+                Step::Done => None,
+                Step::Failed(failed) => Some(failed),
+            };
+            if self.settle_forward(idx, failed) {
+                self.advance(idx);
+            }
+        }
+
+        /// Ends a forward — done, failed, or past its deadline — and
+        /// answers the click: the worker's response or the router's
+        /// fallback, queued as head plus body, or the stale socket's one
+        /// retry dispatched to the pool. Returns whether a response is
+        /// queued.
+        fn settle_forward(&mut self, idx: usize, failed: Option<Failed>) -> bool {
+            let Some(conn) = self.conns[idx].as_mut() else {
+                return false;
+            };
+            let State::Forwarding(f) = std::mem::replace(&mut conn.state, State::Dispatched)
+            else {
+                return false;
+            };
+            let Forwarding {
+                forward,
+                head_only,
+                keep_alive,
+                ..
+            } = *f;
+            // Out of the epoll set before the socket can go back on the
+            // stack, where another thread may take it.
+            let _ = self.epoll.del(forward.socket().as_raw_fd());
+            match forward.settle(failed) {
+                Ok(reply) => self.queue_reply(idx, reply, head_only, keep_alive),
+                Err(click) => self.dispatch(idx, String::new(), Some(click), head_only, keep_alive),
             }
         }
 
@@ -634,6 +791,7 @@ mod imp {
             &mut self,
             idx: usize,
             path: String,
+            refetch: Option<Click>,
             head_only: bool,
             keep_alive: bool,
         ) -> bool {
@@ -648,6 +806,7 @@ mod imp {
             match self.jobs.try_send(Job {
                 token,
                 path,
+                refetch,
                 head_only,
                 keep_alive,
             }) {
@@ -686,23 +845,33 @@ mod imp {
             true
         }
 
-        /// Queues a cache hit: the head goes into the
-        /// connection's reused buffer, the body stays the cache's shared
-        /// allocation. Nothing the size of the page is copied.
-        fn queue_hit(
+        /// Queues a cache hit or a forwarded click's answer: the head
+        /// goes into the connection's reused buffer, the body stays
+        /// where it is — the cache's or the last-known-good copy's shared
+        /// allocation, or the page the exchange read. Nothing the size of
+        /// the page is copied.
+        fn queue_reply(
             &mut self,
             idx: usize,
-            hit: WarmHit,
+            reply: Reply,
             head_only: bool,
             keep_alive: bool,
         ) -> bool {
             let Some(conn) = self.conns[idx].as_mut() else {
                 return false;
             };
-            let len = hit.body.len();
+            let len = reply.body.as_str().len();
             conn.out.clear();
-            proto::encode_head(&mut conn.out, 200, hit.content_type, len, false, keep_alive, None);
-            conn.queue((!head_only).then_some(hit.body), keep_alive, false);
+            proto::encode_head(
+                &mut conn.out,
+                reply.status,
+                reply.content_type,
+                len,
+                reply.degraded,
+                keep_alive,
+                None,
+            );
+            conn.queue((!head_only).then_some(reply.body), keep_alive, false);
             true
         }
 
@@ -716,8 +885,8 @@ mod imp {
                     return false;
                 };
                 let head = &conn.out[conn.out_pos.min(conn.out.len())..];
-                let body = conn.body.as_deref().map_or(&[][..], |body| {
-                    &body.as_bytes()[conn.out_pos.saturating_sub(conn.out.len())..]
+                let body = conn.body.as_ref().map_or(&[][..], |body| {
+                    &body.as_str().as_bytes()[conn.out_pos.saturating_sub(conn.out.len())..]
                 });
                 if head.is_empty() && body.is_empty() {
                     break;
@@ -838,6 +1007,16 @@ mod imp {
                     State::Writing => {
                         if now.duration_since(conn.last_activity) >= self.request_timeout {
                             self.close(idx);
+                        }
+                    }
+                    // The click's request deadline: the exchange settles
+                    // as a failed one, which the router answers from its
+                    // last-known-good copy or with a 503.
+                    State::Forwarding(ref f) => {
+                        if now >= f.forward.until()
+                            && self.settle_forward(idx, Some(Failed::timed_out()))
+                        {
+                            self.advance(idx);
                         }
                     }
                     State::Draining(deadline) => {

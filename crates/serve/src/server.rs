@@ -64,6 +64,71 @@ pub struct WarmHit {
     pub body: Arc<str>,
 }
 
+/// A response body the epoll reactor writes from where it already is,
+/// after a head it encodes: a cache's shared page, a last-known-good
+/// copy, or a page a forwarded exchange just read.
+#[derive(Debug)]
+pub(crate) enum Body {
+    Shared(Arc<str>),
+    Owned(String),
+}
+
+impl Body {
+    pub(crate) fn as_str(&self) -> &str {
+        match self {
+            Body::Shared(body) => body,
+            Body::Owned(body) => body,
+        }
+    }
+}
+
+/// A [`Response`] whose body the reactor need not copy.
+#[derive(Debug)]
+pub(crate) struct Reply {
+    pub(crate) status: u16,
+    pub(crate) content_type: &'static str,
+    pub(crate) body: Body,
+    pub(crate) degraded: bool,
+}
+
+impl Reply {
+    /// The response the pool and the thread transport encode.
+    pub(crate) fn into_response(self) -> Response {
+        let body = match self.body {
+            Body::Shared(body) => body.to_string(),
+            Body::Owned(body) => body,
+        };
+        Response {
+            status: self.status,
+            content_type: self.content_type,
+            body,
+            degraded: self.degraded,
+        }
+    }
+}
+
+impl From<Response> for Reply {
+    fn from(response: Response) -> Reply {
+        Reply {
+            status: response.status,
+            content_type: response.content_type,
+            body: Body::Owned(response.body),
+            degraded: response.degraded,
+        }
+    }
+}
+
+impl From<WarmHit> for Reply {
+    fn from(hit: WarmHit) -> Reply {
+        Reply {
+            status: 200,
+            content_type: hit.content_type,
+            body: Body::Shared(hit.body),
+            degraded: false,
+        }
+    }
+}
+
 /// What the transport needs from a service: request dispatch, optional
 /// pre-warming, and failure-mode counters. Implemented by
 /// [`crate::SiteService`] (one engine), [`crate::ShardedService`] (N
@@ -80,6 +145,17 @@ pub trait ClickService: Send + Sync + 'static {
     /// request goes through [`ClickService::handle`] on the render pool
     /// exactly as if this method did not exist (the default).
     fn try_warm(&self, _path: &str) -> Option<WarmHit> {
+        None
+    }
+    /// Hands `path` to the epoll reactor to forward upstream itself,
+    /// asked only after [`ClickService::try_warm`] declined. Under the
+    /// same contract — **never connect, never block** — a forward is an
+    /// idle kept-alive socket already in hand, the route it was taken
+    /// from and the routed path; anything else is `None`, and the
+    /// request goes through [`ClickService::handle`] on the render pool
+    /// (the default). The router ([`crate::ClusterService`]) is the
+    /// only implementor.
+    fn try_forward(&self, _path: &str) -> Option<crate::cluster::Forward> {
         None
     }
     /// Pre-renders every reachable page before accepting traffic.

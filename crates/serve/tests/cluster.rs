@@ -13,6 +13,7 @@
 mod common;
 
 use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -22,10 +23,12 @@ use strudel_graph::{ddl, Graph, GraphDelta, Oid, Value};
 use strudel_repo::{Database, IndexLevel, PagedRepo, PagerConfig};
 use strudel_schema::dynamic::Mode;
 use strudel_serve::cluster::FAULT_PLAN_ENV;
+use strudel_serve::router::shard_of_path;
 use strudel_serve::{
     proto, serve, ClickService, ClusterConfig, ClusterService, Response, ServerConfig,
-    SiteService, Transport,
+    ServerHandle, SiteService, Transport,
 };
+use strudel_struql::Parallelism;
 use strudel_template::TemplateSet;
 
 const QUERY: &str = r#"
@@ -192,6 +195,39 @@ fn upstream_metric(cluster: &ClusterService, name: &str, shard: usize) -> u64 {
     value.parse().unwrap()
 }
 
+/// One GET over a kept-alive client connection: the response, and how
+/// long it took to arrive.
+fn get(stream: &mut TcpStream, path: &str) -> (proto::ParsedResponse, Duration) {
+    let start = Instant::now();
+    let mut request = Vec::new();
+    proto::encode_request(&mut request, "GET", path, true);
+    stream.write_all(&request).unwrap();
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        let n = stream.read(&mut chunk).unwrap();
+        assert!(n > 0, "the router closed mid-response on {path}");
+        buf.extend_from_slice(&chunk[..n]);
+        match proto::parse_response(&buf, false) {
+            proto::ResponseOutcome::Complete { response, .. } => {
+                return (response, start.elapsed())
+            }
+            proto::ResponseOutcome::Incomplete => {}
+            proto::ResponseOutcome::Malformed => panic!("malformed response on {path}"),
+        }
+    }
+}
+
+/// The router behind the epoll front with `workers` render threads.
+fn epoll_router(cluster: &Arc<ClusterService>, workers: usize) -> ServerHandle {
+    let config = ServerConfig {
+        workers,
+        transport: Transport::Epoll,
+        ..Default::default()
+    };
+    serve(cluster.clone(), config).unwrap()
+}
+
 #[test]
 fn a_cluster_serves_byte_identically_and_degrades_through_a_kill() {
     let (site_dir, store_dir) = scratch("oracle");
@@ -271,6 +307,7 @@ fn the_router_emits_the_standard_rows_then_its_cluster_rows() {
             "upstream_reuses_total{shard=\"#\"}",
             "upstream_retries_total{shard=\"#\"}",
             "upstream_idle{shard=\"#\"}",
+            "upstream_forwards_total{shard=\"#\"}",
         ] {
             expected.push(format!("strudel_cluster_{}", row.replace('#', &shard.to_string())));
         }
@@ -522,6 +559,153 @@ fn upstream_counters_reconcile_with_a_seeded_run() {
         0,
         "a drained worker keeps no socket"
     );
+}
+
+/// The seeded run above, through the router's epoll front instead of
+/// `cluster.handle`: the reactor forwards the clicks itself, on sockets
+/// from the same idle stacks, and the books still balance.
+#[test]
+fn upstream_counters_reconcile_through_the_reactor() {
+    if !Transport::Epoll.is_supported() {
+        return;
+    }
+    let (site_dir, store_dir) = scratch("forwards");
+    let workers = 2;
+    let mut config = test_config(workers, &site_dir, &store_dir);
+    // No background probes: every exchange below is one this test made.
+    config.probe_interval = Duration::from_secs(3600);
+    let cluster = ClusterService::start(open_store(&store_dir), config).unwrap();
+    ClickService::warm(&*cluster, Parallelism::Threads(2)).unwrap();
+    let oracle = oracle(base_graph());
+    let paths = crawl(&|p| oracle.handle(p));
+    let server = epoll_router(&cluster, 2);
+    let mut client = TcpStream::connect(server.addr()).unwrap();
+
+    let rows = |shard| {
+        ["fetches_total", "connects_total", "reuses_total", "retries_total", "forwards_total"]
+            .map(|name| upstream_metric(&cluster, name, shard))
+    };
+    let before: Vec<[u64; 5]> = (0..workers).map(rows).collect();
+    let mut clicks = vec![0u64; workers];
+    let mut catch_ups = 0u64;
+    let mut seed = 0x5eed_u64;
+    for k in 0..200 {
+        seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let path = &paths[(seed >> 33) as usize % paths.len()];
+        let (response, _) = get(&mut client, path);
+        assert!(!response.degraded, "{path}");
+        assert_eq!(response.body, oracle.handle(path).body, "{path}");
+        clicks[shard_of_path(path, workers)] += 1;
+        if k % 50 == 49 {
+            let delta = make_delta(k, base_graph().node_count() + k / 50);
+            let outcome = cluster.apply_delta(&delta).unwrap();
+            oracle.apply_delta(&delta).unwrap();
+            assert!(outcome.caught_up.iter().all(|c| *c), "{outcome:?}");
+            catch_ups += 1;
+        }
+    }
+
+    for shard in 0..workers {
+        let now = rows(shard);
+        let [fetches, connects, reuses, retries, forwards] =
+            std::array::from_fn(|i| now[i] - before[shard][i]);
+        assert_eq!(
+            fetches,
+            clicks[shard] + catch_ups,
+            "every click and catch-up to shard {shard} was one fetch"
+        );
+        assert_eq!(
+            now[1] + now[2],
+            now[0] + now[3],
+            "shard {shard}: exchanges attempted, counted from both sides"
+        );
+        // A click the reactor could not forward found the stack empty,
+        // and the pool's fetch for it connected.
+        let found_no_socket = connects - retries;
+        assert!(
+            forwards <= clicks[shard] && forwards + found_no_socket >= clicks[shard],
+            "shard {shard}: {forwards} forwards, {found_no_socket} fresh connects, \
+             {} clicks",
+            clicks[shard]
+        );
+        assert!(reuses >= forwards && forwards > 0, "shard {shard} was forwarded to");
+    }
+    server.shutdown();
+    cluster.shutdown();
+}
+
+/// A worker that stalls holds up its own clicks, not the router: with
+/// one render thread on the router, clicks to the healthy shard keep
+/// answering while the stalled one waits out its deadline — and that one
+/// then answers from the last-known-good copy.
+#[test]
+fn a_stalled_worker_does_not_stall_the_router() {
+    if !Transport::Epoll.is_supported() {
+        return;
+    }
+    let (site_dir, store_dir) = scratch("stall");
+    let oracle = oracle(base_graph());
+    let paths = crawl(&|p| oracle.handle(p));
+    let owned = |shard| -> Vec<String> {
+        paths
+            .iter()
+            .filter(|p| shard_of_path(p, 2) == shard)
+            .cloned()
+            .collect()
+    };
+    let (on0, on1) = (owned(0), owned(1));
+    assert!(!on0.is_empty() && !on1.is_empty(), "{paths:?}");
+
+    let deadline = Duration::from_millis(1500);
+    let mut config = test_config(2, &site_dir, &store_dir);
+    config.request_deadline = deadline;
+    // The warm crawl asks worker 0 for each page it owns once; it
+    // stalls on the next click.
+    config.worker_env.push((
+        FAULT_PLAN_ENV.to_string(),
+        format!("shard=0;stall=5000;at=req:{}", on0.len() + 1),
+    ));
+    let cluster = ClusterService::start(open_store(&store_dir), config).unwrap();
+    let report = ClickService::warm(&*cluster, Parallelism::Threads(2)).unwrap();
+    assert_eq!(report.pages, paths.len(), "the crawl primed every page");
+    let server = epoll_router(&cluster, 1);
+    let addr = server.addr();
+
+    let fetches = upstream_metric(&cluster, "fetches_total", 0);
+    let stalled_path = on0[0].clone();
+    let stalled = std::thread::spawn(move || get(&mut TcpStream::connect(addr).unwrap(), &stalled_path));
+    let start = Instant::now();
+    while upstream_metric(&cluster, "fetches_total", 0) == fetches {
+        assert!(start.elapsed() < deadline, "the stalled click never left the router");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let mut client = TcpStream::connect(addr).unwrap();
+    let mut answered = 0;
+    while start.elapsed() < deadline / 2 {
+        for path in &on1 {
+            let (response, took) = get(&mut client, path);
+            assert!(
+                took < deadline / 5,
+                "{path} took {took:?} while a shard-0 click was stalled"
+            );
+            assert_eq!(response.status, 200, "{path}");
+            assert!(!response.degraded, "{path}");
+            assert_eq!(response.body, oracle.handle(path).body, "{path}");
+            answered += 1;
+        }
+    }
+    assert!(answered > 0);
+
+    let (response, took) = stalled.join().unwrap();
+    assert!(took >= deadline * 9 / 10, "answered before its deadline: {took:?}");
+    assert_eq!(response.status, 200, "degraded, never a reset or 5xx");
+    assert!(response.degraded, "the last-known-good copy, marked stale");
+    assert_eq!(response.body, oracle.handle(&on0[0]).body);
+    server.shutdown();
+    cluster.shutdown();
 }
 
 #[test]
