@@ -7,6 +7,30 @@ pub struct Template {
     pub nodes: Vec<Node>,
     /// Source line count (the paper reports template sizes in lines).
     pub line_count: usize,
+    /// The attribute names the template reads — path steps and `KEY=`
+    /// attributes — each once, in first-use order. An [`AttrId`] indexes
+    /// this list, so a renderer resolves each name against its graph once
+    /// instead of at every step.
+    pub attrs: Vec<String>,
+}
+
+impl Template {
+    /// The attribute name `id` stands for.
+    pub fn attr(&self, id: AttrId) -> &str {
+        &self.attrs[id.index()]
+    }
+}
+
+/// An attribute name of a [`Template`], by its position in
+/// [`Template::attrs`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AttrId(pub u32);
+
+impl AttrId {
+    /// The position in [`Template::attrs`].
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
 }
 
 /// One template node.
@@ -41,7 +65,7 @@ pub enum Node {
         /// Optional sort.
         order: Option<OrderDir>,
         /// Sort key attribute for object values.
-        key: Option<String>,
+        key: Option<AttrId>,
         /// Body nodes.
         body: Vec<Node>,
     },
@@ -62,17 +86,7 @@ pub struct AttrExpr {
     /// Starting point.
     pub base: Base,
     /// Attribute names navigated in order.
-    pub path: Vec<String>,
-}
-
-impl AttrExpr {
-    /// An expression navigating `path` from the current object.
-    pub fn attrs(path: &[&str]) -> Self {
-        AttrExpr {
-            base: Base::CurrentObject,
-            path: path.iter().map(|s| s.to_string()).collect(),
-        }
-    }
+    pub path: Vec<AttrId>,
 }
 
 /// List rendering for multi-valued format expressions.
@@ -107,7 +121,7 @@ pub struct Directives {
     /// Sort the values.
     pub order: Option<OrderDir>,
     /// Sort key attribute for object values.
-    pub key: Option<String>,
+    pub key: Option<AttrId>,
 }
 
 impl Directives {

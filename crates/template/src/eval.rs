@@ -1,50 +1,56 @@
 //! Template evaluation: renders template nodes for one object into HTML.
+//!
+//! Values are borrowed from the graph for the whole render, attribute
+//! names arrive as labels resolved once per generator, and text is escaped
+//! straight into the page buffer.
 
 use crate::ast::*;
 use crate::error::TemplateError;
-use crate::escape::escape_html;
+use crate::escape::escape_into;
 use crate::generate::GenCtx;
-use strudel_graph::{coerce, FileKind, Graph, Oid, Value};
+use std::fmt::Write;
+use strudel_graph::{coerce, FileKind, Oid, Value};
 
-/// The evaluation environment for one render: the current object and the
+/// The evaluation environment for one render: the current object, where
+/// the rendered template's labels start in the context's table, and the
 /// enclosing `<SFOR>` bindings.
-pub(crate) struct Env {
+pub(crate) struct Env<'g> {
     pub current: Oid,
-    pub loops: Vec<(String, Value)>,
+    pub labels: usize,
+    pub loops: Vec<(&'g str, &'g Value)>,
 }
 
-impl Env {
-    fn lookup(&self, var: &str) -> Option<&Value> {
+impl<'g> Env<'g> {
+    fn lookup(&self, var: &str) -> Result<&'g Value, TemplateError> {
         self.loops
             .iter()
             .rev()
-            .find(|(name, _)| name == var)
-            .map(|(_, v)| v)
+            .find(|(name, _)| *name == var)
+            .map(|(_, v)| *v)
+            .ok_or_else(|| TemplateError::new(0, format!("loop variable '${var}' is not in scope")))
     }
 }
 
 /// Renders a node list into `out`.
-pub(crate) fn render_nodes(
-    nodes: &[Node],
-    env: &mut Env,
-    graph: &Graph,
-    ctx: &mut GenCtx<'_>,
+pub(crate) fn render_nodes<'g>(
+    nodes: &'g [Node],
+    env: &mut Env<'g>,
+    ctx: &mut GenCtx<'g>,
     out: &mut String,
 ) -> Result<(), TemplateError> {
     for node in nodes {
         match node {
             Node::Text(t) => out.push_str(t),
+            Node::Fmt { expr, directives } if !directives.multi() && directives.order.is_none() => {
+                if let Some(v) = first_value(expr, env, ctx)? {
+                    render_value(v, directives.embed, ctx, out)?;
+                }
+            }
             Node::Fmt { expr, directives } => {
-                let mut values = eval_attr_expr(expr, env, graph, ctx)?;
+                let mut values = ctx.take_values();
+                eval_attr_expr(expr, env, ctx, &mut values)?;
                 if let Some(dir) = directives.order {
-                    if directives.key.is_some() {
-                        for v in &values {
-                            if let Value::Node(o) = v {
-                                ctx.note_dep(*o);
-                            }
-                        }
-                    }
-                    sort_values(&mut values, dir, directives.key.as_deref(), graph);
+                    sort_values(&mut values, dir, directives.key, env, ctx);
                 }
                 if directives.multi() {
                     match directives.list {
@@ -54,31 +60,34 @@ pub(crate) fn render_nodes(
                                 ListKind::Ordered => ("<ol>\n", "</ol>\n"),
                             };
                             out.push_str(open);
-                            for v in &values {
+                            for &v in &values {
                                 out.push_str("<li>");
-                                render_value(v, directives.embed, graph, ctx, out)?;
+                                render_value(v, directives.embed, ctx, out)?;
                                 out.push_str("</li>\n");
                             }
                             out.push_str(close);
                         }
                         None => {
                             let delim = directives.delim.as_deref().unwrap_or("");
-                            for (i, v) in values.iter().enumerate() {
+                            for (i, &v) in values.iter().enumerate() {
                                 if i > 0 {
                                     out.push_str(delim);
                                 }
-                                render_value(v, directives.embed, graph, ctx, out)?;
+                                render_value(v, directives.embed, ctx, out)?;
                             }
                         }
                     }
-                } else if let Some(v) = values.first() {
-                    render_value(v, directives.embed, graph, ctx, out)?;
+                } else if let Some(&v) = values.first() {
+                    render_value(v, directives.embed, ctx, out)?;
                 }
+                ctx.give_values(values);
             }
             Node::If { cond, then, else_ } => {
-                let values = eval_attr_expr(cond, env, graph, ctx)?;
-                let branch = if values.is_empty() { else_ } else { then };
-                render_nodes(branch, env, graph, ctx, out)?;
+                let branch = match first_value(cond, env, ctx)? {
+                    Some(_) => then,
+                    None => else_,
+                };
+                render_nodes(branch, env, ctx, out)?;
             }
             Node::For {
                 var,
@@ -88,171 +97,221 @@ pub(crate) fn render_nodes(
                 key,
                 body,
             } => {
-                let mut values = eval_attr_expr(expr, env, graph, ctx)?;
+                let mut values = ctx.take_values();
+                eval_attr_expr(expr, env, ctx, &mut values)?;
                 if let Some(dir) = order {
-                    if key.is_some() {
-                        for v in &values {
-                            if let Value::Node(o) = v {
-                                ctx.note_dep(*o);
-                            }
-                        }
-                    }
-                    sort_values(&mut values, *dir, key.as_deref(), graph);
+                    sort_values(&mut values, *dir, *key, env, ctx);
                 }
-                for (i, v) in values.into_iter().enumerate() {
+                for (i, &v) in values.iter().enumerate() {
                     if i > 0 {
                         if let Some(d) = delim {
                             out.push_str(d);
                         }
                     }
-                    env.loops.push((var.clone(), v));
-                    let r = render_nodes(body, env, graph, ctx, out);
+                    env.loops.push((var, v));
+                    let r = render_nodes(body, env, ctx, out);
                     env.loops.pop();
                     r?;
                 }
+                ctx.give_values(values);
             }
         }
     }
     Ok(())
 }
 
-/// Evaluates an attribute expression to its list of values, in edge order.
-/// Every node whose attributes are read is recorded as a dependency of the
-/// page under construction.
-pub(crate) fn eval_attr_expr(
+/// Where an attribute expression starts.
+enum Start<'g> {
+    /// A bare `$var`: the expression's one value.
+    Value(&'g Value),
+    /// The object the path's first step reads.
+    Object(Oid),
+    /// A path out of an atomic value: no values.
+    Nothing,
+}
+
+fn start<'g>(expr: &AttrExpr, env: &Env<'g>) -> Result<Start<'g>, TemplateError> {
+    Ok(match &expr.base {
+        Base::CurrentObject => Start::Object(env.current),
+        Base::LoopVar(var) => match (env.lookup(var)?, expr.path.is_empty()) {
+            (v, true) => Start::Value(v),
+            (Value::Node(o), false) => Start::Object(*o),
+            (_, false) => Start::Nothing,
+        },
+    })
+}
+
+/// Evaluates an attribute expression into `values` (empty on entry), in
+/// edge order. Every node whose attributes are read is recorded as a
+/// dependency of the page under construction.
+fn eval_attr_expr<'g>(
     expr: &AttrExpr,
-    env: &Env,
-    graph: &Graph,
-    ctx: &mut GenCtx<'_>,
-) -> Result<Vec<Value>, TemplateError> {
-    let mut values: Vec<Value> = match &expr.base {
-        Base::CurrentObject => vec![Value::Node(env.current)],
-        Base::LoopVar(v) => {
-            let val = env.lookup(v).ok_or_else(|| {
-                TemplateError::new(0, format!("loop variable '${v}' is not in scope"))
-            })?;
-            vec![val.clone()]
+    env: &Env<'g>,
+    ctx: &mut GenCtx<'g>,
+    values: &mut Vec<&'g Value>,
+) -> Result<(), TemplateError> {
+    let graph = ctx.graph;
+    let (o, first, rest) = match (start(expr, env)?, expr.path.split_first()) {
+        (Start::Value(v), _) => {
+            values.push(v);
+            return Ok(());
         }
+        (Start::Object(o), Some((&first, rest))) => (o, first, rest),
+        _ => return Ok(()),
     };
-    for attr in &expr.path {
-        let mut next = Vec::new();
-        for v in &values {
+    ctx.note_dep(o);
+    if let Some(l) = ctx.label(env, first) {
+        values.extend(graph.attr(o, l));
+    }
+    if rest.is_empty() {
+        return Ok(());
+    }
+    let mut next = ctx.take_values();
+    for &step in rest {
+        let label = ctx.label(env, step);
+        for v in values.iter() {
             if let Value::Node(o) = v {
                 ctx.note_dep(*o);
-                next.extend(graph.attr_str(*o, attr).cloned());
+                if let Some(l) = label {
+                    next.extend(graph.attr(*o, l));
+                }
             }
         }
-        values = next;
+        std::mem::swap(values, &mut next);
+        next.clear();
     }
-    Ok(values)
+    ctx.give_values(next);
+    Ok(())
+}
+
+/// The first value of an attribute expression — for `SIF` and a
+/// single-valued `SFMT`. A path of one step stops at the first matching
+/// edge; a longer path is evaluated whole, since every object it passes
+/// through is a dependency.
+fn first_value<'g>(
+    expr: &AttrExpr,
+    env: &Env<'g>,
+    ctx: &mut GenCtx<'g>,
+) -> Result<Option<&'g Value>, TemplateError> {
+    if expr.path.len() > 1 {
+        let mut values = ctx.take_values();
+        eval_attr_expr(expr, env, ctx, &mut values)?;
+        let first = values.first().copied();
+        ctx.give_values(values);
+        return Ok(first);
+    }
+    Ok(match start(expr, env)? {
+        Start::Value(v) => Some(v),
+        Start::Object(o) => {
+            ctx.note_dep(o);
+            let graph = ctx.graph;
+            ctx.label(env, expr.path[0])
+                .and_then(|l| graph.first_attr(o, l))
+        }
+        Start::Nothing => None,
+    })
 }
 
 /// Sorts values for ORDER=: by a KEY attribute when the values are objects,
 /// else by the values themselves, with dynamic coercion and a structural
-/// fallback so the order is total and deterministic.
-fn sort_values(values: &mut [Value], dir: OrderDir, key: Option<&str>, graph: &Graph) {
-    let sort_key = |v: &Value| -> Value {
-        match (key, v) {
-            (Some(k), Value::Node(o)) => graph
-                .first_attr_str(*o, k)
-                .cloned()
-                .unwrap_or_else(|| v.clone()),
-            _ => v.clone(),
-        }
-    };
-    values.sort_by(|a, b| {
-        let (ka, kb) = (sort_key(a), sort_key(b));
-        let ord = coerce::compare(&ka, &kb).unwrap_or_else(|| ka.cmp(&kb));
+/// fallback so the order is total and deterministic. Each key is read once,
+/// before a stable sort over the decorated values; the comparator answers
+/// every pair as comparing the keys in place would, so the order is the
+/// same.
+fn sort_values<'g>(
+    values: &mut Vec<&'g Value>,
+    dir: OrderDir,
+    key: Option<AttrId>,
+    env: &Env<'g>,
+    ctx: &mut GenCtx<'g>,
+) {
+    let order = |a: &Value, b: &Value| {
+        let ord = coerce::compare(a, b).unwrap_or_else(|| a.cmp(b));
         match dir {
             OrderDir::Ascend => ord,
             OrderDir::Descend => ord.reverse(),
         }
-    });
+    };
+    let Some(key) = key else {
+        values.sort_by(|a, b| order(a, b));
+        return;
+    };
+    let graph = ctx.graph;
+    let label = ctx.label(env, key);
+    let mut keyed: Vec<(&'g Value, &'g Value)> = Vec::with_capacity(values.len());
+    for &v in values.iter() {
+        let k = match (label, v) {
+            (Some(l), Value::Node(o)) => graph.first_attr(*o, l).unwrap_or(v),
+            _ => v,
+        };
+        if let Value::Node(o) = v {
+            ctx.note_dep(*o);
+        }
+        keyed.push((k, v));
+    }
+    keyed.sort_by(|(a, _), (b, _)| order(a, b));
+    values.clear();
+    values.extend(keyed.into_iter().map(|(_, v)| v));
 }
 
 /// Renders one value: atomic values inline, objects as links or (with
 /// EMBED) inline renderings of their own templates.
-fn render_value(
-    v: &Value,
+fn render_value<'g>(
+    v: &'g Value,
     embed: bool,
-    graph: &Graph,
-    ctx: &mut GenCtx<'_>,
+    ctx: &mut GenCtx<'g>,
     out: &mut String,
 ) -> Result<(), TemplateError> {
     match v {
         Value::Node(o) => {
             ctx.note_dep(*o);
             if embed && !ctx.embedding(*o) {
-                ctx.render_embedded(*o, graph, out)
-            } else {
-                let href = ctx.realize(*o, graph);
-                let text = link_text(graph, *o);
-                out.push_str("<a href=\"");
-                out.push_str(&escape_html(&href));
-                out.push_str("\">");
-                out.push_str(&escape_html(&text));
-                out.push_str("</a>");
-                Ok(())
+                return ctx.render_embedded(*o, out);
             }
+            ctx.write_link(*o, out);
         }
-        Value::Url(u) => {
-            out.push_str("<a href=\"");
-            out.push_str(&escape_html(u));
-            out.push_str("\">");
-            out.push_str(&escape_html(u));
-            out.push_str("</a>");
-            Ok(())
-        }
+        Value::Url(u) => write_anchor(out, u),
         Value::File(f) if f.kind == FileKind::Image => {
             out.push_str("<img src=\"");
-            out.push_str(&escape_html(&f.path));
+            escape_into(out, &f.path);
             out.push_str("\" alt=\"");
-            out.push_str(&escape_html(&f.path));
+            escape_into(out, &f.path);
             out.push_str("\">");
-            Ok(())
         }
-        Value::File(f) => {
-            if embed {
-                match ctx.resolve_file(&f.path) {
-                    Some(contents) => {
-                        out.push_str("<blockquote>");
-                        out.push_str(&escape_html(&contents));
-                        out.push_str("</blockquote>");
-                    }
-                    None => {
-                        out.push_str("<blockquote data-src=\"");
-                        out.push_str(&escape_html(&f.path));
-                        out.push_str("\"></blockquote>");
-                    }
-                }
-            } else {
-                out.push_str("<a href=\"");
-                out.push_str(&escape_html(&f.path));
-                out.push_str("\">");
-                out.push_str(&escape_html(&f.path));
-                out.push_str("</a>");
+        Value::File(f) if embed => match ctx.resolve_file(&f.path) {
+            Some(contents) => {
+                out.push_str("<blockquote>");
+                escape_into(out, &contents);
+                out.push_str("</blockquote>");
             }
-            Ok(())
-        }
-        atomic => {
-            out.push_str(&escape_html(&atomic.display_text()));
-            Ok(())
-        }
+            None => {
+                out.push_str("<blockquote data-src=\"");
+                escape_into(out, &f.path);
+                out.push_str("\"></blockquote>");
+            }
+        },
+        Value::File(f) => write_anchor(out, &f.path),
+        atomic => write_text(out, atomic),
     }
+    Ok(())
 }
 
-/// Human-readable link text for an object: its `title`, `name`, or `label`
-/// attribute, else its symbolic name, else its oid.
-pub(crate) fn link_text(graph: &Graph, oid: Oid) -> String {
-    for attr in ["title", "name", "label"] {
-        if let Some(v) = graph.first_attr_str(oid, attr) {
-            if v.is_atomic() {
-                return v.display_text().into_owned();
-            }
+/// `<a href="target">target</a>`.
+fn write_anchor(out: &mut String, target: &str) {
+    out.push_str("<a href=\"");
+    escape_into(out, target);
+    out.push_str("\">");
+    escape_into(out, target);
+    out.push_str("</a>");
+}
+
+/// Writes an atomic value's display text, escaped. Integers are formatted
+/// in place; their digits need no escaping.
+pub(crate) fn write_text(out: &mut String, v: &Value) {
+    match v {
+        Value::Int(i) => {
+            let _ = write!(out, "{i}");
         }
-    }
-    match graph.node_name(oid) {
-        Some(n) => n.to_owned(),
-        None => oid.to_string(),
+        other => escape_into(out, &other.display_text()),
     }
 }

@@ -39,8 +39,8 @@ mod eval;
 mod generate;
 mod parser;
 
-pub use ast::{AttrExpr, Base, Directives, ListKind, Node, OrderDir, Template};
+pub use ast::{AttrExpr, AttrId, Base, Directives, ListKind, Node, OrderDir, Template};
 pub use error::TemplateError;
-pub use escape::escape_html;
+pub use escape::{escape_html, escape_into};
 pub use generate::{FileResolver, HtmlGenerator, Page, PageNamer, SiteOutput, TemplateSet};
 pub use parser::parse_template;

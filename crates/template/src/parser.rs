@@ -14,6 +14,7 @@ pub fn parse_template(src: &str) -> Result<Template, TemplateError> {
         src,
         pos: 0,
         line: 1,
+        attrs: Vec::new(),
     };
     let nodes = p.nodes(&[])?;
     if p.pos < src.len() {
@@ -25,6 +26,7 @@ pub fn parse_template(src: &str) -> Result<Template, TemplateError> {
     Ok(Template {
         nodes,
         line_count: src.lines().count(),
+        attrs: p.attrs,
     })
 }
 
@@ -32,6 +34,8 @@ struct Parser<'s> {
     src: &'s str,
     pos: usize,
     line: u32,
+    /// The template's attribute names, indexed by [`AttrId`].
+    attrs: Vec<String>,
 }
 
 impl<'s> Parser<'s> {
@@ -171,8 +175,8 @@ impl<'s> Parser<'s> {
         let expr_word = words
             .next_word()
             .ok_or_else(|| TemplateError::new(line, "SFMT needs an attribute expression"))?;
-        let expr = parse_attr_expr(&expr_word, line)?;
-        let directives = parse_directives(&mut words, line)?;
+        let expr = parse_attr_expr(&expr_word, line, &mut self.attrs)?;
+        let directives = parse_directives(&mut words, line, &mut self.attrs)?;
         Ok(Node::Fmt { expr, directives })
     }
 
@@ -183,7 +187,7 @@ impl<'s> Parser<'s> {
         let expr_word = words
             .next_word()
             .ok_or_else(|| TemplateError::new(line, "SIF needs an attribute expression"))?;
-        let cond = parse_attr_expr(&expr_word, line)?;
+        let cond = parse_attr_expr(&expr_word, line, &mut self.attrs)?;
 
         let then = self.nodes(&["SELSE", "/SIF"])?;
         let tag = self.peek_tag().expect("stop tag present");
@@ -212,8 +216,8 @@ impl<'s> Parser<'s> {
         let expr_word = words
             .next_word()
             .ok_or_else(|| TemplateError::new(line, "SFOR needs an attribute expression"))?;
-        let expr = parse_attr_expr(&expr_word, line)?;
-        let d = parse_directives(&mut words, line)?;
+        let expr = parse_attr_expr(&expr_word, line, &mut self.attrs)?;
+        let d = parse_directives(&mut words, line, &mut self.attrs)?;
         if d.embed || d.multi() {
             return Err(TemplateError::new(
                 line,
@@ -267,7 +271,23 @@ impl<'a> TagWords<'a> {
     }
 }
 
-fn parse_attr_expr(word: &str, line: u32) -> Result<AttrExpr, TemplateError> {
+/// The id of attribute `name` in `attrs`, appending it on first use.
+fn intern(attrs: &mut Vec<String>, name: &str) -> AttrId {
+    let i = match attrs.iter().position(|a| a == name) {
+        Some(i) => i,
+        None => {
+            attrs.push(name.to_owned());
+            attrs.len() - 1
+        }
+    };
+    AttrId(i as u32)
+}
+
+fn parse_attr_expr(
+    word: &str,
+    line: u32,
+    attrs: &mut Vec<String>,
+) -> Result<AttrExpr, TemplateError> {
     if word.is_empty() {
         return Err(TemplateError::new(line, "empty attribute expression"));
     }
@@ -281,24 +301,29 @@ fn parse_attr_expr(word: &str, line: u32) -> Result<AttrExpr, TemplateError> {
     } else {
         (Base::CurrentObject, word)
     };
-    let path: Vec<String> = if rest.is_empty() {
+    let names: Vec<&str> = if rest.is_empty() {
         Vec::new()
     } else {
-        rest.split('.').map(str::to_owned).collect()
+        rest.split('.').collect()
     };
-    if matches!(base, Base::CurrentObject) && path.is_empty() {
+    if matches!(base, Base::CurrentObject) && names.is_empty() {
         return Err(TemplateError::new(line, "empty attribute expression"));
     }
-    if path.iter().any(String::is_empty) {
+    if names.iter().any(|n| n.is_empty()) {
         return Err(TemplateError::new(
             line,
             format!("malformed attribute expression '{word}'"),
         ));
     }
+    let path = names.into_iter().map(|n| intern(attrs, n)).collect();
     Ok(AttrExpr { base, path })
 }
 
-fn parse_directives(words: &mut TagWords<'_>, line: u32) -> Result<Directives, TemplateError> {
+fn parse_directives(
+    words: &mut TagWords<'_>,
+    line: u32,
+    attrs: &mut Vec<String>,
+) -> Result<Directives, TemplateError> {
     let mut d = Directives::default();
     while let Some(w) = words.next_word() {
         let upper = w.to_ascii_uppercase();
@@ -324,7 +349,7 @@ fn parse_directives(words: &mut TagWords<'_>, line: u32) -> Result<Directives, T
                 }
             });
         } else if let Some(v) = w.strip_prefix("KEY=").or_else(|| w.strip_prefix("key=")) {
-            d.key = Some(unquote(v));
+            d.key = Some(intern(attrs, &unquote(v)));
         } else {
             return Err(TemplateError::new(line, format!("unknown directive '{w}'")));
         }
@@ -345,6 +370,10 @@ fn unquote(s: &str) -> String {
 mod tests {
     use super::*;
 
+    fn names<'t>(t: &'t Template, path: &[AttrId]) -> Vec<&'t str> {
+        path.iter().map(|&id| t.attr(id)).collect()
+    }
+
     #[test]
     fn plain_html_passes_through() {
         let t = parse_template("<html><body><h1>Hi</h1></body></html>").unwrap();
@@ -358,7 +387,7 @@ mod tests {
         let Node::Fmt { expr, directives } = &t.nodes[0] else {
             panic!()
         };
-        assert_eq!(expr.path, ["author"]);
+        assert_eq!(names(&t, &expr.path), ["author"]);
         assert!(directives.enumerate);
         assert_eq!(directives.delim.as_deref(), Some(", "));
     }
@@ -371,7 +400,7 @@ mod tests {
         };
         assert_eq!(directives.list, Some(ListKind::Unordered));
         assert_eq!(directives.order, Some(OrderDir::Ascend));
-        assert_eq!(directives.key.as_deref(), Some("Year"));
+        assert_eq!(directives.key.map(|k| t.attr(k)), Some("Year"));
         assert!(directives.multi());
     }
 
@@ -382,7 +411,7 @@ mod tests {
             panic!()
         };
         assert_eq!(expr.base, Base::CurrentObject);
-        assert_eq!(expr.path, ["Paper", "title"]);
+        assert_eq!(names(&t, &expr.path), ["Paper", "title"]);
 
         let t = parse_template("<SFMT $a EMBED>").unwrap();
         let Node::Fmt { expr, directives } = &t.nodes[0] else {
@@ -397,7 +426,7 @@ mod tests {
             panic!()
         };
         assert_eq!(expr.base, Base::LoopVar("a".into()));
-        assert_eq!(expr.path, ["title"]);
+        assert_eq!(names(&t, &expr.path), ["title"]);
     }
 
     #[test]
@@ -406,7 +435,7 @@ mod tests {
         let Node::If { cond, then, else_ } = &t.nodes[0] else {
             panic!()
         };
-        assert_eq!(cond.path, ["abstract"]);
+        assert_eq!(names(&t, &cond.path), ["abstract"]);
         assert!(matches!(&then[0], Node::Text(s) if s == "yes"));
         assert!(matches!(&else_[0], Node::Text(s) if s == "no"));
     }
@@ -431,7 +460,7 @@ mod tests {
             panic!()
         };
         assert_eq!(var, "a");
-        assert_eq!(expr.path, ["author"]);
+        assert_eq!(names(&t, &expr.path), ["author"]);
         assert_eq!(delim.as_deref(), Some(", "));
         assert_eq!(body.len(), 1);
     }
@@ -481,6 +510,15 @@ mod tests {
             panic!()
         };
         assert_eq!(directives.delim.as_deref(), Some(" <br> "));
+    }
+
+    #[test]
+    fn attribute_names_are_listed_once_in_first_use_order() {
+        let t = parse_template(
+            "<SFMT title><SFOR p IN Paper ORDER=ascend KEY=year><SFMT $p.title></SFOR>",
+        )
+        .unwrap();
+        assert_eq!(t.attrs, ["title", "Paper", "year"]);
     }
 
     #[test]
