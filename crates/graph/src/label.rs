@@ -6,7 +6,7 @@
 //! the hot paths of query evaluation are then integer operations, per the
 //! performance guidance for database-style Rust.
 
-use std::collections::HashMap;
+use crate::hash::FastMap;
 use std::fmt;
 
 /// An interned edge label (attribute name).
@@ -45,7 +45,7 @@ impl fmt::Debug for Label {
 #[derive(Debug, Default, Clone)]
 pub struct LabelInterner {
     names: Vec<Box<str>>,
-    by_name: HashMap<Box<str>, Label>,
+    by_name: FastMap<Box<str>, Label>,
 }
 
 impl LabelInterner {

@@ -50,6 +50,7 @@ pub mod coerce;
 pub mod ddl;
 mod delta;
 mod graph;
+pub mod hash;
 mod label;
 mod oid;
 mod skolem;

@@ -9,8 +9,8 @@
 //! query. [`SkolemTable`] is that function: a memo table from
 //! `(symbol, argument values)` to the oid it minted.
 
+use crate::hash::FastMap;
 use crate::{Graph, Oid, Value};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -47,7 +47,7 @@ pub struct SkolemSymbol(usize);
 #[derive(Debug, Clone)]
 struct Applications {
     symbol: Arc<str>,
-    by_args: HashMap<Box<[Value]>, Oid>,
+    by_args: FastMap<Box<[Value]>, Oid>,
 }
 
 /// A memo table realizing Skolem functions over a [`Graph`].
@@ -62,7 +62,7 @@ struct Applications {
 /// arguments; an application that has been seen before allocates nothing.
 #[derive(Default, Debug, Clone)]
 pub struct SkolemTable {
-    symbols: HashMap<Arc<str>, SkolemSymbol>,
+    symbols: FastMap<Arc<str>, SkolemSymbol>,
     applications: Vec<Applications>,
 }
 
@@ -81,7 +81,7 @@ impl SkolemTable {
         let s = SkolemSymbol(self.applications.len());
         self.applications.push(Applications {
             symbol: symbol.clone(),
-            by_args: HashMap::new(),
+            by_args: FastMap::default(),
         });
         self.symbols.insert(symbol, s);
         s

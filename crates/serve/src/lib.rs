@@ -78,6 +78,9 @@ pub enum ServeError {
     Template(TemplateError),
     /// Socket-level failure.
     Io(std::io::Error),
+    /// A page the site never creates: its symbol exists, but no schema
+    /// edge or collect derives its arguments (a 404).
+    NoSuchPage,
 }
 
 impl fmt::Display for ServeError {
@@ -86,6 +89,7 @@ impl fmt::Display for ServeError {
             ServeError::Struql(e) => write!(f, "query evaluation: {e}"),
             ServeError::Template(e) => write!(f, "template rendering: {e}"),
             ServeError::Io(e) => write!(f, "i/o: {e}"),
+            ServeError::NoSuchPage => f.write_str("no such page"),
         }
     }
 }
@@ -633,8 +637,12 @@ impl SiteService {
             if self.engine.schema().node_index(&key.symbol).is_none() {
                 return ("not_found".into(), Response::not_found(path));
             }
-            let route = format!("page/{}", key.symbol);
-            return (route, self.serve_page(&key));
+            let response = self.serve_page(&key, path);
+            let route = match response.status {
+                404 => "not_found".into(),
+                _ => format!("page/{}", key.symbol),
+            };
+            return (route, response);
         }
         if path.starts_with("/data/") {
             let db = self.engine.database();
@@ -650,12 +658,13 @@ impl SiteService {
         ("not_found".into(), Response::not_found(path))
     }
 
-    fn serve_page(&self, key: &PageKey) -> Response {
+    fn serve_page(&self, key: &PageKey, path: &str) -> Response {
         if let Some(cached) = self.cache.get(key) {
             return Response::html(cached.html.to_string());
         }
         match self.render_into_cache(key) {
             Ok(cached) => Response::html(cached.html.to_string()),
+            Err(ServeError::NoSuchPage) => Response::not_found(path),
             Err(e) => Response::error(&e),
         }
     }
@@ -671,7 +680,7 @@ impl SiteService {
         let epoch = self.engine.epoch();
         let page = render::render_page(&self.engine, &self.templates, key)?;
         let cached = CachedPage {
-            html: page.html.into(),
+            html: page.html,
             deps: page.deps.into(),
         };
         self.cache.insert_if(key.clone(), cached.clone(), || {

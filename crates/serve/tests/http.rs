@@ -169,11 +169,28 @@ fn metrics_endpoint_speaks_prometheus() {
 #[test]
 fn bad_requests_get_errors_not_crashes() {
     for transport in common::transports() {
-        let (_service, server) = start(2, transport);
+        let (service, server) = start(2, transport);
         let addr = server.addr();
 
         assert!(get(addr, "/no/such/route").starts_with("HTTP/1.1 404"));
         assert!(get(addr, "/page/NoSuchSymbol").starts_with("HTTP/1.1 404"));
+        // A known symbol over arguments the site never derives is no page
+        // either, and made-up keys must not grow either cache.
+        let cached = (service.engine().cached_pages(), service.cache().len());
+        for i in 0..40 {
+            for url in [
+                format!("/page/CategoryPage/s:bogus{i}"),
+                format!("/page/ArticlePage/i:{i}"),
+            ] {
+                let answer = get(addr, &url);
+                assert!(answer.starts_with("HTTP/1.1 404"), "{url}: {answer}");
+            }
+        }
+        assert_eq!(
+            (service.engine().cached_pages(), service.cache().len()),
+            cached,
+            "404s were cached ({transport:?})"
+        );
         assert!(get(addr, "/page/%zz%bad%escape").starts_with("HTTP/1.1 404"));
         assert!(get(addr, "/data/o:999999").starts_with("HTTP/1.1 404"));
 

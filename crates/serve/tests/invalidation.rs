@@ -354,7 +354,7 @@ fn reader_parked_in_the_swap_window(read_epoch: fn(&DynamicSite) -> u64) {
         service.cache().insert_if(
             x.clone(),
             CachedPage {
-                html: page.html.into(),
+                html: page.html,
                 deps: page.deps.into(),
             },
             || service.engine().epoch() == epoch,

@@ -333,6 +333,21 @@ impl<'g> HtmlGenerator<'g> {
         let name = ctx.realize(oid).to_owned();
         ctx.render_page(oid, name, &mut String::new())
     }
+
+    /// [`HtmlGenerator::render_one`] for a caller that wants the HTML
+    /// only: it is written to `out` (cleared first), whose allocation a
+    /// caller rendering page after page keeps, and no page name or
+    /// dependency list is copied out.
+    pub fn render_one_into(
+        &self,
+        oid: Oid,
+        namer: &PageNamer<'_>,
+        out: &mut String,
+    ) -> Result<(), TemplateError> {
+        let mut ctx = GenCtx::new(self, Some(namer));
+        ctx.realize(oid);
+        ctx.render_root(oid, out)
+    }
 }
 
 /// Mutable generation state shared across pages; crate-internal, used by
@@ -514,21 +529,14 @@ impl<'g> GenCtx<'g> {
     }
 
     /// Renders the page `name` for `oid` through `buf`, whose allocation
-    /// the next page reuses. The page's own object joins the embed stack
-    /// so a template that (transitively) embeds its own page degrades to a
-    /// link instead of recursing.
+    /// the next page reuses.
     fn render_page(
         &mut self,
         oid: Oid,
         name: String,
         buf: &mut String,
     ) -> Result<Page, TemplateError> {
-        buf.clear();
-        self.deps.clear();
-        self.embed_stack.push(oid);
-        let r = self.render_body(oid, buf);
-        self.embed_stack.pop();
-        r?;
+        self.render_root(oid, buf)?;
         self.deps.sort_unstable();
         self.deps.dedup();
         Ok(Page {
@@ -537,6 +545,19 @@ impl<'g> GenCtx<'g> {
             html: buf.as_str().to_owned(),
             deps: self.deps.to_vec(),
         })
+    }
+
+    /// Renders `oid` as a page into `out`, cleared first, recording what
+    /// it reads in `deps`. The page's own object joins the embed stack so
+    /// a template that (transitively) embeds its own page degrades to a
+    /// link instead of recursing.
+    fn render_root(&mut self, oid: Oid, out: &mut String) -> Result<(), TemplateError> {
+        out.clear();
+        self.deps.clear();
+        self.embed_stack.push(oid);
+        let r = self.render_body(oid, out);
+        self.embed_stack.pop();
+        r
     }
 
     fn render_body(&mut self, oid: Oid, out: &mut String) -> Result<(), TemplateError> {
