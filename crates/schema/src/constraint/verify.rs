@@ -10,12 +10,13 @@
 //! `Q_C`. The constraint is *proved* if for every such collect there is a
 //! `collect D(T_D)` and a path of schema edges from `T_D` to `T_C`
 //! spelling a word of `R`, such that every edge guard and the `D`-collect
-//! guard are **implied by** `Q_C`. Implication is tested by query
-//! containment over the guards: `Q_C ⊨ Q` holds when the canonical
-//! (frozen) database of `Q_C` satisfies `Q` with consistent head
-//! variables — the classic homomorphism test, here specialized to guards
-//! drawn from one program (shared variable space), with a fast syntactic
-//! subset check first.
+//! guard are **implied by** `Q_C`. Implication is tested per condition:
+//! `Q_C ⊨ Q` holds when every condition of `Q` appears, structurally
+//! equal up to source spans, among the conditions of `Q_C`. Guards drawn
+//! from one program share a variable space, so this subset test is
+//! sound; it is weaker than full query containment (the canonical-database
+//! homomorphism test), which would also prove a guard that is equivalent
+//! but written differently — such a case is [`Verdict::Unknown`] here.
 //!
 //! When the procedure cannot find such a path the verdict is
 //! [`Verdict::Unknown`], not "violated" — completeness is undecidable in

@@ -174,25 +174,6 @@ pub struct Metrics {
     pub standby_rebuilds: usize,
 }
 
-/// Sums two engines' counters field by field (a sharded front reports
-/// its shards' engines as one).
-impl std::ops::AddAssign for Metrics {
-    fn add_assign(&mut self, m: Metrics) {
-        self.clicks += m.clicks;
-        self.queries_run += m.queries_run;
-        self.rows_produced += m.rows_produced;
-        self.cache_hits += m.cache_hits;
-        self.evictions += m.evictions;
-        self.plan_cache_hits += m.plan_cache_hits;
-        self.plan_cache_misses += m.plan_cache_misses;
-        self.diff_pages_updated += m.diff_pages_updated;
-        self.diff_fallbacks += m.diff_fallbacks;
-        self.diff_rows_added += m.diff_rows_added;
-        self.diff_rows_retracted += m.diff_rows_retracted;
-        self.standby_rebuilds += m.standby_rebuilds;
-    }
-}
-
 /// The result of applying a data delta to a live engine.
 #[derive(Clone, Debug, Default)]
 pub struct InvalidationOutcome {
@@ -1393,38 +1374,6 @@ impl DynamicSite {
         Some(stored.into_iter().map(project).collect())
     }
 
-    /// Replaces the live database wholesale — the recovery path when a
-    /// replica rebuilds a shard from the committed store rather than by
-    /// incremental deltas. The standby lineage is discarded (its lag no
-    /// longer describes the new snapshot), every cached page is dropped,
-    /// and the epoch bump invalidates in-flight computations. Locks are
-    /// taken poison-tolerantly: this runs precisely when a panic may
-    /// have poisoned them, and the guarded state (plain maps/Arcs) stays
-    /// structurally sound across a panic.
-    pub fn reset_to(&self, db: Arc<Database>) {
-        let mut standby = self.standby.lock().unwrap_or_else(|e| e.into_inner());
-        let mut evicted = 0;
-        let new_epoch = {
-            let mut live = self.db.write().unwrap_or_else(|e| e.into_inner());
-            let e = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-            *live = db;
-            // Inside the write section, as in `apply_delta`: no reader may
-            // pair the new epoch with a view of the old database.
-            for shard in &self.shards {
-                let mut map = shard.write().unwrap_or_else(|e| e.into_inner());
-                evicted += map.len();
-                map.clear();
-            }
-            self.aliases.lock().unwrap_or_else(|e| e.into_inner()).clear();
-            e
-        };
-        standby.db = None;
-        standby.lag.clear();
-        drop(standby);
-        self.flush_prepared(new_epoch);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
-    }
-
     /// Drops every cached page (e.g. after out-of-band database surgery).
     pub fn clear_cache(&self) {
         let mut evicted = 0;
@@ -1441,11 +1390,9 @@ impl DynamicSite {
     /// Drops prepared plans older than `new_epoch`. Entries stamped with
     /// `new_epoch` itself are kept: a concurrent visit that already saw
     /// the new snapshot may have repopulated the cache first, and those
-    /// plans are valid. The lock is taken poison-tolerantly for
-    /// [`DynamicSite::reset_to`]; the map stays structurally sound across
-    /// a panic.
+    /// plans are valid.
     fn flush_prepared(&self, new_epoch: u64) {
-        let mut c = self.prepared.write().unwrap_or_else(|e| e.into_inner());
+        let mut c = self.prepared.write().unwrap();
         if c.epoch < new_epoch {
             c.map.fill(None);
             c.epoch = new_epoch;

@@ -30,7 +30,7 @@
 //! strudel stats <dir>                 print the site-statistics row
 //! strudel guide <dir>                 print discovered data-graph schemas
 //!                                     (strong DataGuides per collection)
-//! strudel serve <dir> [--addr A] [--workers N] [--shards S] [--mode M]
+//! strudel serve <dir> [--addr A] [--workers N] [--mode M]
 //!                     [--warm W] [--slow-us T] [--backlog B] [--trace]
 //!                     [--keepalive-secs S] [--max-connections N]
 //!                     [--cluster N]
@@ -41,11 +41,6 @@
 //!                                     on /debug/trace, plan explain on
 //!                                     /debug/explain
 //!                                     (M: context|lookahead;
-//!                                      S: per-core service shards, a
-//!                                      number or "auto" — requests route
-//!                                      by path hash, each shard owns its
-//!                                      caches, reads take one
-//!                                      uncontended shard read lock;
 //!                                      W: warmup workers, a number or
 //!                                      "auto" — pre-renders every page
 //!                                      before accepting requests;
@@ -116,7 +111,7 @@ fn main() -> ExitCode {
 fn run(args: &[String]) -> Result<(), String> {
     let usage =
         "usage: strudel <build|check|schema|stats|guide|serve|explain> <site-dir> \
-         [-o <outdir>] [--addr <ip:port>] [--workers <n>] [--shards <n|auto>] \
+         [-o <outdir>] [--addr <ip:port>] [--workers <n>] \
          [--mode <context|lookahead>] [--warm <n|auto>] [--slow-us <t>] \
          [--backlog <n>] [--keepalive-secs <s>] [--max-connections <n>] [--trace] \
          [--store <dir>] [--cluster <n>]";
@@ -263,6 +258,11 @@ fn run(args: &[String]) -> Result<(), String> {
                             platform (epoll reactor on Linux, thread pool elsewhere)"
                     .into());
             }
+            if args.iter().any(|a| a == "--shards") {
+                return Err("the --shards flag was removed: one process serves from one \
+                            engine; for worker processes behind a router use --cluster N"
+                    .into());
+            }
             if let Some(flag) = args
                 .iter()
                 .find(|a| *a == "--pool-pages" || *a == "--page-size")
@@ -301,13 +301,6 @@ fn run(args: &[String]) -> Result<(), String> {
             if args.iter().any(|a| a == "--trace") {
                 strudel_trace::set_enabled(true);
             }
-            let shards: usize = match flag("--shards").as_deref() {
-                None => 1,
-                Some("auto") => std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1),
-                Some(n) => n.parse().map_err(|_| "--shards needs a number or 'auto'")?,
-            };
             let slow_us: Option<u64> = match flag("--slow-us") {
                 Some(t) => Some(t.parse().map_err(|_| "--slow-us needs a number (µs)")?),
                 None => None,
@@ -365,15 +358,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 );
                 cluster = Some(service.clone());
                 warm_and_serve(service, warm, config)?
-            } else if shards > 1 {
-                let mut service = strudel_serve::ShardedService::new(&built, mode, shards);
-                if let Some(store) = store {
-                    service = service.with_paged_store(store);
-                }
-                if let Some(t) = slow_us {
-                    service = service.with_slow_threshold_us(t);
-                }
-                warm_and_serve(std::sync::Arc::new(service), warm, config)?
             } else {
                 let mut service = strudel_serve::SiteService::new(&built, mode);
                 if let Some(store) = store {
@@ -389,10 +373,9 @@ fn run(args: &[String]) -> Result<(), String> {
                  evaluation, {} transport; ^C stops)",
                 built.name,
                 server.addr(),
-                match (cluster_workers, shards) {
-                    (Some(n), _) => format!("{n} supervised worker processes"),
-                    (None, 1) => "1 shard".to_string(),
-                    (None, s) => format!("{s} shards"),
+                match cluster_workers {
+                    Some(n) => format!("{n} supervised worker processes"),
+                    None => "1 engine".to_string(),
                 },
                 match transport {
                     strudel_serve::Transport::Threads => "threads",

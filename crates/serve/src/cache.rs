@@ -222,18 +222,6 @@ impl HtmlCache {
         evicted
     }
 
-    /// Drops everything.
-    pub fn clear(&self) -> usize {
-        let mut evicted = 0;
-        for shard in &self.shards {
-            let mut map = shard.write().unwrap();
-            evicted += map.len();
-            map.clear();
-        }
-        self.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
-        evicted
-    }
-
     /// Number of cached pages.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.read().unwrap().len()).sum()

@@ -4,8 +4,7 @@
 //! `strudel serve --cluster N --store DIR` runs this module's
 //! [`ClusterService`] as the front: a supervisor/router that spawns one
 //! `strudel shard-worker` process per shard, routes each request to its
-//! owner worker over loopback by the same stable path hash the
-//! in-process [`crate::ShardedService`] uses
+//! owner worker over loopback by a stable path hash
 //! ([`crate::router::shard_of_path`]), and proxies through
 //! [`crate::proto`] with a per-request deadline, on kept-alive sockets
 //! that belong to one worker incarnation and die with it
@@ -42,12 +41,10 @@
 //! `min_uptime` of becoming ready trips a crash-loop circuit breaker
 //! and stays down ([`supervisor`]).
 //!
-//! **Writes.** The barrier-epoch semantics of the in-process sharded
-//! service survive the process boundary. The router is the only
-//! writer: a delta validates and commits once in the shared store
-//! (a WAL append — the cross-process form of the shard-0
-//! validation gate: rejection happens before any worker sees the
-//! delta), then fans out as `GET /internal/catchup?n=<target>` —
+//! **Writes.** This is the one delta barrier in the crate. The router
+//! is the only writer: a delta validates and commits once in the
+//! shared store (a WAL append, so rejection happens before any worker
+//! sees the delta), then fans out as `GET /internal/catchup?n=<target>` —
 //! worker 0 first, the rest in parallel — and the router retries each
 //! live worker until it reports the target count. A worker that fails
 //! mid-apply is killed and replays the WAL to catch up, so a response
@@ -205,15 +202,7 @@ impl ClusterService {
             run_dir,
             slots,
             target: AtomicU64::new(deltas.len() as u64),
-            policy: Arc::new(Policy {
-                metrics: ServerMetrics::new(),
-                shard_routes: (0..n).map(|i| format!("shard/{i}")).collect(),
-                lkg: (0..n).map(|_| Lkg::default()).collect(),
-                lkg_dropped_total: AtomicU64::new(0),
-                degraded_total: AtomicU64::new(0),
-                unavailable_total: AtomicU64::new(0),
-                proxy_errors_total: AtomicU64::new(0),
-            }),
+            policy: Arc::new(Policy::new(n)),
             transport: TransportCounters::default(),
             stop: AtomicBool::new(false),
             monitor: Mutex::new(None),
@@ -305,11 +294,10 @@ impl ClusterService {
 
     /// Applies a delta cluster-wide: commit once in the shared store
     /// (validation and durability), bump the barrier target, then catch
-    /// every live worker up — worker 0 first, mirroring the in-process
-    /// shard-0 gate ordering, then the rest in parallel. A worker that
-    /// cannot reach the target is killed; its restart replays the WAL,
-    /// which contains the delta. Returns the workers that were caught
-    /// up synchronously.
+    /// every live worker up — worker 0 first, then the rest in parallel.
+    /// A worker that cannot reach the target is killed; its restart
+    /// replays the WAL, which contains the delta. Returns the workers
+    /// that were caught up synchronously.
     pub fn apply_delta(&self, delta: &GraphDelta) -> Result<ClusterDeltaOutcome, ServeError> {
         let _writer = self.gate.commit(delta)?;
         let target = self.target.fetch_add(1, Ordering::AcqRel) + 1;
@@ -381,8 +369,8 @@ impl ClusterService {
     pub fn stats(&self) -> ServerStats {
         ServerStats::assemble(
             &self.policy.metrics,
-            Some(&self.transport),
-            &[],
+            &self.transport,
+            None,
             self.delta_target(),
             self.gate.is_poisoned(),
         )
@@ -540,11 +528,25 @@ struct Policy {
 }
 
 impl Policy {
+    fn new(shards: usize) -> Policy {
+        Policy {
+            metrics: ServerMetrics::new(),
+            shard_routes: (0..shards).map(|i| format!("shard/{i}")).collect(),
+            lkg: (0..shards).map(|_| Lkg::default()).collect(),
+            lkg_dropped_total: AtomicU64::new(0),
+            degraded_total: AtomicU64::new(0),
+            unavailable_total: AtomicU64::new(0),
+            proxy_errors_total: AtomicU64::new(0),
+        }
+    }
+
     /// Settles one proxied request. `fetched` is the worker's answer or
     /// the exchange's error, `None` when no worker was up to ask. A fresh
-    /// 200 refreshes the last-known-good copy; a failure is counted and
-    /// answered from that copy, marked stale — never a reset — or, for a
-    /// path never seen fresh, with a 503. A click books its latency since
+    /// 200 of a page refreshes the last-known-good copy; a reserved
+    /// endpoint such as `/debug/trace` changes as the worker serves and
+    /// is never stored. A failure is counted and answered from that
+    /// copy, marked stale — never a reset — or, for a path never seen
+    /// fresh, with a 503. A click books its latency since
     /// it `started` under its shard's route; the warm crawl passes `None`.
     fn settle(
         &self,
@@ -563,6 +565,7 @@ impl Policy {
                 };
                 if response.status == 200
                     && !response.degraded
+                    && !is_reserved(routed)
                     && !self.lkg[shard].remember(routed, &response)
                 {
                     self.lkg_dropped_total.fetch_add(1, Ordering::Relaxed);
@@ -756,18 +759,23 @@ fn static_content_type(ct: &str) -> &'static str {
     }
 }
 
-/// Intra-site links (`href="/..."`) in a rendered page body. Router-
-/// reserved endpoints (`/metrics`, health, debug) are not pages and are
-/// never worth a last-known-good copy.
-fn extract_hrefs(body: &str) -> Vec<String> {
+/// Whether `path` is a reserved endpoint (`/metrics`, health, debug)
+/// rather than a page: never crawled, never worth a last-known-good copy.
+fn is_reserved(path: &str) -> bool {
     const RESERVED: [&str; 4] = ["/metrics", "/healthz", "/readyz", "/debug"];
+    RESERVED.iter().any(|r| path.starts_with(r))
+}
+
+/// Intra-site links (`href="/..."`) in a rendered page body, reserved
+/// endpoints left out.
+fn extract_hrefs(body: &str) -> Vec<String> {
     let mut out = Vec::new();
     let mut rest = body;
     while let Some(i) = rest.find("href=\"") {
         rest = &rest[i + 6..];
         let Some(end) = rest.find('"') else { break };
         let href = &rest[..end];
-        if href.starts_with('/') && !RESERVED.iter().any(|r| href.starts_with(r)) {
+        if href.starts_with('/') && !is_reserved(href) {
             out.push(href.split('#').next().unwrap_or(href).to_owned());
         }
         rest = &rest[end..];
@@ -815,6 +823,33 @@ mod tests {
         assert!(lkg.get("/page/A/i:%30").is_none());
         assert!(lkg.remember("/page/A/i:0", &Response::html("<p>v2</p>".into())));
         assert_eq!(&*lkg.get("/page/A/i:0").unwrap().body, "<p>v2</p>");
+    }
+
+    #[test]
+    fn debug_pages_are_answered_but_never_kept_as_last_known_good() {
+        let policy = Policy::new(1);
+        let fresh = |body: &str| {
+            Some(Ok(ParsedResponse {
+                status: 200,
+                content_type: "text/plain; charset=utf-8".into(),
+                body: body.into(),
+                degraded: false,
+                keep_alive: true,
+            }))
+        };
+        for path in ["/debug/trace", "/debug/explain", "/debug/explain/A"] {
+            let reply = policy.settle(0, path, fresh("trace #1"), None);
+            assert_eq!(reply.into_response().body, "trace #1", "{path} is answered");
+            assert!(policy.lkg[0].get(path).is_none(), "{path} is not stored");
+            // With its worker down, a debug page has no stale copy to serve.
+            let down = policy.settle(0, path, None, None).into_response();
+            assert_eq!((down.status, down.degraded), (503, false), "{path}");
+        }
+        assert_eq!(policy.lkg[0].map.lock().unwrap().len(), 0, "no slot taken");
+        assert_eq!(policy.lkg_dropped_total.load(Ordering::Relaxed), 0);
+        // A page is still remembered.
+        policy.settle(0, "/page/A", fresh("<p>a</p>"), None);
+        assert!(policy.lkg[0].get("/page/A").is_some());
     }
 
     #[test]

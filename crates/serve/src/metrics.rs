@@ -10,7 +10,6 @@
 use crate::SiteService;
 use std::collections::HashMap;
 use std::fmt::Write;
-use std::ops::AddAssign;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -298,7 +297,7 @@ pub struct CacheSnapshot {
     pub hits: u64,
     /// Requests that had to render.
     pub misses: u64,
-    /// Entries evicted by delta invalidation or explicit clears.
+    /// Entries evicted by delta invalidation.
     pub evictions: u64,
     /// Entries currently cached.
     pub entries: u64,
@@ -316,16 +315,6 @@ impl CacheSnapshot {
         } else {
             self.hits as f64 / total as f64
         }
-    }
-}
-
-impl AddAssign for CacheSnapshot {
-    fn add_assign(&mut self, s: CacheSnapshot) {
-        self.hits += s.hits;
-        self.misses += s.misses;
-        self.evictions += s.evictions;
-        self.entries += s.entries;
-        self.published_hits += s.published_hits;
     }
 }
 
@@ -376,16 +365,6 @@ pub struct InlineSnapshot {
     /// Requests answered through `handle` — the render pool, under the
     /// epoll transport.
     pub pool_dispatches: u64,
-}
-
-impl AddAssign for InlineSnapshot {
-    fn add_assign(&mut self, other: InlineSnapshot) {
-        self.hits += other.hits;
-        self.pool_dispatches += other.pool_dispatches;
-        for (total, n) in self.declined.iter_mut().zip(other.declined) {
-            *total += n;
-        }
-    }
 }
 
 /// Everything the `/metrics` endpoint reports, as one struct.
@@ -441,18 +420,15 @@ pub(crate) fn push_rows(out: &mut String, rows: &[(&str, u64)]) {
 }
 
 impl ServerStats {
-    /// What any front reports: request totals and routes from `front`,
-    /// the transport's events from the front's own `transport` counters
-    /// plus those of every core (each core keeps a set because each can
-    /// itself be the front; a handler panic is booked on the core that
-    /// caught it), and cache, engine, slow-request and inline numbers
-    /// summed over `cores` — one for [`SiteService`], N for the sharded
-    /// front, none for the cluster router, whose engines live in other
-    /// processes.
+    /// What a front reports: request totals and routes from `front`, the
+    /// transport's events from its `transport` counters, and cache,
+    /// engine, slow-request and inline numbers from its `core` — the
+    /// [`SiteService`] itself, or none for the cluster router, whose
+    /// engines live in other processes.
     pub(crate) fn assemble(
         front: &ServerMetrics,
-        transport: Option<&TransportCounters>,
-        cores: &[SiteService],
+        transport: &TransportCounters,
+        core: Option<&SiteService>,
         epoch: u64,
         store_poisoned: bool,
     ) -> ServerStats {
@@ -470,15 +446,13 @@ impl ServerStats {
             },
             ..Default::default()
         };
-        for core in cores {
-            stats.html_cache += core.cache().stats();
-            stats.engine += core.engine().metrics();
-            stats.slow_requests += core.slow_requests_total();
-            stats.inline += core.inline_stats();
+        if let Some(core) = core {
+            stats.html_cache = core.cache().stats();
+            stats.engine = core.engine().metrics();
+            stats.slow_requests = core.slow_requests_total();
+            stats.inline = core.inline_stats();
         }
-        for counters in transport.into_iter().chain(cores.iter().map(|c| &c.transport)) {
-            counters.add_to(&mut stats);
-        }
+        transport.add_to(&mut stats);
         stats
     }
 
@@ -758,7 +732,7 @@ mod tests {
     fn overflow_samples_surface_as_inf_bucket_in_exposition() {
         let m = ServerMetrics::new();
         m.record("slow", 20_000_000); // 20 s: past the 10 s ladder top
-        let stats = ServerStats::assemble(&m, None, &[], 0, false);
+        let stats = ServerStats::assemble(&m, &TransportCounters::default(), None, 0, false);
         let text = stats.to_text();
         assert!(text.contains("strudel_request_latency_us_bucket{le=\"10000000\"} 0"));
         assert!(text.contains("strudel_request_latency_us_bucket{le=\"+Inf\"} 1"));

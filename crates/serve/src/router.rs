@@ -24,11 +24,10 @@
 use strudel_graph::{FileKind, Graph, Oid, Value};
 use strudel_schema::dynamic::PageKey;
 
-/// Routes a request path to one of `n` service shards by FNV-1a hash of
-/// the path bytes. FNV is specified byte-for-byte (unlike
+/// Routes a request path to one of `n` cluster worker shards by FNV-1a
+/// hash of the path bytes. FNV is specified byte-for-byte (unlike
 /// `DefaultHasher`, whose algorithm may change between Rust releases),
-/// so the page → shard assignment is stable across builds — the property
-/// the ROADMAP's cross-process consistent-hash router will inherit.
+/// so the page → shard assignment is stable across builds and processes.
 /// Because URLs are themselves stable (see module docs), a page lands on
 /// the same shard across restarts, deltas, and redeploys.
 pub fn shard_of_path(path: &str, n: usize) -> usize {

@@ -1,5 +1,6 @@
 //! The HTTP front end: two interchangeable transports over a shared
-//! click service — one [`crate::SiteService`] or a [`ShardedService`].
+//! click service — a [`crate::SiteService`] or the cluster router
+//! ([`crate::ClusterService`]).
 //!
 //! [`Transport::Threads`] (the default, and the portable baseline) is a
 //! plain-`std::net` thread pool: one accept thread feeds accepted
@@ -29,8 +30,6 @@
 //! Shutdown is graceful: a flag flips, a loopback self-connection wakes
 //! the accept path, and every in-flight request drains before the
 //! threads join.
-//!
-//! [`ShardedService`]: crate::ShardedService
 
 use crate::proto::{self, ParseOutcome};
 use crate::{Response, ServeError, TransportCounters, WarmupReport};
@@ -131,9 +130,8 @@ impl From<WarmHit> for Reply {
 
 /// What the transport needs from a service: request dispatch, optional
 /// pre-warming, and failure-mode counters. Implemented by
-/// [`crate::SiteService`] (one engine), [`crate::ShardedService`] (N
-/// hash-routed engines) and [`crate::ClusterService`] (N worker
-/// processes) — the transport is identical over each.
+/// [`crate::SiteService`] (one engine) and [`crate::ClusterService`] (N
+/// worker processes) — the transport is identical over both.
 pub trait ClickService: Send + Sync + 'static {
     /// Serves one request path.
     fn handle(&self, path: &str) -> Response;

@@ -130,6 +130,27 @@ fn transport_is_not_a_serve_flag() {
 }
 
 #[test]
+fn shards_is_not_a_serve_flag() {
+    // One process serves from one engine; a stale script that still asks
+    // for in-process shards must be pointed at --cluster, not served
+    // unsharded. The bad --backlog makes a binary that still took the
+    // flag exit instead of serving forever.
+    let dir = demo_dir();
+    let result = strudel(&[
+        "serve",
+        dir.to_str().unwrap(),
+        "--shards",
+        "2",
+        "--backlog",
+        "x",
+    ]);
+    assert_eq!(result.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&result.stderr);
+    assert!(stderr.contains("the --shards flag was removed"), "{stderr}");
+    assert!(stderr.contains("--cluster N"), "{stderr}");
+}
+
+#[test]
 fn pool_pages_and_page_size_are_not_serve_flags() {
     // The store has no pages or buffer pool any more; a stale script
     // that still sizes them must hear that, not have them ignored.

@@ -12,6 +12,7 @@
 
 mod common;
 
+use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -20,6 +21,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use strudel_graph::{ddl, Graph, GraphDelta, Oid, Value};
+use strudel_prng::{Rng, SeedableRng, SmallRng};
 use strudel_repo::{Database, IndexLevel, PagedRepo, PagerConfig};
 use strudel_schema::dynamic::Mode;
 use strudel_serve::cluster::FAULT_PLAN_ENV;
@@ -169,6 +171,93 @@ fn make_delta(k: usize, next_oid: usize) -> GraphDelta {
     delta
 }
 
+/// A random, always-applicable mixed delta (same generator family as
+/// `property.rs`: inserts, attribute edits, edge/member removals).
+fn random_delta(rng: &mut SmallRng, g: &Graph) -> GraphDelta {
+    let mut delta = GraphDelta::new();
+    let mut next_oid = g.node_count();
+    let mut removed_edges: HashSet<(Oid, String, String)> = HashSet::new();
+    let mut uncollected: HashSet<String> = HashSet::new();
+    for _ in 0..rng.gen_range(1..=3usize) {
+        match rng.gen_range(0..4u32) {
+            0 => {
+                let oid = Oid::from_index(next_oid);
+                next_oid += 1;
+                delta.add_node(None);
+                delta.add_edge(
+                    oid,
+                    "title",
+                    Value::string(format!("New {}", rng.gen_range(0..1000u32)).as_str()),
+                );
+                delta.add_edge(oid, "body", Value::string("fresh"));
+                delta.collect("Articles", Value::Node(oid));
+            }
+            1 => {
+                let oid = Oid::from_index(rng.gen_range(0..g.node_count()));
+                let label = *strudel_prng::choose(rng, &["title", "body", "note"]);
+                delta.add_edge(
+                    oid,
+                    label,
+                    Value::string(format!("v{}", rng.gen_range(0..1000u32)).as_str()),
+                );
+            }
+            2 => {
+                let mut candidates = Vec::new();
+                for idx in 0..g.node_count() {
+                    let oid = Oid::from_index(idx);
+                    for e in g.edges(oid) {
+                        candidates.push((oid, g.label_name(e.label).to_string(), e.to.clone()));
+                    }
+                }
+                if candidates.is_empty() {
+                    continue;
+                }
+                let (oid, label, to) = strudel_prng::choose(rng, &candidates).clone();
+                if removed_edges.insert((oid, label.clone(), format!("{to:?}"))) {
+                    delta.remove_edge(oid, &label, to);
+                }
+            }
+            _ => {
+                let members = g.members_str("Articles");
+                if members.is_empty() {
+                    continue;
+                }
+                let member = strudel_prng::choose(rng, members).clone();
+                if uncollected.insert(format!("{member:?}")) {
+                    delta.uncollect("Articles", member);
+                }
+            }
+        }
+    }
+    delta
+}
+
+/// Every page reachable from `/` through `get`, with its status and
+/// body, sorted by path. Unlike [`crawl`] it takes any status: a random
+/// delta may leave a linked page without a view.
+fn crawl_responses(get: &dyn Fn(&str) -> Response) -> Vec<(String, u16, String)> {
+    let mut seen = vec!["/".to_string()];
+    let mut i = 0;
+    while i < seen.len() {
+        let body = get(&seen[i]).body;
+        for part in body.split("href=\"").skip(1) {
+            let Some(end) = part.find('"') else { continue };
+            let href = &part[..end];
+            if href.starts_with("/page/") && !seen.iter().any(|u| u == href) {
+                seen.push(href.to_string());
+            }
+        }
+        i += 1;
+    }
+    seen.sort();
+    seen.into_iter()
+        .map(|path| {
+            let r = get(&path);
+            (path, r.status, r.body)
+        })
+        .collect()
+}
+
 /// Waits until every worker is ready (or panics after `deadline`).
 fn wait_all_ready(cluster: &ClusterService, workers: usize, deadline: Duration) {
     let start = Instant::now();
@@ -272,6 +361,42 @@ fn a_cluster_serves_byte_identically_and_degrades_through_a_kill() {
     assert!(metrics.contains("strudel_cluster_workers 2"), "{metrics}");
     assert!(metrics.contains("strudel_cluster_degraded_total"), "{metrics}");
     cluster.shutdown();
+}
+
+#[test]
+fn the_cluster_byte_equals_a_fresh_service_across_seeded_deltas() {
+    // After every delta the router has applied — the barrier returned,
+    // both workers caught up — the router and its two workers serve
+    // exactly the pages, statuses and bytes of a service built fresh
+    // from the same graph.
+    for seed in 0..3u64 {
+        let (site_dir, store_dir) = scratch(&format!("seeded{seed}"));
+        let cluster =
+            ClusterService::start(open_store(&store_dir), test_config(2, &site_dir, &store_dir))
+                .unwrap();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut graph = base_graph();
+        for round in 0..5 {
+            let delta = random_delta(&mut rng, &graph);
+            delta.apply(&mut graph).expect("generated deltas always apply");
+            let outcome = cluster
+                .apply_delta(&delta)
+                .unwrap_or_else(|e| panic!("seed {seed} round {round}: {e}"));
+            assert!(
+                outcome.caught_up.iter().all(|c| *c),
+                "seed {seed} round {round}: {outcome:?}"
+            );
+            let fresh = oracle(graph.clone());
+            let want = crawl_responses(&|p| fresh.handle(p));
+            let got = crawl_responses(&|p| {
+                let r = cluster.handle(p);
+                assert!(!r.degraded, "seed {seed} round {round}: {p} served stale");
+                r
+            });
+            assert_eq!(got, want, "seed {seed} round {round}");
+        }
+        cluster.shutdown();
+    }
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! same observable behavior. `STRUDEL_TEST_TRANSPORT=threads|epoll`
 //! restricts a run to one transport (CI uses this for the epoll-only
 //! matrix leg). Also the golden list of `/metrics` rows, which the
-//! unsharded, sharded and cluster suites all hold their front to.
+//! `SiteService` and cluster suites both hold their front to.
 
 // Each suite uses the half of this module it needs.
 #![allow(dead_code)]
@@ -89,8 +89,7 @@ pub fn wait_for(what: &str, done: impl Fn() -> bool) {
 
 /// The ordered `strudel_*` rows every front's `/metrics` starts with,
 /// given the routes (sorted by name) that have served a request. The
-/// sharded front appends `strudel_shard*` rows and the cluster router
-/// `strudel_cluster_*` rows after these.
+/// cluster router appends `strudel_cluster_*` rows after these.
 pub fn standard_metric_rows(routes: &[&str]) -> Vec<String> {
     let mut rows: Vec<String> = [
         "strudel_requests_total",

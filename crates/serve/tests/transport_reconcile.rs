@@ -1,10 +1,9 @@
 //! Transport counters reconcile with what a client did. A seeded run
-//! over the sharded front — connections opened and held, requests per
-//! connection drawn from a seed, late arrivals shed at the connection
-//! cap — must leave `strudel_open_connections`,
+//! over a `SiteService` front — connections opened and held, requests
+//! per connection drawn from a seed, late arrivals shed at the
+//! connection cap — must leave `strudel_open_connections`,
 //! `strudel_keepalive_reuse_total` and `strudel_shed_total` equal to the
-//! client's own counts. Those events belong to the front the transport
-//! was handed: no shard core's numbers move, shard 0's included.
+//! client's own counts, in the stats struct and on `/metrics` alike.
 
 mod common;
 
@@ -17,23 +16,21 @@ use common::{read_response, wait_for};
 use strudel::sites::news_site;
 use strudel_prng::{Rng, SeedableRng, SmallRng};
 use strudel_schema::dynamic::Mode;
-use strudel_serve::{serve, ServerConfig, ShardedService, Transport};
+use strudel_serve::{serve, ServerConfig, SiteService, Transport};
 use strudel_workload::news::{generate, NewsConfig};
 
-const SHARDS: usize = 2;
-
-fn sharded() -> Arc<ShardedService> {
+fn service() -> Arc<SiteService> {
     let corpus = generate(&NewsConfig {
         articles: 8,
         ..Default::default()
     });
     let site = news_site(&corpus.pages).build().unwrap();
-    Arc::new(ShardedService::new(&site, Mode::Context, SHARDS))
+    Arc::new(SiteService::new(&site, Mode::Context))
 }
 
 /// The three rows as `/metrics` prints them (not only as the struct
 /// holds them).
-fn exposed(service: &ShardedService, row: &str) -> u64 {
+fn exposed(service: &SiteService, row: &str) -> u64 {
     let text = service.handle("/metrics").body;
     let prefix = format!("{row} ");
     text.lines()
@@ -44,13 +41,13 @@ fn exposed(service: &ShardedService, row: &str) -> u64 {
 }
 
 #[test]
-fn a_seeded_run_reconciles_with_the_fronts_counters_and_no_shard_cores() {
+fn a_seeded_run_reconciles_with_the_fronts_counters() {
     if !common::transports().contains(&Transport::Epoll) {
         return; // only the reactor keeps connections alive or caps them
     }
     const HELD: usize = 5;
     const LATE: usize = 3;
-    let service = sharded();
+    let service = service();
     let server = serve(
         service.clone(),
         ServerConfig {
@@ -96,16 +93,6 @@ fn a_seeded_run_reconciles_with_the_fronts_counters_and_no_shard_cores() {
     assert_eq!(exposed(&service, "strudel_open_connections"), HELD as u64);
     assert_eq!(exposed(&service, "strudel_keepalive_reuse_total"), reuses);
     assert_eq!(exposed(&service, "strudel_shed_total"), shed);
-
-    // Transport events have no owning shard: every core reads zero.
-    for i in 0..SHARDS {
-        let core = service.shard(i).stats();
-        assert_eq!(
-            (core.open_connections, core.keepalive_reuse, core.shed),
-            (0, 0, 0),
-            "shard {i}'s own numbers are not the transport's"
-        );
-    }
 
     drop(held);
     wait_for("the gauge to drain", || service.stats().open_connections == 0);

@@ -1,7 +1,7 @@
 //! Deterministic fork/join over a list of independent items.
 //!
 //! One caller is left: the level-by-level cache warm-up
-//! (`SiteService::warm_cores` in `strudel-serve`), which renders each BFS
+//! (`SiteService::warm` in `strudel-serve`), which renders each BFS
 //! frontier of pages across a worker budget. A where clause is evaluated
 //! by one thread. This module lives here, and [`Parallelism`] is exported
 //! from this crate, because `perfbench` and the serving crates import the
