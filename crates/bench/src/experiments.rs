@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use strudel::repo::{Database, IndexLevel};
 use strudel::schema::constraint::{parse_constraint, runtime, verify};
 use strudel::schema::dynamic::{DynTarget, DynamicSite, Mode, PageKey};
-use strudel::schema::incremental::{equivalent_modulo_orphans, incremental_update};
+use strudel::schema::incremental::{equivalent_modulo_orphans, MaintainedSite};
 use strudel::schema::SiteSchema;
 use strudel::sites;
 use strudel::struql::{EvalOptions, Evaluator};
@@ -323,7 +323,7 @@ fn browse(site: &DynamicSite, clicks: usize) {
 /// from public API — the engine has one delta path: re-index the
 /// post-delta graph, stand up a fresh engine, and re-run the guards of
 /// the pages the differential arm reported dirty. The hub arms
-/// ([`exp_diff_hub`]) repeat the question on `news_site`, whose front
+/// (`exp_diff_hub`) repeat the question on `news_site`, whose front
 /// page links every article: there the cost must not track the page
 /// either.
 pub fn exp_diff() {
@@ -675,19 +675,23 @@ fn exp_diff_hub() {
     );
 }
 
-/// E-incremental — incremental maintenance vs full re-evaluation.
+/// E-incremental — incremental maintenance vs full re-evaluation. The
+/// one-time count build of a maintained site is its own column; every
+/// arm asserts equivalence with the fresh evaluation.
 pub fn exp_incremental() {
     println!("== E-incremental: site-graph maintenance (paper §7, built as extension) ==");
     println!(
-        "{:>8} {:>9} | {:>12} {:>12} {:>10} | equivalent",
-        "people", "delta", "incremental", "full-reeval", "rows"
+        "{:>8} {:>9} | {:>12} {:>12} {:>12} {:>10} | orphans",
+        "people", "delta", "count-build", "incremental", "full-reeval", "rows"
     );
     for &people in &[400usize, 1000] {
-        for &delta_people in &[1usize, 10, 50] {
-            let data = org::generate(&org::OrgConfig {
-                people,
-                ..Default::default()
-            });
+        let data = org::generate(&org::OrgConfig {
+            people,
+            ..Default::default()
+        });
+        // Insert 1, 10 or 50 new people; `None` removes one person from
+        // the People collection.
+        for arm in [Some(1usize), Some(10), Some(50), None] {
             let site = sites::org_site(
                 &data.people_csv,
                 &data.departments_csv,
@@ -697,24 +701,34 @@ pub fn exp_incremental() {
             )
             .build()
             .unwrap();
-
-            // Delta: add `delta_people` new people.
-            let base = site.database.graph().node_count();
+            let graph = site.database.graph();
             let mut delta = GraphDelta::new();
-            for i in 0..delta_people {
-                delta.add_node(Some(&format!("newp{i}")));
-                let oid = Oid::from_index(base + i);
-                delta.add_edge(oid, "id", Value::string(format!("newp{i}")));
-                delta.add_edge(oid, "name", Value::string(format!("New Person {i}")));
-                delta.add_edge(oid, "dept", Value::string("dept0"));
-                delta.collect("People", Value::Node(oid));
-            }
+            let name = match arm {
+                Some(count) => {
+                    let base = graph.node_count();
+                    for i in 0..count {
+                        delta.add_node(Some(&format!("newp{i}")));
+                        let oid = Oid::from_index(base + i);
+                        delta.add_edge(oid, "id", Value::string(format!("newp{i}")));
+                        delta.add_edge(oid, "name", Value::string(format!("New Person {i}")));
+                        delta.add_edge(oid, "dept", Value::string("dept0"));
+                        delta.collect("People", Value::Node(oid));
+                    }
+                    format!("+{count}p")
+                }
+                None => {
+                    let victim = graph
+                        .node_by_name(&format!("People_{}", data.people_ids[0]))
+                        .unwrap();
+                    delta.uncollect("People", Value::Node(victim));
+                    "-1p".to_owned()
+                }
+            };
 
-            let old = Evaluator::new(&site.database).eval(&site.program).unwrap();
-            let (inc, t_inc) = time(|| {
-                incremental_update(&site.program, &site.database, &delta, old).unwrap()
+            let (mut maintained, t_count) = time(|| {
+                MaintainedSite::new(&site.program, site.database.clone(), site.result).unwrap()
             });
-
+            let (rows, t_inc) = time(|| maintained.apply(&delta).unwrap());
             let (full, t_full) = time(|| {
                 let mut g = site.database.graph().clone();
                 delta.apply(&mut g).unwrap();
@@ -722,59 +736,25 @@ pub fn exp_incremental() {
                 Evaluator::new(&db).eval(&site.program).unwrap()
             });
 
+            // A retraction leaves the removed person's page objects
+            // lingering unreferenced; an insertion leaves nothing behind.
+            let inc = &maintained.result().graph;
+            if arm.is_some() {
+                assert!(graphs_equivalent(inc, &full.graph), "{people} {name}");
+            } else {
+                assert!(equivalent_modulo_orphans(inc, &full.graph), "{people} {name}");
+            }
             println!(
-                "{:>8} {:>9} | {:>12} {:>12} {:>10} | {}",
+                "{:>8} {:>9} | {:>12} {:>12} {:>12} {:>10} | {}",
                 people,
-                format!("+{delta_people}p"),
+                name,
+                ms(t_count),
                 ms(t_inc),
                 ms(t_full),
-                inc.rows_recomputed,
-                graphs_equivalent(&inc.result.graph, &full.graph)
+                rows,
+                inc.node_count() - full.graph.node_count()
             );
         }
-
-        // Deletion: remove one person from the People collection.
-        let data = org::generate(&org::OrgConfig {
-            people,
-            ..Default::default()
-        });
-        let site = sites::org_site(
-            &data.people_csv,
-            &data.departments_csv,
-            &data.projects_rec,
-            &data.demos_rec,
-            &data.legacy_html,
-        )
-        .build()
-        .unwrap();
-        let victim = site
-            .database
-            .graph()
-            .node_by_name(&format!("People_{}", data.people_ids[0]))
-            .unwrap();
-        let mut delta = GraphDelta::new();
-        delta.uncollect("People", Value::Node(victim));
-        let old = Evaluator::new(&site.database).eval(&site.program).unwrap();
-        let (inc, t_inc) = time(|| {
-            incremental_update(&site.program, &site.database, &delta, old).unwrap()
-        });
-        let (full, t_full) = time(|| {
-            let mut g = site.database.graph().clone();
-            delta.apply(&mut g).unwrap();
-            let db = Database::from_graph(g, IndexLevel::Full);
-            Evaluator::new(&db).eval(&site.program).unwrap()
-        });
-        // The victim's page objects linger unreferenced after a retraction.
-        println!(
-            "{:>8} {:>9} | {:>12} {:>12} {:>10} | {} (+{} orphans)",
-            people,
-            "-1p",
-            ms(t_inc),
-            ms(t_full),
-            inc.rows_recomputed,
-            equivalent_modulo_orphans(&inc.result.graph, &full.graph),
-            inc.result.graph.node_count() - full.graph.node_count()
-        );
     }
     println!();
 }

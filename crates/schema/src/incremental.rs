@@ -1,217 +1,185 @@
 //! Incremental maintenance of a materialized site graph.
 //!
 //! The paper lists "computing incremental updates of site graphs" as an
-//! open problem with "broader implications in the field of semistructured
-//! data" (§7/§8). This module is a thin projection of the repository's one
-//! delta mechanism: for each block of the site-definition query (with its
-//! enclosing where clauses conjoined — the same flattening that yields
-//! site-schema guards), [`delta_rows`] returns the exact signed bindings
-//! rows the delta adds to or retracts from the block's relation, for every
-//! condition kind — `not(…)` and Kleene closures included.
+//! open problem (§7/§8). This module projects the repository's one delta
+//! mechanism: per block of the site-definition query, enclosing where
+//! clauses conjoined (the flattening that yields site-schema guards),
+//! [`delta_rows`] returns the exact signed bindings rows a delta adds or
+//! retracts, `not(…)` and Kleene closures included.
 //!
-//! * **Added rows** are pushed through the block's construction stage via
-//!   a [`Constructor`] that *resumes* the original evaluation's Skolem
-//!   table, so new links attach to existing site nodes and repeated
-//!   derivations collapse (construction is idempotent: Skolem memoization
-//!   + set semantics).
-//! * **Retracted rows** name the link and collect instances that lost a
-//!   derivation. Several rows, of several blocks, may derive the same
-//!   link, so each such candidate is probed for a surviving derivation on
-//!   the post-delta database: it is unified against every link/collect
-//!   expression that could produce it (inverting Skolem terms through the
-//!   memo table) and the guard is evaluated with those seeds. Only
-//!   candidates with no surviving derivation are removed.
+//! A [`MaintainedSite`] counts the *support* of every link and membership
+//! of the site graph: its `(block, row, link/collect expression)`
+//! derivations, in the multiset semantics of [`delta_rows`], where a
+//! data-graph membership is a row of a block `where C(x) collect C(x)`.
+//! The counts are taken once. After that, added rows go through a
+//! [`Constructor`] that resumes the Skolem table, every signed row moves
+//! the counts of what it derives, and what reaches zero leaves the graph.
+//! Nothing is rederived.
 //!
-//! Site nodes are never deleted — graphs only grow nodes, and a page
-//! object whose every derivation is gone lingers unreferenced, exactly
-//! like an orphaned oid in the paper's repository: it carries no edge and
-//! no membership, so no page of the site can reach it. The maintained
-//! graph therefore equals a fresh evaluation *plus* such unreferenced
+//! Site nodes are never deleted: a page object whose every derivation is
+//! gone lingers with no edge and no membership, like an orphaned oid in
+//! the paper's repository, and no page of the site can reach it. The
+//! maintained graph therefore equals a fresh evaluation *plus* such
 //! nodes; [`equivalent_modulo_orphans`] is that contract as an oracle.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeSet;
+use std::sync::Arc;
+use strudel_graph::hash::FastMap;
 use strudel_graph::{
-    coerce, graphs_equivalent, DeltaOp, Graph, GraphDelta, Oid, SkolemTable, Value,
+    graphs_equivalent, CollectionId, DeltaOp, Graph, GraphDelta, Label, Oid, SkolemTable, Value,
 };
 use strudel_repo::{Database, IndexLevel};
 use strudel_struql::{
-    delta_rows, Block, Condition, Constructor, DiffOutcome, EvalResult, Evaluator, LabelTerm,
-    LinkExpr, Program, StruqlError, StruqlResult, Term,
+    delta_rows, Block, CollectExpr, Condition, Constructor, DiffOutcome, EvalResult, Evaluator,
+    LabelTerm, Program, StruqlError, StruqlResult, Term,
 };
 
-/// The result of an incremental update.
+/// A site graph kept equal to a fresh evaluation of its query on the
+/// current data graph, up to orphaned site nodes, as deltas arrive.
 #[derive(Debug)]
-pub struct IncrementalOutcome {
-    /// The updated evaluation result (site graph, Skolem table, …).
-    pub result: EvalResult,
-    /// Signed bindings rows propagated plus surviving-derivation probes
-    /// run.
-    pub rows_recomputed: usize,
+pub struct MaintainedSite {
+    chains: Vec<Chain>,
+    db: Arc<Database>,
+    result: EvalResult,
+    supports: FastMap<Fact, i64>,
+    /// The site-graph oid of every data node a delta created: the site
+    /// nodes follow the data nodes the query was evaluated on.
+    site_oids: FastMap<Oid, Oid>,
 }
 
-/// Applies `delta` (in data-graph space) to a previously evaluated site.
-///
-/// `old_db` must be the database the original evaluation ran against and
-/// `old_result` its result. Returns the updated result plus work counters.
-pub fn incremental_update(
-    program: &Program,
-    old_db: &Database,
-    delta: &GraphDelta,
-    old_result: EvalResult,
-) -> StruqlResult<IncrementalOutcome> {
-    let mut new_input = old_db.graph().clone();
-    let created_db = delta.apply(&mut new_input).map_err(|e| StruqlError::Eval {
-        message: format!("delta failed on data graph: {e}"),
-    })?;
-    let new_db = Database::from_graph(new_input, IndexLevel::Full);
-    let old_ev = Evaluator::new(old_db);
-    let new_ev = Evaluator::new(&new_db);
+/// A link or a membership of the site graph.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+enum Fact {
+    Link(Oid, Label, Value),
+    Member(CollectionId, Value),
+}
 
-    let chains = flatten(program);
-    let diffs: Vec<DiffOutcome> = chains
-        .iter()
-        .map(|chain| delta_rows(&old_ev, &new_ev, &chain.conds, delta))
-        .collect::<StruqlResult<_>>()?;
-    let mut rows_recomputed: usize = diffs.iter().map(|d| d.rows.len()).sum();
+impl MaintainedSite {
+    /// Maintains `result`, the evaluation of `program` on `db`, counting
+    /// its supports with one where-clause evaluation per block.
+    pub fn new(
+        program: &Program,
+        db: impl Into<Arc<Database>>,
+        result: EvalResult,
+    ) -> StruqlResult<Self> {
+        let db = db.into();
+        let mut chains = flatten(program);
+        chains.extend(db.graph().collections().map(|(_, name)| data_members(name)));
+        let mut site = MaintainedSite {
+            chains,
+            db,
+            result,
+            supports: FastMap::default(),
+            site_oids: FastMap::default(),
+        };
+        site.supports = site.count()?;
+        Ok(site)
+    }
 
-    // The link and collect instances that lost a derivation. Retracted
-    // rows bind pre-delta oids only, so the old Skolem table (in
-    // lookup-only mode) resolves their terms.
-    let mut link_candidates: HashSet<(Oid, String, Value)> = HashSet::new();
-    let mut collect_candidates: HashSet<(String, Value)> = HashSet::new();
-    for (chain, d) in chains.iter().zip(&diffs) {
-        for (row, _) in d.rows.iter().filter(|(_, n)| *n < 0) {
-            for l in &chain.block.link {
-                link_candidates.extend(link_instance(l, &d.vars, row, &old_result.skolem));
-            }
-            for ce in &chain.block.collect {
-                if let Some(member) = term_instance(&ce.arg, &d.vars, row, &old_result.skolem) {
-                    collect_candidates.insert((ce.collection.clone(), member));
+    /// The maintained evaluation result (site graph, Skolem table, …).
+    pub fn result(&self) -> &EvalResult {
+        &self.result
+    }
+
+    /// Applies `delta` (in data-graph space) to the data and the site, and
+    /// returns how many signed bindings rows it propagated. A delta the
+    /// data graph refuses changes nothing; after any other error the site
+    /// is no longer maintained.
+    pub fn apply(&mut self, delta: &GraphDelta) -> StruqlResult<usize> {
+        let old = self.db.graph();
+        let mut new_input = old.clone();
+        let created = delta.apply(&mut new_input).map_err(|e| StruqlError::Eval {
+            message: format!("delta failed on data graph: {e}"),
+        })?;
+        let named: BTreeSet<&str> = delta.collections().collect();
+        for name in named.into_iter().filter(|n| old.collection_id(n).is_none()) {
+            self.result.graph.intern_collection(name);
+            self.chains.push(data_members(name));
+        }
+        let new_db = Database::from_graph(new_input, IndexLevel::Full);
+        let (old_ev, new_ev) = (Evaluator::new(&self.db), Evaluator::new(&new_db));
+        let mut diffs: Vec<DiffOutcome> = self
+            .chains
+            .iter()
+            .map(|chain| delta_rows(&old_ev, &new_ev, &chain.conds, delta))
+            .collect::<StruqlResult<_>>()?;
+
+        // The site graph contains the data graph, so the delta's nodes and
+        // edges apply there too (memberships go by their counts). Nodes
+        // are appended in order, so the site-graph counterpart of each
+        // node the delta creates is known before it is: every op and row
+        // is rewritten through the correspondence.
+        let base = self.result.graph.node_count();
+        let site_oids = &mut self.site_oids;
+        site_oids.extend((0..created.len()).map(|i| (created[i], Oid::from_index(base + i))));
+        let node = |o: &Oid| *site_oids.get(o).unwrap_or(o);
+        let value = |v: &Value| v.as_node().map_or_else(|| v.clone(), |o| Value::Node(node(&o)));
+        let mut site_delta = GraphDelta::new();
+        for op in delta.ops() {
+            match op {
+                DeltaOp::AddNode { .. } => site_delta.push(op.clone()),
+                DeltaOp::AddEdge { from, label, to } => {
+                    site_delta.add_edge(node(from), label, value(to))
                 }
+                DeltaOp::RemoveEdge { from, label, to } => {
+                    site_delta.remove_edge(node(from), label, value(to))
+                }
+                DeltaOp::Collect { .. } | DeltaOp::Uncollect { .. } => {}
             }
         }
-    }
-
-    // Apply the same delta to the site graph (it contains the data graph).
-    // Ops referencing nodes the delta itself creates carry *data-graph*
-    // oids; the site graph has extra site nodes, so the same index denotes
-    // a different node there. AddNode assigns oids in node-count order, so
-    // the site-graph counterparts are predictable: build the
-    // correspondence up front and rewrite every op through it before
-    // applying (a verbatim apply would attach such edges to whatever site
-    // node happens to own the data-graph index).
-    let mut out_graph = old_result.graph;
-    let base = out_graph.node_count();
-    let oid_map: HashMap<Oid, Oid> = created_db
-        .iter()
-        .copied()
-        .enumerate()
-        .map(|(i, data_oid)| (data_oid, Oid::from_index(base + i)))
-        .collect();
-    let remap = |o: &Oid| *oid_map.get(o).unwrap_or(o);
-    let remap_value = |v: &Value| match v {
-        Value::Node(o) => Value::Node(remap(o)),
-        other => other.clone(),
-    };
-    let mut site_delta = GraphDelta::new();
-    for op in delta.ops() {
-        site_delta.push(match op {
-            DeltaOp::AddNode { .. } => op.clone(),
-            DeltaOp::AddEdge { from, label, to } => DeltaOp::AddEdge {
-                from: remap(from),
-                label: label.clone(),
-                to: remap_value(to),
-            },
-            DeltaOp::RemoveEdge { from, label, to } => DeltaOp::RemoveEdge {
-                from: remap(from),
-                label: label.clone(),
-                to: remap_value(to),
-            },
-            DeltaOp::Collect { collection, member } => DeltaOp::Collect {
-                collection: collection.clone(),
-                member: remap_value(member),
-            },
-            DeltaOp::Uncollect { collection, member } => DeltaOp::Uncollect {
-                collection: collection.clone(),
-                member: remap_value(member),
-            },
-        });
-    }
-    let created_out = site_delta
-        .apply(&mut out_graph)
-        .map_err(|e| StruqlError::Eval {
+        site_delta.apply(&mut self.result.graph).map_err(|e| StruqlError::Eval {
             message: format!("delta failed on site graph: {e}"),
         })?;
-    debug_assert!(
-        created_db
-            .iter()
-            .zip(created_out.iter())
-            .all(|(d, s)| oid_map.get(d) == Some(s)),
-        "predicted site oids diverged from the applied delta"
-    );
+        for (row, _) in diffs.iter_mut().flat_map(|d| &mut d.rows) {
+            to_site(row, site_oids);
+        }
 
-    // Retract every candidate with no surviving derivation on the new
-    // database.
-    if !link_candidates.is_empty() || !collect_candidates.is_empty() {
-        let reverse = skolem_reverse(&old_result.skolem);
-        let mut survives = |probes: &mut dyn Iterator<Item = (&Chain, Vec<(String, Value)>)>| {
-            for (chain, seeds) in probes {
-                rows_recomputed += 1;
-                if !new_ev.eval_where_bindings(&chain.conds, &seeds)?.1.is_empty() {
-                    return Ok(true);
-                }
-            }
-            StruqlResult::Ok(false)
-        };
-        for (src, label, dst) in link_candidates {
-            let mut probes = chains.iter().flat_map(|chain| {
-                let seeds = chain
-                    .block
-                    .link
-                    .iter()
-                    .filter_map(|l| unify_link(l, src, &label, &dst, &reverse));
-                seeds.map(move |s| (chain, s))
-            });
-            if !survives(&mut probes)? {
-                if let Some(lab) = out_graph.label(&label) {
-                    out_graph.remove_edge(src, lab, &dst);
-                }
+        let empty = Constructor::new(Graph::new()).finish();
+        let mut constructor = Constructor::resume(std::mem::replace(&mut self.result, empty));
+        for (chain, d) in self.chains.iter().zip(&diffs) {
+            let added: Vec<_> = d.rows.iter().filter(|r| r.1 > 0).map(|r| r.0.clone()).collect();
+            constructor.apply_block(&chain.block, &d.vars, &added)?;
+        }
+        self.result = constructor.finish();
+
+        // Retracted rows resolve through Skolem entries the old table held,
+        // and resuming only adds entries.
+        let mut change = FastMap::default();
+        for (chain, d) in self.chains.iter().zip(&diffs) {
+            for (row, n) in &d.rows {
+                chain.derive(&d.vars, row, *n, &self.result, &mut change);
             }
         }
-        for (collection, member) in collect_candidates {
-            let mut probes = chains.iter().flat_map(|chain| {
-                let seeds = chain
-                    .block
-                    .collect
-                    .iter()
-                    .filter(|ce| ce.collection == collection)
-                    .filter_map(|ce| unify_term(&ce.arg, &member, &reverse));
-                seeds.map(move |s| (chain, s))
-            });
-            if !survives(&mut probes)? {
-                if let Some(cid) = out_graph.collection_id(&collection) {
-                    out_graph.uncollect(cid, &member);
-                }
+        let graph = &mut self.result.graph;
+        for (fact, n) in change {
+            let count = self.supports.entry(fact.clone()).or_default();
+            *count += n;
+            debug_assert!(*count >= 0, "{fact:?} lost more derivations than it had");
+            if *count <= 0 {
+                self.supports.remove(&fact);
+                match fact {
+                    Fact::Link(src, label, dst) => graph.remove_edge(src, label, &dst),
+                    Fact::Member(cid, member) => graph.uncollect(cid, &member),
+                };
             }
         }
+        self.db = Arc::new(new_db);
+        Ok(diffs.iter().map(|d| d.rows.len()).sum())
     }
 
-    let mut constructor = Constructor::resume(EvalResult {
-        graph: out_graph,
-        new_nodes: old_result.new_nodes,
-        skolem: old_result.skolem,
-        rows_evaluated: old_result.rows_evaluated,
-    });
-    for (chain, d) in chains.iter().zip(diffs) {
-        let added = d.rows.into_iter().filter(|(_, n)| *n > 0).map(|(row, _)| row);
-        let translated = translate_rows(added.collect(), &oid_map);
-        constructor.apply_block(&chain.block, &d.vars, &translated)?;
+    /// Counts every derivation from scratch, on the current data.
+    fn count(&self) -> StruqlResult<FastMap<Fact, i64>> {
+        let ev = Evaluator::new(&self.db);
+        let mut counts = FastMap::default();
+        for chain in &self.chains {
+            let (vars, rows) = ev.eval_where_bindings(&chain.conds, &[])?;
+            for mut row in rows {
+                to_site(&mut row, &self.site_oids);
+                chain.derive(&vars, &row, 1, &self.result, &mut counts);
+            }
+        }
+        Ok(counts)
     }
-
-    Ok(IncrementalOutcome {
-        result: constructor.finish(),
-        rows_recomputed,
-    })
 }
 
 /// Whether `maintained` equals the `fresh` evaluation up to site nodes
@@ -228,11 +196,45 @@ pub fn equivalent_modulo_orphans(maintained: &Graph, fresh: &Graph) -> bool {
 }
 
 /// A block with its enclosing where clauses conjoined.
+#[derive(Debug)]
 struct Chain {
     conds: Vec<Condition>,
     /// The block's construction stage (nested blocks cleared — each gets
     /// its own chain).
     block: Block,
+}
+
+impl Chain {
+    /// Adds `n` to the count of every link and membership `row` derives,
+    /// each instantiated in lookup-only mode (never minting a node): a
+    /// term naming a Skolem application never made, or an unbound
+    /// variable, derives nothing.
+    fn derive(
+        &self,
+        vars: &[String],
+        row: &[Option<Value>],
+        n: i64,
+        site: &EvalResult,
+        counts: &mut FastMap<Fact, i64>,
+    ) {
+        let term = |t: &Term| term_instance(t, vars, row, &site.skolem);
+        let links = self.block.link.iter().filter_map(|l| {
+            let label = match &l.label {
+                LabelTerm::Const(s) => site.graph.label(s)?,
+                LabelTerm::Var(v) => {
+                    let slot = vars.iter().position(|x| x == v)?;
+                    site.graph.label(row.get(slot)?.as_ref()?.as_str()?)?
+                }
+            };
+            Some(Fact::Link(term(&l.src)?.as_node()?, label, term(&l.dst)?))
+        });
+        let members = self.block.collect.iter().filter_map(|ce| {
+            Some(Fact::Member(site.graph.collection_id(&ce.collection)?, term(&ce.arg)?))
+        });
+        for fact in links.chain(members) {
+            *counts.entry(fact).or_default() += n;
+        }
+    }
 }
 
 fn flatten(program: &Program) -> Vec<Chain> {
@@ -257,29 +259,25 @@ fn flatten(program: &Program) -> Vec<Chain> {
     out
 }
 
-/// Instantiates a link expression against a bindings row using the *old*
-/// Skolem table in lookup-only mode (never minting). `None` when a term
-/// references a Skolem application that was never materialized or an
-/// unbound variable — then the candidate edge cannot exist.
-fn link_instance(
-    l: &LinkExpr,
-    vars: &[String],
-    row: &[Option<Value>],
-    skolem: &SkolemTable,
-) -> Option<(Oid, String, Value)> {
-    let src = term_instance(&l.src, vars, row, skolem)?.as_node()?;
-    let label = match &l.label {
-        LabelTerm::Const(s) => s.clone(),
-        LabelTerm::Var(v) => {
-            let idx = vars.iter().position(|x| x == v)?;
-            match row.get(idx)?.as_ref()? {
-                Value::Str(s) => s.to_string(),
-                _ => return None,
-            }
-        }
-    };
-    let dst = term_instance(&l.dst, vars, row, skolem)?;
-    Some((src, label, dst))
+/// `where C(x) collect C(x)` for the data collection `C`: each membership
+/// the data graph holds is one support of the site graph's.
+fn data_members(name: &str) -> Chain {
+    let x = Term::Var("x".into());
+    Chain {
+        conds: vec![Condition::Collection {
+            name: name.into(),
+            arg: x.clone(),
+            span: Default::default(),
+        }],
+        block: Block {
+            collect: vec![CollectExpr {
+                collection: name.into(),
+                arg: x,
+                span: Default::default(),
+            }],
+            ..Block::default()
+        },
+    }
 }
 
 /// Instantiates a construction term in lookup-only mode.
@@ -305,109 +303,20 @@ fn term_instance(
     }
 }
 
-/// Inverts the Skolem table: created oid → (symbol, argument values).
-fn skolem_reverse(skolem: &SkolemTable) -> HashMap<Oid, (String, Vec<Value>)> {
-    skolem
-        .iter()
-        .map(|(key, oid)| (oid, (key.symbol.to_string(), key.args.to_vec())))
-        .collect()
-}
-
-/// Unifies a link expression with a concrete candidate edge, producing the
-/// seed bindings under which the expression emits exactly that edge.
-fn unify_link(
-    l: &LinkExpr,
-    src: Oid,
-    label: &str,
-    dst: &Value,
-    reverse: &HashMap<Oid, (String, Vec<Value>)>,
-) -> Option<Vec<(String, Value)>> {
-    let mut seeds: Vec<(String, Value)> = Vec::new();
-    unify_term_into(&l.src, &Value::Node(src), reverse, &mut seeds)?;
-    match &l.label {
-        LabelTerm::Const(s) => {
-            if s != label {
-                return None;
-            }
-        }
-        LabelTerm::Var(v) => {
-            push_seed(&mut seeds, v, Value::string(label))?;
+/// Rewrites the data-graph oids a bindings row binds into site-graph oids.
+fn to_site(row: &mut [Option<Value>], site_oids: &FastMap<Oid, Oid>) {
+    for slot in row.iter_mut().flatten() {
+        if let Value::Node(o) = slot {
+            *o = *site_oids.get(o).unwrap_or(o);
         }
     }
-    unify_term_into(&l.dst, dst, reverse, &mut seeds)?;
-    Some(seeds)
-}
-
-/// Unifies a collect term with a candidate member.
-fn unify_term(
-    t: &Term,
-    member: &Value,
-    reverse: &HashMap<Oid, (String, Vec<Value>)>,
-) -> Option<Vec<(String, Value)>> {
-    let mut seeds = Vec::new();
-    unify_term_into(t, member, reverse, &mut seeds)?;
-    Some(seeds)
-}
-
-fn unify_term_into(
-    t: &Term,
-    value: &Value,
-    reverse: &HashMap<Oid, (String, Vec<Value>)>,
-    seeds: &mut Vec<(String, Value)>,
-) -> Option<()> {
-    match t {
-        Term::Var(v) => push_seed(seeds, v, value.clone()),
-        Term::Const(c) => coerce::eq(c, value).then_some(()),
-        Term::Skolem { symbol, args } => {
-            let oid = value.as_node()?;
-            let (sym, arg_vals) = reverse.get(&oid)?;
-            if sym != symbol || arg_vals.len() != args.len() {
-                return None;
-            }
-            for (term, val) in args.iter().zip(arg_vals) {
-                unify_term_into(term, val, reverse, seeds)?;
-            }
-            Some(())
-        }
-    }
-}
-
-fn push_seed(seeds: &mut Vec<(String, Value)>, var: &str, value: Value) -> Option<()> {
-    if let Some((_, prev)) = seeds.iter().find(|(n, _)| n == var) {
-        (prev == &value).then_some(())
-    } else {
-        seeds.push((var.to_owned(), value));
-        Some(())
-    }
-}
-
-/// Rewrites node values minted by the delta from data-graph oids to their
-/// site-graph counterparts.
-fn translate_rows(
-    rows: Vec<Vec<Option<Value>>>,
-    oid_map: &HashMap<Oid, Oid>,
-) -> Vec<Vec<Option<Value>>> {
-    if oid_map.is_empty() {
-        return rows;
-    }
-    rows.into_iter()
-        .map(|row| {
-            row.into_iter()
-                .map(|slot| {
-                    slot.map(|v| match v {
-                        Value::Node(o) => Value::Node(*oid_map.get(&o).unwrap_or(&o)),
-                        other => other,
-                    })
-                })
-                .collect()
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use strudel_graph::ddl;
+    use strudel_prng::{Rng, SeedableRng, SmallRng};
     use strudel_struql::parse;
 
     const QUERY: &str = r#"
@@ -424,15 +333,17 @@ mod tests {
                RootPage() -> "year" -> YearPage(y) }
     "#;
 
+    fn db_of(ddl: &str) -> Database {
+        Database::from_graph(ddl::parse(ddl).unwrap(), IndexLevel::Full)
+    }
+
     fn base_db() -> Database {
-        let g = ddl::parse(
+        db_of(
             r#"
             object p1 in Publications { title : "Alpha"; year : 1997; }
             object p2 in Publications { title : "Beta"; year : 1998; }
         "#,
         )
-        .unwrap();
-        Database::from_graph(g, IndexLevel::Full)
     }
 
     /// Evaluate fully on (base + delta) for comparison.
@@ -441,6 +352,28 @@ mod tests {
         delta.apply(&mut g).unwrap();
         let db2 = Database::from_graph(g, IndexLevel::Full);
         Evaluator::new(&db2).eval(program).unwrap()
+    }
+
+    struct Outcome {
+        result: EvalResult,
+        rows_recomputed: usize,
+    }
+
+    /// Maintains `old`, the evaluation of `program` on a copy of `db`.
+    fn maintain(program: &Program, db: &Database, old: EvalResult) -> MaintainedSite {
+        let db = Database::from_graph(db.graph().clone(), IndexLevel::Full);
+        MaintainedSite::new(program, db, old).unwrap()
+    }
+
+    /// Maintains `old` through one delta, counting from scratch first.
+    fn maintain_once(
+        program: &Program,
+        db: &Database,
+        delta: &GraphDelta,
+        old: EvalResult,
+    ) -> StruqlResult<Outcome> {
+        let mut site = maintain(program, db, old);
+        Ok(Outcome { rows_recomputed: site.apply(delta)?, result: site.result })
     }
 
     #[test]
@@ -454,7 +387,7 @@ mod tests {
         delta.add_edge(p1, "title", Value::string("Alpha (revised)"));
 
         let reference = full_reference(&db, &program, &delta);
-        let out = incremental_update(&program, &db, &delta, old).unwrap();
+        let out = maintain_once(&program, &db, &delta, old).unwrap();
         assert!(out.rows_recomputed > 0);
         assert!(graphs_equivalent(&out.result.graph, &reference.graph));
 
@@ -479,7 +412,7 @@ mod tests {
         delta.collect("Publications", Value::Node(p3));
 
         let reference = full_reference(&db, &program, &delta);
-        let out = incremental_update(&program, &db, &delta, old).unwrap();
+        let out = maintain_once(&program, &db, &delta, old).unwrap();
         assert!(graphs_equivalent(&out.result.graph, &reference.graph));
 
         // The new paper's page exists, carries its title, and the existing
@@ -505,7 +438,7 @@ mod tests {
         let p1 = db.graph().node_by_name("p1").unwrap();
         let mut delta = GraphDelta::new();
         delta.add_edge(p1, "title", Value::string("Alpha"));
-        let out = incremental_update(&program, &db, &delta, old).unwrap();
+        let out = maintain_once(&program, &db, &delta, old).unwrap();
         assert_eq!(
             out.result.graph.edge_count(),
             edge_count + 1,
@@ -530,7 +463,7 @@ mod tests {
         let mut delta = GraphDelta::new();
         delta.remove_edge(p1, "year", Value::Int(1997));
 
-        let out = incremental_update(&program, &db, &delta, old).unwrap();
+        let out = maintain_once(&program, &db, &delta, old).unwrap();
         let g = &out.result.graph;
         // The 1997 year page lost its only paper link and the root lost
         // nothing else; p1's page keeps its title.
@@ -557,7 +490,7 @@ mod tests {
         let mut delta = GraphDelta::new();
         delta.uncollect("Publications", Value::Node(p1));
 
-        let out = incremental_update(&program, &db, &delta, old).unwrap();
+        let out = maintain_once(&program, &db, &delta, old).unwrap();
         let g = &out.result.graph;
         let root = out.result.skolem_node("RootPage", &[]).unwrap();
         assert!(!g.has_edge(root, g.label("paper").unwrap(), &Value::Node(page1)));
@@ -578,12 +511,7 @@ mod tests {
     fn links_with_surviving_derivations_are_kept() {
         // Two year edges with the same value: removing one must keep the
         // YearPage link, because the other edge still derives it.
-        let g0 = ddl::parse(
-            r#"object d in Publications { title : "Dup"; year : 1997; year : 1997; }"#,
-        )
-        .unwrap();
-        // The DDL dedupe? Multigraph stores both edges.
-        let db = Database::from_graph(g0, IndexLevel::Full);
+        let db = db_of(r#"object d in Publications { title : "Dup"; year : 1997; year : 1997; }"#);
         let program = parse(QUERY).unwrap();
         let old = Evaluator::new(&db).eval(&program).unwrap();
         let d = db.graph().node_by_name("d").unwrap();
@@ -592,14 +520,22 @@ mod tests {
 
         let mut delta = GraphDelta::new();
         delta.remove_edge(d, "year", Value::Int(1997));
-        let out = incremental_update(&program, &db, &delta, old).unwrap();
-        let g = &out.result.graph;
+        let mut site = maintain(&program, &db, old);
+        site.apply(&delta).unwrap();
+        let g = &site.result.graph;
         assert!(
             g.has_edge(y97, g.label("paper").unwrap(), &Value::Node(page)),
             "one year edge remains, so the link survives rederivation"
         );
         let reference = full_reference(&db, &program, &delta);
         assert!(graphs_equivalent(g, &reference.graph));
+
+        // The count carried over: the second removal takes the link.
+        let reference = full_reference(&site.db.clone(), &program, &delta);
+        site.apply(&delta).unwrap();
+        let g = &site.result.graph;
+        assert!(!g.has_edge(y97, g.label("paper").unwrap(), &Value::Node(page)));
+        assert!(equivalent_modulo_orphans(g, &reference.graph));
     }
 
     #[test]
@@ -613,7 +549,7 @@ mod tests {
         delta.remove_edge(p1, "title", Value::string("Alpha"));
         delta.add_edge(p1, "title", Value::string("Alpha (2nd ed.)"));
 
-        let out = incremental_update(&program, &db, &delta, old).unwrap();
+        let out = maintain_once(&program, &db, &delta, old).unwrap();
         let g = &out.result.graph;
         let page1 = out.result.skolem_node("PaperPage", &[Value::Node(p1)]).unwrap();
         let titles: Vec<&str> = g
@@ -625,21 +561,14 @@ mod tests {
 
     #[test]
     fn kleene_deletions_stay_incremental() {
-        let g0 = ddl::parse(
-            r#"
-            object root in Roots { child : &a; }
-            object a { label : "a"; child : &b; }
-            object b { label : "b"; }
-        "#,
-        )
-        .unwrap();
-        let db = Database::from_graph(g0, IndexLevel::Full);
+        let db = db_of(
+            r#"object root in Roots { child : &a; }
+               object a { label : "a"; child : &b; } object b { label : "b"; }"#,
+        );
         let program = parse(
-            r#"
-            where Roots(r), r -> * -> n
-            create Copy(n)
-            collect Reach(Copy(n))
-        "#,
+            r#"where Roots(r), r -> * -> n
+               create Copy(n)
+               collect Reach(Copy(n))"#,
         )
         .unwrap();
         let old = Evaluator::new(&db).eval(&program).unwrap();
@@ -649,7 +578,7 @@ mod tests {
         let mut delta = GraphDelta::new();
         delta.remove_edge(a, "child", Value::Node(b));
         let reference = full_reference(&db, &program, &delta);
-        let out = incremental_update(&program, &db, &delta, old).unwrap();
+        let out = maintain_once(&program, &db, &delta, old).unwrap();
         assert!(out.rows_recomputed > 0);
         // Copy(b) and Copy("b") lost their only derivation and linger
         // unreferenced; everything else equals the fresh evaluation.
@@ -662,11 +591,9 @@ mod tests {
     fn negation_stays_incremental() {
         let db = base_db();
         let program = parse(
-            r#"
-            where Publications(x), not(x -> "retracted" -> r)
-            create P(x)
-            collect Live(P(x))
-        "#,
+            r#"where Publications(x), not(x -> "retracted" -> r)
+               create P(x)
+               collect Live(P(x))"#,
         )
         .unwrap();
         let p1 = db.graph().node_by_name("p1").unwrap();
@@ -677,7 +604,7 @@ mod tests {
         let mut retract = GraphDelta::new();
         retract.add_edge(p1, "retracted", Value::Bool(true));
         let reference = full_reference(&db, &program, &retract);
-        let out = incremental_update(&program, &db, &retract, old).unwrap();
+        let out = maintain_once(&program, &db, &retract, old).unwrap();
         assert_eq!(out.result.graph.members_str("Live").len(), 1);
         assert_eq!(out.result.graph.node_count(), reference.graph.node_count() + 1);
         assert!(equivalent_modulo_orphans(&out.result.graph, &reference.graph));
@@ -690,7 +617,7 @@ mod tests {
         let mut restore = GraphDelta::new();
         restore.remove_edge(p1, "retracted", Value::Bool(true));
         let reference = full_reference(&db2, &program, &restore);
-        let out = incremental_update(&program, &db2, &restore, out.result).unwrap();
+        let out = maintain_once(&program, &db2, &restore, out.result).unwrap();
         assert_eq!(out.result.graph.members_str("Live").len(), 2);
         assert!(graphs_equivalent(&out.result.graph, &reference.graph));
     }
@@ -699,21 +626,15 @@ mod tests {
     fn negation_over_kleene_stays_incremental() {
         // Both out-of-fragment shapes of the old DRed path at once: the
         // retraction changes a closure under not(…).
-        let g0 = ddl::parse(
-            r#"
-            object p1 in Publications { rel : &p2; }
-            object p2 in Publications { title : "Beta"; }
-        "#,
-        )
-        .unwrap();
-        let db = Database::from_graph(g0, IndexLevel::Full);
+        let db = db_of(
+            r#"object p1 in Publications { rel : &p2; }
+               object p2 in Publications { title : "Beta"; }"#,
+        );
         let program = parse(
-            r#"
-            create Index()
-            collect Roots(Index())
-            { where Publications(x), not(x -> "rel"+ -> y)
-              link Index() -> "leaf" -> x }
-        "#,
+            r#"create Index()
+               collect Roots(Index())
+               { where Publications(x), not(x -> "rel"+ -> y)
+                 link Index() -> "leaf" -> x }"#,
         )
         .unwrap();
         let old = Evaluator::new(&db).eval(&program).unwrap();
@@ -722,22 +643,20 @@ mod tests {
         let mut delta = GraphDelta::new();
         delta.remove_edge(p1, "rel", Value::Node(p2));
         let reference = full_reference(&db, &program, &delta);
-        let out = incremental_update(&program, &db, &delta, old).unwrap();
+        let out = maintain_once(&program, &db, &delta, old).unwrap();
         assert!(graphs_equivalent(&out.result.graph, &reference.graph));
     }
 
-    /// Nested Skolem construction terms take the same path: the probe
-    /// inverts `Cell(YearOf(y), x)` through the memo table level by level.
+    /// Nested Skolem construction terms take the same path: a row resolves
+    /// `Cell(YearOf(y), x)` through the memo table level by level.
     #[test]
     fn nested_skolem_terms_stay_incremental() {
         let db = base_db();
         let program = parse(
-            r#"
-            where Publications(x), x -> "year" -> y
-            create YearOf(y), Cell(YearOf(y), x)
-            link YearOf(y) -> "cell" -> Cell(YearOf(y), x)
-            collect Cells(Cell(YearOf(y), x))
-        "#,
+            r#"where Publications(x), x -> "year" -> y
+               create YearOf(y), Cell(YearOf(y), x)
+               link YearOf(y) -> "cell" -> Cell(YearOf(y), x)
+               collect Cells(Cell(YearOf(y), x))"#,
         )
         .unwrap();
         let p1 = db.graph().node_by_name("p1").unwrap();
@@ -746,7 +665,7 @@ mod tests {
         let mut insert = GraphDelta::new();
         insert.add_edge(p1, "year", Value::Int(1998));
         let reference = full_reference(&db, &program, &insert);
-        let out = incremental_update(&program, &db, &insert, old).unwrap();
+        let out = maintain_once(&program, &db, &insert, old).unwrap();
         assert!(graphs_equivalent(&out.result.graph, &reference.graph));
 
         // Removing the year again retracts Cell(YearOf(1998), p1) and its
@@ -757,7 +676,7 @@ mod tests {
         let mut remove = GraphDelta::new();
         remove.remove_edge(p1, "year", Value::Int(1998));
         let reference = full_reference(&db2, &program, &remove);
-        let out = incremental_update(&program, &db2, &remove, out.result).unwrap();
+        let out = maintain_once(&program, &db2, &remove, out.result).unwrap();
         assert_eq!(out.result.graph.members_str("Cells").len(), 2);
         let y98 = out.result.skolem_node("YearOf", &[Value::Int(1998)]).unwrap();
         assert_eq!(out.result.graph.attr_str(y98, "cell").count(), 1);
@@ -769,16 +688,13 @@ mod tests {
     fn delta_removing_its_own_insert_does_not_panic() {
         // A mixed delta that adds an edge and removes it again: the delete
         // fact references a node the OLD graph never issued, which must
-        // never be probed with it.
-        let g = ddl::parse(r#"object p1 { year : 1997; }"#).unwrap();
-        let db = Database::from_graph(g, IndexLevel::Full);
+        // never be looked up in it.
+        let db = db_of(r#"object p1 { year : 1997; }"#);
         let program = parse(
-            r#"
-            where x -> "year" -> y
-            create P(x)
-            link P(x) -> "year" -> y
-            collect Out(P(x))
-        "#,
+            r#"where x -> "year" -> y
+               create P(x)
+               link P(x) -> "year" -> y
+               collect Out(P(x))"#,
         )
         .unwrap();
         let old = Evaluator::new(&db).eval(&program).unwrap();
@@ -790,7 +706,7 @@ mod tests {
         delta.remove_edge(p2, "year", Value::Int(1998));
 
         let reference = full_reference(&db, &program, &delta);
-        let out = incremental_update(&program, &db, &delta, old).unwrap();
+        let out = maintain_once(&program, &db, &delta, old).unwrap();
         assert_eq!(
             out.result.graph.members_str("Out").len(),
             reference.graph.members_str("Out").len()
@@ -799,23 +715,14 @@ mod tests {
 
     #[test]
     fn kleene_insertion_extends_paths_through_the_middle() {
-        let db = {
-            let g = ddl::parse(
-                r#"
-                object root in Roots { child : &a; }
-                object a { label : "a"; }
-                object b { label : "b"; }
-            "#,
-            )
-            .unwrap();
-            Database::from_graph(g, IndexLevel::Full)
-        };
+        let db = db_of(
+            r#"object root in Roots { child : &a; }
+               object a { label : "a"; } object b { label : "b"; }"#,
+        );
         let program = parse(
-            r#"
-            where Roots(r), r -> * -> n
-            create Copy(n)
-            collect Reach(Copy(n))
-        "#,
+            r#"where Roots(r), r -> * -> n
+               create Copy(n)
+               collect Reach(Copy(n))"#,
         )
         .unwrap();
         let old = Evaluator::new(&db).eval(&program).unwrap();
@@ -829,7 +736,7 @@ mod tests {
         delta.add_edge(a, "child", Value::Node(b));
 
         let reference = full_reference(&db, &program, &delta);
-        let out = incremental_update(&program, &db, &delta, old).unwrap();
+        let out = maintain_once(&program, &db, &delta, old).unwrap();
         assert!(graphs_equivalent(&out.result.graph, &reference.graph));
     }
 
@@ -837,20 +744,13 @@ mod tests {
     /// traverse must not touch the chain at all.
     #[test]
     fn irrelevant_label_deletion_stays_incremental_despite_kleene() {
-        let g0 = ddl::parse(
-            r#"
-            object root in Roots { child : &a; note : "draft"; }
-            object a { label : "a"; }
-        "#,
-        )
-        .unwrap();
-        let db = Database::from_graph(g0, IndexLevel::Full);
+        let db = db_of(
+            r#"object root in Roots { child : &a; note : "draft"; } object a { label : "a"; }"#,
+        );
         let program = parse(
-            r#"
-            where Roots(r), r -> "child"* -> n
-            create Copy(n)
-            collect Reach(Copy(n))
-        "#,
+            r#"where Roots(r), r -> "child"* -> n
+               create Copy(n)
+               collect Reach(Copy(n))"#,
         )
         .unwrap();
         let old = Evaluator::new(&db).eval(&program).unwrap();
@@ -858,7 +758,7 @@ mod tests {
         let mut delta = GraphDelta::new();
         delta.remove_edge(root, "note", Value::string("draft"));
         let reference = full_reference(&db, &program, &delta);
-        let out = incremental_update(&program, &db, &delta, old).unwrap();
+        let out = maintain_once(&program, &db, &delta, old).unwrap();
         assert_eq!(out.rows_recomputed, 0, "'note' cannot be traversed by \"child\"*");
         assert!(graphs_equivalent(&out.result.graph, &reference.graph));
     }
@@ -867,20 +767,11 @@ mod tests {
     /// that chain.
     #[test]
     fn irrelevant_insert_skips_kleene_chain() {
-        let g0 = ddl::parse(
-            r#"
-            object root in Roots { child : &a; }
-            object a { label : "a"; }
-        "#,
-        )
-        .unwrap();
-        let db = Database::from_graph(g0, IndexLevel::Full);
+        let db = db_of(r#"object root in Roots { child : &a; } object a { label : "a"; }"#);
         let program = parse(
-            r#"
-            where Roots(r), r -> "child"* -> n
-            create Copy(n)
-            collect Reach(Copy(n))
-        "#,
+            r#"where Roots(r), r -> "child"* -> n
+               create Copy(n)
+               collect Reach(Copy(n))"#,
         )
         .unwrap();
         let old = Evaluator::new(&db).eval(&program).unwrap();
@@ -888,7 +779,7 @@ mod tests {
         let mut delta = GraphDelta::new();
         delta.add_edge(root, "note", Value::string("draft"));
         let reference = full_reference(&db, &program, &delta);
-        let out = incremental_update(&program, &db, &delta, old).unwrap();
+        let out = maintain_once(&program, &db, &delta, old).unwrap();
         assert_eq!(
             out.rows_recomputed, 0,
             "no chain atom relates to 'note'; nothing to rederive"
@@ -904,7 +795,7 @@ mod tests {
         let nodes = old.graph.node_count();
         let edges = old.graph.edge_count();
         let out =
-            incremental_update(&program, &db, &GraphDelta::new(), old).unwrap();
+            maintain_once(&program, &db, &GraphDelta::new(), old).unwrap();
         assert_eq!(out.rows_recomputed, 0);
         assert_eq!(out.result.graph.node_count(), nodes);
         assert_eq!(out.result.graph.edge_count(), edges);
@@ -926,9 +817,115 @@ mod tests {
             delta.collect("Publications", Value::Node(oid));
         }
         let reference = full_reference(&db, &program, &delta);
-        let out = incremental_update(&program, &db, &delta, old).unwrap();
+        let out = maintain_once(&program, &db, &delta, old).unwrap();
         assert!(graphs_equivalent(&out.result.graph, &reference.graph));
         assert_eq!(out.result.graph.members_str("Pages").len(), 7);
     }
-}
 
+    /// A data collection may share its name with a `collect`: the data
+    /// graph's membership and the derived one each support the member, and
+    /// it stays while either does.
+    #[test]
+    fn data_and_derived_memberships_share_a_collection() {
+        type Case = (&'static str, &'static str, fn(&mut GraphDelta, Oid));
+        let cases: [Case; 2] = [
+            // The derivation goes; the data membership stays.
+            (
+                r#"object p1 in Pubs { year : 1998; } object p2 { year : 1998; }"#,
+                r#"where x -> "year" -> 1998 collect Pubs(x)"#,
+                |delta, p1| delta.remove_edge(p1, "year", Value::Int(1998)),
+            ),
+            // The data membership goes; the derivation stays.
+            (
+                r#"object p1 in Pubs, Other { } object p2 in Other { }"#,
+                r#"where Other(x) collect Pubs(x)"#,
+                |delta, p1| delta.uncollect("Pubs", Value::Node(p1)),
+            ),
+        ];
+        for (data, query, change) in cases {
+            let db = db_of(data);
+            let program = parse(query).unwrap();
+            let mut site = maintain(&program, &db, Evaluator::new(&db).eval(&program).unwrap());
+            let p1 = db.graph().node_by_name("p1").unwrap();
+            let mut delta = GraphDelta::new();
+            change(&mut delta, p1);
+            let reference = full_reference(&db, &program, &delta);
+            site.apply(&delta).unwrap();
+            let pubs = site.result.graph.members_str("Pubs");
+            assert!(pubs.contains(&Value::Node(p1)), "{query}");
+            assert!(equivalent_modulo_orphans(&site.result.graph, &reference.graph));
+            assert_eq!(site.supports, site.count().unwrap());
+        }
+    }
+
+    /// Seeded chains of mixed deltas over a Kleene closure, `not(…)`, and
+    /// facts inserted and retracted within one delta: after every round
+    /// the site equals a fresh evaluation up to orphans, and the carried
+    /// counts equal counts taken from scratch.
+    #[test]
+    fn carried_counts_match_recounted_counts() {
+        let program = parse(
+            r#"create Index()
+               { where Items(x), x -> "next"* -> y, not(y -> "hidden" -> h)
+                 create Page(x), Seen(y)
+                 link Page(x) -> "reaches" -> Seen(y), Index() -> "item" -> Page(x)
+                 collect Items(y), Pages(Page(x)) }
+               { where Items(x), x -> "tag" -> t
+                 create Tag(t)
+                 link Tag(t) -> "item" -> x
+                 collect Tags(Tag(t)) }"#,
+        )
+        .unwrap();
+        for seed in 0..16u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut g = Graph::new();
+            for i in 0..6 {
+                let node = g.add_named_node(&format!("n{i}"));
+                if rng.gen_bool(0.5) {
+                    g.collect_str("Items", node);
+                }
+            }
+            let db = Database::from_graph(g, IndexLevel::Full);
+            let mut site = maintain(&program, &db, Evaluator::new(&db).eval(&program).unwrap());
+            for round in 0..8 {
+                let data = site.db.graph().clone();
+                let n = data.node_count();
+                let mut node = || Value::Node(Oid::from_index(rng.gen_range(0..n)));
+                let (a, b, c) = (node(), node(), node());
+                let from = a.as_node().unwrap();
+                let mut delta = GraphDelta::new();
+                match rng.gen_range(0..4u32) {
+                    // Named: a Skolem node's name spells an anonymous
+                    // argument by its oid, which differs in the site graph.
+                    0 => delta.add_node(Some(&format!("m{seed}.{round}"))),
+                    1 => delta.add_edge(from, "tag", Value::Int(rng.gen_range(0..3i64))),
+                    2 => delta.add_edge(from, "hidden", Value::Bool(true)),
+                    _ => delta.add_edge(from, "next", b.clone()),
+                }
+                // Inserted and retracted within the delta.
+                delta.add_edge(from, "next", c.clone());
+                delta.remove_edge(from, "next", c);
+                if let Some(e) = data.edges(b.as_node().unwrap()).first() {
+                    let label = data.label_name(e.label).to_owned();
+                    delta.remove_edge(b.as_node().unwrap(), &label, e.to.clone());
+                }
+                if data.members_str("Items").contains(&a) {
+                    delta.uncollect("Items", a);
+                } else {
+                    delta.collect("Items", a);
+                }
+                let db = Database::from_graph(data, IndexLevel::Full);
+                let mut reference = full_reference(&db, &program, &delta);
+                // A collection whose every member left stays interned, like
+                // an orphaned node: the fresh graph gets the same names.
+                for (_, name) in site.result.graph.collections() {
+                    reference.graph.intern_collection(name);
+                }
+                site.apply(&delta).unwrap();
+                let ok = equivalent_modulo_orphans(&site.result.graph, &reference.graph);
+                assert!(ok, "seed {seed} round {round}: {:?}", delta.ops());
+                assert_eq!(site.supports, site.count().unwrap(), "seed {seed} round {round}");
+            }
+        }
+    }
+}

@@ -39,7 +39,7 @@
 //! restart with exponential backoff + deterministic jitter
 //! ([`backoff::Backoff`]); a worker that keeps dying within
 //! `min_uptime` of becoming ready trips a crash-loop circuit breaker
-//! and stays down ([`supervisor`]).
+//! and stays down (`supervisor`).
 //!
 //! **Writes.** This is the one delta barrier in the crate. The router
 //! is the only writer: a delta validates and commits once in the
@@ -696,7 +696,7 @@ pub struct ClusterDeltaOutcome {
 
 impl ClickService for ClusterService {
     /// Serves one request on the calling thread: the router's own
-    /// endpoints, or a click proxied with [`ClusterService::proxy_to`].
+    /// endpoints, or a click proxied with `ClusterService::proxy_to`.
     fn handle(&self, path: &str) -> Response {
         let start = Instant::now();
         let routed = path.split('?').next().unwrap_or(path);

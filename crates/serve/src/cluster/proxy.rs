@@ -1,5 +1,5 @@
 //! The router's loopback HTTP client: one [`Upstream`] per worker
-//! incarnation, one deadline per exchange, one [`Exchange`] for both of
+//! incarnation, one deadline per exchange, one `Exchange` for both of
 //! its I/O loops.
 //!
 //! **The lifetime rule.** An `Upstream` owns a worker's address and a
@@ -14,15 +14,15 @@
 //! fetch is answered by the worker, so the delta barrier's guarantee
 //! (no response mixes epochs) is untouched.
 //!
-//! **One exchange, two I/O loops.** An [`Exchange`] is the protocol
+//! **One exchange, two I/O loops.** An `Exchange` is the protocol
 //! without the socket: it encodes the request, takes the response in
 //! whatever pieces it arrives, and comes to pending, done (with the
 //! reuse verdict) or failed (with the stale verdict). [`Upstream::fetch`]
 //! drives it blocking under socket timeouts — the barrier's catch-ups,
 //! the warm crawl, the `/healthz` probes and every click the reactor did
 //! not take. The router's epoll reactor drives it non-blocking
-//! ([`Conn::pump`]) on an idle socket it took with
-//! [`Upstream::take_idle`], which never connects and never waits. Both
+//! (`Conn::pump`) on an idle socket it took with
+//! `Upstream::take_idle`, which never connects and never waits. Both
 //! loops return sockets to the one stack, so the head parser, the
 //! reuse rule and the stale rule below are each written once.
 //!
@@ -83,7 +83,7 @@ pub struct UpstreamCounters {
     /// request was sent again on a fresh connection.
     pub retries: AtomicU64,
     /// Exchanges the router's reactor drove, each also a fetch and a
-    /// reuse: the clicks [`Upstream::take_idle`] found a socket for.
+    /// reuse: the clicks `Upstream::take_idle` found a socket for.
     pub forwards: AtomicU64,
 }
 

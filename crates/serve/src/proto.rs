@@ -1,7 +1,7 @@
 //! The HTTP/1.1 wire protocol, shared by both transports.
 //!
 //! The thread-pool transport ([`crate::server`]) and the epoll reactor
-//! ([`crate::event`]) parse requests and encode responses through this
+//! (`crate::event`) parse requests and encode responses through this
 //! one module, so the two transports can never drift: same request
 //! grammar, same status bodies, same header set. The only deliberate
 //! difference is the `Connection` header — the thread transport always

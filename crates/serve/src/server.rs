@@ -8,7 +8,7 @@
 //! it, each parsing a minimal `GET`/`HEAD` request through the shared
 //! [`crate::proto`] grammar, dispatching into the service, and writing
 //! exactly one response (`Connection: close`). [`Transport::Epoll`]
-//! (Linux) is the event-driven keep-alive reactor in [`crate::event`]:
+//! (Linux) is the event-driven keep-alive reactor in `crate::event`:
 //! thousands of idle connections cost one fd each, not a thread each.
 //! Both transports serve byte-identical bodies — they share the parser,
 //! the status responses, and the response encoder.
@@ -226,7 +226,7 @@ pub enum Transport {
     /// The bench baseline.
     #[default]
     Threads,
-    /// The event-driven epoll reactor ([`crate::event`], Linux only):
+    /// The event-driven epoll reactor (`crate::event`, Linux only):
     /// HTTP/1.1 keep-alive, idle-connection deadlines, warm hits
     /// answered on the reactor thread and a render pool for the rest —
     /// idle connections cost an fd, not a thread.

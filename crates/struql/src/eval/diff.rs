@@ -14,7 +14,7 @@
 //! which is exactly `ΔL⋈R + L⋈ΔR + ΔL⋈ΔR` folded into two engine calls:
 //! `R ⋈ A_new − R ⋈ A_old` is `L⋈ΔR` computed by cancellation, and
 //! `D ⋈ A_new` covers both `ΔL⋈R` and `ΔL⋈ΔR`. Every join runs the real
-//! operator implementations in [`atoms`] against the old or new database
+//! operator implementations in `atoms` against the old or new database
 //! snapshot, so coercion, negation, builtin, and batched-regex semantics
 //! are identical to full evaluation by construction — including Kleene
 //! closures, whose bound-destination probes go through the reverse

@@ -297,10 +297,8 @@ impl<'g> HtmlGenerator<'g> {
     ///
     /// This is the §1 promise "to update a site incrementally when changes
     /// occur in the underlying data", applied to the presentation stage;
-    /// pair it with [`incremental_update`] in the schema crate for the
-    /// site-graph stage.
-    ///
-    /// [`incremental_update`]: ../strudel_schema/incremental/fn.incremental_update.html
+    /// pair it with the schema crate's `incremental::MaintainedSite` for
+    /// the site-graph stage.
     pub fn regenerate(
         &self,
         previous: &SiteOutput,

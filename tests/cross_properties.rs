@@ -115,7 +115,7 @@ fn plan_and_index_transparency() {
 /// single-publication inserts.
 #[test]
 fn incremental_equals_full() {
-    use strudel::schema::incremental::incremental_update;
+    use strudel::schema::incremental::MaintainedSite;
     use strudel_graph::graphs_equivalent;
     for seed in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(200 + seed);
@@ -133,14 +133,15 @@ fn incremental_equals_full() {
         delta.add_edge(oid, "year", Value::Int(year));
         delta.collect("Publications", Value::Node(oid));
 
-        let inc = incremental_update(&program, &db, &delta, old).unwrap();
-
         let mut g2 = db.graph().clone();
+        let mut inc = MaintainedSite::new(&program, db, old).unwrap();
+        inc.apply(&delta).unwrap();
+
         delta.apply(&mut g2).unwrap();
         let db2 = Database::from_graph(g2, IndexLevel::Full);
         let full = Evaluator::new(&db2).eval(&program).unwrap();
         assert!(
-            graphs_equivalent(&inc.result.graph, &full.graph),
+            graphs_equivalent(&inc.result().graph, &full.graph),
             "seed {seed}"
         );
     }
@@ -152,7 +153,7 @@ fn incremental_equals_full() {
 /// evaluation) carry no derived content.
 #[test]
 fn dred_deletions_match_full() {
-    use strudel::schema::incremental::incremental_update;
+    use strudel::schema::incremental::MaintainedSite;
     for seed in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(300 + seed);
         let g = pub_graph(&mut rng);
@@ -172,9 +173,11 @@ fn dred_deletions_match_full() {
             None => delta.uncollect("Publications", victim.clone()),
         }
 
-        let inc = incremental_update(&program, &db, &delta, old).unwrap();
-
         let mut g2 = db.graph().clone();
+        let mut site = MaintainedSite::new(&program, db, old).unwrap();
+        site.apply(&delta).unwrap();
+        let inc = site.result();
+
         delta.apply(&mut g2).unwrap();
         let db2 = Database::from_graph(g2, IndexLevel::Full);
         let full = Evaluator::new(&db2).eval(&program).unwrap();
@@ -189,7 +192,6 @@ fn dred_deletions_match_full() {
         for (symbol, args) in &full_keys {
             let f_oid = full.skolem_node(symbol, args).unwrap();
             let i_oid = inc
-                .result
                 .skolem_node(symbol, args)
                 .expect("incremental site has every live page");
             let mut f_edges: Vec<(String, String)> = full
@@ -209,21 +211,19 @@ fn dred_deletions_match_full() {
                 })
                 .collect();
             let mut i_edges: Vec<(String, String)> = inc
-                .result
                 .graph
                 .edges(i_oid)
                 .iter()
                 .map(|e| {
                     let target = match &e.to {
                         Value::Node(o) => inc
-                            .result
                             .graph
                             .node_name(*o)
                             .map(str::to_owned)
                             .unwrap_or_else(|| format!("{o}")),
                         other => format!("{other}"),
                     };
-                    (inc.result.graph.label_name(e.label).to_owned(), target)
+                    (inc.graph.label_name(e.label).to_owned(), target)
                 })
                 .collect();
             f_edges.sort();
@@ -234,11 +234,11 @@ fn dred_deletions_match_full() {
             );
         }
         // Orphans: keys the full evaluation no longer creates must be bare.
-        for (key, oid) in inc.result.skolem.iter() {
+        for (key, oid) in inc.skolem.iter() {
             let alive = full.skolem_node(key.symbol, key.args).is_some();
             if !alive {
                 assert_eq!(
-                    inc.result.graph.edges(oid).len(),
+                    inc.graph.edges(oid).len(),
                     0,
                     "seed {seed}: orphan {key:?} kept content"
                 );
@@ -255,7 +255,7 @@ fn dred_deletions_match_full() {
 /// lingering nodes through the resumed Skolem table).
 #[test]
 fn negation_and_kleene_stay_incremental_under_edge_deletions() {
-    use strudel::schema::incremental::{equivalent_modulo_orphans, incremental_update};
+    use strudel::schema::incremental::{equivalent_modulo_orphans, MaintainedSite};
     use strudel_graph::{GraphDelta, Oid};
     let program = strudel::struql::parse(
         r#"
@@ -282,8 +282,10 @@ fn negation_and_kleene_stay_incremental_under_edge_deletions() {
                 g.add_edge_str(node, "link", Value::Node(to));
             }
         }
-        let mut db = Database::from_graph(g, IndexLevel::Full);
-        let mut site = Evaluator::new(&db).eval(&program).unwrap();
+        let mut db = Database::from_graph(g.clone(), IndexLevel::Full);
+        let result = Evaluator::new(&db).eval(&program).unwrap();
+        let mut site = MaintainedSite::new(&program, Database::from_graph(g, IndexLevel::Full), result)
+            .unwrap();
         for round in 0..6 {
             let edges: Vec<(Oid, String, Value)> = db
                 .graph()
@@ -308,19 +310,17 @@ fn negation_and_kleene_stay_incremental_under_edge_deletions() {
                     delta.remove_edge(from, &label, to);
                 }
             }
-            let inc = incremental_update(&program, &db, &delta, site).unwrap();
-            propagated += u64::from(inc.rows_recomputed > 0);
+            propagated += u64::from(site.apply(&delta).unwrap() > 0);
 
             let mut g2 = db.graph().clone();
             delta.apply(&mut g2).unwrap();
             db = Database::from_graph(g2, IndexLevel::Full);
             let full = Evaluator::new(&db).eval(&program).unwrap();
             assert!(
-                equivalent_modulo_orphans(&inc.result.graph, &full.graph),
+                equivalent_modulo_orphans(&site.result().graph, &full.graph),
                 "seed {seed} round {round}: {:?}",
                 delta.ops()
             );
-            site = inc.result;
         }
     }
     assert!(propagated > CASES, "most deletions must change some row");
