@@ -43,8 +43,11 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 /// Allocations per data edge of `news_site(200).build()`. At 8128d7e this
-/// was 22.9 (71 644 for 3 123 edges); the copy-free path measures 4.7.
-const BUILD_PER_DATA_EDGE: f64 = 5.2;
+/// was 22.9 (71 644 for 3 123 edges); the copy-free path measured 4.7,
+/// later 4.21 (13 146). Planner statistics from one pass over presized
+/// sets, Skolem terms memoized per block and column labels interned once
+/// measure 4.18 (13 069).
+const BUILD_PER_DATA_EDGE: f64 = 4.6;
 
 /// Allocations per page of `Site::render`. At 8128d7e this was 122.5
 /// (25 610 for 209 pages, half of them the template's AST cloned for

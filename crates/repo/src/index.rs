@@ -24,6 +24,7 @@
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
+use strudel_graph::hash::FastMap;
 use strudel_graph::{Graph, Label, Oid, Value};
 
 /// Per-attribute schema facts.
@@ -109,14 +110,14 @@ impl SchemaIndex {
 }
 
 /// `(label, to)` → sources, the inverted half of [`ExtensionIndex`].
-type Inverted = HashMap<(Label, Value), Vec<Oid>>;
+type Inverted = FastMap<(Label, Value), Vec<Oid>>;
 
 /// Extension indexes: per-attribute `(source, target)` pairs and the
 /// inverted target → sources map.
 #[derive(Clone, Debug, Default)]
 pub struct ExtensionIndex {
     /// label → all (from, to) pairs, in insertion order.
-    forward: HashMap<Label, Vec<(Oid, Value)>>,
+    forward: FastMap<Label, Vec<(Oid, Value)>>,
     /// Derived from `forward` by the first [`ExtensionIndex::sources`]
     /// probe (it hashes every target value; `forward` hashes none) and
     /// maintained by mutations only once it exists.
@@ -176,7 +177,7 @@ impl ExtensionIndex {
     fn inverted(&self) -> &Inverted {
         self.inverted.get_or_init(|| {
             let _span = strudel_trace::span("repo.index.build.inverted");
-            let mut inverted = Inverted::new();
+            let mut inverted = Inverted::default();
             for (&label, pairs) in &self.forward {
                 for (from, to) in pairs {
                     inverted.entry((label, to.clone())).or_default().push(*from);
@@ -190,7 +191,7 @@ impl ExtensionIndex {
 /// The global value index: atomic value → every `(node, label)` location.
 #[derive(Clone, Debug, Default)]
 pub struct ValueIndex {
-    locations: HashMap<Value, Vec<(Oid, Label)>>,
+    locations: FastMap<Value, Vec<(Oid, Label)>>,
 }
 
 impl ValueIndex {

@@ -6,8 +6,9 @@
 //! counts, distinct source/target counts (for selectivity), collection
 //! cardinalities, and graph totals.
 
-use std::collections::{HashMap, HashSet};
-use strudel_graph::{Graph, Label, Value};
+use std::collections::HashMap;
+use strudel_graph::hash::FastSet;
+use strudel_graph::{Graph, Label, Oid, Value};
 
 /// Statistics for one attribute label.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -43,7 +44,8 @@ impl LabelStats {
 /// Graph-wide statistics snapshot.
 #[derive(Clone, Debug, Default)]
 pub struct Stats {
-    labels: HashMap<Label, LabelStats>,
+    /// Indexed by label; labels interned after the scan read as unused.
+    labels: Vec<LabelStats>,
     collections: HashMap<String, usize>,
     /// Total node count.
     pub nodes: usize,
@@ -53,26 +55,43 @@ pub struct Stats {
 
 impl Stats {
     /// Computes statistics by scanning `graph`.
+    ///
+    /// The counts are exact, not estimates: the planner orders a block's
+    /// conditions by them, that order is the order rows reach the
+    /// construction stage, and that order is the order Skolem nodes are
+    /// minted and pages named. So a scan that approximated a count could
+    /// rename a page.
+    ///
+    /// One counting pass needs no set for sources: a node's edges are
+    /// contiguous, so a source is new to a label exactly when the label
+    /// last saw another node. Its edge counts then presize each label's
+    /// set of borrowed targets, which never rehashes a target.
     pub fn compute(graph: &Graph) -> Self {
-        let mut per_label: PerLabelAcc = HashMap::new();
+        let mut labels = vec![LabelStats::default(); graph.labels().len()];
+        let mut last_source: Vec<Option<Oid>> = vec![None; labels.len()];
         for oid in graph.node_oids() {
             for e in graph.edges(oid) {
-                note_edge_stat(&mut per_label, e.label, oid.index(), &e.to);
+                let l = &mut labels[e.label.index()];
+                l.edges += 1;
+                let last = &mut last_source[e.label.index()];
+                if *last != Some(oid) {
+                    *last = Some(oid);
+                    l.distinct_sources += 1;
+                }
             }
         }
-        let labels = per_label
-            .into_iter()
-            .map(|(l, (edges, srcs, tgts))| {
-                (
-                    l,
-                    LabelStats {
-                        edges,
-                        distinct_sources: srcs.len(),
-                        distinct_targets: tgts.len(),
-                    },
-                )
-            })
+        let mut targets: Vec<FastSet<&Value>> = labels
+            .iter()
+            .map(|l| FastSet::with_capacity_and_hasher(l.edges, Default::default()))
             .collect();
+        for oid in graph.node_oids() {
+            for e in graph.edges(oid) {
+                targets[e.label.index()].insert(&e.to);
+            }
+        }
+        for (l, t) in labels.iter_mut().zip(&targets) {
+            l.distinct_targets = t.len();
+        }
         let collections = graph
             .collections()
             .map(|(cid, name)| (name.to_owned(), graph.members(cid).len()))
@@ -87,7 +106,7 @@ impl Stats {
 
     /// Statistics for one label; zeros when the label is unused.
     pub fn label(&self, label: Label) -> LabelStats {
-        self.labels.get(&label).cloned().unwrap_or_default()
+        self.labels.get(label.index()).cloned().unwrap_or_default()
     }
 
     /// Cardinality of a collection by name.
@@ -103,19 +122,6 @@ impl Stats {
             self.edges as f64 / self.nodes as f64
         }
     }
-}
-
-/// Per-label accumulator: edge count, distinct source indexes, distinct
-/// target values. Source indexes are kept at full `usize` width — a
-/// narrower set type silently collides oids past its range and skews the
-/// planner's selectivity estimates.
-type PerLabelAcc = HashMap<Label, (usize, HashSet<usize>, HashSet<Value>)>;
-
-fn note_edge_stat(per_label: &mut PerLabelAcc, label: Label, src_index: usize, to: &Value) {
-    let entry = per_label.entry(label).or_default();
-    entry.0 += 1;
-    entry.1.insert(src_index);
-    entry.2.insert(to.clone());
 }
 
 #[cfg(test)]
@@ -153,24 +159,80 @@ mod tests {
         assert_eq!(s.avg_degree(), 0.0);
     }
 
-    /// Regression: the accumulator used to narrow source indexes to `u32`,
-    /// so oids 2^32 apart counted as one distinct source. `Oid`
-    /// construction debug-asserts a u32-sized index, so the regression is
-    /// pinned at the accumulator level with raw indexes.
+    /// `compute` against a brute force over `BTreeSet`s, per label and
+    /// per collection, on seeded graphs with repeated edges, several
+    /// labels on one node, equal strings in distinct `Arc`s, node, int
+    /// and float targets, and interned labels that carry no edge.
     #[test]
-    #[cfg(target_pointer_width = "64")]
-    fn large_oid_indexes_stay_distinct() {
-        let mut g = Graph::new();
-        let label = g.intern_label("cites");
-        let mut acc = PerLabelAcc::new();
-        let low: usize = 1;
-        let high: usize = (1usize << 32) + 1; // == low as u32
-        note_edge_stat(&mut acc, label, low, &Value::Int(7));
-        note_edge_stat(&mut acc, label, high, &Value::Int(7));
-        let (edges, srcs, tgts) = &acc[&label];
-        assert_eq!(*edges, 2);
-        assert_eq!(srcs.len(), 2, "indexes colliding mod 2^32 must stay distinct");
-        assert_eq!(tgts.len(), 1);
+    fn compute_equals_brute_force_on_random_graphs() {
+        use std::collections::BTreeSet;
+        use strudel_prng::{choose, Rng, SeedableRng, SmallRng};
+
+        const LABELS: [&str; 5] = ["p", "q", "r", "unused", "s"];
+        for seed in 0..64u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut g = Graph::new();
+            let labels = LABELS.map(|l| g.intern_label(l));
+            let nodes: Vec<Oid> = (0..rng.gen_range(0..12usize))
+                .map(|_| g.add_node())
+                .collect();
+            for _ in 0..rng.gen_range(0..80usize) {
+                if nodes.is_empty() {
+                    break;
+                }
+                let from = *choose(&mut rng, &nodes);
+                let to = match rng.gen_range(0..5u32) {
+                    0 => Value::Node(*choose(&mut rng, &nodes)),
+                    1 => Value::Int(rng.gen_range(-2..3i64)),
+                    2 => Value::Float(*choose(&mut rng, &[0.0, -0.0, 1.5, f64::NAN])),
+                    // A fresh `Arc` per edge: equal text, distinct pointers.
+                    _ => Value::string(String::from(*choose(&mut rng, &["x", "y", "xy"]))),
+                };
+                let label = *choose(&mut rng, &labels[..3]);
+                // Repeats: the same edge again, or the same target under
+                // another label on the same node.
+                let copies = rng.gen_range(1..3usize);
+                for _ in 0..copies {
+                    g.add_edge(from, label, to.clone());
+                }
+                if rng.gen_bool(0.2) {
+                    g.add_edge(from, labels[4], to);
+                }
+                if rng.gen_bool(0.3) {
+                    let collection = *choose(&mut rng, &["C", "D"]);
+                    g.collect_str(collection, from);
+                }
+            }
+
+            let s = Stats::compute(&g);
+            for label in labels {
+                let mut edges = 0;
+                let mut sources = BTreeSet::new();
+                let mut targets = BTreeSet::new();
+                for oid in g.node_oids() {
+                    for e in g.edges(oid).iter().filter(|e| e.label == label) {
+                        edges += 1;
+                        sources.insert(oid.index());
+                        targets.insert(e.to.clone());
+                    }
+                }
+                let want = LabelStats {
+                    edges,
+                    distinct_sources: sources.len(),
+                    distinct_targets: targets.len(),
+                };
+                assert_eq!(s.label(label), want, "seed {seed}, label {label:?}");
+            }
+            for name in ["C", "D"] {
+                let members: BTreeSet<Value> = g.members_str(name).iter().cloned().collect();
+                assert_eq!(
+                    s.collection_size(name),
+                    members.len(),
+                    "seed {seed}, {name}"
+                );
+            }
+            assert_eq!((s.nodes, s.edges), (g.node_count(), g.edge_count()));
+        }
     }
 
     #[test]

@@ -25,7 +25,8 @@ pub mod diff;
 use crate::ast::{Block, LabelTerm, Program, Term};
 use crate::error::{StruqlError, StruqlResult};
 use crate::plan;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use strudel_graph::hash::{FastMap, FastSet};
 use strudel_graph::{CollectionId, Graph, Label, Oid, SkolemSymbol, SkolemTable, Value};
 use strudel_repo::Database;
 
@@ -107,7 +108,7 @@ struct Ctx {
     /// [`Graph::has_edge`] would. It belongs to this context, which owns
     /// `out` for as long as it lives: a resumed construction starts with
     /// none and refills from the graph it was handed.
-    hubs: HashMap<Oid, HashSet<(Label, Value)>>,
+    hubs: FastMap<Oid, FastSet<(Label, Value)>>,
 }
 
 /// Out-degree from which a link source's edges are kept as a set. Below
@@ -138,7 +139,7 @@ impl Ctx {
             new_nodes: result.new_nodes,
             rows_evaluated: result.rows_evaluated,
             args: Vec::new(),
-            hubs: HashMap::new(),
+            hubs: FastMap::default(),
         }
     }
 
@@ -286,6 +287,31 @@ struct Construction<'b> {
     create: Vec<CTerm<'b>>,
     link: Vec<CLink<'b>>,
     collect: Vec<CCollect<'b>>,
+    memos: Memos,
+}
+
+/// What each distinct Skolem term of a block last evaluated to. A term
+/// written several times in a block is applied once per row, and a row
+/// whose arguments equal the previous application's reuses its oid
+/// without hashing them. Both are sound because a construction lives for
+/// one block evaluation or one `apply_block` call, during which the
+/// Skolem table forgets nothing; and neither moves a mint, because a
+/// term's first evaluation in a row still happens where it always did
+/// and a later one could only have found the node already there.
+struct Memos {
+    /// The row being constructed, counting from 1.
+    row: usize,
+    slots: Vec<Memo>,
+}
+
+#[derive(Default)]
+struct Memo {
+    /// The row `oid` was last produced for.
+    row: usize,
+    /// The arguments `oid` was applied to.
+    args: Vec<Value>,
+    /// `None` until the term is first applied.
+    oid: Option<Oid>,
 }
 
 /// A variable's slot, or `None` when the layout has no such variable
@@ -301,6 +327,9 @@ enum CTerm<'b> {
     Skolem {
         symbol: SkolemSymbol,
         args: Vec<CTerm<'b>>,
+        /// This term's slot in [`Memos::slots`], shared by every equal
+        /// term of the block.
+        memo: usize,
     },
 }
 
@@ -327,36 +356,46 @@ impl<'b> Construction<'b> {
             name,
             slot: var_slot(name, vars),
         };
+        // Equal Skolem terms share a memo slot: their index in `distinct`.
         fn term<'b>(
             t: &'b Term,
             slot: &impl Fn(&'b str) -> Slot<'b>,
             skolem: &mut SkolemTable,
+            distinct: &mut Vec<&'b Term>,
         ) -> CTerm<'b> {
             match t {
                 Term::Var(v) => CTerm::Var(slot(v)),
                 Term::Const(v) => CTerm::Const(v),
                 Term::Skolem { symbol, args } => CTerm::Skolem {
                     symbol: skolem.symbol(symbol),
-                    args: args.iter().map(|a| term(a, slot, skolem)).collect(),
+                    args: args
+                        .iter()
+                        .map(|a| term(a, slot, skolem, distinct))
+                        .collect(),
+                    memo: distinct.iter().position(|d| *d == t).unwrap_or_else(|| {
+                        distinct.push(t);
+                        distinct.len() - 1
+                    }),
                 },
             }
         }
+        let mut distinct = Vec::new();
         Construction {
             create: block
                 .create
                 .iter()
-                .map(|t| term(t, &slot, skolem))
+                .map(|t| term(t, &slot, skolem, &mut distinct))
                 .collect(),
             link: block
                 .link
                 .iter()
                 .map(|l| CLink {
-                    src: term(&l.src, &slot, skolem),
+                    src: term(&l.src, &slot, skolem, &mut distinct),
                     label: match &l.label {
                         LabelTerm::Const(name) => CLabel::Const { name, label: None },
                         LabelTerm::Var(v) => CLabel::Var(slot(v)),
                     },
-                    dst: term(&l.dst, &slot, skolem),
+                    dst: term(&l.dst, &slot, skolem, &mut distinct),
                 })
                 .collect(),
             collect: block
@@ -365,9 +404,13 @@ impl<'b> Construction<'b> {
                 .map(|c| CCollect {
                     collection: &c.collection,
                     cid: None,
-                    arg: term(&c.arg, &slot, skolem),
+                    arg: term(&c.arg, &slot, skolem, &mut distinct),
                 })
                 .collect(),
+            memos: Memos {
+                row: 0,
+                slots: distinct.iter().map(|_| Memo::default()).collect(),
+            },
         }
     }
 }
@@ -376,11 +419,18 @@ impl<'b> Construction<'b> {
 fn construct_into(block: &mut Construction<'_>, row: &Row, ctx: &mut Ctx) -> StruqlResult<()> {
     // A row that failed part-way may have left arguments behind.
     ctx.args.clear();
-    for t in &block.create {
-        eval_term_into(t, row, ctx)?;
+    let Construction {
+        create,
+        link,
+        collect,
+        memos,
+    } = block;
+    memos.row += 1;
+    for t in create.iter() {
+        eval_term_into(t, row, ctx, memos)?;
     }
-    for l in &mut block.link {
-        let src = eval_term_into(&l.src, row, ctx)?;
+    for l in link.iter_mut() {
+        let src = eval_term_into(&l.src, row, ctx, memos)?;
         let Some(src_oid) = src.as_node() else {
             return Err(StruqlError::eval("link source is not a node"));
         };
@@ -403,7 +453,7 @@ fn construct_into(block: &mut Construction<'_>, row: &Row, ctx: &mut Ctx) -> Str
                 }
             },
         };
-        let dst = eval_term_into(&l.dst, row, ctx)?;
+        let dst = eval_term_into(&l.dst, row, ctx, memos)?;
         let label = match (&mut l.label, label_name) {
             (CLabel::Const { name, label }, _) => {
                 *label.get_or_insert_with(|| ctx.out.intern_label(name))
@@ -412,8 +462,8 @@ fn construct_into(block: &mut Construction<'_>, row: &Row, ctx: &mut Ctx) -> Str
         };
         ctx.link(src_oid, label, dst);
     }
-    for c in &mut block.collect {
-        let member = eval_term_into(&c.arg, row, ctx)?;
+    for c in collect.iter_mut() {
+        let member = eval_term_into(&c.arg, row, ctx, memos)?;
         let cid = *c
             .cid
             .get_or_insert_with(|| ctx.out.intern_collection(c.collection));
@@ -423,26 +473,48 @@ fn construct_into(block: &mut Construction<'_>, row: &Row, ctx: &mut Ctx) -> Str
 }
 
 /// Evaluates a compiled construction term to a value.
-fn eval_term_into(term: &CTerm<'_>, row: &Row, ctx: &mut Ctx) -> StruqlResult<Value> {
+fn eval_term_into(
+    term: &CTerm<'_>,
+    row: &Row,
+    ctx: &mut Ctx,
+    memos: &mut Memos,
+) -> StruqlResult<Value> {
     match term {
         CTerm::Var(v) => read_slot(v, row).cloned(),
         CTerm::Const(v) => Ok((*v).clone()),
-        CTerm::Skolem { symbol, args } => {
+        CTerm::Skolem { symbol, args, memo } => {
+            let m = &memos.slots[*memo];
+            if let (Some(oid), true) = (m.oid, m.row == memos.row) {
+                return Ok(Value::Node(oid));
+            }
             let base = ctx.args.len();
             for a in args {
-                let v = eval_term_into(a, row, ctx)?;
+                let v = eval_term_into(a, row, ctx, memos)?;
                 ctx.args.push(v);
             }
-            let (oid, new) = ctx
-                .skolem
-                .apply_symbol(&mut ctx.out, *symbol, &ctx.args[base..]);
-            ctx.args.truncate(base);
-            if new {
-                ctx.new_nodes.push(oid);
-                // Minted nodes are appended to the graph.
-                ctx.created.resize(oid.index(), false);
-                ctx.created.push(true);
-            }
+            let m = &mut memos.slots[*memo];
+            let oid = match m.oid {
+                Some(oid) if m.args == ctx.args[base..] => {
+                    ctx.args.truncate(base);
+                    oid
+                }
+                _ => {
+                    let (oid, new) =
+                        ctx.skolem
+                            .apply_symbol(&mut ctx.out, *symbol, &ctx.args[base..]);
+                    if new {
+                        ctx.new_nodes.push(oid);
+                        // Minted nodes are appended to the graph.
+                        ctx.created.resize(oid.index(), false);
+                        ctx.created.push(true);
+                    }
+                    m.args.clear();
+                    m.args.extend(ctx.args.drain(base..));
+                    m.oid = Some(oid);
+                    oid
+                }
+            };
+            m.row = memos.row;
             Ok(Value::Node(oid))
         }
     }

@@ -706,3 +706,89 @@ fn construction_errors_name_the_variable_and_wait_for_a_row() {
         "{err}"
     );
 }
+
+/// One `apply_block` call over many rows must construct exactly what one
+/// call per row does: a block's Skolem memos carry oids from row to row
+/// only where the Skolem table would have answered the same. The rows
+/// repeat their arguments back to back and interleaved; one Skolem term
+/// appears in `create`, at both ends of a `link` and in `collect`, with a
+/// nested Skolem argument, beside a variable label.
+#[test]
+fn one_apply_block_call_constructs_as_one_call_per_row_does() {
+    use crate::eval::Row;
+    use crate::Constructor;
+    use strudel_graph::graphs_equivalent;
+    use strudel_prng::{choose, Rng, SeedableRng, SmallRng};
+
+    let program = parse(
+        r#"where Xs(x), x -> l -> y
+           create P(x, S(y)), S(y)
+           link P(x, S(y)) -> l -> P(x, S(y)), S(y) -> "of" -> x, P(x, S(y)) -> "s" -> S(y)
+           collect Ps(P(x, S(y)))"#,
+    )
+    .unwrap();
+    let block = &program.blocks[0];
+    let vars: Vec<String> = ["x", "l", "y"].map(String::from).to_vec();
+
+    let mut base = Graph::new();
+    let data: Vec<Value> = (0..3)
+        .map(|i| Value::Node(base.add_named_node(&format!("d{i}"))))
+        .collect();
+    for seed in 0..32u64 {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let value = |rng: &mut SmallRng| match rng.gen_range(0..3u32) {
+            0 => choose(rng, &data).clone(),
+            1 => Value::Int(rng.gen_range(0..3i64)),
+            // A fresh `Arc` per value: equal text, distinct pointers.
+            _ => Value::string(String::from(*choose(rng, &["a", "b"]))),
+        };
+        let pool: Vec<Row> = (0..rng.gen_range(1..5usize))
+            .map(|_| {
+                let (x, y) = (value(&mut rng), value(&mut rng));
+                let l = Value::string(*choose(&mut rng, &["p", "q"]));
+                vec![Some(x), Some(l), Some(y)]
+            })
+            .collect();
+        let mut rows: Vec<Row> = Vec::new();
+        for _ in 0..rng.gen_range(0..40usize) {
+            let row = match rows.last() {
+                Some(last) if rng.gen_bool(0.4) => last.clone(),
+                _ => choose(&mut rng, &pool).clone(),
+            };
+            rows.push(row);
+        }
+
+        let mut batch = Constructor::new(base.clone());
+        batch.apply_block(block, &vars, &rows).unwrap();
+        let mut single = Constructor::new(base.clone());
+        for row in &rows {
+            single
+                .apply_block(block, &vars, std::slice::from_ref(row))
+                .unwrap();
+        }
+        let (batch, single) = (batch.finish(), single.finish());
+
+        assert_eq!(batch.new_nodes, single.new_nodes, "seed {seed}");
+        let table = |r: &crate::EvalResult| {
+            let mut t: Vec<(String, Vec<Value>, strudel_graph::Oid)> = r
+                .skolem
+                .iter()
+                .map(|(k, oid)| (k.symbol.to_owned(), k.args.to_vec(), oid))
+                .collect();
+            t.sort();
+            t
+        };
+        assert_eq!(table(&batch), table(&single), "seed {seed}");
+        assert!(
+            graphs_equivalent(&batch.graph, &single.graph),
+            "seed {seed}"
+        );
+        for oid in batch.graph.node_oids() {
+            assert_eq!(
+                batch.graph.edges(oid),
+                single.graph.edges(oid),
+                "seed {seed}, {oid}"
+            );
+        }
+    }
+}

@@ -362,6 +362,10 @@ pub(crate) struct GenCtx<'g> {
     labels: Vec<Option<Label>>,
     /// `title`, `name` and `label`: the attributes link text is read from.
     link_text: [Option<Label>; 3],
+    /// The lowest of `link_text`'s label ids and the distance to the
+    /// highest: one subtraction and compare passes over an edge that
+    /// carries none of them.
+    link_text_ids: (usize, usize),
     file_resolver: Option<&'g FileResolver<'g>>,
     /// External URL assignment for single-page (click-time) rendering.
     namer: Option<&'g PageNamer<'g>>,
@@ -378,13 +382,17 @@ pub(crate) struct GenCtx<'g> {
 impl<'g> GenCtx<'g> {
     fn new(gen: &HtmlGenerator<'g>, namer: Option<&'g PageNamer<'g>>) -> Self {
         let graph = gen.graph;
+        let link_text = ["title", "name", "label"].map(|a| graph.label(a));
+        let ids = link_text.iter().flatten().map(|l| l.index());
+        let lo = ids.clone().min().unwrap_or(usize::MAX);
         GenCtx {
             graph,
             templates: gen.templates,
             selection: Selection::new(graph, gen.templates),
             label_starts: vec![None; gen.templates.templates.len()],
             labels: Vec::new(),
-            link_text: ["title", "name", "label"].map(|a| graph.label(a)),
+            link_text,
+            link_text_ids: (lo, ids.max().map_or(0, |hi| hi - lo)),
             file_resolver: gen.file_resolver,
             namer,
             page_names: HashMap::new(),
@@ -452,16 +460,39 @@ impl<'g> GenCtx<'g> {
         out.push_str("</a>");
     }
 
-    /// Writes human-readable link text for an object, escaped: its `title`,
-    /// `name`, or `label` attribute, else its symbolic name, else its oid.
+    /// Writes human-readable link text for an object, escaped: the first
+    /// value of its `title`, `name` or `label` attribute, in that order,
+    /// that is atomic, else its symbolic name, else its oid. One scan of
+    /// the edges finds all three first values, and it stops as soon as
+    /// the earlier attributes are settled.
     fn write_link_text(&self, oid: Oid, out: &mut String) {
-        for label in self.link_text.into_iter().flatten() {
-            if let Some(v) = self.graph.first_attr(oid, label) {
-                if v.is_atomic() {
-                    write_text(out, v);
-                    return;
+        let (lo, span) = self.link_text_ids;
+        let mut first: [Option<&Value>; 3] = [None; 3];
+        'scan: for e in self.graph.edges(oid) {
+            if e.label.index().wrapping_sub(lo) > span {
+                continue;
+            }
+            let Some(i) = self.link_text.iter().position(|&l| l == Some(e.label)) else {
+                continue;
+            };
+            if first[i].is_some() {
+                continue;
+            }
+            first[i] = Some(&e.to);
+            // Settled once an atomic first value is found and so is every
+            // attribute before it that the graph has, or once all are.
+            for (label, v) in self.link_text.iter().zip(first) {
+                match v {
+                    Some(v) if v.is_atomic() => break 'scan,
+                    None if label.is_some() => continue 'scan,
+                    _ => {}
                 }
             }
+            break;
+        }
+        if let Some(v) = first.into_iter().flatten().find(|v| v.is_atomic()) {
+            write_text(out, v);
+            return;
         }
         match self.graph.node_name(oid) {
             Some(n) => escape_into(out, n),
@@ -1116,5 +1147,82 @@ mod tests {
         ts.add_template("b", "one line").unwrap();
         assert_eq!(ts.template_count(), 2);
         assert_eq!(ts.total_line_count(), 4);
+    }
+
+    /// Link text from one scan of the edges picks what one scan per
+    /// candidate attribute picked: the first value of `title`, `name` or
+    /// `label`, in that order, that is atomic.
+    #[test]
+    fn link_text_in_one_scan_matches_a_scan_per_attribute() {
+        fn reference(g: &Graph, oid: Oid) -> String {
+            let mut out = String::new();
+            let labels = ["title", "name", "label"].map(|a| g.label(a));
+            for label in labels.into_iter().flatten() {
+                if let Some(v) = g.first_attr(oid, label) {
+                    if v.is_atomic() {
+                        write_text(&mut out, v);
+                        return out;
+                    }
+                }
+            }
+            match g.node_name(oid) {
+                Some(n) => escape_into(&mut out, n),
+                None => escape_into(&mut out, &oid.to_string()),
+            }
+            out
+        }
+
+        let mut g = Graph::new();
+        let target = g.add_named_node("Target");
+        let node_title = g.add_named_node("NodeTitle");
+        g.add_edge_str(node_title, "title", Value::Node(target));
+        g.add_edge_str(node_title, "title", Value::string("later title"));
+        g.add_edge_str(node_title, "label", Value::string("a label"));
+        g.add_edge_str(node_title, "name", Value::string("Ann & Bob"));
+        let only_label = g.add_named_node("OnlyLabel");
+        g.add_edge_str(only_label, "Story", Value::Node(target));
+        g.add_edge_str(only_label, "label", Value::Int(7));
+        let deep = g.add_named_node("Deep");
+        g.add_edge_str(deep, "name", Value::string("a name"));
+        for _ in 0..300 {
+            g.add_edge_str(deep, "Story", Value::Node(target));
+        }
+        g.add_edge_str(deep, "title", Value::string("deep title"));
+        let two_titles = g.add_named_node("TwoTitles");
+        g.add_edge_str(two_titles, "title", Value::string("first"));
+        g.add_edge_str(two_titles, "title", Value::string("second"));
+        let all_nodes = g.add_named_node("All<Nodes>");
+        for l in ["label", "name", "title"] {
+            g.add_edge_str(all_nodes, l, Value::Node(target));
+        }
+        let anonymous = g.add_node();
+        g.add_edge_str(anonymous, "Story", Value::Node(target));
+
+        let ts = TemplateSet::new();
+        let gen = HtmlGenerator::new(&g, &ts);
+        let ctx = GenCtx::new(&gen, None);
+        let text = |oid| {
+            let mut out = String::new();
+            ctx.write_link_text(oid, &mut out);
+            assert_eq!(out, reference(&g, oid), "{oid}");
+            out
+        };
+        assert_eq!(text(node_title), "Ann &amp; Bob");
+        assert_eq!(text(only_label), "7");
+        assert_eq!(text(deep), "deep title");
+        assert_eq!(text(two_titles), "first");
+        assert_eq!(text(all_nodes), "All&lt;Nodes&gt;");
+        assert_eq!(text(anonymous), anonymous.to_string().replace('&', "&amp;"));
+        assert_eq!(text(target), "Target");
+
+        // A graph that never interned `title` or `name`.
+        let mut g = Graph::new();
+        let only_label = g.add_node();
+        g.add_edge_str(only_label, "label", Value::string("just a label"));
+        let gen = HtmlGenerator::new(&g, &ts);
+        let mut out = String::new();
+        GenCtx::new(&gen, None).write_link_text(only_label, &mut out);
+        assert_eq!(out, "just a label");
+        assert_eq!(out, reference(&g, only_label));
     }
 }

@@ -18,7 +18,8 @@
 
 use crate::WrapError;
 use std::borrow::Cow;
-use strudel_graph::{FileKind, Graph, Value};
+use std::fmt::Write;
+use strudel_graph::{FileKind, Graph, Label, Value};
 
 /// Options for one table.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -103,6 +104,10 @@ pub fn wrap_into(csv: &str, opts: &TableOptions, g: &mut Graph) -> Result<(), Wr
         .collect();
 
     let cid = g.intern_collection(&opts.table);
+    // Each column's label, interned by its first non-empty cell: label
+    // ids follow first use, as they do for every wrapper.
+    let mut labels: Vec<Option<Label>> = vec![None; columns.len()];
+    let mut node_name = String::new();
     for (line_no, row) in rows.enumerate() {
         if row.len() != columns.len() {
             return Err(WrapError::new(
@@ -123,14 +128,17 @@ pub fn wrap_into(csv: &str, opts: &TableOptions, g: &mut Graph) -> Result<(), Wr
                 "empty key cell",
             ));
         }
-        let node = g.add_named_node(&format!("{}_{}", opts.table, key));
+        node_name.clear();
+        let _ = write!(node_name, "{}_{}", opts.table, key);
+        let node = g.add_named_node(&node_name);
         g.collect(cid, Value::Node(node));
-        for ((name, ty), cell) in columns.iter().zip(&row) {
+        for (((name, ty), label), cell) in columns.iter().zip(&mut labels).zip(&row) {
             let cell = cell.trim();
             if cell.is_empty() {
                 continue; // missing attribute, the semistructured way
             }
-            g.add_edge_str(node, name, type_cell(cell, *ty));
+            let label = *label.get_or_insert_with(|| g.intern_label(name));
+            g.add_edge(node, label, type_cell(cell, *ty));
         }
     }
     Ok(())
@@ -149,6 +157,9 @@ fn type_cell(cell: &str, ty: ColType) -> Value {
         ColType::Str => Value::string(cell),
         ColType::Url => Value::url(cell),
         ColType::File(k) => Value::file(k, cell),
+        // A cell that no number can start with is a string: skip both
+        // parses.
+        ColType::Infer if !may_start_number(cell) => Value::string(cell),
         ColType::Infer => {
             if let Ok(i) = cell.parse::<i64>() {
                 Value::Int(i)
@@ -159,6 +170,16 @@ fn type_cell(cell: &str, ty: ColType) -> Value {
             }
         }
     }
+}
+
+/// Whether `cell` can start an `i64` or `f64` as `str::parse` reads them:
+/// a sign, a digit, a decimal point, or the `inf`, `infinity` and `nan`
+/// spellings in any case.
+fn may_start_number(cell: &str) -> bool {
+    matches!(
+        cell.as_bytes().first(),
+        Some(b'0'..=b'9' | b'+' | b'-' | b'.' | b'i' | b'I' | b'n' | b'N')
+    )
 }
 
 /// One field under construction: a range of the source for as long as
@@ -387,6 +408,34 @@ kang,Jaewoo Kang,systems,5559999,,
         let g = wrap("id,score\nx,2.5\n", &TableOptions::new("T")).unwrap();
         let x = g.node_by_name("T_x").unwrap();
         assert_eq!(g.first_attr_str(x, "score"), Some(&Value::Float(2.5)));
+    }
+
+    /// The first-byte filter skips only parses that would fail: `Infer`
+    /// types every cell as trying `i64` and then `f64` on it does.
+    #[test]
+    fn infer_matches_parsing_every_cell() {
+        fn reference(cell: &str) -> Value {
+            if let Ok(i) = cell.parse::<i64>() {
+                Value::Int(i)
+            } else if let Ok(f) = cell.parse::<f64>() {
+                Value::Float(f)
+            } else {
+                Value::string(cell)
+            }
+        }
+        let cells = [
+            "0", "42", "+7", "-7", "1.5", "+.5", "-.5", ".5", "5.", "1e3", "1E-3", "inf", "INF",
+            "-inf", "Infinity", "infinity", "iNfInItY", "nan", "NaN", "-nan", "+NAN", "e5", "E5",
+            "x1", "infx", "nanny", "Inform", "+", "-", ".", "1,5", " 1", "☃", "0x10", "_1",
+        ];
+        // Past `i64`'s range: only the `f64` parse succeeds.
+        for cell in cells.into_iter().chain(["9223372036854775808"]) {
+            let got = type_cell(cell, ColType::Infer);
+            match (&got, &reference(cell)) {
+                (Value::Float(a), Value::Float(b)) => assert!(a.total_cmp(b).is_eq(), "{cell}"),
+                (got, want) => assert_eq!(got, want, "{cell}"),
+            }
+        }
     }
 
     #[test]
