@@ -18,7 +18,7 @@ fn bench_static_vs_runtime(c: &mut Criterion) {
             BenchmarkId::new("static", entries),
             &site,
             |b, site| {
-                b.iter(|| verify::verify(&site.schema, &constraint));
+                b.iter(|| verify::verify(&site.schema, site.database.graph(), &constraint));
             },
         );
         group.bench_with_input(

@@ -156,7 +156,7 @@ impl SiteBuilder {
         let mut verifications = Vec::with_capacity(self.constraints.len());
         for src in &self.constraints {
             let constraint = parse_constraint(src)?;
-            let static_verdict = verify::verify(&schema, &constraint);
+            let static_verdict = verify::verify(&schema, database.graph(), &constraint);
             let runtime_result = runtime::check(&result.graph, &constraint);
             verifications.push(Verification {
                 constraint,
@@ -310,19 +310,6 @@ impl Site {
             source_reports: self.source_reports.clone(),
             stats,
         })
-    }
-
-    /// Incrementally re-renders a previous output after the site-graph
-    /// objects in `changed` were modified: only pages that read a changed
-    /// object are re-rendered (see
-    /// [`HtmlGenerator::regenerate`](strudel_template::HtmlGenerator::regenerate)).
-    pub fn regenerate(
-        &self,
-        previous: &SiteOutput,
-        changed: &[Oid],
-    ) -> Result<SiteOutput, StrudelError> {
-        Ok(HtmlGenerator::new(&self.result.graph, &self.templates)
-            .regenerate(previous, changed)?)
     }
 
     /// T1 statistics including the page count of a render.

@@ -229,8 +229,9 @@ fn render_view(
 pub fn render_data_node(data: &Graph, oid: Oid) -> Result<String, ServeError> {
     let templates = TemplateSet::new();
     let namer = |o: Oid| Some(data_path(o, data));
-    let page = HtmlGenerator::new(data, &templates).render_one(oid, &namer)?;
-    Ok(page.html)
+    let mut html = String::new();
+    HtmlGenerator::new(data, &templates).render_one_into(oid, &namer, &mut html)?;
+    Ok(html)
 }
 
 /// Renders the `/` index: one link per root page.

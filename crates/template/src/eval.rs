@@ -142,8 +142,7 @@ fn start<'g>(expr: &AttrExpr, env: &Env<'g>) -> Result<Start<'g>, TemplateError>
 }
 
 /// Evaluates an attribute expression into `values` (empty on entry), in
-/// edge order. Every node whose attributes are read is recorded as a
-/// dependency of the page under construction.
+/// edge order.
 fn eval_attr_expr<'g>(
     expr: &AttrExpr,
     env: &Env<'g>,
@@ -159,7 +158,6 @@ fn eval_attr_expr<'g>(
         (Start::Object(o), Some((&first, rest))) => (o, first, rest),
         _ => return Ok(()),
     };
-    ctx.note_dep(o);
     if let Some(l) = ctx.label(env, first) {
         values.extend(graph.attr(o, l));
     }
@@ -170,11 +168,8 @@ fn eval_attr_expr<'g>(
     for &step in rest {
         let label = ctx.label(env, step);
         for v in values.iter() {
-            if let Value::Node(o) = v {
-                ctx.note_dep(*o);
-                if let Some(l) = label {
-                    next.extend(graph.attr(*o, l));
-                }
+            if let (Value::Node(o), Some(l)) = (v, label) {
+                next.extend(graph.attr(*o, l));
             }
         }
         std::mem::swap(values, &mut next);
@@ -186,8 +181,7 @@ fn eval_attr_expr<'g>(
 
 /// The first value of an attribute expression — for `SIF` and a
 /// single-valued `SFMT`. A path of one step stops at the first matching
-/// edge; a longer path is evaluated whole, since every object it passes
-/// through is a dependency.
+/// edge; a longer path is evaluated whole.
 fn first_value<'g>(
     expr: &AttrExpr,
     env: &Env<'g>,
@@ -203,7 +197,6 @@ fn first_value<'g>(
     Ok(match start(expr, env)? {
         Start::Value(v) => Some(v),
         Start::Object(o) => {
-            ctx.note_dep(o);
             let graph = ctx.graph;
             ctx.label(env, expr.path[0])
                 .and_then(|l| graph.first_attr(o, l))
@@ -223,7 +216,7 @@ fn sort_values<'g>(
     dir: OrderDir,
     key: Option<AttrId>,
     env: &Env<'g>,
-    ctx: &mut GenCtx<'g>,
+    ctx: &GenCtx<'g>,
 ) {
     let order = |a: &Value, b: &Value| {
         let ord = coerce::compare(a, b).unwrap_or_else(|| a.cmp(b));
@@ -244,9 +237,6 @@ fn sort_values<'g>(
             (Some(l), Value::Node(o)) => graph.first_attr(*o, l).unwrap_or(v),
             _ => v,
         };
-        if let Value::Node(o) = v {
-            ctx.note_dep(*o);
-        }
         keyed.push((k, v));
     }
     keyed.sort_by(|(a, _), (b, _)| order(a, b));
@@ -264,7 +254,6 @@ fn render_value<'g>(
 ) -> Result<(), TemplateError> {
     match v {
         Value::Node(o) => {
-            ctx.note_dep(*o);
             if embed && !ctx.embedding(*o) {
                 return ctx.render_embedded(*o, out);
             }

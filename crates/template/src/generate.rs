@@ -167,17 +167,6 @@ pub struct Page {
     pub name: String,
     /// The page's HTML.
     pub html: String,
-    /// Every object whose content this page read while rendering, sorted
-    /// and deduplicated — the dependency set driving incremental
-    /// regeneration.
-    pub deps: Vec<Oid>,
-}
-
-impl Page {
-    /// Whether the page read any object in `changed`.
-    fn reads_any(&self, changed: &[Oid]) -> bool {
-        changed.iter().any(|c| self.deps.binary_search(c).is_ok())
-    }
 }
 
 /// The generated site.
@@ -201,16 +190,6 @@ impl SiteOutput {
     /// Total HTML bytes.
     pub fn total_bytes(&self) -> usize {
         self.pages.iter().map(|p| p.html.len()).sum()
-    }
-
-    /// Pages whose dependency sets intersect `changed` — the pages an
-    /// incremental regeneration must re-render.
-    pub fn affected_pages(&self, changed: &[Oid]) -> Vec<Oid> {
-        self.pages
-            .iter()
-            .filter(|p| p.reads_any(changed))
-            .map(|p| p.oid)
-            .collect()
     }
 
     /// Checks every intra-site link: returns `(page, href)` pairs whose
@@ -287,55 +266,15 @@ impl<'g> HtmlGenerator<'g> {
         for &r in roots {
             ctx.realize(r);
         }
-        ctx.render_worklist(&HashMap::new())
+        ctx.render_worklist()
     }
 
-    /// Incrementally regenerates `previous` after the objects in `changed`
-    /// were modified: only pages whose dependency sets intersect `changed`
-    /// (plus any newly reachable pages) are re-rendered; the rest are
-    /// carried over verbatim, with stable page names.
-    ///
-    /// This is the §1 promise "to update a site incrementally when changes
-    /// occur in the underlying data", applied to the presentation stage;
-    /// pair it with the schema crate's `incremental::MaintainedSite` for
-    /// the site-graph stage.
-    pub fn regenerate(
-        &self,
-        previous: &SiteOutput,
-        changed: &[Oid],
-    ) -> Result<SiteOutput, TemplateError> {
-        let mut ctx = GenCtx::new(self, None);
-        // Keep page names stable, carry clean pages over, and enqueue the
-        // previous inventory in its order (realize() short-circuits on
-        // known names, so it is enqueued explicitly).
-        let mut clean = HashMap::with_capacity(previous.pages.len());
-        for p in &previous.pages {
-            ctx.page_names.insert(p.oid, p.name.clone());
-            ctx.used_names.insert(p.name.clone());
-            ctx.worklist.push_back(p.oid);
-            if !p.reads_any(changed) {
-                clean.insert(p.oid, p);
-            }
-        }
-        ctx.render_worklist(&clean)
-    }
-
-    /// Renders the single page for `oid` without materializing the rest of
-    /// the site — the click-time entry point. Hyperlinks to other objects
-    /// are resolved through `namer` (mapping objects to server URLs);
-    /// objects the namer declines get generated `.html` names, but are
-    /// *not* rendered. The returned [`Page`] carries the dependency set of
-    /// every object whose content the render read.
-    pub fn render_one(&self, oid: Oid, namer: &PageNamer<'_>) -> Result<Page, TemplateError> {
-        let mut ctx = GenCtx::new(self, Some(namer));
-        let name = ctx.realize(oid).to_owned();
-        ctx.render_page(oid, name, &mut String::new())
-    }
-
-    /// [`HtmlGenerator::render_one`] for a caller that wants the HTML
-    /// only: it is written to `out` (cleared first), whose allocation a
-    /// caller rendering page after page keeps, and no page name or
-    /// dependency list is copied out.
+    /// Renders the single page for `oid` into `out` (cleared first)
+    /// without materializing the rest of the site — the click-time entry
+    /// point. Hyperlinks to other objects are resolved through `namer`
+    /// (mapping objects to server URLs); objects the namer declines get
+    /// generated `.html` names, but are *not* rendered. A caller rendering
+    /// page after page keeps `out`'s allocation.
     pub fn render_one_into(
         &self,
         oid: Oid,
@@ -373,8 +312,6 @@ pub(crate) struct GenCtx<'g> {
     used_names: HashSet<String>,
     worklist: VecDeque<Oid>,
     embed_stack: Vec<Oid>,
-    /// Objects read while rendering the current page, with repeats.
-    deps: Vec<Oid>,
     /// Emptied value lists, kept for the next attribute expression.
     spare: Vec<Vec<&'g Value>>,
 }
@@ -399,30 +336,22 @@ impl<'g> GenCtx<'g> {
             used_names: HashSet::new(),
             worklist: VecDeque::new(),
             embed_stack: Vec::new(),
-            deps: Vec::new(),
             spare: Vec::new(),
         }
     }
 
-    /// Renders every page on the worklist, in order, carrying the pages of
-    /// `clean` over instead of rendering them.
-    fn render_worklist(
-        &mut self,
-        clean: &HashMap<Oid, &Page>,
-    ) -> Result<SiteOutput, TemplateError> {
+    /// Renders every page on the worklist, in order; `realize` enqueues
+    /// each object once, when it first names its page.
+    fn render_worklist(&mut self) -> Result<SiteOutput, TemplateError> {
         let mut out = SiteOutput::default();
-        let mut done: HashSet<Oid> = HashSet::new();
         let mut buf = String::new();
         while let Some(oid) = self.worklist.pop_front() {
-            if !done.insert(oid) {
-                continue;
-            }
-            if let Some(&page) = clean.get(&oid) {
-                out.pages.push(page.clone());
-                continue;
-            }
-            let name = self.page_names[&oid].clone();
-            out.pages.push(self.render_page(oid, name, &mut buf)?);
+            self.render_root(oid, &mut buf)?;
+            out.pages.push(Page {
+                oid,
+                name: self.page_names[&oid].clone(),
+                html: buf.as_str().to_owned(),
+            });
         }
         Ok(out)
     }
@@ -536,11 +465,6 @@ impl<'g> GenCtx<'g> {
         self.embed_stack.contains(&oid)
     }
 
-    /// Records that the current page read `oid`'s content.
-    pub(crate) fn note_dep(&mut self, oid: Oid) {
-        self.deps.push(oid);
-    }
-
     pub(crate) fn resolve_file(&self, path: &str) -> Option<String> {
         self.file_resolver.and_then(|f| f(path))
     }
@@ -557,32 +481,11 @@ impl<'g> GenCtx<'g> {
         r
     }
 
-    /// Renders the page `name` for `oid` through `buf`, whose allocation
-    /// the next page reuses.
-    fn render_page(
-        &mut self,
-        oid: Oid,
-        name: String,
-        buf: &mut String,
-    ) -> Result<Page, TemplateError> {
-        self.render_root(oid, buf)?;
-        self.deps.sort_unstable();
-        self.deps.dedup();
-        Ok(Page {
-            oid,
-            name,
-            html: buf.as_str().to_owned(),
-            deps: self.deps.to_vec(),
-        })
-    }
-
-    /// Renders `oid` as a page into `out`, cleared first, recording what
-    /// it reads in `deps`. The page's own object joins the embed stack so
-    /// a template that (transitively) embeds its own page degrades to a
-    /// link instead of recursing.
+    /// Renders `oid` as a page into `out`, cleared first. The page's own
+    /// object joins the embed stack so a template that (transitively)
+    /// embeds its own page degrades to a link instead of recursing.
     fn render_root(&mut self, oid: Oid, out: &mut String) -> Result<(), TemplateError> {
         out.clear();
-        self.deps.clear();
         self.embed_stack.push(oid);
         let r = self.render_body(oid, out);
         self.embed_stack.pop();
@@ -590,7 +493,6 @@ impl<'g> GenCtx<'g> {
     }
 
     fn render_body(&mut self, oid: Oid, out: &mut String) -> Result<(), TemplateError> {
-        self.note_dep(oid);
         // The template borrows the set (`'g`), not this context, so
         // rendering can take `&mut self` beside it.
         let templates: &'g TemplateSet = self.templates;
@@ -624,10 +526,7 @@ impl<'g> GenCtx<'g> {
             escape_into(out, graph.label_name(e.label));
             out.push_str("</dt><dd>");
             match &e.to {
-                Value::Node(o) => {
-                    self.note_dep(*o);
-                    self.write_link(*o, out);
-                }
+                Value::Node(o) => self.write_link(*o, out),
                 atomic => write_text(out, atomic),
             }
             out.push_str("</dd>\n");
@@ -984,94 +883,6 @@ mod tests {
     }
 
     #[test]
-    fn regenerate_rerenders_only_affected_pages() {
-        let (mut g, root) = site();
-        let mut ts = TemplateSet::new();
-        ts.add_template(
-            "root",
-            "<html><h1><SFMT title></h1><SFMT Paper ENUM DELIM=\", \"></html>",
-        )
-        .unwrap();
-        ts.add_template("pres", "<h2><SFMT title></h2>Year: <SFMT year>")
-            .unwrap();
-        ts.assign_object("RootPage", "root");
-        ts.assign_collection("Presentations", "pres");
-
-        let first = HtmlGenerator::new(&g, &ts).generate(&[root]).unwrap();
-        assert_eq!(first.pages.len(), 3);
-
-        // Change pres2's year; only its own page and the root (which links
-        // to it and reads its title) can be affected.
-        let p2 = g.node_by_name("Pres_p2").unwrap();
-        let year = g.label("year").unwrap();
-        g.remove_edge(p2, year, &Value::Int(1997));
-        g.add_edge(p2, year, Value::Int(1999));
-
-        let affected = first.affected_pages(&[p2]);
-        assert!(affected.contains(&p2));
-
-        let second = HtmlGenerator::new(&g, &ts)
-            .regenerate(&first, &[p2])
-            .unwrap();
-        assert_eq!(second.pages.len(), 3);
-        // The untouched paper's page is carried over byte-identical; the
-        // changed paper re-rendered.
-        let p1 = g.node_by_name("Pres_p1").unwrap();
-        assert_eq!(
-            first.page_for(p1).unwrap().html,
-            second.page_for(p1).unwrap().html
-        );
-        assert!(second.page_for(p2).unwrap().html.contains("Year: 1999"));
-        assert!(first.page_for(p2).unwrap().html.contains("Year: 1997"));
-
-        // Regeneration equals a full re-render.
-        let full = HtmlGenerator::new(&g, &ts).generate(&[root]).unwrap();
-        for p in &full.pages {
-            assert_eq!(
-                p.html,
-                second.page_for(p.oid).unwrap().html,
-                "page {} diverged",
-                p.name
-            );
-        }
-    }
-
-    #[test]
-    fn regenerate_keeps_page_names_stable() {
-        let (g, root) = site();
-        let ts = TemplateSet::new();
-        let first = HtmlGenerator::new(&g, &ts).generate(&[root]).unwrap();
-        let second = HtmlGenerator::new(&g, &ts)
-            .regenerate(&first, &[root])
-            .unwrap();
-        for p in &first.pages {
-            assert_eq!(
-                second.page_for(p.oid).unwrap().name,
-                p.name,
-                "names must not shift between runs"
-            );
-        }
-    }
-
-    #[test]
-    fn deps_include_embedded_and_keyed_objects() {
-        let (g, root) = site();
-        let mut ts = TemplateSet::new();
-        ts.add_template("root", "<SFMT Paper UL ORDER=ascend KEY=year>")
-            .unwrap();
-        ts.add_template("pres", "x").unwrap();
-        ts.assign_object("RootPage", "root");
-        ts.assign_collection("Presentations", "pres");
-        let out = HtmlGenerator::new(&g, &ts).generate(&[root]).unwrap();
-        let root_page = out.page_for(root).unwrap();
-        let p1 = g.node_by_name("Pres_p1").unwrap();
-        let p2 = g.node_by_name("Pres_p2").unwrap();
-        assert!(root_page.deps.contains(&root));
-        assert!(root_page.deps.contains(&p1), "KEY read p1's year");
-        assert!(root_page.deps.contains(&p2));
-    }
-
-    #[test]
     fn nested_sfor_shadows_loop_variables() {
         let mut g = Graph::new();
         let n = g.add_named_node("n");
@@ -1121,13 +932,14 @@ mod tests {
         let namer = |oid: Oid| {
             g.node_name(oid).map(|n| format!("/page/{n}"))
         };
-        let page = HtmlGenerator::new(&g, &ts).render_one(root, &namer).unwrap();
-        assert_eq!(page.name, "/page/RootPage");
-        assert!(page.html.contains("href=\"/page/Pres_p1\""), "{}", page.html);
-        assert!(page.html.contains("href=\"/page/Pres_p2\""));
-        // KEY= reads were recorded as dependencies.
-        let p1 = g.node_by_name("Pres_p1").unwrap();
-        assert!(page.deps.contains(&p1));
+        let mut html = String::from("stale");
+        HtmlGenerator::new(&g, &ts)
+            .render_one_into(root, &namer, &mut html)
+            .unwrap();
+        assert!(html.starts_with("<html><h1>Home</h1>"), "{html}");
+        assert!(html.contains("href=\"/page/Pres_p1\""), "{html}");
+        assert!(html.contains("href=\"/page/Pres_p2\""));
+        assert!(!html.contains("unused here"), "linked pages are not rendered");
     }
 
     #[test]
@@ -1135,9 +947,12 @@ mod tests {
         let (g, root) = site();
         let ts = TemplateSet::new();
         let namer = |_| None;
-        let page = HtmlGenerator::new(&g, &ts).render_one(root, &namer).unwrap();
-        assert_eq!(page.name, "RootPage.html");
-        assert!(page.html.contains("Pres_p1.html"));
+        let mut html = String::new();
+        HtmlGenerator::new(&g, &ts)
+            .render_one_into(root, &namer, &mut html)
+            .unwrap();
+        assert!(html.contains("href=\"Pres_p1.html\""), "{html}");
+        assert!(html.contains("href=\"Pres_p2.html\""));
     }
 
     #[test]

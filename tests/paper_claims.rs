@@ -115,7 +115,7 @@ fn static_verification_is_sound() {
         let site = paper_homepage_site(entries);
         for src in constraints {
             let c = parse_constraint(src).unwrap();
-            if verify::verify(&site.schema, &c) == verify::Verdict::Proved {
+            if verify::verify(&site.schema, site.database.graph(), &c) == verify::Verdict::Proved {
                 let r = runtime::check(&site.result.graph, &c);
                 assert!(r.holds, "proved but violated at {entries}: {src}");
             }
