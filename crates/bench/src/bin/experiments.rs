@@ -4,28 +4,28 @@
 //! ```text
 //! cargo run --release -p strudel-bench --bin experiments            # all
 //! cargo run --release -p strudel-bench --bin experiments -- <ids…>  # some
-//! cargo run --release -p strudel-bench --bin experiments -- all --json
 //! ```
 //!
 //! Ids: `site-stats` (T1), `suitability` (F8), `multiversion`,
 //! `site-schema`, `verify`, `dynamic`, `diff`, `incremental`, `indexing`,
-//! `struql-scale`, `batch`, `htmlgen`, `mediate`, `trace`, `crash`,
-//! `all`.
+//! `struql-scale`, `batch`, `htmlgen`, `mediate`, `all`.
 //!
-//! `--json` additionally writes `BENCH_<suite>.json` files (machine-
-//! readable rows; schema in EXPERIMENTS.md) into the current directory.
+//! Each experiment prints its table and panics if a count-based shape
+//! check fails, so the exit code is the verdict.
 
 use strudel_bench::experiments as e;
-use strudel_bench::json;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let write_json = args.iter().any(|a| a == "--json");
-    let ids: Vec<&str> = args
-        .iter()
-        .map(String::as_str)
-        .filter(|a| !a.starts_with("--"))
-        .collect();
+    if args.iter().any(|a| a == "--json") {
+        eprintln!(
+            "the --json flag was removed: timings are measured by the benchmark \
+             (perfbench/, `bash perfbench/run.sh`) and the experiments' numbers live \
+             in EXPERIMENTS.md"
+        );
+        std::process::exit(2);
+    }
+    let ids: Vec<&str> = args.iter().map(String::as_str).collect();
     let ids = if ids.is_empty() { vec!["all"] } else { ids };
     for id in ids {
         match id {
@@ -43,29 +43,13 @@ fn main() {
             "batch" => e::exp_batch(),
             "htmlgen" => e::exp_htmlgen(),
             "mediate" => e::exp_mediate(),
-            "trace" => e::exp_trace(),
-            "crash" => e::exp_crash(),
             other => {
                 eprintln!("unknown experiment '{other}'");
                 eprintln!(
                     "known: site-stats suitability multiversion site-schema verify dynamic diff \
-                     incremental indexing struql-scale batch htmlgen mediate trace crash all \
-                     (plus --json)"
+                     incremental indexing struql-scale batch htmlgen mediate all"
                 );
                 std::process::exit(2);
-            }
-        }
-    }
-    if write_json {
-        match json::write_files(std::path::Path::new(".")) {
-            Ok(paths) => {
-                for p in paths {
-                    println!("wrote {}", p.display());
-                }
-            }
-            Err(e) => {
-                eprintln!("failed to write BENCH files: {e}");
-                std::process::exit(1);
             }
         }
     }

@@ -1,7 +1,10 @@
 //! The experiment suite: one function per table/figure of the paper.
 //!
-//! Every function prints a self-contained table to stdout. Shapes to look
-//! for (absolute numbers depend on the machine; see EXPERIMENTS.md):
+//! Every function prints a self-contained table to stdout and asserts the
+//! count-based half of its EXPERIMENTS.md shape check (line counts, rows,
+//! pages, verdicts, result equality); each assertion message names the
+//! check it holds. The timing half stays prose, since wall-clock ratios
+//! depend on the machine. Shapes to look for (see EXPERIMENTS.md):
 //!
 //! * T1 — declarative specs stay small at paper scale; second versions
 //!   cost ~0 query lines.
@@ -12,7 +15,6 @@
 //! * E-incremental — small deltas are far cheaper than re-evaluation.
 //! * E-index — the full-indexing win grows with data size.
 
-use crate::json;
 use std::time::{Duration, Instant};
 use strudel::repo::{Database, IndexLevel};
 use strudel::schema::constraint::{parse_constraint, runtime, verify};
@@ -53,11 +55,14 @@ pub fn exp_site_stats() {
     println!("{}", SiteStats::header());
 
     let homepage = crate::paper_homepage_site(40);
-    println!("{}", homepage.stats_with_render().unwrap().row());
+    let homepage_stats = homepage.stats_with_render().unwrap();
+    println!("{}", homepage_stats.row());
 
     let org_site = crate::paper_org_site(400);
     let mut org_stats = org_site.stats_with_render().unwrap();
     println!("{}", org_stats.row());
+    let org_query_lines = org_stats.query_lines;
+    let org_pages = org_stats.pages;
 
     // External org site: same data, same query, external template set.
     let external = sites::org_external_templates();
@@ -71,7 +76,8 @@ pub fn exp_site_stats() {
 
     let corpus = crate::paper_news_corpus(300);
     let news_site = sites::news_site(&corpus).build().unwrap();
-    println!("{}", news_site.stats_with_render().unwrap().row());
+    let news_stats = news_site.stats_with_render().unwrap();
+    println!("{}", news_stats.row());
 
     let sports = sites::sports_only_site(&corpus).build().unwrap();
     let mut sports_stats = sports.stats_with_render().unwrap();
@@ -79,8 +85,28 @@ pub fn exp_site_stats() {
     println!("{}", sports_stats.row());
 
     let bilingual = sites::bilingual_site(BILINGUAL_ITEMS).build().unwrap();
-    println!("{}", bilingual.stats_with_render().unwrap().row());
+    let bilingual_stats = bilingual.stats_with_render().unwrap();
+    println!("{}", bilingual_stats.row());
     println!();
+
+    let lines = [
+        org_query_lines,
+        homepage_stats.query_lines,
+        news_stats.query_lines,
+        bilingual_stats.query_lines,
+    ];
+    assert!(
+        lines.windows(2).all(|w| w[0] > w[1]),
+        "T1 shape check: query lines order org > homepage > news > bilingual, got {lines:?}"
+    );
+    assert_eq!(
+        org_stats.pages, org_pages,
+        "T1 shape check: the external version renders the same site graph"
+    );
+    assert!(
+        sports_stats.templates == news_stats.templates && sports_stats.pages < news_stats.pages,
+        "T1 shape check: sports-only reuses the news templates on fewer pages"
+    );
 }
 
 const BILINGUAL_ITEMS: &str = r#"
@@ -108,7 +134,12 @@ pub fn exp_suitability() {
         "{:>8} {:>7} | {:>10} {:>10} {:>12} | {:>10} {:>10} {:>12} | winner(spec)",
         "entities", "facets", "strudel", "proc", "strudel-gen", "strudel-chg", "proc-chg", "proc-gen"
     );
+    let mut spec_gaps = Vec::new();
     for &k in &[2usize, 8, 24] {
+        let (s_spec, p_spec) = (sweep::strudel_spec_lines(k), sweep::procedural_spec_lines(k));
+        spec_gaps.push(p_spec as i64 - s_spec as i64);
+        let (s_change, p_change) =
+            (sweep::strudel_change_lines(k), sweep::procedural_change_lines(k));
         for &n in &[20usize, 200, 2000] {
             let entities = sweep::sweep_entities(n, k);
             let ddl = sweep::sweep_ddl(&entities);
@@ -136,8 +167,6 @@ pub fn exp_suitability() {
 
             let (_proc_pages, proc_gen) = time(|| sweep::generate_procedural(&entities, k));
 
-            let s_spec = sweep::strudel_spec_lines(k);
-            let p_spec = sweep::procedural_spec_lines(k);
             println!(
                 "{:>8} {:>7} | {:>10} {:>10} {:>12} | {:>11} {:>10} {:>12} | {}",
                 n,
@@ -145,17 +174,30 @@ pub fn exp_suitability() {
                 s_spec,
                 p_spec,
                 ms(strudel_gen + strudel_render),
-                sweep::strudel_change_lines(k),
-                sweep::procedural_change_lines(k),
+                s_change,
+                p_change,
                 ms(proc_gen),
                 if s_spec < p_spec { "strudel" } else { "procedural" }
             );
         }
+        assert!(
+            s_change < p_change,
+            "F8 shape check: adding a facet costs Strudel fewer lines at {k} facets"
+        );
     }
+    assert!(
+        spec_gaps[0] <= 0 && 0 < spec_gaps[1] && spec_gaps[1] < spec_gaps[2],
+        "F8 shape check: the procedural spec wins at 2 facets and loses at 8 and 24 by a \
+         growing gap, got procedural minus Strudel lines {spec_gaps:?}"
+    );
     println!("\nsecond-site cost (CNN sports-only): strudel = 2 extra predicates in one clause;");
+    let sports_lines = proc_news::sports_variant_changed_lines();
     println!(
-        "procedural = {} duplicated generator lines (measured from the baseline's source)\n",
-        proc_news::sports_variant_changed_lines()
+        "procedural = {sports_lines} duplicated generator lines (measured from the baseline's source)\n"
+    );
+    assert!(
+        sports_lines > 2,
+        "F8 shape check: the sports-only variant costs the procedural baseline more than 2 lines"
     );
 }
 
@@ -173,6 +215,11 @@ pub fn exp_multiversion() {
         external.pages.len(),
         ms(t_ext)
     );
+    assert_eq!(
+        internal.pages.len(),
+        external.pages.len(),
+        "E-multiversion shape check: both versions render every page of one site graph"
+    );
 
     let corpus = crate::paper_news_corpus(300);
     let (general, t_gen) = time(|| sites::news_site(&corpus).build().unwrap());
@@ -183,6 +230,10 @@ pub fn exp_multiversion() {
         ms(t_gen),
         sports.stats.site_nodes,
         ms(t_sports)
+    );
+    assert!(
+        sports.stats.site_nodes < general.stats.site_nodes,
+        "E-multiversion shape check: the sports-only version is a strict subset"
     );
     println!();
 }
@@ -212,35 +263,68 @@ pub fn exp_site_schema() {
         );
     }
     println!("\ndot rendering:\n{}", schema.to_dot());
+    assert_eq!(
+        (schema.nodes.len(), schema.edges.len()),
+        (7, 18),
+        "E-schema shape check: 6 Skolem symbols plus NS, 18 edges"
+    );
+    let edge = |from: &str, label: &str, to: &str| {
+        schema.edges.iter().find(|e| {
+            schema.nodes[e.from].name() == from
+                && schema.nodes[e.to].name() == to
+                && matches!(&e.label, strudel::struql::LabelTerm::Const(l) if l == label)
+        })
+    };
+    assert_eq!(
+        edge("YearPage", "Paper", "PaperPresentation").map(|e| e.guard.len()),
+        Some(2),
+        "E-schema shape check: the Fig. 7 YearPage -Paper-> PaperPresentation edge carries Q1 ∧ Q2"
+    );
+    assert!(
+        schema.edges.iter().any(|e| matches!(e.label, strudel::struql::LabelTerm::Var(_))
+            && schema.nodes[e.to].name() == "NS"
+            && e.guard.len() == 2),
+        "E-schema shape check: the arc-variable copy edge targets NS with a 2-condition guard"
+    );
 }
 
 /// E-verify — static verification vs runtime checking.
 pub fn exp_verify() {
     println!("== E-verify: integrity-constraint verification (paper §2.5) ==");
     let site = crate::paper_homepage_site(40);
+    // Each row carries the verdict and runtime outcome its shape check
+    // expects.
     let constraints = [
         (
             "reachability (satisfied by construction)",
             "forall p in PaperPages : exists a in AbstractPages : a -> \"Paper\" -> p",
+            verify::Verdict::Proved,
+            true,
         ),
         (
             "root reaches every paper (satisfied)",
             "forall p in PaperPages : exists r in HomeRoot : r -> * -> p",
+            verify::Verdict::Proved,
+            true,
         ),
         (
             "every paper page from a year page (data-dependent)",
             "forall p in PaperPages : exists y in YearPages : y -> \"Paper\" -> p",
+            verify::Verdict::Unknown,
+            true,
         ),
         (
             "every paper has an editor (violated)",
             "forall p in PaperPages : p -> \"editor\" -> e",
+            verify::Verdict::Unknown,
+            false,
         ),
     ];
     println!(
         "{:<50} {:>9} {:>12} {:>11} {:>12}",
         "constraint", "static", "static-time", "runtime", "runtime-time"
     );
-    for (label, src) in constraints {
+    for (label, src, expect_verdict, expect_holds) in constraints {
         let c = parse_constraint(src).unwrap();
         let (verdict, t_static) = time(|| verify::verify(&site.schema, site.database.graph(), &c));
         let (check, t_runtime) = time(|| runtime::check(&site.result.graph, &c));
@@ -256,6 +340,11 @@ pub fn exp_verify() {
             if check.holds { "holds" } else { "violated" },
             ms(t_runtime)
         );
+        assert_eq!(
+            (verdict, check.holds),
+            (expect_verdict, expect_holds),
+            "E-verify shape check: \"{label}\""
+        );
     }
     println!();
 }
@@ -267,11 +356,13 @@ pub fn exp_dynamic() {
         "{:>9} {:>18} {:>12} {:>12} {:>10} {:>12}",
         "articles", "mode", "clicks", "rows", "cache-hits", "time"
     );
+    let mut naive_rows = Vec::new();
     for &n in &[100usize, 1000, 3000] {
         let corpus = crate::paper_news_corpus(n);
         let site = sites::news_site(&corpus).build().unwrap();
         let program = site.program.clone();
         let db = site.database.clone();
+        let mut rows = [0usize; 2];
         for mode in [Mode::Naive, Mode::Context, Mode::ContextLookahead] {
             let dynsite = DynamicSite::new(db.clone(), &program, mode);
             let ((), t) = time(|| browse(&dynsite, 25));
@@ -285,19 +376,31 @@ pub fn exp_dynamic() {
                 m.cache_hits,
                 ms(t)
             );
-            let case = format!("{mode:?}-{n}").to_lowercase();
-            json::record("serve", "E-dynamic", &case, "browse_ms", t.as_secs_f64() * 1e3, "ms");
-            json::record("serve", "E-dynamic", &case, "rows", m.rows_produced as f64, "rows");
-            json::record(
-                "serve",
-                "E-dynamic",
-                &case,
-                "cache_hits",
-                m.cache_hits as f64,
-                "hits",
-            );
+            match mode {
+                Mode::Naive => rows[0] = m.rows_produced,
+                Mode::Context => rows[1] = m.rows_produced,
+                Mode::ContextLookahead => assert!(
+                    m.cache_hits + 1 >= m.clicks,
+                    "E-dynamic shape check: look-ahead turns every link follow into a cache \
+                     hit at {n} articles ({} of {} clicks)",
+                    m.cache_hits,
+                    m.clicks
+                ),
+            }
         }
+        assert!(
+            rows[0] >= 10 * rows[1],
+            "E-dynamic shape check: naive rows at least 10x context rows at {n} articles, \
+             got {} vs {}",
+            rows[0],
+            rows[1]
+        );
+        naive_rows.push(rows[0]);
     }
+    assert!(
+        naive_rows.windows(2).all(|w| w[0] < w[1]),
+        "E-dynamic shape check: naive rows grow with articles, got {naive_rows:?}"
+    );
     println!();
 }
 
@@ -510,10 +613,6 @@ pub fn exp_diff() {
                 m.diff_pages_updated,
                 m.diff_fallbacks
             );
-            let case = format!("n{n}-d{ops}");
-            json::record("diff", "E-diff", &case, "diff_us", d, "us");
-            json::record("diff", "E-diff", &case, "scratch_us", s, "us");
-            json::record("diff", "E-diff", &case, "speedup", s / d, "x");
         }
     }
     println!();
@@ -657,9 +756,6 @@ fn exp_diff_hub() {
             m.diff_fallbacks,
             m.standby_rebuilds
         );
-        for (kind, us) in KINDS.iter().zip(&medians) {
-            json::record("diff", "E-diff", &format!("hub-n{n}-{kind}"), "diff_us", *us, "us");
-        }
         one_retitle.push((n, medians[0]));
     }
     let (small, large) = (one_retitle[0], one_retitle[one_retitle.len() - 1]);
@@ -688,7 +784,9 @@ pub fn exp_incremental() {
         "{:>8} {:>9} | {:>12} {:>12} {:>12} {:>10} | orphans",
         "people", "delta", "count-build", "incremental", "full-reeval", "rows"
     );
+    let mut rows_by_size: Vec<Vec<usize>> = Vec::new();
     for &people in &[400usize, 1000] {
+        let mut arm_rows = Vec::new();
         let data = org::generate(&org::OrgConfig {
             people,
             ..Default::default()
@@ -744,9 +842,16 @@ pub fn exp_incremental() {
             // lingering unreferenced; an insertion leaves nothing behind.
             let inc = &maintained.result().graph;
             if arm.is_some() {
-                assert!(graphs_equivalent(inc, &full.graph), "{people} {name}");
+                assert!(
+                    graphs_equivalent(inc, &full.graph),
+                    "E-incremental shape check: maintained equals fresh at {people} {name}"
+                );
             } else {
-                assert!(equivalent_modulo_orphans(inc, &full.graph), "{people} {name}");
+                assert!(
+                    equivalent_modulo_orphans(inc, &full.graph),
+                    "E-incremental shape check: maintained equals fresh up to orphans at \
+                     {people} {name}"
+                );
             }
             println!(
                 "{:>8} {:>9} | {:>12} {:>12} {:>12} {:>10} | {}",
@@ -758,8 +863,19 @@ pub fn exp_incremental() {
                 rows,
                 inc.node_count() - full.graph.node_count()
             );
+            arm_rows.push(rows);
         }
+        assert!(
+            arm_rows[..3].windows(2).all(|w| w[0] < w[1]),
+            "E-incremental shape check: rows grow with the insertion at {people} people, \
+             got {arm_rows:?}"
+        );
+        rows_by_size.push(arm_rows);
     }
+    assert!(
+        rows_by_size.windows(2).all(|w| w[0] == w[1]),
+        "E-incremental shape check: rows track the delta, not the site, got {rows_by_size:?}"
+    );
     println!();
 }
 
@@ -803,6 +919,7 @@ pub fn exp_indexing() {
             let program = strudel::struql::parse(query).unwrap();
             let mut row = format!("{:>9} {:>15} |", n, qname);
             let mut build_row = format!("{:>9} {:>15} |", "", "+ first probe");
+            let mut reference = None;
             for level in [IndexLevel::None, IndexLevel::ExtensionOnly, IndexLevel::Full] {
                 let db = Database::from_graph(g.clone(), level);
                 // Warm the stats cache so we time the query, not stats.
@@ -811,7 +928,15 @@ pub fn exp_indexing() {
                 // builds every family it probes. Run it apart so the query
                 // columns compare probes, and report what it paid on top.
                 let (_r, t_first) = time(|| Evaluator::new(&db).eval(&program).unwrap());
-                let (_r, t) = time(|| Evaluator::new(&db).eval(&program).unwrap());
+                let (r, t) = time(|| Evaluator::new(&db).eval(&program).unwrap());
+                match &reference {
+                    None => reference = Some(r.graph),
+                    Some(g) => assert!(
+                        graphs_equivalent(g, &r.graph),
+                        "E-index shape check: {qname} at {n} articles answers the same at \
+                         {level:?}"
+                    ),
+                }
                 row.push_str(&format!(" {:>12}", ms(t)));
                 build_row.push_str(&format!(" {:>12}", ms(t_first.saturating_sub(t))));
             }
@@ -829,6 +954,7 @@ pub fn exp_struql_scale() {
         "{:>9} | {:>12} {:>12} | {:>14} {:>14}",
         "entries", "optimized", "naive-order", "rows(opt)", "rows(naive)"
     );
+    let mut row_ratios = Vec::new();
     for &n in &[50usize, 200, 800] {
         let src = bib::generate(&bib::BibConfig {
             entries: n,
@@ -860,10 +986,22 @@ pub fn exp_struql_scale() {
             r_opt.rows_evaluated,
             r_naive.rows_evaluated
         );
+        assert!(
+            r_opt.rows_evaluated < r_naive.rows_evaluated
+                && graphs_equivalent(&r_opt.graph, &r_naive.graph),
+            "E-struql-scale shape check: at {n} entries the optimized order evaluates fewer \
+             rows than textual order and builds the same site graph"
+        );
+        row_ratios.push(r_naive.rows_evaluated as f64 / r_opt.rows_evaluated as f64);
     }
+    assert!(
+        row_ratios.windows(2).all(|w| w[0] < w[1]),
+        "E-struql-scale shape check: the row gap widens with entries, got {row_ratios:?}"
+    );
 
     // Kleene-star reachability (the TextOnly copy query of §2.2).
     println!("\nKleene-star TextOnly copy query (reachability):");
+    let mut copied = Vec::new();
     for &n in &[100usize, 400] {
         let corpus = crate::paper_news_corpus(n);
         let docs = strudel::wrappers::html::HtmlDoc::from_pairs(&corpus);
@@ -884,7 +1022,12 @@ pub fn exp_struql_scale() {
         .unwrap();
         let (r, t) = time(|| Evaluator::new(&db).eval(&program).unwrap());
         println!("  {n} articles: copied {} nodes in {}", r.new_nodes.len(), ms(t));
+        copied.push(r.new_nodes.len());
     }
+    assert!(
+        copied[0] < copied[1],
+        "E-struql-scale shape check: the copy grows with the reachable cone, got {copied:?}"
+    );
     println!();
 }
 
@@ -903,6 +1046,10 @@ pub fn exp_htmlgen() {
             out.total_bytes(),
             ms(t),
             pages_per_sec
+        );
+        assert!(
+            out.pages.len() > n,
+            "E-htmlgen shape check: every one of {n} articles gets a page"
         );
     }
 
@@ -963,6 +1110,10 @@ pub fn exp_htmlgen() {
         urls.len(),
         ms(t_recrawl),
         ms(t_fresh)
+    );
+    assert!(
+        changed == 1 && (changed..=urls.len() / 100).contains(&outcome.html_evicted),
+        "E-htmlgen shape check: one page changes and at most 1% of renditions are evicted"
     );
     println!();
 }
@@ -1028,10 +1179,11 @@ pub fn exp_mediate() {
         ms(t_initial)
     );
     let (w2, t_noop) = time(|| mediator.build().unwrap());
-    println!(
-        "no-op rebuild (all cache hits): {} in {}",
-        w2.reports.iter().all(|r| !r.rewrapped),
-        ms(t_noop)
+    let all_hits = w2.reports.iter().all(|r| !r.rewrapped);
+    println!("no-op rebuild (all cache hits): {all_hits} in {}", ms(t_noop));
+    assert!(
+        all_hits && graphs_equivalent(&w1.graph, &w2.graph),
+        "E-mediate shape check: a no-op rebuild re-wraps nothing and yields the same warehouse"
     );
     let mut demos2 = data.demos_rec.clone();
     demos2.push_str("id: demoX\nname: Fresh Demo\nurl: http://demos.example.com/x\n");
@@ -1047,109 +1199,11 @@ pub fn exp_mediate() {
         "refresh after editing one source: re-wrapped {rewrapped:?} in {}\n",
         ms(t_refresh)
     );
-}
-
-/// E-trace — observability overhead and span-derived accounting: the
-/// same warm click workload with tracing disabled vs enabled, then the
-/// request/engine numbers read back out of the recorded spans and
-/// counters (this is where the EXPERIMENTS.md tracing row comes from).
-pub fn exp_trace() {
-    println!("== E-trace: tracing overhead & span-derived accounting ==");
-    let corpus = crate::paper_news_corpus(300);
-    let site = sites::news_site(&corpus).build().unwrap();
-
-    // Every URL reachable from the front page; the measured workload
-    // replays this list `PASSES` times against a warm service.
-    let urls = crawl_urls(&SiteService::new(&site, Mode::Context));
-
-    const PASSES: usize = 20;
-    let measure = |enabled: bool| {
-        strudel_trace::set_enabled(enabled);
-        let service = SiteService::new(&site, Mode::Context);
-        for u in &urls {
-            service.handle(u); // warm the caches outside the timed region
-        }
-        strudel_trace::global().reset();
-        let ((), t) = time(|| {
-            for _ in 0..PASSES {
-                for u in &urls {
-                    service.handle(u);
-                }
-            }
-        });
-        (t, strudel_trace::snapshot())
-    };
-
-    let (t_off, _) = measure(false);
-    let (t_on, snap) = measure(true);
-    strudel_trace::set_enabled(false);
-
-    let requests = (PASSES * urls.len()) as u64;
-    println!(
-        "{:>9} {:>9} {:>10} {:>9}",
-        "tracing", "requests", "time", "us/req"
+    assert_eq!(
+        (w1.reports.len(), rewrapped),
+        (5, vec!["demos"]),
+        "E-mediate shape check: five sources, and editing one re-wraps exactly that one"
     );
-    for (label, t) in [("disabled", t_off), ("enabled", t_on)] {
-        let us_per_req = t.as_secs_f64() * 1e6 / requests as f64;
-        println!("{:>9} {:>9} {:>10} {:>9.2}", label, requests, ms(t), us_per_req);
-        json::record(
-            "serve",
-            "E-trace",
-            &format!("tracing-{label}"),
-            "warm_request_latency",
-            us_per_req,
-            "us",
-        );
-    }
-
-    // Cross-check: the span table must account for exactly the requests
-    // the warm loop issued (all HTML-cache hits, so no engine work).
-    match snap.spans.iter().find(|(n, _)| n == "serve.request") {
-        Some((_, agg)) => println!(
-            "span-derived (warm): serve.request count={} mean={}us (loop issued {requests})",
-            agg.count,
-            agg.mean_us()
-        ),
-        None => println!("span-derived (warm): serve.request span missing!"),
-    }
-
-    // A cold crawl with tracing on, to read the engine-side accounting
-    // (warm requests never reach the engine — the HTML cache absorbs
-    // them, which is itself visible here as zero guard evaluations).
-    strudel_trace::set_enabled(true);
-    let cold = SiteService::new(&site, Mode::Context);
-    strudel_trace::global().reset();
-    for u in &urls {
-        cold.handle(u);
-    }
-    let snap = strudel_trace::snapshot();
-    strudel_trace::set_enabled(false);
-    let counter = |name: &str| {
-        snap.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| *v)
-    };
-    // Span aggregates are keyed by hierarchical path ("a/b/c"), so sum
-    // every path that ends in the leaf we care about.
-    let span_of = |leaf: &str| {
-        snap.spans
-            .iter()
-            .filter(|(n, _)| n == leaf || n.ends_with(&format!("/{leaf}")))
-            .fold((0u64, 0u64), |(c, t), (_, agg)| {
-                (c + agg.count, t + agg.total_us)
-            })
-    };
-    let (computes, compute_us) = span_of("engine.compute");
-    println!(
-        "span-derived (cold crawl, {} pages): engine.compute count={computes} total={compute_us}us; \
-         page-view cache hits={} misses={}; guard evals={}",
-        urls.len(),
-        counter("engine.cache.hits"),
-        counter("engine.cache.misses"),
-        counter("engine.guard.evals")
-    );
-    println!();
 }
 
 /// E-batch — batched path evaluation: the Kleene-star reachability query
@@ -1195,11 +1249,6 @@ pub fn exp_batch() {
         ms(t_new),
         rows_new.len()
     );
-    let case = format!("kleene-reach-{n}");
-    json::record("struql", "E-batch", &case, "per_row_ms", t_old.as_secs_f64() * 1e3, "ms");
-    json::record("struql", "E-batch", &case, "batched_ms", t_new.as_secs_f64() * 1e3, "ms");
-    json::record("struql", "E-batch", &case, "speedup", speedup, "x");
-    json::record("struql", "E-batch", &case, "rows", rows_new.len() as f64, "rows");
 
     // Part 2 — the compiled click-time query cache: first-visit (page
     // cache miss) latency across every article page, plans prepared once
@@ -1230,194 +1279,6 @@ pub fn exp_batch() {
         m.plan_cache_hits,
         m.plan_cache_misses
     );
-    let case = format!("first-visit-{n}");
-    json::record("serve", "E-batch", &case, "click_latency", us, "us");
-    json::record("serve", "E-batch", &case, "plan_cache_hits", m.plan_cache_hits as f64, "hits");
-    json::record(
-        "serve",
-        "E-batch",
-        &case,
-        "plan_cache_misses",
-        m.plan_cache_misses as f64,
-        "misses",
-    );
-    println!();
-}
-
-/// E-crash — recovery cost and crash-point coverage of the durable
-/// store. Measures the four open paths a deployment actually hits (clean
-/// checkpoint, replay-heavy WAL, torn-tail repair, checkpoint itself),
-/// each as `PagedRepo::open` plus the `materialize` that hands the
-/// service its in-memory graph, then sweeps a seeded workload crashing
-/// at every injected storage fault point and verifies each reopen
-/// against a fault-free in-memory oracle.
-pub fn exp_crash() {
-    use strudel::repo::vfs::{FaultMode, FaultVfs};
-    use strudel::repo::{PagedRepo, PagerConfig};
-    use strudel_prng::{Rng, SeedableRng, SmallRng};
-
-    println!("== E-crash: recovery cost & crash-point coverage (durable store) ==");
-    let dir = std::env::temp_dir().join(format!("strudel-bench-crash-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cfg = PagerConfig::default();
-
-    // Delta i adds node i (graphs here grow one node per delta) plus one
-    // attribute edge on it — enough to exercise both WAL record kinds.
-    let delta_for = |i: usize| {
-        let mut d = GraphDelta::new();
-        d.add_node(Some(&format!("n{i}")));
-        d.add_edge(Oid::from_index(i), "seq", Value::from(i as i64));
-        d
-    };
-
-    const DELTAS: usize = 2000;
-    {
-        let repo = PagedRepo::open(&dir, cfg).unwrap();
-        for i in 0..DELTAS {
-            repo.apply_delta(&delta_for(i)).unwrap();
-        }
-    }
-
-    println!(
-        "{:>10} {:>16} {:>10} {:>12}",
-        "wal frames", "open path", "open", "materialize"
-    );
-    let open_row = |label: &str, frames: usize, nodes: usize| {
-        let (repo, t_open) = time(|| PagedRepo::open(&dir, cfg).unwrap());
-        let (graph, t_mat) = time(|| repo.materialize().unwrap());
-        assert_eq!(graph.node_count(), nodes, "{label}: recovered node count");
-        println!(
-            "{:>10} {:>16} {:>10} {:>12}",
-            frames,
-            label,
-            ms(t_open),
-            ms(t_mat)
-        );
-        for (metric, t) in [("open_latency", t_open), ("materialize_latency", t_mat)] {
-            json::record("crash", "E-crash", label, metric, t.as_secs_f64() * 1e3, "ms");
-        }
-        repo
-    };
-
-    // Replay-heavy: every delta still sits in the WAL.
-    let repo = open_row("replay-open", DELTAS, DELTAS);
-    let ((), t_ckpt) = time(|| repo.checkpoint().unwrap());
-    drop(repo);
-    println!("{:>10} {:>16} {:>10}", DELTAS, "checkpoint", ms(t_ckpt));
-    json::record(
-        "crash",
-        "E-crash",
-        "checkpoint",
-        "latency",
-        t_ckpt.as_secs_f64() * 1e3,
-        "ms",
-    );
-
-    // Clean: the image only, empty WAL.
-    drop(open_row("clean-open", 0, DELTAS));
-
-    // Torn tail: a frame sheared mid-write must be repaired, not fatal.
-    {
-        let repo = PagedRepo::open(&dir, cfg).unwrap();
-        repo.apply_delta(&delta_for(DELTAS)).unwrap();
-        drop(repo);
-        use std::io::Write;
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(dir.join("pager.wal"))
-            .unwrap();
-        f.write_all(&[0x40, 0, 0, 0, 0xde, 0xad]).unwrap(); // claims 64 bytes, has 0
-    }
-    drop(open_row("torn-tail-open", 1, DELTAS + 1));
-
-    // Crash-point sweep: replay a seeded workload, crash at fault point k,
-    // reopen cleanly, compare with the same workload run fault-free. Fault
-    // points land in store creation, in WAL appends, and in every step of
-    // a checkpoint's image replacement and WAL reset.
-    let seed = 0x51EDu64;
-    let sweep_dir = |tag: &str| {
-        let d = std::env::temp_dir().join(format!(
-            "strudel-bench-crash-sweep-{tag}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&d);
-        d
-    };
-    // Returns how many deltas were acknowledged before the crash.
-    let run = |dir: &std::path::Path, vfs: std::sync::Arc<FaultVfs>| {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let Ok(repo) = PagedRepo::open_with(vfs, dir, cfg) else {
-            return 0usize; // crashed during open
-        };
-        let mut ok = 0usize;
-        for i in 0..40 {
-            if repo.apply_delta(&delta_for(i)).is_err() {
-                break; // crash point hit
-            }
-            ok += 1;
-            if rng.gen_bool(0.15) && repo.checkpoint().is_err() {
-                break;
-            }
-        }
-        ok
-    };
-
-    let probe = std::sync::Arc::new(FaultVfs::new());
-    let total_ops = {
-        let d = sweep_dir("count");
-        run(&d, probe.clone());
-        let n = probe.op_count();
-        let _ = std::fs::remove_dir_all(&d);
-        n
-    };
-
-    let mut covered = 0u64;
-    let mut worst_recovery = Duration::ZERO;
-    for k in 0..total_ops {
-        let d = sweep_dir("point");
-        let vfs = std::sync::Arc::new(FaultVfs::new());
-        vfs.arm_crash(k, FaultMode::Fail);
-        let ok_ops = run(&d, vfs.clone());
-        if !vfs.fired() {
-            let _ = std::fs::remove_dir_all(&d);
-            continue;
-        }
-        covered += 1;
-        let (recovered, t) = time(|| {
-            let repo = PagedRepo::open(&d, cfg).unwrap();
-            repo.materialize().unwrap()
-        });
-        worst_recovery = worst_recovery.max(t);
-        // Every acknowledged delta survives and nothing is half-applied:
-        // the oracle is the acknowledged prefix replayed in memory. A
-        // commit's one write is its WAL frame, so the delta in flight at
-        // the crash never survives.
-        let mut expect = Database::new(IndexLevel::None);
-        for i in 0..ok_ops {
-            expect.apply_delta(&delta_for(i)).unwrap();
-        }
-        assert!(
-            graphs_equivalent(expect.graph(), &recovered),
-            "crash at op {k}: recovered state is not the {ok_ops}-delta oracle"
-        );
-        let _ = std::fs::remove_dir_all(&d);
-    }
-    println!(
-        "\ncrash sweep: {covered}/{total_ops} fault points crashed & recovered; \
-         worst reopen {}",
-        ms(worst_recovery)
-    );
-    json::record("crash", "E-crash", "sweep", "points_recovered", covered as f64, "count");
-    json::record(
-        "crash",
-        "E-crash",
-        "sweep",
-        "worst_recovery",
-        worst_recovery.as_secs_f64() * 1e3,
-        "ms",
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
     println!();
 }
 
@@ -1436,6 +1297,4 @@ pub fn run_all() {
     exp_batch();
     exp_htmlgen();
     exp_mediate();
-    exp_trace();
-    exp_crash();
 }

@@ -211,35 +211,39 @@ fn read_only_replay_beside_a_committing_writer_sees_a_committed_prefix() {
 }
 
 /// Reopen after a mixed run (commits, checkpoint, more commits) replays
-/// the WAL tail over the image and lands on the oracle.
+/// the WAL tail over the image and lands on the oracle. The second input
+/// checkpoints nothing and leaves 2 000 frames in the WAL, so the reopen
+/// is a long replay.
 #[test]
 fn reopen_round_trips_a_mixed_run() {
-    let dir = tmpdir("reopen");
-    let mut shadow = Database::new(IndexLevel::None);
-    let mut rng = SmallRng::seed_from_u64(42);
-    {
+    for (checkpointed, wal_only) in [(30, 15), (0, 2_000)] {
+        let dir = tmpdir(&format!("reopen-{wal_only}"));
+        let mut shadow = Database::new(IndexLevel::None);
+        let mut rng = SmallRng::seed_from_u64(42);
+        {
+            let repo = PagedRepo::open(&dir, PagerConfig::default()).unwrap();
+            for _ in 0..checkpointed {
+                let d = random_delta(&mut rng, shadow.graph());
+                repo.apply_delta(&d).unwrap();
+                shadow.apply_delta(&d).unwrap();
+            }
+            repo.checkpoint().unwrap();
+            for _ in 0..wal_only {
+                let d = random_delta(&mut rng, shadow.graph());
+                repo.apply_delta(&d).unwrap();
+                shadow.apply_delta(&d).unwrap();
+            }
+            // No checkpoint: the last deltas live only in the WAL.
+        }
         let repo = PagedRepo::open(&dir, PagerConfig::default()).unwrap();
-        for _ in 0..30 {
-            let d = random_delta(&mut rng, shadow.graph());
-            repo.apply_delta(&d).unwrap();
-            shadow.apply_delta(&d).unwrap();
-        }
-        repo.checkpoint().unwrap();
-        for _ in 0..15 {
-            let d = random_delta(&mut rng, shadow.graph());
-            repo.apply_delta(&d).unwrap();
-            shadow.apply_delta(&d).unwrap();
-        }
-        // No checkpoint: the last 15 deltas live only in the WAL.
+        let g = repo.materialize().unwrap();
+        let mut a = Vec::new();
+        snapshot::save_graph(&g, &mut a).unwrap();
+        let mut b = Vec::new();
+        snapshot::save_graph(shadow.graph(), &mut b).unwrap();
+        assert_eq!(a, b, "reopen after {wal_only} WAL frames diverged from oracle");
+        std::fs::remove_dir_all(&dir).ok();
     }
-    let repo = PagedRepo::open(&dir, PagerConfig::default()).unwrap();
-    let g = repo.materialize().unwrap();
-    let mut a = Vec::new();
-    snapshot::save_graph(&g, &mut a).unwrap();
-    let mut b = Vec::new();
-    snapshot::save_graph(shadow.graph(), &mut b).unwrap();
-    assert_eq!(a, b, "reopen diverged from oracle");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------------

@@ -66,7 +66,9 @@
 //!                                      built site on first run, reopened
 //!                                      after that, refused if DIR holds
 //!                                      the retired page-file format;
-//!                                      deltas commit write-through;
+//!                                      the store's recovered graph is
+//!                                      what is served, and deltas
+//!                                      commit to it write-through;
 //!                                      --cluster N supervises N shard
 //!                                      worker *processes* — crash-
 //!                                      isolated, restarted with backoff,
@@ -342,7 +344,7 @@ fn run(args: &[String]) -> Result<(), String> {
             };
             let mut cluster: Option<std::sync::Arc<strudel_serve::ClusterService>> = None;
             let server = if let Some(n) = cluster_workers {
-                let store = store.ok_or("--cluster requires --store <dir>")?;
+                let (store, _) = store.ok_or("--cluster requires --store <dir>")?;
                 let store_dir = PathBuf::from(flag("--store").expect("--store checked above"));
                 let binary = std::env::current_exe()
                     .map_err(|e| format!("locating the strudel binary: {e}"))?;
@@ -359,10 +361,23 @@ fn run(args: &[String]) -> Result<(), String> {
                 cluster = Some(service.clone());
                 warm_and_serve(service, warm, config)?
             } else {
-                let mut service = strudel_serve::SiteService::new(&built, mode);
-                if let Some(store) = store {
-                    service = service.with_paged_store(store);
-                }
+                // With a store, serve the graph it recovered — what the
+                // cluster workers replay too — not the one built from the
+                // sources, which misses the deltas its WAL holds.
+                let mut service = match store {
+                    Some((store, graph)) => strudel_serve::SiteService::from_parts(
+                        std::sync::Arc::new(strudel::repo::Database::from_graph(
+                            graph,
+                            built.database.level(),
+                        )),
+                        &built.program,
+                        built.templates.clone(),
+                        &built.root_collection,
+                        mode,
+                    )
+                    .with_paged_store(store),
+                    None => strudel_serve::SiteService::new(&built, mode),
+                };
                 if let Some(t) = slow_us {
                     service = service.with_slow_threshold_us(t);
                 }
@@ -461,13 +476,14 @@ fn parse_mode(flag: Option<&str>) -> Result<strudel::schema::dynamic::Mode, Stri
     }
 }
 
-/// Opens (or bulk-loads) the durable store named by `--store`, if any.
-/// Shared by the sharded and unsharded serve paths — either way deltas
-/// commit to it exactly once.
+/// Opens (or bulk-loads) the durable store named by `--store`, if any,
+/// with the graph it recovered. Shared by the single-process and
+/// `--cluster` serve paths — either way deltas commit to it exactly once,
+/// and what is served is the store's graph.
 fn open_store(
     args: &[String],
     built: &strudel::Site,
-) -> Result<Option<strudel::repo::PagedRepo>, String> {
+) -> Result<Option<(strudel::repo::PagedRepo, strudel::graph::Graph)>, String> {
     let flag = |name: &str| {
         args.iter()
             .position(|a| a == name)
@@ -489,8 +505,8 @@ fn open_store(
             .map_err(|e| format!("opening store: {e}"))?
     };
     // An existing store may legitimately be ahead of the sources (deltas
-    // applied through a previous serve run); flag a divergence but keep
-    // serving the built site.
+    // applied through a previous serve run); flag a divergence and serve
+    // the store.
     let mut built_bytes = Vec::new();
     strudel::repo::snapshot::save_graph(built.database.graph(), &mut built_bytes)
         .map_err(|e| format!("encoding site graph: {e}"))?;
@@ -511,13 +527,14 @@ fn open_store(
     } else {
         println!(
             "warning: store at {} has diverged from the site sources \
-             ({} stored nodes vs {} built); serving the built site",
+             ({} stored nodes vs {} built); serving the store's graph, \
+             which includes the deltas committed to it",
             store_dir.display(),
             store.node_count(),
             built.database.graph().node_count()
         );
     }
-    Ok(Some(store))
+    Ok(Some((store, stored)))
 }
 
 fn report_verifications(site: &strudel::Site) {

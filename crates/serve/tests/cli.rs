@@ -200,3 +200,106 @@ fn a_retired_page_file_store_is_refused_not_bulk_loaded_over() {
     assert_eq!(left, ["pager.pages"], "nothing written beside it");
     std::fs::remove_dir_all(&store).unwrap();
 }
+
+#[test]
+fn serve_with_a_store_serves_the_deltas_it_committed() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use strudel_graph::{GraphDelta, Value};
+    use strudel_repo::{PagedRepo, PagerConfig};
+
+    let store = std::env::temp_dir().join(format!("strudel-cli-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let dir = demo_dir();
+    // First run: bulk-load the store from the built site. The bad
+    // --backlog, parsed after the store opens, makes it exit there.
+    let first = strudel(&[
+        "serve",
+        dir.to_str().unwrap(),
+        "--store",
+        store.to_str().unwrap(),
+        "--backlog",
+        "x",
+    ]);
+    assert!(!first.status.success());
+    assert!(
+        String::from_utf8_lossy(&first.stdout).contains("bulk-loaded"),
+        "{}",
+        String::from_utf8_lossy(&first.stdout)
+    );
+
+    // A retitle committed to the store's WAL, as a previous serve run
+    // would have left it.
+    {
+        let repo = PagedRepo::open(&store, PagerConfig::default()).unwrap();
+        let graph = repo.materialize().unwrap();
+        let paper = graph
+            .members_str("Publications")
+            .iter()
+            .filter_map(Value::as_node)
+            .find(|&p| {
+                graph
+                    .attr_str(p, "title")
+                    .any(|t| t.as_str() == Some("Web Query Languages"))
+            })
+            .expect("the demo bibliography has the paper");
+        let mut delta = GraphDelta::new();
+        delta.remove_edge(paper, "title", Value::string("Web Query Languages"));
+        delta.add_edge(paper, "title", Value::string("Query Languages for the Web"));
+        repo.apply_delta(&delta).unwrap();
+    }
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_strudel"))
+        .args(["serve", dir.to_str().unwrap(), "--addr", "127.0.0.1:0"])
+        .args(["--workers", "1", "--store", store.to_str().unwrap()])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
+    let mut before = Vec::new();
+    let addr = loop {
+        let Some(Ok(line)) = lines.next() else {
+            let _ = child.kill();
+            panic!("serve exited before listening: {before:?}");
+        };
+        if let Some(rest) = line.split("http://").nth(1) {
+            break rest.split('/').next().unwrap().to_string();
+        }
+        before.push(line);
+    };
+    let get = |path: &str| {
+        let mut s = std::net::TcpStream::connect(&addr).unwrap();
+        write!(s, "GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").unwrap();
+        let mut out = String::new();
+        s.read_to_string(&mut out).unwrap();
+        out
+    };
+    // Every page reachable from the index.
+    let mut urls = vec!["/".to_string()];
+    let mut bodies = Vec::new();
+    while let Some(url) = urls.get(bodies.len()).cloned() {
+        let body = get(&url);
+        for part in body.split("href=\"").skip(1) {
+            let href = &part[..part.find('"').unwrap()];
+            if href.starts_with("/page/") && !urls.iter().any(|u| u == href) {
+                urls.push(href.to_string());
+            }
+        }
+        bodies.push(body);
+    }
+    let _ = child.kill();
+    let _ = child.wait();
+    std::fs::remove_dir_all(&store).ok();
+
+    assert!(
+        bodies.iter().any(|b| b.contains("Query Languages for the Web")),
+        "the committed title is served: {urls:?}"
+    );
+    assert!(
+        !bodies.iter().any(|b| b.contains("Web Query Languages")),
+        "the built site's title is not served"
+    );
+    assert!(
+        before.iter().any(|l| l.contains("serving the store's graph")),
+        "the divergence warning says what is served: {before:?}"
+    );
+}
