@@ -18,8 +18,9 @@
 //!
 //! The [`SiteBuilder`] façade drives all three stages, plus the machinery
 //! the paper derives from site schemas: static integrity-constraint
-//! verification, dynamic click-time evaluation, and incremental site
-//! maintenance.
+//! verification, and dynamic click-time evaluation whose cached pages
+//! are patched, not recomputed, when the data changes (the paper's
+//! incremental site update, §7).
 //!
 //! ```
 //! use strudel::{SiteBuilder, Source, SourceFormat};
@@ -73,7 +74,7 @@ pub use strudel_graph as graph;
 pub use strudel_mediator as mediator;
 /// Re-export: the indexed repository.
 pub use strudel_repo as repo;
-/// Re-export: site schemas, verification, dynamic and incremental engines.
+/// Re-export: site schemas, verification, the click-time engine.
 pub use strudel_schema as schema;
 /// Re-export: the STRUQL query language.
 pub use strudel_struql as struql;

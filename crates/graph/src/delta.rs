@@ -5,9 +5,9 @@
 //!
 //! * **write-ahead logging** in the repository — every mutating operation
 //!   is recorded as a delta op before being applied;
-//! * **incremental maintenance** — the schema crate propagates a data-graph
-//!   delta through a site-definition query into a site-graph delta instead
-//!   of re-evaluating the query from scratch;
+//! * **incremental maintenance** — the schema crate routes a data-graph
+//!   delta's signed bindings rows to the click-time pages they change and
+//!   patches those pages instead of re-evaluating the query from scratch;
 //! * **source refresh** in the mediator — re-wrapping a changed source
 //!   yields the delta between old and new snapshots.
 //!

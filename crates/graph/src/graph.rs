@@ -547,10 +547,10 @@ impl fmt::Debug for NodeRef<'_> {
 /// Checks that two graphs agree on node/edge/collection counts, on the
 /// multiset of canonicalized edges, and on every collection's
 /// canonicalized membership multiset — the equivalence oracle of the
-/// incremental-vs-full, pager and crash-recovery tests and experiments.
+/// construction, pager and crash-recovery tests and experiments.
 ///
 /// Canonicalization renders a node as `&name` when it has one and as an
-/// anonymous placeholder otherwise: incrementally maintained site graphs
+/// anonymous placeholder otherwise: graphs built along different paths
 /// mint Skolem nodes in a different order than a fresh evaluation, so an
 /// oid-sensitive comparison would reject equivalent results. Everything
 /// else — per-label edge multisets over source/target shape and value,

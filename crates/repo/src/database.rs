@@ -152,8 +152,8 @@ impl Database {
     }
 
     /// Installs a statistics snapshot into the cache without scanning the
-    /// graph. The incremental engine carries slightly-stale stats across
-    /// small deltas this way: the planner only consumes relative
+    /// graph. The click engine's delta path carries slightly-stale stats
+    /// across small deltas this way: the planner only consumes relative
     /// cardinalities, so a bounded drift changes join orders at worst —
     /// never results. Callers own the staleness bound.
     pub fn seed_stats(&self, stats: Arc<Stats>) {

@@ -922,6 +922,26 @@ impl DynamicSite {
         Ok(out)
     }
 
+    /// Every page reachable from the members of `collection`, breadth
+    /// first, each visited (and so cached) on the way.
+    pub fn crawl(&self, collection: &str) -> StruqlResult<Vec<PageKey>> {
+        let mut order = self.roots(collection)?;
+        let mut seen: HashSet<PageKey> = order.iter().cloned().collect();
+        let mut at = 0;
+        while at < order.len() {
+            let view = self.visit(&order[at])?;
+            for (_, target) in &view.edges {
+                if let DynTarget::Page(child) = target {
+                    if seen.insert(child.clone()) {
+                        order.push(child.clone());
+                    }
+                }
+            }
+            at += 1;
+        }
+        Ok(order)
+    }
+
     /// Serves one click: the out-edges of `page`, computed on demand, or
     /// `None` when `page` has an atomic argument and the site never
     /// creates it — then nothing is cached, so keys made up by a client

@@ -23,18 +23,25 @@
 //!   site-definition query into per-node incremental queries evaluated at
 //!   "click time", with path-context seeding and look-ahead caching.
 //!
-//! [`incremental`] adds the paper's future-work item: incremental
-//! maintenance of a materialized site graph under data-graph deltas. It
-//! and [`invalidate`] (which pages did a delta dirty?) are both
-//! projections of the signed rows of [`strudel_struql::delta_rows`].
+//! The same engine answers the paper's future-work item, incremental
+//! updates of site graphs (§7): [`invalidate`] routes the signed rows of
+//! [`strudel_struql::delta_rows`] to the pages a delta dirties, and
+//! [`dynamic::DynamicSite::apply_delta`] patches each cached page's
+//! counted rows with them. A fully crawled engine is the maintained site.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod constraint;
 pub mod dynamic;
-pub mod incremental;
 pub mod invalidate;
 mod site_schema;
 
 pub use site_schema::{SchemaEdge, SchemaNode, SiteSchema};
+
+/// §7's incremental site update, scenario by scenario, on the click
+/// engine.
+#[cfg(test)]
+mod incremental {
+    mod tests;
+}

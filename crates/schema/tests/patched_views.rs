@@ -199,24 +199,6 @@ fn sorted<T: std::fmt::Debug>(items: impl IntoIterator<Item = T>) -> Vec<String>
     out
 }
 
-/// Every page reachable from the root, visiting (and so caching) each.
-fn crawl(site: &DynamicSite) -> Vec<PageKey> {
-    let mut seen: Vec<PageKey> = site.roots("Roots").unwrap();
-    let mut at = 0;
-    while at < seen.len() {
-        let view = site.visit(&seen[at].clone()).unwrap();
-        for (_, target) in &view.edges {
-            if let DynTarget::Page(child) = target {
-                if !seen.contains(child) {
-                    seen.push(child.clone());
-                }
-            }
-        }
-        at += 1;
-    }
-    seen
-}
-
 fn check_all(site: &DynamicSite, program: &Program, cached: &[PageKey], context: &str) {
     let fresh = DynamicSite::new(site.database(), program, site.mode());
     for key in cached {
@@ -254,7 +236,7 @@ fn run_chain(seed: u64, mode: Mode) {
     let program = strudel_struql::parse(QUERY).unwrap();
     let db = Arc::new(Database::from_graph(g.clone(), IndexLevel::Full));
     let site = DynamicSite::new(db, &program, mode);
-    let mut cached = crawl(&site);
+    let mut cached = site.crawl("Roots").unwrap();
     check_all(
         &site,
         &program,
@@ -290,7 +272,7 @@ fn run_chain(seed: u64, mode: Mode) {
         );
         check_all(&site, &program, &cached, &context);
         // Pages the delta created join the cached set from here on.
-        for key in crawl(&site) {
+        for key in site.crawl("Roots").unwrap() {
             if !cached.contains(&key) {
                 cached.push(key);
             }

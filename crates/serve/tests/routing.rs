@@ -4,27 +4,9 @@
 
 use strudel_graph::{FileKind, Graph, Oid, Value};
 use strudel_prng::{choose, Rng, SeedableRng, SmallRng};
-use strudel_schema::dynamic::{DynTarget, DynamicSite, Mode, PageKey};
+use strudel_schema::dynamic::{DynamicSite, Mode, PageKey};
 use strudel_serve::router::{page_path, parse_page_path};
 use strudel_workload::{news, org};
-
-/// Every page reachable from the roots by BFS over page links.
-fn crawl(engine: &DynamicSite, root_collection: &str) -> Vec<PageKey> {
-    let mut seen: Vec<PageKey> = engine.roots(root_collection).unwrap();
-    let mut queue = seen.clone();
-    while let Some(key) = queue.pop() {
-        let view = engine.visit(&key).unwrap();
-        for (_, target) in &view.edges {
-            if let DynTarget::Page(child) = target {
-                if !seen.contains(child) {
-                    seen.push(child.clone());
-                    queue.push(child.clone());
-                }
-            }
-        }
-    }
-    seen
-}
 
 #[test]
 fn every_news_page_round_trips() {
@@ -34,7 +16,7 @@ fn every_news_page_round_trips() {
     });
     let site = strudel::sites::news_site(&corpus.pages).build().unwrap();
     let engine = DynamicSite::new(site.database.clone(), &site.program, Mode::Context);
-    let pages = crawl(&engine, "FrontRoot");
+    let pages = engine.crawl("FrontRoot").unwrap();
     assert!(pages.len() > 40, "front + sections + articles: {}", pages.len());
     let db = engine.database();
     for key in &pages {
@@ -63,7 +45,7 @@ fn every_org_page_round_trips() {
     .build()
     .unwrap();
     let engine = DynamicSite::new(site.database.clone(), &site.program, Mode::Context);
-    let pages = crawl(&engine, &site.root_collection);
+    let pages = engine.crawl(&site.root_collection).unwrap();
     assert!(pages.len() > 60, "{}", pages.len());
     let db = engine.database();
     for key in &pages {

@@ -106,8 +106,7 @@ struct Ctx {
     /// filled from the graph when the node first qualifies and is told of
     /// every edge added after that, so it always answers as
     /// [`Graph::has_edge`] would. It belongs to this context, which owns
-    /// `out` for as long as it lives: a resumed construction starts with
-    /// none and refills from the graph it was handed.
+    /// `out` for as long as it lives.
     hubs: FastMap<Oid, FastSet<(Label, Value)>>,
 }
 
@@ -116,28 +115,14 @@ struct Ctx {
 const HUB_DEGREE: usize = 32;
 
 impl Ctx {
-    /// A context over `graph` with nothing constructed yet.
-    fn new(graph: Graph) -> Self {
-        Ctx::resume(EvalResult {
-            graph,
-            new_nodes: Vec::new(),
-            skolem: SkolemTable::new(),
-            rows_evaluated: 0,
-        })
-    }
-
-    /// A context that continues where `result` stopped.
-    fn resume(result: EvalResult) -> Self {
-        let mut created = vec![false; result.graph.node_count()];
-        for oid in &result.new_nodes {
-            created[oid.index()] = true;
-        }
+    /// A context over `out` with nothing constructed yet.
+    fn new(out: Graph) -> Self {
         Ctx {
-            out: result.graph,
-            skolem: result.skolem,
-            created,
-            new_nodes: result.new_nodes,
-            rows_evaluated: result.rows_evaluated,
+            created: vec![false; out.node_count()],
+            out,
+            skolem: SkolemTable::new(),
+            new_nodes: Vec::new(),
+            rows_evaluated: 0,
             args: Vec::new(),
             hubs: FastMap::default(),
         }
@@ -637,8 +622,8 @@ impl<'db> Evaluator<'db> {
     }
 
     /// Evaluates a bare condition list — the building block for dynamic
-    /// (click-time) and incremental evaluation, where the schema crate
-    /// runs fragments of a site-definition query with some variables
+    /// (click-time) evaluation and its delta maintenance, where the schema
+    /// crate runs fragments of a site-definition query with some variables
     /// pre-bound.
     ///
     /// `seed` pre-binds variables; the result is the list of variables in
@@ -705,69 +690,6 @@ impl<'db> Evaluator<'db> {
         }
         report.total_rows = rows.len();
         Ok((vars, rows, report))
-    }
-}
-
-/// A construction sink: applies the construction stage of blocks to a
-/// graph, maintaining the Skolem table across calls.
-///
-/// This is [`Evaluator::eval`]'s construction machinery exposed for the
-/// dynamic and incremental engines: they compute bindings rows themselves
-/// (seeded, partial, or delta-derived) and push construction through a
-/// `Constructor` that *resumes* a previous evaluation's Skolem state, so
-/// newly derived links attach to the already-materialized site nodes.
-#[derive(Debug)]
-pub struct Constructor {
-    ctx: Ctx,
-}
-
-impl Constructor {
-    /// A fresh constructor over `graph` (usually a clone of the input
-    /// graph).
-    pub fn new(graph: Graph) -> Self {
-        Constructor {
-            ctx: Ctx::new(graph),
-        }
-    }
-
-    /// Resumes construction from a previous evaluation's output.
-    pub fn resume(result: EvalResult) -> Self {
-        Constructor {
-            ctx: Ctx::resume(result),
-        }
-    }
-
-    /// Applies one block's `create`/`link`/`collect` (not its nested
-    /// blocks) for every row. `vars` gives the slot names of `rows`.
-    pub fn apply_block(
-        &mut self,
-        block: &Block,
-        vars: &[String],
-        rows: &[Row],
-    ) -> StruqlResult<()> {
-        if rows.is_empty() {
-            return Ok(());
-        }
-        let mut construction = Construction::compile(block, vars, &mut self.ctx.skolem);
-        for row in rows {
-            construct_into(&mut construction, row, &mut self.ctx)?;
-        }
-        Ok(())
-    }
-
-    /// Read access to the graph under construction.
-    pub fn graph(&self) -> &Graph {
-        &self.ctx.out
-    }
-
-    /// The node previously minted for `symbol(args)`, if any.
-    pub fn skolem_node(&self, symbol: &str, args: &[Value]) -> Option<Oid> {
-        self.ctx.skolem.lookup(symbol, args)
-    }
-
-    /// Finishes construction, returning an [`EvalResult`].
-    pub fn finish(self) -> EvalResult {
-        self.ctx.finish()
     }
 }
 

@@ -75,7 +75,7 @@ pub use ast::{
 };
 pub use error::{StruqlError, StruqlResult};
 pub use eval::diff::{delta_rows, DeltaTouch, DiffOutcome, SignedRow};
-pub use eval::{where_vars, Constructor, EvalOptions, EvalResult, Evaluator, PreparedWhere};
+pub use eval::{where_vars, EvalOptions, EvalResult, Evaluator, PreparedWhere};
 pub use explain::{ExplainReport, ExplainStep};
 pub use par::Parallelism;
 pub use parser::{parse, parse_path_regex};

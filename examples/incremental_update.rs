@@ -1,16 +1,29 @@
-//! Incremental site-graph maintenance (§7, built here as an extension):
-//! when the underlying data changes, propagate the delta through the
-//! site-definition query instead of re-evaluating it — new publications
-//! slot into the existing year pages.
+//! Incremental site update (§7, built here as an extension): when the
+//! underlying data changes, the click engine patches the pages it has
+//! cached with the delta's signed rows instead of re-evaluating the
+//! site-definition query — a new publication slots into the existing
+//! year page.
 //!
 //! ```text
 //! cargo run --release -p strudel-core --example incremental_update
 //! ```
 
-use strudel::graph::{graphs_equivalent, GraphDelta, Oid, Value};
-use strudel::schema::incremental::MaintainedSite;
+use std::collections::HashSet;
+use std::time::Instant;
+use strudel::graph::{GraphDelta, Oid, Value};
+use strudel::repo::{Database, IndexLevel};
+use strudel::schema::dynamic::{DynTarget, DynamicSite, Mode, PageKey};
 use strudel::struql::Evaluator;
 use strudel_workload::bib::{generate, BibConfig};
+
+/// `key`'s out-edges, sorted: a patched page lists its links by first
+/// supporting row, a fresh one by evaluation order.
+fn sorted_view(site: &DynamicSite, key: &PageKey) -> Vec<String> {
+    let view = site.visit(key).expect("page evaluates");
+    let mut edges: Vec<String> = view.edges.iter().map(|e| format!("{e:?}")).collect();
+    edges.sort_unstable();
+    edges
+}
 
 fn main() {
     let bib = generate(&BibConfig {
@@ -20,62 +33,80 @@ fn main() {
     let site = strudel::sites::homepage_site(&bib, strudel::sites::PERSONAL_DDL_EXAMPLE)
         .build()
         .expect("site builds");
+    let root = site.root_collection.as_str();
+    let engine = DynamicSite::new(site.database, &site.program, Mode::Context);
+
+    // The one-time cost: visit every reachable page, so each is cached
+    // with the counted guard rows a delta patches.
+    let start = Instant::now();
+    let pages = engine.crawl(root).expect("site crawls");
     println!(
-        "initial site: {} site nodes over {} data nodes",
-        site.result.new_nodes.len(),
-        site.database.graph().node_count()
+        "crawled {} pages in {:.2}ms",
+        pages.len(),
+        start.elapsed().as_secs_f64() * 1e3
     );
 
     // The delta: one brand-new publication.
-    let base = site.database.graph().node_count();
+    let before = engine.database().graph().clone();
     let mut delta = GraphDelta::new();
     delta.add_node(Some("hotoffthepress"));
-    let new_pub = Oid::from_index(base);
+    let new_pub = Oid::from_index(before.node_count());
     delta.add_edge(new_pub, "title", Value::string("Hot off the press"));
     delta.add_edge(new_pub, "author", Value::string("A. Newcomer"));
     delta.add_edge(new_pub, "year", Value::Int(1998));
     delta.add_edge(new_pub, "category", Value::string("web"));
     delta.collect("Publications", Value::Node(new_pub));
 
-    // Maintenance starts by counting each link's and membership's
-    // derivations, once; every delta after that moves the counts.
-    let start = std::time::Instant::now();
-    let mut maintained = MaintainedSite::new(&site.program, site.database.clone(), site.result)
-        .expect("support counts");
-    let t_count = start.elapsed();
-    let start = std::time::Instant::now();
-    let rows = maintained.apply(&delta).expect("incremental update");
-    let t_inc = start.elapsed();
+    // The first delta also builds the engine's standby twin database.
+    let start = Instant::now();
+    let outcome = engine.apply_delta(&delta).expect("delta applies");
+    let t_apply = start.elapsed();
 
     // Reference: full re-evaluation on the updated data.
-    let start = std::time::Instant::now();
-    let full = {
-        let mut g = site.database.graph().clone();
-        delta.apply(&mut g).unwrap();
-        let db = strudel::repo::Database::from_graph(g, strudel::repo::IndexLevel::Full);
-        Evaluator::new(&db).eval(&site.program).unwrap()
-    };
+    let start = Instant::now();
+    let mut g = before;
+    delta.apply(&mut g).unwrap();
+    let db = Database::from_graph(g, IndexLevel::Full);
+    Evaluator::new(&db).eval(&site.program).unwrap();
     let t_full = start.elapsed();
 
+    let m = engine.metrics();
     println!(
-        "count build: {:.2}ms; incremental: {:.2}ms ({} signed rows); full re-evaluation: {:.2}ms",
-        t_count.as_secs_f64() * 1e3,
-        t_inc.as_secs_f64() * 1e3,
-        rows,
+        "apply_delta: {:.2}ms ({} pages patched, {} signed rows); full re-evaluation: {:.2}ms",
+        t_apply.as_secs_f64() * 1e3,
+        outcome.updated,
+        m.diff_rows_added + m.diff_rows_retracted,
         t_full.as_secs_f64() * 1e3
     );
-    let site_now = maintained.result();
-    println!(
-        "results equivalent: {}",
-        graphs_equivalent(&site_now.graph, &full.graph)
-    );
+
+    // Every page reachable now equals a fresh engine's over the new data.
+    let fresh = DynamicSite::new(engine.database(), &site.program, Mode::Context);
+    let reachable: HashSet<PageKey> = engine
+        .crawl(root)
+        .expect("site crawls")
+        .into_iter()
+        .collect();
+    let expected: HashSet<PageKey> = fresh
+        .crawl(root)
+        .expect("site crawls")
+        .into_iter()
+        .collect();
+    let same = reachable == expected
+        && reachable
+            .iter()
+            .all(|key| sorted_view(&engine, key) == sorted_view(&fresh, key));
+    println!("every page equals a fresh engine's: {same}");
 
     // The new paper joined the existing 1998 year page.
-    let y98 = site_now
-        .skolem_node("YearPage", &[Value::Int(1998)])
-        .expect("1998 year page");
-    println!(
-        "YearPage(1998) now lists {} papers (the new one included)",
-        site_now.graph.attr_str(y98, "Paper").count()
-    );
+    let y98 = PageKey {
+        symbol: "YearPage".into(),
+        args: vec![Value::Int(1998)],
+    };
+    let papers = engine.visit(&y98).expect("year page evaluates");
+    let papers = papers
+        .edges
+        .iter()
+        .filter(|(label, target)| label == "Paper" && matches!(target, DynTarget::Page(_)))
+        .count();
+    println!("YearPage(1998) now lists {papers} papers (the new one included)");
 }

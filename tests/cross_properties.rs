@@ -1,9 +1,12 @@
 //! Cross-crate property tests: randomized data graphs and queries flowing
 //! through the whole stack, generated from a deterministic seeded PRNG.
 
+use std::collections::HashMap;
+use std::sync::Arc;
 use strudel::repo::{Database, IndexLevel};
-use strudel::struql::{EvalOptions, Evaluator};
-use strudel_graph::{Graph, Value};
+use strudel::schema::dynamic::{DynamicSite, Metrics, Mode, PageKey};
+use strudel::struql::{EvalOptions, Evaluator, Program};
+use strudel_graph::{Graph, GraphDelta, Oid, Value};
 use strudel_prng::{Rng, SeedableRng, SmallRng};
 
 /// A random Publications-like graph: nodes with a random subset of
@@ -111,49 +114,88 @@ fn plan_and_index_transparency() {
     }
 }
 
-/// Incremental maintenance equals full re-evaluation for arbitrary
-/// single-publication inserts.
-#[test]
-fn incremental_equals_full() {
-    use strudel::schema::incremental::MaintainedSite;
-    use strudel_graph::graphs_equivalent;
-    for seed in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(200 + seed);
-        let g = pub_graph(&mut rng);
-        let year = rng.gen_range(1990i64..2000);
-        let db = Database::from_graph(g, IndexLevel::Full);
-        let program = strudel::struql::parse(strudel::sites::HOMEPAGE_QUERY).unwrap();
-        let old = Evaluator::new(&db).eval(&program).unwrap();
+/// `key`'s view, edges sorted: a patched page lists its links by first
+/// supporting row, a fresh one by evaluation order.
+fn view(site: &DynamicSite, key: &PageKey) -> Vec<String> {
+    let view = site.visit(key).unwrap();
+    let mut edges: Vec<String> = view.edges.iter().map(|e| format!("{e:?}")).collect();
+    edges.sort_unstable();
+    edges
+}
 
-        let base = db.graph().node_count();
-        let mut delta = strudel_graph::GraphDelta::new();
-        delta.add_node(Some("fresh"));
-        let oid = strudel_graph::Oid::from_index(base);
-        delta.add_edge(oid, "title", Value::string("Fresh"));
-        delta.add_edge(oid, "year", Value::Int(year));
-        delta.collect("Publications", Value::Node(oid));
+/// Each reachable page's view.
+fn crawl(site: &DynamicSite, root: &str) -> HashMap<PageKey, Vec<String>> {
+    let keys = site.crawl(root).unwrap();
+    keys.into_iter()
+        .map(|key| {
+            let edges = view(site, &key);
+            (key, edges)
+        })
+        .collect()
+}
 
-        let mut g2 = db.graph().clone();
-        let mut inc = MaintainedSite::new(&program, db, old).unwrap();
-        inc.apply(&delta).unwrap();
-
-        delta.apply(&mut g2).unwrap();
-        let db2 = Database::from_graph(g2, IndexLevel::Full);
-        let full = Evaluator::new(&db2).eval(&program).unwrap();
-        assert!(
-            graphs_equivalent(&inc.result().graph, &full.graph),
-            "seed {seed}"
+/// A fully crawled click engine matches a fresh engine on its current
+/// database: the same reachable pages with equal views, and equal views
+/// for `known` pages the crawl no longer reaches (no derived content
+/// survives its derivations).
+fn assert_matches_fresh(
+    site: &DynamicSite,
+    program: &Program,
+    root: &str,
+    known: &[PageKey],
+    context: &str,
+) {
+    let fresh = DynamicSite::new(site.database(), program, Mode::Context);
+    let expected = crawl(&fresh, root);
+    assert_eq!(crawl(site, root), expected, "{context}: reachable pages differ");
+    for key in known.iter().filter(|k| !expected.contains_key(*k)) {
+        assert_eq!(
+            view(site, key),
+            view(&fresh, key),
+            "{context}: unreachable {key:?} kept content"
         );
     }
 }
 
-/// DRed deletions agree with full re-evaluation: for every Skolem key
-/// the full evaluation produces, the incrementally maintained site has
-/// the same out-edges; orphaned pages (keys absent from the full
-/// evaluation) carry no derived content.
+/// A `Mode::Context` engine over `g` for the Fig. 3 query, fully crawled;
+/// the pages the crawl reached.
+fn homepage_site(g: Graph) -> (DynamicSite, Program, Vec<PageKey>) {
+    let program = strudel::struql::parse(strudel::sites::HOMEPAGE_QUERY).unwrap();
+    let db = Arc::new(Database::from_graph(g, IndexLevel::Full));
+    let site = DynamicSite::new(db, &program, Mode::Context);
+    let known = site.crawl("HomeRoot").unwrap();
+    (site, program, known)
+}
+
+/// The click engine's patched pages equal a fresh engine's for arbitrary
+/// single-publication inserts.
+#[test]
+fn incremental_equals_full() {
+    for seed in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(200 + seed);
+        let g = pub_graph(&mut rng);
+        let year = rng.gen_range(1990i64..2000);
+        let base = g.node_count();
+        let (site, program, known) = homepage_site(g);
+
+        let mut delta = GraphDelta::new();
+        delta.add_node(Some("fresh"));
+        let oid = Oid::from_index(base);
+        delta.add_edge(oid, "title", Value::string("Fresh"));
+        delta.add_edge(oid, "year", Value::Int(year));
+        delta.collect("Publications", Value::Node(oid));
+        site.apply_delta(&delta).unwrap();
+
+        assert_eq!(site.metrics().diff_fallbacks, 0, "seed {seed}");
+        assert_matches_fresh(&site, &program, "HomeRoot", &known, &format!("seed {seed}"));
+    }
+}
+
+/// Deletions agree with a fresh engine: every reachable page has the
+/// same out-edges, and a page that lost its derivations (a year page
+/// whose last paper left it, the removed paper's own pages) keeps none.
 #[test]
 fn dred_deletions_match_full() {
-    use strudel::schema::incremental::MaintainedSite;
     for seed in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(300 + seed);
         let g = pub_graph(&mut rng);
@@ -162,101 +204,27 @@ fn dred_deletions_match_full() {
         let victim = &pubs[victim_idx % pubs.len()];
         let victim_oid = victim.as_node().unwrap();
 
-        let db = Database::from_graph(g.clone(), IndexLevel::Full);
-        let program = strudel::struql::parse(strudel::sites::HOMEPAGE_QUERY).unwrap();
-        let old = Evaluator::new(&db).eval(&program).unwrap();
-
         // Delete either the membership or the year edge (when present).
-        let mut delta = strudel_graph::GraphDelta::new();
-        match db.graph().first_attr_str(victim_oid, "year").cloned() {
+        let mut delta = GraphDelta::new();
+        match g.first_attr_str(victim_oid, "year").cloned() {
             Some(y) => delta.remove_edge(victim_oid, "year", y),
             None => delta.uncollect("Publications", victim.clone()),
         }
+        let (site, program, known) = homepage_site(g);
+        site.apply_delta(&delta).unwrap();
 
-        let mut g2 = db.graph().clone();
-        let mut site = MaintainedSite::new(&program, db, old).unwrap();
-        site.apply(&delta).unwrap();
-        let inc = site.result();
-
-        delta.apply(&mut g2).unwrap();
-        let db2 = Database::from_graph(g2, IndexLevel::Full);
-        let full = Evaluator::new(&db2).eval(&program).unwrap();
-
-        // Compare per-Skolem-key edge multisets. Node targets are compared
-        // through the key correspondence.
-        let full_keys: Vec<(String, Vec<Value>)> = full
-            .skolem
-            .iter()
-            .map(|(k, _)| (k.symbol.to_string(), k.args.to_vec()))
-            .collect();
-        for (symbol, args) in &full_keys {
-            let f_oid = full.skolem_node(symbol, args).unwrap();
-            let i_oid = inc
-                .skolem_node(symbol, args)
-                .expect("incremental site has every live page");
-            let mut f_edges: Vec<(String, String)> = full
-                .graph
-                .edges(f_oid)
-                .iter()
-                .map(|e| {
-                    let target = match &e.to {
-                        Value::Node(o) => full
-                            .graph
-                            .node_name(*o)
-                            .map(str::to_owned)
-                            .unwrap_or_else(|| format!("{o}")),
-                        other => format!("{other}"),
-                    };
-                    (full.graph.label_name(e.label).to_owned(), target)
-                })
-                .collect();
-            let mut i_edges: Vec<(String, String)> = inc
-                .graph
-                .edges(i_oid)
-                .iter()
-                .map(|e| {
-                    let target = match &e.to {
-                        Value::Node(o) => inc
-                            .graph
-                            .node_name(*o)
-                            .map(str::to_owned)
-                            .unwrap_or_else(|| format!("{o}")),
-                        other => format!("{other}"),
-                    };
-                    (inc.graph.label_name(e.label).to_owned(), target)
-                })
-                .collect();
-            f_edges.sort();
-            i_edges.sort();
-            assert_eq!(
-                &f_edges, &i_edges,
-                "seed {seed}: {symbol}({args:?}) diverged"
-            );
-        }
-        // Orphans: keys the full evaluation no longer creates must be bare.
-        for (key, oid) in inc.skolem.iter() {
-            let alive = full.skolem_node(key.symbol, key.args).is_some();
-            if !alive {
-                assert_eq!(
-                    inc.graph.edges(oid).len(),
-                    0,
-                    "seed {seed}: orphan {key:?} kept content"
-                );
-            }
-        }
+        assert_eq!(site.metrics().diff_fallbacks, 0, "seed {seed}");
+        assert_matches_fresh(&site, &program, "HomeRoot", &known, &format!("seed {seed}"));
     }
 }
 
 /// Negation and a Kleene closure in one guard, under chains of random edge
-/// deletions: every round equals a fresh evaluation up to site nodes that
-/// lost every derivation. Deleting a `link` edge shrinks closures
-/// (retracting rows through the middle of paths, orphaning `Seen` nodes);
-/// deleting a `hidden` edge flips a `not(…)` (adding rows, re-adopting
-/// lingering nodes through the resumed Skolem table).
+/// deletions: after every round the crawled engine matches a fresh one.
+/// Deleting a `link` edge shrinks closures (retracting rows through the
+/// middle of paths, cutting `Seen` pages off); deleting a `hidden` edge
+/// flips a `not(…)` (adding rows).
 #[test]
 fn negation_and_kleene_stay_incremental_under_edge_deletions() {
-    use strudel::schema::incremental::{equivalent_modulo_orphans, MaintainedSite};
-    use strudel_graph::{GraphDelta, Oid};
     let program = strudel::struql::parse(
         r#"
         where Items(x), x -> "link"* -> y, not(y -> "hidden" -> h)
@@ -266,6 +234,7 @@ fn negation_and_kleene_stay_incremental_under_edge_deletions() {
     "#,
     )
     .unwrap();
+    let rows = |m: Metrics| m.diff_rows_added + m.diff_rows_retracted;
     let mut propagated = 0u64;
     for seed in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(500 + seed);
@@ -282,11 +251,11 @@ fn negation_and_kleene_stay_incremental_under_edge_deletions() {
                 g.add_edge_str(node, "link", Value::Node(to));
             }
         }
-        let mut db = Database::from_graph(g.clone(), IndexLevel::Full);
-        let result = Evaluator::new(&db).eval(&program).unwrap();
-        let mut site = MaintainedSite::new(&program, Database::from_graph(g, IndexLevel::Full), result)
-            .unwrap();
+        let db = Arc::new(Database::from_graph(g, IndexLevel::Full));
+        let site = DynamicSite::new(db, &program, Mode::Context);
         for round in 0..6 {
+            let known = site.crawl("Pages").unwrap();
+            let db = site.database();
             let edges: Vec<(Oid, String, Value)> = db
                 .graph()
                 .node_oids()
@@ -297,6 +266,8 @@ fn negation_and_kleene_stay_incremental_under_edge_deletions() {
                         .map(move |e| (o, g.label_name(e.label).to_owned(), e.to.clone()))
                 })
                 .collect();
+            // Released before the delta, so the standby twin is reused.
+            drop(db);
             if edges.is_empty() {
                 break;
             }
@@ -310,22 +281,17 @@ fn negation_and_kleene_stay_incremental_under_edge_deletions() {
                     delta.remove_edge(from, &label, to);
                 }
             }
-            propagated += u64::from(site.apply(&delta).unwrap() > 0);
+            let before = rows(site.metrics());
+            site.apply_delta(&delta).unwrap();
+            propagated += u64::from(rows(site.metrics()) > before);
 
-            let mut g2 = db.graph().clone();
-            delta.apply(&mut g2).unwrap();
-            db = Database::from_graph(g2, IndexLevel::Full);
-            let full = Evaluator::new(&db).eval(&program).unwrap();
-            assert!(
-                equivalent_modulo_orphans(&site.result().graph, &full.graph),
-                "seed {seed} round {round}: {:?}",
-                delta.ops()
-            );
+            let context = format!("seed {seed} round {round}: {:?}", delta.ops());
+            assert_eq!(site.metrics().diff_fallbacks, 0, "{context}");
+            assert_matches_fresh(&site, &program, "Pages", &known, &context);
         }
     }
     assert!(propagated > CASES, "most deletions must change some row");
 }
-
 /// The HTML generator never panics and always escapes markup from
 /// data: rendered pages contain no raw `<script` coming from titles.
 #[test]
