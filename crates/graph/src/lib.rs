@@ -61,5 +61,5 @@ pub use delta::{DeltaError, DeltaOp, GraphDelta};
 pub use graph::{graphs_equivalent, CollectionId, Edge, Graph, InEdge, NodeRef};
 pub use label::{Label, LabelInterner};
 pub use oid::Oid;
-pub use skolem::{SkolemKey, SkolemSymbol, SkolemTable};
+pub use skolem::{write_skolem_name, SkolemKey, SkolemSymbol, SkolemTable};
 pub use value::{FileKind, FileRef, Value};

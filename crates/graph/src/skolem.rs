@@ -111,7 +111,9 @@ impl SkolemTable {
             return (oid, false);
         }
         let oid = graph.add_node();
-        graph.name_node(oid, &display_name(graph, &applications.symbol, args));
+        let mut name = String::with_capacity(applications.symbol.len() + 8 * args.len());
+        write_skolem_name(&mut name, graph, &applications.symbol, args);
+        graph.name_node(oid, &name);
         applications.by_args.insert(args.into(), oid);
         (oid, true)
     }
@@ -146,31 +148,32 @@ impl SkolemTable {
     }
 }
 
-/// A human-readable name for a Skolem node: `Symbol(arg,…)`, with
-/// node-valued arguments rendered by their own symbolic names when present.
-fn display_name(graph: &Graph, symbol: &str, args: &[Value]) -> String {
+/// Appends the human-readable name of a Skolem node to `out`:
+/// `Symbol(arg,…)`, or `Symbol` alone for a nullary one, with node-valued
+/// arguments rendered by their symbolic names in `graph` when present.
+/// The static build names the nodes it mints this way, and the click-time
+/// renderer names pages with it, so link text agrees between the two.
+pub fn write_skolem_name(out: &mut String, graph: &Graph, symbol: &str, args: &[Value]) {
     use std::fmt::Write;
-    let mut s = String::with_capacity(symbol.len() + 8 * args.len());
-    s.push_str(symbol);
+    out.push_str(symbol);
     if !args.is_empty() {
-        s.push('(');
+        out.push('(');
         for (i, a) in args.iter().enumerate() {
             if i > 0 {
-                s.push(',');
+                out.push(',');
             }
             match a {
                 Value::Node(o) => match graph.node_name(*o) {
-                    Some(n) => s.push_str(n),
+                    Some(n) => out.push_str(n),
                     None => {
-                        let _ = write!(s, "{o}");
+                        let _ = write!(out, "{o}");
                     }
                 },
-                other => s.push_str(&other.display_text()),
+                other => out.push_str(&other.display_text()),
             }
         }
-        s.push(')');
+        out.push(')');
     }
-    s
 }
 
 #[cfg(test)]

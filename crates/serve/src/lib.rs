@@ -58,7 +58,6 @@ pub use metrics::{
     CacheSnapshot, InlineDecline, InlineSnapshot, RouteSnapshot, ServerMetrics, ServerStats,
     TransportCounters,
 };
-pub use render::RenderedPage;
 pub use server::{serve, ClickService, ServerConfig, ServerHandle, Transport, WarmHit};
 
 use strudel_graph::GraphDelta;
@@ -306,6 +305,8 @@ pub const DEFAULT_SLOW_THRESHOLD_US: u64 = 500_000;
 pub struct SiteService {
     engine: DynamicSite,
     templates: TemplateSet,
+    /// The templates' §2.4 choice, resolved per page symbol.
+    choice: render::PageTemplates,
     root_collection: String,
     cache: HtmlCache,
     metrics: ServerMetrics,
@@ -340,8 +341,10 @@ impl SiteService {
         root_collection: &str,
         mode: Mode,
     ) -> Self {
+        let engine = DynamicSite::new(db, program, mode);
         SiteService {
-            engine: DynamicSite::new(db, program, mode),
+            choice: render::PageTemplates::new(&engine, &templates),
+            engine,
             templates,
             root_collection: root_collection.to_owned(),
             cache: HtmlCache::new(),
@@ -637,12 +640,13 @@ impl SiteService {
             return (route, response);
         }
         if path.starts_with("/data/") {
-            let db = self.engine.database();
-            let Some(oid) = router::parse_data_path(path, db.graph()) else {
+            let oid = router::parse_data_path(path, self.engine.database().graph());
+            let Some(oid) = oid else {
                 return ("not_found".into(), Response::not_found(path));
             };
-            let r = match render::render_data_node(db.graph(), oid) {
-                Ok(html) => Response::html(html),
+            let object = render::Object::Data(oid);
+            let r = match render::render(&self.engine, &self.templates, &self.choice, object) {
+                Ok(page) => Response::html(page.html.to_string()),
                 Err(e) => Response::error(&e),
             };
             return ("data".into(), r);
@@ -670,11 +674,8 @@ impl SiteService {
         // would pin the engine's standby twin and turn the delta after
         // next into an O(site) rebuild.
         let epoch = self.engine.epoch();
-        let page = render::render_page(&self.engine, &self.templates, key)?;
-        let cached = CachedPage {
-            html: page.html,
-            deps: page.deps.into(),
-        };
+        let page = render::Object::Page(key);
+        let cached = render::render(&self.engine, &self.templates, &self.choice, page)?;
         self.cache.insert_if(key.clone(), cached.clone(), || {
             self.engine.epoch() == epoch
         });

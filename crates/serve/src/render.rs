@@ -2,240 +2,309 @@
 //! page, not an attribute dump.
 //!
 //! The static pipeline renders templates against the materialized site
-//! graph. At click time there is no site graph — only the visited page's
-//! computed out-edges. The bridge is a *transient graph*: one node for
-//! the page (named by its Skolem symbol and entered into its `collect`ed
-//! collections, so the site's template-selection rules apply unchanged),
-//! atomic edges copied verbatim, and one stub node per linked page
-//! carrying that child's atomic attributes — enough for link text and
-//! `KEY=` sorting, the two things templates read through links. Stub
-//! URLs come from the stable router, via the generator's namer hook.
+//! graph. At click time there is no site graph, only the page views the
+//! engine computes on demand, and the generator reads those through
+//! [`SiteSource`]. An object is a page (a [`PageKey`]) or a raw
+//! data-graph object. A template that reads through a linked page — its
+//! link text, a `KEY=` sort key, an `EMBED` — fetches that page's view
+//! from the engine's shared page-view cache, to any depth; a view no
+//! template reads is never fetched. Every view read is recorded: the
+//! rendition's dependency set for delta invalidation.
 //!
-//! Children are fetched through the engine itself, so their views come
-//! from (and warm) the shared page-view cache — a hit is a pointer to the
-//! view every reader shares, not a copy; the set of children read is
-//! returned as the rendition's dependency set for delta invalidation.
+//! Rendering agrees with the static build byte for byte. Template choice
+//! follows §2.4, its name and collection rules resolved once per Skolem
+//! symbol ([`PageTemplates`]); a page without a `title`, `name` or
+//! `label` is named by its Skolem term, as the static build names the
+//! node; URLs come from the stable router; and a data object takes the
+//! template the static build selects for it, on a page and on its own
+//! `/data/` route.
+//!
+//! The data graph is read under brief snapshots — for a URL, a name, or
+//! a data object's edges, copied out when a template first reads them —
+//! and never held across template evaluation: a snapshot kept for a
+//! render would pin the engine's standby twin across the next delta, and
+//! turn the delta after it into an O(site) rebuild.
 
 use crate::router::{data_path, page_path};
-use crate::ServeError;
-use std::cell::RefCell;
+use crate::{CachedPage, ServeError};
+use std::cell::{OnceCell, RefCell};
 use std::fmt::Write;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-use strudel_graph::hash::FastMap;
-use strudel_graph::{Graph, Oid, Value};
+use strudel_graph::{write_skolem_name, Graph, Oid, Value};
 use strudel_schema::dynamic::{DynTarget, DynamicSite, PageKey, PageView};
-use strudel_template::{escape_html, HtmlGenerator, TemplateSet};
+use strudel_template::{
+    escape_html, Item, Rule, SiteSource, TemplateError, TemplateId, TemplateSet, LINK_TEXT_ATTRS,
+};
 
-/// A finished click-time rendition.
-#[derive(Clone, Debug)]
-pub struct RenderedPage {
-    /// The page's HTML.
-    pub html: Arc<str>,
-    /// The other pages whose content the render read.
-    pub deps: Vec<PageKey>,
-}
+/// A site's templates with §2.4's name and collection rules resolved per
+/// Skolem symbol: by schema node, the rule for a page with arguments and
+/// the rule for the nullary page, which the symbol alone names.
+pub struct PageTemplates(Vec<[Rule; 2]>);
 
-/// Writes the display name of a child-page stub: the Skolem term over
-/// its values.
-fn write_stub_name(out: &mut String, key: &PageKey) {
-    out.clear();
-    out.push_str(&key.symbol);
-    out.push('(');
-    for (i, v) in key.args.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        match v {
-            // `display_text` would allocate these.
-            Value::Node(o) => {
-                let _ = write!(out, "{o}");
-            }
-            Value::Int(n) => {
-                let _ = write!(out, "{n}");
-            }
-            v => out.push_str(&v.display_text()),
-        }
+impl PageTemplates {
+    /// Resolves `templates`' rules for every page symbol of `engine`'s
+    /// site.
+    pub fn new(engine: &DynamicSite, templates: &TemplateSet) -> Self {
+        let rules = engine.schema().nodes.iter().map(|node| {
+            let symbol = node.name();
+            let collections = || engine.collections_of(symbol).iter().map(String::as_str);
+            [
+                templates.rule(None, collections()),
+                templates.rule(Some(symbol), collections()),
+            ]
+        });
+        PageTemplates(rules.collect())
     }
-    out.push(')');
 }
 
-/// A display name for a child-page stub.
-fn stub_name(key: &PageKey) -> String {
-    let mut name = String::new();
-    write_stub_name(&mut name, key);
-    name
+/// What the render has read of one object: its out-edges (a page's
+/// view, or a data object's edges) and, per edge, its target's slot.
+struct Slot {
+    view: Arc<PageView>,
+    kids: OnceCell<Box<[OnceCell<Slot>]>>,
 }
 
-const LINK_TEXT_ATTRS: [&str; 3] = ["title", "name", "label"];
-
-/// What click-time renders on one thread reuse: the transient graph (its
-/// label interner and its node, edge and collection allocations survive
-/// [`Graph::clear`]), the URL table and the text buffers.
-#[derive(Default)]
-struct Scratch {
-    graph: Graph,
-    /// Per transient node, the URL the namer hands out once.
-    urls: Vec<Option<String>>,
-    html: String,
-    name: String,
+impl Slot {
+    /// The out-edges, or those labelled `label`, in view order.
+    fn edges<'s>(
+        &'s self,
+        label: Option<&'s str>,
+    ) -> impl Iterator<Item = (&'s str, Item<'s, ViewNode<'s>>)> {
+        let edges = self.view.edges.iter().enumerate();
+        let kept = edges.filter(move |(_, (l, _))| label.map_or(true, |label| l == label));
+        kept.map(move |(i, (l, target))| {
+            let object = match target {
+                DynTarget::Page(key) => Object::Page(key),
+                DynTarget::Data(Value::Node(oid)) => Object::Data(*oid),
+                DynTarget::Data(atomic) => return (l.as_str(), Item::Value(atomic)),
+            };
+            let kids = self
+                .kids
+                .get_or_init(|| self.view.edges.iter().map(|_| OnceCell::new()).collect());
+            let slot = &kids[i];
+            (l.as_str(), Item::Node(ViewNode { object, slot }))
+        })
+    }
 }
 
-/// A scratch whose last render had more edges than this (a hub page's)
-/// or wrote more HTML is dropped, not kept: an idle thread does not pin
-/// the largest page it ever rendered.
-const SCRATCH_KEEP_EDGES: usize = 4096;
-const SCRATCH_KEEP_HTML: usize = 256 << 10;
-
-thread_local! {
-    static SCRATCH: RefCell<Scratch> = RefCell::default();
+/// An object of the rendition and the slot the render reads it into.
+/// Equal when the objects are, however the template reached them.
+#[derive(Clone, Copy)]
+struct ViewNode<'s> {
+    object: Object<'s>,
+    slot: &'s OnceCell<Slot>,
 }
 
-/// Renders one dynamic page with the site's templates.
-/// [`ServeError::NoSuchPage`] when the site never creates `key`.
+/// What the click path renders: a page, or a raw data-graph object.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Object<'a> {
+    /// A dynamic page.
+    Page(&'a PageKey),
+    /// A data-graph object (a `/data` route).
+    Data(Oid),
+}
+
+impl PartialEq for ViewNode<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.object == other.object
+    }
+}
+
+impl Eq for ViewNode<'_> {}
+
+impl Hash for ViewNode<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.object.hash(state);
+    }
+}
+
+/// The click-time [`SiteSource`]: the page views one rendition reads.
+struct PageViews<'a> {
+    engine: &'a DynamicSite,
+    choice: &'a PageTemplates,
+    /// The linked pages whose views the render read.
+    deps: RefCell<Vec<PageKey>>,
+    /// The first fetch that failed: the render answers with it.
+    error: RefCell<Option<ServeError>>,
+}
+
+impl PageViews<'_> {
+    /// What the render has read of `node`, reading it now if it has not.
+    /// A failed fetch reads as a page without links.
+    fn slot<'s>(&'s self, node: ViewNode<'s>) -> &'s Slot {
+        node.slot.get_or_init(|| {
+            let view = match node.object {
+                Object::Page(key) => match self.engine.visit(key) {
+                    Ok(view) => {
+                        self.deps.borrow_mut().push(key.clone());
+                        view
+                    }
+                    Err(e) => {
+                        self.error.borrow_mut().get_or_insert(e.into());
+                        Arc::default()
+                    }
+                },
+                Object::Data(oid) => self.data(|data| {
+                    let edges = data.edges(oid).iter();
+                    let edges = edges.map(|e| {
+                        (
+                            data.label_name(e.label).to_owned(),
+                            DynTarget::Data(e.to.clone()),
+                        )
+                    });
+                    Arc::new(PageView {
+                        edges: edges.collect(),
+                    })
+                }),
+            };
+            Slot {
+                view,
+                kids: OnceCell::new(),
+            }
+        })
+    }
+
+    /// `f` over the data graph, under one brief snapshot.
+    fn data<T>(&self, f: impl FnOnce(&Graph) -> T) -> T {
+        f(self.engine.database().graph())
+    }
+}
+
+impl<'s> SiteSource<'s> for &'s PageViews<'_> {
+    type Node = ViewNode<'s>;
+    type Label = &'s str;
+
+    fn label(self, name: &'s str) -> Option<&'s str> {
+        Some(name)
+    }
+
+    fn label_name(self, label: &'s str) -> &'s str {
+        label
+    }
+
+    fn edges(
+        self,
+        node: ViewNode<'s>,
+        label: Option<&'s str>,
+    ) -> impl Iterator<Item = (&'s str, Item<'s, ViewNode<'s>>)> + 's {
+        self.slot(node).edges(label)
+    }
+
+    /// One scan of the edges, stopped once an atomic title is found.
+    fn link_text(self, node: ViewNode<'s>) -> Option<&'s Value> {
+        let atomic = |target: Option<&'s DynTarget>| match target? {
+            DynTarget::Data(v) if v.is_atomic() => Some(v),
+            _ => None,
+        };
+        let mut first = [None; 3];
+        for (label, target) in &self.slot(node).view.edges {
+            let Some(i) = LINK_TEXT_ATTRS.iter().position(|a| a == label) else {
+                continue;
+            };
+            first[i] = first[i].or(Some(target));
+            if atomic(first[0]).is_some() {
+                break;
+            }
+        }
+        first.into_iter().find_map(atomic)
+    }
+
+    fn write_name(self, node: ViewNode<'s>, out: &mut String) {
+        self.data(|data| match node.object {
+            Object::Page(key) => write_skolem_name(out, data, &key.symbol, &key.args),
+            Object::Data(oid) => match data.node_name(oid) {
+                Some(name) => out.push_str(name),
+                None => {
+                    let _ = write!(out, "{oid}");
+                }
+            },
+        })
+    }
+
+    fn template(
+        self,
+        node: ViewNode<'s>,
+        templates: &TemplateSet,
+    ) -> Result<Option<TemplateId>, TemplateError> {
+        let key = match node.object {
+            Object::Page(key) => key,
+            Object::Data(oid) => return self.data(|data| templates.select_in(data, oid)),
+        };
+        let Some(rules) = self.engine.schema().node_index(&key.symbol) else {
+            return Ok(None);
+        };
+        let html_template = match self.edges(node, Some("html-template")).next() {
+            Some((_, Item::Value(v))) => Some(v),
+            _ => None,
+        };
+        self.choice.0[rules][usize::from(key.args.is_empty())].select(templates, html_template)
+    }
+
+    fn url(self, node: ViewNode<'s>, out: &mut String) -> bool {
+        out.push_str(&self.data(|data| match node.object {
+            Object::Page(key) => page_path(key, data),
+            Object::Data(oid) => data_path(oid, data),
+        }));
+        true
+    }
+}
+
+/// Renders one dynamic page with the site's templates, resolving their
+/// choice first (see [`render`]).
 pub fn render_page(
     engine: &DynamicSite,
     templates: &TemplateSet,
     key: &PageKey,
-) -> Result<RenderedPage, ServeError> {
-    let view = engine.lookup(key)?.ok_or(ServeError::NoSuchPage)?;
-    // Taken, not borrowed, for the render: a panic mid-render loses the
-    // scratch instead of leaving it half-built for the next one.
-    let mut scratch = SCRATCH.with(RefCell::take);
-    let page = render_view(engine, templates, key, &view, &mut scratch);
-    if scratch.graph.edge_count() <= SCRATCH_KEEP_EDGES
-        && scratch.html.capacity() <= SCRATCH_KEEP_HTML
-    {
-        SCRATCH.with(|s| *s.borrow_mut() = scratch);
-    }
-    page
+) -> Result<CachedPage, ServeError> {
+    let choice = PageTemplates::new(engine, templates);
+    render(engine, templates, &choice, Object::Page(key))
 }
 
-/// Renders `view`, the view of `key`, through `scratch`.
-fn render_view(
+/// Renders `object` with the site's templates, their choice resolved by
+/// [`PageTemplates::new`]. [`ServeError::NoSuchPage`] when the site never
+/// creates the page.
+pub fn render(
     engine: &DynamicSite,
     templates: &TemplateSet,
-    key: &PageKey,
-    view: &PageView,
-    scratch: &mut Scratch,
-) -> Result<RenderedPage, ServeError> {
-    let Scratch {
-        graph: tg,
-        urls,
-        html,
-        name,
-    } = scratch;
-    tg.clear();
-    // The transient graph's shape comes from views alone; what the data
-    // graph adds — URLs, and the attributes of raw data objects — is
-    // filled in afterwards under one brief snapshot.
-    let mut child_nodes: FastMap<&PageKey, Oid> = FastMap::default();
-    let mut data_nodes: FastMap<Oid, Oid> = FastMap::default();
-    let mut deps: Vec<PageKey> = Vec::new();
-
-    let page_oid = tg.add_named_node(&key.symbol);
-    child_nodes.insert(key, page_oid);
-    for coll in engine.collections_of(&key.symbol) {
-        tg.collect_str(coll, page_oid);
+    choice: &PageTemplates,
+    object: Object<'_>,
+) -> Result<CachedPage, ServeError> {
+    let root = OnceCell::new();
+    if let Object::Page(key) = object {
+        let view = engine.lookup(key)?.ok_or(ServeError::NoSuchPage)?;
+        let _ = root.set(Slot {
+            view,
+            kids: OnceCell::new(),
+        });
     }
-
-    for (label, target) in &view.edges {
-        match target {
-            DynTarget::Data(v) if v.is_atomic() => {
-                tg.add_edge_str(page_oid, label, v.clone());
-            }
-            DynTarget::Data(Value::Node(src)) => {
-                // A raw data-graph object: a stub routed to the /data view.
-                let dn = *data_nodes.entry(*src).or_insert_with(|| tg.add_node());
-                tg.add_edge_str(page_oid, label, Value::Node(dn));
-            }
-            DynTarget::Data(_) => unreachable!("atomic covered above"),
-            DynTarget::Page(child) => {
-                let cn = match child_nodes.get(child) {
-                    Some(&cn) => cn,
-                    None => {
-                        write_stub_name(name, child);
-                        let cn = tg.add_named_node(name);
-                        // The child's atomic attributes feed link text and
-                        // KEY= sorting on this page; its view is cached, so
-                        // this is one lookup after the first render.
-                        let child_view = engine.visit(child)?;
-                        for (l, t) in &child_view.edges {
-                            if let DynTarget::Data(v) = t {
-                                if v.is_atomic() {
-                                    tg.add_edge_str(cn, l, v.clone());
-                                }
-                            }
-                        }
-                        for coll in engine.collections_of(&child.symbol) {
-                            tg.collect_str(coll, cn);
-                        }
-                        child_nodes.insert(child, cn);
-                        deps.push(child.clone());
-                        cn
-                    }
-                };
-                tg.add_edge_str(page_oid, label, Value::Node(cn));
-            }
-        }
-    }
-
-    // Held for the naming pass only: a snapshot kept through template
-    // evaluation would pin the engine's standby twin across the next
-    // delta and turn the one after into an O(site) rebuild.
-    urls.clear();
-    urls.resize(tg.node_count(), None);
-    {
-        let db = engine.database();
-        let data = db.graph();
-        for (page, &node) in &child_nodes {
-            urls[node.index()] = Some(page_path(page, data));
-        }
-        for (&src, &dn) in &data_nodes {
-            // The object's atomic attributes, for link text.
-            let mut has_text = false;
-            for e in data.edges(src) {
-                if e.to.is_atomic() {
-                    let l = data.label_name(e.label);
-                    has_text |= LINK_TEXT_ATTRS.contains(&l);
-                    tg.add_edge_str(dn, l, e.to.clone());
-                }
-            }
-            if !has_text {
-                if let Some(n) = data.node_name(src) {
-                    tg.add_edge_str(dn, "name", Value::string(n));
-                }
-            }
-            urls[dn.index()] = Some(data_path(src, data));
-        }
-    }
-
-    // The generator asks for each node's URL once, so it takes it.
-    let urls = RefCell::new(urls);
-    let namer = |oid: Oid| {
-        urls.borrow_mut()
-            .get_mut(oid.index())
-            .and_then(Option::take)
+    let views = PageViews {
+        engine,
+        choice,
+        deps: RefCell::default(),
+        error: RefCell::default(),
     };
-    HtmlGenerator::new(tg, templates).render_one_into(page_oid, &namer, html)?;
-    Ok(RenderedPage {
-        html: Arc::from(html.as_str()),
-        deps,
-    })
-}
-
-/// Renders the raw attribute view of one data-graph object (the `/data`
-/// routes): the built-in listing, with node targets linked back into
-/// `/data` space.
-pub fn render_data_node(data: &Graph, oid: Oid) -> Result<String, ServeError> {
-    let templates = TemplateSet::new();
-    let namer = |o: Oid| Some(data_path(o, data));
     let mut html = String::new();
-    HtmlGenerator::new(data, &templates).render_one_into(oid, &namer, &mut html)?;
-    Ok(html)
+    let page = ViewNode {
+        object,
+        slot: &root,
+    };
+    strudel_template::render_page(&views, templates, page, &mut html)?;
+    match views.error.into_inner() {
+        Some(e) => Err(e),
+        None => Ok(CachedPage {
+            html: html.into(),
+            deps: views.deps.into_inner().into(),
+        }),
+    }
 }
 
-/// Renders the `/` index: one link per root page.
-pub fn render_roots_index(engine: &DynamicSite, root_collection: &str) -> Result<String, ServeError> {
+/// Renders the `/` index: one link per root page, named by its Skolem
+/// term.
+pub fn render_roots_index(
+    engine: &DynamicSite,
+    root_collection: &str,
+) -> Result<String, ServeError> {
     let roots = engine.roots(root_collection)?;
     let db = engine.database();
     let data = db.graph();
@@ -243,11 +312,12 @@ pub fn render_roots_index(engine: &DynamicSite, root_collection: &str) -> Result
         "<html><head><title>strudel-serve</title></head><body><h1>Site roots</h1>\n<ul>\n",
     );
     for root in &roots {
-        let href = page_path(root, data);
+        let mut name = String::new();
+        write_skolem_name(&mut name, data, &root.symbol, &root.args);
         html.push_str(&format!(
             "<li><a href=\"{}\">{}</a></li>\n",
-            escape_html(&href),
-            escape_html(&stub_name(root))
+            escape_html(&page_path(root, data)),
+            escape_html(&name)
         ));
     }
     html.push_str("</ul>\n<p><a href=\"/metrics\">metrics</a></p></body></html>\n");

@@ -1,8 +1,8 @@
 //! The cold click path's allocation budget. Allocation counts repeat
 //! exactly from run to run (they depend on the input, not on the
 //! clock), so this is a regression guard CI can hold: a change that
-//! brings back a string per row, a name lookup per guard run or a
-//! re-interned render graph per click trips it at once.
+//! brings back a string per row, a name lookup per guard run or a copy
+//! of the page's views per click trips it at once.
 //!
 //! One test, so nothing else in this process allocates while it counts.
 
@@ -49,10 +49,10 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// Allocations per page of a children-first crawl of `news_site(200)`
 /// through `SiteService::handle` on a fresh service: guard evaluation,
 /// the render, the HTML cache insert and the response. At b4a86ed this
-/// was 421.5; guards run on resolved ids, rows
-/// projected in place, a render graph reused across clicks and URLs
-/// written into one string measure 160.6.
-const CRAWL_PER_PAGE: f64 = 176.7;
+/// was 421.5. Guards run on resolved ids and rows projected in place,
+/// with a renderer that reads the page views themselves (no render graph,
+/// no copy of a child's attributes), measure 152.4.
+const CRAWL_PER_PAGE: f64 = 152.4;
 
 /// Allocations per cold `DynamicSite::visit` of an article page. At
 /// b4a86ed this was 212.1; the same changes, and a seeded guard's row

@@ -130,7 +130,7 @@ fn homepage_site_click_time_html_is_pinned() {
         digest(sites::homepage_site(&bib, PERSONAL_DDL_EXAMPLE)),
         Golden {
             pages: 213,
-            responses: 14_902_451_124_864_763_256,
+            responses: 16_556_884_125_310_022_626,
         }
     );
 }
@@ -151,7 +151,7 @@ fn org_site_click_time_html_is_pinned() {
         )),
         Golden {
             pages: 373,
-            responses: 3_503_344_462_132_532_986,
+            responses: 15_333_715_833_100_894_882,
         }
     );
 }

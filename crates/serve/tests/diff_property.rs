@@ -16,15 +16,21 @@
 //!   twin's catch-up lineage.
 //!
 //! Deltas are generated from `strudel-prng`, so every failure reproduces
-//! from its seed.
+//! from its seed. The same delta chains also hold the live service to the
+//! static build: after every delta, the site crawled by href is the
+//! static rebuild's, byte for byte.
+
+#[path = "common/oracle.rs"]
+mod oracle;
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
+use oracle::{assert_same_site, served_pages, static_pages};
 use strudel_graph::{ddl, graphs_equivalent, Graph, GraphDelta, Oid, Value};
 use strudel_prng::{Rng, SeedableRng, SmallRng};
 use strudel_repo::{Database, IndexLevel};
-use strudel_schema::dynamic::Mode;
+use strudel_schema::dynamic::{Mode, PageKey};
 use strudel_serve::SiteService;
 use strudel_struql::Evaluator;
 use strudel_template::TemplateSet;
@@ -266,4 +272,104 @@ fn random_kleene_deltas_keep_maintained_service_equal_to_fresh_build() {
             "seed {seed}: maintenance never engaged: {m:?}"
         );
     }
+}
+
+#[test]
+fn random_kleene_deltas_keep_served_site_equal_to_static_rebuild() {
+    let program = strudel_struql::parse(QUERY).unwrap();
+    for seed in 0..4u64 {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut graph = base_graph();
+        let live = build_service(graph.clone());
+        served_pages(&live);
+
+        for round in 0..6 {
+            let delta = random_delta(&mut rng, &graph);
+            delta.apply(&mut graph).expect("generated deltas always apply");
+            live.apply_delta(&delta)
+                .unwrap_or_else(|e| panic!("seed {seed} round {round}: {e}"));
+
+            let db = Database::from_graph(graph.clone(), IndexLevel::Full);
+            let built = Evaluator::new(&db).eval(&program).unwrap();
+            let roots: Vec<Oid> = built
+                .graph
+                .members_str("Roots")
+                .iter()
+                .filter_map(Value::as_node)
+                .collect();
+            let expected = static_pages(&built.graph, &built.skolem, live.templates(), &roots);
+            assert_same_site(
+                &served_pages(&live),
+                &expected,
+                &format!("seed {seed} round {round} after {:?}", delta.ops()),
+            );
+        }
+    }
+}
+
+/// A page that embeds its children reads their links too: the title of
+/// a paper that only an embedded abstract links is part of the abstracts
+/// page, so editing it evicts that page although neither the page nor
+/// the abstract is dirty.
+#[test]
+fn an_edit_to_an_embedded_pages_link_target_evicts_the_embedding_page() {
+    const EMBED_QUERY: &str = r#"
+        create AbstractsPage()
+        collect Roots(AbstractsPage())
+        where Publications(x)
+        create AbstractPage(x), PaperPage(x)
+        link AbstractsPage() -> "Abstract" -> AbstractPage(x),
+             AbstractPage(x) -> "Paper" -> PaperPage(x)
+        collect AbstractPages(AbstractPage(x))
+        { where x -> "title" -> t
+          link PaperPage(x) -> "title" -> t }
+    "#;
+    let mut graph = ddl::parse(
+        r#"
+        object p1 in Publications { title : "Alpha"; }
+        object p2 in Publications { title : "Beta"; }
+    "#,
+    )
+    .unwrap();
+    let program = strudel_struql::parse(EMBED_QUERY).unwrap();
+    let mut templates = TemplateSet::new();
+    templates
+        .add_template("abstracts", "<SFMT Abstract EMBED UL ORDER=ascend>")
+        .unwrap();
+    templates.add_template("abstract", "<p><SFMT Paper></p>").unwrap();
+    templates.assign_object("AbstractsPage", "abstracts");
+    templates.assign_collection("AbstractPages", "abstract");
+    let service = |graph: &Graph| {
+        let db = Arc::new(Database::from_graph(graph.clone(), IndexLevel::Full));
+        SiteService::from_parts(db, &program, templates.clone(), "Roots", Mode::Context)
+    };
+
+    let live = service(&graph);
+    let url = "/page/AbstractsPage";
+    assert!(live.handle(url).body.contains(">Alpha</a>"));
+
+    let p1 = graph.node_by_name("p1").unwrap();
+    let mut delta = GraphDelta::new();
+    delta.remove_edge(p1, "title", Value::string("Alpha"));
+    delta.add_edge(p1, "title", Value::string("Gamma"));
+    delta.apply(&mut graph).unwrap();
+    let outcome = live.apply_delta(&delta).unwrap();
+    let page = PageKey {
+        symbol: "AbstractsPage".into(),
+        args: vec![],
+    };
+    let abstract_page = PageKey {
+        symbol: "AbstractPage".into(),
+        args: vec![Value::Node(p1)],
+    };
+    assert!(
+        !outcome.engine.dirty.contains(&page) && !outcome.engine.dirty.contains(&abstract_page),
+        "only the paper page is dirty: {:?}",
+        outcome.engine.dirty
+    );
+    assert!(outcome.html_evicted >= 1, "the abstracts page is evicted");
+
+    let body = live.handle(url).body;
+    assert!(body.contains(">Gamma</a>") && !body.contains("Alpha"), "{body}");
+    assert_eq!(body, service(&graph).handle(url).body);
 }

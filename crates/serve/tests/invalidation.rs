@@ -12,9 +12,7 @@ use std::time::{Duration, Instant};
 use strudel_graph::{ddl, GraphDelta, Value};
 use strudel_repo::{Database, IndexLevel};
 use strudel_schema::dynamic::{DynamicSite, Mode, PageKey};
-use strudel_serve::{
-    render, serve, CachedPage, InlineDecline, ServerConfig, SiteService, Transport,
-};
+use strudel_serve::{render, serve, InlineDecline, ServerConfig, SiteService, Transport};
 use strudel_struql::Parallelism;
 use strudel_template::TemplateSet;
 
@@ -351,14 +349,9 @@ fn reader_parked_in_the_swap_window(read_epoch: fn(&DynamicSite) -> u64) {
         });
         service.apply_delta(&delta).unwrap();
         let (epoch, page) = reader.join().unwrap();
-        service.cache().insert_if(
-            x.clone(),
-            CachedPage {
-                html: page.html,
-                deps: page.deps.into(),
-            },
-            || service.engine().epoch() == epoch,
-        );
+        service
+            .cache()
+            .insert_if(x.clone(), page, || service.engine().epoch() == epoch);
     });
 
     let after = service.handle(&x_url);

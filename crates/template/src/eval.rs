@@ -1,41 +1,42 @@
 //! Template evaluation: renders template nodes for one object into HTML.
 //!
-//! Values are borrowed from the graph for the whole render, attribute
+//! Values are borrowed from the site for the whole render, attribute
 //! names arrive as labels resolved once per generator, and text is escaped
 //! straight into the page buffer.
 
 use crate::ast::*;
 use crate::error::TemplateError;
 use crate::escape::escape_into;
-use crate::generate::GenCtx;
+use crate::generate::{GenCtx, Item, SiteSource};
+use std::cmp::Ordering;
 use std::fmt::Write;
-use strudel_graph::{coerce, FileKind, Oid, Value};
+use strudel_graph::{coerce, FileKind, Value};
 
 /// The evaluation environment for one render: the current object, where
 /// the rendered template's labels start in the context's table, and the
 /// enclosing `<SFOR>` bindings.
-pub(crate) struct Env<'g> {
-    pub current: Oid,
+pub(crate) struct Env<'g, N> {
+    pub current: N,
     pub labels: usize,
-    pub loops: Vec<(&'g str, &'g Value)>,
+    pub loops: Vec<(&'g str, Item<'g, N>)>,
 }
 
-impl<'g> Env<'g> {
-    fn lookup(&self, var: &str) -> Result<&'g Value, TemplateError> {
+impl<'g, N: Copy> Env<'g, N> {
+    fn lookup(&self, var: &str) -> Result<Item<'g, N>, TemplateError> {
         self.loops
             .iter()
             .rev()
             .find(|(name, _)| *name == var)
-            .map(|(_, v)| *v)
+            .map(|&(_, v)| v)
             .ok_or_else(|| TemplateError::new(0, format!("loop variable '${var}' is not in scope")))
     }
 }
 
 /// Renders a node list into `out`.
-pub(crate) fn render_nodes<'g>(
+pub(crate) fn render_nodes<'g, S: SiteSource<'g>>(
     nodes: &'g [Node],
-    env: &mut Env<'g>,
-    ctx: &mut GenCtx<'g>,
+    env: &mut Env<'g, S::Node>,
+    ctx: &mut GenCtx<'g, S>,
     out: &mut String,
 ) -> Result<(), TemplateError> {
     for node in nodes {
@@ -121,35 +122,35 @@ pub(crate) fn render_nodes<'g>(
 }
 
 /// Where an attribute expression starts.
-enum Start<'g> {
+enum Start<'g, N> {
     /// A bare `$var`: the expression's one value.
-    Value(&'g Value),
+    Value(Item<'g, N>),
     /// The object the path's first step reads.
-    Object(Oid),
+    Object(N),
     /// A path out of an atomic value: no values.
     Nothing,
 }
 
-fn start<'g>(expr: &AttrExpr, env: &Env<'g>) -> Result<Start<'g>, TemplateError> {
+fn start<'g, N: Copy>(expr: &AttrExpr, env: &Env<'g, N>) -> Result<Start<'g, N>, TemplateError> {
     Ok(match &expr.base {
         Base::CurrentObject => Start::Object(env.current),
         Base::LoopVar(var) => match (env.lookup(var)?, expr.path.is_empty()) {
             (v, true) => Start::Value(v),
-            (Value::Node(o), false) => Start::Object(*o),
-            (_, false) => Start::Nothing,
+            (Item::Node(o), false) => Start::Object(o),
+            (Item::Value(_), false) => Start::Nothing,
         },
     })
 }
 
 /// Evaluates an attribute expression into `values` (empty on entry), in
 /// edge order.
-fn eval_attr_expr<'g>(
+fn eval_attr_expr<'g, S: SiteSource<'g>>(
     expr: &AttrExpr,
-    env: &Env<'g>,
-    ctx: &mut GenCtx<'g>,
-    values: &mut Vec<&'g Value>,
+    env: &Env<'g, S::Node>,
+    ctx: &mut GenCtx<'g, S>,
+    values: &mut Vec<Item<'g, S::Node>>,
 ) -> Result<(), TemplateError> {
-    let graph = ctx.graph;
+    let src = ctx.src;
     let (o, first, rest) = match (start(expr, env)?, expr.path.split_first()) {
         (Start::Value(v), _) => {
             values.push(v);
@@ -159,7 +160,7 @@ fn eval_attr_expr<'g>(
         _ => return Ok(()),
     };
     if let Some(l) = ctx.label(env, first) {
-        values.extend(graph.attr(o, l));
+        values.extend(src.edges(o, Some(l)).map(|(_, v)| v));
     }
     if rest.is_empty() {
         return Ok(());
@@ -168,8 +169,8 @@ fn eval_attr_expr<'g>(
     for &step in rest {
         let label = ctx.label(env, step);
         for v in values.iter() {
-            if let (Value::Node(o), Some(l)) = (v, label) {
-                next.extend(graph.attr(*o, l));
+            if let (Item::Node(o), Some(l)) = (v, label) {
+                next.extend(src.edges(*o, Some(l)).map(|(_, v)| v));
             }
         }
         std::mem::swap(values, &mut next);
@@ -182,11 +183,11 @@ fn eval_attr_expr<'g>(
 /// The first value of an attribute expression — for `SIF` and a
 /// single-valued `SFMT`. A path of one step stops at the first matching
 /// edge; a longer path is evaluated whole.
-fn first_value<'g>(
+fn first_value<'g, S: SiteSource<'g>>(
     expr: &AttrExpr,
-    env: &Env<'g>,
-    ctx: &mut GenCtx<'g>,
-) -> Result<Option<&'g Value>, TemplateError> {
+    env: &Env<'g, S::Node>,
+    ctx: &mut GenCtx<'g, S>,
+) -> Result<Option<Item<'g, S::Node>>, TemplateError> {
     if expr.path.len() > 1 {
         let mut values = ctx.take_values();
         eval_attr_expr(expr, env, ctx, &mut values)?;
@@ -197,68 +198,84 @@ fn first_value<'g>(
     Ok(match start(expr, env)? {
         Start::Value(v) => Some(v),
         Start::Object(o) => {
-            let graph = ctx.graph;
+            let src = ctx.src;
             ctx.label(env, expr.path[0])
-                .and_then(|l| graph.first_attr(o, l))
+                .and_then(|l| src.edges(o, Some(l)).next())
+                .map(|(_, v)| v)
         }
         Start::Nothing => None,
     })
 }
 
+/// The order `ORDER=` sorts by: atomic values with dynamic coercion and a
+/// structural fallback, objects before atomic values (as in [`Value`]'s
+/// structural order), and objects by [`SiteSource::cmp_nodes`].
+fn compare<'g, S: SiteSource<'g>>(src: S, a: Item<'g, S::Node>, b: Item<'g, S::Node>) -> Ordering {
+    match (a, b) {
+        (Item::Value(a), Item::Value(b)) => coerce::compare(a, b).unwrap_or_else(|| a.cmp(b)),
+        (Item::Node(a), Item::Node(b)) => src.cmp_nodes(a, b),
+        (Item::Node(_), Item::Value(_)) => Ordering::Less,
+        (Item::Value(_), Item::Node(_)) => Ordering::Greater,
+    }
+}
+
 /// Sorts values for ORDER=: by a KEY attribute when the values are objects,
-/// else by the values themselves, with dynamic coercion and a structural
-/// fallback so the order is total and deterministic. Each key is read once,
-/// before a stable sort over the decorated values; the comparator answers
-/// every pair as comparing the keys in place would, so the order is the
-/// same.
-fn sort_values<'g>(
-    values: &mut Vec<&'g Value>,
+/// else by the values themselves, so the order is total and deterministic.
+/// Each key is read once, before a stable sort over the decorated values;
+/// the comparator answers every pair as comparing the keys in place would,
+/// so the order is the same.
+fn sort_values<'g, S: SiteSource<'g>>(
+    values: &mut Vec<Item<'g, S::Node>>,
     dir: OrderDir,
     key: Option<AttrId>,
-    env: &Env<'g>,
-    ctx: &GenCtx<'g>,
+    env: &Env<'g, S::Node>,
+    ctx: &GenCtx<'g, S>,
 ) {
-    let order = |a: &Value, b: &Value| {
-        let ord = coerce::compare(a, b).unwrap_or_else(|| a.cmp(b));
+    let src = ctx.src;
+    let order = |a, b| {
+        let ord = compare(src, a, b);
         match dir {
             OrderDir::Ascend => ord,
             OrderDir::Descend => ord.reverse(),
         }
     };
     let Some(key) = key else {
-        values.sort_by(|a, b| order(a, b));
+        values.sort_by(|&a, &b| order(a, b));
         return;
     };
-    let graph = ctx.graph;
     let label = ctx.label(env, key);
-    let mut keyed: Vec<(&'g Value, &'g Value)> = Vec::with_capacity(values.len());
+    let mut keyed = Vec::with_capacity(values.len());
     for &v in values.iter() {
         let k = match (label, v) {
-            (Some(l), Value::Node(o)) => graph.first_attr(*o, l).unwrap_or(v),
+            (Some(l), Item::Node(o)) => src.edges(o, Some(l)).next().map_or(v, |(_, k)| k),
             _ => v,
         };
         keyed.push((k, v));
     }
-    keyed.sort_by(|(a, _), (b, _)| order(a, b));
+    keyed.sort_by(|&(a, _), &(b, _)| order(a, b));
     values.clear();
     values.extend(keyed.into_iter().map(|(_, v)| v));
 }
 
 /// Renders one value: atomic values inline, objects as links or (with
 /// EMBED) inline renderings of their own templates.
-fn render_value<'g>(
-    v: &'g Value,
+fn render_value<'g, S: SiteSource<'g>>(
+    v: Item<'g, S::Node>,
     embed: bool,
-    ctx: &mut GenCtx<'g>,
+    ctx: &mut GenCtx<'g, S>,
     out: &mut String,
 ) -> Result<(), TemplateError> {
-    match v {
-        Value::Node(o) => {
-            if embed && !ctx.embedding(*o) {
-                return ctx.render_embedded(*o, out);
+    let v = match v {
+        Item::Node(o) => {
+            if embed && !ctx.embedding(o) {
+                return ctx.render_embedded(o, out);
             }
-            ctx.write_link(*o, out);
+            ctx.write_link(o, out);
+            return Ok(());
         }
+        Item::Value(v) => v,
+    };
+    match v {
         Value::Url(u) => write_anchor(out, u),
         Value::File(f) if f.kind == FileKind::Image => {
             out.push_str("<img src=\"");

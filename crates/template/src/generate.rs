@@ -1,19 +1,27 @@
 //! The site HTML generator.
 //!
-//! Takes a site graph, a [`TemplateSet`], and a set of root objects, and
+//! Takes a site, a [`TemplateSet`], and a set of root objects, and
 //! produces the browsable web site: one HTML page per *realized* object.
 //! Realization is decided during generation (§2.4): the roots are pages,
 //! and every object rendered by a format expression *without* `EMBED`
 //! becomes a page too, reached by a hyperlink. Objects rendered with
 //! `EMBED` stay page components.
+//!
+//! The generator reads the site through [`SiteSource`]. The static build
+//! hands it the materialized site [`Graph`]; the click-time server hands
+//! it an adapter over the page views it computes. One evaluator renders
+//! both.
 
 use crate::ast::{AttrId, Template};
 use crate::error::TemplateError;
 use crate::escape::escape_into;
 use crate::eval::{render_nodes, write_text, Env};
 use crate::parser::parse_template;
+use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::fmt::Write;
+use std::hash::Hash;
 use strudel_graph::{CollectionId, Graph, Label, Oid, Value};
 
 /// A registry of named templates plus the selection rules of §2.4.
@@ -84,17 +92,77 @@ impl TemplateSet {
         self.templates.iter().map(|t| t.line_count).sum()
     }
 
-    /// The registered template named `name`, by position.
-    fn index_of(&self, name: &str) -> Result<usize, TemplateError> {
-        self.by_name.get(name).copied().ok_or_else(|| {
+    /// The registered template named `name`.
+    fn index_of(&self, name: &str) -> Result<TemplateId, TemplateError> {
+        self.by_name.get(name).map(|&i| TemplateId(i)).ok_or_else(|| {
             TemplateError::new(0, format!("no template named '{name}' is registered"))
         })
     }
+
+    /// The rules of §2.4 that read no attribute, resolved once for a class
+    /// of objects — every page of one Skolem symbol, say: objects named
+    /// `name` (if they have a name) that belong to `collections`, given in
+    /// declaration order.
+    pub fn rule<'c>(
+        &self,
+        name: Option<&str>,
+        collections: impl IntoIterator<Item = &'c str>,
+    ) -> Rule {
+        let pick = |t: &String| self.index_of(t).map_err(|_| t.as_str().into());
+        let otherwise = collections
+            .into_iter()
+            .find_map(|c| self.collection_assignments.get(c))
+            .or(self.default.as_ref());
+        Rule {
+            named: name.and_then(|n| self.object_assignments.get(n)).map(pick),
+            otherwise: otherwise.map(pick),
+        }
+    }
+
+    /// The template §2.4 selects for `oid` of `graph`; `None` means the
+    /// built-in listing.
+    pub fn select_in(&self, graph: &Graph, oid: Oid) -> Result<Option<TemplateId>, TemplateError> {
+        Selection::new(graph, self).select(graph, self, oid)
+    }
 }
 
-/// A template assignment resolved against a set: the template's position,
-/// or the unregistered name, reported when an object selects it.
-type Choice<'g> = Result<usize, &'g str>;
+/// A template of a [`TemplateSet`], by position.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TemplateId(usize);
+
+/// A template assignment resolved against a set: the template, or the
+/// unregistered name, reported when an object selects it.
+type Choice<'g> = Result<TemplateId, &'g str>;
+
+/// §2.4's choice for a class of objects, resolved by
+/// [`TemplateSet::rule`]. Rule 2, an object's own `html-template`
+/// attribute, is read per object by [`Rule::select`].
+#[derive(Clone, Debug, Default)]
+pub struct Rule {
+    named: Option<Result<TemplateId, Box<str>>>,
+    otherwise: Option<Result<TemplateId, Box<str>>>,
+}
+
+impl Rule {
+    /// The template for an object of the class whose first `html-template`
+    /// value is `html_template`; `None` means the built-in listing.
+    pub fn select(
+        &self,
+        templates: &TemplateSet,
+        html_template: Option<&Value>,
+    ) -> Result<Option<TemplateId>, TemplateError> {
+        let chosen = match (&self.named, html_template, &self.otherwise) {
+            (Some(chosen), _, _) => chosen,
+            (None, Some(Value::Str(name)), _) => return templates.index_of(name).map(Some),
+            (None, _, Some(chosen)) => chosen,
+            (None, _, None) => return Ok(None),
+        };
+        match chosen {
+            Ok(t) => Ok(Some(*t)),
+            Err(name) => templates.index_of(name).map(Some),
+        }
+    }
+}
 
 /// The §2.4 selection rules of a [`TemplateSet`] with every name resolved
 /// against one graph, so choosing a page's template hashes no name.
@@ -109,7 +177,7 @@ struct Selection<'g> {
 
 impl<'g> Selection<'g> {
     fn new(graph: &Graph, templates: &'g TemplateSet) -> Self {
-        let choice = |name: &'g String| templates.by_name.get(name).copied().ok_or(name.as_str());
+        let choice = |name: &'g String| templates.index_of(name).map_err(|_| name.as_str());
         let mut objects: Vec<_> = templates
             .object_assignments
             .iter()
@@ -130,14 +198,14 @@ impl<'g> Selection<'g> {
         }
     }
 
-    /// The template for `oid`, by position; `None` means "use the built-in
-    /// default rendering".
+    /// The template for `oid`; `None` means "use the built-in default
+    /// rendering".
     fn select(
         &self,
         graph: &Graph,
         templates: &TemplateSet,
         oid: Oid,
-    ) -> Result<Option<usize>, TemplateError> {
+    ) -> Result<Option<TemplateId>, TemplateError> {
         let chosen = |c: Choice<'_>| match c {
             Ok(t) => Ok(Some(t)),
             Err(name) => templates.index_of(name).map(Some),
@@ -236,165 +304,132 @@ pub type FileResolver<'a> = dyn Fn(&str) -> Option<String> + 'a;
 /// page name.
 pub type PageNamer<'a> = dyn Fn(Oid) -> Option<String> + 'a;
 
-/// The HTML generator.
-pub struct HtmlGenerator<'g> {
+/// The attributes link text is read from, in order of preference.
+pub const LINK_TEXT_ATTRS: [&str; 3] = ["title", "name", "label"];
+
+/// A value as the generator reads it: atomic, or an object it can link,
+/// embed or navigate from.
+#[derive(Clone, Copy, Debug)]
+pub enum Item<'g, N> {
+    /// An atomic value (never a [`Value::Node`]).
+    Value(&'g Value),
+    /// An object of the site.
+    Node(N),
+}
+
+/// What the generator reads of a site: out-edges by label, link text,
+/// names, the §2.4 template choice and page URLs. The static build reads
+/// its materialized [`Graph`]; the click-time server reads an adapter
+/// over the page views it computes. Implemented for a shared reference,
+/// so every borrow a method hands out lasts the whole render (`'g`), and
+/// dispatched statically.
+pub trait SiteSource<'g>: Copy {
+    /// An object: a page or a page component.
+    type Node: Copy + Eq + Hash;
+    /// An attribute name, resolved once per template.
+    type Label: Copy;
+
+    /// The label attribute `name` stands for; `None` when no object of
+    /// the site has one.
+    fn label(self, name: &'g str) -> Option<Self::Label>;
+    /// The attribute name `label` stands for.
+    fn label_name(self, label: Self::Label) -> &'g str;
+    /// `node`'s out-edges in edge order: all of them, or those labelled
+    /// `label`.
+    fn edges(
+        self,
+        node: Self::Node,
+        label: Option<Self::Label>,
+    ) -> impl Iterator<Item = (Self::Label, Item<'g, Self::Node>)> + 'g;
+    /// `node`'s link text: the first value of its [`LINK_TEXT_ATTRS`], in
+    /// that order, that is atomic.
+    fn link_text(self, node: Self::Node) -> Option<&'g Value>;
+    /// Appends `node`'s name to `out`: its link text when it has none.
+    fn write_name(self, node: Self::Node, out: &mut String);
+    /// The template §2.4 selects for `node`; `None` means the built-in
+    /// listing.
+    fn template(
+        self,
+        node: Self::Node,
+        templates: &TemplateSet,
+    ) -> Result<Option<TemplateId>, TemplateError>;
+    /// Appends the URL of `node`'s page to `out` and answers `true`; or,
+    /// for a page the site has no URL for, appends the stem of a generated
+    /// `.html` file name and answers `false`.
+    fn url(self, node: Self::Node, out: &mut String) -> bool;
+    /// The order of two objects that `ORDER=` compares as values; by
+    /// default none, so objects keep their edge order.
+    fn cmp_nodes(self, _: Self::Node, _: Self::Node) -> Ordering {
+        Ordering::Equal
+    }
+}
+
+/// A [`Graph`] as the generator reads it, with §2.4's rules and the
+/// link-text labels resolved against it once.
+pub(crate) struct GraphSource<'g> {
     graph: &'g Graph,
-    templates: &'g TemplateSet,
-    file_resolver: Option<&'g FileResolver<'g>>,
-}
-
-impl<'g> HtmlGenerator<'g> {
-    /// A generator over `graph` using `templates`.
-    pub fn new(graph: &'g Graph, templates: &'g TemplateSet) -> Self {
-        HtmlGenerator {
-            graph,
-            templates,
-            file_resolver: None,
-        }
-    }
-
-    /// Supplies a resolver used to inline the contents of text files on
-    /// `EMBED` (e.g. paper abstracts).
-    pub fn with_file_resolver(mut self, resolver: &'g FileResolver<'g>) -> Self {
-        self.file_resolver = Some(resolver);
-        self
-    }
-
-    /// Generates the site starting from `roots`.
-    pub fn generate(&self, roots: &[Oid]) -> Result<SiteOutput, TemplateError> {
-        let mut ctx = GenCtx::new(self, None);
-        for &r in roots {
-            ctx.realize(r);
-        }
-        ctx.render_worklist()
-    }
-
-    /// Renders the single page for `oid` into `out` (cleared first)
-    /// without materializing the rest of the site — the click-time entry
-    /// point. Hyperlinks to other objects are resolved through `namer`
-    /// (mapping objects to server URLs); objects the namer declines get
-    /// generated `.html` names, but are *not* rendered. A caller rendering
-    /// page after page keeps `out`'s allocation.
-    pub fn render_one_into(
-        &self,
-        oid: Oid,
-        namer: &PageNamer<'_>,
-        out: &mut String,
-    ) -> Result<(), TemplateError> {
-        let mut ctx = GenCtx::new(self, Some(namer));
-        ctx.realize(oid);
-        ctx.render_root(oid, out)
-    }
-}
-
-/// Mutable generation state shared across pages; crate-internal, used by
-/// the evaluator to realize links and render embeds.
-pub(crate) struct GenCtx<'g> {
-    pub(crate) graph: &'g Graph,
-    templates: &'g TemplateSet,
     selection: Selection<'g>,
-    /// Per template, where its attribute labels start in `labels`, once
-    /// the template is first rendered.
-    label_starts: Vec<Option<usize>>,
-    /// The labels of the rendered templates' attribute names in `graph`
-    /// (`None`: the graph has no such edge label).
-    labels: Vec<Option<Label>>,
     /// `title`, `name` and `label`: the attributes link text is read from.
     link_text: [Option<Label>; 3],
     /// The lowest of `link_text`'s label ids and the distance to the
     /// highest: one subtraction and compare passes over an edge that
     /// carries none of them.
     link_text_ids: (usize, usize),
-    file_resolver: Option<&'g FileResolver<'g>>,
-    /// External URL assignment for single-page (click-time) rendering.
     namer: Option<&'g PageNamer<'g>>,
-    page_names: HashMap<Oid, String>,
-    used_names: HashSet<String>,
-    worklist: VecDeque<Oid>,
-    embed_stack: Vec<Oid>,
-    /// Emptied value lists, kept for the next attribute expression.
-    spare: Vec<Vec<&'g Value>>,
 }
 
-impl<'g> GenCtx<'g> {
-    fn new(gen: &HtmlGenerator<'g>, namer: Option<&'g PageNamer<'g>>) -> Self {
-        let graph = gen.graph;
-        let link_text = ["title", "name", "label"].map(|a| graph.label(a));
+impl<'g> GraphSource<'g> {
+    pub(crate) fn new(
+        graph: &'g Graph,
+        templates: &'g TemplateSet,
+        namer: Option<&'g PageNamer<'g>>,
+    ) -> Self {
+        let link_text = LINK_TEXT_ATTRS.map(|a| graph.label(a));
         let ids = link_text.iter().flatten().map(|l| l.index());
         let lo = ids.clone().min().unwrap_or(usize::MAX);
-        GenCtx {
+        GraphSource {
             graph,
-            templates: gen.templates,
-            selection: Selection::new(graph, gen.templates),
-            label_starts: vec![None; gen.templates.templates.len()],
-            labels: Vec::new(),
+            selection: Selection::new(graph, templates),
             link_text,
             link_text_ids: (lo, ids.max().map_or(0, |hi| hi - lo)),
-            file_resolver: gen.file_resolver,
             namer,
-            page_names: HashMap::new(),
-            used_names: HashSet::new(),
-            worklist: VecDeque::new(),
-            embed_stack: Vec::new(),
-            spare: Vec::new(),
         }
     }
+}
 
-    /// Renders every page on the worklist, in order; `realize` enqueues
-    /// each object once, when it first names its page.
-    fn render_worklist(&mut self) -> Result<SiteOutput, TemplateError> {
-        let mut out = SiteOutput::default();
-        let mut buf = String::new();
-        while let Some(oid) = self.worklist.pop_front() {
-            self.render_root(oid, &mut buf)?;
-            out.pages.push(Page {
-                oid,
-                name: self.page_names[&oid].clone(),
-                html: buf.as_str().to_owned(),
-            });
-        }
-        Ok(out)
+/// A graph edge's target as the generator reads it.
+fn graph_item(v: &Value) -> Item<'_, Oid> {
+    match v {
+        Value::Node(o) => Item::Node(*o),
+        atomic => Item::Value(atomic),
+    }
+}
+
+impl<'g> SiteSource<'g> for &'g GraphSource<'g> {
+    type Node = Oid;
+    type Label = Label;
+
+    fn label(self, name: &'g str) -> Option<Label> {
+        self.graph.label(name)
     }
 
-    /// Marks `oid` as realized (a page) and returns its file name.
-    pub(crate) fn realize(&mut self, oid: Oid) -> &str {
-        match self.page_names.entry(oid) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                if let Some(url) = self.namer.and_then(|namer| namer(oid)) {
-                    return e.insert(url);
-                }
-                let base = match self.graph.node_name(oid) {
-                    Some(n) => sanitize(n),
-                    None => format!("object_{}", oid.index()),
-                };
-                let mut name = format!("{base}.html");
-                let mut counter = 1;
-                while !self.used_names.insert(name.clone()) {
-                    name = format!("{base}_{counter}.html");
-                    counter += 1;
-                }
-                self.worklist.push_back(oid);
-                e.insert(name)
-            }
-        }
+    fn label_name(self, label: Label) -> &'g str {
+        self.graph.label_name(label)
     }
 
-    /// Writes a hyperlink to `oid`'s page, realizing it.
-    pub(crate) fn write_link(&mut self, oid: Oid, out: &mut String) {
-        out.push_str("<a href=\"");
-        escape_into(out, self.realize(oid));
-        out.push_str("\">");
-        self.write_link_text(oid, out);
-        out.push_str("</a>");
+    fn edges(
+        self,
+        oid: Oid,
+        label: Option<Label>,
+    ) -> impl Iterator<Item = (Label, Item<'g, Oid>)> + 'g {
+        let edges = self.graph.edges(oid).iter();
+        let kept = edges.filter(move |e| label.map_or(true, |l| e.label == l));
+        kept.map(|e| (e.label, graph_item(&e.to)))
     }
 
-    /// Writes human-readable link text for an object, escaped: the first
-    /// value of its `title`, `name` or `label` attribute, in that order,
-    /// that is atomic, else its symbolic name, else its oid. One scan of
-    /// the edges finds all three first values, and it stops as soon as
-    /// the earlier attributes are settled.
-    fn write_link_text(&self, oid: Oid, out: &mut String) {
+    /// One scan of the edges finds all three first values, and it stops
+    /// as soon as the earlier attributes are settled.
+    fn link_text(self, oid: Oid) -> Option<&'g Value> {
         let (lo, span) = self.link_text_ids;
         let mut first: [Option<&Value>; 3] = [None; 3];
         'scan: for e in self.graph.edges(oid) {
@@ -419,94 +454,291 @@ impl<'g> GenCtx<'g> {
             }
             break;
         }
-        if let Some(v) = first.into_iter().flatten().find(|v| v.is_atomic()) {
-            write_text(out, v);
-            return;
+        first.into_iter().flatten().find(|v| v.is_atomic())
+    }
+
+    fn write_name(self, oid: Oid, out: &mut String) {
+        match self.graph.node_name(oid) {
+            Some(n) => out.push_str(n),
+            None => {
+                let _ = write!(out, "{oid}");
+            }
+        }
+    }
+
+    fn template(self, oid: Oid, templates: &TemplateSet) -> Result<Option<TemplateId>, TemplateError> {
+        self.selection.select(self.graph, templates, oid)
+    }
+
+    fn url(self, oid: Oid, out: &mut String) -> bool {
+        if let Some(url) = self.namer.and_then(|namer| namer(oid)) {
+            out.push_str(&url);
+            return true;
         }
         match self.graph.node_name(oid) {
-            Some(n) => escape_into(out, n),
-            None => escape_into(out, &oid.to_string()),
+            Some(n) => sanitize_into(out, n),
+            None => {
+                let _ = write!(out, "object_{}", oid.index());
+            }
+        }
+        false
+    }
+
+    fn cmp_nodes(self, a: Oid, b: Oid) -> Ordering {
+        a.cmp(&b)
+    }
+}
+
+/// The HTML generator over a materialized site graph.
+pub struct HtmlGenerator<'g> {
+    graph: &'g Graph,
+    templates: &'g TemplateSet,
+    file_resolver: Option<&'g FileResolver<'g>>,
+    namer: Option<&'g PageNamer<'g>>,
+}
+
+impl<'g> HtmlGenerator<'g> {
+    /// A generator over `graph` using `templates`.
+    pub fn new(graph: &'g Graph, templates: &'g TemplateSet) -> Self {
+        HtmlGenerator {
+            graph,
+            templates,
+            file_resolver: None,
+            namer: None,
+        }
+    }
+
+    /// Supplies a resolver used to inline the contents of text files on
+    /// `EMBED` (e.g. paper abstracts).
+    pub fn with_file_resolver(mut self, resolver: &'g FileResolver<'g>) -> Self {
+        self.file_resolver = Some(resolver);
+        self
+    }
+
+    /// Names realized objects through `namer` (mapping objects to server
+    /// URLs, say) wherever it answers, instead of by generated `.html`
+    /// file names.
+    pub fn with_namer(mut self, namer: &'g PageNamer<'g>) -> Self {
+        self.namer = Some(namer);
+        self
+    }
+
+    /// Generates the site starting from `roots`.
+    pub fn generate(&self, roots: &[Oid]) -> Result<SiteOutput, TemplateError> {
+        let src = GraphSource::new(self.graph, self.templates, self.namer);
+        let mut ctx = GenCtx::new(&src, self.templates, self.file_resolver, false);
+        for &r in roots {
+            ctx.realize(r);
+        }
+        ctx.render_worklist()
+    }
+}
+
+/// Renders `node` of `site` as one page into `out` (cleared first), and
+/// nothing else: the click-time entry point. Hyperlinks take the site's
+/// URLs ([`SiteSource::url`]). A caller rendering page after page keeps
+/// `out`'s allocation.
+pub fn render_page<'g, S: SiteSource<'g>>(
+    site: S,
+    templates: &'g TemplateSet,
+    node: S::Node,
+    out: &mut String,
+) -> Result<(), TemplateError> {
+    GenCtx::new(site, templates, None, true).render_root(node, out)
+}
+
+/// Mutable generation state shared across pages; crate-internal, used by
+/// the evaluator to realize links and render embeds.
+pub(crate) struct GenCtx<'g, S: SiteSource<'g>> {
+    pub(crate) src: S,
+    templates: &'g TemplateSet,
+    /// Per template, where its attribute labels start in `labels`, once
+    /// the template is first rendered.
+    label_starts: Vec<Option<usize>>,
+    /// The labels of the rendered templates' attribute names in the site
+    /// (`None`: no object has such an attribute).
+    labels: Vec<Option<S::Label>>,
+    file_resolver: Option<&'g FileResolver<'g>>,
+    /// Rendering one page: a link takes the site's URL and realizes
+    /// nothing.
+    one_page: bool,
+    page_names: HashMap<S::Node, String>,
+    used_names: HashSet<String>,
+    worklist: VecDeque<S::Node>,
+    embed_stack: Vec<S::Node>,
+    /// A link's URL or an object's name, before it is escaped.
+    text: String,
+    /// Emptied value lists, kept for the next attribute expression.
+    spare: Vec<Vec<Item<'g, S::Node>>>,
+}
+
+impl<'g> GenCtx<'g, &'g GraphSource<'g>> {
+    /// Renders every page on the worklist, in order; `realize` enqueues
+    /// each object once, when it first names its page.
+    fn render_worklist(&mut self) -> Result<SiteOutput, TemplateError> {
+        let mut out = SiteOutput::default();
+        let mut buf = String::new();
+        while let Some(oid) = self.worklist.pop_front() {
+            self.render_root(oid, &mut buf)?;
+            out.pages.push(Page {
+                oid,
+                name: self.page_names[&oid].clone(),
+                html: buf.as_str().to_owned(),
+            });
+        }
+        Ok(out)
+    }
+}
+
+impl<'g, S: SiteSource<'g>> GenCtx<'g, S> {
+    fn new(
+        src: S,
+        templates: &'g TemplateSet,
+        file_resolver: Option<&'g FileResolver<'g>>,
+        one_page: bool,
+    ) -> Self {
+        GenCtx {
+            src,
+            templates,
+            label_starts: vec![None; templates.templates.len()],
+            labels: Vec::new(),
+            file_resolver,
+            one_page,
+            page_names: HashMap::new(),
+            used_names: HashSet::new(),
+            worklist: VecDeque::new(),
+            embed_stack: Vec::new(),
+            text: String::new(),
+            spare: Vec::new(),
+        }
+    }
+
+    /// Marks `node` as realized (a page) and returns its URL or file name.
+    fn realize(&mut self, node: S::Node) -> &str {
+        match self.page_names.entry(node) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let mut name = String::new();
+                if !self.src.url(node, &mut name) {
+                    let base = std::mem::take(&mut name);
+                    name = format!("{base}.html");
+                    let mut counter = 1;
+                    while !self.used_names.insert(name.clone()) {
+                        name = format!("{base}_{counter}.html");
+                        counter += 1;
+                    }
+                }
+                self.worklist.push_back(node);
+                e.insert(name)
+            }
+        }
+    }
+
+    /// Writes a hyperlink to `node`'s page, realizing it.
+    pub(crate) fn write_link(&mut self, node: S::Node, out: &mut String) {
+        out.push_str("<a href=\"");
+        self.text.clear();
+        if self.one_page && self.src.url(node, &mut self.text) {
+            escape_into(out, &self.text);
+        } else {
+            escape_into(out, self.realize(node));
+        }
+        out.push_str("\">");
+        self.write_link_text(node, out);
+        out.push_str("</a>");
+    }
+
+    /// Writes human-readable link text for an object, escaped: its
+    /// [`SiteSource::link_text`], else its name.
+    fn write_link_text(&mut self, node: S::Node, out: &mut String) {
+        match self.src.link_text(node) {
+            Some(v) => write_text(out, v),
+            None => {
+                self.text.clear();
+                self.src.write_name(node, &mut self.text);
+                escape_into(out, &self.text);
+            }
         }
     }
 
     /// The label attribute `id` of the template rendered in `env` names in
-    /// this graph.
-    pub(crate) fn label(&self, env: &Env<'_>, id: AttrId) -> Option<Label> {
+    /// the site.
+    pub(crate) fn label(&self, env: &Env<'g, S::Node>, id: AttrId) -> Option<S::Label> {
         self.labels[env.labels + id.index()]
     }
 
     /// Where template `t`'s labels start in `labels`, resolving its
     /// attribute names on its first render.
-    fn labels_of(&mut self, t: usize) -> usize {
-        if let Some(start) = self.label_starts[t] {
+    fn labels_of(&mut self, t: TemplateId) -> usize {
+        if let Some(start) = self.label_starts[t.0] {
             return start;
         }
         let start = self.labels.len();
-        let (graph, templates) = (self.graph, self.templates);
-        let attrs = &templates.templates[t].attrs;
-        self.labels.extend(attrs.iter().map(|a| graph.label(a)));
-        self.label_starts[t] = Some(start);
+        let (src, templates) = (self.src, self.templates);
+        let attrs = &templates.templates[t.0].attrs;
+        self.labels.extend(attrs.iter().map(|a| src.label(a)));
+        self.label_starts[t.0] = Some(start);
         start
     }
 
     /// An empty value list, reusing an earlier one's allocation.
-    pub(crate) fn take_values(&mut self) -> Vec<&'g Value> {
+    pub(crate) fn take_values(&mut self) -> Vec<Item<'g, S::Node>> {
         self.spare.pop().unwrap_or_default()
     }
 
     /// Returns a value list for reuse.
-    pub(crate) fn give_values(&mut self, mut values: Vec<&'g Value>) {
+    pub(crate) fn give_values(&mut self, mut values: Vec<Item<'g, S::Node>>) {
         values.clear();
         self.spare.push(values);
     }
 
-    /// Whether `oid` is already being embedded (cycle guard).
-    pub(crate) fn embedding(&self, oid: Oid) -> bool {
-        self.embed_stack.contains(&oid)
+    /// Whether `node` is already being embedded (cycle guard).
+    pub(crate) fn embedding(&self, node: S::Node) -> bool {
+        self.embed_stack.contains(&node)
     }
 
     pub(crate) fn resolve_file(&self, path: &str) -> Option<String> {
         self.file_resolver.and_then(|f| f(path))
     }
 
-    /// Renders `oid` inline (EMBED).
+    /// Renders `node` inline (EMBED).
     pub(crate) fn render_embedded(
         &mut self,
-        oid: Oid,
+        node: S::Node,
         out: &mut String,
     ) -> Result<(), TemplateError> {
-        self.embed_stack.push(oid);
-        let r = self.render_body(oid, out);
+        self.embed_stack.push(node);
+        let r = self.render_body(node, out);
         self.embed_stack.pop();
         r
     }
 
-    /// Renders `oid` as a page into `out`, cleared first. The page's own
+    /// Renders `node` as a page into `out`, cleared first. The page's own
     /// object joins the embed stack so a template that (transitively)
     /// embeds its own page degrades to a link instead of recursing.
-    fn render_root(&mut self, oid: Oid, out: &mut String) -> Result<(), TemplateError> {
+    fn render_root(&mut self, node: S::Node, out: &mut String) -> Result<(), TemplateError> {
         out.clear();
-        self.embed_stack.push(oid);
-        let r = self.render_body(oid, out);
+        self.embed_stack.push(node);
+        let r = self.render_body(node, out);
         self.embed_stack.pop();
         r
     }
 
-    fn render_body(&mut self, oid: Oid, out: &mut String) -> Result<(), TemplateError> {
+    fn render_body(&mut self, node: S::Node, out: &mut String) -> Result<(), TemplateError> {
         // The template borrows the set (`'g`), not this context, so
         // rendering can take `&mut self` beside it.
         let templates: &'g TemplateSet = self.templates;
-        match self.selection.select(self.graph, templates, oid)? {
+        match self.src.template(node, templates)? {
             Some(t) => {
                 let mut env = Env {
-                    current: oid,
+                    current: node,
                     labels: self.labels_of(t),
                     loops: Vec::new(),
                 };
-                render_nodes(&templates.templates[t].nodes, &mut env, self, out)
+                render_nodes(&templates.templates[t.0].nodes, &mut env, self, out)
             }
             None => {
-                self.render_default(oid, out);
+                self.render_default(node, out);
                 Ok(())
             }
         }
@@ -514,20 +746,20 @@ impl<'g> GenCtx<'g> {
 
     /// The built-in default rendering: a definition list of the object's
     /// attributes.
-    fn render_default(&mut self, oid: Oid, out: &mut String) {
-        let graph = self.graph;
+    fn render_default(&mut self, node: S::Node, out: &mut String) {
         out.push_str("<html><head><title>");
-        self.write_link_text(oid, out);
+        self.write_link_text(node, out);
         out.push_str("</title></head><body><h1>");
-        self.write_link_text(oid, out);
+        self.write_link_text(node, out);
         out.push_str("</h1>\n<dl>\n");
-        for e in graph.edges(oid) {
+        let src = self.src;
+        for (label, item) in src.edges(node, None) {
             out.push_str("<dt>");
-            escape_into(out, graph.label_name(e.label));
+            escape_into(out, src.label_name(label));
             out.push_str("</dt><dd>");
-            match &e.to {
-                Value::Node(o) => self.write_link(*o, out),
-                atomic => write_text(out, atomic),
+            match item {
+                Item::Node(n) => self.write_link(n, out),
+                Item::Value(v) => write_text(out, v),
             }
             out.push_str("</dd>\n");
         }
@@ -535,15 +767,13 @@ impl<'g> GenCtx<'g> {
     }
 }
 
-fn sanitize(name: &str) -> String {
-    let mut out: String = name
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    if out.is_empty() {
+/// Appends `name` to `out` with every character but ASCII letters and
+/// digits replaced, or `p` for an empty name.
+fn sanitize_into(out: &mut String, name: &str) {
+    out.extend(name.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }));
+    if name.is_empty() {
         out.push('p');
     }
-    out
 }
 
 #[cfg(test)]
@@ -933,9 +1163,8 @@ mod tests {
             g.node_name(oid).map(|n| format!("/page/{n}"))
         };
         let mut html = String::from("stale");
-        HtmlGenerator::new(&g, &ts)
-            .render_one_into(root, &namer, &mut html)
-            .unwrap();
+        let src = GraphSource::new(&g, &ts, Some(&namer));
+        render_page(&src, &ts, root, &mut html).unwrap();
         assert!(html.starts_with("<html><h1>Home</h1>"), "{html}");
         assert!(html.contains("href=\"/page/Pres_p1\""), "{html}");
         assert!(html.contains("href=\"/page/Pres_p2\""));
@@ -948,9 +1177,8 @@ mod tests {
         let ts = TemplateSet::new();
         let namer = |_| None;
         let mut html = String::new();
-        HtmlGenerator::new(&g, &ts)
-            .render_one_into(root, &namer, &mut html)
-            .unwrap();
+        let src = GraphSource::new(&g, &ts, Some(&namer));
+        render_page(&src, &ts, root, &mut html).unwrap();
         assert!(html.contains("href=\"Pres_p1.html\""), "{html}");
         assert!(html.contains("href=\"Pres_p2.html\""));
     }
@@ -1014,9 +1242,9 @@ mod tests {
         g.add_edge_str(anonymous, "Story", Value::Node(target));
 
         let ts = TemplateSet::new();
-        let gen = HtmlGenerator::new(&g, &ts);
-        let ctx = GenCtx::new(&gen, None);
-        let text = |oid| {
+        let src = GraphSource::new(&g, &ts, None);
+        let mut ctx = GenCtx::new(&src, &ts, None, false);
+        let mut text = |oid| {
             let mut out = String::new();
             ctx.write_link_text(oid, &mut out);
             assert_eq!(out, reference(&g, oid), "{oid}");
@@ -1034,9 +1262,9 @@ mod tests {
         let mut g = Graph::new();
         let only_label = g.add_node();
         g.add_edge_str(only_label, "label", Value::string("just a label"));
-        let gen = HtmlGenerator::new(&g, &ts);
+        let src = GraphSource::new(&g, &ts, None);
         let mut out = String::new();
-        GenCtx::new(&gen, None).write_link_text(only_label, &mut out);
+        GenCtx::new(&src, &ts, None, false).write_link_text(only_label, &mut out);
         assert_eq!(out, "just a label");
         assert_eq!(out, reference(&g, only_label));
     }

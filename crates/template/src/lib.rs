@@ -28,6 +28,10 @@
 //! HTML page per *realized* object. Whether an object becomes a page or a
 //! page component is decided at generation time: a reference rendered
 //! without `EMBED` realizes its target as a page.
+//!
+//! The generator reads a site through [`SiteSource`]: the static build's
+//! site graph, or the page views a click-time server computes
+//! ([`render_page`] renders one page of either).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,5 +46,8 @@ mod parser;
 pub use ast::{AttrExpr, AttrId, Base, Directives, ListKind, Node, OrderDir, Template};
 pub use error::TemplateError;
 pub use escape::{escape_html, escape_into};
-pub use generate::{FileResolver, HtmlGenerator, Page, PageNamer, SiteOutput, TemplateSet};
+pub use generate::{
+    render_page, FileResolver, HtmlGenerator, Item, Page, PageNamer, Rule, SiteOutput, SiteSource,
+    TemplateId, TemplateSet, LINK_TEXT_ATTRS,
+};
 pub use parser::parse_template;
