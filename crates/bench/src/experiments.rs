@@ -16,12 +16,12 @@
 //!   re-evaluation, and its cost tracks the delta, not the site.
 //! * E-index — the full-indexing win grows with data size.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 use strudel::repo::{Database, IndexLevel};
 use strudel::schema::constraint::{parse_constraint, runtime, verify};
 use strudel::schema::dynamic::{DynTarget, DynamicSite, Mode, PageKey};
-use strudel::schema::SiteSchema;
+use strudel::schema::{SchemaNode, SiteSchema};
 use strudel::sites;
 use strudel::struql::{EvalOptions, Evaluator, Parallelism};
 use strudel::template::{HtmlGenerator, TemplateSet};
@@ -350,53 +350,56 @@ pub fn exp_verify() {
     println!();
 }
 
-/// E-dynamic — click-time evaluation: naive vs context vs look-ahead.
+/// E-dynamic — click-time evaluation: naive vs context vs look-ahead,
+/// §2.5's three strategies run over the one (context-seeded) engine on
+/// the same browse trail.
 pub fn exp_dynamic() {
     println!("== E-dynamic: click-time evaluation (paper §2.5/§7) ==");
     println!(
         "{:>9} {:>18} {:>12} {:>12} {:>10} {:>12}",
-        "articles", "mode", "clicks", "rows", "cache-hits", "time"
+        "articles", "strategy", "clicks", "rows", "cache-hits", "time"
     );
     let mut naive_rows = Vec::new();
     for &n in &[100usize, 1000, 3000] {
         let corpus = crate::paper_news_corpus(n);
         let site = sites::news_site(&corpus).build().unwrap();
-        let program = site.program.clone();
-        let db = site.database.clone();
-        let mut rows = [0usize; 2];
-        for mode in [Mode::Naive, Mode::Context, Mode::ContextLookahead] {
-            let dynsite = DynamicSite::new(db.clone(), &program, mode);
-            let ((), t) = time(|| browse(&dynsite, 25));
-            let m = dynsite.metrics();
+        let engine = || DynamicSite::new(site.database.clone(), &site.program, Mode::Context);
+        let print = |strategy: &str, clicks: usize, rows: usize, hits: usize, t: Duration| {
             println!(
-                "{:>9} {:>18} {:>12} {:>12} {:>10} {:>12}",
-                n,
-                format!("{mode:?}"),
-                m.clicks,
-                m.rows_produced,
-                m.cache_hits,
+                "{n:>9} {strategy:>18} {clicks:>12} {rows:>12} {hits:>10} {:>12}",
                 ms(t)
-            );
-            match mode {
-                Mode::Naive => rows[0] = m.rows_produced,
-                Mode::Context => rows[1] = m.rows_produced,
-                Mode::ContextLookahead => assert!(
-                    m.cache_hits + 1 >= m.clicks,
-                    "E-dynamic shape check: look-ahead turns every link follow into a cache \
-                     hit at {n} articles ({} of {} clicks)",
-                    m.cache_hits,
-                    m.clicks
-                ),
-            }
-        }
-        assert!(
-            rows[0] >= 10 * rows[1],
-            "E-dynamic shape check: naive rows at least 10x context rows at {n} articles, \
-             got {} vs {}",
-            rows[0],
-            rows[1]
+            )
+        };
+
+        let context = engine();
+        let ((trail, hits), t) = time(|| browse(&context, 25, false));
+        let context_rows = context.metrics().rows_produced;
+        let naive = engine();
+        let (rows, t_naive) = time(|| naive_rows_on(&naive, &trail));
+        let distinct = trail.iter().collect::<HashSet<_>>().len();
+        print("naive", trail.len(), rows, trail.len() - distinct, t_naive);
+        print("context", trail.len(), context_rows, hits, t);
+        let lookahead = engine();
+        let ((ahead, ahead_hits), t) = time(|| browse(&lookahead, 25, true));
+        print(
+            "context+lookahead",
+            ahead.len(),
+            lookahead.metrics().rows_produced,
+            ahead_hits,
+            t,
         );
-        naive_rows.push(rows[0]);
+        assert!(
+            ahead_hits + 1 >= ahead.len(),
+            "E-dynamic shape check: look-ahead turns every link follow into a cache \
+             hit at {n} articles ({ahead_hits} of {} clicks)",
+            ahead.len()
+        );
+        assert!(
+            rows >= 10 * context_rows,
+            "E-dynamic shape check: naive rows at least 10x context rows at {n} articles, \
+             got {rows} vs {context_rows}"
+        );
+        naive_rows.push(rows);
     }
     assert!(
         naive_rows.windows(2).all(|w| w[0] < w[1]),
@@ -405,24 +408,59 @@ pub fn exp_dynamic() {
     println!();
 }
 
-/// A deterministic browse trail: front page, then repeatedly follow the
-/// first unvisited page link (falling back to the front page).
-fn browse(site: &DynamicSite, clicks: usize) {
+/// A deterministic browse trail of `clicks` clicks: the front page, then
+/// repeatedly the first unvisited page link (falling back to the front
+/// page). Returns the pages clicked and how many clicks found their page
+/// cached already. With `lookahead`, each click also visits the clicked
+/// page's page children, so following a link finds its page cached.
+fn browse(site: &DynamicSite, clicks: usize, lookahead: bool) -> (Vec<PageKey>, usize) {
     let roots = site.roots("FrontRoot").unwrap();
     let mut current: PageKey = roots[0].clone();
-    let mut trail = vec![current.clone()];
+    let (mut trail, mut hits) = (Vec::new(), 0);
     for _ in 0..clicks {
+        let cached = site.cached_pages();
         let view = site.visit(&current).unwrap();
-        let next = view.edges.iter().find_map(|(_, t)| match t {
-            DynTarget::Page(k) if !trail.contains(k) => Some(k.clone()),
-            _ => None,
+        hits += usize::from(site.cached_pages() == cached);
+        trail.push(current);
+        let children = view.edges.iter().filter_map(|(_, t)| match t {
+            DynTarget::Page(k) => Some(k),
+            DynTarget::Data(_) => None,
         });
-        current = match next {
-            Some(k) => k,
+        if lookahead {
+            for child in children.clone() {
+                site.visit(child).unwrap();
+            }
+        }
+        current = match children.into_iter().find(|k| !trail.contains(k)) {
+            Some(k) => k.clone(),
             None => roots[0].clone(),
         };
-        trail.push(current.clone());
     }
+    (trail, hits)
+}
+
+/// The rows naive evaluation produces on `trail`, counted as the engine
+/// counts its own: the site's roots, then, for each page the trail
+/// visits for the first time, every out-edge guard of the page's symbol
+/// evaluated unseeded over the whole database — the rows the page's links
+/// are then filtered out of.
+fn naive_rows_on(site: &DynamicSite, trail: &[PageKey]) -> usize {
+    site.roots("FrontRoot").unwrap();
+    let mut rows = site.metrics().rows_produced;
+    let db = site.database();
+    let ev = Evaluator::new(&db);
+    let schema = site.schema();
+    let mut seen = HashSet::new();
+    for key in trail.iter().filter(|k| seen.insert(*k)) {
+        for edge in &schema.edges {
+            if schema.nodes[edge.from] == SchemaNode::Skolem(key.symbol.clone())
+                && edge.src_args.len() == key.args.len()
+            {
+                rows += ev.eval_where_bindings(&edge.guard, &[]).unwrap().1.len();
+            }
+        }
+    }
+    rows
 }
 
 /// E-diff — differential maintenance of cached page views: per-delta

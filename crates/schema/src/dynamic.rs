@@ -7,21 +7,15 @@
 //! contents, i.e. its outgoing edges". [`DynamicSite`] is that engine: it
 //! materializes one page's out-edges when the page is first visited.
 //!
-//! Three evaluation modes reproduce the paper's optimization story:
-//!
-//! * [`Mode::Naive`] — each click evaluates every relevant edge guard from
-//!   scratch and filters the result to the visited page. "Naive evaluation
-//!   of these queries is costly, because they often recompute information
-//!   derived for already browsed pages."
-//! * [`Mode::Context`] — the visited page's Skolem arguments seed the
-//!   guard evaluation ("we can optimize its incremental query using
-//!   contexts derived from the paths that reach the node"), so the planner
-//!   starts from bound variables and touches only the relevant slice of
-//!   the data.
-//! * [`Mode::ContextLookahead`] — additionally "precompute look-ahead
-//!   results for queries of reachable nodes": visiting a page prefetches
-//!   its children into the cache, so following a link is usually a cache
-//!   hit.
+//! The engine is the paper's context-seeded evaluation: the visited
+//! page's Skolem arguments seed its guards ("we can optimize its
+//! incremental query using contexts derived from the paths that reach the
+//! node"), so the planner starts from bound variables and touches only the
+//! relevant slice of the data. The paper's other two strategies — naive
+//! evaluation, which recomputes "information derived for already browsed
+//! pages", and look-ahead, which precomputes "results for queries of
+//! reachable nodes" — are baselines the E-dynamic experiment runs over
+//! this engine, not modes of it.
 //!
 //! ## Concurrency
 //!
@@ -76,10 +70,9 @@
 //! every key of the class is dirtied and evicted, never patched (rows
 //! routed by spelling would reach only one of them).
 //!
-//! Pages whose state cannot absorb a patch (no stored rows —
-//! [`Mode::Naive`] —, a count underflow, an edge whose seeded layout is
-//! not a permutation of the unseeded one, a projection error) and every
-//! cached page of a symbol dirtied wholesale fall back to eviction and
+//! Pages whose state cannot absorb a patch (a count underflow, an edge
+//! whose seeded layout is not a permutation of the unseeded one, a
+//! projection error, a coercion-class alias) fall back to eviction and
 //! full re-evaluation, counted in [`Metrics::diff_fallbacks`]. Two O(site)
 //! costs are engineered out of the delta path as well: a standby twin
 //! database is double-buffered across deltas (each swap applies the delta
@@ -104,15 +97,15 @@ use strudel_struql::{
     StruqlError, StruqlResult, Term,
 };
 
-/// Evaluation strategy.
+/// The engine's one evaluation strategy: seed guard evaluation with the
+/// page's Skolem arguments. Kept only because the perfbench harness still
+/// passes it to [`DynamicSite::new`] and the serving constructors, which
+/// ignore it; it goes when the harness stops naming it (ROADMAP item 1).
+#[doc(hidden)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mode {
-    /// Full guard evaluation per click, filtered to the visited page.
-    Naive,
-    /// Seed guard evaluation with the page's Skolem arguments.
+    /// Context seeding, what every engine does.
     Context,
-    /// Context seeding plus one level of child prefetch.
-    ContextLookahead,
 }
 
 /// Identifies a dynamic page: a Skolem symbol applied to data values.
@@ -160,9 +153,8 @@ pub struct Metrics {
     pub plan_cache_misses: usize,
     /// Cached pages updated in place by differential maintenance.
     pub diff_pages_updated: usize,
-    /// Dirty cached pages that fell back to eviction (no stored rows,
-    /// count underflow, a variable-layout mismatch, a coercion-class
-    /// alias, or a symbol dirtied wholesale).
+    /// Dirty cached pages that fell back to eviction (count underflow, a
+    /// variable-layout mismatch, or a coercion-class alias).
     pub diff_fallbacks: usize,
     /// Bindings rows inserted by differential maintenance.
     pub diff_rows_added: usize,
@@ -177,7 +169,7 @@ pub struct Metrics {
 /// The result of applying a data delta to a live engine.
 #[derive(Clone, Debug, Default)]
 pub struct InvalidationOutcome {
-    /// What the delta dirtied (exact pages + wholesale symbols).
+    /// The pages the delta dirtied.
     pub dirty: DirtySet,
     /// How many cached page views were actually evicted.
     pub evicted: usize,
@@ -282,7 +274,13 @@ struct Seeding {
 
 impl Seeding {
     fn of(args: &[Term]) -> Self {
-        let mut seeding = Seeding::unseeded(args.len());
+        let mut seeding = Seeding {
+            arity: args.len(),
+            names: Vec::new(),
+            from: Vec::new(),
+            checks: Vec::new(),
+            seedable: true,
+        };
         for (j, term) in args.iter().enumerate() {
             match term {
                 Term::Var(v) => match seeding.names.iter().position(|n| n == v) {
@@ -297,17 +295,6 @@ impl Seeding {
             }
         }
         seeding
-    }
-
-    /// Binds nothing; checks only the arity ([`Mode::Naive`]).
-    fn unseeded(arity: usize) -> Self {
-        Seeding {
-            arity,
-            names: Vec::new(),
-            from: Vec::new(),
-            checks: Vec::new(),
-            seedable: true,
-        }
     }
 
     /// The seed values for `key`, by slot. `None` means no row of the
@@ -374,9 +361,9 @@ enum LinkLabel {
 }
 
 /// How one schema edge's guard rows are laid out in a cached page and
-/// projected to links — a function of the edge and the engine's mode,
-/// compiled when the engine is built, so projecting a row reads slots
-/// and allocates only a page target's key.
+/// projected to links — a function of the edge, compiled when the engine
+/// is built, so projecting a row reads slots and allocates only a page
+/// target's key.
 struct EdgeLayout {
     /// Variable names of the stored rows' slots: the page's seed
     /// variables first, then the guard's others in textual order
@@ -399,11 +386,8 @@ struct EdgeLayout {
 }
 
 impl EdgeLayout {
-    fn of(schema: &SiteSchema, edge: &SchemaEdge, mode: Mode) -> Self {
-        let seeding = match mode {
-            Mode::Naive => Seeding::unseeded(edge.src_args.len()),
-            Mode::Context | Mode::ContextLookahead => Seeding::of(&edge.src_args),
-        };
+    fn of(schema: &SiteSchema, edge: &SchemaEdge) -> Self {
+        let seeding = Seeding::of(&edge.src_args);
         let vars = where_vars(&edge.guard, &seeding.names);
         let unseeded = where_vars(&edge.guard, &[]);
         let from_unseeded = (vars.len() == unseeded.len())
@@ -437,7 +421,7 @@ impl EdgeLayout {
 
     /// Projects one bindings row, in the stored layout, into a page link.
     /// `Ok(None)` means the row belongs to a different page of the same
-    /// symbol (Naive mode evaluates unseeded and filters here).
+    /// symbol.
     fn project(&self, row: &[Option<Value>], page: &PageKey) -> StruqlResult<Option<Link>> {
         let vars = &self.vars;
         // Every argument is evaluated before any is compared, so an
@@ -602,23 +586,15 @@ impl PageRows {
 /// Everything cached for one page.
 #[derive(Debug)]
 struct Cached {
-    /// The served view, shared with every reader. A patch empties the
-    /// slot; the first reader after it materialises the view again.
+    /// The served view, shared with every reader. Empty until the first
+    /// reader materialises it, and again after every patch.
     view: OnceLock<Arc<PageView>>,
-    /// `None` in [`Mode::Naive`], whose unseeded rows span every page of
-    /// the symbol; such a page keeps its view set and is never patched.
-    rows: Option<PageRows>,
+    rows: PageRows,
 }
 
 impl Cached {
     fn view(&self) -> Arc<PageView> {
-        Arc::clone(self.view.get_or_init(|| {
-            let rows = self
-                .rows
-                .as_ref()
-                .expect("only a patch empties the view, and it needs stored rows");
-            Arc::new(rows.view())
-        }))
+        Arc::clone(self.view.get_or_init(|| Arc::new(self.rows.view())))
     }
 }
 
@@ -658,7 +634,6 @@ struct Standby {
 pub struct DynamicSite {
     db: RwLock<Arc<Database>>,
     schema: SiteSchema,
-    mode: Mode,
     /// Per schema edge, how its guard rows are stored, routed and
     /// projected.
     layouts: Vec<EdgeLayout>,
@@ -700,8 +675,8 @@ pub struct DynamicSite {
 }
 
 impl DynamicSite {
-    /// Builds the engine for `program` over `db`.
-    pub fn new(db: Arc<Database>, program: &Program, mode: Mode) -> Self {
+    /// Builds the engine for `program` over `db`. The [`Mode`] is ignored.
+    pub fn new(db: Arc<Database>, program: &Program, _mode: Mode) -> Self {
         let schema = SiteSchema::extract(program);
         let mut makers: Vec<Vec<Maker>> = (0..schema.nodes.len()).map(|_| Vec::new()).collect();
         let mut collections = vec![Vec::new(); schema.nodes.len()];
@@ -731,12 +706,11 @@ impl DynamicSite {
             layouts: schema
                 .edges
                 .iter()
-                .map(|e| EdgeLayout::of(&schema, e, mode))
+                .map(|e| EdgeLayout::of(&schema, e))
                 .collect(),
             makers,
             collections,
             schema,
-            mode,
             shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
             aliases: Mutex::new(HashMap::new()),
             epoch: AtomicU64::new(0),
@@ -854,11 +828,6 @@ impl DynamicSite {
     /// The extracted site schema.
     pub fn schema(&self) -> &SiteSchema {
         &self.schema
-    }
-
-    /// The evaluation mode this engine was built with.
-    pub fn mode(&self) -> Mode {
-        self.mode
     }
 
     /// The delta epoch: how many deltas have been applied. Read under the
@@ -1004,25 +973,6 @@ impl DynamicSite {
             return Ok(None);
         }
         self.insert_if_current(epoch, page.clone(), cached);
-        if self.mode == Mode::ContextLookahead {
-            // One level of look-ahead: materialize children now, while
-            // their guards' context is warm.
-            let children: Vec<PageKey> = view
-                .edges
-                .iter()
-                .filter_map(|(_, t)| match t {
-                    DynTarget::Page(k) => Some(k.clone()),
-                    _ => None,
-                })
-                .collect();
-            for child in children {
-                if self.shard_of(&child).read().unwrap().contains_key(&child) {
-                    continue;
-                }
-                let v = self.compute(&db, epoch, self.node_of(&child)?, &child)?;
-                self.insert_if_current(epoch, child, v);
-            }
-        }
         Ok(Some(view))
     }
 
@@ -1155,9 +1105,8 @@ impl DynamicSite {
         strudel_trace::count("engine.diff.rows.retracted", retracted as u64);
         strudel_trace::event_with("engine.invalidate", || {
             format!(
-                "pages={} symbols={} evicted={evicted} updated={updated}",
-                dirty.pages.len(),
-                dirty.symbols.len()
+                "pages={} evicted={evicted} updated={updated}",
+                dirty.pages.len()
             )
         });
         Ok(InvalidationOutcome {
@@ -1283,31 +1232,19 @@ impl DynamicSite {
                 }
             }
         }
-        if !dirty.symbols.is_empty() {
-            for shard in &self.shards {
-                let mut map = shard.write().unwrap();
-                let before = map.len();
-                map.retain(|key, _| !dirty.symbols.contains(&key.symbol));
-                evicted += before - map.len();
-            }
-            aliases.retain(|(symbol, _), _| !dirty.symbols.contains(symbol));
-        }
         [updated, evicted, added, retracted]
     }
 
     /// Turns the rows a delta routed to `page` into a patch: each row
     /// re-laid from its edge's unseeded layout to the stored one and
     /// projected to its link. `None` means a cached copy of the page must
-    /// be evicted instead (no stored rows in [`Mode::Naive`], a layout
-    /// that is not a permutation, a row that does not project).
+    /// be evicted instead (a layout that is not a permutation, a row that
+    /// does not project).
     fn plan_patch(
         &self,
         page: &PageKey,
         routed: Vec<(usize, Vec<SignedRow>)>,
     ) -> Option<PagePatch> {
-        if self.mode == Mode::Naive {
-            return None;
-        }
         let mut patch = Vec::new();
         for (ei, rows) in routed {
             let layout = &self.layouts[ei];
@@ -1324,14 +1261,14 @@ impl DynamicSite {
     /// Applies `patch` to a cached page in place and empties its view
     /// slot; returns the derivations added and retracted. `None` — the
     /// page is then in an unspecified state and must be evicted — when it
-    /// keeps no rows or cannot absorb a retraction.
+    /// cannot absorb a retraction.
     fn apply_patch(
         &self,
         page: &PageKey,
         cached: &mut Cached,
         patch: PagePatch,
     ) -> Option<(usize, usize)> {
-        let rows = cached.rows.as_mut()?;
+        let rows = &mut cached.rows;
         let (mut added, mut retracted) = (0usize, 0usize);
         // Retractions first, across all edges: a retitle's new row then
         // finds its link gone and re-enters it at the end, as a
@@ -1372,7 +1309,7 @@ impl DynamicSite {
     /// Test hook: the guard rows cached for `page` in stored order —
     /// schema edge, row and count, and the link the row projects to
     /// (projected afresh, not read from the link table). `None` when the
-    /// page is not cached or keeps no rows.
+    /// page is not cached.
     #[doc(hidden)]
     #[allow(clippy::type_complexity)]
     pub fn stored_rows(
@@ -1380,7 +1317,7 @@ impl DynamicSite {
         page: &PageKey,
     ) -> Option<Vec<(usize, SignedRow, Option<(String, DynTarget)>)>> {
         let shard = self.shard_of(page).read().unwrap();
-        let rows = shard.get(page)?.rows.as_ref()?;
+        let rows = &shard.get(page)?.rows;
         let mut stored: Vec<(&(u32, Row), &RowSlot)> = rows.rows.iter().collect();
         stored.sort_unstable_by_key(|((ei, _), slot)| (*ei, slot.seq));
         let project = |((ei, row), slot): (&(u32, Row), &RowSlot)| {
@@ -1420,9 +1357,9 @@ impl DynamicSite {
     }
 
     /// Evaluates the incremental queries for one page against `db` (the
-    /// snapshot stamped by `epoch`), executing cached prepared plans. In
-    /// the Context modes the guard rows are kept (count-annotated) beside
-    /// the view so later deltas can maintain the page in place.
+    /// snapshot stamped by `epoch`), executing cached prepared plans. The
+    /// guard rows are kept (count-annotated) beside the view so later
+    /// deltas can maintain the page in place.
     fn compute(
         &self,
         db: &Database,
@@ -1437,12 +1374,10 @@ impl DynamicSite {
             if edge.from != node {
                 continue;
             }
-            // Seed the guard with the page's Skolem arguments (Context
-            // modes); Naive evaluates unseeded and filters afterwards.
-            // Seed *names* depend only on the edge (they come from the
-            // symbol's argument terms), so the prepared plan is valid for
-            // every page of this symbol. A page the edge provably cannot
-            // reach skips it.
+            // Seed the guard with the page's Skolem arguments. Seed *names*
+            // depend only on the edge (they come from the symbol's argument
+            // terms), so the prepared plan is valid for every page of this
+            // symbol. A page the edge provably cannot reach skips it.
             let layout = &self.layouts[ei];
             let Some(seeds) = layout.seeding.seeds(page) else {
                 continue;
@@ -1455,7 +1390,6 @@ impl DynamicSite {
             self.rows_produced.fetch_add(evaluated.len(), Ordering::Relaxed);
             rows.rows.reserve(evaluated.len());
             for row in evaluated {
-                // A row of another page of the symbol (Naive) is dropped.
                 let Some(link) = layout.project(&row, page)? else {
                     continue;
                 };
@@ -1466,18 +1400,9 @@ impl DynamicSite {
                 }
             }
         }
-        // Naive rows were derived for every page of the symbol at once —
-        // too broad to maintain: keep the view only.
-        Ok(if self.mode == Mode::Naive {
-            Cached {
-                view: OnceLock::from(Arc::new(rows.view())),
-                rows: None,
-            }
-        } else {
-            Cached {
-                view: OnceLock::new(),
-                rows: Some(rows),
-            }
+        Ok(Cached {
+            view: OnceLock::new(),
+            rows,
         })
     }
 
@@ -1653,76 +1578,6 @@ mod tests {
     }
 
     #[test]
-    fn all_modes_agree_on_content() {
-        let db = db();
-        let program = parse(QUERY).unwrap();
-        let p2 = Value::Node(db.graph().node_by_name("p2").unwrap());
-        let key = PageKey {
-            symbol: "PaperPage".into(),
-            args: vec![p2],
-        };
-        let mut views = Vec::new();
-        for mode in [Mode::Naive, Mode::Context, Mode::ContextLookahead] {
-            let site = DynamicSite::new(db.clone(), &program, mode);
-            let mut view = PageView::clone(&site.visit(&key).unwrap());
-            view.edges.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-            views.push(view);
-        }
-        assert_eq!(views[0], views[1]);
-        assert_eq!(views[1], views[2]);
-    }
-
-    #[test]
-    fn context_mode_produces_fewer_rows_than_naive() {
-        let db = db();
-        let program = parse(QUERY).unwrap();
-        let p1 = Value::Node(db.graph().node_by_name("p1").unwrap());
-        let key = PageKey {
-            symbol: "PaperPage".into(),
-            args: vec![p1],
-        };
-        let naive = DynamicSite::new(db.clone(), &program, Mode::Naive);
-        naive.visit(&key).unwrap();
-        let ctx = DynamicSite::new(db, &program, Mode::Context);
-        ctx.visit(&key).unwrap();
-        assert!(
-            ctx.metrics().rows_produced < naive.metrics().rows_produced,
-            "context {} vs naive {}",
-            ctx.metrics().rows_produced,
-            naive.metrics().rows_produced
-        );
-    }
-
-    #[test]
-    fn lookahead_turns_follows_into_cache_hits() {
-        let program = parse(QUERY).unwrap();
-        let site = DynamicSite::new(db(), &program, Mode::ContextLookahead);
-        let view = site.visit(&root()).unwrap();
-        assert!(site.cached_pages() >= 4, "root + 3 prefetched papers");
-        // Follow the first paper link: a cache hit.
-        let DynTarget::Page(first) = &view.edges[0].1 else {
-            panic!()
-        };
-        let before = site.metrics().cache_hits;
-        site.visit(first).unwrap();
-        assert_eq!(site.metrics().cache_hits, before + 1);
-    }
-
-    #[test]
-    fn repeat_visits_hit_cache_in_every_mode() {
-        let db = db();
-        let program = parse(QUERY).unwrap();
-        for mode in [Mode::Naive, Mode::Context] {
-            let site = DynamicSite::new(db.clone(), &program, mode);
-            site.visit(&root()).unwrap();
-            let q1 = site.metrics().queries_run;
-            site.visit(&root()).unwrap();
-            assert_eq!(site.metrics().queries_run, q1, "no new queries");
-            assert_eq!(site.metrics().cache_hits, 1);
-        }
-    }
-
-    #[test]
     fn dynamic_matches_static_materialization() {
         // The pages the dynamic engine serves must agree with the
         // statically evaluated site graph.
@@ -1777,17 +1632,15 @@ mod tests {
     fn a_key_of_the_wrong_arity_is_an_empty_page() {
         // `/page/PaperPage` parses to a key with no argument: no edge of
         // the symbol can reach it, and none is evaluated for it.
-        for mode in [Mode::Naive, Mode::Context] {
-            let site = DynamicSite::new(db(), &parse(QUERY).unwrap(), mode);
-            let view = site
-                .visit(&PageKey {
-                    symbol: "PaperPage".into(),
-                    args: vec![],
-                })
-                .unwrap();
-            assert!(view.edges.is_empty());
-            assert_eq!(site.metrics().queries_run, 0);
-        }
+        let site = DynamicSite::new(db(), &parse(QUERY).unwrap(), Mode::Context);
+        let view = site
+            .visit(&PageKey {
+                symbol: "PaperPage".into(),
+                args: vec![],
+            })
+            .unwrap();
+        assert!(view.edges.is_empty());
+        assert_eq!(site.metrics().queries_run, 0);
     }
 
     #[test]
@@ -2021,7 +1874,6 @@ mod tests {
         delta.add_edge(p1, "abstract", Value::string("..."));
         let outcome = site.apply_delta(&delta).unwrap();
         assert!(outcome.dirty.pages.is_empty(), "{:?}", outcome.dirty);
-        assert!(outcome.dirty.symbols.is_empty(), "{:?}", outcome.dirty);
         assert_eq!(outcome.evicted, 0);
         assert_eq!(outcome.updated, 0);
         assert_eq!(site.cached_pages(), cached);
@@ -2029,33 +1881,6 @@ mod tests {
         let hits = site.metrics().cache_hits;
         site.visit(&root()).unwrap();
         assert_eq!(site.metrics().cache_hits, hits + 1, "still a cache hit");
-    }
-
-    #[test]
-    fn naive_mode_falls_back_to_eviction() {
-        // Naive pages carry no delta-ready rows; dirty ones are evicted
-        // and counted as fallbacks.
-        let db = db();
-        let p1 = db.graph().node_by_name("p1").unwrap();
-        let program = parse(QUERY).unwrap();
-        let site = DynamicSite::new(db, &program, Mode::Naive);
-        let p1_key = PageKey {
-            symbol: "PaperPage".into(),
-            args: vec![Value::Node(p1)],
-        };
-        site.visit(&p1_key).unwrap();
-
-        let mut delta = GraphDelta::new();
-        delta.remove_edge(p1, "title", Value::string("Alpha"));
-        delta.add_edge(p1, "title", Value::string("Alpha (rev)"));
-        let outcome = site.apply_delta(&delta).unwrap();
-        assert_eq!(outcome.updated, 0);
-        assert_eq!(outcome.evicted, 1);
-        assert_eq!(site.metrics().diff_fallbacks, 1);
-
-        let after = site.visit(&p1_key).unwrap();
-        assert!(after.edges.iter().any(|(l, t)| l == "title"
-            && *t == DynTarget::Data(Value::string("Alpha (rev)"))));
     }
 
     #[test]
@@ -2377,8 +2202,8 @@ mod tests {
 
     #[test]
     fn clear_cache_counts_evictions() {
-        let site = DynamicSite::new(db(), &parse(QUERY).unwrap(), Mode::ContextLookahead);
-        site.visit(&root()).unwrap();
+        let site = DynamicSite::new(db(), &parse(QUERY).unwrap(), Mode::Context);
+        site.crawl("Roots").unwrap();
         let cached = site.cached_pages();
         assert!(cached >= 4);
         site.clear_cache();

@@ -12,11 +12,10 @@
 //! `not(…)` or Kleene closures dirty exact pages like any other; a row
 //! whose retraction and re-insertion cancel dirties nothing.
 //!
-//! The one conservative case is a schema edge whose source arguments nest
-//! Skolem terms: those cannot be evaluated from a bindings row, so a delta
-//! touching such an edge's guard dirties its source symbol *wholesale*
-//! (every cached page of that symbol), leaving all other symbols' pages
-//! untouched.
+//! A schema edge whose source arguments nest a Skolem term is skipped, and
+//! exactly so: a page key holds data values, never a Skolem term, so no
+//! key can seed such an edge's guard, no visit ever evaluates it, and no
+//! served page holds one of its rows.
 
 use crate::dynamic::{eval_args, PageKey};
 use crate::{SchemaNode, SiteSchema};
@@ -25,25 +24,22 @@ use strudel_graph::GraphDelta;
 use strudel_repo::Database;
 use strudel_struql::{delta_rows, DeltaTouch, Evaluator, SignedRow, StruqlResult, Term};
 
-/// The pages a delta dirties: exact keys plus wholesale-dirty symbols.
+/// The pages a delta dirties.
 #[derive(Clone, Debug, Default)]
 pub struct DirtySet {
     /// Exactly identified dirty pages.
     pub pages: HashSet<PageKey>,
-    /// Symbols whose *every* page must be considered dirty (source
-    /// arguments that cannot be recovered from a bindings row).
-    pub symbols: HashSet<String>,
 }
 
 impl DirtySet {
     /// Whether a given page is dirtied by this set.
     pub fn contains(&self, key: &PageKey) -> bool {
-        self.symbols.contains(&key.symbol) || self.pages.contains(key)
+        self.pages.contains(key)
     }
 
     /// Whether nothing was dirtied.
     pub fn is_empty(&self) -> bool {
-        self.pages.is_empty() && self.symbols.is_empty()
+        self.pages.is_empty()
     }
 }
 
@@ -70,7 +66,6 @@ pub fn dirty_pages(
     new_db: &Database,
     delta: &GraphDelta,
 ) -> StruqlResult<RoutedDelta> {
-    let mut dirty = DirtySet::default();
     let mut rows: HashMap<PageKey, Vec<(usize, Vec<SignedRow>)>> = HashMap::new();
     let touch = DeltaTouch::of(delta);
     let old_ev = Evaluator::new(old_db);
@@ -82,12 +77,9 @@ pub fn dirty_pages(
         if !touch.touches(&edge.guard) {
             continue;
         }
-        let args_invertible = edge
-            .src_args
-            .iter()
-            .all(|t| matches!(t, Term::Var(_) | Term::Const(_)));
-        if !args_invertible {
-            dirty.symbols.insert(symbol.clone());
+        // No page key can seed an edge whose source nests a Skolem term,
+        // so none holds its rows: its deltas change no served page.
+        if edge.src_args.iter().any(|t| matches!(t, Term::Skolem { .. })) {
             continue;
         }
         let out = delta_rows(&old_ev, &new_ev, &edge.guard, delta)?;
@@ -103,7 +95,9 @@ pub fn dirty_pages(
             }
         }
     }
-    dirty.pages = rows.keys().cloned().collect();
+    let dirty = DirtySet {
+        pages: rows.keys().cloned().collect(),
+    };
     Ok(RoutedDelta { dirty, rows })
 }
 
@@ -165,7 +159,6 @@ mod tests {
         };
         assert!(dirty.contains(&p1_key));
         assert!(!dirty.contains(&p2_key), "p2 untouched: {dirty:?}");
-        assert!(dirty.symbols.is_empty());
     }
 
     #[test]
@@ -236,7 +229,6 @@ mod tests {
         delta.add_edge(p1, "hidden", Value::Bool(true));
         let new_db = after(&db, &delta);
         let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap().dirty;
-        assert!(dirty.symbols.is_empty(), "{dirty:?}");
         assert!(dirty.contains(&key("PubPage", p1)), "{dirty:?}");
         assert!(!dirty.contains(&key("PubPage", p2)), "{dirty:?}");
     }
@@ -351,7 +343,6 @@ mod tests {
         delta.remove_edge(node("p2"), "rel", Value::Node(node("p3")));
         let new_db = after(&db, &delta);
         let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap().dirty;
-        assert!(dirty.symbols.is_empty(), "{dirty:?}");
         let expect: HashSet<PageKey> = ["p1", "p2", "p4"]
             .iter()
             .map(|n| key("RelPage", node(n)))
@@ -389,7 +380,6 @@ mod tests {
         delta.remove_edge(p1, "rel", Value::Node(p2));
         let new_db = after(&db, &delta);
         let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap().dirty;
-        assert!(dirty.symbols.is_empty(), "{dirty:?}");
         assert_eq!(dirty.pages, HashSet::from([key("LeafPage", p1)]));
         // An irrelevant label under the same guard still dirties nothing.
         let mut irrelevant = GraphDelta::new();
@@ -399,25 +389,70 @@ mod tests {
         assert!(dirty2.is_empty(), "{dirty2:?}");
     }
 
-    /// The one wholesale case left: source arguments that nest a Skolem
-    /// term cannot be read off a bindings row.
+    /// An edge whose source nests a Skolem term feeds no page: its deltas
+    /// leave every cached view as a fresh engine serves it, and evict
+    /// nothing.
     #[test]
-    fn nested_skolem_source_args_dirty_the_symbol() {
+    fn a_nested_skolem_edge_causes_no_evictions() {
+        use crate::dynamic::{DynamicSite, Mode};
+        use std::sync::Arc;
         let query = r#"
             where Publications(x), x -> "year" -> y
             create Cell(YearOf(y), x)
             link Cell(YearOf(y), x) -> "paper" -> x
-            collect Roots(Cell(YearOf(y), x))
+            { where x -> "tag" -> z
+              link Cell(z, x) -> "tag" -> z }
         "#;
-        let db = db();
-        let schema = SiteSchema::extract(&parse(query).unwrap());
-        let p1 = db.graph().node_by_name("p1").unwrap();
-        let mut delta = GraphDelta::new();
-        delta.add_edge(p1, "year", Value::Int(1999));
-        let new_db = after(&db, &delta);
-        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap().dirty;
-        assert!(dirty.symbols.contains("Cell"), "{dirty:?}");
-        assert!(dirty.pages.is_empty(), "{dirty:?}");
+        let g = ddl::parse(
+            r#"
+            object p1 in Publications { year : 1997; tag : "db"; tag : "web"; }
+            object p2 in Publications { year : 1998; tag : "db"; }
+        "#,
+        )
+        .unwrap();
+        let program = parse(query).unwrap();
+        let p1 = g.node_by_name("p1").unwrap();
+        let p2 = g.node_by_name("p2").unwrap();
+        let site = DynamicSite::new(
+            Arc::new(Database::from_graph(g, IndexLevel::Full)),
+            &program,
+            Mode::Context,
+        );
+        let cell = |tag: &str, node| PageKey {
+            symbol: "Cell".into(),
+            args: vec![Value::string(tag), Value::Node(node)],
+        };
+        let keys = [cell("db", p1), cell("web", p1), cell("ai", p1), cell("db", p2)];
+        let sorted = |site: &DynamicSite, key: &PageKey| {
+            let mut edges: Vec<String> = site
+                .visit(key)
+                .unwrap()
+                .edges
+                .iter()
+                .map(|e| format!("{e:?}"))
+                .collect();
+            edges.sort_unstable();
+            edges
+        };
+        for key in &keys {
+            sorted(&site, key);
+        }
+        let mut deltas: [GraphDelta; 4] = Default::default();
+        deltas[0].add_edge(p1, "year", Value::Int(1999));
+        deltas[1].remove_edge(p2, "year", Value::Int(1998));
+        deltas[2].add_edge(p1, "tag", Value::string("ai"));
+        deltas[3].remove_edge(p1, "tag", Value::string("web"));
+        deltas[3].add_edge(p2, "year", Value::Int(2000));
+        for (i, delta) in deltas.iter().enumerate() {
+            site.apply_delta(delta).unwrap();
+            let fresh = DynamicSite::new(site.database(), &program, Mode::Context);
+            for key in &keys {
+                assert_eq!(sorted(&site, key), sorted(&fresh, key), "delta {i}: {key:?}");
+            }
+            let m = site.metrics();
+            assert_eq!(m.diff_fallbacks, 0, "delta {i}: {m:?}");
+        }
+        assert!(site.metrics().diff_pages_updated > 0, "{:?}", site.metrics());
     }
 
     #[test]

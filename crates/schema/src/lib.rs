@@ -21,7 +21,7 @@
 //!   a runtime checker over materialized graphs as the complete fallback.
 //! * **Dynamic evaluation** ([`dynamic`]) — the schema decomposes one
 //!   site-definition query into per-node incremental queries evaluated at
-//!   "click time", with path-context seeding and look-ahead caching.
+//!   "click time", each seeded by the visited page's own arguments.
 //!
 //! The same engine answers the paper's future-work item, incremental
 //! updates of site graphs (§7): [`invalidate`] routes the signed rows of

@@ -30,7 +30,7 @@
 //! strudel stats <dir>                 print the site-statistics row
 //! strudel guide <dir>                 print discovered data-graph schemas
 //!                                     (strong DataGuides per collection)
-//! strudel serve <dir> [--addr A] [--workers N] [--mode M]
+//! strudel serve <dir> [--addr A] [--workers N]
 //!                     [--warm W] [--slow-us T] [--backlog B] [--trace]
 //!                     [--keepalive-secs S] [--max-connections N]
 //!                     [--cluster N]
@@ -40,8 +40,7 @@
 //!                                     metrics on /metrics, trace snapshot
 //!                                     on /debug/trace, plan explain on
 //!                                     /debug/explain
-//!                                     (M: context|lookahead;
-//!                                      W: warmup workers, a number or
+//!                                     (W: warmup workers, a number or
 //!                                      "auto" — pre-renders every page
 //!                                      before accepting requests;
 //!                                      T: slow-request threshold in µs,
@@ -84,7 +83,7 @@
 //!
 //! ```text
 //! strudel shard-worker <dir> --shard I --of N --store DIR
-//!                            --ready-file PATH [--mode M]
+//!                            --ready-file PATH
 //! strudel explain <dir>               print, for every root page, each
 //!                                     schema edge's chosen plan with the
 //!                                     optimizer's cardinality estimates
@@ -94,6 +93,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use strudel::schema::dynamic::Mode;
 use strudel::wrappers::html::HtmlDoc;
 use strudel::wrappers::relational::TableOptions;
 use strudel::wrappers::structured::RecordOptions;
@@ -114,7 +114,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let usage =
         "usage: strudel <build|check|schema|stats|guide|serve|explain> <site-dir> \
          [-o <outdir>] [--addr <ip:port>] [--workers <n>] \
-         [--mode <context|lookahead>] [--warm <n|auto>] [--slow-us <t>] \
+         [--warm <n|auto>] [--slow-us <t>] \
          [--backlog <n>] [--keepalive-secs <s>] [--max-connections <n>] [--trace] \
          [--store <dir>] [--cluster <n>]";
     let command = args.first().ok_or(usage)?;
@@ -250,7 +250,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 of,
                 store_dir: PathBuf::from(need("--store")?),
                 ready_file: PathBuf::from(need("--ready-file")?),
-                mode: parse_mode(flag("--mode").as_deref())?,
             };
             strudel_serve::cluster::run_worker(&built, opts)
         }
@@ -258,6 +257,11 @@ fn run(args: &[String]) -> Result<(), String> {
             if args.iter().any(|a| a == "--transport") {
                 return Err("the --transport flag was removed: the front end follows the \
                             platform (epoll reactor on Linux, thread pool elsewhere)"
+                    .into());
+            }
+            if args.iter().any(|a| a == "--mode") {
+                return Err("the --mode flag was removed: every page is evaluated seeded \
+                            by its own arguments (context evaluation)"
                     .into());
             }
             if args.iter().any(|a| a == "--shards") {
@@ -292,7 +296,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 Some(w) => w.parse().map_err(|_| "--workers needs a number")?,
                 None => 4,
             };
-            let mode = parse_mode(flag("--mode").as_deref())?;
             let warm = match flag("--warm").as_deref() {
                 None => None,
                 Some("auto") => Some(strudel::struql::Parallelism::Auto),
@@ -348,9 +351,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 let store_dir = PathBuf::from(flag("--store").expect("--store checked above"));
                 let binary = std::env::current_exe()
                     .map_err(|e| format!("locating the strudel binary: {e}"))?;
-                let mut ccfg =
-                    strudel_serve::ClusterConfig::new(n, binary, dir.clone(), store_dir);
-                ccfg.mode = mode;
+                let ccfg = strudel_serve::ClusterConfig::new(n, binary, dir.clone(), store_dir);
                 let service = strudel_serve::ClusterService::start(store, ccfg)
                     .map_err(|e| format!("starting cluster: {e}"))?;
                 println!(
@@ -373,10 +374,10 @@ fn run(args: &[String]) -> Result<(), String> {
                         &built.program,
                         built.templates.clone(),
                         &built.root_collection,
-                        mode,
+                        Mode::Context,
                     )
                     .with_paged_store(store),
-                    None => strudel_serve::SiteService::new(&built, mode),
+                    None => strudel_serve::SiteService::new(&built, Mode::Context),
                 };
                 if let Some(t) = slow_us {
                     service = service.with_slow_threshold_us(t);
@@ -384,8 +385,8 @@ fn run(args: &[String]) -> Result<(), String> {
                 warm_and_serve(std::sync::Arc::new(service), warm, config)?
             };
             println!(
-                "serving '{}' at http://{}/ ({workers} workers, {}, {mode:?} \
-                 evaluation, {} transport; ^C stops)",
+                "serving '{}' at http://{}/ ({workers} workers, {}, {} transport; \
+                 ^C stops)",
                 built.name,
                 server.addr(),
                 match cluster_workers {
@@ -422,10 +423,7 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         "explain" => {
             let built = site.build().map_err(|e| e.to_string())?;
-            let service = strudel_serve::SiteService::new(
-                &built,
-                strudel::schema::dynamic::Mode::Context,
-            );
+            let service = strudel_serve::SiteService::new(&built, Mode::Context);
             let roots = service
                 .engine()
                 .roots(service.root_collection())
@@ -465,15 +463,6 @@ fn warm_and_serve<S: strudel_serve::ClickService>(
         );
     }
     strudel_serve::serve(service, config).map_err(|e| format!("binding server: {e}"))
-}
-
-/// Maps a `--mode` flag value onto the click-time evaluation mode.
-fn parse_mode(flag: Option<&str>) -> Result<strudel::schema::dynamic::Mode, String> {
-    match flag {
-        None | Some("context") => Ok(strudel::schema::dynamic::Mode::Context),
-        Some("lookahead") => Ok(strudel::schema::dynamic::Mode::ContextLookahead),
-        Some(other) => Err(format!("unknown mode '{other}' (context|lookahead)")),
-    }
 }
 
 /// Opens (or bulk-loads) the durable store named by `--store`, if any,

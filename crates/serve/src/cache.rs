@@ -29,8 +29,7 @@
 //! dependent leaves the cache some other way, so the index may name a
 //! page that no longer reads the dependency — that evicts one rendition
 //! too many, once, and never one too few. The cache never serves a
-//! dirtied page once `invalidate` returns. A [`DirtySet`] that dirties a
-//! whole symbol keeps the full scan.
+//! dirtied page once `invalidate` returns.
 
 use crate::metrics::{CacheSnapshot, InlineDecline};
 use std::collections::hash_map::DefaultHasher;
@@ -174,24 +173,8 @@ impl HtmlCache {
     /// Evicts every page the delta dirtied, directly or through its
     /// dependency set, so the cache never serves a dirtied page once this
     /// returns. Returns the eviction count. The work is proportional to
-    /// the dirty pages and the renditions evicted, unless the delta
-    /// dirtied a whole symbol.
+    /// the dirty pages and the renditions evicted.
     pub fn invalidate(&self, dirty: &DirtySet) -> usize {
-        if dirty.is_empty() {
-            return 0;
-        }
-        let evicted = if dirty.symbols.is_empty() {
-            self.evict_indexed(dirty)
-        } else {
-            self.evict_by_scan(dirty)
-        };
-        self.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
-        evicted
-    }
-
-    /// Evicts the dirty pages and what the dependents index names for
-    /// them.
-    fn evict_indexed(&self, dirty: &DirtySet) -> usize {
         let mut evicted = 0;
         let mut evict = |key: &PageKey| {
             let held = self.shard_of(key).write().unwrap().remove(key);
@@ -204,21 +187,7 @@ impl HtmlCache {
                 evict(dependent);
             }
         }
-        evicted
-    }
-
-    /// Evicts by reading every rendition's dependency set: the path for a
-    /// wholesale-dirty symbol, whose pages the index cannot enumerate.
-    fn evict_by_scan(&self, dirty: &DirtySet) -> usize {
-        let mut evicted = 0;
-        for shard in &self.shards {
-            let mut map = shard.write().unwrap();
-            let before = map.len();
-            map.retain(|key, page| {
-                !dirty.contains(key) && !page.deps.iter().any(|d| dirty.contains(d))
-            });
-            evicted += before - map.len();
-        }
+        self.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
         evicted
     }
 
@@ -295,22 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn wholesale_symbol_dirt_evicts_dependents_too() {
-        let c = HtmlCache::new();
-        c.insert_if(
-            key("Front"),
-            page(vec![PageKey {
-                symbol: "Article".into(),
-                args: vec![],
-            }]),
-            || true,
-        );
-        let mut dirty = DirtySet::default();
-        dirty.symbols.insert("Article".into());
-        assert_eq!(c.invalidate(&dirty), 1);
-    }
-
-    #[test]
     fn try_get_declines_a_write_locked_shard_without_counting() {
         let c = HtmlCache::new();
         c.insert_if(key("A"), page(vec![]), || true);
@@ -342,10 +295,9 @@ mod tests {
     }
 
     /// Seeded insert / invalidate sequences: the indexed eviction must
-    /// leave exactly the pages the full scan leaves — the scan itself is
-    /// the oracle, forced on a twin cache by a symbol that dirties
-    /// nothing — and `try_get` must never answer with anything but the
-    /// rendition the shard holds.
+    /// leave exactly the pages a full scan of every rendition's dependency
+    /// set leaves on a twin cache, and `try_get` must never answer with
+    /// anything but the rendition the shard holds.
     #[test]
     fn indexed_eviction_matches_the_scan() {
         use strudel_prng::{Rng, SeedableRng, SmallRng};
@@ -360,6 +312,18 @@ mod tests {
                 .collect()
         };
         let held = |c: &HtmlCache, k: &PageKey| c.shard_of(k).read().unwrap().get(k).cloned();
+        let scan = |c: &HtmlCache, dirty: &DirtySet| {
+            let mut evicted = 0;
+            for shard in &c.shards {
+                let mut map = shard.write().unwrap();
+                let before = map.len();
+                map.retain(|k, page| {
+                    !dirty.contains(k) && !page.deps.iter().any(|d| dirty.contains(d))
+                });
+                evicted += before - map.len();
+            }
+            evicted
+        };
         for seed in 0..8u64 {
             let mut rng = SmallRng::seed_from_u64(0xcac4e + seed);
             let (indexed, scanned) = (HtmlCache::new(), HtmlCache::new());
@@ -384,8 +348,7 @@ mod tests {
                             dirty.pages.insert(name(rng.gen_range(0..PAGES)));
                         }
                         let by_index = indexed.invalidate(&dirty);
-                        dirty.symbols.insert("~nothing".into());
-                        let by_scan = scanned.invalidate(&dirty);
+                        let by_scan = scan(&scanned, &dirty);
                         assert_eq!(by_index, by_scan, "seed {seed} step {step}: {dirty:?}");
                     }
                 }

@@ -37,7 +37,6 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
-use strudel_schema::dynamic::Mode;
 
 /// Where a worker slot is in its lifecycle.
 #[derive(Debug)]
@@ -206,14 +205,6 @@ impl ClusterService {
             .arg(&c.store_dir)
             .arg("--ready-file")
             .arg(&ready_file)
-            .arg("--mode")
-            // The spellings `shard-worker --mode` parses. `start` admits
-            // no `Mode::Naive` config, and a worker would refuse the word.
-            .arg(match c.mode {
-                Mode::Naive => "naive",
-                Mode::Context => "context",
-                Mode::ContextLookahead => "lookahead",
-            })
             .stdin(Stdio::null())
             .stdout(Stdio::null());
         for (k, v) in &c.worker_env {

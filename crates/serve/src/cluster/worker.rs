@@ -43,8 +43,6 @@ pub struct WorkerOptions {
     pub store_dir: PathBuf,
     /// Where to write the bound address once serving.
     pub ready_file: PathBuf,
-    /// Click-time evaluation mode.
-    pub mode: Mode,
 }
 
 /// The worker-side service: an inner [`SiteService`] plus the catch-up
@@ -78,7 +76,7 @@ impl WorkerService {
             &site.program,
             site.templates.clone(),
             &site.root_collection,
-            opts.mode,
+            Mode::Context,
         );
         Ok(WorkerService {
             inner,

@@ -102,17 +102,17 @@ fn missing_site_dir_fails_cleanly() {
 }
 
 #[test]
-fn naive_is_not_a_serve_mode() {
-    // The naive evaluator is the experiments' baseline and the tests'
-    // reference engine, not something an operator can deploy.
+fn mode_is_not_a_serve_flag() {
+    // The engine has one evaluation strategy; naive and look-ahead are
+    // baselines the experiments run, and a script that still picks one
+    // must hear about it.
     let dir = demo_dir();
-    let result = strudel(&["serve", dir.to_str().unwrap(), "--mode", "naive"]);
-    assert!(!result.status.success());
-    let stderr = String::from_utf8_lossy(&result.stderr);
-    assert!(
-        stderr.contains("unknown mode 'naive' (context|lookahead)"),
-        "{stderr}"
-    );
+    for mode in ["naive", "lookahead", "context"] {
+        let result = strudel(&["serve", dir.to_str().unwrap(), "--mode", mode]);
+        assert!(!result.status.success(), "--mode {mode}");
+        let stderr = String::from_utf8_lossy(&result.stderr);
+        assert!(stderr.contains("the --mode flag was removed"), "{stderr}");
+    }
 }
 
 #[test]

@@ -51,7 +51,7 @@ fn main() {
         ..Default::default()
     });
     let site = news_site(&corpus.pages).build().expect("site builds");
-    let service = Arc::new(SiteService::new(&site, Mode::ContextLookahead));
+    let service = Arc::new(SiteService::new(&site, Mode::Context));
 
     let server = serve(
         service.clone(),
