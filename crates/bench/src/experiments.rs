@@ -29,6 +29,7 @@ use strudel::SiteStats;
 use strudel_graph::{graphs_equivalent, GraphDelta, Oid, Value};
 use strudel_mediator::{Mediator, Source, SourceFormat};
 use strudel_procgen::{news as proc_news, sweep};
+use strudel_serve::crawl::site_urls;
 use strudel_serve::SiteService;
 use strudel_workload::{bib, org};
 
@@ -1122,7 +1123,7 @@ pub fn exp_htmlgen() {
     let site = crate::paper_news_site(1000);
     let service = SiteService::new(&site, Mode::Context);
     service.warm(Parallelism::Sequential).unwrap();
-    let urls = crawl_urls(&service);
+    let urls = site_urls(|u| service.handle(u));
     let before: Vec<String> = urls.iter().map(|u| service.handle(u).body).collect();
     let article = site
         .database
@@ -1151,7 +1152,7 @@ pub fn exp_htmlgen() {
     );
     let (_, t_fresh) = time(|| fresh.warm(Parallelism::Sequential).unwrap());
     assert_eq!(
-        crawl_urls(&fresh),
+        site_urls(|u| fresh.handle(u)),
         urls,
         "the delta changed the set of pages"
     );
@@ -1176,27 +1177,6 @@ pub fn exp_htmlgen() {
         "E-htmlgen shape check: one page changes and at most 1% of renditions are evicted"
     );
     println!();
-}
-
-/// Every URL reachable from `/` by following `/page/` links, in discovery
-/// order, `/` first.
-fn crawl_urls(service: &SiteService) -> Vec<String> {
-    let mut urls = vec!["/".to_string()];
-    let mut seen: std::collections::HashSet<String> = urls.iter().cloned().collect();
-    let mut i = 0;
-    while i < urls.len() {
-        let body = service.handle(&urls[i]).body;
-        for part in body.split("href=\"").skip(1) {
-            if let Some(end) = part.find('"') {
-                let href = &part[..end];
-                if href.starts_with("/page/") && seen.insert(href.to_string()) {
-                    urls.push(href.to_string());
-                }
-            }
-        }
-        i += 1;
-    }
-    urls
 }
 
 /// E-mediate — GAV warehousing of the five AT&T-style sources, and

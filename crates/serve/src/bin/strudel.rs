@@ -31,7 +31,7 @@
 //! strudel guide <dir>                 print discovered data-graph schemas
 //!                                     (strong DataGuides per collection)
 //! strudel serve <dir> [--addr A] [--workers N]
-//!                     [--warm W] [--slow-us T] [--backlog B] [--trace]
+//!                     [--warm] [--slow-us T] [--backlog B] [--trace]
 //!                     [--keepalive-secs S] [--max-connections N]
 //!                     [--cluster N]
 //!                     [--store DIR]
@@ -40,8 +40,8 @@
 //!                                     metrics on /metrics, trace snapshot
 //!                                     on /debug/trace, plan explain on
 //!                                     /debug/explain
-//!                                     (W: warmup workers, a number or
-//!                                      "auto" — pre-renders every page
+//!                                     (--warm crawls the site from /
+//!                                      and pre-renders every linked page
 //!                                      before accepting requests;
 //!                                      T: slow-request threshold in µs,
 //!                                      0 disables;
@@ -114,7 +114,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let usage =
         "usage: strudel <build|check|schema|stats|guide|serve|explain> <site-dir> \
          [-o <outdir>] [--addr <ip:port>] [--workers <n>] \
-         [--warm <n|auto>] [--slow-us <t>] \
+         [--warm] [--slow-us <t>] \
          [--backlog <n>] [--keepalive-secs <s>] [--max-connections <n>] [--trace] \
          [--store <dir>] [--cluster <n>]";
     let command = args.first().ok_or(usage)?;
@@ -264,6 +264,11 @@ fn run(args: &[String]) -> Result<(), String> {
                             by its own arguments (context evaluation)"
                     .into());
             }
+            if args.windows(2).any(|w| w[0] == "--warm" && !w[1].starts_with('-')) {
+                return Err("the --warm worker count was removed: --warm is a switch, and the \
+                            warm-up crawls the site from / on one thread"
+                    .into());
+            }
             if args.iter().any(|a| a == "--shards") {
                 return Err("the --shards flag was removed: one process serves from one \
                             engine; for worker processes behind a router use --cluster N"
@@ -296,13 +301,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 Some(w) => w.parse().map_err(|_| "--workers needs a number")?,
                 None => 4,
             };
-            let warm = match flag("--warm").as_deref() {
-                None => None,
-                Some("auto") => Some(strudel::struql::Parallelism::Auto),
-                Some(n) => Some(strudel::struql::Parallelism::Threads(
-                    n.parse().map_err(|_| "--warm needs a number or 'auto'")?,
-                )),
-            };
+            let warm = args.iter().any(|a| a == "--warm");
             if args.iter().any(|a| a == "--trace") {
                 strudel_trace::set_enabled(true);
             }
@@ -447,18 +446,17 @@ fn run(args: &[String]) -> Result<(), String> {
 /// generic over [`strudel_serve::ClickService`].
 fn warm_and_serve<S: strudel_serve::ClickService>(
     service: std::sync::Arc<S>,
-    warm: Option<strudel::struql::Parallelism>,
+    warm: bool,
     config: strudel_serve::ServerConfig,
 ) -> Result<strudel_serve::ServerHandle, String> {
-    if let Some(parallelism) = warm {
+    if warm {
         let report = service
-            .warm(parallelism)
+            .warm(strudel::struql::Parallelism::Sequential)
             .map_err(|e| format!("warming cache: {e}"))?;
         println!(
-            "warmed {} pages in {} levels across {} workers ({:.1} ms)",
+            "warmed {} pages in {} levels ({:.1} ms)",
             report.pages,
             report.levels,
-            parallelism.workers(),
             report.elapsed_us as f64 / 1000.0
         );
     }

@@ -64,6 +64,7 @@ mod worker;
 pub use fault::{FaultAction, FaultPlan, FaultTrigger, FAULT_PLAN_ENV};
 pub use worker::{run_worker, WorkerOptions, WorkerService};
 
+use crate::crawl::{self, is_reserved};
 use crate::metrics::{push_rows, ServerMetrics};
 use crate::proto::ParsedResponse;
 use crate::server::{Body, Reply};
@@ -72,7 +73,7 @@ use crate::{
     WarmupReport,
 };
 use proxy::{Failed, Step, Upstream};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -402,41 +403,6 @@ impl ClusterService {
         }
         out
     }
-
-    /// Crawls the site through the workers to prime the router's
-    /// last-known-good cache: BFS over intra-site links from `/`. After
-    /// this, degraded mode can serve every reachable page.
-    fn crawl_warm(&self) -> Result<WarmupReport, ServeError> {
-        const MAX_PAGES: usize = 10_000;
-        let start = Instant::now();
-        let mut seen: HashSet<String> = HashSet::new();
-        let mut queue: VecDeque<(String, usize)> = VecDeque::new();
-        let mut pages = 0usize;
-        let mut levels = 0usize;
-        seen.insert("/".into());
-        queue.push_back(("/".into(), 0));
-        while let Some((path, level)) = queue.pop_front() {
-            if pages >= MAX_PAGES {
-                break;
-            }
-            let reply = self.proxy_to(&path, None);
-            if reply.status != 200 {
-                continue;
-            }
-            pages += 1;
-            levels = levels.max(level + 1);
-            for href in extract_hrefs(reply.body.as_str()) {
-                if seen.insert(href.clone()) {
-                    queue.push_back((href, level + 1));
-                }
-            }
-        }
-        Ok(WarmupReport {
-            pages,
-            levels,
-            elapsed_us: micros_since(start),
-        })
-    }
 }
 
 impl Drop for ClusterService {
@@ -446,7 +412,7 @@ impl Drop for ClusterService {
 }
 
 /// The most paths one shard's [`Lkg`] remembers: room for any site
-/// [`ClusterService::crawl_warm`] can prime, and a bound on what
+/// the warm-up crawl can prime, and a bound on what
 /// percent-encoding variants of valid URLs can make the router hold.
 const LKG_CAP: usize = 16 * 1024;
 
@@ -726,8 +692,21 @@ impl ClickService for ClusterService {
             },
         })
     }
+    /// Primes the router's last-known-good copies: the
+    /// [`crawl::crawl`] from `/`, each URL fetched through its worker.
+    /// After this, degraded mode can serve every page of the site.
+    /// `_parallelism` is ignored, as by [`crate::SiteService::warm`].
     fn warm(&self, _parallelism: Parallelism) -> Result<WarmupReport, ServeError> {
-        self.crawl_warm()
+        let start = Instant::now();
+        let site = crawl::crawl(|url| {
+            let reply = self.proxy_to(url, None);
+            Ok::<_, ServeError>((reply.status == 200).then_some(reply.body))
+        })?;
+        Ok(WarmupReport {
+            pages: site.urls.len(),
+            levels: site.levels,
+            elapsed_us: micros_since(start),
+        })
     }
     fn transport(&self) -> Option<&TransportCounters> {
         Some(&self.transport)
@@ -747,40 +726,9 @@ fn static_content_type(ct: &str) -> &'static str {
     }
 }
 
-/// Whether `path` is a reserved endpoint (`/metrics`, health, debug)
-/// rather than a page: never crawled, never worth a last-known-good copy.
-fn is_reserved(path: &str) -> bool {
-    const RESERVED: [&str; 4] = ["/metrics", "/healthz", "/readyz", "/debug"];
-    RESERVED.iter().any(|r| path.starts_with(r))
-}
-
-/// Intra-site links (`href="/..."`) in a rendered page body, reserved
-/// endpoints left out.
-fn extract_hrefs(body: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut rest = body;
-    while let Some(i) = rest.find("href=\"") {
-        rest = &rest[i + 6..];
-        let Some(end) = rest.find('"') else { break };
-        let href = &rest[..end];
-        if href.starts_with('/') && !is_reserved(href) {
-            out.push(href.split('#').next().unwrap_or(href).to_owned());
-        }
-        rest = &rest[end..];
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hrefs_are_extracted_intra_site_only() {
-        let body = r##"<a href="/page/A">a</a> <a href="http://x/">x</a>
-                       <a href="/data/n1#frag">n</a>"##;
-        assert_eq!(extract_hrefs(body), vec!["/page/A", "/data/n1"]);
-    }
 
     #[test]
     fn an_identical_fresh_copy_is_not_stored_again() {

@@ -860,7 +860,7 @@ mod imp {
             let Some(conn) = self.conns[idx].as_mut() else {
                 return false;
             };
-            let len = reply.body.as_str().len();
+            let len = reply.body.as_ref().len();
             conn.out.clear();
             proto::encode_head(
                 &mut conn.out,
@@ -886,7 +886,7 @@ mod imp {
                 };
                 let head = &conn.out[conn.out_pos.min(conn.out.len())..];
                 let body = conn.body.as_ref().map_or(&[][..], |body| {
-                    &body.as_str().as_bytes()[conn.out_pos.saturating_sub(conn.out.len())..]
+                    &body.as_ref().as_bytes()[conn.out_pos.saturating_sub(conn.out.len())..]
                 });
                 if head.is_empty() && body.is_empty() {
                     break;

@@ -38,6 +38,7 @@
 
 pub mod cache;
 pub mod cluster;
+pub mod crawl;
 mod event;
 pub mod metrics;
 pub mod proto;
@@ -45,7 +46,7 @@ pub mod render;
 pub mod router;
 pub mod server;
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -63,7 +64,7 @@ pub use server::{serve, ClickService, ServerConfig, ServerHandle, Transport, War
 use strudel_graph::GraphDelta;
 use strudel_repo::{Database, PagedRepo};
 use strudel_schema::dynamic::{DynamicSite, InvalidationOutcome, Mode, PageKey};
-use strudel_struql::{par, Parallelism, Program, StruqlError};
+use strudel_struql::{Parallelism, Program, StruqlError};
 use strudel_template::{TemplateError, TemplateSet};
 
 /// Anything that can go wrong while serving.
@@ -180,12 +181,13 @@ impl Response {
     }
 }
 
-/// What [`SiteService::warm`] did.
+/// What a front's [`ClickService::warm`] did.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WarmupReport {
-    /// Pages rendered into the HTML cache.
+    /// Pages warmed: `/page/` URLs rendered into the HTML cache, or for
+    /// the router, URLs whose last-known-good copy it primed.
     pub pages: usize,
-    /// BFS levels walked from the roots.
+    /// Breadth-first levels of the crawl from `/` ([`crawl::Crawl`]).
     pub levels: usize,
     /// Wall-clock time spent warming, in microseconds.
     pub elapsed_us: u64,
@@ -623,15 +625,9 @@ impl SiteService {
             return ("debug/explain".into(), r);
         }
         if path.starts_with("/page/") {
-            let db = self.engine.database();
-            let key = router::parse_page_path(path, db.graph());
-            drop(db);
-            let Some(key) = key else {
+            let Some(key) = self.page_key(path) else {
                 return ("not_found".into(), Response::not_found(path));
             };
-            if self.engine.schema().node_index(&key.symbol).is_none() {
-                return ("not_found".into(), Response::not_found(path));
-            }
             let response = self.serve_page(&key, path);
             let route = match response.status {
                 404 => "not_found".into(),
@@ -640,18 +636,33 @@ impl SiteService {
             return (route, response);
         }
         if path.starts_with("/data/") {
-            let oid = router::parse_data_path(path, self.engine.database().graph());
-            let Some(oid) = oid else {
-                return ("not_found".into(), Response::not_found(path));
-            };
-            let object = render::Object::Data(oid);
-            let r = match render::render(&self.engine, &self.templates, &self.choice, object) {
-                Ok(page) => Response::html(page.html.to_string()),
-                Err(e) => Response::error(&e),
+            let r = match self.render_data(path) {
+                None => return ("not_found".into(), Response::not_found(path)),
+                Some(Ok(page)) => Response::html(page.html.to_string()),
+                Some(Err(e)) => Response::error(&e),
             };
             return ("data".into(), r);
         }
         ("not_found".into(), Response::not_found(path))
+    }
+
+    /// The page a `/page/` path names, if it parses to a symbol of the
+    /// site schema.
+    fn page_key(&self, path: &str) -> Option<PageKey> {
+        let db = self.engine.database();
+        let key = router::parse_page_path(path, db.graph())?;
+        drop(db);
+        self.engine.schema().node_index(&key.symbol)?;
+        Some(key)
+    }
+
+    /// Renders the data object a `/data/` path names; `None` if it names
+    /// none. Data views are not cached.
+    fn render_data(&self, path: &str) -> Option<Result<CachedPage, ServeError>> {
+        let oid = router::parse_data_path(path, self.engine.database().graph())?;
+        let data = render::Object::Data(oid);
+        let rendered = render::render(&self.engine, &self.templates, &self.choice, data);
+        Some(rendered)
     }
 
     fn serve_page(&self, key: &PageKey, path: &str) -> Response {
@@ -682,45 +693,43 @@ impl SiteService {
         Ok(cached)
     }
 
-    /// Pre-renders every page reachable from the root collection into the
-    /// HTML cache, level by level from the roots, rendering each level's
-    /// pages across `parallelism` workers. After warmup, first hits serve
-    /// straight from cache instead of paying click-time evaluation.
+    /// Pre-renders the served site into the HTML cache: the
+    /// [`crawl::crawl`] from `/`, each `/page/` URL rendered into the
+    /// cache and each `/data/` URL rendered only to follow its links.
+    /// After warmup, first hits serve straight from cache instead of
+    /// paying click-time evaluation. The crawl is not a client: it books
+    /// no request and no cache miss. `_parallelism` is ignored — the
+    /// crawl runs on the calling thread; the argument goes when the
+    /// perfbench harness stops passing it (ROADMAP item 1).
     ///
     /// Safe to run on a live service: inserts are epoch-fenced, so a
     /// delta applied mid-warmup simply drops the stale renditions.
-    pub fn warm(&self, parallelism: Parallelism) -> Result<WarmupReport, ServeError> {
+    pub fn warm(&self, _parallelism: Parallelism) -> Result<WarmupReport, ServeError> {
         let start = Instant::now();
-        let mut frontier: Vec<PageKey> = self.engine.roots(&self.root_collection)?;
-        let mut seen: HashSet<PageKey> = frontier.iter().cloned().collect();
-        let mut pages = 0usize;
-        let mut levels = 0usize;
-        while !frontier.is_empty() {
-            // Pages within one BFS level are independent renders; the
-            // engine and the cache are `&self`-shared, so fan the level out.
-            let rendered = par::map_chunks(frontier, parallelism.workers(), |chunk| {
-                chunk
-                    .into_iter()
-                    .map(|key| self.render_into_cache(&key))
-                    .collect()
-            })?;
-            levels += 1;
-            pages += rendered.len();
-            let mut next = Vec::new();
-            for page in &rendered {
-                for dep in page.deps.iter() {
-                    if seen.insert(dep.clone()) {
-                        next.push(dep.clone());
-                    }
-                }
-            }
-            frontier = next;
-        }
+        let site = crawl::crawl(|url| self.prerender(url))?;
         Ok(WarmupReport {
-            pages,
-            levels,
+            pages: site.urls.iter().filter(|u| u.starts_with("/page/")).count(),
+            levels: site.levels,
             elapsed_us: start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
         })
+    }
+
+    /// One URL of the warm-up crawl, rendered as [`SiteService::handle`]
+    /// would answer it; `None` for a URL that answers no page.
+    fn prerender(&self, url: &str) -> Result<Option<Arc<str>>, ServeError> {
+        if url == "/" {
+            let html = render::render_roots_index(&self.engine, &self.root_collection)?;
+            return Ok(Some(html.into()));
+        }
+        let rendered = match self.page_key(url) {
+            Some(key) => Some(self.render_into_cache(&key)),
+            None => self.render_data(url),
+        };
+        match rendered {
+            Some(Ok(page)) => Ok(Some(page.html)),
+            None | Some(Err(ServeError::NoSuchPage)) => Ok(None),
+            Some(Err(e)) => Err(e),
+        }
     }
 
     /// Applies a data-graph delta: swaps the engine's database snapshot

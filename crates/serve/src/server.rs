@@ -72,8 +72,8 @@ pub(crate) enum Body {
     Owned(String),
 }
 
-impl Body {
-    pub(crate) fn as_str(&self) -> &str {
+impl AsRef<str> for Body {
+    fn as_ref(&self) -> &str {
         match self {
             Body::Shared(body) => body,
             Body::Owned(body) => body,
@@ -156,7 +156,9 @@ pub trait ClickService: Send + Sync + 'static {
     fn try_forward(&self, _path: &str) -> Option<crate::cluster::Forward> {
         None
     }
-    /// Pre-renders every reachable page before accepting traffic.
+    /// Warms the front before it accepts traffic by the one
+    /// [`crate::crawl`] of its site from `/`. `parallelism` is ignored:
+    /// the crawl runs on the calling thread.
     fn warm(&self, parallelism: Parallelism) -> Result<WarmupReport, ServeError>;
     /// Where the `note_*` hooks below book what the transport tells
     /// them, unless overridden: the front's own [`TransportCounters`].

@@ -151,6 +151,27 @@ fn shards_is_not_a_serve_flag() {
 }
 
 #[test]
+fn warm_takes_no_worker_count() {
+    // The warm-up is one crawl on one thread; a stale script that still
+    // sizes it must hear that. The bare switch is taken: a bad --backlog
+    // then makes the binary exit instead of serving forever.
+    let dir = demo_dir();
+    for count in ["2", "auto"] {
+        let result = strudel(&["serve", dir.to_str().unwrap(), "--warm", count]);
+        assert_eq!(result.status.code(), Some(1), "--warm {count}");
+        let stderr = String::from_utf8_lossy(&result.stderr);
+        assert!(
+            stderr.contains("the --warm worker count was removed"),
+            "{stderr}"
+        );
+    }
+    let result = strudel(&["serve", dir.to_str().unwrap(), "--warm", "--backlog", "x"]);
+    assert_eq!(result.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&result.stderr);
+    assert!(stderr.contains("--backlog needs a number"), "{stderr}");
+}
+
+#[test]
 fn pool_pages_and_page_size_are_not_serve_flags() {
     // The store has no pages or buffer pool any more; a stale script
     // that still sizes them must hear that, not have them ignored.
@@ -274,18 +295,13 @@ fn serve_with_a_store_serves_the_deltas_it_committed() {
         out
     };
     // Every page reachable from the index.
-    let mut urls = vec!["/".to_string()];
     let mut bodies = Vec::new();
-    while let Some(url) = urls.get(bodies.len()).cloned() {
-        let body = get(&url);
-        for part in body.split("href=\"").skip(1) {
-            let href = &part[..part.find('"').unwrap()];
-            if href.starts_with("/page/") && !urls.iter().any(|u| u == href) {
-                urls.push(href.to_string());
-            }
-        }
-        bodies.push(body);
-    }
+    let urls = strudel_serve::crawl::crawl(|url| {
+        bodies.push(get(url));
+        Ok::<_, std::convert::Infallible>(bodies.last().cloned())
+    })
+    .unwrap()
+    .urls;
     let _ = child.kill();
     let _ = child.wait();
     std::fs::remove_dir_all(&store).ok();

@@ -13,6 +13,7 @@
 mod common;
 
 use std::collections::HashSet;
+use std::convert::Infallible;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -25,6 +26,7 @@ use strudel_prng::{Rng, SeedableRng, SmallRng};
 use strudel_repo::{Database, IndexLevel, PagedRepo, PagerConfig};
 use strudel_schema::dynamic::Mode;
 use strudel_serve::cluster::FAULT_PLAN_ENV;
+use strudel_serve::crawl::site_urls;
 use strudel_serve::router::shard_of_path;
 use strudel_serve::{
     proto, serve, ClickService, ClusterConfig, ClusterService, Response, ServerConfig,
@@ -134,30 +136,15 @@ fn open_store(store_dir: &Path) -> PagedRepo {
     PagedRepo::open(store_dir, PagerConfig::default()).unwrap()
 }
 
-/// BFS-crawls every page reachable from `/` through `get`.
+/// Every URL of the site `get` serves, sorted; each answers 200.
 fn crawl(get: &dyn Fn(&str) -> Response) -> Vec<String> {
-    let mut seen = vec!["/".to_string()];
-    let mut queue = vec!["/".to_string()];
-    while let Some(path) = queue.pop() {
-        let response = get(&path);
+    let mut paths = site_urls(|path| {
+        let response = get(path);
         assert_eq!(response.status, 200, "crawl of {path}");
-        let mut rest = response.body.as_str();
-        while let Some(i) = rest.find("href=\"") {
-            rest = &rest[i + 6..];
-            let Some(end) = rest.find('"') else { break };
-            let href = rest[..end].to_string();
-            rest = &rest[end..];
-            let reserved = ["/metrics", "/healthz", "/readyz", "/debug"]
-                .iter()
-                .any(|r| href.starts_with(r));
-            if href.starts_with('/') && !reserved && !seen.contains(&href) {
-                seen.push(href.clone());
-                queue.push(href);
-            }
-        }
-    }
-    seen.sort();
-    seen
+        response
+    });
+    paths.sort();
+    paths
 }
 
 /// A deterministic always-applicable delta: one new article per call.
@@ -236,21 +223,11 @@ fn random_delta(rng: &mut SmallRng, g: &Graph) -> GraphDelta {
 /// body, sorted by path. Unlike [`crawl`] it takes any status: a random
 /// delta may leave a linked page without a view.
 fn crawl_responses(get: &dyn Fn(&str) -> Response) -> Vec<(String, u16, String)> {
-    let mut seen = vec!["/".to_string()];
-    let mut i = 0;
-    while i < seen.len() {
-        let body = get(&seen[i]).body;
-        for part in body.split("href=\"").skip(1) {
-            let Some(end) = part.find('"') else { continue };
-            let href = &part[..end];
-            if href.starts_with("/page/") && !seen.iter().any(|u| u == href) {
-                seen.push(href.to_string());
-            }
-        }
-        i += 1;
-    }
-    seen.sort();
-    seen.into_iter()
+    let site = strudel_serve::crawl::crawl(|path| Ok::<_, Infallible>(Some(get(path).body)));
+    let mut paths = site.unwrap().urls;
+    paths.sort();
+    paths
+        .into_iter()
         .map(|path| {
             let r = get(&path);
             (path, r.status, r.body)
@@ -326,7 +303,7 @@ fn a_cluster_serves_byte_identically_and_degrades_through_a_kill() {
     assert_eq!(cluster.ready_workers(), 2);
 
     // Warm primes the router's last-known-good cache for every page.
-    let report = ClickService::warm(&*cluster, strudel_struql::Parallelism::Threads(2)).unwrap();
+    let report = ClickService::warm(&*cluster, strudel_struql::Parallelism::Sequential).unwrap();
     assert!(report.pages >= 7, "root + six articles, got {}", report.pages);
 
     let oracle = oracle(base_graph());
@@ -469,7 +446,7 @@ fn sigkill_under_keepalive_traffic_drops_zero_connections() {
         test_config(workers, &site_dir, &store_dir),
     )
     .unwrap();
-    ClickService::warm(&*cluster, strudel_struql::Parallelism::Threads(2)).unwrap();
+    ClickService::warm(&*cluster, strudel_struql::Parallelism::Sequential).unwrap();
 
     // The cluster router itself behind the epoll keep-alive front.
     let server = serve(
@@ -631,7 +608,7 @@ fn upstream_counters_reconcile_with_a_seeded_run() {
     // No background probes: every exchange below is one this test made.
     config.probe_interval = Duration::from_secs(3600);
     let cluster = ClusterService::start(open_store(&store_dir), config).unwrap();
-    ClickService::warm(&*cluster, strudel_struql::Parallelism::Threads(2)).unwrap();
+    ClickService::warm(&*cluster, strudel_struql::Parallelism::Sequential).unwrap();
     let oracle = oracle(base_graph());
     let paths = crawl(&|p| cluster.handle(p));
 
@@ -700,7 +677,7 @@ fn upstream_counters_reconcile_through_the_reactor() {
     // No background probes: every exchange below is one this test made.
     config.probe_interval = Duration::from_secs(3600);
     let cluster = ClusterService::start(open_store(&store_dir), config).unwrap();
-    ClickService::warm(&*cluster, Parallelism::Threads(2)).unwrap();
+    ClickService::warm(&*cluster, Parallelism::Sequential).unwrap();
     let oracle = oracle(base_graph());
     let paths = crawl(&|p| oracle.handle(p));
     let server = epoll_router(&cluster, 2);
@@ -793,7 +770,7 @@ fn a_stalled_worker_does_not_stall_the_router() {
         format!("shard=0;stall=5000;at=req:{}", on0.len() + 1),
     ));
     let cluster = ClusterService::start(open_store(&store_dir), config).unwrap();
-    let report = ClickService::warm(&*cluster, Parallelism::Threads(2)).unwrap();
+    let report = ClickService::warm(&*cluster, Parallelism::Sequential).unwrap();
     assert_eq!(report.pages, paths.len(), "the crawl primed every page");
     let server = epoll_router(&cluster, 1);
     let addr = server.addr();

@@ -13,6 +13,7 @@ use strudel_graph::{ddl, Graph, GraphDelta, Oid, Value};
 use strudel_prng::{Rng, SeedableRng, SmallRng};
 use strudel_repo::{Database, IndexLevel};
 use strudel_schema::dynamic::Mode;
+use strudel_serve::crawl::site_urls;
 use strudel_serve::SiteService;
 use strudel_template::TemplateSet;
 
@@ -84,32 +85,13 @@ fn mutation_delta(rng: &mut SmallRng, g: &Graph) -> GraphDelta {
     delta
 }
 
-/// Every URL reachable from `/` by following `/page/…` hrefs.
-fn crawl(handle: impl Fn(&str) -> String) -> Vec<String> {
-    let mut urls = vec!["/".to_string()];
-    let mut i = 0;
-    while i < urls.len() {
-        let body = handle(&urls[i]);
-        for part in body.split("href=\"").skip(1) {
-            if let Some(end) = part.find('"') {
-                let href = &part[..end];
-                if href.starts_with("/page/") && !urls.iter().any(|u| u == href) {
-                    urls.push(href.to_string());
-                }
-            }
-        }
-        i += 1;
-    }
-    urls
-}
-
 #[test]
 fn concurrent_clicks_see_pre_or_post_delta_never_a_mix() {
     for seed in 0..3u64 {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut graph = base_graph();
         let live = Arc::new(build(graph.clone()));
-        let urls: Arc<Vec<String>> = Arc::new(crawl(|u| live.handle(u).body));
+        let urls: Arc<Vec<String>> = Arc::new(site_urls(|u| live.handle(u)));
         assert!(urls.len() > 4, "crawl found the article pages");
 
         for round in 0..4 {

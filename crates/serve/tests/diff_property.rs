@@ -31,6 +31,7 @@ use strudel_graph::{ddl, graphs_equivalent, Graph, GraphDelta, Oid, Value};
 use strudel_prng::{Rng, SeedableRng, SmallRng};
 use strudel_repo::{Database, IndexLevel};
 use strudel_schema::dynamic::{Mode, PageKey};
+use strudel_serve::crawl::site_urls;
 use strudel_serve::SiteService;
 use strudel_struql::Evaluator;
 use strudel_template::TemplateSet;
@@ -179,25 +180,6 @@ fn random_delta(rng: &mut SmallRng, g: &Graph) -> GraphDelta {
     delta
 }
 
-/// Every URL reachable from `/` by following `/page/…` hrefs.
-fn crawl(service: &SiteService) -> Vec<String> {
-    let mut urls = vec!["/".to_string()];
-    let mut i = 0;
-    while i < urls.len() {
-        let body = service.handle(&urls[i]).body;
-        for part in body.split("href=\"").skip(1) {
-            if let Some(end) = part.find('"') {
-                let href = &part[..end];
-                if href.starts_with("/page/") && !urls.iter().any(|u| u == href) {
-                    urls.push(href.to_string());
-                }
-            }
-        }
-        i += 1;
-    }
-    urls
-}
-
 fn sorted_view(
     v: Arc<strudel_schema::dynamic::PageView>,
 ) -> Vec<(String, strudel_schema::dynamic::DynTarget)> {
@@ -213,7 +195,7 @@ fn random_kleene_deltas_keep_maintained_service_equal_to_fresh_build() {
         let mut graph = base_graph();
         let live = build_service(graph.clone());
         // Pre-warm so later rounds exercise maintained pages, not misses.
-        for url in crawl(&live) {
+        for url in site_urls(|u| live.handle(u)) {
             live.handle(&url);
         }
 
@@ -226,8 +208,8 @@ fn random_kleene_deltas_keep_maintained_service_equal_to_fresh_build() {
             let fresh = build_service(graph.clone());
 
             // Byte-equality over everything reachable.
-            let live_urls = crawl(&live);
-            let fresh_urls = crawl(&fresh);
+            let live_urls = site_urls(|u| live.handle(u));
+            let fresh_urls = site_urls(|u| fresh.handle(u));
             assert_eq!(
                 live_urls, fresh_urls,
                 "seed {seed} round {round}: reachable URL sets diverged"

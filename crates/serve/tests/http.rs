@@ -7,6 +7,7 @@
 
 mod common;
 
+use std::convert::Infallible;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -15,6 +16,7 @@ use std::time::{Duration, Instant};
 
 use strudel::sites::news_site;
 use strudel_schema::dynamic::Mode;
+use strudel_serve::crawl::crawl;
 use strudel_serve::server::MAX_REQUEST_BYTES;
 use strudel_serve::{serve, ServerConfig, SiteService, Transport};
 use strudel_workload::news::{generate, NewsConfig};
@@ -66,23 +68,14 @@ fn body_of(response: &str) -> &str {
     response.split("\r\n\r\n").nth(1).unwrap_or("")
 }
 
-/// Every `/page/…` href reachable from the index, breadth-first.
+/// The first `limit` URLs of the site, breadth first from `/`.
 fn crawl_urls(addr: SocketAddr, limit: usize) -> Vec<String> {
-    let mut urls = vec!["/".to_string()];
-    let mut i = 0;
-    while i < urls.len() && urls.len() < limit {
-        let html = get(addr, &urls[i]);
-        for part in html.split("href=\"").skip(1) {
-            if let Some(end) = part.find('"') {
-                let href = &part[..end];
-                if href.starts_with("/page/") && !urls.iter().any(|u| u == href) {
-                    urls.push(href.to_string());
-                }
-            }
-        }
-        i += 1;
-    }
-    urls
+    let mut fetched = 0;
+    let site = crawl(|url| {
+        fetched += 1;
+        Ok::<_, Infallible>((fetched <= limit).then(|| get(addr, url)))
+    });
+    site.unwrap().urls
 }
 
 #[test]

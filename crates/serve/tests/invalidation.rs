@@ -383,7 +383,7 @@ fn a_delta_parked_in_the_swap_window_does_not_block_the_reactor() {
         return;
     }
     let service = Arc::new(service());
-    service.warm(Parallelism::Threads(1)).unwrap();
+    service.warm(Parallelism::Sequential).unwrap();
     let x_url = service.url_of(&article_key(&service, "a1"));
     let server = serve(
         service.clone(),

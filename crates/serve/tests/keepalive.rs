@@ -21,6 +21,7 @@ use std::time::{Duration, Instant};
 
 use strudel::sites::news_site;
 use strudel_schema::dynamic::Mode;
+use strudel_serve::crawl::site_urls;
 use strudel_serve::{
     proto, serve, CachedPage, ClickService, Response, ServeError, ServerConfig, SiteService,
     Transport, WarmHit, WarmupReport,
@@ -352,20 +353,9 @@ fn os_thread_count() -> usize {
 /// inline hit) and its `/page/…` URLs.
 fn start_warm() -> (Arc<SiteService>, strudel_serve::ServerHandle, Vec<String>) {
     let (service, server) = start(epoll_config());
-    service.warm(Parallelism::Threads(2)).unwrap();
-    let mut urls = vec!["/".to_string()];
-    let mut i = 0;
-    while i < urls.len() {
-        let body = service.handle(&urls[i]).body;
-        for part in body.split("href=\"").skip(1) {
-            let href = &part[..part.find('"').unwrap_or(0)];
-            if href.starts_with("/page/") && !urls.iter().any(|u| u == href) {
-                urls.push(href.to_string());
-            }
-        }
-        i += 1;
-    }
-    urls.remove(0);
+    service.warm(Parallelism::Sequential).unwrap();
+    let mut urls = site_urls(|u| service.handle(u));
+    urls.retain(|u| u.starts_with("/page/"));
     assert!(urls.len() >= 10, "crawl found pages: {}", urls.len());
     (service, server, urls)
 }

@@ -15,6 +15,7 @@ use strudel_graph::{ddl, Graph, GraphDelta, Oid, Value};
 use strudel_prng::{Rng, SeedableRng, SmallRng};
 use strudel_repo::{Database, IndexLevel};
 use strudel_schema::dynamic::Mode;
+use strudel_serve::crawl::site_urls;
 use strudel_serve::SiteService;
 use strudel_template::TemplateSet;
 
@@ -137,25 +138,6 @@ fn random_delta(rng: &mut SmallRng, g: &Graph) -> GraphDelta {
     delta
 }
 
-/// Every URL reachable from `/` by following `/page/…` hrefs.
-fn crawl(service: &SiteService) -> Vec<String> {
-    let mut urls = vec!["/".to_string()];
-    let mut i = 0;
-    while i < urls.len() {
-        let body = service.handle(&urls[i]).body;
-        for part in body.split("href=\"").skip(1) {
-            if let Some(end) = part.find('"') {
-                let href = &part[..end];
-                if href.starts_with("/page/") && !urls.iter().any(|u| u == href) {
-                    urls.push(href.to_string());
-                }
-            }
-        }
-        i += 1;
-    }
-    urls
-}
-
 #[test]
 fn random_mixed_deltas_keep_live_service_equal_to_fresh_build() {
     for seed in 0..4u64 {
@@ -163,7 +145,7 @@ fn random_mixed_deltas_keep_live_service_equal_to_fresh_build() {
         let mut graph = base_graph();
         let live = build_service(graph.clone());
         // Pre-warm so later rounds exercise cached pages, not just misses.
-        for url in crawl(&live) {
+        for url in site_urls(|u| live.handle(u)) {
             live.handle(&url);
         }
 
@@ -174,8 +156,8 @@ fn random_mixed_deltas_keep_live_service_equal_to_fresh_build() {
                 .unwrap_or_else(|e| panic!("seed {seed} round {round}: {e}"));
 
             let fresh = build_service(graph.clone());
-            let live_urls = crawl(&live);
-            let fresh_urls = crawl(&fresh);
+            let live_urls = site_urls(|u| live.handle(u));
+            let fresh_urls = site_urls(|u| fresh.handle(u));
             assert_eq!(
                 live_urls, fresh_urls,
                 "seed {seed} round {round}: reachable URL sets diverged"

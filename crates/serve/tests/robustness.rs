@@ -30,7 +30,7 @@ fn service() -> Arc<SiteService> {
 /// would answer it inline — unless a probe is armed, which
 /// must send every click through `handle` where probes fire.
 fn warm_page(svc: &SiteService) -> String {
-    svc.warm(Parallelism::Threads(2)).unwrap();
+    svc.warm(Parallelism::Sequential).unwrap();
     let roots = svc.engine().roots(svc.root_collection()).unwrap();
     svc.url_of(&roots[0])
 }

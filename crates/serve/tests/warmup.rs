@@ -1,9 +1,10 @@
-//! Parallel cold-cache warmup: `SiteService::warm` pre-renders every
-//! reachable page, across workers, with byte-identical output to cold
-//! click-time rendering.
+//! Cold-cache warmup: `SiteService::warm` pre-renders every page the
+//! site links from `/`, byte-identical to cold click-time rendering, and
+//! books no request and no cache miss.
 
 use strudel::sites::news_site;
 use strudel_schema::dynamic::Mode;
+use strudel_serve::crawl::site_urls;
 use strudel_serve::SiteService;
 use strudel_struql::Parallelism;
 use strudel_workload::news::{generate, NewsConfig};
@@ -17,29 +18,15 @@ fn service() -> SiteService {
     SiteService::new(&site, Mode::Context)
 }
 
-/// Every page URL reachable from the roots, via the service's own router.
+/// Every URL of the site, via the service's own router.
 fn all_urls(service: &SiteService) -> Vec<String> {
-    let mut urls = vec!["/".to_string()];
-    let mut i = 0;
-    while i < urls.len() {
-        let body = service.handle(&urls[i]).body;
-        for part in body.split("href=\"").skip(1) {
-            if let Some(end) = part.find('"') {
-                let href = &part[..end];
-                if href.starts_with("/page/") && !urls.iter().any(|u| u == href) {
-                    urls.push(href.to_string());
-                }
-            }
-        }
-        i += 1;
-    }
-    urls
+    site_urls(|url| service.handle(url))
 }
 
 #[test]
 fn warm_prerenders_every_reachable_page() {
     let svc = service();
-    let report = svc.warm(Parallelism::Threads(4)).unwrap();
+    let report = svc.warm(Parallelism::Sequential).unwrap();
     assert!(report.pages >= 10, "warmed a real site: {report:?}");
     assert!(report.levels >= 2, "roots plus at least one child level");
     assert_eq!(svc.cache().len(), report.pages);
@@ -58,28 +45,37 @@ fn warm_prerenders_every_reachable_page() {
 }
 
 #[test]
+fn warm_leaves_the_request_books_alone() {
+    let svc = service();
+    svc.warm(Parallelism::Sequential).unwrap();
+    // The `/metrics` body is assembled before its own request is booked.
+    let metrics = svc.handle("/metrics").body;
+    for row in [
+        "strudel_requests_total 0",
+        "strudel_html_cache_misses_total 0",
+    ] {
+        assert!(metrics.lines().any(|l| l == row), "{row}:\n{metrics}");
+    }
+}
+
+#[test]
 fn warmed_pages_match_cold_rendering_bytes() {
     let cold = service();
     let warm = service();
-    warm.warm(Parallelism::Threads(4)).unwrap();
-    // Also exercise the sequential path for the same comparison.
-    let seq = service();
-    seq.warm(Parallelism::Sequential).unwrap();
-
+    warm.warm(Parallelism::Sequential).unwrap();
     for url in all_urls(&cold) {
         let reference = cold.handle(&url);
         assert_eq!(reference.status, 200, "{url}");
         assert_eq!(warm.handle(&url).body, reference.body, "{url}");
-        assert_eq!(seq.handle(&url).body, reference.body, "{url}");
     }
 }
 
 #[test]
 fn warm_is_idempotent() {
     let svc = service();
-    let first = svc.warm(Parallelism::Threads(2)).unwrap();
+    let first = svc.warm(Parallelism::Sequential).unwrap();
     let cached = svc.cache().len();
-    let second = svc.warm(Parallelism::Threads(2)).unwrap();
+    let second = svc.warm(Parallelism::Sequential).unwrap();
     assert_eq!(first.pages, second.pages);
     assert_eq!(svc.cache().len(), cached);
 }

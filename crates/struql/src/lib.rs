@@ -62,7 +62,6 @@ mod error;
 pub mod eval;
 pub mod explain;
 mod lexer;
-pub mod par;
 mod parser;
 pub mod plan;
 mod pretty;
@@ -77,7 +76,21 @@ pub use error::{StruqlError, StruqlResult};
 pub use eval::diff::{delta_rows, DeltaTouch, DiffOutcome, SignedRow};
 pub use eval::{where_vars, EvalOptions, EvalResult, Evaluator, PreparedWhere};
 pub use explain::{ExplainReport, ExplainStep};
-pub use par::Parallelism;
 pub use parser::{parse, parse_path_regex};
 pub use pretty::{pretty, pretty_condition};
 pub use token::Span;
+
+/// The worker count a caller once passed to the click-time cache
+/// warm-up. Kept only because the perfbench harness still passes it to
+/// `SiteService::warm` and its `ClickService` implementations, which
+/// ignore it — the warm-up is one crawl on the calling thread; it goes
+/// when the harness stops naming it (ROADMAP item 1).
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Parallelism {
+    /// The calling thread.
+    #[default]
+    Sequential,
+    /// Once `n` worker threads; now the calling thread too.
+    Threads(usize),
+}
