@@ -9,7 +9,7 @@ use strudel_schema::constraint::runtime::{self, CheckResult};
 use strudel_schema::constraint::verify::{self, Verdict};
 use strudel_schema::constraint::{parse_constraint, Constraint};
 use strudel_schema::SiteSchema;
-use strudel_struql::{EvalOptions, EvalResult, Evaluator, Program};
+use strudel_struql::{EvalResult, Evaluator, Program};
 use std::sync::Arc;
 use strudel_template::{HtmlGenerator, SiteOutput, TemplateSet};
 
@@ -27,7 +27,6 @@ pub struct SiteBuilder {
     root_collection: String,
     constraints: Vec<String>,
     index_level: Option<IndexLevel>,
-    optimize: bool,
 }
 
 impl SiteBuilder {
@@ -35,7 +34,6 @@ impl SiteBuilder {
     pub fn new(name: &str) -> Self {
         SiteBuilder {
             name: name.to_owned(),
-            optimize: true,
             ..Default::default()
         }
     }
@@ -99,12 +97,6 @@ impl SiteBuilder {
         self
     }
 
-    /// Disables the cost-based condition ordering (ablation).
-    pub fn without_optimizer(mut self) -> Self {
-        self.optimize = false;
-        self
-    }
-
     /// Runs the pipeline: wrap → mediate → evaluate → extract schema →
     /// verify constraints.
     pub fn build(self) -> Result<Site, StrudelError> {
@@ -127,14 +119,7 @@ impl SiteBuilder {
         ));
 
         let program = strudel_struql::parse(&self.query)?;
-        let result = Evaluator::with_options(
-            &database,
-            EvalOptions {
-                optimize: self.optimize,
-                ..EvalOptions::default()
-            },
-        )
-        .eval(&program)?;
+        let result = Evaluator::new(&database).eval(&program)?;
         let schema = SiteSchema::extract(&program);
 
         let mut templates = TemplateSet::new();
@@ -451,13 +436,5 @@ mod tests {
                 .unwrap();
             assert!(framed.result.graph.attr_str(content, "title").count() > 0);
         }
-    }
-
-    #[test]
-    fn optimizer_toggle_does_not_change_results() {
-        let a = builder().build().unwrap();
-        let b = builder().without_optimizer().build().unwrap();
-        assert_eq!(a.result.new_nodes.len(), b.result.new_nodes.len());
-        assert_eq!(a.result.graph.edge_count(), b.result.graph.edge_count());
     }
 }

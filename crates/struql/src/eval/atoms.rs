@@ -1,29 +1,32 @@
 //! Evaluation of individual where-clause conditions over a bindings
 //! relation.
 //!
-//! Every function here maps each input row to zero or more extended rows
-//! independently of every other row, and emits row *i*'s extensions before
-//! row *i+1*'s, on the calling thread.
+//! A condition is compiled once into a [`Step`] against a row layout and a
+//! graph snapshot; [`PreparedWhere`](super::PreparedWhere) runs the steps
+//! in plan order. Every step maps each input row to zero or more extended
+//! rows independently of every other row, and emits row *i*'s extensions
+//! before row *i+1*'s, on the calling thread.
 //!
 //! General path regexes are evaluated *batched*: [`RegexBatch::prepare`]
-//! groups the rows by their distinct bound source (or destination) value
-//! and computes each group's extensions exactly once into a memo table.
-//! The per-row fan-out then only looks the memo up, so the work is
-//! proportional to distinct probe values, not row count. A bound
-//! destination is probed through the graph's reverse adjacency index with
-//! a reversed NFA instead of traversing forward from every node; the
-//! results are emitted in ascending source-oid order, which is exactly the
-//! order the forward full scan produces, so the old per-row engine (kept
-//! behind [`EvalOptions::batch`](super::EvalOptions) as the differential
-//! oracle) and the batched engine agree byte-for-byte.
+//! groups the rows by their distinct bound source (or destination) value,
+//! computes each group's extensions exactly once into a memo table, and
+//! gives every row the index of the entry it reads. The per-row fan-out
+//! then only reads that entry, so the work is proportional to distinct
+//! probe values, not row count. A bound destination is probed through the
+//! graph's reverse adjacency index with a reversed NFA instead of
+//! traversing forward from every node; the results are emitted in
+//! ascending source-oid order, which is exactly the order the forward full
+//! scan produces. That is the order `struql/tests/differential.rs` holds
+//! the engine to, byte for byte, against a nested-loop reference
+//! evaluator that shares no code with this module.
 
 use super::{var_slot, Evaluator, Row};
 use crate::ast::{BuiltinPred, CmpOp, Condition, PathRegex, PathSpec, Term};
 use crate::builtins::eval_builtin;
 use crate::error::{StruqlError, StruqlResult};
 use crate::rpe::{Nfa, StepPred};
-use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
 use strudel_graph::{coerce, CollectionId, Graph, InEdge, Label, Oid, Value};
 use strudel_repo::IndexLevel;
 
@@ -120,9 +123,8 @@ impl Pos {
 /// borrowed), labels and collections resolved to ids, a constant
 /// destination's coercion keys computed, `not(…)` and general regexes
 /// compiled. [`PreparedWhere`](super::PreparedWhere) keeps one per
-/// condition for a database snapshot, so a seeded guard run does no name
-/// lookup and clones no constant; full evaluation compiles a condition
-/// each time it applies one.
+/// condition for a database snapshot, so a run does no name lookup and
+/// clones no constant.
 #[derive(Debug)]
 pub(crate) enum Step {
     Collection {
@@ -147,14 +149,14 @@ pub(crate) enum Step {
         spos: Pos,
         dpos: Pos,
     },
-    /// `rev` is compiled up front only when asked for; a batch that
-    /// needs it otherwise compiles it from `regex`.
+    /// `rev` is compiled from `regex` by the first batch that probes a
+    /// bound destination, and kept: a cached plan compiles it once.
     Regex {
         spos: Pos,
         dpos: Pos,
         regex: PathRegex,
         fwd: Nfa,
-        rev: Option<Nfa>,
+        rev: OnceLock<Nfa>,
     },
     Compare {
         op: CmpOp,
@@ -170,13 +172,8 @@ pub(crate) enum Step {
 
 impl Step {
     /// Compiles `cond` for rows laid out as `vars` over `graph`'s
-    /// interner. `reversed` compiles a general regex's reversed NFA too.
-    pub(crate) fn compile(
-        graph: &Graph,
-        cond: &Condition,
-        vars: &[String],
-        reversed: bool,
-    ) -> StruqlResult<Step> {
+    /// interner.
+    pub(crate) fn compile(graph: &Graph, cond: &Condition, vars: &[String]) -> StruqlResult<Step> {
         Ok(match cond {
             Condition::Collection { name, arg, .. } => Step::Collection {
                 pos: term_pos(arg, vars)?,
@@ -203,7 +200,7 @@ impl Step {
                         Some(StepPred::Any) => Step::Any { spos, dpos },
                         None => Step::Regex {
                             fwd: Nfa::compile(r, graph),
-                            rev: reversed.then(|| Nfa::compile_reversed(r, graph)),
+                            rev: OnceLock::new(),
                             regex: r.clone(),
                             spos,
                             dpos,
@@ -270,7 +267,7 @@ impl Step {
                 Some(label) => apply_label_step(ev, graph, rows, spos, *label, dpos, cands),
                 None => Ok(Vec::new()),
             },
-            Step::Any { spos, dpos } => apply_any_step(ev, graph, rows, spos, dpos),
+            Step::Any { spos, dpos } => apply_any_step(graph, rows, spos, dpos),
             Step::Regex {
                 spos,
                 dpos,
@@ -278,8 +275,9 @@ impl Step {
                 fwd,
                 rev,
             } => {
-                let batch = RegexBatch::prepare(ev, regex, fwd, rev.as_ref(), &rows, spos, dpos);
-                apply_regex(graph, rows, spos, dpos, &batch)
+                let rev = || rev.get_or_init(|| Nfa::compile_reversed(regex, graph));
+                let memo = RegexBatch::prepare(graph, fwd, rev, &rows, spos, dpos);
+                Ok(apply_regex(rows, spos, dpos, &memo))
             }
             Step::Compare { op, lp, rp } => retain_rows(rows, |row| {
                 let (Some(a), Some(b)) = (lp.value(row), rp.value(row)) else {
@@ -350,16 +348,6 @@ fn fan_out<T>(
             out.push(r);
         }
     }
-}
-
-/// Applies one condition to the relation, producing the extended relation.
-pub(crate) fn apply(
-    ev: &Evaluator<'_>,
-    cond: &Condition,
-    rows: Vec<Row>,
-    vars: &[String],
-) -> StruqlResult<Vec<Row>> {
-    Step::compile(ev.db().graph(), cond, vars, false)?.apply(ev, rows)
 }
 
 fn compare_keeps(op: CmpOp, a: &Value, b: &Value) -> bool {
@@ -472,9 +460,9 @@ impl NotCheck {
     }
 
     /// Whether the inner condition has at least one satisfying extension
-    /// of `row` — i.e. whether `apply(cond, [row])` would be non-empty —
-    /// without cloning the row or materializing the extensions. Keep/error
-    /// decisions match [`apply`] exactly.
+    /// of `row` — i.e. whether its [`Step`] applied to `[row]` would be
+    /// non-empty — without cloning the row or materializing the
+    /// extensions. Keep/error decisions match [`Step::apply`] exactly.
     fn holds(&self, graph: &Graph, row: &Row) -> StruqlResult<bool> {
         // The label slot check mirrors Pos::would_unify for the arc
         // variable's string binding.
@@ -660,10 +648,13 @@ fn apply_arc_var(
     dpos: &Pos,
     cands: &DstCandidates,
 ) -> StruqlResult<Vec<Row>> {
-    let batched = ev.batched();
     let tracing = strudel_trace::enabled();
     let mut fwd_probes: u64 = 0;
     let mut rev_probes: u64 = 0;
+    // The arc variable binds the label's name.
+    let label = |r: &mut Row, l: Label| {
+        Pos::Slot(lslot).unify(r, &Value::string(graph.label_name(l)))
+    };
     let mut out = Vec::new();
     for row in rows {
         match spos.value(&row) {
@@ -671,16 +662,8 @@ fn apply_arc_var(
                 let o = *o;
                 fwd_probes += 1;
                 for e in graph.edges(o) {
-                    let lname = Value::string(graph.label_name(e.label));
                     let mut r = row.clone();
-                    let lab_ok = match &r[lslot] {
-                        Some(existing) => coerce::eq(existing, &lname),
-                        None => {
-                            r[lslot] = Some(lname);
-                            true
-                        }
-                    };
-                    if lab_ok && dpos.unify(&mut r, &e.to) {
+                    if label(&mut r, e.label) && dpos.unify(&mut r, &e.to) {
                         out.push(r);
                     }
                 }
@@ -691,28 +674,18 @@ fn apply_arc_var(
                 // Bound node destination: answer from the reverse
                 // adjacency index. Ascending-source order makes the rows
                 // byte-identical to the full scan below.
-                if batched {
-                    if let Some(dv @ Value::Node(t)) = dval {
-                        rev_probes += 1;
-                        for ie in sorted_edges_in(graph, *t) {
-                            let lname = Value::string(graph.label_name(ie.label));
-                            let mut r = row.clone();
-                            let lab_ok = match &r[lslot] {
-                                Some(existing) => coerce::eq(existing, &lname),
-                                None => {
-                                    r[lslot] = Some(lname);
-                                    true
-                                }
-                            };
-                            if lab_ok
-                                && spos.unify(&mut r, &Value::Node(ie.from))
-                                && dpos.unify(&mut r, dv)
-                            {
-                                out.push(r);
-                            }
+                if let Some(dv @ Value::Node(t)) = dval {
+                    rev_probes += 1;
+                    for ie in sorted_edges_in(graph, *t) {
+                        let mut r = row.clone();
+                        if label(&mut r, ie.label)
+                            && spos.unify(&mut r, &Value::Node(ie.from))
+                            && dpos.unify(&mut r, dv)
+                        {
+                            out.push(r);
                         }
-                        continue;
                     }
+                    continue;
                 }
                 // Unbound source: enumerate all edges. With a bound atomic
                 // destination and a full value index, invert through it —
@@ -734,15 +707,7 @@ fn apply_arc_var(
                             .expect("index present per the guard above");
                         for (o, lab) in locs.iter() {
                             let mut r = row.clone();
-                            let lname = Value::string(graph.label_name(*lab));
-                            let lab_ok = match &r[lslot] {
-                                Some(existing) => coerce::eq(existing, &lname),
-                                None => {
-                                    r[lslot] = Some(lname);
-                                    true
-                                }
-                            };
-                            if lab_ok
+                            if label(&mut r, *lab)
                                 && spos.unify(&mut r, &Value::Node(*o))
                                 && dpos.unify(&mut r, dv)
                             {
@@ -756,18 +721,10 @@ fn apply_arc_var(
                 for o in graph.node_oids() {
                     for e in graph.edges(o) {
                         let mut r = row.clone();
-                        if !spos.unify(&mut r, &Value::Node(o)) {
-                            continue;
-                        }
-                        let lname = Value::string(graph.label_name(e.label));
-                        let lab_ok = match &r[lslot] {
-                            Some(existing) => coerce::eq(existing, &lname),
-                            None => {
-                                r[lslot] = Some(lname);
-                                true
-                            }
-                        };
-                        if lab_ok && dpos.unify(&mut r, &e.to) {
+                        if spos.unify(&mut r, &Value::Node(o))
+                            && label(&mut r, e.label)
+                            && dpos.unify(&mut r, &e.to)
+                        {
                             out.push(r);
                         }
                     }
@@ -793,12 +750,11 @@ fn apply_label_step(
     dpos: &Pos,
     cands: &DstCandidates,
 ) -> StruqlResult<Vec<Row>> {
-    let batched = ev.batched();
     // The reverse-adjacency path only replaces the *graph scan* fallback:
     // when an extension or inverted index exists, those keep precedence
     // (and their output order).
     // Asked of the level, not of the index: probing would build it.
-    let use_rev = batched && ev.db().level() == IndexLevel::None;
+    let use_rev = ev.db().level() == IndexLevel::None;
     let tracing = strudel_trace::enabled();
     let mut fwd_probes: u64 = 0;
     let mut rev_probes: u64 = 0;
@@ -890,14 +846,7 @@ fn apply_label_step(
 }
 
 /// `src -> true -> dst`: one edge with any label.
-fn apply_any_step(
-    ev: &Evaluator<'_>,
-    graph: &Graph,
-    rows: Vec<Row>,
-    spos: &Pos,
-    dpos: &Pos,
-) -> StruqlResult<Vec<Row>> {
-    let batched = ev.batched();
+fn apply_any_step(graph: &Graph, rows: Vec<Row>, spos: &Pos, dpos: &Pos) -> StruqlResult<Vec<Row>> {
     let tracing = strudel_trace::enabled();
     let mut fwd_probes: u64 = 0;
     let mut rev_probes: u64 = 0;
@@ -914,19 +863,15 @@ fn apply_any_step(
             }
             Some(_) => {}
             None => {
-                if batched {
-                    if let Some(dv @ Value::Node(t)) = dpos.value(&row) {
-                        rev_probes += 1;
-                        for ie in sorted_edges_in(graph, *t) {
-                            let mut r = row.clone();
-                            if spos.unify(&mut r, &Value::Node(ie.from))
-                                && dpos.unify(&mut r, dv)
-                            {
-                                out.push(r);
-                            }
+                if let Some(dv @ Value::Node(t)) = dpos.value(&row) {
+                    rev_probes += 1;
+                    for ie in sorted_edges_in(graph, *t) {
+                        let mut r = row.clone();
+                        if spos.unify(&mut r, &Value::Node(ie.from)) && dpos.unify(&mut r, dv) {
+                            out.push(r);
                         }
-                        continue;
                     }
+                    continue;
                 }
                 fwd_probes += 1;
                 for o in graph.node_oids() {
@@ -951,168 +896,159 @@ fn apply_any_step(
 ///
 /// [`RegexBatch::prepare`] inspects the whole relation, collects the
 /// distinct probe values per case (bound source, bound destination, both,
-/// neither), and computes each probe's answer exactly once into read-only
-/// memo tables. [`apply_regex`] then fans the memo back out per row.
+/// neither), computes each probe's answer exactly once into read-only
+/// memo tables, and records for every row the entry it reads.
+/// [`apply_regex`] then fans each row's entry back out.
 ///
 /// Determinism rules:
 /// - memo values are pure functions of the probe value, so build order
-///   cannot change any looked-up result;
+///   cannot change any row's result;
 /// - a bound-destination fan-out emits sources in ascending-oid order —
-///   exactly the forward full scan's order — so batched and per-row
-///   engines agree byte-for-byte;
+///   exactly the forward full scan's order;
 /// - a both-bound condition is a pure filter (no slot is written), so
 ///   probing the destination side instead of the source side changes keep
 ///   decisions for no row.
-struct RegexBatch<'s> {
-    fwd: &'s Nfa,
-    rev: Option<Cow<'s, Nfa>>,
-    /// `EvalOptions::batch`: `false` degenerates every lookup to the old
-    /// per-row computation (the differential oracle).
-    batched: bool,
+struct RegexBatch {
+    /// Per input row, in order, the memo entry it reads.
+    probes: Vec<Probe>,
     /// Whether the regex matches the empty path.
     nullable: bool,
-    /// Both-bound rows check membership against the reverse-reachable set
-    /// of the destination instead of forward sets of each source.
-    use_rev_check: bool,
-    /// source value -> forward reachable values, in BFS emit order.
-    fwd_memo: HashMap<Value, Vec<Value>>,
-    /// node destination -> sources reaching it, ascending oid order.
-    rev_fan: HashMap<Value, Vec<Oid>>,
-    /// destination value -> full reverse-reachable value set.
-    rev_check: HashMap<Value, HashSet<Value>>,
+    /// Forward reachable values per distinct source, in BFS emit order.
+    fwd: Vec<Vec<Value>>,
+    /// Sources reaching each distinct node destination, ascending oid order.
+    rev_fan: Vec<Vec<Oid>>,
+    /// The full reverse-reachable value set of each distinct destination.
+    rev_check: Vec<HashSet<Value>>,
     /// Forward reachable values per node, for rows with no bound end.
-    scan: Option<Vec<(Oid, Vec<Value>)>>,
+    scan: Vec<(Oid, Vec<Value>)>,
 }
 
-impl<'s> RegexBatch<'s> {
-    /// `rev` is the step's reversed NFA when it was compiled up front;
-    /// otherwise it is compiled from `regex` if a probe needs it.
-    fn prepare(
-        ev: &Evaluator<'_>,
-        regex: &PathRegex,
-        fwd: &'s Nfa,
-        rev: Option<&'s Nfa>,
+/// What one row of a regex step reads. [`RegexBatch::prepare`] gives
+/// every row one, and every index it hands out names an entry it built,
+/// so a row's lookup cannot miss.
+#[derive(Clone, Copy)]
+enum Probe {
+    /// Bound source, fanned out over `fwd[i]`.
+    Fwd(usize),
+    /// Both ends bound: the row survives if its source is in
+    /// `rev_check[i]`, its destination's reverse-reachable set.
+    Check(usize),
+    /// Bound node destination, unbound source: fanned out over
+    /// `rev_fan[i]`.
+    Fan(usize),
+    /// No usable bound end: fanned out over `scan`.
+    Scan,
+}
+
+/// Distinct probe values, numbered in first-appearance order.
+#[derive(Default)]
+struct Distinct {
+    ids: HashMap<Value, usize>,
+    values: Vec<Value>,
+}
+
+impl Distinct {
+    fn id(&mut self, v: &Value) -> usize {
+        if let Some(&id) = self.ids.get(v) {
+            return id;
+        }
+        self.ids.insert(v.clone(), self.values.len());
+        self.values.push(v.clone());
+        self.values.len() - 1
+    }
+}
+
+impl RegexBatch {
+    /// `rev` yields the step's reversed NFA; it is called only when some
+    /// row probes a bound destination.
+    fn prepare<'n>(
+        graph: &Graph,
+        fwd: &Nfa,
+        rev: impl Fn() -> &'n Nfa,
         rows: &[Row],
         spos: &Pos,
         dpos: &Pos,
-    ) -> RegexBatch<'s> {
-        let graph = ev.db().graph();
-        let nullable = fwd.matches_empty();
-        let mut batch = RegexBatch {
-            fwd,
-            rev: None,
-            batched: ev.batched(),
-            nullable,
-            use_rev_check: false,
-            fwd_memo: HashMap::new(),
-            rev_fan: HashMap::new(),
-            rev_check: HashMap::new(),
-            scan: None,
-        };
-        if !batch.batched || rows.is_empty() {
-            return batch;
-        }
-
-        // Distinct probe values per case, in first-appearance order.
-        let mut fwd_probes: Vec<Value> = Vec::new();
-        let mut fwd_seen: HashSet<Value> = HashSet::new();
-        let mut bb_src_probes: Vec<Value> = Vec::new();
-        let mut bb_src_seen: HashSet<Value> = HashSet::new();
-        let mut bb_dst_probes: Vec<Value> = Vec::new();
-        let mut bb_dst_seen: HashSet<Value> = HashSet::new();
-        let mut fan_probes: Vec<Value> = Vec::new();
-        let mut fan_seen: HashSet<Value> = HashSet::new();
+    ) -> RegexBatch {
+        let mut fwd_keys = Distinct::default();
+        let mut both_srcs = Distinct::default();
+        let mut both_dsts = Distinct::default();
+        let mut fan_keys = Distinct::default();
+        // Per both-bound row, in order, its source's id in `both_srcs`.
+        let mut both_rows: Vec<usize> = Vec::new();
         let mut need_scan = false;
-        for row in rows {
-            match spos.value(row) {
-                Some(s) => match dpos.value(row) {
-                    Some(d) => {
-                        if bb_src_seen.insert(s.clone()) {
-                            bb_src_probes.push(s.clone());
-                        }
-                        if bb_dst_seen.insert(d.clone()) {
-                            bb_dst_probes.push(d.clone());
-                        }
-                    }
-                    None => {
-                        if fwd_seen.insert(s.clone()) {
-                            fwd_probes.push(s.clone());
-                        }
-                    }
-                },
-                None => match dpos.value(row) {
-                    Some(d @ Value::Node(_)) => {
-                        if fan_seen.insert(d.clone()) {
-                            fan_probes.push(d.clone());
-                        }
-                    }
-                    _ => need_scan = true,
-                },
-            }
-        }
+        let mut probes: Vec<Probe> = rows
+            .iter()
+            .map(|row| match (spos.value(row), dpos.value(row)) {
+                (Some(s), Some(d)) => {
+                    both_rows.push(both_srcs.id(s));
+                    Probe::Check(both_dsts.id(d))
+                }
+                (Some(s), None) => Probe::Fwd(fwd_keys.id(s)),
+                (None, Some(d @ Value::Node(_))) => Probe::Fan(fan_keys.id(d)),
+                (None, _) => {
+                    need_scan = true;
+                    Probe::Scan
+                }
+            })
+            .collect();
 
         // Direction choice for both-bound rows: probe the side with fewer
         // distinct values. The condition is a pure filter there, so the
         // direction cannot change output bytes — only traversal work.
-        batch.use_rev_check =
-            !bb_dst_probes.is_empty() && bb_dst_probes.len() < bb_src_probes.len();
-        if !batch.use_rev_check {
-            for s in bb_src_probes {
-                if fwd_seen.insert(s.clone()) {
-                    fwd_probes.push(s);
+        let use_rev_check =
+            !both_dsts.values.is_empty() && both_dsts.values.len() < both_srcs.values.len();
+        if !use_rev_check {
+            let to_fwd: Vec<usize> = both_srcs.values.iter().map(|s| fwd_keys.id(s)).collect();
+            let mut both_rows = both_rows.into_iter();
+            for probe in &mut probes {
+                if let Probe::Check(_) = probe {
+                    *probe = Probe::Fwd(to_fwd[both_rows.next().expect("one per both-bound row")]);
                 }
             }
         }
 
-        if batch.use_rev_check || !fan_probes.is_empty() {
-            batch.rev = Some(match rev {
-                Some(rev) => Cow::Borrowed(rev),
-                None => Cow::Owned(Nfa::compile_reversed(regex, graph)),
-            });
-        }
-
-        let tracing = strudel_trace::enabled();
-        let mut built: u64 = 0;
-        let mut fwd_built: u64 = 0;
-        let mut rev_built: u64 = 0;
-
-        built += fwd_probes.len() as u64;
-        fwd_built += fwd_probes.len() as u64;
-        let fwd_nfa = batch.fwd;
-        batch.fwd_memo = memoize(fwd_probes, |v| fwd_nfa.eval_from(graph, v));
-
-        if !fan_probes.is_empty() {
-            let rev = batch.rev.as_ref().expect("compiled above");
-            built += fan_probes.len() as u64;
-            rev_built += fan_probes.len() as u64;
-            batch.rev_fan = memoize(fan_probes, |d| rev_fan_sources(graph, rev, d));
-        }
-        if batch.use_rev_check {
-            let rev = batch.rev.as_ref().expect("compiled above");
-            built += bb_dst_probes.len() as u64;
-            rev_built += bb_dst_probes.len() as u64;
-            batch.rev_check = memoize(bb_dst_probes, |d| {
-                let seeds = if d.is_atomic() {
-                    atomic_target_seeds(graph, d)
-                } else {
-                    Vec::new()
-                };
-                rev.eval_from_reverse(graph, d, &seeds)
-                    .into_iter()
-                    .collect::<HashSet<Value>>()
-            });
-        }
-        if need_scan {
-            let scan: Vec<(Oid, Vec<Value>)> = graph
-                .node_oids()
-                .map(|o| (o, fwd_nfa.eval_from(graph, &Value::Node(o))))
-                .collect();
-            built += scan.len() as u64;
-            fwd_built += scan.len() as u64;
-            batch.scan = Some(scan);
-        }
-        if tracing {
-            strudel_trace::count("struql.memo.misses", built);
+        let batch = RegexBatch {
+            probes,
+            nullable: fwd.matches_empty(),
+            fwd: fwd_keys
+                .values
+                .iter()
+                .map(|v| fwd.eval_from(graph, v))
+                .collect(),
+            rev_fan: fan_keys
+                .values
+                .iter()
+                .map(|d| rev_fan_sources(graph, rev(), d))
+                .collect(),
+            rev_check: if use_rev_check {
+                both_dsts
+                    .values
+                    .iter()
+                    .map(|d| {
+                        let seeds = if d.is_atomic() {
+                            atomic_target_seeds(graph, d)
+                        } else {
+                            Vec::new()
+                        };
+                        rev().eval_from_reverse(graph, d, &seeds).into_iter().collect()
+                    })
+                    .collect()
+            } else {
+                Vec::new()
+            },
+            scan: if need_scan {
+                graph
+                    .node_oids()
+                    .map(|o| (o, fwd.eval_from(graph, &Value::Node(o))))
+                    .collect()
+            } else {
+                Vec::new()
+            },
+        };
+        if strudel_trace::enabled() {
+            let fwd_built = (batch.fwd.len() + batch.scan.len()) as u64;
+            let rev_built = (batch.rev_fan.len() + batch.rev_check.len()) as u64;
+            strudel_trace::count("struql.memo.misses", fwd_built + rev_built);
             strudel_trace::count("struql.probe.fwd", fwd_built);
             strudel_trace::count("struql.probe.rev", rev_built);
         }
@@ -1149,149 +1085,64 @@ fn atomic_target_seeds(graph: &Graph, dv: &Value) -> Vec<(Oid, Label)> {
     seeds
 }
 
-/// Computes `f` once per probe value.
-fn memoize<R>(probes: Vec<Value>, f: impl Fn(&Value) -> R) -> HashMap<Value, R> {
-    probes
-        .into_iter()
-        .map(|k| {
-            let r = f(&k);
-            (k, r)
-        })
-        .collect()
-}
-
-/// A general regular path expression, evaluated through a [`RegexBatch`].
-fn apply_regex(
-    graph: &Graph,
-    rows: Vec<Row>,
-    spos: &Pos,
-    dpos: &Pos,
-    batch: &RegexBatch,
-) -> StruqlResult<Vec<Row>> {
-    let tracing = strudel_trace::enabled();
+/// A general regular path expression, evaluated through a [`RegexBatch`]
+/// prepared for exactly these rows.
+fn apply_regex(rows: Vec<Row>, spos: &Pos, dpos: &Pos, memo: &RegexBatch) -> Vec<Row> {
     let mut hits: u64 = 0;
-    let mut misses: u64 = 0;
     let reuse = rows.len() == 1;
     let mut out = Vec::new();
-    for row in rows {
-        match spos.value(&row) {
-            Some(start) => {
-                if batch.use_rev_check {
-                    if let Some(dv) = dpos.value(&row) {
-                        // Pure filter: does a matching path lead from the
-                        // bound source to the bound destination? Checked
-                        // against the destination's reverse-reachable set.
-                        let survives = match start {
-                            Value::Node(_) => match batch.rev_check.get(dv) {
-                                Some(set) => {
-                                    hits += 1;
-                                    set.contains(start)
-                                }
-                                None => {
-                                    misses += 1;
-                                    batch
-                                        .fwd
-                                        .eval_from(graph, start)
-                                        .iter()
-                                        .any(|v| coerce::eq(dv, v))
-                                }
-                            },
-                            // An atomic source can only satisfy a
-                            // zero-length path, and only onto itself.
-                            _ => batch.nullable && coerce::eq(dv, start),
-                        };
-                        if survives {
-                            out.push(row);
-                        }
-                        continue;
-                    }
-                }
-                let computed: Vec<Value>;
-                let results: &[Value] = match batch.fwd_memo.get(start) {
-                    Some(r) => {
-                        hits += 1;
-                        r
-                    }
-                    None => {
-                        misses += 1;
-                        computed = batch.fwd.eval_from(graph, start);
-                        &computed
-                    }
-                };
-                fan_out(row, reuse, results.iter(), &mut out, |r, v| dpos.unify(r, v));
+    for (row, &probe) in rows.into_iter().zip(&memo.probes) {
+        match probe {
+            Probe::Fwd(i) => {
+                hits += 1;
+                fan_out(row, reuse, memo.fwd[i].iter(), &mut out, |r, v| {
+                    dpos.unify(r, v)
+                });
             }
-            None => {
-                let fan = if batch.batched {
-                    dpos.value(&row).filter(|dv| dv.as_node().is_some())
-                } else {
-                    None
-                };
-                if let Some(dv) = fan {
-                    // Bound node destination: reverse probe, fanned out in
-                    // ascending source-oid order (the forward scan order).
-                    let computed: Vec<Oid>;
-                    let sources: &[Oid] = match batch.rev_fan.get(dv) {
-                        Some(s) => {
-                            hits += 1;
-                            s
-                        }
-                        None => {
-                            misses += 1;
-                            computed = match &batch.rev {
-                                Some(rev) => rev_fan_sources(graph, rev, dv),
-                                None => graph
-                                    .node_oids()
-                                    .filter(|&o| {
-                                        batch
-                                            .fwd
-                                            .eval_from(graph, &Value::Node(o))
-                                            .contains(dv)
-                                    })
-                                    .collect(),
-                            };
-                            &computed
-                        }
-                    };
-                    fan_out(row, reuse, sources.iter(), &mut out, |r, &o| {
-                        spos.unify(r, &Value::Node(o))
-                    });
-                    continue;
-                }
-                // No usable bound end: traverse from every node. The
-                // planner prices this pessimistically, so it only runs
-                // when unavoidable; batched mode computes the scan once.
-                match &batch.scan {
-                    Some(scan) => {
+            Probe::Check(i) => {
+                // Pure filter: does a matching path lead from the bound
+                // source to the bound destination? Checked against the
+                // destination's reverse-reachable set.
+                let survives = match (spos.value(&row), dpos.value(&row)) {
+                    (Some(start @ Value::Node(_)), _) => {
                         hits += 1;
-                        for (o, vs) in scan {
-                            for v in vs {
-                                let mut r = row.clone();
-                                if spos.unify(&mut r, &Value::Node(*o)) && dpos.unify(&mut r, v)
-                                {
-                                    out.push(r);
-                                }
-                            }
-                        }
+                        memo.rev_check[i].contains(start)
                     }
-                    None => {
-                        misses += 1;
-                        for o in graph.node_oids() {
-                            let start = Value::Node(o);
-                            for v in batch.fwd.eval_from(graph, &start) {
-                                let mut r = row.clone();
-                                if spos.unify(&mut r, &start) && dpos.unify(&mut r, &v) {
-                                    out.push(r);
-                                }
-                            }
+                    // An atomic source can only satisfy a zero-length
+                    // path, and only onto itself.
+                    (Some(start), Some(dv)) => memo.nullable && coerce::eq(dv, start),
+                    _ => unreachable!("a checked row has both ends bound"),
+                };
+                if survives {
+                    out.push(row);
+                }
+            }
+            Probe::Fan(i) => {
+                // Bound node destination: reverse probe, fanned out in
+                // ascending source-oid order (the forward scan order).
+                hits += 1;
+                fan_out(row, reuse, memo.rev_fan[i].iter(), &mut out, |r, &o| {
+                    spos.unify(r, &Value::Node(o))
+                });
+            }
+            Probe::Scan => {
+                // No usable bound end: traverse from every node, once per
+                // batch. The planner prices this pessimistically, so it
+                // only runs when unavoidable.
+                hits += 1;
+                for (o, vs) in &memo.scan {
+                    for v in vs {
+                        let mut r = row.clone();
+                        if spos.unify(&mut r, &Value::Node(*o)) && dpos.unify(&mut r, v) {
+                            out.push(r);
                         }
                     }
                 }
             }
         }
     }
-    if tracing {
+    if strudel_trace::enabled() {
         strudel_trace::count("struql.memo.hits", hits);
-        strudel_trace::count("struql.memo.misses", misses);
     }
-    Ok(out)
+    out
 }

@@ -14,12 +14,12 @@
 //! which is exactly `ΔL⋈R + L⋈ΔR + ΔL⋈ΔR` folded into two engine calls:
 //! `R ⋈ A_new − R ⋈ A_old` is `L⋈ΔR` computed by cancellation, and
 //! `D ⋈ A_new` covers both `ΔL⋈R` and `ΔL⋈ΔR`. Every join runs the real
-//! operator implementations in `atoms` against the old or new database
-//! snapshot, so coercion, negation, builtin, and batched-regex semantics
-//! are identical to full evaluation by construction — including Kleene
-//! closures, whose bound-destination probes go through the reverse
-//! adjacency index and whose retractions fall out of the signed
-//! `A_new − A_old` pair with exact counts.
+//! compiled steps of `atoms`, each condition compiled once against the old
+//! and once against the new database snapshot, so coercion, negation,
+//! builtin, and batched-regex semantics are identical to full evaluation
+//! by construction — including Kleene closures, whose bound-destination
+//! probes go through the reverse adjacency index and whose retractions
+//! fall out of the signed `A_new − A_old` pair with exact counts.
 //!
 //! When a condition cannot be affected by the delta (its labels and
 //! collections are disjoint from the delta's — see [`DeltaTouch`]), the
@@ -34,7 +34,7 @@
 //! derivations all disappear nets a negative count, one that keeps a
 //! surviving derivation nets zero and is dropped from the diff.
 
-use super::{atoms, Evaluator, Row};
+use super::{apply_step, atoms, compile_steps, Evaluator, Row};
 use crate::ast::{Condition, PathSpec, Term};
 use crate::error::StruqlResult;
 use crate::plan;
@@ -109,21 +109,43 @@ pub struct DiffOutcome {
     pub rows: Vec<SignedRow>,
 }
 
+/// One database snapshot of a delta, with a where clause's conditions
+/// compiled against it once for every walk of the delta.
+struct Snapshot<'e, 'db> {
+    ev: &'e Evaluator<'db>,
+    steps: Vec<StruqlResult<atoms::Step>>,
+}
+
+impl<'e, 'db> Snapshot<'e, 'db> {
+    fn new(ev: &'e Evaluator<'db>, conds: &[Condition], vars: &[String]) -> Self {
+        Snapshot {
+            ev,
+            steps: compile_steps(ev.db().graph(), conds, vars),
+        }
+    }
+
+    /// Applies condition `idx` to `rows` on this snapshot.
+    fn apply(&self, idx: usize, rows: Vec<Row>) -> StruqlResult<Vec<Row>> {
+        apply_step(&self.steps[idx], self.ev, rows)
+    }
+}
+
 /// The differential walk behind [`delta_rows`]: the signed row diff
 /// between evaluating `conds` on `new` (post-delta) and on `old`
 /// (pre-delta), which must be snapshots of the same database immediately
 /// before and after the delta `touch` was built from — rows flowing
 /// through the plan reference oids that must be valid in both graphs
 /// (deltas never delete nodes, so this holds for any applied
-/// [`GraphDelta`]). `vars` is the slot layout and `seed_rows` are distinct
-/// pre-bindings of one common subset of it (one plan serves them all). With `in_old` false
+/// [`GraphDelta`]). `vars` is the slot layout both snapshots compiled
+/// `conds` for, and `seed_rows` are distinct pre-bindings of one common
+/// subset of it (one plan serves them all). With `in_old` false
 /// the seeds name nodes the pre-delta graph never issued: the old side is
 /// then empty by construction (no old fact can mention such a node), so
 /// the seed rows start out as `+1` diffs and the old snapshot is never
 /// probed with an unknown oid.
 fn propagate(
-    old: &Evaluator<'_>,
-    new: &Evaluator<'_>,
+    old: &Snapshot<'_, '_>,
+    new: &Snapshot<'_, '_>,
     conds: &[Condition],
     vars: &[String],
     seed_rows: Vec<Row>,
@@ -138,7 +160,7 @@ fn propagate(
         .collect();
     // One plan drives both sides: join order does not affect the result,
     // and planning against the pre-delta statistics keeps this O(|plan|).
-    let plan = plan::plan(conds, &bound, old.db(), old.opts.optimize);
+    let plan = plan::plan(conds, &bound, old.ev.db(), old.ev.opts.optimize);
 
     // R: the pre-delta relation so far (unit counts — exactly the rows the
     // plain engine would hold at this step). D: the signed diff so far.
@@ -157,17 +179,16 @@ fn propagate(
         .map_or(0, |last| last + 1);
 
     for (step, &idx) in plan.order.iter().enumerate() {
-        let cond = &conds[idx];
         if diff.is_empty() && (r_old.is_empty() || step >= touched_steps) {
             break;
         }
-        if touch.touches_cond(cond) {
+        if touch.touches_cond(&conds[idx]) {
             if tracing {
                 strudel_trace::count("struql.diff.steps.touched", 1);
             }
-            let d_new = expand_signed(new, cond, &diff, vars)?;
-            let r_via_new = atoms::apply(new, cond, r_old.clone(), vars)?;
-            let r_via_old = atoms::apply(old, cond, r_old, vars)?;
+            let d_new = expand_signed(new, idx, &diff)?;
+            let r_via_new = new.apply(idx, r_old.clone())?;
+            let r_via_old = old.apply(idx, r_old)?;
             let mut next = d_new;
             next.extend(r_via_new.into_iter().map(|r| (r, 1)));
             next.extend(r_via_old.iter().cloned().map(|r| (r, -1)));
@@ -177,9 +198,9 @@ fn propagate(
             if tracing {
                 strudel_trace::count("struql.diff.steps.skipped", 1);
             }
-            diff = expand_signed(new, cond, &diff, vars)?;
+            diff = expand_signed(new, idx, &diff)?;
             r_old = if step < touched_steps {
-                atoms::apply(old, cond, r_old, vars)?
+                old.apply(idx, r_old)?
             } else {
                 Vec::new()
             };
@@ -367,11 +388,16 @@ pub fn delta_rows(
         runs = BTreeMap::from([((true, Vec::new()), vec![vec![None; vars.len()]])]);
     }
 
+    // Every run walks the same conditions: compile them once per snapshot.
+    let (old, new) = (
+        Snapshot::new(old, conds, &vars),
+        Snapshot::new(new, conds, &vars),
+    );
     // A row reached from two seeds carries the same count in both.
     let mut rows: Vec<SignedRow> = Vec::new();
     let mut seen: HashSet<Row> = HashSet::new();
     for ((in_old, _), seed_rows) in runs {
-        for (row, count) in propagate(old, new, conds, &vars, seed_rows, in_old, &touch)? {
+        for (row, count) in propagate(&old, &new, conds, &vars, seed_rows, in_old, &touch)? {
             if seen.insert(row.clone()) {
                 rows.push((row, count));
             }
@@ -380,15 +406,14 @@ pub fn delta_rows(
     Ok(DiffOutcome { vars, rows })
 }
 
-/// Applies one condition to a signed relation through the real operator
-/// implementation. Rows are batched in consecutive runs of equal count —
-/// `apply` emits row *i*'s extensions before row *i+1*'s, so every output
-/// of a run inherits the run's count.
+/// Applies condition `idx`, compiled on `snapshot`, to a signed relation.
+/// Rows are batched in consecutive runs of equal count — a step emits row
+/// *i*'s extensions before row *i+1*'s, so every output of a run inherits
+/// the run's count.
 fn expand_signed(
-    ev: &Evaluator<'_>,
-    cond: &Condition,
+    snapshot: &Snapshot<'_, '_>,
+    idx: usize,
     rows: &[SignedRow],
-    vars: &[String],
 ) -> StruqlResult<Vec<SignedRow>> {
     let mut out: Vec<SignedRow> = Vec::new();
     let mut i = 0;
@@ -399,7 +424,7 @@ fn expand_signed(
             j += 1;
         }
         let run: Vec<Row> = rows[i..j].iter().map(|(r, _)| r.clone()).collect();
-        let expanded = atoms::apply(ev, cond, run, vars)?;
+        let expanded = snapshot.apply(idx, run)?;
         out.extend(expanded.into_iter().map(|r| (r, count)));
         i = j;
     }

@@ -26,6 +26,7 @@ use crate::ast::{Block, LabelTerm, Program, Term};
 use crate::error::{StruqlError, StruqlResult};
 use crate::plan;
 use std::collections::HashSet;
+use std::time::Instant;
 use strudel_graph::hash::{FastMap, FastSet};
 use strudel_graph::{CollectionId, Graph, Label, Oid, SkolemSymbol, SkolemTable, Value};
 use strudel_repo::Database;
@@ -36,20 +37,11 @@ pub struct EvalOptions {
     /// Use cost-based condition ordering (default). `false` keeps the
     /// textual order — the join-ordering ablation baseline.
     pub optimize: bool,
-    /// Batched path evaluation (default): group rows by distinct bound
-    /// source/destination value, compute each group's extensions once, and
-    /// answer bound-destination probes through the reverse adjacency
-    /// index. `false` restores the per-row engine — the differential
-    /// oracle; both settings produce byte-identical relations.
-    pub batch: bool,
 }
 
 impl Default for EvalOptions {
     fn default() -> Self {
-        EvalOptions {
-            optimize: true,
-            batch: true,
-        }
+        EvalOptions { optimize: true }
     }
 }
 
@@ -176,33 +168,28 @@ impl<'db> Evaluator<'db> {
         crate::analyze::check(program)?;
         let mut ctx = Ctx::new(self.db.graph().clone());
         for block in &program.blocks {
-            let mut vars: Vec<String> = Vec::new();
-            let seed: Vec<Row> = vec![Vec::new()];
-            self.eval_block(block, &mut vars, &seed, &mut ctx)?;
+            self.eval_block(block, &[], &[Vec::new()], &mut ctx)?;
         }
         Ok(ctx.finish())
     }
 
-    /// Evaluates one block: extend the variable table with this block's new
-    /// variables, run the where stage over the incoming rows, construct,
+    /// Evaluates one block: run its where stage over the incoming rows,
+    /// whose slots are the enclosing blocks' variables `outer`, construct,
     /// then recurse into nested blocks.
     fn eval_block(
         &self,
         block: &Block,
-        vars: &mut Vec<String>,
+        outer: &[String],
         in_rows: &[Row],
         ctx: &mut Ctx,
     ) -> StruqlResult<()> {
-        let base_len = vars.len();
-        for cond in &block.where_ {
-            atoms::introduce_vars(cond, vars);
-        }
-        let width = vars.len();
+        let prepared = self.prepare_where(&block.where_, outer);
+        let width = prepared.vars.len();
 
         // Each seed row is copied once, at the block's width: a clone
         // resized afterwards would reallocate, and a step that extends a
         // row in place would carry the slack to the end of the block.
-        let mut rows: Vec<Row> = in_rows
+        let rows: Vec<Row> = in_rows
             .iter()
             .map(|r| {
                 let mut row = Vec::with_capacity(width);
@@ -211,34 +198,10 @@ impl<'db> Evaluator<'db> {
                 row
             })
             .collect();
-
-        let bound: HashSet<String> = vars[..base_len].iter().cloned().collect();
-        let plan = plan::plan(&block.where_, &bound, self.db, self.opts.optimize);
-        let tracing = strudel_trace::enabled();
-        for (step, &idx) in plan.order.iter().enumerate() {
-            let rows_in = rows.len();
-            let span = strudel_trace::span("struql.step");
-            rows = atoms::apply(self, &block.where_[idx], rows, vars)?;
-            drop(span);
-            if tracing {
-                strudel_trace::count("struql.steps", 1);
-                strudel_trace::count("struql.rows", rows.len() as u64);
-                strudel_trace::event_with("struql.step", || {
-                    format!(
-                        "cond={} est={:.2} in={rows_in} out={}",
-                        crate::pretty::pretty_condition(&block.where_[idx]),
-                        plan.estimates[step],
-                        rows.len()
-                    )
-                });
-            }
-            ctx.rows_evaluated += rows.len();
-            if rows.is_empty() {
-                break;
-            }
-        }
+        let rows = prepared.run(self, rows, &mut ctx.rows_evaluated)?;
 
         if !rows.is_empty() {
+            let vars = &prepared.vars;
             let mut construction = Construction::compile(block, vars, &mut ctx.skolem);
             for row in &rows {
                 construct_into(&mut construction, row, ctx)?;
@@ -247,17 +210,11 @@ impl<'db> Evaluator<'db> {
                 self.eval_block(nested, vars, &rows, ctx)?;
             }
         }
-        vars.truncate(base_len);
         Ok(())
     }
 
     pub(crate) fn db(&self) -> &Database {
         self.db
-    }
-
-    /// Whether batched path evaluation is enabled.
-    pub(crate) fn batched(&self) -> bool {
-        self.opts.batch
     }
 }
 
@@ -505,12 +462,14 @@ fn eval_term_into(
     }
 }
 
-/// A condition list compiled for repeated seeded evaluation: the
-/// conditions planned against the database's statistics and each one
-/// compiled into a step — variable slots, label and collection ids, a
-/// constant destination's coercion keys, NFAs in both directions — so a
-/// run does no name lookup and clones no constant. This is the unit the
-/// click-time compiled-query cache stores per schema edge: a request
+/// A condition list compiled for evaluation: the conditions planned
+/// against the database's statistics and each one compiled into a step —
+/// variable slots, label and collection ids, a constant destination's
+/// coercion keys, the forward NFA (the reversed one is compiled by the
+/// first run that needs it, and kept) — so a run does no name lookup and
+/// clones no constant. Every where clause runs this way: a block of a
+/// full evaluation, a seeded guard, an explained one. It is also the unit
+/// the click-time compiled-query cache stores per schema edge: a request
 /// executes the prepared plan instead of re-planning.
 ///
 /// A `PreparedWhere` is valid only for the database snapshot it was
@@ -534,6 +493,127 @@ impl PreparedWhere {
     /// names of the rows [`Evaluator::eval_where_prepared`] produces.
     pub fn vars(&self) -> &[String] {
         &self.vars
+    }
+
+    /// The where-stage loop: extends `rows`, laid out as [`Self::vars`],
+    /// by each compiled step in plan order, reporting every step to
+    /// `observer`, and stops at the first step that leaves no row.
+    fn run(
+        &self,
+        ev: &Evaluator<'_>,
+        mut rows: Vec<Row>,
+        observer: &mut impl StepObserver,
+    ) -> StruqlResult<Vec<Row>> {
+        let tracing = strudel_trace::enabled();
+        for (step, &idx) in self.plan.order.iter().enumerate() {
+            let rows_in = rows.len();
+            observer.begin();
+            let span = strudel_trace::span("struql.step");
+            rows = apply_step(&self.steps[idx], ev, rows)?;
+            drop(span);
+            observer.end(step, idx, rows_in, rows.len());
+            if tracing {
+                strudel_trace::count("struql.steps", 1);
+                strudel_trace::count("struql.rows", rows.len() as u64);
+                strudel_trace::event_with("struql.step", || {
+                    format!(
+                        "cond={} est={:.2} in={rows_in} out={}",
+                        crate::pretty::pretty_condition(&self.conds[idx]),
+                        self.plan.estimates[step],
+                        rows.len()
+                    )
+                });
+            }
+            if rows.is_empty() {
+                break;
+            }
+        }
+        Ok(rows)
+    }
+
+    /// The run's first row: the seeds in their slots, every other slot
+    /// unbound.
+    fn seed_row<'v>(&self, seeds: impl IntoIterator<Item = &'v Value>) -> StruqlResult<Row> {
+        let mismatch = || StruqlError::eval("prepared where was given another number of seeds");
+        let mut row: Row = vec![None; self.vars.len()];
+        let mut seeds = seeds.into_iter();
+        for slot in &mut row[..self.seeds] {
+            *slot = Some(seeds.next().ok_or_else(mismatch)?.clone());
+        }
+        if seeds.next().is_some() {
+            return Err(mismatch());
+        }
+        Ok(row)
+    }
+}
+
+/// Compiles each of `conds` for rows laid out as `vars` over `graph`,
+/// keeping a condition's compile error to raise when the step runs.
+pub(crate) fn compile_steps(
+    graph: &Graph,
+    conds: &[crate::ast::Condition],
+    vars: &[String],
+) -> Vec<StruqlResult<atoms::Step>> {
+    conds
+        .iter()
+        .map(|c| atoms::Step::compile(graph, c, vars))
+        .collect()
+}
+
+/// Applies a compiled step, or raises the error compiling it raised.
+pub(crate) fn apply_step(
+    step: &StruqlResult<atoms::Step>,
+    ev: &Evaluator<'_>,
+    rows: Vec<Row>,
+) -> StruqlResult<Vec<Row>> {
+    step.as_ref().map_err(Clone::clone)?.apply(ev, rows)
+}
+
+/// Watches [`PreparedWhere::run`], one call pair per plan step.
+trait StepObserver {
+    /// A step is about to run.
+    fn begin(&mut self) {}
+    /// Plan step `step`, condition `cond` of the clause, turned `rows_in`
+    /// rows into `rows_out`.
+    fn end(&mut self, step: usize, cond: usize, rows_in: usize, rows_out: usize);
+}
+
+/// Watches nothing.
+impl StepObserver for () {
+    fn end(&mut self, _: usize, _: usize, _: usize, _: usize) {}
+}
+
+/// Counts every step's output rows: [`EvalResult::rows_evaluated`].
+impl StepObserver for usize {
+    fn end(&mut self, _: usize, _: usize, _: usize, rows_out: usize) {
+        *self += rows_out;
+    }
+}
+
+/// Times and counts each step for [`Evaluator::explain_where_bindings`] —
+/// the one caller of the loop that reads the clock.
+struct ExplainObserver<'p> {
+    prepared: &'p PreparedWhere,
+    report: crate::explain::ExplainReport,
+    started: Instant,
+}
+
+impl StepObserver for ExplainObserver<'_> {
+    fn begin(&mut self) {
+        self.started = Instant::now();
+    }
+
+    fn end(&mut self, step: usize, cond: usize, rows_in: usize, rows_out: usize) {
+        let elapsed_us = self.started.elapsed().as_micros().min(u64::MAX as u128) as u64;
+        self.report.steps.push(crate::explain::ExplainStep {
+            source_index: cond,
+            condition: crate::pretty::pretty_condition(&self.prepared.conds[cond]),
+            estimate: self.prepared.plan.estimates[step],
+            rows_in,
+            rows_out,
+            elapsed_us,
+        });
+        self.report.total_us += elapsed_us;
     }
 }
 
@@ -560,17 +640,12 @@ impl<'db> Evaluator<'db> {
         let vars = where_vars(conds, seed_names);
         let bound: HashSet<String> = seed_names.iter().cloned().collect();
         let plan = plan::plan(conds, &bound, self.db, self.opts.optimize);
-        let graph = self.db.graph();
-        let steps = conds
-            .iter()
-            .map(|c| atoms::Step::compile(graph, c, &vars, true))
-            .collect();
         PreparedWhere {
+            steps: compile_steps(self.db.graph(), conds, &vars),
             vars,
             seeds: seed_names.len(),
             plan,
             conds: conds.to_vec(),
-            steps,
         }
     }
 
@@ -582,43 +657,7 @@ impl<'db> Evaluator<'db> {
         prepared: &PreparedWhere,
         seeds: impl IntoIterator<Item = &'v Value>,
     ) -> StruqlResult<Vec<Row>> {
-        let mismatch = || StruqlError::eval("prepared where was given another number of seeds");
-        let mut row: Row = vec![None; prepared.vars.len()];
-        let mut seeds = seeds.into_iter();
-        for slot in &mut row[..prepared.seeds] {
-            *slot = Some(seeds.next().ok_or_else(mismatch)?.clone());
-        }
-        if seeds.next().is_some() {
-            return Err(mismatch());
-        }
-        let mut rows = vec![row];
-
-        let tracing = strudel_trace::enabled();
-        for (step, &idx) in prepared.plan.order.iter().enumerate() {
-            let rows_in = rows.len();
-            let span = strudel_trace::span("struql.step");
-            rows = match &prepared.steps[idx] {
-                Ok(compiled) => compiled.apply(self, rows)?,
-                Err(e) => return Err(e.clone()),
-            };
-            drop(span);
-            if tracing {
-                strudel_trace::count("struql.steps", 1);
-                strudel_trace::count("struql.rows", rows.len() as u64);
-                strudel_trace::event_with("struql.step", || {
-                    format!(
-                        "cond={} est={:.2} in={rows_in} out={}",
-                        crate::pretty::pretty_condition(&prepared.conds[idx]),
-                        prepared.plan.estimates[step],
-                        rows.len()
-                    )
-                });
-            }
-            if rows.is_empty() {
-                break;
-            }
-        }
-        Ok(rows)
+        prepared.run(self, vec![prepared.seed_row(seeds)?], &mut ())
     }
 
     /// Evaluates a bare condition list — the building block for dynamic
@@ -653,43 +692,21 @@ impl<'db> Evaluator<'db> {
         conds: &[crate::ast::Condition],
         seed: &[(String, Value)],
     ) -> StruqlResult<(Vec<String>, Vec<Row>, crate::explain::ExplainReport)> {
-        let mut vars: Vec<String> = seed.iter().map(|(n, _)| n.clone()).collect();
-        for cond in conds {
-            atoms::introduce_vars(cond, &mut vars);
-        }
-        let width = vars.len();
-        let mut row: Row = vec![None; width];
-        for (i, (_, v)) in seed.iter().enumerate() {
-            row[i] = Some(v.clone());
-        }
-        let mut rows = vec![row];
-
-        let bound: HashSet<String> = seed.iter().map(|(n, _)| n.clone()).collect();
-        let plan = plan::plan(conds, &bound, self.db, self.opts.optimize);
-        let mut report = crate::explain::ExplainReport {
-            optimized: self.opts.optimize,
-            ..Default::default()
+        let seed_names: Vec<String> = seed.iter().map(|(n, _)| n.clone()).collect();
+        let prepared = self.prepare_where(conds, &seed_names);
+        let row = prepared.seed_row(seed.iter().map(|(_, v)| v))?;
+        let mut observer = ExplainObserver {
+            prepared: &prepared,
+            report: crate::explain::ExplainReport {
+                optimized: self.opts.optimize,
+                ..Default::default()
+            },
+            started: Instant::now(),
         };
-        for (step, &idx) in plan.order.iter().enumerate() {
-            let rows_in = rows.len();
-            let start = std::time::Instant::now();
-            rows = atoms::apply(self, &conds[idx], rows, &vars)?;
-            let elapsed_us = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-            report.steps.push(crate::explain::ExplainStep {
-                source_index: idx,
-                condition: crate::pretty::pretty_condition(&conds[idx]),
-                estimate: plan.estimates[step],
-                rows_in,
-                rows_out: rows.len(),
-                elapsed_us,
-            });
-            report.total_us += elapsed_us;
-            if rows.is_empty() {
-                break;
-            }
-        }
+        let rows = prepared.run(self, vec![row], &mut observer)?;
+        let mut report = observer.report;
         report.total_rows = rows.len();
-        Ok((vars, rows, report))
+        Ok((prepared.vars, rows, report))
     }
 }
 

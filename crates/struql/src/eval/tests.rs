@@ -380,7 +380,7 @@ fn unoptimized_and_optimized_agree() {
     let db = bib_db();
     let program = parse(HOMEPAGE_QUERY).unwrap();
     let opt = Evaluator::new(&db).eval(&program).unwrap();
-    let naive = Evaluator::with_options(&db, EvalOptions { optimize: false, ..Default::default() })
+    let naive = Evaluator::with_options(&db, EvalOptions { optimize: false })
         .eval(&program)
         .unwrap();
     assert_eq!(opt.new_nodes.len(), naive.new_nodes.len());

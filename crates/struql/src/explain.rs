@@ -85,9 +85,9 @@ mod tests {
     fn db() -> Database {
         let g = strudel_graph::ddl::parse(
             r#"
-            object p1 in Publications { title : "Strudel"; year : 1998; }
+            object p1 in Publications { title : "Strudel"; year : 1998; cites : &p2; }
             object p2 in Publications { title : "WebOQL"; year : 1998; }
-            object p3 in Publications { title : "Araneus"; year : 1997; }
+            object p3 in Publications { title : "Araneus"; year : 1997; cites : &p1; }
         "#,
         )
         .unwrap();
@@ -127,16 +127,21 @@ mod tests {
     #[test]
     fn explain_matches_plain_evaluation() {
         let db = db();
-        let prog = parse(r#"where Publications(x), x -> "year" -> y create P(x)"#).unwrap();
+        let p2 = strudel_graph::Value::Node(db.graph().node_by_name("p2").unwrap());
         let ev = Evaluator::new(&db);
-        let (vars_a, rows_a) = ev
-            .eval_where_bindings(&prog.blocks[0].where_, &[])
-            .unwrap();
-        let (vars_b, rows_b, _) = ev
-            .explain_where_bindings(&prog.blocks[0].where_, &[])
-            .unwrap();
-        assert_eq!(vars_a, vars_b);
-        assert_eq!(rows_a, rows_b);
+        // Unseeded single-label steps, and a Kleene path seeded at its
+        // destination: the reverse-adjacency probe.
+        for (query, seed, rows) in [
+            (r#"where Publications(x), x -> "year" -> y create P(x)"#, vec![], 3),
+            (r#"where x -> "cites"* -> y create P(x)"#, vec![("y".to_string(), p2)], 3),
+        ] {
+            let conds = &parse(query).unwrap().blocks[0].where_;
+            let (vars_a, rows_a) = ev.eval_where_bindings(conds, &seed).unwrap();
+            let (vars_b, rows_b, report) = ev.explain_where_bindings(conds, &seed).unwrap();
+            assert_eq!(vars_a, vars_b, "{query}");
+            assert_eq!(rows_a, rows_b, "{query}");
+            assert_eq!((rows_b.len(), report.total_rows), (rows, rows), "{query}");
+        }
     }
 
     #[test]

@@ -101,7 +101,7 @@ fn plan_and_index_transparency() {
         for level in [IndexLevel::None, IndexLevel::Full] {
             for optimize in [false, true] {
                 let db = Database::from_graph(g.clone(), level);
-                let r = Evaluator::with_options(&db, EvalOptions { optimize, ..Default::default() })
+                let r = Evaluator::with_options(&db, EvalOptions { optimize })
                     .eval(&program)
                     .unwrap();
                 results.push((r.new_nodes.len(), r.graph.members_str("Out").len()));

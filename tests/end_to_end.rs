@@ -117,7 +117,7 @@ fn optimizer_and_indexes_are_transparent_at_scale() {
     for level in [IndexLevel::None, IndexLevel::ExtensionOnly, IndexLevel::Full] {
         for optimize in [false, true] {
             let db = Database::from_graph(g.clone(), level);
-            let r = Evaluator::with_options(&db, EvalOptions { optimize, ..Default::default() })
+            let r = Evaluator::with_options(&db, EvalOptions { optimize })
                 .eval(&program)
                 .unwrap();
             signatures.push((r.new_nodes.len(), r.graph.edge_count()));
