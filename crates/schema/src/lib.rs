@@ -38,10 +38,3 @@ pub mod invalidate;
 mod site_schema;
 
 pub use site_schema::{SchemaEdge, SchemaNode, SiteSchema};
-
-/// §7's incremental site update, scenario by scenario, on the click
-/// engine.
-#[cfg(test)]
-mod incremental {
-    mod tests;
-}

@@ -6,7 +6,7 @@
 //! pages the delta cut off (a page no derivation reaches any more keeps
 //! no link). The patch must never fall back to eviction.
 
-use crate::dynamic::{DynTarget, DynamicSite, Mode, PageKey, PageView};
+use strudel_schema::dynamic::{DynTarget, DynamicSite, Mode, PageKey, PageView};
 use std::collections::HashMap;
 use std::sync::Arc;
 use strudel_graph::{ddl, Graph, GraphDelta, Oid, Value};

@@ -7,6 +7,13 @@
 //! rows independently of every other row, and emits row *i*'s extensions
 //! before row *i+1*'s, on the calling thread.
 //!
+//! A negation is its positive step under a layer count: `not(…)` is
+//! stripped at compile time and counted beside the step, and the loop
+//! keeps a row when [`Step::keeps`] — does the step extend this row? —
+//! answers `true` under an even count and `false` under an odd one. So
+//! `not(z -> "link" -> x)` probes through the same indexes as the
+//! positive step it wraps.
+//!
 //! General path regexes are evaluated *batched*: [`RegexBatch::prepare`]
 //! groups the rows by their distinct bound source (or destination) value,
 //! computes each group's extensions exactly once into a memo table, and
@@ -105,26 +112,15 @@ impl Pos {
             },
         }
     }
-
-    /// Whether unifying with `v` *would* succeed, without mutating the row.
-    fn would_unify(&self, row: &Row, v: &Value) -> bool {
-        match self {
-            Pos::Const(c) => coerce::eq(c, v),
-            Pos::Slot(i) => match &row[*i] {
-                Some(existing) => coerce::eq(existing, v),
-                None => true,
-            },
-        }
-    }
 }
 
 /// One condition compiled against a row layout and a graph: term
 /// positions resolved to slots (a constant is held here and only ever
 /// borrowed), labels and collections resolved to ids, a constant
-/// destination's coercion keys computed, `not(…)` and general regexes
-/// compiled. [`PreparedWhere`](super::PreparedWhere) keeps one per
-/// condition for a database snapshot, so a run does no name lookup and
-/// clones no constant.
+/// destination's coercion keys computed, general regexes compiled.
+/// [`PreparedWhere`](super::PreparedWhere) keeps one per condition for a
+/// database snapshot, so a run does no name lookup and clones no
+/// constant.
 #[derive(Debug)]
 pub(crate) enum Step {
     Collection {
@@ -167,14 +163,18 @@ pub(crate) enum Step {
         pred: BuiltinPred,
         pos: Pos,
     },
-    Not(NotCheck),
 }
 
 impl Step {
     /// Compiles `cond` for rows laid out as `vars` over `graph`'s
-    /// interner.
-    pub(crate) fn compile(graph: &Graph, cond: &Condition, vars: &[String]) -> StruqlResult<Step> {
-        Ok(match cond {
+    /// interner: the step of the condition inside its `not(…)` layers,
+    /// and how many layers there were.
+    pub(crate) fn compile(
+        graph: &Graph,
+        cond: &Condition,
+        vars: &[String],
+    ) -> StruqlResult<(usize, Step)> {
+        let step = match cond {
             Condition::Collection { name, arg, .. } => Step::Collection {
                 pos: term_pos(arg, vars)?,
                 cid: graph.collection_id(name),
@@ -217,9 +217,40 @@ impl Step {
                 pred: *pred,
                 pos: term_pos(arg, vars)?,
             },
-            // All inner variables are bound (checked statically), so the
-            // inner condition acts as a per-row existence test.
-            Condition::Not(inner, _) => Step::Not(NotCheck::prepare(graph, inner, vars)?),
+            Condition::Not(inner, _) => {
+                let (layers, step) = Step::compile(graph, inner, vars)?;
+                return Ok((layers + 1, step));
+            }
+        };
+        Ok((0, step))
+    }
+
+    /// Whether the step extends `row` at all: the test a negated step
+    /// filters by. Every variable of a negated condition but its local
+    /// existentials is bound (checked statically). A comparison, a
+    /// built-in and the membership of a bound value read the borrowed
+    /// row; any other step is applied to a one-row copy, through the
+    /// indexes its positive form uses.
+    pub(crate) fn keeps(&self, ev: &Evaluator<'_>, row: &Row) -> StruqlResult<bool> {
+        let extends = || Ok::<_, StruqlError>(!self.apply(ev, vec![row.clone()])?.is_empty());
+        Ok(match self {
+            Step::Collection { pos, cid } => match pos.value(row) {
+                Some(v) => cid.is_some_and(|c| ev.db().graph().in_collection(c, v)),
+                None => extends()?,
+            },
+            Step::Compare { op, lp, rp } => {
+                let (Some(a), Some(b)) = (lp.value(row), rp.value(row)) else {
+                    return Err(StruqlError::eval("comparison over unbound variable"));
+                };
+                compare_keeps(*op, a, b)
+            }
+            Step::Builtin { pred, pos } => {
+                let Some(v) = pos.value(row) else {
+                    return Err(StruqlError::eval("builtin predicate over unbound variable"));
+                };
+                eval_builtin(*pred, v)
+            }
+            _ => extends()?,
         })
     }
 
@@ -232,22 +263,16 @@ impl Step {
                     Some(c) => graph.members(*c),
                     None => &[],
                 };
-                let member = |v: &Value| cid.is_some_and(|c| graph.in_collection(c, v));
                 if rows.iter().all(|row| pos.value(row).is_some()) {
-                    return retain_rows(rows, |row| Ok(pos.value(row).is_some_and(member)));
+                    return retain_rows(rows, |row| self.keeps(ev, row));
                 }
                 let reuse = rows.len() == 1;
                 let mut out = Vec::with_capacity(rows.len());
                 for row in rows {
-                    match pos.value(&row) {
-                        Some(v) => {
-                            if member(v) {
-                                out.push(row);
-                            }
-                        }
-                        None => {
-                            fan_out(row, reuse, members.iter(), &mut out, |r, m| pos.unify(r, m))
-                        }
+                    if pos.value(&row).is_none() {
+                        fan_out(row, reuse, members.iter(), &mut out, |r, m| pos.unify(r, m));
+                    } else if self.keeps(ev, &row)? {
+                        out.push(row);
                     }
                 }
                 Ok(out)
@@ -279,28 +304,16 @@ impl Step {
                 let memo = RegexBatch::prepare(graph, fwd, rev, &rows, spos, dpos);
                 Ok(apply_regex(rows, spos, dpos, &memo))
             }
-            Step::Compare { op, lp, rp } => retain_rows(rows, |row| {
-                let (Some(a), Some(b)) = (lp.value(row), rp.value(row)) else {
-                    return Err(StruqlError::eval("comparison over unbound variable"));
-                };
-                Ok(compare_keeps(*op, a, b))
-            }),
-            Step::Builtin { pred, pos } => retain_rows(rows, |row| {
-                let Some(v) = pos.value(row) else {
-                    return Err(StruqlError::eval("builtin predicate over unbound variable"));
-                };
-                Ok(eval_builtin(*pred, v))
-            }),
-            // The test runs against the borrowed row: no one-row relation
-            // is materialized.
-            Step::Not(check) => retain_rows(rows, |row| Ok(!check.holds(graph, row)?)),
+            Step::Compare { .. } | Step::Builtin { .. } => {
+                retain_rows(rows, |row| self.keeps(ev, row))
+            }
         }
     }
 }
 
 /// A filter step, in place: the rows `keep` accepts, in order, or the
 /// first error it raises.
-fn retain_rows(
+pub(crate) fn retain_rows(
     mut rows: Vec<Row>,
     mut keep: impl FnMut(&Row) -> StruqlResult<bool>,
 ) -> StruqlResult<Vec<Row>> {
@@ -366,181 +379,6 @@ fn compare_keeps(op: CmpOp, a: &Value, b: &Value) -> bool {
         Le => coerce::le(a, b),
         Gt => coerce::lt(b, a),
         Ge => coerce::le(b, a),
-    }
-}
-
-/// A `not(…)` inner condition compiled for repeated existence checks: term
-/// positions resolved, labels and collections looked up, and regexes
-/// NFA-compiled once per condition application instead of once per row.
-#[derive(Debug)]
-pub(crate) enum NotCheck {
-    Collection {
-        pos: Pos,
-        cid: Option<CollectionId>,
-        has_members: bool,
-    },
-    ArcVar {
-        spos: Pos,
-        lslot: usize,
-        dpos: Pos,
-    },
-    LabelStep {
-        spos: Pos,
-        label: Option<Label>,
-        dpos: Pos,
-    },
-    AnyStep {
-        spos: Pos,
-        dpos: Pos,
-    },
-    Regex {
-        spos: Pos,
-        dpos: Pos,
-        nfa: Nfa,
-    },
-    Compare {
-        op: CmpOp,
-        lp: Pos,
-        rp: Pos,
-    },
-    Builtin {
-        pred: BuiltinPred,
-        pos: Pos,
-    },
-    Not(Box<NotCheck>),
-}
-
-impl NotCheck {
-    fn prepare(graph: &Graph, cond: &Condition, vars: &[String]) -> StruqlResult<NotCheck> {
-        Ok(match cond {
-            Condition::Collection { name, arg, .. } => NotCheck::Collection {
-                pos: term_pos(arg, vars)?,
-                cid: graph.collection_id(name),
-                has_members: !graph.members_str(name).is_empty(),
-            },
-            Condition::Path { src, path, dst, .. } => {
-                let spos = term_pos(src, vars)?;
-                let dpos = term_pos(dst, vars)?;
-                match path {
-                    PathSpec::ArcVar(l) => NotCheck::ArcVar {
-                        spos,
-                        lslot: var_slot(l, vars).ok_or_else(|| {
-                            StruqlError::eval(format!("arc variable '{l}' lost"))
-                        })?,
-                        dpos,
-                    },
-                    PathSpec::Regex(r) => match r.as_single_step() {
-                        Some(StepPred::Label(name)) => NotCheck::LabelStep {
-                            spos,
-                            label: graph.label(&name),
-                            dpos,
-                        },
-                        Some(StepPred::Any) => NotCheck::AnyStep { spos, dpos },
-                        None => NotCheck::Regex {
-                            spos,
-                            dpos,
-                            nfa: Nfa::compile(r, graph),
-                        },
-                    },
-                }
-            }
-            Condition::Compare { op, lhs, rhs, .. } => NotCheck::Compare {
-                op: *op,
-                lp: term_pos(lhs, vars)?,
-                rp: term_pos(rhs, vars)?,
-            },
-            Condition::Builtin { pred, arg, .. } => NotCheck::Builtin {
-                pred: *pred,
-                pos: term_pos(arg, vars)?,
-            },
-            Condition::Not(inner, _) => {
-                NotCheck::Not(Box::new(NotCheck::prepare(graph, inner, vars)?))
-            }
-        })
-    }
-
-    /// Whether the inner condition has at least one satisfying extension
-    /// of `row` — i.e. whether its [`Step`] applied to `[row]` would be
-    /// non-empty — without cloning the row or materializing the
-    /// extensions. Keep/error decisions match [`Step::apply`] exactly.
-    fn holds(&self, graph: &Graph, row: &Row) -> StruqlResult<bool> {
-        // The label slot check mirrors Pos::would_unify for the arc
-        // variable's string binding.
-        let label_ok = |row: &Row, lslot: usize, lname: &str| match &row[lslot] {
-            Some(existing) => coerce::eq(existing, &Value::string(lname)),
-            None => true,
-        };
-        Ok(match self {
-            NotCheck::Collection {
-                pos,
-                cid,
-                has_members,
-            } => match pos.value(row) {
-                Some(v) => match cid {
-                    Some(c) => graph.in_collection(*c, v),
-                    None => false,
-                },
-                None => *has_members,
-            },
-            NotCheck::ArcVar { spos, lslot, dpos } => {
-                let edge_ok = |e: &strudel_graph::Edge| {
-                    label_ok(row, *lslot, graph.label_name(e.label))
-                        && dpos.would_unify(row, &e.to)
-                };
-                match spos.value(row) {
-                    Some(Value::Node(o)) => graph.edges(*o).iter().any(edge_ok),
-                    Some(_) => false, // atomic source: no out-edges
-                    None => graph
-                        .node_oids()
-                        .any(|o| graph.edges(o).iter().any(edge_ok)),
-                }
-            }
-            NotCheck::LabelStep { spos, label, dpos } => {
-                let Some(l) = label else {
-                    return Ok(false); // label never interned: no such edges
-                };
-                match spos.value(row) {
-                    Some(Value::Node(o)) => graph.attr(*o, *l).any(|v| dpos.would_unify(row, v)),
-                    Some(_) => false,
-                    None => graph
-                        .node_oids()
-                        .any(|o| graph.attr(o, *l).any(|v| dpos.would_unify(row, v))),
-                }
-            }
-            NotCheck::AnyStep { spos, dpos } => match spos.value(row) {
-                Some(Value::Node(o)) => {
-                    graph.edges(*o).iter().any(|e| dpos.would_unify(row, &e.to))
-                }
-                Some(_) => false,
-                None => graph
-                    .node_oids()
-                    .any(|o| graph.edges(o).iter().any(|e| dpos.would_unify(row, &e.to))),
-            },
-            NotCheck::Regex { spos, dpos, nfa } => match spos.value(row) {
-                Some(start) => nfa
-                    .eval_from(graph, start)
-                    .iter()
-                    .any(|v| dpos.would_unify(row, v)),
-                None => graph.node_oids().any(|o| {
-                    nfa.eval_from(graph, &Value::Node(o))
-                        .iter()
-                        .any(|v| dpos.would_unify(row, v))
-                }),
-            },
-            NotCheck::Compare { op, lp, rp } => {
-                let (Some(a), Some(b)) = (lp.value(row), rp.value(row)) else {
-                    return Err(StruqlError::eval("comparison over unbound variable"));
-                };
-                compare_keeps(*op, a, b)
-            }
-            NotCheck::Builtin { pred, pos } => {
-                let Some(v) = pos.value(row) else {
-                    return Err(StruqlError::eval("builtin predicate over unbound variable"));
-                };
-                eval_builtin(*pred, v)
-            }
-            NotCheck::Not(inner) => !inner.holds(graph, row)?,
-        })
     }
 }
 

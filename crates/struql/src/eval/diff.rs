@@ -113,7 +113,7 @@ pub struct DiffOutcome {
 /// compiled against it once for every walk of the delta.
 struct Snapshot<'e, 'db> {
     ev: &'e Evaluator<'db>,
-    steps: Vec<StruqlResult<atoms::Step>>,
+    steps: Vec<StruqlResult<(usize, atoms::Step)>>,
 }
 
 impl<'e, 'db> Snapshot<'e, 'db> {

@@ -484,8 +484,9 @@ pub struct PreparedWhere {
     plan: plan::Plan,
     /// The conditions, for trace events.
     conds: Vec<crate::ast::Condition>,
-    /// Per condition, its step, or the error applying it would raise.
-    steps: Vec<StruqlResult<atoms::Step>>,
+    /// Per condition, its step under its `not(…)` layer count, or the
+    /// error applying it would raise.
+    steps: Vec<StruqlResult<(usize, atoms::Step)>>,
 }
 
 impl PreparedWhere {
@@ -547,26 +548,36 @@ impl PreparedWhere {
     }
 }
 
-/// Compiles each of `conds` for rows laid out as `vars` over `graph`,
-/// keeping a condition's compile error to raise when the step runs.
+/// Compiles each of `conds` for rows laid out as `vars` over `graph` —
+/// a negated condition to its positive step and its `not(…)` layer
+/// count — keeping a condition's compile error to raise when the step
+/// runs.
 pub(crate) fn compile_steps(
     graph: &Graph,
     conds: &[crate::ast::Condition],
     vars: &[String],
-) -> Vec<StruqlResult<atoms::Step>> {
+) -> Vec<StruqlResult<(usize, atoms::Step)>> {
     conds
         .iter()
         .map(|c| atoms::Step::compile(graph, c, vars))
         .collect()
 }
 
-/// Applies a compiled step, or raises the error compiling it raised.
+/// Applies a compiled step, or raises the error compiling it raised. A
+/// step under `not(…)` layers only filters: a row survives when whether
+/// the step extends it matches whether the layer count is even.
 pub(crate) fn apply_step(
-    step: &StruqlResult<atoms::Step>,
+    step: &StruqlResult<(usize, atoms::Step)>,
     ev: &Evaluator<'_>,
     rows: Vec<Row>,
 ) -> StruqlResult<Vec<Row>> {
-    step.as_ref().map_err(Clone::clone)?.apply(ev, rows)
+    match step.as_ref().map_err(Clone::clone)? {
+        (0, step) => step.apply(ev, rows),
+        (layers, step) => {
+            let even = layers % 2 == 0;
+            atoms::retain_rows(rows, |row| Ok(step.keeps(ev, row)? == even))
+        }
+    }
 }
 
 /// Watches [`PreparedWhere::run`], one call pair per plan step.

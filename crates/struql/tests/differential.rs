@@ -22,9 +22,10 @@ use strudel_struql::{Condition, EvalOptions, Evaluator};
 
 mod reference;
 
-/// A random corpus: `n` nodes in collection `Items`, each with a `cat`
-/// string, a `val` int, and 0–2 `link` edges to earlier nodes (so Kleene
-/// cones are acyclic and bounded); a `next` chain threads every node.
+/// A random corpus: `n` nodes in collection `Items`, about a third of
+/// them in `Picked` too, each with a `cat` string, a `val` int, and 0–2
+/// `link` edges to earlier nodes (so Kleene cones are acyclic and
+/// bounded); a `next` chain threads every node.
 fn corpus(rng: &mut SmallRng, n: usize) -> Graph {
     let mut g = Graph::new();
     let cats = ["catA", "catB", "catC", "catD"];
@@ -32,6 +33,9 @@ fn corpus(rng: &mut SmallRng, n: usize) -> Graph {
     for i in 0..n {
         let node = g.add_named_node(&format!("item{i}"));
         g.collect_str("Items", node);
+        if rng.gen_bool(0.3) {
+            g.collect_str("Picked", node);
+        }
         g.add_edge_str(
             node,
             "cat",
@@ -50,18 +54,27 @@ fn corpus(rng: &mut SmallRng, n: usize) -> Graph {
     g
 }
 
-/// One random where-clause as STRUQL text. `x0` ranges over `Items`; at
-/// most one general-regex expansion keeps relation sizes testable.
-fn random_clause(rng: &mut SmallRng) -> String {
+/// The kind each case's first condition is, so that the ten cases reach
+/// every negated step kind, the single-step reverse probe and a positive
+/// built-in; `random_clause` draws the rest.
+const FIRST_KINDS: [u32; 10] = [10, 11, 12, 13, 14, 15, 16, 17, 8, 9];
+
+/// One random where-clause as STRUQL text, whose first condition after
+/// `Items(x0)` is of kind `first`. `x0` ranges over `Items`; at most one
+/// general-regex expansion keeps relation sizes testable.
+fn random_clause(rng: &mut SmallRng, first: u32) -> String {
+    let cats = ["catA", "catB", "catC", "catD"];
     let mut conds = vec!["Items(x0)".to_string()];
     let mut node_vars = 1usize; // x0..x{node_vars-1} bound node variables
-    let mut fresh = 1usize; // counter for all other fresh variable names
     let mut regexes = 0usize;
     let mut rev_probes = 0usize;
     let extra = rng.gen_range(2..=4usize);
-    for _ in 0..extra {
+    for n in 0..extra {
         let xi = rng.gen_range(0..node_vars);
-        match rng.gen_range(0..9u32) {
+        let kind = if n == 0 { first } else { rng.gen_range(0..18u32) };
+        // Every other variable a condition introduces is numbered `n + 1`.
+        let f = n + 1;
+        match kind {
             // Forward single steps.
             0 => {
                 conds.push(format!("x{xi} -> \"link\" -> x{node_vars}"));
@@ -72,10 +85,7 @@ fn random_clause(rng: &mut SmallRng) -> String {
                 node_vars += 1;
             }
             // Arc variable.
-            2 => {
-                conds.push(format!("x{xi} -> l{fresh} -> y{fresh}"));
-                fresh += 1;
-            }
+            2 => conds.push(format!("x{xi} -> l{f} -> y{f}")),
             // General regexes (forward, bound source).
             3 if regexes == 0 => {
                 conds.push(format!("x{xi} -> \"link\"* -> x{node_vars}"));
@@ -89,33 +99,54 @@ fn random_clause(rng: &mut SmallRng) -> String {
                 node_vars += 1;
                 regexes += 1;
             }
-            // Unbound source, bound destination: the reverse probe.
+            // Unbound source, bound destination: the reverse probes, a
+            // general regex and a single step.
             5 if rev_probes == 0 && regexes == 0 => {
                 conds.push(format!("x{node_vars} -> \"link\"+ -> x{xi}"));
                 node_vars += 1;
                 rev_probes += 1;
                 regexes += 1;
             }
-            // Attribute + filter.
-            6 => {
-                let k = rng.gen_range(20..80i64);
-                conds.push(format!("x{xi} -> \"val\" -> v{fresh}, v{fresh} >= {k}"));
-                fresh += 1;
+            8 => {
+                conds.push(format!("x{node_vars} -> \"link\" -> x{xi}"));
+                node_vars += 1;
             }
             7 => {
-                let cats = ["catA", "catB", "catC", "catD"];
                 let c = cats[rng.gen_range(0..cats.len())];
                 conds.push(format!("x{xi} -> \"cat\" -> \"{c}\""));
             }
-            // Negation over a bound variable.
+            // Built-in type predicates, over values an arc variable reads.
+            9 => {
+                let pred = if rng.gen_bool(0.5) { "isInt" } else { "isString" };
+                conds.push(format!("x{xi} -> l{f} -> y{f}, {pred}(y{f})"));
+            }
+            // Negations, one per step kind: a label with a local
+            // destination, and with an unbound source and a bound
+            // destination; an arc variable to a constant; a multi-step
+            // regex; a comparison; a negated negation; a membership; a
+            // built-in.
+            10 => conds.push(format!("not(x{xi} -> \"link\" -> z{f})")),
+            11 => conds.push(format!("not(z{f} -> \"link\" -> x{xi})")),
+            12 => {
+                let c = cats[rng.gen_range(0..cats.len())];
+                conds.push(format!("not(x{xi} -> l{f} -> \"{c}\")"));
+            }
+            13 => conds.push(format!("not(x{xi} -> \"link\" . \"link\" -> z{f})")),
+            14 => {
+                let k = rng.gen_range(20..80i64);
+                conds.push(format!("x{xi} -> \"val\" -> v{f}, not(v{f} < {k})"));
+            }
+            15 => {
+                let c = cats[rng.gen_range(0..cats.len())];
+                conds.push(format!("not(not(x{xi} -> \"cat\" -> \"{c}\"))"));
+            }
+            16 => conds.push(format!("not(Picked(x{xi}))")),
+            17 => conds.push(format!("x{xi} -> l{f} -> y{f}, not(isNode(y{f}))")),
+            // Attribute + filter; also what a regex draw past the first
+            // becomes.
             _ => {
-                let inner = if rng.gen_bool(0.5) {
-                    format!("x{xi} -> \"link\"* -> x{xi}")
-                } else {
-                    format!("x{xi} -> \"link\" -> z{fresh}")
-                };
-                fresh += 1;
-                conds.push(format!("not({inner})"));
+                let k = rng.gen_range(20..80i64);
+                conds.push(format!("x{xi} -> \"val\" -> v{f}, v{f} >= {k}"));
             }
         }
     }
@@ -158,8 +189,9 @@ fn random_clauses_agree_across_engine_configurations() {
     let mut rng = SmallRng::seed_from_u64(0xd1ff);
     let graph = corpus(&mut rng, 150);
 
-    for case in 0..10 {
-        let text = random_clause(&mut rng);
+    let mut with_rows = 0;
+    for (case, &kind) in FIRST_KINDS.iter().enumerate() {
+        let text = random_clause(&mut rng, kind);
         let program = strudel_struql::parse(&text)
             .unwrap_or_else(|e| panic!("case {case}: {text}\n{e}"));
         let conds = &program.blocks[0].where_;
@@ -181,7 +213,10 @@ fn random_clauses_agree_across_engine_configurations() {
                 "case {case}: {cfg} disagrees with {first_cfg}: {text}"
             );
         }
+        with_rows += usize::from(!first.is_empty());
     }
+    // A case that yields no row compares nothing past its emptying step.
+    assert!(with_rows >= 8, "only {with_rows} of 10 cases yield rows");
 }
 
 #[test]

@@ -12,7 +12,8 @@
 //!   kept once per edge;
 //! * an arc variable walks the source's edges, binding the label name;
 //! * a membership enumerates the collection or tests the bound value;
-//! * a comparison and `not(…)` filter the row.
+//! * a comparison, a built-in type predicate and `not(…)` filter the
+//!   row.
 //!
 //! Values unify under `strudel_graph::coerce`. It uses only the crates'
 //! public API and shares no code with the engine's condition evaluator,
@@ -21,10 +22,10 @@
 //! emits the same rows in the same order.
 
 use std::collections::HashSet;
-use strudel_graph::{coerce, Graph, Label, Value};
+use strudel_graph::{coerce, FileKind, Graph, Label, Value};
 use strudel_repo::Database;
 use strudel_struql::rpe::{Nfa, StepPred};
-use strudel_struql::{plan, CmpOp, Condition, PathSpec, Term};
+use strudel_struql::{plan, BuiltinPred, CmpOp, Condition, PathSpec, Term};
 
 /// One bindings row: a slot per variable, `None` until bound.
 pub type Row = Vec<Option<Value>>;
@@ -166,9 +167,32 @@ fn extend(graph: &Graph, cond: &Condition, vars: &[String], row: Row) -> Vec<Row
                 out.push(row);
             }
         }
-        Condition::Builtin { .. } => panic!("the reference has no built-in predicates"),
+        Condition::Builtin { pred, arg, .. } => {
+            let Some(v) = value(arg, vars, &row) else {
+                panic!("built-in predicate over an unbound variable");
+            };
+            if builtin(*pred, &v) {
+                out.push(row);
+            }
+        }
     }
     out
+}
+
+/// Whether `v` has the run-time type `pred` names.
+fn builtin(pred: BuiltinPred, v: &Value) -> bool {
+    let file = |kind: FileKind| matches!(v, Value::File(f) if f.kind == kind);
+    match pred {
+        BuiltinPred::IsImageFile => file(FileKind::Image),
+        BuiltinPred::IsPostScript => file(FileKind::PostScript),
+        BuiltinPred::IsTextFile => file(FileKind::Text),
+        BuiltinPred::IsHtmlFile => file(FileKind::Html),
+        BuiltinPred::IsUrl => matches!(v, Value::Url(_)),
+        BuiltinPred::IsInt => matches!(v, Value::Int(_)),
+        BuiltinPred::IsString => matches!(v, Value::Str(_)),
+        BuiltinPred::IsNode => matches!(v, Value::Node(_)),
+        BuiltinPred::IsAtomic => !matches!(v, Value::Node(_)),
+    }
 }
 
 /// Whether an edge labelled `label` takes the single step `step`.
