@@ -1,10 +1,9 @@
-//! Minimal epoll + eventfd bindings for the event-driven serve
-//! transport.
+//! Minimal epoll + eventfd bindings for the serve reactor.
 //!
 //! The workspace builds fully offline, so these are raw `extern "C"`
 //! declarations against the C library the Rust standard library already
-//! links — no external crates. All `unsafe` in the event-driven
-//! transport lives in this one small crate, behind a safe RAII API:
+//! links — no external crates. All `unsafe` in the serve reactor lives
+//! in this one small crate, behind a safe RAII API:
 //!
 //! * [`Epoll`] — `epoll_create1` / `epoll_ctl` / `epoll_wait`, with
 //!   `EINTR` retried and the fd closed on drop.
@@ -13,9 +12,8 @@
 //!   `epoll_wait` returns, and the reactor [`EventFd::drain`]s.
 //!
 //! On non-Linux targets every constructor returns
-//! [`std::io::ErrorKind::Unsupported`], so callers can offer the epoll
-//! transport behind a runtime flag and fall back to a portable one
-//! without any `cfg` of their own.
+//! [`std::io::ErrorKind::Unsupported`], so callers compile without any
+//! `cfg` of their own and fail at run time, when they first need one.
 
 #![warn(missing_docs)]
 
@@ -398,11 +396,6 @@ mod sys {
 }
 
 pub use sys::{kill_process, raise_signal, Epoll, EventFd, SignalFd};
-
-/// Whether the epoll transport can run on this target.
-pub fn supported() -> bool {
-    cfg!(target_os = "linux")
-}
 
 #[cfg(all(test, target_os = "linux"))]
 mod tests {

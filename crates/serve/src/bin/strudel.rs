@@ -45,17 +45,16 @@
 //!                                      before accepting requests;
 //!                                      T: slow-request threshold in µs,
 //!                                      0 disables;
-//!                                      B: max queued connections before
-//!                                      new ones are shed with a 503;
-//!                                      the front end follows the
-//!                                      platform: the event-driven epoll
-//!                                      reactor (HTTP/1.1 keep-alive) on
-//!                                      Linux, the portable thread pool
-//!                                      (one response per connection)
-//!                                      elsewhere; --keepalive-secs is the
-//!                                      reactor's idle-connection
-//!                                      deadline; --max-connections caps
-//!                                      its open sockets (503 beyond);
+//!                                      B: max requests queued for the
+//!                                      render pool before new ones are
+//!                                      shed with a 503;
+//!                                      the front end is the event-driven
+//!                                      epoll reactor (HTTP/1.1
+//!                                      keep-alive; Linux only);
+//!                                      --keepalive-secs is its
+//!                                      idle-connection deadline;
+//!                                      --max-connections caps its open
+//!                                      sockets (503 beyond);
 //!                                      --trace turns the strudel-trace
 //!                                      recorder on at startup;
 //!                                      --store attaches a durable store
@@ -255,8 +254,8 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         "serve" => {
             if args.iter().any(|a| a == "--transport") {
-                return Err("the --transport flag was removed: the front end follows the \
-                            platform (epoll reactor on Linux, thread pool elsewhere)"
+                return Err("the --transport flag was removed: the front end is the \
+                            epoll reactor"
                     .into());
             }
             if args.iter().any(|a| a == "--mode") {
@@ -314,13 +313,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 Some(b) => b.parse().map_err(|_| "--backlog needs a number")?,
                 None => strudel_serve::ServerConfig::default().max_backlog,
             };
-            // The reactor answers warm hits inline and keeps connections
-            // alive; the thread pool is what runs where there is no epoll.
-            let transport = if strudel_serve::Transport::Epoll.is_supported() {
-                strudel_serve::Transport::Epoll
-            } else {
-                strudel_serve::Transport::Threads
-            };
             let keepalive_timeout = match flag("--keepalive-secs") {
                 Some(s) => std::time::Duration::from_secs(
                     s.parse().map_err(|_| "--keepalive-secs needs a number")?,
@@ -335,7 +327,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 addr,
                 workers,
                 max_backlog,
-                transport,
                 keepalive_timeout,
                 max_connections,
                 ..Default::default()
@@ -384,17 +375,12 @@ fn run(args: &[String]) -> Result<(), String> {
                 warm_and_serve(std::sync::Arc::new(service), warm, config)?
             };
             println!(
-                "serving '{}' at http://{}/ ({workers} workers, {}, {} transport; \
-                 ^C stops)",
+                "serving '{}' at http://{}/ ({workers} workers, {}; ^C stops)",
                 built.name,
                 server.addr(),
                 match cluster_workers {
                     Some(n) => format!("{n} supervised worker processes"),
                     None => "1 engine".to_string(),
-                },
-                match transport {
-                    strudel_serve::Transport::Threads => "threads",
-                    strudel_serve::Transport::Epoll => "epoll",
                 }
             );
             match signals {

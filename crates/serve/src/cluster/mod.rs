@@ -13,8 +13,7 @@
 //! paged store read-only, which is what makes workers disposable — the
 //! supervisor's whole recovery story is "kill it and let it replay".
 //!
-//! **Forwarding.** Under the epoll transport a click does not leave the
-//! router's reactor thread. [`ClickService::try_forward`] takes an idle
+//! **Forwarding.** A click does not leave the router's reactor thread. [`ClickService::try_forward`] takes an idle
 //! kept-alive socket from the owner worker's `Upstream`; the reactor
 //! writes the request, waits for the answer in the same `epoll_wait` as
 //! its client connections and writes it back ([`Forward`]). It never
@@ -145,7 +144,8 @@ impl ClusterConfig {
 }
 
 /// The router/supervisor front (see module docs). Implements
-/// [`ClickService`], so either transport can carry it unchanged.
+/// [`ClickService`], so the reactor serves it as it serves a
+/// [`crate::SiteService`].
 pub struct ClusterService {
     config: ClusterConfig,
     /// The single delta writer and the shared store; the router is the

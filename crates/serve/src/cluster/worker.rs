@@ -20,8 +20,8 @@
 
 use super::fault::ArmedFaults;
 use crate::{
-    ClickService, Response, ServeError, ServerConfig, SiteService, Transport, TransportCounters,
-    WarmHit, WarmupReport,
+    ClickService, Response, ServeError, ServerConfig, SiteService, TransportCounters, WarmHit,
+    WarmupReport,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -167,7 +167,7 @@ pub fn run_worker(site: &strudel::Site, opts: WorkerOptions) -> Result<(), Strin
     faults.on_start();
 
     // Block + claim SIGTERM/SIGINT on the main thread now; every thread
-    // the transports spawn inherits the blocked mask, so the signals
+    // the server spawns inherits the blocked mask, so the signals
     // land only in this signalfd.
     let signals =
         strudel_epoll::SignalFd::new(&[strudel_epoll::SIGTERM, strudel_epoll::SIGINT]).ok();
@@ -175,7 +175,6 @@ pub fn run_worker(site: &strudel::Site, opts: WorkerOptions) -> Result<(), Strin
     let service = Arc::new(WorkerService::new(site, &opts).map_err(|e| e.to_string())?);
     let config = ServerConfig {
         addr: "127.0.0.1:0".into(),
-        transport: Transport::Epoll,
         ..Default::default()
     };
     let handle = crate::serve(service.clone(), config)

@@ -1,11 +1,9 @@
-//! The event-driven keep-alive transport: one epoll reactor thread
-//! owns every connection and answers warm hits itself; a render pool
-//! runs everything else.
-//!
-//! The thread-pool transport ([`crate::server`]) spends a thread per
-//! in-flight connection and closes after every response, so N browsers
-//! holding connections open cost N threads and every click pays a TCP
-//! handshake. This transport inverts both costs:
+//! The connection loop: one epoll reactor thread owns every
+//! connection and answers warm hits itself; a render pool runs
+//! everything else. [`crate::server::serve`] runs it for every server.
+//! A thread per connection would make N browsers holding connections
+//! open cost N threads, and a close after every response would make
+//! every click pay a TCP handshake. The reactor avoids both:
 //!
 //! * **One reactor thread** multiplexes all sockets through
 //!   `epoll_wait` (via the safe [`strudel_epoll`] bindings — this crate
@@ -38,8 +36,9 @@
 //!   so a slow page render never stalls the event loop, and it runs the
 //!   one retry a stale forwarded socket earns, because that connects.
 //!   Completions come back over a queue and an `eventfd` wakeup. When
-//!   the pool's bounded queue is full, the request sheds with `503` +
-//!   `Retry-After`, exactly like the thread transport's backlog.
+//!   the pool's bounded queue ([`ServerConfig::max_backlog`]) is full,
+//!   the request sheds with `503` + `Retry-After`; so does a connection
+//!   past [`ServerConfig::max_connections`].
 //!
 //! The reactor thread is the one thread nothing else can stand in for,
 //! so it may only run code that cannot wait. That is the `try_warm`
@@ -812,8 +811,8 @@ mod imp {
             }) {
                 Ok(()) => false,
                 Err(mpsc::TrySendError::Full(_)) => {
-                    // Render pool saturated: shed exactly like the
-                    // thread transport's full backlog.
+                    // Render pool saturated: shed with a 503 the
+                    // client can retry after.
                     self.service.note_shed();
                     let retry = self.retry_after_secs;
                     self.queue_response(idx, &proto::response_503(), false, true, Some(retry))
@@ -1048,7 +1047,10 @@ mod imp {
     ) -> std::io::Result<ServerHandle> {
         Err(std::io::Error::new(
             std::io::ErrorKind::Unsupported,
-            "the epoll transport requires Linux; use Transport::Threads",
+            format!(
+                "strudel serve needs epoll, which {} does not have (Linux only)",
+                std::env::consts::OS
+            ),
         ))
     }
 }

@@ -139,7 +139,7 @@ const TEXT_CONTENT_TYPE: &str = "text/plain; charset=utf-8";
 
 impl Response {
     /// The one place a fresh response is put together: every page,
-    /// report, refusal, timeout and `503` a front or either transport
+    /// report, refusal, timeout and `503` a front or the reactor
     /// answers. (Only the router's last-known-good copies are degraded.)
     fn new(status: u16, content_type: &'static str, body: String) -> Self {
         Response {

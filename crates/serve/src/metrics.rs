@@ -10,7 +10,7 @@
 use crate::SiteService;
 use std::collections::HashMap;
 use std::fmt::Write;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// Histogram bucket upper bounds, in microseconds: a 1–2–5 ladder from
@@ -210,9 +210,6 @@ pub struct RouteSnapshot {
 pub struct TransportCounters {
     panics: AtomicU64,
     shed: AtomicU64,
-    timeout_config_errors: AtomicU64,
-    /// Set by the first timeout-setup failure, the only one that logs.
-    timeout_error_logged: AtomicBool,
     accept_errors: AtomicU64,
     open_connections: AtomicU64,
     keepalive_reuse: AtomicU64,
@@ -231,20 +228,6 @@ impl TransportCounters {
     pub fn note_shed(&self) {
         self.shed.fetch_add(1, Ordering::Relaxed);
         strudel_trace::count("serve.shed", 1);
-    }
-
-    /// Records a failed socket-timeout setup. The first failure logs a
-    /// trace event; after that only the counter moves, so a flapping
-    /// socket option can't flood the trace buffer.
-    pub fn note_timeout_config_error(&self, err: &std::io::Error) {
-        self.timeout_config_errors.fetch_add(1, Ordering::Relaxed);
-        strudel_trace::count("serve.timeout_config_errors", 1);
-        if !self.timeout_error_logged.swap(true, Ordering::Relaxed) {
-            let msg = err.to_string();
-            strudel_trace::event_with("serve.timeout_config_error", || {
-                format!("socket timeout setup failed (logged once): {msg}")
-            });
-        }
     }
 
     /// Records one failed `accept`.
@@ -282,7 +265,6 @@ impl TransportCounters {
     fn add_to(&self, stats: &mut ServerStats) {
         stats.panics += self.panics.load(Ordering::Relaxed);
         stats.shed += self.shed.load(Ordering::Relaxed);
-        stats.timeout_config_errors += self.timeout_config_errors.load(Ordering::Relaxed);
         stats.accept_errors += self.accept_errors.load(Ordering::Relaxed);
         stats.open_connections += self.open_connections.load(Ordering::Relaxed);
         stats.keepalive_reuse += self.keepalive_reuse.load(Ordering::Relaxed);
@@ -357,13 +339,11 @@ impl InlineDecline {
 /// Where requests were answered, frozen for reporting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InlineSnapshot {
-    /// Page requests answered by `try_warm` — on the reactor thread,
-    /// under the epoll transport.
+    /// Page requests answered by `try_warm`, on the reactor thread.
     pub hits: u64,
     /// Page requests `try_warm` declined, indexed by [`InlineDecline`].
     pub declined: [u64; InlineDecline::ALL.len()],
-    /// Requests answered through `handle` — the render pool, under the
-    /// epoll transport.
+    /// Requests answered through `handle`, on the render pool.
     pub pool_dispatches: u64,
 }
 
@@ -390,10 +370,9 @@ pub struct ServerStats {
     pub slow_requests: u64,
     /// Requests that panicked mid-dispatch and were answered with a 500.
     pub panics: u64,
-    /// Connections shed with a 503 because the backlog was full.
+    /// Requests shed with a 503 because the render queue was full, and
+    /// connections shed at the connection cap.
     pub shed: u64,
-    /// Connections whose socket-timeout setup failed (served anyway).
-    pub timeout_config_errors: u64,
     /// Failed `accept` calls (the transport backed off after each).
     pub accept_errors: u64,
     /// Connections currently open at the transport (a gauge).
@@ -534,7 +513,6 @@ impl ServerStats {
                 ("strudel_slow_requests_total", self.slow_requests),
                 ("strudel_panics_total", self.panics),
                 ("strudel_shed_total", self.shed),
-                ("strudel_timeout_config_errors_total", self.timeout_config_errors),
                 ("strudel_accept_errors_total", self.accept_errors),
                 ("strudel_open_connections", self.open_connections),
                 ("strudel_keepalive_reuse_total", self.keepalive_reuse),
@@ -682,7 +660,6 @@ mod tests {
             slow_requests: 2,
             panics: 1,
             shed: 4,
-            timeout_config_errors: 3,
             accept_errors: 6,
             open_connections: 12,
             keepalive_reuse: 9,
@@ -700,7 +677,6 @@ mod tests {
         assert!(text.contains("strudel_slow_requests_total 2"));
         assert!(text.contains("strudel_panics_total 1"));
         assert!(text.contains("strudel_shed_total 4"));
-        assert!(text.contains("strudel_timeout_config_errors_total 3"));
         assert!(text.contains("strudel_accept_errors_total 6"));
         assert!(text.contains("strudel_open_connections 12"));
         assert!(text.contains("strudel_keepalive_reuse_total 9"));

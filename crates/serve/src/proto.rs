@@ -1,16 +1,13 @@
-//! The HTTP/1.1 wire protocol, shared by both transports.
-//!
-//! The thread-pool transport ([`crate::server`]) and the epoll reactor
-//! (`crate::event`) parse requests and encode responses through this
-//! one module, so the two transports can never drift: same request
-//! grammar, same status bodies, same header set. The only deliberate
-//! difference is the `Connection` header — the thread transport always
-//! answers `close` (one connection per request, the bench baseline),
-//! while the reactor answers `keep-alive` when the request allows it.
+//! The HTTP/1.1 wire protocol: the request grammar, the status bodies
+//! and the response encoder the epoll reactor (`crate::event`) serves
+//! with, and the request encoder and response parser the cluster's
+//! upstream client speaks to its workers with. The reactor answers
+//! `Connection: keep-alive` when the request allows it and `close`
+//! otherwise.
 //!
 //! Parsing is incremental over a byte buffer: callers append whatever
 //! arrived and ask again. A request is complete at the first blank line
-//! (CRLF or bare LF — the transports have always tolerated both);
+//! (CRLF or bare LF — both are tolerated);
 //! nothing past it is consumed, so pipelined requests stay in the
 //! buffer for the next round.
 
@@ -38,8 +35,8 @@ impl ParsedRequest {
         self.method == "HEAD"
     }
 
-    /// The request gate both transports hold a complete head to before
-    /// any service sees it: `405` for a method other than GET/HEAD,
+    /// The request gate the reactor holds a complete head to before any
+    /// service sees it: `405` for a method other than GET/HEAD,
     /// `400` for an unparsable request line, `None` to let it through.
     pub fn refusal(&self) -> Option<Response> {
         if self.method != "GET" && self.method != "HEAD" {

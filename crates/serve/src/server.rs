@@ -1,45 +1,39 @@
-//! The HTTP front end: two interchangeable transports over a shared
-//! click service — a [`crate::SiteService`] or the cluster router
-//! ([`crate::ClusterService`]).
+//! The HTTP front end: one connection loop, the epoll reactor in
+//! `crate::event`, over a click service — a [`crate::SiteService`] or
+//! the cluster router ([`crate::ClusterService`]).
 //!
-//! [`Transport::Threads`] (the default, and the portable baseline) is a
-//! plain-`std::net` thread pool: one accept thread feeds accepted
-//! connections into a *bounded* `mpsc` channel; `workers` threads drain
-//! it, each parsing a minimal `GET`/`HEAD` request through the shared
-//! [`crate::proto`] grammar, dispatching into the service, and writing
-//! exactly one response (`Connection: close`). [`Transport::Epoll`]
-//! (Linux) is the event-driven keep-alive reactor in `crate::event`:
-//! thousands of idle connections cost one fd each, not a thread each.
-//! Both transports serve byte-identical bodies — they share the parser,
-//! the status responses, and the response encoder.
+//! This module holds what the reactor and the fronts share: the
+//! [`ClickService`] trait the reactor dispatches into, the knobs
+//! ([`ServerConfig`]), the handle that shuts a server down, and the
+//! body types a reply is written from. The reactor's semantics:
 //!
-//! Common semantics, either transport:
-//!
-//! * When every worker is busy and the backlog is full, new work sheds
-//!   with a `503` + `Retry-After` instead of queueing unbounded
-//!   ([`ServerConfig::max_backlog`]).
+//! * HTTP/1.1 keep-alive; a warm hit is answered on the reactor thread
+//!   and everything else on a render pool of [`ServerConfig::workers`]
+//!   threads.
+//! * When the render pool's queue is full ([`ServerConfig::max_backlog`])
+//!   or the connection cap is reached ([`ServerConfig::max_connections`]),
+//!   new work sheds with a `503` + `Retry-After` instead of queueing
+//!   unbounded.
 //! * A panic escaping a handler is caught — the request answers 500 and
 //!   the worker keeps serving.
 //! * Total request-head bytes are capped ([`MAX_REQUEST_BYTES`]) — an
 //!   endless request line or header block answers `431`.
-//! * A client that stalls mid-request is answered `408` (or dropped),
-//!   never dispatched with unread bytes on the socket.
+//! * A client that stalls mid-head past [`ServerConfig::timeout`] is
+//!   answered `408`, never dispatched with unread bytes on the socket.
 //! * Persistent `accept` failures (an EMFILE storm, say) back off and
 //!   count on `/metrics` instead of busy-spinning the accept path.
 //!
 //! Shutdown is graceful: a flag flips, a loopback self-connection wakes
-//! the accept path, and every in-flight request drains before the
-//! threads join.
+//! the reactor, and every in-flight request drains before the threads
+//! join. The reactor needs epoll, so [`serve`] fails on a platform
+//! without it; the rest of the crate is portable.
 
-use crate::proto::{self, ParseOutcome};
 use crate::{Response, ServeError, TransportCounters, WarmupReport};
-use std::io::{Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use strudel_struql::Parallelism;
 
 /// Upper bound on total request bytes read per connection (request line
@@ -47,9 +41,9 @@ use strudel_struql::Parallelism;
 /// `431 Request Header Fields Too Large`.
 pub const MAX_REQUEST_BYTES: u64 = 16 * 1024;
 
-/// How long the accept path sleeps after a failed `accept` before
-/// retrying, so a persistent error (EMFILE, ENFILE) cannot busy-spin a
-/// core while it lasts.
+/// How long the reactor leaves the listener deregistered after a failed
+/// `accept` before retrying, so a persistent error (EMFILE, ENFILE)
+/// cannot busy-spin a core while it lasts.
 pub const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(20);
 
 /// A page answered from bytes already in hand — always status 200. The
@@ -91,7 +85,7 @@ pub(crate) struct Reply {
 }
 
 impl Reply {
-    /// The response the pool and the thread transport encode.
+    /// The response the router's render-pool path returns.
     pub(crate) fn into_response(self) -> Response {
         let body = match self.body {
             Body::Shared(body) => body.to_string(),
@@ -174,18 +168,17 @@ pub trait ClickService: Send + Sync + 'static {
             t.note_panic()
         }
     }
-    /// Records a connection shed by the full backlog.
+    /// Records a request shed by the full render queue, or a connection
+    /// shed at the connection cap.
     fn note_shed(&self) {
         if let Some(t) = self.transport() {
             t.note_shed()
         }
     }
-    /// Records a failed socket-timeout setup.
-    fn note_timeout_config_error(&self, err: &std::io::Error) {
-        if let Some(t) = self.transport() {
-            t.note_timeout_config_error(err)
-        }
-    }
+    /// Never called: the reactor sets no per-socket timeouts. Kept so
+    /// that implementations which override it still compile.
+    #[doc(hidden)]
+    fn note_timeout_config_error(&self, _err: &std::io::Error) {}
     /// Records a failed `accept`.
     fn note_accept_error(&self) {
         if let Some(t) = self.transport() {
@@ -206,7 +199,7 @@ pub trait ClickService: Send + Sync + 'static {
         }
     }
     /// Records a request served on an already-used connection
-    /// (keep-alive reuse; only the epoll transport reuses).
+    /// (keep-alive reuse).
     fn note_keepalive_reuse(&self) {
         if let Some(t) = self.transport() {
             t.note_keepalive_reuse()
@@ -220,30 +213,14 @@ pub trait ClickService: Send + Sync + 'static {
     }
 }
 
-/// Which HTTP front end carries the traffic.
+/// Ignored: both variants are served by the epoll reactor. Kept so
+/// that callers naming a transport still compile.
+#[doc(hidden)]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Transport {
-    /// The portable blocking thread pool: one worker thread per
-    /// in-flight connection, `Connection: close` on every response.
-    /// The bench baseline.
     #[default]
     Threads,
-    /// The event-driven epoll reactor (`crate::event`, Linux only):
-    /// HTTP/1.1 keep-alive, idle-connection deadlines, warm hits
-    /// answered on the reactor thread and a render pool for the rest —
-    /// idle connections cost an fd, not a thread.
     Epoll,
-}
-
-impl Transport {
-    /// Whether this transport can run on the current platform
-    /// ([`Transport::Epoll`] requires Linux).
-    pub fn is_supported(self) -> bool {
-        match self {
-            Transport::Threads => true,
-            Transport::Epoll => strudel_epoll::supported(),
-        }
-    }
 }
 
 /// Server knobs.
@@ -251,26 +228,27 @@ impl Transport {
 pub struct ServerConfig {
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
-    /// Worker threads handling requests (the render pool, under the
-    /// epoll transport).
+    /// Render-pool threads: they run what the reactor does not answer
+    /// inline.
     pub workers: usize,
-    /// Per-request socket read/write timeout (threads transport), and
-    /// the budget a reactor connection has to deliver a complete
-    /// request head before it is answered `408` (epoll transport).
+    /// The budget a connection has to deliver a complete request head
+    /// (and to take a response) before it is answered `408` (or cut
+    /// off).
     pub timeout: Duration,
-    /// Accepted connections that may wait for a worker. When the backlog
-    /// is full the accept path sheds new work with a `503` and a
+    /// Requests that may wait for a render-pool thread. When the queue
+    /// is full the reactor sheds new work with a `503` and a
     /// `Retry-After` header instead of queueing unbounded work.
     pub max_backlog: usize,
     /// The `Retry-After` value (seconds) sent on shed connections.
     pub retry_after_secs: u64,
-    /// Which front end carries the traffic.
+    /// Ignored: every server runs the epoll reactor.
+    #[doc(hidden)]
     pub transport: Transport,
-    /// Epoll transport: how long a keep-alive connection may sit idle
-    /// between requests before the reactor closes it.
+    /// How long a keep-alive connection may sit idle between requests
+    /// before the reactor closes it.
     pub keepalive_timeout: Duration,
-    /// Epoll transport: at this many open connections, new ones are
-    /// shed with a `503` instead of registered.
+    /// At this many open connections, new ones are shed with a `503`
+    /// instead of registered.
     pub max_connections: usize,
 }
 
@@ -324,8 +302,8 @@ impl ServerHandle {
 
     fn stop_and_join(&mut self) {
         if !self.stop.swap(true, Ordering::SeqCst) {
-            // Wake the blocking accept (or the reactor's epoll_wait)
-            // with a throwaway connection. The listener may be bound to
+            // Wake the reactor's epoll_wait with a throwaway
+            // connection. The listener may be bound to
             // an unspecified address (0.0.0.0 / ::), which is not
             // connectable — aim at loopback on the bound port instead,
             // and bound the wake so a filtered loopback can't turn
@@ -356,214 +334,13 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Starts serving `service` per `config`. Returns once the socket is
-/// bound and the worker pool (or reactor) is up.
+/// Starts serving `service` per `config` on the epoll reactor. Returns
+/// once the socket is bound and the reactor and render pool are up; on
+/// a platform without epoll, fails naming it.
 pub fn serve<S: ClickService>(
     service: Arc<S>,
     config: ServerConfig,
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
-    match config.transport {
-        Transport::Threads => serve_threads(service, config, listener),
-        Transport::Epoll => crate::event::serve_epoll(service, config, listener),
-    }
-}
-
-fn serve_threads<S: ClickService>(
-    service: Arc<S>,
-    config: ServerConfig,
-    listener: TcpListener,
-) -> std::io::Result<ServerHandle> {
-    let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-
-    let (tx, rx) = mpsc::sync_channel::<TcpStream>(config.max_backlog.max(1));
-    let rx = Arc::new(Mutex::new(rx));
-
-    let mut workers = Vec::with_capacity(config.workers.max(1));
-    for i in 0..config.workers.max(1) {
-        let rx = Arc::clone(&rx);
-        let service = Arc::clone(&service);
-        let timeout = config.timeout;
-        workers.push(
-            std::thread::Builder::new()
-                .name(format!("strudel-serve-worker-{i}"))
-                .spawn(move || loop {
-                    // Hold the receiver lock only for the dequeue, never
-                    // across a request.
-                    let stream = rx.lock().unwrap().recv();
-                    match stream {
-                        Ok(stream) => {
-                            service.note_conn_opened();
-                            // Backstop for panics outside the service's own
-                            // handler (request parsing, response writing): the
-                            // connection drops but the worker survives.
-                            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                handle_connection(stream, &*service, timeout)
-                            }));
-                            if caught.is_err() {
-                                service.note_panic();
-                            }
-                            service.note_conn_closed();
-                        }
-                        Err(_) => break, // channel closed: shutting down
-                    }
-                })?,
-        );
-    }
-
-    let accept_stop = Arc::clone(&stop);
-    let accept_service = Arc::clone(&service);
-    let retry_after_secs = config.retry_after_secs;
-    let accept = std::thread::Builder::new()
-        .name("strudel-serve-accept".into())
-        .spawn(move || {
-            for stream in listener.incoming() {
-                if accept_stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let stream = match stream {
-                    Ok(s) => s,
-                    Err(_) => {
-                        // A failed accept with nothing accepted —
-                        // typically fd exhaustion. Count it and back
-                        // off briefly: the error is persistent for as
-                        // long as the cause lasts, and an instant retry
-                        // would busy-spin this thread at 100% while
-                        // delivering nothing.
-                        accept_service.note_accept_error();
-                        std::thread::sleep(ACCEPT_ERROR_BACKOFF);
-                        continue;
-                    }
-                };
-                match tx.try_send(stream) {
-                    Ok(()) => {}
-                    Err(mpsc::TrySendError::Full(stream)) => {
-                        // Saturated: answer from the accept thread so the
-                        // client learns to back off instead of queueing.
-                        accept_service.note_shed();
-                        shed_connection(stream, retry_after_secs);
-                    }
-                    Err(mpsc::TrySendError::Disconnected(_)) => break,
-                }
-            }
-            // tx drops here; workers drain the queue and exit.
-        })?;
-
-    Ok(ServerHandle::new(addr, stop, accept, workers))
-}
-
-/// What reading one request head off a blocking socket produced.
-enum HeadRead {
-    /// A complete head (possibly with pipelined bytes left unread — the
-    /// thread transport answers one request per connection and closes).
-    Request(proto::ParsedRequest),
-    /// The head outgrew [`MAX_REQUEST_BYTES`].
-    TooLarge,
-    /// The client stalled mid-head (read timeout) with bytes already
-    /// buffered: answer `408` rather than dispatching a half request.
-    TimedOut,
-    /// Nothing useful arrived (clean EOF, instant error): just close.
-    Drop,
-}
-
-fn read_request_head(stream: &TcpStream) -> HeadRead {
-    let mut buf: Vec<u8> = Vec::with_capacity(512);
-    let mut scratch = [0u8; 2048];
-    loop {
-        match proto::parse_request(&buf, MAX_REQUEST_BYTES as usize) {
-            ParseOutcome::Complete { request, .. } => return HeadRead::Request(request),
-            ParseOutcome::TooLarge => return HeadRead::TooLarge,
-            ParseOutcome::Incomplete => {}
-        }
-        match (&mut (&*stream)).read(&mut scratch) {
-            Ok(0) => return HeadRead::Drop, // EOF before a full head
-            Ok(n) => buf.extend_from_slice(&scratch[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // The per-request socket timeout fired mid-head. The
-                // old code dispatched whatever had parsed so far — with
-                // the rest of the head still unread on the socket, the
-                // response would race a TCP reset. Answer 408 instead.
-                return if buf.is_empty() {
-                    HeadRead::Drop
-                } else {
-                    HeadRead::TimedOut
-                };
-            }
-            Err(_) => return HeadRead::Drop,
-        }
-    }
-}
-
-/// Parses one request and writes the service's response. Errors are
-/// answered with a 400/408/431 where possible and otherwise dropped — a
-/// broken client must never take a worker down.
-fn handle_connection<S: ClickService>(stream: TcpStream, service: &S, timeout: Duration) {
-    // A failed timeout setup means this connection could hold its worker
-    // indefinitely. Serve it anyway, but never silently: the service logs
-    // the first failure and counts every one.
-    if let Err(e) = stream
-        .set_read_timeout(Some(timeout))
-        .and_then(|()| stream.set_write_timeout(Some(timeout)))
-    {
-        service.note_timeout_config_error(&e);
-    }
-    let (response, head_only, must_drain) = match read_request_head(&stream) {
-        HeadRead::Drop => return,
-        HeadRead::TooLarge => (proto::response_431(MAX_REQUEST_BYTES), false, true),
-        HeadRead::TimedOut => (proto::response_408(), false, true),
-        HeadRead::Request(request) => match request.refusal() {
-            Some(refused) => (refused, false, false),
-            None => (service.handle(&request.path), request.head_only(), false),
-        },
-    };
-    // The thread transport is strictly one request per connection: every
-    // response closes, keeping it the clean connection-per-request
-    // baseline next to the reactor's keep-alive.
-    let bytes = proto::encode_response(&response, head_only, false, None);
-    let mut stream = stream;
-    if stream.write_all(&bytes).and_then(|()| stream.flush()).is_ok() && must_drain {
-        // The client may still be mid-send; drain briefly so closing
-        // with unread data doesn't RST the response away.
-        drain_before_close(&mut stream, Duration::from_millis(100));
-    }
-}
-
-/// Answers a connection the backlog has no room for: a `503` with a
-/// `Retry-After` header, written from the accept thread under short
-/// timeouts so a slow client cannot stall accepting.
-fn shed_connection(mut stream: TcpStream, retry_after_secs: u64) {
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let bytes =
-        proto::encode_response(&proto::response_503(), false, false, Some(retry_after_secs));
-    let _ = stream.write_all(&bytes);
-    let _ = stream.flush();
-    drain_before_close(&mut stream, Duration::from_millis(100));
-}
-
-/// Drains whatever request bytes arrived, until EOF or the deadline.
-/// Closing with unread data makes TCP reset the connection, which would
-/// discard the response sitting in the client's receive buffer — and one
-/// 1024-byte read is not enough for a request larger than 1 KiB.
-fn drain_before_close(stream: &mut TcpStream, max_wait: Duration) {
-    let deadline = Instant::now() + max_wait;
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(20)));
-    let mut scratch = [0u8; 1024];
-    loop {
-        match stream.read(&mut scratch) {
-            Ok(0) => break, // client closed its half: nothing left unread
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(_) => break,
-        }
-        if Instant::now() >= deadline {
-            break;
-        }
-    }
+    crate::event::serve_epoll(service, config, listener)
 }

@@ -1,9 +1,9 @@
-//! The transport's contract with a service it did not write. A
+//! The reactor's contract with a service it did not write. A
 //! [`ClickService`] implementor outside this crate — the benchmark's
-//! stub is one — defines `handle`, `warm` and the eight `note_*` hooks
-//! and nothing else. Served over either transport, its own overrides
-//! are what the transport calls: a service that keeps its own books
-//! keeps them, whatever the trait provides by default.
+//! stub is one — defines `handle`, `warm` and the seven `note_*` hooks
+//! and nothing else. Served by [`ServerConfig::default()`], its own
+//! overrides are what the reactor calls: a service that keeps its own
+//! books keeps them, whatever the trait provides by default.
 
 mod common;
 
@@ -15,9 +15,7 @@ use std::time::Duration;
 
 use common::{read_response, wait_for};
 
-use strudel_serve::{
-    serve, ClickService, Response, ServeError, ServerConfig, Transport, WarmupReport,
-};
+use strudel_serve::{serve, ClickService, Response, ServeError, ServerConfig, WarmupReport};
 use strudel_struql::Parallelism;
 
 /// Counts every hook call in its own fields.
@@ -26,7 +24,6 @@ struct Ledger {
     handled: AtomicU64,
     panics: AtomicU64,
     shed: AtomicU64,
-    timeout_config_errors: AtomicU64,
     accept_errors: AtomicU64,
     opened: AtomicU64,
     closed: AtomicU64,
@@ -56,9 +53,6 @@ impl ClickService for Ledger {
     fn note_shed(&self) {
         self.shed.fetch_add(1, Ordering::Relaxed);
     }
-    fn note_timeout_config_error(&self, _err: &std::io::Error) {
-        self.timeout_config_errors.fetch_add(1, Ordering::Relaxed);
-    }
     fn note_accept_error(&self) {
         self.accept_errors.fetch_add(1, Ordering::Relaxed);
     }
@@ -78,89 +72,67 @@ impl ClickService for Ledger {
 
 #[test]
 fn a_foreign_services_own_hooks_are_the_ones_the_transport_calls() {
-    for transport in common::transports() {
-        let ledger = Arc::new(Ledger::default());
-        let server = serve(
-            ledger.clone(),
-            ServerConfig {
-                workers: 2,
-                transport,
-                keepalive_timeout: Duration::from_millis(150),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let addr = server.addr();
-        let keeps_alive = transport == Transport::Epoll;
+    let ledger = Arc::new(Ledger::default());
+    let server = serve(
+        ledger.clone(),
+        ServerConfig {
+            workers: 2,
+            keepalive_timeout: Duration::from_millis(150),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr();
 
-        // Three requests down one connection where the transport keeps
-        // it alive, one connection each where it does not.
-        let mut connections = 0;
-        let mut conn: Option<(TcpStream, BufReader<TcpStream>)> = None;
-        for i in 0..3 {
-            if conn.is_none() {
-                let stream = TcpStream::connect(addr).unwrap();
-                conn = Some((stream.try_clone().unwrap(), BufReader::new(stream)));
-                connections += 1;
-            }
-            let (writer, reader) = conn.as_mut().unwrap();
-            write!(writer, "GET /echo/{i} HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
-            let (head, body) = read_response(reader).expect("a framed response");
-            assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-            assert_eq!(body, format!("echo /echo/{i}\n"), "{transport:?}");
-            if !keeps_alive {
-                conn = None;
-            }
-        }
-        assert_eq!(ledger.handled.load(Ordering::Relaxed), 3);
-        assert_eq!(
-            ledger.reused.load(Ordering::Relaxed),
-            if keeps_alive { 2 } else { 0 },
-            "{transport:?}: requests after a connection's first are reuses"
-        );
-
-        // A handler that panics is caught by the transport's backstop,
-        // which tells the service — this service.
-        let mut stream = TcpStream::connect(addr).unwrap();
-        connections += 1;
-        write!(stream, "GET /boom HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n")
-            .unwrap();
-        let mut sink = String::new();
-        let _ = stream.read_to_string(&mut sink);
-        wait_for("the panic to be booked", || ledger.panics.load(Ordering::Relaxed) == 1);
-
-        // The kept-alive connection sits idle past the deadline and the
-        // reactor closes it; every open is matched by a close.
-        if keeps_alive {
-            wait_for("the idle close", || ledger.idle_closed.load(Ordering::Relaxed) == 1);
-        }
-        drop(conn);
-        wait_for("every connection to close", || {
-            ledger.closed.load(Ordering::Relaxed) == connections
-        });
-        assert_eq!(ledger.opened.load(Ordering::Relaxed), connections, "{transport:?}");
-        for (name, counter) in [
-            ("shed", &ledger.shed),
-            ("timeout_config_errors", &ledger.timeout_config_errors),
-            ("accept_errors", &ledger.accept_errors),
-        ] {
-            assert_eq!(counter.load(Ordering::Relaxed), 0, "{transport:?}: {name}");
-        }
-        server.shutdown();
+    // Three requests down one kept-alive connection.
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut connections = 1;
+    for i in 0..3 {
+        write!(writer, "GET /echo/{i} HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
+        let (head, body) = read_response(&mut reader).expect("a framed response");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert_eq!(body, format!("echo /echo/{i}\n"));
     }
+    assert_eq!(ledger.handled.load(Ordering::Relaxed), 3);
+    assert_eq!(
+        ledger.reused.load(Ordering::Relaxed),
+        2,
+        "requests after a connection's first are reuses"
+    );
+
+    // A handler that panics is caught by the reactor's backstop,
+    // which tells the service — this service.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    connections += 1;
+    write!(stream, "GET /boom HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let mut sink = String::new();
+    let _ = stream.read_to_string(&mut sink);
+    wait_for("the panic to be booked", || ledger.panics.load(Ordering::Relaxed) == 1);
+
+    // The kept-alive connection sits idle past the deadline and the
+    // reactor closes it; every open is matched by a close.
+    wait_for("the idle close", || ledger.idle_closed.load(Ordering::Relaxed) == 1);
+    drop((writer, reader));
+    wait_for("every connection to close", || {
+        ledger.closed.load(Ordering::Relaxed) == connections
+    });
+    assert_eq!(ledger.opened.load(Ordering::Relaxed), connections);
+    for (name, counter) in [("shed", &ledger.shed), ("accept_errors", &ledger.accept_errors)] {
+        assert_eq!(counter.load(Ordering::Relaxed), 0, "{name}");
+    }
+    server.shutdown();
 }
 
 #[test]
 fn a_full_house_sheds_onto_the_foreign_services_own_counter() {
-    if !common::transports().contains(&Transport::Epoll) {
-        return;
-    }
     let ledger = Arc::new(Ledger::default());
     let server = serve(
         ledger.clone(),
         ServerConfig {
             workers: 1,
-            transport: Transport::Epoll,
             max_connections: 1,
             ..Default::default()
         },

@@ -30,7 +30,7 @@ use strudel_serve::crawl::site_urls;
 use strudel_serve::router::shard_of_path;
 use strudel_serve::{
     proto, serve, ClickService, ClusterConfig, ClusterService, Response, ServerConfig,
-    ServerHandle, SiteService, Transport,
+    ServerHandle, SiteService,
 };
 use strudel_struql::Parallelism;
 use strudel_template::TemplateSet;
@@ -288,7 +288,6 @@ fn get(stream: &mut TcpStream, path: &str) -> (proto::ParsedResponse, Duration) 
 fn epoll_router(cluster: &Arc<ClusterService>, workers: usize) -> ServerHandle {
     let config = ServerConfig {
         workers,
-        transport: Transport::Epoll,
         ..Default::default()
     };
     serve(cluster.clone(), config).unwrap()
@@ -453,11 +452,6 @@ fn sigkill_under_keepalive_traffic_drops_zero_connections() {
         cluster.clone(),
         ServerConfig {
             workers: 4,
-            transport: if Transport::Epoll.is_supported() {
-                Transport::Epoll
-            } else {
-                Transport::Threads
-            },
             ..Default::default()
         },
     )
@@ -668,9 +662,6 @@ fn upstream_counters_reconcile_with_a_seeded_run() {
 /// from the same idle stacks, and the books still balance.
 #[test]
 fn upstream_counters_reconcile_through_the_reactor() {
-    if !Transport::Epoll.is_supported() {
-        return;
-    }
     let (site_dir, store_dir) = scratch("forwards");
     let workers = 2;
     let mut config = test_config(workers, &site_dir, &store_dir);
@@ -744,9 +735,6 @@ fn upstream_counters_reconcile_through_the_reactor() {
 /// then answers from the last-known-good copy.
 #[test]
 fn a_stalled_worker_does_not_stall_the_router() {
-    if !Transport::Epoll.is_supported() {
-        return;
-    }
     let (site_dir, store_dir) = scratch("stall");
     let oracle = oracle(base_graph());
     let paths = crawl(&|p| oracle.handle(p));

@@ -1,11 +1,7 @@
-//! Shared test support: the transport matrix.
-//!
-//! Serve's end-to-end suites run against every transport the platform
-//! supports, so the thread pool and the epoll reactor are held to the
-//! same observable behavior. `STRUDEL_TEST_TRANSPORT=threads|epoll`
-//! restricts a run to one transport (CI uses this for the epoll-only
-//! matrix leg). Also the golden list of `/metrics` rows, which the
-//! `SiteService` and cluster suites both hold their front to.
+//! Shared test support for serve's end-to-end suites: response framing
+//! off a kept-alive connection, polling, and the golden list of
+//! `/metrics` rows, which the `SiteService` and cluster suites both hold
+//! their front to.
 
 // Each suite uses the half of this module it needs.
 #![allow(dead_code)]
@@ -13,30 +9,6 @@
 use std::io::{BufRead, BufReader, Read};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
-
-use strudel_serve::Transport;
-
-/// The transports this test run covers.
-pub fn transports() -> Vec<Transport> {
-    match std::env::var("STRUDEL_TEST_TRANSPORT").as_deref() {
-        Ok("threads") => vec![Transport::Threads],
-        Ok("epoll") => {
-            assert!(
-                Transport::Epoll.is_supported(),
-                "STRUDEL_TEST_TRANSPORT=epoll on a platform without epoll"
-            );
-            vec![Transport::Epoll]
-        }
-        Ok(other) => panic!("unknown STRUDEL_TEST_TRANSPORT '{other}' (threads|epoll)"),
-        Err(_) => {
-            let mut all = vec![Transport::Threads];
-            if Transport::Epoll.is_supported() {
-                all.push(Transport::Epoll);
-            }
-            all
-        }
-    }
-}
 
 /// The rows of a `/metrics` body with their values masked: one
 /// `name{labels}` per line, in exposition order.
@@ -137,7 +109,6 @@ pub fn standard_metric_rows(routes: &[&str]) -> Vec<String> {
             "strudel_slow_requests_total",
             "strudel_panics_total",
             "strudel_shed_total",
-            "strudel_timeout_config_errors_total",
             "strudel_accept_errors_total",
             "strudel_open_connections",
             "strudel_keepalive_reuse_total",

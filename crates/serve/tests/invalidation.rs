@@ -3,8 +3,6 @@
 //! untouched pages keep serving straight from the rendered-HTML cache —
 //! asserted through the cache hit/miss counters.
 
-mod common;
-
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{mpsc, Arc, Mutex};
@@ -12,7 +10,7 @@ use std::time::{Duration, Instant};
 use strudel_graph::{ddl, GraphDelta, Value};
 use strudel_repo::{Database, IndexLevel};
 use strudel_schema::dynamic::{DynamicSite, Mode, PageKey};
-use strudel_serve::{render, serve, InlineDecline, ServerConfig, SiteService, Transport};
+use strudel_serve::{render, serve, InlineDecline, ServerConfig, SiteService};
 use strudel_struql::Parallelism;
 use strudel_template::TemplateSet;
 
@@ -379,9 +377,6 @@ fn warm_style_epoch_read_in_the_swap_window_cannot_pin_a_stale_rendition() {
 /// keep the reactor from answering another connection.
 #[test]
 fn a_delta_parked_in_the_swap_window_does_not_block_the_reactor() {
-    if !common::transports().contains(&Transport::Epoll) {
-        return;
-    }
     let service = Arc::new(service());
     service.warm(Parallelism::Sequential).unwrap();
     let x_url = service.url_of(&article_key(&service, "a1"));
@@ -389,7 +384,6 @@ fn a_delta_parked_in_the_swap_window_does_not_block_the_reactor() {
         service.clone(),
         ServerConfig {
             workers: 2,
-            transport: Transport::Epoll,
             ..Default::default()
         },
     )

@@ -7,13 +7,10 @@
 //! of ten thousand pipelined hits neither recurses nor starves another
 //! connection, a body larger than the socket buffer survives partial
 //! writes, and a panic in `try_warm` falls through to the pool.
-//!
-//! The whole suite is epoll-specific and self-skips where the transport
-//! is unsupported (non-Linux) or excluded via `STRUDEL_TEST_TRANSPORT`.
 
 mod common;
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -24,15 +21,12 @@ use strudel_schema::dynamic::Mode;
 use strudel_serve::crawl::site_urls;
 use strudel_serve::{
     proto, serve, CachedPage, ClickService, Response, ServeError, ServerConfig, SiteService,
-    Transport, WarmHit, WarmupReport,
+    WarmHit, WarmupReport,
 };
 use strudel_struql::Parallelism;
 use strudel_workload::news::{generate, NewsConfig};
 
-/// Whether this run covers the epoll transport at all.
-fn epoll_enabled() -> bool {
-    common::transports().contains(&Transport::Epoll)
-}
+use common::read_response;
 
 fn start(config: ServerConfig) -> (Arc<SiteService>, strudel_serve::ServerHandle) {
     let corpus = generate(&NewsConfig {
@@ -49,33 +43,8 @@ fn epoll_config() -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
-        transport: Transport::Epoll,
         ..Default::default()
     }
-}
-
-/// One complete HTTP response off a (possibly kept-alive) connection:
-/// status line + headers up to the blank line, then exactly
-/// `Content-Length` body bytes.
-fn read_response(reader: &mut BufReader<TcpStream>) -> Option<(String, String)> {
-    let mut head = String::new();
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line).ok()? == 0 {
-            return None; // EOF
-        }
-        if line == "\r\n" {
-            break;
-        }
-        head.push_str(&line);
-    }
-    let length: usize = head
-        .lines()
-        .find_map(|l| l.strip_prefix("Content-Length: "))
-        .and_then(|v| v.trim().parse().ok())?;
-    let mut body = vec![0u8; length];
-    reader.read_exact(&mut body).ok()?;
-    Some((head, String::from_utf8_lossy(&body).into_owned()))
 }
 
 /// One-shot fresh-connection request (`Connection: close`).
@@ -97,9 +66,6 @@ fn status_of(response: &str) -> &str {
 
 #[test]
 fn sequential_requests_on_one_connection_byte_equal_fresh_connections() {
-    if !epoll_enabled() {
-        return;
-    }
     let (_service, server) = start(epoll_config());
     let addr = server.addr();
     let paths = ["/", "/metrics", "/", "/no/such/route", "/"];
@@ -136,9 +102,6 @@ fn sequential_requests_on_one_connection_byte_equal_fresh_connections() {
 
 #[test]
 fn pipelined_requests_all_answer_in_order() {
-    if !epoll_enabled() {
-        return;
-    }
     let (_service, server) = start(epoll_config());
     let addr = server.addr();
     let reference = body_of(&get_fresh(addr, "/")).to_string();
@@ -163,9 +126,6 @@ fn pipelined_requests_all_answer_in_order() {
 
 #[test]
 fn idle_connections_close_on_deadline_and_count() {
-    if !epoll_enabled() {
-        return;
-    }
     let (service, server) = start(ServerConfig {
         keepalive_timeout: Duration::from_millis(200),
         ..epoll_config()
@@ -198,9 +158,6 @@ fn idle_connections_close_on_deadline_and_count() {
 
 #[test]
 fn keepalive_reuse_is_counted_and_connection_close_is_honored() {
-    if !epoll_enabled() {
-        return;
-    }
     let (service, server) = start(epoll_config());
     let addr = server.addr();
 
@@ -232,9 +189,6 @@ fn keepalive_reuse_is_counted_and_connection_close_is_honored() {
 
 #[test]
 fn slow_loris_clients_get_408_without_degrading_fast_clicks() {
-    if !epoll_enabled() {
-        return;
-    }
     let (_service, server) = start(ServerConfig {
         timeout: Duration::from_millis(400),
         ..epoll_config()
@@ -287,9 +241,6 @@ fn slow_loris_clients_get_408_without_degrading_fast_clicks() {
 
 #[test]
 fn hundreds_of_idle_connections_cost_fds_not_threads() {
-    if !epoll_enabled() {
-        return;
-    }
     const IDLE: usize = 200;
     let (service, server) = start(ServerConfig {
         keepalive_timeout: Duration::from_secs(60),
@@ -369,9 +320,6 @@ fn connect(addr: SocketAddr) -> TcpStream {
 
 #[test]
 fn inline_hits_are_byte_identical_on_the_wire_to_the_pool_encoding() {
-    if !epoll_enabled() {
-        return;
-    }
     let (service, server, pages) = start_warm();
     let addr = server.addr();
     // Warm pages go inline; the index, an unknown page and an unknown
@@ -419,9 +367,6 @@ fn inline_hits_are_byte_identical_on_the_wire_to_the_pool_encoding() {
 
 #[test]
 fn ten_thousand_pipelined_hits_answer_in_order_and_do_not_starve_a_second_connection() {
-    if !epoll_enabled() {
-        return;
-    }
     const BURST: usize = 10_000;
     let (service, server, pages) = start_warm();
     let addr = server.addr();
@@ -480,9 +425,6 @@ fn ten_thousand_pipelined_hits_answer_in_order_and_do_not_starve_a_second_connec
 
 #[test]
 fn a_body_larger_than_the_socket_buffer_reaches_a_slow_reader_intact() {
-    if !epoll_enabled() {
-        return;
-    }
     let (service, server, pages) = start_warm();
     let addr = server.addr();
     // Replace one page's rendition with 8 MiB no socket buffer holds,
@@ -545,7 +487,6 @@ impl ClickService for PanickyWarm {
         self.panics.fetch_add(1, Ordering::SeqCst);
     }
     fn note_shed(&self) {}
-    fn note_timeout_config_error(&self, _err: &std::io::Error) {}
     fn note_accept_error(&self) {}
     fn note_conn_opened(&self) {}
     fn note_conn_closed(&self) {}
@@ -555,9 +496,6 @@ impl ClickService for PanickyWarm {
 
 #[test]
 fn a_panic_in_try_warm_is_counted_and_the_pool_answers() {
-    if !epoll_enabled() {
-        return;
-    }
     let service = Arc::new(PanickyWarm {
         panics: AtomicUsize::new(0),
     });

@@ -16,7 +16,7 @@ use common::{read_response, wait_for};
 use strudel::sites::news_site;
 use strudel_prng::{Rng, SeedableRng, SmallRng};
 use strudel_schema::dynamic::Mode;
-use strudel_serve::{serve, ServerConfig, SiteService, Transport};
+use strudel_serve::{serve, ServerConfig, SiteService};
 use strudel_workload::news::{generate, NewsConfig};
 
 fn service() -> Arc<SiteService> {
@@ -42,9 +42,6 @@ fn exposed(service: &SiteService, row: &str) -> u64 {
 
 #[test]
 fn a_seeded_run_reconciles_with_the_fronts_counters() {
-    if !common::transports().contains(&Transport::Epoll) {
-        return; // only the reactor keeps connections alive or caps them
-    }
     const HELD: usize = 5;
     const LATE: usize = 3;
     let service = service();
@@ -52,7 +49,6 @@ fn a_seeded_run_reconciles_with_the_fronts_counters() {
         service.clone(),
         ServerConfig {
             workers: 2,
-            transport: Transport::Epoll,
             max_connections: HELD,
             ..Default::default()
         },
