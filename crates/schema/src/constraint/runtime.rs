@@ -67,10 +67,13 @@ fn quantify(
                 env.insert(q.var.clone(), m.clone());
                 foralls.push((q.var.clone(), m));
                 let r = quantify(graph, constraint, nfas, depth + 1, env, foralls);
+                // Failing or not, leave `foralls` as found: an enclosing
+                // `exists` tries its next member over the same bindings.
+                foralls.pop();
                 if !r.holds {
+                    env.remove(&q.var);
                     return r;
                 }
-                foralls.pop();
             }
             env.remove(&q.var);
             CheckResult::ok()
@@ -247,6 +250,32 @@ mod tests {
         assert!(check(&g, &c).holds);
         let c2 = parse_constraint("forall p in Pages : p in Linked").unwrap();
         assert!(!check(&g, &c2).holds);
+    }
+
+    #[test]
+    fn alternating_quantifiers_report_only_the_violating_binding() {
+        // x1 holds through its second y only; x2 has no y that works. An
+        // exists that retries after a failed inner forall must not carry
+        // that forall's binding into the next try or the counterexample.
+        let mut g = Graph::new();
+        let [x1, x2, y1, y2, z1] = ["x1", "x2", "y1", "y2", "z1"].map(|n| g.add_named_node(n));
+        g.add_edge_str(x1, "pair", Value::Node(y1));
+        g.add_edge_str(x1, "pair", Value::Node(y2));
+        g.add_edge_str(y2, "ok", Value::Node(z1));
+        g.add_edge_str(x2, "pair", Value::Node(y1));
+        for (c, n) in [("X", x1), ("X", x2), ("Y", y1), ("Y", y2), ("Z", z1)] {
+            g.collect_str(c, n);
+        }
+        let c = parse_constraint(
+            r#"forall x in X : exists y in Y : forall z in Z : x -> "pair" -> y and y -> "ok" -> z"#,
+        )
+        .unwrap();
+        let r = check(&g, &c);
+        assert!(!r.holds);
+        assert_eq!(
+            r.counterexample,
+            Some(vec![("x".to_string(), Value::Node(x2))])
+        );
     }
 
     #[test]

@@ -319,3 +319,83 @@ fn serve_with_a_store_serves_the_deltas_it_committed() {
         "the divergence warning says what is served: {before:?}"
     );
 }
+
+#[test]
+fn a_failing_accept_backs_off_and_the_server_recovers() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::TcpStream;
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    use strudel_serve::server::ACCEPT_ERROR_BACKOFF;
+
+    struct KillOnDrop(std::process::Child);
+    impl Drop for KillOnDrop {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    // Only the child runs under a 64-descriptor limit, so a few dozen
+    // client sockets fill its table and its `accept` fails with EMFILE.
+    let dir = demo_dir();
+    let mut child = KillOnDrop(
+        Command::new("sh")
+            .args(["-c", r#"ulimit -n 64 && exec "$0" "$@""#])
+            .arg(env!("CARGO_BIN_EXE_strudel"))
+            .args(["serve", dir.to_str().unwrap(), "--addr", "127.0.0.1:0"])
+            .stdout(Stdio::piped())
+            .spawn()
+            .unwrap(),
+    );
+    let mut lines = BufReader::new(child.0.stdout.take().unwrap()).lines();
+    let addr = loop {
+        let Some(Ok(line)) = lines.next() else {
+            panic!("serve exited before listening");
+        };
+        if let Some(rest) = line.split("http://").nth(1) {
+            break rest.split('/').next().unwrap().to_string();
+        }
+    };
+
+    // A held connection answered a keep-alive request, so it was
+    // accepted; the first one left unanswered waits in the backlog behind
+    // a failed accept.
+    let mut held = Vec::new();
+    let mut unanswered = false;
+    while held.len() < 90 && !unanswered {
+        let mut s = TcpStream::connect(&addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_millis(300))).unwrap();
+        s.write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        unanswered = !matches!(s.read(&mut [0u8; 64]), Ok(n) if n > 0);
+        held.push(s);
+    }
+    let filled = held.len();
+    drop(held);
+    std::thread::sleep(ACCEPT_ERROR_BACKOFF * 2);
+
+    let get = |path: &str| -> String {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let mut s = TcpStream::connect(&addr).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+            write!(s, "GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").unwrap();
+            let mut out = String::new();
+            if s.read_to_string(&mut out).is_ok() && !out.is_empty() {
+                return out;
+            }
+            assert!(Instant::now() < deadline, "{path} never answered");
+        }
+    };
+    let front = get("/");
+    let metrics = get("/metrics");
+    drop(child);
+
+    assert!(unanswered, "all {filled} connections were accepted under the limit");
+    assert!(front.starts_with("HTTP/1.1 200"), "{front}");
+    let errors: u64 = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("strudel_accept_errors_total "))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no accept error row: {metrics}"));
+    assert!(errors >= 1, "strudel_accept_errors_total {errors}");
+}

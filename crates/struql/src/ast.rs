@@ -244,6 +244,32 @@ pub enum PathSpec {
     Regex(PathRegex),
 }
 
+/// What the label of the one edge a single-edge path atom crosses must
+/// be: a named label, any label (`true`), or an arc variable, which binds
+/// it. `N` holds the name and `V` the variable — the atom's strings here,
+/// a label id and a row slot in a compiled where step.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum EdgeLabel<N, V> {
+    Is(N),
+    Any,
+    Binds(V),
+}
+
+impl PathSpec {
+    /// The label of the one edge this path crosses, or, as the error, the
+    /// regular path expression when it may cross any other number of
+    /// edges. The planner, the where stage and the delta walk all ask this
+    /// one question.
+    pub(crate) fn single_edge(&self) -> Result<EdgeLabel<&str, &str>, &PathRegex> {
+        match self {
+            PathSpec::ArcVar(l) => Ok(EdgeLabel::Binds(l)),
+            PathSpec::Regex(PathRegex::Label(l)) => Ok(EdgeLabel::Is(l)),
+            PathSpec::Regex(PathRegex::Any) => Ok(EdgeLabel::Any),
+            PathSpec::Regex(r) => Err(r),
+        }
+    }
+}
+
 /// Regular path expressions: `R := Pred | R.R | R|R | R*` (§2.2), with the
 /// common `+` and `?` extensions. `true` denotes any edge label; `*` alone
 /// abbreviates `true*`.
@@ -374,6 +400,16 @@ mod tests {
         let mut vars = Vec::new();
         t.vars(&mut vars);
         assert_eq!(vars, ["x", "y"]);
+    }
+
+    #[test]
+    fn single_edge_detection() {
+        let re = |r: PathRegex| PathSpec::Regex(r);
+        assert_eq!(re(PathRegex::Label("a".into())).single_edge(), Ok(EdgeLabel::Is("a")));
+        assert_eq!(re(PathRegex::Any).single_edge(), Ok(EdgeLabel::Any));
+        assert_eq!(PathSpec::ArcVar("l".into()).single_edge(), Ok(EdgeLabel::Binds("l")));
+        let star = PathRegex::Star(Box::new(PathRegex::Any));
+        assert_eq!(re(star.clone()).single_edge(), Err(&star));
     }
 
     #[test]

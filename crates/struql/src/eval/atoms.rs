@@ -7,6 +7,15 @@
 //! rows independently of every other row, and emits row *i*'s extensions
 //! before row *i+1*'s, on the calling thread.
 //!
+//! A path that crosses one edge — a named label, `true` or an arc
+//! variable (`x -> R -> y`, §2.2) — compiles to one [`Step::Edge`], whose
+//! label is `Is(label)`, `Any` or `Binds(slot)`, and runs under one probe
+//! rule: a bound source reads its own out-edges; an unbound source takes
+//! the first probe that answers of the label's index for a bound
+//! destination (`sources` for a named label, the value index for an
+//! atomic one), the reverse adjacency of a bound node destination, and a
+//! scan (the label's extension when kept, otherwise every edge).
+//!
 //! A negation is its positive step under a layer count: `not(…)` is
 //! stripped at compile time and counted beside the step, and the loop
 //! keeps a row when [`Step::keeps`] — does the step extend this row? —
@@ -28,14 +37,13 @@
 //! evaluator that shares no code with this module.
 
 use super::{var_slot, Evaluator, Row};
-use crate::ast::{BuiltinPred, CmpOp, Condition, PathRegex, PathSpec, Term};
+use crate::ast::{BuiltinPred, CmpOp, Condition, EdgeLabel, PathRegex, PathSpec, Term};
 use crate::builtins::eval_builtin;
 use crate::error::{StruqlError, StruqlResult};
-use crate::rpe::{Nfa, StepPred};
+use crate::rpe::Nfa;
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 use strudel_graph::{coerce, CollectionId, Graph, InEdge, Label, Oid, Value};
-use strudel_repo::IndexLevel;
 
 /// Appends variables this condition can bind (positive binders only) that
 /// are not yet in scope.
@@ -127,23 +135,14 @@ pub(crate) enum Step {
         pos: Pos,
         cid: Option<CollectionId>,
     },
-    ArcVar {
+    /// A path that crosses one edge. A named label is `Is(None)` when
+    /// the graph never interned it: no such edges. An arc variable is
+    /// `Binds(slot)`, the slot it binds.
+    Edge {
         spos: Pos,
-        lslot: usize,
+        label: EdgeLabel<Option<Label>, usize>,
         dpos: Pos,
         cands: DstCandidates,
-    },
-    /// `label` is `None` when the graph never interned the label: no
-    /// such edges.
-    Label {
-        spos: Pos,
-        label: Option<Label>,
-        dpos: Pos,
-        cands: DstCandidates,
-    },
-    Any {
-        spos: Pos,
-        dpos: Pos,
     },
     /// `rev` is compiled from `regex` by the first batch that probes a
     /// bound destination, and kept: a cached plan compiles it once.
@@ -182,30 +181,29 @@ impl Step {
             Condition::Path { src, path, dst, .. } => {
                 let spos = term_pos(src, vars)?;
                 let dpos = term_pos(dst, vars)?;
-                match path {
-                    PathSpec::ArcVar(l) => Step::ArcVar {
-                        lslot: var_slot(l, vars)
+                let label = match path.single_edge() {
+                    Ok(EdgeLabel::Is(name)) => EdgeLabel::Is(graph.label(name)),
+                    Ok(EdgeLabel::Any) => EdgeLabel::Any,
+                    Ok(EdgeLabel::Binds(l)) => EdgeLabel::Binds(
+                        var_slot(l, vars)
                             .ok_or_else(|| StruqlError::eval(format!("arc variable '{l}' lost")))?,
-                        cands: DstCandidates::new(&dpos),
-                        spos,
-                        dpos,
-                    },
-                    PathSpec::Regex(r) => match r.as_single_step() {
-                        Some(StepPred::Label(name)) => Step::Label {
-                            label: graph.label(&name),
-                            cands: DstCandidates::new(&dpos),
-                            spos,
-                            dpos,
-                        },
-                        Some(StepPred::Any) => Step::Any { spos, dpos },
-                        None => Step::Regex {
+                    ),
+                    Err(r) => {
+                        let regex = Step::Regex {
                             fwd: Nfa::compile(r, graph),
                             rev: OnceLock::new(),
                             regex: r.clone(),
                             spos,
                             dpos,
-                        },
-                    },
+                        };
+                        return Ok((0, regex));
+                    }
+                };
+                Step::Edge {
+                    cands: DstCandidates::new(&dpos),
+                    spos,
+                    label,
+                    dpos,
                 }
             }
             Condition::Compare { op, lhs, rhs, .. } => Step::Compare {
@@ -277,22 +275,12 @@ impl Step {
                 }
                 Ok(out)
             }
-            Step::ArcVar {
-                spos,
-                lslot,
-                dpos,
-                cands,
-            } => apply_arc_var(ev, graph, rows, spos, *lslot, dpos, cands),
-            Step::Label {
+            Step::Edge {
                 spos,
                 label,
                 dpos,
                 cands,
-            } => match label {
-                Some(label) => apply_label_step(ev, graph, rows, spos, *label, dpos, cands),
-                None => Ok(Vec::new()),
-            },
-            Step::Any { spos, dpos } => apply_any_step(graph, rows, spos, dpos),
+            } => Ok(apply_edge(ev, rows, spos, *label, dpos, cands)),
             Step::Regex {
                 spos,
                 dpos,
@@ -475,259 +463,114 @@ fn sorted_edges_in(graph: &Graph, target: Oid) -> Vec<InEdge> {
     ins
 }
 
-/// `src -> l -> dst` with `l` an arc variable: any single edge, binding the
-/// label name.
-fn apply_arc_var(
+/// `src -> R -> dst` where `R` crosses one edge: the hot atom. A bound
+/// node source reads its own out-edges. An unbound source takes the first
+/// of three probes that answers:
+///
+/// 1. the index the label has for a bound destination — `sources` for a
+///    named label, the value index for any label and an atomic
+///    destination — probed with every coercion-equal key, since the
+///    indexes are exact-match but unification coerces (a numeric
+///    destination has no finite key set and is not answered here);
+/// 2. the reverse adjacency of a bound node destination, in ascending
+///    source-oid order, so its rows are byte-identical to the scan's;
+/// 3. a scan: the label's extension when the database keeps one,
+///    otherwise every edge of every node.
+fn apply_edge(
     ev: &Evaluator<'_>,
-    graph: &Graph,
     rows: Vec<Row>,
     spos: &Pos,
-    lslot: usize,
+    label: EdgeLabel<Option<Label>, usize>,
     dpos: &Pos,
     cands: &DstCandidates,
-) -> StruqlResult<Vec<Row>> {
-    let tracing = strudel_trace::enabled();
-    let mut fwd_probes: u64 = 0;
-    let mut rev_probes: u64 = 0;
-    // The arc variable binds the label's name.
-    let label = |r: &mut Row, l: Label| {
-        Pos::Slot(lslot).unify(r, &Value::string(graph.label_name(l)))
+) -> Vec<Row> {
+    let db = ev.db();
+    let graph = db.graph();
+    let named = match label {
+        EdgeLabel::Is(None) => return Vec::new(),
+        EdgeLabel::Is(Some(l)) => Some(l),
+        EdgeLabel::Any | EdgeLabel::Binds(_) => None,
     };
-    let mut out = Vec::new();
-    for row in rows {
-        match spos.value(&row) {
-            Some(Value::Node(o)) => {
-                let o = *o;
-                fwd_probes += 1;
-                for e in graph.edges(o) {
-                    let mut r = row.clone();
-                    if label(&mut r, e.label) && dpos.unify(&mut r, &e.to) {
-                        out.push(r);
-                    }
-                }
-            }
-            Some(_) => {} // atomic source: no out-edges
-            None => {
-                let dval = dpos.value(&row);
-                // Bound node destination: answer from the reverse
-                // adjacency index. Ascending-source order makes the rows
-                // byte-identical to the full scan below.
-                if let Some(dv @ Value::Node(t)) = dval {
-                    rev_probes += 1;
-                    for ie in sorted_edges_in(graph, *t) {
-                        let mut r = row.clone();
-                        if label(&mut r, ie.label)
-                            && spos.unify(&mut r, &Value::Node(ie.from))
-                            && dpos.unify(&mut r, dv)
-                        {
-                            out.push(r);
-                        }
-                    }
-                    continue;
-                }
-                // Unbound source: enumerate all edges. With a bound atomic
-                // destination and a full value index, invert through it —
-                // probing every coercion-equal key so the indexed path
-                // agrees with the coercing scan below (numeric targets
-                // have no finite key set and take the scan).
-                let mut scratch = None;
-                let indexed = dval.and_then(|dv| {
-                    if !dv.is_atomic() || ev.db().value_locations(dv).is_none() {
-                        return None;
-                    }
-                    cands.get(dv, &mut scratch).map(|c| (dv, c))
-                });
-                if let Some((dv, cands)) = indexed {
-                    for cand in cands {
-                        let locs = ev
-                            .db()
-                            .value_locations(cand)
-                            .expect("index present per the guard above");
-                        for (o, lab) in locs.iter() {
-                            let mut r = row.clone();
-                            if label(&mut r, *lab)
-                                && spos.unify(&mut r, &Value::Node(*o))
-                                && dpos.unify(&mut r, dv)
-                            {
-                                out.push(r);
-                            }
-                        }
-                    }
-                    continue;
-                }
-                fwd_probes += 1;
-                for o in graph.node_oids() {
-                    for e in graph.edges(o) {
-                        let mut r = row.clone();
-                        if spos.unify(&mut r, &Value::Node(o))
-                            && label(&mut r, e.label)
-                            && dpos.unify(&mut r, &e.to)
-                        {
-                            out.push(r);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if tracing {
-        strudel_trace::count("struql.probe.fwd", fwd_probes);
-        strudel_trace::count("struql.probe.rev", rev_probes);
-    }
-    Ok(out)
-}
-
-/// `src -> "label" -> dst`: one edge with a fixed label. This is the hot
-/// atom; it is served from the extension indexes whenever possible.
-fn apply_label_step(
-    ev: &Evaluator<'_>,
-    graph: &Graph,
-    rows: Vec<Row>,
-    spos: &Pos,
-    label: Label,
-    dpos: &Pos,
-    cands: &DstCandidates,
-) -> StruqlResult<Vec<Row>> {
-    // The reverse-adjacency path only replaces the *graph scan* fallback:
-    // when an extension or inverted index exists, those keep precedence
-    // (and their output order).
-    // Asked of the level, not of the index: probing would build it.
-    let use_rev = ev.db().level() == IndexLevel::None;
-    let tracing = strudel_trace::enabled();
+    let admits = |l: Label| named.map_or(true, |n| n == l);
+    // An arc variable binds the crossed edge's label name, or must agree
+    // with it.
+    let binds = |r: &mut Row, l: Label| match label {
+        EdgeLabel::Binds(slot) => Pos::Slot(slot).unify(r, &Value::string(graph.label_name(l))),
+        EdgeLabel::Is(_) | EdgeLabel::Any => true,
+    };
     let mut fwd_probes: u64 = 0;
     let mut rev_probes: u64 = 0;
     let reuse = rows.len() == 1;
     let mut out = Vec::new();
     for row in rows {
-        match spos.value(&row) {
+        let dv = match spos.value(&row) {
             Some(Value::Node(o)) => {
                 let o = *o;
                 fwd_probes += 1;
-                fan_out(row, reuse, graph.attr(o, label), &mut out, |r, v| {
-                    dpos.unify(r, v)
+                let edges = graph.edges(o).iter().filter(|e| admits(e.label));
+                fan_out(row, reuse, edges, &mut out, |r, e| {
+                    binds(r, e.label) && dpos.unify(r, &e.to)
                 });
+                continue;
             }
-            Some(_) => {}
-            None => {
-                // Unbound source. Prefer the inverted index when the
-                // destination is bound — probing every coercion-equal key,
-                // since the index is exact-match but unification coerces;
-                // numeric targets (no finite key set) fall through to the
-                // coercing extension scan.
-                let dbound = dpos.value(&row);
-                if let Some(dv) = dbound {
-                    let usable = ev.db().sources(label, dv).is_some();
-                    if usable {
-                        let mut scratch = None;
-                        if let Some(cands) = cands.get(dv, &mut scratch) {
-                            for cand in cands {
-                                let sources = ev
-                                    .db()
-                                    .sources(label, cand)
-                                    .expect("index present per the guard above");
-                                for &o in sources {
-                                    let mut r = row.clone();
-                                    if spos.unify(&mut r, &Value::Node(o))
-                                        && dpos.unify(&mut r, dv)
-                                    {
-                                        out.push(r);
-                                    }
-                                }
-                            }
-                            continue;
-                        }
+            Some(_) => continue, // atomic source: no out-edges
+            None => dpos.value(&row),
+        };
+        // The edge `from -l-> to`, on a clone of the row.
+        let mut push = |from: Oid, l: Label, to: &Value| {
+            let mut r = row.clone();
+            if binds(&mut r, l) && spos.unify(&mut r, &Value::Node(from)) && dpos.unify(&mut r, to)
+            {
+                out.push(r);
+            }
+        };
+        let mut scratch = None;
+        let keys = dv.and_then(|dv| {
+            let indexed = match named {
+                Some(l) => db.sources(l, dv).is_some(),
+                None => dv.is_atomic() && db.value_locations(dv).is_some(),
+            };
+            indexed.then(|| cands.get(dv, &mut scratch)).flatten()
+        });
+        if let (Some(dv), Some(keys)) = (dv, keys) {
+            for key in keys {
+                match named {
+                    Some(l) => {
+                        let sources = db.sources(l, key).expect("probed above");
+                        sources.iter().for_each(|&o| push(o, l, dv));
                     }
-                    if use_rev {
-                        if let Value::Node(t) = dv {
-                            rev_probes += 1;
-                            for ie in sorted_edges_in(graph, *t) {
-                                if ie.label != label {
-                                    continue;
-                                }
-                                let mut r = row.clone();
-                                if spos.unify(&mut r, &Value::Node(ie.from))
-                                    && dpos.unify(&mut r, dv)
-                                {
-                                    out.push(r);
-                                }
-                            }
-                            continue;
-                        }
+                    None => {
+                        let locs = db.value_locations(key).expect("probed above");
+                        locs.iter().for_each(|&(o, l)| push(o, l, dv));
                     }
                 }
-                fwd_probes += 1;
-                if let Some(ext) = ev.db().extension(label) {
-                    for (o, v) in ext {
-                        let mut r = row.clone();
-                        if spos.unify(&mut r, &Value::Node(*o)) && dpos.unify(&mut r, v) {
-                            out.push(r);
-                        }
-                    }
-                } else {
+            }
+        } else if let Some(dv @ Value::Node(t)) = dv {
+            rev_probes += 1;
+            for ie in sorted_edges_in(graph, *t) {
+                if admits(ie.label) {
+                    push(ie.from, ie.label, dv);
+                }
+            }
+        } else {
+            fwd_probes += 1;
+            match named.and_then(|l| db.extension(l).map(|ext| (l, ext))) {
+                Some((l, ext)) => ext.iter().for_each(|(o, v)| push(*o, l, v)),
+                None => {
                     for o in graph.node_oids() {
-                        for v in graph.attr(o, label) {
-                            let mut r = row.clone();
-                            if spos.unify(&mut r, &Value::Node(o)) && dpos.unify(&mut r, v) {
-                                out.push(r);
-                            }
+                        for e in graph.edges(o).iter().filter(|e| admits(e.label)) {
+                            push(o, e.label, &e.to);
                         }
                     }
                 }
             }
         }
     }
-    if tracing {
+    if strudel_trace::enabled() {
         strudel_trace::count("struql.probe.fwd", fwd_probes);
         strudel_trace::count("struql.probe.rev", rev_probes);
     }
-    Ok(out)
-}
-
-/// `src -> true -> dst`: one edge with any label.
-fn apply_any_step(graph: &Graph, rows: Vec<Row>, spos: &Pos, dpos: &Pos) -> StruqlResult<Vec<Row>> {
-    let tracing = strudel_trace::enabled();
-    let mut fwd_probes: u64 = 0;
-    let mut rev_probes: u64 = 0;
-    let reuse = rows.len() == 1;
-    let mut out = Vec::new();
-    for row in rows {
-        match spos.value(&row) {
-            Some(Value::Node(o)) => {
-                let o = *o;
-                fwd_probes += 1;
-                fan_out(row, reuse, graph.edges(o).iter(), &mut out, |r, e| {
-                    dpos.unify(r, &e.to)
-                });
-            }
-            Some(_) => {}
-            None => {
-                if let Some(dv @ Value::Node(t)) = dpos.value(&row) {
-                    rev_probes += 1;
-                    for ie in sorted_edges_in(graph, *t) {
-                        let mut r = row.clone();
-                        if spos.unify(&mut r, &Value::Node(ie.from)) && dpos.unify(&mut r, dv) {
-                            out.push(r);
-                        }
-                    }
-                    continue;
-                }
-                fwd_probes += 1;
-                for o in graph.node_oids() {
-                    for e in graph.edges(o) {
-                        let mut r = row.clone();
-                        if spos.unify(&mut r, &Value::Node(o)) && dpos.unify(&mut r, &e.to) {
-                            out.push(r);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if tracing {
-        strudel_trace::count("struql.probe.fwd", fwd_probes);
-        strudel_trace::count("struql.probe.rev", rev_probes);
-    }
-    Ok(out)
+    out
 }
 
 /// The batched evaluation context for one general-regex path condition.

@@ -35,10 +35,9 @@
 //! surviving derivation nets zero and is dropped from the diff.
 
 use super::{apply_step, atoms, compile_steps, Evaluator, Row};
-use crate::ast::{Condition, PathSpec, Term};
+use crate::ast::{Condition, EdgeLabel, PathSpec, Term};
 use crate::error::StruqlResult;
 use crate::plan;
-use crate::rpe::StepPred;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use strudel_graph::{coerce, DeltaOp, GraphDelta, Oid, Value};
 
@@ -277,16 +276,14 @@ fn unify(cond: &Condition, fact: Fact<'_>) -> Option<Vec<(String, Value)>> {
             name == collection && bind(arg, member, &mut out)
         }
         (Condition::Path { src, path, dst, .. }, Fact::Edge { from, label, to }) => {
-            let label_ok = match path {
-                PathSpec::ArcVar(l) => {
-                    out.push((l.clone(), Value::string(label)));
+            let label_ok = match path.single_edge() {
+                Ok(EdgeLabel::Is(want)) => want == label,
+                Ok(EdgeLabel::Any) => true,
+                Ok(EdgeLabel::Binds(l)) => {
+                    out.push((l.to_owned(), Value::string(label)));
                     true
                 }
-                PathSpec::Regex(r) => match r.as_single_step() {
-                    Some(StepPred::Label(want)) => want == label,
-                    Some(StepPred::Any) => true,
-                    None => false,
-                },
+                Err(_) => false,
             };
             label_ok && bind(src, &Value::Node(from), &mut out) && bind(dst, to, &mut out)
         }
@@ -353,8 +350,7 @@ pub fn delta_rows(
     let mut localized = true;
     'conds: for cond in conds.iter().filter(|c| touch.touches_cond(c)) {
         let atom = atom(cond);
-        if matches!(atom, Condition::Path { path: PathSpec::Regex(r), .. } if r.as_single_step().is_none())
-        {
+        if matches!(atom, Condition::Path { path, .. } if path.single_edge().is_err()) {
             localized = false;
             break;
         }

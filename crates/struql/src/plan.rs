@@ -13,8 +13,7 @@
 //! filters only as far as safety requires — the baseline for the
 //! join-ordering ablation (E-struql-scale).
 
-use crate::ast::{Condition, PathSpec, Term};
-use crate::rpe::StepPred;
+use crate::ast::{Condition, EdgeLabel, PathSpec, Term};
 use std::collections::HashSet;
 use strudel_repo::{Database, Stats};
 
@@ -103,53 +102,40 @@ fn cost(
         Condition::Path { src, path, dst, .. } => {
             let src_bound = term_bound(src, bound);
             let dst_bound = term_bound(dst, bound);
-            match path {
-                PathSpec::ArcVar(_) | PathSpec::Regex(_)
-                    if matches!(path, PathSpec::ArcVar(_))
-                        || matches!(
-                            path,
-                            PathSpec::Regex(r) if r.as_single_step() == Some(StepPred::Any)
-                        ) =>
-                {
-                    // Any single edge.
+            match path.single_edge() {
+                // Any single edge.
+                Ok(EdgeLabel::Any | EdgeLabel::Binds(_)) => match (src_bound, dst_bound) {
+                    (true, true) => 0.9,
+                    (true, false) => stats.avg_degree().max(1.0),
+                    (false, true) => (stats.edges as f64).sqrt().max(1.0),
+                    (false, false) => (stats.edges as f64).max(1.0),
+                },
+                Ok(EdgeLabel::Is(l)) => {
+                    let ls = db
+                        .graph()
+                        .label(l)
+                        .map(|lab| stats.label(lab))
+                        .unwrap_or_default();
                     match (src_bound, dst_bound) {
                         (true, true) => 0.9,
-                        (true, false) => stats.avg_degree().max(1.0),
-                        (false, true) => (stats.edges as f64).sqrt().max(1.0),
-                        (false, false) => (stats.edges as f64).max(1.0),
+                        (true, false) => ls.fanout().max(0.1),
+                        (false, true) => ls.fanin().max(0.1),
+                        (false, false) => (ls.edges as f64).max(0.1),
                     }
                 }
-                PathSpec::Regex(r) => match r.as_single_step() {
-                    Some(StepPred::Label(l)) => {
-                        let ls = db
-                            .graph()
-                            .label(l.as_str())
-                            .map(|lab| stats.label(lab))
-                            .unwrap_or_default();
-                        match (src_bound, dst_bound) {
-                            (true, true) => 0.9,
-                            (true, false) => ls.fanout().max(0.1),
-                            (false, true) => ls.fanin().max(0.1),
-                            (false, false) => (ls.edges as f64).max(0.1),
-                        }
+                Err(_) => {
+                    // General regex. Bound source: one forward traversal.
+                    // Bound destination: one *reverse* traversal over the
+                    // incoming-edge index — same price, not the node-count
+                    // multiple the forward engine would pay. Neither
+                    // bound: a traversal per source node.
+                    let reach = (stats.nodes as f64 / 2.0).max(1.0);
+                    match (src_bound, dst_bound) {
+                        (true, _) => reach,
+                        (false, true) => reach,
+                        (false, false) => (stats.nodes as f64).max(1.0) * reach,
                     }
-                    Some(StepPred::Any) => unreachable!("handled above"),
-                    None => {
-                        // General regex. Bound source: one forward
-                        // traversal. Bound destination: one *reverse*
-                        // traversal over the incoming-edge index — same
-                        // price, not the node-count multiple the forward
-                        // engine would pay. Neither bound: a traversal per
-                        // source node.
-                        let reach = (stats.nodes as f64 / 2.0).max(1.0);
-                        match (src_bound, dst_bound) {
-                            (true, _) => reach,
-                            (false, true) => reach,
-                            (false, false) => (stats.nodes as f64).max(1.0) * reach,
-                        }
-                    }
-                },
-                PathSpec::ArcVar(_) => unreachable!("handled above"),
+                }
             }
         }
         Condition::Compare { lhs, rhs, .. } => {

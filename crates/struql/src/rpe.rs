@@ -12,27 +12,7 @@ use crate::ast::PathRegex;
 use std::collections::HashSet;
 use strudel_graph::{Graph, Label, Oid, Value};
 
-/// A single-step predicate, for path atoms the planner can serve straight
-/// from the extension indexes without touching the NFA machinery.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum StepPred {
-    /// Any label (`true`).
-    Any,
-    /// One specific label.
-    Label(String),
-}
-
 impl PathRegex {
-    /// If this regex matches exactly one edge with a simple predicate,
-    /// return that predicate.
-    pub fn as_single_step(&self) -> Option<StepPred> {
-        match self {
-            PathRegex::Label(l) => Some(StepPred::Label(l.clone())),
-            PathRegex::Any => Some(StepPred::Any),
-            _ => None,
-        }
-    }
-
     /// Whether a traversal matching this regex could ever cross an edge
     /// labelled `label`. Conservative in one direction only: `true` may be
     /// a false positive (the label appears but no full match uses it), but
@@ -89,43 +69,48 @@ impl CompiledPred {
     }
 }
 
-/// A compiled NFA, specialized to one graph's label interner.
+/// A Thompson NFA over transition predicates `P`, built from a
+/// [`PathRegex`]: [`Nfa`] resolves labels against a graph, and the
+/// constraint verifier runs its predicates over schema edges by name.
 #[derive(Clone, Debug)]
-pub struct Nfa {
+pub struct Thompson<P> {
     /// Labeled transitions per state.
-    trans: Vec<Vec<(CompiledPred, usize)>>,
+    trans: Vec<Vec<(P, usize)>>,
     /// Epsilon transitions per state.
     eps: Vec<Vec<usize>>,
-    start: usize,
-    accept: usize,
 }
 
-impl Nfa {
-    /// Compiles `regex` against `graph`'s label interner.
-    pub fn compile(regex: &PathRegex, graph: &Graph) -> Nfa {
-        let mut b = Builder {
-            trans: Vec::new(),
-            eps: Vec::new(),
+impl<P> Thompson<P> {
+    /// The start state.
+    pub const START: usize = 0;
+    /// The one accepting state.
+    pub const ACCEPT: usize = 1;
+
+    /// Thompson construction of `regex`. `pred` gives the predicate of
+    /// each one-edge leaf: `Some(name)` for a label, `None` for `true`.
+    pub fn new(regex: &PathRegex, mut pred: impl FnMut(Option<&str>) -> P) -> Self {
+        let mut t = Thompson {
+            trans: vec![Vec::new(), Vec::new()],
+            eps: vec![Vec::new(), Vec::new()],
         };
-        let start = b.state();
-        let accept = b.state();
-        b.build(regex, graph, start, accept);
-        Nfa {
-            trans: b.trans,
-            eps: b.eps,
-            start,
-            accept,
-        }
+        t.build(regex, &mut pred, Self::START, Self::ACCEPT);
+        t
     }
 
-    /// Number of NFA states (for tests and plan costing).
+    /// Number of states.
     pub fn state_count(&self) -> usize {
         self.trans.len()
     }
 
-    /// Epsilon closure of a set of states, pushed into `out` (deduplicated
-    /// via `mark`).
-    fn closure(&self, seed: usize, out: &mut Vec<usize>, mark: &mut [bool]) {
+    /// The labeled transitions out of state `s`.
+    pub fn transitions(&self, s: usize) -> &[(P, usize)] {
+        &self.trans[s]
+    }
+
+    /// Epsilon closure of `seed`, pushed into `out` and deduplicated
+    /// through `mark` (one flag per state; states already marked are
+    /// skipped).
+    pub fn closure(&self, seed: usize, out: &mut Vec<usize>, mark: &mut [bool]) {
         let mut stack = vec![seed];
         while let Some(s) = stack.pop() {
             if mark[s] {
@@ -137,6 +122,73 @@ impl Nfa {
                 stack.push(t);
             }
         }
+    }
+
+    fn state(&mut self) -> usize {
+        self.trans.push(Vec::new());
+        self.eps.push(Vec::new());
+        self.trans.len() - 1
+    }
+
+    /// Thompson construction of `regex` between `from` and `to`.
+    fn build<F: FnMut(Option<&str>) -> P>(
+        &mut self,
+        regex: &PathRegex,
+        pred: &mut F,
+        from: usize,
+        to: usize,
+    ) {
+        match regex {
+            PathRegex::Label(name) => self.trans[from].push((pred(Some(name)), to)),
+            PathRegex::Any => self.trans[from].push((pred(None), to)),
+            PathRegex::Seq(a, b) => {
+                let mid = self.state();
+                self.build(a, pred, from, mid);
+                self.build(b, pred, mid, to);
+            }
+            PathRegex::Alt(a, b) => {
+                self.build(a, pred, from, to);
+                self.build(b, pred, from, to);
+            }
+            PathRegex::Star(inner) => {
+                let hub = self.state();
+                self.eps[from].push(hub);
+                self.eps[hub].push(to);
+                self.build(inner, pred, hub, hub);
+            }
+            PathRegex::Plus(inner) => {
+                // R+ = R . R*
+                let mid = self.state();
+                self.build(inner, pred, from, mid);
+                self.build(&PathRegex::Star(inner.clone()), pred, mid, to);
+            }
+            PathRegex::Opt(inner) => {
+                self.eps[from].push(to);
+                self.build(inner, pred, from, to);
+            }
+        }
+    }
+}
+
+/// A compiled NFA, specialized to one graph's label interner.
+#[derive(Clone, Debug)]
+pub struct Nfa(Thompson<CompiledPred>);
+
+const START: usize = Thompson::<CompiledPred>::START;
+const ACCEPT: usize = Thompson::<CompiledPred>::ACCEPT;
+
+impl Nfa {
+    /// Compiles `regex` against `graph`'s label interner.
+    pub fn compile(regex: &PathRegex, graph: &Graph) -> Nfa {
+        Nfa(Thompson::new(regex, |name| match name {
+            Some(name) => CompiledPred::Label(graph.label(name)),
+            None => CompiledPred::Any,
+        }))
+    }
+
+    /// Number of NFA states (for tests and plan costing).
+    pub fn state_count(&self) -> usize {
+        self.0.state_count()
     }
 
     /// All values reachable from `start` along paths matching the regex.
@@ -152,13 +204,13 @@ impl Nfa {
             }
         };
 
-        let mut mark = vec![false; self.trans.len()];
+        let mut mark = vec![false; self.state_count()];
         let mut start_states = Vec::new();
-        self.closure(self.start, &mut start_states, &mut mark);
+        self.0.closure(START, &mut start_states, &mut mark);
 
         let Some(o) = start.as_node() else {
             // An atomic start can only satisfy a zero-length path.
-            if start_states.contains(&self.accept) {
+            if start_states.contains(&ACCEPT) {
                 emit(start.clone(), &mut results, &mut seen_results);
             }
             return results;
@@ -175,20 +227,20 @@ impl Nfa {
 
         let mut closure_buf = Vec::new();
         while let Some((n, s)) = queue.pop_front() {
-            if s == self.accept {
+            if s == ACCEPT {
                 emit(Value::Node(n), &mut results, &mut seen_results);
             }
-            if self.trans[s].is_empty() {
+            if self.0.transitions(s).is_empty() {
                 continue;
             }
             for e in graph.edges(n) {
-                for (pred, t) in &self.trans[s] {
+                for (pred, t) in self.0.transitions(s) {
                     if !pred.matches(e.label) {
                         continue;
                     }
                     closure_buf.clear();
                     mark.iter_mut().for_each(|m| *m = false);
-                    self.closure(*t, &mut closure_buf, &mut mark);
+                    self.0.closure(*t, &mut closure_buf, &mut mark);
                     match &e.to {
                         Value::Node(m) => {
                             for &u in &closure_buf {
@@ -198,7 +250,7 @@ impl Nfa {
                             }
                         }
                         atomic => {
-                            if closure_buf.contains(&self.accept) {
+                            if closure_buf.contains(&ACCEPT) {
                                 emit(atomic.clone(), &mut results, &mut seen_results);
                             }
                         }
@@ -218,10 +270,10 @@ impl Nfa {
     /// Whether the regex matches the empty path (the start's epsilon
     /// closure contains the accept state).
     pub fn matches_empty(&self) -> bool {
-        let mut mark = vec![false; self.trans.len()];
+        let mut mark = vec![false; self.state_count()];
         let mut start_states = Vec::new();
-        self.closure(self.start, &mut start_states, &mut mark);
-        start_states.contains(&self.accept)
+        self.0.closure(START, &mut start_states, &mut mark);
+        start_states.contains(&ACCEPT)
     }
 
     /// All *source nodes* with a path matching the original regex ending at
@@ -250,11 +302,11 @@ impl Nfa {
             }
         };
 
-        let mut mark = vec![false; self.trans.len()];
+        let mut mark = vec![false; self.state_count()];
         let mut start_states = Vec::new();
-        self.closure(self.start, &mut start_states, &mut mark);
+        self.0.closure(START, &mut start_states, &mut mark);
 
-        if start_states.contains(&self.accept) {
+        if start_states.contains(&ACCEPT) {
             // Zero-length path: the target itself is a matching source.
             emit(target.clone(), &mut results, &mut seen_results);
         }
@@ -276,13 +328,13 @@ impl Nfa {
                 // one reverse transition from each start state per seed.
                 for &(from, label) in atomic_seeds {
                     for &s in &start_states {
-                        for (pred, t) in &self.trans[s] {
+                        for (pred, t) in self.0.transitions(s) {
                             if !pred.matches(label) {
                                 continue;
                             }
                             closure_buf.clear();
                             mark.iter_mut().for_each(|m| *m = false);
-                            self.closure(*t, &mut closure_buf, &mut mark);
+                            self.0.closure(*t, &mut closure_buf, &mut mark);
                             for &u in &closure_buf {
                                 if visited.insert((from, u)) {
                                     queue.push_back((from, u));
@@ -295,20 +347,20 @@ impl Nfa {
         }
 
         while let Some((n, s)) = queue.pop_front() {
-            if s == self.accept {
+            if s == ACCEPT {
                 emit(Value::Node(n), &mut results, &mut seen_results);
             }
-            if self.trans[s].is_empty() {
+            if self.0.transitions(s).is_empty() {
                 continue;
             }
             for ie in graph.edges_in(n) {
-                for (pred, t) in &self.trans[s] {
+                for (pred, t) in self.0.transitions(s) {
                     if !pred.matches(ie.label) {
                         continue;
                     }
                     closure_buf.clear();
                     mark.iter_mut().for_each(|m| *m = false);
-                    self.closure(*t, &mut closure_buf, &mut mark);
+                    self.0.closure(*t, &mut closure_buf, &mut mark);
                     for &u in &closure_buf {
                         if visited.insert((ie.from, u)) {
                             queue.push_back((ie.from, u));
@@ -326,57 +378,6 @@ impl Nfa {
         // bidirectional search would be faster but this is only used for
         // bound-bound checks, which are rare.
         self.eval_from(graph, from).iter().any(|v| v == to)
-    }
-}
-
-struct Builder {
-    trans: Vec<Vec<(CompiledPred, usize)>>,
-    eps: Vec<Vec<usize>>,
-}
-
-impl Builder {
-    fn state(&mut self) -> usize {
-        self.trans.push(Vec::new());
-        self.eps.push(Vec::new());
-        self.trans.len() - 1
-    }
-
-    /// Thompson construction of `regex` between `from` and `to`.
-    fn build(&mut self, regex: &PathRegex, graph: &Graph, from: usize, to: usize) {
-        match regex {
-            PathRegex::Label(name) => {
-                let pred = CompiledPred::Label(graph.label(name));
-                self.trans[from].push((pred, to));
-            }
-            PathRegex::Any => {
-                self.trans[from].push((CompiledPred::Any, to));
-            }
-            PathRegex::Seq(a, b) => {
-                let mid = self.state();
-                self.build(a, graph, from, mid);
-                self.build(b, graph, mid, to);
-            }
-            PathRegex::Alt(a, b) => {
-                self.build(a, graph, from, to);
-                self.build(b, graph, from, to);
-            }
-            PathRegex::Star(inner) => {
-                let hub = self.state();
-                self.eps[from].push(hub);
-                self.eps[hub].push(to);
-                self.build(inner, graph, hub, hub);
-            }
-            PathRegex::Plus(inner) => {
-                // R+ = R . R*
-                let mid = self.state();
-                self.build(inner, graph, from, mid);
-                self.build(&PathRegex::Star(inner.clone()), graph, mid, to);
-            }
-            PathRegex::Opt(inner) => {
-                self.eps[from].push(to);
-                self.build(inner, graph, from, to);
-            }
-        }
     }
 }
 
@@ -507,19 +508,6 @@ mod tests {
         let star = Nfa::compile(&PathRegex::Star(Box::new(PathRegex::Any)), &g);
         assert!(star.connects(&g, &node(&g, "root"), &Value::string("end")));
         assert!(!star.connects(&g, &node(&g, "leaf"), &node(&g, "root")));
-    }
-
-    #[test]
-    fn single_step_detection() {
-        assert_eq!(
-            PathRegex::Label("a".into()).as_single_step(),
-            Some(StepPred::Label("a".into()))
-        );
-        assert_eq!(PathRegex::Any.as_single_step(), Some(StepPred::Any));
-        assert_eq!(
-            PathRegex::Star(Box::new(PathRegex::Any)).as_single_step(),
-            None
-        );
     }
 
     #[test]

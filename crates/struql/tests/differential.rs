@@ -54,10 +54,12 @@ fn corpus(rng: &mut SmallRng, n: usize) -> Graph {
     g
 }
 
-/// The kind each case's first condition is, so that the ten cases reach
-/// every negated step kind, the single-step reverse probe and a positive
-/// built-in; `random_clause` draws the rest.
-const FIRST_KINDS: [u32; 10] = [10, 11, 12, 13, 14, 15, 16, 17, 8, 9];
+/// The kind each case's first condition is, so that the cases reach
+/// every negated step kind, a positive built-in, and every probe of the
+/// single-edge step — through a bound source, the reverse adjacency, the
+/// value index and the `sources` index — for a label, `true` and an arc
+/// variable; `random_clause` draws the rest.
+const FIRST_KINDS: [u32; 15] = [10, 11, 12, 13, 14, 15, 16, 17, 8, 9, 18, 19, 20, 21, 22];
 
 /// One random where-clause as STRUQL text, whose first condition after
 /// `Items(x0)` is of kind `first`. `x0` ranges over `Items`; at most one
@@ -68,10 +70,13 @@ fn random_clause(rng: &mut SmallRng, first: u32) -> String {
     let mut node_vars = 1usize; // x0..x{node_vars-1} bound node variables
     let mut regexes = 0usize;
     let mut rev_probes = 0usize;
+    // Unbound-source steps to a constant: each is a cross product with
+    // `Items(x0)`, so one per clause.
+    let mut crosses = 0usize;
     let extra = rng.gen_range(2..=4usize);
     for n in 0..extra {
         let xi = rng.gen_range(0..node_vars);
-        let kind = if n == 0 { first } else { rng.gen_range(0..18u32) };
+        let kind = if n == 0 { first } else { rng.gen_range(0..23u32) };
         // Every other variable a condition introduces is numbered `n + 1`.
         let f = n + 1;
         match kind {
@@ -114,6 +119,29 @@ fn random_clause(rng: &mut SmallRng, first: u32) -> String {
             7 => {
                 let c = cats[rng.gen_range(0..cats.len())];
                 conds.push(format!("x{xi} -> \"cat\" -> \"{c}\""));
+            }
+            // `true`: unbound source to a bound node (the reverse
+            // adjacency), and bound source.
+            18 => {
+                conds.push(format!("x{node_vars} -> true -> x{xi}"));
+                node_vars += 1;
+            }
+            19 => conds.push(format!("x{xi} -> true -> y{f}")),
+            // Arc variable, unbound source to a bound node: the reverse
+            // adjacency.
+            20 => {
+                conds.push(format!("x{node_vars} -> l{f} -> x{xi}"));
+                node_vars += 1;
+            }
+            // Unbound source to a constant: an arc variable (the value
+            // index, with full indexes) and a label (`sources`, with
+            // indexes).
+            21 | 22 if crosses == 0 => {
+                let c = cats[rng.gen_range(0..cats.len())];
+                let label = if kind == 21 { format!("l{f}") } else { "\"cat\"".to_string() };
+                conds.push(format!("x{node_vars} -> {label} -> \"{c}\""));
+                node_vars += 1;
+                crosses += 1;
             }
             // Built-in type predicates, over values an arc variable reads.
             9 => {
@@ -216,7 +244,11 @@ fn random_clauses_agree_across_engine_configurations() {
         with_rows += usize::from(!first.is_empty());
     }
     // A case that yields no row compares nothing past its emptying step.
-    assert!(with_rows >= 8, "only {with_rows} of 10 cases yield rows");
+    assert!(
+        with_rows >= 12,
+        "only {with_rows} of {} cases yield rows",
+        FIRST_KINDS.len()
+    );
 }
 
 #[test]

@@ -4,13 +4,13 @@
 //! It extends the bindings relation one condition at a time in the
 //! planner's order (`plan::plan(..).order`), and each row by itself:
 //!
-//! * a path condition runs one forward NFA closure (`Nfa::eval_from`)
-//!   from every candidate source — the bound source, or every node in
-//!   oid order — and keeps the reached values that unify with the
-//!   destination. A single step is an edge atom, and the engine derives
-//!   one row per matching edge, so a value reached over parallel edges is
-//!   kept once per edge;
-//! * an arc variable walks the source's edges, binding the label name;
+//! * a path condition that crosses one edge — a label, `true` or an arc
+//!   variable — walks the edges of every candidate source (the bound
+//!   source, or every node in oid order), one row per matching edge, an
+//!   arc variable binding the label's name;
+//! * any other path condition runs one forward NFA closure
+//!   (`Nfa::eval_from`) from every candidate source and keeps the reached
+//!   values that unify with the destination;
 //! * a membership enumerates the collection or tests the bound value;
 //! * a comparison, a built-in type predicate and `not(…)` filter the
 //!   row.
@@ -22,10 +22,10 @@
 //! emits the same rows in the same order.
 
 use std::collections::HashSet;
-use strudel_graph::{coerce, FileKind, Graph, Label, Value};
+use strudel_graph::{coerce, FileKind, Graph, Value};
 use strudel_repo::Database;
-use strudel_struql::rpe::{Nfa, StepPred};
-use strudel_struql::{plan, BuiltinPred, CmpOp, Condition, PathSpec, Term};
+use strudel_struql::rpe::Nfa;
+use strudel_struql::{plan, BuiltinPred, CmpOp, Condition, PathRegex, PathSpec, Term};
 
 /// One bindings row: a slot per variable, `None` until bound.
 pub type Row = Vec<Option<Value>>;
@@ -107,45 +107,30 @@ fn extend(graph: &Graph, cond: &Condition, vars: &[String], row: Row) -> Vec<Row
                 }
             }
         }
-        Condition::Path {
-            src,
-            path: PathSpec::ArcVar(l),
-            dst,
-            ..
-        } => {
-            let label = Term::Var(l.clone());
-            for s in sources(graph, src, vars, &row) {
-                let Value::Node(o) = s else { continue };
-                for e in graph.edges(o) {
-                    let mut r = row.clone();
-                    if unify(src, vars, &mut r, &s)
-                        && unify(&label, vars, &mut r, &Value::string(graph.label_name(e.label)))
-                        && unify(dst, vars, &mut r, &e.to)
-                    {
-                        out.push(r);
+        Condition::Path { src, path, dst, .. } => match edge_test(path) {
+            Ok(test) => {
+                for s in sources(graph, src, vars, &row) {
+                    let Value::Node(o) = s else { continue };
+                    for e in graph.edges(o) {
+                        let name = graph.label_name(e.label);
+                        if matches!(test, EdgeTest::Named(want) if name != want) {
+                            continue;
+                        }
+                        let mut r = row.clone();
+                        let bound = match &test {
+                            EdgeTest::Binds(l) => unify(l, vars, &mut r, &Value::string(name)),
+                            EdgeTest::Named(_) | EdgeTest::Any => true,
+                        };
+                        if bound && unify(src, vars, &mut r, &s) && unify(dst, vars, &mut r, &e.to) {
+                            out.push(r);
+                        }
                     }
                 }
             }
-        }
-        Condition::Path {
-            src,
-            path: PathSpec::Regex(regex),
-            dst,
-            ..
-        } => {
-            let nfa = Nfa::compile(regex, graph);
-            let step = regex.as_single_step();
-            for s in sources(graph, src, vars, &row) {
-                for v in nfa.eval_from(graph, &s) {
-                    let derivations = match (&s, &step) {
-                        (Value::Node(o), Some(step)) => graph
-                            .edges(*o)
-                            .iter()
-                            .filter(|e| e.to == v && step_matches(graph, step, e.label))
-                            .count(),
-                        _ => 1,
-                    };
-                    for _ in 0..derivations {
+            Err(regex) => {
+                let nfa = Nfa::compile(regex, graph);
+                for s in sources(graph, src, vars, &row) {
+                    for v in nfa.eval_from(graph, &s) {
                         let mut r = row.clone();
                         if unify(src, vars, &mut r, &s) && unify(dst, vars, &mut r, &v) {
                             out.push(r);
@@ -153,7 +138,7 @@ fn extend(graph: &Graph, cond: &Condition, vars: &[String], row: Row) -> Vec<Row
                     }
                 }
             }
-        }
+        },
         Condition::Compare { op, lhs, rhs, .. } => {
             let (Some(a), Some(b)) = (value(lhs, vars, &row), value(rhs, vars, &row)) else {
                 panic!("comparison over an unbound variable");
@@ -195,11 +180,25 @@ fn builtin(pred: BuiltinPred, v: &Value) -> bool {
     }
 }
 
-/// Whether an edge labelled `label` takes the single step `step`.
-fn step_matches(graph: &Graph, step: &StepPred, label: Label) -> bool {
-    match step {
-        StepPred::Label(l) => graph.label_name(label) == l,
-        StepPred::Any => true,
+/// What the label of the one edge a single-edge path condition crosses
+/// must be.
+enum EdgeTest<'a> {
+    /// `"name"`.
+    Named(&'a str),
+    /// `true`.
+    Any,
+    /// An arc variable, unified with the label's name.
+    Binds(Term),
+}
+
+/// The edge test of a path that crosses exactly one edge, or the regular
+/// path expression of any other path.
+fn edge_test(path: &PathSpec) -> Result<EdgeTest<'_>, &PathRegex> {
+    match path {
+        PathSpec::ArcVar(l) => Ok(EdgeTest::Binds(Term::Var(l.clone()))),
+        PathSpec::Regex(PathRegex::Label(l)) => Ok(EdgeTest::Named(l)),
+        PathSpec::Regex(PathRegex::Any) => Ok(EdgeTest::Any),
+        PathSpec::Regex(r) => Err(r),
     }
 }
 
