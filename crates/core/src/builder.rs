@@ -139,10 +139,14 @@ impl SiteBuilder {
         }
 
         let mut verifications = Vec::with_capacity(self.constraints.len());
+        // Made by the first constraint: a site without any copies no graph.
+        let site_graph = std::cell::OnceCell::new();
         for src in &self.constraints {
             let constraint = parse_constraint(src)?;
             let static_verdict = verify::verify(&schema, database.graph(), &constraint);
-            let runtime_result = runtime::check(&result.graph, &constraint);
+            let site_graph = site_graph
+                .get_or_init(|| Database::from_graph(result.graph.clone(), IndexLevel::Full));
+            let runtime_result = runtime::check(site_graph, &constraint);
             verifications.push(Verification {
                 constraint,
                 static_verdict,

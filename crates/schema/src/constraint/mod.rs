@@ -9,23 +9,26 @@
 //! forall p in PaperPages : exists c in CategoryPages : c -> * -> p
 //! ```
 //!
-//! The concrete syntax accepted by [`parse_constraint`]:
+//! The concrete syntax accepted by [`parse_constraint`] is a quantifier
+//! prefix over a STRUQL where clause, parsed by STRUQL's own lexer and
+//! condition parser ([`strudel_struql::parse_conjunction`]):
 //!
 //! ```text
 //! constraint := quantifier* body
 //! quantifier := ('forall' | 'exists') var 'in' Collection ':'
 //! body       := atom ('and' atom)*
 //! atom       := var '->' R '->' term        -- R: STRUQL path regex
-//!             | var 'in' Collection
-//! term       := var | "string" | integer
+//!             | var 'in' Collection         -- STRUQL's Collection(var)
+//! term       := var | STRUQL constant
 //! ```
 //!
 //! Free variables in path-atom target position are implicitly
 //! existentially quantified ("the page has *a* title").
 //!
-//! Two checkers share this AST:
+//! Two checkers read this AST:
 //!
-//! * [`runtime::check`] — complete, over a materialized graph;
+//! * [`runtime::check`] — complete, over a materialized graph: the body
+//!   runs through STRUQL's evaluator, the prefix is a loop over members;
 //! * [`verify::verify`] — sound static proof against the site schema,
 //!   deciding `Proved` without materializing any site, or `Unknown`.
 
@@ -33,8 +36,7 @@ pub mod runtime;
 pub mod verify;
 
 use std::fmt;
-use strudel_graph::Value;
-use strudel_struql::{parse_path_regex, PathRegex};
+use strudel_struql::{parse_conjunction, pretty_condition, Condition, PathSpec, Term};
 
 /// Quantifier kind.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,43 +58,15 @@ pub struct Quantifier {
     pub collection: String,
 }
 
-/// A term in atom target position.
-#[derive(Clone, Debug, PartialEq)]
-pub enum CTerm {
-    /// A variable (quantified or free-existential).
-    Var(String),
-    /// A constant.
-    Const(Value),
-}
-
-/// One atom of the body conjunction.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Atom {
-    /// `src -> R -> dst`.
-    Path {
-        /// Source variable.
-        src: String,
-        /// The path regex.
-        regex: PathRegex,
-        /// Target term.
-        dst: CTerm,
-    },
-    /// `var in Collection`.
-    InCollection {
-        /// The variable.
-        var: String,
-        /// The collection.
-        collection: String,
-    },
-}
-
-/// A parsed constraint: a quantifier prefix over a conjunction of atoms.
+/// A parsed constraint: a quantifier prefix over a conjunction of where
+/// conditions, each a path (`Condition::Path` with a path regex) from a
+/// quantified variable or the membership (`Condition::Collection`) of one.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Constraint {
     /// Quantifier prefix, outermost first.
     pub quantifiers: Vec<Quantifier>,
     /// Body conjunction.
-    pub atoms: Vec<Atom>,
+    pub atoms: Vec<Condition>,
     /// The original source text (for reports).
     pub source: String,
 }
@@ -120,65 +94,44 @@ fn err(message: impl Into<String>) -> ConstraintError {
 
 /// Parses a constraint.
 pub fn parse_constraint(src: &str) -> Result<Constraint, ConstraintError> {
-    let mut quantifiers = Vec::new();
-    let mut rest = src.trim();
-
-    loop {
-        let word = first_word(rest);
-        let quant = match word {
-            "forall" => Quant::Forall,
-            "exists" => Quant::Exists,
-            _ => break,
-        };
-        rest = rest[word.len()..].trim_start();
-        let var = first_word(rest);
-        if var.is_empty() {
-            return Err(err("expected a variable after the quantifier"));
-        }
-        rest = rest[var.len()..].trim_start();
-        let kw = first_word(rest);
-        if kw != "in" {
-            return Err(err(format!("expected 'in' after '{var}', found '{kw}'")));
-        }
-        rest = rest[2..].trim_start();
-        let coll = first_word(rest);
-        if coll.is_empty() {
-            return Err(err("expected a collection name after 'in'"));
-        }
-        rest = rest[coll.len()..].trim_start();
-        if !rest.starts_with(':') {
-            return Err(err(format!("expected ':' after 'in {coll}'")));
-        }
-        rest = rest[1..].trim_start();
-        quantifiers.push(Quantifier {
+    let (prefix, atoms) = parse_conjunction(src, |word| match word {
+        "forall" => Some(Quant::Forall),
+        "exists" => Some(Quant::Exists),
+        _ => None,
+    })
+    .map_err(|e| err(e.to_string()))?;
+    let quantifiers: Vec<Quantifier> = prefix
+        .into_iter()
+        .map(|(quant, var, collection)| Quantifier {
             quant,
-            var: var.to_owned(),
-            collection: coll.to_owned(),
-        });
-    }
+            var,
+            collection,
+        })
+        .collect();
 
-    let mut atoms = Vec::new();
-    for part in split_top_level_and(rest) {
-        atoms.push(parse_atom(part.trim())?);
-    }
-    if atoms.is_empty() {
-        return Err(err("constraint body is empty"));
-    }
-
-    // Scope sanity: path sources must be quantified variables.
+    // Scope sanity: path sources and members must be quantified variables.
+    let quantified = |t: &Term, what: &str| match t {
+        Term::Var(v) if quantifiers.iter().any(|q| &q.var == v) => Ok(()),
+        Term::Var(v) => Err(err(format!("{what} '{v}' is not a quantified variable"))),
+        _ => Err(err(format!("{what} is not a quantified variable"))),
+    };
     for a in &atoms {
-        if let Atom::Path { src, .. } = a {
-            if !quantifiers.iter().any(|q| &q.var == src) {
-                return Err(err(format!(
-                    "path source '{src}' is not a quantified variable"
-                )));
+        match a {
+            Condition::Path { src, path, .. } => {
+                quantified(src, "path source")?;
+                if let PathSpec::ArcVar(l) = path {
+                    return Err(err(format!(
+                        "'{l}' is an arc variable; a constraint path is a path \
+                         expression (a label is written \"{l}\")"
+                    )));
+                }
             }
-        }
-        if let Atom::InCollection { var, .. } = a {
-            if !quantifiers.iter().any(|q| &q.var == var) {
+            Condition::Collection { arg, .. } => quantified(arg, "membership variable")?,
+            other => {
                 return Err(err(format!(
-                    "membership variable '{var}' is not a quantified variable"
-                )));
+                    "'{}' is not a constraint atom (a path or a membership)",
+                    pretty_condition(other)
+                )))
             }
         }
     }
@@ -190,100 +143,18 @@ pub fn parse_constraint(src: &str) -> Result<Constraint, ConstraintError> {
     })
 }
 
-fn first_word(s: &str) -> &str {
-    let end = s
-        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '\''))
-        .unwrap_or(s.len());
-    &s[..end]
-}
-
-/// Splits on the keyword `and` at top level (outside quotes/parens).
-fn split_top_level_and(s: &str) -> Vec<&str> {
-    let bytes = s.as_bytes();
-    let mut parts = Vec::new();
-    let mut depth = 0i32;
-    let mut in_quotes = false;
-    let mut start = 0usize;
-    let mut i = 0usize;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => in_quotes = !in_quotes,
-            b'(' if !in_quotes => depth += 1,
-            b')' if !in_quotes => depth -= 1,
-            b'a' if !in_quotes
-                && depth == 0
-                && s[i..].starts_with("and")
-                && (i == 0 || bytes[i - 1].is_ascii_whitespace())
-                && (i + 3 >= bytes.len() || bytes[i + 3].is_ascii_whitespace()) =>
-            {
-                parts.push(&s[start..i]);
-                start = i + 3;
-                i += 3;
-                continue;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    parts.push(&s[start..]);
-    parts
-}
-
-fn parse_atom(src: &str) -> Result<Atom, ConstraintError> {
-    if let Some(arrow) = src.find("->") {
-        let var = src[..arrow].trim();
-        if var.is_empty() || !var.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '\'') {
-            return Err(err(format!("bad path source '{var}'")));
-        }
-        let rest = &src[arrow + 2..];
-        let Some(arrow2) = rest.rfind("->") else {
-            return Err(err(format!("path atom needs two '->': '{src}'")));
-        };
-        let regex_src = rest[..arrow2].trim();
-        let regex = parse_path_regex(regex_src)
-            .map_err(|e| err(format!("bad path expression '{regex_src}': {e}")))?;
-        let dst_src = rest[arrow2 + 2..].trim();
-        let dst = parse_cterm(dst_src)?;
-        return Ok(Atom::Path {
-            src: var.to_owned(),
-            regex,
-            dst,
-        });
-    }
-    // Membership: `var in Coll`.
-    let mut it = src.split_whitespace();
-    let (Some(var), Some(kw), Some(coll), None) = (it.next(), it.next(), it.next(), it.next())
-    else {
-        return Err(err(format!("unrecognized atom '{src}'")));
-    };
-    if kw != "in" {
-        return Err(err(format!("unrecognized atom '{src}'")));
-    }
-    Ok(Atom::InCollection {
-        var: var.to_owned(),
-        collection: coll.to_owned(),
-    })
-}
-
-fn parse_cterm(src: &str) -> Result<CTerm, ConstraintError> {
-    if src.is_empty() {
-        return Err(err("empty path target"));
-    }
-    if src.starts_with('"') && src.ends_with('"') && src.len() >= 2 {
-        return Ok(CTerm::Const(Value::string(&src[1..src.len() - 1])));
-    }
-    if let Ok(i) = src.parse::<i64>() {
-        return Ok(CTerm::Const(Value::Int(i)));
-    }
-    if src.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '\'') {
-        return Ok(CTerm::Var(src.to_owned()));
-    }
-    Err(err(format!("bad path target '{src}'")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use strudel_graph::Value;
+
+    /// The target term of the constraint's one path atom.
+    fn target(c: &Constraint) -> &Term {
+        let [Condition::Path { dst, .. }] = c.atoms.as_slice() else {
+            panic!("one path atom: {c:?}")
+        };
+        dst
+    }
 
     #[test]
     fn parses_reachability_constraint() {
@@ -295,11 +166,11 @@ mod tests {
         assert_eq!(c.quantifiers[0].quant, Quant::Forall);
         assert_eq!(c.quantifiers[1].quant, Quant::Exists);
         assert_eq!(c.atoms.len(), 1);
-        let Atom::Path { src, dst, .. } = &c.atoms[0] else {
+        let Condition::Path { src, dst, .. } = &c.atoms[0] else {
             panic!()
         };
-        assert_eq!(src, "c");
-        assert_eq!(dst, &CTerm::Var("p".into()));
+        assert_eq!(src, &Term::Var("c".into()));
+        assert_eq!(dst, &Term::Var("p".into()));
     }
 
     #[test]
@@ -320,16 +191,16 @@ mod tests {
     #[test]
     fn parses_membership_atom() {
         let c = parse_constraint("forall p in Pages : p in Reachable").unwrap();
-        assert!(matches!(&c.atoms[0], Atom::InCollection { .. }));
+        assert!(matches!(&c.atoms[0], Condition::Collection { .. }));
     }
 
     #[test]
     fn parses_constant_target() {
         let c = parse_constraint(r#"forall p in Pages : p -> "lang" -> "en""#).unwrap();
-        let Atom::Path { dst, .. } = &c.atoms[0] else {
+        let Condition::Path { dst, .. } = &c.atoms[0] else {
             panic!()
         };
-        assert_eq!(dst, &CTerm::Const(Value::string("en")));
+        assert_eq!(dst, &Term::Const(Value::string("en")));
     }
 
     #[test]
@@ -363,5 +234,29 @@ mod tests {
     fn and_inside_quotes_does_not_split() {
         let c = parse_constraint(r#"forall p in Pages : p -> "black and white" -> v"#).unwrap();
         assert_eq!(c.atoms.len(), 1);
+    }
+
+    #[test]
+    fn arrow_inside_a_quoted_target_is_part_of_the_constant() {
+        let c = parse_constraint(r#"forall p in Pages : p -> "title" -> "a->b""#).unwrap();
+        assert_eq!(target(&c), &Term::Const(Value::string("a->b")));
+    }
+
+    #[test]
+    fn float_target_is_a_float_constant() {
+        let c = parse_constraint(r#"forall p in Pages : p -> "price" -> 3.5"#).unwrap();
+        assert_eq!(target(&c), &Term::Const(Value::Float(3.5)));
+    }
+
+    #[test]
+    fn escapes_in_a_target_are_unescaped() {
+        let c = parse_constraint(r#"forall p in Pages : p -> "t" -> "say \"hi\"""#).unwrap();
+        assert_eq!(target(&c), &Term::Const(Value::string(r#"say "hi""#)));
+    }
+
+    #[test]
+    fn rejects_an_arc_variable_by_name() {
+        let e = parse_constraint("forall p in Pages : p -> l -> v").unwrap_err();
+        assert!(e.message.contains("'l' is an arc variable"), "{}", e.message);
     }
 }

@@ -1,11 +1,23 @@
-//! Runtime (materialized-graph) constraint checking — complete, used when
-//! the static verifier cannot prove a constraint, and by tests to validate
-//! the verifier's soundness.
+//! Runtime (materialized-graph) constraint checking — complete: it
+//! decides every constraint on the graph it is given.
+//!
+//! One evaluator plus the quantifier loop. The body is a where clause,
+//! run once through STRUQL's step loop behind one membership per
+//! quantified variable it mentions, in the order written (coercion is not
+//! transitive, so the first atom naming a free variable binds it); the
+//! rows' membership columns are the member tuples under which it holds.
+//! Those are the members themselves, not values a path reached, so
+//! coercion-equal members (`1`, `"1"`) stay apart. A path to a free
+//! variable named nowhere else runs as the existence test `not(not(…))`,
+//! so a row is kept, not fanned out per reached value. The prefix is a
+//! loop over the collections whose leaf looks the bound tuple up: the
+//! first violation's `forall` bindings are the counterexample.
 
-use super::{Atom, CTerm, Constraint, Quant};
-use std::collections::HashMap;
-use strudel_graph::{coerce, Graph, Value};
-use strudel_struql::rpe::Nfa;
+use super::{Constraint, Quant, Quantifier};
+use std::collections::HashSet;
+use strudel_graph::{Graph, Value};
+use strudel_repo::Database;
+use strudel_struql::{where_vars, Condition, EvalOptions, Evaluator, Span, Term};
 
 /// The outcome of a runtime check.
 #[derive(Clone, Debug, PartialEq)]
@@ -26,143 +38,115 @@ impl CheckResult {
     }
 }
 
-/// Checks `constraint` against a materialized graph.
-pub fn check(graph: &Graph, constraint: &Constraint) -> CheckResult {
-    // Precompile the path regexes once.
-    let nfas: Vec<Option<Nfa>> = constraint
-        .atoms
-        .iter()
-        .map(|a| match a {
-            Atom::Path { regex, .. } => Some(Nfa::compile(regex, graph)),
-            Atom::InCollection { .. } => None,
+/// Checks `constraint` against the graph of `db`, a materialized site.
+pub fn check(db: &Database, constraint: &Constraint) -> CheckResult {
+    let quantifiers = &constraint.quantifiers;
+    // Per variable the body mentions, its innermost quantifier: the
+    // binding the body sees.
+    let mentioned = where_vars(&constraint.atoms, &[]);
+    let keys: Vec<usize> = (0..quantifiers.len())
+        .filter(|&d| {
+            let var = &quantifiers[d].var;
+            mentioned.contains(var) && !quantifiers[d + 1..].iter().any(|q| &q.var == var)
         })
         .collect();
-    let mut env: HashMap<String, Value> = HashMap::new();
-    let mut foralls: Vec<(String, Value)> = Vec::new();
-    quantify(graph, constraint, &nfas, 0, &mut env, &mut foralls)
+    let seeds = keys.iter().map(|&d| Condition::Collection {
+        name: quantifiers[d].collection.clone(),
+        arg: Term::Var(quantifiers[d].var.clone()),
+        span: Span::default(),
+    });
+    let clause: Vec<Condition> = seeds.chain(existence_tests(constraint)).collect();
+    let (_, rows) = Evaluator::with_options(db, EvalOptions { optimize: false })
+        .eval_where_bindings(&clause, &[])
+        .expect("memberships, and paths from their variables, raise no error");
+    let answers: HashSet<_> = (rows.into_iter())
+        .map(|mut row| {
+            row.truncate(keys.len());
+            row
+        })
+        .collect();
+    let holds = |bound: &[&Value]| {
+        let key: Vec<_> = keys.iter().map(|&d| Some(bound[d].clone())).collect();
+        answers.contains(&key)
+    };
+    quantify(db.graph(), quantifiers, &mut Vec::new(), &holds)
 }
 
-fn quantify(
-    graph: &Graph,
-    constraint: &Constraint,
-    nfas: &[Option<Nfa>],
-    depth: usize,
-    env: &mut HashMap<String, Value>,
-    foralls: &mut Vec<(String, Value)>,
-) -> CheckResult {
-    let Some(q) = constraint.quantifiers.get(depth) else {
-        return if body_holds(graph, constraint, nfas, env) {
-            CheckResult::ok()
-        } else {
-            CheckResult {
-                holds: false,
-                counterexample: Some(foralls.clone()),
+/// The body, with each path to a free variable no other atom names made
+/// the existence test `not(not(…))`.
+fn existence_tests(constraint: &Constraint) -> Vec<Condition> {
+    let named_once = |var: &str| {
+        !constraint.quantifiers.iter().any(|q| q.var == var)
+            && (constraint.atoms.iter())
+                .filter(|a| matches!(a, Condition::Path { dst: Term::Var(v), .. } if v == var))
+                .count()
+                == 1
+    };
+    (constraint.atoms.iter())
+        .map(|atom| match atom {
+            Condition::Path {
+                dst: Term::Var(v),
+                span,
+                ..
+            } if named_once(v) => {
+                let not = |c| Condition::Not(Box::new(c), *span);
+                not(not(atom.clone()))
             }
+            _ => atom.clone(),
+        })
+        .collect()
+}
+
+/// The verdict with the outermost `bound.len()` quantifiers bound to
+/// `bound`, where `holds` says whether the body holds under all of them.
+fn quantify<'g>(
+    graph: &'g Graph,
+    quantifiers: &[Quantifier],
+    bound: &mut Vec<&'g Value>,
+    holds: &dyn Fn(&[&Value]) -> bool,
+) -> CheckResult {
+    // A violation under `bound`, witnessed by its `forall` bindings.
+    let violation = |bound: &[&Value]| CheckResult {
+        holds: false,
+        counterexample: Some(
+            (quantifiers.iter().zip(bound))
+                .filter(|(q, _)| q.quant == Quant::Forall)
+                .map(|(q, v)| (q.var.clone(), (*v).clone()))
+                .collect(),
+        ),
+    };
+    let Some(q) = quantifiers.get(bound.len()) else {
+        return match holds(bound) {
+            true => CheckResult::ok(),
+            false => violation(bound),
         };
     };
-    let members: Vec<Value> = graph.members_str(&q.collection).to_vec();
+    for m in graph.members_str(&q.collection) {
+        bound.push(m);
+        let r = quantify(graph, quantifiers, bound, holds);
+        bound.pop();
+        match q.quant {
+            Quant::Forall if !r.holds => return r,
+            Quant::Exists if r.holds => return r,
+            _ => {}
+        }
+    }
     match q.quant {
-        Quant::Forall => {
-            for m in members {
-                env.insert(q.var.clone(), m.clone());
-                foralls.push((q.var.clone(), m));
-                let r = quantify(graph, constraint, nfas, depth + 1, env, foralls);
-                // Failing or not, leave `foralls` as found: an enclosing
-                // `exists` tries its next member over the same bindings.
-                foralls.pop();
-                if !r.holds {
-                    env.remove(&q.var);
-                    return r;
-                }
-            }
-            env.remove(&q.var);
-            CheckResult::ok()
-        }
-        Quant::Exists => {
-            for m in members {
-                env.insert(q.var.clone(), m);
-                let r = quantify(graph, constraint, nfas, depth + 1, env, foralls);
-                if r.holds {
-                    env.remove(&q.var);
-                    return CheckResult::ok();
-                }
-            }
-            env.remove(&q.var);
-            CheckResult {
-                holds: false,
-                counterexample: Some(foralls.clone()),
-            }
-        }
+        Quant::Forall => CheckResult::ok(),
+        Quant::Exists => violation(bound),
     }
-}
-
-/// Evaluates the body conjunction under `env`; free variables in target
-/// positions are existential and must be consistent across atoms.
-fn body_holds(
-    graph: &Graph,
-    constraint: &Constraint,
-    nfas: &[Option<Nfa>],
-    env: &HashMap<String, Value>,
-) -> bool {
-    // A tiny relation of candidate bindings for the free variables.
-    let mut rows: Vec<HashMap<String, Value>> = vec![env.clone()];
-    for (atom, nfa) in constraint.atoms.iter().zip(nfas) {
-        let mut next = Vec::new();
-        match atom {
-            Atom::Path { src, dst, .. } => {
-                let nfa = nfa.as_ref().expect("path atom has an nfa");
-                for row in &rows {
-                    let Some(start) = row.get(src) else {
-                        continue; // unquantified source: rejected at parse
-                    };
-                    let reached = nfa.eval_from(graph, start);
-                    match dst {
-                        CTerm::Const(c) => {
-                            if reached.iter().any(|v| coerce::eq(v, c)) {
-                                next.push(row.clone());
-                            }
-                        }
-                        CTerm::Var(v) => match row.get(v) {
-                            Some(bound) => {
-                                if reached.iter().any(|r| coerce::eq(r, bound)) {
-                                    next.push(row.clone());
-                                }
-                            }
-                            None => {
-                                for r in reached {
-                                    let mut extended = row.clone();
-                                    extended.insert(v.clone(), r);
-                                    next.push(extended);
-                                }
-                            }
-                        },
-                    }
-                }
-            }
-            Atom::InCollection { var, collection } => {
-                let cid = graph.collection_id(collection);
-                for row in &rows {
-                    let Some(v) = row.get(var) else { continue };
-                    if let Some(cid) = cid {
-                        if graph.in_collection(cid, v) {
-                            next.push(row.clone());
-                        }
-                    }
-                }
-            }
-        }
-        rows = next;
-        if rows.is_empty() {
-            return false;
-        }
-    }
-    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::parse_constraint;
     use super::*;
+    use strudel_repo::IndexLevel;
+
+    /// [`super::check`] over a database of `g`.
+    fn check(g: &Graph, c: &Constraint) -> CheckResult {
+        super::check(&Database::from_graph(g.clone(), IndexLevel::Full), c)
+    }
 
     /// root -> a -> b; c is an orphan page. Collections: Pages {a, b, c},
     /// Roots {root}.

@@ -17,8 +17,9 @@
 //! * **Integrity-constraint verification** ([`constraint`]) — site-graph
 //!   constraints like "every PaperPresentation is reachable from a
 //!   CategoryPage" are checked *statically* against the schema (a sound
-//!   proof procedure based on query-implication between edge guards), with
-//!   a runtime checker over materialized graphs as the complete fallback.
+//!   proof procedure based on query-implication between edge guards), and
+//!   decided on materialized graphs by running the constraint's body
+//!   through STRUQL's evaluator under a loop over its quantifiers.
 //! * **Dynamic evaluation** ([`dynamic`]) — the schema decomposes one
 //!   site-definition query into per-node incremental queries evaluated at
 //!   "click time", each seeded by the visited page's own arguments.

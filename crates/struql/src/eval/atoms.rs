@@ -525,27 +525,28 @@ fn apply_edge(
             }
         };
         let mut scratch = None;
-        let keys = dv.and_then(|dv| {
-            let indexed = match named {
-                Some(l) => db.sources(l, dv).is_some(),
-                None => dv.is_atomic() && db.value_locations(dv).is_some(),
-            };
-            indexed.then(|| cands.get(dv, &mut scratch)).flatten()
+        let keys = dv
+            .filter(|dv| named.is_some() || dv.is_atomic())
+            .and_then(|dv| Some((dv, cands.get(dv, &mut scratch)?)));
+        // Whether the database keeps the index is in its answer to any
+        // key, so the first key's `None` ends the probe before it pushed
+        // a row.
+        let indexed = keys.is_some_and(|(dv, keys)| {
+            keys.iter().all(|key| match named {
+                Some(l) => db
+                    .sources(l, key)
+                    .map(|sources| sources.iter().for_each(|&o| push(o, l, dv)))
+                    .is_some(),
+                None => db
+                    .value_locations(key)
+                    .map(|locs| locs.iter().for_each(|&(o, l)| push(o, l, dv)))
+                    .is_some(),
+            })
         });
-        if let (Some(dv), Some(keys)) = (dv, keys) {
-            for key in keys {
-                match named {
-                    Some(l) => {
-                        let sources = db.sources(l, key).expect("probed above");
-                        sources.iter().for_each(|&o| push(o, l, dv));
-                    }
-                    None => {
-                        let locs = db.value_locations(key).expect("probed above");
-                        locs.iter().for_each(|&(o, l)| push(o, l, dv));
-                    }
-                }
-            }
-        } else if let Some(dv @ Value::Node(t)) = dv {
+        if indexed {
+            continue;
+        }
+        if let Some(dv @ Value::Node(t)) = dv {
             rev_probes += 1;
             for ie in sorted_edges_in(graph, *t) {
                 if admits(ie.label) {
@@ -596,6 +597,9 @@ struct RegexBatch {
     nullable: bool,
     /// Forward reachable values per distinct source, in BFS emit order.
     fwd: Vec<Vec<Value>>,
+    /// The nodes among `fwd[i]`, for the entries a row with a bound node
+    /// destination reads.
+    fwd_nodes: Vec<Option<HashSet<Oid>>>,
     /// Sources reaching each distinct node destination, ascending oid order.
     rev_fan: Vec<Vec<Oid>>,
     /// The full reverse-reachable value set of each distinct destination.
@@ -609,7 +613,8 @@ struct RegexBatch {
 /// so a row's lookup cannot miss.
 #[derive(Clone, Copy)]
 enum Probe {
-    /// Bound source, fanned out over `fwd[i]`.
+    /// Bound source, fanned out over `fwd[i]`; with a bound node
+    /// destination, kept if it is in `fwd_nodes[i]`.
     Fwd(usize),
     /// Both ends bound: the row survives if its source is in
     /// `rev_check[i]`, its destination's reverse-reachable set.
@@ -688,14 +693,21 @@ impl RegexBatch {
             }
         }
 
+        let reached: Vec<Vec<Value>> = (fwd_keys.values.iter())
+            .map(|v| fwd.eval_from(graph, v))
+            .collect();
+        let mut fwd_nodes = vec![None; reached.len()];
+        for (probe, row) in probes.iter().zip(rows) {
+            if let (Probe::Fwd(i), Some(Value::Node(_))) = (probe, dpos.value(row)) {
+                fwd_nodes[*i]
+                    .get_or_insert_with(|| reached[*i].iter().filter_map(Value::as_node).collect());
+            }
+        }
         let batch = RegexBatch {
             probes,
             nullable: fwd.matches_empty(),
-            fwd: fwd_keys
-                .values
-                .iter()
-                .map(|v| fwd.eval_from(graph, v))
-                .collect(),
+            fwd: reached,
+            fwd_nodes,
             rev_fan: fan_keys
                 .values
                 .iter()
@@ -776,9 +788,19 @@ fn apply_regex(rows: Vec<Row>, spos: &Pos, dpos: &Pos, memo: &RegexBatch) -> Vec
         match probe {
             Probe::Fwd(i) => {
                 hits += 1;
-                fan_out(row, reuse, memo.fwd[i].iter(), &mut out, |r, v| {
-                    dpos.unify(r, v)
-                });
+                // A node destination coerces equal only to itself, and
+                // `fwd[i]` holds each value once: the fan-out would emit
+                // the row once if its destination was reached.
+                match dpos.value(&row) {
+                    Some(Value::Node(o)) => {
+                        if memo.fwd_nodes[i].as_ref().is_some_and(|n| n.contains(o)) {
+                            out.push(row);
+                        }
+                    }
+                    _ => fan_out(row, reuse, memo.fwd[i].iter(), &mut out, |r, v| {
+                        dpos.unify(r, v)
+                    }),
+                }
             }
             Probe::Check(i) => {
                 // Pure filter: does a matching path lead from the bound

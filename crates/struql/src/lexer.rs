@@ -76,6 +76,10 @@ pub fn lex(src: &str) -> Result<Vec<Token>, StruqlError> {
                 bump!();
                 push!(TokenKind::Comma, tl, tc);
             }
+            b':' => {
+                bump!();
+                push!(TokenKind::Colon, tl, tc);
+            }
             b'*' => {
                 bump!();
                 push!(TokenKind::Star, tl, tc);

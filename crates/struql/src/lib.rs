@@ -76,7 +76,7 @@ pub use error::{StruqlError, StruqlResult};
 pub use eval::diff::{delta_rows, DeltaTouch, DiffOutcome, SignedRow};
 pub use eval::{where_vars, EvalOptions, EvalResult, Evaluator, PreparedWhere};
 pub use explain::{ExplainReport, ExplainStep};
-pub use parser::{parse, parse_path_regex};
+pub use parser::{parse, parse_conjunction, parse_path_regex};
 pub use pretty::{pretty, pretty_condition};
 pub use token::Span;
 

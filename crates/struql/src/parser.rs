@@ -20,8 +20,7 @@ pub fn parse(src: &str) -> StruqlResult<Program> {
 }
 
 /// Parses a standalone regular path expression (the `R` of `x -> R -> y`),
-/// e.g. `"cites"* . ("journal" | "booktitle")`. Used by the constraint
-/// language of the schema crate, which shares STRUQL's path syntax.
+/// e.g. `"cites"* . ("journal" | "booktitle")`.
 pub fn parse_path_regex(src: &str) -> StruqlResult<PathRegex> {
     let tokens = lex(src)?;
     let mut p = Parser { tokens, pos: 0 };
@@ -30,6 +29,47 @@ pub fn parse_path_regex(src: &str) -> StruqlResult<PathRegex> {
         return Err(p.err_here("trailing input after path expression"));
     }
     Ok(r)
+}
+
+/// The quantifiers of a quantified conjunction as `(kind, var,
+/// collection)`, outermost first, and its conditions in textual order.
+type Quantified<Q> = (Vec<(Q, String, String)>, Vec<Condition>);
+
+/// Parses a quantified conjunction, the shape of the schema crate's
+/// integrity constraints (§2.5): a prefix of quantifiers
+/// `word var 'in' Collection ':'`, then where conditions joined by `and`,
+/// where `var in Collection` is the membership `Collection(var)`. A
+/// leading word opens a quantifier when `quantifier` maps it to a kind.
+pub fn parse_conjunction<Q>(
+    src: &str,
+    quantifier: impl Fn(&str) -> Option<Q>,
+) -> StruqlResult<Quantified<Q>> {
+    let tokens = lex(src)?;
+    let mut p = Parser { tokens, pos: 0 };
+    let mut prefix = Vec::new();
+    while let TokenKind::Ident(word) = &p.peek().kind {
+        let Some(kind) = quantifier(word) else { break };
+        p.advance();
+        let (var, _) = p.non_reserved_ident("a quantified variable")?;
+        if !p.at_keyword("in") {
+            let found = &p.peek().kind;
+            return Err(p.err_here(format!("expected 'in' after '{var}', found {found}")));
+        }
+        p.advance();
+        let (collection, _) = p.non_reserved_ident("a collection name")?;
+        p.eat(&TokenKind::Colon, "':' ending the quantifier")?;
+        prefix.push((kind, var, collection));
+    }
+    let mut conds = vec![p.conjunct()?];
+    while p.at_keyword("and") {
+        p.advance();
+        conds.push(p.conjunct()?);
+    }
+    if p.peek().kind != TokenKind::Eof {
+        let found = &p.peek().kind;
+        return Err(p.err_here(format!("expected 'and' or end of input, found {found}")));
+    }
+    Ok((prefix, conds))
 }
 
 /// Parses a STRUQL program without static checks. Useful for tooling that
@@ -238,6 +278,22 @@ impl Parser {
             }
             _ => Err(self.err_here("expected '->' or a comparison operator")),
         }
+    }
+
+    /// A condition of a conjunction: `var in Collection`, or any where
+    /// condition.
+    fn conjunct(&mut self) -> StruqlResult<Condition> {
+        if !matches!(&self.peek2().kind, TokenKind::Ident(w) if w == "in") {
+            return self.condition();
+        }
+        let (var, span) = self.non_reserved_ident("a variable")?;
+        self.advance();
+        let (name, _) = self.non_reserved_ident("a collection name")?;
+        Ok(Condition::Collection {
+            name,
+            arg: Term::Var(var),
+            span,
+        })
     }
 
     /// A term legal in the where stage: variable or constant.

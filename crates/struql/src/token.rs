@@ -47,6 +47,8 @@ pub enum TokenKind {
     RBrace,
     /// `,`
     Comma,
+    /// `:` — ends a quantifier of a constraint (`forall p in Pages :`).
+    Colon,
     /// `*`
     Star,
     /// `+`
@@ -86,6 +88,7 @@ impl fmt::Display for TokenKind {
             TokenKind::LBrace => f.write_str("'{'"),
             TokenKind::RBrace => f.write_str("'}'"),
             TokenKind::Comma => f.write_str("','"),
+            TokenKind::Colon => f.write_str("':'"),
             TokenKind::Star => f.write_str("'*'"),
             TokenKind::Plus => f.write_str("'+'"),
             TokenKind::Question => f.write_str("'?'"),

@@ -277,3 +277,27 @@ fn seeded_evaluation_agrees_with_the_reference() {
         }
     }
 }
+
+#[test]
+fn both_bound_regex_rows_agree_with_the_reference() {
+    // Both ends bound by memberships, with fewer distinct sources than
+    // destinations: in textual order the regex step probes forward and
+    // keeps each row whose node destination its source reaches.
+    let mut rng = SmallRng::seed_from_u64(0xb0b0);
+    let graph = corpus(&mut rng, 150);
+    for text in [
+        r#"where Picked(x0), Items(x1), x0 -> "link"* -> x1 create P(x0)"#,
+        r#"where Picked(x0), Items(x1), x0 -> "next" . "link"? -> x1 create P(x0)"#,
+    ] {
+        let program = strudel_struql::parse(text).unwrap();
+        let conds = &program.blocks[0].where_;
+        for level in [IndexLevel::Full, IndexLevel::None] {
+            let db = Database::from_graph(graph.clone(), level);
+            for optimize in [true, false] {
+                let what = format!("{text} level={level:?} optimize={optimize}");
+                let rows = checked_eval(&db, conds, &[], optimize, &what);
+                assert!(!rows.is_empty(), "{what}: no row");
+            }
+        }
+    }
+}
