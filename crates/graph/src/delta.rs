@@ -16,7 +16,8 @@
 //! `AddNode` ops must replay in order against a graph with the same node
 //! count as when the delta was recorded.
 
-use crate::{Graph, Oid, Value};
+use crate::{Graph, Label, Oid, Value};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -199,71 +200,198 @@ impl GraphDelta {
         })
     }
 
-    /// Applies the delta to `graph`, returning the oids of nodes it
-    /// created. Application stops at the first failing op, leaving the
-    /// prior ops applied (the caller owns atomicity, e.g. by applying to a
-    /// clone or by replaying a WAL into a fresh graph).
+    /// Applies the delta to `graph` all or nothing, returning the oids of
+    /// the nodes its `AddNode` ops name, in op order. It first checks the
+    /// delta with [`GraphDelta::validate`], the one rule of what a delta
+    /// may do: a refused delta leaves `graph` byte-identical. See
+    /// [`GraphDelta::apply_with`].
     pub fn apply(&self, graph: &mut Graph) -> Result<Vec<Oid>, DeltaError> {
+        self.apply_with(graph, |_| {})
+    }
+
+    /// Applies the delta to `graph` all or nothing, reporting each change
+    /// it makes to `hook` right after making it.
+    ///
+    /// The delta is first checked with [`GraphDelta::validate`]: a delta
+    /// it refuses leaves `graph` byte-identical and calls no hook. Then
+    /// the ops run in order, unchecked. A `Collect` of a member the
+    /// collection already holds changes nothing and reports nothing.
+    pub fn apply_with(
+        &self,
+        graph: &mut Graph,
+        mut hook: impl FnMut(Change<'_>),
+    ) -> Result<Vec<Oid>, DeltaError> {
+        self.validate(graph)?;
         let mut created = Vec::new();
-        let check = |graph: &Graph, v: &Value| -> Result<(), DeltaError> {
-            if let Value::Node(o) = v {
-                if !graph.contains_node(*o) {
-                    return Err(DeltaError::UnknownNode(*o));
+        for op in &self.ops {
+            match op {
+                DeltaOp::AddNode { name } => created.push(match name {
+                    Some(n) => graph.add_named_node(n),
+                    None => graph.add_node(),
+                }),
+                DeltaOp::AddEdge { from, label, to } => {
+                    let label = graph.intern_label(label);
+                    graph.add_edge(*from, label, to.clone());
+                    hook(Change::EdgeAdded {
+                        from: *from,
+                        label,
+                        to,
+                    });
+                }
+                DeltaOp::RemoveEdge { from, label, to } => {
+                    let label = graph.label(label).expect("validated: the edge exists");
+                    graph.remove_edge(*from, label, to);
+                    hook(Change::EdgeRemoved {
+                        from: *from,
+                        label,
+                        to,
+                    });
+                }
+                DeltaOp::Collect { collection, member } => {
+                    let cid = graph.intern_collection(collection);
+                    if graph.collect(cid, member.clone()) {
+                        hook(Change::MemberAdded { collection, member });
+                    }
+                }
+                DeltaOp::Uncollect { collection, member } => {
+                    let cid = graph
+                        .collection_id(collection)
+                        .expect("validated: the collection exists");
+                    graph.uncollect(cid, member);
+                    hook(Change::MemberRemoved { collection, member });
+                }
+            }
+        }
+        Ok(created)
+    }
+
+    /// Whether the delta applies to `graph`, and if not the error of its
+    /// first failing op — without mutating anything. This is the one rule
+    /// of what a delta may do: [`GraphDelta::apply`] runs it first, and so
+    /// does everything that applies a delta.
+    ///
+    /// The ops are simulated in order with overlays for their effects on
+    /// each other: nodes created earlier in the delta count for later ops,
+    /// edge add/remove multiplicity nets out, and collection membership
+    /// follows the collect/uncollect sequence.
+    pub fn validate(&self, graph: &Graph) -> Result<(), DeltaError> {
+        // Virtual node count: graph nodes plus nodes this delta creates.
+        // AddNode with an already-taken name fetches the existing node
+        // instead of creating one, so names dedupe against both the graph
+        // and earlier ops of the delta.
+        let mut node_count = graph.node_count();
+        let mut new_names: HashSet<&str> = HashSet::new();
+        // Net intra-delta edge multiplicity, on top of the graph's count.
+        let mut edge_overlay: HashMap<(Oid, &str, &Value), i64> = HashMap::new();
+        // Collection membership decided by this delta (collections are
+        // sets); a member it decides is in a collection it made exist.
+        let mut member_overlay: HashMap<(&str, &Value), bool> = HashMap::new();
+        let check_node = |count: usize, v: &Value| -> Result<(), DeltaError> {
+            if let Some(o) = v.as_node() {
+                if o.index() >= count {
+                    return Err(DeltaError::UnknownNode(o));
                 }
             }
             Ok(())
         };
         for op in &self.ops {
             match op {
-                DeltaOp::AddNode { name } => {
-                    let oid = match name {
-                        Some(n) => graph.add_named_node(n),
-                        None => graph.add_node(),
-                    };
-                    created.push(oid);
-                }
+                DeltaOp::AddNode { name } => match name {
+                    Some(n) => {
+                        if graph.node_by_name(n).is_none() && new_names.insert(n.as_ref()) {
+                            node_count += 1;
+                        }
+                    }
+                    None => node_count += 1,
+                },
                 DeltaOp::AddEdge { from, label, to } => {
-                    if !graph.contains_node(*from) {
+                    if from.index() >= node_count {
                         return Err(DeltaError::UnknownNode(*from));
                     }
-                    check(graph, to)?;
-                    graph.add_edge_str(*from, label, to.clone());
+                    check_node(node_count, to)?;
+                    *edge_overlay.entry((*from, label.as_ref(), to)).or_insert(0) += 1;
                 }
                 DeltaOp::RemoveEdge { from, label, to } => {
-                    if !graph.contains_node(*from) {
+                    if from.index() >= node_count {
                         return Err(DeltaError::UnknownNode(*from));
                     }
-                    let l = graph.label(label).ok_or_else(|| DeltaError::MissingEdge {
-                        from: *from,
-                        label: label.clone(),
-                    })?;
-                    if !graph.remove_edge(*from, l, to) {
+                    let base = match graph.label(label) {
+                        Some(l) if from.index() < graph.node_count() => graph
+                            .edges(*from)
+                            .iter()
+                            .filter(|e| e.label == l && e.to == *to)
+                            .count()
+                            as i64,
+                        _ => 0,
+                    };
+                    let overlay = edge_overlay.entry((*from, label.as_ref(), to)).or_insert(0);
+                    if base + *overlay <= 0 {
                         return Err(DeltaError::MissingEdge {
                             from: *from,
                             label: label.clone(),
                         });
                     }
+                    *overlay -= 1;
                 }
                 DeltaOp::Collect { collection, member } => {
-                    check(graph, member)?;
-                    graph.collect_str(collection, member.clone());
+                    check_node(node_count, member)?;
+                    member_overlay.insert((collection.as_ref(), member), true);
                 }
                 DeltaOp::Uncollect { collection, member } => {
-                    let cid = graph.collection_id(collection).ok_or_else(|| {
-                        DeltaError::MissingMember {
-                            collection: collection.clone(),
-                        }
-                    })?;
-                    if !graph.uncollect(cid, member) {
+                    let cid = graph.collection_id(collection);
+                    let present = member_overlay
+                        .get(&(collection.as_ref(), member))
+                        .copied()
+                        .unwrap_or_else(|| cid.is_some_and(|cid| graph.in_collection(cid, member)));
+                    if !present {
                         return Err(DeltaError::MissingMember {
                             collection: collection.clone(),
                         });
                     }
+                    member_overlay.insert((collection.as_ref(), member), false);
                 }
             }
         }
-        Ok(created)
+        Ok(())
     }
+}
+
+/// One change [`GraphDelta::apply_with`] made to a graph, as its hook
+/// sees it: the graph already holds it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Change<'a> {
+    /// The edge `from --label--> to` was added.
+    EdgeAdded {
+        /// Source node.
+        from: Oid,
+        /// The edge's interned label.
+        label: Label,
+        /// Edge target.
+        to: &'a Value,
+    },
+    /// One occurrence of the edge `from --label--> to` was removed.
+    EdgeRemoved {
+        /// Source node.
+        from: Oid,
+        /// The edge's interned label.
+        label: Label,
+        /// Edge target.
+        to: &'a Value,
+    },
+    /// `member` joined the named collection.
+    MemberAdded {
+        /// Collection name.
+        collection: &'a str,
+        /// The new member.
+        member: &'a Value,
+    },
+    /// `member` left the named collection.
+    MemberRemoved {
+        /// Collection name.
+        collection: &'a str,
+        /// The former member.
+        member: &'a Value,
+    },
 }
 
 #[cfg(test)]
@@ -352,6 +480,60 @@ mod tests {
             d2.apply(&mut g),
             Err(DeltaError::MissingMember { .. })
         ));
+    }
+
+    #[test]
+    fn validate_delta_tracks_intra_delta_effects() {
+        let mut g = Graph::new();
+        let a = g.add_named_node("a");
+        // A refused delta is refused by both, and applies none of its ops.
+        let check = |g: &mut Graph, d: &GraphDelta, ok: bool| {
+            let before = (g.node_count(), g.edge_count(), g.collection_count());
+            assert_eq!(d.validate(g).is_ok(), ok, "{:?}", d.ops());
+            assert_eq!(d.apply(g).is_ok(), ok, "{:?}", d.ops());
+            let after = (g.node_count(), g.edge_count(), g.collection_count());
+            assert!(ok || after == before, "{:?}", d.ops());
+        };
+
+        // Add-then-remove within one delta is fine.
+        let mut d = GraphDelta::new();
+        d.add_edge(a, "x", Value::Int(1));
+        d.remove_edge(a, "x", Value::Int(1));
+        check(&mut g, &d, true);
+
+        // Removing twice what was added once is not.
+        let mut d = GraphDelta::new();
+        d.add_edge(a, "y", Value::Int(1));
+        d.remove_edge(a, "y", Value::Int(1));
+        d.remove_edge(a, "y", Value::Int(1));
+        check(&mut g, &d, false);
+
+        // An edge from a node created earlier in the same delta is fine;
+        // an edge to a node the delta never creates is not.
+        let mut d = GraphDelta::new();
+        d.add_node(Some("b")); // will become index 1
+        d.add_edge(Oid::from_index(1), "p", Value::Int(2));
+        check(&mut g, &d, true);
+        let mut d = GraphDelta::new();
+        d.add_edge(Oid::from_index(999), "p", Value::Int(3));
+        check(&mut g, &d, false);
+
+        // A named AddNode of a taken name creates no node, so an edge to
+        // the oid after it dangles.
+        let mut d = GraphDelta::new();
+        d.add_node(Some("a"));
+        d.add_edge(a, "p", Value::Node(Oid::from_index(2)));
+        check(&mut g, &d, false);
+
+        // Collect-then-uncollect in one delta; uncollect of a member that
+        // was never collected fails.
+        let mut d = GraphDelta::new();
+        d.collect("C", Value::Node(a));
+        d.uncollect("C", Value::Node(a));
+        check(&mut g, &d, true);
+        let mut d = GraphDelta::new();
+        d.uncollect("C", Value::Int(77));
+        check(&mut g, &d, false);
     }
 
     #[test]

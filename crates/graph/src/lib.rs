@@ -57,7 +57,7 @@ mod skolem;
 pub mod traverse;
 mod value;
 
-pub use delta::{DeltaError, DeltaOp, GraphDelta};
+pub use delta::{Change, DeltaError, DeltaOp, GraphDelta};
 pub use graph::{graphs_equivalent, CollectionId, Edge, Graph, InEdge, NodeRef};
 pub use label::{Label, LabelInterner};
 pub use oid::Oid;

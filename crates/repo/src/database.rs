@@ -3,9 +3,8 @@
 use crate::index::{ExtensionIndex, IndexSet, SchemaIndex};
 use crate::stats::Stats;
 use crate::RepoError;
-use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
-use strudel_graph::{DeltaError, DeltaOp, Graph, GraphDelta, Label, Oid, Value};
+use strudel_graph::{Change, Graph, GraphDelta, Label, Oid, Value};
 
 /// How much indexing the repository maintains.
 ///
@@ -30,10 +29,10 @@ pub enum IndexLevel {
 
 /// An indexed graph database, held entirely in memory.
 ///
-/// All mutation goes through `Database` methods so the indexes stay
-/// consistent with the graph; reads hand out `&Graph` freely. It never
-/// sees a file: a caller that wants durability commits each delta to a
-/// [`PagedRepo`](crate::PagedRepo) first and applies it here second.
+/// It changes only through [`Database::apply_delta`], which keeps the
+/// indexes consistent with the graph; reads hand out `&Graph` freely. It
+/// never sees a file: a caller that wants durability commits each delta
+/// to a [`PagedRepo`](crate::PagedRepo) first and applies it here second.
 #[derive(Debug)]
 pub struct Database {
     graph: Graph,
@@ -162,121 +161,18 @@ impl Database {
 
     // ----- mutations -----------------------------------------------------
 
-    /// Creates an anonymous node.
-    pub fn add_node(&mut self) -> Result<Oid, RepoError> {
-        self.invalidate();
-        Ok(self.graph.add_node())
-    }
-
-    /// Creates (or fetches) a named node.
-    pub fn add_named_node(&mut self, name: &str) -> Result<Oid, RepoError> {
-        if let Some(oid) = self.graph.node_by_name(name) {
-            return Ok(oid);
-        }
-        self.invalidate();
-        Ok(self.graph.add_named_node(name))
-    }
-
-    /// Adds an edge, maintaining all indexes. Both endpoints must exist:
-    /// [`GraphDelta::apply`] refuses a dangling edge, so a graph holding
-    /// one could not be rebuilt from the deltas that made it.
-    pub fn add_edge(&mut self, from: Oid, label: &str, to: Value) -> Result<(), RepoError> {
-        if !self.graph.contains_node(from) {
-            return Err(DeltaError::UnknownNode(from).into());
-        }
-        if let Some(o) = to.as_node() {
-            if !self.graph.contains_node(o) {
-                return Err(DeltaError::UnknownNode(o).into());
-            }
-        }
-        self.apply_add_edge(from, label, to);
-        Ok(())
-    }
-
-    /// Removes one occurrence of an edge. Returns whether it existed.
-    pub fn remove_edge(&mut self, from: Oid, label: &str, to: &Value) -> Result<bool, RepoError> {
-        let Some(l) = self.graph.label(label) else {
-            return Ok(false);
-        };
-        if !self.graph.has_edge(from, l, to) {
-            return Ok(false);
-        }
-        self.apply_remove_edge(from, l, to);
-        Ok(true)
-    }
-
-    /// Adds `member` to a named collection. A node member must exist (see
-    /// [`Database::add_edge`] on why a dangling reference is refused).
-    pub fn collect(&mut self, collection: &str, member: Value) -> Result<bool, RepoError> {
-        if let Some(o) = member.as_node() {
-            if !self.graph.contains_node(o) {
-                return Err(DeltaError::UnknownNode(o).into());
-            }
-        }
-        let cid = self.graph.intern_collection(collection);
-        if self.graph.in_collection(cid, &member) {
-            return Ok(false);
-        }
-        self.invalidate();
-        self.indexes.note_member(collection, 1);
-        Ok(self.graph.collect(cid, member))
-    }
-
-    /// Removes `member` from a named collection.
-    pub fn uncollect(&mut self, collection: &str, member: &Value) -> Result<bool, RepoError> {
-        let Some(cid) = self.graph.collection_id(collection) else {
-            return Ok(false);
-        };
-        if !self.graph.in_collection(cid, member) {
-            return Ok(false);
-        }
-        self.invalidate();
-        self.indexes.note_member(collection, -1);
-        Ok(self.graph.uncollect(cid, member))
-    }
-
-    /// Applies a whole delta, keeping indexes in sync.
-    ///
-    /// The delta is validated against the current graph *before* any of
-    /// it is applied (`validate_delta`, mirroring [`GraphDelta::apply`]'s
-    /// semantics, including intra-delta dependencies like
-    /// add-node-then-edge-to-it), so a rejected delta leaves graph and
-    /// indexes untouched, and the ops below need no checks of their own.
+    /// Applies a whole delta with [`GraphDelta::apply_with`], keeping every
+    /// built index family in step with each change it makes. All or
+    /// nothing: a delta [`GraphDelta::validate`] refuses leaves the graph,
+    /// the indexes and the cached statistics untouched.
     pub fn apply_delta(&mut self, delta: &GraphDelta) -> Result<Vec<Oid>, RepoError> {
-        validate_delta(&self.graph, delta)?;
-        let mut created = Vec::new();
-        for op in delta.ops() {
-            match op {
-                DeltaOp::AddNode { name } => {
-                    let oid = match name {
-                        Some(n) => self.graph.add_named_node(n),
-                        None => self.graph.add_node(),
-                    };
-                    created.push(oid);
-                }
-                DeltaOp::AddEdge { from, label, to } => {
-                    self.apply_add_edge(*from, label, to.clone());
-                }
-                DeltaOp::RemoveEdge { from, label, to } => {
-                    if let Some(l) = self.graph.label(label) {
-                        self.apply_remove_edge(*from, l, to);
-                    }
-                }
-                DeltaOp::Collect { collection, member } => {
-                    let cid = self.graph.intern_collection(collection);
-                    if self.graph.collect(cid, member.clone()) {
-                        self.indexes.note_member(collection, 1);
-                    }
-                }
-                DeltaOp::Uncollect { collection, member } => {
-                    if let Some(cid) = self.graph.collection_id(collection) {
-                        if self.graph.uncollect(cid, member) {
-                            self.indexes.note_member(collection, -1);
-                        }
-                    }
-                }
-            }
-        }
+        let indexes = &mut self.indexes;
+        let created = delta.apply_with(&mut self.graph, |change| match change {
+            Change::EdgeAdded { from, label, to } => indexes.note_edge(from, label, to),
+            Change::EdgeRemoved { from, label, to } => indexes.forget_edge(from, label, to),
+            Change::MemberAdded { collection, .. } => indexes.note_member(collection, 1),
+            Change::MemberRemoved { collection, .. } => indexes.note_member(collection, -1),
+        })?;
         self.invalidate();
         Ok(created)
     }
@@ -289,152 +185,48 @@ impl Database {
         self.invalidate();
     }
 
-    // ----- internals ------------------------------------------------------
-
-    fn apply_add_edge(&mut self, from: Oid, label: &str, to: Value) {
-        let l = self.graph.intern_label(label);
-        self.indexes.note_edge(from, l, &to);
-        self.graph.add_edge(from, l, to);
-        self.invalidate();
-    }
-
-    fn apply_remove_edge(&mut self, from: Oid, l: Label, to: &Value) {
-        self.indexes.forget_edge(from, l, to);
-        self.graph.remove_edge(from, l, to);
-        self.invalidate();
-    }
-
     fn invalidate(&mut self) {
         *self.stats.lock().unwrap() = None;
     }
 }
 
-/// Dry-runs `delta` against `graph`, reporting the error
-/// [`GraphDelta::apply`] would raise — without mutating anything.
-///
-/// The simulation tracks intra-delta effects with overlays: nodes created
-/// earlier in the delta count for later ops, edge add/remove multiplicity
-/// nets out, and collection membership follows the collect/uncollect
-/// sequence. This is the crate's one delta validator: [`Database`] and
-/// [`PagedRepo`](crate::PagedRepo) both call it before mutating anything.
-/// The invariant that matters: every delta this function accepts must
-/// replay cleanly through [`GraphDelta::apply`] on the same graph state,
-/// because that is how the durable store applies it to its head graph and
-/// how its recovery replays the WAL the same deltas were committed to.
-pub(crate) fn validate_delta(graph: &Graph, delta: &GraphDelta) -> Result<(), DeltaError> {
-    // Virtual node count: graph nodes plus nodes this delta creates.
-    // AddNode with an already-taken name fetches the existing node
-    // instead of creating one, so names dedupe against both the graph
-    // and earlier ops of the delta.
-    let mut node_count = graph.node_count();
-    let mut new_names: HashSet<&str> = HashSet::new();
-    // Net intra-delta edge multiplicity, on top of the graph's count.
-    let mut edge_overlay: HashMap<(Oid, &str, &Value), i64> = HashMap::new();
-    // Collection membership decided by this delta (collections are sets).
-    let mut member_overlay: HashMap<(&str, &Value), bool> = HashMap::new();
-    let mut new_collections: HashSet<&str> = HashSet::new();
-    let check_node = |count: usize, v: &Value| -> Result<(), DeltaError> {
-        if let Some(o) = v.as_node() {
-            if o.index() >= count {
-                return Err(DeltaError::UnknownNode(o));
-            }
-        }
-        Ok(())
-    };
-    for op in delta.ops() {
-        match op {
-            DeltaOp::AddNode { name } => match name {
-                Some(n) => {
-                    if graph.node_by_name(n).is_none() && new_names.insert(n.as_ref()) {
-                        node_count += 1;
-                    }
-                }
-                None => node_count += 1,
-            },
-            DeltaOp::AddEdge { from, label, to } => {
-                if from.index() >= node_count {
-                    return Err(DeltaError::UnknownNode(*from));
-                }
-                check_node(node_count, to)?;
-                *edge_overlay.entry((*from, label.as_ref(), to)).or_insert(0) += 1;
-            }
-            DeltaOp::RemoveEdge { from, label, to } => {
-                if from.index() >= node_count {
-                    return Err(DeltaError::UnknownNode(*from));
-                }
-                let base = if from.index() < graph.node_count() {
-                    graph
-                        .label(label)
-                        .map(|l| {
-                            graph
-                                .edges(*from)
-                                .iter()
-                                .filter(|e| e.label == l && e.to == *to)
-                                .count() as i64
-                        })
-                        .unwrap_or(0)
-                } else {
-                    0
-                };
-                let overlay = edge_overlay.entry((*from, label.as_ref(), to)).or_insert(0);
-                if base + *overlay <= 0 {
-                    return Err(DeltaError::MissingEdge {
-                        from: *from,
-                        label: label.clone(),
-                    });
-                }
-                *overlay -= 1;
-            }
-            DeltaOp::Collect { collection, member } => {
-                check_node(node_count, member)?;
-                new_collections.insert(collection.as_ref());
-                member_overlay.insert((collection.as_ref(), member), true);
-            }
-            DeltaOp::Uncollect { collection, member } => {
-                let exists = graph.collection_id(collection).is_some()
-                    || new_collections.contains(collection.as_ref());
-                if !exists {
-                    return Err(DeltaError::MissingMember {
-                        collection: collection.clone(),
-                    });
-                }
-                let present = member_overlay
-                    .get(&(collection.as_ref(), member))
-                    .copied()
-                    .unwrap_or_else(|| {
-                        graph
-                            .collection_id(collection)
-                            .map(|cid| graph.in_collection(cid, member))
-                            .unwrap_or(false)
-                    });
-                if !present {
-                    return Err(DeltaError::MissingMember {
-                        collection: collection.clone(),
-                    });
-                }
-                member_overlay.insert((collection.as_ref(), member), false);
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use strudel_graph::DeltaError;
+
+    /// Applies the ops `record` writes down as one delta, which must be
+    /// accepted; returns the oids its `AddNode` ops name.
+    fn apply(db: &mut Database, record: impl FnOnce(&mut GraphDelta)) -> Vec<Oid> {
+        let mut d = GraphDelta::new();
+        record(&mut d);
+        db.apply_delta(&d).unwrap()
+    }
+
+    /// A database at `level` holding one anonymous node with `x = 1`.
+    fn one_edge(level: IndexLevel) -> Database {
+        let mut db = Database::new(level);
+        apply(&mut db, |d| {
+            d.add_node(None);
+            d.add_edge(Oid::from_index(0), "x", Value::Int(1));
+        });
+        db
+    }
 
     #[test]
     fn mutations_keep_indexes_in_sync() {
         let mut db = Database::new(IndexLevel::Full);
-        let a = db.add_named_node("a").unwrap();
-        db.add_edge(a, "year", Value::Int(1998)).unwrap();
-        db.add_edge(a, "year", Value::Int(1997)).unwrap();
+        let a = apply(&mut db, |d| d.add_node(Some("a")))[0];
+        apply(&mut db, |d| {
+            d.add_edge(a, "year", Value::Int(1998));
+            d.add_edge(a, "year", Value::Int(1997));
+        });
         let year = db.graph().label("year").unwrap();
         assert_eq!(db.extension(year).unwrap().len(), 2);
         assert_eq!(db.sources(year, &Value::Int(1998)).unwrap().len(), 1);
         assert_eq!(db.value_locations(&Value::Int(1998)).unwrap().len(), 1);
 
-        db.remove_edge(a, "year", &Value::Int(1998)).unwrap();
+        apply(&mut db, |d| d.remove_edge(a, "year", Value::Int(1998)));
         assert_eq!(db.extension(year).unwrap().len(), 1);
         assert_eq!(db.sources(year, &Value::Int(1998)).unwrap().len(), 0);
         assert_eq!(db.value_locations(&Value::Int(1998)).unwrap().len(), 0);
@@ -442,9 +234,7 @@ mod tests {
 
     #[test]
     fn index_level_none_disables_indexes() {
-        let mut db = Database::new(IndexLevel::None);
-        let a = db.add_node().unwrap();
-        db.add_edge(a, "x", Value::Int(1)).unwrap();
+        let db = one_edge(IndexLevel::None);
         let x = db.graph().label("x").unwrap();
         assert!(db.extension(x).is_none());
         assert!(db.value_locations(&Value::Int(1)).is_none());
@@ -453,9 +243,7 @@ mod tests {
 
     #[test]
     fn extension_only_omits_value_index() {
-        let mut db = Database::new(IndexLevel::ExtensionOnly);
-        let a = db.add_node().unwrap();
-        db.add_edge(a, "x", Value::Int(1)).unwrap();
+        let db = one_edge(IndexLevel::ExtensionOnly);
         let x = db.graph().label("x").unwrap();
         assert!(db.extension(x).is_some());
         assert!(db.value_locations(&Value::Int(1)).is_none());
@@ -464,10 +252,10 @@ mod tests {
     #[test]
     fn stats_cache_invalidates_on_mutation() {
         let mut db = Database::new(IndexLevel::Full);
-        let a = db.add_node().unwrap();
+        let a = apply(&mut db, |d| d.add_node(None))[0];
         let s1 = db.stats();
         assert_eq!(s1.edges, 0);
-        db.add_edge(a, "x", Value::Int(1)).unwrap();
+        apply(&mut db, |d| d.add_edge(a, "x", Value::Int(1)));
         let s2 = db.stats();
         assert_eq!(s2.edges, 1);
     }
@@ -475,13 +263,22 @@ mod tests {
     #[test]
     fn incremental_indexes_match_rebuilt_indexes() {
         let mut db = Database::new(IndexLevel::Full);
-        let a = db.add_named_node("a").unwrap();
-        let b = db.add_named_node("b").unwrap();
-        db.add_edge(a, "p", Value::Node(b)).unwrap();
-        db.add_edge(a, "q", Value::string("s")).unwrap();
-        db.add_edge(b, "q", Value::string("s")).unwrap();
-        db.remove_edge(a, "q", &Value::string("s")).unwrap();
-        db.collect("C", Value::Node(a)).unwrap();
+        let ab = apply(&mut db, |d| {
+            d.add_node(Some("a"));
+            d.add_node(Some("b"));
+        });
+        let (a, b) = (ab[0], ab[1]);
+        apply(&mut db, |d| d.add_edge(a, "p", Value::Node(b)));
+        // Probe every family first, so the delta below maintains them.
+        let p = db.graph().label("p").unwrap();
+        assert!(db.sources(p, &Value::Node(b)).is_some());
+        assert!(db.schema_index().is_some() && db.value_locations(&Value::Int(0)).is_some());
+        apply(&mut db, |d| {
+            d.add_edge(a, "q", Value::string("s"));
+            d.add_edge(b, "q", Value::string("s"));
+            d.remove_edge(a, "q", Value::string("s"));
+            d.collect("C", Value::Node(a));
+        });
 
         let q = db.graph().label("q").unwrap();
         let incr_ext: Vec<_> = db.extension(q).unwrap().to_vec();
@@ -500,77 +297,50 @@ mod tests {
     #[test]
     fn dataguide_over_a_collection() {
         let mut db = Database::new(IndexLevel::Full);
-        let a = db.add_named_node("a").unwrap();
-        db.add_edge(a, "title", Value::string("T")).unwrap();
-        db.collect("Pubs", Value::Node(a)).unwrap();
+        let a = apply(&mut db, |d| d.add_node(Some("a")))[0];
+        apply(&mut db, |d| {
+            d.add_edge(a, "title", Value::string("T"));
+            d.collect("Pubs", Value::Node(a));
+        });
         let guide = db.dataguide("Pubs").unwrap();
         assert_eq!(guide.nodes[0].cardinality, 1);
         assert!(db.dataguide("Ghost").is_none());
-        db.collect("Atoms", Value::Int(1)).unwrap();
+        apply(&mut db, |d| d.collect("Atoms", Value::Int(1)));
         assert!(db.dataguide("Atoms").is_none(), "no node members");
-    }
-
-    #[test]
-    fn validate_delta_tracks_intra_delta_effects() {
-        let mut db = Database::new(IndexLevel::Full);
-        let a = db.add_named_node("a").unwrap();
-
-        // Add-then-remove within one delta is fine.
-        let mut d = GraphDelta::new();
-        d.add_edge(a, "x", Value::Int(1));
-        d.remove_edge(a, "x", Value::Int(1));
-        db.apply_delta(&d).unwrap();
-
-        // Removing twice what was added once is not.
-        let mut d = GraphDelta::new();
-        d.add_edge(a, "y", Value::Int(1));
-        d.remove_edge(a, "y", Value::Int(1));
-        d.remove_edge(a, "y", Value::Int(1));
-        assert!(db.apply_delta(&d).is_err());
-
-        // An edge from a node created earlier in the same delta is fine;
-        // an edge to a node the delta never creates is not.
-        let mut d = GraphDelta::new();
-        d.add_node(Some("b")); // will become index 1
-        d.add_edge(Oid::from_index(1), "p", Value::Int(2));
-        db.apply_delta(&d).unwrap();
-        let mut d = GraphDelta::new();
-        d.add_edge(Oid::from_index(999), "p", Value::Int(3));
-        assert!(db.apply_delta(&d).is_err());
-
-        // Collect-then-uncollect in one delta; uncollect of a member that
-        // was never collected fails.
-        let mut d = GraphDelta::new();
-        d.collect("C", Value::Node(a));
-        d.uncollect("C", Value::Node(a));
-        db.apply_delta(&d).unwrap();
-        let mut d = GraphDelta::new();
-        d.uncollect("C", Value::Int(77));
-        assert!(db.apply_delta(&d).is_err());
     }
 
     #[test]
     fn live_mutations_reject_dangling_references() {
         let mut db = Database::new(IndexLevel::Full);
-        let a = db.add_node().unwrap();
+        let a = apply(&mut db, |d| d.add_node(None))[0];
+        assert!(db.schema_index().is_some());
         let ghost = Oid::from_index(42);
-        assert!(db.add_edge(ghost, "p", Value::Int(1)).is_err());
-        assert!(db.add_edge(a, "p", Value::Node(ghost)).is_err());
-        assert!(db.collect("C", Value::Node(ghost)).is_err());
-        // Nothing leaked into the graph or schema index.
+        let mut d = GraphDelta::new();
+        d.add_edge(a, "p", Value::Int(1));
+        d.collect("C", Value::Node(a));
+        d.add_edge(a, "p", Value::Node(ghost));
+        assert!(matches!(
+            db.apply_delta(&d),
+            Err(RepoError::Delta(DeltaError::UnknownNode(o))) if o == ghost
+        ));
+        // Nothing leaked into the graph or schema index, not even the ops
+        // before the dangling one.
         assert_eq!(db.graph().edge_count(), 0);
         assert!(db.graph().collection_id("C").is_none());
+        assert!(db.graph().label("p").is_none());
+        assert_eq!(db.schema_index().unwrap().collection_size("C"), 0);
     }
 
     #[test]
     fn collect_uncollect_updates_schema_index() {
         let mut db = Database::new(IndexLevel::Full);
-        let a = db.add_node().unwrap();
-        db.collect("C", Value::Node(a)).unwrap();
+        let a = apply(&mut db, |d| d.add_node(None))[0];
+        apply(&mut db, |d| d.collect("C", Value::Node(a)));
         assert_eq!(db.schema_index().unwrap().collection_size("C"), 1);
-        assert!(!db.collect("C", Value::Node(a)).unwrap(), "duplicate");
+        // A duplicate `Collect` is accepted and changes nothing.
+        apply(&mut db, |d| d.collect("C", Value::Node(a)));
         assert_eq!(db.schema_index().unwrap().collection_size("C"), 1);
-        db.uncollect("C", &Value::Node(a)).unwrap();
+        apply(&mut db, |d| d.uncollect("C", Value::Node(a)));
         assert_eq!(db.schema_index().unwrap().collection_size("C"), 0);
     }
 }

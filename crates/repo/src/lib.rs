@@ -16,8 +16,15 @@
 //!
 //! "Obviously, maintaining these indexes is expensive, but they provide
 //! many benefits to our query language." The [`Database`] type maintains
-//! all of them incrementally under mutation; [`IndexLevel`] lets the
-//! indexing ablation experiment (E-index) dial them down.
+//! all of them incrementally under its one mutation,
+//! [`Database::apply_delta`]; [`IndexLevel`] lets the indexing ablation
+//! experiment (E-index) dial them down.
+//!
+//! Whether a delta applies is decided in one place,
+//! [`GraphDelta::validate`](strudel_graph::GraphDelta::validate): the
+//! database, the durable store's commit and its WAL replay all apply
+//! through [`GraphDelta::apply`](strudel_graph::GraphDelta::apply),
+//! which runs that rule first and so applies a delta all or nothing.
 //!
 //! There is one durable store, and [`Database`] is not it: `Database` is
 //! the indexed graph in memory and never sees a file. [`PagedRepo`]

@@ -25,18 +25,17 @@
 //! # Durability model
 //!
 //! A commit validates the delta against the head graph with
-//! `database::validate_delta` (the crate's one validator), appends it
-//! to the WAL as one frame in one write, then applies it to the head
-//! graph with [`GraphDelta::apply`]. A rejected delta never reaches the log; a
-//! failed write poisons the store until it is reopened. The append
-//! reaches the OS and the checkpoint syncs. Recovery
-//! ([`PagedRepo::open_with`]) loads the image and replays the log with
-//! the same `GraphDelta::apply`, so a crash at any single operation
-//! leaves the last image plus a whole-frame prefix of the log — never a
-//! half-applied delta.
+//! [`GraphDelta::validate`] (the one rule of what a delta may do),
+//! appends it to the WAL as one frame in one write, then applies it to
+//! the head graph with [`GraphDelta::apply`], which runs the same rule
+//! first. A rejected delta never reaches the log; a failed write
+//! poisons the store until it is reopened. The append reaches the OS
+//! and the checkpoint syncs. Recovery ([`PagedRepo::open_with`]) loads
+//! the image and replays the log with the same `GraphDelta::apply`, so
+//! a crash at any single operation leaves the last image plus a
+//! whole-frame prefix of the log — never a half-applied delta.
 
 use crate::codec::corrupt;
-use crate::database::validate_delta;
 use crate::snapshot;
 use crate::vfs::{RealVfs, Vfs};
 use crate::wal::{self, ReplayReport, Wal};
@@ -239,14 +238,16 @@ impl PagedRepo {
         let Some(log) = wal.as_mut() else {
             return Err(poisoned());
         };
-        validate_delta(graph, delta)?;
+        delta.validate(graph)?;
         if let Err(e) = log.append(delta) {
             *wal = None;
             return Err(e);
         }
         if let Err(e) = delta.apply(graph) {
-            // Only a validator bug gets here, after the log took the
-            // delta: stop writing rather than let memory and disk part.
+            // `apply` runs the rule that just accepted the delta against
+            // this same graph, so this is unreachable; were it reached
+            // after the log took the delta, stop writing rather than let
+            // memory and disk part.
             *wal = None;
             return Err(e.into());
         }

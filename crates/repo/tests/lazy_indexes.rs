@@ -3,15 +3,16 @@
 //! mutations — answers exactly as one built from the graph right now, and
 //! stays that way under every later mutation.
 //!
-//! A seeded loop interleaves edge and membership mutations with the
-//! probes in random order. The loop itself decides when a family is first
-//! asked for; from then on the family is checked after *every* step
+//! A seeded loop interleaves deltas of edge and membership ops, some of
+//! which the database must refuse, with the probes in random order. The
+//! loop itself decides when a family is first asked for; from then on
+//! the family is checked after *every* step, a refused delta included,
 //! against a fresh `build` over the current graph (as multisets per key:
 //! `forget_edge` swap-removes, so maintained and rebuilt order legally
 //! differ after a removal).
 
 use std::sync::{Arc, Barrier};
-use strudel_graph::{Graph, Label, Oid, Value};
+use strudel_graph::{Graph, GraphDelta, Label, Oid, Value};
 use strudel_prng::{Rng, SeedableRng, SmallRng};
 use strudel_repo::{Database, ExtensionIndex, IndexLevel, SchemaIndex, ValueIndex};
 
@@ -116,42 +117,57 @@ fn check(db: &Database, built: &Built, rng: &mut SmallRng, at: &str) {
     }
 }
 
+/// One to three ops on nodes below `NODES`: edge additions, removals of
+/// an edge `db` holds, collects, and ops the database must refuse often
+/// (an uncollect of a random value, a removal of a random edge, an edge
+/// to a node that does not exist).
+fn random_delta(rng: &mut SmallRng, db: &Database) -> GraphDelta {
+    let mut d = GraphDelta::new();
+    for _ in 0..rng.gen_range(1..=3usize) {
+        let node = Oid::from_index(rng.gen_range(0..NODES));
+        let label = LABELS[rng.gen_range(0..LABELS.len())];
+        let coll = COLLECTIONS[rng.gen_range(0..COLLECTIONS.len())];
+        let v = value(rng);
+        match rng.gen_range(0..12u32) {
+            0..=4 => d.add_edge(node, label, v),
+            5..=7 => match db.graph().edges(node) {
+                [] => d.remove_edge(node, label, v),
+                edges => {
+                    let e = &edges[rng.gen_range(0..edges.len())];
+                    d.remove_edge(node, db.graph().label_name(e.label), e.to.clone());
+                }
+            },
+            8 | 9 => d.collect(coll, v),
+            10 => d.uncollect(coll, v),
+            _ => d.add_edge(node, label, Value::Node(Oid::from_index(NODES))),
+        }
+    }
+    d
+}
+
 #[test]
 fn families_built_at_any_point_equal_a_fresh_build_ever_after() {
+    let (mut accepted, mut refused) = (0, 0);
     for seed in [1u64, 7, 42, 1998, 0xD1CE, 0xFACADE] {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut db = Database::new(IndexLevel::Full);
+        let mut nodes = GraphDelta::new();
         for _ in 0..NODES {
-            db.add_node().unwrap();
+            nodes.add_node(None);
         }
+        db.apply_delta(&nodes).unwrap();
         let mut built = Built::default();
         for step in 0..300 {
-            let node = Oid::from_index(rng.gen_range(0..NODES));
-            let label = LABELS[rng.gen_range(0..LABELS.len())];
-            let coll = COLLECTIONS[rng.gen_range(0..COLLECTIONS.len())];
-            let v = value(&mut rng);
             let what = match rng.gen_range(0..16u32) {
-                0..=4 => {
-                    db.add_edge(node, label, v).unwrap();
-                    "add"
-                }
-                5..=7 => {
-                    // Remove an edge that exists, when the node has one.
-                    let edges = db.graph().edges(node);
-                    if !edges.is_empty() {
-                        let e = edges[rng.gen_range(0..edges.len())].clone();
-                        let name = db.graph().label_name(e.label).to_owned();
-                        assert!(db.remove_edge(node, &name, &e.to).unwrap());
+                0..=10 => {
+                    let delta = random_delta(&mut rng, &db);
+                    if db.apply_delta(&delta).is_ok() {
+                        accepted += 1;
+                        "delta"
+                    } else {
+                        refused += 1;
+                        "refused delta"
                     }
-                    "remove"
-                }
-                8 | 9 => {
-                    db.collect(coll, v).unwrap();
-                    "collect"
-                }
-                10 => {
-                    db.uncollect(coll, &v).unwrap();
-                    "uncollect"
                 }
                 11 => {
                     built.extension = true;
@@ -184,6 +200,10 @@ fn families_built_at_any_point_equal_a_fresh_build_ever_after() {
         }
         assert!(built.extension && built.inverted && built.value && built.schema);
     }
+    assert!(
+        accepted > 0 && refused > 0,
+        "{accepted} accepted, {refused} refused"
+    );
 }
 
 #[test]

@@ -11,9 +11,13 @@
 //!   reorder rows but never add, drop or repeat one; and the same set
 //!   across optimizer on/off and index levels.
 //!
-//! Every value in the corpus is chosen to avoid dynamic-coercion
-//! collisions (no numeric-looking strings), so disagreements point at
-//! engine bugs rather than coercion ambiguity.
+//! The random corpus avoids dynamic-coercion collisions (no
+//! numeric-looking strings), so its disagreements point at engine bugs
+//! rather than coercion ambiguity. Coercion gets its own case:
+//! `coercion_equal_values_agree_with_the_reference` adds a label that
+//! holds both `1` and `"1"` and probes it from unbound sources with
+//! constants and row-bound values of both spellings, through `sources`
+//! and the value index, against the coercing reference.
 
 use strudel_graph::{Graph, Value};
 use strudel_prng::{Rng, SeedableRng, SmallRng};
@@ -297,6 +301,59 @@ fn both_bound_regex_rows_agree_with_the_reference() {
                 let what = format!("{text} level={level:?} optimize={optimize}");
                 let rows = checked_eval(&db, conds, &[], optimize, &what);
                 assert!(!rows.is_empty(), "{what}: no row");
+            }
+        }
+    }
+}
+
+#[test]
+fn coercion_equal_values_agree_with_the_reference() {
+    // A label holding `1` and `"1"` (and `2` and `"2"`) on one node each
+    // in turn. The indexes are exact-match and unification coerces, so an
+    // unbound-source probe must ask `sources` (a named label) or the
+    // value index (`true`, an arc variable) with every coercion-equal key
+    // of the destination: asking fewer drops rows the reference keeps.
+    let mut rng = SmallRng::seed_from_u64(0xc0e2);
+    let mut graph = corpus(&mut rng, 60);
+    let items: Vec<_> = graph
+        .members_str("Items")
+        .iter()
+        .filter_map(Value::as_node)
+        .collect();
+    for (i, &node) in items.iter().enumerate() {
+        let num = match i % 4 {
+            0 => Value::Int(1),
+            1 => Value::string("1"),
+            2 => Value::Int(2),
+            _ => Value::string("2"),
+        };
+        graph.add_edge_str(node, "num", num);
+    }
+    // Half the items carry a `num` equal to 1 under coercion.
+    let ones = items.len() / 2;
+    for (text, rows_expected) in [
+        (r#"where x -> "num" -> "1" create P(x)"#, Some(ones)),
+        (r#"where x -> "num" -> 1 create P(x)"#, Some(ones)),
+        (r#"where x -> true -> "1" create P(x)"#, None),
+        (r#"where x -> l -> "1" create P(x)"#, None),
+        (r#"where x -> l -> 1 create P(x)"#, None),
+        // A destination bound by the row, in either spelling.
+        (
+            r#"where Items(y), y -> "num" -> v, x -> "num" -> v create P(x)"#,
+            Some(ones * ones * 2),
+        ),
+    ] {
+        let program = strudel_struql::parse(text).unwrap();
+        let conds = &program.blocks[0].where_;
+        for level in [IndexLevel::Full, IndexLevel::None] {
+            let db = Database::from_graph(graph.clone(), level);
+            for optimize in [true, false] {
+                let what = format!("{text} level={level:?} optimize={optimize}");
+                let rows = checked_eval(&db, conds, &[], optimize, &what);
+                match rows_expected {
+                    Some(n) => assert_eq!(rows.len(), n, "{what}"),
+                    None => assert!(rows.len() >= ones, "{what}: {} rows", rows.len()),
+                }
             }
         }
     }
