@@ -1002,7 +1002,7 @@ pub fn exp_indexing() {
             let mut reference = None;
             for level in [IndexLevel::None, IndexLevel::ExtensionOnly, IndexLevel::Full] {
                 let db = Database::from_graph(g.clone(), level);
-                // Warm the stats cache so we time the query, not stats.
+                // Build the statistics first, so we time the query, not them.
                 let _ = db.stats();
                 // A fresh Database holds no index: the first evaluation
                 // builds every family it probes. Run it apart so the query

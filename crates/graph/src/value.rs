@@ -148,7 +148,7 @@ impl Value {
     }
 
     /// A short name for the value's type, used in error messages and the
-    /// schema index of the repository.
+    /// repository's DataGuide.
     pub fn type_name(&self) -> &'static str {
         match self {
             Value::Node(_) => "node",

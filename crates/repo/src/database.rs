@@ -1,9 +1,8 @@
 //! The repository façade: an indexed, in-memory graph store.
 
-use crate::index::{ExtensionIndex, IndexSet, SchemaIndex};
+use crate::index::{ExtensionIndex, IndexSet};
 use crate::stats::Stats;
 use crate::RepoError;
-use std::sync::{Arc, Mutex};
 use strudel_graph::{Change, Graph, GraphDelta, Label, Oid, Value};
 
 /// How much indexing the repository maintains.
@@ -11,16 +10,18 @@ use strudel_graph::{Change, Graph, GraphDelta, Label, Oid, Value};
 /// The paper's prototype always indexes fully; this knob exists for the
 /// E-index ablation (what do the indexes buy in a schemaless store?). The
 /// level alone decides whether a probe answers `Some` or `None`; an index
-/// the level allows is built by its first probe. A database that is
-/// not mutated orders a probe's rows the same whenever the index came to
-/// be built (graph order); once it is mutated, a built family appends in
-/// mutation order and `swap_remove`s, so two databases with one mutation
-/// history agree on each key's rows as a multiset, not on their order.
+/// the level allows is built by its first probe. The planner's statistics
+/// ([`Database::stats`]) exist at every level, since every level plans. A
+/// database that is not mutated orders a probe's rows the same whenever
+/// the index came to be built (graph order); once it is mutated, a built
+/// family appends in mutation order and `swap_remove`s, so two databases
+/// with one mutation history agree on each key's rows as a multiset, not
+/// on their order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum IndexLevel {
     /// No indexes: every lookup is a graph scan.
     None,
-    /// Schema + per-attribute extension indexes, no global value index.
+    /// Per-attribute extension indexes, no global value index.
     ExtensionOnly,
     /// Everything, the paper's configuration.
     #[default]
@@ -38,9 +39,6 @@ pub struct Database {
     graph: Graph,
     level: IndexLevel,
     indexes: IndexSet,
-    // Mutex (not RefCell) so a read-only Database shares across threads:
-    // the click-time server hands `Arc<Database>` to its whole pool.
-    stats: Mutex<Option<Arc<Stats>>>,
 }
 
 impl Default for Database {
@@ -62,7 +60,6 @@ impl Database {
             graph,
             level,
             indexes: IndexSet::default(),
-            stats: Mutex::new(None),
         }
     }
 
@@ -110,11 +107,6 @@ impl Database {
         (self.level == IndexLevel::Full).then(|| self.indexes.value(&self.graph).locations(v))
     }
 
-    /// The schema index, when maintained.
-    pub fn schema_index(&self) -> Option<&SchemaIndex> {
-        (self.level != IndexLevel::None).then(|| self.indexes.schema(&self.graph))
-    }
-
     /// Builds a [`DataGuide`](crate::DataGuide) over the node members of
     /// a collection — the discovered schema of that collection's objects.
     /// `None` when the collection is missing or has no node members.
@@ -132,61 +124,27 @@ impl Database {
         Some(crate::DataGuide::build(&self.graph, &roots))
     }
 
-    /// A statistics snapshot for the optimizer, computed lazily and cached
-    /// until the next mutation.
-    pub fn stats(&self) -> Arc<Stats> {
-        let mut slot = self.stats.lock().unwrap();
-        if let Some(s) = slot.as_ref() {
-            return Arc::clone(s);
-        }
-        let s = Arc::new(Stats::compute(&self.graph));
-        *slot = Some(Arc::clone(&s));
-        s
-    }
-
-    /// The cached statistics snapshot, if one is live — `None` after any
-    /// mutation. Unlike [`Database::stats`] this never computes.
-    pub fn cached_stats(&self) -> Option<Arc<Stats>> {
-        self.stats.lock().unwrap().clone()
-    }
-
-    /// Installs a statistics snapshot into the cache without scanning the
-    /// graph. The click engine's delta path carries slightly-stale stats
-    /// across small deltas this way: the planner only consumes relative
-    /// cardinalities, so a bounded drift changes join orders at worst —
-    /// never results. Callers own the staleness bound.
-    pub fn seed_stats(&self, stats: Arc<Stats>) {
-        *self.stats.lock().unwrap() = Some(stats);
+    /// The optimizer's statistics, computed by the first call and kept
+    /// exact by every delta after it.
+    pub fn stats(&self) -> &Stats {
+        self.indexes.stats(&self.graph)
     }
 
     // ----- mutations -----------------------------------------------------
 
     /// Applies a whole delta with [`GraphDelta::apply_with`], keeping every
     /// built index family in step with each change it makes. All or
-    /// nothing: a delta [`GraphDelta::validate`] refuses leaves the graph,
-    /// the indexes and the cached statistics untouched.
+    /// nothing: a delta [`GraphDelta::validate`] refuses leaves the graph
+    /// and the indexes untouched.
     pub fn apply_delta(&mut self, delta: &GraphDelta) -> Result<Vec<Oid>, RepoError> {
+        self.indexes.before_delta(&self.graph);
         let indexes = &mut self.indexes;
         let created = delta.apply_with(&mut self.graph, |change| match change {
             Change::EdgeAdded { from, label, to } => indexes.note_edge(from, label, to),
             Change::EdgeRemoved { from, label, to } => indexes.forget_edge(from, label, to),
-            Change::MemberAdded { collection, .. } => indexes.note_member(collection, 1),
-            Change::MemberRemoved { collection, .. } => indexes.note_member(collection, -1),
+            Change::MemberAdded { .. } | Change::MemberRemoved { .. } => {}
         })?;
-        self.invalidate();
         Ok(created)
-    }
-
-    /// Drops every index, so the next probe of each family rebuilds it
-    /// from the graph (used after bulk graph surgery and by tests to
-    /// cross-check incremental maintenance).
-    pub fn rebuild_indexes(&mut self) {
-        self.indexes = IndexSet::default();
-        self.invalidate();
-    }
-
-    fn invalidate(&mut self) {
-        *self.stats.lock().unwrap() = None;
     }
 }
 
@@ -238,7 +196,11 @@ mod tests {
         let x = db.graph().label("x").unwrap();
         assert!(db.extension(x).is_none());
         assert!(db.value_locations(&Value::Int(1)).is_none());
-        assert!(db.schema_index().is_none());
+        assert_eq!(
+            db.stats().label(x).edges,
+            1,
+            "statistics exist at every level"
+        );
     }
 
     #[test]
@@ -253,45 +215,10 @@ mod tests {
     fn stats_cache_invalidates_on_mutation() {
         let mut db = Database::new(IndexLevel::Full);
         let a = apply(&mut db, |d| d.add_node(None))[0];
-        let s1 = db.stats();
-        assert_eq!(s1.edges, 0);
+        assert_eq!(db.stats(), &Stats::default());
         apply(&mut db, |d| d.add_edge(a, "x", Value::Int(1)));
-        let s2 = db.stats();
-        assert_eq!(s2.edges, 1);
-    }
-
-    #[test]
-    fn incremental_indexes_match_rebuilt_indexes() {
-        let mut db = Database::new(IndexLevel::Full);
-        let ab = apply(&mut db, |d| {
-            d.add_node(Some("a"));
-            d.add_node(Some("b"));
-        });
-        let (a, b) = (ab[0], ab[1]);
-        apply(&mut db, |d| d.add_edge(a, "p", Value::Node(b)));
-        // Probe every family first, so the delta below maintains them.
-        let p = db.graph().label("p").unwrap();
-        assert!(db.sources(p, &Value::Node(b)).is_some());
-        assert!(db.schema_index().is_some() && db.value_locations(&Value::Int(0)).is_some());
-        apply(&mut db, |d| {
-            d.add_edge(a, "q", Value::string("s"));
-            d.add_edge(b, "q", Value::string("s"));
-            d.remove_edge(a, "q", Value::string("s"));
-            d.collect("C", Value::Node(a));
-        });
-
-        let q = db.graph().label("q").unwrap();
-        let incr_ext: Vec<_> = db.extension(q).unwrap().to_vec();
-        let incr_locs = db.value_locations(&Value::string("s")).unwrap().len();
-        let incr_coll = db.schema_index().unwrap().collection_size("C");
-
-        db.rebuild_indexes();
-        assert_eq!(db.extension(q).unwrap().to_vec(), incr_ext);
-        assert_eq!(
-            db.value_locations(&Value::string("s")).unwrap().len(),
-            incr_locs
-        );
-        assert_eq!(db.schema_index().unwrap().collection_size("C"), incr_coll);
+        let x = db.graph().label("x").unwrap();
+        assert_eq!(db.stats().label(x).edges, 1);
     }
 
     #[test]
@@ -313,7 +240,7 @@ mod tests {
     fn live_mutations_reject_dangling_references() {
         let mut db = Database::new(IndexLevel::Full);
         let a = apply(&mut db, |d| d.add_node(None))[0];
-        assert!(db.schema_index().is_some());
+        let before = db.stats().clone();
         let ghost = Oid::from_index(42);
         let mut d = GraphDelta::new();
         d.add_edge(a, "p", Value::Int(1));
@@ -323,24 +250,25 @@ mod tests {
             db.apply_delta(&d),
             Err(RepoError::Delta(DeltaError::UnknownNode(o))) if o == ghost
         ));
-        // Nothing leaked into the graph or schema index, not even the ops
-        // before the dangling one.
+        // Nothing leaked into the graph or the statistics, not even the
+        // ops before the dangling one.
         assert_eq!(db.graph().edge_count(), 0);
         assert!(db.graph().collection_id("C").is_none());
         assert!(db.graph().label("p").is_none());
-        assert_eq!(db.schema_index().unwrap().collection_size("C"), 0);
+        assert_eq!(db.stats(), &before);
     }
 
     #[test]
-    fn collect_uncollect_updates_schema_index() {
+    fn collect_uncollect_updates_collection_sizes() {
         let mut db = Database::new(IndexLevel::Full);
         let a = apply(&mut db, |d| d.add_node(None))[0];
+        let size = |db: &Database| db.graph().members_str("C").len();
         apply(&mut db, |d| d.collect("C", Value::Node(a)));
-        assert_eq!(db.schema_index().unwrap().collection_size("C"), 1);
+        assert_eq!(size(&db), 1);
         // A duplicate `Collect` is accepted and changes nothing.
         apply(&mut db, |d| d.collect("C", Value::Node(a)));
-        assert_eq!(db.schema_index().unwrap().collection_size("C"), 1);
+        assert_eq!(size(&db), 1);
         apply(&mut db, |d| d.uncollect("C", Value::Node(a)));
-        assert_eq!(db.schema_index().unwrap().collection_size("C"), 0);
+        assert_eq!(size(&db), 0);
     }
 }

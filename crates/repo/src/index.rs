@@ -2,11 +2,10 @@
 //!
 //! Three families, mirroring §2.1 of the paper:
 //!
-//! * [`SchemaIndex`] — "one index contains the names of all the collections
-//!   and attributes in the graph": per-attribute and per-collection usage
-//!   counts plus the set of value types each attribute has been observed
-//!   with. STRUQL queries the schema through arc variables, and the
-//!   optimizer reads cardinalities from here.
+//! * [`Stats`] — "one index contains the names of all the collections
+//!   and attributes in the graph": per attribute, its edges and its
+//!   distinct sources and targets; collection sizes are the graph's own.
+//!   The STRUQL planner reads its cardinalities from here.
 //! * [`ExtensionIndex`] — "other indexes contain the extensions for each
 //!   collection and attribute": for every attribute label, the full list of
 //!   `(source, target)` pairs, plus an inverted map from target value to
@@ -20,94 +19,14 @@
 //! it is first probed ([`IndexSet`]) and maintains it incrementally from
 //! then on; a family nobody probes is never built. Within the extension
 //! family the inverted map is a second step, derived from the forward
-//! extensions by the first `sources` probe.
+//! extensions by the first `sources` probe; within the statistics, the
+//! per-end counts that maintenance needs are a second step, counted by
+//! the first delta.
 
-use std::collections::HashMap;
+use crate::stats::Stats;
 use std::sync::OnceLock;
 use strudel_graph::hash::FastMap;
 use strudel_graph::{Graph, Label, Oid, Value};
-
-/// Per-attribute schema facts.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct AttributeInfo {
-    /// Number of edges carrying this label.
-    pub edge_count: usize,
-    /// Names of value types observed as targets, with counts.
-    pub value_types: HashMap<&'static str, usize>,
-}
-
-/// The schema index: what attribute names and collection names exist, and
-/// how heavily each is used.
-#[derive(Clone, Debug, Default)]
-pub struct SchemaIndex {
-    attributes: HashMap<Label, AttributeInfo>,
-    collections: HashMap<String, usize>,
-}
-
-impl SchemaIndex {
-    /// Builds the schema index by scanning `graph`.
-    pub fn build(graph: &Graph) -> Self {
-        let mut idx = SchemaIndex::default();
-        for oid in graph.node_oids() {
-            for e in graph.edges(oid) {
-                idx.note_edge(e.label, &e.to);
-            }
-        }
-        for (cid, name) in graph.collections() {
-            idx.collections
-                .insert(name.to_owned(), graph.members(cid).len());
-        }
-        idx
-    }
-
-    pub(crate) fn note_edge(&mut self, label: Label, to: &Value) {
-        let info = self.attributes.entry(label).or_default();
-        info.edge_count += 1;
-        *info.value_types.entry(to.type_name()).or_insert(0) += 1;
-    }
-
-    pub(crate) fn forget_edge(&mut self, label: Label, to: &Value) {
-        if let Some(info) = self.attributes.get_mut(&label) {
-            info.edge_count = info.edge_count.saturating_sub(1);
-            if let Some(c) = info.value_types.get_mut(to.type_name()) {
-                *c = c.saturating_sub(1);
-                if *c == 0 {
-                    info.value_types.remove(to.type_name());
-                }
-            }
-        }
-    }
-
-    pub(crate) fn note_member(&mut self, collection: &str, delta: isize) {
-        let c = self.collections.entry(collection.to_owned()).or_insert(0);
-        *c = c.saturating_add_signed(delta);
-    }
-
-    /// Facts about one attribute, if any edge carries it.
-    pub fn attribute(&self, label: Label) -> Option<&AttributeInfo> {
-        self.attributes.get(&label)
-    }
-
-    /// Number of edges carrying `label`.
-    pub fn edge_count(&self, label: Label) -> usize {
-        self.attributes.get(&label).map_or(0, |i| i.edge_count)
-    }
-
-    /// Cardinality of the named collection.
-    pub fn collection_size(&self, name: &str) -> usize {
-        self.collections.get(name).copied().unwrap_or(0)
-    }
-
-    /// All attributes present in the graph.
-    pub fn attributes(&self) -> impl Iterator<Item = (Label, &AttributeInfo)> + '_ {
-        self.attributes.iter().map(|(&l, i)| (l, i))
-    }
-
-    /// All collections with their sizes.
-    pub fn collections(&self) -> impl Iterator<Item = (&str, usize)> + '_ {
-        self.collections.iter().map(|(n, &s)| (n.as_str(), s))
-    }
-}
 
 /// `(label, to)` → sources, the inverted half of [`ExtensionIndex`].
 type Inverted = FastMap<(Label, Value), Vec<Oid>>;
@@ -241,16 +160,16 @@ impl ValueIndex {
 /// which of them have been asked for so far.
 #[derive(Debug, Default)]
 pub(crate) struct IndexSet {
-    schema: OnceLock<SchemaIndex>,
+    stats: OnceLock<Stats>,
     extension: OnceLock<ExtensionIndex>,
     value: OnceLock<ValueIndex>,
 }
 
 impl IndexSet {
-    pub(crate) fn schema(&self, graph: &Graph) -> &SchemaIndex {
-        self.schema.get_or_init(|| {
-            let _span = strudel_trace::span("repo.index.build.schema");
-            SchemaIndex::build(graph)
+    pub(crate) fn stats(&self, graph: &Graph) -> &Stats {
+        self.stats.get_or_init(|| {
+            let _span = strudel_trace::span("repo.index.build.stats");
+            Stats::compute(graph)
         })
     }
 
@@ -268,10 +187,18 @@ impl IndexSet {
         })
     }
 
+    /// Readies the built families for a delta to `graph`, before its
+    /// first change.
+    pub(crate) fn before_delta(&mut self, graph: &Graph) {
+        if let Some(s) = self.stats.get_mut() {
+            s.count_ends(graph);
+        }
+    }
+
     /// Tells every family that has been built about a new edge.
     pub(crate) fn note_edge(&mut self, from: Oid, label: Label, to: &Value) {
-        if let Some(s) = self.schema.get_mut() {
-            s.note_edge(label, to);
+        if let Some(s) = self.stats.get_mut() {
+            s.note_edge(from, label, to);
         }
         if let Some(x) = self.extension.get_mut() {
             x.note_edge(from, label, to);
@@ -283,21 +210,14 @@ impl IndexSet {
 
     /// Tells every family that has been built about a removed edge.
     pub(crate) fn forget_edge(&mut self, from: Oid, label: Label, to: &Value) {
-        if let Some(s) = self.schema.get_mut() {
-            s.forget_edge(label, to);
+        if let Some(s) = self.stats.get_mut() {
+            s.forget_edge(from, label, to);
         }
         if let Some(x) = self.extension.get_mut() {
             x.forget_edge(from, label, to);
         }
         if let Some(v) = self.value.get_mut() {
             v.forget_edge(from, label, to);
-        }
-    }
-
-    /// Tells the schema index, if built, about a membership change.
-    pub(crate) fn note_member(&mut self, collection: &str, delta: isize) {
-        if let Some(s) = self.schema.get_mut() {
-            s.note_member(collection, delta);
         }
     }
 }
@@ -318,27 +238,6 @@ mod tests {
         g.collect_str("Pubs", a);
         g.collect_str("Pubs", b);
         g
-    }
-
-    #[test]
-    fn schema_index_counts_edges_and_types() {
-        let g = sample();
-        let s = SchemaIndex::build(&g);
-        let year = g.label("year").unwrap();
-        assert_eq!(s.edge_count(year), 3);
-        assert_eq!(s.attribute(year).unwrap().value_types["int"], 3);
-        assert_eq!(s.collection_size("Pubs"), 2);
-        assert_eq!(s.collection_size("NoSuch"), 0);
-        assert_eq!(s.attributes().count(), 3);
-    }
-
-    #[test]
-    fn schema_index_forgets_edges() {
-        let g = sample();
-        let mut s = SchemaIndex::build(&g);
-        let year = g.label("year").unwrap();
-        s.forget_edge(year, &Value::Int(1998));
-        assert_eq!(s.edge_count(year), 2);
     }
 
     #[test]
@@ -381,10 +280,10 @@ mod tests {
         let year = g.label("year").unwrap();
         let mut set = IndexSet::default();
         // A mutation tells built families only: it builds none.
+        set.before_delta(&g);
         set.note_edge(a, year, &Value::Int(1999));
         set.forget_edge(a, year, &Value::Int(1999));
-        set.note_member("Pubs", 1);
-        assert!(set.schema.get().is_none());
+        assert!(set.stats.get().is_none());
         assert!(set.extension.get().is_none());
         assert!(set.value.get().is_none());
 
@@ -393,10 +292,10 @@ mod tests {
         assert!(x.inverted.get().is_none(), "no `sources` probe yet");
         assert_eq!(x.sources(year, &Value::Int(1998)).len(), 2);
         assert!(x.inverted.get().is_some());
-        assert!(set.schema.get().is_none() && set.value.get().is_none());
+        assert!(set.stats.get().is_none() && set.value.get().is_none());
 
         assert_eq!(set.value(&g).locations(&Value::Int(1998)).len(), 2);
-        assert_eq!(set.schema(&g).edge_count(year), 3);
+        assert_eq!(set.stats(&g).label(year).edges, 3);
     }
 
     #[test]

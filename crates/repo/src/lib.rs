@@ -9,7 +9,7 @@
 //! data**:
 //!
 //! * a *schema index* over the names of all collections and attributes in
-//!   the graph (STRUQL can query the schema through arc variables);
+//!   the graph, with their usage counts: the planner's [`Stats`];
 //! * *extension indexes* for each collection and each attribute;
 //! * *value indexes* that are **global** to the graph, not per collection
 //!   or attribute.
@@ -57,7 +57,7 @@ pub mod wal;
 pub use database::{Database, IndexLevel};
 pub use dataguide::{AttributeFact, DataGuide, GuideNode};
 pub use error::RepoError;
-pub use index::{ExtensionIndex, SchemaIndex, ValueIndex};
+pub use index::{ExtensionIndex, ValueIndex};
 pub use pager::{
     committed_wal_deltas, committed_wal_deltas_with, replay_committed, replay_committed_with,
     PagedRepo, PagerConfig, ReplayedStore,

@@ -8,9 +8,11 @@
 //! from an unknown collection, an edge to an oid the delta only creates
 //! later, a named `AddNode` of a name the graph already has, add then
 //! remove and collect then uncollect in one delta. After every delta the
-//! three graphs are compared by their `snapshot` bytes, the database's
-//! built index families with a fresh `Database::from_graph` over its
-//! graph, and, on a rejection, the WAL's length with its length before.
+//! three graphs are compared by their `snapshot` bytes, the built index
+//! families of a database at each index level with a fresh
+//! `Database::from_graph` over its graph (the statistics with a fresh
+//! `Stats::compute`), and, on a rejection, the WAL's length with its
+//! length before.
 //! At the end the store is reopened, and both the reopened head and
 //! `replay_committed` must byte-equal the graph the deltas built.
 
@@ -18,8 +20,7 @@ use std::path::{Path, PathBuf};
 use strudel_graph::{DeltaError, Graph, GraphDelta, Oid, Value};
 use strudel_prng::{Rng, SeedableRng, SmallRng};
 use strudel_repo::{
-    replay_committed, snapshot, Database, IndexLevel, PagedRepo, PagerConfig, RepoError,
-    SchemaIndex,
+    replay_committed, snapshot, Database, IndexLevel, PagedRepo, PagerConfig, RepoError, Stats,
 };
 
 const LABELS: [&str; 3] = ["p", "q", "r"];
@@ -128,57 +129,38 @@ fn sorted<T: Ord + Clone>(items: &[T]) -> Vec<T> {
     v
 }
 
-/// Every built family of `db` answers as a fresh build over its graph
-/// (as multisets per key: a removal swap-removes).
+/// Every family `db`'s level allows answers as a fresh build over its
+/// graph (as multisets per key: a removal swap-removes), and its
+/// statistics equal a fresh `Stats::compute`.
 fn assert_indexes_fresh(db: &Database, at: &str) {
     let g = db.graph();
-    let fresh = Database::from_graph(g.clone(), IndexLevel::Full);
+    let at = format!("{at} at {:?}", db.level());
+    let fresh = Database::from_graph(g.clone(), db.level());
     let mut probes: Vec<Value> = vec![Value::Int(0), Value::Int(1), Value::Int(2)];
     probes.extend([Value::string("x"), Value::string("y")]);
     probes.extend(g.node_oids().map(Value::Node));
     for (l, name) in g.labels().iter() {
         assert_eq!(
-            sorted(db.extension(l).unwrap()),
-            sorted(fresh.extension(l).unwrap()),
+            db.extension(l).map(sorted),
+            fresh.extension(l).map(sorted),
             "{at}: extension of {name}"
         );
         for v in &probes {
             assert_eq!(
-                sorted(db.sources(l, v).unwrap()),
-                sorted(fresh.sources(l, v).unwrap()),
+                db.sources(l, v).map(sorted),
+                fresh.sources(l, v).map(sorted),
                 "{at}: sources of {name} -> {v}"
             );
         }
-        let (live, new) = (db.schema_index().unwrap(), fresh.schema_index().unwrap());
-        assert_eq!(
-            live.edge_count(l),
-            new.edge_count(l),
-            "{at}: edges of {name}"
-        );
-        let types = |s: &SchemaIndex| {
-            let mut t: Vec<(&str, usize)> = s
-                .attribute(l)
-                .map(|a| a.value_types.iter().map(|(k, n)| (*k, *n)).collect())
-                .unwrap_or_default();
-            t.sort_unstable();
-            t
-        };
-        assert_eq!(types(live), types(new), "{at}: value types of {name}");
     }
     for v in &probes {
         assert_eq!(
-            sorted(db.value_locations(v).unwrap()),
-            sorted(fresh.value_locations(v).unwrap()),
+            db.value_locations(v).map(sorted),
+            fresh.value_locations(v).map(sorted),
             "{at}: locations of {v}"
         );
     }
-    for name in COLLECTIONS.iter().chain(&["Unknown"]) {
-        assert_eq!(
-            db.schema_index().unwrap().collection_size(name),
-            fresh.schema_index().unwrap().collection_size(name),
-            "{at}: size of {name}"
-        );
-    }
+    assert_eq!(db.stats(), &Stats::compute(g), "{at}: statistics");
 }
 
 fn delta_error(e: RepoError) -> DeltaError {
@@ -204,9 +186,16 @@ fn three_appliers_agree_and_a_rejected_delta_changes_nothing() {
 
         let dir = tmpdir(&format!("{seed}"));
         let store = PagedRepo::bulk_load(&dir, PagerConfig::default(), &base).unwrap();
-        let mut db = Database::from_graph(base.clone(), IndexLevel::Full);
+        let mut dbs = [
+            IndexLevel::None,
+            IndexLevel::ExtensionOnly,
+            IndexLevel::Full,
+        ]
+        .map(|level| Database::from_graph(base.clone(), level));
         // Build every family now, so every delta maintains all of them.
-        assert_indexes_fresh(&db, "start");
+        for db in &dbs {
+            assert_indexes_fresh(db, "start");
+        }
         let mut head = base;
         let (mut accepted, mut rejected) = (0usize, 0usize);
         for step in 0..DELTAS {
@@ -217,12 +206,16 @@ fn three_appliers_agree_and_a_rejected_delta_changes_nothing() {
 
             let mut graph = head.clone();
             let by_graph = delta.apply(&mut graph).map(drop);
-            let by_db = db.apply_delta(&delta).map(drop).map_err(delta_error);
+            for db in &mut dbs {
+                let by_db = db.apply_delta(&delta).map(drop).map_err(delta_error);
+                assert_eq!(
+                    by_graph,
+                    by_db,
+                    "{at}: GraphDelta::apply vs Database::apply_delta at {:?}",
+                    db.level()
+                );
+            }
             let by_store = store.apply_delta(&delta).map_err(delta_error);
-            assert_eq!(
-                by_graph, by_db,
-                "{at}: GraphDelta::apply vs Database::apply_delta"
-            );
             assert_eq!(
                 by_graph, by_store,
                 "{at}: GraphDelta::apply vs PagedRepo::apply_delta"
@@ -230,13 +223,15 @@ fn three_appliers_agree_and_a_rejected_delta_changes_nothing() {
 
             let after = bytes(&graph);
             let expected = if by_graph.is_ok() { &after } else { &before };
-            assert_eq!(&bytes(db.graph()), expected, "{at}: database graph");
+            for db in &dbs {
+                assert_eq!(&bytes(db.graph()), expected, "{at}: database graph");
+                assert_indexes_fresh(db, &at);
+            }
             assert_eq!(
                 &bytes(&store.materialize().unwrap()),
                 expected,
                 "{at}: store head"
             );
-            assert_indexes_fresh(&db, &at);
             if by_graph.is_ok() {
                 accepted += 1;
                 head = graph;

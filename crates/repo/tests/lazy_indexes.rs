@@ -4,17 +4,19 @@
 //! stays that way under every later mutation.
 //!
 //! A seeded loop interleaves deltas of edge and membership ops, some of
-//! which the database must refuse, with the probes in random order. The
-//! loop itself decides when a family is first asked for; from then on
-//! the family is checked after *every* step, a refused delta included,
-//! against a fresh `build` over the current graph (as multisets per key:
-//! `forget_edge` swap-removes, so maintained and rebuilt order legally
-//! differ after a removal).
+//! which the database must refuse, with the probes in random order, at
+//! every index level. The loop itself decides when a family is first
+//! asked for; from then on the family is checked after *every* step, a
+//! refused delta included, against a fresh `build` over the current graph
+//! (as multisets per key: `forget_edge` swap-removes, so maintained and
+//! rebuilt order legally differ after a removal). The statistics are
+//! checked against `Stats::compute`, and the loop counts the deltas that
+//! reach them with a new label or with a label's last edge.
 
 use std::sync::{Arc, Barrier};
 use strudel_graph::{Graph, GraphDelta, Label, Oid, Value};
 use strudel_prng::{Rng, SeedableRng, SmallRng};
-use strudel_repo::{Database, ExtensionIndex, IndexLevel, SchemaIndex, ValueIndex};
+use strudel_repo::{Database, ExtensionIndex, IndexLevel, Stats, ValueIndex};
 
 const LABELS: [&str; 4] = ["p", "q", "r", "s"];
 const COLLECTIONS: [&str; 2] = ["C", "D"];
@@ -51,7 +53,7 @@ fn keys(g: &Graph, rng: &mut SmallRng) -> Vec<(Label, Value)> {
 /// Which families the loop has probed so far.
 #[derive(Default)]
 struct Built {
-    schema: bool,
+    stats: bool,
     extension: bool,
     inverted: bool,
     value: bool,
@@ -92,28 +94,8 @@ fn check(db: &Database, built: &Built, rng: &mut SmallRng, at: &str) {
             );
         }
     }
-    if built.schema {
-        let fresh = SchemaIndex::build(g);
-        let live = db.schema_index().unwrap();
-        for (l, _) in g.labels().iter() {
-            assert_eq!(live.edge_count(l), fresh.edge_count(l), "{at}: edge count");
-            let types = |s: &SchemaIndex| {
-                let mut t: Vec<(&str, usize)> = s
-                    .attribute(l)
-                    .map(|a| a.value_types.iter().map(|(k, n)| (*k, *n)).collect())
-                    .unwrap_or_default();
-                t.sort_unstable();
-                t
-            };
-            assert_eq!(types(live), types(&fresh), "{at}: value types");
-        }
-        for name in COLLECTIONS {
-            assert_eq!(
-                live.collection_size(name),
-                fresh.collection_size(name),
-                "{at}: size of {name}"
-            );
-        }
+    if built.stats {
+        assert_eq!(db.stats(), &Stats::compute(g), "{at}: statistics");
     }
 }
 
@@ -148,61 +130,93 @@ fn random_delta(rng: &mut SmallRng, db: &Database) -> GraphDelta {
 #[test]
 fn families_built_at_any_point_equal_a_fresh_build_ever_after() {
     let (mut accepted, mut refused) = (0, 0);
-    for seed in [1u64, 7, 42, 1998, 0xD1CE, 0xFACADE] {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut db = Database::new(IndexLevel::Full);
-        let mut nodes = GraphDelta::new();
-        for _ in 0..NODES {
-            nodes.add_node(None);
-        }
-        db.apply_delta(&nodes).unwrap();
-        let mut built = Built::default();
-        for step in 0..300 {
-            let what = match rng.gen_range(0..16u32) {
-                0..=10 => {
-                    let delta = random_delta(&mut rng, &db);
-                    if db.apply_delta(&delta).is_ok() {
-                        accepted += 1;
-                        "delta"
-                    } else {
-                        refused += 1;
-                        "refused delta"
+    // Accepted deltas that reached built statistics with a label new to
+    // the graph, and with the removal of a label's last edge.
+    let (mut new_labels, mut last_edges) = (0, 0);
+    for level in [
+        IndexLevel::None,
+        IndexLevel::ExtensionOnly,
+        IndexLevel::Full,
+    ] {
+        for seed in [1u64, 7, 42, 1998, 0xD1CE, 0xFACADE] {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut db = Database::new(level);
+            let mut nodes = GraphDelta::new();
+            for _ in 0..NODES {
+                nodes.add_node(None);
+            }
+            db.apply_delta(&nodes).unwrap();
+            let mut built = Built::default();
+            for step in 0..300 {
+                let what = match rng.gen_range(0..16u32) {
+                    0..=10 => {
+                        let delta = random_delta(&mut rng, &db);
+                        let labels = db.graph().labels().len();
+                        let used = |db: &Database| {
+                            let g = db.graph();
+                            g.labels()
+                                .iter()
+                                .filter(|&(l, _)| db.stats().label(l).edges > 0)
+                                .count()
+                        };
+                        let used_before = built.stats.then(|| used(&db));
+                        if db.apply_delta(&delta).is_ok() {
+                            accepted += 1;
+                            if let Some(before) = used_before {
+                                new_labels += usize::from(db.graph().labels().len() > labels);
+                                last_edges += usize::from(used(&db) < before);
+                            }
+                            "delta"
+                        } else {
+                            refused += 1;
+                            "refused delta"
+                        }
                     }
-                }
-                11 => {
-                    built.extension = true;
-                    "probe extension"
-                }
-                12 => {
-                    built.inverted = true;
-                    "probe sources"
-                }
-                13 => {
-                    built.value = true;
-                    "probe value_locations"
-                }
-                14 => {
-                    built.schema = true;
-                    "probe schema"
-                }
-                _ => {
-                    // Everything is dropped and comes back on demand.
-                    db.rebuild_indexes();
-                    "rebuild"
-                }
-            };
-            check(
-                &db,
-                &built,
-                &mut rng,
-                &format!("seed {seed} step {step} ({what})"),
-            );
+                    11 => {
+                        built.extension = level != IndexLevel::None;
+                        "probe extension"
+                    }
+                    12 => {
+                        built.inverted = level != IndexLevel::None;
+                        "probe sources"
+                    }
+                    13 => {
+                        built.value = level == IndexLevel::Full;
+                        "probe value_locations"
+                    }
+                    14 => {
+                        built.stats = true;
+                        "probe stats"
+                    }
+                    _ => {
+                        // Everything is dropped and comes back on demand.
+                        db = Database::from_graph(std::mem::take(&mut db).into_graph(), level);
+                        "fresh database"
+                    }
+                };
+                check(
+                    &db,
+                    &built,
+                    &mut rng,
+                    &format!("{level:?} seed {seed} step {step} ({what})"),
+                );
+            }
+            assert!(built.stats, "{level:?} seed {seed}");
+            if level == IndexLevel::Full {
+                assert!(
+                    built.extension && built.inverted && built.value,
+                    "seed {seed}"
+                );
+            }
         }
-        assert!(built.extension && built.inverted && built.value && built.schema);
     }
     assert!(
         accepted > 0 && refused > 0,
         "{accepted} accepted, {refused} refused"
+    );
+    assert!(
+        new_labels > 0 && last_edges > 0,
+        "{new_labels} new labels, {last_edges} last edges"
     );
 }
 
@@ -231,7 +245,11 @@ fn the_level_alone_decides_whether_a_probe_answers() {
                 value,
                 "{level:?}"
             );
-            assert_eq!(db.schema_index().is_some(), extension, "{level:?}");
+            assert_eq!(
+                db.stats().label(p).edges,
+                1,
+                "{level:?}: stats at every level"
+            );
         }
     }
 }
@@ -255,13 +273,13 @@ fn two_threads_probing_one_database_share_one_build_of_each_family() {
             let ext = db.extension(p).unwrap();
             let src = db.sources(p, &Value::Int(1)).unwrap();
             let loc = db.value_locations(&Value::Int(1)).unwrap();
-            let schema: *const SchemaIndex = db.schema_index().unwrap();
+            let stats: *const Stats = db.stats();
             assert_eq!((ext.len(), src.len(), loc.len()), (64, 16, 16));
             [
                 ext.as_ptr() as usize,
                 src.as_ptr() as usize,
                 loc.as_ptr() as usize,
-                schema as usize,
+                stats as usize,
             ]
         }
     };

@@ -657,9 +657,6 @@ pub struct DynamicSite {
     standby: Mutex<Standby>,
     /// Test hook, see [`DynamicSite::arm_swap_probe`].
     swap_probe: OnceLock<Box<dyn Fn() + Send + Sync>>,
-    /// Delta ops absorbed since the optimizer statistics were last
-    /// recomputed from scratch; bounds stats carry-forward drift.
-    stats_drift: AtomicUsize,
     clicks: AtomicUsize,
     queries_run: AtomicUsize,
     rows_produced: AtomicUsize,
@@ -720,7 +717,6 @@ impl DynamicSite {
             }),
             standby: Mutex::new(Standby::default()),
             swap_probe: OnceLock::new(),
-            stats_drift: AtomicUsize::new(0),
             clicks: AtomicUsize::new(0),
             queries_run: AtomicUsize::new(0),
             rows_produced: AtomicUsize::new(0),
@@ -1052,7 +1048,6 @@ impl DynamicSite {
                 message: format!("delta does not apply: {e}"),
             });
         }
-        self.carry_stats_forward(&old_db, &twin, delta.len());
         let invalidate::RoutedDelta { mut dirty, rows } =
             invalidate::dirty_pages(&self.schema, &old_db, &twin, delta)?;
         drop(old_db);
@@ -1153,23 +1148,6 @@ impl DynamicSite {
         self.standby_rebuilds.fetch_add(1, Ordering::Relaxed);
         strudel_trace::count("engine.diff.standby_rebuilds", 1);
         Database::from_graph(live.graph().clone(), live.level())
-    }
-
-    /// Seeds the twin's optimizer statistics from the live snapshot's
-    /// cached ones, unless the accumulated drift since the last fresh scan
-    /// exceeds the cap (then the next `stats()` call rescans). Statistics
-    /// only steer join ordering, never results.
-    fn carry_stats_forward(&self, old_db: &Database, twin: &Database, delta_ops: usize) {
-        let drift =
-            self.stats_drift.fetch_add(delta_ops, Ordering::Relaxed) + delta_ops;
-        let cap = 256.max(twin.graph().edge_count() / 8);
-        if drift <= cap {
-            if let Some(stats) = old_db.cached_stats() {
-                twin.seed_stats(stats);
-            }
-        } else {
-            self.stats_drift.store(0, Ordering::Relaxed);
-        }
     }
 
     /// The cache's half of [`DynamicSite::apply_delta`], run inside its

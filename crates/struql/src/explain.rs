@@ -21,7 +21,8 @@ pub struct ExplainStep {
     /// Canonical rendering of the condition ([`crate::pretty_condition`]).
     pub condition: String,
     /// The planner's cost estimate (≈ output rows per input row;
-    /// infinite marks a filter that was unschedulable when picked).
+    /// infinite marks a filter that was unschedulable when picked; NaN
+    /// in a textual plan, which estimates nothing).
     pub estimate: f64,
     /// Rows entering the step.
     pub rows_in: usize,
@@ -57,7 +58,9 @@ impl ExplainReport {
         );
         out.push_str("step  est/row     in -> out    us      condition\n");
         for (i, s) in self.steps.iter().enumerate() {
-            let est = if s.estimate.is_finite() {
+            let est = if s.estimate.is_nan() {
+                "-".to_string()
+            } else if s.estimate.is_finite() {
                 format!("{:.2}", s.estimate)
             } else {
                 "inf".to_string()

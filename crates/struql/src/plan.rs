@@ -11,10 +11,12 @@
 //!
 //! With `optimize = false` the planner keeps textual order, deferring
 //! filters only as far as safety requires — the baseline for the
-//! join-ordering ablation (E-struql-scale).
+//! join-ordering ablation (E-struql-scale). It estimates nothing then, so
+//! it never asks for the statistics.
 
 use crate::ast::{Condition, EdgeLabel, PathSpec, Term};
 use std::collections::HashSet;
+use strudel_graph::Graph;
 use strudel_repo::{Database, Stats};
 
 /// The chosen evaluation order for one where clause.
@@ -22,12 +24,14 @@ use strudel_repo::{Database, Stats};
 pub struct Plan {
     /// Indices into the condition list, in evaluation order.
     pub order: Vec<usize>,
-    /// Estimated per-condition costs, parallel to `order`.
+    /// Estimated per-condition costs, parallel to `order`; NaN in a
+    /// textual plan, which estimates nothing.
     pub estimates: Vec<f64>,
 }
 
 impl Plan {
-    /// Overall estimated work (product of expansion factors ≥ 1).
+    /// Overall estimated work (product of expansion factors ≥ 1; 1 for a
+    /// textual plan).
     pub fn estimated_work(&self) -> f64 {
         self.estimates.iter().map(|c| c.max(1.0)).product()
     }
@@ -41,7 +45,7 @@ pub fn plan(
     db: &Database,
     optimize: bool,
 ) -> Plan {
-    let stats = db.stats();
+    let stats = optimize.then(|| db.stats());
     let mut bound = bound.clone();
     // Variables that some positive atom of this clause will eventually
     // bind. Variables outside this set (local existentials inside not(…))
@@ -55,33 +59,59 @@ pub fn plan(
     let mut estimates = Vec::with_capacity(conds.len());
 
     while !remaining.is_empty() {
-        let pick = if optimize {
+        let (pick, estimate) = match stats {
             // Cheapest schedulable condition.
-            let (pos, _) = remaining
+            Some(stats) => remaining
                 .iter()
                 .enumerate()
-                .map(|(pos, &i)| (pos, cost(&conds[i], &bound, &eventually_bound, db, &stats)))
+                .map(|(pos, &i)| {
+                    let cost = cost(&conds[i], &bound, &eventually_bound, db.graph(), stats);
+                    (pos, cost)
+                })
                 // `total_cmp`, not `partial_cmp`: a NaN estimate (e.g. a
                 // 0.0/0.0 selectivity from an empty-collection Stats row)
                 // must order deterministically instead of panicking — NaN
                 // sorts above +inf, so it is simply never preferred.
                 .min_by(|a, b| a.1.total_cmp(&b.1))
-                .expect("non-empty");
-            pos
-        } else {
+                .expect("non-empty"),
             // Textual order, but skip filters whose variables are not yet
             // bound (they are picked up as soon as they become safe).
-            remaining
-                .iter()
-                .position(|&i| cost(&conds[i], &bound, &eventually_bound, db, &stats).is_finite())
-                .unwrap_or(0)
+            None => {
+                let pos = remaining
+                    .iter()
+                    .position(|&i| schedulable(&conds[i], &bound, &eventually_bound))
+                    .unwrap_or(0);
+                (pos, f64::NAN)
+            }
         };
         let idx = remaining.remove(pick);
-        estimates.push(cost(&conds[idx], &bound, &eventually_bound, db, &stats));
+        estimates.push(estimate);
         bind_vars(&conds[idx], &mut bound);
         order.push(idx);
     }
     Plan { order, estimates }
+}
+
+/// Whether `cond` can run with the given bound variables: a filter
+/// (comparison, built-in, negation) waits for its variables.
+fn schedulable(
+    cond: &Condition,
+    bound: &HashSet<String>,
+    eventually_bound: &HashSet<String>,
+) -> bool {
+    match cond {
+        Condition::Collection { .. } | Condition::Path { .. } => true,
+        Condition::Compare { lhs, rhs, .. } => term_bound(lhs, bound) && term_bound(rhs, bound),
+        Condition::Builtin { arg, .. } => term_bound(arg, bound),
+        Condition::Not(inner, _) => {
+            let mut vars = Vec::new();
+            collect_condition_vars(inner, &mut vars);
+            // Local existentials (never bound by any positive atom) do not
+            // gate scheduling; everything else must be bound first.
+            vars.iter()
+                .all(|v| bound.contains(*v) || !eventually_bound.contains(*v))
+        }
+    }
 }
 
 /// Estimated cost (≈ output rows per input row) of evaluating `cond` with
@@ -91,12 +121,15 @@ fn cost(
     cond: &Condition,
     bound: &HashSet<String>,
     eventually_bound: &HashSet<String>,
-    db: &Database,
+    graph: &Graph,
     stats: &Stats,
 ) -> f64 {
+    if !schedulable(cond, bound, eventually_bound) {
+        return f64::INFINITY;
+    }
     match cond {
         Condition::Collection { name, arg, .. } => match arg {
-            Term::Var(v) if !bound.contains(v) => stats.collection_size(name) as f64,
+            Term::Var(v) if !bound.contains(v) => graph.members_str(name).len() as f64,
             _ => 0.6, // membership check: prunes, never expands
         },
         Condition::Path { src, path, dst, .. } => {
@@ -104,15 +137,18 @@ fn cost(
             let dst_bound = term_bound(dst, bound);
             match path.single_edge() {
                 // Any single edge.
-                Ok(EdgeLabel::Any | EdgeLabel::Binds(_)) => match (src_bound, dst_bound) {
-                    (true, true) => 0.9,
-                    (true, false) => stats.avg_degree().max(1.0),
-                    (false, true) => (stats.edges as f64).sqrt().max(1.0),
-                    (false, false) => (stats.edges as f64).max(1.0),
-                },
+                Ok(EdgeLabel::Any | EdgeLabel::Binds(_)) => {
+                    let edges = graph.edge_count() as f64;
+                    match (src_bound, dst_bound) {
+                        (true, true) => 0.9,
+                        // The average out-degree.
+                        (true, false) => (edges / graph.node_count().max(1) as f64).max(1.0),
+                        (false, true) => edges.sqrt().max(1.0),
+                        (false, false) => edges.max(1.0),
+                    }
+                }
                 Ok(EdgeLabel::Is(l)) => {
-                    let ls = db
-                        .graph()
+                    let ls = graph
                         .label(l)
                         .map(|lab| stats.label(lab))
                         .unwrap_or_default();
@@ -129,43 +165,18 @@ fn cost(
                     // incoming-edge index — same price, not the node-count
                     // multiple the forward engine would pay. Neither
                     // bound: a traversal per source node.
-                    let reach = (stats.nodes as f64 / 2.0).max(1.0);
+                    let nodes = graph.node_count() as f64;
+                    let reach = (nodes / 2.0).max(1.0);
                     match (src_bound, dst_bound) {
                         (true, _) => reach,
                         (false, true) => reach,
-                        (false, false) => (stats.nodes as f64).max(1.0) * reach,
+                        (false, false) => nodes.max(1.0) * reach,
                     }
                 }
             }
         }
-        Condition::Compare { lhs, rhs, .. } => {
-            if term_bound(lhs, bound) && term_bound(rhs, bound) {
-                0.4
-            } else {
-                f64::INFINITY
-            }
-        }
-        Condition::Builtin { arg, .. } => {
-            if term_bound(arg, bound) {
-                0.4
-            } else {
-                f64::INFINITY
-            }
-        }
-        Condition::Not(inner, _) => {
-            let mut vars = Vec::new();
-            collect_condition_vars(inner, &mut vars);
-            // Local existentials (never bound by any positive atom) do not
-            // gate scheduling; everything else must be bound first.
-            if vars
-                .iter()
-                .all(|v| bound.contains(*v) || !eventually_bound.contains(*v))
-            {
-                0.5
-            } else {
-                f64::INFINITY
-            }
-        }
+        Condition::Compare { .. } | Condition::Builtin { .. } => 0.4,
+        Condition::Not(..) => 0.5,
     }
 }
 
@@ -264,6 +275,7 @@ mod tests {
         let prog = parse_unchecked("where Big(x), Small(x) create P(x)").unwrap();
         let p = plan(&prog.blocks[0].where_, &HashSet::new(), &db, false);
         assert_eq!(p.order, vec![0, 1]);
+        assert!(p.estimates.iter().all(|e| e.is_nan()), "estimates nothing");
     }
 
     #[test]
