@@ -542,8 +542,8 @@ pub fn exp_diff() {
         let mut titles: Vec<String> = (0..n).map(|i| format!("Title {i:06}")).collect();
         let mut cursor = 0usize;
         let mut schedule: Vec<(usize, GraphDelta)> = Vec::new();
-        // Warmup (untimed): the first delta pays the one-time standby
-        // twin construction.
+        // Warmup (untimed): the first delta copies the database, which
+        // the from-scratch arm still shares.
         let mut warm = GraphDelta::new();
         warm.add_edge(Oid::from_index(n - 1), "note", Value::string("warm"));
         schedule.push((0, warm));
@@ -674,7 +674,7 @@ pub fn exp_diff() {
 fn exp_diff_hub() {
     println!("== E-diff (hub): news_site, front and category pages warm ==");
     println!(
-        "{:>9} | {:>10} {:>10} {:>10} {:>10} {:>10} | updated/fallbacks/rebuilds",
+        "{:>9} | {:>10} {:>10} {:>10} {:>10} {:>10} | updated/fallbacks/copies",
         "articles", "retitle 1", "retitle 8", "retitle 64", "insert", "uncollect"
     );
     const ROUNDS: usize = 12;
@@ -687,8 +687,8 @@ fn exp_diff_hub() {
     let mut one_retitle: Vec<(usize, f64)> = Vec::new();
     for &n in &[1_000usize, 4_000, 16_000] {
         let built = crate::paper_news_site(n);
-        // A database of the engine's own: a snapshot someone else still
-        // holds cannot become the standby twin.
+        // A database of the engine's own: one `built` still shared would
+        // make the first delta copy it.
         let db = std::sync::Arc::new(Database::from_graph(
             built.database.graph().clone(),
             IndexLevel::Full,
@@ -718,13 +718,12 @@ fn exp_diff_hub() {
             }
         }
 
-        // Untimed: the first delta builds the standby twin.
+        // Untimed: the first delta counts the statistics' per-end counts.
         let mut first = GraphDelta::new();
         first.add_edge(articles[0].0, "note", Value::string("warm"));
         site.apply_delta(&first).unwrap();
 
-        // Each kind runs its rounds back to back, as the arms above do:
-        // a delta also replays its predecessor onto the standby twin, so
+        // Each kind runs its rounds back to back, as the arms above do, so
         // a kind is timed in a stream of its own.
         let mut serial = 0usize;
         let mut cursor = 0usize;
@@ -772,7 +771,7 @@ fn exp_diff_hub() {
 
         let m = site.metrics();
         assert_eq!(m.diff_fallbacks, 0, "no maintenance fallbacks: {m:?}");
-        assert_eq!(m.standby_rebuilds, 1, "only the first delta builds a twin: {m:?}");
+        assert_eq!(m.snapshot_copies, 0, "the engine's database is never shared: {m:?}");
         // Correctness: the patched hub pages hold exactly the rows a cold
         // engine derives on the final database.
         let fresh = DynamicSite::new(site.database(), &program, Mode::Context);
@@ -800,7 +799,7 @@ fn exp_diff_hub() {
             medians[4],
             m.diff_pages_updated,
             m.diff_fallbacks,
-            m.standby_rebuilds
+            m.snapshot_copies
         );
         one_retitle.push((n, medians[0]));
     }
@@ -825,8 +824,8 @@ fn exp_diff_hub() {
 /// crawled `DynamicSite` patches its counted pages with a delta's signed
 /// rows, against full re-evaluation. The crawl is a one-time cost (the
 /// one `SiteService::warm` pays); `apply_delta` is timed after one untimed
-/// priming delta, which pays the standby twin's one-time build. Every arm
-/// asserts that each page equals a fresh engine's.
+/// priming delta. Every arm asserts that each page equals a fresh
+/// engine's.
 pub fn exp_incremental() {
     println!("== E-incremental: incremental site update on the click engine (paper §7) ==");
     println!(
@@ -929,8 +928,8 @@ pub fn exp_incremental() {
             }
             let m = engine.metrics();
             assert!(
-                m.diff_fallbacks == 0 && m.standby_rebuilds == 1,
-                "E-incremental shape check: every dirty page patched, one standby build at \
+                m.diff_fallbacks == 0 && m.snapshot_copies == 0,
+                "E-incremental shape check: every dirty page patched, no database copy at \
                  {people} {name}: {m:?}"
             );
             println!(

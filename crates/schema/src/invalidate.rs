@@ -3,12 +3,16 @@
 //! Given a data-graph delta, compute exactly which dynamic pages
 //! ([`PageKey`]s) changed content — the set a page cache must evict or
 //! maintain — *and by which rows*. This is a projection of the
-//! repository's one delta mechanism: [`delta_rows`] returns the exact
-//! signed rows the delta adds to or retracts from each schema edge's
-//! guard, and every such row names — through the edge's source Skolem
-//! arguments — one page whose out-edges changed. [`dirty_pages`] keeps the
-//! rows grouped by that page, so a cache holding the page's guard rows can
-//! patch them instead of re-deriving the diff per page. Guards using
+//! repository's one delta mechanism:
+//! [`delta_rows`](strudel_struql::delta_rows) returns the exact signed
+//! rows the delta adds to or retracts from each schema edge's guard, and
+//! every such row names — through the edge's source Skolem
+//! arguments — one page whose out-edges changed. [`OldHalves::new_half`]
+//! keeps the rows grouped by that page, so a cache holding the page's
+//! guard rows can patch them instead of re-deriving the diff per page.
+//! Like `delta_rows` the work splits at the apply — [`old_half`] before
+//! it, [`OldHalves::new_half`] after — so the engine diffs around one
+//! database changed in place. Guards using
 //! `not(…)` or Kleene closures dirty exact pages like any other; a row
 //! whose retraction and re-insertion cancel dirties nothing.
 //!
@@ -22,7 +26,7 @@ use crate::{SchemaNode, SiteSchema};
 use std::collections::{HashMap, HashSet};
 use strudel_graph::GraphDelta;
 use strudel_repo::Database;
-use strudel_struql::{delta_rows, DeltaTouch, Evaluator, SignedRow, StruqlResult, Term};
+use strudel_struql::{DeltaTouch, Evaluator, OldHalf, SignedRow, StruqlResult, Term};
 
 /// The pages a delta dirties.
 #[derive(Clone, Debug, Default)]
@@ -50,55 +54,64 @@ pub struct RoutedDelta {
     pub dirty: DirtySet,
     /// For every page of `dirty.pages`, the signed guard rows behind the
     /// change: per contributing schema edge (index into `schema.edges`,
-    /// ascending) that edge's [`delta_rows`] output restricted to the
-    /// page, in the guard's unseeded layout
+    /// ascending) that edge's [`delta_rows`](strudel_struql::delta_rows)
+    /// output restricted to the page, in the guard's unseeded layout
     /// ([`where_vars`](strudel_struql::where_vars) with no seeds) and in
     /// `delta_rows` order.
     pub rows: HashMap<PageKey, Vec<(usize, Vec<SignedRow>)>>,
 }
 
-/// Computes the dynamic pages whose content differs after `delta`, with
-/// the rows that make the difference. `old_db` is the database before the
-/// delta, `new_db` after.
-pub fn dirty_pages(
-    schema: &SiteSchema,
-    old_db: &Database,
-    new_db: &Database,
-    delta: &GraphDelta,
-) -> StruqlResult<RoutedDelta> {
-    let mut rows: HashMap<PageKey, Vec<(usize, Vec<SignedRow>)>> = HashMap::new();
+/// The half of "which pages did `delta` change, by which rows" that reads
+/// `db` before the delta: the [`strudel_struql::old_half`] of every schema
+/// edge guard the delta can change. It owns its rows, so the database may
+/// then take the delta in place.
+pub fn old_half(schema: &SiteSchema, db: &Database, delta: &GraphDelta) -> StruqlResult<OldHalves> {
     let touch = DeltaTouch::of(delta);
-    let old_ev = Evaluator::new(old_db);
-    let new_ev = Evaluator::new(new_db);
+    let ev = Evaluator::new(db);
+    let mut halves = Vec::new();
     for (ei, edge) in schema.edges.iter().enumerate() {
-        let SchemaNode::Skolem(symbol) = &schema.nodes[edge.from] else {
-            continue;
-        };
-        if !touch.touches(&edge.guard) {
-            continue;
-        }
         // No page key can seed an edge whose source nests a Skolem term,
         // so none holds its rows: its deltas change no served page.
-        if edge.src_args.iter().any(|t| matches!(t, Term::Skolem { .. })) {
-            continue;
-        }
-        let out = delta_rows(&old_ev, &new_ev, &edge.guard, delta)?;
-        for (row, count) in out.rows {
-            let key = PageKey {
-                symbol: symbol.clone(),
-                args: eval_args(&edge.src_args, &out.vars, &row)?,
-            };
-            let edges = rows.entry(key).or_default();
-            match edges.last_mut() {
-                Some((last, of_edge)) if *last == ei => of_edge.push((row, count)),
-                _ => edges.push((ei, vec![(row, count)])),
-            }
+        let routed = matches!(schema.nodes[edge.from], SchemaNode::Skolem(_))
+            && !edge.src_args.iter().any(|t| matches!(t, Term::Skolem { .. }));
+        if routed && touch.touches(&edge.guard) {
+            halves.push((ei, strudel_struql::old_half(&ev, &edge.guard, delta)?));
         }
     }
-    let dirty = DirtySet {
-        pages: rows.keys().cloned().collect(),
-    };
-    Ok(RoutedDelta { dirty, rows })
+    Ok(OldHalves(halves))
+}
+
+/// What [`old_half`] read of the pre-delta database, by schema edge.
+#[derive(Debug)]
+pub struct OldHalves(Vec<(usize, OldHalf)>);
+
+impl OldHalves {
+    /// The pages whose content differs after the delta, with the rows that
+    /// make the difference, from `db`: the database [`old_half`] read,
+    /// with the delta now applied.
+    pub fn new_half(self, schema: &SiteSchema, db: &Database) -> StruqlResult<RoutedDelta> {
+        let mut rows: HashMap<PageKey, Vec<(usize, Vec<SignedRow>)>> = HashMap::new();
+        let ev = Evaluator::new(db);
+        for (ei, half) in self.0 {
+            let edge = &schema.edges[ei];
+            let out = half.new_half(&ev, &edge.guard)?;
+            for (row, count) in out.rows {
+                let key = PageKey {
+                    symbol: schema.nodes[edge.from].name().to_owned(),
+                    args: eval_args(&edge.src_args, &out.vars, &row)?,
+                };
+                let edges = rows.entry(key).or_default();
+                match edges.last_mut() {
+                    Some((last, of_edge)) if *last == ei => of_edge.push((row, count)),
+                    _ => edges.push((ei, vec![(row, count)])),
+                }
+            }
+        }
+        let dirty = DirtySet {
+            pages: rows.keys().cloned().collect(),
+        };
+        Ok(RoutedDelta { dirty, rows })
+    }
 }
 
 #[cfg(test)]
@@ -139,6 +152,11 @@ mod tests {
         Database::from_graph(g, IndexLevel::Full)
     }
 
+    /// The pages `delta` dirties, from the databases before and after it.
+    fn dirtied(s: &SiteSchema, old: &Database, new: &Database, delta: &GraphDelta) -> DirtySet {
+        old_half(s, old, delta).unwrap().new_half(s, new).unwrap().dirty
+    }
+
     #[test]
     fn title_edit_dirties_only_that_paper() {
         let db = db();
@@ -148,7 +166,7 @@ mod tests {
         delta.remove_edge(p1, "title", Value::string("Alpha"));
         delta.add_edge(p1, "title", Value::string("Alpha v2"));
         let new_db = after(&db, &delta);
-        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap().dirty;
+        let dirty = dirtied(&schema, &db, &new_db, &delta);
         let p1_key = PageKey {
             symbol: "PaperPage".into(),
             args: vec![Value::Node(p1)],
@@ -171,7 +189,7 @@ mod tests {
         delta.add_edge(oid, "title", Value::string("Gamma"));
         delta.collect("Publications", Value::Node(oid));
         let new_db = after(&db, &delta);
-        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap().dirty;
+        let dirty = dirtied(&schema, &db, &new_db, &delta);
         assert!(dirty.contains(&PageKey {
             symbol: "RootPage".into(),
             args: vec![],
@@ -191,7 +209,7 @@ mod tests {
         let mut delta = GraphDelta::new();
         delta.remove_edge(p1, "year", Value::Int(1997));
         let new_db = after(&db, &delta);
-        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap().dirty;
+        let dirty = dirtied(&schema, &db, &new_db, &delta);
         assert!(dirty.contains(&PageKey {
             symbol: "PaperPage".into(),
             args: vec![Value::Node(p1)],
@@ -228,7 +246,7 @@ mod tests {
         let mut delta = GraphDelta::new();
         delta.add_edge(p1, "hidden", Value::Bool(true));
         let new_db = after(&db, &delta);
-        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap().dirty;
+        let dirty = dirtied(&schema, &db, &new_db, &delta);
         assert!(dirty.contains(&key("PubPage", p1)), "{dirty:?}");
         assert!(!dirty.contains(&key("PubPage", p2)), "{dirty:?}");
     }
@@ -252,7 +270,7 @@ mod tests {
         delta.uncollect("Publications", Value::Node(p3));
         let new_db = after(&db, &delta);
 
-        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap().dirty;
+        let dirty = dirtied(&schema, &db, &new_db, &delta);
         // Existing pages of other papers stay clean.
         let p1 = db.graph().node_by_name("p1").unwrap();
         assert!(!dirty.contains(&PageKey {
@@ -284,7 +302,7 @@ mod tests {
         delta.remove_edge(p3, "title", Value::string("Gamma"));
         let new_db = after(&db, &delta);
 
-        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap().dirty;
+        let dirty = dirtied(&schema, &db, &new_db, &delta);
         let p1 = db.graph().node_by_name("p1").unwrap();
         assert!(!dirty.contains(&PageKey {
             symbol: "TitlePage".into(),
@@ -316,7 +334,7 @@ mod tests {
         let mut delta = GraphDelta::new();
         delta.remove_edge(p1, "note", Value::string("draft"));
         let new_db = after(&db, &delta);
-        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap().dirty;
+        let dirty = dirtied(&schema, &db, &new_db, &delta);
         assert!(dirty.is_empty(), "no guard references 'note': {dirty:?}");
     }
 
@@ -342,7 +360,7 @@ mod tests {
         let mut delta = GraphDelta::new();
         delta.remove_edge(node("p2"), "rel", Value::Node(node("p3")));
         let new_db = after(&db, &delta);
-        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap().dirty;
+        let dirty = dirtied(&schema, &db, &new_db, &delta);
         let expect: HashSet<PageKey> = ["p1", "p2", "p4"]
             .iter()
             .map(|n| key("RelPage", node(n)))
@@ -379,13 +397,13 @@ mod tests {
         let mut delta = GraphDelta::new();
         delta.remove_edge(p1, "rel", Value::Node(p2));
         let new_db = after(&db, &delta);
-        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap().dirty;
+        let dirty = dirtied(&schema, &db, &new_db, &delta);
         assert_eq!(dirty.pages, HashSet::from([key("LeafPage", p1)]));
         // An irrelevant label under the same guard still dirties nothing.
         let mut irrelevant = GraphDelta::new();
         irrelevant.add_edge(p1, "note", Value::string("draft"));
         let new_db2 = after(&db, &irrelevant);
-        let dirty2 = dirty_pages(&schema, &db, &new_db2, &irrelevant).unwrap().dirty;
+        let dirty2 = dirtied(&schema, &db, &new_db2, &irrelevant);
         assert!(dirty2.is_empty(), "{dirty2:?}");
     }
 
@@ -463,7 +481,7 @@ mod tests {
         let mut delta = GraphDelta::new();
         delta.add_edge(p1, "internal-note", Value::string("draft"));
         let new_db = after(&db, &delta);
-        let dirty = dirty_pages(&schema, &db, &new_db, &delta).unwrap().dirty;
+        let dirty = dirtied(&schema, &db, &new_db, &delta);
         assert!(dirty.is_empty(), "{dirty:?}");
     }
 }

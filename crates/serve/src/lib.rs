@@ -319,12 +319,9 @@ pub struct SiteService {
     /// The transport's books while this service is the front handed to
     /// [`serve`], and the panics its own [`SiteService::handle`] caught.
     transport: TransportCounters,
-    /// Page requests [`SiteService::try_warm`] answered.
-    inline_hits: AtomicU64,
-    /// Page requests it declined, indexed by [`InlineDecline`].
+    /// Page requests [`SiteService::try_warm`] declined, indexed by
+    /// [`InlineDecline`].
     inline_declined: [AtomicU64; InlineDecline::ALL.len()],
-    /// Requests answered through [`SiteService::handle`].
-    pool_dispatches: AtomicU64,
     /// Fast-path flag so unprobed services never lock the probe table.
     probes_armed: AtomicBool,
     probes: Mutex<HashMap<String, FaultProbe>>,
@@ -355,9 +352,7 @@ impl SiteService {
             slow_total: AtomicU64::new(0),
             slow_log: Mutex::new(VecDeque::new()),
             transport: TransportCounters::default(),
-            inline_hits: AtomicU64::new(0),
             inline_declined: Default::default(),
-            pool_dispatches: AtomicU64::new(0),
             probes_armed: AtomicBool::new(false),
             probes: Mutex::new(HashMap::new()),
             gate: DeltaGate::new(None),
@@ -441,7 +436,7 @@ impl SiteService {
 
     /// The stable URL of a page (for crawlers and tests).
     pub fn url_of(&self, key: &PageKey) -> String {
-        router::page_path(key, self.engine.database().graph())
+        self.engine.with_database(|db| router::page_path(key, db.graph()))
     }
 
     /// Serves one request path, recording route metrics. Never panics on
@@ -456,7 +451,6 @@ impl SiteService {
         let start = Instant::now();
         let trace_id = strudel_trace::next_trace_id();
         let span = strudel_trace::span("serve.request");
-        self.pool_dispatches.fetch_add(1, Ordering::Relaxed);
         // Strip any query string; routing is path-only.
         let routed = path.split('?').next().unwrap_or(path);
         let (route, response) = catch_unwind(AssertUnwindSafe(|| self.dispatch(routed)))
@@ -473,9 +467,10 @@ impl SiteService {
     /// Answers a `/page/…` request from the HTML cache, or declines —
     /// the [`ClickService::try_warm`] fast path the epoll reactor runs on
     /// its own thread, so it waits for nothing a delta, a render or an
-    /// invalidation can hold. It touches exactly: the engine's snapshot
-    /// lock through `try_read` (a delta keeps it write-locked while it
-    /// patches its dirty pages — hence *try*), the page's cache shard
+    /// invalidation can hold. It touches exactly: the engine's database
+    /// lock through `try_read` (a delta keeps it write-locked from its
+    /// apply until it has patched its dirty pages — hence *try*), the
+    /// page's cache shard
     /// through `try_read` ([`HtmlCache::try_get`]; a render's insert or
     /// an invalidation holds it for writing), and the route histogram's
     /// read lock — beyond those only the push-sized critical sections of
@@ -495,7 +490,6 @@ impl SiteService {
         match self.lookup_inline(routed) {
             Ok((key, page)) => {
                 drop(span);
-                self.inline_hits.fetch_add(1, Ordering::Relaxed);
                 let route = format!("page/{}", key.symbol);
                 self.finish_request(start, strudel_trace::next_trace_id(), &route, routed, 200);
                 Some(WarmHit {
@@ -516,10 +510,11 @@ impl SiteService {
         if self.probes_armed.load(Ordering::Acquire) {
             return Err(InlineDecline::Probe);
         }
-        let db = self.engine.try_database().ok_or(InlineDecline::DeltaInFlight)?;
-        let key = router::parse_page_path(routed, db.graph());
-        drop(db);
-        let key = key.ok_or(InlineDecline::Miss)?;
+        let key = self
+            .engine
+            .try_with_database(|db| router::parse_page_path(routed, db.graph()))
+            .ok_or(InlineDecline::DeltaInFlight)?
+            .ok_or(InlineDecline::Miss)?;
         let page = self.cache.try_get(&key)?;
         Ok((key, page))
     }
@@ -570,12 +565,16 @@ impl SiteService {
     }
 
     /// Where requests were answered: inline hits, declines by reason,
-    /// and requests that went through [`SiteService::handle`].
+    /// and requests that went through [`SiteService::handle`]. An inline
+    /// hit is exactly a hit of [`HtmlCache::try_get`], and every request
+    /// — a `handle` call or an inline hit — is counted once by the route
+    /// metrics, so the pool's share is the difference.
     pub fn inline_stats(&self) -> InlineSnapshot {
+        let hits = self.cache.stats().published_hits;
         InlineSnapshot {
-            hits: self.inline_hits.load(Ordering::Relaxed),
+            hits,
             declined: std::array::from_fn(|i| self.inline_declined[i].load(Ordering::Relaxed)),
-            pool_dispatches: self.pool_dispatches.load(Ordering::Relaxed),
+            pool_dispatches: self.metrics.totals().requests.saturating_sub(hits),
         }
     }
 
@@ -649,9 +648,9 @@ impl SiteService {
     /// The page a `/page/` path names, if it parses to a symbol of the
     /// site schema.
     fn page_key(&self, path: &str) -> Option<PageKey> {
-        let db = self.engine.database();
-        let key = router::parse_page_path(path, db.graph())?;
-        drop(db);
+        let key = self
+            .engine
+            .with_database(|db| router::parse_page_path(path, db.graph()))?;
         self.engine.schema().node_index(&key.symbol)?;
         Some(key)
     }
@@ -659,7 +658,9 @@ impl SiteService {
     /// Renders the data object a `/data/` path names; `None` if it names
     /// none. Data views are not cached.
     fn render_data(&self, path: &str) -> Option<Result<CachedPage, ServeError>> {
-        let oid = router::parse_data_path(path, self.engine.database().graph())?;
+        let oid = self
+            .engine
+            .with_database(|db| router::parse_data_path(path, db.graph()))?;
         let data = render::Object::Data(oid);
         let rendered = render::render(&self.engine, &self.templates, &self.choice, data);
         Some(rendered)
@@ -681,9 +682,8 @@ impl SiteService {
     /// lands mid-render the insert is dropped and the next request
     /// re-renders fresh. Returns the rendition either way.
     pub fn render_into_cache(&self, key: &PageKey) -> Result<CachedPage, ServeError> {
-        // The epoch alone: keeping the snapshot for the length of a render
-        // would pin the engine's standby twin and turn the delta after
-        // next into an O(site) rebuild.
+        // The epoch alone: a snapshot kept for the length of a render
+        // would make a delta landing mid-render copy the engine's database.
         let epoch = self.engine.epoch();
         let page = render::Object::Page(key);
         let cached = render::render(&self.engine, &self.templates, &self.choice, page)?;
@@ -732,8 +732,9 @@ impl SiteService {
         }
     }
 
-    /// Applies a data-graph delta: swaps the engine's database snapshot
-    /// and evicts exactly the dirtied pages from both caches (the HTML
+    /// Applies a data-graph delta: commits it to the store, if any, applies
+    /// it to the engine's database in place, and evicts exactly the
+    /// dirtied pages from both caches (the HTML
     /// cache also follows rendition dependencies). Concurrent requests
     /// keep serving throughout.
     pub fn apply_delta(&self, delta: &GraphDelta) -> Result<ServiceInvalidation, ServeError> {
@@ -777,20 +778,14 @@ impl SiteService {
     /// not parse or names an unknown symbol (a 404).
     fn debug_explain_text(&self, path: &str) -> Result<Option<String>, ServeError> {
         let suffix = path.strip_prefix("/debug/explain").unwrap_or(path);
-        let db = self.engine.database();
         let keys: Vec<PageKey> = if suffix.is_empty() || suffix == "/" {
             self.engine.roots(&self.root_collection)?
         } else {
-            let Some(key) = router::parse_page_path(&format!("/page{suffix}"), db.graph())
-            else {
+            let Some(key) = self.page_key(&format!("/page{suffix}")) else {
                 return Ok(None);
             };
-            if self.engine.schema().node_index(&key.symbol).is_none() {
-                return Ok(None);
-            }
             vec![key]
         };
-        drop(db);
         let mut out = String::new();
         for key in &keys {
             out.push_str(&self.explain_page_text(key)?);

@@ -508,7 +508,7 @@ impl ServerStats {
                 ("strudel_diff_fallbacks_total", engine.diff_fallbacks as u64),
                 ("strudel_diff_rows_added_total", engine.diff_rows_added as u64),
                 ("strudel_diff_rows_retracted_total", engine.diff_rows_retracted as u64),
-                ("strudel_diff_standby_rebuilds_total", engine.standby_rebuilds as u64),
+                ("strudel_diff_snapshot_copies_total", engine.snapshot_copies as u64),
                 ("strudel_delta_epoch", self.epoch),
                 ("strudel_slow_requests_total", self.slow_requests),
                 ("strudel_panics_total", self.panics),
@@ -653,7 +653,7 @@ mod tests {
                 diff_fallbacks: 1,
                 diff_rows_added: 9,
                 diff_rows_retracted: 4,
-                standby_rebuilds: 2,
+                snapshot_copies: 2,
                 ..Default::default()
             },
             epoch: 0,
@@ -701,7 +701,7 @@ mod tests {
         assert!(text.contains("strudel_diff_fallbacks_total 1"));
         assert!(text.contains("strudel_diff_rows_added_total 9"));
         assert!(text.contains("strudel_diff_rows_retracted_total 4"));
-        assert!(text.contains("strudel_diff_standby_rebuilds_total 2"));
+        assert!(text.contains("strudel_diff_snapshot_copies_total 2"));
     }
 
     #[test]

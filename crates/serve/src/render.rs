@@ -19,11 +19,11 @@
 //! template the static build selects for it, on a page and on its own
 //! `/data/` route.
 //!
-//! The data graph is read under brief snapshots — for a URL, a name, or
-//! a data object's edges, copied out when a template first reads them —
-//! and never held across template evaluation: a snapshot kept for a
-//! render would pin the engine's standby twin across the next delta, and
-//! turn the delta after it into an O(site) rebuild.
+//! The data graph is read in brief reads under the engine's database lock
+//! — for a URL, a name, or a data object's edges, copied out when a
+//! template first reads them — and never held across template
+//! evaluation: a snapshot kept for a render would make a delta landing
+//! mid-render copy the engine's database.
 
 use crate::router::{data_path, page_path};
 use crate::{CachedPage, ServeError};
@@ -165,9 +165,9 @@ impl PageViews<'_> {
         })
     }
 
-    /// `f` over the data graph, under one brief snapshot.
+    /// `f` over the data graph, in one brief read.
     fn data<T>(&self, f: impl FnOnce(&Graph) -> T) -> T {
-        f(self.engine.database().graph())
+        self.engine.with_database(|db| f(db.graph()))
     }
 }
 
@@ -306,20 +306,21 @@ pub fn render_roots_index(
     root_collection: &str,
 ) -> Result<String, ServeError> {
     let roots = engine.roots(root_collection)?;
-    let db = engine.database();
-    let data = db.graph();
     let mut html = String::from(
         "<html><head><title>strudel-serve</title></head><body><h1>Site roots</h1>\n<ul>\n",
     );
-    for root in &roots {
-        let mut name = String::new();
-        write_skolem_name(&mut name, data, &root.symbol, &root.args);
-        html.push_str(&format!(
-            "<li><a href=\"{}\">{}</a></li>\n",
-            escape_html(&page_path(root, data)),
-            escape_html(&name)
-        ));
-    }
+    engine.with_database(|db| {
+        let data = db.graph();
+        for root in &roots {
+            let mut name = String::new();
+            write_skolem_name(&mut name, data, &root.symbol, &root.args);
+            html.push_str(&format!(
+                "<li><a href=\"{}\">{}</a></li>\n",
+                escape_html(&page_path(root, data)),
+                escape_html(&name)
+            ));
+        }
+    });
     html.push_str("</ul>\n<p><a href=\"/metrics\">metrics</a></p></body></html>\n");
     Ok(html)
 }

@@ -104,7 +104,7 @@ pub fn standard_metric_rows(routes: &[&str]) -> Vec<String> {
             "strudel_diff_fallbacks_total",
             "strudel_diff_rows_added_total",
             "strudel_diff_rows_retracted_total",
-            "strudel_diff_standby_rebuilds_total",
+            "strudel_diff_snapshot_copies_total",
             "strudel_delta_epoch",
             "strudel_slow_requests_total",
             "strudel_panics_total",

@@ -12,8 +12,8 @@
 //!   oracle); and
 //! * hold a database whose statically materialized site graph is
 //!   equivalent (`graphs_equivalent`) to one materialized from the
-//!   locally accumulated graph — catching any drift in the standby
-//!   twin's catch-up lineage.
+//!   locally accumulated graph — catching any drift in the one database
+//!   the engine applies every delta to in place.
 //!
 //! Deltas are generated from `strudel-prng`, so every failure reproduces
 //! from its seed. The same delta chains also hold the live service to the
@@ -236,8 +236,8 @@ fn random_kleene_deltas_keep_maintained_service_equal_to_fresh_build() {
             }
 
             // Lineage oracle: the live database has only ever seen
-            // twin catch-ups and swaps; its statically materialized site
-            // must be equivalent to one built from the local graph.
+            // in-place applies (and copies); its statically materialized
+            // site must be equivalent to one built from the local graph.
             let program = strudel_struql::parse(QUERY).unwrap();
             let live_db = live.engine().database();
             let via_live = Evaluator::new(&live_db).eval(&program).unwrap();

@@ -3,7 +3,10 @@
 //! per connection drawn from a seed, late arrivals shed at the
 //! connection cap — must leave `strudel_open_connections`,
 //! `strudel_keepalive_reuse_total` and `strudel_shed_total` equal to the
-//! client's own counts, in the stats struct and on `/metrics` alike.
+//! client's own counts, in the stats struct and on `/metrics` alike. The
+//! warm page clicks among its requests are answered inline, so the same
+//! run pins the inline books: one count per inline hit, the HTML cache's
+//! `try_get` hits, and the pool's share is every other request.
 
 mod common;
 
@@ -17,6 +20,7 @@ use strudel::sites::news_site;
 use strudel_prng::{Rng, SeedableRng, SmallRng};
 use strudel_schema::dynamic::Mode;
 use strudel_serve::{serve, ServerConfig, SiteService};
+use strudel_struql::Parallelism;
 use strudel_workload::news::{generate, NewsConfig};
 
 fn service() -> Arc<SiteService> {
@@ -25,13 +29,19 @@ fn service() -> Arc<SiteService> {
         ..Default::default()
     });
     let site = news_site(&corpus.pages).build().unwrap();
-    Arc::new(SiteService::new(&site, Mode::Context))
+    let service = SiteService::new(&site, Mode::Context);
+    service.warm(Parallelism::Sequential).unwrap();
+    Arc::new(service)
 }
 
 /// The three rows as `/metrics` prints them (not only as the struct
 /// holds them).
 fn exposed(service: &SiteService, row: &str) -> u64 {
-    let text = service.handle("/metrics").body;
+    row_of(&service.handle("/metrics").body, row)
+}
+
+/// One row's value in a `/metrics` body.
+fn row_of(text: &str, row: &str) -> u64 {
     let prefix = format!("{row} ");
     text.lines()
         .find_map(|l| l.strip_prefix(prefix.as_str()))
@@ -56,9 +66,12 @@ fn a_seeded_run_reconciles_with_the_fronts_counters() {
     .unwrap();
     let addr = server.addr();
     let mut rng = SmallRng::seed_from_u64(23);
-    let paths = ["/", "/metrics", "/no/such/route", "/healthz"];
+    let roots = service.engine().roots(service.root_collection()).unwrap();
+    let page = service.url_of(&roots[0]);
+    let paths = ["/", "/metrics", "/no/such/route", "/healthz", page.as_str()];
 
     // The client's own books.
+    let (mut sent, mut pages) = (0u64, 0u64);
     let mut reuses = 0u64;
     let mut held = Vec::new();
     for _ in 0..HELD {
@@ -67,6 +80,8 @@ fn a_seeded_run_reconciles_with_the_fronts_counters() {
         let requests = rng.gen_range(1..6u64);
         for _ in 0..requests {
             let path = paths[rng.gen_range(0..paths.len())];
+            sent += 1;
+            pages += u64::from(path == page);
             write!(&stream, "GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
             let (head, _) = read_response(&mut reader).expect("a framed response");
             assert!(!head.starts_with("HTTP/1.1 503"), "a held seat is served");
@@ -89,6 +104,23 @@ fn a_seeded_run_reconciles_with_the_fronts_counters() {
     assert_eq!(exposed(&service, "strudel_open_connections"), HELD as u64);
     assert_eq!(exposed(&service, "strudel_keepalive_reuse_total"), reuses);
     assert_eq!(exposed(&service, "strudel_shed_total"), shed);
+
+    // Every warm page click went inline, counted once, as the cache's
+    // published hit; the pool answered every other request.
+    assert!(pages > 0, "the seed clicks the warm page");
+    assert_eq!(stats.total.requests, sent);
+    assert_eq!(stats.inline.hits, pages);
+    assert_eq!(stats.inline.hits, stats.html_cache.published_hits);
+    assert_eq!(stats.inline.pool_dispatches, sent - pages);
+    let text = service.handle("/metrics").body;
+    assert_eq!(
+        row_of(&text, "strudel_inline_hits_total"),
+        row_of(&text, "strudel_html_cache_published_hits_total")
+    );
+    assert_eq!(
+        row_of(&text, "strudel_pool_dispatches_total"),
+        row_of(&text, "strudel_requests_total") - row_of(&text, "strudel_inline_hits_total")
+    );
 
     drop(held);
     wait_for("the gauge to drain", || service.stats().open_connections == 0);

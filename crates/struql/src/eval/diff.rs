@@ -28,6 +28,10 @@
 //! carried (nothing can retract from it), and when `D` is empty there as
 //! well, the diff is empty and evaluation stops early.
 //!
+//! `R` and `R ⋈ A_old` read only the pre-delta version, so the walk splits
+//! at the apply ([`old_half`], [`OldHalf::new_half`]) and one database,
+//! changed in place in between, serves both versions.
+//!
 //! Counts are signed and coalesced after every touched step, so a
 //! retraction cancels exactly the derivations the removed fact supported
 //! (count-based deletion rather than delete-and-rederive): a row whose
@@ -61,13 +65,6 @@ impl DeltaTouch {
             edge_labels: delta.edge_labels().map(str::to_owned).collect(),
             collections: delta.collections().map(str::to_owned).collect(),
         }
-    }
-
-    /// Whether the delta touches no edge labels and no collections (it may
-    /// still create nodes, which no condition can observe until an edge or
-    /// membership references them).
-    pub fn is_empty(&self) -> bool {
-        self.edge_labels.is_empty() && self.collections.is_empty()
     }
 
     /// Whether evaluating `cond` could produce different rows before and
@@ -108,8 +105,7 @@ pub struct DiffOutcome {
     pub rows: Vec<SignedRow>,
 }
 
-/// One database snapshot of a delta, with a where clause's conditions
-/// compiled against it once for every walk of the delta.
+/// A where clause's conditions compiled against one database version.
 struct Snapshot<'e, 'db> {
     ev: &'e Evaluator<'db>,
     steps: Vec<StruqlResult<(usize, atoms::Step)>>,
@@ -123,99 +119,111 @@ impl<'e, 'db> Snapshot<'e, 'db> {
         }
     }
 
-    /// Applies condition `idx` to `rows` on this snapshot.
+    /// Applies condition `idx` to `rows` on this version.
     fn apply(&self, idx: usize, rows: Vec<Row>) -> StruqlResult<Vec<Row>> {
         apply_step(&self.steps[idx], self.ev, rows)
     }
 }
 
-/// The differential walk behind [`delta_rows`]: the signed row diff
-/// between evaluating `conds` on `new` (post-delta) and on `old`
-/// (pre-delta), which must be snapshots of the same database immediately
-/// before and after the delta `touch` was built from — rows flowing
-/// through the plan reference oids that must be valid in both graphs
-/// (deltas never delete nodes, so this holds for any applied
-/// [`GraphDelta`]). `vars` is the slot layout both snapshots compiled
-/// `conds` for, and `seed_rows` are distinct pre-bindings of one common
-/// subset of it (one plan serves them all). With `in_old` false
-/// the seeds name nodes the pre-delta graph never issued: the old side is
-/// then empty by construction (no old fact can mention such a node), so
-/// the seed rows start out as `+1` diffs and the old snapshot is never
-/// probed with an unknown oid.
-fn propagate(
-    old: &Snapshot<'_, '_>,
-    new: &Snapshot<'_, '_>,
-    conds: &[Condition],
-    vars: &[String],
-    seed_rows: Vec<Row>,
-    in_old: bool,
-    touch: &DeltaTouch,
-) -> StruqlResult<Vec<SignedRow>> {
-    let bound: HashSet<String> = vars
-        .iter()
-        .zip(seed_rows.first().into_iter().flatten())
-        .filter(|(_, slot)| slot.is_some())
-        .map(|(name, _)| name.clone())
-        .collect();
-    // One plan drives both sides: join order does not affect the result,
-    // and planning against the pre-delta statistics keeps this O(|plan|).
-    let plan = plan::plan(conds, &bound, old.ev.db(), old.ev.opts.optimize);
+/// One seed run's walk as far as the pre-delta version decides it.
+#[derive(Debug)]
+struct OldRun {
+    /// Seeds naming nodes the old graph never issued: no old fact can
+    /// mention them, so they enter as `+1` diffs, never probed on `old`.
+    fresh: Vec<Row>,
+    /// The plan's condition order, each with whether the delta touches it.
+    order: Vec<(usize, bool)>,
+    /// Per step while `R` is non-empty and a touched step lies ahead: on
+    /// a touched one, the `R` entering it and `R ⋈ A_old`.
+    r: Vec<Option<(Vec<Row>, Vec<Row>)>>,
+}
 
-    // R: the pre-delta relation so far (unit counts — exactly the rows the
-    // plain engine would hold at this step). D: the signed diff so far.
-    let (mut r_old, mut diff): (Vec<Row>, Vec<SignedRow>) = if in_old {
-        (seed_rows, Vec::new())
-    } else {
-        (Vec::new(), seed_rows.into_iter().map(|r| (r, 1)).collect())
-    };
-    let tracing = strudel_trace::enabled();
-    // R only ever feeds a touched step; past the last one it is dead
-    // weight, and with an empty diff there is nothing left to find.
-    let touched_steps = plan
-        .order
-        .iter()
-        .rposition(|&idx| touch.touches_cond(&conds[idx]))
-        .map_or(0, |last| last + 1);
-
-    for (step, &idx) in plan.order.iter().enumerate() {
-        if diff.is_empty() && (r_old.is_empty() || step >= touched_steps) {
-            break;
-        }
-        if touch.touches_cond(&conds[idx]) {
-            if tracing {
-                strudel_trace::count("struql.diff.steps.touched", 1);
+impl OldRun {
+    /// Plans `seed_rows` (pre-bindings of one common subset of `vars`;
+    /// `in_old` when the old graph knows their nodes) and carries `R`
+    /// through the old version.
+    fn walk(
+        old: &Snapshot<'_, '_>,
+        conds: &[Condition],
+        vars: &[String],
+        seed_rows: Vec<Row>,
+        in_old: bool,
+        touch: &DeltaTouch,
+    ) -> StruqlResult<OldRun> {
+        let bound: HashSet<String> = vars
+            .iter()
+            .zip(seed_rows.first().into_iter().flatten())
+            .filter(|(_, slot)| slot.is_some())
+            .map(|(name, _)| name.clone())
+            .collect();
+        // One plan drives both halves: join order does not affect the
+        // result, and planning against the pre-delta statistics keeps this
+        // O(|plan|).
+        let plan = plan::plan(conds, &bound, old.ev.db(), old.ev.opts.optimize);
+        let order: Vec<(usize, bool)> = plan
+            .order
+            .iter()
+            .map(|&idx| (idx, touch.touches_cond(&conds[idx])))
+            .collect();
+        // R only ever feeds a touched step; past the last one it is dead.
+        let live = order.iter().rposition(|&(_, t)| t).map_or(0, |i| i + 1);
+        let (mut rel, fresh) = match in_old {
+            true => (seed_rows, Vec::new()),
+            false => (Vec::new(), seed_rows),
+        };
+        let mut r = Vec::new();
+        for &(idx, touched) in &order[..live] {
+            if rel.is_empty() {
+                break;
             }
-            let d_new = expand_signed(new, idx, &diff)?;
-            let r_via_new = new.apply(idx, r_old.clone())?;
-            let r_via_old = old.apply(idx, r_old)?;
-            let mut next = d_new;
-            next.extend(r_via_new.into_iter().map(|r| (r, 1)));
-            next.extend(r_via_old.iter().cloned().map(|r| (r, -1)));
-            diff = coalesce(next);
-            r_old = r_via_old;
-        } else {
-            if tracing {
-                strudel_trace::count("struql.diff.steps.skipped", 1);
-            }
-            diff = expand_signed(new, idx, &diff)?;
-            r_old = if step < touched_steps {
-                old.apply(idx, r_old)?
+            let input = if touched {
+                rel.clone()
             } else {
-                Vec::new()
+                std::mem::take(&mut rel)
             };
+            let out = old.apply(idx, input)?;
+            let entering = std::mem::replace(&mut rel, out);
+            r.push(touched.then(|| (entering, rel.clone())));
         }
+        Ok(OldRun { fresh, order, r })
     }
 
-    // Untouched steps after the last touched one fan rows out again
-    // (parallel edges, several paths); callers get one entry per row.
-    let diff = coalesce(diff);
-    if tracing {
-        let added: i64 = diff.iter().map(|(_, c)| (*c).max(0)).sum();
-        let retracted: i64 = diff.iter().map(|(_, c)| (-*c).max(0)).sum();
-        strudel_trace::count("struql.diff.rows.added", added as u64);
-        strudel_trace::count("struql.diff.rows.retracted", retracted as u64);
+    /// Per step, with `D` the signed diff so far (the post-delta relation
+    /// is `R + D` as a multiset): `D' = D ⋈ A_new + R ⋈ A_new − R ⋈ A_old`
+    /// on a touched step, `D ⋈ A_new` on another. Rows reference oids
+    /// valid in both graphs: deltas never delete nodes.
+    fn new_half(self, new: &Snapshot<'_, '_>) -> StruqlResult<Vec<SignedRow>> {
+        let mut diff: Vec<SignedRow> = self.fresh.into_iter().map(|r| (r, 1)).collect();
+        let tracing = strudel_trace::enabled();
+        let mut r = self.r.into_iter();
+        for (idx, touched) in self.order {
+            // With no `R` left and an empty diff, nothing is left to find.
+            if diff.is_empty() && r.as_slice().is_empty() {
+                break;
+            }
+            if tracing {
+                let kind = ["struql.diff.steps.skipped", "struql.diff.steps.touched"];
+                strudel_trace::count(kind[usize::from(touched)], 1);
+            }
+            let mut next = expand_signed(new, idx, &diff)?;
+            if let Some((r_in, r_out)) = r.next().flatten() {
+                next.extend(new.apply(idx, r_in)?.into_iter().map(|r| (r, 1)));
+                next.extend(r_out.into_iter().map(|r| (r, -1)));
+            }
+            diff = if touched { coalesce(next) } else { next };
+        }
+
+        // Untouched steps after the last touched one fan rows out again
+        // (parallel edges, several paths); callers get one entry per row.
+        let diff = coalesce(diff);
+        if tracing {
+            let added: i64 = diff.iter().map(|(_, c)| (*c).max(0)).sum();
+            let retracted: i64 = diff.iter().map(|(_, c)| (-*c).max(0)).sum();
+            strudel_trace::count("struql.diff.rows.added", added as u64);
+            strudel_trace::count("struql.diff.rows.retracted", retracted as u64);
+        }
+        Ok(diff)
     }
-    Ok(diff)
 }
 
 /// One fact a delta inserts or retracts. The sign is not recorded: it
@@ -304,7 +312,22 @@ fn atom(cond: &Condition) -> &Condition {
 /// `multiset(eval on new) − multiset(eval on old)` with `vars` in the
 /// unseeded [`Evaluator::eval_where_bindings`] layout — the one answer to
 /// "which rows did this delta change?" that page invalidation, cached-view
-/// maintenance and materialized-site maintenance all project from.
+/// maintenance and materialized-site maintenance all project from, for
+/// `old` and `new` immediately before and after `delta`: [`old_half`]
+/// then [`OldHalf::new_half`].
+pub fn delta_rows(
+    old: &Evaluator<'_>,
+    new: &Evaluator<'_>,
+    conds: &[Condition],
+    delta: &GraphDelta,
+) -> StruqlResult<DiffOutcome> {
+    old_half(old, conds, delta)?.new_half(new, conds)
+}
+
+/// The part of [`delta_rows`] that reads `old`, the database before
+/// `delta`: the seed runs, each run's plan order, and every touched step's
+/// `R` and `R ⋈ A_old`. It owns its rows, so the database may then take
+/// the delta in place before [`OldHalf::new_half`].
 ///
 /// Every changed fact is unified with each touched condition it can match
 /// and the clause is diffed seeded by the *node* bindings of that match:
@@ -319,18 +342,17 @@ fn atom(cond: &Condition) -> &Condition {
 /// multi-step regular path expression, possibly under `not(…)`; a match
 /// that binds no node) diffs the clause unseeded instead — still exact,
 /// and still only this clause.
-pub fn delta_rows(
+pub fn old_half(
     old: &Evaluator<'_>,
-    new: &Evaluator<'_>,
     conds: &[Condition],
     delta: &GraphDelta,
-) -> StruqlResult<DiffOutcome> {
+) -> StruqlResult<OldHalf> {
     let vars = super::where_vars(conds, &[]);
     let touch = DeltaTouch::of(delta);
     if !touch.touches(conds) {
-        return Ok(DiffOutcome {
+        return Ok(OldHalf {
             vars,
-            rows: Vec::new(),
+            runs: Vec::new(),
         });
     }
 
@@ -384,22 +406,43 @@ pub fn delta_rows(
         runs = BTreeMap::from([((true, Vec::new()), vec![vec![None; vars.len()]])]);
     }
 
-    // Every run walks the same conditions: compile them once per snapshot.
-    let (old, new) = (
-        Snapshot::new(old, conds, &vars),
-        Snapshot::new(new, conds, &vars),
-    );
-    // A row reached from two seeds carries the same count in both.
-    let mut rows: Vec<SignedRow> = Vec::new();
-    let mut seen: HashSet<Row> = HashSet::new();
-    for ((in_old, _), seed_rows) in runs {
-        for (row, count) in propagate(&old, &new, conds, &vars, seed_rows, in_old, &touch)? {
-            if seen.insert(row.clone()) {
-                rows.push((row, count));
+    // Every run walks the same conditions: compile them once.
+    let old = Snapshot::new(old, conds, &vars);
+    let runs = runs
+        .into_iter()
+        .map(|((in_old, _), seeds)| OldRun::walk(&old, conds, &vars, seeds, in_old, &touch))
+        .collect::<StruqlResult<_>>()?;
+    Ok(OldHalf { vars, runs })
+}
+
+/// What [`old_half`] read of the pre-delta version.
+#[derive(Debug)]
+pub struct OldHalf {
+    vars: Vec<String>,
+    runs: Vec<OldRun>,
+}
+
+impl OldHalf {
+    /// The part of [`delta_rows`] that reads `new`, the database
+    /// [`old_half`] read with the delta now applied, for the same `conds`,
+    /// compiled afresh: the delta may have interned labels and collections.
+    pub fn new_half(self, new: &Evaluator<'_>, conds: &[Condition]) -> StruqlResult<DiffOutcome> {
+        let new = Snapshot::new(new, conds, &self.vars);
+        // A row reached from two seeds carries the same count in both.
+        let mut rows: Vec<SignedRow> = Vec::new();
+        let mut seen: HashSet<Row> = HashSet::new();
+        for run in self.runs {
+            for (row, count) in run.new_half(&new)? {
+                if seen.insert(row.clone()) {
+                    rows.push((row, count));
+                }
             }
         }
+        Ok(DiffOutcome {
+            vars: self.vars,
+            rows,
+        })
     }
-    Ok(DiffOutcome { vars, rows })
 }
 
 /// Applies condition `idx`, compiled on `snapshot`, to a signed relation.

@@ -73,7 +73,7 @@ pub use ast::{
     Program, Term,
 };
 pub use error::{StruqlError, StruqlResult};
-pub use eval::diff::{delta_rows, DeltaTouch, DiffOutcome, SignedRow};
+pub use eval::diff::{delta_rows, old_half, DeltaTouch, DiffOutcome, OldHalf, SignedRow};
 pub use eval::{where_vars, EvalOptions, EvalResult, Evaluator, PreparedWhere};
 pub use explain::{ExplainReport, ExplainStep};
 pub use parser::{parse, parse_conjunction, parse_path_regex};

@@ -16,14 +16,20 @@
 //! grouped by the value of a seed variable and re-laid seeds-first, its
 //! rows are exactly the diff of the clause evaluated with that seed
 //! (`diff_where` and `apply_diff`, the former product path, live on here
-//! as the oracle). Everything reproduces from its seed.
+//! as the oracle). Every chain also splits the diff as the click engine
+//! does — `old_half` on one database, the delta applied to that database
+//! in place, `new_half` on it — and holds the result to the one-shot
+//! `delta_rows` over two databases and to `eval(new) − eval(old)`; the
+//! tagged chains add a condition on a label the corpus lacks, so the
+//! first delta of every case interns it. Everything reproduces from its
+//! seed.
 
 use std::collections::{HashMap, HashSet};
 
-use strudel_graph::{Graph, GraphDelta, Oid, Value};
+use strudel_graph::{DeltaOp, Graph, GraphDelta, Oid, Value};
 use strudel_prng::{Rng, SeedableRng, SmallRng};
 use strudel_repo::{Database, IndexLevel};
-use strudel_struql::{delta_rows, where_vars, Condition, Evaluator, SignedRow};
+use strudel_struql::{delta_rows, old_half, where_vars, Condition, Evaluator, SignedRow};
 
 /// A random corpus: `n` nodes in collection `Items`, each with a `cat`
 /// string, a `val` int, and 0–2 `link` edges to earlier nodes (so Kleene
@@ -279,15 +285,30 @@ fn full_eval(
     rows
 }
 
+/// How often the split arm met each case it must cover: a delta that
+/// interns a label, one with a fact on a node the pre-delta graph never
+/// issued, and one touching a multi-step path, which no fact localizes.
+#[derive(Default)]
+struct Coverage {
+    new_label: usize,
+    fresh_node: usize,
+    unlocalized: usize,
+}
+
 /// Drives one (clause, seed, rounds) maintenance chain: stored rows are
 /// carried across every round, diffed, and compared to a from-scratch
-/// evaluation on the post-delta database.
-fn run_chain(seed: u64, seeded: bool) {
+/// evaluation on the post-delta database. `tagged` adds a `tag` condition
+/// to the clause and a `tag` edge to every delta.
+fn run_chain(seed: u64, seeded: bool, tagged: bool) -> Coverage {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut graph = corpus(&mut rng, 60);
+    let mut coverage = Coverage::default();
 
     for case in 0..4 {
-        let text = random_clause(&mut rng);
+        let mut text = random_clause(&mut rng);
+        if tagged {
+            text = text.replacen(" create", ", x0 -> \"tag\" -> tg create", 1);
+        }
         let program =
             strudel_struql::parse(&text).unwrap_or_else(|e| panic!("case {case}: {text}\n{e}"));
         let conds = &program.blocks[0].where_;
@@ -302,10 +323,33 @@ fn run_chain(seed: u64, seeded: bool) {
 
         let mut g = graph.clone();
         let mut old_db = Database::from_graph(g.clone(), IndexLevel::Full);
+        // The click engine's one database, changed in place every round.
+        let mut live = Database::from_graph(g.clone(), IndexLevel::Full);
         let mut stored = count_rows(&full_eval(&old_db, conds, &eval_seed));
 
         for round in 0..6 {
-            let delta = random_delta(&mut rng, &g);
+            let mut delta = random_delta(&mut rng, &g);
+            if tagged {
+                let node = Oid::from_index(rng.gen_range(0..g.node_count()));
+                delta.add_edge(node, "tag", Value::string(format!("t{round}").as_str()));
+            }
+            let labels: HashSet<&str> = delta.edge_labels().collect();
+            coverage.new_label += labels.iter().any(|l| g.label(l).is_none()) as usize;
+            coverage.fresh_node += delta.ops().iter().any(|op| {
+                matches!(op, DeltaOp::AddEdge { from, .. } | DeltaOp::RemoveEdge { from, .. }
+                    if !g.contains_node(*from))
+            }) as usize;
+            coverage.unlocalized += ((text.contains("\"link\"*") && labels.contains("link"))
+                || (text.contains("\"next\" . \"link\"?")
+                    && (labels.contains("link") || labels.contains("next"))))
+                as usize;
+            let split_old = old_half(&Evaluator::new(&live), conds, &delta)
+                .unwrap_or_else(|e| panic!("seed {seed} case {case} round {round}: {e}"));
+            live.apply_delta(&delta)
+                .expect("generated deltas always apply");
+            let split = split_old
+                .new_half(&Evaluator::new(&live), conds)
+                .unwrap_or_else(|e| panic!("seed {seed} case {case} round {round}: {e}"));
             delta.apply(&mut g).expect("generated deltas always apply");
             let new_db = Database::from_graph(g.clone(), IndexLevel::Full);
 
@@ -319,6 +363,22 @@ fn run_chain(seed: u64, seeded: bool) {
                     delta.ops()
                 )
             };
+            assert_eq!(split.vars, localized.vars, "{}", context());
+            assert_eq!(
+                fingerprint(&split.rows),
+                fingerprint(&localized.rows),
+                "the diff split around an in-place apply is not the one-shot diff: {}",
+                context()
+            );
+            assert_eq!(
+                fingerprint(&split.rows),
+                fingerprint(&multiset_difference(
+                    &count_rows(&full_eval(&new_db, conds, &[])),
+                    &count_rows(&full_eval(&old_db, conds, &[])),
+                )),
+                "the split diff is not eval(new) − eval(old): {}",
+                context()
+            );
             let fresh = count_rows(&full_eval(&new_db, conds, &eval_seed));
             if seeded {
                 // Route every row to the seed it agrees with, re-laid
@@ -376,18 +436,36 @@ fn run_chain(seed: u64, seeded: bool) {
         // Next case starts from the graph as originally generated.
         graph = corpus(&mut rng, 60);
     }
+    coverage
+}
+
+/// Runs the chains of `seeds` and checks that the split arm met every
+/// case it must cover (a new label only where the chains are tagged).
+fn run_chains(seeds: impl Iterator<Item = u64>, seeded: bool, tagged: bool) {
+    let mut total = Coverage::default();
+    for seed in seeds {
+        let c = run_chain(seed, seeded, tagged);
+        total.new_label += c.new_label;
+        total.fresh_node += c.fresh_node;
+        total.unlocalized += c.unlocalized;
+    }
+    assert!(total.fresh_node > 0, "no delta had a fact on a fresh node");
+    assert!(total.unlocalized > 0, "no delta touched a multi-step path");
+    assert_eq!(total.new_label > 0, tagged, "deltas interning a label");
 }
 
 #[test]
 fn maintained_relations_match_from_scratch_unseeded() {
-    for seed in 0..4u64 {
-        run_chain(0x_d1ff_0000 + seed, false);
-    }
+    run_chains((0..4u64).map(|s| 0x_d1ff_0000 + s), false, false);
 }
 
 #[test]
 fn maintained_relations_match_from_scratch_seeded() {
-    for seed in 0..4u64 {
-        run_chain(0x_5eed_0000 + seed, true);
-    }
+    run_chains((0..4u64).map(|s| 0x_5eed_0000 + s), true, false);
+}
+
+#[test]
+fn a_split_diff_sees_labels_its_delta_interns() {
+    run_chains((0..2u64).map(|s| 0x_7a90_0000 + s), false, true);
+    run_chains((0..2u64).map(|s| 0x_7a91_0000 + s), true, true);
 }

@@ -57,7 +57,7 @@ fn main() {
     delta.add_edge(new_pub, "category", Value::string("web"));
     delta.collect("Publications", Value::Node(new_pub));
 
-    // The first delta also builds the engine's standby twin database.
+    // The engine owns its database, so the delta applies to it in place.
     let start = Instant::now();
     let outcome = engine.apply_delta(&delta).expect("delta applies");
     let t_apply = start.elapsed();

@@ -266,7 +266,8 @@ fn negation_and_kleene_stay_incremental_under_edge_deletions() {
                         .map(move |e| (o, g.label_name(e.label).to_owned(), e.to.clone()))
                 })
                 .collect();
-            // Released before the delta, so the standby twin is reused.
+            // Released before the delta, so the delta applies in place
+            // without copying the database.
             drop(db);
             if edges.is_empty() {
                 break;
