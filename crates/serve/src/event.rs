@@ -35,10 +35,21 @@
 //!   proxies without an idle socket, `/metrics`, `/debug/*`, misses —
 //!   so a slow page render never stalls the event loop, and it runs the
 //!   one retry a stale forwarded socket earns, because that connects.
-//!   Completions come back over a queue and an `eventfd` wakeup. When
-//!   the pool's bounded queue ([`ServerConfig::max_backlog`]) is full,
-//!   the request sheds with `503` + `Retry-After`; so does a connection
-//!   past [`ServerConfig::max_connections`].
+//!   The worker that rendered the answer writes it: the head encoded,
+//!   the body written from the `String` it was rendered into, one
+//!   `writev` for both on the client socket. When the whole answer went
+//!   out on a kept-alive connection with nothing buffered behind it,
+//!   the worker queues a completion and then re-arms the socket for
+//!   reading itself: no `eventfd`, no reactor wake-up. Anything it
+//!   cannot finish — a partial write, `Connection: close`, a pipelined
+//!   request already read, EOF, a failed re-arm — goes back to the
+//!   reactor over the same queue and an `eventfd` wakeup, with head,
+//!   body and the bytes already written, and the reactor resumes it as
+//!   it resumes an inline hit (counted as
+//!   `strudel_pool_handbacks_total`). When the pool's bounded queue
+//!   ([`ServerConfig::max_backlog`]) is full, the request sheds with
+//!   `503` + `Retry-After`; so does a connection past
+//!   [`ServerConfig::max_connections`].
 //!
 //! The reactor thread is the one thread nothing else can stand in for,
 //! so it may only run code that cannot wait. That is the `try_warm`
@@ -56,26 +67,32 @@
 //!
 //! ```text
 //! Reading ──► inline hit ─────────────► Writing ──► Reading (keep-alive)
-//!    │                                     ▲    ├─► Draining ──► closed
-//!    ├──────► Forwarding (upstream) ───────┤    └─► closed
-//!    │             │ stale socket: retry   │
-//!    │             ▼                       │
-//!    └──────► Dispatched (render pool) ────┘
+//!  ▲ │                                   ▲    ├─► Draining ──► closed
+//!  │ ├──────► Forwarding (upstream) ─────┤    └─► closed
+//!  │ │             │ stale socket: retry │ handed back
+//!  │ │             ▼                     │
+//!  │ └──────► Dispatched (render pool) ──┘
+//!  │                    │ written whole by its worker
+//!  └────────────────────┘
 //! ```
 //!
 //! `Reading` accumulates and incrementally parses a head; `Forwarding`
 //! means an upstream exchange the reactor drives owns the request (a
 //! stale socket's retry goes on to `Dispatched`); `Dispatched` means
-//! the render pool owns the request; `Writing` flushes head and
-//! body, resuming a partial write on `EPOLLOUT` wherever it stopped;
-//! `Draining` sinks the client's unread bytes briefly so closing
-//! doesn't RST the response away. One flat loop (`advance`) walks a
-//! connection through these states until it has to wait, so pipelined
-//! requests answered inline chain without recursion. A readable event
-//! reads once (the socket is level-triggered: what is left reports
-//! again) and answers what that read delivered, which bounds the
-//! requests one connection can answer per wake-up before the reactor
-//! moves on to the next ready connection.
+//! the render pool owns the request and writes its answer; `Writing`
+//! flushes head and body, resuming a partial write on `EPOLLOUT`
+//! wherever it stopped; `Draining` sinks the client's unread bytes
+//! briefly so closing doesn't RST the response away. A worker that
+//! wrote its answer whole re-arms the socket only after queueing the
+//! completion that puts the connection back in `Reading`, and every
+//! tick drains completions before it dispatches its events, so the
+//! socket's next event finds the connection `Reading`. One flat loop
+//! (`advance`) walks a connection through these states until it has to
+//! wait, so pipelined requests answered inline chain without recursion.
+//! A readable event reads once (the socket is level-triggered: what is
+//! left reports again) and answers what that read delivered, which
+//! bounds the requests one connection can answer per wake-up before the
+//! reactor moves on to the next ready connection.
 //!
 //! Deadlines bound every state, swept once per tick rather than per
 //! wake-up: an idle keep-alive connection closes after
@@ -138,12 +155,24 @@ mod imp {
     /// A request handed to the render pool.
     struct Job {
         token: u64,
+        /// The client socket, which the worker writes the answer on.
+        /// Shared, so a connection the reactor closes meanwhile keeps
+        /// its fd until the worker is done: the number is not reused
+        /// under it, and its re-arm finds the fd gone from the epoll
+        /// set.
+        stream: Arc<TcpStream>,
         path: String,
         /// A forwarded click whose stale socket earned it a retry on a
         /// fresh connection: the pool runs that instead of `handle`.
         refetch: Option<Click>,
         head_only: bool,
         keep_alive: bool,
+        /// Whether the connection may go straight back to reading once
+        /// the answer is out: it is kept alive, no further request is
+        /// buffered and the client has not closed its half. While
+        /// `Dispatched` the reactor reads nothing, so this holds until
+        /// the answer is written.
+        rearm: bool,
     }
 
     /// A click the reactor is forwarding, and how to answer it.
@@ -155,11 +184,28 @@ mod imp {
         keep_alive: bool,
     }
 
-    /// A rendered response coming back from the pool.
+    /// A dispatched connection coming back from the pool.
     struct Completion {
         token: u64,
-        bytes: Vec<u8>,
-        keep_alive: bool,
+        finish: Finish,
+    }
+
+    enum Finish {
+        /// The worker wrote the whole answer and re-arms the socket for
+        /// reading itself: the connection is `Reading` again.
+        Done,
+        /// What the worker could not finish, for the reactor to resume
+        /// in `Writing`: the head, the body, and how many bytes of the
+        /// two are already written.
+        Resume {
+            head: Vec<u8>,
+            body: Option<Body>,
+            written: usize,
+            keep_alive: bool,
+        },
+        /// The worker's re-arm failed after its `Done`: the reactor
+        /// registers the socket again, or closes it.
+        Rearm,
     }
 
     enum State {
@@ -180,18 +226,16 @@ mod imp {
     }
 
     struct Conn {
-        stream: TcpStream,
+        stream: Arc<TcpStream>,
         fd: RawFd,
         gen: u32,
         state: State,
         /// Unparsed request bytes.
         buf: Vec<u8>,
-        /// Encoded bytes being written: a whole response from the pool,
-        /// or just the head of an inline hit or a forwarded click (the
-        /// allocation is reused from one head to the next).
+        /// The encoded head being written (the allocation is reused from
+        /// one head to the next, except a head the pool hands back).
         out: Vec<u8>,
-        /// The body of an inline hit or a forwarded click, written after
-        /// `out` from where it already is.
+        /// The body, written after `out` from where it already is.
         body: Option<Body>,
         /// Bytes of `out` + `body` already written.
         out_pos: usize,
@@ -224,7 +268,7 @@ mod imp {
     }
 
     struct Reactor<S: ClickService> {
-        epoll: Epoll,
+        epoll: Arc<Epoll>,
         wakeup: Arc<EventFd>,
         listener: TcpListener,
         listener_fd: RawFd,
@@ -257,7 +301,7 @@ mod imp {
     ) -> io::Result<ServerHandle> {
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let epoll = Epoll::new()?;
+        let epoll = Arc::new(Epoll::new()?);
         let wakeup = Arc::new(EventFd::new()?);
         epoll.add(listener.as_raw_fd(), EPOLLIN, LISTENER)?;
         epoll.add(wakeup.as_raw_fd(), EPOLLIN, WAKEUP)?;
@@ -270,40 +314,23 @@ mod imp {
         let mut workers = Vec::with_capacity(config.workers.max(1));
         for i in 0..config.workers.max(1) {
             let rx = Arc::clone(&rx);
-            let service = Arc::clone(&service);
-            let completions = Arc::clone(&completions);
-            let wakeup = Arc::clone(&wakeup);
+            let worker = Worker {
+                service: Arc::clone(&service),
+                epoll: Arc::clone(&epoll),
+                completions: Arc::clone(&completions),
+                wakeup: Arc::clone(&wakeup),
+            };
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("strudel-render-{i}"))
                     .spawn(move || loop {
-                        // Hold the receiver lock only for the dequeue.
+                        // One idle worker blocks in `recv` holding the
+                        // receiver lock while the others wait for the
+                        // lock; it is released as soon as a job is
+                        // dequeued, so no render holds it.
                         let job = rx.lock().unwrap().recv();
                         let Ok(job) = job else { break };
-                        // Backstop: the service catches its own render
-                        // panics, so anything escaping here is a bug in
-                        // the dispatch plumbing — answer 500, count it,
-                        // keep the worker.
-                        let rendered =
-                            std::panic::catch_unwind(AssertUnwindSafe(|| match job.refetch {
-                                Some(click) => click.refetch(),
-                                None => service.handle(&job.path),
-                            }));
-                        let (response, keep_alive) = match rendered {
-                            Ok(r) => (r, job.keep_alive),
-                            Err(_) => {
-                                service.note_panic();
-                                (Response::status_text(500, "internal error\n".into()), false)
-                            }
-                        };
-                        let bytes =
-                            proto::encode_response(&response, job.head_only, keep_alive, None);
-                        completions.lock().unwrap().push_back(Completion {
-                            token: job.token,
-                            bytes,
-                            keep_alive,
-                        });
-                        wakeup.notify();
+                        worker.answer(job);
                     })?,
             );
         }
@@ -336,6 +363,122 @@ mod imp {
         Ok(ServerHandle::new(addr, stop, reactor_thread, workers))
     }
 
+    /// A render-pool thread's share of the reactor: the service it
+    /// renders with, the epoll set it re-arms sockets in, and the queue
+    /// and wakeup it hands connections back through.
+    struct Worker<S> {
+        service: Arc<S>,
+        epoll: Arc<Epoll>,
+        completions: Arc<Mutex<VecDeque<Completion>>>,
+        wakeup: Arc<EventFd>,
+    }
+
+    impl<S: ClickService> Worker<S> {
+        /// Renders one request and writes the answer on its socket. An
+        /// answer written whole on a connection that may go on goes
+        /// back to `Reading` without waking the reactor; anything else
+        /// is handed back.
+        fn answer(&self, job: Job) {
+            // Backstop: the service catches its own render panics, so
+            // anything escaping here is a bug in the dispatch plumbing —
+            // answer 500, count it, keep the worker.
+            let rendered = std::panic::catch_unwind(AssertUnwindSafe(|| match job.refetch {
+                Some(click) => click.refetch(),
+                None => self.service.handle(&job.path),
+            }));
+            let (response, keep_alive) = match rendered {
+                Ok(r) => (r, job.keep_alive),
+                Err(_) => {
+                    self.service.note_panic();
+                    (Response::status_text(500, "internal error\n".into()), false)
+                }
+            };
+            let mut head = Vec::with_capacity(OUT_KEEP);
+            proto::encode_head(
+                &mut head,
+                response.status,
+                response.content_type,
+                response.body.len(),
+                response.degraded,
+                keep_alive,
+                None,
+            );
+            let body = (!job.head_only).then_some(Body::Owned(response.body));
+            let mut written = 0;
+            let whole = matches!(
+                write_out(&job.stream, &head, body.as_ref(), &mut written),
+                Ok(true)
+            );
+            if whole && keep_alive && job.rearm {
+                // The completion goes first: the re-arm lets the next
+                // request's event in, and that event must find the
+                // connection `Reading`.
+                self.complete(job.token, Finish::Done);
+                let fd = job.stream.as_raw_fd();
+                match self.epoll.modify(fd, EPOLLIN | EPOLLRDHUP, job.token) {
+                    Ok(()) => {}
+                    // The reactor closed the connection meanwhile and
+                    // took the fd out of the epoll set.
+                    Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                    Err(_) => self.hand_back(job.token, Finish::Rearm),
+                }
+            } else {
+                self.hand_back(
+                    job.token,
+                    Finish::Resume {
+                        head,
+                        body,
+                        written,
+                        keep_alive,
+                    },
+                );
+            }
+        }
+
+        fn complete(&self, token: u64, finish: Finish) {
+            self.completions
+                .lock()
+                .expect("nothing panics holding the completion queue")
+                .push_back(Completion { token, finish });
+        }
+
+        /// Gives the connection back to the reactor, and wakes it.
+        fn hand_back(&self, token: u64, finish: Finish) {
+            self.service.note_handback();
+            self.complete(token, finish);
+            self.wakeup.notify();
+        }
+    }
+
+    /// Writes `head` then `body` on `stream` from byte `*pos` of the two
+    /// on, one `writev` per round, until both are out (`Ok(true)`) or
+    /// the socket is full (`Ok(false)`); `*pos` is left where it
+    /// stopped, so the next call resumes there, across the boundary.
+    fn write_out(
+        stream: &TcpStream,
+        head: &[u8],
+        body: Option<&Body>,
+        pos: &mut usize,
+    ) -> io::Result<bool> {
+        let mut stream = stream;
+        let body = body.map_or(&[][..], |body| body.as_ref().as_bytes());
+        loop {
+            let rest_of_head = &head[(*pos).min(head.len())..];
+            let rest_of_body = &body[pos.saturating_sub(head.len())..];
+            if rest_of_head.is_empty() && rest_of_body.is_empty() {
+                return Ok(true);
+            }
+            let slices = [IoSlice::new(rest_of_head), IoSlice::new(rest_of_body)];
+            match stream.write_vectored(&slices) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => *pos += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
     impl<S: ClickService> Reactor<S> {
         fn run(&mut self) {
             let mut events = vec![Event::default(); 256];
@@ -349,27 +492,22 @@ mod imp {
 
         fn tick(&mut self, events: &mut [Event]) {
             let n = self.epoll.wait(events, TICK_MS).unwrap_or(0);
-            let mut woken = false;
+            // Before the events: a worker queues its completion before
+            // it re-arms the socket, so any event the re-arm let in
+            // finds the connection back in `Reading`.
+            self.drain_completions();
             for ev in events.iter().take(n) {
                 match ev.token {
                     LISTENER => self.accept_ready(),
-                    WAKEUP => {
-                        self.wakeup.drain();
-                        woken = true;
-                    }
+                    WAKEUP => self.wakeup.drain(),
                     token if token & UPSTREAM != 0 => self.upstream_event(token ^ UPSTREAM),
                     token => self.conn_event(token, ev.events),
                 }
             }
             // Deadlines are TICK_MS-grained, so walking every connection
-            // more often than that is work a click would pay for. A due
-            // sweep also drains completions, as a backstop to the wakeup.
+            // more often than that is work a click would pay for.
             let now = Instant::now();
-            let sweep_due = now >= self.next_sweep;
-            if woken || sweep_due {
-                self.drain_completions();
-            }
-            if sweep_due {
+            if now >= self.next_sweep {
                 self.next_sweep = now + Duration::from_millis(TICK_MS as u64);
                 self.sweep(now);
             }
@@ -466,7 +604,7 @@ mod imp {
             self.service.note_conn_opened();
             self.open += 1;
             self.conns[idx] = Some(Conn {
-                stream,
+                stream: Arc::new(stream),
                 fd,
                 gen,
                 state: State::Reading,
@@ -498,7 +636,8 @@ mod imp {
             self.free.push(idx);
             self.open -= 1;
             self.service.note_conn_closed();
-            // conn.stream drops here, closing the socket.
+            // conn.stream drops here, closing the socket unless a render
+            // worker still holds it.
         }
 
         // ---- connection events -------------------------------------------
@@ -559,13 +698,22 @@ mod imp {
                     self.sink_unread(idx);
                     return;
                 }
-                // Dispatched/Writing don't ask for EPOLLIN; a stray
+                // Only the worker re-arms a dispatched socket, after its
+                // completion is queued, and completions drain before
+                // events: a readable event here means that order broke.
+                // Close rather than spin on an event only the worker's
+                // completion could clear.
+                State::Dispatched => {
+                    self.close(idx);
+                    return;
+                }
+                // Forwarding/Writing don't ask for EPOLLIN; a stray
                 // readable event is ignored (bytes stay in the
                 // kernel buffer until we come back to Reading).
                 _ => return,
             }
             let read = loop {
-                match (&conn.stream).read(&mut scratch) {
+                match (&*conn.stream).read(&mut scratch) {
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                     other => break other,
                 }
@@ -597,7 +745,7 @@ mod imp {
                 let Some(conn) = self.conns[idx].as_ref() else {
                     return;
                 };
-                match (&conn.stream).read(&mut scratch) {
+                match (&*conn.stream).read(&mut scratch) {
                     Ok(0) => self.close(idx), // client done: clean close
                     Ok(_) => continue,        // discard and keep draining
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -798,17 +946,19 @@ mod imp {
                 return false;
             };
             conn.state = State::Dispatched;
-            let token = token_for(idx, conn.gen);
-            // While dispatched the socket needs no read/write interest;
-            // errors and hangups are delivered regardless.
-            self.set_interest(idx, 0);
-            match self.jobs.try_send(Job {
-                token,
+            let job = Job {
+                token: token_for(idx, conn.gen),
+                stream: Arc::clone(&conn.stream),
                 path,
                 refetch,
                 head_only,
                 keep_alive,
-            }) {
+                rearm: keep_alive && conn.buf.is_empty() && !conn.eof,
+            };
+            // While dispatched the socket needs no read/write interest;
+            // errors and hangups are delivered regardless.
+            self.set_interest(idx, 0);
+            match self.jobs.try_send(job) {
                 Ok(()) => false,
                 Err(mpsc::TrySendError::Full(_)) => {
                     // Render pool saturated: shed with a 503 the
@@ -879,38 +1029,30 @@ mod imp {
         /// the boundary. Returns whether the response is flushed and the
         /// connection is `Reading` again.
         fn flush(&mut self, idx: usize) -> bool {
-            loop {
-                let Some(conn) = self.conns[idx].as_mut() else {
-                    return false;
-                };
-                let head = &conn.out[conn.out_pos.min(conn.out.len())..];
-                let body = conn.body.as_ref().map_or(&[][..], |body| {
-                    &body.as_ref().as_bytes()[conn.out_pos.saturating_sub(conn.out.len())..]
-                });
-                if head.is_empty() && body.is_empty() {
-                    break;
+            let Some(conn) = self.conns[idx].as_mut() else {
+                return false;
+            };
+            let before = conn.out_pos;
+            let flushed = write_out(
+                &conn.stream,
+                &conn.out,
+                conn.body.as_ref(),
+                &mut conn.out_pos,
+            );
+            if conn.out_pos > before {
+                conn.last_activity = Instant::now();
+            }
+            match flushed {
+                Ok(true) => self.after_write(idx),
+                Ok(false) => {
+                    self.set_interest(idx, EPOLLOUT);
+                    false
                 }
-                match (&conn.stream).write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
-                    Ok(0) => {
-                        self.close(idx);
-                        return false;
-                    }
-                    Ok(n) => {
-                        conn.out_pos += n;
-                        conn.last_activity = Instant::now();
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        self.set_interest(idx, EPOLLOUT);
-                        return false;
-                    }
-                    Err(_) => {
-                        self.close(idx);
-                        return false;
-                    }
+                Err(_) => {
+                    self.close(idx);
+                    false
                 }
             }
-            self.after_write(idx)
         }
 
         /// The response is fully flushed: drain, close, or keep alive.
@@ -921,8 +1063,9 @@ mod imp {
             };
             conn.body = None;
             conn.out_pos = 0;
-            // The next head reuses the allocation; a pool response the
-            // size of a page is not worth holding per idle connection.
+            // The next head reuses the allocation; an error response the
+            // reactor encoded whole is not worth holding per idle
+            // connection.
             if conn.out.capacity() > OUT_KEEP {
                 conn.out = Vec::new();
             }
@@ -959,12 +1102,37 @@ mod imp {
                 let Some(conn) = self.conns[idx].as_mut() else {
                     continue;
                 };
-                if !matches!(conn.state, State::Dispatched) {
-                    continue;
+                match (done.finish, &conn.state) {
+                    // The worker saw nothing buffered and re-arms the
+                    // socket: record the interest it sets, and wait.
+                    (Finish::Done, State::Dispatched) => {
+                        conn.state = State::Reading;
+                        conn.interest = EPOLLIN | EPOLLRDHUP;
+                        conn.last_activity = Instant::now();
+                    }
+                    (
+                        Finish::Resume {
+                            head,
+                            body,
+                            written,
+                            keep_alive,
+                        },
+                        State::Dispatched,
+                    ) => {
+                        conn.out = head;
+                        conn.queue(body, keep_alive, false);
+                        conn.out_pos = written;
+                        self.advance(idx);
+                    }
+                    // The worker's re-arm failed: forget the interest
+                    // its `Done` recorded so it is set here, or the
+                    // connection closes.
+                    (Finish::Rearm, State::Reading) => {
+                        conn.interest = 0;
+                        self.set_interest(idx, EPOLLIN | EPOLLRDHUP);
+                    }
+                    _ => {}
                 }
-                conn.out = done.bytes;
-                conn.queue(None, done.keep_alive, false);
-                self.advance(idx);
             }
         }
 

@@ -214,6 +214,7 @@ pub struct TransportCounters {
     open_connections: AtomicU64,
     keepalive_reuse: AtomicU64,
     idle_closed: AtomicU64,
+    pool_handbacks: AtomicU64,
 }
 
 impl TransportCounters {
@@ -262,6 +263,11 @@ impl TransportCounters {
         strudel_trace::count("serve.idle_closed", 1);
     }
 
+    /// Records one pool answer handed back to the reactor.
+    pub fn note_handback(&self) {
+        self.pool_handbacks.fetch_add(1, Ordering::Relaxed);
+    }
+
     fn add_to(&self, stats: &mut ServerStats) {
         stats.panics += self.panics.load(Ordering::Relaxed);
         stats.shed += self.shed.load(Ordering::Relaxed);
@@ -269,6 +275,7 @@ impl TransportCounters {
         stats.open_connections += self.open_connections.load(Ordering::Relaxed);
         stats.keepalive_reuse += self.keepalive_reuse.load(Ordering::Relaxed);
         stats.idle_closed += self.idle_closed.load(Ordering::Relaxed);
+        stats.pool_handbacks += self.pool_handbacks.load(Ordering::Relaxed);
     }
 }
 
@@ -383,6 +390,9 @@ pub struct ServerStats {
     pub idle_closed: u64,
     /// Inline hits, declines by reason, and pool dispatches.
     pub inline: InlineSnapshot,
+    /// Pool answers whose worker handed them back to the reactor to
+    /// finish; every other pool answer was written by its worker.
+    pub pool_handbacks: u64,
     /// Whether an earlier write failure poisoned the attached paged
     /// store (reads keep serving; `/readyz` answers 503).
     pub store_poisoned: bool,
@@ -519,6 +529,7 @@ impl ServerStats {
                 ("strudel_idle_closed_total", self.idle_closed),
                 ("strudel_inline_hits_total", self.inline.hits),
                 ("strudel_pool_dispatches_total", self.inline.pool_dispatches),
+                ("strudel_pool_handbacks_total", self.pool_handbacks),
             ],
         );
         for reason in InlineDecline::ALL {
@@ -669,6 +680,7 @@ mod tests {
                 declined: [1, 2, 3, 4],
                 pool_dispatches: 14,
             },
+            pool_handbacks: 15,
             store_poisoned: false,
             trace_counters: vec![("serve.request".into(), 7)],
         };
@@ -683,6 +695,7 @@ mod tests {
         assert!(text.contains("strudel_idle_closed_total 8"));
         assert!(text.contains("strudel_inline_hits_total 13"));
         assert!(text.contains("strudel_pool_dispatches_total 14"));
+        assert!(text.contains("strudel_pool_handbacks_total 15"));
         assert!(text.contains("strudel_inline_declined_total{reason=\"miss\"} 1"));
         assert!(text.contains("strudel_inline_declined_total{reason=\"delta_in_flight\"} 2"));
         assert!(text.contains("strudel_inline_declined_total{reason=\"probe\"} 3"));

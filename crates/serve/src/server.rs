@@ -9,7 +9,7 @@
 //!
 //! * HTTP/1.1 keep-alive; a warm hit is answered on the reactor thread
 //!   and everything else on a render pool of [`ServerConfig::workers`]
-//!   threads.
+//!   threads, whose worker writes the answer it rendered.
 //! * When the render pool's queue is full ([`ServerConfig::max_backlog`])
 //!   or the connection cap is reached ([`ServerConfig::max_connections`]),
 //!   new work sheds with a `503` + `Retry-After` instead of queueing
@@ -57,9 +57,10 @@ pub struct WarmHit {
     pub body: Arc<str>,
 }
 
-/// A response body the epoll reactor writes from where it already is,
-/// after a head it encodes: a cache's shared page, a last-known-good
-/// copy, or a page a forwarded exchange just read.
+/// A response body written from where it already is, after a head
+/// encoded for it: a cache's shared page, a last-known-good copy, a
+/// page a forwarded exchange just read, or a page the render pool just
+/// rendered.
 #[derive(Debug)]
 pub(crate) enum Body {
     Shared(Arc<str>),
@@ -209,6 +210,14 @@ pub trait ClickService: Send + Sync + 'static {
     fn note_idle_closed(&self) {
         if let Some(t) = self.transport() {
             t.note_idle_closed()
+        }
+    }
+    /// Records a pool answer its worker handed back to the reactor
+    /// instead of finishing it: a partial write, a connection that
+    /// closes or has a request buffered, or a failed re-arm.
+    fn note_handback(&self) {
+        if let Some(t) = self.transport() {
+            t.note_handback()
         }
     }
 }

@@ -115,6 +115,7 @@ pub fn standard_metric_rows(routes: &[&str]) -> Vec<String> {
             "strudel_idle_closed_total",
             "strudel_inline_hits_total",
             "strudel_pool_dispatches_total",
+            "strudel_pool_handbacks_total",
             "strudel_inline_declined_total{reason=\"miss\"}",
             "strudel_inline_declined_total{reason=\"delta_in_flight\"}",
             "strudel_inline_declined_total{reason=\"probe\"}",

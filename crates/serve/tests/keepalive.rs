@@ -6,7 +6,11 @@
 //! reactor answers inline: the wire bytes equal the pool path's, a burst
 //! of ten thousand pipelined hits neither recurses nor starves another
 //! connection, a body larger than the socket buffer survives partial
-//! writes, and a panic in `try_warm` falls through to the pool.
+//! writes, and a panic in `try_warm` falls through to the pool. And for
+//! the answers the render pool writes itself: misses back to back,
+//! pipelined and sent mid-render all arrive in order and byte-equal a
+//! fresh render, and an answer too large for one write is handed back
+//! to the reactor (and counted) and arrives intact.
 
 mod common;
 
@@ -20,13 +24,13 @@ use strudel::sites::news_site;
 use strudel_schema::dynamic::Mode;
 use strudel_serve::crawl::site_urls;
 use strudel_serve::{
-    proto, serve, CachedPage, ClickService, Response, ServeError, ServerConfig, SiteService,
-    WarmHit, WarmupReport,
+    proto, serve, CachedPage, ClickService, FaultProbe, InlineDecline, Response, ServeError,
+    ServerConfig, SiteService, WarmHit, WarmupReport,
 };
 use strudel_struql::Parallelism;
 use strudel_workload::news::{generate, NewsConfig};
 
-use common::read_response;
+use common::{read_response, wait_for};
 
 fn start(config: ServerConfig) -> (Arc<SiteService>, strudel_serve::ServerHandle) {
     let corpus = generate(&NewsConfig {
@@ -505,5 +509,220 @@ fn a_panic_in_try_warm_is_counted_and_the_pool_answers() {
         assert!(r.starts_with("HTTP/1.1 200") && r.ends_with("from the pool\n"), "{r}");
         assert_eq!(service.panics.load(Ordering::SeqCst), n, "the reactor survived and counted");
     }
+    server.shutdown();
+}
+
+/// A served site with `articles` articles none of whose pages is
+/// cached, a second service over the same site that renders the
+/// reference bytes, and every `/page/…` URL of the site.
+fn start_cold(
+    articles: usize,
+) -> (
+    Arc<SiteService>,
+    strudel_serve::ServerHandle,
+    SiteService,
+    Vec<String>,
+) {
+    let corpus = generate(&NewsConfig {
+        articles,
+        ..Default::default()
+    });
+    let site = news_site(&corpus.pages).build().unwrap();
+    let service = Arc::new(SiteService::new(&site, Mode::Context));
+    let server = serve(service.clone(), epoll_config()).unwrap();
+    let reference = SiteService::new(&site, Mode::Context);
+    let mut urls = site_urls(|u| reference.handle(u));
+    urls.retain(|u| u.starts_with("/page/"));
+    (service, server, reference, urls)
+}
+
+#[test]
+fn misses_written_by_their_workers_answer_in_order_back_to_back_and_pipelined() {
+    const BACK_TO_BACK: usize = 200;
+    const PAIRS: usize = 20;
+    const EARLY: usize = 20;
+    let (service, server, reference, urls) = start_cold(280);
+    assert!(
+        urls.len() >= BACK_TO_BACK + 2 * PAIRS + 2 * EARLY,
+        "{} pages",
+        urls.len()
+    );
+    let wire = |url: &str| proto::encode_response(&reference.handle(url), false, true, None);
+    let request = |url: &str| format!("GET {url} HTTP/1.1\r\nHost: localhost\r\n\r\n");
+    let mut kept = connect(server.addr());
+    let expect = |kept: &mut TcpStream, url: &str, what: &str| {
+        let expected = wire(url);
+        let mut got = vec![0u8; expected.len()];
+        kept.read_exact(&mut got)
+            .unwrap_or_else(|e| panic!("{what} {url}: {e}"));
+        assert!(
+            got == expected,
+            "{what} {url}:\n{}",
+            String::from_utf8_lossy(&got)
+        );
+    };
+    let mut misses = urls.iter();
+
+    // Every request the page's first: each is rendered and written by a
+    // worker, which hands the connection straight back to reading.
+    for url in misses.by_ref().take(BACK_TO_BACK) {
+        kept.write_all(request(url).as_bytes()).unwrap();
+        expect(&mut kept, url, "back-to-back miss");
+    }
+    // Two misses in one write, then a hit: the first miss finds the
+    // second already read, so its worker hands it back; the second and
+    // the hit go as before.
+    for (i, hit) in urls.iter().take(PAIRS).enumerate() {
+        let (a, b) = (misses.next().unwrap(), misses.next().unwrap());
+        kept.write_all((request(a) + &request(b)).as_bytes())
+            .unwrap();
+        expect(&mut kept, a, "first of pair");
+        expect(&mut kept, b, "second of pair");
+        kept.write_all(request(hit).as_bytes()).unwrap();
+        expect(&mut kept, hit, &format!("hit after pair {i}"));
+    }
+    // A request sent while the one before it renders waits in the
+    // kernel, not in the reactor's buffer: the worker re-arms the socket
+    // with it already there, and its event must find the connection
+    // reading. The reactor counts the armed probe's decline just before
+    // it dispatches the stalled miss, so the second request is written
+    // only once the first is in the pool.
+    let probe_declines = || service.inline_stats().declined[InlineDecline::Probe as usize];
+    for _ in 0..EARLY {
+        let (a, b) = (misses.next().unwrap(), misses.next().unwrap());
+        let declined = probe_declines();
+        service.arm_probe(a, FaultProbe::Stall(Duration::from_millis(30)));
+        kept.write_all(request(a).as_bytes()).unwrap();
+        wait_for("the stalled miss to be dispatched", || {
+            probe_declines() > declined
+        });
+        kept.write_all(request(b).as_bytes()).unwrap();
+        expect(&mut kept, a, "stalled miss");
+        expect(&mut kept, b, "request sent during the render");
+        service.clear_probes();
+    }
+
+    let stats = service.stats();
+    assert_eq!(stats.inline.hits, PAIRS as u64, "every hit answered inline");
+    assert_eq!(
+        stats.pool_handbacks, PAIRS as u64,
+        "only the first of each pair came back"
+    );
+    assert_eq!(stats.panics, 0);
+    server.shutdown();
+}
+
+/// Answers `/big` with a body no socket buffer holds and anything else
+/// with a line; counts hand-backs.
+struct BigPage {
+    big: String,
+    handbacks: AtomicUsize,
+}
+
+impl ClickService for BigPage {
+    fn handle(&self, path: &str) -> Response {
+        Response {
+            status: 200,
+            content_type: "text/plain; charset=utf-8",
+            body: if path == "/big" {
+                self.big.clone()
+            } else {
+                "small\n".into()
+            },
+            degraded: false,
+        }
+    }
+    fn warm(&self, _parallelism: Parallelism) -> Result<WarmupReport, ServeError> {
+        Ok(WarmupReport::default())
+    }
+    fn note_handback(&self) {
+        self.handbacks.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn a_pool_answer_larger_than_one_write_is_handed_back_and_arrives_intact() {
+    // 8 MiB, patterned so a misplaced resume offset shows.
+    let service = Arc::new(BigPage {
+        big: (0..1 << 20).map(|i| format!("{i:07}\n")).collect(),
+        handbacks: AtomicUsize::new(0),
+    });
+    let server = serve(service.clone(), epoll_config()).unwrap();
+    let stream = connect(server.addr());
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    write!(writer, "GET /big HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
+    // Let the worker fill the socket and hand the rest back, then read
+    // in the BufReader's 8 KiB sips so the reactor resumes many times.
+    std::thread::sleep(Duration::from_millis(200));
+    let (head, body) = read_response(&mut reader).unwrap();
+    assert!(
+        head.contains(&format!("Content-Length: {}", service.big.len())),
+        "{head}"
+    );
+    assert!(body == service.big, "the body arrived damaged");
+    assert_eq!(
+        service.handbacks.load(Ordering::SeqCst),
+        1,
+        "the partial write came back"
+    );
+    // The connection is in step, and a small answer goes out whole.
+    write!(writer, "GET /small HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
+    let (head, body) = read_response(&mut reader).unwrap();
+    assert!(
+        head.starts_with("HTTP/1.1 200") && body == "small\n",
+        "{head}{body}"
+    );
+    assert_eq!(
+        service.handbacks.load(Ordering::SeqCst),
+        1,
+        "written whole by the worker"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn concurrent_connections_each_get_their_pool_answers_in_order() {
+    const CLIENTS: usize = 4;
+    const EACH: usize = 300;
+    let (service, server) = start(epoll_config());
+    let addr = server.addr();
+    // The index and an unknown route are rendered on every request, so
+    // every answer here is a worker's.
+    let paths = ["/", "/no/such/route"];
+    let wire: Vec<Vec<u8>> = paths
+        .iter()
+        .map(|p| proto::encode_response(&service.handle(p), false, true, None))
+        .collect();
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let wire = wire.clone();
+            std::thread::spawn(move || {
+                let mut kept = connect(addr);
+                for i in 0..EACH {
+                    let k = (c + i) % paths.len();
+                    let request = format!("GET {} HTTP/1.1\r\nHost: localhost\r\n\r\n", paths[k]);
+                    kept.write_all(request.as_bytes()).unwrap();
+                    let mut got = vec![0u8; wire[k].len()];
+                    kept.read_exact(&mut got)
+                        .unwrap_or_else(|e| panic!("client {c} answer {i}: {e}"));
+                    assert!(
+                        got == wire[k],
+                        "client {c} answer {i}:\n{}",
+                        String::from_utf8_lossy(&got)
+                    );
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().unwrap();
+    }
+    let stats = service.stats();
+    assert_eq!(
+        stats.pool_handbacks, 0,
+        "every answer written whole by its worker"
+    );
+    assert_eq!(stats.panics, 0);
     server.shutdown();
 }

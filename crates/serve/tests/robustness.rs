@@ -1,7 +1,11 @@
 //! Failure-mode regression tests: a panicking handler must cost one
 //! request (500 + counter), never a worker; a saturated render queue
 //! must shed with a `503` + `Retry-After`, never queue unbounded work;
-//! and both outcomes must be visible on `/metrics`.
+//! and both outcomes must be visible on `/metrics`. A client that hangs
+//! up while the pool renders its page costs that answer and nothing
+//! more.
+
+mod common;
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -198,6 +202,54 @@ fn an_oversized_shed_request_still_receives_its_503() {
     }
     svc.clear_probes();
     assert!(get(addr, "/").starts_with("HTTP/1.1 200"));
+    server.shutdown();
+}
+
+#[test]
+fn a_client_that_hangs_up_while_its_page_renders_costs_nothing() {
+    let svc = service();
+    let server = serve(
+        svc.clone(),
+        ServerConfig {
+            workers: 2,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr();
+    let page = warm_page(&svc);
+
+    // Each client asks for the page and hangs up while the stalled
+    // render runs. Kept alive, the worker writes the answer, re-arms the
+    // socket, and the reactor reads the hang-up. With `Connection:
+    // close`, the worker hands the connection back and the reactor
+    // closes it. Behind an answer the client never read, the hang-up is
+    // a reset: the reactor closes the connection while it is still
+    // dispatched, and the worker's write fails on the socket it holds.
+    let ask = |extra: &str| format!("GET {page} HTTP/1.1\r\nHost: localhost\r\n{extra}\r\n");
+    let kept = ask("");
+    let closing = ask("Connection: close\r\n");
+    let behind_an_unread_answer = "GET / HTTP/1.1\r\nHost: localhost\r\n\r\n".to_string() + &kept;
+    svc.arm_probe(&page, FaultProbe::Stall(Duration::from_millis(150)));
+    for request in [&kept, &closing, &behind_an_unread_answer] {
+        for _ in 0..2 {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.write_all(request.as_bytes()).unwrap();
+            std::thread::sleep(Duration::from_millis(30));
+            drop(s);
+        }
+    }
+    common::wait_for("every hung-up connection to close", || {
+        svc.stats().open_connections == 0
+    });
+    assert_eq!(svc.stats().panics, 0, "a hang-up is not a panic");
+
+    // The server keeps serving, the page included.
+    svc.clear_probes();
+    assert!(get(addr, &page).starts_with("HTTP/1.1 200"));
+    assert!(get(addr, "/").starts_with("HTTP/1.1 200"));
+    let metrics = get(addr, "/metrics");
+    assert!(metrics.contains("strudel_panics_total 0"), "{metrics}");
     server.shutdown();
 }
 

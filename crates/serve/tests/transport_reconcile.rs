@@ -6,7 +6,12 @@
 //! client's own counts, in the stats struct and on `/metrics` alike. The
 //! warm page clicks among its requests are answered inline, so the same
 //! run pins the inline books: one count per inline hit, the HTML cache's
-//! `try_get` hits, and the pool's share is every other request.
+//! `try_get` hits, and the pool's share is every other request. And the
+//! pool's hand-backs: the seed also sends pipelined pairs and
+//! `Connection: close` requests, and only those, when the pool answers
+//! them, come back to the reactor to finish — every other pool answer
+//! is written whole by its worker (the pages are far smaller than a
+//! socket buffer, so no write comes up short).
 
 mod common;
 
@@ -73,27 +78,74 @@ fn a_seeded_run_reconciles_with_the_fronts_counters() {
     // The client's own books.
     let (mut sent, mut pages) = (0u64, 0u64);
     let mut reuses = 0u64;
+    // Pool answers the client's mix sends back to the reactor: a
+    // `Connection: close` request, or the first of a pipelined pair,
+    // that is not the warm page.
+    let mut handbacks = 0u64;
+    let request = |path: &str, close: bool| {
+        let connection = if close { "Connection: close\r\n" } else { "" };
+        format!("GET {path} HTTP/1.1\r\nHost: localhost\r\n{connection}\r\n")
+    };
+
+    // Connections that come and go: a few kept-alive requests, then one
+    // that closes.
+    for _ in 0..HELD {
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let requests = rng.gen_range(1..4u64);
+        for i in 0..requests {
+            let path = paths[rng.gen_range(0..paths.len())];
+            let close = i + 1 == requests;
+            sent += 1;
+            pages += u64::from(path == page);
+            handbacks += u64::from(close && path != page);
+            (&stream)
+                .write_all(request(path, close).as_bytes())
+                .unwrap();
+            read_response(&mut reader).expect("a framed response");
+        }
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty(), "the server closed after the last answer");
+        reuses += requests - 1;
+    }
+
+    // Held connections: single requests and pipelined pairs, each pair
+    // in one write.
     let mut held = Vec::new();
     for _ in 0..HELD {
         let stream = TcpStream::connect(addr).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let requests = rng.gen_range(1..6u64);
-        for _ in 0..requests {
-            let path = paths[rng.gen_range(0..paths.len())];
-            sent += 1;
-            pages += u64::from(path == page);
-            write!(&stream, "GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
-            let (head, _) = read_response(&mut reader).expect("a framed response");
-            assert!(!head.starts_with("HTTP/1.1 503"), "a held seat is served");
+        let mut requests = 0u64;
+        for _ in 0..rng.gen_range(1..6u64) {
+            let pair = rng.gen_bool(0.4);
+            let burst: Vec<&str> = (0..1 + usize::from(pair))
+                .map(|_| paths[rng.gen_range(0..paths.len())])
+                .collect();
+            let bytes: String = burst.iter().map(|path| request(path, false)).collect();
+            (&stream).write_all(bytes.as_bytes()).unwrap();
+            for path in &burst {
+                let (head, _) = read_response(&mut reader).expect("a framed response");
+                assert!(!head.starts_with("HTTP/1.1 503"), "a held seat is served");
+                pages += u64::from(*path == page);
+            }
+            handbacks += u64::from(pair && burst[0] != page);
+            requests += burst.len() as u64;
         }
+        sent += requests;
         reuses += requests - 1;
         held.push((stream, reader));
     }
     let mut shed = 0u64;
     for _ in 0..LATE {
         let mut refused = String::new();
-        let _ = TcpStream::connect(addr).unwrap().read_to_string(&mut refused);
-        assert!(refused.starts_with("HTTP/1.1 503"), "past the cap: {refused}");
+        let _ = TcpStream::connect(addr)
+            .unwrap()
+            .read_to_string(&mut refused);
+        assert!(
+            refused.starts_with("HTTP/1.1 503"),
+            "past the cap: {refused}"
+        );
         shed += 1;
     }
 
@@ -101,13 +153,16 @@ fn a_seeded_run_reconciles_with_the_fronts_counters() {
     assert_eq!(stats.open_connections, HELD as u64);
     assert_eq!(stats.keepalive_reuse, reuses);
     assert_eq!(stats.shed, shed);
+    assert_eq!(stats.pool_handbacks, handbacks);
     assert_eq!(exposed(&service, "strudel_open_connections"), HELD as u64);
     assert_eq!(exposed(&service, "strudel_keepalive_reuse_total"), reuses);
     assert_eq!(exposed(&service, "strudel_shed_total"), shed);
+    assert_eq!(exposed(&service, "strudel_pool_handbacks_total"), handbacks);
 
     // Every warm page click went inline, counted once, as the cache's
     // published hit; the pool answered every other request.
     assert!(pages > 0, "the seed clicks the warm page");
+    assert!(handbacks > 0, "the seed sends what the pool hands back");
     assert_eq!(stats.total.requests, sent);
     assert_eq!(stats.inline.hits, pages);
     assert_eq!(stats.inline.hits, stats.html_cache.published_hits);
@@ -123,6 +178,8 @@ fn a_seeded_run_reconciles_with_the_fronts_counters() {
     );
 
     drop(held);
-    wait_for("the gauge to drain", || service.stats().open_connections == 0);
+    wait_for("the gauge to drain", || {
+        service.stats().open_connections == 0
+    });
     server.shutdown();
 }
