@@ -17,6 +17,7 @@
 //! * E-index — the full-indexing win grows with data size.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use strudel::repo::{Database, IndexLevel};
 use strudel::schema::constraint::{parse_constraint, runtime, verify};
@@ -630,7 +631,7 @@ pub fn exp_diff() {
                 symbol: "ArticlePage".into(),
                 args: vec![Value::from(Oid::from_index(i))],
             };
-            let sort = |mut v: Vec<(String, DynTarget)>| {
+            let sort = |mut v: Vec<(Arc<str>, DynTarget)>| {
                 v.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
                 v
             };
@@ -712,7 +713,7 @@ fn exp_diff_hub() {
         let front = site.roots("FrontRoot").unwrap().remove(0);
         let mut warm = vec![front.clone()];
         for (label, target) in &site.visit(&front).unwrap().edges {
-            if let (true, DynTarget::Page(k)) = (label == "Section", target) {
+            if let (true, DynTarget::Page(k)) = (&**label == "Section", target) {
                 site.visit(k).unwrap();
                 warm.push(k.clone());
             }
@@ -775,7 +776,7 @@ fn exp_diff_hub() {
         // Correctness: the patched hub pages hold exactly the rows a cold
         // engine derives on the final database.
         let fresh = DynamicSite::new(site.database(), &program, Mode::Context);
-        let sort = |v: &[(String, DynTarget)]| {
+        let sort = |v: &[(Arc<str>, DynTarget)]| {
             let mut v: Vec<String> = v.iter().map(|e| format!("{e:?}")).collect();
             v.sort_unstable();
             v

@@ -130,8 +130,10 @@ pub enum DynTarget {
 /// One materialized page: its outgoing labeled edges.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PageView {
-    /// `(label, target)` pairs in derivation order, deduplicated.
-    pub edges: Vec<(String, DynTarget)>,
+    /// `(label, target)` pairs in derivation order, deduplicated. A label
+    /// is shared with the page's link table, and through it with the
+    /// schema or the data graph: a view copies no label string.
+    pub edges: Vec<(Arc<str>, DynTarget)>,
 }
 
 /// Work counters across the browsing session (a consistent-enough
@@ -526,6 +528,25 @@ fn support(links: &mut FastMap<Link, Support>, link: Link, pos: Pos) {
 }
 
 impl PageRows {
+    /// The store of a freshly computed page: each projected row one
+    /// derivation, entered in the order given, into tables sized once for
+    /// all of them. `None` when the page has more rows than sequence
+    /// numbers.
+    fn of(projected: Vec<((u32, Row), Link)>) -> Option<Self> {
+        let n = projected.len();
+        let mut store = PageRows {
+            rows: FastMap::with_capacity_and_hasher(n, Default::default()),
+            links: FastMap::with_capacity_and_hasher(n, Default::default()),
+            next_seq: 0,
+        };
+        for (row, link) in projected {
+            if !store.add(row, 1, link) {
+                return None;
+            }
+        }
+        Some(store)
+    }
+
     /// Adds `count` derivations of `row` (edge index, bindings); a row not
     /// stored yet is appended and supports `link`. `false` when the page
     /// has run out of sequence numbers (evict and recompute).
@@ -576,10 +597,7 @@ impl PageRows {
             self.links.iter().map(|(link, s)| (s.first, link)).collect();
         order.sort_unstable_by_key(|(pos, _)| *pos);
         PageView {
-            edges: order
-                .into_iter()
-                .map(|(_, (label, target))| (label.to_string(), target.clone()))
-                .collect(),
+            edges: order.into_iter().map(|(_, link)| link.clone()).collect(),
         }
     }
 }
@@ -1257,7 +1275,7 @@ impl DynamicSite {
     pub fn stored_rows(
         &self,
         page: &PageKey,
-    ) -> Option<Vec<(usize, SignedRow, Option<(String, DynTarget)>)>> {
+    ) -> Option<Vec<(usize, SignedRow, Option<(Arc<str>, DynTarget)>)>> {
         let shard = self.shard_of(page).read().unwrap();
         let rows = &shard.get(page)?.rows;
         let mut stored: Vec<(&(u32, Row), &RowSlot)> = rows.rows.iter().collect();
@@ -1267,7 +1285,6 @@ impl DynamicSite {
             let link = self.layouts[ei]
                 .project(row, page)
                 .expect("stored rows project");
-            let link = link.map(|(label, target)| (label.to_string(), target));
             (ei, (row.clone(), slot.count), link)
         };
         Some(stored.into_iter().map(project).collect())
@@ -1301,7 +1318,10 @@ impl DynamicSite {
     /// Evaluates the incremental queries for one page against `db` (the
     /// snapshot stamped by `epoch`), executing cached prepared plans. The
     /// guard rows are kept (count-annotated) beside the view so later
-    /// deltas can maintain the page in place.
+    /// deltas can maintain the page in place. Each guard's rows are
+    /// projected as soon as it has run, so a row that cannot be projected
+    /// fails the page before the next guard runs; the row store is built
+    /// once, from all of them, at its final size.
     fn compute(
         &self,
         db: &Database,
@@ -1311,7 +1331,7 @@ impl DynamicSite {
     ) -> StruqlResult<Cached> {
         let _span = strudel_trace::span("engine.compute");
         let ev = Evaluator::new(db);
-        let mut rows = PageRows::default();
+        let mut projected = Vec::new();
         for (ei, edge) in self.schema.edges.iter().enumerate() {
             if edge.from != node {
                 continue;
@@ -1330,18 +1350,16 @@ impl DynamicSite {
             debug_assert_eq!(prepared.vars(), layout.vars);
             self.queries_run.fetch_add(1, Ordering::Relaxed);
             self.rows_produced.fetch_add(evaluated.len(), Ordering::Relaxed);
-            rows.rows.reserve(evaluated.len());
+            projected.reserve(evaluated.len());
             for row in evaluated {
-                let Some(link) = layout.project(&row, page)? else {
-                    continue;
-                };
-                if !rows.add((ei as u32, row), 1, link) {
-                    return Err(StruqlError::Eval {
-                        message: format!("page '{}' derives too many rows", page.symbol),
-                    });
+                if let Some(link) = layout.project(&row, page)? {
+                    projected.push(((ei as u32, row), link));
                 }
             }
         }
+        let rows = PageRows::of(projected).ok_or_else(|| StruqlError::Eval {
+            message: format!("page '{}' derives too many rows", page.symbol),
+        })?;
         Ok(Cached {
             view: OnceLock::new(),
             rows,
@@ -1480,7 +1498,7 @@ mod tests {
         let papers: Vec<_> = view
             .edges
             .iter()
-            .filter(|(l, _)| l == "paper")
+            .filter(|(l, _)| &**l == "paper")
             .collect();
         assert_eq!(papers.len(), 3);
     }
@@ -1499,7 +1517,7 @@ mod tests {
         let titles: Vec<_> = view
             .edges
             .iter()
-            .filter_map(|(l, t)| (l == "title").then_some(t))
+            .filter_map(|(l, t)| (&**l == "title").then_some(t))
             .collect();
         assert_eq!(
             titles,
@@ -1509,7 +1527,7 @@ mod tests {
         assert!(view
             .edges
             .iter()
-            .any(|(l, t)| l == "year"
+            .any(|(l, t)| &**l == "year"
                 && matches!(t, DynTarget::Page(k) if k.symbol == "YearPage"
                     && k.args == vec![Value::Int(1997)])));
     }
@@ -1529,7 +1547,7 @@ mod tests {
             root_view
                 .edges
                 .iter()
-                .filter(|(l, _)| l == "paper")
+                .filter(|(l, _)| &**l == "paper")
                 .count(),
             static_site.graph.attr_str(static_root, "paper").count()
         );
@@ -1548,7 +1566,7 @@ mod tests {
         assert!(view
             .edges
             .iter()
-            .any(|(l, t)| l == "label" && *t == DynTarget::Data(Value::Int(1997))));
+            .any(|(l, t)| &**l == "label" && *t == DynTarget::Data(Value::Int(1997))));
     }
 
     #[test]
@@ -1732,7 +1750,7 @@ mod tests {
         assert_eq!(site.metrics().cache_hits, hits_before + 1, "p1 was a hit");
         assert_eq!(site.metrics().queries_run, queries_before, "no guard re-ran");
         assert_ne!(before, after);
-        assert!(after.edges.iter().any(|(l, t)| l == "title"
+        assert!(after.edges.iter().any(|(l, t)| &**l == "title"
             && *t == DynTarget::Data(Value::string("Alpha (rev)"))));
         assert!(
             !after.edges.iter().any(|(_, t)| *t == DynTarget::Data(Value::string("Alpha"))),
@@ -1852,7 +1870,7 @@ mod tests {
             .view()
             .edges
             .iter()
-            .any(|(l, t)| l == "title" && *t == DynTarget::Data(Value::string("Alpha"))));
+            .any(|(l, t)| &**l == "title" && *t == DynTarget::Data(Value::string("Alpha"))));
         site.insert_if_current(epoch, key.clone(), stale);
         drop(snapshot);
         assert_eq!(site.cached_pages(), 0, "the epoch fence dropped the insert");
@@ -1879,7 +1897,7 @@ mod tests {
 
         let view = site.visit(&root()).unwrap();
         assert_eq!(
-            view.edges.iter().filter(|(l, _)| l == "paper").count(),
+            view.edges.iter().filter(|(l, _)| &**l == "paper").count(),
             4,
             "new paper listed"
         );
@@ -1948,19 +1966,18 @@ mod tests {
     fn row_store_tracks_counts_and_rejects_underflow() {
         let row = |n: i64| -> (u32, Row) { (0, vec![Some(Value::Int(n))]) };
         let link = |n: i64| -> Link { ("l".into(), DynTarget::Data(Value::Int(n))) };
-        let viewed = |n: i64| ("l".to_string(), DynTarget::Data(Value::Int(n)));
         let mut rows = PageRows::default();
         assert!(rows.add(row(1), 2, link(1)));
         assert!(rows.add(row(2), 1, link(2)));
         assert_eq!(rows.retract(&row(1), 1, &link(1)), Some(false));
         assert_eq!(rows.rows[&row(1)].count, 1, "one derivation left");
-        assert_eq!(rows.view().edges, vec![viewed(1), viewed(2)]);
+        assert_eq!(rows.view().edges, vec![link(1), link(2)]);
         // The last derivation takes the row and its link along.
         assert_eq!(rows.retract(&row(1), 1, &link(1)), Some(false));
-        assert_eq!(rows.view().edges, vec![viewed(2)]);
+        assert_eq!(rows.view().edges, vec![link(2)]);
         // A re-derived row is a new row: it goes to the end.
         assert!(rows.add(row(1), 1, link(1)));
-        assert_eq!(rows.view().edges, vec![viewed(2), viewed(1)]);
+        assert_eq!(rows.view().edges, vec![link(2), link(1)]);
         // Retracting more than the store holds, or a row it never held,
         // signals fallback.
         assert_eq!(rows.retract(&row(2), 2, &link(2)), None);
@@ -1996,7 +2013,7 @@ mod tests {
         let title = |view: &PageView| {
             view.edges
                 .iter()
-                .find_map(|(l, t)| (l == "title").then(|| t.clone()))
+                .find_map(|(l, t)| (&**l == "title").then(|| t.clone()))
         };
         let held = site.visit(&key).unwrap();
         retitle(&site, p1, "Alpha", "Alpha (rev)");
@@ -2030,7 +2047,7 @@ mod tests {
             (a.join().unwrap(), b.join().unwrap())
         });
         assert!(Arc::ptr_eq(&a, &b), "one materialisation, shared");
-        assert!(a.edges.iter().any(|(l, t)| l == "title"
+        assert!(a.edges.iter().any(|(l, t)| &**l == "title"
             && *t == DynTarget::Data(Value::string("Alpha (rev)"))));
     }
 

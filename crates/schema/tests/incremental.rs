@@ -84,7 +84,7 @@ fn targets(site: &DynamicSite, key: &PageKey, label: &str) -> Vec<DynTarget> {
     let view = site.visit(key).unwrap();
     view.edges
         .iter()
-        .filter(|(l, _)| l == label)
+        .filter(|(l, _)| &**l == label)
         .map(|(_, t)| t.clone())
         .collect()
 }

@@ -369,7 +369,7 @@ fn retracting_a_first_supporter_moves_the_link_to_its_next_one() {
     let sections = |view: &PageView| -> Vec<Value> {
         view.edges
             .iter()
-            .filter(|(label, _)| label == "Section")
+            .filter(|(label, _)| &**label == "Section")
             .map(|(_, target)| match target {
                 DynTarget::Page(k) => k.args[0].clone(),
                 other => panic!("{other:?}"),

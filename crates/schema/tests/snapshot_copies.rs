@@ -95,7 +95,7 @@ fn a_database_held_across_a_delta_is_copied_once() {
     assert!(view
         .edges
         .iter()
-        .any(|(l, t)| l == "title" && *t == DynTarget::Data(Value::string("rev 3"))));
+        .any(|(l, t)| &**l == "title" && *t == DynTarget::Data(Value::string("rev 3"))));
     let fresh = DynamicSite::new(site.database(), &parse(QUERY).unwrap(), Mode::Context);
     for key in [key, root()] {
         assert_eq!(

@@ -46,10 +46,12 @@
 //!   reactor over the same queue and an `eventfd` wakeup, with head,
 //!   body and the bytes already written, and the reactor resumes it as
 //!   it resumes an inline hit (counted as
-//!   `strudel_pool_handbacks_total`). When the pool's bounded queue
-//!   ([`ServerConfig::max_backlog`]) is full, the request sheds with
-//!   `503` + `Retry-After`; so does a connection past
-//!   [`ServerConfig::max_connections`].
+//!   `strudel_pool_handbacks_total`). Each idle worker waits on the
+//!   pool's queue itself, so a dispatched request wakes one worker and
+//!   no other. When that bounded queue ([`ServerConfig::max_backlog`])
+//!   is full, the request sheds with `503` + `Retry-After`; so does a
+//!   connection past [`ServerConfig::max_connections`]. At shutdown the
+//!   workers answer what is still queued before they exit.
 //!
 //! The reactor thread is the one thread nothing else can stand in for,
 //! so it may only run code that cannot wait. That is the `try_warm`
@@ -121,7 +123,7 @@ mod imp {
     use std::os::fd::{AsRawFd, RawFd};
     use std::panic::AssertUnwindSafe;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{mpsc, Arc, Mutex};
+    use std::sync::{Arc, Condvar, Mutex};
     use std::time::{Duration, Instant};
     use strudel_epoll::{Epoll, Event, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
@@ -173,6 +175,86 @@ mod imp {
         /// `Dispatched` the reactor reads nothing, so this holds until
         /// the answer is written.
         rearm: bool,
+    }
+
+    /// The render pool's bounded job queue ([`ServerConfig::max_backlog`]).
+    /// Every idle worker waits on `ready` itself, so a queued job wakes
+    /// exactly one of them.
+    struct JobQueue {
+        state: Mutex<Jobs>,
+        ready: Condvar,
+        capacity: usize,
+    }
+
+    struct Jobs {
+        queued: VecDeque<Job>,
+        /// Set when the reactor stops: the workers answer what is still
+        /// queued, then exit.
+        closed: bool,
+    }
+
+    impl JobQueue {
+        fn new(capacity: usize) -> Self {
+            JobQueue {
+                state: Mutex::new(Jobs {
+                    queued: VecDeque::new(),
+                    closed: false,
+                }),
+                ready: Condvar::new(),
+                capacity,
+            }
+        }
+
+        fn jobs(&self) -> std::sync::MutexGuard<'_, Jobs> {
+            self.state
+                .lock()
+                .expect("nothing panics holding the job queue")
+        }
+
+        /// Queues `job` and wakes one idle worker; `false`, with the job
+        /// dropped, when the queue is full.
+        fn push(&self, job: Job) -> bool {
+            let mut jobs = self.jobs();
+            if jobs.queued.len() >= self.capacity {
+                return false;
+            }
+            jobs.queued.push_back(job);
+            // Woken after the unlock, the worker does not wait again for
+            // the lock this thread still holds.
+            drop(jobs);
+            self.ready.notify_one();
+            true
+        }
+
+        /// The next job, waiting for one; `None` once the queue is closed
+        /// and empty.
+        fn pop(&self) -> Option<Job> {
+            let mut jobs = self.jobs();
+            loop {
+                if let Some(job) = jobs.queued.pop_front() {
+                    return Some(job);
+                }
+                if jobs.closed {
+                    return None;
+                }
+                jobs = self
+                    .ready
+                    .wait(jobs)
+                    .expect("nothing panics holding the job queue");
+            }
+        }
+    }
+
+    /// The reactor's end of the job queue. Dropped — when the reactor
+    /// returns or unwinds — it closes the queue, so the workers drain it
+    /// and exit and the server's join never waits on an idle worker.
+    struct JobSender(Arc<JobQueue>);
+
+    impl Drop for JobSender {
+        fn drop(&mut self) {
+            self.0.jobs().closed = true;
+            self.0.ready.notify_all();
+        }
     }
 
     /// A click the reactor is forwarding, and how to answer it.
@@ -285,7 +367,7 @@ mod imp {
         /// completions for a recycled slot are ignored.
         generations: Vec<u32>,
         open: usize,
-        jobs: mpsc::SyncSender<Job>,
+        jobs: JobSender,
         completions: Arc<Mutex<VecDeque<Completion>>>,
         stop: Arc<AtomicBool>,
         request_timeout: Duration,
@@ -307,13 +389,12 @@ mod imp {
         epoll.add(wakeup.as_raw_fd(), EPOLLIN, WAKEUP)?;
 
         let stop = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = mpsc::sync_channel::<Job>(config.max_backlog.max(1));
-        let rx = Arc::new(Mutex::new(rx));
+        let queue = Arc::new(JobQueue::new(config.max_backlog.max(1)));
         let completions = Arc::new(Mutex::new(VecDeque::new()));
 
         let mut workers = Vec::with_capacity(config.workers.max(1));
         for i in 0..config.workers.max(1) {
-            let rx = Arc::clone(&rx);
+            let queue = Arc::clone(&queue);
             let worker = Worker {
                 service: Arc::clone(&service),
                 epoll: Arc::clone(&epoll),
@@ -323,14 +404,10 @@ mod imp {
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("strudel-render-{i}"))
-                    .spawn(move || loop {
-                        // One idle worker blocks in `recv` holding the
-                        // receiver lock while the others wait for the
-                        // lock; it is released as soon as a job is
-                        // dequeued, so no render holds it.
-                        let job = rx.lock().unwrap().recv();
-                        let Ok(job) = job else { break };
-                        worker.answer(job);
+                    .spawn(move || {
+                        while let Some(job) = queue.pop() {
+                            worker.answer(job);
+                        }
                     })?,
             );
         }
@@ -348,7 +425,7 @@ mod imp {
             free: Vec::new(),
             generations: Vec::new(),
             open: 0,
-            jobs: tx,
+            jobs: JobSender(queue),
             completions,
             stop: Arc::clone(&stop),
             request_timeout: config.timeout,
@@ -486,8 +563,8 @@ mod imp {
                 self.tick(&mut events);
             }
             self.shutdown_drain(&mut events);
-            // Dropping the reactor drops the job sender; the render
-            // workers drain the queue and exit.
+            // Dropping the reactor closes the job queue; the render
+            // workers drain it and exit.
         }
 
         fn tick(&mut self, events: &mut [Event]) {
@@ -958,20 +1035,14 @@ mod imp {
             // While dispatched the socket needs no read/write interest;
             // errors and hangups are delivered regardless.
             self.set_interest(idx, 0);
-            match self.jobs.try_send(job) {
-                Ok(()) => false,
-                Err(mpsc::TrySendError::Full(_)) => {
-                    // Render pool saturated: shed with a 503 the
-                    // client can retry after.
-                    self.service.note_shed();
-                    let retry = self.retry_after_secs;
-                    self.queue_response(idx, &proto::response_503(), false, true, Some(retry))
-                }
-                Err(mpsc::TrySendError::Disconnected(_)) => {
-                    self.close(idx);
-                    false
-                }
+            if self.jobs.0.push(job) {
+                return false;
             }
+            // Render pool saturated: shed with a 503 the client can retry
+            // after.
+            self.service.note_shed();
+            let retry = self.retry_after_secs;
+            self.queue_response(idx, &proto::response_503(), false, true, Some(retry))
         }
 
         /// Queues a response the reactor made itself (`Writing`).

@@ -670,8 +670,8 @@ impl SiteService {
         if let Some(cached) = self.cache.get(key) {
             return Response::html(cached.html.to_string());
         }
-        match self.render_into_cache(key) {
-            Ok(cached) => Response::html(cached.html.to_string()),
+        match self.render_and_cache(key) {
+            Ok((_, html)) => Response::html(html),
             Err(ServeError::NoSuchPage) => Response::not_found(path),
             Err(e) => Response::error(&e),
         }
@@ -682,15 +682,26 @@ impl SiteService {
     /// lands mid-render the insert is dropped and the next request
     /// re-renders fresh. Returns the rendition either way.
     pub fn render_into_cache(&self, key: &PageKey) -> Result<CachedPage, ServeError> {
+        self.render_and_cache(key).map(|(cached, _)| cached)
+    }
+
+    /// [`SiteService::render_into_cache`], answering the HTML also as the
+    /// `String` it was rendered into: the response takes that, and only
+    /// the cache's copy is made.
+    fn render_and_cache(&self, key: &PageKey) -> Result<(CachedPage, String), ServeError> {
         // The epoch alone: a snapshot kept for the length of a render
         // would make a delta landing mid-render copy the engine's database.
         let epoch = self.engine.epoch();
         let page = render::Object::Page(key);
-        let cached = render::render(&self.engine, &self.templates, &self.choice, page)?;
+        let (html, deps) = render::render_html(&self.engine, &self.templates, &self.choice, page)?;
+        let cached = CachedPage {
+            html: html.as_str().into(),
+            deps,
+        };
         self.cache.insert_if(key.clone(), cached.clone(), || {
             self.engine.epoch() == epoch
         });
-        Ok(cached)
+        Ok((cached, html))
     }
 
     /// Pre-renders the served site into the HTML cache: the

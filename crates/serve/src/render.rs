@@ -25,11 +25,12 @@
 //! evaluation: a snapshot kept for a render would make a delta landing
 //! mid-render copy the engine's database.
 
-use crate::router::{data_path, page_path};
+use crate::router::{page_path, write_data_path, write_page_path};
 use crate::{CachedPage, ServeError};
 use std::cell::{OnceCell, RefCell};
 use std::fmt::Write;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use strudel_graph::{write_skolem_name, Graph, Oid, Value};
 use strudel_schema::dynamic::{DynTarget, DynamicSite, PageKey, PageView};
@@ -40,13 +41,20 @@ use strudel_template::{
 /// A site's templates with §2.4's name and collection rules resolved per
 /// Skolem symbol: by schema node, the rule for a page with arguments and
 /// the rule for the nullary page, which the symbol alone names.
-pub struct PageTemplates(Vec<[Rule; 2]>);
+pub struct PageTemplates {
+    rules: Vec<[Rule; 2]>,
+    /// By schema node, the longest rendition of one of its pages so far:
+    /// the next one's HTML is written into a buffer of that size, so a
+    /// page of a symbol already rendered is written without regrowing it.
+    sizes: Vec<AtomicUsize>,
+}
 
 impl PageTemplates {
     /// Resolves `templates`' rules for every page symbol of `engine`'s
     /// site.
     pub fn new(engine: &DynamicSite, templates: &TemplateSet) -> Self {
-        let rules = engine.schema().nodes.iter().map(|node| {
+        let nodes = &engine.schema().nodes;
+        let rules = nodes.iter().map(|node| {
             let symbol = node.name();
             let collections = || engine.collections_of(symbol).iter().map(String::as_str);
             [
@@ -54,7 +62,10 @@ impl PageTemplates {
                 templates.rule(Some(symbol), collections()),
             ]
         });
-        PageTemplates(rules.collect())
+        PageTemplates {
+            rules: rules.collect(),
+            sizes: nodes.iter().map(|_| AtomicUsize::new(0)).collect(),
+        }
     }
 }
 
@@ -72,18 +83,18 @@ impl Slot {
         label: Option<&'s str>,
     ) -> impl Iterator<Item = (&'s str, Item<'s, ViewNode<'s>>)> {
         let edges = self.view.edges.iter().enumerate();
-        let kept = edges.filter(move |(_, (l, _))| label.map_or(true, |label| l == label));
+        let kept = edges.filter(move |(_, (l, _))| label.map_or(true, |label| **l == *label));
         kept.map(move |(i, (l, target))| {
             let object = match target {
                 DynTarget::Page(key) => Object::Page(key),
                 DynTarget::Data(Value::Node(oid)) => Object::Data(*oid),
-                DynTarget::Data(atomic) => return (l.as_str(), Item::Value(atomic)),
+                DynTarget::Data(atomic) => return (&**l, Item::Value(atomic)),
             };
             let kids = self
                 .kids
                 .get_or_init(|| self.view.edges.iter().map(|_| OnceCell::new()).collect());
             let slot = &kids[i];
-            (l.as_str(), Item::Node(ViewNode { object, slot }))
+            (&**l, Item::Node(ViewNode { object, slot }))
         })
     }
 }
@@ -149,7 +160,7 @@ impl PageViews<'_> {
                     let edges = data.edges(oid).iter();
                     let edges = edges.map(|e| {
                         (
-                            data.label_name(e.label).to_owned(),
+                            Arc::from(data.label_name(e.label)),
                             DynTarget::Data(e.to.clone()),
                         )
                     });
@@ -199,7 +210,7 @@ impl<'s> SiteSource<'s> for &'s PageViews<'_> {
         };
         let mut first = [None; 3];
         for (label, target) in &self.slot(node).view.edges {
-            let Some(i) = LINK_TEXT_ATTRS.iter().position(|a| a == label) else {
+            let Some(i) = LINK_TEXT_ATTRS.iter().position(|a| *a == &**label) else {
                 continue;
             };
             first[i] = first[i].or(Some(target));
@@ -238,14 +249,14 @@ impl<'s> SiteSource<'s> for &'s PageViews<'_> {
             Some((_, Item::Value(v))) => Some(v),
             _ => None,
         };
-        self.choice.0[rules][usize::from(key.args.is_empty())].select(templates, html_template)
+        self.choice.rules[rules][usize::from(key.args.is_empty())].select(templates, html_template)
     }
 
     fn url(self, node: ViewNode<'s>, out: &mut String) -> bool {
-        out.push_str(&self.data(|data| match node.object {
-            Object::Page(key) => page_path(key, data),
-            Object::Data(oid) => data_path(oid, data),
-        }));
+        self.data(|data| match node.object {
+            Object::Page(key) => write_page_path(out, key, data),
+            Object::Data(oid) => write_data_path(out, oid, data),
+        });
         true
     }
 }
@@ -270,9 +281,35 @@ pub fn render(
     choice: &PageTemplates,
     object: Object<'_>,
 ) -> Result<CachedPage, ServeError> {
+    let (html, deps) = render_html(engine, templates, choice, object)?;
+    Ok(CachedPage {
+        html: html.into(),
+        deps,
+    })
+}
+
+/// [`render`], answering the HTML in the `String` it was written into
+/// beside the rendition's dependencies, for a caller that sends the page
+/// as well as caching it.
+pub(crate) fn render_html(
+    engine: &DynamicSite,
+    templates: &TemplateSet,
+    choice: &PageTemplates,
+    object: Object<'_>,
+) -> Result<(String, Arc<[PageKey]>), ServeError> {
     let root = OnceCell::new();
+    // The pages a rendition reads are, but for embeds, the ones its page
+    // links to.
+    let mut linked = 0;
+    let mut node = None;
     if let Object::Page(key) = object {
         let view = engine.lookup(key)?.ok_or(ServeError::NoSuchPage)?;
+        linked = view
+            .edges
+            .iter()
+            .filter(|(_, t)| matches!(t, DynTarget::Page(_)))
+            .count();
+        node = engine.schema().node_index(&key.symbol);
         let _ = root.set(Slot {
             view,
             kids: OnceCell::new(),
@@ -281,21 +318,22 @@ pub fn render(
     let views = PageViews {
         engine,
         choice,
-        deps: RefCell::default(),
+        deps: RefCell::new(Vec::with_capacity(linked)),
         error: RefCell::default(),
     };
-    let mut html = String::new();
+    let size = node.map(|n| &choice.sizes[n]);
+    let mut html = String::with_capacity(size.map_or(0, |s| s.load(Ordering::Relaxed)));
     let page = ViewNode {
         object,
         slot: &root,
     };
     strudel_template::render_page(&views, templates, page, &mut html)?;
+    if let Some(size) = size {
+        size.fetch_max(html.len(), Ordering::Relaxed);
+    }
     match views.error.into_inner() {
         Some(e) => Err(e),
-        None => Ok(CachedPage {
-            html: html.into(),
-            deps: views.deps.into_inner().into(),
-        }),
+        None => Ok((html, views.deps.into_inner().into())),
     }
 }
 

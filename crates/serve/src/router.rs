@@ -169,13 +169,18 @@ pub fn decode_value(seg: &str, graph: &Graph) -> Option<Value> {
 /// The URL path serving `key`.
 pub fn page_path(key: &PageKey, graph: &Graph) -> String {
     let mut path = String::with_capacity(32 * (1 + key.args.len()));
-    path.push_str("/page/");
-    pct_encode_into(&mut path, &key.symbol);
-    for arg in &key.args {
-        path.push('/');
-        encode_value_into(&mut path, arg, graph);
-    }
+    write_page_path(&mut path, key, graph);
     path
+}
+
+/// [`page_path`], appending to `out`.
+pub fn write_page_path(out: &mut String, key: &PageKey, graph: &Graph) {
+    out.push_str("/page/");
+    pct_encode_into(out, &key.symbol);
+    for arg in &key.args {
+        out.push('/');
+        encode_value_into(out, arg, graph);
+    }
 }
 
 /// Parses a `/page/…` path back into a [`PageKey`]. `None` means the path
@@ -196,9 +201,15 @@ pub fn parse_page_path(path: &str, graph: &Graph) -> Option<PageKey> {
 
 /// The URL path of the raw data-graph view of `oid`.
 pub fn data_path(oid: Oid, graph: &Graph) -> String {
-    let mut path = String::from("/data/");
-    encode_value_into(&mut path, &Value::Node(oid), graph);
+    let mut path = String::new();
+    write_data_path(&mut path, oid, graph);
     path
+}
+
+/// [`data_path`], appending to `out`.
+pub fn write_data_path(out: &mut String, oid: Oid, graph: &Graph) {
+    out.push_str("/data/");
+    encode_value_into(out, &Value::Node(oid), graph);
 }
 
 /// Parses a `/data/…` path back into a data-graph object.

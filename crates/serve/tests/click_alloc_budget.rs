@@ -51,15 +51,20 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// the render, the HTML cache insert and the response. At b4a86ed this
 /// was 421.5. Guards run on resolved ids and rows projected in place,
 /// with a renderer that reads the page views themselves (no render graph,
-/// no copy of a child's attributes), measure 152.4.
-const CRAWL_PER_PAGE: f64 = 152.4;
+/// no copy of a child's attributes), measured 151.6. A page's row store
+/// built once at its final size, labels shared with the served view,
+/// links' URLs written straight into the page, its HTML buffer sized
+/// from the longest page of its symbol so far and the response sent from
+/// that buffer (only the cache's copy is made) measure 123.7.
+const CRAWL_PER_PAGE: f64 = 123.7;
 
 /// Allocations per cold `DynamicSite::visit` of an article page. At
 /// b4a86ed this was 212.1; the same changes, and a seeded guard's row
-/// extended in place when a step has one candidate, measure 87.8: mostly
-/// the bindings rows themselves and one label string per link of the
-/// served view.
-const VISIT_PER_ARTICLE: f64 = 96.6;
+/// extended in place when a step has one candidate, measured 87.2: mostly
+/// the bindings rows themselves, one label string per link of the served
+/// view and the row store's tables regrowing. With the labels shared and
+/// the store built once at its final size it is 69.6.
+const VISIT_PER_ARTICLE: f64 = 69.6;
 
 /// Every page reachable from the roots, breadth first (parents first).
 fn crawl_order(site: &Site) -> Vec<PageKey> {

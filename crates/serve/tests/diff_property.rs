@@ -182,7 +182,7 @@ fn random_delta(rng: &mut SmallRng, g: &Graph) -> GraphDelta {
 
 fn sorted_view(
     v: Arc<strudel_schema::dynamic::PageView>,
-) -> Vec<(String, strudel_schema::dynamic::DynTarget)> {
+) -> Vec<(Arc<str>, strudel_schema::dynamic::DynTarget)> {
     let mut edges = v.edges.clone();
     edges.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
     edges

@@ -3,14 +3,15 @@
 //! must shed with a `503` + `Retry-After`, never queue unbounded work;
 //! and both outcomes must be visible on `/metrics`. A client that hangs
 //! up while the pool renders its page costs that answer and nothing
-//! more.
+//! more, and a request still queued for the pool at shutdown is answered
+//! or its connection closed, never left hanging.
 
 mod common;
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use strudel::sites::news_site;
 use strudel_schema::dynamic::Mode;
@@ -251,6 +252,68 @@ fn a_client_that_hangs_up_while_its_page_renders_costs_nothing() {
     let metrics = get(addr, "/metrics");
     assert!(metrics.contains("strudel_panics_total 0"), "{metrics}");
     server.shutdown();
+}
+
+#[test]
+fn requests_queued_at_shutdown_are_answered_or_closed_never_leaked() {
+    let svc = service();
+    let server = serve(
+        svc.clone(),
+        ServerConfig {
+            workers: 1,
+            // The shutdown drain waits this long for dispatched requests.
+            timeout: Duration::from_millis(300),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr();
+    let page = warm_page(&svc);
+
+    // The one worker stalls past the drain window with three requests
+    // queued behind it: the reactor closes its side of every connection
+    // and exits while the queue still holds them.
+    svc.arm_probe(&page, FaultProbe::Stall(Duration::from_millis(1500)));
+    let mut clients = Vec::new();
+    for path in [page.as_str(), "/", "/", "/"] {
+        let path = path.to_string();
+        clients.push(std::thread::spawn(move || get(addr, &path)));
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let t0 = Instant::now();
+    server.shutdown();
+    assert!(
+        t0.elapsed() < Duration::from_secs(5),
+        "shutdown waited on the queue: {:?}",
+        t0.elapsed()
+    );
+
+    // Every queued request was answered whole by the worker, which holds
+    // its socket until it has written.
+    for client in clients {
+        let r = client.join().unwrap();
+        assert!(
+            r.starts_with("HTTP/1.1 200"),
+            "queued request answered: {r:?}"
+        );
+        let (head, body) = r.split_once("\r\n\r\n").expect("a whole head");
+        let length = head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .expect("a length");
+        assert_eq!(
+            body.len(),
+            length.parse::<usize>().unwrap(),
+            "the whole body"
+        );
+    }
+    // No connection, job or thread outlives the server.
+    assert_eq!(svc.stats().open_connections, 0);
+    assert_eq!(
+        Arc::strong_count(&svc),
+        1,
+        "every server thread let go of the service"
+    );
 }
 
 #[test]

@@ -106,7 +106,7 @@ fn main() {
     let papers = papers
         .edges
         .iter()
-        .filter(|(label, target)| label == "Paper" && matches!(target, DynTarget::Page(_)))
+        .filter(|(label, target)| &**label == "Paper" && matches!(target, DynTarget::Page(_)))
         .count();
     println!("YearPage(1998) now lists {papers} papers (the new one included)");
 }

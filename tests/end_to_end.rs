@@ -79,7 +79,7 @@ fn news_pipeline_cross_checks_with_dynamic_engine() {
     let dynamic_sections = front
         .edges
         .iter()
-        .filter(|(l, _)| l == "Section")
+        .filter(|(l, _)| &**l == "Section")
         .count();
     assert_eq!(static_sections, dynamic_sections);
 
@@ -87,7 +87,7 @@ fn news_pipeline_cross_checks_with_dynamic_engine() {
     let (_, DynTarget::Page(section_key)) = front
         .edges
         .iter()
-        .find(|(l, _)| l == "Section")
+        .find(|(l, _)| &**l == "Section")
         .unwrap()
         .clone()
     else {
@@ -99,7 +99,7 @@ fn news_pipeline_cross_checks_with_dynamic_engine() {
         .unwrap();
     assert_eq!(
         static_result.graph.attr_str(section_oid, "Story").count(),
-        section_view.edges.iter().filter(|(l, _)| l == "Story").count()
+        section_view.edges.iter().filter(|(l, _)| &**l == "Story").count()
     );
 }
 
